@@ -13,7 +13,10 @@ use provio_model::ClassSelector;
 use provio_workflows::dassa::{run as dassa, DassaParams};
 use provio_workflows::{Cluster, ProvMode};
 
-const SCENARIOS: [(&str, fn() -> ClassSelector); 3] = [
+/// A Table 3 scenario: its label and the selector preset.
+type Scenario = (&'static str, fn() -> ClassSelector);
+
+const SCENARIOS: [Scenario; 3] = [
     ("file", ClassSelector::dassa_file_lineage),
     ("dataset", ClassSelector::dassa_dataset_lineage),
     ("attribute", ClassSelector::dassa_attribute_lineage),

@@ -15,7 +15,10 @@ use provio_simrt::SimDuration;
 use provio_workflows::h5bench::{run as h5bench, H5benchParams, IoPattern};
 use provio_workflows::{Cluster, ProvMode};
 
-const SCENARIOS: [(&str, fn() -> ClassSelector); 3] = [
+/// A Table 3 scenario: its label and the selector preset.
+type Scenario = (&'static str, fn() -> ClassSelector);
+
+const SCENARIOS: [Scenario; 3] = [
     ("scenario-1", ClassSelector::h5bench_scenario1),
     ("scenario-2", ClassSelector::h5bench_scenario2),
     ("scenario-3", ClassSelector::h5bench_scenario3),

@@ -705,7 +705,7 @@ mod tests {
         let (g, report) = merge_directory(&fs, "/provio");
         assert_eq!(report.files, 1);
         assert_eq!(report.corrupt, vec!["/provio/prov_p99.ttl"]);
-        assert!(g.len() > 0);
+        assert!(!g.is_empty());
     }
 
     fn write_file(fs: &Arc<FileSystem>, path: &str, body: &[u8]) {

@@ -517,9 +517,11 @@ mod tests {
         let mut r = RunReport::new(2);
         r.attach_merge(2, &merge_report(2, 50));
         assert!(r.is_complete());
-        let mut s = ScrubReport::default();
-        s.repaired_files = vec!["/p/a".into()];
-        s.repaired_batches = 3;
+        let mut s = ScrubReport {
+            repaired_files: vec!["/p/a".into()],
+            repaired_batches: 3,
+            ..ScrubReport::default()
+        };
         r.attach_scrub(&s);
         assert!(r.is_complete(), "repair within tolerance costs nothing: {r}");
         assert!(
@@ -531,8 +533,10 @@ mod tests {
         assert!(!r.is_complete(), "loss beyond tolerance costs completeness: {r}");
         // An unusable parity file is lost *redundancy*, not lost data: the
         // members all still verify, so completeness survives.
-        let mut u = ScrubReport::default();
-        u.unusable_parity = vec!["/p/a.p000000.par".into()];
+        let u = ScrubReport {
+            unusable_parity: vec!["/p/a.p000000.par".into()],
+            ..ScrubReport::default()
+        };
         r.attach_scrub(&u);
         assert_eq!(r.scrub_unrecoverable, 0);
         assert!(r.is_complete(), "{r}");

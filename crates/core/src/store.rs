@@ -43,6 +43,14 @@
 //! and disk writes happen outside the state lock, so concurrent `push`
 //! calls never stall behind serialization.
 //!
+//! A snapshot is two halves: [`Inner::render`] captures and renders (and
+//! frames) the graph and issues no file-system operation; [`Inner::commit`]
+//! only writes. Periodic flushes run them back to back. The final flush
+//! exposes them separately ([`ProvenanceStore::render_final`],
+//! [`ProvenanceStore::commit_final`]) so a registry can render every rank's
+//! snapshot in parallel and still issue all file-system operations from one
+//! thread in pid order.
+//!
 //! # Crash consistency
 //!
 //! Transient errors (`EIO`, `ENOSPC`) are retried under a [`RetryPolicy`]
@@ -116,7 +124,7 @@ use crate::frame::{self, FrameKind};
 use crate::scrub::{self, MemberCheck, ParityMember};
 use parking_lot::{Condvar, Mutex};
 use provio_hpcfs::{FileSystem, FsError, Ino};
-use provio_rdf::{ntriples, turtle, Graph, Namespaces, Term, TermId, Triple};
+use provio_rdf::{ntriples, turtle, Graph, IdMap, Namespaces, Term, TermId, Triple};
 use provio_simrt::{ChargeGuard, DetRng, SimDuration, SimTime, VirtualClock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -313,6 +321,31 @@ struct WalChunk {
     block: String,
 }
 
+/// What a snapshot's bytes depend on besides the graph: the format and the
+/// frame identity (store GUID, commit ordinal, chain predecessor) they are
+/// rendered under. Ordinal and chain advance only on a successful commit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrameSeat {
+    checksums: bool,
+    format: RdfFormat,
+    guid: u64,
+    ordinal: u64,
+    chain: u32,
+}
+
+/// A snapshot rendered (and framed) but not yet committed — what travels
+/// from [`ProvenanceStore::render_final`] to
+/// [`ProvenanceStore::commit_final`].
+pub(crate) struct RenderedSnapshot {
+    bytes: Vec<u8>,
+    /// The frame's chain value and Merkle root (framed stores only).
+    chain: Option<u32>,
+    root: Option<[u8; 32]>,
+    /// Graph length the bytes cover: the watermark once they are durable.
+    captured: usize,
+    seat: FrameSeat,
+}
+
 /// Everything the flush path owns: paths, format, retry/degradation
 /// bookkeeping, and the delta-segment ledger. Holding this lock serializes
 /// flushes without blocking `push`.
@@ -456,6 +489,16 @@ fn par_path(path: &str, seq: u64) -> String {
 const NT_BATCH_LINES: usize = 64;
 
 impl IoState {
+    fn seat(&self) -> FrameSeat {
+        FrameSeat {
+            checksums: self.checksums,
+            format: self.format,
+            guid: self.guid,
+            ordinal: self.next_ordinal,
+            chain: self.last_chain,
+        }
+    }
+
     /// The breaker's notion of "now": the charge clock if the flush carries
     /// one, else the owning rank's wired clock, else the epoch (which makes
     /// an un-clocked open breaker effectively permanent until `finish`).
@@ -839,17 +882,17 @@ struct Inner {
 }
 
 impl Inner {
-    /// Serialize the whole graph and commit it over the snapshot path,
-    /// unlinking any delta segments the snapshot now supersedes. Returns
-    /// committed bytes, or 0 on a dropped flush.
-    fn snapshot(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
+    /// The CPU half of a snapshot: capture the graph and render it under
+    /// `seat`. Issues no file-system operation and takes only the state
+    /// lock, briefly.
+    fn render(&self, seat: FrameSeat) -> RenderedSnapshot {
         // Capture under the state lock: the clone shares term payloads
         // (`Arc<str>`), so this is O(ids), not O(bytes).
         let (graph, captured) = {
             let st = self.state.lock();
             (st.graph.clone(), st.graph.len())
         };
-        let (bytes, chain, root) = match (io.checksums, io.format) {
+        let (bytes, chain, root) = match (seat.checksums, seat.format) {
             (false, RdfFormat::Turtle) => (
                 turtle::serialize(&graph, &Namespaces::standard()).into_bytes(),
                 None,
@@ -865,9 +908,9 @@ impl Inner {
                 let text = turtle::serialize(&graph, &Namespaces::standard());
                 let (framed, c, r) = frame::encode_with_root(
                     FrameKind::Snapshot,
-                    io.guid,
-                    io.next_ordinal,
-                    io.last_chain,
+                    seat.guid,
+                    seat.ordinal,
+                    seat.chain,
                     &text,
                     usize::MAX,
                 );
@@ -880,9 +923,9 @@ impl Inner {
                 let lines = ntriples::sorted_graph_lines(&graph);
                 let mut enc = frame::Encoder::new(
                     FrameKind::Snapshot,
-                    io.guid,
-                    io.next_ordinal,
-                    io.last_chain,
+                    seat.guid,
+                    seat.ordinal,
+                    seat.chain,
                 );
                 enc.reserve(lines.iter().map(|l| l.len() + 1).sum());
                 for chunk in lines.chunks(NT_BATCH_LINES) {
@@ -892,6 +935,34 @@ impl Inner {
                 (framed, Some(c), Some(r))
             }
         };
+        RenderedSnapshot {
+            bytes,
+            chain,
+            root,
+            captured,
+            seat,
+        }
+    }
+
+    /// Render and commit a snapshot. Returns committed bytes, or 0 on a
+    /// dropped flush.
+    fn snapshot(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
+        let rendered = self.render(io.seat());
+        self.commit(io, rendered, charge)
+    }
+
+    /// The file-system half of a snapshot: commit `rendered` over the
+    /// snapshot path, unlinking any delta segments it now supersedes.
+    /// Returns committed bytes, or 0 on a dropped flush.
+    fn commit(&self, io: &mut IoState, rendered: RenderedSnapshot, charge: Option<&VirtualClock>) -> u64 {
+        debug_assert_eq!(rendered.seat, io.seat(), "rendered under a stale frame identity");
+        let RenderedSnapshot {
+            bytes,
+            chain,
+            root,
+            captured,
+            ..
+        } = rendered;
         let (tmp, dst) = (io.tmp_path.clone(), io.path.clone());
         if !io.commit_with_retry(&tmp, &dst, &bytes, charge) {
             return 0;
@@ -940,7 +1011,7 @@ impl Inner {
             if ids.is_empty() {
                 return 0;
             }
-            let mut terms: HashMap<u32, Term> = HashMap::new();
+            let mut terms: IdMap<u32, Term> = IdMap::default();
             for &(s, p, o) in &ids {
                 for id in [s, p, o] {
                     terms
@@ -1038,8 +1109,17 @@ impl Inner {
     }
 
     /// Final flush: always compacts to a single snapshot. Bypasses an open
-    /// breaker — this is the run's last chance to persist.
-    fn finish_now(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
+    /// breaker — this is the run's last chance to persist. `rendered` is
+    /// the snapshot [`ProvenanceStore::render_final`] prepared, if any; it
+    /// is committed only while it still describes the store — a graph that
+    /// grew since (a late push from another thread) or a frame identity a
+    /// commit in between moved means render again, never commit stale bytes.
+    fn finish_now(
+        &self,
+        io: &mut IoState,
+        rendered: Option<RenderedSnapshot>,
+        charge: Option<&VirtualClock>,
+    ) -> u64 {
         if io.crashed {
             io.dropped_flushes += 1;
             return 0;
@@ -1051,7 +1131,11 @@ impl Inner {
             io.dropped_flushes += 1;
             return 0;
         }
-        let n = self.snapshot(io, charge);
+        let seat = io.seat();
+        let rendered = rendered
+            .filter(|r| r.seat == seat && r.captured == self.state.lock().graph.len())
+            .unwrap_or_else(|| self.render(seat));
+        let n = self.commit(io, rendered, charge);
         if n > 0 {
             // The run's terminal state must be repairable even when the
             // final group is short: force-seal whatever is open (a
@@ -1065,10 +1149,13 @@ impl Inner {
     /// Insert a batch into the graph. With the journal on, the newly
     /// inserted triples (dedup survivors — the journal speaks the graph's
     /// insertion-index coordinate system) are rendered as journal records
-    /// as one block chunk, committed once the group threshold is reached.
+    /// as one block chunk, committed once the group threshold is reached —
+    /// unless `group_commit` is off: the finishing hand-over leaves its
+    /// chunk buffered for the forced append `finish_now` starts with, so
+    /// handing over issues no file-system operation.
     /// The io lock is taken only when
     /// journaling, so the journal-off push path is unchanged.
-    fn apply_batch(&self, triples: &[Triple], wal: bool) {
+    fn apply_batch(&self, triples: &[Triple], wal: bool, group_commit: bool) {
         if !wal {
             let mut st = self.state.lock();
             for t in triples {
@@ -1094,7 +1181,9 @@ impl Inner {
                 });
             }
         }
-        io.wal_commit(false);
+        if group_commit {
+            io.wal_commit(false);
+        }
     }
 }
 
@@ -1309,6 +1398,17 @@ impl ProvenanceStore {
     /// push. `triples_pushed` counts every batch *offered*, shed or not;
     /// [`Self::shed_triples`] says how many of those never landed.
     pub fn push(&self, triples: Vec<Triple>, charge: Option<&VirtualClock>) {
+        self.intake(triples, charge, true);
+    }
+
+    /// The finishing hand-over: [`Self::push`], except that the journal
+    /// records stay buffered for the forced append [`Self::commit_final`]
+    /// starts with, so no file-system operation is issued here.
+    pub(crate) fn push_final(&self, triples: Vec<Triple>, charge: Option<&VirtualClock>) {
+        self.intake(triples, charge, false);
+    }
+
+    fn intake(&self, triples: Vec<Triple>, charge: Option<&VirtualClock>, group_commit: bool) {
         self.triples_pushed
             .fetch_add(triples.len() as u64, Ordering::Relaxed);
         if self.async_store {
@@ -1322,12 +1422,12 @@ impl ProvenanceStore {
             let in_flight = Arc::clone(&self.in_flight);
             let wal = self.wal_enabled;
             pool::submit(Box::new(move || {
-                inner.apply_batch(&triples, wal);
+                inner.apply_batch(&triples, wal, group_commit);
                 in_flight.done(true);
             }));
         } else {
             let _guard = charge.map(ChargeGuard::new);
-            self.inner.apply_batch(&triples, self.wal_enabled);
+            self.inner.apply_batch(&triples, self.wal_enabled, group_commit);
         }
     }
 
@@ -1363,15 +1463,45 @@ impl ProvenanceStore {
     /// size in bytes (0 if the store is degraded — see [`Self::degraded`] /
     /// [`Self::last_error`]).
     pub fn finish(&self, charge: Option<&VirtualClock>) -> u64 {
+        let rendered = self.render_final(charge);
+        self.commit_final(rendered, charge)
+    }
+
+    /// The clock a final-flush half bills: the issuing rank's for a
+    /// synchronous store, none for an asynchronous one (the pool's time is
+    /// not the workflow's).
+    fn billed<'a>(&self, charge: Option<&'a VirtualClock>) -> Option<&'a VirtualClock> {
+        charge.filter(|_| !self.async_store)
+    }
+
+    /// The CPU half of [`Self::finish`]: wait for the intake queue, then
+    /// capture and render the final snapshot (`None` for a crashed
+    /// writer). Issues no file-system operation of its own, so many stores
+    /// may render concurrently.
+    pub(crate) fn render_final(&self, charge: Option<&VirtualClock>) -> Option<RenderedSnapshot> {
+        let _guard = self.billed(charge).map(ChargeGuard::new);
         if self.async_store {
             self.drain();
-            let mut io = self.inner.io.lock();
-            self.inner.finish_now(&mut io, None)
-        } else {
-            let _guard = charge.map(ChargeGuard::new);
-            let mut io = self.inner.io.lock();
-            self.inner.finish_now(&mut io, charge)
         }
+        let seat = {
+            let io = self.inner.io.lock();
+            (!io.crashed).then(|| io.seat())
+        };
+        seat.map(|seat| self.inner.render(seat))
+    }
+
+    /// The file-system half of [`Self::finish`]: force the journal out,
+    /// commit the snapshot, seal parity, fold segments away, recycle the
+    /// journal.
+    pub(crate) fn commit_final(
+        &self,
+        rendered: Option<RenderedSnapshot>,
+        charge: Option<&VirtualClock>,
+    ) -> u64 {
+        let charge = self.billed(charge);
+        let _guard = charge.map(ChargeGuard::new);
+        let mut io = self.inner.io.lock();
+        self.inner.finish_now(&mut io, rendered, charge)
     }
 
     /// Did the last flush fail (graph kept in memory, bytes not durable)?
@@ -1530,7 +1660,7 @@ impl Drop for ProvenanceStore {
         if self.async_store {
             self.drain();
             let mut io = self.inner.io.lock();
-            self.inner.finish_now(&mut io, None);
+            self.inner.finish_now(&mut io, None, None);
         }
     }
 }
@@ -1606,6 +1736,32 @@ mod tests {
         st.finish(None);
         let text = String::from_utf8(fs_read(&fs, "/prov/p3.nt")).unwrap();
         assert_eq!(ntriples::parse(&text).unwrap().len(), 10);
+    }
+
+    #[test]
+    fn final_commit_never_writes_a_stale_render() {
+        // Between the render and the commit of a finish another thread may
+        // still push, and a flush may still take the frame's ordinal: the
+        // commit must notice either and render again.
+        let fs = FileSystem::new(LustreConfig::default());
+        let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/late.nt", RdfFormat::NTriples, false)
+            .with_checksums(true)
+            .with_wal(true, 4);
+        st.push(triples(5), None);
+        let rendered = st.render_final(None);
+        st.push(triples_from(5, 3), None); // the graph grew
+        assert!(st.commit_final(rendered, None) > 0);
+        let text = String::from_utf8(fs_read(&fs, "/prov/late.nt")).unwrap();
+        assert_eq!(ntriples::parse(&text).unwrap().len(), 8);
+
+        let rendered = st.render_final(None);
+        st.push(triples_from(8, 2), None);
+        st.flush(None); // a delta segment took the rendered ordinal
+        assert!(st.commit_final(rendered, None) > 0);
+        let (merged, report) = crate::merge::merge_directory(&fs, "/prov");
+        assert_eq!(merged.len(), 10);
+        assert_eq!(st.segment_count(), 0, "the final snapshot folded the segment in");
+        assert!(report.corrupt.is_empty() && report.chain_breaks == 0, "{report:?}");
     }
 
     #[test]

@@ -7,22 +7,37 @@
 //! work, and it bills itself honestly: every public call runs under a
 //! [`ChargeGuard`] that adds its measured CPU time to the process's virtual
 //! clock — that is the "tracking overhead" the experiments report.
+//!
+//! # The capture hot path
+//!
+//! Capture is paid by every run whether or not anyone queries the result,
+//! so a steady-state [`ProvTracker::track_io`] allocates only what is new
+//! in the event: the activity's IRI and its integer literals. Everything
+//! fixed or repeated is an `Arc` clone of a term built once — predicates
+//! and classes from the shared [`Vocabulary`], the agents from the
+//! tracker, the per-API GUID prefix and label and the per-object subject
+//! from two caches in the tracker's state. Triples go straight into the
+//! pending buffer under one state-lock acquisition per call; the same few
+//! helpers serve the explicit APIs, so there is one emission path.
+//! [`provio_model::ontology::record_triples_into`] stays the reference
+//! mapping, and `tests/tracking_props.rs` holds this module to it.
 
 use crate::collect::NetClient;
 use crate::config::{ProvIoConfig, SerializationPolicy};
-use crate::store::ProvenanceStore;
+use crate::store::{ProvenanceStore, RenderedSnapshot};
 use parking_lot::Mutex;
 use provio_model::{
-    ontology, ActivityClass, AgentClass, ClassSelector, EntityClass, ExtensibleClass, Guid,
-    GuidGen, PropKey, ProvNode, ProvRecord, Relation, TrackItem,
+    ActivityClass, AgentClass, ClassSelector, EntityClass, ExtensibleClass, Guid, GuidGen,
+    NodeClass, PropKey, Relation, TrackItem, Vocabulary,
 };
-use provio_rdf::{ns, Iri, Term, Triple};
+use provio_rdf::{Iri, Literal, Subject, Term, Triple};
 use provio_simrt::{ChargeGuard, VirtualClock};
-use std::collections::{HashMap, HashSet};
+use rayon::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Description of the data object an I/O event touched.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ObjectDesc {
     pub class: EntityClass,
     /// Containing file path for library-interior objects; empty for
@@ -51,19 +66,7 @@ impl ObjectDesc {
 
     /// The object's content-addressed GUID (stable across processes).
     pub fn guid(&self) -> Guid {
-        GuidGen::data_object(
-            match self.class {
-                EntityClass::Directory => "Directory",
-                EntityClass::File => "File",
-                EntityClass::Group => "Group",
-                EntityClass::Dataset => "Dataset",
-                EntityClass::Attribute => "Attribute",
-                EntityClass::Datatype => "Datatype",
-                EntityClass::Link => "Link",
-            },
-            &self.scope,
-            &self.path,
-        )
+        GuidGen::data_object(self.class.local_name(), &self.scope, &self.path)
     }
 
     /// Human-readable label (`file:inner/path` for library objects).
@@ -169,10 +172,28 @@ pub struct ProvTracker {
 /// within it).
 const NET_DRAIN_ROUNDS: u32 = 64;
 
+/// What one API name contributes to each of its activities, built on the
+/// name's first event.
+struct ApiTerms {
+    /// [`GuidGen::activity_prefix`]: the activity GUID minus its counter.
+    prefix: String,
+    /// The `rdfs:label` literal.
+    label: Term,
+}
+
 #[derive(Default)]
 struct TrackState {
-    /// Node GUIDs whose type/label triples were already emitted.
-    emitted_nodes: HashSet<Guid>,
+    /// Bounded by the distinct API names this rank called.
+    apis: HashMap<String, ApiTerms>,
+    /// Subjects of the data objects whose type/label triples are out: an
+    /// object's first sight is its absence here. Bounded by the distinct
+    /// objects this rank touched. Nodes that are unique per invocation by
+    /// construction (activities, metrics, configuration versions: their
+    /// GUIDs bake in a counter) and the agents, emitted once at
+    /// initialization, need no first-sight record and get none.
+    objects: HashMap<ObjectDesc, Subject>,
+    /// Where an activity GUID is spelled before its one allocation.
+    scratch: String,
     pending: Vec<Triple>,
     pending_records: usize,
     triples_total: u64,
@@ -185,6 +206,92 @@ struct TrackState {
     /// Last metric (name, value) seen — written onto the current
     /// configuration versions once, at finish.
     last_metric: Option<(String, f64)>,
+}
+
+impl TrackState {
+    /// Everything pending, counted as emitted.
+    fn take_pending(&mut self) -> Vec<Triple> {
+        self.pending_records = 0;
+        self.triples_total += self.pending.len() as u64;
+        std::mem::take(&mut self.pending)
+    }
+
+    /// [`Self::take_pending`] if `policy` says a hand-over is due.
+    fn take_due(&mut self, policy: SerializationPolicy) -> Option<Vec<Triple>> {
+        let due = self.pending.len() >= 4096
+            || matches!(policy, SerializationPolicy::EveryRecords(n) if self.pending_records >= n);
+        due.then(|| {
+            let batch = self.take_pending();
+            self.pending.reserve(batch.len());
+            batch
+        })
+    }
+
+    /// Start one record: a writer for the triples about `subject`.
+    fn record(&mut self, voc: &'static Vocabulary, subject: Subject) -> NodeWriter<'_> {
+        self.pending_records += 1;
+        NodeWriter {
+            out: &mut self.pending,
+            voc,
+            subject,
+        }
+    }
+
+    /// Start the record of a data object; its first sight emits the type
+    /// and label triples.
+    fn entity_record(&mut self, voc: &'static Vocabulary, obj: &ObjectDesc) -> NodeWriter<'_> {
+        let (subject, first_sight) = match self.objects.get(obj) {
+            Some(subject) => (subject.clone(), false),
+            None => {
+                let subject = obj.guid().to_subject();
+                self.objects.insert(obj.clone(), subject.clone());
+                (subject, true)
+            }
+        };
+        let mut node = self.record(voc, subject);
+        if first_sight {
+            node.describe(obj.class, Term::plain(obj.label()));
+        }
+        node
+    }
+}
+
+/// Appends one node's triples to the pending buffer, in the order of the
+/// reference mapping: type, label, properties, relations.
+struct NodeWriter<'a> {
+    out: &'a mut Vec<Triple>,
+    voc: &'static Vocabulary,
+    subject: Subject,
+}
+
+impl NodeWriter<'_> {
+    fn put(&mut self, predicate: &Iri, object: Term) {
+        self.out.push(Triple {
+            subject: self.subject.clone(),
+            predicate: predicate.clone(),
+            object,
+        });
+    }
+
+    fn describe(&mut self, class: impl Into<NodeClass>, label: Term) {
+        let voc = self.voc;
+        self.put(&voc.rdf_type, voc.class(class).clone());
+        self.put(&voc.rdfs_label, label);
+    }
+
+    fn prop(&mut self, key: PropKey, value: Literal) {
+        self.put(self.voc.prop(key), value.into());
+    }
+
+    /// Integer properties arrive as `u64` and are stored as `xsd:integer`
+    /// over `i64`, as [`provio_model::PropValue`] converts them.
+    fn int_prop(&mut self, key: PropKey, value: u64) {
+        self.prop(key, Literal::integer(value as i64));
+    }
+
+    fn relate(&mut self, rel: Relation, target: &Guid) {
+        self.put(self.voc.relation(rel), Term::Iri(target.to_iri()));
+    }
 }
 
 impl ProvTracker {
@@ -264,101 +371,17 @@ impl ProvTracker {
         &self.program_guid
     }
 
-    fn record_agents(&self, user: &str, program: &str, pid: u32) {
-        let _guard = ChargeGuard::new(&self.clock);
-        let mut st = self.state.lock();
-        let user_guid = GuidGen::agent("User", user);
-
-        if self.selector().is_enabled(AgentClass::User) {
-            let rec = ProvRecord::new(ProvNode::new(user_guid.clone(), AgentClass::User, user));
-            self.emit_record(&mut st, rec);
-        }
-        if self.selector().is_enabled(AgentClass::Thread) {
-            let mut rec = ProvRecord::new(
-                ProvNode::new(
-                    self.thread_guid.clone(),
-                    AgentClass::Thread,
-                    format!("{program}-rank{pid}"),
-                )
-                .with_prop(PropKey::Rank, pid as u64),
-            );
-            if self.selector().is_enabled(AgentClass::User) {
-                rec = rec.with_relation(Relation::ActedOnBehalfOf, user_guid.clone());
-            }
-            self.emit_record(&mut st, rec);
-        }
-        if self.selector().is_enabled(AgentClass::Program) {
-            let mut rec = ProvRecord::new(ProvNode::new(
-                self.program_guid.clone(),
-                AgentClass::Program,
-                program,
-            ));
-            if self.selector().is_enabled(AgentClass::Thread) {
-                rec = rec.with_relation(Relation::ActedOnBehalfOf, self.thread_guid.clone());
-            } else if self.selector().is_enabled(AgentClass::User) {
-                rec = rec.with_relation(Relation::ActedOnBehalfOf, user_guid.clone());
-            }
-            self.emit_record(&mut st, rec);
-        }
-        if let Some(wf_type) = &self.config.workflow_type {
-            if self.selector().is_enabled(ExtensibleClass::Type) {
-                let g = GuidGen::extensible("Type", wf_type);
-                let mut rec =
-                    ProvRecord::new(ProvNode::new(g, ExtensibleClass::Type, wf_type.clone()));
-                if self.selector().is_enabled(AgentClass::Program) {
-                    rec = rec.with_relation(Relation::WasAttributedTo, self.program_guid.clone());
-                }
-                self.emit_record(&mut st, rec);
-            }
-        }
-        drop(st);
-        self.maybe_flush();
-    }
-
-    /// Emit a record's triples into the pending buffer, writing node
-    /// type/label triples only on first sight of the GUID.
-    fn emit_record(&self, st: &mut TrackState, rec: ProvRecord) {
-        let first_sight = st.emitted_nodes.insert(rec.node.id.clone());
-        let subject = rec.node.id.to_subject();
-        if first_sight {
-            st.pending.push(Triple::new(
-                subject.clone(),
-                Iri::new(ns::RDF_TYPE),
-                Term::iri(rec.node.class.iri()),
-            ));
-            st.pending.push(Triple::new(
-                subject.clone(),
-                Iri::new(ns::RDFS_LABEL),
-                provio_rdf::Literal::plain(rec.node.label.clone()),
-            ));
-        }
-        // Properties and relations are per-record.
-        let mut tmp = Vec::with_capacity(rec.node.properties.len() + rec.relations.len());
-        ontology::record_triples_into(&rec, &mut tmp);
-        // Skip the first two (type/label) we just handled.
-        st.pending.extend(tmp.into_iter().skip(2));
-        st.pending_records += 1;
-    }
-
-    fn maybe_flush(&self) {
-        let drained = {
-            let mut st = self.state.lock();
-            let should = match self.config.policy {
-                SerializationPolicy::AtEnd => st.pending.len() >= 4096,
-                SerializationPolicy::EveryRecords(n) => st.pending_records >= n,
-            };
-            if should || st.pending.len() >= 4096 {
-                st.pending_records = 0;
-                st.triples_total += st.pending.len() as u64;
-                Some(std::mem::take(&mut st.pending))
-            } else {
-                None
-            }
-        };
-        if let Some(ts) = drained {
-            let net = self.net.lock().clone();
-            let streamed = net.as_ref().map(|_| ts.clone());
-            self.store.push(ts, Some(&self.clock));
+    /// Hand a drained batch to the store and, when streaming, to the
+    /// collector. Called with the state lock released. The `last` batch
+    /// (the finishing hand-over) requests no flush of its own and leaves
+    /// its journal records to the final commit.
+    fn hand_over(&self, batch: Vec<Triple>, last: bool) {
+        let net = self.net();
+        let streamed = net.as_ref().map(|_| batch.clone());
+        if last {
+            self.store.push_final(batch, Some(&self.clock));
+        } else {
+            self.store.push(batch, Some(&self.clock));
             if matches!(self.config.policy, SerializationPolicy::EveryRecords(_)) {
                 self.store.flush(if self.config.async_store {
                     None
@@ -366,12 +389,68 @@ impl ProvTracker {
                     Some(&self.clock)
                 });
             }
-            if let (Some(client), Some(batch)) = (net, streamed) {
-                // Journal first, stream second: the collector's ack must
-                // never reference records only this process held.
-                self.store.wal_sync();
-                client.send(batch);
+        }
+        if let (Some(client), Some(batch)) = (net, streamed) {
+            // Journal first, stream second: the collector's ack must
+            // never reference records only this process held.
+            self.store.wal_sync();
+            client.send(batch);
+        }
+    }
+
+    fn record_agents(&self, user: &str, program: &str, pid: u32) {
+        let _guard = ChargeGuard::new(&self.clock);
+        let sel = self.selector();
+        let voc = Vocabulary::shared();
+        let (user_on, thread_on, program_on) = (
+            sel.is_enabled(AgentClass::User),
+            sel.is_enabled(AgentClass::Thread),
+            sel.is_enabled(AgentClass::Program),
+        );
+        let user_guid = GuidGen::agent("User", user);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+
+        if user_on {
+            st.record(voc, user_guid.to_subject())
+                .describe(AgentClass::User, Term::plain(user));
+        }
+        if thread_on {
+            let mut node = st.record(voc, self.thread_guid.to_subject());
+            node.describe(AgentClass::Thread, Term::plain(format!("{program}-rank{pid}")));
+            node.int_prop(PropKey::Rank, u64::from(pid));
+            if user_on {
+                node.relate(Relation::ActedOnBehalfOf, &user_guid);
             }
+        }
+        if program_on {
+            let mut node = st.record(voc, self.program_guid.to_subject());
+            node.describe(AgentClass::Program, Term::plain(program));
+            if thread_on {
+                node.relate(Relation::ActedOnBehalfOf, &self.thread_guid);
+            } else if user_on {
+                node.relate(Relation::ActedOnBehalfOf, &user_guid);
+            }
+        }
+        if let Some(wf_type) = &self.config.workflow_type {
+            if sel.is_enabled(ExtensibleClass::Type) {
+                let mut node = st.record(voc, GuidGen::extensible("Type", wf_type).to_subject());
+                node.describe(ExtensibleClass::Type, Term::plain(wf_type.as_str()));
+                if program_on {
+                    node.relate(Relation::WasAttributedTo, &self.program_guid);
+                }
+            }
+        }
+        self.finish_call(guard);
+    }
+
+    /// The end of every tracking call: decide the hand-over under the state
+    /// lock the call already holds, perform it with the lock released.
+    fn finish_call(&self, mut guard: parking_lot::MutexGuard<'_, TrackState>) {
+        let due = guard.take_due(self.config.policy);
+        drop(guard);
+        if let Some(batch) = due {
+            self.hand_over(batch, false);
         }
     }
 
@@ -380,22 +459,19 @@ impl ProvTracker {
         if !event.ok {
             return; // failed native calls leave no provenance
         }
+        let sel = self.selector();
         // Granularity rule (paper §6.2): with entity tracking enabled,
         // events on objects below the enabled granularity are invisible —
         // that is why attribute lineage tracks more operations than file
         // lineage. With no entity class enabled (H5bench scenarios), every
         // I/O API is tracked, object-less.
-        if let Some(obj) = &event.object {
-            if self.selector().any_entity_enabled() && !self.selector().is_enabled(obj.class) {
-                return;
-            }
-        }
-        let activity_on = self.selector().is_enabled(event.activity);
-        let entity_on = event
-            .object
-            .as_ref()
-            .is_some_and(|o| self.selector().is_enabled(o.class));
-        if !activity_on && !entity_on {
+        let entity = match &event.object {
+            Some(obj) if sel.is_enabled(obj.class) => Some(obj),
+            Some(_) if sel.any_entity_enabled() => return,
+            _ => None,
+        };
+        let activity_on = sel.is_enabled(event.activity);
+        if !activity_on && entity.is_none() {
             return;
         }
         let _guard = ChargeGuard::new(&self.clock);
@@ -405,62 +481,64 @@ impl ProvTracker {
         self.events
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 
-        let mut st = self.state.lock();
-        let mut activity_guid = None;
+        let voc = Vocabulary::shared();
+        let program_on = sel.is_enabled(AgentClass::Program);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let mut activity = None;
         if activity_on {
-            let guid = self.guids.activity(&event.api_name);
-            let mut node = ProvNode::new(guid.clone(), event.activity, event.api_name.clone());
-            if self.selector().is_enabled(TrackItem::Duration) {
-                node = node
-                    .with_prop(PropKey::ElapsedNs, event.duration_ns)
-                    .with_prop(PropKey::TimestampNs, event.timestamp_ns);
+            let api = match st.apis.get(&event.api_name) {
+                Some(api) => api,
+                None => st.apis.entry(event.api_name.clone()).or_insert(ApiTerms {
+                    prefix: self.guids.activity_prefix(&event.api_name),
+                    label: Term::plain(event.api_name.as_str()),
+                }),
+            };
+            let label = api.label.clone();
+            let guid = self.guids.activity_under(&api.prefix, &mut st.scratch);
+            let mut node = st.record(voc, guid.to_subject());
+            node.describe(event.activity, label);
+            if sel.is_enabled(TrackItem::Duration) {
+                node.int_prop(PropKey::ElapsedNs, event.duration_ns);
+                node.int_prop(PropKey::TimestampNs, event.timestamp_ns);
             }
-            if self.selector().is_enabled(TrackItem::ByteCounts) && event.bytes > 0 {
-                node = node.with_prop(PropKey::Bytes, event.bytes);
+            if sel.is_enabled(TrackItem::ByteCounts) && event.bytes > 0 {
+                node.int_prop(PropKey::Bytes, event.bytes);
             }
-            let mut rec = ProvRecord::new(node);
-            if self.selector().is_enabled(AgentClass::Program) {
-                rec = rec.with_relation(Relation::WasAssociatedWith, self.program_guid.clone());
-            } else if self.selector().is_enabled(AgentClass::Thread) {
-                rec = rec.with_relation(Relation::WasAssociatedWith, self.thread_guid.clone());
+            if program_on {
+                node.relate(Relation::WasAssociatedWith, &self.program_guid);
+            } else if sel.is_enabled(AgentClass::Thread) {
+                node.relate(Relation::WasAssociatedWith, &self.thread_guid);
             }
-            self.emit_record(&mut st, rec);
             // Membership triple enabling Table 5 q4:
             //   ?IO_API prov:wasMemberOf prov:Activity
-            st.pending.push(Triple::new(
-                guid.to_subject(),
-                Iri::new(Relation::WasMemberOf.iri()),
-                Term::iri(format!("{}Activity", ns::PROV)),
-            ));
-            activity_guid = Some(guid);
+            node.put(
+                voc.relation(Relation::WasMemberOf),
+                Term::Iri(voc.prov_activity.clone()),
+            );
+            activity = Some(guid);
         }
 
-        if let Some(obj) = &event.object {
-            if self.selector().is_enabled(obj.class) {
-                let guid = obj.guid();
-                let mut rec =
-                    ProvRecord::new(ProvNode::new(guid.clone(), obj.class, obj.label()));
-                if let Some(act) = &activity_guid {
-                    rec = rec
-                        .with_relation(Relation::for_activity(event.activity), act.clone());
-                }
-                // Write-like operations attribute the object to the program
-                // (what DASSA's backward-lineage queries walk, Table 5 q1).
-                if matches!(
+        if let Some(obj) = entity {
+            let mut node = st.entity_record(voc, obj);
+            if let Some(act) = &activity {
+                node.relate(Relation::for_activity(event.activity), act);
+            }
+            // Write-like operations attribute the object to the program
+            // (what DASSA's backward-lineage queries walk, Table 5 q1).
+            if program_on
+                && matches!(
                     event.activity,
                     ActivityClass::Create
                         | ActivityClass::Write
                         | ActivityClass::Fsync
                         | ActivityClass::Rename
-                ) && self.selector().is_enabled(AgentClass::Program)
-                {
-                    rec = rec.with_relation(Relation::WasAttributedTo, self.program_guid.clone());
-                }
-                self.emit_record(&mut st, rec);
+                )
+            {
+                node.relate(Relation::WasAttributedTo, &self.program_guid);
             }
         }
-        drop(st);
-        self.maybe_flush();
+        self.finish_call(guard);
     }
 
     /// Explicit API: record a configuration value (Top Reco). Each call
@@ -474,7 +552,8 @@ impl ProvTracker {
         self.clock.advance(provio_simrt::SimDuration::from_nanos(
             self.config.record_latency_ns,
         ));
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let version = {
             let v = st.config_versions.entry(name.to_string()).or_insert(0);
             *v += 1;
@@ -490,24 +569,21 @@ impl ProvTracker {
                 provio_model::content_hash(value) as u32
             ),
         );
-        let mut rec = ProvRecord::new(
-            ProvNode::new(guid.clone(), ExtensibleClass::Configuration, name)
-                .with_prop(PropKey::Version, version)
-                .with_prop(PropKey::Value, value),
-        );
+        let prev = st.config_last_guid.insert(name.to_string(), guid.clone());
+        let mut node = st.record(Vocabulary::shared(), guid.to_subject());
+        node.describe(ExtensibleClass::Configuration, Term::plain(name));
+        node.int_prop(PropKey::Version, version);
+        node.prop(PropKey::Value, Literal::plain(value));
         if self.selector().is_enabled(AgentClass::Program) {
-            rec = rec.with_relation(Relation::WasAttributedTo, self.program_guid.clone());
+            node.relate(Relation::WasAttributedTo, &self.program_guid);
         }
         // New version supersedes the previous one.
-        if let Some(prev) = st.config_last_guid.get(name).cloned() {
-            rec = rec.with_relation(Relation::WasDerivedFrom, prev.clone());
+        if let Some(prev) = prev {
+            node.relate(Relation::WasDerivedFrom, &prev);
             st.current_configs.retain(|g| *g != prev);
         }
-        self.emit_record(&mut st, rec);
-        st.config_last_guid.insert(name.to_string(), guid.clone());
         st.current_configs.push(guid.clone());
-        drop(st);
-        self.maybe_flush();
+        self.finish_call(guard);
         Some(guid)
     }
 
@@ -523,25 +599,23 @@ impl ProvTracker {
         self.clock.advance(provio_simrt::SimDuration::from_nanos(
             self.config.record_latency_ns,
         ));
-        let mut st = self.state.lock();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
         let n = self.guids.activity(name); // unique per call
         let guid = GuidGen::extensible("Metrics", n.local());
-        let mut rec = ProvRecord::new(
-            ProvNode::new(guid.clone(), ExtensibleClass::Metrics, name)
-                .with_prop(PropKey::Accuracy, value),
-        );
+        let mut node = st.record(Vocabulary::shared(), guid.to_subject());
+        node.describe(ExtensibleClass::Metrics, Term::plain(name));
+        node.prop(PropKey::Accuracy, Literal::double(value));
         if self.selector().is_enabled(AgentClass::Program) {
-            rec = rec.with_relation(Relation::WasAttributedTo, self.program_guid.clone());
+            node.relate(Relation::WasAttributedTo, &self.program_guid);
         }
-        self.emit_record(&mut st, rec);
         // The mapping the use case needs — accuracy as a property of the
         // configurations (Table 5 q10/q11) — is written once, at finish,
         // for the final metric value; per-epoch history lives in the
         // Metrics nodes. This keeps storage linear in configs + epochs
         // separately (Figure 8(d-f)).
         st.last_metric = Some((name.to_string(), value));
-        drop(st);
-        self.maybe_flush();
+        self.finish_call(guard);
         Some(guid)
     }
 
@@ -551,15 +625,14 @@ impl ProvTracker {
             return;
         }
         let _guard = ChargeGuard::new(&self.clock);
-        let mut st = self.state.lock();
-        let out_rec = ProvRecord::new(ProvNode::new(output.guid(), output.class, output.label()))
-            .with_relation(Relation::WasDerivedFrom, input.guid());
-        // Make sure the input node exists too.
-        let in_rec = ProvRecord::new(ProvNode::new(input.guid(), input.class, input.label()));
-        self.emit_record(&mut st, in_rec);
-        self.emit_record(&mut st, out_rec);
-        drop(st);
-        self.maybe_flush();
+        let voc = Vocabulary::shared();
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        // Make sure the input node exists too: a record of its own.
+        let input = st.entity_record(voc, input).subject;
+        st.entity_record(voc, output)
+            .put(voc.relation(Relation::WasDerivedFrom), input.into());
+        self.finish_call(guard);
     }
 
     /// Number of I/O events tracked.
@@ -572,48 +645,64 @@ impl ProvTracker {
     /// Idempotent: the first call does the work, later calls (a registry
     /// sweep after an explicit per-rank finish, a double `finish_all`)
     /// return the cached summary without re-flushing or double-counting.
+    ///
+    /// The work is the three phases [`TrackerRegistry::finish_all`] runs
+    /// across ranks, here inline for one: hand over, render, commit.
     pub fn finish(&self) -> TrackSummary {
         let mut finished = self.finished.lock();
         if let Some(summary) = finished.as_ref() {
             return summary.clone();
         }
+        self.finish_hand_over();
+        let rendered = self.finish_render();
+        let summary = self.finish_commit(rendered);
+        *finished = Some(summary.clone());
+        summary
+    }
+
+    /// Finish phase 0: the last pending triples go to the store (and the
+    /// stream). Issues no file-system operation unless streaming, which
+    /// journals before it sends.
+    fn finish_hand_over(&self) {
         let drained = {
-            let mut st = self.state.lock();
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             if let Some((_, value)) = st.last_metric.take() {
-                for cfg in st.current_configs.clone() {
-                    st.pending.push(Triple::new(
-                        cfg.to_subject(),
-                        Iri::new(PropKey::Accuracy.iri()),
-                        provio_rdf::Literal::double(value),
-                    ));
+                let predicate = Vocabulary::shared().prop(PropKey::Accuracy);
+                let accuracy = Term::from(Literal::double(value));
+                for cfg in &st.current_configs {
+                    st.pending.push(Triple {
+                        subject: cfg.to_subject(),
+                        predicate: predicate.clone(),
+                        object: accuracy.clone(),
+                    });
                 }
             }
-            st.triples_total += st.pending.len() as u64;
-            st.pending_records = 0;
-            std::mem::take(&mut st.pending)
+            st.take_pending()
         };
-        let net = self.net.lock().clone();
         if !drained.is_empty() {
-            let streamed = net.as_ref().map(|_| drained.clone());
-            self.store.push(drained, Some(&self.clock));
-            if let (Some(client), Some(batch)) = (net.as_ref(), streamed) {
-                self.store.wal_sync();
-                client.send(batch);
-            }
+            self.hand_over(drained, true);
         }
-        let store_bytes = self.store.finish(if self.config.async_store {
-            None
-        } else {
-            Some(&self.clock)
-        });
+    }
+
+    /// Finish phase 1: wait for the store's intake queue and render the
+    /// final snapshot. CPU only — safe to run for many ranks at once.
+    fn finish_render(&self) -> Option<RenderedSnapshot> {
+        self.store.render_final(Some(&self.clock))
+    }
+
+    /// Finish phase 2: every file-system operation of the finish — journal
+    /// force, snapshot commit, parity, segment unlinks, journal recycle —
+    /// then the stream's final drain and the summary.
+    fn finish_commit(&self, rendered: Option<RenderedSnapshot>) -> TrackSummary {
+        let store_bytes = self.store.commit_final(rendered, Some(&self.clock));
         // Final drain: give buffered batches a bounded budget to reach
         // the collector. Whatever stays unacked is accounted below and
         // still durable on disk — resync or the post-hoc merge owns it.
-        let net_stats = net.map(|client| client.drain(NET_DRAIN_ROUNDS));
-        let st = self.state.lock();
-        let summary = TrackSummary {
+        let net_stats = self.net().map(|client| client.drain(NET_DRAIN_ROUNDS));
+        TrackSummary {
             events: self.event_count(),
-            triples: st.triples_total,
+            triples: self.state.lock().triples_total,
             store_bytes,
             store_path: self.store.path().to_string(),
             degraded: self.store.degraded(),
@@ -634,9 +723,7 @@ impl ProvTracker {
             net_shed_batches: net_stats.map_or(0, |s| s.shed_batches),
             net_shed_triples: net_stats.map_or(0, |s| s.shed_triples),
             net_unacked: net_stats.map_or(0, |s| s.unacked_batches),
-        };
-        *finished = Some(summary.clone());
-        summary
+        }
     }
 }
 
@@ -684,6 +771,15 @@ impl TrackerRegistry {
     /// Idempotent, because [`ProvTracker::finish`] is: a second sweep
     /// returns the same cached summaries.
     ///
+    /// Each rank is its own process in the paper, so the ranks' final
+    /// snapshots are rendered in parallel — but fault plans count
+    /// file-system calls and op traces record their order, so every
+    /// file-system operation is issued from this thread in pid order:
+    /// hand-overs first (sequential), then all renders (parallel, CPU
+    /// only), then commit after commit (sequential). The operations are
+    /// exactly those of calling [`ProvTracker::finish`] rank by rank in
+    /// pid order, in that order.
+    ///
     /// With the `manifest` knob armed, the run is then *sealed*: a signed
     /// manifest of every committed file's content root is committed to the
     /// store directory and its digest chained into the campaign ledger
@@ -693,32 +789,43 @@ impl TrackerRegistry {
     /// their surviving files signed: the manifest walks the directory, not
     /// the registry.
     pub fn finish_all(&self) -> Vec<(u32, TrackSummary)> {
-        let trackers: Vec<(u32, Arc<ProvTracker>)> = {
+        let mut trackers: Vec<(u32, Arc<ProvTracker>)> = {
             let map = self.trackers.lock();
             map.iter().map(|(p, t)| (*p, Arc::clone(t))).collect()
         };
-        let mut out: Vec<(u32, TrackSummary)> = trackers
-            .into_iter()
-            .map(|(pid, t)| (pid, t.finish()))
+        trackers.sort_by_key(|(pid, _)| *pid);
+        // Each tracker's `finished` slot stays locked across the phases,
+        // as `finish` holds it: a concurrent `finish` waits and then reads
+        // the cached summary.
+        let mut slots: Vec<_> = trackers.iter().map(|(_, t)| t.finished.lock()).collect();
+        let open: Vec<usize> = (0..trackers.len()).filter(|&i| slots[i].is_none()).collect();
+        for &i in &open {
+            trackers[i].1.finish_hand_over();
+        }
+        let rendered: Vec<Option<RenderedSnapshot>> = open
+            .par_iter()
+            .map(|&i| trackers[i].1.finish_render())
             .collect();
-        out.sort_by_key(|(pid, _)| *pid);
-        let (signer, roots) = {
-            let map = self.trackers.lock();
-            let signer = map.values().find(|t| t.config.manifest).cloned();
+        for (&i, rendered) in open.iter().zip(rendered) {
+            *slots[i] = Some(trackers[i].1.finish_commit(rendered));
+        }
+        let out: Vec<(u32, TrackSummary)> = trackers
+            .iter()
+            .zip(&slots)
+            .map(|((pid, _), slot)| (*pid, slot.as_ref().cloned().expect("every slot filled above")))
+            .collect();
+        drop(slots);
+
+        if let Some((_, t)) = trackers.iter().find(|(_, t)| t.config.manifest) {
             // Every surviving store's commit-time roots, so the seal can
             // skip re-reading files the run itself just wrote. Crashed
             // ranks' files simply miss the cache and are read back.
             let mut roots = crate::verify::RootCache::new();
-            if signer.is_some() {
-                for t in map.values() {
-                    for (path, n, root) in t.store.committed_roots() {
-                        roots.insert(path, (n, root));
-                    }
+            for (_, t) in &trackers {
+                for (path, n, root) in t.store.committed_roots() {
+                    roots.insert(path, (n, root));
                 }
             }
-            (signer, roots)
-        };
-        if let Some(t) = signer {
             let ranks: Vec<crate::verify::RankEntry> = out
                 .iter()
                 .map(|(pid, s)| crate::verify::RankEntry {
@@ -958,6 +1065,33 @@ mod tests {
         assert_eq!(nodes_of_class(&g, EntityClass::File.into()).len(), 1);
         // But 50 Read activities.
         assert_eq!(nodes_of_class(&g, ActivityClass::Read.into()).len(), 50);
+    }
+
+    #[test]
+    fn first_sight_state_is_bounded_by_objects_not_events() {
+        // Activity GUIDs are unique per invocation by construction, so
+        // remembering them (one heap string per event, for the life of the
+        // rank) bought nothing: only data objects need a first-sight record.
+        let t = ProvTracker::new(
+            ProvIoConfig::default().shared(),
+            fs(),
+            11,
+            "B",
+            "p",
+            VirtualClock::new(),
+        );
+        for i in 0..10_000u32 {
+            let obj = ObjectDesc::posix(EntityClass::File, format!("/hot{}", i % 8));
+            let (class, api) = if i.is_multiple_of(2) {
+                (ActivityClass::Read, "read")
+            } else {
+                (ActivityClass::Write, "write")
+            };
+            t.track_io(&event(class, api, Some(obj)));
+        }
+        let st = t.state.lock();
+        assert_eq!(st.objects.len(), 8, "one entry per distinct object");
+        assert_eq!(st.apis.len(), 2, "one entry per distinct API name");
     }
 
     #[test]

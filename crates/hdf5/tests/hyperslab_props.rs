@@ -94,7 +94,7 @@ proptest! {
             .dataset_read(&s, d, &Hyperslab::new(&[row, 0], &[1, cols]))
             .unwrap();
         if fill == 0 {
-            prop_assert_eq!(got.len(), cols as u64 * 4);
+            prop_assert_eq!(got.len(), cols * 4);
         } else {
             prop_assert_eq!(got.as_bytes().unwrap().as_ref(), &bytes[..]);
         }
@@ -106,7 +106,7 @@ proptest! {
                 .unwrap();
             match z {
                 Data::Real(b) => prop_assert!(b.iter().all(|&x| x == 0)),
-                Data::Synthetic(n) => prop_assert_eq!(n, cols as u64 * 4),
+                Data::Synthetic(n) => prop_assert_eq!(n, cols * 4),
             }
         }
     }

@@ -686,7 +686,7 @@ mod tests {
         assert_eq!(damage(9), damage(9), "same seed, same bits");
         assert_ne!(damage(9), damage(10));
         let flipped: u32 = damage(9).iter().map(|b| b.count_ones()).sum();
-        assert!(flipped >= 1 && flipped <= 3, "3 flips may collide: {flipped}");
+        assert!((1..=3).contains(&flipped), "3 flips may collide: {flipped}");
     }
 
     #[test]

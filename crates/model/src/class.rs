@@ -144,6 +144,30 @@ pub enum NodeClass {
 }
 
 impl NodeClass {
+    /// Number of sub-classes in Table 2.
+    pub const COUNT: usize = 19;
+
+    /// Dense index in Table 2 order (entities, activities, agents,
+    /// extensibles) — what per-class tables and bit sets are laid out by.
+    pub const fn index(self) -> usize {
+        match self {
+            NodeClass::Entity(c) => c as usize,
+            NodeClass::Activity(c) => 7 + c as usize,
+            NodeClass::Agent(c) => 13 + c as usize,
+            NodeClass::Extensible(c) => 16 + c as usize,
+        }
+    }
+
+    /// Every sub-class, in [`Self::index`] order.
+    pub fn all() -> impl Iterator<Item = NodeClass> {
+        EntityClass::ALL
+            .into_iter()
+            .map(NodeClass::Entity)
+            .chain(ActivityClass::ALL.into_iter().map(NodeClass::Activity))
+            .chain(AgentClass::ALL.into_iter().map(NodeClass::Agent))
+            .chain(ExtensibleClass::ALL.into_iter().map(NodeClass::Extensible))
+    }
+
     /// The class IRI in the PROV-IO vocabulary.
     pub fn iri(self) -> String {
         format!("{}{}", ns::PROVIO, self.local_name())
@@ -239,12 +263,11 @@ mod tests {
 
     #[test]
     fn iri_round_trip_all_classes() {
-        let mut all: Vec<NodeClass> = Vec::new();
-        all.extend(EntityClass::ALL.map(NodeClass::Entity));
-        all.extend(ActivityClass::ALL.map(NodeClass::Activity));
-        all.extend(AgentClass::ALL.map(NodeClass::Agent));
-        all.extend(ExtensibleClass::ALL.map(NodeClass::Extensible));
-        assert_eq!(all.len(), 19);
+        let all: Vec<NodeClass> = NodeClass::all().collect();
+        assert_eq!(all.len(), NodeClass::COUNT);
+        for (i, c) in all.iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
         for c in all {
             assert_eq!(NodeClass::from_iri(&c.iri()), Some(c), "{c:?}");
         }

@@ -9,22 +9,23 @@
 //! include the minting process and a local counter.
 
 use provio_rdf::{Iri, Subject};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A node identity, realized as an IRI in the run-scoped `urn:provio:`
-/// namespace.
+/// namespace. It *is* that IRI (one shared `Arc<str>`), so placing a GUID
+/// in a triple is a refcount bump, not a string copy.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Guid(String);
+pub struct Guid(Iri);
 
 impl Guid {
     /// The full IRI string.
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_str()
     }
 
     pub fn to_iri(&self) -> Iri {
-        Iri::new(self.0.clone())
+        self.0.clone()
     }
 
     pub fn to_subject(&self) -> Subject {
@@ -34,7 +35,7 @@ impl Guid {
     /// Reconstruct from an IRI (when reading provenance back).
     pub fn from_iri(iri: &Iri) -> Option<Guid> {
         if iri.as_str().starts_with(provio_rdf::ns::RESOURCE) {
-            Some(Guid(iri.as_str().to_string()))
+            Some(Guid(iri.clone()))
         } else {
             None
         }
@@ -42,13 +43,13 @@ impl Guid {
 
     /// The human-readable tail of the GUID (after the namespace).
     pub fn local(&self) -> &str {
-        &self.0[provio_rdf::ns::RESOURCE.len()..]
+        &self.as_str()[provio_rdf::ns::RESOURCE.len()..]
     }
 }
 
 impl fmt::Display for Guid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -57,9 +58,15 @@ pub fn content_hash(s: &str) -> u64 {
     fnv1a(s.as_bytes())
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a, for stable content-addressed suffixes.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_more(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes.
+fn fnv1a_more(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -67,20 +74,35 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Percent-encode characters that may not appear raw in an IRI.
-fn sanitize(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s`, percent-encoding characters that may not appear raw in an
+/// IRI (upper-case hex, one escape per UTF-8 byte).
+fn push_sanitized(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for c in s.chars() {
         match c {
             'a'..='z' | 'A'..='Z' | '0'..='9' | '/' | '.' | '_' | '-' | '#' => out.push(c),
             other => {
                 let mut buf = [0u8; 4];
                 for b in other.encode_utf8(&mut buf).as_bytes() {
-                    out.push_str(&format!("%{b:02X}"));
+                    out.push('%');
+                    out.push(HEX[usize::from(b >> 4)] as char);
+                    out.push(HEX[usize::from(b & 0xf)] as char);
                 }
             }
         }
     }
+}
+
+/// `urn:provio:<kind>/<class, lower-cased>/`, with room for `extra` more
+/// bytes: GUIDs are spelled into one buffer, not glued from pieces.
+fn stem(kind: &str, class: &str, extra: usize) -> String {
+    let resource = provio_rdf::ns::RESOURCE;
+    let mut out = String::with_capacity(resource.len() + kind.len() + class.len() + 2 + extra);
+    out.push_str(resource);
+    out.push_str(kind);
+    out.push('/');
+    out.extend(class.chars().map(|c| c.to_ascii_lowercase()));
+    out.push('/');
     out
 }
 
@@ -105,53 +127,72 @@ impl GuidGen {
     /// `scope` is the containing file's path (empty for POSIX-level
     /// objects); `name` the object's path/name.
     pub fn data_object(class: &str, scope: &str, name: &str) -> Guid {
-        let label = if scope.is_empty() {
-            sanitize(name)
+        let mut iri = stem("obj", class, scope.len() + name.len() + 10);
+        if scope.is_empty() {
+            push_sanitized(&mut iri, name);
         } else {
-            format!("{}#{}", sanitize(scope), sanitize(name.trim_start_matches('/')))
-        };
-        // Hash keeps GUIDs unique even if sanitization collides.
-        let h = fnv1a(format!("{class}\0{scope}\0{name}").as_bytes());
-        Guid(format!(
-            "{}obj/{}/{}-{:08x}",
-            provio_rdf::ns::RESOURCE,
-            class.to_ascii_lowercase(),
-            label,
-            h as u32
-        ))
+            push_sanitized(&mut iri, scope);
+            iri.push('#');
+            push_sanitized(&mut iri, name.trim_start_matches('/'));
+        }
+        // Hash (of `class \0 scope \0 name`) keeps GUIDs unique even if
+        // sanitization collides.
+        let mut h = fnv1a(class.as_bytes());
+        for part in [scope, name] {
+            h = fnv1a_more(fnv1a_more(h, &[0]), part.as_bytes());
+        }
+        let _ = write!(iri, "-{:08x}", h as u32);
+        Guid(Iri::new(iri))
     }
 
     /// Content-addressed GUID for an agent (user/program/thread).
     pub fn agent(class: &str, name: &str) -> Guid {
-        Guid(format!(
-            "{}agent/{}/{}",
-            provio_rdf::ns::RESOURCE,
-            class.to_ascii_lowercase(),
-            sanitize(name)
-        ))
+        let mut iri = stem("agent", class, name.len());
+        push_sanitized(&mut iri, name);
+        Guid(Iri::new(iri))
     }
 
     /// Content-addressed GUID for an extensible-class node.
     pub fn extensible(class: &str, name: &str) -> Guid {
-        Guid(format!(
-            "{}ext/{}/{}",
-            provio_rdf::ns::RESOURCE,
-            class.to_ascii_lowercase(),
-            sanitize(name)
-        ))
+        let mut iri = stem("ext", class, name.len());
+        push_sanitized(&mut iri, name);
+        Guid(Iri::new(iri))
     }
 
     /// Unique GUID for one I/O API invocation (like "H5Dcreate2-b1" in the
     /// paper's Figure 4(b)).
     pub fn activity(&self, api_name: &str) -> Guid {
+        let mut iri = self.activity_prefix(api_name);
+        self.numbered(&mut iri)
+    }
+
+    /// Everything of this process's activity GUIDs for `api_name` but the
+    /// counter. A caller minting many GUIDs for one API sanitizes its name
+    /// once and passes the prefix to [`Self::activity_under`].
+    pub fn activity_prefix(&self, api_name: &str) -> String {
+        let resource = provio_rdf::ns::RESOURCE;
+        let mut out = String::with_capacity(resource.len() + api_name.len() + 24);
+        out.push_str(resource);
+        out.push_str("act/");
+        push_sanitized(&mut out, api_name);
+        let _ = write!(out, "-p{}-", self.pid);
+        out
+    }
+
+    /// [`Self::activity`] for a prefix from [`Self::activity_prefix`]. The
+    /// GUID is spelled in `scratch` (cleared first, kept by the caller), so
+    /// the GUID's own `Arc<str>` is the only allocation.
+    pub fn activity_under(&self, prefix: &str, scratch: &mut String) -> Guid {
+        scratch.clear();
+        scratch.push_str(prefix);
+        self.numbered(scratch)
+    }
+
+    /// Append the next counter value to a prefix and mint the GUID.
+    fn numbered(&self, iri: &mut String) -> Guid {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        Guid(format!(
-            "{}act/{}-p{}-{}",
-            provio_rdf::ns::RESOURCE,
-            sanitize(api_name),
-            self.pid,
-            n
-        ))
+        let _ = write!(iri, "{n}");
+        Guid(Iri::new(iri.as_str()))
     }
 
     /// Number of activity GUIDs minted so far.
@@ -203,6 +244,56 @@ mod tests {
         assert!(!iri.as_str().contains(' '), "sanitized: {iri}");
         assert_eq!(Guid::from_iri(&iri), Some(g));
         assert_eq!(Guid::from_iri(&Iri::new("http://elsewhere/x")), None);
+    }
+
+    fn sanitize(s: &str) -> String {
+        let mut out = String::new();
+        push_sanitized(&mut out, s);
+        out
+    }
+
+    #[test]
+    fn guid_spellings_are_pinned() {
+        // Byte for byte what the glue-from-pieces implementation produced
+        // (stored provenance from earlier runs must keep merging).
+        assert_eq!(
+            GuidGen::data_object("Dataset", "/data/r0.h5", "/Timestep_3/d 7").as_str(),
+            "urn:provio:obj/dataset//data/r0.h5#Timestep_3/d%207-a984c25c"
+        );
+        assert_eq!(
+            GuidGen::data_object("File", "", "/data/WestSac.h5").as_str(),
+            "urn:provio:obj/file//data/WestSac.h5-535dde3c"
+        );
+        assert_eq!(
+            GuidGen::agent("Thread", "vpic-rank3").as_str(),
+            "urn:provio:agent/thread/vpic-rank3"
+        );
+        assert_eq!(
+            GuidGen::extensible("Configuration", "lr-v2-0a1b2c3d").as_str(),
+            "urn:provio:ext/configuration/lr-v2-0a1b2c3d"
+        );
+    }
+
+    #[test]
+    fn escapes_are_uppercase_hex_per_utf8_byte() {
+        assert_eq!(sanitize("a b"), "a%20b");
+        assert_eq!(sanitize("\u{b5}s"), "%C2%B5s");
+        assert_eq!(sanitize("100%"), "100%25");
+        assert_eq!(sanitize("/ok/path_1-x.h5#y"), "/ok/path_1-x.h5#y");
+    }
+
+    #[test]
+    fn prefixed_activities_spell_like_plain_ones() {
+        let (a, b) = (GuidGen::new(7), GuidGen::new(7));
+        let prefix = b.activity_prefix("H5D write");
+        let mut scratch = String::new();
+        for _ in 0..3 {
+            assert_eq!(a.activity("H5D write"), b.activity_under(&prefix, &mut scratch));
+        }
+        assert_eq!(
+            a.activity("H5D write").as_str(),
+            "urn:provio:act/H5D%20write-p7-3"
+        );
     }
 
     #[test]

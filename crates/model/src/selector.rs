@@ -4,7 +4,6 @@
 //! overhead" (paper §4.2). Presets correspond to the rows of Table 3.
 
 use crate::class::{ActivityClass, AgentClass, EntityClass, ExtensibleClass, NodeClass};
-use std::collections::BTreeSet;
 
 /// Everything the selector can switch: node sub-classes plus the two
 /// property toggles the paper's scenarios use (API duration, byte counts).
@@ -19,6 +18,36 @@ pub enum TrackItem {
     /// Track per-API byte counts.
     ByteCounts,
 }
+
+impl TrackItem {
+    /// Every item: the sub-classes in Table 2 order, then the two toggles.
+    pub fn all() -> impl Iterator<Item = TrackItem> {
+        NodeClass::all()
+            .map(|class| match class {
+                NodeClass::Entity(c) => TrackItem::Entity(c),
+                NodeClass::Activity(c) => TrackItem::Activity(c),
+                NodeClass::Agent(c) => TrackItem::Agent(c),
+                NodeClass::Extensible(c) => TrackItem::Extensible(c),
+            })
+            .chain([TrackItem::Duration, TrackItem::ByteCounts])
+    }
+
+    /// This item's bit in a [`ClassSelector`]: the classes in Table 2
+    /// order, then the two property toggles.
+    const fn bit(self) -> u32 {
+        1 << match self {
+            TrackItem::Entity(c) => NodeClass::Entity(c).index(),
+            TrackItem::Activity(c) => NodeClass::Activity(c).index(),
+            TrackItem::Agent(c) => NodeClass::Agent(c).index(),
+            TrackItem::Extensible(c) => NodeClass::Extensible(c).index(),
+            TrackItem::Duration => NodeClass::COUNT,
+            TrackItem::ByteCounts => NodeClass::COUNT + 1,
+        }
+    }
+}
+
+/// The `<<Data Object>>` bits: entities come first in the index order.
+const ENTITY_MASK: u32 = (1 << EntityClass::ALL.len()) - 1;
 
 impl From<EntityClass> for TrackItem {
     fn from(c: EntityClass) -> Self {
@@ -44,10 +73,11 @@ impl From<ExtensibleClass> for TrackItem {
     }
 }
 
-/// Which sub-classes the tracker records.
+/// Which sub-classes the tracker records: one bit per [`TrackItem`], so the
+/// dozen questions `track_io` asks per event are mask tests.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClassSelector {
-    enabled: BTreeSet<TrackItem>,
+    enabled: u32,
 }
 
 impl ClassSelector {
@@ -59,39 +89,28 @@ impl ClassSelector {
     /// Everything enabled.
     pub fn all() -> Self {
         let mut s = ClassSelector::default();
-        for c in EntityClass::ALL {
-            s.enable(c);
+        for item in TrackItem::all() {
+            s.enable(item);
         }
-        for c in ActivityClass::ALL {
-            s.enable(c);
-        }
-        for c in AgentClass::ALL {
-            s.enable(c);
-        }
-        for c in ExtensibleClass::ALL {
-            s.enable(c);
-        }
-        s.enable(TrackItem::Duration);
-        s.enable(TrackItem::ByteCounts);
         s
     }
 
     pub fn enable(&mut self, item: impl Into<TrackItem>) -> &mut Self {
-        self.enabled.insert(item.into());
+        self.enabled |= item.into().bit();
         self
     }
 
     pub fn disable(&mut self, item: impl Into<TrackItem>) -> &mut Self {
-        self.enabled.remove(&item.into());
+        self.enabled &= !item.into().bit();
         self
     }
 
     pub fn is_enabled(&self, item: impl Into<TrackItem>) -> bool {
-        self.enabled.contains(&item.into())
+        self.enabled & item.into().bit() != 0
     }
 
     pub fn enabled_count(&self) -> usize {
-        self.enabled.len()
+        self.enabled.count_ones() as usize
     }
 
     /// Is any `<<Data Object>>` entity sub-class enabled? When none is,
@@ -101,7 +120,7 @@ impl ClassSelector {
     /// skipped entirely (the DASSA file/dataset/attribute lineage
     /// behavior — "which incurs more I/O operations to track", §6.2).
     pub fn any_entity_enabled(&self) -> bool {
-        EntityClass::ALL.iter().any(|c| self.is_enabled(*c))
+        self.enabled & ENTITY_MASK != 0
     }
 
     /// Is a node class enabled?
@@ -195,6 +214,35 @@ mod tests {
         assert_eq!(ClassSelector::none().enabled_count(), 0);
         // 7 + 6 + 3 + 3 classes + 2 property toggles
         assert_eq!(ClassSelector::all().enabled_count(), 21);
+    }
+
+    #[test]
+    fn every_item_has_its_own_bit() {
+        let items: Vec<TrackItem> = TrackItem::all().collect();
+        let mut s = ClassSelector::none();
+        for (i, item) in items.iter().enumerate() {
+            assert!(!s.is_enabled(*item), "{item:?} shares a bit");
+            s.enable(*item);
+            assert_eq!(s.enabled_count(), i + 1);
+        }
+        assert_eq!(s, ClassSelector::all());
+        for item in &items {
+            s.disable(*item);
+            assert!(!s.is_enabled(*item));
+        }
+        assert_eq!(s, ClassSelector::none());
+    }
+
+    #[test]
+    fn any_entity_enabled_sees_only_data_objects() {
+        assert!(!ClassSelector::h5bench_scenario2().any_entity_enabled());
+        assert!(!ClassSelector::topreco().any_entity_enabled());
+        assert!(ClassSelector::h5bench_scenario3().any_entity_enabled());
+        for c in EntityClass::ALL {
+            let mut s = ClassSelector::h5bench_scenario1();
+            s.enable(c);
+            assert!(s.any_entity_enabled(), "{c:?}");
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! owned [`Triple`]s are only materialized at the API boundary (cheap —
 //! term payloads are `Arc<str>`).
 
+use crate::idhash::{IdMap, IdSet};
 use crate::term::{Iri, Subject, Term, TermView};
 use crate::triple::{Triple, TriplePattern};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// Dense id of an interned term within one [`Graph`].
@@ -19,10 +19,64 @@ pub struct TermId(pub u32);
 
 fn view_hash(v: TermView<'_>) -> u64 {
     // DefaultHasher with fixed keys: deterministic across graphs, so a
-    // cloned graph keeps a working table.
+    // cloned graph keeps a working table. Term strings arrive from files
+    // the merge parses, so they stay on SipHash; only the tables keyed by
+    // the ids and hashes minted here use the keyless `IdHasher`.
     let mut h = std::collections::hash_map::DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
+}
+
+/// Front cache of the interner on `Arc` identity.
+///
+/// The capture path hands the graph clones of a few shared `Arc<str>`s over
+/// and over — every predicate and class (one process-wide vocabulary), the
+/// program agent, one subject per record — and an IRI the interner holds
+/// *is* its allocation: a view at the same address and length is that term,
+/// with no string hashed or compared. Slots name only allocations `terms`
+/// keeps alive (terms are never dropped), so an address cannot be reused
+/// for another string while a slot names it. Direct-mapped: a colliding
+/// slot is overwritten and a miss falls back to the hashed lookup; parsed
+/// terms (fresh `Arc`s) always miss, for one L1 probe.
+#[derive(Debug, Clone)]
+struct ArcCache(Vec<ArcSlot>);
+
+/// One byte of the address hash picks the slot.
+const ARC_SLOTS: usize = 256;
+
+#[derive(Debug, Clone, Copy, Default)]
+struct ArcSlot {
+    /// Address of the held `Arc<str>`'s bytes; 0 = empty.
+    addr: usize,
+    len: usize,
+    id: u32,
+}
+
+impl Default for ArcCache {
+    fn default() -> Self {
+        ArcCache(vec![ArcSlot::default(); ARC_SLOTS])
+    }
+}
+
+impl ArcCache {
+    fn slot_of(s: &str) -> usize {
+        // `Arc` payloads are 8-aligned: drop the zero bits, mix, and take
+        // the product's top byte.
+        ((s.as_ptr() as u64 >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % ARC_SLOTS
+    }
+
+    fn get(&self, slot: usize, s: &str) -> Option<TermId> {
+        let e = self.0[slot];
+        (e.addr == s.as_ptr() as usize && e.len == s.len()).then_some(TermId(e.id))
+    }
+
+    fn set(&mut self, slot: usize, held: &str, id: TermId) {
+        self.0[slot] = ArcSlot {
+            addr: held.as_ptr() as usize,
+            len: held.len(),
+            id: id.0,
+        };
+    }
 }
 
 /// Term interner keyed by [`TermView`] hashes so lookups never allocate or
@@ -31,25 +85,52 @@ fn view_hash(v: TermView<'_>) -> u64 {
 #[derive(Debug, Default, Clone)]
 struct Interner {
     terms: Vec<Term>,
-    /// view-hash → candidate ids (almost always a single entry).
-    ids: HashMap<u64, Vec<u32>>,
+    /// view-hash → the first id interned under it.
+    ids: IdMap<u64, u32>,
+    /// Ids whose view hash was already taken by a different term: scanned
+    /// linearly, and empty unless 64-bit SipHash outputs collide.
+    collided: Vec<u32>,
+    by_arc: ArcCache,
 }
 
 impl Interner {
     /// Intern by borrowed view; `make` produces the owned term only on
     /// first sight (typically an `Arc` clone from the caller's triple).
     fn intern_view(&mut self, v: TermView<'_>, make: impl FnOnce() -> Term) -> TermId {
-        let h = view_hash(v);
-        let bucket = self.ids.entry(h).or_default();
-        for &id in bucket.iter() {
-            if v.matches(&self.terms[id as usize]) {
-                return TermId(id);
+        let TermView::Iri(iri) = v else {
+            return self.intern_hashed(v, make);
+        };
+        let slot = ArcCache::slot_of(iri);
+        if let Some(id) = self.by_arc.get(slot, iri) {
+            return id;
+        }
+        let id = self.intern_hashed(v, make);
+        // Only the allocation the interner itself holds may be cached: the
+        // caller's `Arc`, if it is another one, can die and its address be
+        // reused.
+        if let Term::Iri(held) = &self.terms[id.0 as usize] {
+            if std::ptr::eq(held.as_str(), iri) {
+                self.by_arc.set(slot, iri, id);
             }
         }
-        let id = self.terms.len() as u32;
+        id
+    }
+
+    fn intern_hashed(&mut self, v: TermView<'_>, make: impl FnOnce() -> Term) -> TermId {
+        let next = self.terms.len() as u32;
+        match self.ids.entry(view_hash(v)) {
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+            }
+            Entry::Occupied(slot) => {
+                if let Some(id) = find(&self.terms, &self.collided, *slot.get(), v) {
+                    return id;
+                }
+                self.collided.push(next);
+            }
+        }
         self.terms.push(make());
-        bucket.push(id);
-        TermId(id)
+        TermId(next)
     }
 
     fn intern(&mut self, t: &Term) -> TermId {
@@ -57,12 +138,7 @@ impl Interner {
     }
 
     fn get_view(&self, v: TermView<'_>) -> Option<TermId> {
-        self.ids
-            .get(&view_hash(v))?
-            .iter()
-            .copied()
-            .find(|&id| v.matches(&self.terms[id as usize]))
-            .map(TermId)
+        find(&self.terms, &self.collided, *self.ids.get(&view_hash(v))?, v)
     }
 
     fn get(&self, t: &Term) -> Option<TermId> {
@@ -74,6 +150,15 @@ impl Interner {
     }
 }
 
+/// The id of `v` given the `first` id interned under its hash: that one, or
+/// one of the `collided`.
+fn find(terms: &[Term], collided: &[u32], first: u32, v: TermView<'_>) -> Option<TermId> {
+    std::iter::once(first)
+        .chain(collided.iter().copied())
+        .find(|&id| v.matches(&terms[id as usize]))
+        .map(TermId)
+}
+
 pub(crate) type Pair = (u32, u32);
 
 /// An indexed RDF graph.
@@ -81,7 +166,7 @@ pub(crate) type Pair = (u32, u32);
 pub struct Graph {
     interner: Interner,
     /// Canonical triple set (s, p, o) by id.
-    triples: HashSet<(u32, u32, u32)>,
+    triples: IdSet<(u32, u32, u32)>,
     /// Id-triples in insertion order. This is what incremental (delta)
     /// serialization walks: a writer remembers how many triples it has
     /// already persisted and serializes only `order[watermark..]` on the
@@ -90,11 +175,11 @@ pub struct Graph {
     /// graphs (the provenance store never removes).
     order: Vec<(u32, u32, u32)>,
     /// s → [(p, o)]
-    spo: HashMap<u32, Vec<Pair>>,
+    spo: IdMap<u32, Vec<Pair>>,
     /// p → [(o, s)]
-    pos: HashMap<u32, Vec<Pair>>,
+    pos: IdMap<u32, Vec<Pair>>,
     /// o → [(s, p)]
-    osp: HashMap<u32, Vec<Pair>>,
+    osp: IdMap<u32, Vec<Pair>>,
 }
 
 impl Graph {
@@ -194,7 +279,7 @@ impl Graph {
         {
             self.order.remove(pos);
         }
-        fn drop_pair(index: &mut HashMap<u32, Vec<Pair>>, key: u32, pair: Pair) {
+        fn drop_pair(index: &mut IdMap<u32, Vec<Pair>>, key: u32, pair: Pair) {
             if let Entry::Occupied(mut e) = index.entry(key) {
                 let v = e.get_mut();
                 if let Some(pos) = v.iter().position(|&x| x == pair) {
@@ -414,7 +499,7 @@ impl Graph {
     }
 
     /// The s → [(p, o)] index (serializer-internal).
-    pub(crate) fn spo_index(&self) -> &HashMap<u32, Vec<Pair>> {
+    pub(crate) fn spo_index(&self) -> &IdMap<u32, Vec<Pair>> {
         &self.spo
     }
 
@@ -663,6 +748,51 @@ mod tests {
         g2.insert(&tr("urn:x", "urn:p", "urn:b"));
         assert_eq!(g2.len(), 2);
         assert_eq!(g.len(), 1);
+    }
+
+    #[test]
+    fn arc_identity_and_content_agree_on_ids() {
+        // The same IRI through a shared `Arc` (front-cache hits) and
+        // through a fresh `Arc` per triple (always the hashed path): one id
+        // per distinct string, whichever way it arrives.
+        let shared = Iri::new("urn:shared");
+        let mut g = Graph::new();
+        for i in 0..600 {
+            // 600 subjects overrun the 256 slots, evicting and refilling.
+            let s = Subject::iri(format!("urn:s{i}"));
+            g.insert(&Triple::new(s.clone(), shared.clone(), Term::Iri(shared.clone())));
+            g.insert(&Triple::new(s, Iri::new("urn:shared"), Term::iri("urn:shared")));
+        }
+        assert_eq!(g.len(), 600, "fresh-Arc duplicates collapse");
+        assert_eq!(g.term_count(), 601);
+        assert_eq!(g.predicates(), vec![Iri::new("urn:shared")]);
+        // A clone keeps resolving through its copy of the cache.
+        let mut g2 = g.clone();
+        assert!(!g2.insert(&Triple::new(
+            Subject::iri("urn:s0"),
+            shared.clone(),
+            Term::Iri(shared)
+        )));
+    }
+
+    #[test]
+    fn colliding_view_hashes_keep_distinct_ids() {
+        // Force the collision path: two different terms filed under one
+        // hash must stay two terms, both findable.
+        let mut i = Interner::default();
+        let (a, b) = (Term::iri("urn:a"), Term::iri("urn:b"));
+        let ia = i.intern(&a);
+        let h = view_hash(TermView::of(&a));
+        // File `b` as a collision of `a`'s hash by hand.
+        let ib = TermId(i.terms.len() as u32);
+        i.terms.push(b.clone());
+        i.collided.push(ib.0);
+        assert_eq!(find(&i.terms, &i.collided, i.ids[&h], TermView::of(&b)), Some(ib));
+        assert_eq!(find(&i.terms, &i.collided, i.ids[&h], TermView::of(&a)), Some(ia));
+        assert_eq!(
+            find(&i.terms, &i.collided, i.ids[&h], TermView::of(&Term::iri("urn:c"))),
+            None
+        );
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!   pattern matching, suitable for both the tracker's append-heavy write
 //!   path and the query engine's lookup-heavy read path.
 //! * [`turtle`] / [`ntriples`] — serializers and parsers that round-trip.
+//! * [`IdMap`] / [`IdSet`] — hash tables for keys the process mints itself
+//!   (term ids), on a keyless multiplicative hasher.
 //! * [`Namespaces`] — prefix management with the W3C PROV and PROV-IO
 //!   vocabularies built in.
 
 pub mod graph;
+pub mod idhash;
 pub mod namespace;
 pub mod ntriples;
 pub mod term;
@@ -22,6 +25,7 @@ pub mod triple;
 pub mod turtle;
 
 pub use graph::{Graph, TermId};
+pub use idhash::{IdMap, IdSet};
 pub use namespace::{ns, Namespaces};
 pub use term::{BlankNode, Iri, Literal, Subject, Term, TermView};
 pub use triple::{Triple, TriplePattern};

@@ -8,8 +8,7 @@ use crate::term::{
     escape_literal, unescape_literal, BlankNode, Iri, Literal, Subject, Term,
 };
 use crate::triple::Triple;
-use crate::{Graph, ParseError};
-use std::collections::HashMap;
+use crate::{Graph, IdMap, ParseError};
 use std::fmt::Write as _;
 
 /// Serialize `graph` as N-Triples. Lines are sorted for determinism.
@@ -79,7 +78,7 @@ pub fn id_block<'a>(
     ids: &[(u32, u32, u32)],
     term_of: impl Fn(u32) -> &'a Term,
 ) -> String {
-    let mut cache: HashMap<u32, String> = HashMap::new();
+    let mut cache: IdMap<u32, String> = IdMap::default();
     for &(s, p, o) in ids {
         for id in [s, p, o] {
             cache
@@ -116,7 +115,7 @@ fn render_lines<'a>(
     ids: &[(u32, u32, u32)],
     term_of: impl Fn(u32) -> &'a Term,
 ) -> Vec<String> {
-    let mut cache: HashMap<u32, String> = HashMap::new();
+    let mut cache: IdMap<u32, String> = IdMap::default();
     for &(s, p, o) in ids {
         for id in [s, p, o] {
             cache

@@ -3,8 +3,9 @@
 //! Terms are cheap to clone (`Arc<str>` payloads) because the tracker clones
 //! the same subject/predicate terms into many triples on the hot path.
 
+use crate::namespace::ns;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An IRI (used for named nodes and predicates).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,19 +99,21 @@ impl Literal {
         }
     }
 
-    /// An `xsd:integer` literal.
+    /// An `xsd:integer` literal: digits formatted on the stack, so the
+    /// lexical `Arc<str>` is the only allocation.
     pub fn integer(v: i64) -> Self {
-        Literal::typed(v.to_string(), Iri::new(crate::namespace::ns::XSD_INTEGER))
+        let mut buf = [0u8; 20];
+        Literal::typed(fmt_i64(v, &mut buf), xsd().integer.clone())
     }
 
     /// An `xsd:double` literal.
     pub fn double(v: f64) -> Self {
-        Literal::typed(format!("{v:?}"), Iri::new(crate::namespace::ns::XSD_DOUBLE))
+        Literal::typed(format!("{v:?}"), xsd().double.clone())
     }
 
     /// An `xsd:boolean` literal.
     pub fn boolean(v: bool) -> Self {
-        Literal::typed(v.to_string(), Iri::new(crate::namespace::ns::XSD_BOOLEAN))
+        Literal::typed(if v { "true" } else { "false" }, xsd().boolean.clone())
     }
 
     pub fn lexical(&self) -> &str {
@@ -135,6 +138,41 @@ impl Literal {
     pub fn as_f64(&self) -> Option<f64> {
         self.lexical.parse().ok()
     }
+}
+
+/// The three datatype IRIs the typed constructors share.
+struct Xsd {
+    integer: Iri,
+    double: Iri,
+    boolean: Iri,
+}
+
+fn xsd() -> &'static Xsd {
+    static XSD: OnceLock<Xsd> = OnceLock::new();
+    XSD.get_or_init(|| Xsd {
+        integer: Iri::new(ns::XSD_INTEGER),
+        double: Iri::new(ns::XSD_DOUBLE),
+        boolean: Iri::new(ns::XSD_BOOLEAN),
+    })
+}
+
+/// Decimal spelling of `v` (as `i64::to_string` writes it) in `buf`.
+fn fmt_i64(v: i64, buf: &mut [u8; 20]) -> &str {
+    let mut n = v.unsigned_abs();
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 impl fmt::Display for Literal {
@@ -425,6 +463,27 @@ mod tests {
             Literal::integer(42).to_string(),
             "\"42\"^^<http://www.w3.org/2001/XMLSchema#integer>"
         );
+    }
+
+    #[test]
+    fn typed_constructors_pin_their_spellings() {
+        for v in [0, 7, -7, 42, i64::MAX, i64::MIN] {
+            assert_eq!(Literal::integer(v).lexical(), v.to_string());
+        }
+        assert_eq!(
+            Literal::boolean(true).to_string(),
+            "\"true\"^^<http://www.w3.org/2001/XMLSchema#boolean>"
+        );
+        assert_eq!(
+            Literal::double(0.875).to_string(),
+            "\"0.875\"^^<http://www.w3.org/2001/XMLSchema#double>"
+        );
+        // One shared datatype IRI, not a fresh one per literal.
+        let (a, b) = (Literal::integer(1), Literal::integer(2));
+        assert!(std::ptr::eq(
+            a.datatype().unwrap().as_str(),
+            b.datatype().unwrap().as_str()
+        ));
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::term::{
     escape_literal, unescape_literal, BlankNode, Iri, Literal, Subject, Term,
 };
 use crate::triple::Triple;
-use crate::{Graph, ParseError};
-use std::collections::HashMap;
+use crate::{Graph, IdMap, ParseError};
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------------
@@ -48,8 +47,8 @@ pub fn serialize(graph: &Graph, nss: &Namespaces) -> String {
     subject_ids.sort_unstable_by(|&a, &b| graph.term_raw(a).cmp(graph.term_raw(b)));
 
     // Rendered spellings, one per distinct term id per call.
-    let mut terms: HashMap<u32, String> = HashMap::new();
-    let mut preds: HashMap<u32, String> = HashMap::new();
+    let mut terms: IdMap<u32, String> = IdMap::default();
+    let mut preds: IdMap<u32, String> = IdMap::default();
 
     for &s in &subject_ids {
         let mut pairs: Vec<(u32, u32)> = spo[&s].clone();
