@@ -15,6 +15,7 @@
 //! diverged, 2 on bad arguments — so CI can smoke the whole pipeline.
 
 use provio::{merge_directory, Collector, ProvIoConfig};
+use provio_bench::parse;
 use provio_mpi::MpiWorld;
 use provio_rdf::ntriples::sorted_graph_lines;
 use provio_simrt::{NetPlan, PartitionEpisode};
@@ -22,13 +23,6 @@ use provio_workflows::Cluster;
 use std::sync::Arc;
 
 const PHASES: [&str; 3] = ["ingest", "transform", "publish"];
-
-fn parse<T: std::str::FromStr>(args: &mut std::env::Args, what: &str) -> T {
-    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("bad or missing value for {what} (try --help)");
-        std::process::exit(2);
-    })
-}
 
 fn main() {
     let mut ranks: u32 = 4;
@@ -40,8 +34,7 @@ fn main() {
     let mut crash = false;
     let mut show_report = false;
 
-    let mut args = std::env::args();
-    args.next();
+    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--ranks" => ranks = parse(&mut args, "--ranks"),

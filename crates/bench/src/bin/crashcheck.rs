@@ -19,16 +19,7 @@
 //! contract and archive the repro artifact on failure.
 
 use provio::crashcheck::{crashcheck, repro_text, CrashcheckConfig};
-
-fn parse<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    match args.next().and_then(|v| v.parse().ok()) {
-        Some(v) => v,
-        None => {
-            eprintln!("{flag} needs a value (try --help)");
-            std::process::exit(2);
-        }
-    }
-}
+use provio_bench::parse;
 
 fn main() {
     let mut cfg = CrashcheckConfig::default();

@@ -10,12 +10,13 @@
 //! one at-rest damage (a rotted member, a deleted member, or a rotted
 //! parity block), and then scrubs the directory exactly as an offline
 //! repair pass would. Exit status: 0 when the scrub left the run fully
-//! repaired (or found nothing to do), 1 when data was unrecoverable — so
-//! CI can assert both directions of the contract.
+//! repaired (or found nothing to do), 1 when data was unrecoverable, 2 on
+//! bad arguments — so CI can assert both directions of the contract.
 
 use provio::{
     merge_directory, repairable_paths, scrub_directory, verify_directory, ProvIoConfig,
 };
+use provio_bench::parse;
 use provio_hpcfs::CorruptKind;
 use provio_mpi::MpiWorld;
 use provio_workflows::Cluster;
@@ -31,11 +32,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--ranks" => ranks = args.next().and_then(|v| v.parse().ok()).unwrap_or(4),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(7),
-            "--group" => group = args.next().and_then(|v| v.parse().ok()).unwrap_or(2),
-            "--key" => key = args.next().unwrap_or_default(),
-            "--damage" => damage = args.next().unwrap_or_else(|| "none".into()),
+            "--ranks" => ranks = parse(&mut args, "--ranks"),
+            "--seed" => seed = parse(&mut args, "--seed"),
+            "--group" => group = parse(&mut args, "--group"),
+            "--key" => key = parse(&mut args, "--key"),
+            "--damage" => damage = parse(&mut args, "--damage"),
             "--verify" => verify = true,
             "--help" | "-h" => {
                 println!(
@@ -55,7 +56,7 @@ fn main() {
     let cluster = Cluster::new();
     let cfg = ProvIoConfig::from_ini(&format!(
         "[provio]\nformat = ntriples\npolicy = every:2\nasync = false\n\
-         [store]\nchecksum_format = true\ndelta_segments = true\ncompact_every = 0\n\
+         [store]\nchecksum_format = true\ncompact_every = 0\n\
          parity = true\nparity_group = {group}\nmanifest = true\nmanifest_key = {key}\n"
     ))
     .expect("valid config")

@@ -9,10 +9,12 @@
 //! builds a sealed multi-rank run in process, applies at most one
 //! adversarial mutation, and then verifies the directory exactly as a
 //! post-hoc audit would. Exit status: 0 when the run is TRUSTED, 1 when
-//! it is not — so CI can assert both directions of the contract.
+//! it is not, 2 on bad arguments — so CI can assert both directions of
+//! the contract.
 
 use provio::verify::seal_run;
 use provio::{merge_directory, quarantine_tampered, verify_directory, ProvIoConfig};
+use provio_bench::parse;
 use provio_hpcfs::TamperKind;
 use provio_mpi::MpiWorld;
 use provio_workflows::Cluster;
@@ -28,11 +30,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--ranks" => ranks = args.next().and_then(|v| v.parse().ok()).unwrap_or(4),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(7),
-            "--key" => key = args.next().unwrap_or_default(),
+            "--ranks" => ranks = parse(&mut args, "--ranks"),
+            "--seed" => seed = parse(&mut args, "--seed"),
+            "--key" => key = parse(&mut args, "--key"),
             "--wrong-key" => wrong_key = true,
-            "--tamper" => tamper = args.next().unwrap_or_else(|| "none".into()),
+            "--tamper" => tamper = parse(&mut args, "--tamper"),
             "--quarantine" => quarantine = true,
             "--help" | "-h" => {
                 println!(

@@ -139,12 +139,8 @@ pub struct ProvIoConfig {
     pub record_latency_ns: u64,
     /// Retry/backoff behavior of the durable store writer.
     pub retry: RetryPolicy,
-    /// Persist periodic flushes as append-only delta segments next to the
-    /// committed snapshot instead of rewriting the whole sub-graph file
-    /// (`[store] delta_segments`). `false` is the legacy full-rewrite
-    /// ablation.
-    pub delta_segments: bool,
-    /// Fold delta segments into a fresh snapshot every this many appends
+    /// Periodic flushes append delta segments next to the committed
+    /// snapshot; fold them into a fresh snapshot every this many appends
     /// (`[store] compact_every`; 0 = compact only on finish).
     pub compact_every: u32,
     /// Capacity of the async store's intake queue, in pushed batches
@@ -217,11 +213,6 @@ pub struct ProvIoConfig {
     /// parity volume to ~1/N of committed bytes at a tolerance of one
     /// lost member per group.
     pub parity_group: u32,
-    /// Worker threads for the post-run parallel merge (`[store]
-    /// merge_threads`; 0 = size from `available_parallelism`). Hosts that
-    /// report one core would otherwise degenerate `merge_directory` to a
-    /// sequential loop.
-    pub merge_threads: u32,
     /// Emit a signed run manifest (`<store_dir>/MANIFEST.provio`) at
     /// `finish_all` and chain its digest into the campaign ledger
     /// (`<store_dir>/CAMPAIGN.provio`) — the tamper-evidence layer on top
@@ -235,11 +226,6 @@ pub struct ProvIoConfig {
     /// real deployment is forced to set its own; treat a run signed by the
     /// default key as integrity-checked, not authenticated.
     pub manifest_key: String,
-    /// Evaluation budget for SPARQL queries run through the engine, in
-    /// produced bindings/visited path nodes (`[query] query_budget`;
-    /// 0 = unlimited). A runaway query over a corrupted graph terminates
-    /// with `QueryError::BudgetExhausted` instead of spinning.
-    pub query_budget: u64,
 }
 
 /// Default Redland-calibrated per-record latency (see
@@ -295,7 +281,6 @@ impl Default for ProvIoConfig {
             workflow_type: None,
             record_latency_ns: DEFAULT_RECORD_LATENCY_NS,
             retry: RetryPolicy::default(),
-            delta_segments: true,
             compact_every: crate::store::DEFAULT_COMPACT_EVERY,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             overload: OverloadPolicy::Block,
@@ -309,10 +294,8 @@ impl Default for ProvIoConfig {
             net_buffer: DEFAULT_NET_BUFFER,
             parity: false,
             parity_group: DEFAULT_PARITY_GROUP,
-            merge_threads: 0,
             manifest: false,
             manifest_key: DEFAULT_MANIFEST_KEY.to_string(),
-            query_budget: 0,
         }
     }
 }
@@ -357,12 +340,6 @@ impl ProvIoConfig {
     /// Override the store writer's retry/backoff policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Enable/disable delta-segment flushing (off = legacy full rewrite).
-    pub fn with_delta_segments(mut self, enabled: bool) -> Self {
-        self.delta_segments = enabled;
         self
     }
 
@@ -432,13 +409,6 @@ impl ProvIoConfig {
         self
     }
 
-    /// Size the post-run merge worker pool (0 = automatic; see
-    /// [`ProvIoConfig::merge_threads`]).
-    pub fn with_merge_threads(mut self, threads: u32) -> Self {
-        self.merge_threads = threads;
-        self
-    }
-
     /// Emit a signed run manifest + campaign ledger entry at `finish_all`.
     /// Implies nothing about `checksum_format` — but unframed files can
     /// only be anchored by a whole-file digest, so framed stores verify at
@@ -454,12 +424,6 @@ impl ProvIoConfig {
         self
     }
 
-    /// Cap SPARQL evaluation work (0 = unlimited).
-    pub fn with_query_budget(mut self, budget: u64) -> Self {
-        self.query_budget = budget;
-        self
-    }
-
     pub fn shared(self) -> Arc<Self> {
         Arc::new(self)
     }
@@ -468,8 +432,8 @@ impl ProvIoConfig {
     ///
     /// Recognized keys: `store_dir`, `policy` (`at_end` | `every:<n>`),
     /// `format` (`turtle` | `ntriples`), `async` (`true`/`false`),
-    /// `delta_segments` (`true`/`false`), `compact_every` (`<n>`, 0 = only
-    /// on finish), `queue_capacity` (`<n>` batches, 0 = unbounded),
+    /// `compact_every` (`<n>` segment appends per compaction, 0 = only on
+    /// finish), `queue_capacity` (`<n>` batches, 0 = unbounded),
     /// `overload_policy` (`block` | `shed`), `breaker_threshold` (`<n>`
     /// consecutive failures, 0 = disabled), `breaker_backoff_ns`,
     /// `checksum_format` (`true`/`false`, framed checksummed store files),
@@ -481,11 +445,9 @@ impl ProvIoConfig {
     /// rank-side send buffer, 0 = unbounded),
     /// `parity` (`true`/`false`, XOR parity over committed artifacts;
     /// requires `checksum_format`), `parity_group` (`<n>` commits per
-    /// parity group, must be ≥ 1), `merge_threads` (`<n>` merge workers,
-    /// 0 = automatic),
+    /// parity group, must be ≥ 1),
     /// `manifest` (`true`/`false`, signed run manifest + campaign ledger),
     /// `manifest_key` (HMAC key for manifest signatures),
-    /// `query_budget` (`<n>` evaluation steps, 0 = unlimited),
     /// `workflow_type`, `preset` (one of the Table 3 presets),
     /// and `track`/`untrack` with a comma-separated item list
     /// (`file,dataset,attribute,duration,…`).
@@ -502,176 +464,56 @@ impl ProvIoConfig {
             let (key, value) = (key.trim(), value.trim());
             match key {
                 "store_dir" => cfg.store_dir = value.to_string(),
-                "record_latency_ns" => {
-                    cfg.record_latency_ns = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
+                "record_latency_ns" => cfg.record_latency_ns = parse_value(value, lineno, INT)?,
+                "retry_max_attempts" => cfg.retry.max_attempts = parse_value(value, lineno, INT)?,
+                "retry_backoff_ns" => cfg.retry.backoff_ns = parse_value(value, lineno, INT)?,
+                "retry_jitter" => cfg.retry.jitter = parse_value(value, lineno, BOOL)?,
+                "compact_every" => cfg.compact_every = parse_value(value, lineno, INT)?,
+                "queue_capacity" => cfg.queue_capacity = parse_value(value, lineno, INT)?,
+                "overload_policy" => cfg.overload = match value {
+                    "block" => OverloadPolicy::Block,
+                    "shed" => OverloadPolicy::Shed,
+                    _ => return Err(format!("line {}: unknown overload policy", lineno + 1)),
+                },
+                "breaker_threshold" => cfg.breaker_threshold = parse_value(value, lineno, INT)?,
+                "breaker_backoff_ns" => cfg.breaker_backoff_ns = parse_value(value, lineno, INT)?,
+                "checksum_format" => cfg.checksum_format = parse_value(value, lineno, BOOL)?,
+                "wal" => cfg.wal = parse_value(value, lineno, BOOL)?,
+                "wal_group" => cfg.wal_group = parse_positive(value, lineno, key)?,
+                "net" => cfg.net = parse_value(value, lineno, BOOL)?,
+                "net_timeout_ns" => cfg.net_timeout_ns = parse_positive(value, lineno, key)?,
+                "net_buffer" => cfg.net_buffer = parse_value(value, lineno, INT)?,
+                "parity" => cfg.parity = parse_value(value, lineno, BOOL)?,
+                "parity_group" => cfg.parity_group = parse_positive(value, lineno, key)?,
+                "manifest" => cfg.manifest = parse_value(value, lineno, BOOL)?,
+                "manifest_key" if value.is_empty() => {
+                    return Err(format!("line {}: manifest_key must not be empty", lineno + 1));
                 }
-                "retry_max_attempts" => {
-                    cfg.retry.max_attempts = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "retry_backoff_ns" => {
-                    cfg.retry.backoff_ns = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "retry_jitter" => {
-                    cfg.retry.jitter = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "delta_segments" => {
-                    cfg.delta_segments = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "compact_every" => {
-                    cfg.compact_every = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "queue_capacity" => {
-                    cfg.queue_capacity = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "overload_policy" => {
-                    cfg.overload = match value {
-                        "block" => OverloadPolicy::Block,
-                        "shed" => OverloadPolicy::Shed,
-                        _ => return Err(format!("line {}: unknown overload policy", lineno + 1)),
-                    }
-                }
-                "breaker_threshold" => {
-                    cfg.breaker_threshold = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "breaker_backoff_ns" => {
-                    cfg.breaker_backoff_ns = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "checksum_format" => {
-                    cfg.checksum_format = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "wal" => {
-                    cfg.wal = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "wal_group" => {
-                    cfg.wal_group = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?;
-                    if cfg.wal_group == 0 {
-                        return Err(format!(
-                            "line {}: wal_group must be >= 1",
-                            lineno + 1
-                        ));
-                    }
-                }
-                "net" => {
-                    cfg.net = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "net_timeout_ns" => {
-                    cfg.net_timeout_ns = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?;
-                    if cfg.net_timeout_ns == 0 {
-                        return Err(format!(
-                            "line {}: net_timeout_ns must be >= 1",
-                            lineno + 1
-                        ));
-                    }
-                }
-                "net_buffer" => {
-                    cfg.net_buffer = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "parity" => {
-                    cfg.parity = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "parity_group" => {
-                    cfg.parity_group = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?;
-                    if cfg.parity_group == 0 {
-                        return Err(format!(
-                            "line {}: parity_group must be >= 1",
-                            lineno + 1
-                        ));
-                    }
-                }
-                "merge_threads" => {
-                    cfg.merge_threads = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
-                "manifest" => {
-                    cfg.manifest = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "manifest_key" => {
-                    if value.is_empty() {
-                        return Err(format!("line {}: manifest_key must not be empty", lineno + 1));
-                    }
-                    cfg.manifest_key = value.to_string()
-                }
-                "query_budget" => {
-                    cfg.query_budget = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad integer", lineno + 1))?
-                }
+                "manifest_key" => cfg.manifest_key = value.to_string(),
                 "workflow_type" => cfg.workflow_type = Some(value.to_string()),
-                "async" => {
-                    cfg.async_store = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad bool", lineno + 1))?
-                }
-                "format" => {
-                    cfg.format = match value {
-                        "turtle" => RdfFormat::Turtle,
-                        "ntriples" => RdfFormat::NTriples,
-                        _ => return Err(format!("line {}: unknown format", lineno + 1)),
-                    }
-                }
-                "policy" => {
-                    cfg.policy = if value == "at_end" {
-                        SerializationPolicy::AtEnd
-                    } else if let Some(n) = value.strip_prefix("every:") {
-                        SerializationPolicy::EveryRecords(
-                            n.parse()
-                                .map_err(|_| format!("line {}: bad count", lineno + 1))?,
-                        )
-                    } else {
-                        return Err(format!("line {}: unknown policy", lineno + 1));
-                    }
-                }
-                "preset" => {
-                    cfg.selector = match value {
-                        "all" => ClassSelector::all(),
-                        "none" => ClassSelector::none(),
-                        "dassa_file" => ClassSelector::dassa_file_lineage(),
-                        "dassa_dataset" => ClassSelector::dassa_dataset_lineage(),
-                        "dassa_attribute" => ClassSelector::dassa_attribute_lineage(),
-                        "h5bench_1" => ClassSelector::h5bench_scenario1(),
-                        "h5bench_2" => ClassSelector::h5bench_scenario2(),
-                        "h5bench_3" => ClassSelector::h5bench_scenario3(),
-                        "topreco" => ClassSelector::topreco(),
-                        _ => return Err(format!("line {}: unknown preset", lineno + 1)),
-                    }
-                }
+                "async" => cfg.async_store = parse_value(value, lineno, BOOL)?,
+                "format" => cfg.format = match value {
+                    "turtle" => RdfFormat::Turtle,
+                    "ntriples" => RdfFormat::NTriples,
+                    _ => return Err(format!("line {}: unknown format", lineno + 1)),
+                },
+                "policy" => cfg.policy = match value.strip_prefix("every:") {
+                    Some(n) => SerializationPolicy::EveryRecords(parse_value(n, lineno, INT)?),
+                    None if value == "at_end" => SerializationPolicy::AtEnd,
+                    None => return Err(format!("line {}: unknown policy", lineno + 1)),
+                },
+                "preset" => cfg.selector = match value {
+                    "all" => ClassSelector::all(),
+                    "none" => ClassSelector::none(),
+                    "dassa_file" => ClassSelector::dassa_file_lineage(),
+                    "dassa_dataset" => ClassSelector::dassa_dataset_lineage(),
+                    "dassa_attribute" => ClassSelector::dassa_attribute_lineage(),
+                    "h5bench_1" => ClassSelector::h5bench_scenario1(),
+                    "h5bench_2" => ClassSelector::h5bench_scenario2(),
+                    "h5bench_3" => ClassSelector::h5bench_scenario3(),
+                    "topreco" => ClassSelector::topreco(),
+                    _ => return Err(format!("line {}: unknown preset", lineno + 1)),
+                },
                 "track" | "untrack" => {
                     for item in value.split(',') {
                         let it = parse_item(item.trim())
@@ -703,6 +545,29 @@ impl ProvIoConfig {
         }
         Ok(cfg)
     }
+}
+
+const INT: &str = "integer";
+const BOOL: &str = "bool";
+
+/// Parse one scalar ini value; `what` names the expected kind in the
+/// error (`line N: bad integer`).
+fn parse_value<T: std::str::FromStr>(value: &str, lineno: usize, what: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("line {}: bad {what}", lineno + 1))
+}
+
+/// An integer knob whose zero would disable the mechanism it sizes.
+fn parse_positive<T>(value: &str, lineno: usize, key: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let n: T = parse_value(value, lineno, INT)?;
+    if n == T::default() {
+        return Err(format!("line {}: {key} must be >= 1", lineno + 1));
+    }
+    Ok(n)
 }
 
 fn parse_item(s: &str) -> Option<TrackItem> {
@@ -864,21 +729,29 @@ mod tests {
     #[test]
     fn delta_knobs_default_and_ini() {
         let c = ProvIoConfig::default();
-        assert!(c.delta_segments);
         assert_eq!(c.compact_every, crate::store::DEFAULT_COMPACT_EVERY);
-        let c = ProvIoConfig::from_ini(
-            "[store]\ndelta_segments = false\ncompact_every = 7\n",
-        )
-        .unwrap();
-        assert!(!c.delta_segments);
+        let c = ProvIoConfig::from_ini("[store]\ncompact_every = 7\n").unwrap();
         assert_eq!(c.compact_every, 7);
-        assert!(ProvIoConfig::from_ini("delta_segments = maybe").is_err());
         assert!(ProvIoConfig::from_ini("compact_every = lots").is_err());
-        let c = ProvIoConfig::default()
-            .with_delta_segments(false)
-            .with_compact_every(3);
-        assert!(!c.delta_segments);
-        assert_eq!(c.compact_every, 3);
+        assert_eq!(ProvIoConfig::default().with_compact_every(3).compact_every, 3);
+    }
+
+    #[test]
+    fn removed_knobs_are_unknown_keys_and_scalar_errors_are_uniform() {
+        for key in ["delta_segments = true", "merge_threads = 4", "query_budget = 500"] {
+            let err = ProvIoConfig::from_ini(&format!("[store]\n{key}\n")).unwrap_err();
+            assert!(err.starts_with("line 2: unknown key"), "{key}: {err}");
+        }
+        for key in ["record_latency_ns", "compact_every", "wal_group", "net_timeout_ns"] {
+            let err = ProvIoConfig::from_ini(&format!("{key} = lots")).unwrap_err();
+            assert_eq!(err, "line 1: bad integer", "{key}");
+        }
+        let err = ProvIoConfig::from_ini("\npolicy = every:soon").unwrap_err();
+        assert_eq!(err, "line 2: bad integer");
+        for key in ["async", "retry_jitter", "checksum_format", "wal", "net", "parity", "manifest"] {
+            let err = ProvIoConfig::from_ini(&format!("{key} = perhaps")).unwrap_err();
+            assert_eq!(err, "line 1: bad bool", "{key}");
+        }
     }
 
     #[test]
@@ -888,33 +761,27 @@ mod tests {
         assert_eq!(c.overload, OverloadPolicy::Block);
         assert_eq!(c.breaker_threshold, 0, "breaker off unless armed");
         assert_eq!(c.breaker_backoff_ns, DEFAULT_BREAKER_BACKOFF_NS);
-        assert_eq!(c.query_budget, 0, "queries unlimited unless capped");
 
         let c = ProvIoConfig::default()
             .with_queue(16, OverloadPolicy::Shed)
-            .with_breaker(3, 5_000)
-            .with_query_budget(10_000);
+            .with_breaker(3, 5_000);
         assert_eq!(c.queue_capacity, 16);
         assert_eq!(c.overload, OverloadPolicy::Shed);
         assert_eq!(c.breaker_threshold, 3);
         assert_eq!(c.breaker_backoff_ns, 5_000);
-        assert_eq!(c.query_budget, 10_000);
 
         let c = ProvIoConfig::from_ini(
             "[store]\n\
              queue_capacity = 8\n\
              overload_policy = shed\n\
              breaker_threshold = 4\n\
-             breaker_backoff_ns = 2000\n\
-             [query]\n\
-             query_budget = 500\n",
+             breaker_backoff_ns = 2000\n",
         )
         .unwrap();
         assert_eq!(c.queue_capacity, 8);
         assert_eq!(c.overload, OverloadPolicy::Shed);
         assert_eq!(c.breaker_threshold, 4);
         assert_eq!(c.breaker_backoff_ns, 2000);
-        assert_eq!(c.query_budget, 500);
         assert!(ProvIoConfig::from_ini("overload_policy = panic").is_err());
         assert!(ProvIoConfig::from_ini("breaker_threshold = many").is_err());
     }
@@ -963,22 +830,19 @@ mod tests {
         let c = ProvIoConfig::default();
         assert!(!c.parity, "parity off unless asked");
         assert_eq!(c.parity_group, DEFAULT_PARITY_GROUP);
-        assert_eq!(c.merge_threads, 0, "merge pool auto-sized by default");
 
-        let c = ProvIoConfig::default().with_parity(true, 4).with_merge_threads(8);
+        let c = ProvIoConfig::default().with_parity(true, 4);
         assert!(c.parity);
         assert_eq!(c.parity_group, 4);
-        assert_eq!(c.merge_threads, 8);
         // The builder clamps a nonsensical group size instead of storing 0.
         assert_eq!(ProvIoConfig::default().with_parity(true, 0).parity_group, 1);
 
         let c = ProvIoConfig::from_ini(
-            "[store]\nchecksum_format = true\nparity = true\nparity_group = 3\nmerge_threads = 4\n",
+            "[store]\nchecksum_format = true\nparity = true\nparity_group = 3\n",
         )
         .unwrap();
         assert!(c.parity && c.checksum_format);
         assert_eq!(c.parity_group, 3);
-        assert_eq!(c.merge_threads, 4);
 
         // Round-trip of just `parity` keeps the default group width.
         let c = ProvIoConfig::from_ini("checksum_format = true\nparity = true\n").unwrap();
@@ -986,7 +850,6 @@ mod tests {
 
         assert!(ProvIoConfig::from_ini("parity = maybe").is_err());
         assert!(ProvIoConfig::from_ini("parity_group = many").is_err());
-        assert!(ProvIoConfig::from_ini("merge_threads = lots").is_err());
         let err = ProvIoConfig::from_ini(
             "checksum_format = true\nparity = true\nparity_group = 0\n",
         )

@@ -151,7 +151,7 @@ pub fn record_workload(config: &CrashcheckConfig) -> RecordedWorkload {
             .with_checksums(true)
             .with_wal(true, config.wal_group)
             .with_parity(true, config.parity_group)
-            .with_delta(true, config.compact_every)
+            .with_compact_every(config.compact_every)
         })
         .collect();
 
@@ -276,9 +276,7 @@ fn dir_snapshot(fs: &Arc<FileSystem>, dir: &str) -> Vec<(String, Vec<u8>)> {
     files
         .into_iter()
         .filter_map(|path| {
-            let ino = fs.lookup(&path).ok()?;
-            let size = fs.file_size(ino).ok()?;
-            let bytes = fs.read_at(ino, 0, size).ok()?.to_vec();
+            let bytes = crate::fsio::read_file(fs, &path)?;
             Some((path, bytes))
         })
         .collect()
@@ -331,7 +329,7 @@ pub fn check_recovered(
     // Every mutation recovery can make (parity repair, quarantine) exists
     // to answer rot or tamper; a crash produces neither, so recovering a
     // pure crash state must leave the disk byte-identical. This is the
-    // regression guard for the wal_recycle unlink-ordering bug, where a
+    // regression guard for the journal-recycle unlink-ordering bug, where a
     // single-member journal parity group "repaired" the retired WAL
     // generation back into existence.
     if d0 != d1 {

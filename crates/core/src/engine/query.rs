@@ -25,8 +25,8 @@ impl ProvQueryEngine {
         }
     }
 
-    /// Cap each SPARQL evaluation at `budget` steps (the config knob
-    /// `query_budget`); `0` means unlimited. A runaway join or a closure
+    /// Cap each SPARQL evaluation at `budget` steps, in produced bindings
+    /// and visited path nodes; `0` means unlimited. A runaway join or a closure
     /// walk over a dense merged graph then fails with
     /// [`QueryError::BudgetExhausted`] instead of monopolizing the engine.
     pub fn with_budget(mut self, budget: u64) -> Self {
@@ -626,7 +626,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, QueryError::BudgetExhausted { budget: 2 }));
 
-        // 0 means unlimited (the `query_budget` ini default).
+        // 0 means unlimited.
         let eng = ProvQueryEngine::new(dassa_graph()).with_budget(0);
         let sols = eng
             .sparql("SELECT ?a WHERE { ?a a provio:Read . }")

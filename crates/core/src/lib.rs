@@ -32,6 +32,7 @@ pub mod connector;
 pub mod crashcheck;
 pub mod engine;
 pub mod frame;
+mod fsio;
 pub mod merge;
 pub mod recover;
 pub mod report;
@@ -50,7 +51,7 @@ pub use crashcheck::{
 };
 pub use engine::ProvQueryEngine;
 pub use frame::{store_guid, FrameKind, FramedFile};
-pub use merge::{merge_directory, merge_directory_sequential, merge_directory_with_threads};
+pub use merge::merge_directory;
 pub use recover::{recover_all, RecoveryOutcome};
 pub use report::{doctor, DoctorReport, RankCrash, RunReport};
 pub use scrub::{repairable_paths, scrub_directory, ScrubReport};

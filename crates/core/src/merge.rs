@@ -7,6 +7,7 @@
 //! workflow nothing.
 
 use crate::frame::{self, FrameKind};
+use crate::fsio::read_file;
 use provio_hpcfs::FileSystem;
 use provio_rdf::{ntriples, turtle, Graph};
 use provio_simrt::{catch_quiet, SimTime};
@@ -242,16 +243,10 @@ fn process_file(fs: &Arc<FileSystem>, path: &str, committed: &HashSet<&str>) -> 
         Some(_) => true,
         None => false,
     };
-    let Ok(ino) = fs.lookup(path) else {
+    let Some(bytes) = read_file(fs, path) else {
         return Outcome::Skipped;
     };
-    let Ok(md) = fs.stat(path) else {
-        return Outcome::Skipped;
-    };
-    let Ok(bytes) = fs.read_at(ino, 0, md.size) else {
-        return Outcome::Skipped;
-    };
-    let Ok(text) = String::from_utf8(bytes.to_vec()) else {
+    let Ok(text) = String::from_utf8(bytes) else {
         if is_wal {
             // Rot severe enough to break UTF-8: the whole journal tail is
             // condemned, nothing is ever parsed out of it.
@@ -420,7 +415,8 @@ fn chain_breaks_in(metas: &mut [(u64, FrameMeta)]) -> u64 {
 /// Files parse into scratch graphs on worker threads (I/O and parsing
 /// dominate merge time at rank scale), then fold into the final graph
 /// sequentially in directory order via the interner's bulk id-mapped merge
-/// — output is identical to [`merge_directory_sequential`].
+/// — output is identical at any pool size, one thread included (the pool
+/// is sized by the `rayon` shim, as for `finish_all`'s parallel renders).
 ///
 /// Crash recovery: a `<p>.tmp` left by the store's atomic-rename protocol
 /// is skipped when the committed `<p>` exists (it is a stale or torn
@@ -439,38 +435,6 @@ fn chain_breaks_in(metas: &mut [(u64, FrameMeta)]) -> u64 {
 /// chain is checked for missing, duplicated, or substituted commits
 /// ([`MergeReport::chain_breaks`]).
 pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) {
-    merge_directory_impl(fs, dir, true)
-}
-
-/// Single-threaded reference implementation of [`merge_directory`], for
-/// ablation benchmarks and output-equivalence tests.
-pub fn merge_directory_sequential(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) {
-    merge_directory_impl(fs, dir, false)
-}
-
-/// [`merge_directory`] with an explicit worker-pool size (the
-/// `merge_threads` config knob). `threads = 0` keeps the automatic sizing
-/// from `available_parallelism` — which on hosts that report a single
-/// core silently degenerates the parallel path to a sequential loop, even
-/// though the per-file work is I/O-and-parse bound and still overlaps.
-/// Callers that know their target can force a real pool; the override is
-/// cleared before returning. Output is identical at any pool size.
-pub fn merge_directory_with_threads(
-    fs: &Arc<FileSystem>,
-    dir: &str,
-    threads: u32,
-) -> (Graph, MergeReport) {
-    rayon::set_thread_count(threads as usize);
-    let out = merge_directory_impl(fs, dir, true);
-    rayon::set_thread_count(0);
-    out
-}
-
-fn merge_directory_impl(
-    fs: &Arc<FileSystem>,
-    dir: &str,
-    parallel: bool,
-) -> (Graph, MergeReport) {
     let mut graph = Graph::new();
     let mut report = MergeReport {
         files: 0,
@@ -495,11 +459,7 @@ fn merge_directory_impl(
     let guarded = |path: &String| {
         catch_quiet(|| process_file(fs, path, &committed)).unwrap_or(Outcome::Corrupt)
     };
-    let outcomes: Vec<Outcome> = if parallel {
-        files.par_iter().map(guarded).collect()
-    } else {
-        files.iter().map(guarded).collect()
-    };
+    let outcomes: Vec<Outcome> = files.par_iter().map(guarded).collect();
     // Deterministic sequential fold in directory order; the merge itself is
     // the bulk id-mapped path (one intern per distinct term per file).
     let mut recovered_seen: HashSet<&str> = HashSet::new();
@@ -634,6 +594,19 @@ mod tests {
     use provio_model::{ActivityClass, EntityClass};
     use provio_simrt::{SimTime, VirtualClock};
 
+    /// [`merge_directory`] with the `rayon` shim's pool forced to `threads`
+    /// workers (1 = the sequential loop), so the equivalence tests reach
+    /// both sides of the fold on any host. The pool size is process-global:
+    /// tests that force it take turns.
+    fn merge_with_pool(fs: &Arc<FileSystem>, dir: &str, threads: usize) -> (Graph, MergeReport) {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+        rayon::set_thread_count(threads);
+        let out = merge_directory(fs, dir);
+        rayon::set_thread_count(0);
+        out
+    }
+
     fn event(path: &str) -> IoEvent {
         IoEvent {
             activity: ActivityClass::Write,
@@ -765,8 +738,8 @@ mod tests {
                     .as_bytes(),
             );
         }
-        let (seq_g, seq_r) = merge_directory_sequential(&fs, "/provio");
-        let (par_g, par_r) = merge_directory_with_threads(&fs, "/provio", 4);
+        let (seq_g, seq_r) = merge_with_pool(&fs, "/provio", 1);
+        let (par_g, par_r) = merge_with_pool(&fs, "/provio", 4);
         assert_eq!(par_r.files, seq_r.files);
         assert_eq!(par_r.triples, seq_r.triples);
         assert_eq!(
@@ -836,8 +809,8 @@ mod tests {
         // data, so only the injected hook distinguishes this file.
         write_file(&fs, "/provio/prov_panicme.nt", b"<urn:e> <urn:p> <urn:f> .\n");
         *PANIC_ON.lock().unwrap() = Some("panicme".into());
-        let (gp, rp) = merge_directory(&fs, "/provio");
-        let (gs, rs) = merge_directory_sequential(&fs, "/provio");
+        let (gp, rp) = merge_with_pool(&fs, "/provio", 4);
+        let (gs, rs) = merge_with_pool(&fs, "/provio", 1);
         *PANIC_ON.lock().unwrap() = None;
         for (g, r) in [(&gp, &rp), (&gs, &rs)] {
             assert_eq!(
@@ -904,8 +877,8 @@ mod tests {
             "/provio/rotten.nt",
             text.replace("<urn:r1>", "<urn:RX>").as_bytes(),
         );
-        let (gp, rp) = merge_directory(&fs, "/provio");
-        let (gs, rs) = merge_directory_sequential(&fs, "/provio");
+        let (gp, rp) = merge_with_pool(&fs, "/provio", 4);
+        let (gs, rs) = merge_with_pool(&fs, "/provio", 1);
         assert_eq!(
             ntriples::serialize(&gp),
             ntriples::serialize(&gs),

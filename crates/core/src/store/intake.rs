@@ -1,0 +1,132 @@
+//! The async store's intake: the shared background writer pool and the
+//! bounded queue in front of it.
+
+use crate::config::OverloadPolicy;
+use parking_lot::{Condvar, Mutex};
+
+/// The shared background writer pool.
+pub(super) mod pool {
+    use crossbeam::channel::{unbounded, Sender};
+    use std::sync::OnceLock;
+
+    pub type Job = Box<dyn FnOnce() + Send>;
+
+    /// Size of the shared pool (also how many jobs a test must park to
+    /// deterministically wedge every worker).
+    pub fn workers() -> usize {
+        std::thread::available_parallelism()
+            .map(|n| n.get().clamp(2, 8))
+            .unwrap_or(2)
+    }
+
+    fn sender() -> &'static Sender<Job> {
+        static TX: OnceLock<Sender<Job>> = OnceLock::new();
+        TX.get_or_init(|| {
+            let (tx, rx) = unbounded::<Job>();
+            let workers = workers();
+            for i in 0..workers {
+                let rx = rx.clone();
+                std::thread::Builder::new()
+                    .name(format!("provio-store-{i}"))
+                    .stack_size(512 * 1024)
+                    .spawn(move || {
+                        while let Ok(job) = rx.recv() {
+                            job();
+                        }
+                    })
+                    .expect("spawn provenance store pool worker");
+            }
+            tx
+        })
+    }
+
+    pub fn submit(job: Job) {
+        let _ = sender().send(job);
+    }
+}
+
+/// Outstanding-job counters for the bounded intake queue.
+#[derive(Default)]
+struct QueueCounts {
+    /// All outstanding background jobs (push batches + flushes).
+    in_flight: u64,
+    /// Outstanding push batches only — the quantity the capacity bounds.
+    queued_pushes: u64,
+    shed_batches: u64,
+    shed_triples: u64,
+}
+
+/// Outstanding background jobs, with a real wait instead of a spin loop,
+/// plus the bounded-queue admission control. Capacity governs *push
+/// batches*; flush jobs (a handful, issued by the store itself) are always
+/// admitted so backpressure can never wedge a drain.
+pub(super) struct InFlight {
+    counts: Mutex<QueueCounts>,
+    zero: Condvar,
+    below: Condvar,
+}
+
+impl InFlight {
+    pub(super) fn new() -> Self {
+        InFlight {
+            counts: Mutex::new(QueueCounts::default()),
+            zero: Condvar::new(),
+            below: Condvar::new(),
+        }
+    }
+
+    /// Admit one push batch of `triples` triples under the store's queue
+    /// bound. Returns `false` when the batch was shed instead.
+    pub(super) fn admit_push(&self, capacity: u64, policy: OverloadPolicy, triples: u64) -> bool {
+        let mut c = self.counts.lock();
+        if capacity > 0 && c.queued_pushes >= capacity {
+            match policy {
+                OverloadPolicy::Block => {
+                    while c.queued_pushes >= capacity {
+                        self.below.wait(&mut c);
+                    }
+                }
+                OverloadPolicy::Shed => {
+                    c.shed_batches += 1;
+                    c.shed_triples += triples;
+                    return false;
+                }
+            }
+        }
+        c.queued_pushes += 1;
+        c.in_flight += 1;
+        true
+    }
+
+    pub(super) fn admit_flush(&self) {
+        self.counts.lock().in_flight += 1;
+    }
+
+    pub(super) fn done(&self, was_push: bool) {
+        let mut c = self.counts.lock();
+        if was_push {
+            c.queued_pushes -= 1;
+            self.below.notify_one();
+        }
+        c.in_flight -= 1;
+        if c.in_flight == 0 {
+            self.zero.notify_all();
+        }
+    }
+
+    pub(super) fn wait_zero(&self) {
+        let mut c = self.counts.lock();
+        while c.in_flight != 0 {
+            self.zero.wait(&mut c);
+        }
+    }
+
+    pub(super) fn depth(&self) -> u64 {
+        self.counts.lock().queued_pushes
+    }
+
+    pub(super) fn shed(&self) -> (u64, u64) {
+        let c = self.counts.lock();
+        (c.shed_batches, c.shed_triples)
+    }
+}

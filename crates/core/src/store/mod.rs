@@ -51,6 +51,19 @@
 //! snapshot in parallel and still issue all file-system operations from one
 //! thread in pid order.
 //!
+//! # One landing routine, optional planes
+//!
+//! Snapshots and delta segments reach the disk through one routine,
+//! [`IoState::land`]: commit with retry, then — only for a durable file —
+//! advance the frame identity, cache the Merkle root, fold the commit into
+//! parity, update the segment ledger, recycle the journal. The optional
+//! planes are values it calls at one point each, not modes of the flush
+//! path: the journal is an `Option<`[`journal::Journal`]`>`, parity an
+//! `Option<`[`parity::Parity`]`>` whose commit plane and journal plane are
+//! two [`parity::ParityGroup`]s, the circuit breaker a [`breaker::Breaker`]
+//! and the async intake queue lives in [`intake`]. Every plane has exactly
+//! one implementation, so there is no plane trait.
+//!
 //! # Crash consistency
 //!
 //! Transient errors (`EIO`, `ENOSPC`) are retried under a [`RetryPolicy`]
@@ -119,14 +132,27 @@
 //! `wal_group` records (the unforced tail of the last group), and the loss
 //! is reported, not silent.
 
+mod breaker;
+mod intake;
+mod journal;
+mod parity;
+
+pub use breaker::BreakerState;
+
 use crate::config::{OverloadPolicy, RdfFormat, RetryPolicy};
 use crate::frame::{self, FrameKind};
-use crate::scrub::{self, MemberCheck, ParityMember};
-use parking_lot::{Condvar, Mutex};
-use provio_hpcfs::{FileSystem, FsError, Ino};
+use crate::fsio::commit_atomic;
+use crate::scrub::{MemberCheck, ParityMember};
+use crate::verify::RootCache;
+use breaker::Breaker;
+use intake::{pool, InFlight};
+use journal::Journal;
+use parity::{Parity, Plane};
+use parking_lot::Mutex;
+use provio_hpcfs::{FileSystem, FsError};
 use provio_rdf::{ntriples, turtle, Graph, IdMap, Namespaces, Term, TermId, Triple};
 use provio_simrt::{ChargeGuard, DetRng, SimDuration, SimTime, VirtualClock};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -138,169 +164,13 @@ pub const DEFAULT_COMPACT_EVERY: u32 = 64;
 /// so backoff draws never perturb any workload or fault stream.
 const RETRY_JITTER_STREAM: u64 = 0x4E77;
 
-/// The shared background writer pool.
-mod pool {
-    use crossbeam::channel::{unbounded, Sender};
-    use std::sync::OnceLock;
+/// Lines per CRC frame for line-oriented (N-Triples) payloads: small
+/// enough that one corrupt region loses little, large enough that marker
+/// overhead stays negligible.
+const NT_BATCH_LINES: usize = 64;
 
-    pub type Job = Box<dyn FnOnce() + Send>;
-
-    /// Size of the shared pool (also how many jobs a test must park to
-    /// deterministically wedge every worker).
-    pub fn workers() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get().clamp(2, 8))
-            .unwrap_or(2)
-    }
-
-    fn sender() -> &'static Sender<Job> {
-        static TX: OnceLock<Sender<Job>> = OnceLock::new();
-        TX.get_or_init(|| {
-            let (tx, rx) = unbounded::<Job>();
-            let workers = workers();
-            for i in 0..workers {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("provio-store-{i}"))
-                    .stack_size(512 * 1024)
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn provenance store pool worker");
-            }
-            tx
-        })
-    }
-
-    pub fn submit(job: Job) {
-        let _ = sender().send(job);
-    }
-}
-
-/// Outstanding-job counters for the bounded intake queue.
-#[derive(Default)]
-struct QueueCounts {
-    /// All outstanding background jobs (push batches + flushes).
-    in_flight: u64,
-    /// Outstanding push batches only — the quantity the capacity bounds.
-    queued_pushes: u64,
-    shed_batches: u64,
-    shed_triples: u64,
-}
-
-/// Outstanding background jobs, with a real wait instead of a spin loop,
-/// plus the bounded-queue admission control. Capacity governs *push
-/// batches*; flush jobs (a handful, issued by the store itself) are always
-/// admitted so backpressure can never wedge a drain.
-struct InFlight {
-    counts: Mutex<QueueCounts>,
-    zero: Condvar,
-    below: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        InFlight {
-            counts: Mutex::new(QueueCounts::default()),
-            zero: Condvar::new(),
-            below: Condvar::new(),
-        }
-    }
-
-    /// Admit one push batch of `triples` triples under the store's queue
-    /// bound. Returns `false` when the batch was shed instead.
-    fn admit_push(&self, capacity: u64, policy: OverloadPolicy, triples: u64) -> bool {
-        let mut c = self.counts.lock();
-        if capacity > 0 && c.queued_pushes >= capacity {
-            match policy {
-                OverloadPolicy::Block => {
-                    while c.queued_pushes >= capacity {
-                        self.below.wait(&mut c);
-                    }
-                }
-                OverloadPolicy::Shed => {
-                    c.shed_batches += 1;
-                    c.shed_triples += triples;
-                    return false;
-                }
-            }
-        }
-        c.queued_pushes += 1;
-        c.in_flight += 1;
-        true
-    }
-
-    fn admit_flush(&self) {
-        self.counts.lock().in_flight += 1;
-    }
-
-    fn done(&self, was_push: bool) {
-        let mut c = self.counts.lock();
-        if was_push {
-            c.queued_pushes -= 1;
-            self.below.notify_one();
-        }
-        c.in_flight -= 1;
-        if c.in_flight == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait_zero(&self) {
-        let mut c = self.counts.lock();
-        while c.in_flight != 0 {
-            self.zero.wait(&mut c);
-        }
-    }
-
-    fn depth(&self) -> u64 {
-        self.counts.lock().queued_pushes
-    }
-
-    fn shed(&self) -> (u64, u64) {
-        let c = self.counts.lock();
-        (c.shed_batches, c.shed_triples)
-    }
-}
-
-/// Externally visible circuit-breaker state (surfaced via
-/// [`ProvenanceStore::breaker_state`] and `TrackSummary`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Flushes flow normally.
-    Closed,
-    /// Tripped: periodic flushes are skipped until the backoff elapses.
-    Open,
-    /// Backoff elapsed: the next flush is a probe — success closes the
-    /// breaker, failure re-opens it.
-    HalfOpen,
-}
-
-impl BreakerState {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
-}
-
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Internal breaker state: `Open` remembers when the backoff elapses on the
-/// virtual clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Breaker {
-    Closed,
-    Open { until: SimTime },
-    HalfOpen,
+fn seg_path(path: &str, seq: u64) -> String {
+    format!("{path}.d{seq:06}.nt")
 }
 
 /// The in-memory sub-graph plus the serialization high-water mark: how many
@@ -311,21 +181,14 @@ struct GraphState {
     watermark: usize,
 }
 
-/// One push's worth of journal records awaiting commit: `n` contiguous
-/// record ordinals starting at `start`, rendered as one newline-terminated
-/// N-Triples block. A chunk is committed whole (it becomes one frame) or
-/// not at all.
-struct WalChunk {
-    start: u64,
-    n: u64,
-    block: String,
-}
-
-/// What a snapshot's bytes depend on besides the graph: the format and the
-/// frame identity (store GUID, commit ordinal, chain predecessor) they are
-/// rendered under. Ordinal and chain advance only on a successful commit.
+/// What a commit file's bytes depend on besides the triples: the format
+/// and the frame identity (store GUID, commit ordinal, chain predecessor)
+/// they are rendered under. Ordinal and chain advance only on a successful
+/// framed commit, so a failed flush retries under the same identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FrameSeat {
+    /// Commit every file in the checksummed frame format (see
+    /// [`crate::frame`]); plain serialization when off.
     checksums: bool,
     format: RdfFormat,
     guid: u64,
@@ -333,27 +196,118 @@ struct FrameSeat {
     chain: u32,
 }
 
-/// A snapshot rendered (and framed) but not yet committed — what travels
-/// from [`ProvenanceStore::render_final`] to
-/// [`ProvenanceStore::commit_final`].
-pub(crate) struct RenderedSnapshot {
+/// One commit file, rendered: its bytes and, when framed, the chain value
+/// and Merkle root its footer carries.
+struct Rendered {
     bytes: Vec<u8>,
-    /// The frame's chain value and Merkle root (framed stores only).
-    chain: Option<u32>,
-    root: Option<[u8; 32]>,
+    footer: Option<(u32, [u8; 32])>,
+}
+
+impl Rendered {
+    fn plain(bytes: Vec<u8>) -> Self {
+        Rendered {
+            bytes,
+            footer: None,
+        }
+    }
+}
+
+/// Frame sorted N-Triples lines as one commit file under `seat`. The lines
+/// are framed while still cache-hot — no re-scan of a rendered blob, no
+/// UTF-8 revalidation, no second full-payload copy — in fine-grained
+/// batches: N-Triples is line-oriented, so intact batches salvage safely
+/// around a corrupt one.
+fn frame_lines(seat: FrameSeat, kind: FrameKind, lines: &[String]) -> Rendered {
+    let mut enc = frame::Encoder::new(kind, seat.guid, seat.ordinal, seat.chain);
+    enc.reserve(lines.iter().map(|l| l.len() + 1).sum());
+    for chunk in lines.chunks(NT_BATCH_LINES) {
+        enc.batch(chunk);
+    }
+    let (bytes, chain, root) = enc.finish_with_root();
+    Rendered {
+        bytes,
+        footer: Some((chain, root)),
+    }
+}
+
+/// Render a full snapshot of `graph` under `seat`.
+fn render_snapshot(graph: &Graph, seat: FrameSeat) -> Rendered {
+    match (seat.checksums, seat.format) {
+        (false, RdfFormat::Turtle) => {
+            Rendered::plain(turtle::serialize(graph, &Namespaces::standard()).into_bytes())
+        }
+        (false, RdfFormat::NTriples) => Rendered::plain(ntriples::serialize(graph).into_bytes()),
+        // Turtle statements span lines, and splicing verified fragments
+        // across a dropped batch could forge triples — a Turtle snapshot
+        // is one all-or-nothing batch.
+        (true, RdfFormat::Turtle) => {
+            let text = turtle::serialize(graph, &Namespaces::standard());
+            let (framed, chain, root) = frame::encode_with_root(
+                FrameKind::Snapshot,
+                seat.guid,
+                seat.ordinal,
+                seat.chain,
+                &text,
+                usize::MAX,
+            );
+            Rendered {
+                bytes: framed.into_bytes(),
+                footer: Some((chain, root)),
+            }
+        }
+        (true, RdfFormat::NTriples) => {
+            frame_lines(seat, FrameKind::Snapshot, &ntriples::sorted_graph_lines(graph))
+        }
+    }
+}
+
+/// Render the delta segment holding `ids` (always N-Triples: line-oriented,
+/// so a torn segment salvages by prefix).
+fn render_delta(ids: &[(u32, u32, u32)], terms: &IdMap<u32, Term>, seat: FrameSeat) -> Rendered {
+    if seat.checksums {
+        let lines = ntriples::sorted_id_lines(ids, |id| &terms[&id]);
+        frame_lines(seat, FrameKind::Delta, &lines)
+    } else {
+        let mut buf = Vec::new();
+        ntriples::render_ids(ids, |id| &terms[&id], &mut buf)
+            .expect("writing to a Vec cannot fail");
+        Rendered::plain(buf)
+    }
+}
+
+/// A snapshot rendered but not yet committed — what travels from
+/// [`ProvenanceStore::render_final`] to [`ProvenanceStore::commit_final`].
+pub(crate) struct RenderedSnapshot {
+    rendered: Rendered,
     /// Graph length the bytes cover: the watermark once they are durable.
     captured: usize,
     seat: FrameSeat,
 }
 
-/// Everything the flush path owns: paths, format, retry/degradation
-/// bookkeeping, and the delta-segment ledger. Holding this lock serializes
-/// flushes without blocking `push`.
+/// The delta-segment ledger of one store.
+#[derive(Default)]
+struct Segments {
+    /// Committed, not-yet-compacted segment paths, oldest first.
+    live: Vec<String>,
+    /// Sequence number of the next segment. Only advanced on a successful
+    /// commit, so a failed append retries under the same name.
+    next: u64,
+    since_snapshot: u32,
+    /// Fold segments into a fresh snapshot every this many appends (0 =
+    /// only on `finish`).
+    compact_every: u32,
+    /// A full snapshot exists at the committed path: later flushes append
+    /// segments.
+    snapshot_done: bool,
+}
+
+/// Everything the flush path owns: identity, retry/degradation
+/// bookkeeping, the segment ledger and the optional planes. Holding this
+/// lock serializes flushes without blocking `push`.
 struct IoState {
     fs: Arc<FileSystem>,
     path: String,
-    tmp_path: String,
-    format: RdfFormat,
+    seat: FrameSeat,
     retry: RetryPolicy,
     /// Per-store stream for decorrelated retry jitter (seeded from the
     /// store GUID, so N ranks' delays diverge deterministically).
@@ -370,135 +324,25 @@ struct IoState {
     /// only flips when the whole policy is exhausted.
     flush_retries: u64,
     last_error: Option<FsError>,
-    /// Delta-segment protocol on (off = legacy full rewrite per flush).
-    delta: bool,
-    /// Fold segments into a fresh snapshot every this many delta appends
-    /// (0 = only on `finish`).
-    compact_every: u32,
-    /// Committed, not-yet-compacted segment paths, oldest first.
-    segments: Vec<String>,
-    /// Sequence number of the next segment. Only advanced on a successful
-    /// commit, so a failed append retries under the same name.
-    next_seg: u64,
-    deltas_since_snapshot: u32,
-    /// A full snapshot exists at the committed path.
-    snapshot_done: bool,
-    /// Circuit breaker over the flush path. `breaker_threshold == 0`
-    /// disables it (the default for bare stores).
+    segments: Segments,
     breaker: Breaker,
-    breaker_threshold: u32,
-    breaker_backoff_ns: u64,
-    consecutive_failures: u32,
-    breaker_trips: u64,
-    breaker_skipped: u64,
     /// Time source for breaker backoff when a flush carries no charge
     /// clock (async flushes): the owning rank's clock, if wired via
     /// [`ProvenanceStore::with_clock`].
     clock: Option<VirtualClock>,
-    /// Commit every file in the checksummed frame format (see
-    /// [`crate::frame`]); legacy plain serialization when off.
-    checksums: bool,
-    /// GUID framed commits claim, derived from the store path.
-    guid: u64,
-    /// Ordinal of the next framed commit. Advanced only on success, so a
-    /// failed flush retries under the same identity.
-    next_ordinal: u64,
-    /// Chain value of the last successfully committed framed file.
-    last_chain: u32,
-    /// Write-ahead journal on (see [`ProvenanceStore::with_wal`]).
-    wal: bool,
-    /// Group-commit threshold (≥ 1): the buffer is appended once it holds
-    /// this many records, so exposure after a push stays under one group.
-    wal_group: u32,
-    /// Journal records accepted but not yet committed, one chunk per push
-    /// (contiguous ordinals from `start`, one rendered block per chunk).
-    wal_buf: Vec<WalChunk>,
-    /// Sequence of the current journal generation file.
-    wal_gen: u64,
-    /// Open generation file, once the first append created it.
-    wal_ino: Option<Ino>,
-    /// Append offset into the open generation file.
-    wal_len: u64,
-    /// Chain value of the last chunk appended to the open generation.
-    wal_chain: u32,
-    /// Records durably journaled (across all generations).
-    wal_records: u64,
-    /// Successful group commits.
-    wal_commits: u64,
-    /// Generations recycled after a successful flush.
-    wal_recycles: u64,
-    /// Append attempts that failed (records stay buffered and retry at the
-    /// next group boundary, over the same offset).
-    wal_failed_appends: u64,
-    /// Commit-time Merkle roots of framed files this store wrote, keyed by
-    /// path: `(committed bytes, root)`. The sealing pass consumes these so
-    /// it does not re-read and re-CRC files whose roots the encoder
-    /// already folded for the footer; the byte count guards against a file
-    /// that changed underneath the cache (it then takes the slow re-read
-    /// path). Entries for compacted-away segments are dropped with them.
-    roots: HashMap<String, (u64, [u8; 32])>,
-    /// XOR parity over committed artifacts (see
-    /// [`ProvenanceStore::with_parity`]). Only active alongside
-    /// `checksums`: members are framed commits, and repair promises to
-    /// restore their Merkle roots.
-    parity: bool,
-    /// Committed artifacts per parity group (≥ 1). 1 = a parity twin per
-    /// commit (replication); larger groups trade coverage density for
-    /// write volume (~1/N of committed bytes).
-    parity_group: u32,
-    /// Sequence of the next `.pNNNNNN.par` file — store-wide, shared by
-    /// the commit-plane and journal-plane groups so names never collide.
-    parity_seq: u64,
-    /// Open commit-plane group (snapshot + delta segments): running XOR
-    /// accumulator and the member records it covers.
-    parity_acc: Vec<u8>,
-    parity_members: Vec<ParityMember>,
-    /// Sealed commit-plane parity files still live. Compaction supersedes
-    /// every member at once, so these drop wholesale with the segments.
-    parity_files: Vec<String>,
-    /// Open journal-plane group over the current WAL generation's chunks.
-    /// A chunk is immutable once appended, so (path, offset, len, crc)
-    /// members stay valid until the generation recycles.
-    wal_parity_acc: Vec<u8>,
-    wal_parity_members: Vec<ParityMember>,
-    /// Sealed journal-plane parity files (dropped on generation recycle —
-    /// a crashed rank never recycles, which is exactly when they matter).
-    wal_parity_files: Vec<String>,
-    /// Parity files sealed (lifetime, both planes).
-    parity_seals: u64,
-    /// Seal attempts that failed. Parity is redundancy, not data: a
-    /// failed seal costs future repairability, never the run.
-    parity_failed: u64,
+    /// Commit-time Merkle roots of the framed files this store has on
+    /// disk, so the sealing pass does not re-read and re-CRC files whose
+    /// roots the encoder already folded for the footer. Entries for
+    /// compacted-away segments and retired parity files drop with them.
+    roots: RootCache,
+    /// The write-ahead journal, when on (see [`ProvenanceStore::with_wal`]).
+    journal: Option<Journal>,
+    /// XOR parity over committed artifacts, when on (see
+    /// [`ProvenanceStore::with_parity`]).
+    parity: Option<Parity>,
 }
-
-fn seg_path(path: &str, seq: u64) -> String {
-    format!("{path}.d{seq:06}.nt")
-}
-
-fn wal_path(path: &str, gen: u64) -> String {
-    format!("{path}.w{gen:06}.nt")
-}
-
-fn par_path(path: &str, seq: u64) -> String {
-    format!("{path}.p{seq:06}.par")
-}
-
-/// Lines per CRC frame for line-oriented (N-Triples) payloads: small
-/// enough that one corrupt region loses little, large enough that marker
-/// overhead stays negligible.
-const NT_BATCH_LINES: usize = 64;
 
 impl IoState {
-    fn seat(&self) -> FrameSeat {
-        FrameSeat {
-            checksums: self.checksums,
-            format: self.format,
-            guid: self.guid,
-            ordinal: self.next_ordinal,
-            chain: self.last_chain,
-        }
-    }
-
     /// The breaker's notion of "now": the charge clock if the flush carries
     /// one, else the owning rank's wired clock, else the epoch (which makes
     /// an un-clocked open breaker effectively permanent until `finish`).
@@ -509,95 +353,34 @@ impl IoState {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Record a successful commit: any breaker state collapses to closed.
-    fn breaker_note_success(&mut self) {
-        self.consecutive_failures = 0;
-        self.breaker = Breaker::Closed;
-    }
-
-    /// Record a terminally failed commit, tripping or re-arming the breaker.
-    fn breaker_note_failure(&mut self, now: SimTime) {
-        if self.breaker_threshold == 0 {
-            return;
-        }
-        self.consecutive_failures += 1;
-        let reopen = SimDuration::from_nanos(self.breaker_backoff_ns);
-        match self.breaker {
-            Breaker::Closed => {
-                if self.consecutive_failures >= self.breaker_threshold {
-                    self.breaker = Breaker::Open { until: now + reopen };
-                    self.breaker_trips += 1;
-                }
-            }
-            // A failed half-open probe re-opens for another backoff.
-            Breaker::HalfOpen => {
-                self.breaker = Breaker::Open { until: now + reopen };
-                self.breaker_trips += 1;
-            }
-            // A bypassing flush (finish) failed while open: push the
-            // reopen horizon out, but that's not a new trip.
-            Breaker::Open { .. } => {
-                self.breaker = Breaker::Open { until: now + reopen };
-            }
+    /// A plane's write failed: leave the trace, and if a crash point fired
+    /// the writer is dead as everywhere else. Short of that the run goes on
+    /// — the journal retries at the next group boundary, a lost parity seal
+    /// costs only redundancy.
+    fn note_plane_error(&mut self, e: FsError) {
+        self.last_error = Some(e);
+        if e == FsError::Crashed {
+            self.crashed = true;
+            self.degraded = true;
         }
     }
 
-    /// Gate for periodic flushes. An open breaker whose backoff has not
-    /// elapsed rejects the flush; one whose backoff has elapsed half-opens
-    /// and admits it as the probe.
-    fn breaker_allows(&mut self, now: SimTime) -> bool {
-        match self.breaker {
-            Breaker::Open { until } if now < until => false,
-            Breaker::Open { .. } => {
-                self.breaker = Breaker::HalfOpen;
-                true
-            }
-            _ => true,
-        }
-    }
-
-    fn breaker_state(&self) -> BreakerState {
-        match self.breaker {
-            Breaker::Closed => BreakerState::Closed,
-            Breaker::Open { .. } => BreakerState::Open,
-            Breaker::HalfOpen => BreakerState::HalfOpen,
-        }
-    }
-
-    /// One crash-consistent commit attempt: write everything to `tmp`, then
-    /// atomically rename it over `dst`.
-    fn try_commit(&self, tmp: &str, dst: &str, bytes: &[u8]) -> Result<(), FsError> {
-        let now = SimTime::ZERO; // store-internal write; mtime is irrelevant
-        let ino = self.fs.create_file(tmp, false, "provio", now)?;
-        self.fs.truncate_ino(ino, 0, now)?;
-        self.fs.write_at(ino, 0, bytes, now)?;
-        self.fs.rename(tmp, dst, now)
-    }
-
-    /// Commit with the retry/backoff policy, updating the degradation
-    /// bookkeeping. Returns `true` when `dst` is durable.
-    fn commit_with_retry(
-        &mut self,
-        tmp: &str,
-        dst: &str,
-        bytes: &[u8],
-        charge: Option<&VirtualClock>,
-    ) -> bool {
+    /// Commit `bytes` to `dst` with the retry/backoff policy, updating the
+    /// degradation bookkeeping. Returns `true` when `dst` is durable.
+    fn commit_with_retry(&mut self, dst: &str, bytes: &[u8], charge: Option<&VirtualClock>) -> bool {
         let mut failures = 0u32;
         let mut prev_delay = self.retry.backoff_ns;
         loop {
-            match self.try_commit(tmp, dst, bytes) {
+            match commit_atomic(&self.fs, dst, bytes) {
                 Ok(()) => {
                     self.degraded = false;
-                    self.breaker_note_success();
+                    self.breaker.note_success();
                     return true;
                 }
                 Err(FsError::Crashed) => {
                     // The process died mid-flush: no retry, no cleanup.
                     // A leftover tmp prefix is salvaged at merge time.
-                    self.crashed = true;
-                    self.degraded = true;
-                    self.last_error = Some(FsError::Crashed);
+                    self.note_plane_error(FsError::Crashed);
                     self.dropped_flushes += 1;
                     return false;
                 }
@@ -625,251 +408,132 @@ impl IoState {
                     self.degraded = true;
                     self.dropped_flushes += 1;
                     let now = self.now(charge);
-                    self.breaker_note_failure(now);
+                    self.breaker.note_failure(now);
                     return false;
                 }
             }
         }
     }
 
-    /// Open the current journal generation file (tmp+rename, the same
-    /// discipline as segments, so the generation enters the namespace
-    /// atomically and an interrupted open never masquerades as a journal).
-    fn wal_open_gen(&mut self) -> Result<Ino, FsError> {
-        if let Some(ino) = self.wal_ino {
-            return Ok(ino);
-        }
-        let now = SimTime::ZERO;
-        let gen = wal_path(&self.path, self.wal_gen);
-        let tmp = format!("{gen}.tmp");
-        let ino = self.fs.create_file(&tmp, false, "provio", now)?;
-        self.fs.truncate_ino(ino, 0, now)?;
-        self.fs.rename(&tmp, &gen, now)?;
-        self.wal_ino = Some(ino);
-        self.wal_len = 0;
-        self.wal_chain = frame::CHAIN_START;
-        Ok(ino)
-    }
-
-    /// Group-commit buffered journal records: once the buffer holds at
-    /// least `wal_group` records — or at any size when `force`, a flush
-    /// boundary — every buffered chunk is framed (one frame per chunk, its
-    /// ordinal the chunk's first record) and all of them land in one
-    /// contiguous positional write, so a 1000-record push costs a single
-    /// append with no per-record work. The exposure window after any push
-    /// is therefore under `wal_group` records. A failed append advances
-    /// nothing: the chunks stay buffered and the whole append retries at
-    /// the same offset, so a torn partial append is simply overwritten; a
-    /// crash point kills the writer as everywhere else.
-    fn wal_commit(&mut self, force: bool) {
-        if !self.wal || self.crashed {
+    /// Group-commit the journal's buffered records (see
+    /// [`Journal::append`]), the chunks that land joining the journal-plane
+    /// parity group.
+    fn journal_commit(&mut self, force: bool) {
+        if self.crashed {
             return;
         }
-        let buffered: u64 = self.wal_buf.iter().map(|c| c.n).sum();
-        if buffered == 0 || (!force && buffered < u64::from(self.wal_group.max(1))) {
+        let Some(journal) = self.journal.as_mut() else {
             return;
-        }
-        let ino = match self.wal_open_gen() {
-            Ok(ino) => ino,
-            Err(e) => {
-                self.wal_note_failure(e);
-                return;
-            }
         };
-        let mut bytes =
-            Vec::with_capacity(self.wal_buf.iter().map(|c| c.block.len() + 128).sum());
-        let mut chain = self.wal_chain;
-        // Frame boundaries within `bytes`, recorded so each committed
-        // chunk can become a journal-plane parity member at its final
-        // offset in the generation file.
-        let mut spans: Vec<(u64, u64)> = Vec::new();
-        for chunk in &self.wal_buf {
-            let mut enc = frame::Encoder::new(FrameKind::Wal, self.guid, chunk.start, chain);
-            enc.batch_block(&chunk.block, chunk.n as usize);
-            let (frame_bytes, frame_chain) = enc.finish();
-            if self.parity_on() {
-                spans.push((bytes.len() as u64, frame_bytes.len() as u64));
+        // Parity is only live over framed commits: repair promises to
+        // restore Merkle roots, so it stays dormant on an unframed store.
+        let live = self.parity.as_mut().filter(|_| self.seat.checksums);
+        let cover = live.map(|parity| parity.plane(Plane::Journal));
+        if let Err(e) = journal.append(&self.fs, &self.path, self.seat.guid, force, cover) {
+            if e != FsError::Crashed {
+                journal.failed_appends += 1;
             }
-            bytes.extend_from_slice(&frame_bytes);
-            chain = frame_chain;
+            return self.note_plane_error(e);
         }
-        match self.fs.write_at(ino, self.wal_len, &bytes, SimTime::ZERO) {
-            Ok(_) => {
-                if self.parity_on() {
-                    let gen = wal_path(&self.path, self.wal_gen);
-                    for &(off, len) in &spans {
-                        let span = &bytes[off as usize..(off + len) as usize];
-                        scrub::xor_into(&mut self.wal_parity_acc, span);
-                        self.wal_parity_members.push(ParityMember {
-                            path: gen.clone(),
-                            offset: self.wal_len + off,
-                            len,
-                            check: MemberCheck::Crc(crc32fast::hash(span)),
-                            ord: None,
-                        });
-                    }
-                }
-                self.wal_len += bytes.len() as u64;
-                self.wal_chain = chain;
-                self.wal_buf.clear();
-                self.wal_records += buffered;
-                self.wal_commits += 1;
-                if self.parity_on()
-                    && self.wal_parity_members.len() >= self.parity_group.max(1) as usize
-                {
-                    self.parity_seal_open(true);
-                }
-            }
-            Err(e) => self.wal_note_failure(e),
-        }
+        self.seal_parity(Plane::Journal, false);
     }
 
-    fn wal_note_failure(&mut self, e: FsError) {
-        self.last_error = Some(e);
-        if e == FsError::Crashed {
-            self.crashed = true;
-            self.degraded = true;
-        } else {
-            self.wal_failed_appends += 1;
-        }
-    }
-
-    /// Recycle the journal after a successful flush: everything journaled
-    /// or buffered is covered by the commit (flush boundaries force the
-    /// buffer out first, and the flush captured at least that far), so the
-    /// generation is retired and the next append opens a fresh one. The
-    /// unlink is best-effort — a stale generation surviving a crash here is
-    /// exactly what merge-time ordinal dedupe absorbs.
-    fn wal_recycle(&mut self) {
-        if !self.wal {
+    /// Retire the journal generation a successful flush has covered. The
+    /// journal-plane parity that referenced its chunks retires *first*,
+    /// mirroring the commit plane's retire-before-unlink order.
+    fn journal_recycle(&mut self) {
+        let Some(journal) = self.journal.as_mut() else {
             return;
-        }
-        self.wal_buf.clear();
-        // Journal-plane parity referenced the retiring generation's chunks;
-        // it retires *first*, mirroring the commit plane's invalidate-
-        // before-unlink order. A crash between the unlinks must never
-        // leave parity describing members that are already gone: scrub
-        // would read the orphaned group as unrecoverable loss — or, for a
-        // single-chunk group, "repair" the retired generation back into
-        // existence (found by crashcheck, tests/crashcheck.rs).
-        for p in std::mem::take(&mut self.wal_parity_files) {
-            let _ = self.fs.unlink(&p);
-            self.roots.remove(&p);
-        }
-        self.wal_parity_acc.clear();
-        self.wal_parity_members.clear();
-        if self.wal_ino.take().is_some() {
-            let _ = self.fs.unlink(&wal_path(&self.path, self.wal_gen));
-            self.wal_recycles += 1;
-        }
-        self.wal_gen += 1;
-        self.wal_len = 0;
-        self.wal_chain = frame::CHAIN_START;
-    }
-
-    /// Parity is only live over framed commits: member records pin each
-    /// member (the commit frame's Merkle root for whole files, a raw-span
-    /// CRC for journal chunks) plus a commit ordinal, and repair promises
-    /// to restore those exact bytes.
-    fn parity_on(&self) -> bool {
-        self.parity && self.checksums
-    }
-
-    /// Fold one whole-file commit (snapshot or delta segment) into the
-    /// open commit-plane group; seal the group once it is full. Takes the
-    /// committed frame by value: the first member of a group *is* the
-    /// accumulator (XOR against an empty accumulator is identity), so a
-    /// snapshot-sized commit is adopted by move instead of copied.
-    fn parity_track_commit(&mut self, path: &str, bytes: Vec<u8>, ord: u64, root: Option<[u8; 32]>) {
-        if !self.parity_on() || self.crashed {
-            return;
-        }
-        let check = match root {
-            // The committing encoder already computed this root for the
-            // manifest cache: pinning the member costs no extra pass.
-            Some(r) => MemberCheck::Root(r),
-            None => MemberCheck::Crc(crc32fast::hash(&bytes)),
         };
-        self.parity_members.push(ParityMember {
-            path: path.to_string(),
-            offset: 0,
-            len: bytes.len() as u64,
-            check,
-            ord: Some(ord),
-        });
-        if self.parity_acc.is_empty() {
-            self.parity_acc = bytes;
-        } else {
-            scrub::xor_into(&mut self.parity_acc, &bytes);
+        if let Some(parity) = self.parity.as_mut() {
+            parity.plane(Plane::Journal).retire(&self.fs, &mut self.roots);
         }
-        if self.parity_members.len() >= self.parity_group.max(1) as usize {
-            self.parity_seal_open(false);
-        }
+        journal.recycle(&self.fs, &self.path);
     }
 
-    /// Seal the open group of one plane as `<path>.pNNNNNN.par`: a
-    /// PROVIO1 `kind=parity` frame whose first batch is the member
-    /// records and whose second batch is the XOR block (base64, or a raw
-    /// replica for a single-member group — see
-    /// [`scrub::encode_parity_frame`]), committed
-    /// tmp+rename like every artifact and root-cached so the manifest
-    /// lists it. A failed seal drops the group — its members are already
-    /// durable, so only future repairability is lost, and the next commit
-    /// starts a fresh group.
-    fn parity_seal_open(&mut self, journal: bool) {
-        let (members, acc) = if journal {
-            (
-                std::mem::take(&mut self.wal_parity_members),
-                std::mem::take(&mut self.wal_parity_acc),
-            )
-        } else {
-            (
-                std::mem::take(&mut self.parity_members),
-                std::mem::take(&mut self.parity_acc),
-            )
+    /// Seal `plane`'s open parity group once it is full — or, when
+    /// `force`d, whatever it holds (see [`Parity::seal`]).
+    fn seal_parity(&mut self, plane: Plane, force: bool) {
+        let Some(parity) = self.parity.as_mut() else {
+            return;
         };
-        if members.is_empty() {
+        if !(force || parity.plane(plane).is_full()) {
             return;
         }
-        let seq = self.parity_seq;
-        let dst = par_path(&self.path, seq);
-        let tmp = format!("{dst}.tmp");
-        let member_lines: Vec<String> = members.iter().map(scrub::member_line).collect();
-        let (framed, root) = scrub::encode_parity_frame(self.guid, seq, &member_lines, &acc);
-        match self.try_commit(&tmp, &dst, &framed) {
-            Ok(()) => {
-                self.roots.insert(dst.clone(), (framed.len() as u64, root));
-                if journal {
-                    self.wal_parity_files.push(dst);
-                } else {
-                    self.parity_files.push(dst);
-                }
-                self.parity_seq += 1;
-                self.parity_seals += 1;
-            }
-            Err(e) => {
-                self.parity_failed += 1;
-                self.last_error = Some(e);
-                if e == FsError::Crashed {
-                    self.crashed = true;
-                    self.degraded = true;
-                }
-                let _ = self.fs.unlink(&tmp);
-            }
+        if let Err(e) = parity.seal(plane, &self.fs, &self.path, self.seat.guid, &mut self.roots) {
+            self.note_plane_error(e);
         }
     }
 
-    /// Compaction supersedes every artifact the commit-plane parity
-    /// covers: drop the sealed files and the open group. Runs *before*
-    /// the superseded segments are unlinked, so a crash in between leaves
-    /// no parity describing members that are already gone.
-    fn parity_invalidate_commit_plane(&mut self) {
-        for p in std::mem::take(&mut self.parity_files) {
-            let _ = self.fs.unlink(&p);
-            self.roots.remove(&p);
+    /// The one landing routine of snapshots (`FrameKind::Snapshot`) and
+    /// delta segments: commit with retry and then, only once the file is
+    /// durable, advance the frame identity, cache the root, fold the commit
+    /// into parity, update the segment ledger and recycle the journal.
+    /// Returns committed bytes, or `None` for a dropped flush — which
+    /// advanced nothing, so the retry runs under the same name and identity.
+    fn land(
+        &mut self,
+        kind: FrameKind,
+        rendered: Rendered,
+        charge: Option<&VirtualClock>,
+    ) -> Option<u64> {
+        let compacting = kind == FrameKind::Snapshot;
+        let dst = if compacting {
+            self.path.clone()
+        } else {
+            seg_path(&self.path, self.segments.next)
+        };
+        if !self.commit_with_retry(&dst, &rendered.bytes, charge) {
+            return None;
         }
-        self.parity_acc.clear();
-        self.parity_members.clear();
+        let committed = rendered.bytes.len() as u64;
+        if let Some((chain, root)) = rendered.footer {
+            let ord = self.seat.ordinal;
+            self.seat.chain = chain;
+            self.seat.ordinal += 1;
+            self.roots.insert(dst.clone(), (committed, root));
+            if let Some(parity) = self.parity.as_mut() {
+                let group = parity.plane(Plane::Commits);
+                if compacting {
+                    // The compacted snapshot supersedes everything the live
+                    // parity covered; it then opens a fresh group as member
+                    // zero.
+                    group.retire(&self.fs, &mut self.roots);
+                }
+                // The committing encoder already computed the root for the
+                // manifest cache: pinning the member costs no extra pass.
+                let member = ParityMember {
+                    path: dst.clone(),
+                    offset: 0,
+                    len: committed,
+                    check: MemberCheck::Root(root),
+                    ord: Some(ord),
+                };
+                group.fold(member, Cow::Owned(rendered.bytes));
+                self.seal_parity(Plane::Commits, false);
+            }
+        }
+        if compacting {
+            // The snapshot holds everything the segments held: fold them
+            // away. Unlink failures are harmless — a surviving segment only
+            // feeds the merge duplicate triples, which collapse.
+            for seg in std::mem::take(&mut self.segments.live) {
+                let _ = self.fs.unlink(&seg);
+                self.roots.remove(&seg);
+            }
+            // A failed earlier append may have left the next segment's tmp.
+            let _ = self
+                .fs
+                .unlink(&format!("{}.tmp", seg_path(&self.path, self.segments.next)));
+            self.segments.since_snapshot = 0;
+            self.segments.snapshot_done = true;
+        } else {
+            self.segments.live.push(dst);
+            self.segments.next += 1;
+            self.segments.since_snapshot += 1;
+        }
+        self.journal_recycle();
+        Some(committed)
     }
 }
 
@@ -892,53 +556,8 @@ impl Inner {
             let st = self.state.lock();
             (st.graph.clone(), st.graph.len())
         };
-        let (bytes, chain, root) = match (seat.checksums, seat.format) {
-            (false, RdfFormat::Turtle) => (
-                turtle::serialize(&graph, &Namespaces::standard()).into_bytes(),
-                None,
-                None,
-            ),
-            (false, RdfFormat::NTriples) => {
-                (ntriples::serialize(&graph).into_bytes(), None, None)
-            }
-            // Turtle statements span lines, and splicing verified fragments
-            // across a dropped batch could forge triples — a Turtle
-            // snapshot is one all-or-nothing batch.
-            (true, RdfFormat::Turtle) => {
-                let text = turtle::serialize(&graph, &Namespaces::standard());
-                let (framed, c, r) = frame::encode_with_root(
-                    FrameKind::Snapshot,
-                    seat.guid,
-                    seat.ordinal,
-                    seat.chain,
-                    &text,
-                    usize::MAX,
-                );
-                (framed.into_bytes(), Some(c), Some(r))
-            }
-            // N-Triples is line-oriented, so fine-grained batches salvage
-            // safely — and the lines can be framed while still cache-hot
-            // instead of re-scanning a rendered blob.
-            (true, RdfFormat::NTriples) => {
-                let lines = ntriples::sorted_graph_lines(&graph);
-                let mut enc = frame::Encoder::new(
-                    FrameKind::Snapshot,
-                    seat.guid,
-                    seat.ordinal,
-                    seat.chain,
-                );
-                enc.reserve(lines.iter().map(|l| l.len() + 1).sum());
-                for chunk in lines.chunks(NT_BATCH_LINES) {
-                    enc.batch(chunk);
-                }
-                let (framed, c, r) = enc.finish_with_root();
-                (framed, Some(c), Some(r))
-            }
-        };
         RenderedSnapshot {
-            bytes,
-            chain,
-            root,
+            rendered: render_snapshot(&graph, seat),
             captured,
             seat,
         }
@@ -947,57 +566,19 @@ impl Inner {
     /// Render and commit a snapshot. Returns committed bytes, or 0 on a
     /// dropped flush.
     fn snapshot(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
-        let rendered = self.render(io.seat());
+        let rendered = self.render(io.seat);
         self.commit(io, rendered, charge)
     }
 
-    /// The file-system half of a snapshot: commit `rendered` over the
-    /// snapshot path, unlinking any delta segments it now supersedes.
-    /// Returns committed bytes, or 0 on a dropped flush.
+    /// The file-system half of a snapshot: land `rendered` over the
+    /// snapshot path, superseding the delta segments.
     fn commit(&self, io: &mut IoState, rendered: RenderedSnapshot, charge: Option<&VirtualClock>) -> u64 {
-        debug_assert_eq!(rendered.seat, io.seat(), "rendered under a stale frame identity");
-        let RenderedSnapshot {
-            bytes,
-            chain,
-            root,
-            captured,
-            ..
-        } = rendered;
-        let (tmp, dst) = (io.tmp_path.clone(), io.path.clone());
-        if !io.commit_with_retry(&tmp, &dst, &bytes, charge) {
-            return 0;
+        debug_assert_eq!(rendered.seat, io.seat, "rendered under a stale frame identity");
+        let committed = io.land(FrameKind::Snapshot, rendered.rendered, charge);
+        if committed.is_some() {
+            self.state.lock().watermark = rendered.captured;
         }
-        if let Some(c) = chain {
-            io.last_chain = c;
-            io.next_ordinal += 1;
-        }
-        if let Some(r) = root {
-            io.roots.insert(dst.clone(), (bytes.len() as u64, r));
-        }
-        let committed = bytes.len() as u64;
-        if io.parity_on() {
-            // The compacted snapshot supersedes everything the live parity
-            // covered; it then opens a fresh group as member zero. The
-            // ordinal is the one this commit just consumed.
-            io.parity_invalidate_commit_plane();
-            let ord = io.next_ordinal - 1;
-            io.parity_track_commit(&dst, bytes, ord, root);
-        }
-        // The snapshot holds everything the segments held: fold them away.
-        // Unlink failures are harmless — a surviving segment only feeds the
-        // merge duplicate triples, which collapse.
-        let segs = std::mem::take(&mut io.segments);
-        for seg in segs {
-            let _ = io.fs.unlink(&seg);
-            io.roots.remove(&seg);
-        }
-        // A failed earlier append may have left the next segment's tmp.
-        let _ = io.fs.unlink(&format!("{}.tmp", seg_path(&io.path, io.next_seg)));
-        io.deltas_since_snapshot = 0;
-        io.snapshot_done = true;
-        self.state.lock().watermark = captured;
-        io.wal_recycle();
-        committed
+        committed.unwrap_or(0)
     }
 
     /// Append one delta segment holding the triples above the watermark.
@@ -1024,63 +605,23 @@ impl Inner {
         };
         // Render off the state lock; the io lock (held by our caller)
         // already serializes flushes.
-        let (bytes, chain, root) = if io.checksums {
-            // Frame the sorted lines while they are hot: no re-scan, no
-            // UTF-8 revalidation, no second full-payload copy.
-            let lines = ntriples::sorted_id_lines(&ids, |id| &terms[&id]);
-            let mut enc = frame::Encoder::new(
-                FrameKind::Delta,
-                io.guid,
-                io.next_ordinal,
-                io.last_chain,
-            );
-            enc.reserve(lines.iter().map(|l| l.len() + 1).sum());
-            for chunk in lines.chunks(NT_BATCH_LINES) {
-                enc.batch(chunk);
-            }
-            let (framed, c, r) = enc.finish_with_root();
-            (framed, Some(c), Some(r))
-        } else {
-            let mut buf = Vec::new();
-            ntriples::render_ids(&ids, |id| &terms[&id], &mut buf)
-                .expect("writing to a Vec cannot fail");
-            (buf, None, None)
-        };
-        let seg = seg_path(&io.path, io.next_seg);
-        let tmp = format!("{seg}.tmp");
-        if io.commit_with_retry(&tmp, &seg, &bytes, charge) {
-            if let Some(c) = chain {
-                io.last_chain = c;
-                io.next_ordinal += 1;
-            }
-            if let Some(r) = root {
-                io.roots.insert(seg.clone(), (bytes.len() as u64, r));
-            }
-            let n = bytes.len() as u64;
-            if io.parity_on() {
-                let ord = io.next_ordinal - 1;
-                io.parity_track_commit(&seg, bytes, ord, root);
-            }
-            io.segments.push(seg);
-            io.next_seg += 1;
-            io.deltas_since_snapshot += 1;
-            io.wal_recycle();
-            if io.compact_every > 0 && io.deltas_since_snapshot >= io.compact_every {
-                self.snapshot(io, charge);
-            }
-            n
-        } else {
+        let rendered = render_delta(&ids, &terms, io.seat);
+        let Some(committed) = io.land(FrameKind::Delta, rendered, charge) else {
             // The delta never landed: rewind the watermark so the next
             // flush retries exactly these triples under the same segment
             // name (the atomic rename makes that idempotent).
             self.state.lock().watermark -= ids.len();
-            0
+            return 0;
+        };
+        if io.segments.compact_every > 0 && io.segments.since_snapshot >= io.segments.compact_every
+        {
+            self.snapshot(io, charge);
         }
+        committed
     }
 
-    /// Periodic flush: snapshot first, deltas after (legacy mode always
-    /// snapshots). Returns committed bytes or 0 for a dropped/empty/
-    /// breaker-skipped flush.
+    /// Periodic flush: snapshot first, deltas after. Returns committed
+    /// bytes or 0 for a dropped/empty/breaker-skipped flush.
     fn flush_now(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
         if io.crashed {
             io.dropped_flushes += 1;
@@ -1089,19 +630,18 @@ impl Inner {
         // A flush boundary forces the journal's partial group out — before
         // the breaker gate, so journaling continues even while flushes are
         // being skipped (that is exactly when the journal earns its keep).
-        io.wal_commit(true);
+        io.journal_commit(true);
         if io.crashed {
             io.dropped_flushes += 1;
             return 0;
         }
         let now = io.now(charge);
-        if !io.breaker_allows(now) {
+        if !io.breaker.allows(now) {
             // Skipped, not dropped: the unflushed triples stay above the
             // watermark and land with the next admitted flush.
-            io.breaker_skipped += 1;
             return 0;
         }
-        if io.delta && io.snapshot_done {
+        if io.segments.snapshot_done {
             self.delta_flush(io, charge)
         } else {
             self.snapshot(io, charge)
@@ -1126,12 +666,12 @@ impl Inner {
         }
         // Journal first: if the final snapshot fails, the journal is what
         // the merge will replay.
-        io.wal_commit(true);
+        io.journal_commit(true);
         if io.crashed {
             io.dropped_flushes += 1;
             return 0;
         }
-        let seat = io.seat();
+        let seat = io.seat;
         let rendered = rendered
             .filter(|r| r.seat == seat && r.captured == self.state.lock().graph.len())
             .unwrap_or_else(|| self.render(seat));
@@ -1141,22 +681,21 @@ impl Inner {
             // final group is short: force-seal whatever is open (a
             // single-member group degenerates to replication of the final
             // snapshot — honest, and still one-loss-tolerant).
-            io.parity_seal_open(false);
+            io.seal_parity(Plane::Commits, true);
         }
         n
     }
 
-    /// Insert a batch into the graph. With the journal on, the newly
+    /// Insert a batch into the graph. A journaled store renders the newly
     /// inserted triples (dedup survivors — the journal speaks the graph's
-    /// insertion-index coordinate system) are rendered as journal records
-    /// as one block chunk, committed once the group threshold is reached —
-    /// unless `group_commit` is off: the finishing hand-over leaves its
-    /// chunk buffered for the forced append `finish_now` starts with, so
-    /// handing over issues no file-system operation.
-    /// The io lock is taken only when
-    /// journaling, so the journal-off push path is unchanged.
-    fn apply_batch(&self, triples: &[Triple], wal: bool, group_commit: bool) {
-        if !wal {
+    /// insertion-index coordinate system) as one chunk of journal records,
+    /// committed once the group threshold is reached — unless
+    /// `group_commit` is off: the finishing hand-over leaves its chunk
+    /// buffered for the forced append `finish_now` starts with, so handing
+    /// over issues no file-system operation. The io lock is taken only when
+    /// journaling, so the journal-off push path never touches it.
+    fn apply_batch(&self, triples: &[Triple], journaled: bool, group_commit: bool) {
+        if !journaled {
             let mut st = self.state.lock();
             for t in triples {
                 st.graph.insert(t);
@@ -1171,18 +710,13 @@ impl Inner {
                 st.graph.insert(t);
             }
             let ids = st.graph.ids_from(before);
-            if !ids.is_empty() {
-                let n = ids.len() as u64;
+            if let Some(journal) = io.journal.as_mut().filter(|_| !ids.is_empty()) {
                 let block = ntriples::id_block(ids, |id| st.graph.term(TermId(id)));
-                io.wal_buf.push(WalChunk {
-                    start: before as u64,
-                    n,
-                    block,
-                });
+                journal.buffer(before as u64, ids.len() as u64, block);
             }
         }
         if group_commit {
-            io.wal_commit(false);
+            io.journal_commit(false);
         }
     }
 }
@@ -1197,9 +731,9 @@ pub struct ProvenanceStore {
     /// applied when it fills. Only meaningful in async mode.
     queue_capacity: u64,
     overload: OverloadPolicy,
-    /// Mirror of `IoState::wal`, readable without the io lock so the
-    /// journal-off push path stays io-lock-free.
-    wal_enabled: bool,
+    /// Whether `IoState::journal` is on, readable without the io lock so
+    /// the journal-off push path stays io-lock-free.
+    journaled: bool,
     fs: Arc<FileSystem>,
     path: String,
     triples_pushed: AtomicU64,
@@ -1207,8 +741,7 @@ pub struct ProvenanceStore {
 
 impl ProvenanceStore {
     /// Create a store writing `path` on `fs`. `async_store` selects the
-    /// background-pool mode. Delta segments are on by default; see
-    /// [`Self::with_delta`].
+    /// background-pool mode.
     pub fn new(
         fs: Arc<FileSystem>,
         path: impl Into<String>,
@@ -1222,58 +755,33 @@ impl ProvenanceStore {
                 let _ = fs.mkdir_all(dir, "provio", SimTime::ZERO);
             }
         }
+        let guid = frame::store_guid(&path);
         let io = IoState {
             fs: Arc::clone(&fs),
             path: path.clone(),
-            tmp_path: format!("{path}.tmp"),
-            format,
+            seat: FrameSeat {
+                checksums: false,
+                format,
+                guid,
+                ordinal: 0,
+                chain: frame::CHAIN_START,
+            },
             retry: RetryPolicy::default(),
-            retry_rng: DetRng::with_stream(frame::store_guid(&path), RETRY_JITTER_STREAM),
+            retry_rng: DetRng::with_stream(guid, RETRY_JITTER_STREAM),
             degraded: false,
             crashed: false,
             dropped_flushes: 0,
             flush_retries: 0,
             last_error: None,
-            delta: true,
-            compact_every: DEFAULT_COMPACT_EVERY,
-            segments: Vec::new(),
-            next_seg: 0,
-            deltas_since_snapshot: 0,
-            snapshot_done: false,
-            breaker: Breaker::Closed,
-            breaker_threshold: 0,
-            breaker_backoff_ns: 0,
-            consecutive_failures: 0,
-            breaker_trips: 0,
-            breaker_skipped: 0,
+            segments: Segments {
+                compact_every: DEFAULT_COMPACT_EVERY,
+                ..Segments::default()
+            },
+            breaker: Breaker::default(),
             clock: None,
-            checksums: false,
-            guid: frame::store_guid(&path),
-            next_ordinal: 0,
-            last_chain: frame::CHAIN_START,
-            wal: false,
-            wal_group: crate::config::DEFAULT_WAL_GROUP,
-            wal_buf: Vec::new(),
-            wal_gen: 0,
-            wal_ino: None,
-            wal_len: 0,
-            wal_chain: frame::CHAIN_START,
-            wal_records: 0,
-            wal_commits: 0,
-            wal_recycles: 0,
-            wal_failed_appends: 0,
-            roots: HashMap::new(),
-            parity: false,
-            parity_group: crate::config::DEFAULT_PARITY_GROUP,
-            parity_seq: 0,
-            parity_acc: Vec::new(),
-            parity_members: Vec::new(),
-            parity_files: Vec::new(),
-            wal_parity_acc: Vec::new(),
-            wal_parity_members: Vec::new(),
-            wal_parity_files: Vec::new(),
-            parity_seals: 0,
-            parity_failed: 0,
+            roots: RootCache::new(),
+            journal: None,
+            parity: None,
         };
         ProvenanceStore {
             inner: Arc::new(Inner {
@@ -1287,7 +795,7 @@ impl ProvenanceStore {
             async_store,
             queue_capacity: 0,
             overload: OverloadPolicy::Block,
-            wal_enabled: false,
+            journaled: false,
             fs,
             path,
             triples_pushed: AtomicU64::new(0),
@@ -1300,16 +808,10 @@ impl ProvenanceStore {
         self
     }
 
-    /// Select the flush protocol: `enabled` turns delta segments on/off
-    /// (off = legacy full rewrite on every flush, the ablation baseline),
-    /// `compact_every` folds segments into a fresh snapshot every that many
-    /// appends (0 = only on `finish`).
-    pub fn with_delta(self, enabled: bool, compact_every: u32) -> Self {
-        {
-            let mut io = self.inner.io.lock();
-            io.delta = enabled;
-            io.compact_every = compact_every;
-        }
+    /// Fold delta segments into a fresh snapshot every `n` appends (0 =
+    /// only on `finish`).
+    pub fn with_compact_every(self, n: u32) -> Self {
+        self.inner.io.lock().segments.compact_every = n;
         self
     }
 
@@ -1327,8 +829,8 @@ impl ProvenanceStore {
     pub fn with_breaker(self, threshold: u32, backoff_ns: u64) -> Self {
         {
             let mut io = self.inner.io.lock();
-            io.breaker_threshold = threshold;
-            io.breaker_backoff_ns = backoff_ns;
+            io.breaker.threshold = threshold;
+            io.breaker.backoff_ns = backoff_ns;
         }
         self
     }
@@ -1342,23 +844,19 @@ impl ProvenanceStore {
 
     /// Commit files in the checksummed frame format (see [`crate::frame`]):
     /// header with store GUID and commit ordinal, per-batch CRC-32 frames,
-    /// chained footer. Off by default (legacy plain serialization).
+    /// chained footer. Off by default (plain serialization).
     pub fn with_checksums(self, enabled: bool) -> Self {
-        self.inner.io.lock().checksums = enabled;
+        self.inner.io.lock().seat.checksums = enabled;
         self
     }
 
     /// Keep a write-ahead journal of pushed records in group commits of
     /// `group` records (clamped up to 1), bounding what a crash between
     /// flushes can lose to at most one group. Off by default — the
-    /// journal-off store is byte-for-byte the legacy flush-boundary store.
+    /// journal-off store is byte-for-byte the flush-boundary store.
     pub fn with_wal(mut self, enabled: bool, group: u32) -> Self {
-        {
-            let mut io = self.inner.io.lock();
-            io.wal = enabled;
-            io.wal_group = group.max(1);
-        }
-        self.wal_enabled = enabled;
+        self.inner.io.lock().journal = enabled.then(|| Journal::new(group));
+        self.journaled = enabled;
         self
     }
 
@@ -1368,11 +866,7 @@ impl ProvenanceStore {
     /// or rotted member byte-identical. Requires [`Self::with_checksums`]
     /// — parity stays dormant on an unframed store. Off by default.
     pub fn with_parity(self, enabled: bool, group: u32) -> Self {
-        {
-            let mut io = self.inner.io.lock();
-            io.parity = enabled;
-            io.parity_group = group.max(1);
-        }
+        self.inner.io.lock().parity = enabled.then(|| Parity::new(group));
         self
     }
 
@@ -1411,6 +905,7 @@ impl ProvenanceStore {
     fn intake(&self, triples: Vec<Triple>, charge: Option<&VirtualClock>, group_commit: bool) {
         self.triples_pushed
             .fetch_add(triples.len() as u64, Ordering::Relaxed);
+        let journaled = self.journaled;
         if self.async_store {
             if !self
                 .in_flight
@@ -1420,14 +915,13 @@ impl ProvenanceStore {
             }
             let inner = Arc::clone(&self.inner);
             let in_flight = Arc::clone(&self.in_flight);
-            let wal = self.wal_enabled;
             pool::submit(Box::new(move || {
-                inner.apply_batch(&triples, wal, group_commit);
+                inner.apply_batch(&triples, journaled, group_commit);
                 in_flight.done(true);
             }));
         } else {
             let _guard = charge.map(ChargeGuard::new);
-            self.inner.apply_batch(&triples, self.wal_enabled, group_commit);
+            self.inner.apply_batch(&triples, journaled, group_commit);
         }
     }
 
@@ -1436,10 +930,10 @@ impl ProvenanceStore {
         self.in_flight.wait_zero();
     }
 
-    /// Request an intermediate serialization (periodic policy). In delta
-    /// mode this appends a segment holding only the not-yet-durable
-    /// triples; the first flush (and every `compact_every`-th) writes a
-    /// full snapshot.
+    /// Request an intermediate serialization (periodic policy): the first
+    /// flush writes a full snapshot, every later one appends a segment
+    /// holding only the not-yet-durable triples, and every
+    /// `compact_every`-th append folds the segments into a fresh snapshot.
     pub fn flush(&self, charge: Option<&VirtualClock>) {
         if self.async_store {
             let inner = Arc::clone(&self.inner);
@@ -1485,7 +979,7 @@ impl ProvenanceStore {
         }
         let seat = {
             let io = self.inner.io.lock();
-            (!io.crashed).then(|| io.seat())
+            (!io.crashed).then_some(io.seat)
         };
         seat.map(|seat| self.inner.render(seat))
     }
@@ -1533,14 +1027,13 @@ impl ProvenanceStore {
     /// crash could lose acked records that resync cannot replay. No-op
     /// with the journal off; async stores drain their intake queue first.
     pub fn wal_sync(&self) {
-        if !self.wal_enabled {
+        if !self.journaled {
             return;
         }
         if self.async_store {
             self.drain();
         }
-        let mut io = self.inner.io.lock();
-        io.wal_commit(true);
+        self.inner.io.lock().journal_commit(true);
     }
 
     /// Current size of the committed snapshot on the parallel file system
@@ -1551,7 +1044,7 @@ impl ProvenanceStore {
 
     /// Live (committed, not yet compacted) delta segments.
     pub fn segment_count(&self) -> usize {
-        self.inner.io.lock().segments.len()
+        self.inner.io.lock().segments.live.len()
     }
 
     /// Triples pushed so far (pre-dedup, including shed batches).
@@ -1577,45 +1070,50 @@ impl ProvenanceStore {
 
     /// Current circuit-breaker state.
     pub fn breaker_state(&self) -> BreakerState {
-        self.inner.io.lock().breaker_state()
+        self.inner.io.lock().breaker.state()
     }
 
     /// Times the breaker tripped open (including failed half-open probes).
     pub fn breaker_trips(&self) -> u64 {
-        self.inner.io.lock().breaker_trips
+        self.inner.io.lock().breaker.trips
     }
 
     /// Periodic flushes skipped because the breaker was open. Skipped is
     /// not lost: the triples stay above the watermark.
     pub fn breaker_skipped(&self) -> u64 {
-        self.inner.io.lock().breaker_skipped
+        self.inner.io.lock().breaker.skipped
+    }
+
+    /// One of the journal's counters; 0 with the journal off.
+    fn journal_stat(&self, stat: impl Fn(&Journal) -> u64) -> u64 {
+        self.inner.io.lock().journal.as_ref().map_or(0, stat)
     }
 
     /// Records durably group-committed to the write-ahead journal.
     pub fn wal_records(&self) -> u64 {
-        self.inner.io.lock().wal_records
+        self.journal_stat(|j| j.records)
     }
 
     /// Successful journal appends (each covers every chunk then buffered).
     pub fn wal_commits(&self) -> u64 {
-        self.inner.io.lock().wal_commits
+        self.journal_stat(|j| j.commits)
     }
 
     /// Journal generations retired after successful flushes.
     pub fn wal_recycles(&self) -> u64 {
-        self.inner.io.lock().wal_recycles
+        self.journal_stat(|j| j.recycles)
     }
 
     /// Journal appends that failed and left their records buffered for a
     /// retry at the next group boundary.
     pub fn wal_failed_appends(&self) -> u64 {
-        self.inner.io.lock().wal_failed_appends
+        self.journal_stat(|j| j.failed_appends)
     }
 
     /// Journal records accepted but not yet group-committed — the exposure
     /// window, never more than one group unless appends are failing.
     pub fn wal_buffered(&self) -> u64 {
-        self.inner.io.lock().wal_buf.iter().map(|c| c.n).sum()
+        self.journal_stat(Journal::buffered)
     }
 
     /// Commit-time Merkle roots of the framed files this store currently
@@ -1634,22 +1132,17 @@ impl ProvenanceStore {
     /// Parity files sealed over this store's lifetime (both planes;
     /// compaction/recycle may have since retired some).
     pub fn parity_seals(&self) -> u64 {
-        self.inner.io.lock().parity_seals
+        self.inner.io.lock().parity.as_ref().map_or(0, |p| p.seals)
     }
 
     /// Parity seal attempts that failed (coverage lost, run unaffected).
     pub fn parity_failed(&self) -> u64 {
-        self.inner.io.lock().parity_failed
+        self.inner.io.lock().parity.as_ref().map_or(0, |p| p.failed)
     }
 
     /// Sealed parity files currently live on disk, commit plane first.
     pub fn parity_files(&self) -> Vec<String> {
-        let io = self.inner.io.lock();
-        io.parity_files
-            .iter()
-            .chain(io.wal_parity_files.iter())
-            .cloned()
-            .collect()
+        self.inner.io.lock().parity.as_ref().map_or_else(Vec::new, Parity::files)
     }
 }
 
@@ -1668,6 +1161,7 @@ impl Drop for ProvenanceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Condvar;
     use provio_hpcfs::{FaultOp, FaultPlan, FaultRule, LustreConfig};
     use provio_rdf::{Iri, Subject, Term};
 
@@ -1967,7 +1461,7 @@ mod tests {
     fn compaction_folds_segments_every_k_appends() {
         let fs = FileSystem::new(LustreConfig::default());
         let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/dc.nt", RdfFormat::NTriples, false)
-            .with_delta(true, 2);
+            .with_compact_every(2);
         st.push(triples_from(0, 1), None);
         st.flush(None); // snapshot
         st.push(triples_from(1, 1), None);
@@ -1984,21 +1478,6 @@ mod tests {
         st.push(triples_from(3, 1), None);
         st.flush(None);
         assert!(fs.exists("/prov/dc.nt.d000002.nt"));
-    }
-
-    #[test]
-    fn legacy_mode_rewrites_full_file_every_flush() {
-        let fs = FileSystem::new(LustreConfig::default());
-        let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/lg.nt", RdfFormat::NTriples, false)
-            .with_delta(false, 0);
-        st.push(triples_from(0, 3), None);
-        st.flush(None);
-        st.push(triples_from(3, 3), None);
-        st.flush(None);
-        assert_eq!(st.segment_count(), 0);
-        assert!(!fs.exists("/prov/lg.nt.d000000.nt"));
-        let snap = String::from_utf8(fs_read(&fs, "/prov/lg.nt")).unwrap();
-        assert_eq!(ntriples::parse(&snap).unwrap().len(), 6, "full rewrite");
     }
 
     #[test]
@@ -2536,7 +2015,7 @@ mod tests {
         let fs = FileSystem::new(LustreConfig::default());
         let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/q0.nt", RdfFormat::NTriples, false)
             .with_checksums(true)
-            .with_delta(true, 0);
+            .with_compact_every(0);
         st.push(triples(10), None);
         st.flush(None);
         st.push(triples_from(10, 5), None);
@@ -2552,7 +2031,7 @@ mod tests {
         let fs = FileSystem::new(LustreConfig::default());
         let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/q1.nt", RdfFormat::NTriples, false)
             .with_checksums(true)
-            .with_delta(true, 0)
+            .with_compact_every(0)
             .with_parity(true, 2);
         // Four commits (snapshot + three segments) at group width 2: two
         // sealed parity files.
@@ -2598,7 +2077,7 @@ mod tests {
         fs.install_faults(plan);
         let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/q2.nt", RdfFormat::NTriples, false)
             .with_checksums(true)
-            .with_delta(true, 0)
+            .with_compact_every(0)
             .with_parity(true, 1);
         for i in 0..3 {
             st.push(triples_from(i * 4, 4), None);

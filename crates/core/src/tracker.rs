@@ -314,7 +314,7 @@ impl ProvTracker {
         );
         let store = ProvenanceStore::new(fs, store_path, config.format, config.async_store)
             .with_retry(config.retry)
-            .with_delta(config.delta_segments, config.compact_every)
+            .with_compact_every(config.compact_every)
             .with_queue(config.queue_capacity, config.overload)
             .with_breaker(config.breaker_threshold, config.breaker_backoff_ns)
             .with_checksums(config.checksum_format)

@@ -29,6 +29,7 @@
 //! only algorithm this version signs or accepts.
 
 use crate::frame::{self, FrameKind};
+use crate::fsio::{commit_atomic, read_file};
 use provio_hpcfs::FileSystem;
 use provio_simrt::SimTime;
 use std::collections::{HashMap, HashSet};
@@ -98,25 +99,6 @@ pub struct ManifestInfo {
 /// leaking the key.
 fn key_id(key: &str) -> String {
     sha2::hex(&sha2::sha256(key.as_bytes()))[..8].to_string()
-}
-
-fn read_file(fs: &Arc<FileSystem>, path: &str) -> Option<Vec<u8>> {
-    let ino = fs.lookup(path).ok()?;
-    let md = fs.stat(path).ok()?;
-    fs.read_at(ino, 0, md.size).ok().map(|b| b.to_vec())
-}
-
-/// Tmp-then-rename commit, the same protocol the store uses, so a crash
-/// mid-write leaves a `.tmp` the merge and verify both ignore.
-fn commit(fs: &Arc<FileSystem>, path: &str, bytes: &[u8]) -> Result<(), String> {
-    let tmp = format!("{path}.tmp");
-    let now = SimTime::ZERO;
-    let ino = fs
-        .create_file(&tmp, false, "provio", now)
-        .map_err(|e| format!("{e:?}"))?;
-    fs.truncate_ino(ino, 0, now).map_err(|e| format!("{e:?}"))?;
-    fs.write_at(ino, 0, bytes, now).map_err(|e| format!("{e:?}"))?;
-    fs.rename(&tmp, path, now).map_err(|e| format!("{e:?}"))
 }
 
 /// Content root of a file's bytes: the frame Merkle root when the file is
@@ -189,19 +171,6 @@ struct ParsedManifest {
     signed_len: usize,
 }
 
-fn parse_hex32(s: &str) -> Option<[u8; 32]> {
-    if s.len() != 64 {
-        return None;
-    }
-    let mut out = [0u8; 32];
-    for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-        let hi = (chunk[0] as char).to_digit(16)?;
-        let lo = (chunk[1] as char).to_digit(16)?;
-        out[i] = ((hi << 4) | lo) as u8;
-    }
-    Some(out)
-}
-
 fn parse_manifest(text: &str) -> Option<ParsedManifest> {
     // The signature is the last line; everything before it is signed.
     let sig_off = text.rfind("\nsig ")? + 1;
@@ -243,7 +212,7 @@ fn parse_manifest(text: &str) -> Option<ParsedManifest> {
             let (mut root, mut merkle, mut bytes) = (None, None, None);
             for tok in rest[..at].split(' ') {
                 match tok.split_once('=')? {
-                    ("root", v) => root = parse_hex32(v),
+                    ("root", v) => root = frame::parse_hex32(v),
                     ("mode", "merkle") => merkle = Some(true),
                     ("mode", "raw") => merkle = Some(false),
                     ("bytes", v) => bytes = v.parse::<u64>().ok(),
@@ -361,7 +330,7 @@ pub fn write_manifest_with_roots(
         ranks: ranks.to_vec(),
     };
     let text = render_manifest(&manifest, key);
-    commit(fs, &manifest_path(dir), text.as_bytes())?;
+    commit_atomic(fs, &manifest_path(dir), text.as_bytes()).map_err(|e| format!("{e:?}"))?;
     Ok(ManifestInfo {
         run: manifest.run,
         digest: sha2::sha256(text.as_bytes()),
@@ -394,9 +363,9 @@ fn parse_ledger_line(line: &str) -> Option<LedgerRecord> {
     for tok in line.split(' ') {
         match tok.split_once('=')? {
             ("run", v) => run = u64::from_str_radix(v, 16).ok(),
-            ("manifest", v) => manifest = parse_hex32(v),
+            ("manifest", v) => manifest = frame::parse_hex32(v),
             ("prev", "-") => prev = Some(None),
-            ("prev", v) => prev = Some(Some(parse_hex32(v)?)),
+            ("prev", v) => prev = Some(Some(frame::parse_hex32(v)?)),
             _ => return None,
         }
     }
@@ -492,7 +461,7 @@ pub fn append_ledger(
         chain = c;
         prev = Some(rec.manifest);
     }
-    commit(fs, &path, out.as_bytes())
+    commit_atomic(fs, &path, out.as_bytes()).map_err(|e| format!("{e:?}"))
 }
 
 /// Sign the finished run directory and chain it into the campaign ledger —
@@ -1048,7 +1017,7 @@ mod tests {
             crate::config::RdfFormat::NTriples,
             false,
         )
-        .with_delta(true, 0)
+        .with_compact_every(0)
         .with_checksums(true)
         .with_parity(true, 2);
         for i in 0..4 {
@@ -1111,7 +1080,7 @@ mod tests {
             crate::config::RdfFormat::NTriples,
             false,
         )
-        .with_delta(true, 0)
+        .with_compact_every(0)
         .with_checksums(true);
         for i in 0..3 {
             st.push(

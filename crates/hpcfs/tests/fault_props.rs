@@ -168,7 +168,7 @@ mod bit_rot_integrity {
             false,
         )
         .with_checksums(true)
-        .with_delta(true, 0);
+        .with_compact_every(0);
         for flush in 0..3 {
             st.push(triples(flush * 16, 16), None);
             st.flush(None);
@@ -252,7 +252,7 @@ mod tamper_trust {
             false,
         )
         .with_checksums(true)
-        .with_delta(true, 0);
+        .with_compact_every(0);
         for flush in 0..3 {
             st.push(
                 (flush * 16..flush * 16 + 16)
@@ -439,7 +439,7 @@ mod parity_scrub {
             false,
         )
         .with_checksums(true)
-        .with_delta(true, 0)
+        .with_compact_every(0)
         .with_parity(true, group);
         for flush in 0..4 {
             st.push(triples(flush * 16, 16), None);

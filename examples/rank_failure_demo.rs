@@ -106,12 +106,12 @@ fn main() {
 
     // ---- Config knobs from ini -----------------------------------------
     let ini = ProvIoConfig::from_ini(
-        "queue_capacity = 64\noverload_policy = shed\nbreaker_threshold = 3\nquery_budget = 500",
+        "queue_capacity = 64\noverload_policy = shed\nbreaker_threshold = 3",
     )
     .unwrap();
     println!(
-        "ini: queue={} policy={:?} breaker={} budget={}",
-        ini.queue_capacity, ini.overload, ini.breaker_threshold, ini.query_budget
+        "ini: queue={} policy={:?} breaker={}",
+        ini.queue_capacity, ini.overload, ini.breaker_threshold
     );
     match ProvIoConfig::from_ini("overload_policy = panic") {
         Err(e) => println!("bad ini rejected: {e}"),

@@ -67,12 +67,12 @@ pub use provio_workflows as workflows;
 pub mod prelude {
     pub use provio::engine::{to_dot, IoStats};
     pub use provio::{
-        crashcheck, doctor, merge_directory, merge_directory_with_threads, quarantine_tampered,
-        recover_all, repairable_paths, scrub_directory, verify_directory, BreakerState,
-        Collector, CrashcheckConfig, CrashcheckReport, DeliveryReport, DoctorReport, FileCheck,
-        FileVerdict, NetClient, NetStats, OverloadPolicy, ProvIoApi, ProvIoConfig, ProvIoVol,
-        ProvQueryEngine, ProvenanceStore, RankCrash, RecoveryOutcome, RetryPolicy, RunReport,
-        ScrubReport, SerializationPolicy, TrackSummary, TrackerRegistry, VerifyReport,
+        crashcheck, doctor, merge_directory, quarantine_tampered, recover_all, repairable_paths,
+        scrub_directory, verify_directory, BreakerState, Collector, CrashcheckConfig,
+        CrashcheckReport, DeliveryReport, DoctorReport, FileCheck, FileVerdict, NetClient,
+        NetStats, OverloadPolicy, ProvIoApi, ProvIoConfig, ProvIoVol, ProvQueryEngine,
+        ProvenanceStore, RankCrash, RecoveryOutcome, RetryPolicy, RunReport, ScrubReport,
+        SerializationPolicy, TrackSummary, TrackerRegistry, VerifyReport,
     };
     pub use provio_hdf5::{Data, Dataspace, Datatype, Hyperslab, H5};
     pub use provio_hpcfs::{

@@ -134,7 +134,7 @@ fn parity_enabled_by_config_file_alone() {
     // the store) with zero workflow-source changes.
     let (cluster, _, store_dir) = run_with_config(
         "[provio]\npreset = all\nstore_dir = /prov_par\nformat = ntriples\npolicy = every:1\n\
-         [store]\nchecksum_format = true\ndelta_segments = true\nparity = true\nparity_group = 2\n",
+         [store]\nchecksum_format = true\nparity = true\nparity_group = 2\n",
     );
     let files = cluster.fs.walk_files(&store_dir).unwrap();
     assert!(

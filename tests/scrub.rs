@@ -52,7 +52,6 @@ fn run_world(
          async = false\n\
          [store]\n\
          checksum_format = true\n\
-         delta_segments = true\n\
          compact_every = 0\n\
          wal = true\n\
          wal_group = 2\n\

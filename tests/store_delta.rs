@@ -1,11 +1,11 @@
-//! Delta-segment store protocol: equivalence with the legacy full-rewrite
-//! path, and crash consistency of segment appends and compaction.
+//! The store's write protocol against its oracle — any knob mix must merge
+//! back to the plain in-memory graph — and the crash consistency of
+//! segment appends and compaction.
 
-use prov_io::core::{
-    merge_directory, merge_directory_sequential, ProvenanceStore, RdfFormat, RetryPolicy,
-};
+use proptest::prelude::*;
+use prov_io::core::{merge_directory, ProvenanceStore, RdfFormat, RetryPolicy};
 use prov_io::hpcfs::{FaultOp, FaultPlan, FaultRule, FileSystem, FsError, LustreConfig};
-use prov_io::rdf::{ntriples, Iri, Subject, Term, Triple};
+use prov_io::rdf::{ntriples, Graph, Iri, Subject, Term, Triple};
 use std::sync::Arc;
 
 fn triples(range: std::ops::Range<usize>) -> Vec<Triple> {
@@ -20,56 +20,109 @@ fn triples(range: std::ops::Range<usize>) -> Vec<Triple> {
         .collect()
 }
 
-fn fs_read(fs: &Arc<FileSystem>, path: &str) -> Vec<u8> {
-    let ino = fs.lookup(path).unwrap();
-    let size = fs.stat(path).unwrap().size;
-    fs.read_at(ino, 0, size).unwrap().to_vec()
+/// One store configuration of the differential oracle.
+#[derive(Debug, Clone)]
+struct Knobs {
+    format: RdfFormat,
+    checksums: bool,
+    /// Journal group size, if the journal is on.
+    wal: Option<u32>,
+    /// Parity group width, if parity is on (only ever with checksums).
+    parity: Option<u32>,
+    compact_every: u32,
+    async_store: bool,
+    /// Flush after every this many pushes (0 = only `finish` writes).
+    flush_every: usize,
 }
 
-#[test]
-fn delta_and_legacy_stores_merge_byte_identically() {
-    let fs = FileSystem::new(LustreConfig::default());
-    // compact_every=3: compaction fires once mid-run (flush 4) and a later
-    // segment still survives to the mid-run check below.
-    let delta = ProvenanceStore::new(Arc::clone(&fs), "/a/prov.ttl", RdfFormat::Turtle, false)
-        .with_delta(true, 3);
-    let legacy = ProvenanceStore::new(Arc::clone(&fs), "/b/prov.ttl", RdfFormat::Turtle, false)
-        .with_delta(false, 0);
-    // Same stream, same flush points; ranges overlap so dedup is exercised.
-    for r in 0..5 {
-        let batch = triples(r * 7..r * 7 + 10);
-        delta.push(batch.clone(), None);
-        legacy.push(batch, None);
-        delta.flush(None);
-        legacy.flush(None);
+fn arb_knobs() -> impl Strategy<Value = Knobs> {
+    (
+        (any::<bool>(), any::<bool>(), any::<bool>(), 1u32..9),
+        (any::<bool>(), 1u32..5, 0u32..5, any::<bool>(), 0usize..6),
+    )
+        .prop_map(
+            |((turtle, checksums, wal, group), (parity, width, compact_every, async_store, flush_every))| {
+                Knobs {
+                    format: if turtle { RdfFormat::Turtle } else { RdfFormat::NTriples },
+                    checksums,
+                    wal: wal.then_some(group),
+                    parity: (parity && checksums).then_some(width),
+                    compact_every,
+                    async_store,
+                    flush_every,
+                }
+            },
+        )
+}
+
+fn lines(g: &Graph) -> Vec<String> {
+    ntriples::sorted_graph_lines(g)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The differential oracle: under any mix of format, planes, compaction
+    /// cadence, sync/async and flush cadence, what `merge_directory` reads
+    /// back from the store directory is exactly the triple set of a plain
+    /// in-memory graph fed the same inserts — mid-run, where the journal
+    /// has to cover whatever no flush has committed yet, and after `finish`.
+    #[test]
+    fn any_knob_mix_merges_to_the_plain_graph(
+        knobs in arb_knobs(),
+        batches in proptest::collection::vec((0usize..60, 1usize..12), 1..24),
+    ) {
+        let fs = FileSystem::new(LustreConfig::default());
+        let path = format!("/o/prov.{}", knobs.format.extension());
+        let st = ProvenanceStore::new(Arc::clone(&fs), path, knobs.format, knobs.async_store)
+            .with_checksums(knobs.checksums)
+            .with_wal(knobs.wal.is_some(), knobs.wal.unwrap_or(1))
+            .with_parity(knobs.parity.is_some(), knobs.parity.unwrap_or(1))
+            .with_compact_every(knobs.compact_every);
+        let mut reference = Graph::new();
+        // What a reader may count on mid-run without a journal: the
+        // inserts up to the last flush.
+        let mut flushed = Graph::new();
+        for (i, &(start, len)) in batches.iter().enumerate() {
+            // Overlapping ranges: the store's dedup is part of the oracle.
+            let batch = triples(start..start + len);
+            for t in &batch {
+                reference.insert(t);
+            }
+            st.push(batch, None);
+            if knobs.flush_every > 0 && (i + 1) % knobs.flush_every == 0 {
+                st.flush(None);
+                flushed = reference.clone();
+            }
+        }
+
+        // Mid-run. With the journal on, forcing its tail out (which also
+        // waits for an async store's queued pushes and flushes) makes every
+        // insert durable in a snapshot, a segment or the journal. Without
+        // it, a synchronous store owes the reader the last flush; an
+        // asynchronous one may still be writing, so it is checked at the
+        // end only.
+        st.wal_sync();
+        let mid_run = match (knobs.wal.is_some(), knobs.async_store) {
+            (true, _) => Some(&reference),
+            (false, false) => Some(&flushed),
+            (false, true) => None,
+        };
+        if let Some(expected) = mid_run {
+            let (merged, report) = merge_directory(&fs, "/o");
+            prop_assert!(report.corrupt.is_empty() && report.quarantined.is_empty(), "{knobs:?}: {report}");
+            prop_assert_eq!(report.chain_breaks, 0, "{:?}: {}", knobs, report);
+            prop_assert_eq!(lines(&merged), lines(expected), "mid-run, {:?}", knobs);
+        }
+
+        prop_assert!(st.finish(None) > 0);
+        prop_assert_eq!(st.segment_count(), 0, "finish folds every segment");
+        let (merged, report) = merge_directory(&fs, "/o");
+        prop_assert!(report.corrupt.is_empty() && report.quarantined.is_empty(), "{knobs:?}: {report}");
+        prop_assert_eq!(report.chain_breaks, 0, "{:?}: {}", knobs, report);
+        prop_assert_eq!(report.replayed_triples, 0, "the final snapshot covers the journal");
+        prop_assert_eq!(lines(&merged), lines(&reference), "after finish, {:?}", knobs);
     }
-    // Mid-run (no finish): the delta store's directory holds a snapshot
-    // plus segments, the legacy one a single rewritten file — but they
-    // merge to the same graph, byte for byte in canonical form.
-    let (ga, ra) = merge_directory(&fs, "/a");
-    let (gb, rb) = merge_directory(&fs, "/b");
-    assert!(ra.corrupt.is_empty() && rb.corrupt.is_empty());
-    assert!(ra.files > rb.files, "delta store left segments behind");
-    assert_eq!(
-        ntriples::serialize(&ga),
-        ntriples::serialize(&gb),
-        "snapshot+deltas merge == legacy full-rewrite merge"
-    );
-    // After finish both compact to one snapshot of the same graph: the
-    // committed files themselves are byte-identical.
-    let a = delta.finish(None);
-    let b = legacy.finish(None);
-    assert!(a > 0 && a == b);
-    assert_eq!(delta.segment_count(), 0, "finish folded all segments");
-    assert_eq!(
-        fs_read(&fs, "/a/prov.ttl"),
-        fs_read(&fs, "/b/prov.ttl"),
-        "compacted snapshot == legacy committed file"
-    );
-    // The parallel and sequential merges agree on the mixed directory too.
-    let (gs, _) = merge_directory_sequential(&fs, "/a");
-    let (gp, _) = merge_directory(&fs, "/a");
-    assert_eq!(ntriples::serialize(&gs), ntriples::serialize(&gp));
 }
 
 #[test]
@@ -114,7 +167,7 @@ fn torn_delta_append_salvages_valid_prefix() {
 fn crash_on_compaction_rename_loses_nothing() {
     let fs = FileSystem::new(LustreConfig::default());
     let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/c.nt", RdfFormat::NTriples, false)
-        .with_delta(true, 2);
+        .with_compact_every(2);
     st.push(triples(0..3), None);
     st.flush(None); // snapshot
     st.push(triples(3..6), None);
