@@ -9,10 +9,12 @@
 //! ```
 //!
 //! Results print as aligned tables and save as JSON (+ DOT/SPARQL
-//! attachments) under `--out` (default `results/`).
+//! attachments) under `--out` (default `results/`). Exit codes: 0 ran,
+//! 2 bad arguments — an option without its value or an unknown id, found
+//! before anything runs.
 
-use provio_bench::experiments::{run_id, ALL_IDS};
-use provio_bench::Scale;
+use provio_bench::experiments::{runner, ALL_IDS};
+use provio_bench::{parse, Scale};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -32,9 +34,7 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--out" => {
-                out_dir = PathBuf::from(args.next().unwrap_or_else(|| "results".into()));
-            }
+            "--out" => out_dir = parse(&mut args, "--out"),
             "--help" | "-h" => {
                 println!(
                     "experiments [--scale quick|paper] [--out DIR] [ids…|all]\nids: {} all dags",
@@ -49,17 +49,23 @@ fn main() {
         ids = ALL_IDS.iter().map(|s| s.to_string()).collect();
         ids.push("dags".to_string());
     }
+    let runs: Vec<_> = ids
+        .iter()
+        .map(|id| {
+            let run = runner(id).unwrap_or_else(|| {
+                eprintln!("unknown experiment id '{id}' (try --help)");
+                std::process::exit(2);
+            });
+            (id, run)
+        })
+        .collect();
 
     println!("PROV-IO experiment harness — scale: {}\n", scale.name());
     let mut seen_reports: BTreeSet<String> = BTreeSet::new();
     let started = Instant::now();
-    for id in &ids {
+    for (id, run) in runs {
         let t0 = Instant::now();
-        let Some(reports) = run_id(id, scale) else {
-            eprintln!("unknown experiment id '{id}' — skipping");
-            continue;
-        };
-        for r in reports {
+        for r in run(scale) {
             // Paired runners (fig6a ⇒ fig6a+fig7a) may repeat across ids.
             if !seen_reports.insert(r.id.clone()) {
                 continue;

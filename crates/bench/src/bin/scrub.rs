@@ -13,6 +13,7 @@
 //! repaired (or found nothing to do), 1 when data was unrecoverable, 2 on
 //! bad arguments — so CI can assert both directions of the contract.
 
+use provio::frame::is_parity_path;
 use provio::{
     merge_directory, repairable_paths, scrub_directory, verify_directory, ProvIoConfig,
 };
@@ -91,8 +92,7 @@ fn main() {
     match damage.as_str() {
         "none" => {}
         "corrupt" | "delete" => {
-            let members: Vec<&String> =
-                covered.iter().filter(|p| !p.ends_with(".par")).collect();
+            let members: Vec<&String> = covered.iter().filter(|p| !is_parity_path(p)).collect();
             let target = members[seed as usize % members.len()];
             if damage == "delete" {
                 fs.unlink(target).expect("damage target exists");
@@ -105,7 +105,7 @@ fn main() {
             }
         }
         "parity" => {
-            let pars: Vec<&String> = covered.iter().filter(|p| p.ends_with(".par")).collect();
+            let pars: Vec<&String> = covered.iter().filter(|p| is_parity_path(p)).collect();
             let target = pars[seed as usize % pars.len()];
             let n = fs
                 .corrupt_at_rest(target, &CorruptKind::BitFlips { count: 3 }, seed)

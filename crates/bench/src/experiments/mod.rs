@@ -18,28 +18,24 @@ pub const ALL_IDS: [&str; 13] = [
     "fig8", "fig9", "tables",
 ];
 
-/// Run one experiment id (figures 6/7 run in pairs because one sweep
-/// yields both time and storage). Returns every report the id produces.
-pub fn run_id(id: &str, scale: Scale) -> Option<Vec<Report>> {
-    match id {
-        "fig6a" | "fig7a" => Some(fig6a7a::run(scale)),
-        "fig6b" | "fig7b" => Some(fig6b7b::run(scale)),
-        "fig6c" | "fig7c" => Some(h5bench_figs::run_pattern(
-            scale,
-            provio_workflows::h5bench::IoPattern::WriteRead,
-        )),
-        "fig6d" | "fig7d" => Some(h5bench_figs::run_pattern(
-            scale,
-            provio_workflows::h5bench::IoPattern::WriteOverwriteRead,
-        )),
-        "fig6e" | "fig7e" => Some(h5bench_figs::run_pattern(
-            scale,
-            provio_workflows::h5bench::IoPattern::WriteAppendRead,
-        )),
-        "fig8" => Some(fig8::run(scale)),
-        "fig9" => Some(fig9::run(scale)),
-        "tables" | "tab3" | "tab4" | "tab5" => Some(tables::run(scale)),
-        "dags" | "fig1" | "fig3" => Some(dags::run()),
-        _ => None,
-    }
+/// The runner of one experiment id (figures 6/7 run in pairs because one
+/// sweep yields both time and storage); it returns every report the id
+/// produces. `None` for an id no experiment answers to, so a caller can
+/// reject a typo before anything runs.
+pub fn runner(id: &str) -> Option<fn(Scale) -> Vec<Report>> {
+    use provio_workflows::h5bench::IoPattern;
+    Some(match id {
+        "fig6a" | "fig7a" => fig6a7a::run,
+        "fig6b" | "fig7b" => fig6b7b::run,
+        "fig6c" | "fig7c" => |scale| h5bench_figs::run_pattern(scale, IoPattern::WriteRead),
+        "fig6d" | "fig7d" => {
+            |scale| h5bench_figs::run_pattern(scale, IoPattern::WriteOverwriteRead)
+        }
+        "fig6e" | "fig7e" => |scale| h5bench_figs::run_pattern(scale, IoPattern::WriteAppendRead),
+        "fig8" => fig8::run,
+        "fig9" => fig9::run,
+        "tables" | "tab3" | "tab4" | "tab5" => tables::run,
+        "dags" | "fig1" | "fig3" => |_| dags::run(),
+        _ => return None,
+    })
 }

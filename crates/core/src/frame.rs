@@ -46,6 +46,7 @@
 //! legacy and parsed as before; one that *looks* framed but fails header or
 //! footer verification is quarantined, never parsed.
 
+use crate::names::{self, Role};
 use crc32fast::hash as crc32;
 use std::io::Write as _;
 
@@ -135,6 +136,13 @@ impl FramedFile {
     pub fn intact(&self) -> bool {
         self.batches_corrupt == 0
     }
+
+    /// Does the header claim the store that the file at `path` belongs to?
+    /// A frame that verifies but sits under another store's name was
+    /// substituted or misplaced.
+    pub fn belongs_to(&self, path: &str) -> bool {
+        self.guid == store_guid(path)
+    }
 }
 
 /// Why a file could not be decoded as a framed file.
@@ -158,99 +166,33 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The GUID of the store a file at `path` belongs to: the FNV-1a hash of
-/// the snapshot path, with `.tmp`/`.quarantine` wrappers and the delta
-/// segment (`.dNNNNNN.nt`) or WAL generation (`.wNNNNNN.nt`) suffix
-/// stripped, so a snapshot, all of its segments, and its journal claim the
-/// same GUID.
+/// the snapshot path, so a snapshot, all of its segments, its journal and
+/// its parity files — tmp or quarantined — claim the same GUID. This and
+/// the three views below read the one file-name grammar in [`crate::names`].
 pub fn store_guid(path: &str) -> u64 {
-    fnv1a64(base_store_path(path).as_bytes())
+    names::parse(path).guid()
 }
 
 /// Strip commit-protocol suffixes down to the snapshot path.
 pub fn base_store_path(path: &str) -> &str {
-    let mut p = path;
-    loop {
-        if let Some(rest) = p.strip_suffix(".tmp") {
-            p = rest;
-        } else if let Some(rest) = p.strip_suffix(".quarantine") {
-            p = rest;
-        } else {
-            break;
-        }
-    }
-    // `<snapshot>.dNNNNNN.nt` / `<snapshot>.wNNNNNN.nt` → `<snapshot>`
-    if let Some(rest) = p.strip_suffix(".nt") {
-        if rest.len() >= 8 {
-            let (head, seq) = rest.split_at(rest.len() - 7);
-            if head.ends_with('.')
-                && (seq.starts_with('d') || seq.starts_with('w'))
-                && seq[1..].bytes().all(|b| b.is_ascii_digit())
-            {
-                return &head[..head.len() - 1];
-            }
-        }
-    }
-    // `<snapshot>.pNNNNNN.par` → `<snapshot>`
-    if let Some(rest) = p.strip_suffix(".par") {
-        if rest.len() >= 8 {
-            let (head, seq) = rest.split_at(rest.len() - 7);
-            if head.ends_with('.')
-                && seq.starts_with('p')
-                && seq[1..].bytes().all(|b| b.is_ascii_digit())
-            {
-                return &head[..head.len() - 1];
-            }
-        }
-    }
-    p
+    names::parse(path).base
 }
 
 /// Is `path` a WAL generation file (`<snapshot>.wNNNNNN.nt`, possibly
 /// wrapped in commit-protocol suffixes)?
 pub fn is_wal_path(path: &str) -> bool {
-    let mut p = path;
-    loop {
-        if let Some(rest) = p.strip_suffix(".tmp") {
-            p = rest;
-        } else if let Some(rest) = p.strip_suffix(".quarantine") {
-            p = rest;
-        } else {
-            break;
-        }
-    }
-    if let Some(rest) = p.strip_suffix(".nt") {
-        if rest.len() >= 8 {
-            let (head, seq) = rest.split_at(rest.len() - 7);
-            return head.ends_with('.')
-                && seq.starts_with('w')
-                && seq[1..].bytes().all(|b| b.is_ascii_digit());
-        }
-    }
-    false
+    matches!(names::parse(path).role, Role::Journal(_))
 }
 
 /// Is `path` a sealed parity file (`<snapshot>.pNNNNNN.par`, possibly
 /// wrapped in commit-protocol suffixes)?
 pub fn is_parity_path(path: &str) -> bool {
-    let mut p = path;
-    loop {
-        if let Some(rest) = p.strip_suffix(".tmp") {
-            p = rest;
-        } else if let Some(rest) = p.strip_suffix(".quarantine") {
-            p = rest;
-        } else {
-            break;
-        }
-    }
-    if let Some(rest) = p.strip_suffix(".par") {
-        if rest.len() >= 8 {
-            let (head, seq) = rest.split_at(rest.len() - 7);
-            return head.ends_with('.')
-                && seq.starts_with('p')
-                && seq[1..].bytes().all(|b| b.is_ascii_digit());
-        }
-    }
-    false
+    matches!(names::parse(path).role, Role::Parity(_))
+}
+
+fn header_line(kind: FrameKind, guid: u64, ordinal: u64, prev: u32) -> String {
+    let kind = kind.as_str();
+    format!("{MAGIC} kind={kind} guid={guid:016x} ordinal={ordinal} prev={prev:08x}")
 }
 
 /// Frame `payload` (a complete RDF serialization) into the checksummed
@@ -283,10 +225,7 @@ pub fn encode_with_root(
     batch_lines: usize,
 ) -> (String, u32, [u8; 32]) {
     use std::fmt::Write as _;
-    let header = format!(
-        "{MAGIC} kind={} guid={guid:016x} ordinal={ordinal} prev={prev:08x}",
-        kind.as_str()
-    );
+    let header = header_line(kind, guid, ordinal, prev);
     let chain = crc32(header.as_bytes());
     let batch_lines = batch_lines.max(1);
     let mut out = String::with_capacity(payload.len() + payload.len() / 16 + 128);
@@ -387,38 +326,60 @@ pub fn merkle_root(leaves: &[u32]) -> [u8; 32] {
 /// of *what is actually on disk*, regardless of what any (rewritable)
 /// footer claims.
 pub fn file_root(text: &str) -> Option<[u8; 32]> {
-    let bytes = text.as_bytes();
-    let header_end = match bytes.iter().position(|&b| b == b'\n') {
-        Some(nl) => nl + 1,
-        None => bytes.len(),
-    };
-    if !text[..header_end].starts_with(MAGIC) {
+    let mut cuts = cuts(text);
+    if !cuts.next()?.marker.starts_with(MAGIC) {
         return None;
     }
-    let mut leaves: Vec<u32> = Vec::new();
-    let mut body_start: Option<usize> = None;
-    let mut pos = header_end;
-    while pos < bytes.len() {
-        let line_end = match bytes[pos..].iter().position(|&b| b == b'\n') {
-            Some(nl) => pos + nl + 1,
-            None => bytes.len(),
-        };
-        let line = &bytes[pos..line_end];
-        if line.starts_with(BATCH_SIGIL.as_bytes()) || line.starts_with(FOOTER_SIGIL.as_bytes()) {
-            if let Some(s) = body_start.take() {
-                leaves.push(crc32(&bytes[s..pos]));
-            }
-            if line.starts_with(BATCH_SIGIL.as_bytes()) {
-                body_start = Some(line_end);
-            }
-        }
-        pos = line_end;
-    }
-    if let Some(s) = body_start {
-        // Torn tail: no closing marker, fold what is there.
-        leaves.push(crc32(&bytes[s..]));
-    }
+    // Every batch body is a leaf — a torn last one included: no closing
+    // marker, fold what is there. What follows a footer (the next chunk's
+    // header line) is no batch.
+    let leaves: Vec<u32> = cuts
+        .filter(|cut| cut.marker.starts_with(BATCH_SIGIL))
+        .map(|cut| crc32(cut.body.as_bytes()))
+        .collect();
     Some(merkle_root(&leaves))
+}
+
+/// One piece of framed text: a marker line and the bytes between it and
+/// the next marker line, exactly as they sit on disk.
+struct Cut<'a> {
+    /// The first line of the text, or a line opening with a `#~` sigil;
+    /// line ending stripped the way `str::lines` strips it.
+    marker: &'a str,
+    body: &'a str,
+    /// Everything after the marker line, `body` first.
+    rest: &'a str,
+}
+
+fn is_marker(line: &str) -> bool {
+    line.starts_with(BATCH_SIGIL) || line.starts_with(FOOTER_SIGIL)
+}
+
+/// The one walk of the PROVIO1 grammar, shared by [`decode`],
+/// [`decode_wal`] and [`file_root`]: cut `text` at its marker lines. A
+/// marker's own fields are never trusted for framing — a batch ends where
+/// the next marker line begins — and bodies are contiguous slices, so a CRC
+/// runs over the bytes as written and nothing is reassembled line by line.
+fn cuts(text: &str) -> impl Iterator<Item = Cut<'_>> {
+    let line_end = |from: usize| text[from..].find('\n').map_or(text.len(), |nl| from + nl + 1);
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        if pos == text.len() {
+            return None;
+        }
+        let body_at = line_end(pos);
+        let line = &text[pos..body_at];
+        let marker = line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+        pos = body_at;
+        while pos < text.len() && !is_marker(&text[pos..]) {
+            pos = line_end(pos);
+        }
+        Some(Cut {
+            marker,
+            body: &text[body_at..pos],
+            rest: &text[body_at..],
+        })
+    })
 }
 
 /// Streaming framer for the store's hot write path. Where [`encode`] takes
@@ -437,10 +398,7 @@ pub struct Encoder {
 
 impl Encoder {
     pub fn new(kind: FrameKind, guid: u64, ordinal: u64, prev: u32) -> Encoder {
-        let header = format!(
-            "{MAGIC} kind={} guid={guid:016x} ordinal={ordinal} prev={prev:08x}",
-            kind.as_str()
-        );
+        let header = header_line(kind, guid, ordinal, prev);
         let chain = crc32(header.as_bytes());
         let mut out = Vec::with_capacity(4096);
         out.extend_from_slice(header.as_bytes());
@@ -460,56 +418,47 @@ impl Encoder {
 
     /// Append one batch of payload lines (no trailing newlines; lines must
     /// not begin with the reserved `#~` sigil). An empty batch is a no-op.
-    ///
-    /// The marker is written with a placeholder CRC, the body copied behind
-    /// it, and the CRC then computed over the contiguous just-written bytes
-    /// and patched into place: one table-driven pass over L1-hot memory per
-    /// batch instead of two small `Hasher` calls per line.
     pub fn batch<S: AsRef<str>>(&mut self, lines: &[S]) {
-        if lines.is_empty() {
-            return;
-        }
-        let _ = write!(self.out, "{BATCH_SIGIL} lines={} crc=", lines.len());
-        let crc_at = self.out.len();
-        self.out.extend_from_slice(b"00000000\n");
-        let body_at = self.out.len();
-        for l in lines {
-            debug_assert!(
-                !l.as_ref().starts_with("#~"),
-                "payload line collides with the reserved frame sigil"
-            );
-            self.out.extend_from_slice(l.as_ref().as_bytes());
-            self.out.push(b'\n');
-        }
-        let crc = crc32(&self.out[body_at..]);
-        let mut hex = [0u8; 8];
-        for (i, b) in hex.iter_mut().enumerate() {
-            *b = b"0123456789abcdef"[((crc >> (28 - 4 * i)) & 0xF) as usize];
-        }
-        self.out[crc_at..crc_at + 8].copy_from_slice(&hex);
-        self.leaves.push(crc);
-        self.batches += 1;
+        self.framed(lines.len(), |out| {
+            for l in lines {
+                debug_assert!(
+                    !l.as_ref().starts_with("#~"),
+                    "payload line collides with the reserved frame sigil"
+                );
+                out.extend_from_slice(l.as_ref().as_bytes());
+                out.push(b'\n');
+            }
+        });
     }
 
     /// Append one batch whose payload is already a newline-terminated
     /// block of `lines` lines: byte-identical to [`Encoder::batch`] over
-    /// the split lines, but CRC'd and copied in a single pass with no
-    /// per-line walk — the write-ahead journal's track-path shape.
+    /// the split lines, but copied in a single pass with no per-line walk
+    /// — the write-ahead journal's track-path shape.
     pub fn batch_block(&mut self, block: &str, lines: usize) {
-        if lines == 0 {
-            return;
-        }
         debug_assert_eq!(block.lines().count(), lines);
-        debug_assert!(block.ends_with('\n'), "block lines are newline-terminated");
+        debug_assert!(lines == 0 || block.ends_with('\n'), "block lines are newline-terminated");
         debug_assert!(
             !block.lines().any(|l| l.starts_with("#~")),
             "payload line collides with the reserved frame sigil"
         );
+        self.framed(lines, |out| out.extend_from_slice(block.as_bytes()));
+    }
+
+    /// One batch of `lines` lines: the marker is written with a placeholder
+    /// CRC, `body` copies the payload behind it, and the CRC is then
+    /// computed over the contiguous just-written bytes and patched into
+    /// place: one table-driven pass over L1-hot memory per batch instead of
+    /// two small `Hasher` calls per line.
+    fn framed(&mut self, lines: usize, body: impl FnOnce(&mut Vec<u8>)) {
+        if lines == 0 {
+            return;
+        }
         let _ = write!(self.out, "{BATCH_SIGIL} lines={lines} crc=");
         let crc_at = self.out.len();
         self.out.extend_from_slice(b"00000000\n");
         let body_at = self.out.len();
-        self.out.extend_from_slice(block.as_bytes());
+        body(&mut self.out);
         let crc = crc32(&self.out[body_at..]);
         let mut hex = [0u8; 8];
         for (i, b) in hex.iter_mut().enumerate() {
@@ -542,55 +491,35 @@ impl Encoder {
     }
 }
 
-/// Does `text` carry any sign of the framed format? Used to keep a file
-/// whose magic line was itself corrupted from being misread as legacy.
-pub fn looks_framed(text: &str) -> bool {
-    text.lines().next().is_some_and(|l| l.starts_with("# PROVIO"))
-        || text
-            .lines()
-            .any(|l| l.starts_with(BATCH_SIGIL) || l.starts_with(FOOTER_SIGIL))
-}
-
-fn field<'a>(token: &'a str, key: &str) -> Option<&'a str> {
-    token.strip_prefix(key)
+/// The values of a marker line's `key=value` tokens, one slot per key in
+/// `keys` (the last occurrence wins). A line that does not open with
+/// `sigil`, or carries a token under no known key, is condemned whole.
+fn fields<'a, const N: usize>(
+    line: &'a str,
+    sigil: &str,
+    keys: [&str; N],
+) -> Option<[Option<&'a str>; N]> {
+    let mut values = [None; N];
+    for tok in line.strip_prefix(sigil)?.split_ascii_whitespace() {
+        let slot = keys.iter().position(|key| tok.starts_with(key))?;
+        values[slot] = Some(&tok[keys[slot].len()..]);
+    }
+    Some(values)
 }
 
 fn parse_header(line: &str) -> Option<(FrameKind, u64, u64, u32)> {
-    let rest = line.strip_prefix(MAGIC)?;
-    let mut kind = None;
-    let mut guid = None;
-    let mut ordinal = None;
-    let mut prev = None;
-    for tok in rest.split_ascii_whitespace() {
-        if let Some(v) = field(tok, "kind=") {
-            kind = FrameKind::parse(v);
-        } else if let Some(v) = field(tok, "guid=") {
-            guid = u64::from_str_radix(v, 16).ok();
-        } else if let Some(v) = field(tok, "ordinal=") {
-            ordinal = v.parse::<u64>().ok();
-        } else if let Some(v) = field(tok, "prev=") {
-            prev = u32::from_str_radix(v, 16).ok();
-        } else {
-            return None;
-        }
-    }
-    Some((kind?, guid?, ordinal?, prev?))
+    let [kind, guid, ordinal, prev] = fields(line, MAGIC, ["kind=", "guid=", "ordinal=", "prev="])?;
+    Some((
+        FrameKind::parse(kind?)?,
+        u64::from_str_radix(guid?, 16).ok()?,
+        ordinal?.parse().ok()?,
+        u32::from_str_radix(prev?, 16).ok()?,
+    ))
 }
 
 fn parse_batch_marker(line: &str) -> Option<(usize, u32)> {
-    let rest = line.strip_prefix(BATCH_SIGIL)?;
-    let mut lines = None;
-    let mut crc = None;
-    for tok in rest.split_ascii_whitespace() {
-        if let Some(v) = field(tok, "lines=") {
-            lines = v.parse::<usize>().ok();
-        } else if let Some(v) = field(tok, "crc=") {
-            crc = u32::from_str_radix(v, 16).ok();
-        } else {
-            return None;
-        }
-    }
-    Some((lines?, crc?))
+    let [lines, crc] = fields(line, BATCH_SIGIL, ["lines=", "crc="])?;
+    Some((lines?.parse().ok()?, u32::from_str_radix(crc?, 16).ok()?))
 }
 
 pub(crate) fn parse_hex32(s: &str) -> Option<[u8; 32]> {
@@ -610,22 +539,12 @@ pub(crate) fn parse_hex32(s: &str) -> Option<[u8; 32]> {
 /// (such stores verify as `Unsigned`, never error) — but when present it
 /// must parse, and unknown tokens still condemn the line.
 fn parse_footer(line: &str) -> Option<(usize, u32, Option<[u8; 32]>)> {
-    let rest = line.strip_prefix(FOOTER_SIGIL)?;
-    let mut batches = None;
-    let mut chain = None;
-    let mut root = None;
-    for tok in rest.split_ascii_whitespace() {
-        if let Some(v) = field(tok, "batches=") {
-            batches = v.parse::<usize>().ok();
-        } else if let Some(v) = field(tok, "chain=") {
-            chain = u32::from_str_radix(v, 16).ok();
-        } else if let Some(v) = field(tok, "root=") {
-            root = Some(parse_hex32(v)?);
-        } else {
-            return None;
-        }
-    }
-    Some((batches?, chain?, root))
+    let [batches, chain, root] = fields(line, FOOTER_SIGIL, ["batches=", "chain=", "root="])?;
+    let root = match root {
+        Some(hex) => Some(parse_hex32(hex)?),
+        None => None,
+    };
+    Some((batches?.parse().ok()?, u32::from_str_radix(chain?, 16).ok()?, root))
 }
 
 /// Decode a framed file, verifying header, batches, footer, and chain
@@ -635,93 +554,90 @@ fn parse_footer(line: &str) -> Option<(usize, u32, Option<[u8; 32]>)> {
 /// missing footer, a chain value that does not match the header — is a
 /// [`FrameError::Quarantine`].
 pub fn decode(text: &str) -> Result<FramedFile, FrameError> {
-    let mut lines = text.lines();
-    let Some(header_line) = lines.next() else {
+    decode_frame(text, true).map(|(file, _)| file)
+}
+
+/// [`decode`] for bytes off disk: `None` when they are not UTF-8 text or
+/// do not decode — whatever the reason, there is no frame to act on.
+pub fn decode_bytes(bytes: &[u8]) -> Option<FramedFile> {
+    decode(std::str::from_utf8(bytes).ok()?).ok()
+}
+
+/// Decode the frame `text` opens with, through its footer line, and return
+/// what follows it. `alone`: anything but blank lines after the footer
+/// condemns the frame (a journal's next chunk follows its predecessor).
+fn decode_frame(text: &str, alone: bool) -> Result<(FramedFile, &str), FrameError> {
+    let mut cuts = cuts(text);
+    let Some(header) = cuts.next() else {
         return Err(FrameError::NotFramed); // empty file: legacy torn case
     };
-    let Some((kind, guid, ordinal, prev)) = parse_header(header_line) else {
-        return if looks_framed(text) {
-            Err(FrameError::Quarantine("unverifiable header"))
+    let Some((kind, guid, ordinal, prev)) = parse_header(header.marker) else {
+        // No header: legacy text — unless anything else carries a sign of
+        // the framed format, which keeps a file whose magic line was itself
+        // corrupted from being misread as legacy.
+        let framed = header.marker.starts_with("# PROVIO")
+            || is_marker(header.marker)
+            || cuts.next().is_some();
+        return Err(if framed {
+            FrameError::Quarantine("unverifiable header")
         } else {
-            Err(FrameError::NotFramed)
-        };
+            FrameError::NotFramed
+        });
     };
-    let chain = crc32(header_line.as_bytes());
+    let chain = crc32(header.marker.as_bytes());
 
-    // Collect batches by scanning for marker lines; `lines=` is only used
-    // for verification, never for framing.
-    struct Batch<'a> {
-        spec: Option<(usize, u32)>,
-        body: Vec<&'a str>,
-    }
-    let mut batches: Vec<Batch> = Vec::new();
-    let mut footer: Option<(usize, u32, Option<[u8; 32]>)> = None;
-    for line in lines {
-        if footer.is_some() {
-            if !line.trim().is_empty() {
-                return Err(FrameError::Quarantine("data after footer"));
-            }
-            continue;
-        }
-        if line.starts_with(BATCH_SIGIL) {
-            batches.push(Batch {
-                spec: parse_batch_marker(line),
-                body: Vec::new(),
-            });
-        } else if line.starts_with(FOOTER_SIGIL) {
-            match parse_footer(line) {
-                Some(f) => footer = Some(f),
-                None => return Err(FrameError::Quarantine("malformed footer")),
-            }
-        } else {
-            match batches.last_mut() {
-                Some(b) => b.body.push(line),
-                // Payload before any marker: a destroyed first marker.
-                None => batches.push(Batch {
-                    spec: None,
-                    body: vec![line],
-                }),
-            }
-        }
-    }
-    let Some((declared, footer_chain, declared_root)) = footer else {
-        return Err(FrameError::Quarantine("missing footer"));
-    };
-    if footer_chain != chain {
-        return Err(FrameError::Quarantine("chain mismatch"));
-    }
-
-    let mut payload = String::new();
-    let mut intact = 0usize;
-    let mut leaves: Vec<u32> = Vec::with_capacity(batches.len());
-    for b in &batches {
-        let body: String = b.body.iter().flat_map(|l| [l, "\n"]).collect();
+    // A lone frame's payload is its text minus the markers; a journal chunk
+    // is a small part of the text that follows it.
+    let mut payload = String::with_capacity(if alone { text.len() } else { 0 });
+    let (mut seen, mut intact) = (0usize, 0usize);
+    let mut leaves: Vec<u32> = Vec::new();
+    // `lines=` is only used for verification, never for framing.
+    let mut batch = |spec: Option<(usize, u32)>, body: &str| {
         let body_crc = crc32(body.as_bytes());
         leaves.push(body_crc);
-        let ok = b
-            .spec
-            .is_some_and(|(n, crc)| b.body.len() == n && body_crc == crc);
-        if ok {
-            payload.push_str(&body);
+        seen += 1;
+        if spec.is_some_and(|(n, crc)| body_crc == crc && body.lines().count() == n) {
+            payload.push_str(body);
             intact += 1;
         }
+    };
+    if !header.body.is_empty() {
+        // Payload before any marker: a destroyed first marker.
+        batch(None, header.body);
     }
-    // A destroyed marker folds its batch into a neighbor, so fewer batches
-    // are *seen* than declared; the honest corrupt count is everything that
-    // did not verify out of the larger of the two tallies.
-    let batches_total = declared.max(batches.len());
-    Ok(FramedFile {
-        kind,
-        guid,
-        ordinal,
-        prev,
-        chain,
-        payload,
-        batches_total,
-        batches_corrupt: batches_total - intact,
-        declared_root,
-        computed_root: merkle_root(&leaves),
-    })
+    for cut in cuts {
+        if cut.marker.starts_with(BATCH_SIGIL) {
+            batch(parse_batch_marker(cut.marker), cut.body);
+            continue;
+        }
+        let Some((declared, footer_chain, declared_root)) = parse_footer(cut.marker) else {
+            return Err(FrameError::Quarantine("malformed footer"));
+        };
+        if alone && !cut.rest.trim().is_empty() {
+            return Err(FrameError::Quarantine("data after footer"));
+        }
+        if footer_chain != chain {
+            return Err(FrameError::Quarantine("chain mismatch"));
+        }
+        // A destroyed marker folds its batch into a neighbor, so fewer
+        // batches are *seen* than declared; the honest corrupt count is
+        // everything that did not verify out of the larger of the two.
+        let batches_total = declared.max(seen);
+        let file = FramedFile {
+            kind,
+            guid,
+            ordinal,
+            prev,
+            chain,
+            payload,
+            batches_total,
+            batches_corrupt: batches_total - intact,
+            declared_root,
+            computed_root: merkle_root(&leaves),
+        };
+        return Ok((file, cut.rest));
+    }
+    Err(FrameError::Quarantine("missing footer"))
 }
 
 /// A decoded WAL generation file: the verified prefix of its group-commit
@@ -755,25 +671,9 @@ pub fn decode_wal(text: &str, guid: u64) -> WalFile {
     while !rest.trim().is_empty() {
         // One chunk runs through its footer line; a remainder with no
         // footer is a torn tail.
-        let mut end = None;
-        let mut offset = 0usize;
-        for line in rest.split_inclusive('\n') {
-            offset += line.len();
-            if line.trim_end().starts_with(FOOTER_SIGIL) {
-                end = Some(offset);
-                break;
-            }
-        }
-        let Some(end) = end else {
+        let Ok((chunk, tail)) = decode_frame(rest, false) else {
             out.truncated = true;
             break;
-        };
-        let chunk = match decode(&rest[..end]) {
-            Ok(f) => f,
-            Err(_) => {
-                out.truncated = true;
-                break;
-            }
         };
         let continuous = chunk.intact()
             && chunk.kind == FrameKind::Wal
@@ -792,14 +692,15 @@ pub fn decode_wal(text: &str, guid: u64) -> WalFile {
             .saturating_add(chunk.payload.lines().count() as u64);
         chain = chunk.chain;
         out.chunks += 1;
-        rest = &rest[end..];
+        rest = tail;
     }
     out
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const PAYLOAD: &str = "<urn:a> <urn:p> <urn:b> .\n<urn:a> <urn:p> <urn:c> .\n<urn:b> <urn:p> <urn:c> .\n";
 
@@ -1251,6 +1152,105 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One seeded mutation of an artifact's bytes, of the kinds at-rest
+    /// damage takes: a flipped bit, a region spliced in from elsewhere, a
+    /// truncation, a duplicated line. Shared by the never-panic proptests
+    /// of every tier that decodes.
+    pub(crate) fn mutate(data: &mut Vec<u8>, kind: u8, a: usize, b: usize) {
+        if data.is_empty() {
+            return;
+        }
+        let at = a % data.len();
+        match kind % 4 {
+            0 => data[at] ^= 1 << (b % 8),
+            1 => {
+                let from = b % data.len();
+                let region = data[from..(from + 1 + (a ^ b) % 24).min(data.len())].to_vec();
+                data.splice(at..at, region);
+            }
+            2 => data.truncate(at),
+            _ => {
+                let start = data[..at].iter().rposition(|&c| c == b'\n').map_or(0, |nl| nl + 1);
+                let end = data[at..].iter().position(|&c| c == b'\n').map_or(data.len(), |nl| at + nl + 1);
+                let line = data[start..end].to_vec();
+                data.splice(end..end, line);
+            }
+        }
+    }
+
+    /// The mutations a proptest case applies, in order.
+    pub(crate) fn mutations() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+        prop::collection::vec((0u8..4, any::<usize>(), any::<usize>()), 0..4)
+    }
+
+    fn record(i: usize) -> String {
+        format!("<urn:s{i}> <urn:p> <urn:o{}> .", i % 3)
+    }
+
+    /// A journal generation of `sizes.len()` chunks, and the chunks apart.
+    fn journal(guid: u64, sizes: &[usize]) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let (mut next, mut chain) = (0usize, CHAIN_START);
+        let mut chunks = Vec::new();
+        for &n in sizes {
+            let lines: Vec<String> = (next..next + n).map(record).collect();
+            let (chunk, c) = wal_chunk(guid, next as u64, chain, &lines.iter().map(String::as_str).collect::<Vec<_>>());
+            (next, chain) = (next + n, c);
+            chunks.push(chunk);
+        }
+        (chunks.concat(), chunks)
+    }
+
+    proptest! {
+        /// ROADMAP 4(e): no decoder panics on arbitrary bytes or on a valid
+        /// frame or journal that was flipped, spliced, truncated or had a
+        /// line duplicated — and what the one walk finds, every reader of it
+        /// agrees on: an intact `decode` has the root `file_root` computes,
+        /// and a journal record is always a whole line of the text.
+        #[test]
+        fn decoders_never_panic_and_agree(
+            bytes in prop::collection::vec(any::<u8>(), 0..160),
+            lines in 0usize..12,
+            batch in 1usize..5,
+            sizes in prop::collection::vec(1usize..4, 1..4),
+            ops in mutations(),
+        ) {
+            let guid = store_guid("/provio/prov_p1.nt");
+            let payload: String = (0..lines).flat_map(|i| [record(i), "\n".into()]).collect();
+            let (framed, _) = encode(FrameKind::Snapshot, guid, 3, 0xAB, &payload, batch);
+            for mut data in [bytes, framed.into_bytes(), journal(guid, &sizes).0] {
+                for &(kind, a, b) in &ops {
+                    mutate(&mut data, kind, a, b);
+                }
+                let text = String::from_utf8_lossy(&data);
+                let _ = decode_bytes(&data);
+                if let Ok(f) = decode(&text) {
+                    prop_assert!(!f.intact() || file_root(&text) == Some(f.computed_root), "{text:?}");
+                }
+                for (_, line) in decode_wal(&text, guid).records {
+                    prop_assert!(text.lines().any(|l| l == line), "{line:?} forged from {text:?}");
+                }
+            }
+        }
+
+        /// `decode_wal` over a concatenation of valid chunks is `decode`
+        /// chunk by chunk.
+        #[test]
+        fn decode_wal_is_chunk_by_chunk_decode(sizes in prop::collection::vec(1usize..5, 0..6)) {
+            let guid = store_guid("/provio/prov_p1.nt");
+            let (whole, chunks) = journal(guid, &sizes);
+            let wal = decode_wal(std::str::from_utf8(&whole).unwrap(), guid);
+            prop_assert!(!wal.truncated);
+            prop_assert_eq!(wal.chunks, chunks.len());
+            let mut records = Vec::new();
+            for chunk in &chunks {
+                let f = decode_bytes(chunk).expect("a valid chunk");
+                prop_assert!(f.intact() && f.kind == FrameKind::Wal);
+                records.extend(f.payload.lines().enumerate().map(|(i, l)| (f.ordinal + i as u64, l.to_string())));
+            }
+            prop_assert_eq!(wal.records, records);
         }
     }
 }

@@ -34,6 +34,7 @@ pub mod engine;
 pub mod frame;
 mod fsio;
 pub mod merge;
+pub mod names;
 pub mod recover;
 pub mod report;
 pub mod scrub;

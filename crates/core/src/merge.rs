@@ -6,13 +6,15 @@
 //! (paper §5). Merging happens after workflow execution, so it costs the
 //! workflow nothing.
 
-use crate::frame::{self, FrameKind};
+use crate::config::RdfFormat;
+use crate::frame::{self, FrameKind, FramedFile, WalFile};
 use crate::fsio::read_file;
+use crate::names::{self, Role, State};
 use provio_hpcfs::FileSystem;
 use provio_rdf::{ntriples, turtle, Graph};
 use provio_simrt::{catch_quiet, SimTime};
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Test hook: paths containing this marker panic inside [`process_file`],
@@ -21,7 +23,7 @@ use std::sync::Arc;
 static PANIC_ON: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
 
 /// Result of a merge.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MergeReport {
     /// Files that contributed triples (fully parsed or salvaged).
     pub files: usize,
@@ -82,32 +84,16 @@ impl std::fmt::Display for MergeReport {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Format {
-    NTriples,
-    Turtle,
-    Unknown,
-}
-
-fn format_of(effective_path: &str) -> Format {
-    if effective_path.ends_with(".nt") {
-        Format::NTriples
-    } else if effective_path.ends_with(".ttl") {
-        Format::Turtle
-    } else {
-        Format::Unknown
-    }
-}
-
 /// Full parse of `text` into a fresh graph, or `None` on any error. The
 /// scratch graph keeps a half-parsed file from partially polluting the
 /// merged graph.
-fn parse_full(format: Format, text: &str) -> Option<Graph> {
+fn parse_full(syntax: Option<RdfFormat>, text: &str) -> Option<Graph> {
     let mut scratch = Graph::new();
-    let ok = match format {
-        Format::NTriples => ntriples::parse_into(text, &mut scratch).is_ok(),
-        Format::Turtle => turtle::parse_into(text, &mut scratch).is_ok(),
-        Format::Unknown => {
+    let ok = match syntax {
+        Some(RdfFormat::NTriples) => ntriples::parse_into(text, &mut scratch).is_ok(),
+        Some(RdfFormat::Turtle) => turtle::parse_into(text, &mut scratch).is_ok(),
+        // An extension that says neither: try both.
+        None => {
             turtle::parse_into(text, &mut scratch).is_ok() || {
                 scratch = Graph::new();
                 ntriples::parse_into(text, &mut scratch).is_ok()
@@ -137,15 +123,15 @@ fn salvage_turtle(text: &str) -> Graph {
 }
 
 /// Salvage whatever prefix of `text` is valid.
-fn salvage(format: Format, text: &str) -> Graph {
-    match format {
-        Format::NTriples => {
+fn salvage(syntax: Option<RdfFormat>, text: &str) -> Graph {
+    match syntax {
+        Some(RdfFormat::NTriples) => {
             let mut scratch = Graph::new();
             ntriples::parse_lenient_prefix(text, &mut scratch);
             scratch
         }
-        Format::Turtle => salvage_turtle(text),
-        Format::Unknown => {
+        Some(RdfFormat::Turtle) => salvage_turtle(text),
+        None => {
             let mut scratch = Graph::new();
             if ntriples::parse_lenient_prefix(text, &mut scratch) > 0 {
                 scratch
@@ -156,36 +142,25 @@ fn salvage(format: Format, text: &str) -> Graph {
     }
 }
 
-/// Frame header/footer facts carried out of a verified framed file, for
-/// the post-fold chain check.
-#[derive(Debug, Clone, Copy)]
-struct FrameMeta {
-    kind: FrameKind,
-    guid: u64,
-    ordinal: u64,
-    prev: u32,
-    chain: u32,
-    batches_total: usize,
-    batches_corrupt: usize,
-}
-
 /// What one sub-graph file contributed, computed independently per file so
-/// the read/parse/salvage work parallelizes.
+/// the read/parse/salvage work parallelizes. One per file, and in a healthy
+/// directory nearly every one a `Sub`, so boxing its graph would buy nothing.
+#[allow(clippy::large_enum_variant)]
 enum Outcome {
     /// Shadowed tmp or unreadable path — contributes nothing, not an error.
     Skipped,
     /// Nothing recoverable at all.
     Corrupt,
-    /// Fully parsed scratch graph.
-    Parsed { sub: Graph, adopted_tmp: bool },
-    /// Valid-prefix salvage of a torn file.
-    Salvaged { sub: Graph, adopted_tmp: bool },
-    /// A checksummed file whose identity verified; `sub` holds the triples
-    /// of its CRC-intact batches (all of them, when `batches_corrupt` is 0).
-    Framed {
+    /// A sub-graph. From a legacy file: fully parsed, or (`salvaged`) the
+    /// valid prefix of a torn one. From a checksummed file whose identity
+    /// verified: `sub` holds the triples of its CRC-intact batches (all of
+    /// them, when `batches_corrupt` is 0) and `frame` the decoded header
+    /// and footer facts — payload taken — for the post-fold chain check.
+    Sub {
         sub: Graph,
         adopted_tmp: bool,
-        meta: FrameMeta,
+        salvaged: bool,
+        frame: Option<FramedFile>,
     },
     /// A checksummed file whose identity could NOT be verified: quarantine
     /// it, never parse it. `substituted` marks a GUID claiming a different
@@ -194,10 +169,7 @@ enum Outcome {
     /// A write-ahead journal generation file: the verified records of its
     /// intact prefix, to be replayed above the store's committed watermark
     /// once every committed file has folded.
-    Wal {
-        records: Vec<(u64, String)>,
-        truncated: bool,
-    },
+    Wal(WalFile),
 }
 
 /// Read and parse (or salvage) one file into a scratch graph. Pure function
@@ -212,124 +184,93 @@ fn process_file(fs: &Arc<FileSystem>, path: &str, committed: &HashSet<&str>) -> 
             panic!("injected parse panic on {path}");
         }
     }
+    let name = names::parse(path);
     // Quarantined files were condemned by an earlier merge: never re-read,
     // never re-renamed.
-    if path.ends_with(".quarantine") {
+    if name.state == State::Quarantined {
         return Outcome::Skipped;
     }
     // Trust-layer artifacts (the signed run manifest and the campaign
     // ledger) are not sub-graph files: `verify` owns them, the merge never
     // parses them — and never adopts a manifest tmp as an orphan store.
-    if crate::verify::is_trust_artifact(path) {
-        return Outcome::Skipped;
-    }
     // Parity files are redundancy, not sub-graph data: the scrub pass
     // (`crate::scrub`) owns them, the merge never parses one — their
     // frames sit outside the commit chain (prev is always CHAIN_START),
-    // so folding them in would only manufacture chain breaks. The suffix
-    // check sees through `.tmp` and `.quarantine`, so an interrupted
-    // parity seal is never adopted as an orphan store either.
-    if frame::is_parity_path(path) {
+    // so folding them in would only manufacture chain breaks. The role
+    // sees through `.tmp`, so an interrupted parity seal is never adopted
+    // as an orphan store either.
+    if name.is_trust_artifact() || matches!(name.role, Role::Parity(_)) {
         return Outcome::Skipped;
     }
-    let is_wal = frame::is_wal_path(path);
-    if is_wal && path.ends_with(".tmp") {
-        // A journal generation tmp left by an interrupted create: it was
-        // never promoted to a named generation, so it holds no records.
+    let is_wal = matches!(name.role, Role::Journal(_));
+    let adopted_tmp = name.state == State::Tmp;
+    // A journal generation tmp was left by an interrupted create: never
+    // promoted to a named generation, it holds no records. Any other tmp
+    // is stale when its commit exists — the commit wins.
+    if adopted_tmp && (is_wal || committed.contains(name.live)) {
         return Outcome::Skipped;
     }
-    let adopted_tmp = match path.strip_suffix(".tmp") {
-        Some(base) if committed.contains(base) => return Outcome::Skipped, // commit wins
-        Some(_) => true,
-        None => false,
-    };
     let Some(bytes) = read_file(fs, path) else {
         return Outcome::Skipped;
     };
+    // An orphan tmp that cannot be used is crash debris, not evidence: the
+    // rename that would have committed it never ran, so it was never
+    // acknowledged and the frames it tore are still covered by the journal.
+    // Condemning it would brand a pure crash as corruption — and
+    // quarantining mutates the directory, breaking recovery idempotence
+    // (found by crashcheck, tests/crashcheck.rs). Leave it in place,
+    // unparsed; every later merge skips it the same way.
+    let unless_debris = |verdict: Outcome| if adopted_tmp { Outcome::Skipped } else { verdict };
     let Ok(text) = String::from_utf8(bytes) else {
         if is_wal {
             // Rot severe enough to break UTF-8: the whole journal tail is
             // condemned, nothing is ever parsed out of it.
-            return Outcome::Wal {
-                records: Vec::new(),
+            return Outcome::Wal(WalFile {
                 truncated: true,
-            };
+                ..WalFile::default()
+            });
         }
-        if adopted_tmp {
-            return Outcome::Skipped; // crash debris, see below
-        }
-        return Outcome::Corrupt;
+        return unless_debris(Outcome::Corrupt);
     };
     if is_wal {
-        let wal = frame::decode_wal(&text, frame::store_guid(path));
-        return Outcome::Wal {
-            records: wal.records,
-            truncated: wal.truncated,
-        };
+        return Outcome::Wal(frame::decode_wal(&text, name.guid()));
     }
-    let format = format_of(path.strip_suffix(".tmp").unwrap_or(path));
+    let syntax = name.syntax();
     match frame::decode(&text) {
-        Ok(framed) => {
-            if framed.guid != frame::store_guid(path) {
-                if adopted_tmp {
-                    return Outcome::Skipped; // crash debris, see below
-                }
+        Ok(mut framed) => {
+            if framed.guid != name.guid() {
                 // The file's own checksums verify, but it belongs to a
                 // different store: substituted or misplaced.
-                return Outcome::Quarantine { substituted: true };
+                return unless_debris(Outcome::Quarantine { substituted: true });
             }
-            let meta = FrameMeta {
-                kind: framed.kind,
-                guid: framed.guid,
-                ordinal: framed.ordinal,
-                prev: framed.prev,
-                chain: framed.chain,
-                batches_total: framed.batches_total,
-                batches_corrupt: framed.batches_corrupt,
-            };
             // The payload is CRC-verified, so parsing it can only fail at
             // format level; salvage of verified bytes never forges triples.
-            let sub = parse_full(format, &framed.payload)
-                .unwrap_or_else(|| salvage(format, &framed.payload));
-            return Outcome::Framed {
+            let payload = std::mem::take(&mut framed.payload);
+            let sub = parse_full(syntax, &payload).unwrap_or_else(|| salvage(syntax, &payload));
+            return Outcome::Sub {
                 sub,
                 adopted_tmp,
-                meta,
+                salvaged: false,
+                frame: Some(framed),
             };
         }
         Err(frame::FrameError::Quarantine(_)) => {
-            if adopted_tmp {
-                // An orphan tmp that fails identity is crash debris, not
-                // tamper evidence: the rename that would have committed it
-                // never ran, so it was never acknowledged and the frames it
-                // tore are still covered by the journal. Quarantining it
-                // would brand a pure crash as corruption — and mutate the
-                // directory, breaking recovery idempotence (found by
-                // crashcheck, tests/crashcheck.rs). Leave it in place,
-                // unparsed; every later merge skips it the same way.
-                return Outcome::Skipped;
-            }
-            return Outcome::Quarantine { substituted: false };
+            return unless_debris(Outcome::Quarantine { substituted: false });
         }
         Err(frame::FrameError::NotFramed) => {} // legacy file: fall through
     }
-    if let Some(sub) = parse_full(format, &text) {
-        return Outcome::Parsed { sub, adopted_tmp };
+    let parsed = parse_full(syntax, &text);
+    let salvaged = parsed.is_none();
+    let sub = parsed.unwrap_or_else(|| salvage(syntax, &text));
+    if sub.is_empty() && salvaged {
+        return unless_debris(Outcome::Corrupt);
     }
-    let sub = salvage(format, &text);
-    if sub.is_empty() {
-        if adopted_tmp {
-            return Outcome::Skipped; // crash debris, see above
-        }
-        return Outcome::Corrupt;
+    Outcome::Sub {
+        sub,
+        adopted_tmp,
+        salvaged,
+        frame: None,
     }
-    Outcome::Salvaged { sub, adopted_tmp }
-}
-
-/// The store a file belongs to, for journal-replay bookkeeping: the base
-/// store path with any tmp, segment, or journal-generation suffix removed.
-fn base_of(path: &str) -> &str {
-    frame::base_store_path(path.strip_suffix(".tmp").unwrap_or(path))
 }
 
 /// What one committed file contributed to its store: the frame facts
@@ -373,33 +314,33 @@ fn committed_watermark(entries: &[CommittedEntry]) -> u64 {
 /// snapshot onward — files before it are stale leftovers that compaction
 /// failed to unlink, harmless and expected to have gaps. A store with no
 /// snapshot must start its chain at ordinal 0.
-fn chain_breaks_in(metas: &mut [(u64, FrameMeta)]) -> u64 {
-    metas.sort_by_key(|(ordinal, _)| *ordinal);
+fn chain_breaks_in(frames: &mut [FramedFile]) -> u64 {
+    frames.sort_by_key(|f| f.ordinal);
     let mut breaks = 0u64;
     // Duplicate ordinals: two files claiming the same slot in the commit
     // sequence can't both be canonical history.
-    for pair in metas.windows(2) {
-        if pair[0].0 == pair[1].0 {
+    for pair in frames.windows(2) {
+        if pair[0].ordinal == pair[1].ordinal {
             breaks += 1;
         }
     }
-    let start = metas
+    let start = frames
         .iter()
-        .rposition(|(_, m)| m.kind == FrameKind::Snapshot)
+        .rposition(|f| f.kind == FrameKind::Snapshot)
         .unwrap_or(0);
-    if metas[start].1.kind != FrameKind::Snapshot
-        && (metas[start].1.ordinal != 0 || metas[start].1.prev != frame::CHAIN_START)
+    let first = &frames[start];
+    if first.kind != FrameKind::Snapshot && (first.ordinal != 0 || first.prev != frame::CHAIN_START)
     {
         // No snapshot survived and the earliest segment is not the chain's
         // origin: whatever preceded it is gone.
         breaks += 1;
     }
-    for pair in metas[start..].windows(2) {
+    for pair in frames[start..].windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
-        if a.0 == b.0 {
+        if a.ordinal == b.ordinal {
             continue; // already counted as a duplicate
         }
-        if b.1.ordinal != a.1.ordinal + 1 || b.1.prev != a.1.chain {
+        if b.ordinal != a.ordinal + 1 || b.prev != a.chain {
             breaks += 1;
         }
     }
@@ -436,18 +377,7 @@ fn chain_breaks_in(metas: &mut [(u64, FrameMeta)]) -> u64 {
 /// ([`MergeReport::chain_breaks`]).
 pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) {
     let mut graph = Graph::new();
-    let mut report = MergeReport {
-        files: 0,
-        triples: 0,
-        corrupt: Vec::new(),
-        recovered: Vec::new(),
-        salvaged_triples: 0,
-        quarantined: Vec::new(),
-        salvaged_batches: 0,
-        chain_breaks: 0,
-        replayed_triples: 0,
-        wal_tails_truncated: 0,
-    };
+    let mut report = MergeReport::default();
     let files = match fs.walk_files(dir) {
         Ok(f) => f,
         Err(_) => return (graph, report),
@@ -462,76 +392,59 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
     let outcomes: Vec<Outcome> = files.par_iter().map(guarded).collect();
     // Deterministic sequential fold in directory order; the merge itself is
     // the bulk id-mapped path (one intern per distinct term per file).
-    let mut recovered_seen: HashSet<&str> = HashSet::new();
-    let mut chains: HashMap<u64, Vec<(u64, FrameMeta)>> = HashMap::new();
+    let mut chains: HashMap<u64, Vec<FramedFile>> = HashMap::new();
     // Per-store bookkeeping for journal replay: what each committed file
     // contributed (with its frame facts, when framed) and the journal
     // records awaiting the post-fold watermark check. Keyed by the base
     // store path so segments, tmps, and journal generations all land on
     // the same store.
     let mut committed_counts: HashMap<&str, Vec<CommittedEntry>> = HashMap::new();
-    let mut wal_records: HashMap<&str, Vec<(u64, String)>> = HashMap::new();
+    let mut wal_records: BTreeMap<&str, Vec<(u64, String)>> = BTreeMap::new();
     for (path, outcome) in files.iter().zip(outcomes) {
-        let mut recover = |report: &mut MergeReport| {
-            if recovered_seen.insert(path.as_str()) {
-                report.recovered.push(path.clone());
-            }
-        };
         match outcome {
             Outcome::Skipped => {}
             Outcome::Corrupt => report.corrupt.push(path.clone()),
-            Outcome::Parsed { sub, adopted_tmp } => {
-                committed_counts.entry(base_of(path)).or_default().push((None, sub.len()));
-                graph.merge(&sub);
-                report.files += 1;
-                if adopted_tmp {
-                    recover(&mut report);
-                }
-            }
-            Outcome::Salvaged { sub, adopted_tmp } => {
-                committed_counts.entry(base_of(path)).or_default().push((None, sub.len()));
-                report.salvaged_triples += sub.len();
-                graph.merge(&sub);
-                report.files += 1;
-                if adopted_tmp {
-                    recover(&mut report);
-                }
-            }
-            Outcome::Framed {
+            Outcome::Sub {
                 sub,
                 adopted_tmp,
-                meta,
+                salvaged,
+                frame,
             } => {
-                if meta.batches_corrupt > 0 {
+                let rotted = frame.as_ref().filter(|f| f.batches_corrupt > 0);
+                if let Some(f) = rotted {
                     // Partial recovery: the dropped batches are corruption,
                     // the surviving ones are salvage.
                     report.corrupt.push(path.clone());
-                    report.salvaged_batches +=
-                        (meta.batches_total - meta.batches_corrupt) as u64;
+                    report.salvaged_batches += (f.batches_total - f.batches_corrupt) as u64;
+                }
+                if salvaged || rotted.is_some() {
                     report.salvaged_triples += sub.len();
                 }
                 committed_counts
-                    .entry(base_of(path))
+                    .entry(frame::base_store_path(path))
                     .or_default()
-                    .push((Some((meta.kind, meta.ordinal)), sub.len()));
+                    .push((frame.as_ref().map(|f| (f.kind, f.ordinal)), sub.len()));
                 graph.merge(&sub);
                 report.files += 1;
                 if adopted_tmp {
-                    recover(&mut report);
+                    report.recovered.push(path.clone());
                 }
-                chains.entry(meta.guid).or_default().push((meta.ordinal, meta));
+                if let Some(f) = frame {
+                    chains.entry(f.guid).or_default().push(f);
+                }
             }
-            Outcome::Wal { records, truncated } => {
-                if truncated {
-                    report.wal_tails_truncated += 1;
-                }
-                wal_records.entry(base_of(path)).or_default().extend(records);
+            Outcome::Wal(wal) => {
+                report.wal_tails_truncated += u64::from(wal.truncated);
+                wal_records
+                    .entry(frame::base_store_path(path))
+                    .or_default()
+                    .extend(wal.records);
             }
             Outcome::Quarantine { substituted } => {
                 // Condemn the file on disk so later merges skip it without
                 // re-parsing; the rename is best-effort (a read-only or
                 // failing filesystem still gets the in-report verdict).
-                let _ = fs.rename(path, &format!("{path}.quarantine"), SimTime::ZERO);
+                let _ = fs.rename(path, &names::quarantine_of(path), SimTime::ZERO);
                 report.quarantined.push(path.clone());
                 if substituted {
                     // A verified file claiming another store's GUID means
@@ -551,10 +464,7 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
     // segment commit and journal recycle leaves a stale generation behind),
     // so the ordinal filter makes double-counting impossible and re-merges
     // over the same directory idempotent.
-    let mut stores: Vec<&str> = wal_records.keys().copied().collect();
-    stores.sort_unstable();
-    for base in stores {
-        let mut records = wal_records.remove(base).unwrap_or_default();
+    for (base, mut records) in wal_records {
         let watermark = committed_counts
             .get(base)
             .map(|entries| committed_watermark(entries))
@@ -574,8 +484,8 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
         }
         // Journal payloads are CRC-verified, so a full parse succeeds on
         // anything the store actually wrote; salvage is belt and braces.
-        let sub = parse_full(Format::NTriples, &pending)
-            .unwrap_or_else(|| salvage(Format::NTriples, &pending));
+        let sub = parse_full(Some(RdfFormat::NTriples), &pending)
+            .unwrap_or_else(|| salvage(Some(RdfFormat::NTriples), &pending));
         let before = graph.len();
         graph.merge(&sub);
         report.replayed_triples += graph.len() - before;
@@ -1383,5 +1293,97 @@ mod tests {
         assert_eq!(report.files, 2);
         assert_eq!(nodes_of_class(&g, EntityClass::Dataset.into()).len(), 1);
         assert_eq!(nodes_of_class(&g, ActivityClass::Write.into()).len(), 2);
+    }
+
+    /// One of every kind of artifact a run directory holds, as a small real
+    /// run wrote them: framed N-Triples snapshot and segment, journal,
+    /// parity files of both planes, a framed and an unframed Turtle
+    /// snapshot, an unframed N-Triples one, the manifest and the ledger.
+    fn artifacts() -> &'static [Vec<u8>] {
+        static ARTIFACTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        ARTIFACTS.get_or_init(|| {
+            use crate::store::ProvenanceStore;
+            use provio_rdf::{Iri, Subject, Term, Triple};
+            let fs = FileSystem::new(LustreConfig::default());
+            let triples = |from: usize| -> Vec<Triple> {
+                (from..from + 6)
+                    .map(|i| Triple::new(Subject::iri(format!("urn:s{i}")), Iri::new("urn:p"), Term::plain("v")))
+                    .collect()
+            };
+            let store = |name: &str, format| ProvenanceStore::new(Arc::clone(&fs), format!("/a/{name}"), format, false);
+            let durable = store("d.nt", RdfFormat::NTriples)
+                .with_checksums(true)
+                .with_wal(true, 2)
+                .with_parity(true, 2)
+                .with_compact_every(0);
+            for flush in 0..3 {
+                durable.push(triples(flush * 6), None);
+                durable.flush(None);
+            }
+            durable.push(triples(18), None);
+            durable.push(triples(24), None);
+            durable.wal_sync();
+            for st in [
+                store("framed.ttl", RdfFormat::Turtle).with_checksums(true),
+                store("legacy.ttl", RdfFormat::Turtle),
+                store("legacy.nt", RdfFormat::NTriples),
+            ] {
+                st.push(triples(0), None);
+                st.finish(None);
+            }
+            crate::verify::seal_run(&fs, "/a", "key", &[]).unwrap();
+            let files = fs.walk_files("/a").unwrap();
+            for role in ["d.nt.d", "d.nt.w", "d.nt.p", "MANIFEST", "CAMPAIGN"] {
+                assert!(files.iter().any(|p| p.contains(role)), "no {role} among {files:?}");
+            }
+            files.iter().map(|p| read_file(&fs, p).unwrap()).collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// ROADMAP 4(e): `process_file` itself — called here without the
+        /// `catch_quiet` that `merge_directory` wraps around it — never
+        /// panics, whatever artifact, however damaged, sits under whatever
+        /// role's name. The containment stays as safety code; this shows
+        /// no decoder or parser reaches it.
+        #[test]
+        fn process_file_never_panics_unguarded(
+            pick in proptest::any::<proptest::sample::Index>(),
+            arbitrary in proptest::collection::vec(proptest::any::<u8>(), 0..120),
+            ops in crate::frame::tests::mutations(),
+        ) {
+            let valid = artifacts();
+            let mut data = match pick.index(valid.len() + 1) {
+                i if i < valid.len() => valid[i].clone(),
+                _ => arbitrary,
+            };
+            for &(kind, a, b) in &ops {
+                crate::frame::tests::mutate(&mut data, kind, a, b);
+            }
+            let fs = FileSystem::new(LustreConfig::default());
+            for name in [
+                "prov_p1.nt",
+                "prov_p1.ttl",
+                "prov_p1.rdf",
+                "prov_p1.nt.d000001.nt",
+                "prov_p1.nt.w000000.nt",
+                "prov_p1.nt.p000000.par",
+                "MANIFEST.provio",
+                "CAMPAIGN.provio",
+                "prov_p1.nt.quarantine",
+                "prov_p2.nt.tmp",
+                "prov_p2.ttl.d000003.nt.tmp",
+                "prov_p2.nt.w000001.nt.tmp",
+            ] {
+                write_file(&fs, &format!("/d/{name}"), &data);
+            }
+            let files = fs.walk_files("/d").unwrap();
+            let committed: HashSet<&str> = files.iter().map(String::as_str).collect();
+            for path in &files {
+                process_file(&fs, path, &committed);
+            }
+        }
     }
 }

@@ -59,14 +59,10 @@ pub struct RecoveryOutcome {
 pub fn recover_all(fs: &Arc<FileSystem>, dir: &str, key: Option<&str>) -> RecoveryOutcome {
     let scrub = scrub_directory(fs, dir);
     let (graph, merge) = merge_directory(fs, dir);
-    let (verify, quarantined) = match key {
-        Some(key) => {
-            let audit = verify_directory(fs, dir, key);
-            let moved = quarantine_tampered(fs, &audit);
-            (Some(audit), moved)
-        }
-        None => (None, Vec::new()),
-    };
+    let verify = key.map(|key| verify_directory(fs, dir, key));
+    let quarantined = verify
+        .as_ref()
+        .map_or_else(Vec::new, |audit| quarantine_tampered(fs, audit));
     let mut report = RunReport::default();
     report.attach_scrub(&scrub);
     report.attach_merge(merge.files, &merge);

@@ -2,14 +2,11 @@
 
 use super::parity::ParityGroup;
 use crate::frame::{self, FrameKind};
+use crate::names::{self, Role, State};
 use crate::scrub::{MemberCheck, ParityMember};
 use provio_hpcfs::{FileSystem, FsError, Ino};
 use provio_simrt::SimTime;
 use std::borrow::Cow;
-
-fn wal_path(path: &str, gen: u64) -> String {
-    format!("{path}.w{gen:06}.nt")
-}
 
 /// One push's worth of journal records awaiting commit: `n` contiguous
 /// record ordinals starting at `start`, rendered as one newline-terminated
@@ -75,8 +72,8 @@ impl Journal {
             return Ok(ino);
         }
         let now = SimTime::ZERO;
-        let gen = wal_path(path, self.gen);
-        let tmp = format!("{gen}.tmp");
+        let gen = names::print(path, Role::Journal(self.gen), State::Live);
+        let tmp = names::tmp_of(&gen);
         let ino = fs.create_file(&tmp, false, "provio", now)?;
         fs.truncate_ino(ino, 0, now)?;
         fs.rename(&tmp, &gen, now)?;
@@ -123,7 +120,7 @@ impl Journal {
         }
         fs.write_at(ino, self.len, &bytes, SimTime::ZERO)?;
         if let Some(group) = cover {
-            let gen = wal_path(path, self.gen);
+            let gen = names::print(path, Role::Journal(self.gen), State::Live);
             for span in spans {
                 let member = ParityMember {
                     path: gen.clone(),
@@ -152,7 +149,7 @@ impl Journal {
     pub(super) fn recycle(&mut self, fs: &FileSystem, path: &str) {
         self.buf.clear();
         if self.ino.take().is_some() {
-            let _ = fs.unlink(&wal_path(path, self.gen));
+            let _ = fs.unlink(&names::print(path, Role::Journal(self.gen), State::Live));
             self.recycles += 1;
         }
         self.gen += 1;

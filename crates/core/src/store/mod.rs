@@ -142,6 +142,7 @@ pub use breaker::BreakerState;
 use crate::config::{OverloadPolicy, RdfFormat, RetryPolicy};
 use crate::frame::{self, FrameKind};
 use crate::fsio::commit_atomic;
+use crate::names::{self, Role, State};
 use crate::scrub::{MemberCheck, ParityMember};
 use crate::verify::RootCache;
 use breaker::Breaker;
@@ -168,10 +169,6 @@ const RETRY_JITTER_STREAM: u64 = 0x4E77;
 /// enough that one corrupt region loses little, large enough that marker
 /// overhead stays negligible.
 const NT_BATCH_LINES: usize = 64;
-
-fn seg_path(path: &str, seq: u64) -> String {
-    format!("{path}.d{seq:06}.nt")
-}
 
 /// The in-memory sub-graph plus the serialization high-water mark: how many
 /// entries of the graph's insertion order are already durable (in the
@@ -481,7 +478,7 @@ impl IoState {
         let dst = if compacting {
             self.path.clone()
         } else {
-            seg_path(&self.path, self.segments.next)
+            names::print(&self.path, Role::Segment(self.segments.next), State::Live)
         };
         if !self.commit_with_retry(&dst, &rendered.bytes, charge) {
             return None;
@@ -522,9 +519,8 @@ impl IoState {
                 self.roots.remove(&seg);
             }
             // A failed earlier append may have left the next segment's tmp.
-            let _ = self
-                .fs
-                .unlink(&format!("{}.tmp", seg_path(&self.path, self.segments.next)));
+            let next = Role::Segment(self.segments.next);
+            let _ = self.fs.unlink(&names::print(&self.path, next, State::Tmp));
             self.segments.since_snapshot = 0;
             self.segments.snapshot_done = true;
         } else {
@@ -2006,7 +2002,7 @@ mod tests {
         fs.walk_files(dir)
             .unwrap_or_default()
             .into_iter()
-            .filter(|p| frame::is_parity_path(p) && !p.ends_with(".tmp"))
+            .filter(|p| frame::is_parity_path(p) && names::parse(p).state != State::Tmp)
             .collect()
     }
 

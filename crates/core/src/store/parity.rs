@@ -3,14 +3,11 @@
 //! single lost or rotted member byte-identical.
 
 use crate::fsio::commit_atomic;
+use crate::names::{self, Role, State};
 use crate::scrub::{self, ParityMember};
 use crate::verify::RootCache;
 use provio_hpcfs::{FileSystem, FsError};
 use std::borrow::Cow;
-
-fn par_path(path: &str, seq: u64) -> String {
-    format!("{path}.p{seq:06}.par")
-}
 
 /// The store's two parity planes, one [`ParityGroup`] each.
 #[derive(Clone, Copy)]
@@ -137,12 +134,12 @@ impl Parity {
         if members.is_empty() {
             return Ok(());
         }
-        let dst = par_path(path, self.seq);
+        let dst = names::print(path, Role::Parity(self.seq), State::Live);
         let member_lines: Vec<String> = members.iter().map(scrub::member_line).collect();
         let (framed, root) = scrub::encode_parity_frame(guid, self.seq, &member_lines, &acc);
         if let Err(e) = commit_atomic(fs, &dst, &framed) {
             self.failed += 1;
-            let _ = fs.unlink(&format!("{dst}.tmp"));
+            let _ = fs.unlink(&names::tmp_of(&dst));
             return Err(e);
         }
         roots.insert(dst.clone(), (framed.len() as u64, root));

@@ -29,31 +29,16 @@
 //! only algorithm this version signs or accepts.
 
 use crate::frame::{self, FrameKind};
-use crate::fsio::{commit_atomic, read_file};
+use crate::fsio::{commit_atomic, copies, read_file};
+use crate::names::{self, State, LEDGER_NAME, MANIFEST_NAME};
 use provio_hpcfs::FileSystem;
 use provio_simrt::SimTime;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// File name of the signed run manifest, written into the store directory.
-pub const MANIFEST_NAME: &str = "MANIFEST.provio";
-
-/// File name of the append-only campaign ledger, next to the manifest.
-pub const LEDGER_NAME: &str = "CAMPAIGN.provio";
-
 /// First-line magic of the manifest; the trailing digit is the version.
 pub const MANIFEST_MAGIC: &str = "# PROVIO-MANIFEST1";
-
-/// Is `path` a trust-layer artifact (the manifest or the ledger, possibly
-/// wrapped in commit-protocol suffixes)? The merge never parses these and
-/// never adopts a manifest tmp as an orphan store; `verify` owns them.
-pub fn is_trust_artifact(path: &str) -> bool {
-    let p = path.strip_suffix(".tmp").unwrap_or(path);
-    let p = p.strip_suffix(".quarantine").unwrap_or(p);
-    let name = p.rsplit('/').next().unwrap_or(p);
-    name == MANIFEST_NAME || name == LEDGER_NAME
-}
 
 /// One rank's outcome as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,18 +250,9 @@ pub type RootCache = HashMap<String, (u64, [u8; 32])>;
 /// Walk the finished run directory, compute every committed file's content
 /// root, and commit the signed manifest (tmp-then-rename). Deterministic:
 /// the same directory bytes and key produce byte-identical manifests.
-pub fn write_manifest(
-    fs: &Arc<FileSystem>,
-    dir: &str,
-    key: &str,
-    ranks: &[RankEntry],
-) -> Result<ManifestInfo, String> {
-    write_manifest_with_roots(fs, dir, key, ranks, &RootCache::new())
-}
-
-/// [`write_manifest`] with a commit-time root cache: a walked file whose
-/// on-disk byte count matches its cache entry takes the cached root
-/// instead of being re-read and re-CRC'd — the encoder already folded
+/// `roots` is a commit-time root cache: a walked file whose on-disk byte
+/// count matches its cache entry takes the cached root instead of being
+/// re-read and re-CRC'd — the encoder already folded
 /// that root when it framed the commit, so this is the same value
 /// [`frame::file_root`] would recompute, just without the second full
 /// pass over every store byte. The *file list* still comes from the
@@ -294,9 +270,7 @@ pub fn write_manifest_with_roots(
     let dir = dir.trim_end_matches('/');
     let mut files = fs.walk_files(dir).map_err(|e| format!("{e:?}"))?;
     files.sort();
-    files.retain(|p| {
-        !p.ends_with(".tmp") && !p.ends_with(".quarantine") && !is_trust_artifact(p)
-    });
+    files.retain(|p| names::parse(p).is_store_file());
     let mut entries = Vec::with_capacity(files.len());
     let mut acc = String::new();
     for path in files {
@@ -551,6 +525,14 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
+    fn check(&mut self, path: &str, verdict: FileVerdict, detail: impl Into<String>) {
+        self.checks.push(FileCheck {
+            path: path.to_string(),
+            verdict,
+            detail: detail.into(),
+        });
+    }
+
     pub fn count(&self, verdict: FileVerdict) -> usize {
         self.checks.iter().filter(|c| c.verdict == verdict).count()
     }
@@ -677,31 +659,18 @@ fn judge(bytes: &[u8], entry: &ManifestEntry) -> (FileVerdict, String) {
 
 /// Check one manifest entry against the directory. A live file is judged
 /// in place; a file the merge (or an earlier verify) already renamed to
-/// `<path>.quarantine` is judged from the quarantined bytes, so re-running
+/// its quarantined name is judged from the quarantined bytes, so re-running
 /// verify after quarantine returns the same verdict — sticky, idempotent.
-fn check_entry(fs: &Arc<FileSystem>, entry: &ManifestEntry) -> FileCheck {
-    let (bytes, quarantined) = match read_file(fs, &entry.path) {
-        Some(b) => (b, false),
-        None => match read_file(fs, &format!("{}.quarantine", entry.path)) {
-            Some(b) => (b, true),
-            None => {
-                return FileCheck {
-                    path: entry.path.clone(),
-                    verdict: FileVerdict::Missing,
-                    detail: "listed in the manifest but absent on disk".to_string(),
-                }
-            }
-        },
+fn check_entry(fs: &Arc<FileSystem>, entry: &ManifestEntry, report: &mut VerifyReport) {
+    let Some((bytes, quarantined)) = copies(fs, &entry.path).next() else {
+        let detail = "listed in the manifest but absent on disk";
+        return report.check(&entry.path, FileVerdict::Missing, detail);
     };
     let (verdict, mut detail) = judge(&bytes, entry);
     if quarantined {
         detail.push_str(" (quarantined copy)");
     }
-    FileCheck {
-        path: entry.path.clone(),
-        verdict,
-        detail,
-    }
+    report.check(&entry.path, verdict, detail);
 }
 
 /// Walk ledger → manifest → file roots over a finished run directory and
@@ -716,66 +685,38 @@ pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyRep
     };
     let mpath = manifest_path(dir);
     let disk = fs.walk_files(dir).unwrap_or_default();
+    // What a manifest could list: no tmp, no quarantined copy, no trust
+    // artifact.
+    let store_files = || disk.iter().filter(|p| names::parse(p).is_store_file());
     let ledger = read_ledger(fs, dir);
 
     let Some(bytes) = read_file(fs, &mpath) else {
         // Legacy (pre-manifest) run: everything is simply unsigned. A
         // ledger with no manifest means the manifest was deleted — the
         // ledger's whole point is making that visible.
-        for p in &disk {
-            if p.ends_with(".tmp") || p.ends_with(".quarantine") || is_trust_artifact(p) {
-                continue;
-            }
-            report.checks.push(FileCheck {
-                path: p.clone(),
-                verdict: FileVerdict::Unsigned,
-                detail: "no run manifest".to_string(),
-            });
+        for p in store_files() {
+            report.check(p, FileVerdict::Unsigned, "no run manifest");
         }
-        report.ledger_ok = match ledger {
-            None => true,
-            Some(_) => {
-                report.checks.push(FileCheck {
-                    path: mpath,
-                    verdict: FileVerdict::Missing,
-                    detail: "campaign ledger present but the run manifest is gone".to_string(),
-                });
-                false
-            }
-        };
+        report.ledger_ok = ledger.is_none();
+        if !report.ledger_ok {
+            let detail = "campaign ledger present but the run manifest is gone";
+            report.check(&mpath, FileVerdict::Missing, detail);
+        }
         return report;
     };
     report.manifest_present = true;
 
-    let parsed = std::str::from_utf8(&bytes).ok().and_then(parse_manifest);
-    let untrusted_manifest = |report: &mut VerifyReport, check: FileCheck, paths: &[String]| {
-        report.checks.push(check);
+    // A manifest that cannot be trusted condemns itself and leaves every
+    // file it would have vouched for unjudged.
+    let untrusted = |mut report: VerifyReport, detail: String, paths: Vec<&String>| {
+        report.check(&mpath, FileVerdict::Tampered, detail);
         for p in paths {
-            report.checks.push(FileCheck {
-                path: p.clone(),
-                verdict: FileVerdict::Unsigned,
-                detail: "manifest untrusted, file cannot be judged".to_string(),
-            });
+            report.check(p, FileVerdict::Unsigned, "manifest untrusted, file cannot be judged");
         }
+        report
     };
-    let Some(pm) = parsed else {
-        let paths: Vec<String> = disk
-            .iter()
-            .filter(|p| {
-                !p.ends_with(".tmp") && !p.ends_with(".quarantine") && !is_trust_artifact(p)
-            })
-            .cloned()
-            .collect();
-        untrusted_manifest(
-            &mut report,
-            FileCheck {
-                path: mpath,
-                verdict: FileVerdict::Tampered,
-                detail: "manifest is malformed".to_string(),
-            },
-            &paths,
-        );
-        return report;
+    let Some(pm) = std::str::from_utf8(&bytes).ok().and_then(parse_manifest) else {
+        return untrusted(report, "manifest is malformed".to_string(), store_files().collect());
     };
     report.run = Some(pm.manifest.run);
 
@@ -790,68 +731,43 @@ pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyRep
         } else {
             "signature mismatch: manifest edited after signing".to_string()
         };
-        let paths: Vec<String> = pm.manifest.files.iter().map(|e| e.path.clone()).collect();
-        untrusted_manifest(
-            &mut report,
-            FileCheck {
-                path: mpath,
-                verdict: FileVerdict::Tampered,
-                detail,
-            },
-            &paths,
-        );
-        return report;
+        return untrusted(report, detail, pm.manifest.files.iter().map(|e| &e.path).collect());
     }
     report.manifest_ok = true;
 
     for entry in &pm.manifest.files {
-        report.checks.push(check_entry(fs, entry));
+        check_entry(fs, entry, &mut report);
     }
     // Files on disk the signed manifest never listed: planted after
     // signing. (A quarantined copy of a listed file is that file's sticky
     // verdict, not a plant.)
     let listed: HashSet<&str> = pm.manifest.files.iter().map(|e| e.path.as_str()).collect();
     for p in &disk {
-        if p.ends_with(".tmp") || is_trust_artifact(p) {
+        let name = names::parse(p);
+        if name.state == State::Tmp || name.is_trust_artifact() || listed.contains(name.live) {
             continue;
         }
-        let base = p.strip_suffix(".quarantine").unwrap_or(p);
-        if listed.contains(base) {
-            continue;
-        }
-        report.checks.push(FileCheck {
-            path: p.clone(),
-            verdict: FileVerdict::Tampered,
-            detail: "present on disk but not in the signed manifest".to_string(),
-        });
+        let detail = "present on disk but not in the signed manifest";
+        report.check(p, FileVerdict::Tampered, detail);
     }
 
     let digest = sha2::sha256(&bytes);
     match ledger {
         None => {
-            report.checks.push(FileCheck {
-                path: ledger_path(dir),
-                verdict: FileVerdict::Missing,
-                detail: "campaign ledger absent for a signed run".to_string(),
-            });
+            let detail = "campaign ledger absent for a signed run";
+            report.check(&ledger_path(dir), FileVerdict::Missing, detail);
         }
         Some(l) => {
-            let sealed = l.chained && l.records.last().is_some_and(|r| r.manifest == digest);
-            report.ledger_ok = sealed;
-            if !sealed {
+            report.ledger_ok = l.chained && l.records.last().is_some_and(|r| r.manifest == digest);
+            if !report.ledger_ok {
                 let detail = if !l.chained {
-                    "ledger digest chain broken".to_string()
+                    "ledger digest chain broken"
                 } else if l.truncated {
                     "ledger tail torn or truncated; this run's manifest is not sealed"
-                        .to_string()
                 } else {
-                    "this run's manifest is not sealed in the ledger".to_string()
+                    "this run's manifest is not sealed in the ledger"
                 };
-                report.checks.push(FileCheck {
-                    path: ledger_path(dir),
-                    verdict: FileVerdict::Tampered,
-                    detail,
-                });
+                report.check(&ledger_path(dir), FileVerdict::Tampered, detail);
             }
         }
     }
@@ -863,23 +779,31 @@ pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyRep
 /// Trust artifacts stay in place: renaming a tampered manifest would erase
 /// the evidence the report points at. Returns the paths renamed.
 pub fn quarantine_tampered(fs: &Arc<FileSystem>, report: &VerifyReport) -> Vec<String> {
-    // Repair precedence: a condemned file whose parity group can still
-    // make it whole belongs to the scrub pass, not to quarantine.
-    // Quarantine is the over-tolerance fallback — renaming a repairable
-    // member would cost the group a survivor it may need.
-    let repairable = crate::scrub::repairable_paths(fs, &report.dir);
+    let mut repairable = None;
     let mut renamed = Vec::new();
     for c in &report.checks {
+        let name = names::parse(&c.path);
         if c.verdict != FileVerdict::Tampered
-            || is_trust_artifact(&c.path)
-            || c.path.ends_with(".quarantine")
-            || repairable.contains(&c.path)
+            || name.is_trust_artifact()
+            || name.state == State::Quarantined
             || !fs.exists(&c.path)
         {
             continue;
         }
+        // Repair precedence: a condemned file whose parity group can still
+        // make it whole belongs to the scrub pass, not to quarantine.
+        // Quarantine is the over-tolerance fallback — renaming a repairable
+        // member would cost the group a survivor it may need. Scrub is asked
+        // once, before the first rename, and only when there is a file to
+        // condemn: its answer costs a read of every parity file and member.
+        if repairable
+            .get_or_insert_with(|| crate::scrub::repairable_paths(fs, &report.dir))
+            .contains(&c.path)
+        {
+            continue;
+        }
         if fs
-            .rename(&c.path, &format!("{}.quarantine", c.path), SimTime::ZERO)
+            .rename(&c.path, &names::quarantine_of(&c.path), SimTime::ZERO)
             .is_ok()
         {
             renamed.push(c.path.clone());
@@ -1282,10 +1206,10 @@ mod tests {
             "/d/CAMPAIGN.provio.quarantine",
             "MANIFEST.provio",
         ] {
-            assert!(is_trust_artifact(p), "{p}");
+            assert!(names::parse(p).is_trust_artifact(), "{p}");
         }
         for p in ["/provio/prov_p0.nt", "/provio/manifest.txt", "/MANIFEST.provio.nt"] {
-            assert!(!is_trust_artifact(p), "{p}");
+            assert!(!names::parse(p).is_trust_artifact(), "{p}");
         }
     }
 }

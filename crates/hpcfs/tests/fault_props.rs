@@ -238,9 +238,12 @@ mod bit_rot_integrity {
 /// yields a false positive.
 mod tamper_trust {
     use super::*;
-    use provio::verify::seal_run;
-    use provio::{verify_directory, FileVerdict, ProvenanceStore, RdfFormat};
-    use provio_hpcfs::TamperKind;
+    use provio::verify::{read_ledger, seal_run};
+    use provio::{
+        merge_directory, recover_all, scrub_directory, verify_directory, FileVerdict,
+        ProvenanceStore, RdfFormat,
+    };
+    use provio_hpcfs::{CorruptKind, TamperKind};
 
     const KEY: &str = "prop-campaign-key";
 
@@ -268,6 +271,41 @@ mod tamper_trust {
             );
             st.flush(None);
         }
+        seal_run(fs, "/prov", KEY, &[]).unwrap();
+    }
+
+    /// A sealed run holding every kind of artifact the read side decodes:
+    /// snapshot, delta segments, a journal with an unflushed tail, parity
+    /// files of both planes, the manifest and the ledger.
+    fn build_full_run(fs: &Arc<FileSystem>) {
+        let st = ProvenanceStore::new(
+            Arc::clone(fs),
+            "/prov/prov_p0.nt".to_string(),
+            RdfFormat::NTriples,
+            false,
+        )
+        .with_checksums(true)
+        .with_compact_every(0)
+        .with_wal(true, 2)
+        .with_parity(true, 2);
+        let batch = |from: usize| {
+            (from..from + 8)
+                .map(|i| {
+                    provio_rdf::Triple::new(
+                        provio_rdf::Subject::iri(format!("urn:s{i}")),
+                        provio_rdf::Iri::new("urn:p"),
+                        provio_rdf::Term::iri("urn:o"),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        for flush in 0..3 {
+            st.push(batch(flush * 8), None);
+            st.flush(None);
+        }
+        st.push(batch(24), None);
+        st.push(batch(32), None);
+        st.wal_sync();
         seal_run(fs, "/prov", KEY, &[]).unwrap();
     }
 
@@ -347,6 +385,69 @@ mod tamper_trust {
             // Verifying is read-only, so the verdict is reproducible.
             let again = verify_directory(&fs, "/prov", KEY);
             prop_assert_eq!(report.to_string(), again.to_string());
+        }
+
+        /// ROADMAP 4(e): no tier that decodes — scrub, merge, verify, the
+        /// ledger reader, or all of them as `recover_all` — panics on any
+        /// damage to any artifact: rot of every kind, arbitrary bytes, and
+        /// the damaged file left under its tmp or quarantined name. Rot
+        /// never forges a triple, and recovering the recovered directory
+        /// again moves no byte.
+        #[test]
+        fn no_tier_panics_on_any_damage_to_any_artifact(
+            seed in any::<u64>(),
+            kind_pick in 0u8..5,
+            file_pick in any::<prop::sample::Index>(),
+            wrapper in prop_oneof![Just(""), Just(".tmp"), Just(".quarantine")],
+            junk in prop::collection::vec(any::<u8>(), 0..200),
+        ) {
+            let fs = FileSystem::new(LustreConfig::default());
+            build_full_run(&fs);
+            let (baseline, _) = merge_directory(&fs, "/prov");
+            let files = fs.walk_files("/prov").unwrap();
+            for role in [".d0", ".w0", ".p0", "MANIFEST", "CAMPAIGN"] {
+                prop_assert!(files.iter().any(|p| p.contains(role)), "{role} in {files:?}");
+            }
+            let victim = &files[file_pick.index(files.len())];
+            let rot = [
+                CorruptKind::BitFlips { count: 1 + (seed % 8) as u32 },
+                CorruptKind::Truncate,
+                CorruptKind::DuplicateBlock { len: 1 + seed % 64 },
+                CorruptKind::ZeroFill,
+            ];
+            match rot.get(kind_pick as usize) {
+                Some(kind) => drop(fs.corrupt_at_rest(victim, kind, seed).unwrap()),
+                None => {
+                    let ino = fs.lookup(victim).unwrap();
+                    fs.truncate_ino(ino, 0, SimTime::ZERO).unwrap();
+                    fs.write_at(ino, 0, &junk, SimTime::ZERO).unwrap();
+                }
+            }
+            if !wrapper.is_empty() {
+                fs.rename(victim, &format!("{victim}{wrapper}"), SimTime::ZERO).unwrap();
+            }
+
+            let _ = scrub_directory(&fs, "/prov");
+            let _ = verify_directory(&fs, "/prov", KEY);
+            let _ = read_ledger(&fs, "/prov");
+            let first = recover_all(&fs, "/prov", Some(KEY));
+            if (kind_pick as usize) < rot.len() {
+                for t in first.graph.iter() {
+                    prop_assert!(baseline.contains(&t), "forged {t:?} ({victim}, seed {seed})");
+                }
+            }
+            let image = || -> Vec<(String, Vec<u8>)> {
+                let read = |p: String| {
+                    let ino = fs.lookup(&p).unwrap();
+                    let bytes = fs.read_at(ino, 0, fs.file_size(ino).unwrap()).unwrap();
+                    (p, bytes.to_vec())
+                };
+                fs.walk_files("/prov").unwrap().into_iter().map(read).collect()
+            };
+            let recovered = image();
+            let second = recover_all(&fs, "/prov", Some(KEY));
+            prop_assert!(image() == recovered, "second pass moved bytes ({victim}, seed {seed})");
+            prop_assert_eq!(first.graph.len(), second.graph.len());
         }
     }
 }
