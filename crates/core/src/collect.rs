@@ -472,12 +472,7 @@ impl NetClient {
                     break 'batches;
                 }
                 st.stats.retries += 1;
-                let delay = if self.retry.jitter {
-                    prev_delay = self.retry.jittered_backoff(prev_delay, &mut st.jitter_rng);
-                    prev_delay
-                } else {
-                    self.retry.backoff_for(attempt)
-                };
+                let delay = self.retry.next_delay(attempt, &mut prev_delay, &mut st.jitter_rng);
                 self.clock.advance(SimDuration::from_nanos(delay));
             }
         }

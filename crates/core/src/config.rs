@@ -86,6 +86,19 @@ impl RetryPolicy {
             .clamp(lo.saturating_add(1), self.backoff_cap().max(lo + 1));
         lo + rng.below(hi - lo)
     }
+
+    /// The delay before the retry that follows failure number `failures`
+    /// (1-based): the decorrelated-jitter draw when `jitter` is on —
+    /// `prev` carries the last delay from one retry to the next — and the
+    /// exponential curve, which draws nothing from `rng`, otherwise.
+    pub fn next_delay(self, failures: u32, prev: &mut u64, rng: &mut DetRng) -> u64 {
+        if self.jitter {
+            *prev = self.jittered_backoff(*prev, rng);
+            *prev
+        } else {
+            self.backoff_for(failures)
+        }
+    }
 }
 
 /// What an asynchronous store does when its bounded intake queue is full

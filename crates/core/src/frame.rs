@@ -491,20 +491,39 @@ impl Encoder {
     }
 }
 
-/// The values of a marker line's `key=value` tokens, one slot per key in
-/// `keys` (the last occurrence wins). A line that does not open with
-/// `sigil`, or carries a token under no known key, is condemned whole.
-fn fields<'a, const N: usize>(
+/// The one key whose value is free text: it runs to the end of the line,
+/// spaces included, so a record that names a file lists the name last.
+const PATH_KEY: &str = "path=";
+
+/// The values of a record line's `key=value` tokens, one slot per key in
+/// `keys` (the last occurrence wins). Tokens are separated by any run of
+/// ASCII whitespace; [`PATH_KEY`] alone takes the rest of the line. A line
+/// that does not open with `sigil`, or carries a token under no known key,
+/// is condemned whole. Every line-oriented record the store writes — frame
+/// markers, parity payload lines, manifest and ledger lines — is read
+/// through here, so they share one token grammar.
+pub(crate) fn fields<'a, const N: usize>(
     line: &'a str,
     sigil: &str,
     keys: [&str; N],
 ) -> Option<[Option<&'a str>; N]> {
     let mut values = [None; N];
-    for tok in line.strip_prefix(sigil)?.split_ascii_whitespace() {
-        let slot = keys.iter().position(|key| tok.starts_with(key))?;
-        values[slot] = Some(&tok[keys[slot].len()..]);
+    let mut rest = line.strip_prefix(sigil)?;
+    loop {
+        rest = rest.trim_start_matches(|c: char| c.is_ascii_whitespace());
+        if rest.is_empty() {
+            return Some(values);
+        }
+        let slot = keys.iter().position(|key| rest.starts_with(key))?;
+        let value = &rest[keys[slot].len()..];
+        let end = if keys[slot] == PATH_KEY {
+            value.len()
+        } else {
+            value.find(|c: char| c.is_ascii_whitespace()).unwrap_or(value.len())
+        };
+        values[slot] = Some(&value[..end]);
+        rest = &value[end..];
     }
-    Some(values)
 }
 
 fn parse_header(line: &str) -> Option<(FrameKind, u64, u64, u32)> {
@@ -1232,6 +1251,69 @@ pub(crate) mod tests {
                 for (_, line) in decode_wal(&text, guid).records {
                     prop_assert!(text.lines().any(|l| l == line), "{line:?} forged from {text:?}");
                 }
+            }
+        }
+
+        /// ROADMAP 4(e) for the record lines: each of the eleven parsers
+        /// over [`fields`] reads its own record however widely the tokens
+        /// are spaced, and none panics on arbitrary bytes or on a record
+        /// whose tokens were dropped, doubled, swapped or cut short and
+        /// whose bytes were then flipped, spliced or truncated.
+        #[test]
+        fn record_line_parsers_never_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..120),
+            gaps in prop::collection::vec(1usize..4, 6..7),
+            token_ops in prop::collection::vec((0u8..4, any::<usize>()), 0..4),
+            ops in mutations(),
+        ) {
+            use crate::{scrub, verify};
+            let hex = "5a".repeat(32);
+            let [root, hmac, manifest] = ["root", "hmac", "manifest"].map(|key| format!("{key}={hex}"));
+            let path = "path=/p/a b.nt";
+            // (sigil, tokens — a free-text path last, did it parse)
+            type Record<'a> = (&'a str, Vec<&'a str>, fn(&str) -> bool);
+            let records: [Record; 11] = [
+                (MAGIC, vec!["kind=delta", "guid=00000000000000a1", "ordinal=3", "prev=000000ab"], |l| parse_header(l).is_some()),
+                (BATCH_SIGIL, vec!["lines=2", "crc=0badf00d"], |l| parse_batch_marker(l).is_some()),
+                (FOOTER_SIGIL, vec!["batches=2", "chain=0000beef", &root], |l| parse_footer(l).is_some()),
+                ("member", vec![&root, "offset=0", "len=9", "ord=4", path], |l| scrub::parse_member_line(l).is_some()),
+                ("data", vec!["len=4", "enc=raw", "term=1"], |l| scrub::parse_raw_header(l).is_some()),
+                ("data", vec!["len=4", "b64=cHJvdg=="], |l| scrub::parse_data_line(l).is_some()),
+                (verify::MANIFEST_MAGIC, vec!["run=00000000000000a1", "files=1", "ranks=1"], |l| verify::parse_manifest_header(l).is_some()),
+                ("file", vec![&root, "mode=merkle", "bytes=9", path], |l| verify::parse_file_line(l).is_some()),
+                ("rank", vec!["pid=7", "outcome=degraded", "triples=12"], |l| verify::parse_rank_line(l).is_some()),
+                ("sig", vec!["alg=hmac-sha256", "keyid=0a1b2c3d", &hmac], |l| verify::parse_sig_line(l).is_some()),
+                ("", vec!["run=00000000000000a1", &manifest, "prev=-"], |l| verify::parse_ledger_line(l).is_some()),
+            ];
+            let render = |sigil: &str, tokens: &[&str]| {
+                let mut line = sigil.to_string();
+                for (tok, gap) in tokens.iter().zip(&gaps) {
+                    line.push_str(&" ".repeat(*gap));
+                    line.push_str(tok);
+                }
+                line
+            };
+            let every = |text: &str| records.iter().for_each(|(.., parse)| { parse(text); });
+            every(&String::from_utf8_lossy(&bytes));
+            for (sigil, tokens, parse) in &records {
+                prop_assert!(parse(&render(sigil, tokens)), "{:?}", render(sigil, tokens));
+                let mut tokens = tokens.clone();
+                for &(kind, at) in &token_ops {
+                    let at = at % tokens.len().max(1);
+                    match kind {
+                        _ if tokens.is_empty() => {}
+                        0 => { tokens.remove(at); }
+                        1 => tokens.insert(at, tokens[at]),
+                        2 => tokens.swap(at, 0),
+                        _ => tokens[at] = &tokens[at][..tokens[at].len() / 2],
+                    }
+                }
+                let mut data = render(sigil, &tokens).into_bytes();
+                every(&String::from_utf8_lossy(&data));
+                for &(kind, a, b) in &ops {
+                    mutate(&mut data, kind, a, b);
+                }
+                every(&String::from_utf8_lossy(&data));
             }
         }
 

@@ -23,7 +23,7 @@ use provio_model::{Guid, NodeClass, Relation};
 use provio_mpi::RankOutcome;
 use provio_rdf::{ns, Graph};
 
-use crate::collect::DeliveryReport;
+use crate::collect::{DeliveryReport, NetStats};
 use crate::merge::MergeReport;
 use crate::scrub::ScrubReport;
 use crate::tracker::TrackSummary;
@@ -102,36 +102,14 @@ pub struct RunReport {
     /// over ranks (from [`TrackSummary::flush_retries`]). Non-zero with
     /// `degraded == false` means the retry policy absorbed real trouble.
     pub flush_retries: u64,
-    /// `true` once per-rank summaries carrying streaming counters were
-    /// attached (the run collected live, not just post-hoc).
-    pub streamed: bool,
-    /// Batches ranks offered to the streaming pipeline, summed.
-    pub net_sent: u64,
-    /// Batches the collector acked, summed.
-    pub net_acked: u64,
-    /// Retransmissions after timeouts, summed over ranks.
-    pub net_retries: u64,
-    /// Batches shed from the stream at full send buffers (still durable
-    /// in the rank stores — a stream gap, not provenance loss).
-    pub net_shed_batches: u64,
-    /// Batches still unacked when their rank finished (e.g. run ended
-    /// inside a partition). Every gap is accounted here: streamed-view
-    /// consumers know exactly how many batches only the durable stores
-    /// hold.
-    pub net_unacked: u64,
-    /// Batches the collector received (every copy off the fabric).
-    pub delivered_batches: u64,
-    /// Redeliveries the (rank, seq) watermark dropped — duplicates and
-    /// retransmissions, acked but never re-inserted.
-    pub duplicates_dropped: u64,
-    /// Fresh arrivals that overtook a predecessor on the fabric.
-    pub out_of_order_batches: u64,
-    /// Aggregator crashes during the run.
-    pub collector_crashes: u64,
-    /// Resyncs the aggregator performed from the rank-durable stores.
-    pub resyncs: u64,
-    /// Triples a resync recovered that streaming had not yet delivered.
-    pub resync_triples: u64,
+    /// Sender-side delivery counters, summed over ranks (all zero when the
+    /// run did not stream). `unacked_batches` accounts every gap: a
+    /// streamed-view consumer knows exactly how many batches only the
+    /// durable stores hold.
+    pub net: NetStats,
+    /// The aggregator's view of a streamed run; `None` until
+    /// [`Self::attach_delivery`] runs.
+    pub delivery: Option<DeliveryReport>,
 }
 
 impl RunReport {
@@ -199,26 +177,27 @@ impl RunReport {
     /// Attach per-rank tracking summaries: flush-retry counts always,
     /// plus the sender-side delivery counters when the run streamed.
     pub fn attach_summaries(&mut self, summaries: &[(u32, TrackSummary)]) {
-        self.flush_retries = summaries.iter().map(|(_, s)| s.flush_retries).sum();
-        self.net_sent = summaries.iter().map(|(_, s)| s.net_sent).sum();
-        self.net_acked = summaries.iter().map(|(_, s)| s.net_acked).sum();
-        self.net_retries = summaries.iter().map(|(_, s)| s.net_retries).sum();
-        self.net_shed_batches = summaries.iter().map(|(_, s)| s.net_shed_batches).sum();
-        self.net_unacked = summaries.iter().map(|(_, s)| s.net_unacked).sum();
-        if self.net_sent > 0 {
-            self.streamed = true;
-        }
+        let sum = |field: fn(&TrackSummary) -> u64| summaries.iter().map(|(_, s)| field(s)).sum::<u64>();
+        self.flush_retries = sum(|s| s.flush_retries);
+        self.net = NetStats {
+            sent_batches: sum(|s| s.net_sent),
+            acked_batches: sum(|s| s.net_acked),
+            retries: sum(|s| s.net_retries),
+            shed_batches: sum(|s| s.net_shed_batches),
+            shed_triples: sum(|s| s.net_shed_triples),
+            unacked_batches: sum(|s| s.net_unacked),
+        };
     }
 
     /// Attach the aggregator's view of a streamed run.
     pub fn attach_delivery(&mut self, report: &DeliveryReport) {
-        self.streamed = true;
-        self.delivered_batches = report.received_batches;
-        self.duplicates_dropped = report.duplicate_batches;
-        self.out_of_order_batches = report.out_of_order_batches;
-        self.collector_crashes = report.crashes;
-        self.resyncs = report.resyncs;
-        self.resync_triples = report.resync_triples;
+        self.delivery = Some(*report);
+    }
+
+    /// True when the run collected live, not just post-hoc: some rank
+    /// offered a batch to the stream, or an aggregator view is attached.
+    pub fn streamed(&self) -> bool {
+        self.net.sent_batches > 0 || self.delivery.is_some()
     }
 
     /// Ranks that completed every recorded superstep.
@@ -282,23 +261,24 @@ impl fmt::Display for RunReport {
         if self.flush_retries > 0 {
             write!(f, ", {} flush retries absorbed", self.flush_retries)?;
         }
-        if self.streamed {
+        if self.streamed() {
+            let delivery = self.delivery.unwrap_or_default();
             write!(
                 f,
                 "; stream: {}/{} batches acked, {} retries, {} duplicates \
                  dropped, {} out of order, {} shed, {} unacked (durable \
                  store owns the gap), {} collector crash(es), {} resync(s) \
                  recovering {} triples",
-                self.net_acked,
-                self.net_sent,
-                self.net_retries,
-                self.duplicates_dropped,
-                self.out_of_order_batches,
-                self.net_shed_batches,
-                self.net_unacked,
-                self.collector_crashes,
-                self.resyncs,
-                self.resync_triples,
+                self.net.acked_batches,
+                self.net.sent_batches,
+                self.net.retries,
+                delivery.duplicate_batches,
+                delivery.out_of_order_batches,
+                self.net.shed_batches,
+                self.net.unacked_batches,
+                delivery.crashes,
+                delivery.resyncs,
+                delivery.resync_triples,
             )?;
         }
         if self.scrub_repaired_files > 0 || self.scrub_unrecoverable > 0 {
@@ -688,9 +668,9 @@ mod tests {
         r2.attach_merge(2, &merge_report(2, 50));
         r2.attach_summaries(&[(0, s.clone()), (1, { s.flush_retries = 1; s })]);
         assert_eq!(r2.flush_retries, 4);
-        assert_eq!(r2.net_sent, 10);
-        assert_eq!(r2.net_unacked, 2);
-        assert!(r2.streamed);
+        assert_eq!(r2.net.sent_batches, 10);
+        assert_eq!(r2.net.unacked_batches, 2);
+        assert!(r2.streamed());
         r2.attach_delivery(&DeliveryReport {
             received_batches: 12,
             duplicate_batches: 3,

@@ -389,14 +389,9 @@ impl IoState {
                         // Jitter draws from the store's own seeded stream,
                         // so ranks tripped by one shared episode spread out
                         // instead of retrying in lockstep.
-                        let delay = if self.retry.jitter {
-                            prev_delay = self
-                                .retry
-                                .jittered_backoff(prev_delay, &mut self.retry_rng);
-                            prev_delay
-                        } else {
-                            self.retry.backoff_for(failures)
-                        };
+                        let delay = self
+                            .retry
+                            .next_delay(failures, &mut prev_delay, &mut self.retry_rng);
                         if let Some(clock) = charge {
                             clock.advance(SimDuration::from_nanos(delay));
                         }

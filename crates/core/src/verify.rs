@@ -156,88 +156,80 @@ struct ParsedManifest {
     signed_len: usize,
 }
 
+/// The manifest header's `(run, files, ranks)`.
+pub(crate) fn parse_manifest_header(line: &str) -> Option<(u64, usize, usize)> {
+    let [run, files, ranks] = frame::fields(line, MANIFEST_MAGIC, ["run=", "files=", "ranks="])?;
+    Some((
+        u64::from_str_radix(run?, 16).ok()?,
+        files?.parse().ok()?,
+        ranks?.parse().ok()?,
+    ))
+}
+
+pub(crate) fn parse_file_line(line: &str) -> Option<ManifestEntry> {
+    let [root, mode, bytes, path] =
+        frame::fields(line, "file ", ["root=", "mode=", "bytes=", "path="])?;
+    Some(ManifestEntry {
+        path: path?.to_string(),
+        root: frame::parse_hex32(root?)?,
+        merkle: match mode? {
+            "merkle" => true,
+            "raw" => false,
+            _ => return None,
+        },
+        bytes: bytes?.parse().ok()?,
+    })
+}
+
+pub(crate) fn parse_rank_line(line: &str) -> Option<RankEntry> {
+    let [pid, outcome, triples] = frame::fields(line, "rank ", ["pid=", "outcome=", "triples="])?;
+    Some(RankEntry {
+        pid: pid?.parse().ok()?,
+        degraded: match outcome? {
+            "finished" => false,
+            "degraded" => true,
+            _ => return None,
+        },
+        triples: triples?.parse().ok()?,
+    })
+}
+
+/// The signature line's `(alg, keyid, hmac)`.
+pub(crate) fn parse_sig_line(line: &str) -> Option<(&str, &str, &str)> {
+    let [alg, keyid, hmac] = frame::fields(line, "sig ", ["alg=", "keyid=", "hmac="])?;
+    Some((alg?, keyid?, hmac?))
+}
+
 fn parse_manifest(text: &str) -> Option<ParsedManifest> {
     // The signature is the last line; everything before it is signed.
     let sig_off = text.rfind("\nsig ")? + 1;
-    let tail = &text[sig_off..];
-    if tail.trim_end().contains('\n') {
+    let tail = text[sig_off..].trim_end();
+    if tail.contains('\n') {
         return None; // content after the signature line
     }
-    let (mut alg, mut keyid, mut hmac) = (None, None, None);
-    for tok in tail.trim_end().strip_prefix("sig ")?.split(' ') {
-        match tok.split_once('=')? {
-            ("alg", v) => alg = Some(v.to_string()),
-            ("keyid", v) => keyid = Some(v.to_string()),
-            ("hmac", v) => hmac = Some(v.to_string()),
-            _ => return None,
-        }
-    }
-    let body = &text[..sig_off];
-    let mut lines = body.lines();
-    let header = lines.next()?.strip_prefix(MANIFEST_MAGIC)?.trim_start();
-    let (mut run, mut nfiles, mut nranks) = (None, None, None);
-    for tok in header.split(' ') {
-        match tok.split_once('=')? {
-            ("run", v) => run = u64::from_str_radix(v, 16).ok(),
-            ("files", v) => nfiles = v.parse::<usize>().ok(),
-            ("ranks", v) => nranks = v.parse::<usize>().ok(),
-            _ => return None,
-        }
-    }
+    let (alg, keyid, hmac) = parse_sig_line(tail)?;
+    let mut lines = text[..sig_off].lines();
+    let (run, nfiles, nranks) = parse_manifest_header(lines.next()?)?;
     let mut manifest = Manifest {
-        run: run?,
+        run,
         files: Vec::new(),
         ranks: Vec::new(),
     };
     for line in lines {
-        if let Some(rest) = line.strip_prefix("file ") {
-            // `path=` is the last token and may contain spaces.
-            let at = rest.find(" path=")?;
-            let path = rest[at + " path=".len()..].to_string();
-            let (mut root, mut merkle, mut bytes) = (None, None, None);
-            for tok in rest[..at].split(' ') {
-                match tok.split_once('=')? {
-                    ("root", v) => root = frame::parse_hex32(v),
-                    ("mode", "merkle") => merkle = Some(true),
-                    ("mode", "raw") => merkle = Some(false),
-                    ("bytes", v) => bytes = v.parse::<u64>().ok(),
-                    _ => return None,
-                }
-            }
-            manifest.files.push(ManifestEntry {
-                path,
-                root: root?,
-                merkle: merkle?,
-                bytes: bytes?,
-            });
-        } else if let Some(rest) = line.strip_prefix("rank ") {
-            let (mut pid, mut degraded, mut triples) = (None, None, None);
-            for tok in rest.split(' ') {
-                match tok.split_once('=')? {
-                    ("pid", v) => pid = v.parse::<u32>().ok(),
-                    ("outcome", "finished") => degraded = Some(false),
-                    ("outcome", "degraded") => degraded = Some(true),
-                    ("triples", v) => triples = v.parse::<u64>().ok(),
-                    _ => return None,
-                }
-            }
-            manifest.ranks.push(RankEntry {
-                pid: pid?,
-                degraded: degraded?,
-                triples: triples?,
-            });
+        if line.starts_with("file ") {
+            manifest.files.push(parse_file_line(line)?);
         } else {
-            return None;
+            manifest.ranks.push(parse_rank_line(line)?);
         }
     }
-    if manifest.files.len() != nfiles? || manifest.ranks.len() != nranks? {
+    if manifest.files.len() != nfiles || manifest.ranks.len() != nranks {
         return None; // declared counts disagree with the lines present
     }
     Some(ParsedManifest {
         manifest,
-        alg: alg?,
-        keyid: keyid?,
-        hmac: hmac?,
+        alg: alg.to_string(),
+        keyid: keyid.to_string(),
+        hmac: hmac.to_string(),
         signed_len: sig_off,
     })
 }
@@ -332,21 +324,15 @@ pub struct Ledger {
     pub chained: bool,
 }
 
-fn parse_ledger_line(line: &str) -> Option<LedgerRecord> {
-    let (mut run, mut manifest, mut prev) = (None, None, None);
-    for tok in line.split(' ') {
-        match tok.split_once('=')? {
-            ("run", v) => run = u64::from_str_radix(v, 16).ok(),
-            ("manifest", v) => manifest = frame::parse_hex32(v),
-            ("prev", "-") => prev = Some(None),
-            ("prev", v) => prev = Some(Some(frame::parse_hex32(v)?)),
-            _ => return None,
-        }
-    }
+pub(crate) fn parse_ledger_line(line: &str) -> Option<LedgerRecord> {
+    let [run, manifest, prev] = frame::fields(line, "", ["run=", "manifest=", "prev="])?;
     Some(LedgerRecord {
-        run: run?,
-        manifest: manifest?,
-        prev: prev?,
+        run: u64::from_str_radix(run?, 16).ok()?,
+        manifest: frame::parse_hex32(manifest?)?,
+        prev: match prev? {
+            "-" => None,
+            v => Some(frame::parse_hex32(v)?),
+        },
     })
 }
 

@@ -75,7 +75,7 @@ fn main() {
     let live = sorted_graph_lines(&collector.graph());
     let post = sorted_graph_lines(&ground);
     assert_eq!(live, post, "live graph diverged from the post-hoc merge");
-    assert_eq!(report.net_unacked, 0, "every batch acked after the drain");
+    assert_eq!(report.net.unacked_batches, 0, "every batch acked after the drain");
     println!(
         "converged: live streamed graph == post-hoc merge ({} triples), \
          zero unacked batches",

@@ -106,13 +106,14 @@ fn hostile_fabric_with_partition_converges_to_post_hoc_merge() {
     assert!(triples > 0, "the run produced provenance");
 
     // The fabric actually misbehaved and the pipeline absorbed it.
-    assert!(report.net_retries > 0, "loss forced retransmissions");
+    let delivery = report.delivery.expect("run_streamed attaches the aggregator view");
+    assert!(report.net.retries > 0, "loss forced retransmissions");
     assert!(
-        report.duplicates_dropped > 0,
+        delivery.duplicate_batches > 0,
         "the (rank, seq) watermark dropped retransmitted/duplicated copies"
     );
-    assert_eq!(report.net_unacked, 0, "everything acked after the drain");
-    assert!(report.streamed);
+    assert_eq!(report.net.unacked_batches, 0, "everything acked after the drain");
+    assert!(report.streamed());
     for (_, s) in &summaries {
         assert!(s.net_sent > 0, "every rank streamed");
         assert_eq!(s.net_sent, s.net_acked, "at-least-once acked every batch");
@@ -130,15 +131,16 @@ fn aggregator_crash_resyncs_with_zero_acked_loss() {
     let (cluster, collector, report, _) = run_streamed(4, plan, Some(1));
 
     assert_converged(&cluster, &collector);
-    assert_eq!(report.collector_crashes, 1);
-    assert_eq!(report.resyncs, 1);
+    let delivery = report.delivery.expect("run_streamed attaches the aggregator view");
+    assert_eq!(delivery.crashes, 1);
+    assert_eq!(delivery.resyncs, 1);
     assert!(
-        report.resync_triples > 0,
+        delivery.resync_triples > 0,
         "resync recovered the crashed-away live view from the rank stores"
     );
     // Every gap is accounted: batches refused while down were retried and
     // acked afterwards; nothing is silently missing.
-    assert_eq!(report.net_unacked, 0);
+    assert_eq!(report.net.unacked_batches, 0);
     let delivery = collector.report();
     assert!(
         delivery.refused_batches > 0,
@@ -160,10 +162,10 @@ fn terminal_partition_is_accounted_not_lost() {
     let (cluster, collector, report, summaries) = run_streamed(2, plan, None);
 
     assert_eq!(collector.triples(), 0, "nothing crossed the partition");
-    assert!(report.net_unacked > 0, "the gap is visible, not silent");
+    assert!(report.net.unacked_batches > 0, "the gap is visible, not silent");
     assert_eq!(
-        report.net_sent,
-        report.net_unacked,
+        report.net.sent_batches,
+        report.net.unacked_batches,
         "every batch is accounted as still-buffered"
     );
     for (_, s) in &summaries {
@@ -204,13 +206,14 @@ fn seeded_netfault_sweep_converges() {
     let (cluster, collector, report, _) = run_streamed(4, plan, crash_after);
 
     assert_converged(&cluster, &collector);
-    assert_eq!(report.net_unacked, 0);
+    assert_eq!(report.net.unacked_batches, 0);
     if loss > 0.0 {
-        assert!(report.net_retries > 0);
+        assert!(report.net.retries > 0);
     }
     if crash != 0 {
-        assert_eq!(report.collector_crashes, 1);
-        assert_eq!(report.resyncs, 1);
+        let delivery = report.delivery.expect("run_streamed attaches the aggregator view");
+        assert_eq!(delivery.crashes, 1);
+        assert_eq!(delivery.resyncs, 1);
     }
 }
 
@@ -230,7 +233,7 @@ proptest! {
             .with_partition(PartitionEpisode::all(0, window_us * 1_000));
         let (cluster, collector, report, _) = run_streamed(2, plan, None);
         assert_converged(&cluster, &collector);
-        prop_assert_eq!(report.net_unacked, 0);
+        prop_assert_eq!(report.net.unacked_batches, 0);
     }
 
     /// Duplication and reordering are idempotent: the streamed graph is
@@ -249,7 +252,7 @@ proptest! {
             .with_ack_loss(ack_loss);
         let (cluster, collector, report, _) = run_streamed(2, plan, None);
         assert_converged(&cluster, &collector);
-        prop_assert_eq!(report.net_unacked, 0);
-        prop_assert_eq!(report.net_sent, report.net_acked);
+        prop_assert_eq!(report.net.unacked_batches, 0);
+        prop_assert_eq!(report.net.sent_batches, report.net.acked_batches);
     }
 }
