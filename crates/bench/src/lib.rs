@@ -1,9 +1,9 @@
 //! `provio-bench` — the evaluation harness.
 //!
-//! One runner per paper artifact (every figure and table of §6), shared by
-//! `provio experiments` and the criterion benches. Each runner returns
-//! a [`report::Report`] that renders as an aligned text table and saves as
-//! JSON, so EXPERIMENTS.md numbers are regenerable and diffable.
+//! One runner per paper artifact (every figure and table of §6), run by
+//! `provio experiments`. Each runner returns a [`report::Report`] that
+//! renders as an aligned text table and saves as JSON, so EXPERIMENTS.md
+//! numbers are regenerable and diffable.
 //!
 //! Experiments accept a [`Scale`]: `Quick` is a minutes-scale sweep with
 //! the same *shape* as the paper's (same axes, same ratios of parameters);

@@ -80,10 +80,11 @@ impl RetryPolicy {
     /// episode stop retrying in lockstep while the expected delay still
     /// grows geometrically.
     pub fn jittered_backoff(self, prev: u64, rng: &mut DetRng) -> u64 {
-        let lo = self.backoff_ns.max(1);
+        // `lo` stops one short of `u64::MAX` so `[lo, hi)` is never empty.
+        let lo = self.backoff_ns.clamp(1, u64::MAX - 1);
         let hi = prev
             .saturating_mul(3)
-            .clamp(lo.saturating_add(1), self.backoff_cap().max(lo + 1));
+            .clamp(lo + 1, self.backoff_cap().max(lo + 1));
         lo + rng.below(hi - lo)
     }
 
@@ -147,8 +148,8 @@ pub struct ProvIoConfig {
     /// time. The paper attributes most tracking overhead "to the latency of
     /// Redland" (§6.2); our in-memory insert is far faster than Redland
     /// librdf's, so this constant restores the paper's cost ratio. Set to 0
-    /// to measure this implementation's native overhead (the
-    /// `tracking_micro` bench does both).
+    /// to measure this implementation's native overhead (the pipeline
+    /// benchmark in `benchmark/` runs every workload that way).
     pub record_latency_ns: u64,
     /// Retry/backoff behavior of the durable store writer.
     pub retry: RetryPolicy,
@@ -737,6 +738,10 @@ mod tests {
         let z = RetryPolicy { max_attempts: 2, backoff_ns: 0, jitter: true };
         let mut rng = DetRng::new(1);
         assert!(z.jittered_backoff(0, &mut rng) >= 1);
+        // Nor does the largest base `from_ini` accepts: the range
+        // saturates but stays non-empty.
+        let m = ProvIoConfig::from_ini("retry_backoff_ns = 18446744073709551615\nretry_jitter = true").unwrap();
+        assert_eq!(m.retry.jittered_backoff(m.retry.backoff_ns, &mut rng), u64::MAX - 1);
     }
 
     #[test]

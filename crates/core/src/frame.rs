@@ -224,63 +224,29 @@ pub fn encode_with_root(
     payload: &str,
     batch_lines: usize,
 ) -> (String, u32, [u8; 32]) {
-    use std::fmt::Write as _;
-    let header = header_line(kind, guid, ordinal, prev);
-    let chain = crc32(header.as_bytes());
     let batch_lines = batch_lines.max(1);
-    let mut out = String::with_capacity(payload.len() + payload.len() / 16 + 128);
-    out.push_str(&header);
-    out.push('\n');
-    // One pass over the payload bytes: walk `batch_lines` line boundaries,
-    // CRC the covered slice in place, and copy it into the output exactly
-    // once (the CRC is over each line's bytes *with* a trailing '\n', so a
-    // payload whose last line lacks one checksums as if it were there).
-    let bytes = payload.as_bytes();
-    let mut batches = 0usize;
-    let mut leaves: Vec<u32> = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let start = pos;
-        let mut lines = 0usize;
-        let mut missing_final_newline = false;
-        while pos < bytes.len() && lines < batch_lines {
-            debug_assert!(
-                !bytes[pos..].starts_with(b"#~"),
-                "payload line collides with the reserved frame sigil"
-            );
-            match bytes[pos..].iter().position(|&b| b == b'\n') {
-                Some(nl) => pos += nl + 1,
-                None => {
-                    pos = bytes.len();
-                    missing_final_newline = true;
-                }
-            }
+    let mut enc = Encoder::new(kind, guid, ordinal, prev);
+    enc.reserve(payload.len());
+    let mut rest = payload;
+    while !rest.is_empty() {
+        let (mut end, mut lines) = (0, 0);
+        while end < rest.len() && lines < batch_lines {
+            end = rest[end..].find('\n').map_or(rest.len(), |nl| end + nl + 1);
             lines += 1;
         }
-        let body = &payload[start..pos];
-        let crc = if missing_final_newline {
-            let mut h = crc32fast::Hasher::new();
-            h.update(body.as_bytes());
-            h.update(b"\n");
-            h.finalize()
+        let (block, tail) = rest.split_at(end);
+        // A payload whose last line lacks its '\n' frames (and checksums)
+        // as if it were there.
+        if block.ends_with('\n') {
+            enc.batch_block(block, lines);
         } else {
-            crc32(body.as_bytes())
-        };
-        let _ = writeln!(out, "{BATCH_SIGIL} lines={lines} crc={crc:08x}");
-        out.push_str(body);
-        if missing_final_newline {
-            out.push('\n');
+            enc.batch_block(&format!("{block}\n"), lines);
         }
-        leaves.push(crc);
-        batches += 1;
+        rest = tail;
     }
-    let root = merkle_root(&leaves);
-    let _ = writeln!(
-        out,
-        "{FOOTER_SIGIL} batches={batches} chain={chain:08x} root={}",
-        sha2::hex(&root)
-    );
-    (out, chain, root)
+    let (bytes, chain, root) = enc.finish_with_root();
+    let text = String::from_utf8(bytes).expect("a frame is its UTF-8 payload between ASCII marker lines");
+    (text, chain, root)
 }
 
 /// Fold per-batch CRC-32 values into a SHA-256 Merkle root: each leaf is
@@ -382,13 +348,11 @@ fn cuts(text: &str) -> impl Iterator<Item = Cut<'_>> {
     })
 }
 
-/// Streaming framer for the store's hot write path. Where [`encode`] takes
-/// a fully rendered payload and re-scans it (an extra validation pass, a
-/// newline scan, a CRC pass, and a copy — all over a cold megabyte blob),
-/// the encoder takes payload *lines* batch-by-batch while the serializer
-/// just produced them: the CRC and the copy run over cache-hot strings, and
-/// the framed bytes are assembled exactly once. Output is byte-identical to
-/// [`encode`] for the same payload and batching.
+/// The one writer of the PROVIO1 format. The store's hot write path feeds
+/// it payload *lines* batch by batch while the serializer just produced
+/// them, so the CRC and the copy run over cache-hot strings and the framed
+/// bytes are assembled exactly once; [`encode`] is the same encoder driven
+/// from an already rendered payload.
 pub struct Encoder {
     out: Vec<u8>,
     chain: u32,
@@ -996,8 +960,11 @@ pub(crate) mod tests {
                 enc.batch(chunk);
             }
             let (streamed, chain) = enc.finish();
-            assert_eq!(streamed, blob.into_bytes(), "batch_lines={batch_lines}");
+            assert_eq!(streamed, blob.as_bytes(), "batch_lines={batch_lines}");
             assert_eq!(chain, blob_chain);
+            // A last line without its '\n' frames as if it had one.
+            let torn = PAYLOAD.trim_end_matches('\n');
+            assert_eq!(encode(FrameKind::Delta, guid, 5, 0x1234_5678, torn, batch_lines).0, blob);
         }
         // Zero batches (empty payload) also matches.
         let (empty, _) = encode(FrameKind::Snapshot, guid, 0, CHAIN_START, "", 64);
@@ -1314,6 +1281,50 @@ pub(crate) mod tests {
                     mutate(&mut data, kind, a, b);
                 }
                 every(&String::from_utf8_lossy(&data));
+            }
+        }
+
+        /// ROADMAP 6(b), the text decoders above the store: the ini
+        /// reader, both RDF parsers and the SPARQL parser take arbitrary
+        /// bytes, and a valid document flipped, spliced, truncated or with a
+        /// line doubled, without panicking.
+        #[test]
+        fn text_decoders_never_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..160),
+            ops in mutations(),
+        ) {
+            use provio_rdf::{ntriples, turtle, Graph};
+            const INI: &str = "[provio]\nstore_dir = /provio\nformat = ntriples\npolicy = every:100\nasync = false\n\
+                preset = h5bench_2\ntrack = file, dataset\nuntrack = duration\nretry_max_attempts = 4\n\
+                retry_backoff_ns = 1000\nretry_jitter = true\noverload_policy = shed\nqueue_capacity = 8\n\
+                checksum_format = true\nwal = true\nwal_group = 8\nnet = true\nnet_timeout_ns = 5000\n\
+                parity = true\nparity_group = 3\nmanifest = true\nmanifest_key = k\nworkflow_type = dl\n";
+            const NT: &str = "<urn:a> <urn:p> \"q\\\"\\n\\u00e9\"^^<http://www.w3.org/2001/XMLSchema#string> .\n\
+                _:b0 <urn:p> \"hi\"@en-GB .\n# note\n<urn:a> <urn:q> _:b0 .\n";
+            const TTL: &str = "@prefix ex: <urn:ex#> .\n# note\nex:a a ex:T ;\n    ex:p \"x\\t\\u00e9\"@en , 4 , -2.5e3 , true ;\n\
+                ex:q <urn:rel> , _:n .\n_:n ex:p \"7\"^^ex:int .\n";
+            const RQ: &str = "PREFIX ex: <urn:ex#>\nSELECT DISTINCT ?a (COUNT(DISTINCT ?b) AS ?n) WHERE {\n\
+                ?a a ex:T ; (ex:p)+ ?b , \"x\" .\n  ?a ^ex:r/<urn:s>* ?c .\n\
+                FILTER(?c >= 3 && (!(?c = 7.5) || REGEX(?b, \"^u\")) && STRSTARTS(?b, \"u\") && BOUND(?a))\n\
+                } GROUP BY ?a ORDER BY DESC(?n) ?a LIMIT 5 OFFSET 1\n";
+            let every = |text: &str| {
+                let _ = crate::config::ProvIoConfig::from_ini(text);
+                let _ = ntriples::parse(text);
+                ntriples::parse_lenient_prefix(text, &mut Graph::new());
+                let _ = turtle::parse(text);
+                let _ = provio_sparql::Query::parse(text);
+            };
+            prop_assert!(crate::config::ProvIoConfig::from_ini(INI).is_ok());
+            prop_assert!(ntriples::parse(NT).is_ok(), "{:?}", ntriples::parse(NT).err());
+            prop_assert!(turtle::parse(TTL).is_ok(), "{:?}", turtle::parse(TTL).err());
+            prop_assert!(provio_sparql::Query::parse(RQ).is_ok(), "{:?}", provio_sparql::Query::parse(RQ).err());
+            every(&String::from_utf8_lossy(&bytes));
+            for doc in [INI, NT, TTL, RQ] {
+                let mut data = doc.as_bytes().to_vec();
+                for &(kind, a, b) in &ops {
+                    mutate(&mut data, kind, a, b);
+                    every(&String::from_utf8_lossy(&data));
+                }
             }
         }
 

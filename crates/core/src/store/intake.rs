@@ -4,12 +4,17 @@
 use crate::config::OverloadPolicy;
 use parking_lot::{Condvar, Mutex};
 
-/// The shared background writer pool.
+/// The shared background writer pool: one FIFO job queue, drained by
+/// [`pool::workers`] threads that live as long as the process.
 pub(super) mod pool {
-    use crossbeam::channel::{unbounded, Sender};
-    use std::sync::OnceLock;
+    use super::{Condvar, Mutex};
+    use std::collections::VecDeque;
+    use std::sync::Once;
 
     pub type Job = Box<dyn FnOnce() + Send>;
+
+    static QUEUE: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
+    static READY: Condvar = Condvar::new();
 
     /// Size of the shared pool (also how many jobs a test must park to
     /// deterministically wedge every worker).
@@ -19,29 +24,31 @@ pub(super) mod pool {
             .unwrap_or(2)
     }
 
-    fn sender() -> &'static Sender<Job> {
-        static TX: OnceLock<Sender<Job>> = OnceLock::new();
-        TX.get_or_init(|| {
-            let (tx, rx) = unbounded::<Job>();
-            let workers = workers();
-            for i in 0..workers {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("provio-store-{i}"))
-                    .stack_size(512 * 1024)
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn provenance store pool worker");
+    fn next_job() -> Job {
+        let mut queue = QUEUE.lock();
+        loop {
+            if let Some(job) = queue.pop_front() {
+                return job;
             }
-            tx
-        })
+            READY.wait(&mut queue);
+        }
     }
 
     pub fn submit(job: Job) {
-        let _ = sender().send(job);
+        static SPAWN: Once = Once::new();
+        SPAWN.call_once(|| {
+            for i in 0..workers() {
+                std::thread::Builder::new()
+                    .name(format!("provio-store-{i}"))
+                    .stack_size(512 * 1024)
+                    .spawn(|| loop {
+                        next_job()();
+                    })
+                    .expect("spawn provenance store pool worker");
+            }
+        });
+        QUEUE.lock().push_back(job);
+        READY.notify_one();
     }
 }
 

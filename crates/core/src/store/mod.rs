@@ -851,6 +851,11 @@ impl ProvenanceStore {
         self
     }
 
+    /// Does this store keep a write-ahead journal ([`Self::with_wal`])?
+    pub(crate) fn journaled(&self) -> bool {
+        self.journaled
+    }
+
     /// Maintain XOR parity over committed artifacts in groups of `group`
     /// (clamped up to 1): every full group seals a `<path>.pNNNNNN.par`
     /// file from which [`crate::scrub`] can reconstruct any single lost

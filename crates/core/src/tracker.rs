@@ -354,10 +354,13 @@ impl ProvTracker {
     /// Arm live streaming: every flushed batch is journal-synced and
     /// then offered to `client`. First attachment wins — a tracker
     /// streams to one collector for its whole life, so sequence numbers
-    /// stay meaningful.
+    /// stay meaningful. A tracker whose store keeps no journal stays
+    /// inert: with nothing to sync, the collector's acks would vouch for
+    /// records only this process holds (`net` requires `wal`, whichever
+    /// way the config was built).
     pub fn attach_net(&self, client: Arc<NetClient>) {
         let mut net = self.net.lock();
-        if net.is_none() {
+        if net.is_none() && self.store.journaled() {
             *net = Some(client);
         }
     }

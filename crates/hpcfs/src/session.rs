@@ -74,11 +74,6 @@ impl OpenFlags {
         self.append = true;
         self
     }
-
-    pub fn with_excl(mut self) -> Self {
-        self.excl = true;
-        self
-    }
 }
 
 /// lseek whence.
@@ -331,16 +326,6 @@ impl FsSession {
     /// pwrite(2).
     pub fn pwrite(&self, fd: Fd, offset: u64, data: &[u8]) -> FsResult<u64> {
         self.write_impl(fd, WritePayload::Real(data), SyscallKind::Pwrite, Some(offset))
-    }
-
-    /// pwrite of synthetic bytes.
-    pub fn pwrite_synthetic(&self, fd: Fd, offset: u64, len: u64) -> FsResult<u64> {
-        self.write_impl(
-            fd,
-            WritePayload::Synthetic(len),
-            SyscallKind::Pwrite,
-            Some(offset),
-        )
     }
 
     fn write_impl(

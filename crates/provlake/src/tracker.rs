@@ -95,7 +95,7 @@ struct State {
 /// Modeled latency of pushing one step record to the collector service
 /// (ProvLake POSTs JSON over HTTP; PROV-IO's Redland-insert analog is
 /// `provio_core::config::DEFAULT_RECORD_LATENCY_NS`).
-pub const DEFAULT_PUSH_LATENCY_NS: u64 = 2_500_000;
+pub const PUSH_LATENCY_NS: u64 = 2_500_000;
 
 /// Process-oriented provenance capture for one workflow execution.
 pub struct ProvLakeTracker {
@@ -104,7 +104,6 @@ pub struct ProvLakeTracker {
     workflow: String,
     instance: u64,
     clock: VirtualClock,
-    push_latency_ns: u64,
     state: Mutex<State>,
 }
 
@@ -129,7 +128,6 @@ impl ProvLakeTracker {
             workflow: workflow.into(),
             instance,
             clock,
-            push_latency_ns: DEFAULT_PUSH_LATENCY_NS,
             state: Mutex::new(State {
                 workflow_attributes: BTreeMap::new(),
                 open_tasks: BTreeMap::new(),
@@ -148,7 +146,7 @@ impl ProvLakeTracker {
         // Attribute registration is a client-library call that round-trips
         // to the collector, like any other ProvLake API interaction.
         self.clock
-            .advance(provio_simrt::SimDuration::from_nanos(self.push_latency_ns));
+            .advance(provio_simrt::SimDuration::from_nanos(PUSH_LATENCY_NS));
         self.state
             .lock()
             .workflow_attributes
@@ -175,14 +173,6 @@ impl ProvLakeTracker {
         TaskHandle(id)
     }
 
-    /// Attach an input value to a step.
-    pub fn task_input(&self, task: TaskHandle, key: &str, value: &str) {
-        let _g = ChargeGuard::new(&self.clock);
-        if let Some(t) = self.state.lock().open_tasks.get_mut(&task.0) {
-            t.inputs.insert(key.to_string(), value.to_string());
-        }
-    }
-
     /// Attach an output value (e.g. the epoch's accuracy) to a step.
     pub fn task_output(&self, task: TaskHandle, key: &str, value: &str) {
         let _g = ChargeGuard::new(&self.clock);
@@ -191,17 +181,11 @@ impl ProvLakeTracker {
         }
     }
 
-    /// Override the modeled collector push latency (0 disables it).
-    pub fn with_push_latency_ns(mut self, ns: u64) -> Self {
-        self.push_latency_ns = ns;
-        self
-    }
-
     /// End a step: the full record (with duplicated workflow context) is
     /// serialized immediately, like ProvLake pushing to its collector.
     pub fn end_task(&self, task: TaskHandle) {
         let _g = ChargeGuard::new(&self.clock);
-        self.clock.advance(provio_simrt::SimDuration::from_nanos(self.push_latency_ns));
+        self.clock.advance(provio_simrt::SimDuration::from_nanos(PUSH_LATENCY_NS));
         let mut st = self.state.lock();
         let Some(t) = st.open_tasks.remove(&task.0) else {
             return;

@@ -138,27 +138,6 @@ fn render_lines<'a>(
         .collect()
 }
 
-/// Write one triple as a single N-Triples line.
-pub fn write_triple<W: std::io::Write>(
-    out: &mut W,
-    t: &Triple,
-) -> std::io::Result<()> {
-    writeln!(
-        out,
-        "{} {} {} .",
-        subject_str(&t.subject),
-        t.predicate,
-        render_term(&t.object)
-    )
-}
-
-fn subject_str(s: &Subject) -> String {
-    match s {
-        Subject::Iri(i) => i.to_string(),
-        Subject::Blank(b) => b.to_string(),
-    }
-}
-
 /// Render a term's N-Triples spelling (any position: N-Triples spells a
 /// term identically as subject, predicate, or object).
 pub fn render_term(t: &Term) -> String {

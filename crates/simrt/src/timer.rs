@@ -14,9 +14,6 @@ use std::time::Instant;
 pub struct ChargeGuard<'a> {
     clock: &'a VirtualClock,
     start: Instant,
-    /// Multiplier applied to the measured time (×1000 fixed-point). Used by
-    /// ablation benches to explore "what if tracking were N× slower".
-    scale_milli: u64,
 }
 
 impl<'a> ChargeGuard<'a> {
@@ -24,17 +21,6 @@ impl<'a> ChargeGuard<'a> {
         ChargeGuard {
             clock,
             start: Instant::now(),
-            scale_milli: 1000,
-        }
-    }
-
-    /// A guard that charges `scale`× the measured time.
-    pub fn scaled(clock: &'a VirtualClock, scale: f64) -> Self {
-        debug_assert!(scale >= 0.0);
-        ChargeGuard {
-            clock,
-            start: Instant::now(),
-            scale_milli: (scale * 1000.0) as u64,
         }
     }
 }
@@ -42,16 +28,8 @@ impl<'a> ChargeGuard<'a> {
 impl Drop for ChargeGuard<'_> {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed().as_nanos() as u64;
-        let charged = (elapsed as u128 * self.scale_milli as u128 / 1000) as u64;
-        self.clock.advance(SimDuration::from_nanos(charged));
+        self.clock.advance(SimDuration::from_nanos(elapsed));
     }
-}
-
-/// Measure a closure's real time and charge it to `clock`, returning the
-/// closure's result.
-pub fn charge_real<T>(clock: &VirtualClock, f: impl FnOnce() -> T) -> T {
-    let _g = ChargeGuard::new(clock);
-    f()
 }
 
 #[cfg(test)]
@@ -71,47 +49,5 @@ mod tests {
             std::hint::black_box(x);
         }
         assert!(c.now().as_nanos() > 0);
-    }
-
-    #[test]
-    fn charge_real_returns_value() {
-        let c = VirtualClock::new();
-        let v = charge_real(&c, || 41 + 1);
-        assert_eq!(v, 42);
-        assert!(c.now().as_nanos() > 0);
-    }
-
-    #[test]
-    fn zero_scale_charges_nothing() {
-        let c = VirtualClock::new();
-        {
-            let _g = ChargeGuard::scaled(&c, 0.0);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(c.now().as_nanos(), 0);
-    }
-
-    #[test]
-    fn scaled_guard_multiplies() {
-        let c1 = VirtualClock::new();
-        let c2 = VirtualClock::new();
-        let work = || {
-            let mut x = 0u64;
-            for i in 0..100_000u64 {
-                x = x.wrapping_mul(31).wrapping_add(i);
-            }
-            std::hint::black_box(x);
-        };
-        {
-            let _g = ChargeGuard::scaled(&c1, 1.0);
-            work();
-        }
-        {
-            let _g = ChargeGuard::scaled(&c2, 10.0);
-            work();
-        }
-        // Not an exact ratio (separate measurements) but 10x scale should
-        // clearly dominate.
-        assert!(c2.now().as_nanos() > c1.now().as_nanos());
     }
 }

@@ -61,11 +61,6 @@ impl Solutions {
         self.rows.is_empty()
     }
 
-    /// The values bound to `var` across all rows.
-    pub fn column(&self, var: &str) -> Vec<&Term> {
-        self.rows.iter().filter_map(|r| r.get(var)).collect()
-    }
-
     /// Render as an aligned text table (used by the experiment harness).
     pub fn to_table(&self) -> String {
         let mut widths: Vec<usize> = self.vars.iter().map(|v| v.len() + 1).collect();

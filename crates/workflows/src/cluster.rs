@@ -202,8 +202,18 @@ mod tests {
         let (_s, h5) = c.process(3, "carol", "quiet-wire", VirtualClock::new(), Some(&cfg));
         let f = h5.create_file("/q.h5").unwrap();
         h5.close_file(f).unwrap();
+        // Config built with net but no wal (`from_ini` rejects the pair;
+        // the builders cannot): acks would outrun durability, so the
+        // tracker refuses the client and nothing is streamed either.
+        let cfg = ProvIoConfig::default().with_net(true, 1_000_000).shared();
+        let (_s, h5) = c.process(4, "dave", "no-journal", VirtualClock::new(), Some(&cfg));
+        let f = h5.create_file("/r.h5").unwrap();
+        h5.close_file(f).unwrap();
         let summaries = c.registry.finish_all();
-        assert_eq!(summaries[0].1.net_sent, 0);
+        assert_eq!(summaries.len(), 2);
+        for (_, summary) in &summaries {
+            assert_eq!(summary.net_sent, 0);
+        }
         assert_eq!(collector.triples(), 0);
     }
 
