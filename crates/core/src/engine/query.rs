@@ -6,9 +6,9 @@
 //! derived from every object its producing program read.
 
 use provio_model::{ontology, ActivityClass, AgentClass, EntityClass, Guid, Relation};
-use provio_rdf::{ns, Graph, Iri, Literal, Subject, Term, Triple};
+use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Literal, Subject, Term, TermId, Triple};
 use provio_sparql::{Query, QueryError, Solutions};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Query engine over a (merged) provenance graph.
 pub struct ProvQueryEngine {
@@ -60,72 +60,71 @@ impl ProvQueryEngine {
     /// Saturate the graph with `prov:wasDerivedFrom` edges between data
     /// objects: for every program, everything it wrote derives from
     /// everything it read (the inference behind the paper's backward
-    /// lineage walk, §6.5).
+    /// lineage walk, §6.5). The edges are materialized — one per (output,
+    /// input) pair of each program — because `wasDerivedFrom+` queries and
+    /// the lineage walks read them from the graph; the cost is that of
+    /// writing them, at id speed: programs, inputs and outputs are
+    /// gathered as term ids from the predicate index, and the edges go in
+    /// by id in (program, output, input) order, so two engines over the
+    /// same graph end up with the same insertion order.
     ///
     /// Returns the number of derivation edges added.
     pub fn derive_lineage(&mut self) -> usize {
-        // program → (inputs, outputs)
-        let mut io_by_program: HashMap<Guid, (HashSet<Guid>, HashSet<Guid>)> = HashMap::new();
+        let g = &self.graph;
+        let predicate = |rel: Relation| Some(g.term_id(&Term::iri(rel.iri())));
+        let is_guid = |id: TermId| g.term(id).as_iri().and_then(Guid::from_iri).is_some();
 
         // Entities relate to activities via wasReadBy / wasWrittenBy /
         // wasCreatedBy …; activities relate to programs via
         // wasAssociatedWith.
-        let assoc = Iri::new(Relation::WasAssociatedWith.iri());
-        let mut program_of_activity: HashMap<Term, Guid> = HashMap::new();
-        for t in self.graph.match_pattern(
-            &provio_rdf::TriplePattern::any().with_predicate(assoc.clone()),
-        ) {
-            if let Some(g) = t.object.as_iri().and_then(Guid::from_iri) {
-                program_of_activity.insert(Term::from(t.subject), g);
+        let mut program_of: IdMap<TermId, TermId> = IdMap::default();
+        for (activity, _, program) in
+            g.match_ids(None, predicate(Relation::WasAssociatedWith), None)
+        {
+            if is_guid(program) {
+                program_of.insert(activity, program);
             }
         }
 
-        let read_like = [Relation::WasReadBy, Relation::WasOpenedBy];
-        let write_like = [
+        // (program, entity) pairs: what each program read, what it wrote.
+        let io_of = |rels: &[Relation]| {
+            let mut pairs: Vec<(TermId, TermId)> = Vec::new();
+            for &rel in rels {
+                for (entity, _, activity) in g.match_ids(None, predicate(rel), None) {
+                    if let Some(&program) = program_of.get(&activity) {
+                        if is_guid(entity) {
+                            pairs.push((program, entity));
+                        }
+                    }
+                }
+            }
+            pairs.sort_unstable();
+            pairs.dedup();
+            pairs
+        };
+        let inputs = io_of(&[Relation::WasReadBy, Relation::WasOpenedBy]);
+        let outputs = io_of(&[
             Relation::WasWrittenBy,
             Relation::WasCreatedBy,
             Relation::WasFlushedBy,
             Relation::WasModifiedBy,
-        ];
-        for (rels, is_input) in [(&read_like[..], true), (&write_like[..], false)] {
-            for rel in rels {
-                let p = Iri::new(rel.iri());
-                for t in self
-                    .graph
-                    .match_pattern(&provio_rdf::TriplePattern::any().with_predicate(p))
-                {
-                    let Some(entity) = t.subject.as_iri().and_then(Guid::from_iri) else {
-                        continue;
-                    };
-                    let Some(program) = program_of_activity.get(&t.object) else {
-                        continue;
-                    };
-                    let slot = io_by_program
-                        .entry(program.clone())
-                        .or_default();
-                    if is_input {
-                        slot.0.insert(entity);
-                    } else {
-                        slot.1.insert(entity);
-                    }
-                }
-            }
+        ]);
+        if inputs.is_empty() || outputs.is_empty() {
+            return 0;
         }
 
-        let derived = Iri::new(Relation::WasDerivedFrom.iri());
+        let derived = self
+            .graph
+            .intern(&Term::iri(Relation::WasDerivedFrom.iri()));
         let mut added = 0;
-        for (_program, (inputs, outputs)) in io_by_program {
-            for out in &outputs {
-                for inp in &inputs {
-                    if out == inp {
-                        continue;
-                    }
-                    let t = Triple::new(
-                        out.to_subject(),
-                        derived.clone(),
-                        Term::Iri(inp.to_iri()),
-                    );
-                    if self.graph.insert(&t) {
+        for outs in outputs.chunk_by(|a, b| a.0 == b.0) {
+            let program = outs[0].0;
+            let ins = &inputs[inputs.partition_point(|p| p.0 < program)
+                ..inputs.partition_point(|p| p.0 <= program)];
+            self.graph.reserve(outs.len() * ins.len());
+            for &(_, out) in outs {
+                for &(_, inp) in ins {
+                    if out != inp && self.graph.insert_ids(out, derived, inp) {
                         added += 1;
                     }
                 }
@@ -137,17 +136,40 @@ impl ProvQueryEngine {
     /// Transitive backward lineage of an entity (BFS over
     /// `prov:wasDerivedFrom`), nearest first.
     pub fn backward_lineage(&self, entity: &Guid) -> Vec<Guid> {
-        let derived = Iri::new(Relation::WasDerivedFrom.iri());
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([entity.clone()]);
+        self.derivation_walk(entity, |g, derived, cur| {
+            g.match_ids(Some(Some(cur)), Some(Some(derived)), None)
+                .into_iter()
+                .map(|(_, _, o)| o)
+                .collect()
+        })
+    }
+
+    /// Breadth-first over `prov:wasDerivedFrom` from `entity`, on term
+    /// ids; `step(graph, derived, node)` lists the nodes one edge away. A
+    /// `Guid` is built only for a node that is returned.
+    fn derivation_walk(
+        &self,
+        entity: &Guid,
+        step: impl Fn(&Graph, TermId, TermId) -> Vec<TermId>,
+    ) -> Vec<Guid> {
+        let g = &self.graph;
+        let (Some(derived), Some(start)) = (
+            g.term_id(&Term::iri(Relation::WasDerivedFrom.iri())),
+            g.term_id(&Term::Iri(entity.to_iri())),
+        ) else {
+            return Vec::new();
+        };
+        let mut seen: IdSet<TermId> = IdSet::default();
+        let mut queue = VecDeque::from([start]);
         let mut out = Vec::new();
         while let Some(cur) = queue.pop_front() {
-            for obj in self.graph.objects(&cur.to_subject(), &derived) {
-                if let Some(g) = obj.as_iri().and_then(Guid::from_iri) {
-                    if seen.insert(g.clone()) {
-                        out.push(g.clone());
-                        queue.push_back(g);
-                    }
+            for next in step(g, derived, cur) {
+                if !seen.insert(next) {
+                    continue;
+                }
+                if let Some(guid) = g.term(next).as_iri().and_then(Guid::from_iri) {
+                    out.push(guid);
+                    queue.push_back(next);
                 }
             }
         }
@@ -294,25 +316,15 @@ impl ProvQueryEngine {
     /// (impact analysis — "which products must be regenerated if this
     /// input was bad?").
     pub fn forward_lineage(&self, entity: &Guid) -> Vec<Guid> {
-        let derived = Iri::new(Relation::WasDerivedFrom.iri());
-        let mut seen = HashSet::new();
-        let mut queue = VecDeque::from([entity.clone()]);
-        let mut out = Vec::new();
-        while let Some(cur) = queue.pop_front() {
-            for subj in self
-                .graph
-                .subjects_with(&derived, &Term::Iri(cur.to_iri()))
-            {
-                let Subject::Iri(i) = subj else { continue };
-                if let Some(g) = Guid::from_iri(&i) {
-                    if seen.insert(g.clone()) {
-                        out.push(g.clone());
-                        queue.push_back(g);
-                    }
-                }
-            }
-        }
-        out
+        // Through the object index: a node's incoming edges, not every
+        // derivation edge of the graph.
+        self.derivation_walk(entity, |g, derived, cur| {
+            g.match_ids(None, None, Some(Some(cur)))
+                .into_iter()
+                .filter(|&(_, p, _)| p == derived)
+                .map(|(s, _, _)| s)
+                .collect()
+        })
     }
 
     /// Programs an entity is attributed to (Table 5 q1).

@@ -234,6 +234,12 @@ impl Graph {
         true
     }
 
+    /// Make room for `additional` more triples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.triples.reserve(additional);
+        self.order.reserve(additional);
+    }
+
     /// Intern a term without inserting any triple.
     pub fn intern(&mut self, t: &Term) -> TermId {
         self.interner.intern(t)

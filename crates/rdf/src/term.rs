@@ -4,7 +4,7 @@
 //! the same subject/predicate terms into many triples on the hot path.
 
 use crate::namespace::ns;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
 /// An IRI (used for named nodes and predicates).
@@ -177,7 +177,9 @@ fn fmt_i64(v: i64, buf: &mut [u8; 20]) -> &str {
 
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"{}\"", escape_literal(&self.lexical))?;
+        f.write_char('"')?;
+        write_escaped(f, &self.lexical)?;
+        f.write_char('"')?;
         if let Some(dt) = &self.datatype {
             write!(f, "^^{}", dt)?;
         } else if let Some(lang) = &self.lang {
@@ -190,17 +192,23 @@ impl fmt::Display for Literal {
 /// Escape a literal's lexical form for Turtle/N-Triples double-quoted strings.
 pub fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_escaped(&mut out, s).expect("writing to a String");
+    out
+}
+
+/// [`escape_literal`] into a writer.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c => out.write_char(c)?,
         }
     }
-    out
+    Ok(())
 }
 
 /// Unescape a double-quoted string body. Returns `None` on a malformed

@@ -1,12 +1,39 @@
-//! Query evaluation: greedy join ordering over the graph indexes, path
-//! delegation, filter application, and solution modifiers.
+//! Query evaluation on term ids.
+//!
+//! A query runs in four stages, and only the last one handles terms as
+//! values:
+//!
+//! 1. **Resolve.** The WHERE clause's variables get columns in a per-query
+//!    table; every constant term and path predicate is looked up in the
+//!    graph once ([`Terms`]). A term the graph has never seen gets an id
+//!    past the graph's own, which matches no triple.
+//! 2. **Join.** A partial solution is a fixed-width row of
+//!    `Option<TermId>`, all rows of a step in one allocation. Patterns are
+//!    taken greedily — most bound positions first, ties to the smaller
+//!    index estimate — and each row is extended through
+//!    [`Graph::match_ids`], or through [`crate::path`] for a property path.
+//!    A filter runs as soon as its variables are bound, reading terms by
+//!    reference: comparisons and string functions need the lexical form,
+//!    nothing else does.
+//! 3. **Shape.** `COUNT` / `GROUP BY` hash on id tuples, `DISTINCT` on the
+//!    id row. Ordering computes one key per row: under `ORDER BY` the cell
+//!    with its number parsed once, otherwise the rendered
+//!    `var=term|var=term` line (all rows' keys in one buffer). Ties under
+//!    `ORDER BY` keep evaluation order.
+//! 4. **Project.** Only the rows inside `OFFSET` / `LIMIT` become
+//!    [`Binding`]s of cloned terms.
+//!
+//! Budget: each index lookup costs one step plus one per candidate row it
+//! yields; path evaluation charges per edge (see [`crate::path`]) and one
+//! step per row it binds.
 
-use crate::ast::{CompareOp, Expr, PathExpr, Pattern, Query, TermOrVar};
-use crate::path::{eval_path_budgeted, eval_path_from_budgeted};
+use crate::ast::{CompareOp, Expr, Pattern, Query, TermOrVar};
+use crate::path::{self, IdPath};
 use crate::QueryError;
-use provio_rdf::{Graph, Term, TriplePattern};
+use provio_rdf::{Graph, IdMap, Literal, Term, TermId};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt::Write as _;
 
 /// A step budget for one evaluation. Every candidate binding produced by a
 /// join and every edge expanded by a path walk costs one step; exhausting
@@ -94,6 +121,109 @@ impl Solutions {
     }
 }
 
+/// The terms of one evaluation, by id: the graph's interned terms under
+/// the ids the graph gave them, then the terms only the query knows —
+/// constants the graph has never seen, `COUNT` results — numbered on from
+/// [`Graph::term_count`]. One term, one id.
+pub(crate) struct Terms<'g> {
+    pub(crate) graph: &'g Graph,
+    own: Vec<Term>,
+    own_ids: HashMap<Term, TermId>,
+}
+
+impl<'g> Terms<'g> {
+    pub(crate) fn new(graph: &'g Graph) -> Self {
+        Terms {
+            graph,
+            own: Vec::new(),
+            own_ids: HashMap::new(),
+        }
+    }
+
+    pub(crate) fn id(&mut self, t: &Term) -> TermId {
+        if let Some(id) = self.graph.term_id(t) {
+            return id;
+        }
+        if let Some(&id) = self.own_ids.get(t) {
+            return id;
+        }
+        let id = TermId((self.graph.term_count() + self.own.len()) as u32);
+        self.own.push(t.clone());
+        self.own_ids.insert(t.clone(), id);
+        id
+    }
+
+    pub(crate) fn term(&self, id: TermId) -> &Term {
+        match (id.0 as usize).checked_sub(self.graph.term_count()) {
+            None => self.graph.term(id),
+            Some(own) => &self.own[own],
+        }
+    }
+
+    /// `id` as a key into the graph's indexes: `None` for a term of the
+    /// query's own, which no triple holds.
+    pub(crate) fn in_graph(&self, id: TermId) -> Option<TermId> {
+        ((id.0 as usize) < self.graph.term_count()).then_some(id)
+    }
+}
+
+type Cell = Option<TermId>;
+
+/// Solution rows of one width, in one allocation.
+struct Rows {
+    width: usize,
+    cells: Vec<Cell>,
+}
+
+impl Rows {
+    /// No rows of `width` cells (of one, never read, when `width` is 0, so
+    /// that a row always has an extent).
+    fn new(width: usize) -> Self {
+        Rows {
+            width: width.max(1),
+            cells: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.cells.len() / self.width
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, Cell> {
+        self.cells.chunks_exact(self.width)
+    }
+
+    fn row(&self, i: usize) -> &[Cell] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&[Cell]) -> bool) {
+        let (width, mut kept) = (self.width, 0);
+        for at in (0..self.cells.len()).step_by(width) {
+            if keep(&self.cells[at..at + width]) {
+                self.cells.copy_within(at..at + width, kept);
+                kept += width;
+            }
+        }
+        self.cells.truncate(kept);
+    }
+}
+
+/// One end of a triple pattern.
+#[derive(Clone, Copy)]
+enum End {
+    Term(TermId),
+    /// Column of the variable table.
+    Var(usize),
+}
+
+/// A triple pattern, resolved.
+struct Step {
+    subject: End,
+    path: IdPath,
+    object: End,
+}
+
 impl Query {
     /// Execute against `graph` with no step limit.
     pub fn execute(&self, graph: &Graph) -> Solutions {
@@ -110,167 +240,183 @@ impl Query {
         budget: u64,
     ) -> Result<Solutions, QueryError> {
         let mut budget = Budget::new(budget);
-        let mut triples: Vec<(TermOrVar, PathExpr, TermOrVar)> = Vec::new();
-        let mut filters: Vec<Expr> = Vec::new();
+        let mut terms = Terms::new(graph);
+
+        // The variable table, in order of first appearance.
+        let mut vars: Vec<&str> = Vec::new();
+        let mut steps: Vec<Step> = Vec::new();
+        let mut filters: Vec<&Expr> = Vec::new();
         for p in &self.patterns {
             match p {
                 Pattern::Triple {
                     subject,
                     path,
                     object,
-                } => triples.push((subject.clone(), path.clone(), object.clone())),
-                Pattern::Filter(e) => filters.push(e.clone()),
+                } => {
+                    steps.push(Step {
+                        subject: resolve_end(subject, &mut vars, &mut terms),
+                        object: resolve_end(object, &mut vars, &mut terms),
+                        path: IdPath::resolve(path, graph),
+                    });
+                }
+                Pattern::Filter(e) => filters.push(e),
             }
         }
+        let column = |name: &str| vars.iter().position(|v| *v == name);
 
-        let mut pending_filters: Vec<(HashSet<String>, Expr)> = filters
+        // A filter waits for the columns it reads; one that names a
+        // variable no pattern binds waits to the end.
+        let mut pending: Vec<(Option<Vec<usize>>, &Expr)> = filters
             .into_iter()
-            .map(|e| (expr_vars(&e), e))
+            .map(|e| {
+                let mut names = Vec::new();
+                collect_vars(e, &mut names);
+                (names.into_iter().map(column).collect(), e)
+            })
             .collect();
 
-        let mut rows: Vec<Binding> = vec![Binding::new()];
-        let mut remaining = triples;
-        let mut bound_vars: HashSet<String> = HashSet::new();
-
-        while !remaining.is_empty() {
+        let mut rows = Rows::new(vars.len());
+        rows.cells.resize(rows.width, None); // the one empty solution
+        let mut bound = vec![false; vars.len()];
+        while !steps.is_empty() {
             // Greedy: next pattern = most bound positions (terms or already
-            // bound vars), tie-broken by index cardinality when fully
-            // concrete.
-            let idx = (0..remaining.len())
+            // bound vars); among those, the fewest triples the index holds
+            // for the pattern's constants.
+            let is_bound = |e: End| match e {
+                End::Term(_) => true,
+                End::Var(c) => bound[c],
+            };
+            let idx = (0..steps.len())
                 .max_by_key(|&i| {
-                    let (s, _, o) = &remaining[i];
-                    let score = |t: &TermOrVar| match t {
-                        TermOrVar::Term(_) => 2usize,
-                        TermOrVar::Var(v) if bound_vars.contains(v) => 2,
-                        TermOrVar::Var(_) => 0,
+                    let step = &steps[i];
+                    let constant = |e: End| match e {
+                        End::Term(id) => Some(terms.in_graph(id)),
+                        End::Var(_) => None,
                     };
-                    score(s) + score(o)
+                    let estimate = match step.path {
+                        IdPath::Pred(p) => graph.cardinality_estimate(
+                            constant(step.subject),
+                            Some(p),
+                            constant(step.object),
+                        ),
+                        _ => usize::MAX,
+                    };
+                    let score = is_bound(step.subject) as u8 + is_bound(step.object) as u8;
+                    (score, std::cmp::Reverse(estimate))
                 })
                 .expect("non-empty");
-            let (subject, path, object) = remaining.swap_remove(idx);
+            let step = steps.swap_remove(idx);
 
-            let mut next_rows: Vec<Binding> = Vec::new();
-            for row in &rows {
-                extend_row(
-                    graph,
-                    row,
-                    &subject,
-                    &path,
-                    &object,
-                    &mut next_rows,
-                    &mut budget,
-                )?;
-            }
-            rows = next_rows;
-
-            if let Some(v) = subject.var() {
-                bound_vars.insert(v.to_string());
-            }
-            if let Some(v) = object.var() {
-                bound_vars.insert(v.to_string());
+            rows = extend(&terms, &rows, &step, &mut budget)?;
+            for end in [step.subject, step.object] {
+                if let End::Var(c) = end {
+                    bound[c] = true;
+                }
             }
 
             // Apply every filter whose variables are now all bound.
-            pending_filters.retain(|(vars, expr)| {
-                if vars.is_subset(&bound_vars) {
-                    rows.retain(|row| eval_expr(expr, row).unwrap_or(false));
-                    false
-                } else {
-                    true
+            pending.retain(|(needs, expr)| {
+                let ready = needs.as_ref().is_some_and(|n| n.iter().all(|&c| bound[c]));
+                if ready {
+                    rows.retain(|row| holds(expr, &View::new(&vars, row, &terms)));
                 }
+                !ready
             });
-
-            if rows.is_empty() {
-                break;
-            }
         }
-
         // Any filter never applied (unbound vars): SPARQL says unbound ⇒
         // type error ⇒ row dropped.
-        if !pending_filters.is_empty() {
-            rows.retain(|row| {
-                pending_filters
-                    .iter()
-                    .all(|(_, e)| eval_expr(e, row).unwrap_or(false))
-            });
+        for (_, expr) in pending {
+            rows.retain(|row| holds(expr, &View::new(&vars, row, &terms)));
         }
 
-        // Aggregation (COUNT with optional GROUP BY) or plain projection.
-        let (vars, mut rows): (Vec<String>, Vec<Binding>) = if let Some(agg) = &self.aggregate {
-            let mut groups: BTreeMap<Vec<String>, Vec<&Binding>> = BTreeMap::new();
-            for row in &rows {
-                let key: Vec<String> = self
-                    .group_by
-                    .iter()
-                    .map(|v| row.get(v).map(|t| t.to_string()).unwrap_or_default())
-                    .collect();
-                groups.entry(key).or_default().push(row);
-            }
-            let mut out = Vec::with_capacity(groups.len());
-            for members in groups.into_values() {
-                let count = match &agg.var {
-                    None => members.len(),
-                    Some(v) if agg.distinct => members
-                        .iter()
-                        .filter_map(|r| r.get(v))
-                        .map(|t| t.to_string())
-                        .collect::<HashSet<String>>()
-                        .len(),
-                    Some(v) => members.iter().filter(|r| r.contains_key(v)).count(),
-                };
-                let mut b = Binding::new();
-                for gv in &self.group_by {
-                    if let Some(t) = members[0].get(gv) {
-                        b.insert(gv.clone(), t.clone());
+        // Aggregation (COUNT with optional GROUP BY) or plain projection:
+        // `names` are the columns a result row carries, `vars` the header.
+        let (out_vars, names, mut rows): (Vec<String>, Vec<&str>, Rows) = match &self.aggregate {
+            Some(agg) => {
+                let group_cols: Vec<Option<usize>> =
+                    self.group_by.iter().map(|v| column(v)).collect();
+                let counted = agg.var.as_deref().map(column);
+                let groups = self.count_groups(&rows, &group_cols, counted, agg.distinct, &terms);
+
+                let mut names: Vec<&str> = Vec::new();
+                for name in self.group_by.iter().chain([&agg.alias]) {
+                    if !names.contains(&name.as_str()) {
+                        names.push(name);
                     }
                 }
-                b.insert(
-                    agg.alias.clone(),
-                    Term::Literal(provio_rdf::Literal::integer(count as i64)),
-                );
-                out.push(b);
+                let mut out = Rows::new(names.len());
+                for (first, count) in groups {
+                    let at = out.cells.len();
+                    out.cells.resize(at + out.width, None);
+                    for (gv, col) in self.group_by.iter().zip(&group_cols) {
+                        let slot = names.iter().position(|n| n == gv).expect("a group column");
+                        out.cells[at + slot] = col.and_then(|c| rows.row(first)[c]);
+                    }
+                    let slot = names.iter().position(|n| *n == agg.alias).expect("the alias");
+                    out.cells[at + slot] =
+                        Some(terms.id(&Term::Literal(Literal::integer(count as i64))));
+                }
+                let mut out_vars = if self.projection.is_empty() {
+                    self.group_by.clone()
+                } else {
+                    self.projection.clone()
+                };
+                out_vars.push(agg.alias.clone());
+                (out_vars, names, out)
             }
-            let mut vars: Vec<String> = if self.projection.is_empty() {
-                self.group_by.clone()
-            } else {
-                self.projection.clone()
-            };
-            vars.push(agg.alias.clone());
-            (vars, out)
-        } else {
-            let vars: Vec<String> = if self.projection.is_empty() {
-                let mut vs: Vec<String> = bound_vars.into_iter().collect();
-                vs.sort();
-                vs
-            } else {
-                self.projection.clone()
-            };
-            let rows = rows
-                .into_iter()
-                .map(|row| {
-                    vars.iter()
-                        .filter_map(|v| row.get(v).map(|t| (v.clone(), t.clone())))
-                        .collect()
-                })
-                .collect();
-            (vars, rows)
+            None => {
+                // `SELECT *`: every variable of the WHERE clause, by name.
+                let mut names: Vec<&str> = Vec::new();
+                for name in &self.projection {
+                    if !names.contains(&name.as_str()) {
+                        names.push(name);
+                    }
+                }
+                let out_vars: Vec<String> = if self.projection.is_empty() {
+                    names.clone_from(&vars);
+                    names.sort_unstable();
+                    names.iter().map(|v| v.to_string()).collect()
+                } else {
+                    self.projection.clone()
+                };
+                let from: Vec<Option<usize>> = names.iter().map(|n| column(n)).collect();
+                let mut out = Rows::new(names.len());
+                out.cells.reserve(rows.len() * out.width);
+                for row in rows.iter() {
+                    let at = out.cells.len();
+                    out.cells.resize(at + out.width, None);
+                    for (slot, col) in from.iter().enumerate() {
+                        out.cells[at + slot] = col.and_then(|c| row[c]);
+                    }
+                }
+                (out_vars, names, out)
+            }
         };
-
         if self.distinct {
-            let mut seen = HashSet::new();
-            rows.retain(|r| {
-                let key: Vec<(String, String)> = r
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.to_string()))
-                    .collect();
-                seen.insert(key)
-            });
+            let mut seen: HashSet<&[Cell], provio_rdf::idhash::IdBuildHasher> = HashSet::default();
+            let keep: Vec<bool> = rows.iter().map(|row| seen.insert(row)).collect();
+            let mut keep = keep.into_iter();
+            rows.retain(|_| keep.next().expect("one flag per row"));
         }
 
+        let mut order: Vec<usize> = (0..rows.len()).collect();
         if !self.order_by.is_empty() {
-            rows.sort_by(|a, b| {
-                for (var, desc) in &self.order_by {
-                    let ord = compare_terms(a.get(var), b.get(var));
+            // One key per row and ORDER BY variable: the cell's term, its
+            // number parsed once.
+            let cols: Vec<Option<usize>> = self
+                .order_by
+                .iter()
+                .map(|(var, _)| names.iter().position(|n| n == var))
+                .collect();
+            let keys: Vec<Option<(&Term, Option<f64>)>> = rows
+                .iter()
+                .flat_map(|row| cols.iter().map(|col| col.and_then(|c| row[c])))
+                .map(|cell| cell.map(|id| terms.term(id)).map(|t| (t, number(t))))
+                .collect();
+            let n = cols.len();
+            order.sort_by(|&a, &b| {
+                for (k, (_, desc)) in self.order_by.iter().enumerate() {
+                    let ord = compare_keys(keys[a * n + k], keys[b * n + k]);
                     let ord = if *desc { ord.reverse() } else { ord };
                     if ord != Ordering::Equal {
                         return ord;
@@ -279,147 +425,213 @@ impl Query {
                 Ordering::Equal
             });
         } else {
-            // Deterministic output even without ORDER BY.
-            rows.sort_by_key(|r| {
-                r.iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join("|")
-            });
+            // Deterministic output even without ORDER BY: rows by their
+            // `var=term|var=term` line, variables in name order. Every
+            // row's line is rendered once, into one buffer.
+            let mut by_name: Vec<usize> = (0..names.len()).collect();
+            by_name.sort_by_key(|&c| names[c]);
+            let mut lines = String::new();
+            let mut ends = Vec::with_capacity(rows.len());
+            for row in rows.iter() {
+                let start = lines.len();
+                for &c in &by_name {
+                    if let Some(id) = row[c] {
+                        if lines.len() > start {
+                            lines.push('|');
+                        }
+                        write!(lines, "{}={}", names[c], terms.term(id))
+                            .expect("writing to a String");
+                    }
+                }
+                ends.push(lines.len());
+            }
+            let mut keyed: Vec<(&str, usize)> = Vec::with_capacity(rows.len());
+            let mut start = 0;
+            for (i, &end) in ends.iter().enumerate() {
+                keyed.push((&lines[start..end], i));
+                start = end;
+            }
+            keyed.sort_by(|a, b| a.0.cmp(b.0));
+            order = keyed.into_iter().map(|(_, i)| i).collect();
         }
 
-        let rows: Vec<Binding> = rows
+        // Terms are cloned only for the rows that leave.
+        let rows: Vec<Binding> = order
             .into_iter()
             .skip(self.offset)
             .take(self.limit.unwrap_or(usize::MAX))
+            .map(|i| {
+                let mut binding = Binding::new();
+                for (name, cell) in names.iter().zip(rows.row(i)) {
+                    if let Some(id) = cell {
+                        binding.insert(name.to_string(), terms.term(*id).clone());
+                    }
+                }
+                binding
+            })
             .collect();
 
-        Ok(Solutions { vars, rows })
+        Ok(Solutions {
+            vars: out_vars,
+            rows,
+        })
+    }
+
+    /// `COUNT` per group: (index of the group's first row, count), groups
+    /// ordered by their rendered `GROUP BY` terms.
+    fn count_groups(
+        &self,
+        rows: &Rows,
+        group_cols: &[Option<usize>],
+        counted: Option<Option<usize>>,
+        distinct: bool,
+        terms: &Terms<'_>,
+    ) -> Vec<(usize, usize)> {
+        struct Group {
+            first: usize,
+            count: usize,
+            distinct: HashSet<TermId, provio_rdf::idhash::IdBuildHasher>,
+        }
+        let mut index: IdMap<Vec<Cell>, usize> = IdMap::default();
+        let mut groups: Vec<Group> = Vec::new();
+        let mut key = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            key.clear();
+            key.extend(group_cols.iter().map(|col| col.and_then(|c| row[c])));
+            let at = match index.get(&key) {
+                Some(&at) => at,
+                None => {
+                    index.insert(key.clone(), groups.len());
+                    groups.push(Group {
+                        first: i,
+                        count: 0,
+                        distinct: HashSet::default(),
+                    });
+                    groups.len() - 1
+                }
+            };
+            let group = &mut groups[at];
+            match counted {
+                None => group.count += 1,
+                // A variable no pattern binds counts nothing.
+                Some(col) => {
+                    if let Some(id) = col.and_then(|c| row[c]) {
+                        if !distinct || group.distinct.insert(id) {
+                            group.count += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Ties under ORDER BY keep this order.
+        let rendered = |g: &Group| -> Vec<String> {
+            group_cols
+                .iter()
+                .map(|col| col.and_then(|c| rows.row(g.first)[c]))
+                .map(|cell| cell.map(|id| terms.term(id).to_string()).unwrap_or_default())
+                .collect()
+        };
+        if !self.order_by.is_empty() {
+            groups.sort_by_cached_key(rendered);
+        }
+        groups.into_iter().map(|g| (g.first, g.count)).collect()
     }
 }
 
-/// Extend one partial binding through one (possibly path-) triple pattern.
-#[allow(clippy::too_many_arguments)]
-fn extend_row(
-    graph: &Graph,
-    row: &Binding,
-    subject: &TermOrVar,
-    path: &PathExpr,
-    object: &TermOrVar,
-    out: &mut Vec<Binding>,
-    budget: &mut Budget,
-) -> Result<(), QueryError> {
-    let s_term = resolve(row, subject);
-    let o_term = resolve(row, object);
+/// A pattern end as an id or a column, a new variable getting the next one.
+fn resolve_end<'q>(e: &'q TermOrVar, vars: &mut Vec<&'q str>, terms: &mut Terms<'_>) -> End {
+    match e {
+        TermOrVar::Term(t) => End::Term(terms.id(t)),
+        TermOrVar::Var(v) => End::Var(vars.iter().position(|held| held == v).unwrap_or_else(|| {
+            vars.push(v);
+            vars.len() - 1
+        })),
+    }
+}
 
-    if let Some(pred) = path.as_plain() {
-        // Plain predicate: one index lookup.
-        let s_sub = match &s_term {
-            Some(t) => match t.as_subject() {
-                Some(s) => Some(s),
-                None => return Ok(()), // literal subject can never match
-            },
-            None => None,
-        };
-        let mut pat = TriplePattern::any().with_predicate(pred.clone());
-        if let Some(s) = s_sub {
-            pat = pat.with_subject(s);
+/// Extend every row through one (possibly path-) triple pattern.
+fn extend(
+    terms: &Terms<'_>,
+    rows: &Rows,
+    step: &Step,
+    budget: &mut Budget,
+) -> Result<Rows, QueryError> {
+    let graph = terms.graph;
+    let mut out = Rows::new(rows.width);
+    let value = |row: &[Cell], e: End| match e {
+        End::Term(id) => Some(id),
+        End::Var(c) => row[c],
+    };
+    // A row that agrees with `s` and `o` at the pattern's variables.
+    let mut bind = |row: &[Cell], s: TermId, o: TermId| {
+        let at = out.cells.len();
+        out.cells.extend_from_slice(row);
+        for (end, value) in [(step.subject, s), (step.object, o)] {
+            if let End::Var(c) = end {
+                let cell = &mut out.cells[at + c];
+                if cell.is_some_and(|held| held != value) {
+                    out.cells.truncate(at);
+                    return;
+                }
+                *cell = Some(value);
+            }
         }
-        if let Some(o) = &o_term {
-            pat = pat.with_object(o.clone());
-        }
-        let matches = graph.match_pattern(&pat);
-        budget.charge(matches.len() as u64 + 1)?;
-        for m in matches {
-            push_binding(
-                row,
-                subject,
-                &Term::from(m.subject),
-                object,
-                &m.object,
-                out,
+    };
+
+    if let IdPath::Pred(p) = step.path {
+        // Plain predicate: one index lookup per row.
+        for row in rows.iter() {
+            let (s, o) = (value(row, step.subject), value(row, step.object));
+            if s.is_some_and(|s| matches!(terms.term(s), Term::Literal(_))) {
+                continue; // literal subject can never match
+            }
+            let matches = graph.match_ids(
+                s.map(|s| terms.in_graph(s)),
+                Some(p),
+                o.map(|o| terms.in_graph(o)),
             );
+            budget.charge(matches.len() as u64 + 1)?;
+            for (ms, _, mo) in matches {
+                bind(row, ms, mo);
+            }
         }
-        return Ok(());
+        return Ok(out);
     }
 
     // Property path.
-    match (&s_term, &o_term) {
-        (Some(s), _) => {
-            for reached in eval_path_from_budgeted(graph, path, s, budget)? {
-                if let Some(o) = &o_term {
-                    if *o != reached {
+    let inverse = IdPath::Inverse(Box::new(step.path.clone()));
+    for row in rows.iter() {
+        match (value(row, step.subject), value(row, step.object)) {
+            (Some(s), o) => {
+                for reached in path::reach(terms, &step.path, s, budget)? {
+                    if o.is_some_and(|o| o != reached) {
                         continue;
                     }
+                    budget.charge(1)?;
+                    bind(row, s, reached);
                 }
-                budget.charge(1)?;
-                push_binding(row, subject, s, object, &reached, out);
             }
-        }
-        (None, Some(o)) => {
-            // Evaluate the inverse path from the object.
-            let inv = PathExpr::Inverse(Box::new(path.clone()));
-            for reached in eval_path_from_budgeted(graph, &inv, o, budget)? {
-                budget.charge(1)?;
-                push_binding(row, subject, &reached, object, o, out);
+            (None, Some(o)) => {
+                // Evaluate the inverse path from the object.
+                for reached in path::reach(terms, &inverse, o, budget)? {
+                    budget.charge(1)?;
+                    bind(row, reached, o);
+                }
             }
-        }
-        (None, None) => {
-            for (s, o) in eval_path_budgeted(graph, path, budget)? {
-                budget.charge(1)?;
-                push_binding(row, subject, &s, object, &o, out);
+            (None, None) => {
+                for (s, o) in path::pairs(graph, &step.path, budget)? {
+                    budget.charge(1)?;
+                    bind(row, s, o);
+                }
             }
         }
     }
-    Ok(())
+    Ok(out)
 }
 
-fn resolve(row: &Binding, tv: &TermOrVar) -> Option<Term> {
-    match tv {
-        TermOrVar::Term(t) => Some(t.clone()),
-        TermOrVar::Var(v) => row.get(v).cloned(),
-    }
-}
-
-fn push_binding(
-    row: &Binding,
-    subject: &TermOrVar,
-    s_val: &Term,
-    object: &TermOrVar,
-    o_val: &Term,
-    out: &mut Vec<Binding>,
-) {
-    let mut new = row.clone();
-    if let TermOrVar::Var(v) = subject {
-        if let Some(existing) = new.get(v) {
-            if existing != s_val {
-                return;
-            }
-        }
-        new.insert(v.clone(), s_val.clone());
-    }
-    if let TermOrVar::Var(v) = object {
-        if let Some(existing) = new.get(v) {
-            if existing != o_val {
-                return;
-            }
-        }
-        new.insert(v.clone(), o_val.clone());
-    }
-    out.push(new);
-}
-
-fn expr_vars(e: &Expr) -> HashSet<String> {
-    let mut vars = HashSet::new();
-    collect_vars(e, &mut vars);
-    vars
-}
-
-fn collect_vars(e: &Expr, out: &mut HashSet<String>) {
+fn collect_vars<'q>(e: &'q Expr, out: &mut Vec<&'q str>) {
     match e {
-        Expr::Var(v) | Expr::Bound(v) => {
-            out.insert(v.clone());
-        }
+        Expr::Var(v) | Expr::Bound(v) => out.push(v),
         Expr::Const(_) => {}
         Expr::Compare(_, a, b)
         | Expr::And(a, b)
@@ -434,18 +646,40 @@ fn collect_vars(e: &Expr, out: &mut HashSet<String>) {
     }
 }
 
-/// Evaluate a filter expression to a boolean. `None` = SPARQL type error
-/// (e.g. unbound variable), which drops the row.
-fn eval_expr(e: &Expr, row: &Binding) -> Option<bool> {
+/// One row of the variable table, read by variable name.
+struct View<'a> {
+    vars: &'a [&'a str],
+    row: &'a [Cell],
+    terms: &'a Terms<'a>,
+}
+
+impl<'a> View<'a> {
+    fn new(vars: &'a [&'a str], row: &'a [Cell], terms: &'a Terms<'a>) -> Self {
+        View { vars, row, terms }
+    }
+
+    fn get(&self, var: &str) -> Option<&'a Term> {
+        let column = self.vars.iter().position(|v| *v == var)?;
+        Some(self.terms.term(self.row[column]?))
+    }
+}
+
+/// Does the row pass the filter? A SPARQL type error (e.g. an unbound
+/// variable) drops the row.
+fn holds(e: &Expr, row: &View<'_>) -> bool {
+    eval_expr(e, row).unwrap_or(false)
+}
+
+/// Evaluate a filter expression to a boolean. `None` = SPARQL type error.
+fn eval_expr(e: &Expr, row: &View<'_>) -> Option<bool> {
     match e {
-        Expr::Bound(v) => Some(row.contains_key(v)),
+        Expr::Bound(v) => Some(row.get(v).is_some()),
         Expr::And(a, b) => Some(eval_expr(a, row)? && eval_expr(b, row)?),
         Expr::Or(a, b) => Some(eval_expr(a, row)? || eval_expr(b, row)?),
         Expr::Not(a) => Some(!eval_expr(a, row)?),
         Expr::Compare(op, a, b) => {
-            let ta = eval_value(a, row)?;
-            let tb = eval_value(b, row)?;
-            let ord = value_compare(&ta, &tb)?;
+            let (ta, tb) = (eval_value(a, row)?, eval_value(b, row)?);
+            let ord = value_compare((ta, number(ta)), (tb, number(tb)))?;
             Some(match op {
                 CompareOp::Eq => ord == Ordering::Equal,
                 CompareOp::Ne => ord != Ordering::Equal,
@@ -456,80 +690,77 @@ fn eval_expr(e: &Expr, row: &Binding) -> Option<bool> {
             })
         }
         Expr::Regex(target, pattern) => {
-            let s = string_value(&eval_value(target, row)?)?;
-            Some(regex_lite(&s, pattern))
+            Some(regex_lite(string_value(eval_value(target, row)?)?, pattern))
         }
         Expr::StrStarts(a, b) => {
-            let sa = string_value(&eval_value(a, row)?)?;
-            let sb = string_value(&eval_value(b, row)?)?;
-            Some(sa.starts_with(&sb))
+            let sa = string_value(eval_value(a, row)?)?;
+            Some(sa.starts_with(string_value(eval_value(b, row)?)?))
         }
         Expr::StrEnds(a, b) => {
-            let sa = string_value(&eval_value(a, row)?)?;
-            let sb = string_value(&eval_value(b, row)?)?;
-            Some(sa.ends_with(&sb))
+            let sa = string_value(eval_value(a, row)?)?;
+            Some(sa.ends_with(string_value(eval_value(b, row)?)?))
         }
         Expr::Contains(a, b) => {
-            let sa = string_value(&eval_value(a, row)?)?;
-            let sb = string_value(&eval_value(b, row)?)?;
-            Some(sa.contains(&sb))
+            let sa = string_value(eval_value(a, row)?)?;
+            Some(sa.contains(string_value(eval_value(b, row)?)?))
         }
         Expr::Var(_) | Expr::Const(_) => {
             // Effective boolean value of a bare term.
-            let t = eval_value(e, row)?;
-            match &t {
-                Term::Literal(l) => Some(l.lexical() == "true" || l.as_f64().is_some_and(|v| v != 0.0)),
+            match eval_value(e, row)? {
+                Term::Literal(l) => {
+                    Some(l.lexical() == "true" || l.as_f64().is_some_and(|v| v != 0.0))
+                }
                 _ => None,
             }
         }
     }
 }
 
-fn eval_value(e: &Expr, row: &Binding) -> Option<Term> {
+fn eval_value<'a>(e: &'a Expr, row: &View<'a>) -> Option<&'a Term> {
     match e {
-        Expr::Var(v) => row.get(v).cloned(),
-        Expr::Const(t) => Some(t.clone()),
+        Expr::Var(v) => row.get(v),
+        Expr::Const(t) => Some(t),
         _ => None,
     }
 }
 
-fn string_value(t: &Term) -> Option<String> {
+fn string_value(t: &Term) -> Option<&str> {
     match t {
-        Term::Literal(l) => Some(l.lexical().to_string()),
-        Term::Iri(i) => Some(i.as_str().to_string()),
+        Term::Literal(l) => Some(l.lexical()),
+        Term::Iri(i) => Some(i.as_str()),
         Term::Blank(_) => None,
     }
 }
 
-/// SPARQL-ish value comparison: numeric when both sides parse as numbers,
-/// otherwise lexical string comparison within the same term kind.
-fn value_compare(a: &Term, b: &Term) -> Option<Ordering> {
-    if let (Term::Literal(la), Term::Literal(lb)) = (a, b) {
-        if let (Some(na), Some(nb)) = (la.as_f64(), lb.as_f64()) {
-            return na.partial_cmp(&nb);
-        }
-        return Some(la.lexical().cmp(lb.lexical()));
-    }
-    match (a, b) {
+/// The number a literal spells, if it spells one.
+fn number(t: &Term) -> Option<f64> {
+    t.as_literal()?.as_f64()
+}
+
+/// SPARQL-ish value comparison of two terms, each with its [`number`]:
+/// numeric when both are numeric literals, otherwise lexical string
+/// comparison within the same term kind.
+fn value_compare(a: (&Term, Option<f64>), b: (&Term, Option<f64>)) -> Option<Ordering> {
+    match (a.0, b.0) {
+        (Term::Literal(la), Term::Literal(lb)) => match (a.1, b.1) {
+            (Some(na), Some(nb)) => na.partial_cmp(&nb),
+            _ => Some(la.lexical().cmp(lb.lexical())),
+        },
         (Term::Iri(x), Term::Iri(y)) => Some(x.as_str().cmp(y.as_str())),
-        _ => {
-            if a == b {
-                Some(Ordering::Equal)
-            } else {
-                None
-            }
-        }
+        (x, y) => (x == y).then_some(Ordering::Equal),
     }
 }
 
-fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
+/// ORDER BY on one variable: unbound first, then by value, and by rendered
+/// form where values do not compare.
+fn compare_keys(a: Option<(&Term, Option<f64>)>, b: Option<(&Term, Option<f64>)>) -> Ordering {
     match (a, b) {
         (None, None) => Ordering::Equal,
         (None, Some(_)) => Ordering::Less,
         (Some(_), None) => Ordering::Greater,
-        (Some(x), Some(y)) => value_compare(x, y).unwrap_or_else(|| {
-            x.to_string().cmp(&y.to_string())
-        }),
+        (Some(x), Some(y)) => {
+            value_compare(x, y).unwrap_or_else(|| x.0.to_string().cmp(&y.0.to_string()))
+        }
     }
 }
 

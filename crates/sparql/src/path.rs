@@ -1,156 +1,236 @@
-//! Property-path evaluation.
+//! Property-path evaluation, on term ids.
 //!
 //! Backward lineage in PROV-IO is a transitive walk over relations such as
 //! `prov:wasDerivedFrom` / `prov:wasAttributedTo` (paper §6.5: "the same
 //! procedure can be repeated as needed"). Property paths make that walk a
-//! single query. Evaluation is relational: a path denotes a set of
-//! `(subject, object)` term pairs, computed bottom-up with BFS for the
-//! closure operators.
+//! single query.
+//!
+//! A path is first resolved against the graph into an [`IdPath`] — each
+//! predicate looked up once — and then evaluated over [`TermId`]s alone:
+//! [`pairs`] computes the whole `(subject, object)` relation bottom-up,
+//! [`reach`] walks from one start node without materializing the relation
+//! (what a pattern with a bound end uses). Closures are breadth-first with
+//! an id set per walk; results come out in first-seen order, so the same
+//! graph and path give the same sequence every time. No term's text is
+//! read except to tell whether a start node is a literal, which has no
+//! outgoing edge.
+//!
+//! Every index lookup costs one budget step plus one per match, every
+//! composed or walked edge one more.
 
 use crate::ast::PathExpr;
-use crate::eval::Budget;
+use crate::eval::{Budget, Terms};
 use crate::QueryError;
-use provio_rdf::{Graph, Term, TriplePattern};
-use std::collections::{HashSet, VecDeque};
+use provio_rdf::{Graph, IdMap, IdSet, Term, TermId};
+use std::collections::VecDeque;
+
+/// A [`PathExpr`] with its predicates resolved to ids of one graph.
+#[derive(Debug, Clone)]
+pub(crate) enum IdPath {
+    /// `None`: the graph has no such term, so no edge either.
+    Pred(Option<TermId>),
+    Inverse(Box<IdPath>),
+    Sequence(Box<IdPath>, Box<IdPath>),
+    Alternative(Box<IdPath>, Box<IdPath>),
+    OneOrMore(Box<IdPath>),
+    ZeroOrMore(Box<IdPath>),
+}
+
+impl IdPath {
+    pub(crate) fn resolve(path: &PathExpr, graph: &Graph) -> IdPath {
+        let sub = |p: &PathExpr| Box::new(IdPath::resolve(p, graph));
+        match path {
+            PathExpr::Iri(p) => IdPath::Pred(graph.term_id(&Term::Iri(p.clone()))),
+            PathExpr::Inverse(a) => IdPath::Inverse(sub(a)),
+            PathExpr::Sequence(a, b) => IdPath::Sequence(sub(a), sub(b)),
+            PathExpr::Alternative(a, b) => IdPath::Alternative(sub(a), sub(b)),
+            PathExpr::OneOrMore(a) => IdPath::OneOrMore(sub(a)),
+            PathExpr::ZeroOrMore(a) => IdPath::ZeroOrMore(sub(a)),
+        }
+    }
+}
 
 /// All `(s, o)` pairs connected by `path` in `graph`, with no step limit.
 ///
 /// `ZeroOrMore` contributes the identity pair for every node that occurs in
 /// the graph (SPARQL's semantics restrict to terms in the graph).
 pub fn eval_path(graph: &Graph, path: &PathExpr) -> Vec<(Term, Term)> {
-    eval_path_budgeted(graph, path, &mut Budget::unlimited())
+    pairs(graph, &IdPath::resolve(path, graph), &mut Budget::unlimited())
         .expect("an unlimited budget cannot be exhausted")
+        .into_iter()
+        .map(|(s, o)| (graph.term(s).clone(), graph.term(o).clone()))
+        .collect()
 }
 
 /// Terms reachable from a fixed start term through `path`, with no step
 /// limit.
 pub fn eval_path_from(graph: &Graph, path: &PathExpr, start: &Term) -> Vec<Term> {
-    eval_path_from_budgeted(graph, path, start, &mut Budget::unlimited())
-        .expect("an unlimited budget cannot be exhausted")
+    let mut terms = Terms::new(graph);
+    let start = terms.id(start);
+    reach(
+        &terms,
+        &IdPath::resolve(path, graph),
+        start,
+        &mut Budget::unlimited(),
+    )
+    .expect("an unlimited budget cannot be exhausted")
+    .into_iter()
+    .map(|id| terms.term(id).clone())
+    .collect()
 }
 
-/// Budgeted [`eval_path`]: every produced pair and every BFS edge expansion
-/// costs a step.
-pub(crate) fn eval_path_budgeted(
+/// Pushes each value once, in the order first seen.
+struct Seen<T> {
+    set: IdSet<T>,
+    order: Vec<T>,
+}
+
+impl<T: Copy + Eq + std::hash::Hash> Seen<T> {
+    fn new() -> Self {
+        Seen {
+            set: IdSet::default(),
+            order: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, value: T) -> bool {
+        let new = self.set.insert(value);
+        if new {
+            self.order.push(value);
+        }
+        new
+    }
+}
+
+/// The whole relation of `path`: every produced pair and every BFS edge
+/// expansion costs a step.
+pub(crate) fn pairs(
     graph: &Graph,
-    path: &PathExpr,
+    path: &IdPath,
     budget: &mut Budget,
-) -> Result<Vec<(Term, Term)>, QueryError> {
+) -> Result<Vec<(TermId, TermId)>, QueryError> {
     match path {
-        PathExpr::Iri(p) => {
-            let pairs: Vec<(Term, Term)> = graph
-                .match_pattern(&TriplePattern::any().with_predicate(p.clone()))
+        IdPath::Pred(p) => {
+            let pairs: Vec<(TermId, TermId)> = graph
+                .match_ids(None, Some(*p), None)
                 .into_iter()
-                .map(|t| (Term::from(t.subject), t.object))
+                .map(|(s, _, o)| (s, o))
                 .collect();
             budget.charge(pairs.len() as u64 + 1)?;
             Ok(pairs)
         }
-        PathExpr::Inverse(inner) => Ok(eval_path_budgeted(graph, inner, budget)?
+        IdPath::Inverse(inner) => Ok(pairs(graph, inner, budget)?
             .into_iter()
             .map(|(s, o)| (o, s))
             .collect()),
-        PathExpr::Sequence(a, b) => {
-            let left = eval_path_budgeted(graph, a, budget)?;
-            let right = eval_path_budgeted(graph, b, budget)?;
-            // Hash-join on the middle term.
-            let mut by_mid: std::collections::HashMap<&Term, Vec<&Term>> =
-                std::collections::HashMap::new();
-            for (m, o) in &right {
+        IdPath::Sequence(a, b) => {
+            let left = pairs(graph, a, budget)?;
+            let right = pairs(graph, b, budget)?;
+            // Hash-join on the middle node.
+            let mut by_mid: IdMap<TermId, Vec<TermId>> = IdMap::default();
+            for (m, o) in right {
                 by_mid.entry(m).or_default().push(o);
             }
-            let mut out = HashSet::new();
-            for (s, m) in &left {
-                if let Some(objects) = by_mid.get(m) {
+            let mut out = Seen::new();
+            for (s, m) in left {
+                if let Some(objects) = by_mid.get(&m) {
                     budget.charge(objects.len() as u64)?;
-                    for o in objects {
-                        out.insert((s.clone(), (*o).clone()));
+                    for &o in objects {
+                        out.push((s, o));
                     }
                 }
             }
-            Ok(out.into_iter().collect())
+            Ok(out.order)
         }
-        PathExpr::Alternative(a, b) => {
-            let mut out: HashSet<(Term, Term)> =
-                eval_path_budgeted(graph, a, budget)?.into_iter().collect();
-            out.extend(eval_path_budgeted(graph, b, budget)?);
-            Ok(out.into_iter().collect())
+        IdPath::Alternative(a, b) => {
+            let mut out = Seen::new();
+            for pair in pairs(graph, a, budget)? {
+                out.push(pair);
+            }
+            for pair in pairs(graph, b, budget)? {
+                out.push(pair);
+            }
+            Ok(out.order)
         }
-        PathExpr::OneOrMore(inner) => closure(graph, inner, false, budget),
-        PathExpr::ZeroOrMore(inner) => closure(graph, inner, true, budget),
+        IdPath::OneOrMore(inner) => closure(graph, inner, false, budget),
+        IdPath::ZeroOrMore(inner) => closure(graph, inner, true, budget),
     }
 }
 
-/// Budgeted [`eval_path_from`] (forward evaluation used when the subject is
-/// already bound — avoids materializing the whole relation for closures).
-pub(crate) fn eval_path_from_budgeted(
-    graph: &Graph,
-    path: &PathExpr,
-    start: &Term,
+/// Nodes `path` reaches from `start` (forward evaluation used when one end
+/// of a pattern is already bound — avoids materializing the whole relation
+/// for closures).
+pub(crate) fn reach(
+    terms: &Terms<'_>,
+    path: &IdPath,
+    start: TermId,
     budget: &mut Budget,
-) -> Result<Vec<Term>, QueryError> {
+) -> Result<Vec<TermId>, QueryError> {
     match path {
-        PathExpr::OneOrMore(inner) | PathExpr::ZeroOrMore(inner) => {
-            let include_start = matches!(path, PathExpr::ZeroOrMore(_));
-            let mut seen: HashSet<Term> = HashSet::new();
-            let mut queue = VecDeque::new();
-            queue.push_back(start.clone());
-            let mut out = Vec::new();
-            if include_start {
-                seen.insert(start.clone());
-                out.push(start.clone());
+        IdPath::OneOrMore(inner) | IdPath::ZeroOrMore(inner) => {
+            let mut out = Seen::new();
+            if matches!(path, IdPath::ZeroOrMore(_)) {
+                out.push(start);
             }
+            // For OneOrMore the start itself is reachable only via a cycle.
+            let mut queue = VecDeque::from([start]);
             while let Some(cur) = queue.pop_front() {
-                for next in eval_path_from_budgeted(graph, inner, &cur, budget)? {
+                for next in reach(terms, inner, cur, budget)? {
                     budget.charge(1)?;
-                    if seen.insert(next.clone()) {
-                        out.push(next.clone());
+                    if out.push(next) {
                         queue.push_back(next);
                     }
                 }
             }
-            // For OneOrMore the start itself is reachable only via a cycle;
-            // `seen` never contained it unless inserted by a step.
-            Ok(out)
+            Ok(out.order)
         }
-        PathExpr::Sequence(a, b) => {
-            let mut out = HashSet::new();
-            for mid in eval_path_from_budgeted(graph, a, start, budget)? {
-                out.extend(eval_path_from_budgeted(graph, b, &mid, budget)?);
+        IdPath::Sequence(a, b) => {
+            let mut out = Seen::new();
+            for mid in reach(terms, a, start, budget)? {
+                for end in reach(terms, b, mid, budget)? {
+                    out.push(end);
+                }
             }
-            Ok(out.into_iter().collect())
+            Ok(out.order)
         }
-        PathExpr::Alternative(a, b) => {
-            let mut out: HashSet<Term> = eval_path_from_budgeted(graph, a, start, budget)?
-                .into_iter()
-                .collect();
-            out.extend(eval_path_from_budgeted(graph, b, start, budget)?);
-            Ok(out.into_iter().collect())
+        IdPath::Alternative(a, b) => {
+            let mut out = Seen::new();
+            for end in reach(terms, a, start, budget)? {
+                out.push(end);
+            }
+            for end in reach(terms, b, start, budget)? {
+                out.push(end);
+            }
+            Ok(out.order)
         }
-        PathExpr::Inverse(inner) => match inner.as_ref() {
-            PathExpr::Iri(p) => {
-                let subjects: Vec<Term> = graph
-                    .subjects_with(p, start)
+        IdPath::Inverse(inner) => match inner.as_ref() {
+            IdPath::Pred(p) => {
+                let subjects: Vec<TermId> = terms
+                    .graph
+                    .match_ids(None, Some(*p), Some(terms.in_graph(start)))
                     .into_iter()
-                    .map(Term::from)
+                    .map(|(s, _, _)| s)
                     .collect();
                 budget.charge(subjects.len() as u64 + 1)?;
                 Ok(subjects)
             }
-            other => {
-                // General case: fall back to the full relation.
-                Ok(eval_path_budgeted(graph, other, budget)?
-                    .into_iter()
-                    .filter(|(_, o)| o == start)
-                    .map(|(s, _)| s)
-                    .collect())
-            }
+            // General case: fall back to the full relation.
+            other => Ok(pairs(terms.graph, other, budget)?
+                .into_iter()
+                .filter(|&(_, o)| o == start)
+                .map(|(s, _)| s)
+                .collect()),
         },
-        PathExpr::Iri(p) => {
-            let Some(subject) = start.as_subject() else {
+        IdPath::Pred(p) => {
+            if matches!(terms.term(start), Term::Literal(_)) {
                 return Ok(Vec::new()); // literals have no outgoing edges
-            };
-            let objects = graph.objects(&subject, p);
+            }
+            let objects: Vec<TermId> = terms
+                .graph
+                .match_ids(Some(terms.in_graph(start)), Some(*p), None)
+                .into_iter()
+                .map(|(_, _, o)| o)
+                .collect();
             budget.charge(objects.len() as u64 + 1)?;
             Ok(objects)
         }
@@ -159,50 +239,54 @@ pub(crate) fn eval_path_from_budgeted(
 
 fn closure(
     graph: &Graph,
-    inner: &PathExpr,
+    inner: &IdPath,
     reflexive: bool,
     budget: &mut Budget,
-) -> Result<Vec<(Term, Term)>, QueryError> {
-    let base = eval_path_budgeted(graph, inner, budget)?;
-    // Adjacency over the base relation.
-    let mut adj: std::collections::HashMap<&Term, Vec<&Term>> =
-        std::collections::HashMap::new();
-    for (s, o) in &base {
-        adj.entry(s).or_default().push(o);
+) -> Result<Vec<(TermId, TermId)>, QueryError> {
+    // Adjacency over the base relation, sources in first-seen order.
+    let mut adj: IdMap<TermId, Vec<TermId>> = IdMap::default();
+    let mut sources = Vec::new();
+    for (s, o) in pairs(graph, inner, budget)? {
+        adj.entry(s)
+            .or_insert_with(|| {
+                sources.push(s);
+                Vec::new()
+            })
+            .push(o);
     }
 
-    let mut out: HashSet<(Term, Term)> = HashSet::new();
+    let mut out = Seen::new();
     if reflexive {
         // Identity on all graph nodes (subjects and objects of any triple).
-        let mut nodes: HashSet<Term> = HashSet::new();
-        for t in graph.iter() {
-            nodes.insert(Term::from(t.subject));
-            nodes.insert(t.object);
+        let mut nodes = Seen::new();
+        for (s, _, o) in graph.iter_ids() {
+            nodes.push(s);
+            nodes.push(o);
         }
-        budget.charge(nodes.len() as u64)?;
-        for n in nodes {
-            out.insert((n.clone(), n));
+        budget.charge(nodes.order.len() as u64)?;
+        for n in nodes.order {
+            out.push((n, n));
         }
     }
 
-    // BFS from every source in the base relation.
-    for src in adj.keys() {
-        let mut seen: HashSet<&Term> = HashSet::new();
-        let mut queue: VecDeque<&Term> = VecDeque::new();
-        queue.push_back(src);
+    // BFS from every source in the base relation. A source is not seen
+    // until an edge leads back to it, so one on a cycle is expanded twice.
+    for src in sources {
+        let mut seen: IdSet<TermId> = IdSet::default();
+        let mut queue = VecDeque::from([src]);
         while let Some(cur) = queue.pop_front() {
-            if let Some(nexts) = adj.get(cur) {
+            if let Some(nexts) = adj.get(&cur) {
                 budget.charge(nexts.len() as u64)?;
                 for &n in nexts {
                     if seen.insert(n) {
-                        out.insert(((*src).clone(), n.clone()));
+                        out.push((src, n));
                         queue.push_back(n);
                     }
                 }
             }
         }
     }
-    Ok(out.into_iter().collect())
+    Ok(out.order)
 }
 
 #[cfg(test)]
