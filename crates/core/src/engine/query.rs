@@ -485,6 +485,38 @@ mod tests {
     }
 
     #[test]
+    fn derive_lineage_inserts_in_one_order() {
+        // Four programs, each reading three files and writing three.
+        let mut ttl = String::from(
+            "@prefix prov: <http://www.w3.org/ns/prov#> .\n\
+             @prefix provio: <https://github.com/hpc-io/prov-io#> .\n",
+        );
+        for p in 0..4 {
+            for k in 0..3 {
+                ttl += &format!(
+                    "<urn:provio:act/r{p}-{k}> prov:wasAssociatedWith <urn:provio:agent/program/p{p}> .\n\
+                     <urn:provio:act/w{p}-{k}> prov:wasAssociatedWith <urn:provio:agent/program/p{p}> .\n\
+                     <urn:provio:obj/file/in{p}-{k}> provio:wasReadBy <urn:provio:act/r{p}-{k}> .\n\
+                     <urn:provio:obj/file/out{p}-{k}> provio:wasWrittenBy <urn:provio:act/w{p}-{k}> .\n"
+                );
+            }
+        }
+        let graph = turtle::parse(&ttl).unwrap().0;
+        let before = graph.len();
+        let mut a = ProvQueryEngine::new(graph.clone());
+        let mut b = ProvQueryEngine::new(graph);
+        assert_eq!(a.derive_lineage(), 4 * 3 * 3);
+        assert_eq!(b.derive_lineage(), 4 * 3 * 3);
+        assert!(a.graph().iter_ids().eq(b.graph().iter_ids()));
+        // (program, output, input) order: outputs and inputs ascend
+        // within each program's nine edges.
+        let edges: Vec<_> = a.graph().iter_ids().skip(before).collect();
+        for program in edges.chunks(9) {
+            assert!(program.windows(2).all(|w| (w[0].0, w[0].2) < (w[1].0, w[1].2)));
+        }
+    }
+
+    #[test]
     fn table5_q1_attribution_query() {
         let eng = ProvQueryEngine::new(dassa_graph());
         let sols = eng

@@ -27,12 +27,12 @@
 //! yields; path evaluation charges per edge (see [`crate::path`]) and one
 //! step per row it binds.
 
-use crate::ast::{CompareOp, Expr, Pattern, Query, TermOrVar};
+use crate::ast::{Aggregate, CompareOp, Expr, Pattern, Query, TermOrVar};
 use crate::path::{self, IdPath};
 use crate::QueryError;
-use provio_rdf::{Graph, IdMap, Literal, Term, TermId};
+use provio_rdf::{Graph, IdMap, IdSet, Literal, Term, TermId};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// A step budget for one evaluation. Every candidate binding produced by a
@@ -189,6 +189,13 @@ impl Rows {
         self.cells.len() / self.width
     }
 
+    /// One more row: `cells`, then unbound up to the width.
+    fn push(&mut self, cells: impl IntoIterator<Item = Cell>) {
+        let at = self.cells.len();
+        self.cells.extend(cells);
+        self.cells.resize(at + self.width, None);
+    }
+
     fn iter(&self) -> std::slice::ChunksExact<'_, Cell> {
         self.cells.chunks_exact(self.width)
     }
@@ -275,8 +282,18 @@ impl Query {
             })
             .collect();
 
+        // A SPARQL type error (e.g. an unbound variable) drops the row.
+        let passes = |expr: &Expr, row: &[Cell]| {
+            let view = View {
+                vars: &vars,
+                row,
+                terms: &terms,
+            };
+            eval_expr(expr, &view).unwrap_or(false)
+        };
+
         let mut rows = Rows::new(vars.len());
-        rows.cells.resize(rows.width, None); // the one empty solution
+        rows.push([]); // the one empty solution
         let mut bound = vec![false; vars.len()];
         while !steps.is_empty() {
             // Greedy: next pattern = most bound positions (terms or already
@@ -318,7 +335,7 @@ impl Query {
             pending.retain(|(needs, expr)| {
                 let ready = needs.as_ref().is_some_and(|n| n.iter().all(|&c| bound[c]));
                 if ready {
-                    rows.retain(|row| holds(expr, &View::new(&vars, row, &terms)));
+                    rows.retain(|row| passes(expr, row));
                 }
                 !ready
             });
@@ -326,74 +343,60 @@ impl Query {
         // Any filter never applied (unbound vars): SPARQL says unbound ⇒
         // type error ⇒ row dropped.
         for (_, expr) in pending {
-            rows.retain(|row| holds(expr, &View::new(&vars, row, &terms)));
+            rows.retain(|row| passes(expr, row));
         }
 
         // Aggregation (COUNT with optional GROUP BY) or plain projection:
-        // `names` are the columns a result row carries, `vars` the header.
-        let (out_vars, names, mut rows): (Vec<String>, Vec<&str>, Rows) = match &self.aggregate {
+        // `header` is what the caller asked to see, `names` the variables
+        // a result row carries — for a COUNT, the GROUP BY variables and
+        // the alias, whatever the projection lists.
+        let mut header = self.projection.clone();
+        let mut names: Vec<&str> = Vec::new();
+        let listed = match &self.aggregate {
             Some(agg) => {
-                let group_cols: Vec<Option<usize>> =
-                    self.group_by.iter().map(|v| column(v)).collect();
-                let counted = agg.var.as_deref().map(column);
-                let groups = self.count_groups(&rows, &group_cols, counted, agg.distinct, &terms);
-
-                let mut names: Vec<&str> = Vec::new();
-                for name in self.group_by.iter().chain([&agg.alias]) {
-                    if !names.contains(&name.as_str()) {
-                        names.push(name);
-                    }
+                if header.is_empty() {
+                    header.clone_from(&self.group_by);
                 }
-                let mut out = Rows::new(names.len());
-                for (first, count) in groups {
+                header.push(agg.alias.clone());
+                self.group_by.iter().chain([&agg.alias]).collect()
+            }
+            None if header.is_empty() => {
+                // `SELECT *`: every variable of the WHERE clause, by name.
+                names.clone_from(&vars);
+                names.sort_unstable();
+                header = names.iter().map(|v| v.to_string()).collect();
+                Vec::new()
+            }
+            None => self.projection.iter().collect::<Vec<_>>(),
+        };
+        for name in listed {
+            if !names.contains(&name.as_str()) {
+                names.push(name);
+            }
+        }
+        let from: Vec<Option<usize>> = names.iter().map(|n| column(n)).collect();
+        let mut out = Rows::new(names.len());
+        match &self.aggregate {
+            Some(agg) => {
+                let alias = names.iter().position(|n| *n == agg.alias).expect("listed");
+                for (first, count) in self.count_groups(&rows, agg, &column, &terms) {
                     let at = out.cells.len();
-                    out.cells.resize(at + out.width, None);
-                    for (gv, col) in self.group_by.iter().zip(&group_cols) {
-                        let slot = names.iter().position(|n| n == gv).expect("a group column");
-                        out.cells[at + slot] = col.and_then(|c| rows.row(first)[c]);
-                    }
-                    let slot = names.iter().position(|n| *n == agg.alias).expect("the alias");
-                    out.cells[at + slot] =
-                        Some(terms.id(&Term::Literal(Literal::integer(count as i64))));
+                    out.push(project(&from, rows.row(first)));
+                    let count = Term::Literal(Literal::integer(count as i64));
+                    out.cells[at + alias] = Some(terms.id(&count));
                 }
-                let mut out_vars = if self.projection.is_empty() {
-                    self.group_by.clone()
-                } else {
-                    self.projection.clone()
-                };
-                out_vars.push(agg.alias.clone());
-                (out_vars, names, out)
             }
             None => {
-                // `SELECT *`: every variable of the WHERE clause, by name.
-                let mut names: Vec<&str> = Vec::new();
-                for name in &self.projection {
-                    if !names.contains(&name.as_str()) {
-                        names.push(name);
-                    }
-                }
-                let out_vars: Vec<String> = if self.projection.is_empty() {
-                    names.clone_from(&vars);
-                    names.sort_unstable();
-                    names.iter().map(|v| v.to_string()).collect()
-                } else {
-                    self.projection.clone()
-                };
-                let from: Vec<Option<usize>> = names.iter().map(|n| column(n)).collect();
-                let mut out = Rows::new(names.len());
                 out.cells.reserve(rows.len() * out.width);
                 for row in rows.iter() {
-                    let at = out.cells.len();
-                    out.cells.resize(at + out.width, None);
-                    for (slot, col) in from.iter().enumerate() {
-                        out.cells[at + slot] = col.and_then(|c| row[c]);
-                    }
+                    out.push(project(&from, row));
                 }
-                (out_vars, names, out)
             }
-        };
+        }
+        let mut rows = out;
+
         if self.distinct {
-            let mut seen: HashSet<&[Cell], provio_rdf::idhash::IdBuildHasher> = HashSet::default();
+            let mut seen: IdSet<&[Cell]> = IdSet::default();
             let keep: Vec<bool> = rows.iter().map(|row| seen.insert(row)).collect();
             let mut keep = keep.into_iter();
             rows.retain(|_| keep.next().expect("one flag per row"));
@@ -471,27 +474,25 @@ impl Query {
             })
             .collect();
 
-        Ok(Solutions {
-            vars: out_vars,
-            rows,
-        })
+        Ok(Solutions { vars: header, rows })
     }
 
-    /// `COUNT` per group: (index of the group's first row, count), groups
-    /// ordered by their rendered `GROUP BY` terms.
+    /// `COUNT` per group: (index of the group's first row, count).
     fn count_groups(
         &self,
         rows: &Rows,
-        group_cols: &[Option<usize>],
-        counted: Option<Option<usize>>,
-        distinct: bool,
+        agg: &Aggregate,
+        column: &impl Fn(&str) -> Option<usize>,
         terms: &Terms<'_>,
     ) -> Vec<(usize, usize)> {
         struct Group {
             first: usize,
             count: usize,
-            distinct: HashSet<TermId, provio_rdf::idhash::IdBuildHasher>,
+            distinct: IdSet<TermId>,
         }
+        let group_cols: Vec<Option<usize>> = self.group_by.iter().map(|v| column(v)).collect();
+        // `None`: `COUNT(*)`. A variable no pattern binds counts nothing.
+        let counted = agg.var.as_deref().map(column);
         let mut index: IdMap<Vec<Cell>, usize> = IdMap::default();
         let mut groups: Vec<Group> = Vec::new();
         let mut key = Vec::new();
@@ -505,7 +506,7 @@ impl Query {
                     groups.push(Group {
                         first: i,
                         count: 0,
-                        distinct: HashSet::default(),
+                        distinct: IdSet::default(),
                     });
                     groups.len() - 1
                 }
@@ -513,17 +514,17 @@ impl Query {
             let group = &mut groups[at];
             match counted {
                 None => group.count += 1,
-                // A variable no pattern binds counts nothing.
                 Some(col) => {
                     if let Some(id) = col.and_then(|c| row[c]) {
-                        if !distinct || group.distinct.insert(id) {
+                        if !agg.distinct || group.distinct.insert(id) {
                             group.count += 1;
                         }
                     }
                 }
             }
         }
-        // Ties under ORDER BY keep this order.
+        // ORDER BY is a stable sort over this order: groups by their
+        // rendered GROUP BY terms.
         let rendered = |g: &Group| -> Vec<String> {
             group_cols
                 .iter()
@@ -536,6 +537,11 @@ impl Query {
         }
         groups.into_iter().map(|g| (g.first, g.count)).collect()
     }
+}
+
+/// The cells of `row` at the columns `from`; `None` reads as unbound.
+fn project<'a>(from: &'a [Option<usize>], row: &'a [Cell]) -> impl Iterator<Item = Cell> + 'a {
+    from.iter().map(|col| col.and_then(|c| row[c]))
 }
 
 /// A pattern end as an id or a column, a new variable getting the next one.
@@ -654,20 +660,10 @@ struct View<'a> {
 }
 
 impl<'a> View<'a> {
-    fn new(vars: &'a [&'a str], row: &'a [Cell], terms: &'a Terms<'a>) -> Self {
-        View { vars, row, terms }
-    }
-
     fn get(&self, var: &str) -> Option<&'a Term> {
         let column = self.vars.iter().position(|v| *v == var)?;
         Some(self.terms.term(self.row[column]?))
     }
-}
-
-/// Does the row pass the filter? A SPARQL type error (e.g. an unbound
-/// variable) drops the row.
-fn holds(e: &Expr, row: &View<'_>) -> bool {
-    eval_expr(e, row).unwrap_or(false)
 }
 
 /// Evaluate a filter expression to a boolean. `None` = SPARQL type error.
@@ -1021,6 +1017,40 @@ mod tests {
         // A generous budget returns exactly what the unlimited path does.
         let ok = q.execute_with_budget(&g, 10_000).unwrap();
         assert_eq!(ok.len(), q.execute(&g).len());
+    }
+
+    #[test]
+    fn join_order_starts_from_the_small_pattern_wherever_it_is_written() {
+        // 40 `big` edges into two hubs, each hub with one `small` edge.
+        let mut g = Graph::new();
+        for i in 0..40 {
+            g.insert(&provio_rdf::Triple::new(
+                provio_rdf::Subject::iri(format!("urn:n{i}")),
+                provio_rdf::Iri::new("urn:big"),
+                Term::iri(format!("urn:hub{}", i % 2)),
+            ));
+        }
+        for hub in 0..2 {
+            g.insert(&provio_rdf::Triple::new(
+                provio_rdf::Subject::iri(format!("urn:hub{hub}")),
+                provio_rdf::Iri::new("urn:small"),
+                Term::iri("urn:end"),
+            ));
+        }
+        // The least budget that answers = the steps charged.
+        let steps = |text: &str| {
+            let q = Query::parse(text).unwrap();
+            let needed = (0..).find(|&b| q.execute_with_budget(&g, b).is_ok()).unwrap();
+            (needed, q.execute(&g).len())
+        };
+        let small_first =
+            steps("SELECT ?x ?z WHERE { ?h <urn:small> ?z . ?x <urn:big> ?h . }");
+        let small_last =
+            steps("SELECT ?x ?z WHERE { ?x <urn:big> ?h . ?h <urn:small> ?z . }");
+        assert_eq!(small_first, small_last);
+        // One lookup of `small` (1 + 2 rows), then per hub one lookup of
+        // `big` by object (1 + 20 rows) — not 1 + 40, then 40 lookups.
+        assert_eq!(small_first, (3 + 2 * 21, 40));
     }
 
     #[test]

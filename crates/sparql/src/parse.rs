@@ -248,9 +248,39 @@ struct Parser {
     pos: usize,
     nss: Namespaces,
     statement_count: usize,
+    /// Depth in the path or expression tree of the node being parsed.
+    depth: usize,
 }
 
+/// Deepest path or expression tree the parser builds. Query text comes
+/// from outside the program, and parsing, evaluating and dropping a tree
+/// all recurse over it: brackets, `!` and every further operand of an
+/// operator chain (`a || b || c` nests to the left) each add a level.
+const MAX_NESTING: usize = 64;
+
 impl Parser {
+    /// One level down, for the rest of the enclosing construct.
+    fn deepen(&mut self) -> Result<(), QueryError> {
+        if self.depth == MAX_NESTING {
+            return Err(QueryError::new(format!(
+                "nesting deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `inner` one level down.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
+        self.deepen()?;
+        let out = inner(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos]
     }
@@ -584,22 +614,28 @@ impl Parser {
     // Path grammar: alt := seq ('|' seq)* ; seq := step ('/' step)* ;
     // step := ('^')? primary ('+'|'*')? ; primary := iri | '(' alt ')' | 'a'
     fn parse_path(&mut self) -> Result<PathExpr, QueryError> {
+        let outer = self.depth;
         let mut left = self.parse_path_seq()?;
         while *self.peek() == Tok::Pipe {
             self.next();
+            self.deepen()?;
             let right = self.parse_path_seq()?;
             left = PathExpr::Alternative(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn parse_path_seq(&mut self) -> Result<PathExpr, QueryError> {
+        let outer = self.depth;
         let mut left = self.parse_path_step()?;
         while *self.peek() == Tok::Slash {
             self.next();
+            self.deepen()?;
             let right = self.parse_path_step()?;
             left = PathExpr::Sequence(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
@@ -615,7 +651,7 @@ impl Parser {
             Tok::PName(pn) => PathExpr::Iri(self.resolve(&pn)?),
             Tok::Word(w) if w == "a" => PathExpr::Iri(Iri::new(ns::RDF_TYPE)),
             Tok::LParen => {
-                let inner = self.parse_path()?;
+                let inner = self.nested(Self::parse_path)?;
                 self.expect(Tok::RParen)?;
                 inner
             }
@@ -641,29 +677,35 @@ impl Parser {
     // Expression grammar: or := and ('||' and)* ; and := unary ('&&' unary)* ;
     // unary := '!' unary | cmp ; cmp := primary (op primary)? ;
     fn parse_or_expr(&mut self) -> Result<Expr, QueryError> {
+        let outer = self.depth;
         let mut left = self.parse_and_expr()?;
         while *self.peek() == Tok::OrOr {
             self.next();
+            self.deepen()?;
             let right = self.parse_and_expr()?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn parse_and_expr(&mut self) -> Result<Expr, QueryError> {
+        let outer = self.depth;
         let mut left = self.parse_unary_expr()?;
         while *self.peek() == Tok::AndAnd {
             self.next();
+            self.deepen()?;
             let right = self.parse_unary_expr()?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
+        self.depth = outer;
         Ok(left)
     }
 
     fn parse_unary_expr(&mut self) -> Result<Expr, QueryError> {
         if *self.peek() == Tok::Bang {
             self.next();
-            let inner = self.parse_unary_expr()?;
+            let inner = self.nested(Self::parse_unary_expr)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
         let left = self.parse_primary_expr()?;
@@ -697,13 +739,13 @@ impl Parser {
             }
             Tok::Bool(v) => Ok(Expr::Const(Term::Literal(Literal::boolean(v)))),
             Tok::LParen => {
-                let inner = self.parse_or_expr()?;
+                let inner = self.nested(Self::parse_or_expr)?;
                 self.expect(Tok::RParen)?;
                 Ok(inner)
             }
             Tok::Word(w) if w.eq_ignore_ascii_case("REGEX") => {
                 self.expect(Tok::LParen)?;
-                let target = self.parse_or_expr()?;
+                let target = self.nested(Self::parse_or_expr)?;
                 self.expect(Tok::Comma)?;
                 let Tok::Str(pat) = self.next() else {
                     return Err(QueryError::new("REGEX pattern must be a string"));
@@ -725,9 +767,9 @@ impl Parser {
                     || w.eq_ignore_ascii_case("CONTAINS") =>
             {
                 self.expect(Tok::LParen)?;
-                let a = self.parse_or_expr()?;
+                let a = self.nested(Self::parse_or_expr)?;
                 self.expect(Tok::Comma)?;
-                let b = self.parse_or_expr()?;
+                let b = self.nested(Self::parse_or_expr)?;
                 self.expect(Tok::RParen)?;
                 let (a, b) = (Box::new(a), Box::new(b));
                 Ok(if w.eq_ignore_ascii_case("STRSTARTS") {
@@ -752,6 +794,7 @@ impl Query {
             pos: 0,
             nss: Namespaces::standard(),
             statement_count: 0,
+            depth: 0,
         };
         p.parse_query()
     }
