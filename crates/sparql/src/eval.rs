@@ -261,8 +261,8 @@ impl Query {
                     object,
                 } => {
                     steps.push(Step {
-                        subject: resolve_end(subject, &mut vars, &mut terms),
-                        object: resolve_end(object, &mut vars, &mut terms),
+                        subject: pattern_end(subject, &mut vars, &mut terms),
+                        object: pattern_end(object, &mut vars, &mut terms),
                         path: IdPath::resolve(path, graph),
                     });
                 }
@@ -545,7 +545,7 @@ fn project<'a>(from: &'a [Option<usize>], row: &'a [Cell]) -> impl Iterator<Item
 }
 
 /// A pattern end as an id or a column, a new variable getting the next one.
-fn resolve_end<'q>(e: &'q TermOrVar, vars: &mut Vec<&'q str>, terms: &mut Terms<'_>) -> End {
+fn pattern_end<'q>(e: &'q TermOrVar, vars: &mut Vec<&'q str>, terms: &mut Terms<'_>) -> End {
     match e {
         TermOrVar::Term(t) => End::Term(terms.id(t)),
         TermOrVar::Var(v) => End::Var(vars.iter().position(|held| held == v).unwrap_or_else(|| {
