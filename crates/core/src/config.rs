@@ -144,12 +144,14 @@ pub struct ProvIoConfig {
     /// Workflow name, recorded as the `Type` extensible node's label.
     pub workflow_type: Option<String>,
     /// Modeled per-record store latency, charged to the workflow clock on
-    /// every tracked event *in addition to* the tracker's real measured
-    /// time. The paper attributes most tracking overhead "to the latency of
-    /// Redland" (§6.2); our in-memory insert is far faster than Redland
-    /// librdf's, so this constant restores the paper's cost ratio. Set to 0
-    /// to measure this implementation's native overhead (the pipeline
-    /// benchmark in `benchmark/` runs every workload that way).
+    /// every tracked call: the call's whole cost in virtual time. The paper
+    /// attributes most tracking overhead "to the latency of Redland"
+    /// (§6.2); our in-memory insert is far faster than Redland librdf's, so
+    /// this constant restores the paper's cost ratio. At 0 tracking is
+    /// free in virtual time — a tracked and an untracked run complete at
+    /// the same instant — and this implementation's native overhead is
+    /// what the pipeline benchmark in `benchmark/`, which runs every
+    /// workload that way, reads off the host clock.
     pub record_latency_ns: u64,
     /// Retry/backoff behavior of the durable store writer.
     pub retry: RetryPolicy,

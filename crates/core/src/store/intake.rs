@@ -3,12 +3,13 @@
 
 use crate::config::OverloadPolicy;
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The shared background writer pool: one FIFO job queue, drained by
 /// [`pool::workers`] threads that live as long as the process.
 pub(super) mod pool {
-    use super::{Condvar, Mutex};
-    use std::collections::VecDeque;
+    use super::{Condvar, Mutex, VecDeque};
     use std::sync::Once;
 
     pub type Job = Box<dyn FnOnce() + Send>;
@@ -52,9 +53,13 @@ pub(super) mod pool {
     }
 }
 
-/// Outstanding-job counters for the bounded intake queue.
+/// One store's outstanding jobs and the counters of its bounded intake.
 #[derive(Default)]
 struct QueueCounts {
+    /// Jobs not yet started, in submission order; `true` marks a push batch.
+    jobs: VecDeque<(pool::Job, bool)>,
+    /// A pool worker is draining `jobs`.
+    running: bool,
     /// All outstanding background jobs (push batches + flushes).
     in_flight: u64,
     /// Outstanding push batches only — the quantity the capacity bounds.
@@ -82,6 +87,36 @@ impl InFlight {
         }
     }
 
+    /// Queue `job` (a push batch, if `is_push`) behind this store's earlier
+    /// jobs. The shared pool runs one store's jobs one at a time in
+    /// submission order — so a flush covers exactly the pushes issued before
+    /// it, and what the store commits does not depend on the pool's size or
+    /// the host's scheduling — while different stores run side by side.
+    pub(super) fn submit(self: &Arc<Self>, is_push: bool, job: pool::Job) {
+        let mut c = self.counts.lock();
+        c.in_flight += 1;
+        c.jobs.push_back((job, is_push));
+        let idle = !std::mem::replace(&mut c.running, true);
+        drop(c);
+        if idle {
+            let this = Arc::clone(self);
+            pool::submit(Box::new(move || this.run_jobs()));
+        }
+    }
+
+    fn run_jobs(&self) {
+        loop {
+            let mut c = self.counts.lock();
+            let Some((job, was_push)) = c.jobs.pop_front() else {
+                c.running = false;
+                return;
+            };
+            drop(c);
+            job();
+            self.done(was_push);
+        }
+    }
+
     /// Admit one push batch of `triples` triples under the store's queue
     /// bound. Returns `false` when the batch was shed instead.
     pub(super) fn admit_push(&self, capacity: u64, policy: OverloadPolicy, triples: u64) -> bool {
@@ -101,15 +136,10 @@ impl InFlight {
             }
         }
         c.queued_pushes += 1;
-        c.in_flight += 1;
         true
     }
 
-    pub(super) fn admit_flush(&self) {
-        self.counts.lock().in_flight += 1;
-    }
-
-    pub(super) fn done(&self, was_push: bool) {
+    fn done(&self, was_push: bool) {
         let mut c = self.counts.lock();
         if was_push {
             c.queued_pushes -= 1;

@@ -7,8 +7,10 @@
 //! asynchronous by default: batches are applied by a small shared writer
 //! pool (thousands of per-rank stores may be live at H5bench scale, so a
 //! thread per store would exhaust the host), and the workflow's critical
-//! path only pays for enqueueing. The synchronous mode exists as the
-//! ablation the paper's design argues against.
+//! path only pays for enqueueing. The pool runs one store's jobs in the
+//! order they were submitted, so both modes commit the same bytes. The
+//! synchronous mode exists as the ablation the paper's design argues
+//! against.
 //!
 //! # Incremental flushing: snapshot + delta segments
 //!
@@ -146,13 +148,13 @@ use crate::names::{self, Role, State};
 use crate::scrub::{MemberCheck, ParityMember};
 use crate::verify::RootCache;
 use breaker::Breaker;
-use intake::{pool, InFlight};
+use intake::InFlight;
 use journal::Journal;
 use parity::{Parity, Plane};
 use parking_lot::Mutex;
 use provio_hpcfs::{FileSystem, FsError};
 use provio_rdf::{ntriples, turtle, Graph, IdMap, Namespaces, Term, TermId, Triple};
-use provio_simrt::{ChargeGuard, DetRng, SimDuration, SimTime, VirtualClock};
+use provio_simrt::{DetRng, SimDuration, SimTime, VirtualClock};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -322,6 +324,8 @@ struct IoState {
     flush_retries: u64,
     last_error: Option<FsError>,
     segments: Segments,
+    /// Graph length the last successful final flush made durable.
+    finished: Option<usize>,
     breaker: Breaker,
     /// Time source for breaker backoff when a flush carries no charge
     /// clock (async flushes): the owning rank's clock, if wired via
@@ -666,8 +670,10 @@ impl Inner {
         let rendered = rendered
             .filter(|r| r.seat == seat && r.captured == self.state.lock().graph.len())
             .unwrap_or_else(|| self.render(seat));
+        let captured = rendered.captured;
         let n = self.commit(io, rendered, charge);
         if n > 0 {
+            io.finished = Some(captured);
             // The run's terminal state must be repairable even when the
             // final group is short: force-seal whatever is open (a
             // single-member group degenerates to replication of the final
@@ -768,6 +774,7 @@ impl ProvenanceStore {
                 compact_every: DEFAULT_COMPACT_EVERY,
                 ..Segments::default()
             },
+            finished: None,
             breaker: Breaker::default(),
             clock: None,
             roots: RootCache::new(),
@@ -882,23 +889,25 @@ impl ProvenanceStore {
     /// Async mode: enqueue to the shared pool, subject to the bounded
     /// intake queue — a full queue blocks the caller or sheds the batch
     /// depending on [`Self::with_queue`]. Sync mode: insert on the caller's
-    /// time (pass the issuing process's clock so the cost lands on the
-    /// workflow — exactly the ablation's point). Either way only the state
-    /// lock is taken, so a concurrent flush doing file I/O never stalls a
-    /// push. `triples_pushed` counts every batch *offered*, shed or not;
-    /// [`Self::shed_triples`] says how many of those never landed.
-    pub fn push(&self, triples: Vec<Triple>, charge: Option<&VirtualClock>) {
-        self.intake(triples, charge, true);
+    /// thread — the ablation's point; its price is real time, read in
+    /// `benchmark/`. An insert costs no virtual time, so the clock that
+    /// [`Self::flush`] and [`Self::finish`] bill retry backoff to is not
+    /// read here. Either way only the state lock is taken, so a concurrent
+    /// flush doing file I/O never stalls a push. `triples_pushed` counts
+    /// every batch *offered*, shed or not; [`Self::shed_triples`] says how
+    /// many of those never landed.
+    pub fn push(&self, triples: Vec<Triple>, _charge: Option<&VirtualClock>) {
+        self.intake(triples, true);
     }
 
     /// The finishing hand-over: [`Self::push`], except that the journal
     /// records stay buffered for the forced append [`Self::commit_final`]
     /// starts with, so no file-system operation is issued here.
-    pub(crate) fn push_final(&self, triples: Vec<Triple>, charge: Option<&VirtualClock>) {
-        self.intake(triples, charge, false);
+    pub(crate) fn push_final(&self, triples: Vec<Triple>) {
+        self.intake(triples, false);
     }
 
-    fn intake(&self, triples: Vec<Triple>, charge: Option<&VirtualClock>, group_commit: bool) {
+    fn intake(&self, triples: Vec<Triple>, group_commit: bool) {
         self.triples_pushed
             .fetch_add(triples.len() as u64, Ordering::Relaxed);
         let journaled = self.journaled;
@@ -910,13 +919,9 @@ impl ProvenanceStore {
                 return; // shed under overload, counted in the queue stats
             }
             let inner = Arc::clone(&self.inner);
-            let in_flight = Arc::clone(&self.in_flight);
-            pool::submit(Box::new(move || {
-                inner.apply_batch(&triples, journaled, group_commit);
-                in_flight.done(true);
-            }));
+            let apply = move || inner.apply_batch(&triples, journaled, group_commit);
+            self.in_flight.submit(true, Box::new(apply));
         } else {
-            let _guard = charge.map(ChargeGuard::new);
             self.inner.apply_batch(&triples, journaled, group_commit);
         }
     }
@@ -930,19 +935,16 @@ impl ProvenanceStore {
     /// flush writes a full snapshot, every later one appends a segment
     /// holding only the not-yet-durable triples, and every
     /// `compact_every`-th append folds the segments into a fresh snapshot.
+    /// `charge` is billed a synchronous flush's retry backoff; an
+    /// asynchronous one waits on the pool's time, not the workflow's.
     pub fn flush(&self, charge: Option<&VirtualClock>) {
         if self.async_store {
             let inner = Arc::clone(&self.inner);
-            let in_flight = Arc::clone(&self.in_flight);
-            in_flight.admit_flush();
-            pool::submit(Box::new(move || {
-                let mut io = inner.io.lock();
-                inner.flush_now(&mut io, None);
-                drop(io);
-                in_flight.done(false);
-            }));
+            let flush = move || {
+                inner.flush_now(&mut inner.io.lock(), None);
+            };
+            self.in_flight.submit(false, Box::new(flush));
         } else {
-            let _guard = charge.map(ChargeGuard::new);
             let mut io = self.inner.io.lock();
             self.inner.flush_now(&mut io, charge);
         }
@@ -953,23 +955,15 @@ impl ProvenanceStore {
     /// size in bytes (0 if the store is degraded — see [`Self::degraded`] /
     /// [`Self::last_error`]).
     pub fn finish(&self, charge: Option<&VirtualClock>) -> u64 {
-        let rendered = self.render_final(charge);
+        let rendered = self.render_final();
         self.commit_final(rendered, charge)
-    }
-
-    /// The clock a final-flush half bills: the issuing rank's for a
-    /// synchronous store, none for an asynchronous one (the pool's time is
-    /// not the workflow's).
-    fn billed<'a>(&self, charge: Option<&'a VirtualClock>) -> Option<&'a VirtualClock> {
-        charge.filter(|_| !self.async_store)
     }
 
     /// The CPU half of [`Self::finish`]: wait for the intake queue, then
     /// capture and render the final snapshot (`None` for a crashed
     /// writer). Issues no file-system operation of its own, so many stores
     /// may render concurrently.
-    pub(crate) fn render_final(&self, charge: Option<&VirtualClock>) -> Option<RenderedSnapshot> {
-        let _guard = self.billed(charge).map(ChargeGuard::new);
+    pub(crate) fn render_final(&self) -> Option<RenderedSnapshot> {
         if self.async_store {
             self.drain();
         }
@@ -988,8 +982,7 @@ impl ProvenanceStore {
         rendered: Option<RenderedSnapshot>,
         charge: Option<&VirtualClock>,
     ) -> u64 {
-        let charge = self.billed(charge);
-        let _guard = charge.map(ChargeGuard::new);
+        let charge = charge.filter(|_| !self.async_store); // as `flush`
         let mut io = self.inner.io.lock();
         self.inner.finish_now(&mut io, rendered, charge)
     }
@@ -1145,17 +1138,22 @@ impl ProvenanceStore {
 impl Drop for ProvenanceStore {
     fn drop(&mut self) {
         // Make sure buffered batches land even if `finish` was never called
-        // (e.g. a process crashed before MPI_Finalize).
+        // (e.g. a process crashed before MPI_Finalize). A finished store
+        // that took nothing since is left alone: one more commit would move
+        // its frame ordinal and its parity seal under a signed manifest.
         if self.async_store {
             self.drain();
             let mut io = self.inner.io.lock();
-            self.inner.finish_now(&mut io, None, None);
+            if io.finished != Some(self.inner.state.lock().graph.len()) {
+                self.inner.finish_now(&mut io, None, None);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::intake::pool;
     use super::*;
     use parking_lot::Condvar;
     use provio_hpcfs::{FaultOp, FaultPlan, FaultRule, LustreConfig};
@@ -1238,13 +1236,13 @@ mod tests {
             .with_checksums(true)
             .with_wal(true, 4);
         st.push(triples(5), None);
-        let rendered = st.render_final(None);
+        let rendered = st.render_final();
         st.push(triples_from(5, 3), None); // the graph grew
         assert!(st.commit_final(rendered, None) > 0);
         let text = String::from_utf8(fs_read(&fs, "/prov/late.nt")).unwrap();
         assert_eq!(ntriples::parse(&text).unwrap().len(), 8);
 
-        let rendered = st.render_final(None);
+        let rendered = st.render_final();
         st.push(triples_from(8, 2), None);
         st.flush(None); // a delta segment took the rendered ordinal
         assert!(st.commit_final(rendered, None) > 0);
@@ -1262,15 +1260,6 @@ mod tests {
         let a = st.finish(None);
         let b = st.finish(None);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sync_push_charges_caller_clock() {
-        let fs = FileSystem::new(LustreConfig::default());
-        let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/p5.ttl", RdfFormat::Turtle, false);
-        let clock = VirtualClock::new();
-        st.push(triples(1000), Some(&clock));
-        assert!(clock.now().as_nanos() > 0, "sync mode bills the workflow");
     }
 
     #[test]
@@ -1658,6 +1647,55 @@ mod tests {
         assert_eq!(f.batches_total, 1, "Turtle payload is all-or-nothing");
         let (g, _) = turtle::parse(&f.payload).unwrap();
         assert_eq!(g.len(), 200);
+    }
+
+    #[test]
+    fn dropping_a_finished_async_store_leaves_its_files_alone() {
+        let fs = FileSystem::new(LustreConfig::default());
+        let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/fin.nt", RdfFormat::NTriples, true)
+            .with_checksums(true)
+            .with_parity(true, 2);
+        st.push(triples(10), None);
+        assert!(st.finish(None) > 0);
+        let files = |fs: &Arc<FileSystem>| -> Vec<(String, Vec<u8>)> {
+            let mut paths = fs.walk_files("/prov").unwrap();
+            paths.sort();
+            paths.into_iter().map(|p| (p.clone(), fs_read(fs, &p))).collect()
+        };
+        let sealed = files(&fs);
+        drop(st);
+        assert!(files(&fs) == sealed, "the drop committed again");
+
+        // An unfinished one still lands what it holds.
+        let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/unfin.nt", RdfFormat::NTriples, true);
+        st.push(triples(10), None);
+        drop(st);
+        assert!(fs.stat("/prov/unfin.nt").unwrap().size > 0);
+    }
+
+    // ---- ordered intake ------------------------------------------------
+
+    #[test]
+    fn pool_applied_store_issues_the_ops_the_caller_applied_store_issues() {
+        // One store's jobs run in submission order, so a flush covers
+        // exactly the pushes issued before it whatever the pool's workers
+        // do: same commits, same ordinals, same bytes as the sync store.
+        let ops = |async_store: bool| {
+            let fs = FileSystem::new(LustreConfig::default());
+            let trace = provio_hpcfs::OpTrace::new();
+            fs.attach_tracer(Arc::clone(&trace));
+            let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/lane.nt", RdfFormat::NTriples, async_store)
+                .with_checksums(true)
+                .with_wal(true, 4)
+                .with_compact_every(3);
+            for round in 0..40 {
+                st.push(triples_from(round * 3, 3), None);
+                st.flush(None);
+            }
+            assert!(st.finish(None) > 0);
+            trace.snapshot()
+        };
+        assert!(ops(true) == ops(false));
     }
 
     // ---- bounded queue -------------------------------------------------

@@ -101,7 +101,7 @@ impl SyscallHook for PosixWrapper {
         let Some((activity, object)) = Self::classify(event) else {
             return;
         };
-        // The tracker charges its own measured time to the process clock.
+        // The tracker advances the process clock by `record_latency_ns`.
         tracker.track_io(&IoEvent {
             activity,
             api_name: event.kind.name().to_string(),
@@ -124,11 +124,15 @@ mod tests {
     use provio_rdf::turtle;
 
     fn rig() -> (Arc<FileSystem>, FsSession, Arc<ProvTracker>) {
+        rig_with(ProvIoConfig::default())
+    }
+
+    fn rig_with(cfg: ProvIoConfig) -> (Arc<FileSystem>, FsSession, Arc<ProvTracker>) {
         let fs = FileSystem::new(LustreConfig::default());
         let registry = TrackerRegistry::new();
         let clock = VirtualClock::new();
         let tracker = ProvTracker::new(
-            ProvIoConfig::default().shared(),
+            cfg.shared(),
             Arc::clone(&fs),
             11,
             "Alice",
@@ -202,13 +206,13 @@ mod tests {
         assert_eq!(tracker.event_count(), 0);
     }
 
-    #[test]
-    fn wrapper_charges_tracking_time_to_process() {
-        let (_, s, _tracker) = rig();
-        // Baseline: identical session without the wrapper.
-        let fs2 = FileSystem::new(LustreConfig::default());
+    /// 50 `write_file` calls on a tracked session and on a bare one over an
+    /// identical, separate file system.
+    fn tracked_and_bare(record_latency_ns: u64) -> (FsSession, FsSession, Arc<ProvTracker>) {
+        let cfg = ProvIoConfig::default().with_record_latency_ns(record_latency_ns);
+        let (_, s, tracker) = rig_with(cfg);
         let bare = FsSession::new(
-            fs2,
+            FileSystem::new(LustreConfig::default()),
             12,
             "Alice",
             "topreco",
@@ -219,9 +223,25 @@ mod tests {
             s.write_file(&format!("/t{i}"), b"x").unwrap();
             bare.write_file(&format!("/t{i}"), b"x").unwrap();
         }
-        assert!(
-            s.clock().now() > bare.clock().now(),
-            "tracked session pays tracking overhead"
+        (s, bare, tracker)
+    }
+
+    #[test]
+    fn wrapper_charges_tracking_time_to_process() {
+        let latency = crate::config::DEFAULT_RECORD_LATENCY_NS;
+        let (s, bare, tracker) = tracked_and_bare(latency);
+        assert!(tracker.event_count() >= 50);
+        assert_eq!(
+            s.clock().now().elapsed_since(bare.clock().now()).as_nanos(),
+            tracker.event_count() * latency,
+            "tracking costs the process its tracked calls × record_latency_ns, exactly"
         );
+    }
+
+    #[test]
+    fn free_tracking_ends_at_the_untracked_instant() {
+        let (s, bare, tracker) = tracked_and_bare(0);
+        assert!(tracker.event_count() >= 50);
+        assert_eq!(s.clock().now(), bare.clock().now());
     }
 }

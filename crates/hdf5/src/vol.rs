@@ -64,7 +64,7 @@ pub struct ObjectInfo {
 /// All methods take the calling process's [`FsSession`] so the terminal
 /// connector performs its byte I/O — and charges its modeled cost — on
 /// behalf of the right process, and so stacked connectors can charge their
-/// own (real, measured) overhead to the same process.
+/// own modeled overhead to the same process.
 pub trait VolConnector: Send + Sync {
     /// Connector name (what the registry binds).
     fn name(&self) -> &str;

@@ -100,8 +100,9 @@ pub struct SyscallEvent {
 }
 
 /// A syscall observer. `clock` is the issuing process's virtual clock so a
-/// hook that does real work (like the PROV-IO wrapper) can charge its own
-/// measured time to the workflow, exactly like in-process interposition.
+/// hook that models a cost of its own (like the PROV-IO wrapper's
+/// per-record latency) can charge it to the workflow, exactly like
+/// in-process interposition.
 pub trait SyscallHook: Send + Sync {
     fn on_syscall(&self, event: &SyscallEvent, clock: &VirtualClock);
 }

@@ -18,9 +18,11 @@
 //! * records persist as JSON-lines on the parallel file system (standing in
 //!   for ProvLake's HTTP push to a collector service).
 //!
-//! Like the PROV-IO tracker, all API calls charge their real measured time
-//! to the workflow's virtual clock, so Figure 8's head-to-head comparison
-//! measures two real implementations over the same workload.
+//! Like the PROV-IO tracker, an API call costs the workflow's virtual clock
+//! a modeled latency and nothing else ([`tracker::PUSH_LATENCY_NS`] per
+//! collector round trip against PROV-IO's `record_latency_ns` per record),
+//! so Figure 8's head-to-head comparison is a function of the two models
+//! and the workload, not of the host.
 
 pub mod characteristics;
 pub mod tracker;

@@ -2,7 +2,7 @@
 
 use parking_lot::Mutex;
 use provio_hpcfs::FileSystem;
-use provio_simrt::{ChargeGuard, SimTime, VirtualClock};
+use provio_simrt::{SimDuration, SimTime, VirtualClock};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -142,11 +142,9 @@ impl ProvLakeTracker {
     /// these "once at the beginning of the workflow" (paper §6.4) — but the
     /// full set rides along in every subsequent step record.
     pub fn set_workflow_attribute(&self, key: &str, value: &str) {
-        let _g = ChargeGuard::new(&self.clock);
         // Attribute registration is a client-library call that round-trips
         // to the collector, like any other ProvLake API interaction.
-        self.clock
-            .advance(provio_simrt::SimDuration::from_nanos(PUSH_LATENCY_NS));
+        self.clock.advance(SimDuration::from_nanos(PUSH_LATENCY_NS));
         self.state
             .lock()
             .workflow_attributes
@@ -155,7 +153,6 @@ impl ProvLakeTracker {
 
     /// Begin an execution step (e.g. one training cycle).
     pub fn begin_task(&self, name: &str, cycle: u64) -> TaskHandle {
-        let _g = ChargeGuard::new(&self.clock);
         let mut st = self.state.lock();
         let id = st.next_task;
         st.next_task += 1;
@@ -175,7 +172,6 @@ impl ProvLakeTracker {
 
     /// Attach an output value (e.g. the epoch's accuracy) to a step.
     pub fn task_output(&self, task: TaskHandle, key: &str, value: &str) {
-        let _g = ChargeGuard::new(&self.clock);
         if let Some(t) = self.state.lock().open_tasks.get_mut(&task.0) {
             t.outputs.insert(key.to_string(), value.to_string());
         }
@@ -184,8 +180,7 @@ impl ProvLakeTracker {
     /// End a step: the full record (with duplicated workflow context) is
     /// serialized immediately, like ProvLake pushing to its collector.
     pub fn end_task(&self, task: TaskHandle) {
-        let _g = ChargeGuard::new(&self.clock);
-        self.clock.advance(provio_simrt::SimDuration::from_nanos(PUSH_LATENCY_NS));
+        self.clock.advance(SimDuration::from_nanos(PUSH_LATENCY_NS));
         let mut st = self.state.lock();
         let Some(t) = st.open_tasks.remove(&task.0) else {
             return;
@@ -215,7 +210,6 @@ impl ProvLakeTracker {
 
     /// End the workflow: write all records and return stored bytes.
     pub fn finish(&self) -> u64 {
-        let _g = ChargeGuard::new(&self.clock);
         let body = {
             let st = self.state.lock();
             let mut body = String::with_capacity(st.lines.iter().map(|l| l.len() + 1).sum());
@@ -317,13 +311,16 @@ mod tests {
     #[test]
     fn api_calls_charge_the_clock() {
         let (_, t, clock) = rig();
-        let before = clock.now();
+        t.set_workflow_attribute("learning_rate", "0.01");
         for epoch in 0..100 {
             let h = t.begin_task("train_epoch", epoch);
             t.task_output(h, "accuracy", "0.5");
             t.end_task(h);
         }
-        assert!(clock.now() > before);
+        t.finish();
+        // One modeled round trip per attribute and per ended step; nothing
+        // else moves the clock.
+        assert_eq!(clock.now().as_nanos(), 101 * PUSH_LATENCY_NS);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — virtual nanoseconds.
-//! * [`VirtualClock`] — a shareable per-agent clock that workflow I/O and
-//!   compute charge *modeled* time to, and that provenance tracking charges
-//!   its *real measured* time to (see `DESIGN.md` §3, "Timing model").
+//! * [`VirtualClock`] — a shareable per-agent clock. It advances only by
+//!   *modeled* amounts (I/O and compute cost models, the per-record store
+//!   latency, retry backoff, network timeouts, injected delays), never by
+//!   host time, so a run is a function of its model and its seed (see
+//!   `DESIGN.md` §3, "Timing model").
 //! * [`LatencyBandwidth`] — the latency + bandwidth cost primitive used by
 //!   the Lustre model in `provio-hpcfs`.
 //! * [`DetRng`] — deterministic, splittable random streams so every
@@ -21,11 +23,9 @@ pub mod cost;
 pub mod net;
 pub mod panics;
 pub mod rng;
-pub mod timer;
 
 pub use clock::{SimDuration, SimTime, VirtualClock};
 pub use cost::LatencyBandwidth;
 pub use net::{NetLink, NetLinkStats, NetPlan, PartitionEpisode, SendFate, NET_FAULT_STREAM};
 pub use panics::catch_quiet;
 pub use rng::DetRng;
-pub use timer::ChargeGuard;

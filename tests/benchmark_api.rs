@@ -7,9 +7,14 @@
 
 use prov_io::core::frame::{self, Encoder, FrameKind};
 use prov_io::core::verify::{self, RankEntry, RootCache};
+use prov_io::core::merge::MergeReport;
 use prov_io::core::{ProvTracker, RdfFormat};
-use prov_io::model::{ontology, AgentClass, GuidGen, PropKey, ProvNode, ProvRecord};
+use prov_io::hpcfs::TraceOp;
+use prov_io::model::{ontology, AgentClass, Guid, GuidGen, PropKey, ProvNode, ProvRecord};
 use prov_io::prelude::*;
+use prov_io::rdf::{ntriples, turtle, Graph, Namespaces, Term};
+use prov_io::workflows::{dassa, h5bench, topreco, RunMetrics};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 #[allow(dead_code)]
@@ -116,4 +121,98 @@ fn benchmark_api(fs: Arc<FileSystem>, summary: TrackSummary, tracker: &ProvTrack
     ontology::record_triples_into(&rec, &mut Vec::new());
     let _ = [PropKey::ElapsedNs, PropKey::TimestampNs, PropKey::Bytes];
     let _: String = Relation::for_activity(ActivityClass::Write).iri();
+}
+
+/// The read side: recovery tiers, merge, the query engine, the RDF
+/// renderers and parsers the layer rows time, the rot and op-trace hooks,
+/// and the three workflow drivers.
+#[allow(dead_code)]
+fn benchmark_read_api(fs: Arc<FileSystem>, cluster: &Cluster, probe: &Guid, mode: ProvMode) {
+    // `recover_all` and the `RecoveryOutcome` fields the checks read.
+    let out: RecoveryOutcome = recover_all(&fs, "/provio", Some("key"));
+    let _: [usize; 3] = [
+        out.scrub.repaired_files.len(),
+        out.scrub.unrecoverable.len(),
+        out.quarantined.len(),
+    ];
+    let _: bool = out.verify.is_some_and(|v| v.is_trusted());
+    let mut graph: Graph = out.graph;
+
+    // The same three tiers one by one, as the traced run calls them.
+    let scrub: ScrubReport = scrub_directory(&fs, "/provio");
+    let _: (&Vec<String>, &Vec<String>) = (&scrub.repaired_files, &scrub.unrecoverable);
+    let (merged, report): (Graph, MergeReport) = merge_directory(&fs, "/provio");
+    let _: usize = report.replayed_triples;
+    let audit: VerifyReport = verify_directory(&fs, "/provio", "key");
+    let _: bool = audit.is_trusted();
+    let _: Vec<String> = quarantine_tampered(&fs, &audit);
+    let _: HashSet<String> = repairable_paths(&fs, "/provio");
+
+    // Rot at rest, and the op trace the write-amplification rows count.
+    let kind = CorruptKind::BitFlips { count: 3 };
+    let _: bool = fs.corrupt_at_rest("/provio/prov_p1.nt", &kind, 7).is_ok_and(|n: u64| n > 0);
+    let trace = OpTrace::new();
+    fs.attach_tracer(Arc::clone(&trace));
+    let _: u64 = trace
+        .snapshot()
+        .iter()
+        .map(|op| match op {
+            TraceOp::WriteAt { data, .. } => data.len() as u64,
+            _ => 0,
+        })
+        .sum();
+
+    // `rdf`: renderers, parsers and the bulk merge.
+    let term_of = |id: u32| &merged.terms()[id as usize];
+    let ids: &[(u32, u32, u32)] = merged.ids_from(0);
+    let block: String = ntriples::id_block(ids, term_of);
+    let _: Vec<String> = ntriples::sorted_id_lines(ids, term_of);
+    let _: Vec<String> = ntriples::sorted_graph_lines(&merged);
+    let _: Option<String> = merged.terms().first().map(|t: &Term| ntriples::render_term(t));
+    let _: bool = ntriples::parse_into(&block, &mut graph).is_ok();
+    let text: String = turtle::serialize(&merged, &Namespaces::standard());
+    let _: Option<Graph> = turtle::parse(&text).ok().map(|(g, _)| g);
+    graph.merge(&merged);
+
+    // The query engine and the parser.
+    let _ = Query::parse("SELECT ?s WHERE { ?s ?p ?o . }").map(|q| q.execute(&graph));
+    let mut engine = ProvQueryEngine::new(graph);
+    let _: usize = engine.derive_lineage();
+    let _: Vec<Guid> = engine.backward_lineage(probe);
+
+    // `provio_workflows`: the three drivers and what they report.
+    let h5 = h5bench::H5benchParams {
+        ranks: 4,
+        pattern: h5bench::IoPattern::WriteRead,
+        seed: 1,
+        mode: mode.clone(),
+        ..h5bench::H5benchParams::default()
+    };
+    let da = dassa::DassaParams {
+        n_files: 4,
+        nodes: 2,
+        channels: 24,
+        seed: 1,
+        mode: mode.clone(),
+        ..dassa::DassaParams::default()
+    };
+    let tp = topreco::TopRecoParams {
+        epochs: 2,
+        n_configs: 2,
+        seed: 1,
+        mode,
+        run_id: 0,
+        ..topreco::TopRecoParams::default()
+    };
+    let runs: [RunMetrics; 3] = [
+        h5bench::run(cluster, &h5).metrics,
+        dassa::run(cluster, &da).metrics,
+        topreco::run(cluster, &tp).metrics,
+    ];
+    let _ = RunMetrics {
+        completion: runs[0].completion.saturating_add(SimDuration::from_nanos(0)),
+        prov_bytes: runs[1].prov_bytes,
+        prov_files: runs[2].prov_files,
+        tracked_events: runs[0].tracked_events,
+    };
 }

@@ -1,6 +1,7 @@
-//! The seeded every-plane scenario and the directory / operation digests
-//! shared by `golden_store.rs` (what capture leaves behind) and
-//! `golden_recovery.rs` (what recovery makes of it).
+//! The seeded every-plane scenario and the directory / graph / operation
+//! digests shared by `golden_store.rs` (what capture leaves behind),
+//! `golden_recovery.rs` (what recovery makes of it) and
+//! `golden_workflows.rs` (what whole runs on the virtual clock leave).
 #![allow(dead_code)] // each test binary uses its own part
 
 use prov_io::core::frame::fnv1a64;
@@ -9,6 +10,8 @@ use prov_io::core::{
 };
 use prov_io::hpcfs::{FileSystem, OpTrace, TraceOp};
 use prov_io::model::{ActivityClass, EntityClass};
+use prov_io::rdf::ntriples::sorted_graph_lines;
+use prov_io::rdf::Graph;
 use prov_io::simrt::{DetRng, VirtualClock};
 use sha2::Sha256;
 use std::sync::Arc;
@@ -89,6 +92,40 @@ pub fn put(h: &mut Sha256, field: &[u8]) {
     h.update(field);
 }
 
+/// Every file under `dir`, sorted by path.
+pub fn files_under(fs: &Arc<FileSystem>, dir: &str) -> Vec<(String, Vec<u8>)> {
+    let mut paths = fs.walk_files(dir).expect("store directory");
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let ino = fs.lookup(&path).expect("listed file");
+            let size = fs.file_size(ino).expect("listed file");
+            let bytes = fs.read_at(ino, 0, size).expect("readable").to_vec();
+            (path, bytes)
+        })
+        .collect()
+}
+
+/// SHA-256 over every (path, bytes).
+pub fn files_digest(files: &[(String, Vec<u8>)]) -> String {
+    let mut h = Sha256::new();
+    for (path, bytes) in files {
+        put(&mut h, path.as_bytes());
+        put(&mut h, bytes);
+    }
+    sha2::hex(&h.finalize())
+}
+
+/// SHA-256 over the graph's sorted N-Triples lines.
+pub fn graph_digest(graph: &Graph) -> String {
+    let mut h = Sha256::new();
+    for line in sorted_graph_lines(graph) {
+        put(&mut h, line.as_bytes());
+    }
+    sha2::hex(&h.finalize())
+}
+
 /// What a run left and did: every file under the store directory, by
 /// path, and every file-system operation it issued, in order.
 #[derive(PartialEq)]
@@ -99,31 +136,15 @@ pub struct Image {
 
 impl Image {
     pub fn of(fs: &Arc<FileSystem>, trace: &OpTrace) -> Image {
-        let mut paths = fs.walk_files(DIR).expect("store directory");
-        paths.sort();
-        let files = paths
-            .into_iter()
-            .map(|path| {
-                let ino = fs.lookup(&path).expect("listed file");
-                let size = fs.file_size(ino).expect("listed file");
-                let bytes = fs.read_at(ino, 0, size).expect("readable").to_vec();
-                (path, bytes)
-            })
-            .collect();
         Image {
-            files,
+            files: files_under(fs, DIR),
             ops: trace.snapshot(),
         }
     }
 
     /// SHA-256 over every (path, bytes) of the directory.
     pub fn directory_digest(&self) -> String {
-        let mut h = Sha256::new();
-        for (path, bytes) in &self.files {
-            put(&mut h, path.as_bytes());
-            put(&mut h, bytes);
-        }
-        sha2::hex(&h.finalize())
+        files_digest(&self.files)
     }
 
     /// SHA-256 over the operations in issue order. A write enters as its

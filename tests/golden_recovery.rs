@@ -11,15 +11,13 @@
 
 mod common;
 
-use common::{durable_config, put, tracked_rank, Image, DIR, KEY, RANKS, SEED};
+use common::{durable_config, graph_digest, tracked_rank, Image, DIR, KEY, RANKS, SEED};
 use prov_io::core::{recover_all, scrub_directory, ProvenanceStore, RdfFormat, TrackerRegistry};
 use prov_io::hpcfs::{
     CorruptKind, FaultOp, FaultPlan, FaultRule, FileSystem, LustreConfig, OpTrace, TamperKind,
 };
-use prov_io::rdf::ntriples::sorted_graph_lines;
 use prov_io::rdf::{Iri, Subject, Term, Triple};
 use prov_io::simrt::{DetRng, SimTime};
-use sha2::Sha256;
 use std::sync::Arc;
 
 /// The rank that never finishes (scenarios with an unfinished store).
@@ -151,17 +149,13 @@ fn recovery(fs: &Arc<FileSystem>) -> (Image, String) {
     let out = recover_all(fs, DIR, Some(KEY));
     fs.detach_tracer();
     let image = Image::of(fs, &trace);
-    let mut graph = Sha256::new();
-    for line in sorted_graph_lines(&out.graph) {
-        put(&mut graph, line.as_bytes());
-    }
     let text = format!(
         "directory {}\nmutations {} {}\ngraph {} {}\n{}\n{}\n{}\n{}\nquarantined {:?}\n",
         image.directory_digest(),
         image.ops.len(),
         image.trace_digest(),
         out.graph.len(),
-        sha2::hex(&graph.finalize()),
+        graph_digest(&out.graph),
         out.scrub,
         out.merge,
         out.verify.as_ref().expect("keyed recovery audits"),
