@@ -39,11 +39,16 @@
 //!
 //! The graph lives under a *state* lock that `push` takes briefly; all file
 //! I/O serializes under a separate *io* lock. A flush holds the state lock
-//! only long enough to capture the delta id-range and `Arc`-clone the
-//! distinct terms behind it (or, for a snapshot, to clone the graph's
-//! interned structure — term payloads are shared `Arc<str>`s). Rendering
-//! and disk writes happen outside the state lock, so concurrent `push`
-//! calls never stall behind serialization.
+//! only for a [`provio_rdf::Capture`]: the id-triples it is about to write
+//! (everything for a snapshot, the range above the watermark for a delta),
+//! renumbered densely, and one `Arc` clone per distinct term they name —
+//! one pass over the ids, no index read, no interner or graph copied.
+//! Rendering works on that capture alone and, like the disk writes, happens
+//! outside the state lock, so concurrent `push` calls never stall behind
+//! serialization. The writers allocate buffers, not strings: Turtle spells
+//! each captured term once into one arena and groups subjects by sorting
+//! the ids; N-Triples spells every line into one block and hands the frame
+//! encoder sorted slices of it.
 //!
 //! A snapshot is two halves: [`Inner::render`] captures and renders (and
 //! frames) the graph and issues no file-system operation; [`Inner::commit`]
@@ -153,7 +158,7 @@ use journal::Journal;
 use parity::{Parity, Plane};
 use parking_lot::Mutex;
 use provio_hpcfs::{FileSystem, FsError};
-use provio_rdf::{ntriples, turtle, Graph, IdMap, Namespaces, Term, TermId, Triple};
+use provio_rdf::{ntriples, turtle, Capture, Graph, Namespaces, TermId, Triple};
 use provio_simrt::{DetRng, SimDuration, SimTime, VirtualClock};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,12 +216,18 @@ impl Rendered {
     }
 }
 
-/// Frame sorted N-Triples lines as one commit file under `seat`. The lines
-/// are framed while still cache-hot — no re-scan of a rendered blob, no
-/// UTF-8 revalidation, no second full-payload copy — in fine-grained
+/// The N-Triples commit file holding `capture`'s triples under `seat`:
+/// sorted lines, framed — when the seat says so — while still cache-hot, as
+/// slices of the one block they were rendered into, in fine-grained
 /// batches: N-Triples is line-oriented, so intact batches salvage safely
 /// around a corrupt one.
-fn frame_lines(seat: FrameSeat, kind: FrameKind, lines: &[String]) -> Rendered {
+fn render_lines(capture: &Capture, seat: FrameSeat, kind: FrameKind) -> Rendered {
+    let term_of = |id: u32| &capture.terms[id as usize];
+    if !seat.checksums {
+        return Rendered::plain(ntriples::sorted_block(&capture.ids, term_of).into_bytes());
+    }
+    let rendered = ntriples::lines(&capture.ids, term_of);
+    let lines = rendered.sorted();
     let mut enc = frame::Encoder::new(kind, seat.guid, seat.ordinal, seat.chain);
     enc.reserve(lines.iter().map(|l| l.len() + 1).sum());
     for chunk in lines.chunks(NT_BATCH_LINES) {
@@ -229,48 +240,29 @@ fn frame_lines(seat: FrameSeat, kind: FrameKind, lines: &[String]) -> Rendered {
     }
 }
 
-/// Render a full snapshot of `graph` under `seat`.
-fn render_snapshot(graph: &Graph, seat: FrameSeat) -> Rendered {
-    match (seat.checksums, seat.format) {
-        (false, RdfFormat::Turtle) => {
-            Rendered::plain(turtle::serialize(graph, &Namespaces::standard()).into_bytes())
-        }
-        (false, RdfFormat::NTriples) => Rendered::plain(ntriples::serialize(graph).into_bytes()),
-        // Turtle statements span lines, and splicing verified fragments
-        // across a dropped batch could forge triples — a Turtle snapshot
-        // is one all-or-nothing batch.
-        (true, RdfFormat::Turtle) => {
-            let text = turtle::serialize(graph, &Namespaces::standard());
-            let (framed, chain, root) = frame::encode_with_root(
-                FrameKind::Snapshot,
-                seat.guid,
-                seat.ordinal,
-                seat.chain,
-                &text,
-                usize::MAX,
-            );
-            Rendered {
-                bytes: framed.into_bytes(),
-                footer: Some((chain, root)),
-            }
-        }
-        (true, RdfFormat::NTriples) => {
-            frame_lines(seat, FrameKind::Snapshot, &ntriples::sorted_graph_lines(graph))
-        }
+/// Render a full snapshot of the captured graph under `seat`.
+fn render_snapshot(capture: &Capture, seat: FrameSeat) -> Rendered {
+    if seat.format == RdfFormat::NTriples {
+        return render_lines(capture, seat, FrameKind::Snapshot);
     }
-}
-
-/// Render the delta segment holding `ids` (always N-Triples: line-oriented,
-/// so a torn segment salvages by prefix).
-fn render_delta(ids: &[(u32, u32, u32)], terms: &IdMap<u32, Term>, seat: FrameSeat) -> Rendered {
-    if seat.checksums {
-        let lines = ntriples::sorted_id_lines(ids, |id| &terms[&id]);
-        frame_lines(seat, FrameKind::Delta, &lines)
-    } else {
-        let mut buf = Vec::new();
-        ntriples::render_ids(ids, |id| &terms[&id], &mut buf)
-            .expect("writing to a Vec cannot fail");
-        Rendered::plain(buf)
+    let text = turtle::serialize_capture(capture, &Namespaces::standard());
+    if !seat.checksums {
+        return Rendered::plain(text.into_bytes());
+    }
+    // Turtle statements span lines, and splicing verified fragments across
+    // a dropped batch could forge triples — a Turtle snapshot is one
+    // all-or-nothing batch.
+    let (framed, chain, root) = frame::encode_with_root(
+        FrameKind::Snapshot,
+        seat.guid,
+        seat.ordinal,
+        seat.chain,
+        &text,
+        usize::MAX,
+    );
+    Rendered {
+        bytes: framed.into_bytes(),
+        footer: Some((chain, root)),
     }
 }
 
@@ -545,14 +537,10 @@ impl Inner {
     /// `seat`. Issues no file-system operation and takes only the state
     /// lock, briefly.
     fn render(&self, seat: FrameSeat) -> RenderedSnapshot {
-        // Capture under the state lock: the clone shares term payloads
-        // (`Arc<str>`), so this is O(ids), not O(bytes).
-        let (graph, captured) = {
-            let st = self.state.lock();
-            (st.graph.clone(), st.graph.len())
-        };
+        let capture = self.state.lock().graph.capture_from(0);
+        let captured = capture.ids.len();
         RenderedSnapshot {
-            rendered: render_snapshot(&graph, seat),
+            rendered: render_snapshot(&capture, seat),
             captured,
             seat,
         }
@@ -578,34 +566,27 @@ impl Inner {
 
     /// Append one delta segment holding the triples above the watermark.
     fn delta_flush(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
-        // Capture the delta under the state lock: the id slice plus one
-        // `Arc` clone per *distinct* term in it. Advance the watermark
+        // Capture the delta under the state lock. Advance the watermark
         // optimistically so the io work below runs against a frozen range.
-        let (ids, terms) = {
+        let capture = {
             let mut st = self.state.lock();
-            let ids = st.graph.ids_from(st.watermark).to_vec();
-            if ids.is_empty() {
-                return 0;
-            }
-            let mut terms: IdMap<u32, Term> = IdMap::default();
-            for &(s, p, o) in &ids {
-                for id in [s, p, o] {
-                    terms
-                        .entry(id)
-                        .or_insert_with(|| st.graph.term(TermId(id)).clone());
-                }
-            }
-            st.watermark += ids.len();
-            (ids, terms)
+            let capture = st.graph.capture_from(st.watermark);
+            st.watermark += capture.ids.len();
+            capture
         };
+        let delta = capture.ids.len();
+        if delta == 0 {
+            return 0;
+        }
         // Render off the state lock; the io lock (held by our caller)
-        // already serializes flushes.
-        let rendered = render_delta(&ids, &terms, io.seat);
+        // already serializes flushes. A delta segment is always N-Triples:
+        // line-oriented, so a torn one salvages by prefix.
+        let rendered = render_lines(&capture, io.seat, FrameKind::Delta);
         let Some(committed) = io.land(FrameKind::Delta, rendered, charge) else {
             // The delta never landed: rewind the watermark so the next
             // flush retries exactly these triples under the same segment
             // name (the atomic rename makes that idempotent).
-            self.state.lock().watermark -= ids.len();
+            self.state.lock().watermark -= delta;
             return 0;
         };
         if io.segments.compact_every > 0 && io.segments.since_snapshot >= io.segments.compact_every

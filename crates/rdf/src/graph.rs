@@ -159,7 +159,20 @@ fn find(terms: &[Term], collided: &[u32], first: u32, v: TermView<'_>) -> Option
         .map(TermId)
 }
 
-pub(crate) type Pair = (u32, u32);
+type Pair = (u32, u32);
+
+/// What a serializer needs of a slice of a graph, detached from the graph:
+/// the slice's id-triples in insertion order, renumbered densely, and the
+/// terms behind them (`Arc` clones — payloads are shared). Taking one reads
+/// no index and copies no interner, so a store captures under its state
+/// lock and renders after releasing it.
+#[derive(Debug)]
+pub struct Capture {
+    /// Id-triples in insertion order, each id an index into `terms`.
+    pub ids: Vec<(u32, u32, u32)>,
+    /// The distinct terms `ids` names, in order of first appearance.
+    pub terms: Vec<Term>,
+}
 
 /// An indexed RDF graph.
 #[derive(Debug, Default, Clone)]
@@ -326,6 +339,31 @@ impl Graph {
     /// `TermId(i)`).
     pub fn terms(&self) -> &[Term] {
         &self.interner.terms
+    }
+
+    /// Capture the triples [`Graph::ids_from`]`(start)` names (see
+    /// [`Capture`]): one pass over the slice and one `Arc` clone per
+    /// distinct term in it.
+    pub fn capture_from(&self, start: usize) -> Capture {
+        // The local id of each term, plus one; 0 = not met yet. Four zeroed
+        // bytes per interned term is the one cost that follows the graph
+        // rather than the slice.
+        let mut local = vec![0u32; self.interner.terms.len()];
+        let mut terms = Vec::new();
+        let mut localize = |id: u32| {
+            let slot = &mut local[id as usize];
+            if *slot == 0 {
+                terms.push(self.interner.terms[id as usize].clone());
+                *slot = terms.len() as u32;
+            }
+            *slot - 1
+        };
+        let ids = self
+            .ids_from(start)
+            .iter()
+            .map(|&(s, p, o)| (localize(s), localize(p), localize(o)))
+            .collect();
+        Capture { ids, terms }
     }
 
     fn rebuild(&self, s: u32, p: u32, o: u32) -> Triple {
@@ -502,16 +540,6 @@ impl Graph {
             }
         }
         added
-    }
-
-    /// The s → [(p, o)] index (serializer-internal).
-    pub(crate) fn spo_index(&self) -> &IdMap<u32, Vec<Pair>> {
-        &self.spo
-    }
-
-    /// The term behind a raw interner id (serializer-internal).
-    pub(crate) fn term_raw(&self, id: u32) -> &Term {
-        self.interner.term(TermId(id))
     }
 
     /// Objects reachable from `subject` via `predicate`.

@@ -24,7 +24,7 @@ pub mod term;
 pub mod triple;
 pub mod turtle;
 
-pub use graph::{Graph, TermId};
+pub use graph::{Capture, Graph, TermId};
 pub use idhash::{IdMap, IdSet};
 pub use namespace::{ns, Namespaces};
 pub use term::{BlankNode, Iri, Literal, Subject, Term, TermView};

@@ -83,27 +83,29 @@ impl Namespaces {
         Some(Iri::new(format!("{base}{local}")))
     }
 
-    /// Compact a full IRI into `prefix:local` if a binding covers it and the
-    /// local part is a valid Turtle PN_LOCAL (conservatively: alphanumerics,
-    /// `_`, `-`, `.` not at the ends).
-    pub fn compact(&self, iri: &str) -> Option<String> {
+    /// [`Namespaces::compact`] without the `String`: the `(prefix, local)`
+    /// halves, borrowed — the Turtle writer pushes them straight into its
+    /// output.
+    pub(crate) fn split<'a>(&'a self, iri: &'a str) -> Option<(&'a str, &'a str)> {
         // Longest-prefix match so e.g. rdf: wins over a hypothetical shorter
-        // binding of the same base.
+        // binding of the same base; of two labels for one base, the first.
         let mut best: Option<(&str, &str)> = None;
         for (prefix, base) in &self.by_prefix {
-            if let Some(local) = iri.strip_prefix(base.as_str()) {
-                if best.is_none_or(|(_, b)| base.len() > b.len()) {
-                    best = Some((prefix, base));
-                    let _ = local;
-                }
+            if iri.starts_with(base.as_str()) && best.is_none_or(|(_, b)| base.len() > b.len()) {
+                best = Some((prefix, base));
             }
         }
         let (prefix, base) = best?;
         let local = &iri[base.len()..];
-        if local.is_empty() || !is_pn_local(local) {
-            return None;
-        }
-        Some(format!("{prefix}:{local}"))
+        (!local.is_empty() && is_pn_local(local)).then_some((prefix, local))
+    }
+
+    /// Compact a full IRI into `prefix:local` if a binding covers it and the
+    /// local part is a valid Turtle PN_LOCAL (conservatively: alphanumerics,
+    /// `_`, `-`, `.` not at the ends).
+    pub fn compact(&self, iri: &str) -> Option<String> {
+        self.split(iri)
+            .map(|(prefix, local)| format!("{prefix}:{local}"))
     }
 
     /// Iterate `(prefix, iri)` bindings in stable order.

@@ -4,59 +4,34 @@
 //! but the store is format-pluggable (§5), so we provide N-Triples as the
 //! second format and use it for line-oriented streaming in tests.
 
-use crate::term::{
-    escape_literal, unescape_literal, BlankNode, Iri, Literal, Subject, Term,
-};
+use crate::term::{self, unescape_literal, BlankNode, Iri, Literal, Subject, Term};
 use crate::triple::Triple;
-use crate::{Graph, IdMap, ParseError};
-use std::fmt::Write as _;
+use crate::{Graph, ParseError};
 
 /// Serialize `graph` as N-Triples. Lines are sorted for determinism.
 pub fn serialize(graph: &Graph) -> String {
-    let mut out = Vec::new();
-    serialize_to(graph, &mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("N-Triples output is UTF-8")
+    sorted_block(graph.ids_from(0), |id| &graph.terms()[id as usize])
 }
 
-/// Serialize `graph` as sorted N-Triples into any [`std::io::Write`] sink.
-///
-/// Each distinct term is rendered exactly once through a `TermId`-indexed
-/// string cache, then lines are assembled from cached spellings — the write
-/// path never materializes owned `Triple`s.
-pub fn serialize_to<W: std::io::Write>(
-    graph: &Graph,
-    out: &mut W,
-) -> std::io::Result<()> {
-    for line in sorted_lines(graph.ids_from(0), |id| graph.term_raw(id)) {
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
-/// Render a slice of id-triples as sorted N-Triples lines, resolving each
-/// distinct id through `term_of` exactly once. This is the delta-segment
-/// serializer: the store captures an id slice (plus the terms behind it)
-/// under its state lock and renders here off-lock.
-pub fn render_ids<'a, W: std::io::Write>(
+/// The id slice as sorted N-Triples, one newline-terminated block — an
+/// unframed snapshot or delta segment, byte for byte.
+pub fn sorted_block<'a>(
     ids: &[(u32, u32, u32)],
     term_of: impl Fn(u32) -> &'a Term,
-    out: &mut W,
-) -> std::io::Result<()> {
-    for line in sorted_lines(ids, term_of) {
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
+) -> String {
+    let rendered = lines(ids, term_of);
+    let mut block = String::with_capacity(rendered.block.len());
+    for line in rendered.sorted() {
+        block.extend([line, "\n"]);
     }
-    Ok(())
+    block
 }
 
 /// The sorted N-Triples lines of the whole graph, without trailing
 /// newlines: joining them with `'\n'` (plus a final one) reproduces
-/// [`serialize`] byte for byte. The store's checksummed write path frames
-/// these batch-by-batch while they are still cache-hot instead of
-/// re-scanning a rendered megabyte blob.
+/// [`serialize`] byte for byte.
 pub fn sorted_graph_lines(graph: &Graph) -> Vec<String> {
-    sorted_lines(graph.ids_from(0), |id| graph.term_raw(id))
+    sorted_id_lines(graph.ids_from(0), |id| &graph.terms()[id as usize])
 }
 
 /// The delta-segment variant of [`sorted_graph_lines`]: sorted lines for an
@@ -65,95 +40,90 @@ pub fn sorted_id_lines<'a>(
     ids: &[(u32, u32, u32)],
     term_of: impl Fn(u32) -> &'a Term,
 ) -> Vec<String> {
-    sorted_lines(ids, term_of)
+    lines(ids, term_of).sorted().into_iter().map(String::from).collect()
 }
 
 /// Insertion-ordered N-Triples records for an id slice, rendered into one
 /// newline-terminated block. This is the write-ahead journal's record
-/// format: a record's position *is* its ordinal, so unlike
-/// [`sorted_id_lines`] the lines must not be reordered — and the journal
-/// sits on the track path, so the whole batch is one allocation rather
-/// than one `String` per record.
+/// format: a record's position *is* its ordinal, so the lines must not be
+/// reordered — and the journal sits on the track path, so every term is
+/// spelled straight into the block: no table of spellings, no `String` per
+/// record.
 pub fn id_block<'a>(
     ids: &[(u32, u32, u32)],
     term_of: impl Fn(u32) -> &'a Term,
 ) -> String {
-    let mut cache: IdMap<u32, String> = IdMap::default();
-    for &(s, p, o) in ids {
-        for id in [s, p, o] {
-            cache
-                .entry(id)
-                .or_insert_with(|| render_term(term_of(id)));
-        }
+    write_block(ids, term_of, |_| ())
+}
+
+/// An id slice rendered as [`id_block`] renders it, with the line
+/// boundaries kept: the lines can be handed out in sorted order as slices
+/// of the one block, which is how the store frames a snapshot or a delta
+/// segment without a `String` per line.
+pub struct Lines {
+    block: String,
+    /// Offset just past each line's `'\n'`.
+    ends: Vec<usize>,
+}
+
+/// Render `ids` into [`Lines`], resolving ids through `term_of`.
+pub fn lines<'a>(ids: &[(u32, u32, u32)], term_of: impl Fn(u32) -> &'a Term) -> Lines {
+    let mut ends = Vec::with_capacity(ids.len());
+    let block = write_block(ids, term_of, |end| ends.push(end));
+    Lines { block, ends }
+}
+
+impl Lines {
+    /// The lines in byte order, without their newlines.
+    pub fn sorted(&self) -> Vec<&str> {
+        let mut start = 0;
+        let mut lines: Vec<&str> = self
+            .ends
+            .iter()
+            .map(|&end| {
+                let line = &self.block[start..end - 1];
+                start = end;
+                line
+            })
+            .collect();
+        lines.sort_unstable();
+        lines
     }
-    let cap = ids
-        .iter()
-        .map(|&(s, p, o)| cache[&s].len() + cache[&p].len() + cache[&o].len() + 5)
-        .sum();
-    let mut block = String::with_capacity(cap);
+}
+
+/// Bytes reserved per line before the first one is rendered; a provenance
+/// triple spelled with full IRIs runs to about 126.
+const LINE_BYTES_GUESS: usize = 128;
+
+fn write_block<'a>(
+    ids: &[(u32, u32, u32)],
+    term_of: impl Fn(u32) -> &'a Term,
+    mut line_end: impl FnMut(usize),
+) -> String {
+    let mut block = String::with_capacity(ids.len() * LINE_BYTES_GUESS);
     for &(s, p, o) in ids {
-        block.push_str(&cache[&s]);
+        push_term(&mut block, term_of(s));
         block.push(' ');
-        block.push_str(&cache[&p]);
+        push_term(&mut block, term_of(p));
         block.push(' ');
-        block.push_str(&cache[&o]);
+        push_term(&mut block, term_of(o));
         block.push_str(" .\n");
+        line_end(block.len());
     }
     block
 }
 
-fn sorted_lines<'a>(
-    ids: &[(u32, u32, u32)],
-    term_of: impl Fn(u32) -> &'a Term,
-) -> Vec<String> {
-    let mut lines = render_lines(ids, term_of);
-    lines.sort_unstable();
-    lines
-}
-
-fn render_lines<'a>(
-    ids: &[(u32, u32, u32)],
-    term_of: impl Fn(u32) -> &'a Term,
-) -> Vec<String> {
-    let mut cache: IdMap<u32, String> = IdMap::default();
-    for &(s, p, o) in ids {
-        for id in [s, p, o] {
-            cache
-                .entry(id)
-                .or_insert_with(|| render_term(term_of(id)));
-        }
-    }
-    ids.iter()
-        .map(|&(s, p, o)| {
-            let (s, p, o) = (&cache[&s], &cache[&p], &cache[&o]);
-            let mut l = String::with_capacity(s.len() + p.len() + o.len() + 4);
-            l.push_str(s);
-            l.push(' ');
-            l.push_str(p);
-            l.push(' ');
-            l.push_str(o);
-            l.push_str(" .");
-            l
-        })
-        .collect()
-}
-
-/// Render a term's N-Triples spelling (any position: N-Triples spells a
+/// Append a term's N-Triples spelling (any position: N-Triples spells a
 /// term identically as subject, predicate, or object).
+fn push_term(out: &mut String, t: &Term) {
+    term::push_term(out, t, |out, iri| out.extend(["<", iri.as_str(), ">"]));
+}
+
+/// A term's N-Triples spelling (any position).
 pub fn render_term(t: &Term) -> String {
-    match t {
-        Term::Iri(i) => i.to_string(),
-        Term::Blank(b) => b.to_string(),
-        Term::Literal(l) => {
-            let mut s = format!("\"{}\"", escape_literal(l.lexical()));
-            if let Some(dt) = l.datatype() {
-                let _ = write!(s, "^^{dt}");
-            } else if let Some(lang) = l.lang() {
-                let _ = write!(s, "@{lang}");
-            }
-            s
-        }
-    }
+    let mut out = String::new();
+    push_term(&mut out, t);
+    out
 }
 
 /// Parse an N-Triples document into a new graph.

@@ -192,23 +192,52 @@ impl fmt::Display for Literal {
 /// Escape a literal's lexical form for Turtle/N-Triples double-quoted strings.
 pub fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    write_escaped(&mut out, s).expect("writing to a String");
+    push_escaped(&mut out, s);
     out
 }
 
-/// [`escape_literal`] into a writer.
-fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c => out.write_char(c)?,
+/// [`escape_literal`] appended to a caller's buffer.
+fn push_escaped(out: &mut String, s: &str) {
+    write_escaped(out, s).expect("writing to a String");
+}
+
+/// Append a term's spelling to a caller's buffer. Turtle and N-Triples
+/// agree on everything but how an IRI (a datatype's included) is written,
+/// which is `push_iri`'s job.
+pub(crate) fn push_term(out: &mut String, t: &Term, push_iri: impl Fn(&mut String, &Iri)) {
+    match t {
+        Term::Iri(i) => push_iri(out, i),
+        Term::Blank(b) => out.extend(["_:", b.label()]),
+        Term::Literal(l) => {
+            out.push('"');
+            push_escaped(out, l.lexical());
+            out.push('"');
+            if let Some(dt) = l.datatype() {
+                out.push_str("^^");
+                push_iri(out, dt);
+            } else if let Some(lang) = l.lang() {
+                out.extend(["@", lang]);
+            }
         }
     }
-    Ok(())
+}
+
+/// [`escape_literal`] into a writer: the stretches between escaped
+/// characters go out whole.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut rest = s;
+    while let Some(at) = rest.find(['"', '\\', '\n', '\r', '\t']) {
+        out.write_str(&rest[..at])?;
+        out.write_str(match rest.as_bytes()[at] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => "\\t",
+        })?;
+        rest = &rest[at + 1..];
+    }
+    out.write_str(rest)
 }
 
 /// Unescape a double-quoted string body. Returns `None` on a malformed

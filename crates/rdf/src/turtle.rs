@@ -9,12 +9,9 @@
 //! and collections `(...)` are not supported — PROV-IO never produces them.
 
 use crate::namespace::{ns, Namespaces};
-use crate::term::{
-    escape_literal, unescape_literal, BlankNode, Iri, Literal, Subject, Term,
-};
+use crate::term::{self, unescape_literal, BlankNode, Iri, Literal, Subject, Term};
 use crate::triple::Triple;
-use crate::{Graph, IdMap, ParseError};
-use std::fmt::Write as _;
+use crate::{Capture, Graph, ParseError};
 
 // ---------------------------------------------------------------------------
 // Serializer
@@ -25,119 +22,107 @@ use std::fmt::Write as _;
 /// Output is deterministic: prefixes, subjects, predicates and objects are
 /// each emitted in sorted order, so identical graphs always serialize to
 /// identical bytes (important for provenance-size measurements).
-///
-/// The serializer works at the id level: grouping and sorting walk the
-/// graph's SPO index directly, and every distinct term is rendered to its
-/// Turtle spelling exactly once per call through a `TermId`-indexed string
-/// cache — no owned `Subject`/`Term` clones, no per-predicate re-sorting of
-/// materialized object vectors.
 pub fn serialize(graph: &Graph, nss: &Namespaces) -> String {
-    let mut out = String::new();
+    write(graph.ids_from(0), graph.terms(), nss)
+}
+
+/// [`serialize`] over a [`Capture`] — what a store renders after it has
+/// released the graph.
+pub fn serialize_capture(capture: &Capture, nss: &Namespaces) -> String {
+    write(&capture.ids, &capture.terms, nss)
+}
+
+/// The document of the triples `ids`, each id an index into `terms`.
+///
+/// Works on ids and a handful of buffers: every term is spelled once into
+/// an arena indexed by term id, subjects are grouped by a counting sort of
+/// the ids, only the subjects and each subject's handful of (predicate,
+/// object) pairs are ordered by comparing terms, and the statements are
+/// pushed straight into the output.
+fn write(ids: &[(u32, u32, u32)], terms: &[Term], nss: &Namespaces) -> String {
+    let spelled = Spellings::new(terms, nss);
+    let rdf_type = terms
+        .iter()
+        .position(|t| matches!(t, Term::Iri(i) if i.as_str() == ns::RDF_TYPE));
+
+    // Group the (predicate, object) pairs by subject: `runs[s]..runs[s + 1]`
+    // of `pairs` belong to subject `s`.
+    let mut runs = vec![0usize; terms.len() + 1];
+    for &(s, _, _) in ids {
+        runs[s as usize + 1] += 1;
+    }
+    for s in 0..terms.len() {
+        runs[s + 1] += runs[s];
+    }
+    let mut pairs = vec![(0u32, 0u32); ids.len()];
+    let mut next = runs.clone();
+    for &(s, p, o) in ids {
+        pairs[next[s as usize]] = (p, o);
+        next[s as usize] += 1;
+    }
+    // Subjects in term order (IRIs before blanks, each lexicographic).
+    let mut subjects: Vec<usize> = (0..terms.len()).filter(|&s| runs[s] < runs[s + 1]).collect();
+    subjects.sort_unstable_by(|&a, &b| terms[a].cmp(&terms[b]));
+
+    let mut out = String::with_capacity(ids.len() * 48 + 256);
     for (prefix, iri) in nss.iter() {
-        let _ = writeln!(out, "@prefix {prefix}: <{iri}> .");
+        out.extend(["@prefix ", prefix, ": <", iri, "> .\n"]);
     }
     if !nss.is_empty() {
         out.push('\n');
     }
-
-    let spo = graph.spo_index();
-    // Subjects sorted by term order (matches the old Subject-keyed BTreeMap
-    // ordering: IRIs before blanks, each lexicographic).
-    let mut subject_ids: Vec<u32> = spo.keys().copied().collect();
-    subject_ids.sort_unstable_by(|&a, &b| graph.term_raw(a).cmp(graph.term_raw(b)));
-
-    // Rendered spellings, one per distinct term id per call.
-    let mut terms: IdMap<u32, String> = IdMap::default();
-    let mut preds: IdMap<u32, String> = IdMap::default();
-
-    for &s in &subject_ids {
-        let mut pairs: Vec<(u32, u32)> = spo[&s].clone();
-        // (predicate, object) in term order, again matching the legacy
-        // BTreeMap<Iri, Vec<Term>> + sort() output byte for byte.
-        pairs.sort_unstable_by(|&(p1, o1), &(p2, o2)| {
-            graph
-                .term_raw(p1)
-                .cmp(graph.term_raw(p2))
-                .then_with(|| graph.term_raw(o1).cmp(graph.term_raw(o2)))
+    for s in subjects {
+        let pairs = &mut pairs[runs[s]..runs[s + 1]];
+        // Distinct ids are distinct terms, so equal predicates are equal ids.
+        pairs.sort_unstable_by(|a, b| {
+            let (a, b) = if a.0 == b.0 { (a.1, b.1) } else { (a.0, b.0) };
+            terms[a as usize].cmp(&terms[b as usize])
         });
-
-        let subject = terms
-            .entry(s)
-            .or_insert_with(|| subject_term_str(graph.term_raw(s), nss))
-            .clone();
-        let _ = write!(out, "{subject}");
-
-        let mut i = 0;
-        let mut first_pred = true;
-        while i < pairs.len() {
-            let p = pairs[i].0;
-            let mut j = i;
-            while j < pairs.len() && pairs[j].0 == p {
-                j += 1;
+        out.push_str(spelled.of(s as u32));
+        let mut rest = &*pairs;
+        let mut indent = " ";
+        while let Some(&(p, _)) = rest.first() {
+            let (objects, tail) = rest.split_at(rest.partition_point(|t| t.0 == p));
+            out.push_str(indent);
+            out.push_str(if Some(p as usize) == rdf_type { "a" } else { spelled.of(p) });
+            for (n, &(_, o)) in objects.iter().enumerate() {
+                out.push_str(if n == 0 { " " } else { " , " });
+                out.push_str(spelled.of(o));
             }
-            preds.entry(p).or_insert_with(|| match graph.term_raw(p) {
-                Term::Iri(iri) => pred_str(iri, nss),
-                other => subject_term_str(other, nss),
-            });
-            for &(_, o) in &pairs[i..j] {
-                terms
-                    .entry(o)
-                    .or_insert_with(|| term_str(graph.term_raw(o), nss));
-            }
-            let rendered: Vec<&str> = pairs[i..j]
-                .iter()
-                .map(|&(_, o)| terms[&o].as_str())
-                .collect();
-            let sep = if j == pairs.len() { " ." } else { " ;" };
-            if first_pred {
-                let _ = writeln!(out, " {} {}{sep}", preds[&p], rendered.join(" , "));
-            } else {
-                let _ = writeln!(out, "    {} {}{sep}", preds[&p], rendered.join(" , "));
-            }
-            first_pred = false;
-            i = j;
+            out.push_str(if tail.is_empty() { " .\n" } else { " ;\n" });
+            indent = "    ";
+            rest = tail;
         }
     }
     out
 }
 
-/// Render a term occupying the subject position (IRI or blank).
-fn subject_term_str(t: &Term, nss: &Namespaces) -> String {
-    match t {
-        Term::Iri(i) => iri_str(i, nss),
-        Term::Blank(b) => format!("_:{}", b.label()),
-        Term::Literal(_) => unreachable!("literal in subject position"),
-    }
+/// The Turtle spelling of every term of a table as a subject or object (a
+/// predicate differs only in `rdf:type`, written `a`), back to back in one
+/// buffer: `of(id)` is the slice between two recorded offsets.
+struct Spellings {
+    arena: String,
+    /// `starts[id]..starts[id + 1]` spans term `id`.
+    starts: Vec<usize>,
 }
 
-fn pred_str(p: &Iri, nss: &Namespaces) -> String {
-    if p.as_str() == ns::RDF_TYPE {
-        "a".to_string()
-    } else {
-        iri_str(p, nss)
-    }
-}
-
-fn iri_str(i: &Iri, nss: &Namespaces) -> String {
-    nss.compact(i.as_str())
-        .unwrap_or_else(|| format!("<{}>", i.as_str()))
-}
-
-fn term_str(t: &Term, nss: &Namespaces) -> String {
-    match t {
-        Term::Iri(i) => iri_str(i, nss),
-        Term::Blank(b) => format!("_:{}", b.label()),
-        Term::Literal(l) => {
-            let mut s = format!("\"{}\"", escape_literal(l.lexical()));
-            if let Some(dt) = l.datatype() {
-                s.push_str("^^");
-                s.push_str(&iri_str(dt, nss));
-            } else if let Some(lang) = l.lang() {
-                s.push('@');
-                s.push_str(lang);
-            }
-            s
+impl Spellings {
+    fn new(terms: &[Term], nss: &Namespaces) -> Spellings {
+        let mut arena = String::with_capacity(terms.len() * 32);
+        let mut starts = Vec::with_capacity(terms.len() + 1);
+        for t in terms {
+            starts.push(arena.len());
+            term::push_term(&mut arena, t, |out, iri| match nss.split(iri.as_str()) {
+                Some((prefix, local)) => out.extend([prefix, ":", local]),
+                None => out.extend(["<", iri.as_str(), ">"]),
+            });
         }
+        starts.push(arena.len());
+        Spellings { arena, starts }
+    }
+
+    fn of(&self, id: u32) -> &str {
+        &self.arena[self.starts[id as usize]..self.starts[id as usize + 1]]
     }
 }
 

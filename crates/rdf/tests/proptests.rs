@@ -1,9 +1,15 @@
 //! Property-based tests for the RDF substrate: serializer/parser round
-//! trips, graph index coherence, and merge algebra.
+//! trips, graph index coherence, merge algebra, byte identity of the
+//! writers with the writers they replaced, and parsers that never panic.
+//!
+//! Case count of the writer differential: `PROVIO_WRITER_CASES` (default
+//! 256); CI's `writer-differential` step runs 4096 in release.
+
+mod reference;
 
 use proptest::prelude::*;
 use provio_rdf::{
-    ntriples, turtle, BlankNode, Graph, Iri, Literal, Namespaces, Subject, Term, Triple,
+    ns, ntriples, turtle, BlankNode, Graph, Iri, Literal, Namespaces, Subject, Term, Triple,
     TriplePattern,
 };
 
@@ -144,6 +150,203 @@ proptest! {
         }
         for t in merged.iter() {
             prop_assert!(parts.iter().any(|p| p.contains(&t)));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The writers against the writers they replaced.
+
+/// IRIs where a writer could go wrong: strict prefixes of one another,
+/// `rdf:type` (spelled `a` only as a predicate), names a bound namespace
+/// covers and can compact, names it covers and cannot (empty local part, a
+/// slash, a dot at either end, a non-ASCII letter), nested and doubly bound
+/// bases of [`tricky_namespaces`], and one no prefix table knows.
+fn tricky_iri() -> impl Strategy<Value = Iri> {
+    let fixed = [
+        ns::RDF_TYPE.to_string(),
+        ns::XSD_INTEGER.to_string(),
+        ns::PROV.to_string(),
+        format!("{}used", ns::PROV),
+        format!("{}used.by", ns::PROV),
+        format!("{}a/b", ns::PROV),
+        format!("{}.x", ns::PROV),
+        format!("{}x.", ns::PROV),
+        format!("{}\u{e9}", ns::PROV),
+        format!("{}Dataset", ns::PROVIO),
+        "http://x/leaf".to_string(),
+        "http://x/deep/leaf".to_string(),
+        "http://x/deep/".to_string(),
+        "urn:provio:obj/file/a.h5".to_string(),
+    ];
+    prop_oneof![
+        3 => (0..fixed.len()).prop_map(move |i| Iri::new(fixed[i].as_str())),
+        2 => "a{1,4}".prop_map(|s| Iri::new(format!("urn:t:{s}"))),
+        1 => arb_iri(),
+    ]
+}
+
+fn tricky_blank() -> impl Strategy<Value = BlankNode> {
+    prop_oneof![
+        2 => "b1{0,1}0{0,2}".prop_map(BlankNode::new),
+        1 => arb_blank(),
+    ]
+}
+
+fn tricky_literal() -> impl Strategy<Value = Literal> {
+    prop_oneof![
+        2 => "x{0,3}".prop_map(Literal::plain),
+        // Every escaped character, the quote and the backslash included.
+        2 => "[ -~\\n\\t\\r\u{e9}]{0,12}".prop_map(Literal::plain),
+        2 => ("[0-9\"\\\\]{0,4}", tricky_iri()).prop_map(|(s, dt)| Literal::typed(s, dt)),
+        1 => ("x{0,2}", "[a-z]{2,3}").prop_map(|(s, l)| Literal::lang_tagged(s, l)),
+        1 => arb_literal(),
+    ]
+}
+
+fn tricky_triple() -> impl Strategy<Value = Triple> {
+    let subject = prop_oneof![
+        3 => tricky_iri().prop_map(Subject::Iri),
+        1 => tricky_blank().prop_map(Subject::Blank),
+    ];
+    let object = prop_oneof![
+        3 => tricky_iri().prop_map(Term::Iri),
+        1 => tricky_blank().prop_map(Term::Blank),
+        3 => tricky_literal().prop_map(Term::Literal),
+    ];
+    (subject, tricky_iri(), object).prop_map(|(s, p, o)| Triple::new(s, p, o))
+}
+
+/// The standard table, an empty one, or one with a base nested inside
+/// another and two labels for one base.
+fn tricky_namespaces() -> impl Strategy<Value = Namespaces> {
+    (0u8..3).prop_map(|pick| match pick {
+        0 => Namespaces::standard(),
+        1 => Namespaces::empty(),
+        _ => {
+            let mut nss = Namespaces::standard();
+            nss.bind("a", "http://x/");
+            nss.bind("b", "http://x/deep/");
+            nss.bind("z", "http://x/");
+            nss
+        }
+    })
+}
+
+fn writer_cases() -> u32 {
+    std::env::var("PROVIO_WRITER_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(writer_cases()))]
+
+    /// Every writer, on the whole graph and on a delta slice of it, is
+    /// byte-identical to the reference — after duplicate inserts and a
+    /// removal have disturbed the insertion order.
+    #[test]
+    fn writers_match_the_reference_writers(
+        ts in prop::collection::vec(tricky_triple(), 0..80),
+        nss in tricky_namespaces(),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let mut g = Graph::new();
+        for t in &ts {
+            g.insert(t);
+        }
+        for t in ts.iter().step_by(3) {
+            prop_assert!(!g.insert(t), "a duplicate insert adds nothing");
+        }
+        if let Some(t) = ts.get(cut.index(ts.len().max(1))) {
+            g.remove(t);
+        }
+
+        let want = reference::turtle(&g, &nss);
+        prop_assert_eq!(&turtle::serialize(&g, &nss), &want);
+        prop_assert_eq!(&turtle::serialize_capture(&g.capture_from(0), &nss), &want);
+
+        let term_of = |id: u32| &g.terms()[id as usize];
+        for t in g.terms() {
+            prop_assert_eq!(ntriples::render_term(t), reference::nt_term(t));
+        }
+        for start in [0, cut.index(g.len() + 1)] {
+            let ids = g.ids_from(start);
+            prop_assert_eq!(ntriples::id_block(ids, term_of), reference::nt_block(ids, term_of));
+            let sorted = reference::nt_sorted_lines(ids, term_of);
+            prop_assert_eq!(&ntriples::sorted_id_lines(ids, term_of), &sorted);
+            prop_assert_eq!(ntriples::lines(ids, term_of).sorted(), sorted.iter().map(String::as_str).collect::<Vec<_>>());
+            let block: String = sorted.iter().flat_map(|l| [l.as_str(), "\n"]).collect();
+            prop_assert_eq!(&ntriples::sorted_block(ids, term_of), &block);
+            if start == 0 {
+                prop_assert_eq!(&ntriples::sorted_graph_lines(&g), &sorted);
+                prop_assert_eq!(&ntriples::serialize(&g), &block);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Parsers take text from outside the program: `Ok` or `Err`, never a panic.
+
+/// Bytes the two grammars give a meaning to.
+const MARKS: &[u8] = b"<>\"\\^@_:.;,#a \n";
+
+fn parse_all(text: &str) {
+    let _ = turtle::parse(text);
+    let mut strict = Graph::new();
+    let parsed = ntriples::parse_into(text, &mut strict);
+    let mut lenient = Graph::new();
+    let recovered = ntriples::parse_lenient_prefix(text, &mut lenient);
+    assert!(recovered >= lenient.len());
+    if parsed.is_ok() {
+        // Nothing was malformed, so the salvage reads the whole document.
+        assert!(graphs_equal(&strict, &lenient));
+    }
+}
+
+proptest! {
+    #[test]
+    fn parsers_never_panic_on_arbitrary_input(
+        text in "[ -~\\n\\t\u{e9}\u{4e9c}]{0,120}",
+        marks in "[<>\"\\\\^@_:.;,#%+\\-a-fpPrRixX0-9 \\n\\r\u{e9}]{0,80}",
+        bytes in prop::collection::vec(any::<u8>(), 0..120),
+    ) {
+        parse_all(&text);
+        parse_all(&marks);
+        parse_all(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn parsers_never_panic_on_mutated_serializer_output(
+        ts in prop::collection::vec(tricky_triple(), 1..12),
+        nss in tricky_namespaces(),
+        edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>(), 0u8..5), 1..6),
+    ) {
+        let g: Graph = ts.into_iter().collect();
+        for doc in [turtle::serialize(&g, &nss), ntriples::serialize(&g)] {
+            let mut data = doc.into_bytes();
+            for &(at, byte, kind) in &edits {
+                if data.is_empty() {
+                    break;
+                }
+                let at = at.index(data.len());
+                match kind {
+                    // Truncate, overwrite a byte, flip a bit, …
+                    0 => data.truncate(at),
+                    1 => data[at] = byte,
+                    2 => data[at] ^= 1 << (byte % 8),
+                    // … overwrite the next byte the grammar cares about, or
+                    // plant one.
+                    3 => {
+                        let mark = (at..data.len()).find(|&i| MARKS.contains(&data[i])).unwrap_or(at);
+                        data[mark] = byte;
+                    }
+                    _ => data.insert(at, MARKS[byte as usize % MARKS.len()]),
+                }
+                parse_all(&String::from_utf8_lossy(&data));
+            }
         }
     }
 }
