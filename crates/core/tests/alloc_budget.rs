@@ -11,53 +11,11 @@ use provio::{IoEvent, ObjectDesc, ProvIoConfig, ProvTracker};
 use provio_hpcfs::{FileSystem, LustreConfig};
 use provio_model::{ActivityClass, ClassSelector, EntityClass};
 use provio_simrt::VirtualClock;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: a thread being torn down may allocate after its
-    // thread-locals are gone.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialized
-// thread-local `Cell` that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations for `alloc` are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+#[path = "../../rdf/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_during;
 
 fn tracker(selector: ClassSelector) -> Arc<ProvTracker> {
     ProvTracker::new(
@@ -119,7 +77,7 @@ fn steady_state_track_io_stays_inside_its_allocation_budget() {
 
     let window: Vec<&IoEvent> = calls.take(100).collect();
     assert_eq!(window.len(), 100);
-    let allocations = allocations_during(|| {
+    let ((), allocations) = allocations_during(|| {
         for e in &window {
             t.track_io(e);
         }
@@ -141,7 +99,7 @@ fn a_filtered_event_allocates_nothing() {
     // the enabled granularity and are dropped before any work.
     let t = tracker(ClassSelector::dassa_file_lineage());
     let stream = events(100);
-    let allocations = allocations_during(|| {
+    let ((), allocations) = allocations_during(|| {
         for e in &stream {
             t.track_io(e);
         }

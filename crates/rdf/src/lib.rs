@@ -11,6 +11,8 @@
 //!   pattern matching, suitable for both the tracker's append-heavy write
 //!   path and the query engine's lookup-heavy read path.
 //! * [`turtle`] / [`ntriples`] — serializers and parsers that round-trip.
+//! * [`lex`] — the lexer and term production those parsers and the SPARQL
+//!   parser share.
 //! * [`IdMap`] / [`IdSet`] — hash tables for keys the process mints itself
 //!   (term ids), on a keyless multiplicative hasher.
 //! * [`Namespaces`] — prefix management with the W3C PROV and PROV-IO
@@ -18,6 +20,7 @@
 
 pub mod graph;
 pub mod idhash;
+pub mod lex;
 pub mod namespace;
 pub mod ntriples;
 pub mod term;

@@ -80,7 +80,7 @@ impl Namespaces {
     pub fn expand(&self, qname: &str) -> Option<Iri> {
         let (prefix, local) = qname.split_once(':')?;
         let base = self.expand_prefix(prefix)?;
-        Some(Iri::new(format!("{base}{local}")))
+        Some(Iri::new([base, local].concat()))
     }
 
     /// [`Namespaces::compact`] without the `String`: the `(prefix, local)`

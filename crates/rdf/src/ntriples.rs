@@ -2,9 +2,12 @@
 //!
 //! Redland supports several on-disk formats; PROV-IO's prototype uses Turtle
 //! but the store is format-pluggable (§5), so we provide N-Triples as the
-//! second format and use it for line-oriented streaming in tests.
+//! second format and use it for line-oriented streaming in tests. Terms
+//! are read by [`crate::lex`], one lexer per line.
 
-use crate::term::{self, unescape_literal, BlankNode, Iri, Literal, Subject, Term};
+use crate::lex::{Lexer, Token};
+use crate::namespace::Namespaces;
+use crate::term::{self, Term};
 use crate::triple::Triple;
 use crate::{Graph, ParseError};
 
@@ -138,17 +141,11 @@ pub fn parse(src: &str) -> Result<Graph, ParseError> {
 /// at the first malformed line, so a torn tail can only drop data, never
 /// contribute garbage — the salvage primitive used by the post-run merge.
 pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
+    let none = Namespaces::empty();
     let mut recovered = 0;
-    for (lineno, line) in src.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match parse_line(line, lineno + 1) {
-            Ok(t) => {
-                graph.insert(&t);
-                recovered += 1;
-            }
+    for line in src.lines() {
+        match parse_line(line, &none, graph) {
+            Ok(triples) => recovered += triples,
             Err(_) => break,
         }
     }
@@ -157,120 +154,45 @@ pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
 
 /// Parse an N-Triples document, merging into `graph`.
 pub fn parse_into(src: &str, graph: &mut Graph) -> Result<(), ParseError> {
+    let none = Namespaces::empty();
     for (lineno, line) in src.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let triple = parse_line(line, lineno)?;
-        graph.insert(&triple);
+        // The lexer saw one line; the error names its place in the document.
+        parse_line(line, &none, graph).map_err(|e| ParseError::new(lineno + 1, e.message))?;
     }
     Ok(())
 }
 
-fn parse_line(line: &str, lineno: usize) -> Result<Triple, ParseError> {
-    let err = |m: &str| ParseError::new(lineno, m);
-    let mut rest = line;
-
-    let (subject, r) = parse_subject(rest, lineno)?;
-    rest = r.trim_start();
-
-    let (predicate, r) = parse_iri(rest).ok_or_else(|| err("expected predicate IRI"))?;
-    rest = r.trim_start();
-
-    let (object, r) = parse_term(rest, lineno)?;
-    rest = r.trim_start();
-
-    if rest != "." {
-        return Err(err("expected terminating '.'"));
+/// Insert the triple on `line` and count it: 1, or 0 for a line of blanks
+/// or a comment. One line, one triple: a term cannot continue on the next.
+/// No prefix is ever bound (`none`), so a prefixed name never resolves, and
+/// an object is spelled in full — no bare number, no `true`.
+fn parse_line(line: &str, none: &Namespaces, graph: &mut Graph) -> Result<usize, ParseError> {
+    let mut lex = Lexer::new(line);
+    if *lex.peek()? == Token::Eof {
+        return Ok(0);
     }
-    Ok(Triple {
+    let subject = lex.subject(none)?;
+    let predicate = lex.iri(none, "predicate IRI")?;
+    if matches!(lex.peek()?, Token::Number(_) | Token::Word(_)) {
+        return Err(lex.error("expected object term"));
+    }
+    let object = lex.term(none, "object term")?;
+    if !lex.eat(".")? || *lex.peek()? != Token::Eof {
+        return Err(lex.error("expected terminating '.'"));
+    }
+    graph.insert(&Triple {
         subject,
         predicate,
         object,
-    })
-}
-
-fn parse_iri(s: &str) -> Option<(Iri, &str)> {
-    let rest = s.strip_prefix('<')?;
-    let end = rest.find('>')?;
-    Some((Iri::new(&rest[..end]), &rest[end + 1..]))
-}
-
-fn parse_blank(s: &str) -> Option<(BlankNode, &str)> {
-    let rest = s.strip_prefix("_:")?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'))
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    Some((BlankNode::new(&rest[..end]), &rest[end..]))
-}
-
-fn parse_subject(s: &str, lineno: usize) -> Result<(Subject, &str), ParseError> {
-    if let Some((iri, rest)) = parse_iri(s) {
-        return Ok((Subject::Iri(iri), rest));
-    }
-    if let Some((b, rest)) = parse_blank(s) {
-        return Ok((Subject::Blank(b), rest));
-    }
-    Err(ParseError::new(lineno, "expected subject"))
-}
-
-fn parse_term(s: &str, lineno: usize) -> Result<(Term, &str), ParseError> {
-    let err = |m: &str| ParseError::new(lineno, m);
-    if let Some((iri, rest)) = parse_iri(s) {
-        return Ok((Term::Iri(iri), rest));
-    }
-    if let Some((b, rest)) = parse_blank(s) {
-        return Ok((Term::Blank(b), rest));
-    }
-    let Some(rest) = s.strip_prefix('"') else {
-        return Err(err("expected object term"));
-    };
-    // Find the closing unescaped quote.
-    let mut end = None;
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                end = Some(i);
-                break;
-            }
-            _ => i += 1,
-        }
-    }
-    let end = end.ok_or_else(|| err("unterminated literal"))?;
-    let body =
-        unescape_literal(&rest[..end]).ok_or_else(|| err("bad escape in literal"))?;
-    let after = &rest[end + 1..];
-    if let Some(after_dt) = after.strip_prefix("^^") {
-        let (dt, r) = parse_iri(after_dt).ok_or_else(|| err("expected datatype IRI"))?;
-        return Ok((Term::Literal(Literal::typed(body, dt)), r));
-    }
-    if let Some(after_lang) = after.strip_prefix('@') {
-        let end = after_lang
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-            .unwrap_or(after_lang.len());
-        if end == 0 {
-            return Err(err("empty language tag"));
-        }
-        return Ok((
-            Term::Literal(Literal::lang_tagged(body, &after_lang[..end])),
-            &after_lang[end..],
-        ));
-    }
-    Ok((Term::Literal(Literal::plain(body)), after))
+    });
+    Ok(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::namespace::ns;
+    use crate::term::{BlankNode, Iri, Literal, Subject};
 
     fn sample() -> Graph {
         let mut g = Graph::new();

@@ -156,6 +156,29 @@ fn xsd() -> &'static Xsd {
     })
 }
 
+/// The datatype of a bare number in Turtle or SPARQL: `xsd:double` if it
+/// has a fraction or an exponent, else `xsd:integer`.
+pub(crate) fn numeric_datatype(number: &str) -> Iri {
+    let xsd = xsd();
+    if number.contains(['.', 'e', 'E']) {
+        xsd.double.clone()
+    } else {
+        xsd.integer.clone()
+    }
+}
+
+/// `iri` as a datatype: the shared `Iri` when it is one the typed
+/// constructors use, so a parsed numeric literal is one allocation, as a
+/// captured one is.
+pub(crate) fn datatype(iri: &str) -> Iri {
+    let xsd = xsd();
+    [&xsd.integer, &xsd.double, &xsd.boolean]
+        .into_iter()
+        .find(|shared| shared.as_str() == iri)
+        .cloned()
+        .unwrap_or_else(|| Iri::new(iri))
+}
+
 /// Decimal spelling of `v` (as `i64::to_string` writes it) in `buf`.
 fn fmt_i64(v: i64, buf: &mut [u8; 20]) -> &str {
     let mut n = v.unsigned_abs();

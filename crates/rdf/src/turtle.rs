@@ -7,9 +7,12 @@
 //! plus the common Turtle forms used in hand-written fixtures (`@prefix`,
 //! comments, bare numeric/boolean literals). Blank property lists `[...]`
 //! and collections `(...)` are not supported — PROV-IO never produces them.
+//! Terminals and terms are read by [`crate::lex`]; this module keeps the
+//! statement structure.
 
+use crate::lex::{Lexer, Token};
 use crate::namespace::{ns, Namespaces};
-use crate::term::{self, unescape_literal, BlankNode, Iri, Literal, Subject, Term};
+use crate::term::{self, Term};
 use crate::triple::Triple;
 use crate::{Capture, Graph, ParseError};
 
@@ -130,401 +133,65 @@ impl Spellings {
 // Parser
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Iri(String),
-    PName(String),   // prefix:local (including bare "p:")
-    Blank(String),   // _:label
-    Str(String),     // unescaped literal body
-    LangTag(String), // @lang
-    Number(String),
-    Bool(bool),
-    A,
-    PrefixDecl, // @prefix or PREFIX
-    DoubleCaret,
-    Semi,
-    Comma,
-    Dot,
-    Eof,
-}
-
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            line: 1,
-        }
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(self.line, msg)
-    }
-
-    fn peek_byte(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek_byte()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.peek_byte() {
-            match b {
-                b' ' | b'\t' | b'\r' | b'\n' => {
-                    self.bump();
-                }
-                b'#' => {
-                    while let Some(b) = self.peek_byte() {
-                        if b == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn next_tok(&mut self) -> Result<Tok, ParseError> {
-        self.skip_ws();
-        let Some(b) = self.peek_byte() else {
-            return Ok(Tok::Eof);
-        };
-        match b {
-            b'<' => {
-                self.bump();
-                let start = self.pos;
-                while let Some(b) = self.peek_byte() {
-                    if b == b'>' {
-                        let iri = std::str::from_utf8(&self.src[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8 in IRI"))?
-                            .to_string();
-                        self.bump();
-                        return Ok(Tok::Iri(iri));
-                    }
-                    self.bump();
-                }
-                Err(self.err("unterminated IRI"))
-            }
-            b'"' => {
-                self.bump();
-                let mut raw = String::new();
-                loop {
-                    match self.bump() {
-                        None => return Err(self.err("unterminated string literal")),
-                        Some(b'"') => break,
-                        Some(b'\\') => {
-                            raw.push('\\');
-                            match self.bump() {
-                                None => return Err(self.err("unterminated escape")),
-                                Some(c) => raw.push(c as char),
-                            }
-                        }
-                        Some(c) => {
-                            // Collect raw bytes; re-validate as UTF-8 below.
-                            raw.push(c as char);
-                        }
-                    }
-                }
-                // `raw` was built byte-by-byte; rebuild multi-byte UTF-8.
-                let bytes: Vec<u8> = raw.chars().map(|c| c as u32 as u8).collect();
-                let s = String::from_utf8(bytes)
-                    .map_err(|_| self.err("invalid UTF-8 in literal"))?;
-                let unescaped =
-                    unescape_literal(&s).ok_or_else(|| self.err("bad escape sequence"))?;
-                Ok(Tok::Str(unescaped))
-            }
-            b'_' => {
-                self.bump();
-                if self.bump() != Some(b':') {
-                    return Err(self.err("expected ':' after '_'"));
-                }
-                let start = self.pos;
-                while let Some(b) = self.peek_byte() {
-                    if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let label = std::str::from_utf8(&self.src[start..self.pos])
-                    .unwrap()
-                    .trim_end_matches('.')
-                    .to_string();
-                // If we consumed a trailing '.', give it back as the
-                // statement terminator.
-                while self.src[..self.pos].ends_with(b".") && self.pos > start {
-                    self.pos -= 1;
-                }
-                if label.is_empty() {
-                    return Err(self.err("empty blank node label"));
-                }
-                Ok(Tok::Blank(label))
-            }
-            b'@' => {
-                self.bump();
-                let start = self.pos;
-                while let Some(b) = self.peek_byte() {
-                    if b.is_ascii_alphanumeric() || b == b'-' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let word = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                if word == "prefix" {
-                    Ok(Tok::PrefixDecl)
-                } else if word.is_empty() {
-                    Err(self.err("empty language tag"))
-                } else {
-                    Ok(Tok::LangTag(word.to_string()))
-                }
-            }
-            b'^' => {
-                self.bump();
-                if self.bump() != Some(b'^') {
-                    return Err(self.err("expected '^^'"));
-                }
-                Ok(Tok::DoubleCaret)
-            }
-            b';' => {
-                self.bump();
-                Ok(Tok::Semi)
-            }
-            b',' => {
-                self.bump();
-                Ok(Tok::Comma)
-            }
-            b'.' => {
-                self.bump();
-                Ok(Tok::Dot)
-            }
-            b'+' | b'-' | b'0'..=b'9' => {
-                let start = self.pos;
-                self.bump();
-                while let Some(b) = self.peek_byte() {
-                    if b.is_ascii_digit()
-                        || b == b'e'
-                        || b == b'E'
-                        || b == b'+'
-                        || b == b'-'
-                        || (b == b'.'
-                            && self
-                                .src
-                                .get(self.pos + 1)
-                                .is_some_and(|c| c.is_ascii_digit()))
-                    {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                Ok(Tok::Number(text.to_string()))
-            }
-            _ => {
-                // PNAME, `a`, `true`/`false`, or SPARQL-style PREFIX.
-                let start = self.pos;
-                while let Some(b) = self.peek_byte() {
-                    if b.is_ascii_alphanumeric()
-                        || b == b'_'
-                        || b == b'-'
-                        || b == b':'
-                        || b == b'%'
-                        || (b == b'.'
-                            && self.src.get(self.pos + 1).is_some_and(|&c| {
-                                c.is_ascii_alphanumeric() || c == b'_' || c == b'-'
-                            }))
-                    {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if self.pos == start {
-                    return Err(self.err(format!("unexpected character '{}'", b as char)));
-                }
-                let word = std::str::from_utf8(&self.src[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?;
-                match word {
-                    "a" => Ok(Tok::A),
-                    "true" => Ok(Tok::Bool(true)),
-                    "false" => Ok(Tok::Bool(false)),
-                    w if w.eq_ignore_ascii_case("prefix") => Ok(Tok::PrefixDecl),
-                    w if w.contains(':') => Ok(Tok::PName(w.to_string())),
-                    w => Err(self.err(format!("unexpected token '{w}'"))),
-                }
-            }
-        }
-    }
-}
-
+/// The grammar over [`Lexer`]'s tokens: prefix declarations and
+/// `s p o (, o)* (; p o…)* .` statements.
 struct Parser<'a> {
-    lexer: Lexer<'a>,
-    peeked: Option<Tok>,
+    lex: Lexer<'a>,
     nss: Namespaces,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Self {
         Parser {
-            lexer: Lexer::new(src),
-            peeked: None,
+            lex: Lexer::new(src),
             nss: Namespaces::empty(),
         }
     }
 
-    fn next(&mut self) -> Result<Tok, ParseError> {
-        match self.peeked.take() {
-            Some(t) => Ok(t),
-            None => self.lexer.next_tok(),
-        }
-    }
-
-    fn peek(&mut self) -> Result<&Tok, ParseError> {
-        if self.peeked.is_none() {
-            self.peeked = Some(self.lexer.next_tok()?);
-        }
-        Ok(self.peeked.as_ref().unwrap())
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::new(self.lexer.line, msg)
-    }
-
-    fn resolve_pname(&self, pname: &str) -> Result<Iri, ParseError> {
-        self.nss
-            .expand(pname)
-            .ok_or_else(|| self.err(format!("unknown prefix in '{pname}'")))
-    }
-
     fn parse_document(&mut self, graph: &mut Graph) -> Result<(), ParseError> {
         loop {
-            match self.peek()? {
-                Tok::Eof => return Ok(()),
-                Tok::PrefixDecl => {
-                    self.next()?;
-                    let Tok::PName(pname) = self.next()? else {
-                        return Err(self.err("expected prefix name after @prefix"));
-                    };
-                    let prefix = pname
-                        .strip_suffix(':')
-                        .ok_or_else(|| self.err("prefix must end with ':'"))?
-                        .to_string();
-                    let Tok::Iri(iri) = self.next()? else {
-                        return Err(self.err("expected IRI in @prefix"));
-                    };
-                    // SPARQL-style PREFIX has no trailing dot.
-                    if matches!(self.peek()?, Tok::Dot) {
-                        self.next()?;
-                    }
-                    self.nss.bind(prefix, iri);
-                }
-                _ => self.parse_statement(graph)?,
+            let prefix = match self.lex.peek()? {
+                Token::Eof => return Ok(()),
+                Token::LangTag("prefix") => true,
+                Token::Word(w) => w.eq_ignore_ascii_case("prefix"),
+                _ => false,
+            };
+            if prefix {
+                self.lex.token()?;
+                self.lex.prefix_binding(&mut self.nss)?;
+                // SPARQL-style PREFIX has no trailing dot.
+                self.lex.eat(".")?;
+            } else {
+                self.parse_statement(graph)?;
             }
-        }
-    }
-
-    fn parse_subject(&mut self) -> Result<Subject, ParseError> {
-        match self.next()? {
-            Tok::Iri(i) => Ok(Subject::Iri(Iri::new(i))),
-            Tok::PName(p) => Ok(Subject::Iri(self.resolve_pname(&p)?)),
-            Tok::Blank(b) => Ok(Subject::Blank(BlankNode::new(b))),
-            other => Err(self.err(format!("expected subject, got {other:?}"))),
-        }
-    }
-
-    fn parse_predicate(&mut self) -> Result<Iri, ParseError> {
-        match self.next()? {
-            Tok::A => Ok(Iri::new(ns::RDF_TYPE)),
-            Tok::Iri(i) => Ok(Iri::new(i)),
-            Tok::PName(p) => self.resolve_pname(&p),
-            other => Err(self.err(format!("expected predicate, got {other:?}"))),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Term, ParseError> {
-        match self.next()? {
-            Tok::Iri(i) => Ok(Term::iri(i)),
-            Tok::PName(p) => Ok(Term::Iri(self.resolve_pname(&p)?)),
-            Tok::Blank(b) => Ok(Term::Blank(BlankNode::new(b))),
-            Tok::Bool(b) => Ok(Term::Literal(Literal::boolean(b))),
-            Tok::Number(n) => {
-                let dt = if n.contains('.') || n.contains('e') || n.contains('E') {
-                    ns::XSD_DOUBLE
-                } else {
-                    ns::XSD_INTEGER
-                };
-                Ok(Term::Literal(Literal::typed(n, Iri::new(dt))))
-            }
-            Tok::Str(body) => match self.peek()? {
-                Tok::DoubleCaret => {
-                    self.next()?;
-                    let dt = match self.next()? {
-                        Tok::Iri(i) => Iri::new(i),
-                        Tok::PName(p) => self.resolve_pname(&p)?,
-                        other => {
-                            return Err(self.err(format!("expected datatype, got {other:?}")))
-                        }
-                    };
-                    Ok(Term::Literal(Literal::typed(body, dt)))
-                }
-                Tok::LangTag(_) => {
-                    let Tok::LangTag(lang) = self.next()? else {
-                        unreachable!()
-                    };
-                    Ok(Term::Literal(Literal::lang_tagged(body, lang)))
-                }
-                _ => Ok(Term::Literal(Literal::plain(body))),
-            },
-            other => Err(self.err(format!("expected object, got {other:?}"))),
         }
     }
 
     fn parse_statement(&mut self, graph: &mut Graph) -> Result<(), ParseError> {
-        let subject = self.parse_subject()?;
+        let subject = self.lex.subject(&self.nss)?;
         loop {
-            let predicate = self.parse_predicate()?;
+            let predicate = self.lex.predicate(&self.nss)?;
             loop {
-                let object = self.parse_object()?;
+                let object = self.lex.term(&self.nss, "object")?;
                 graph.insert(&Triple {
                     subject: subject.clone(),
                     predicate: predicate.clone(),
                     object,
                 });
-                match self.peek()? {
-                    Tok::Comma => {
-                        self.next()?;
-                    }
-                    _ => break,
+                if !self.lex.eat(",")? {
+                    break;
                 }
             }
-            match self.next()? {
-                Tok::Semi => {
-                    // Permit trailing `;` before `.` (common in the wild).
-                    if matches!(self.peek()?, Tok::Dot) {
-                        self.next()?;
-                        return Ok(());
-                    }
+            if self.lex.eat(";")? {
+                // Permit trailing `;` before `.` (common in the wild).
+                if self.lex.eat(".")? {
+                    return Ok(());
                 }
-                Tok::Dot => return Ok(()),
-                other => {
-                    return Err(self.err(format!("expected ';' or '.', got {other:?}")));
-                }
+            } else if self.lex.eat(".")? {
+                return Ok(());
+            } else {
+                let other = self.lex.token()?;
+                return Err(self.lex.error(format!("expected ';' or '.', got {other:?}")));
             }
         }
     }
@@ -534,9 +201,8 @@ impl<'a> Parser<'a> {
 /// prefix table declared by the document.
 pub fn parse(src: &str) -> Result<(Graph, Namespaces), ParseError> {
     let mut graph = Graph::new();
-    let mut p = Parser::new(src);
-    p.parse_document(&mut graph)?;
-    Ok((graph, p.nss))
+    let nss = parse_into(src, &mut graph)?;
+    Ok((graph, nss))
 }
 
 /// Parse a Turtle document, merging its triples into `graph`.
@@ -549,6 +215,7 @@ pub fn parse_into(src: &str, graph: &mut Graph) -> Result<Namespaces, ParseError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::{Iri, Literal, Subject};
 
     fn sample_graph() -> Graph {
         let mut g = Graph::new();

@@ -13,9 +13,13 @@
 //! * `(COUNT(?v|*) AS ?alias)` with optional `GROUP BY` (the "total number
 //!   of each type of HDF5 I/O operation" question of §3.3)
 //! * `ORDER BY`, `LIMIT`, `OFFSET`
+//! * Constants, in patterns and in `FILTER` alike, as Turtle spells them
+//!   ([`provio_rdf::lex`] reads both): IRIs, prefixed names, `"…"` with an
+//!   optional `^^datatype` or `@lang`, bare numbers, `true` / `false`
 //!
 //! Unsupported (not needed by the paper's workloads and rejected at parse
-//! time): `OPTIONAL`, `UNION`, subqueries, and update forms.
+//! time): `OPTIONAL`, `UNION`, subqueries, update forms, and blank node
+//! labels (`_:b`, which SPARQL reads as variables).
 //!
 //! ```
 //! use provio_rdf::{turtle, Namespaces};
@@ -59,6 +63,14 @@ impl QueryError {
     /// A parse-stage error (the historical constructor).
     pub fn new(message: impl Into<String>) -> Self {
         QueryError::Parse(message.into())
+    }
+}
+
+/// A lexical error in the query text; queries are short, so its line is
+/// dropped.
+impl From<provio_rdf::ParseError> for QueryError {
+    fn from(e: provio_rdf::ParseError) -> Self {
+        QueryError::new(e.message)
     }
 }
 

@@ -2,6 +2,7 @@
 //! it answers `Ok` or `Err` and never panics.
 
 use proptest::prelude::*;
+use provio_rdf::lex::{Lexer, Token};
 use provio_sparql::Query;
 
 /// Valid queries that between them use every token kind.
@@ -21,7 +22,15 @@ const CORPUS: [&str; 5] = [
 const MARKS: &[u8] = b"<>\"\\^/|+*()!&=?{}.;,#:-";
 
 fn parse_lossy(bytes: &[u8]) {
-    let _ = Query::parse(&String::from_utf8_lossy(bytes));
+    let text = String::from_utf8_lossy(bytes);
+    let _ = Query::parse(&text);
+    // The lexer under it, past the point where the grammar gave up.
+    let mut lex = Lexer::new(&text);
+    let mut tokens = 0;
+    while !matches!(lex.token(), Ok(Token::Eof) | Err(_)) {
+        tokens += 1;
+        assert!(tokens <= text.len(), "the lexer stopped advancing");
+    }
 }
 
 proptest! {
@@ -30,7 +39,7 @@ proptest! {
         text in "[ -~\\n\\t]{0,120}",
         bytes in prop::collection::vec(any::<u8>(), 0..120),
     ) {
-        let _ = Query::parse(&text);
+        parse_lossy(text.as_bytes());
         parse_lossy(&bytes);
     }
 
