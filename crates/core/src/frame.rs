@@ -412,8 +412,9 @@ impl Encoder {
     /// One batch of `lines` lines: the marker is written with a placeholder
     /// CRC, `body` copies the payload behind it, and the CRC is then
     /// computed over the contiguous just-written bytes and patched into
-    /// place: one table-driven pass over L1-hot memory per batch instead of
-    /// two small `Hasher` calls per line.
+    /// place: one checksum pass over cache-hot memory per batch — a body of
+    /// 128 bytes or more takes the CRC shim's carry-less-multiply kernel
+    /// where the CPU has one — instead of two small `Hasher` calls per line.
     fn framed(&mut self, lines: usize, body: impl FnOnce(&mut Vec<u8>)) {
         if lines == 0 {
             return;
@@ -1103,40 +1104,64 @@ pub(crate) mod tests {
     #[test]
     fn single_bit_flips_anywhere_are_never_silent() {
         let guid = store_guid("/provio/prov_p9.nt");
-        let (text, _) = encode(FrameKind::Snapshot, guid, 0, CHAIN_START, PAYLOAD, 2);
-        let clean = decode(&text).unwrap();
-        let bytes = text.as_bytes();
-        for i in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut copy = bytes.to_vec();
-                copy[i] ^= 1 << bit;
-                // Flips may produce invalid UTF-8; lossy conversion models
-                // what a text parser would see.
-                let s = String::from_utf8_lossy(&copy).into_owned();
-                match decode(&s) {
-                    Err(FrameError::Quarantine(_)) => {}
-                    Err(FrameError::NotFramed) => {
-                        panic!("flip {i}:{bit} demoted a framed file to legacy")
-                    }
-                    Ok(f) => {
-                        assert!(
-                            f.batches_corrupt > 0
-                                || (f.payload == clean.payload
-                                    && f.guid == guid
-                                    && f.ordinal == 0
-                                    && f.chain == clean.chain),
-                            "flip {i}:{bit} verified with altered content"
-                        );
-                        // Any payload that does verify is a subset of the
-                        // clean batches, never altered data.
-                        for line in f.payload.lines() {
+        // Two-line batches, whose bodies the checksum's table loop takes,
+        // and one batch wide enough for its carry-less-multiply kernel
+        // (inputs of 128 bytes and more): the property holds on both paths.
+        let wide: String = (0..12).flat_map(|i| [record(i), "\n".into()]).collect();
+        assert!(wide.len() >= 256);
+        for (payload, max_lines) in [(PAYLOAD, 2), (wide.as_str(), usize::MAX)] {
+            let (text, _) = encode(FrameKind::Snapshot, guid, 0, CHAIN_START, payload, max_lines);
+            let clean = decode(&text).unwrap();
+            let bytes = text.as_bytes();
+            for i in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut copy = bytes.to_vec();
+                    copy[i] ^= 1 << bit;
+                    // Flips may produce invalid UTF-8; lossy conversion models
+                    // what a text parser would see.
+                    let s = String::from_utf8_lossy(&copy).into_owned();
+                    match decode(&s) {
+                        Err(FrameError::Quarantine(_)) => {}
+                        Err(FrameError::NotFramed) => {
+                            panic!("flip {i}:{bit} demoted a framed file to legacy")
+                        }
+                        Ok(f) => {
                             assert!(
-                                clean.payload.lines().any(|c| c == line),
-                                "flip {i}:{bit} admitted forged line {line:?}"
+                                f.batches_corrupt > 0
+                                    || (f.payload == clean.payload
+                                        && f.guid == guid
+                                        && f.ordinal == 0
+                                        && f.chain == clean.chain),
+                                "flip {i}:{bit} verified with altered content"
                             );
+                            // Any payload that does verify is a subset of the
+                            // clean batches, never altered data.
+                            for line in f.payload.lines() {
+                                assert!(
+                                    clean.payload.lines().any(|c| c == line),
+                                    "flip {i}:{bit} admitted forged line {line:?}"
+                                );
+                            }
                         }
                     }
                 }
+            }
+        }
+        // The same wide batch as a journal chunk: a flip either leaves every
+        // record as written or costs the chunk, and says so.
+        let (chunk, _) = journal(guid, &[12]);
+        let clean = decode_wal(std::str::from_utf8(&chunk).unwrap(), guid);
+        assert_eq!((clean.records.len(), clean.truncated), (12, false));
+        for i in 0..chunk.len() {
+            for bit in 0..8 {
+                let mut copy = chunk.clone();
+                copy[i] ^= 1 << bit;
+                let w = decode_wal(&String::from_utf8_lossy(&copy), guid);
+                assert!(
+                    w.records == clean.records || (w.records.is_empty() && w.truncated),
+                    "flip {i}:{bit} replayed {:?}",
+                    w.records
+                );
             }
         }
     }
