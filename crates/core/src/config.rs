@@ -248,6 +248,10 @@ pub struct ProvIoConfig {
 /// [`ProvIoConfig::record_latency_ns`]).
 pub const DEFAULT_RECORD_LATENCY_NS: u64 = 2_000_000;
 
+/// Default compaction threshold, in delta segments (see
+/// [`ProvIoConfig::compact_every`]).
+pub const DEFAULT_COMPACT_EVERY: u32 = 64;
+
 /// Default async intake-queue capacity, in batches (see
 /// [`ProvIoConfig::queue_capacity`]). A batch is at most ~4096 records, so
 /// this bounds per-store buffered memory while staying far above any rate
@@ -297,7 +301,7 @@ impl Default for ProvIoConfig {
             workflow_type: None,
             record_latency_ns: DEFAULT_RECORD_LATENCY_NS,
             retry: RetryPolicy::default(),
-            compact_every: crate::store::DEFAULT_COMPACT_EVERY,
+            compact_every: DEFAULT_COMPACT_EVERY,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             overload: OverloadPolicy::Block,
             breaker_threshold: 0,
@@ -749,7 +753,7 @@ mod tests {
     #[test]
     fn delta_knobs_default_and_ini() {
         let c = ProvIoConfig::default();
-        assert_eq!(c.compact_every, crate::store::DEFAULT_COMPACT_EVERY);
+        assert_eq!(c.compact_every, DEFAULT_COMPACT_EVERY);
         let c = ProvIoConfig::from_ini("[store]\ncompact_every = 7\n").unwrap();
         assert_eq!(c.compact_every, 7);
         assert!(ProvIoConfig::from_ini("compact_every = lots").is_err());

@@ -126,6 +126,64 @@ impl ProvIoVol {
         let duration = s.clock().now().elapsed_since(before).as_nanos();
         (result, duration)
     }
+
+    /// A call that mints a handle: time it, remember the new handle's
+    /// identity, track the event. `named` is the object when the call
+    /// itself names it (a file, by its path — known even when the call
+    /// fails); every other object is named by what was remembered.
+    fn opened(
+        &self,
+        s: &FsSession,
+        activity: ActivityClass,
+        api: &str,
+        named: Option<ObjectDesc>,
+        bytes: u64,
+        f: impl FnOnce(&Arc<dyn VolConnector>) -> H5Result<Handle>,
+    ) -> H5Result<Handle> {
+        let (result, dur) = self.timed(s, f);
+        if let Ok(h) = &result {
+            self.remember(*h);
+        }
+        let obj = named.or_else(|| result.as_ref().ok().and_then(|h| self.lookup(*h)));
+        self.track(s, activity, api, obj, bytes, dur, result.is_ok());
+        result
+    }
+
+    /// A call on an open handle: name the object, time the call, track the
+    /// event with the byte count `bytes` reads off the result.
+    fn on_handle<T>(
+        &self,
+        s: &FsSession,
+        activity: ActivityClass,
+        api: &str,
+        handle: Handle,
+        bytes: impl FnOnce(&H5Result<T>) -> u64,
+        f: impl FnOnce(&Arc<dyn VolConnector>) -> H5Result<T>,
+    ) -> H5Result<T> {
+        let obj = self.lookup(handle);
+        let (result, dur) = self.timed(s, f);
+        self.track(s, activity, api, obj, bytes(&result), dur, result.is_ok());
+        result
+    }
+
+    /// A completed close: drop the handle from the live table. Close is not
+    /// one of the model's six I/O API classes; nothing to track (paper
+    /// Table 2).
+    fn closed(&self, handle: Handle, result: H5Result<()>) -> H5Result<()> {
+        if result.is_ok() {
+            self.forget(handle);
+        }
+        result
+    }
+
+    /// The link `name` under `loc`, named inside the containing file if
+    /// that is known.
+    fn link_object(&self, loc: Handle, name: &str) -> Option<ObjectDesc> {
+        self.lookup(loc).map(|d| {
+            let file = if d.scope.is_empty() { d.path } else { d.scope };
+            ObjectDesc::hdf5(EntityClass::Link, file, format!("/{name}"))
+        })
+    }
 }
 
 impl VolConnector for ProvIoVol {
@@ -134,82 +192,37 @@ impl VolConnector for ProvIoVol {
     }
 
     fn file_create(&self, s: &FsSession, path: &str, truncate: bool) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.file_create(s, path, truncate));
-        if let Ok(h) = &result {
-            self.remember(*h);
-        }
-        self.track(
-            s,
-            ActivityClass::Create,
-            "H5Fcreate",
-            Some(ObjectDesc::posix(EntityClass::File, path)),
-            0,
-            dur,
-            result.is_ok(),
-        );
-        result
+        let file = Some(ObjectDesc::posix(EntityClass::File, path));
+        self.opened(s, ActivityClass::Create, "H5Fcreate", file, 0, |v| {
+            v.file_create(s, path, truncate)
+        })
     }
 
     fn file_open(&self, s: &FsSession, path: &str, write: bool) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.file_open(s, path, write));
-        if let Ok(h) = &result {
-            self.remember(*h);
-        }
-        self.track(
-            s,
-            ActivityClass::Open,
-            "H5Fopen",
-            Some(ObjectDesc::posix(EntityClass::File, path)),
-            0,
-            dur,
-            result.is_ok(),
-        );
-        result
+        let file = Some(ObjectDesc::posix(EntityClass::File, path));
+        self.opened(s, ActivityClass::Open, "H5Fopen", file, 0, |v| v.file_open(s, path, write))
     }
 
     fn file_flush(&self, s: &FsSession, file: Handle) -> H5Result<()> {
-        let obj = self.lookup(file);
-        let (result, dur) = self.timed(s, |v| v.file_flush(s, file));
-        self.track(s, ActivityClass::Fsync, "H5Fflush", obj, 0, dur, result.is_ok());
-        result
+        self.on_handle(s, ActivityClass::Fsync, "H5Fflush", file, |_| 0, |v| v.file_flush(s, file))
     }
 
     fn file_close(&self, s: &FsSession, file: Handle) -> H5Result<()> {
-        let result = self.inner.file_close(s, file);
-        if result.is_ok() {
-            self.forget(file);
-        }
-        // Close is not one of the model's six I/O API classes; nothing to
-        // track (paper Table 2).
-        result
+        self.closed(file, self.inner.file_close(s, file))
     }
 
     fn group_create(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.group_create(s, loc, name));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Create, "H5Gcreate2", obj, 0, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Create, "H5Gcreate2", None, 0, |v| {
+            v.group_create(s, loc, name)
+        })
     }
 
     fn group_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.group_open(s, loc, name));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Open, "H5Gopen2", obj, 0, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Open, "H5Gopen2", None, 0, |v| v.group_open(s, loc, name))
     }
 
     fn group_close(&self, s: &FsSession, group: Handle) -> H5Result<()> {
-        let result = self.inner.group_close(s, group);
-        if result.is_ok() {
-            self.forget(group);
-        }
-        result
+        self.closed(group, self.inner.group_close(s, group))
     }
 
     fn dataset_create(
@@ -220,30 +233,19 @@ impl VolConnector for ProvIoVol {
         dtype: Datatype,
         space: Dataspace,
     ) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.dataset_create(s, loc, name, dtype, space));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Create, "H5Dcreate2", obj, 0, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Create, "H5Dcreate2", None, 0, |v| {
+            v.dataset_create(s, loc, name, dtype, space)
+        })
     }
 
     fn dataset_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.dataset_open(s, loc, name));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Open, "H5Dopen2", obj, 0, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Open, "H5Dopen2", None, 0, |v| v.dataset_open(s, loc, name))
     }
 
     fn dataset_extend(&self, s: &FsSession, dset: Handle, new_dims: &[u64]) -> H5Result<()> {
-        let obj = self.lookup(dset);
-        let (result, dur) = self.timed(s, |v| v.dataset_extend(s, dset, new_dims));
-        self.track(s, ActivityClass::Write, "H5Dset_extent", obj, 0, dur, result.is_ok());
-        result
+        self.on_handle(s, ActivityClass::Write, "H5Dset_extent", dset, |_| 0, |v| {
+            v.dataset_extend(s, dset, new_dims)
+        })
     }
 
     fn dataset_write(
@@ -253,42 +255,20 @@ impl VolConnector for ProvIoVol {
         sel: &Hyperslab,
         data: &Data,
     ) -> H5Result<()> {
-        let obj = self.lookup(dset);
-        let (result, dur) = self.timed(s, |v| v.dataset_write(s, dset, sel, data));
-        self.track(
-            s,
-            ActivityClass::Write,
-            "H5Dwrite",
-            obj,
-            data.len(),
-            dur,
-            result.is_ok(),
-        );
-        result
+        self.on_handle(s, ActivityClass::Write, "H5Dwrite", dset, |_| data.len(), |v| {
+            v.dataset_write(s, dset, sel, data)
+        })
     }
 
     fn dataset_read(&self, s: &FsSession, dset: Handle, sel: &Hyperslab) -> H5Result<Data> {
-        let obj = self.lookup(dset);
-        let (result, dur) = self.timed(s, |v| v.dataset_read(s, dset, sel));
-        let bytes = result.as_ref().map(|d| d.len()).unwrap_or(0);
-        self.track(
-            s,
-            ActivityClass::Read,
-            "H5Dread",
-            obj,
-            bytes,
-            dur,
-            result.is_ok(),
-        );
-        result
+        let read = |r: &H5Result<Data>| r.as_ref().map_or(0, Data::len);
+        self.on_handle(s, ActivityClass::Read, "H5Dread", dset, read, |v| {
+            v.dataset_read(s, dset, sel)
+        })
     }
 
     fn dataset_close(&self, s: &FsSession, dset: Handle) -> H5Result<()> {
-        let result = self.inner.dataset_close(s, dset);
-        if result.is_ok() {
-            self.forget(dset);
-        }
-        result
+        self.closed(dset, self.inner.dataset_close(s, dset))
     }
 
     fn attr_create(
@@ -299,55 +279,28 @@ impl VolConnector for ProvIoVol {
         dtype: Datatype,
         value: &[u8],
     ) -> H5Result<Handle> {
-        let vlen = value.len() as u64;
-        let (result, dur) = self.timed(s, |v| v.attr_create(s, loc, name, dtype, value));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Create, "H5Acreate2", obj, vlen, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Create, "H5Acreate2", None, value.len() as u64, |v| {
+            v.attr_create(s, loc, name, dtype, value)
+        })
     }
 
     fn attr_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.attr_open(s, loc, name));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Open, "H5Aopen", obj, 0, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Open, "H5Aopen", None, 0, |v| v.attr_open(s, loc, name))
     }
 
     fn attr_read(&self, s: &FsSession, attr: Handle) -> H5Result<Vec<u8>> {
-        let obj = self.lookup(attr);
-        let (result, dur) = self.timed(s, |v| v.attr_read(s, attr));
-        let bytes = result.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-        self.track(s, ActivityClass::Read, "H5Aread", obj, bytes, dur, result.is_ok());
-        result
+        let read = |r: &H5Result<Vec<u8>>| r.as_ref().map_or(0, |v| v.len() as u64);
+        self.on_handle(s, ActivityClass::Read, "H5Aread", attr, read, |v| v.attr_read(s, attr))
     }
 
     fn attr_write(&self, s: &FsSession, attr: Handle, value: &[u8]) -> H5Result<()> {
-        let obj = self.lookup(attr);
-        let (result, dur) = self.timed(s, |v| v.attr_write(s, attr, value));
-        self.track(
-            s,
-            ActivityClass::Write,
-            "H5Awrite",
-            obj,
-            value.len() as u64,
-            dur,
-            result.is_ok(),
-        );
-        result
+        self.on_handle(s, ActivityClass::Write, "H5Awrite", attr, |_| value.len() as u64, |v| {
+            v.attr_write(s, attr, value)
+        })
     }
 
     fn attr_close(&self, s: &FsSession, attr: Handle) -> H5Result<()> {
-        let result = self.inner.attr_close(s, attr);
-        if result.is_ok() {
-            self.forget(attr);
-        }
-        result
+        self.closed(attr, self.inner.attr_close(s, attr))
     }
 
     fn attr_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>> {
@@ -361,31 +314,17 @@ impl VolConnector for ProvIoVol {
         name: &str,
         dtype: Datatype,
     ) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.datatype_commit(s, loc, name, dtype));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Create, "H5Tcommit2", obj, 0, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Create, "H5Tcommit2", None, 0, |v| {
+            v.datatype_commit(s, loc, name, dtype)
+        })
     }
 
     fn datatype_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        let (result, dur) = self.timed(s, |v| v.datatype_open(s, loc, name));
-        let obj = result.as_ref().ok().copied().and_then(|h| {
-            self.remember(h);
-            self.lookup(h)
-        });
-        self.track(s, ActivityClass::Open, "H5Topen2", obj, 0, dur, result.is_ok());
-        result
+        self.opened(s, ActivityClass::Open, "H5Topen2", None, 0, |v| v.datatype_open(s, loc, name))
     }
 
     fn datatype_close(&self, s: &FsSession, dtype: Handle) -> H5Result<()> {
-        let result = self.inner.datatype_close(s, dtype);
-        if result.is_ok() {
-            self.forget(dtype);
-        }
-        result
+        self.closed(dtype, self.inner.datatype_close(s, dtype))
     }
 
     fn link_create_soft(
@@ -396,38 +335,15 @@ impl VolConnector for ProvIoVol {
         name: &str,
     ) -> H5Result<()> {
         let (result, dur) = self.timed(s, |v| v.link_create_soft(s, loc, target, name));
-        // Name the link entity inside the containing file if known.
-        let obj = self.lookup(loc).map(|d| {
-            let file = if d.scope.is_empty() { d.path } else { d.scope };
-            ObjectDesc::hdf5(EntityClass::Link, file, format!("/{name}"))
-        });
-        self.track(
-            s,
-            ActivityClass::Create,
-            "H5Lcreate_soft",
-            obj,
-            0,
-            dur,
-            result.is_ok(),
-        );
+        let obj = self.link_object(loc, name);
+        self.track(s, ActivityClass::Create, "H5Lcreate_soft", obj, 0, dur, result.is_ok());
         result
     }
 
     fn link_delete(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<()> {
         let (result, dur) = self.timed(s, |v| v.link_delete(s, loc, name));
-        let obj = self.lookup(loc).map(|d| {
-            let file = if d.scope.is_empty() { d.path } else { d.scope };
-            ObjectDesc::hdf5(EntityClass::Link, file, format!("/{name}"))
-        });
-        self.track(
-            s,
-            ActivityClass::Rename,
-            "H5Ldelete",
-            obj,
-            0,
-            dur,
-            result.is_ok(),
-        );
+        let obj = self.link_object(loc, name);
+        self.track(s, ActivityClass::Rename, "H5Ldelete", obj, 0, dur, result.is_ok());
         result
     }
 

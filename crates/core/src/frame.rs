@@ -46,6 +46,7 @@
 //! legacy and parsed as before; one that *looks* framed but fails header or
 //! footer verification is quarantined, never parsed.
 
+pub use crate::names::fnv1a64;
 use crate::names::{self, Role};
 use crc32fast::hash as crc32;
 use std::io::Write as _;
@@ -76,7 +77,8 @@ pub enum FrameKind {
     /// over committed artifacts. Parity files live outside the commit chain
     /// like WAL generations — their `ordinal` is a store-wide parity
     /// sequence and `prev` is always [`CHAIN_START`]. The payload is member
-    /// descriptor lines plus a base64 XOR block (see `scrub`).
+    /// record lines plus the XOR block, base64 or — for a single-member
+    /// group — an escaped verbatim replica (see `artifact`).
     Parity,
 }
 
@@ -153,16 +155,6 @@ pub enum FrameError {
     /// The file is framed but its header/footer/chain cannot be trusted;
     /// it must be quarantined, never parsed into the merged graph.
     Quarantine(&'static str),
-}
-
-/// FNV-1a 64-bit, used for store GUIDs (deterministic, dependency-free).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The GUID of the store a file at `path` belongs to: the FNV-1a hash of
@@ -1258,7 +1250,7 @@ pub(crate) mod tests {
             token_ops in prop::collection::vec((0u8..4, any::<usize>()), 0..4),
             ops in mutations(),
         ) {
-            use crate::{scrub, verify};
+            use crate::artifact;
             let hex = "5a".repeat(32);
             let [root, hmac, manifest] = ["root", "hmac", "manifest"].map(|key| format!("{key}={hex}"));
             let path = "path=/p/a b.nt";
@@ -1268,14 +1260,14 @@ pub(crate) mod tests {
                 (MAGIC, vec!["kind=delta", "guid=00000000000000a1", "ordinal=3", "prev=000000ab"], |l| parse_header(l).is_some()),
                 (BATCH_SIGIL, vec!["lines=2", "crc=0badf00d"], |l| parse_batch_marker(l).is_some()),
                 (FOOTER_SIGIL, vec!["batches=2", "chain=0000beef", &root], |l| parse_footer(l).is_some()),
-                ("member", vec![&root, "offset=0", "len=9", "ord=4", path], |l| scrub::parse_member_line(l).is_some()),
-                ("data", vec!["len=4", "enc=raw", "term=1"], |l| scrub::parse_raw_header(l).is_some()),
-                ("data", vec!["len=4", "b64=cHJvdg=="], |l| scrub::parse_data_line(l).is_some()),
-                (verify::MANIFEST_MAGIC, vec!["run=00000000000000a1", "files=1", "ranks=1"], |l| verify::parse_manifest_header(l).is_some()),
-                ("file", vec![&root, "mode=merkle", "bytes=9", path], |l| verify::parse_file_line(l).is_some()),
-                ("rank", vec!["pid=7", "outcome=degraded", "triples=12"], |l| verify::parse_rank_line(l).is_some()),
-                ("sig", vec!["alg=hmac-sha256", "keyid=0a1b2c3d", &hmac], |l| verify::parse_sig_line(l).is_some()),
-                ("", vec!["run=00000000000000a1", &manifest, "prev=-"], |l| verify::parse_ledger_line(l).is_some()),
+                ("member", vec![&root, "offset=0", "len=9", "ord=4", path], |l| artifact::parse_member_line(l).is_some()),
+                ("data", vec!["len=4", "enc=raw", "term=1"], |l| artifact::parse_raw_header(l).is_some()),
+                ("data", vec!["len=4", "b64=cHJvdg=="], |l| artifact::parse_data_line(l).is_some()),
+                (artifact::MANIFEST_MAGIC, vec!["run=00000000000000a1", "files=1", "ranks=1"], |l| artifact::parse_manifest_header(l).is_some()),
+                ("file", vec![&root, "mode=merkle", "bytes=9", path], |l| artifact::parse_file_line(l).is_some()),
+                ("rank", vec!["pid=7", "outcome=degraded", "triples=12"], |l| artifact::parse_rank_line(l).is_some()),
+                ("sig", vec!["alg=hmac-sha256", "keyid=0a1b2c3d", &hmac], |l| artifact::parse_sig_line(l).is_some()),
+                ("", vec!["run=00000000000000a1", &manifest, "prev=-"], |l| artifact::parse_ledger_line(l).is_some()),
             ];
             let render = |sigil: &str, tokens: &[&str]| {
                 let mut line = sigil.to_string();

@@ -26,6 +26,7 @@
 //!    visualization.
 
 pub mod api;
+pub mod artifact;
 pub mod collect;
 pub mod config;
 pub mod connector;

@@ -12,15 +12,10 @@ use crate::fsio::read_file;
 use crate::names::{self, Role, State};
 use provio_hpcfs::FileSystem;
 use provio_rdf::{ntriples, turtle, Graph};
-use provio_simrt::{catch_quiet, SimTime};
+use provio_simrt::SimTime;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
-
-/// Test hook: paths containing this marker panic inside [`process_file`],
-/// standing in for a parser bug on hostile input.
-#[cfg(test)]
-static PANIC_ON: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
 
 /// Result of a merge.
 #[derive(Debug, Default)]
@@ -187,15 +182,6 @@ enum Outcome {
 /// Read and parse (or salvage) one file into a scratch graph. Pure function
 /// of the file: no shared mutable state, so files process in parallel.
 fn process_file(fs: &Arc<FileSystem>, path: &str, committed: &HashSet<&str>) -> Outcome {
-    #[cfg(test)]
-    {
-        // Clone out of the guard: panicking while holding a std Mutex
-        // would poison it for every other merge test in the process.
-        let marker = PANIC_ON.lock().unwrap().clone();
-        if marker.is_some_and(|m| path.contains(&m)) {
-            panic!("injected parse panic on {path}");
-        }
-    }
     let name = names::parse(path);
     // Quarantined files were condemned by an earlier merge: never re-read,
     // never re-renamed.
@@ -395,13 +381,10 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
         Err(_) => return (graph, report),
     };
     let committed: HashSet<&str> = files.iter().map(String::as_str).collect();
-    // A panic while parsing one file (a parser bug on hostile input) is
-    // contained to that file and reported like any other unreadable input —
-    // uncaught, a single panicking rayon task would abort the whole merge.
-    let guarded = |path: &String| {
-        catch_quiet(|| process_file(fs, path, &committed)).unwrap_or(Outcome::Corrupt)
-    };
-    let outcomes: Vec<Outcome> = files.par_iter().map(guarded).collect();
+    let outcomes: Vec<Outcome> = files
+        .par_iter()
+        .map(|path| process_file(fs, path, &committed))
+        .collect();
     // Deterministic sequential fold in directory order; the merge itself is
     // the bulk id-mapped path (one intern per distinct term per file).
     let mut chains: HashMap<u64, Vec<FramedFile>> = HashMap::new();
@@ -843,33 +826,6 @@ mod tests {
             let want = salvage_turtle_reference(&damaged);
             assert!(ntriples::sorted_graph_lines(&got) == ntriples::sorted_graph_lines(&want));
         }
-    }
-
-    #[test]
-    fn panicking_parse_task_is_contained_per_file() {
-        let fs = FileSystem::new(LustreConfig::default());
-        write_file(&fs, "/provio/prov_p0.nt", b"<urn:a> <urn:p> <urn:b> .\n");
-        write_file(&fs, "/provio/prov_p1.nt", b"<urn:c> <urn:p> <urn:d> .\n");
-        // Perfectly valid content — the panic models a parser bug, not bad
-        // data, so only the injected hook distinguishes this file.
-        write_file(&fs, "/provio/prov_panicme.nt", b"<urn:e> <urn:p> <urn:f> .\n");
-        *PANIC_ON.lock().unwrap() = Some("panicme".into());
-        let (gp, rp) = merge_with_pool(&fs, "/provio", 4);
-        let (gs, rs) = merge_with_pool(&fs, "/provio", 1);
-        *PANIC_ON.lock().unwrap() = None;
-        for (g, r) in [(&gp, &rp), (&gs, &rs)] {
-            assert_eq!(
-                r.corrupt,
-                vec!["/provio/prov_panicme.nt".to_string()],
-                "the panicking file is reported like unreadable input"
-            );
-            assert_eq!(r.files, 2, "the other files still contribute");
-            assert_eq!(g.len(), 2);
-        }
-        // With the hook cleared, the same directory merges fully.
-        let (g, r) = merge_directory(&fs, "/provio");
-        assert!(r.corrupt.is_empty());
-        assert_eq!(g.len(), 3);
     }
 
     #[test]
@@ -1487,11 +1443,10 @@ mod tests {
         )
     }
 
-    /// ROADMAP 4(e): `process_file` itself — called here without the
-    /// `catch_quiet` that `merge_directory` wraps around it — never
-    /// panics, whatever artifact, however damaged, sits under whatever
-    /// role's name. The containment stays as safety code; this shows
-    /// no decoder or parser reaches it.
+    /// `process_file` never panics, whatever artifact, however damaged,
+    /// sits under whatever role's name. `merge_directory` calls it with no
+    /// containment, so a decoder or parser panic fails this property
+    /// instead of being reported as one more corrupt file.
     fn process_file_never_panics((pick, arbitrary, ops): Damage) {
         let valid = artifacts();
         let mut data = match pick.index(valid.len() + 1) {

@@ -17,7 +17,6 @@
 //! any string; [`print`] is its inverse for every name the store emits.
 
 use crate::config::RdfFormat;
-use crate::frame::fnv1a64;
 
 /// File name of the signed run manifest, written into the store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.provio";
@@ -27,6 +26,16 @@ pub const LEDGER_NAME: &str = "CAMPAIGN.provio";
 
 const TMP: &str = ".tmp";
 const QUARANTINE: &str = ".quarantine";
+
+/// FNV-1a 64-bit, used for store GUIDs (deterministic, dependency-free).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
 
 /// What a file holds. The numbered roles carry their six-digit sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

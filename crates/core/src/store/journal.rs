@@ -1,9 +1,9 @@
 //! The write-ahead journal plane (see the store's module docs).
 
 use super::parity::ParityGroup;
+use crate::artifact::{MemberCheck, ParityMember};
 use crate::frame::{self, FrameKind};
 use crate::names::{self, Role, State};
-use crate::scrub::{MemberCheck, ParityMember};
 use provio_hpcfs::{FileSystem, FsError, Ino};
 use provio_simrt::SimTime;
 use std::borrow::Cow;

@@ -144,14 +144,14 @@ mod intake;
 mod journal;
 mod parity;
 
+pub use crate::config::DEFAULT_COMPACT_EVERY;
 pub use breaker::BreakerState;
 
+use crate::artifact::{MemberCheck, ParityMember, RootCache};
 use crate::config::{OverloadPolicy, RdfFormat, RetryPolicy};
 use crate::frame::{self, FrameKind};
 use crate::fsio::commit_atomic;
 use crate::names::{self, Role, State};
-use crate::scrub::{MemberCheck, ParityMember};
-use crate::verify::RootCache;
 use breaker::Breaker;
 use intake::InFlight;
 use journal::Journal;
@@ -163,10 +163,6 @@ use provio_simrt::{DetRng, SimDuration, SimTime, VirtualClock};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default compaction threshold when none is configured (matches
-/// `ProvIoConfig::default().compact_every`).
-pub const DEFAULT_COMPACT_EVERY: u32 = 64;
 
 /// RNG stream for decorrelated retry jitter, carved out of the store GUID
 /// so backoff draws never perturb any workload or fault stream.

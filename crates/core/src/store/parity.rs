@@ -2,10 +2,9 @@
 //! `<store>.pNNNNNN.par` files from which [`crate::scrub`] reconstructs any
 //! single lost or rotted member byte-identical.
 
+use crate::artifact::{self, ParityMember, RootCache};
 use crate::fsio::commit_atomic;
 use crate::names::{self, Role, State};
-use crate::scrub::{self, ParityMember};
-use crate::verify::RootCache;
 use provio_hpcfs::{FileSystem, FsError};
 use std::borrow::Cow;
 
@@ -44,7 +43,7 @@ impl ParityGroup {
         if self.acc.is_empty() {
             self.acc = bytes.into_owned();
         } else {
-            scrub::xor_into(&mut self.acc, &bytes);
+            artifact::xor_into(&mut self.acc, &bytes);
         }
         self.members.push(member);
     }
@@ -114,7 +113,7 @@ impl Parity {
     /// `<path>.pNNNNNN.par`: a PROVIO1 `kind=parity` frame whose first
     /// batch is the member records and whose second batch is the XOR block
     /// (base64, or a raw replica for a single-member group — see
-    /// [`scrub::encode_parity_frame`]), committed tmp+rename like every
+    /// [`artifact::encode_parity_frame`]), committed tmp+rename like every
     /// artifact and root-cached so the manifest lists it. A failed seal
     /// drops the group — its members are already durable, so only future
     /// repairability is lost, and the next commit starts a fresh group.
@@ -135,8 +134,8 @@ impl Parity {
             return Ok(());
         }
         let dst = names::print(path, Role::Parity(self.seq), State::Live);
-        let member_lines: Vec<String> = members.iter().map(scrub::member_line).collect();
-        let (framed, root) = scrub::encode_parity_frame(guid, self.seq, &member_lines, &acc);
+        let member_lines: Vec<String> = members.iter().map(artifact::member_line).collect();
+        let (framed, root) = artifact::encode_parity_frame(guid, self.seq, &member_lines, &acc);
         if let Err(e) = commit_atomic(fs, &dst, &framed) {
             self.failed += 1;
             let _ = fs.unlink(&names::tmp_of(&dst));

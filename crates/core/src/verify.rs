@@ -28,47 +28,19 @@
 //! scheme can slot in behind the same format later; `hmac-sha256` is the
 //! only algorithm this version signs or accepts.
 
+use crate::artifact::{key_id, ledger_line, parse_ledger_line, parse_manifest, render_manifest};
 use crate::frame::{self, FrameKind};
 use crate::fsio::{commit_atomic, copies, read_file};
 use crate::names::{self, State, LEDGER_NAME, MANIFEST_NAME};
 use provio_hpcfs::FileSystem;
 use provio_simrt::SimTime;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// First-line magic of the manifest; the trailing digit is the version.
-pub const MANIFEST_MAGIC: &str = "# PROVIO-MANIFEST1";
-
-/// One rank's outcome as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankEntry {
-    pub pid: u32,
-    pub degraded: bool,
-    pub triples: u64,
-}
-
-/// One committed file as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestEntry {
-    pub path: String,
-    /// Content root: the frame Merkle root for framed files
-    /// (`mode=merkle`), the SHA-256 of the raw bytes otherwise
-    /// (`mode=raw`, legacy unframed stores).
-    pub root: [u8; 32],
-    pub merkle: bool,
-    pub bytes: u64,
-}
-
-/// A parsed run manifest (signature judged separately, against the key).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    /// Run GUID: FNV-1a over the sorted `(path, root)` pairs, so a re-run
-    /// over identical bytes signs the identical manifest.
-    pub run: u64,
-    pub files: Vec<ManifestEntry>,
-    pub ranks: Vec<RankEntry>,
-}
+pub use crate::artifact::{
+    LedgerRecord, Manifest, ManifestEntry, RankEntry, RootCache, MANIFEST_MAGIC,
+};
 
 /// What sealing a run produced: the run GUID and the manifest digest now
 /// chained into the campaign ledger.
@@ -77,13 +49,6 @@ pub struct ManifestInfo {
     pub run: u64,
     pub digest: [u8; 32],
     pub files: usize,
-}
-
-/// First 8 hex digits of SHA-256 of the key: enough to tell "edited after
-/// signing" apart from "verified with the wrong key" in reports, without
-/// leaking the key.
-fn key_id(key: &str) -> String {
-    sha2::hex(&sha2::sha256(key.as_bytes()))[..8].to_string()
 }
 
 /// Content root of a file's bytes: the frame Merkle root when the file is
@@ -105,139 +70,6 @@ fn manifest_path(dir: &str) -> String {
 fn ledger_path(dir: &str) -> String {
     format!("{}/{LEDGER_NAME}", dir.trim_end_matches('/'))
 }
-
-/// Render the manifest text: header, one `file` line per committed file
-/// (path last, so paths may contain spaces), one `rank` line per rank, and
-/// the `sig` line whose HMAC covers every byte before it.
-fn render_manifest(manifest: &Manifest, key: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{MANIFEST_MAGIC} run={:016x} files={} ranks={}\n",
-        manifest.run,
-        manifest.files.len(),
-        manifest.ranks.len()
-    );
-    for e in &manifest.files {
-        let _ = writeln!(
-            out,
-            "file root={} mode={} bytes={} path={}",
-            sha2::hex(&e.root),
-            if e.merkle { "merkle" } else { "raw" },
-            e.bytes,
-            e.path
-        );
-    }
-    for r in &manifest.ranks {
-        let _ = writeln!(
-            out,
-            "rank pid={} outcome={} triples={}",
-            r.pid,
-            if r.degraded { "degraded" } else { "finished" },
-            r.triples
-        );
-    }
-    let mac = sha2::hmac_sha256(key.as_bytes(), out.as_bytes());
-    let _ = writeln!(
-        out,
-        "sig alg=hmac-sha256 keyid={} hmac={}",
-        key_id(key),
-        sha2::hex(&mac)
-    );
-    out
-}
-
-/// A manifest parsed off disk, before any trust decision: the claims plus
-/// the signature fields and how many bytes the signature covers.
-struct ParsedManifest {
-    manifest: Manifest,
-    alg: String,
-    keyid: String,
-    hmac: String,
-    signed_len: usize,
-}
-
-/// The manifest header's `(run, files, ranks)`.
-pub(crate) fn parse_manifest_header(line: &str) -> Option<(u64, usize, usize)> {
-    let [run, files, ranks] = frame::fields(line, MANIFEST_MAGIC, ["run=", "files=", "ranks="])?;
-    Some((
-        u64::from_str_radix(run?, 16).ok()?,
-        files?.parse().ok()?,
-        ranks?.parse().ok()?,
-    ))
-}
-
-pub(crate) fn parse_file_line(line: &str) -> Option<ManifestEntry> {
-    let [root, mode, bytes, path] =
-        frame::fields(line, "file ", ["root=", "mode=", "bytes=", "path="])?;
-    Some(ManifestEntry {
-        path: path?.to_string(),
-        root: frame::parse_hex32(root?)?,
-        merkle: match mode? {
-            "merkle" => true,
-            "raw" => false,
-            _ => return None,
-        },
-        bytes: bytes?.parse().ok()?,
-    })
-}
-
-pub(crate) fn parse_rank_line(line: &str) -> Option<RankEntry> {
-    let [pid, outcome, triples] = frame::fields(line, "rank ", ["pid=", "outcome=", "triples="])?;
-    Some(RankEntry {
-        pid: pid?.parse().ok()?,
-        degraded: match outcome? {
-            "finished" => false,
-            "degraded" => true,
-            _ => return None,
-        },
-        triples: triples?.parse().ok()?,
-    })
-}
-
-/// The signature line's `(alg, keyid, hmac)`.
-pub(crate) fn parse_sig_line(line: &str) -> Option<(&str, &str, &str)> {
-    let [alg, keyid, hmac] = frame::fields(line, "sig ", ["alg=", "keyid=", "hmac="])?;
-    Some((alg?, keyid?, hmac?))
-}
-
-fn parse_manifest(text: &str) -> Option<ParsedManifest> {
-    // The signature is the last line; everything before it is signed.
-    let sig_off = text.rfind("\nsig ")? + 1;
-    let tail = text[sig_off..].trim_end();
-    if tail.contains('\n') {
-        return None; // content after the signature line
-    }
-    let (alg, keyid, hmac) = parse_sig_line(tail)?;
-    let mut lines = text[..sig_off].lines();
-    let (run, nfiles, nranks) = parse_manifest_header(lines.next()?)?;
-    let mut manifest = Manifest {
-        run,
-        files: Vec::new(),
-        ranks: Vec::new(),
-    };
-    for line in lines {
-        if line.starts_with("file ") {
-            manifest.files.push(parse_file_line(line)?);
-        } else {
-            manifest.ranks.push(parse_rank_line(line)?);
-        }
-    }
-    if manifest.files.len() != nfiles || manifest.ranks.len() != nranks {
-        return None; // declared counts disagree with the lines present
-    }
-    Some(ParsedManifest {
-        manifest,
-        alg: alg.to_string(),
-        keyid: keyid.to_string(),
-        hmac: hmac.to_string(),
-        signed_len: sig_off,
-    })
-}
-
-/// Commit-time root cache handed to the sealing pass by the writers: path
-/// → `(committed bytes, Merkle root)`, as collected from
-/// [`crate::store::ProvenanceStore::committed_roots`].
-pub type RootCache = HashMap<String, (u64, [u8; 32])>;
 
 /// Walk the finished run directory, compute every committed file's content
 /// root, and commit the signed manifest (tmp-then-rename). Deterministic:
@@ -304,17 +136,6 @@ pub fn write_manifest_with_roots(
     })
 }
 
-/// One sealed run in the campaign ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LedgerRecord {
-    pub run: u64,
-    /// SHA-256 of the run's full manifest file.
-    pub manifest: [u8; 32],
-    /// The previous record's manifest digest (`None` for the first run),
-    /// chaining the campaign root-to-root independently of frame chaining.
-    pub prev: Option<[u8; 32]>,
-}
-
 /// The campaign ledger as read off disk: the verified-prefix records, and
 /// whether a torn tail was cut or the digest chain is broken.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -322,18 +143,6 @@ pub struct Ledger {
     pub records: Vec<LedgerRecord>,
     pub truncated: bool,
     pub chained: bool,
-}
-
-pub(crate) fn parse_ledger_line(line: &str) -> Option<LedgerRecord> {
-    let [run, manifest, prev] = frame::fields(line, "", ["run=", "manifest=", "prev="])?;
-    Some(LedgerRecord {
-        run: u64::from_str_radix(run?, 16).ok()?,
-        manifest: frame::parse_hex32(manifest?)?,
-        prev: match prev? {
-            "-" => None,
-            v => Some(frame::parse_hex32(v)?),
-        },
-    })
 }
 
 /// Read the campaign ledger, tolerating a torn tail: the ledger is a
@@ -407,15 +216,7 @@ pub fn append_ledger(
     let mut chain = frame::CHAIN_START;
     let mut prev: Option<[u8; 32]> = None;
     for (i, rec) in records.iter().enumerate() {
-        let prev_hex = match prev {
-            Some(d) => sha2::hex(&d),
-            None => "-".to_string(),
-        };
-        let line = format!(
-            "run={:016x} manifest={} prev={prev_hex}\n",
-            rec.run,
-            sha2::hex(&rec.manifest)
-        );
+        let line = ledger_line(&LedgerRecord { prev, ..*rec });
         let (chunk, c) = frame::encode(FrameKind::Wal, guid, i as u64, chain, &line, usize::MAX);
         out.push_str(&chunk);
         chain = c;

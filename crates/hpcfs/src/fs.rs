@@ -177,6 +177,23 @@ impl FileSystem {
         self.faults.read().as_ref().and_then(|p| p.decide(op, path))
     }
 
+    /// Serve the decision for an operation that moves no data (create,
+    /// unlink, rename, truncate): there is nothing to tear or flip, so
+    /// `TornWrite` and `Corrupt` degrade to a media error; `Delay` stalls
+    /// and lets the operation proceed.
+    fn gate(&self, decision: Option<FaultAction>) -> FsResult<()> {
+        match decision {
+            Some(FaultAction::Fail(e)) => Err(e),
+            Some(FaultAction::TornWrite { .. } | FaultAction::Corrupt(_)) => Err(FsError::Io),
+            Some(FaultAction::Crash { .. }) => Err(FsError::Crashed),
+            Some(FaultAction::Delay { ns }) => {
+                self.stall(ns);
+                Ok(())
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Attach the clock [`FaultAction::Delay`] stalls are charged to.
     /// Virtual clocks share state through their handles, so the caller
     /// keeps observing the injected latency on its own copy.
@@ -313,15 +330,7 @@ impl FileSystem {
         owner: &str,
         now: SimTime,
     ) -> FsResult<Ino> {
-        match self.fault_decision(FaultOp::CreateFile, path) {
-            Some(FaultAction::Fail(e)) => return Err(e),
-            Some(FaultAction::TornWrite { .. }) => return Err(FsError::Io),
-            Some(FaultAction::Crash { .. }) => return Err(FsError::Crashed),
-            // Creation moves no data to corrupt; degrade to a media error.
-            Some(FaultAction::Corrupt(_)) => return Err(FsError::Io),
-            Some(FaultAction::Delay { ns }) => self.stall(ns),
-            None => {}
-        }
+        self.gate(self.fault_decision(FaultOp::CreateFile, path))?;
         let ino = self.create_file_inner(path, excl, owner, now)?;
         self.ino_paths.lock().insert(ino, path.to_string());
         self.trace_op(|| TraceOp::Create { path: path.to_string() });
@@ -430,15 +439,7 @@ impl FileSystem {
     }
 
     pub fn unlink(&self, path: &str) -> FsResult<()> {
-        match self.fault_decision(FaultOp::Unlink, path) {
-            Some(FaultAction::Fail(e)) => return Err(e),
-            Some(FaultAction::TornWrite { .. }) => return Err(FsError::Io),
-            Some(FaultAction::Crash { .. }) => return Err(FsError::Crashed),
-            // An unlink moves no data to corrupt; degrade to a media error.
-            Some(FaultAction::Corrupt(_)) => return Err(FsError::Io),
-            Some(FaultAction::Delay { ns }) => self.stall(ns),
-            None => {}
-        }
+        self.gate(self.fault_decision(FaultOp::Unlink, path))?;
         self.unlink_inner(path)?;
         self.trace_op(|| TraceOp::Unlink { path: path.to_string() });
         Ok(())
@@ -499,19 +500,10 @@ impl FileSystem {
     /// rename(2): atomically move `old` to `new`, replacing a non-directory
     /// target.
     pub fn rename(&self, old: &str, new: &str, now: SimTime) -> FsResult<()> {
-        if let Some(action) = self
+        let decision = self
             .fault_decision(FaultOp::Rename, old)
-            .or_else(|| self.fault_decision(FaultOp::Rename, new))
-        {
-            match action {
-                FaultAction::Fail(e) => return Err(e),
-                FaultAction::TornWrite { .. } => return Err(FsError::Io),
-                FaultAction::Crash { .. } => return Err(FsError::Crashed),
-                // A rename moves no data to corrupt; degrade to a media error.
-                FaultAction::Corrupt(_) => return Err(FsError::Io),
-                FaultAction::Delay { ns } => self.stall(ns),
-            }
-        }
+            .or_else(|| self.fault_decision(FaultOp::Rename, new));
+        self.gate(decision)?;
         let ino = self.rename_inner(old, new, now)?;
         self.ino_paths.lock().insert(ino, new.to_string());
         self.trace_op(|| TraceOp::Rename {
@@ -793,15 +785,10 @@ impl FileSystem {
     }
 
     pub fn truncate_ino(&self, ino: Ino, size: u64, now: SimTime) -> FsResult<()> {
-        match self.fault_decision(FaultOp::TruncateIno, &self.ino_path(ino)) {
-            Some(FaultAction::Fail(e)) => return Err(e),
-            Some(FaultAction::TornWrite { .. }) => return Err(FsError::Io),
-            Some(FaultAction::Crash { .. }) => return Err(FsError::Crashed),
-            // Truncation moves no data to corrupt; degrade to a media error.
-            Some(FaultAction::Corrupt(_)) => return Err(FsError::Io),
-            Some(FaultAction::Delay { ns }) => self.stall(ns),
-            None => {}
-        }
+        // The path is resolved only under an installed plan, as in
+        // `read_at` / `write_at`: every atomic commit truncates once.
+        let plan = self.faults.read().clone();
+        self.gate(plan.and_then(|p| p.decide(FaultOp::TruncateIno, &self.ino_path(ino))))?;
         {
             let mut inner = self.inner.write();
             let n = inner.inodes.get_mut(&ino).ok_or(FsError::BadFd)?;

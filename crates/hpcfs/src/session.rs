@@ -408,155 +408,79 @@ impl FsSession {
         result.map(|_| ())
     }
 
-    pub fn rename(&self, old: &str, new: &str) -> FsResult<()> {
+    /// One path-level metadata call: charge the metadata cost, emit the
+    /// event for the completed call, hand its result back.
+    fn meta<T>(
+        &self,
+        kind: SyscallKind,
+        path: &str,
+        path2: Option<&str>,
+        bytes: u64,
+        attr_name: Option<&str>,
+        result: FsResult<T>,
+    ) -> FsResult<T> {
         let cost = self.fs.config().meta_op();
-        let result = self.fs.rename(old, new, self.clock.now());
-        self.emit(
-            SyscallKind::Rename,
-            Some(old),
-            Some(new),
-            None,
-            0,
-            None,
-            result.is_ok(),
-            cost,
-        );
+        self.emit(kind, Some(path), path2, None, bytes, attr_name, result.is_ok(), cost);
         result
+    }
+
+    pub fn rename(&self, old: &str, new: &str) -> FsResult<()> {
+        let result = self.fs.rename(old, new, self.clock.now());
+        self.meta(SyscallKind::Rename, old, Some(new), 0, None, result)
     }
 
     pub fn unlink(&self, path: &str) -> FsResult<()> {
-        let cost = self.fs.config().meta_op();
-        let result = self.fs.unlink(path);
-        self.emit(SyscallKind::Unlink, Some(path), None, None, 0, None, result.is_ok(), cost);
-        result
+        self.meta(SyscallKind::Unlink, path, None, 0, None, self.fs.unlink(path))
     }
 
     pub fn mkdir(&self, path: &str) -> FsResult<()> {
-        let cost = self.fs.config().meta_op();
         let result = self.fs.mkdir(path, &self.user, self.clock.now()).map(|_| ());
-        self.emit(SyscallKind::Mkdir, Some(path), None, None, 0, None, result.is_ok(), cost);
-        result
+        self.meta(SyscallKind::Mkdir, path, None, 0, None, result)
     }
 
     pub fn rmdir(&self, path: &str) -> FsResult<()> {
-        let cost = self.fs.config().meta_op();
-        let result = self.fs.rmdir(path);
-        self.emit(SyscallKind::Rmdir, Some(path), None, None, 0, None, result.is_ok(), cost);
-        result
+        self.meta(SyscallKind::Rmdir, path, None, 0, None, self.fs.rmdir(path))
     }
 
     pub fn stat(&self, path: &str) -> FsResult<Metadata> {
-        let cost = self.fs.config().meta_op();
-        let result = self.fs.stat(path);
-        self.emit(SyscallKind::Stat, Some(path), None, None, 0, None, result.is_ok(), cost);
-        result
+        self.meta(SyscallKind::Stat, path, None, 0, None, self.fs.stat(path))
     }
 
     pub fn readdir(&self, path: &str) -> FsResult<Vec<String>> {
-        let cost = self.fs.config().meta_op();
-        let result = self.fs.readdir(path);
-        self.emit(SyscallKind::Readdir, Some(path), None, None, 0, None, result.is_ok(), cost);
-        result
+        self.meta(SyscallKind::Readdir, path, None, 0, None, self.fs.readdir(path))
     }
 
     pub fn link(&self, existing: &str, new: &str) -> FsResult<()> {
-        let cost = self.fs.config().meta_op();
         let result = self.fs.link(existing, new, self.clock.now());
-        self.emit(
-            SyscallKind::Link,
-            Some(existing),
-            Some(new),
-            None,
-            0,
-            None,
-            result.is_ok(),
-            cost,
-        );
-        result
+        self.meta(SyscallKind::Link, existing, Some(new), 0, None, result)
     }
 
     pub fn symlink(&self, target: &str, linkpath: &str) -> FsResult<()> {
-        let cost = self.fs.config().meta_op();
         let result = self.fs.symlink(target, linkpath, &self.user, self.clock.now());
-        self.emit(
-            SyscallKind::Symlink,
-            Some(target),
-            Some(linkpath),
-            None,
-            0,
-            None,
-            result.is_ok(),
-            cost,
-        );
-        result
+        self.meta(SyscallKind::Symlink, target, Some(linkpath), 0, None, result)
     }
 
     pub fn setxattr(&self, path: &str, name: &str, value: &[u8]) -> FsResult<()> {
-        let cost = self.fs.config().meta_op();
         let result = self.fs.setxattr(path, name, value, self.clock.now());
-        self.emit(
-            SyscallKind::SetXattr,
-            Some(path),
-            None,
-            None,
-            value.len() as u64,
-            Some(name),
-            result.is_ok(),
-            cost,
-        );
-        result
+        self.meta(SyscallKind::SetXattr, path, None, value.len() as u64, Some(name), result)
     }
 
     pub fn getxattr(&self, path: &str, name: &str) -> FsResult<Vec<u8>> {
-        let cost = self.fs.config().meta_op();
         let result = self.fs.getxattr(path, name);
         let bytes = result.as_ref().map(|v| v.len() as u64).unwrap_or(0);
-        self.emit(
-            SyscallKind::GetXattr,
-            Some(path),
-            None,
-            None,
-            bytes,
-            Some(name),
-            result.is_ok(),
-            cost,
-        );
-        result
+        self.meta(SyscallKind::GetXattr, path, None, bytes, Some(name), result)
     }
 
     pub fn listxattr(&self, path: &str) -> FsResult<Vec<String>> {
-        let cost = self.fs.config().meta_op();
-        let result = self.fs.listxattr(path);
-        self.emit(
-            SyscallKind::ListXattr,
-            Some(path),
-            None,
-            None,
-            0,
-            None,
-            result.is_ok(),
-            cost,
-        );
-        result
+        self.meta(SyscallKind::ListXattr, path, None, 0, None, self.fs.listxattr(path))
     }
 
     pub fn truncate(&self, path: &str, size: u64) -> FsResult<()> {
-        let cost = self.fs.config().meta_op();
         let result = self
             .fs
             .lookup(path)
             .and_then(|ino| self.fs.truncate_ino(ino, size, self.clock.now()));
-        self.emit(
-            SyscallKind::Truncate,
-            Some(path),
-            None,
-            None,
-            size,
-            None,
-            result.is_ok(),
-            cost,
-        );
-        result
+        self.meta(SyscallKind::Truncate, path, None, size, None, result)
     }
 
     /// Convenience: read a whole file to a Vec.

@@ -1,17 +1,16 @@
-//! Communication cost model for collectives.
+//! Communication cost model: the barrier and point-to-point messages.
 
 use provio_simrt::{LatencyBandwidth, SimDuration};
 
-/// Interconnect parameters for collective operations.
+/// Interconnect parameters.
 ///
-/// Collectives are modeled as binomial trees: `ceil(log2(P))` rounds, each
-/// paying the link latency plus the payload's transfer time. Defaults
-/// approximate a Cray Aries-class fabric.
+/// The barrier is modeled as a binomial tree: `ceil(log2(P))` rounds, each
+/// paying the link latency. Defaults approximate a Cray Aries-class fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommModel {
     /// One network hop.
     pub link: LatencyBandwidth,
-    /// Fixed software overhead per collective call, per rank.
+    /// Fixed software overhead per call, per rank.
     pub call_overhead_ns: u64,
 }
 
@@ -42,24 +41,9 @@ impl CommModel {
         d
     }
 
-    /// Cost of an allreduce of `bytes` across `ranks`.
-    pub fn allreduce(&self, ranks: u32, bytes: u64) -> SimDuration {
-        let mut d = SimDuration::from_nanos(self.call_overhead_ns);
-        for _ in 0..Self::rounds(ranks) {
-            d = d.saturating_add(self.link.cost(bytes));
-        }
-        d
-    }
-
-    /// Cost of a broadcast of `bytes` across `ranks`.
-    pub fn broadcast(&self, ranks: u32, bytes: u64) -> SimDuration {
-        // Same tree shape as allreduce.
-        self.allreduce(ranks, bytes)
-    }
-
     /// Sender-side cost of one point-to-point message of `bytes`: the
     /// per-call software overhead plus a single hop's latency and
-    /// transfer time — no tree, unlike the collectives. The streaming
+    /// transfer time — no tree, unlike the barrier. The streaming
     /// collection layer charges this per send attempt, so every retry
     /// over a lossy fabric costs virtual time.
     pub fn send(&self, bytes: u64) -> SimDuration {
@@ -72,17 +56,6 @@ impl CommModel {
     /// [`Self::send`], not double-charged here.
     pub fn recv(&self) -> SimDuration {
         SimDuration::from_nanos(self.call_overhead_ns).saturating_add(self.link.meta_cost())
-    }
-
-    /// Cost of gathering `bytes_per_rank` to the root.
-    pub fn gather(&self, ranks: u32, bytes_per_rank: u64) -> SimDuration {
-        let mut d = SimDuration::from_nanos(self.call_overhead_ns);
-        let mut inflight = bytes_per_rank;
-        for _ in 0..Self::rounds(ranks) {
-            d = d.saturating_add(self.link.cost(inflight));
-            inflight = inflight.saturating_mul(2);
-        }
-        d
     }
 }
 
@@ -113,22 +86,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_grows_with_bytes() {
-        let m = CommModel::default();
-        assert!(m.allreduce(64, 1 << 20) > m.allreduce(64, 8));
-    }
-
-    #[test]
-    fn gather_doubles_inflight() {
-        let m = CommModel::default();
-        assert!(m.gather(1024, 1024) > m.allreduce(1024, 1024));
-    }
-
-    #[test]
     fn single_rank_collectives_are_overheads_only() {
         let m = CommModel::default();
         assert_eq!(m.barrier(1).as_nanos(), m.call_overhead_ns);
-        assert_eq!(m.allreduce(1, 1 << 20).as_nanos(), m.call_overhead_ns);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * [`MpiWorld::superstep`] runs a closure once per rank, in parallel, and
 //!   ends with an implicit barrier: all rank clocks advance to the slowest
 //!   rank's time, exactly how wall-clock behaves at `MPI_Barrier`.
-//! * [`MpiWorld::allreduce_max`] / [`MpiWorld::allreduce_sum`] /
-//!   [`MpiWorld::broadcast`] combine values
-//!   across ranks between supersteps and charge a log₂(P) tree cost.
+//! * [`MpiWorld::barrier`] synchronizes between supersteps and charges a
+//!   log₂(P) tree cost; [`CommModel::send`] / [`CommModel::recv`] price the
+//!   point-to-point messages of the streaming collection layer.
 //! * A panic in one rank's closure (e.g. an injected `ESIMCRASH`) is
 //!   contained: that rank reports [`RankOutcome::Crashed`] while the
 //!   survivors run to the barrier, so a run can lose ranks without losing

@@ -183,43 +183,6 @@ impl MpiWorld {
         target
     }
 
-    /// MPI_Allreduce(MAX) over one f64 per rank.
-    pub fn allreduce_max(&self, values: &[f64]) -> f64 {
-        assert_eq!(values.len(), self.clocks.len());
-        self.charge_collective(self.comm.allreduce(self.size(), 8));
-        values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// MPI_Allreduce(SUM) over one f64 per rank.
-    pub fn allreduce_sum(&self, values: &[f64]) -> f64 {
-        assert_eq!(values.len(), self.clocks.len());
-        self.charge_collective(self.comm.allreduce(self.size(), 8));
-        values.iter().sum()
-    }
-
-    /// MPI_Bcast of `bytes` from the root.
-    pub fn broadcast(&self, bytes: u64) {
-        self.charge_collective(self.comm.broadcast(self.size(), bytes));
-    }
-
-    /// MPI_Gather of `bytes_per_rank` to the root.
-    pub fn gather(&self, bytes_per_rank: u64) {
-        self.charge_collective(self.comm.gather(self.size(), bytes_per_rank));
-    }
-
-    fn charge_collective(&self, cost: SimDuration) {
-        let max = self
-            .clocks
-            .iter()
-            .map(VirtualClock::now)
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let target = max + cost;
-        for c in &self.clocks {
-            c.sync_to(target);
-        }
-    }
-
     /// Completion time of the world so far = the slowest rank's clock.
     pub fn elapsed(&self) -> SimDuration {
         SimDuration::from_nanos(
@@ -328,16 +291,6 @@ mod tests {
         w.superstep(|ctx| ctx.compute(SimDuration::from_millis(ctx.rank as u64)));
         let t = w.clock(0).now();
         assert!((0..8).all(|r| w.clock(r).now() == t));
-    }
-
-    #[test]
-    fn allreduce_combines_and_charges() {
-        let w = MpiWorld::new(16);
-        let before = w.elapsed();
-        let vals: Vec<f64> = (0..16).map(|r| r as f64).collect();
-        assert_eq!(w.allreduce_max(&vals), 15.0);
-        assert_eq!(w.allreduce_sum(&vals), 120.0);
-        assert!(w.elapsed() > before);
     }
 
     #[test]

@@ -5,9 +5,6 @@
 //! `(seed, stream-id)` pair via SplitMix64 — two agents never share a
 //! generator and the derivation is order-independent.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 /// SplitMix64 step, used to whiten (seed, stream) pairs into RNG seeds.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -17,10 +14,38 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// xoshiro256++ state.
+#[derive(Debug, Clone)]
+struct Xoshiro([u64; 4]);
+
+impl Xoshiro {
+    fn from_key(mut key: [u64; 4]) -> Self {
+        if key == [0; 4] {
+            // xoshiro must not start from the all-zero state.
+            let mut x = 0x9E37_79B9u64;
+            key = [(); 4].map(|()| splitmix64(&mut x));
+        }
+        Xoshiro(key)
+    }
+
+    fn next(&mut self) -> u64 {
+        let s = &mut self.0;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+}
+
 /// A deterministic random stream.
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    inner: SmallRng,
+    inner: Xoshiro,
     seed: u64,
     stream: u64,
 }
@@ -35,12 +60,9 @@ impl DetRng {
     /// independent regardless of creation order.
     pub fn with_stream(seed: u64, stream: u64) -> Self {
         let mut s = seed ^ stream.rotate_left(17).wrapping_mul(0xA24B_AED4_963E_E407);
-        let mut key = [0u8; 32];
-        for chunk in key.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&splitmix64(&mut s).to_le_bytes());
-        }
+        let key = [(); 4].map(|()| splitmix64(&mut s));
         DetRng {
-            inner: SmallRng::from_seed(key),
+            inner: Xoshiro::from_key(key),
             seed,
             stream,
         }
@@ -59,26 +81,28 @@ impl DetRng {
     }
 
     pub fn u64(&mut self) -> u64 {
-        self.inner.gen()
+        self.inner.next()
     }
 
     pub fn u32(&mut self) -> u32 {
-        self.inner.gen()
+        (self.u64() >> 32) as u32
     }
 
     /// Uniform in `[0, bound)`. `bound` must be nonzero.
     pub fn below(&mut self, bound: u64) -> u64 {
-        self.inner.gen_range(0..bound)
+        self.range(0, bound)
     }
 
-    /// Uniform in `[lo, hi)`.
+    /// Uniform in `[lo, hi)`; the range must not be empty. Modulo bias is
+    /// negligible for simulation-sized spans.
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        self.inner.gen_range(lo..hi)
+        assert!(lo < hi, "empty range");
+        lo + self.u64() % (hi - lo)
     }
 
-    /// Uniform in `[0, 1)`.
+    /// Uniform in `[0, 1)` with 53 bits of precision.
     pub fn f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
@@ -88,7 +112,9 @@ impl DetRng {
 
     /// Fill `buf` with pseudo-random bytes.
     pub fn fill(&mut self, buf: &mut [u8]) {
-        self.inner.fill(buf);
+        for chunk in buf.chunks_mut(8) {
+            chunk.copy_from_slice(&self.u64().to_le_bytes()[..chunk.len()]);
+        }
     }
 }
 
@@ -134,6 +160,11 @@ mod tests {
         );
 
         assert_eq!(DetRng::new(7).child(3).u64(), 0xdbd7_b949_8e57_ab0d);
+    }
+
+    #[test]
+    fn zero_seed_escapes_fixed_point() {
+        assert_ne!(Xoshiro::from_key([0; 4]).next(), 0);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! | [`hpcfs`] | `provio-hpcfs` | simulated POSIX/Lustre + syscall interposition |
 //! | [`hdf5`] | `provio-hdf5` | simulated HDF5 with a Virtual Object Layer |
 //! | [`mpi`] | `provio-mpi` | BSP-style simulated MPI runtime |
-//! | [`netcdf`] | `provio-netcdf` | NetCDF-4-style API over the VOL (future-work integration) |
 //! | [`simrt`] | `provio-simrt` | virtual clocks, cost models, deterministic RNG |
 //! | [`provlake`] | `provio-provlake` | the ProvLake comparison baseline |
 //! | [`workflows`] | `provio-workflows` | Top Reco, DASSA, H5bench drivers |
@@ -56,7 +55,6 @@ pub use provio_hdf5 as hdf5;
 pub use provio_hpcfs as hpcfs;
 pub use provio_model as model;
 pub use provio_mpi as mpi;
-pub use provio_netcdf as netcdf;
 pub use provio_provlake as provlake;
 pub use provio_rdf as rdf;
 pub use provio_simrt as simrt;
