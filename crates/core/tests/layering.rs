@@ -40,14 +40,14 @@ fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
 
 /// The modules a line names through `crate::`, `crate::{a, b::c}` included.
 fn named(line: &str) -> Vec<&str> {
-    let ident = |s: &str| -> usize { s.find(|c: char| !c.is_alphanumeric() && c != '_').unwrap_or(s.len()) };
+    let ident = |s: &str| s.find(|c: char| !c.is_alphanumeric() && c != '_').unwrap_or(s.len());
     let mut out = Vec::new();
     for (at, _) in line.match_indices("crate::") {
         let rest = &line[at + "crate::".len()..];
         match rest.strip_prefix('{') {
             Some(group) => {
                 let group = &group[..group.find('}').unwrap_or(group.len())];
-                out.extend(group.split(',').map(|item| item.trim()).map(|item| &item[..ident(item)]));
+                out.extend(group.split(',').map(str::trim).map(|item| &item[..ident(item)]));
             }
             None => out.push(&rest[..ident(rest)]),
         }

@@ -787,8 +787,12 @@ impl FileSystem {
     pub fn truncate_ino(&self, ino: Ino, size: u64, now: SimTime) -> FsResult<()> {
         // The path is resolved only under an installed plan, as in
         // `read_at` / `write_at`: every atomic commit truncates once.
-        let plan = self.faults.read().clone();
-        self.gate(plan.and_then(|p| p.decide(FaultOp::TruncateIno, &self.ino_path(ino))))?;
+        let decision = self
+            .faults
+            .read()
+            .as_ref()
+            .and_then(|p| p.decide(FaultOp::TruncateIno, &self.ino_path(ino)));
+        self.gate(decision)?;
         {
             let mut inner = self.inner.write();
             let n = inner.inodes.get_mut(&ino).ok_or(FsError::BadFd)?;
