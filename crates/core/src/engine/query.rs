@@ -8,7 +8,7 @@
 use provio_model::{ontology, ActivityClass, AgentClass, EntityClass, Guid, Relation};
 use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Literal, Subject, Term, TermId, Triple};
 use provio_sparql::{Query, QueryError, Solutions};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Query engine over a (merged) provenance graph.
 pub struct ProvQueryEngine {
@@ -64,51 +64,57 @@ impl ProvQueryEngine {
     /// input) pair of each program — because `wasDerivedFrom+` queries and
     /// the lineage walks read them from the graph; the cost is that of
     /// writing them, at id speed: programs, inputs and outputs are
-    /// gathered as term ids from the predicate index, and the edges go in
-    /// by id in (program, output, input) order, so two engines over the
-    /// same graph end up with the same insertion order.
+    /// gathered as term ids in one scan of the triple log — not through an
+    /// index, which the writes below would drop and the next read rebuild
+    /// — and the edges go in by id in (program, output, input) order, so
+    /// two engines over the same graph end up with the same insertion
+    /// order.
     ///
     /// Returns the number of derivation edges added.
     pub fn derive_lineage(&mut self) -> usize {
         let g = &self.graph;
-        let predicate = |rel: Relation| Some(g.term_id(&Term::iri(rel.iri())));
+        let predicate = |rel: Relation| g.term_id(&Term::iri(rel.iri()));
         let is_guid = |id: TermId| g.term(id).as_iri().and_then(Guid::from_iri).is_some();
 
         // Entities relate to activities via wasReadBy / wasWrittenBy /
         // wasCreatedBy …; activities relate to programs via
         // wasAssociatedWith.
-        let mut program_of: IdMap<TermId, TermId> = IdMap::default();
-        for (activity, _, program) in
-            g.match_ids(None, predicate(Relation::WasAssociatedWith), None)
-        {
-            if is_guid(program) {
-                program_of.insert(activity, program);
-            }
-        }
-
-        // (program, entity) pairs: what each program read, what it wrote.
-        let io_of = |rels: &[Relation]| {
-            let mut pairs: Vec<(TermId, TermId)> = Vec::new();
-            for &rel in rels {
-                for (entity, _, activity) in g.match_ids(None, predicate(rel), None) {
-                    if let Some(&program) = program_of.get(&activity) {
-                        if is_guid(entity) {
-                            pairs.push((program, entity));
-                        }
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            pairs.dedup();
-            pairs
-        };
-        let inputs = io_of(&[Relation::WasReadBy, Relation::WasOpenedBy]);
-        let outputs = io_of(&[
+        let associated = predicate(Relation::WasAssociatedWith);
+        let reads = [Relation::WasReadBy, Relation::WasOpenedBy].map(predicate);
+        let writes = [
             Relation::WasWrittenBy,
             Relation::WasCreatedBy,
             Relation::WasFlushedBy,
             Relation::WasModifiedBy,
-        ]);
+        ]
+        .map(predicate);
+        let mut program_of: IdMap<TermId, TermId> = IdMap::default();
+        // (wrote?, entity, activity)
+        let mut io: Vec<(bool, TermId, TermId)> = Vec::new();
+        for (s, p, o) in g.iter_ids() {
+            let p = Some(p);
+            if p == associated {
+                if is_guid(o) {
+                    program_of.insert(s, o);
+                }
+            } else if reads.contains(&p) || writes.contains(&p) {
+                io.push((writes.contains(&p), s, o));
+            }
+        }
+
+        // (program, entity) pairs: what each program read, what it wrote.
+        let (mut inputs, mut outputs) = (Vec::new(), Vec::new());
+        for (wrote, entity, activity) in io {
+            if let Some(&program) = program_of.get(&activity) {
+                if is_guid(entity) {
+                    if wrote { &mut outputs } else { &mut inputs }.push((program, entity));
+                }
+            }
+        }
+        for pairs in [&mut inputs, &mut outputs] {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
         if inputs.is_empty() || outputs.is_empty() {
             return 0;
         }
@@ -189,8 +195,7 @@ impl ProvQueryEngine {
         use provio_model::{ActivityClass, PropKey, PropValue};
 
         // Group activities by their lineage-equivalence signature.
-        let mut groups: HashMap<String, Vec<Guid>> = HashMap::new();
-        let mut incoming: HashMap<Guid, Vec<(Subject, Iri)>> = HashMap::new();
+        let mut groups: BTreeMap<String, Vec<Guid>> = BTreeMap::new();
         for class in ActivityClass::ALL {
             for act in ontology::nodes_of_class(&self.graph, class.into()) {
                 let node = match ontology::node_from_graph(&self.graph, &act) {
@@ -204,19 +209,13 @@ impl ProvQueryEngine {
                 out_edges.sort();
                 // Incoming edges (entity —wasReadBy→ activity etc.).
                 let mut in_edges: Vec<String> = Vec::new();
-                let mut in_raw: Vec<(Subject, Iri)> = Vec::new();
                 for rel in Relation::ALL {
                     let p = Iri::new(rel.iri());
-                    for s in self
-                        .graph
-                        .subjects_with(&p, &Term::Iri(act.to_iri()))
-                    {
+                    for s in self.graph.subjects_with(&p, &Term::Iri(act.to_iri())) {
                         in_edges.push(format!("{}←{}", rel.local_name(), s));
-                        in_raw.push((s, p.clone()));
                     }
                 }
                 in_edges.sort();
-                incoming.insert(act.clone(), in_raw);
                 let sig = format!(
                     "{}|{}|{}|{}",
                     class.local_name(),
@@ -228,6 +227,21 @@ impl ProvQueryEngine {
             }
         }
 
+        // Decide every removal and insertion while only reading, then
+        // apply them: a write between two reads would rebuild the indexes.
+        let g = &self.graph;
+        let id_of = |iri: Iri| g.term_id(&Term::Iri(iri));
+        let relations: Vec<TermId> = Relation::ALL
+            .iter()
+            .filter_map(|r| id_of(Iri::new(r.iri())))
+            .collect();
+        let per_call: Vec<TermId> = [PropKey::ElapsedNs, PropKey::Bytes, PropKey::TimestampNs]
+            .iter()
+            .filter_map(|k| id_of(Iri::new(k.iri())))
+            .collect();
+        let mut dropped: IdSet<(TermId, TermId, TermId)> = IdSet::default();
+        let mut repointed: Vec<(TermId, TermId, TermId)> = Vec::new();
+        let mut aggregates: Vec<Triple> = Vec::new();
         let before: usize = groups.values().map(Vec::len).sum();
         let mut after = 0usize;
         for (_, mut members) in groups {
@@ -236,13 +250,16 @@ impl ProvQueryEngine {
             if members.len() < 2 {
                 continue;
             }
-            let keep = members[0].clone();
+            let keep = &members[0];
+            let Some(keep_id) = id_of(keep.to_iri()) else {
+                continue;
+            };
             // Aggregate numeric properties onto the representative.
             let mut count = 0i64;
             let mut total_ns = 0i64;
             let mut total_bytes = 0i64;
             for m in &members {
-                if let Some(n) = ontology::node_from_graph(&self.graph, m) {
+                if let Some(n) = ontology::node_from_graph(g, m) {
                     count += 1;
                     if let Some(PropValue::Int(v)) = n.prop(PropKey::ElapsedNs) {
                         total_ns += v;
@@ -252,62 +269,49 @@ impl ProvQueryEngine {
                     }
                 }
             }
-            // Drop the duplicates and their edges.
-            for m in &members[1..] {
-                let subject = m.to_subject();
-                for t in self
-                    .graph
-                    .match_pattern(&provio_rdf::TriplePattern::any().with_subject(subject.clone()))
-                {
-                    self.graph.remove(&t);
-                }
-                if let Some(edges) = incoming.get(m) {
-                    for (s, p) in edges {
-                        self.graph.remove(&Triple::new(
-                            s.clone(),
-                            p.clone(),
-                            Term::Iri(m.to_iri()),
-                        ));
-                        // Re-point at the representative (idempotent).
-                        self.graph.insert(&Triple::new(
-                            s.clone(),
-                            p.clone(),
-                            Term::Iri(keep.to_iri()),
-                        ));
+            // Drop the duplicates and their edges; their incoming edges
+            // re-point at the representative (idempotent).
+            for m in members[1..].iter().filter_map(|m| id_of(m.to_iri())) {
+                dropped.extend(g.match_ids(Some(Some(m)), None, None));
+                for (s, p, o) in g.match_ids(None, None, Some(Some(m))) {
+                    if relations.contains(&p) {
+                        dropped.insert((s, p, o));
+                        repointed.push((s, p, keep_id));
                     }
                 }
             }
             // Replace the representative's per-invocation numbers with
             // aggregates.
-            let subject = keep.to_subject();
-            for key in [PropKey::ElapsedNs, PropKey::Bytes, PropKey::TimestampNs] {
-                for t in self.graph.match_pattern(
-                    &provio_rdf::TriplePattern::any()
-                        .with_subject(subject.clone())
-                        .with_predicate(Iri::new(key.iri())),
-                ) {
-                    self.graph.remove(&t);
-                }
+            for &key in &per_call {
+                dropped.extend(g.match_ids(Some(Some(keep_id)), Some(Some(key)), None));
             }
-            self.graph.insert(&Triple::new(
+            let subject = keep.to_subject();
+            aggregates.push(Triple::new(
                 subject.clone(),
                 Iri::new(format!("{}occurrences", provio_rdf::ns::PROVIO)),
                 Literal::integer(count),
             ));
             if total_ns > 0 {
-                self.graph.insert(&Triple::new(
+                aggregates.push(Triple::new(
                     subject.clone(),
                     Iri::new(PropKey::ElapsedNs.iri()),
                     Literal::integer(total_ns),
                 ));
             }
             if total_bytes > 0 {
-                self.graph.insert(&Triple::new(
+                aggregates.push(Triple::new(
                     subject,
                     Iri::new(PropKey::Bytes.iri()),
                     Literal::integer(total_bytes),
                 ));
             }
+        }
+        self.graph.retain(|s, p, o| !dropped.contains(&(s, p, o)));
+        for (s, p, o) in repointed {
+            self.graph.insert_ids(s, p, o);
+        }
+        for t in &aggregates {
+            self.graph.insert(t);
         }
         (before, after)
     }
@@ -422,6 +426,7 @@ impl ProvQueryEngine {
 mod tests {
     use super::*;
     use provio_rdf::turtle;
+    use std::collections::HashMap;
 
     /// A hand-built DASSA-shaped provenance graph:
     /// WestSac.tdms --tdms2h5--> WestSac.h5 --decimate--> decimate.h5

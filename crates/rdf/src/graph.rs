@@ -1,17 +1,21 @@
-//! The in-memory graph: term interning plus SPO/POS/OSP indexes.
+//! The in-memory graph: term interning, an insertion-ordered triple log, and
+//! SPO/POS/OSP indexes derived from the log on first read.
 //!
 //! The tracker's write path is append-heavy (hundreds of thousands of inserts
-//! per process in the H5bench experiments) and the query path is
-//! lookup-heavy, so terms are interned once into [`TermId`]s and triples are
-//! stored as id-triples in three hash indexes. All matching is done on ids;
-//! owned [`Triple`]s are only materialized at the API boundary (cheap —
-//! term payloads are `Arc<str>`).
+//! per process in the H5bench experiments) and never looks anything up; the
+//! query path is lookup-heavy and runs on the merged graph after the last
+//! write. So terms are interned once into [`TermId`]s, a write appends an
+//! id-triple to the log and drops the indexes, and the first read after it
+//! builds each index it needs in one counting sort over the log. All
+//! matching is done on ids; owned [`Triple`]s are only materialized at the
+//! API boundary (cheap — term payloads are `Arc<str>`).
 
 use crate::idhash::{IdMap, IdSet};
 use crate::term::{Iri, Subject, Term, TermView};
 use crate::triple::{Triple, TriplePattern};
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Dense id of an interned term within one [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -161,6 +165,54 @@ fn find(terms: &[Term], collided: &[u32], first: u32, v: TermView<'_>) -> Option
 
 type Pair = (u32, u32);
 
+/// One index as compressed rows: key `k`'s pairs are
+/// `pairs[start[k]..start[k + 1]]`, in the order their triples were
+/// inserted.
+#[derive(Debug, Clone)]
+struct Csr {
+    /// One entry per term interned when the index was built, plus one.
+    start: Vec<u32>,
+    pairs: Vec<Pair>,
+}
+
+impl Csr {
+    /// One stable counting sort of `order` by the key `split` takes off
+    /// each triple: count, prefix-sum, scatter. Two allocations.
+    fn build(
+        order: &[(u32, u32, u32)],
+        terms: usize,
+        split: impl Fn((u32, u32, u32)) -> (u32, Pair),
+    ) -> Csr {
+        let mut start = vec![0u32; terms + 1];
+        for &t in order {
+            start[split(t).0 as usize + 1] += 1;
+        }
+        for k in 1..=terms {
+            start[k] += start[k - 1];
+        }
+        let mut pairs = vec![(0, 0); order.len()];
+        for &t in order {
+            let (key, pair) = split(t);
+            let at = &mut start[key as usize];
+            pairs[*at as usize] = pair;
+            *at += 1;
+        }
+        // Each key's cursor now sits where the next key's pairs begin.
+        start.copy_within(0..terms, 1);
+        start[0] = 0;
+        Csr { start, pairs }
+    }
+
+    /// The pairs of `key`; none for a key past the terms at build time.
+    fn get(&self, key: u32) -> &[Pair] {
+        let k = key as usize;
+        match (self.start.get(k), self.start.get(k + 1)) {
+            (Some(&a), Some(&b)) => &self.pairs[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// What a serializer needs of a slice of a graph, detached from the graph:
 /// the slice's id-triples in insertion order, renumbered densely, and the
 /// terms behind them (`Arc` clones — payloads are shared). Taking one reads
@@ -187,12 +239,11 @@ pub struct Graph {
     /// indices, so delta watermarks are only meaningful for append-only
     /// graphs (the provenance store never removes).
     order: Vec<(u32, u32, u32)>,
-    /// s → [(p, o)]
-    spo: IdMap<u32, Vec<Pair>>,
-    /// p → [(o, s)]
-    pos: IdMap<u32, Vec<Pair>>,
-    /// o → [(s, p)]
-    osp: IdMap<u32, Vec<Pair>>,
+    /// s → [(p, o)], p → [(o, s)], o → [(s, p)]: views of `order`, each
+    /// built by the first read that needs it and dropped by every write.
+    spo: OnceLock<Csr>,
+    pos: OnceLock<Csr>,
+    osp: OnceLock<Csr>,
 }
 
 impl Graph {
@@ -241,10 +292,30 @@ impl Graph {
             return false;
         }
         self.order.push((s.0, p.0, o.0));
-        self.spo.entry(s.0).or_default().push((p.0, o.0));
-        self.pos.entry(p.0).or_default().push((o.0, s.0));
-        self.osp.entry(o.0).or_default().push((s.0, p.0));
+        self.invalidate();
         true
+    }
+
+    /// A write drops the index views; the next read rebuilds what it needs.
+    fn invalidate(&mut self) {
+        self.spo.take();
+        self.pos.take();
+        self.osp.take();
+    }
+
+    fn spo(&self) -> &Csr {
+        self.spo
+            .get_or_init(|| Csr::build(&self.order, self.term_count(), |(s, p, o)| (s, (p, o))))
+    }
+
+    fn pos(&self) -> &Csr {
+        self.pos
+            .get_or_init(|| Csr::build(&self.order, self.term_count(), |(s, p, o)| (p, (o, s))))
+    }
+
+    fn osp(&self) -> &Csr {
+        self.osp
+            .get_or_init(|| Csr::build(&self.order, self.term_count(), |(s, p, o)| (o, (s, p))))
     }
 
     /// Make room for `additional` more triples.
@@ -298,21 +369,24 @@ impl Graph {
         {
             self.order.remove(pos);
         }
-        fn drop_pair(index: &mut IdMap<u32, Vec<Pair>>, key: u32, pair: Pair) {
-            if let Entry::Occupied(mut e) = index.entry(key) {
-                let v = e.get_mut();
-                if let Some(pos) = v.iter().position(|&x| x == pair) {
-                    v.swap_remove(pos);
-                }
-                if v.is_empty() {
-                    e.remove();
-                }
-            }
-        }
-        drop_pair(&mut self.spo, s.0, (p.0, o.0));
-        drop_pair(&mut self.pos, p.0, (o.0, s.0));
-        drop_pair(&mut self.osp, o.0, (s.0, p.0));
+        self.invalidate();
         true
+    }
+
+    /// Keep only the triples `keep` accepts, in one pass over the log —
+    /// the bulk form of [`Graph::remove`]. Returns how many were dropped.
+    pub fn retain(&mut self, mut keep: impl FnMut(TermId, TermId, TermId) -> bool) -> usize {
+        let triples = &mut self.triples;
+        let before = self.order.len();
+        self.order.retain(|&(s, p, o)| {
+            let kept = keep(TermId(s), TermId(p), TermId(o));
+            if !kept {
+                triples.remove(&(s, p, o));
+            }
+            kept
+        });
+        self.invalidate();
+        before - self.order.len()
     }
 
     /// Iterate all triples (materialized; insertion order).
@@ -400,7 +474,12 @@ impl Graph {
 
     /// Id-level matching. Each position is `None` (wildcard) or
     /// `Some(Option<TermId>)` — `Some(None)` means the pattern binds a term
-    /// that is not interned here, so nothing can match.
+    /// that is not interned here, so nothing can match, and neither can an
+    /// id this graph never minted. With a bound position, matches come in
+    /// insertion order.
+    ///
+    /// The first call after a write builds the index the pattern's shape
+    /// reads, in time linear in the graph.
     pub fn match_ids(
         &self,
         s: Option<Option<TermId>>,
@@ -432,28 +511,22 @@ impl Graph {
                 }
             }
             (Some(s), p, o) => {
-                if let Some(pairs) = self.spo.get(&s) {
-                    for &(tp, to) in pairs {
-                        if p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to) {
-                            out.push((TermId(s), TermId(tp), TermId(to)));
-                        }
+                for &(tp, to) in self.spo().get(s) {
+                    if p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to) {
+                        out.push((TermId(s), TermId(tp), TermId(to)));
                     }
                 }
             }
             (None, Some(p), o) => {
-                if let Some(pairs) = self.pos.get(&p) {
-                    for &(to, ts) in pairs {
-                        if o.is_none_or(|o| o == to) {
-                            out.push((TermId(ts), TermId(p), TermId(to)));
-                        }
+                for &(to, ts) in self.pos().get(p) {
+                    if o.is_none_or(|o| o == to) {
+                        out.push((TermId(ts), TermId(p), TermId(to)));
                     }
                 }
             }
             (None, None, Some(o)) => {
-                if let Some(pairs) = self.osp.get(&o) {
-                    for &(ts, tp) in pairs {
-                        out.push((TermId(ts), TermId(tp), TermId(o)));
-                    }
+                for &(ts, tp) in self.osp().get(o) {
+                    out.push((TermId(ts), TermId(tp), TermId(o)));
                 }
             }
             (None, None, None) => {
@@ -483,32 +556,11 @@ impl Graph {
         let o = o.flatten();
         match (s, p, o) {
             (Some(_), Some(_), Some(_)) => 1,
-            (Some(s), _, _) => self.spo.get(&s.0).map_or(0, Vec::len),
-            (None, Some(p), _) => self.pos.get(&p.0).map_or(0, Vec::len),
-            (None, None, Some(o)) => self.osp.get(&o.0).map_or(0, Vec::len),
+            (Some(s), _, _) => self.spo().get(s.0).len(),
+            (None, Some(p), _) => self.pos().get(p.0).len(),
+            (None, None, Some(o)) => self.osp().get(o.0).len(),
             (None, None, None) => self.len(),
         }
-    }
-
-    /// All distinct subjects, in insertion-id order.
-    pub fn subjects(&self) -> Vec<Subject> {
-        let mut ids: Vec<u32> = self.spo.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter()
-            .filter_map(|&s| self.interner.term(TermId(s)).as_subject())
-            .collect()
-    }
-
-    /// All distinct predicates.
-    pub fn predicates(&self) -> Vec<Iri> {
-        let mut ids: Vec<u32> = self.pos.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter()
-            .filter_map(|&p| match self.interner.term(TermId(p)) {
-                Term::Iri(i) => Some(i.clone()),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Merge all triples of `other` into `self`. Duplicate triples collapse,
@@ -679,8 +731,23 @@ mod tests {
         let mut g = Graph::new();
         g.insert(&tr("urn:a", "urn:p", "urn:b"));
         g.insert(&tr("urn:b", "urn:q", "urn:c"));
-        assert_eq!(g.subjects().len(), 2);
-        assert_eq!(g.predicates().len(), 2);
+        let id = |iri: &str| g.term_id(&Term::iri(iri));
+        // Each term in its own position only: `urn:b` is a subject and an
+        // object, `urn:p` and `urn:q` predicates and nothing else.
+        for (term, subject, predicate, object) in [
+            ("urn:a", 1, 0, 0),
+            ("urn:b", 1, 0, 1),
+            ("urn:c", 0, 0, 1),
+            ("urn:p", 0, 1, 0),
+            ("urn:q", 0, 1, 0),
+        ] {
+            let found = (
+                g.match_ids(Some(id(term)), None, None).len(),
+                g.cardinality_estimate(None, Some(id(term)), None),
+                g.match_ids(None, None, Some(id(term))).len(),
+            );
+            assert_eq!(found, (subject, predicate, object), "{term}");
+        }
     }
 
     #[test]
@@ -698,6 +765,27 @@ mod tests {
         assert_eq!(g.cardinality_estimate(None, None, None), g.len());
         // Unknown bound term → 0.
         assert_eq!(g.cardinality_estimate(Some(None), None, None), 0);
+    }
+
+    #[test]
+    fn retain_drops_in_one_pass() {
+        let mut g = Graph::new();
+        for i in 0..6 {
+            g.insert(&tr(&format!("urn:s{i}"), "urn:p", "urn:o"));
+        }
+        let p = g.term_id(&Term::iri("urn:p"));
+        assert_eq!(g.cardinality_estimate(None, Some(p), None), 6);
+        let odd: Vec<Option<TermId>> = [1, 3, 5]
+            .map(|i| g.term_id(&Term::iri(format!("urn:s{i}"))))
+            .into();
+        assert_eq!(g.retain(|s, _, _| !odd.contains(&Some(s))), 3);
+        assert_eq!(g.len(), 3);
+        assert_eq!(g.cardinality_estimate(None, Some(p), None), 3);
+        let left: Vec<String> = g.iter().map(|t| t.subject.to_string()).collect();
+        assert_eq!(left, ["<urn:s0>", "<urn:s2>", "<urn:s4>"]);
+        assert!(!g.contains(&tr("urn:s1", "urn:p", "urn:o")));
+        // Dropped from the set too.
+        assert!(g.insert(&tr("urn:s1", "urn:p", "urn:o")));
     }
 
     #[test]
@@ -799,7 +887,9 @@ mod tests {
         }
         assert_eq!(g.len(), 600, "fresh-Arc duplicates collapse");
         assert_eq!(g.term_count(), 601);
-        assert_eq!(g.predicates(), vec![Iri::new("urn:shared")]);
+        let shared_id = g.term_id(&Term::Iri(shared.clone()));
+        assert_eq!(g.cardinality_estimate(None, Some(shared_id), None), 600);
+        assert_eq!(g.match_ids(None, None, Some(shared_id)).len(), 600);
         // A clone keeps resolving through its copy of the cache.
         let mut g2 = g.clone();
         assert!(!g2.insert(&Triple::new(
@@ -839,6 +929,8 @@ mod tests {
         );
         g.insert(&t);
         assert!(g.contains(&t));
-        assert_eq!(g.subjects().len(), 1);
+        let blank = g.term_id(&Term::from(t.subject.clone()));
+        assert!(blank.is_some());
+        assert_eq!(g.match_ids(Some(blank), None, None).len(), 1);
     }
 }

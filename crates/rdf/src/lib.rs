@@ -7,9 +7,11 @@
 //! sub-graph files after the run. Everything that contract needs is here:
 //!
 //! * [`Term`], [`Iri`], [`Literal`], [`BlankNode`] — RDF terms.
-//! * [`Graph`] — an interned, triple-indexed (SPO/POS/OSP) graph with
-//!   pattern matching, suitable for both the tracker's append-heavy write
-//!   path and the query engine's lookup-heavy read path.
+//! * [`Graph`] — an interned, insertion-ordered triple log with pattern
+//!   matching through SPO/POS/OSP indexes that are built on first read and
+//!   dropped on write, so the tracker's append-heavy write path pays for
+//!   no index and the query engine's lookup-heavy read path builds each
+//!   one once.
 //! * [`turtle`] / [`ntriples`] — serializers and parsers that round-trip.
 //! * [`lex`] — the lexer and term production those parsers and the SPARQL
 //!   parser share.

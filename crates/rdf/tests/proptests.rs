@@ -1,8 +1,9 @@
 //! Property-based tests for the RDF substrate: serializer/parser round
 //! trips, graph index coherence, merge algebra, byte identity of the
-//! writers with the writers they replaced, and parsers that never panic.
+//! writers with the writers they replaced, indexes built on first read
+//! against indexes kept on every write, and parsers that never panic.
 //!
-//! Case count of the writer differential: `PROVIO_WRITER_CASES` (default
+//! Case count of the two differentials: `PROVIO_WRITER_CASES` (default
 //! 256); CI's `writer-differential` step runs 4096 in release.
 
 mod reference;
@@ -10,8 +11,12 @@ mod reference;
 mod strategies;
 
 use proptest::prelude::*;
+use proptest::sample::Index;
 use provio_rdf::lex::{Lexer, Token};
-use provio_rdf::{ntriples, turtle, Graph, Namespaces, TriplePattern};
+use provio_rdf::{
+    ntriples, turtle, BlankNode, Graph, Iri, Literal, Namespaces, Subject, Term, TermId, Triple,
+    TriplePattern,
+};
 use strategies::{arb_graph, arb_triple, tricky_namespaces, tricky_triple};
 
 fn graphs_equal(a: &Graph, b: &Graph) -> bool {
@@ -161,6 +166,172 @@ proptest! {
                 prop_assert_eq!(&ntriples::serialize(&g), &block);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The indexes built on first read against the indexes kept on every write.
+
+/// A triple over a handful of terms, so that histories repeat, remove and
+/// re-insert the same ones; now and then one from the writers' generator.
+fn pool_triple() -> impl Strategy<Value = Triple> {
+    let pooled = (0u8..5, 0u8..3, 0u8..8).prop_map(|(s, p, o)| {
+        let subject = match s {
+            4 => Subject::Blank(BlankNode::new("b0")),
+            s => Subject::iri(format!("urn:n{s}")),
+        };
+        let object = match o {
+            5 => Literal::integer(7).into(),
+            6 => Literal::plain("x").into(),
+            7 => Term::Blank(BlankNode::new("b0")),
+            o => Term::iri(format!("urn:n{o}")),
+        };
+        Triple::new(subject, Iri::new(format!("urn:p{p}")), object)
+    });
+    prop_oneof![6 => pooled, 1 => tricky_triple()]
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(Triple),
+    /// Subject, predicate and object picked among the interned terms that
+    /// may stand there.
+    InsertIds(Index, Index, Index),
+    Intern(u8),
+    Merge(Vec<Triple>),
+    Remove(Triple),
+    RemovePresent(Index),
+    /// Keep the triples whose subject id is not this one modulo 3.
+    Retain(u8),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        5 => pool_triple().prop_map(Op::Insert),
+        2 => (any::<Index>(), any::<Index>(), any::<Index>()).prop_map(|(s, p, o)| Op::InsertIds(s, p, o)),
+        1 => (0u8..8).prop_map(Op::Intern),
+        1 => prop::collection::vec(pool_triple(), 0..8).prop_map(Op::Merge),
+        1 => pool_triple().prop_map(Op::Remove),
+        1 => any::<Index>().prop_map(Op::RemovePresent),
+        1 => (0u8..3).prop_map(Op::Retain),
+    ]
+}
+
+/// A probe's three positions, each an id among the interned terms and two
+/// past them, or (one time in eight) a bound term the graph does not hold.
+fn arb_probe() -> impl Strategy<Value = [(Index, u8); 3]> {
+    let position = || (any::<Index>(), any::<u8>());
+    (position(), position(), position()).prop_map(|(s, p, o)| [s, p, o])
+}
+
+fn ids_of(g: &Graph, t: &Triple) -> Option<(TermId, TermId, TermId)> {
+    Some((
+        g.term_id(&Term::from(t.subject.clone()))?,
+        g.term_id(&Term::Iri(t.predicate.clone()))?,
+        g.term_id(&t.object)?,
+    ))
+}
+
+/// Apply `op` to the graph and the same write, by id, to the reference;
+/// both must report the same effect. Returns whether a triple was removed.
+fn apply(g: &mut Graph, eager: &mut reference::EagerIndex, op: &Op) -> bool {
+    match op {
+        Op::Insert(t) => {
+            let added = g.insert(t);
+            let (s, p, o) = ids_of(g, t).expect("interned by the insert");
+            prop_assert_eq!(added, eager.insert_ids(s, p, o));
+        }
+        Op::InsertIds(s, p, o) => {
+            let pick = |i: &Index, ok: fn(&Term) -> bool| {
+                let ids: Vec<TermId> = (0..g.term_count() as u32)
+                    .map(TermId)
+                    .filter(|&id| ok(g.term(id)))
+                    .collect();
+                (!ids.is_empty()).then(|| ids[i.index(ids.len())])
+            };
+            let picked = (
+                pick(s, |t| t.as_subject().is_some()),
+                pick(p, |t| t.as_iri().is_some()),
+                pick(o, |_| true),
+            );
+            if let (Some(s), Some(p), Some(o)) = picked {
+                prop_assert_eq!(g.insert_ids(s, p, o), eager.insert_ids(s, p, o));
+            }
+        }
+        Op::Intern(k) => {
+            g.intern(&Term::iri(format!("urn:fresh{k}")));
+        }
+        Op::Merge(ts) => {
+            let other: Graph = ts.iter().cloned().collect();
+            let added = g.merge(&other);
+            let mut mirrored = 0;
+            for (s, p, o) in other.iter_ids() {
+                let id = |t: TermId| g.term_id(other.term(t)).expect("interned by the merge");
+                mirrored += usize::from(eager.insert_ids(id(s), id(p), id(o)));
+            }
+            prop_assert_eq!(added, mirrored);
+        }
+        Op::Remove(t) => {
+            let removed = g.remove(t);
+            let mirrored = ids_of(g, t).is_some_and(|(s, p, o)| eager.remove_ids(s, p, o));
+            prop_assert_eq!(removed, mirrored);
+            return removed;
+        }
+        Op::RemovePresent(i) => {
+            if g.is_empty() {
+                return false;
+            }
+            let t = g.iter().nth(i.index(g.len())).unwrap();
+            let (s, p, o) = ids_of(g, &t).unwrap();
+            prop_assert!(g.remove(&t));
+            prop_assert!(eager.remove_ids(s, p, o));
+            return true;
+        }
+        Op::Retain(k) => {
+            let dropped: Vec<_> = g
+                .iter_ids()
+                .filter(|(s, _, _)| s.0 % 3 == u32::from(*k))
+                .collect();
+            prop_assert_eq!(g.retain(|s, _, _| s.0 % 3 != u32::from(*k)), dropped.len());
+            for &(s, p, o) in &dropped {
+                prop_assert!(eager.remove_ids(s, p, o));
+            }
+            return !dropped.is_empty();
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(writer_cases()))]
+
+    /// Any interleaving of writes and reads answers every pattern shape as
+    /// the eagerly indexed graph did: the same sequence while nothing has
+    /// been removed, the same multiset after (the old indexes
+    /// `swap_remove`d, which reorders a key's pairs).
+    #[test]
+    fn lazy_indexes_answer_as_eager_ones(steps in prop::collection::vec((arb_op(), arb_probe()), 0..40)) {
+        let mut g = Graph::new();
+        let mut eager = reference::EagerIndex::default();
+        let mut removed_any = false;
+        for (op, probe) in &steps {
+            removed_any |= apply(&mut g, &mut eager, op);
+            let known = g.term_count() + 2;
+            for shape in 0..8u8 {
+                let [s, p, o] = std::array::from_fn(|i| {
+                    let (at, unknown) = probe[i];
+                    (shape >> i & 1 == 1).then(|| (unknown % 8 != 0).then(|| TermId(at.index(known) as u32)))
+                });
+                prop_assert_eq!(g.cardinality_estimate(s, p, o), eager.cardinality_estimate(s, p, o));
+                let (mut got, mut want) = (g.match_ids(s, p, o), eager.match_ids(s, p, o));
+                if removed_any {
+                    got.sort_unstable();
+                    want.sort_unstable();
+                }
+                prop_assert_eq!(got, want, "shape {:03b} after {:?}", shape, op);
+            }
+        }
+        prop_assert_eq!(g.len(), eager.match_ids(None, None, None).len());
     }
 }
 

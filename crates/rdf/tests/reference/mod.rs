@@ -1,14 +1,131 @@
 //! The Turtle and N-Triples writers as they were before the temporary-free
 //! rewrite, kept as the differential reference: a `String` per distinct
 //! term in a hash map keyed by id, a `String` per line, subjects grouped
-//! through a subject → (predicate, object) map. Written against the public
-//! `Graph` API only, so the store-level differential test in `provio-core`
-//! includes this file too (`#[path]`). Not every includer calls every
-//! function.
+//! through a subject → (predicate, object) map. Beside them, the graph's
+//! indexes as they were before they became views built on first read
+//! ([`EagerIndex`]). Written against the public `Graph` API only, so the
+//! store-level differential test in `provio-core` includes this file too
+//! (`#[path]`). Not every includer calls every function.
 #![allow(dead_code)]
 
-use provio_rdf::{ns, Graph, IdMap, Iri, Namespaces, Term, TermId};
+use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Namespaces, Term, TermId};
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
+
+type Pair = (u32, u32);
+type Ids = (TermId, TermId, TermId);
+
+/// `Graph`'s three indexes as they were kept before: hash maps from a key
+/// to its pairs, one push into each on every insert, a `swap_remove` from
+/// each on every remove, and `match_ids` / `cardinality_estimate` read
+/// straight off them. Holds ids only: the driver feeds it the ids a `Graph`
+/// assigned, write for write.
+#[derive(Debug, Default)]
+pub struct EagerIndex {
+    triples: IdSet<(u32, u32, u32)>,
+    spo: IdMap<u32, Vec<Pair>>,
+    pos: IdMap<u32, Vec<Pair>>,
+    osp: IdMap<u32, Vec<Pair>>,
+}
+
+impl EagerIndex {
+    pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+        if !self.triples.insert((s.0, p.0, o.0)) {
+            return false;
+        }
+        self.spo.entry(s.0).or_default().push((p.0, o.0));
+        self.pos.entry(p.0).or_default().push((o.0, s.0));
+        self.osp.entry(o.0).or_default().push((s.0, p.0));
+        true
+    }
+
+    pub fn remove_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+        if !self.triples.remove(&(s.0, p.0, o.0)) {
+            return false;
+        }
+        fn drop_pair(index: &mut IdMap<u32, Vec<Pair>>, key: u32, pair: Pair) {
+            if let Entry::Occupied(mut e) = index.entry(key) {
+                let v = e.get_mut();
+                if let Some(pos) = v.iter().position(|&x| x == pair) {
+                    v.swap_remove(pos);
+                }
+                if v.is_empty() {
+                    e.remove();
+                }
+            }
+        }
+        drop_pair(&mut self.spo, s.0, (p.0, o.0));
+        drop_pair(&mut self.pos, p.0, (o.0, s.0));
+        drop_pair(&mut self.osp, o.0, (s.0, p.0));
+        true
+    }
+
+    pub fn match_ids(
+        &self,
+        s: Option<Option<TermId>>,
+        p: Option<Option<TermId>>,
+        o: Option<Option<TermId>>,
+    ) -> Vec<Ids> {
+        if [s, p, o].contains(&Some(None)) {
+            return Vec::new();
+        }
+        let (s, p, o) = (
+            s.flatten().map(|t| t.0),
+            p.flatten().map(|t| t.0),
+            o.flatten().map(|t| t.0),
+        );
+        let ids = |s, p, o| (TermId(s), TermId(p), TermId(o));
+        let mut out = Vec::new();
+        match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => {
+                if self.triples.contains(&(s, p, o)) {
+                    out.push(ids(s, p, o));
+                }
+            }
+            (Some(s), p, o) => {
+                for &(tp, to) in self.spo.get(&s).into_iter().flatten() {
+                    if p.is_none_or(|p| p == tp) && o.is_none_or(|o| o == to) {
+                        out.push(ids(s, tp, to));
+                    }
+                }
+            }
+            (None, Some(p), o) => {
+                for &(to, ts) in self.pos.get(&p).into_iter().flatten() {
+                    if o.is_none_or(|o| o == to) {
+                        out.push(ids(ts, p, to));
+                    }
+                }
+            }
+            (None, None, Some(o)) => {
+                for &(ts, tp) in self.osp.get(&o).into_iter().flatten() {
+                    out.push(ids(ts, tp, o));
+                }
+            }
+            (None, None, None) => out.extend(self.triples.iter().map(|&(s, p, o)| ids(s, p, o))),
+        }
+        out
+    }
+
+    pub fn cardinality_estimate(
+        &self,
+        s: Option<Option<TermId>>,
+        p: Option<Option<TermId>>,
+        o: Option<Option<TermId>>,
+    ) -> usize {
+        if [s, p, o].contains(&Some(None)) {
+            return 0;
+        }
+        let len =
+            |index: &IdMap<u32, Vec<Pair>>, key: TermId| index.get(&key.0).map_or(0, Vec::len);
+        match (s.flatten(), p.flatten(), o.flatten()) {
+            (Some(_), Some(_), Some(_)) => 1,
+            (Some(s), _, _) => len(&self.spo, s),
+            (None, Some(p), _) => len(&self.pos, p),
+            (None, None, Some(o)) => len(&self.osp, o),
+            (None, None, None) => self.triples.len(),
+        }
+    }
+}
 
 /// The old `escape_literal`: one character at a time.
 fn escape_literal(s: &str) -> String {
