@@ -355,7 +355,9 @@ fn chain_breaks_in(frames: &mut [FramedFile]) -> u64 {
 /// dominate merge time at rank scale), then fold into the final graph
 /// sequentially in directory order via the interner's bulk id-mapped merge
 /// — output is identical at any pool size, one thread included (the pool
-/// is sized by the `rayon` shim, as for `finish_all`'s parallel renders).
+/// is sized by the `rayon` shim, as for `finish_all`'s parallel renders,
+/// and hands out files one at a time, so a large snapshot occupies one
+/// worker while the others take the files after it).
 ///
 /// Crash recovery: a `<p>.tmp` left by the store's atomic-rename protocol
 /// is skipped when the committed `<p>` exists (it is a stale or torn
@@ -469,11 +471,10 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
         // recycle left both behind.
         records.sort_unstable_by_key(|r| r.0);
         records.dedup_by_key(|(ordinal, _)| *ordinal);
-        let pending: String = records
-            .iter()
-            .filter(|(ordinal, _)| *ordinal >= watermark)
-            .map(|(_, line)| format!("{line}\n"))
-            .collect();
+        let mut pending = String::new();
+        for (_, line) in records.iter().filter(|(ordinal, _)| *ordinal >= watermark) {
+            pending.extend([line.as_str(), "\n"]);
+        }
         if pending.is_empty() {
             continue;
         }

@@ -286,7 +286,7 @@ impl Graph {
         self.insert_ids(s, p, o)
     }
 
-    /// Insert by pre-interned ids (hot path for bulk loads).
+    /// Insert by pre-interned ids (hot path for bulk loads and parsing).
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
         if !self.triples.insert((s.0, p.0, o.0)) {
             return false;
@@ -327,6 +327,14 @@ impl Graph {
     /// Intern a term without inserting any triple.
     pub fn intern(&mut self, t: &Term) -> TermId {
         self.interner.intern(t)
+    }
+
+    /// Intern a borrowed view — what the parsers read off a document. The
+    /// owned term is built, and allocated, only on first sight. (A parsed
+    /// view never names an allocation the interner holds, so it skips the
+    /// `Arc`-identity front cache.)
+    pub fn intern_view(&mut self, v: TermView<'_>) -> TermId {
+        self.interner.intern_hashed(v, || v.to_term())
     }
 
     /// Look up a term's id if it is interned.
@@ -917,6 +925,30 @@ mod tests {
             find(&i.terms, &i.collided, i.ids[&h], TermView::of(&Term::iri("urn:c"))),
             None
         );
+    }
+
+    #[test]
+    fn a_view_interns_as_its_term_does() {
+        let mut g = Graph::new();
+        let five = Term::from(Literal::integer(5));
+        let id = g.intern(&five);
+        assert_eq!(g.intern_view(TermView::of(&five)), id);
+        let typed = TermView::Literal {
+            lexical: "x",
+            datatype: Some("urn:dt"),
+            lang: None,
+        };
+        let fresh = g.intern_view(typed);
+        assert_eq!(g.term(fresh), &Term::from(Literal::typed("x", Iri::new("urn:dt"))));
+        assert_eq!((g.intern_view(typed), g.term_count()), (fresh, 2));
+        // An xsd datatype comes back as the typed constructors' shared `Iri`.
+        let six = g.intern_view(TermView::Literal {
+            lexical: "6",
+            datatype: Some(crate::ns::XSD_INTEGER),
+            lang: None,
+        });
+        let shared = |id| g.term(id).as_literal().unwrap().datatype().unwrap().as_str().as_ptr();
+        assert_eq!(shared(six), shared(id));
     }
 
     #[test]

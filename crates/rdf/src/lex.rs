@@ -7,11 +7,16 @@
 //! share the code that reads them. [`Lexer`] cuts a `&str` into [`Token`]s
 //! that borrow from it (only a string body that really holds an escape is
 //! copied), and [`Lexer::term`] is the single place where tokens become a
-//! [`Term`]: `"…"` with its optional `^^datatype` or `@lang`, a bare number
-//! as `xsd:integer` / `xsd:double`, `true` / `false` as `xsd:boolean`. The
-//! grammars (`turtle`, `ntriples`, `provio_sparql::parse`) keep only their
-//! statement structure and decide which tokens a position admits; the
-//! lexer has no mode and does not know which of them is calling.
+//! term: `"…"` with its optional `^^datatype` or `@lang`, a bare number as
+//! `xsd:integer` / `xsd:double`, `true` / `false` as `xsd:boolean`. A term
+//! comes back as a [`TermView`] that borrows from the input, or from a
+//! buffer the caller passes for what the input does not spell whole (a
+//! prefixed name, an escaped body, a prefixed datatype): the parsers intern
+//! it without allocating, and `TermView::to_term` builds the owned
+//! [`Term`](crate::Term) where one is kept. The grammars (`turtle`,
+//! `ntriples`, `provio_sparql::parse`) keep only their statement structure
+//! and decide which tokens a position admits; the lexer has no mode and
+//! does not know which of them is calling.
 //!
 //! | terminal | accepted | rejected |
 //! |---|---|---|
@@ -29,7 +34,7 @@
 //! [`ParseError::line`] is worked out when an error is raised.
 
 use crate::namespace::{ns, Namespaces};
-use crate::term::{self, BlankNode, Iri, Literal, Subject, Term};
+use crate::term::{self, TermView};
 use crate::ParseError;
 use std::borrow::Cow;
 
@@ -55,6 +60,16 @@ pub enum Token<'a> {
     /// Punctuation or an operator, as written.
     Punct(&'static str),
     Eof,
+}
+
+/// The buffers the productions spell one triple's terms into: one per
+/// position, so that a statement's three views can be held at once. Reused
+/// from statement to statement, each allocates only while it grows.
+#[derive(Debug, Default)]
+pub(crate) struct TripleBufs {
+    pub subject: String,
+    pub predicate: String,
+    pub object: String,
 }
 
 /// A cursor over the input with one token of lookahead.
@@ -322,67 +337,21 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    // -- productions every syntax shares ----------------------------------
-
-    /// `token` as an IRI: an IRIREF, or a PNAME that `nss` expands.
-    fn iri_from(&self, token: Token<'a>, nss: &Namespaces, what: &str) -> Result<Iri, ParseError> {
+    /// `token` as an IRI: an IRIREF's text, or `None` once a PNAME has been
+    /// expanded onto the end of `buf`.
+    fn iri_text(
+        &self,
+        token: Token<'a>,
+        nss: &Namespaces,
+        what: &str,
+        buf: &mut String,
+    ) -> Result<Option<&'a str>, ParseError> {
         match token {
-            Token::Iri(iri) => Ok(Iri::new(iri)),
-            Token::PName(pname) => nss
-                .expand(pname)
-                .ok_or_else(|| self.error(format!("unknown prefix in '{pname}'"))),
+            Token::Iri(iri) => Ok(Some(iri)),
+            Token::PName(pname) if nss.expand_into(pname, buf) => Ok(None),
+            Token::PName(pname) => Err(self.error(format!("unknown prefix in '{pname}'"))),
             other => Err(self.error(format!("expected {what}, got {other:?}"))),
         }
-    }
-
-    /// An IRI; `what` names the position in the error.
-    pub fn iri(&mut self, nss: &Namespaces, what: &str) -> Result<Iri, ParseError> {
-        let token = self.token()?;
-        self.iri_from(token, nss, what)
-    }
-
-    /// A predicate: an IRI, or `a` for `rdf:type`.
-    pub fn predicate(&mut self, nss: &Namespaces) -> Result<Iri, ParseError> {
-        match self.token()? {
-            Token::Word("a") => Ok(Iri::new(ns::RDF_TYPE)),
-            other => self.iri_from(other, nss, "predicate"),
-        }
-    }
-
-    /// An IRI or a blank node.
-    pub fn subject(&mut self, nss: &Namespaces) -> Result<Subject, ParseError> {
-        match self.token()? {
-            Token::Blank(label) => Ok(Subject::Blank(BlankNode::new(label))),
-            other => self.iri_from(other, nss, "subject").map(Subject::Iri),
-        }
-    }
-
-    /// Any term: an IRI, a blank node, or a literal — a string with its
-    /// optional `^^datatype` or `@lang`, a bare number (`xsd:double` if it
-    /// has a fraction or an exponent, else `xsd:integer`), `true` or
-    /// `false`. `what` names the position in the error.
-    pub fn term(&mut self, nss: &Namespaces, what: &str) -> Result<Term, ParseError> {
-        let literal = match self.token()? {
-            Token::Blank(label) => return Ok(Term::Blank(BlankNode::new(label))),
-            Token::Number(n) => Literal::typed(n, term::numeric_datatype(n)),
-            Token::Word(w @ ("true" | "false")) => Literal::boolean(w == "true"),
-            Token::Str(body) => {
-                if self.eat("^^")? {
-                    let datatype = match self.token()? {
-                        Token::Iri(iri) => term::datatype(iri),
-                        other => self.iri_from(other, nss, "datatype")?,
-                    };
-                    Literal::typed(body, datatype)
-                } else if let &Token::LangTag(lang) = self.peek()? {
-                    self.peeked = None;
-                    Literal::lang_tagged(body, lang)
-                } else {
-                    Literal::plain(body)
-                }
-            }
-            other => return self.iri_from(other, nss, what).map(Term::Iri),
-        };
-        Ok(Term::Literal(literal))
     }
 
     /// `name: <iri>`, what follows `@prefix` or `PREFIX`: bound in `nss`.
@@ -401,9 +370,126 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// The productions every syntax shares. Each returns a view that borrows
+/// from the input (`'a`) where the input spells the term whole, and from the
+/// caller's `buf` (`'b`) where it does not: a prefixed name expanded, an
+/// escaped string body resolved, a prefixed datatype expanded. `buf` is
+/// cleared first.
+impl<'b, 'a: 'b> Lexer<'a> {
+    fn iri_view(
+        &self,
+        token: Token<'a>,
+        nss: &Namespaces,
+        what: &str,
+        buf: &'b mut String,
+    ) -> Result<TermView<'b>, ParseError> {
+        buf.clear();
+        let iri = self.iri_text(token, nss, what, buf)?;
+        Ok(TermView::Iri(iri.unwrap_or(buf)))
+    }
+
+    /// An IRI; `what` names the position in the error.
+    pub fn iri(
+        &mut self,
+        nss: &Namespaces,
+        what: &str,
+        buf: &'b mut String,
+    ) -> Result<TermView<'b>, ParseError> {
+        let token = self.token()?;
+        self.iri_view(token, nss, what, buf)
+    }
+
+    /// A predicate: an IRI, or `a` for `rdf:type`.
+    pub fn predicate(
+        &mut self,
+        nss: &Namespaces,
+        buf: &'b mut String,
+    ) -> Result<TermView<'b>, ParseError> {
+        match self.token()? {
+            Token::Word("a") => Ok(TermView::Iri(ns::RDF_TYPE)),
+            other => self.iri_view(other, nss, "predicate", buf),
+        }
+    }
+
+    /// An IRI or a blank node.
+    pub fn subject(
+        &mut self,
+        nss: &Namespaces,
+        buf: &'b mut String,
+    ) -> Result<TermView<'b>, ParseError> {
+        match self.token()? {
+            Token::Blank(label) => Ok(TermView::Blank(label)),
+            other => self.iri_view(other, nss, "subject", buf),
+        }
+    }
+
+    /// Any term: an IRI, a blank node, or a literal — a string with its
+    /// optional `^^datatype` or `@lang`, a bare number (`xsd:double` if it
+    /// has a fraction or an exponent, else `xsd:integer`), `true` or
+    /// `false`. `what` names the position in the error.
+    pub fn term(
+        &mut self,
+        nss: &Namespaces,
+        what: &str,
+        buf: &'b mut String,
+    ) -> Result<TermView<'b>, ParseError> {
+        let (lexical, datatype) = match self.token()? {
+            Token::Blank(label) => return Ok(TermView::Blank(label)),
+            Token::Number(n) => (n, term::numeric_datatype(n)),
+            Token::Word(w @ ("true" | "false")) => (w, ns::XSD_BOOLEAN),
+            Token::Str(body) => return self.string_literal(body, nss, buf),
+            other => return self.iri_view(other, nss, what, buf),
+        };
+        Ok(TermView::Literal {
+            lexical,
+            datatype: Some(datatype),
+            lang: None,
+        })
+    }
+
+    /// The literal whose string `body` has just been read.
+    fn string_literal(
+        &mut self,
+        body: Cow<'a, str>,
+        nss: &Namespaces,
+        buf: &'b mut String,
+    ) -> Result<TermView<'b>, ParseError> {
+        // An escaped body was resolved into a `String` of its own: it moves
+        // into `buf`, and a prefixed datatype is spelled after it.
+        let body = match body {
+            Cow::Borrowed(body) => {
+                buf.clear();
+                Some(body)
+            }
+            Cow::Owned(body) => {
+                *buf = body;
+                None
+            }
+        };
+        let body_len = buf.len();
+        // `Some(None)`: a datatype spelled in `buf`.
+        let mut datatype = None;
+        let mut lang = None;
+        if self.eat("^^")? {
+            let token = self.token()?;
+            datatype = Some(self.iri_text(token, nss, "datatype", buf)?);
+        } else if let &Token::LangTag(tag) = self.peek()? {
+            self.peeked = None;
+            lang = Some(tag);
+        }
+        let buf: &'b String = buf;
+        Ok(TermView::Literal {
+            lexical: body.unwrap_or(&buf[..body_len]),
+            datatype: datatype.map(|dt| dt.unwrap_or(&buf[body_len..])),
+            lang,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::{BlankNode, Iri, Literal, Term};
 
     fn tokens(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
         let mut lex = Lexer::new(src);
@@ -512,7 +598,8 @@ mod tests {
     fn the_term_production() {
         let nss = Namespaces::standard();
         let mut lex = Lexer::new("\"5\"^^xsd:integer \"x\"@en \"p\" 7 2.5 true _:b <urn:i> prov:used \"x\"^^7 zzz:q");
-        let mut next = || lex.term(&nss, "term");
+        let mut buf = String::new();
+        let mut next = || lex.term(&nss, "term", &mut buf).map(TermView::to_term);
         assert_eq!(next(), Ok(Literal::typed("5", Iri::new(ns::XSD_INTEGER)).into()));
         assert_eq!(next(), Ok(Literal::lang_tagged("x", "en").into()));
         assert_eq!(next(), Ok(Term::plain("p")));
@@ -525,5 +612,42 @@ mod tests {
         assert_eq!(next().unwrap_err().message, "expected datatype, got Number(\"7\")");
         assert_eq!(next().unwrap_err().message, "unknown prefix in 'zzz:q'");
         assert_eq!(next().unwrap_err().message, "expected term, got Eof");
+    }
+
+    #[test]
+    fn a_view_borrows_the_input_where_the_input_spells_the_term_whole() {
+        let src = r#"<urn:i> _:b "p"^^<urn:dt> "q"@en 7 true prov:used "e\tx"^^xsd:integer "p"^^prov:T"#;
+        let (nss, mut lex, mut buf) = (Namespaces::standard(), Lexer::new(src), String::new());
+        // Per text of each view: in the input, in the buffer, or a static.
+        for want in ["i", "i", "ii", "ii", "is", "is", "b", "bb", "ib"] {
+            let spans: Vec<_> = match lex.term(&nss, "term", &mut buf).unwrap() {
+                TermView::Iri(t) | TermView::Blank(t) => vec![t.as_bytes().as_ptr_range()],
+                TermView::Literal {
+                    lexical,
+                    datatype,
+                    lang,
+                } => [Some(lexical), datatype, lang]
+                    .into_iter()
+                    .flatten()
+                    .map(|t| t.as_bytes().as_ptr_range())
+                    .collect(),
+            };
+            let inside = |text: &str, span: &std::ops::Range<*const u8>| {
+                let whole = text.as_bytes().as_ptr_range();
+                whole.start <= span.start && span.end <= whole.end
+            };
+            let got: String = spans
+                .iter()
+                .map(|span| match (inside(src, span), inside(&buf, span)) {
+                    (true, _) => 'i',
+                    (_, true) => 'b',
+                    _ => 's',
+                })
+                .collect();
+            assert_eq!(got, want, "{buf:?}");
+        }
+        let mut lex = Lexer::new("a ex:p");
+        assert_eq!(lex.predicate(&nss, &mut buf), Ok(TermView::Iri(ns::RDF_TYPE)));
+        assert_eq!(lex.predicate(&nss, &mut buf).unwrap_err().message, "unknown prefix in 'ex:p'");
     }
 }

@@ -5,7 +5,6 @@
 //! live here, along with a prefix table used by the Turtle serializer and the
 //! SPARQL engine.
 
-use crate::term::Iri;
 use std::collections::BTreeMap;
 
 /// Well-known vocabulary IRIs.
@@ -76,11 +75,18 @@ impl Namespaces {
         self.by_prefix.get(prefix).map(|s| s.as_str())
     }
 
-    /// Expand a `prefix:local` qualified name into a full IRI.
-    pub fn expand(&self, qname: &str) -> Option<Iri> {
-        let (prefix, local) = qname.split_once(':')?;
-        let base = self.expand_prefix(prefix)?;
-        Some(Iri::new([base, local].concat()))
+    /// Expand a `prefix:local` qualified name into a full IRI, appended to
+    /// `out`. `false`, with `out` untouched, if the name has no `:` or its
+    /// prefix is unbound.
+    pub(crate) fn expand_into(&self, qname: &str, out: &mut String) -> bool {
+        let Some((prefix, local)) = qname.split_once(':') else {
+            return false;
+        };
+        let Some(base) = self.expand_prefix(prefix) else {
+            return false;
+        };
+        out.extend([base, local]);
+        true
     }
 
     /// [`Namespaces::compact`] without the `String`: the `(prefix, local)`
@@ -145,15 +151,25 @@ mod tests {
         assert!(n.expand_prefix("nope").is_none());
     }
 
+    /// The expansion of `qname` appended to a buffer already holding text.
+    fn expand(n: &Namespaces, qname: &str) -> Option<String> {
+        let mut out = String::from("kept|");
+        let expanded = n.expand_into(qname, &mut out);
+        let appended = out.strip_prefix("kept|").expect("the head is kept");
+        assert!(expanded || appended.is_empty(), "a failed expansion wrote");
+        expanded.then(|| appended.to_string())
+    }
+
     #[test]
     fn expand_qname() {
         let n = Namespaces::standard();
         assert_eq!(
-            n.expand("prov:wasDerivedFrom").unwrap().as_str(),
-            "http://www.w3.org/ns/prov#wasDerivedFrom"
+            expand(&n, "prov:wasDerivedFrom").as_deref(),
+            Some("http://www.w3.org/ns/prov#wasDerivedFrom")
         );
-        assert!(n.expand("noColon").is_none());
-        assert!(n.expand("zzz:x").is_none());
+        assert_eq!(expand(&n, "rdf:").as_deref(), Some(ns::RDF));
+        assert!(expand(&n, "noColon").is_none());
+        assert!(expand(&n, "zzz:x").is_none());
     }
 
     #[test]
@@ -161,7 +177,7 @@ mod tests {
         let n = Namespaces::standard();
         let iri = format!("{}wasReadBy", ns::PROVIO);
         assert_eq!(n.compact(&iri).unwrap(), "provio:wasReadBy");
-        assert_eq!(n.expand("provio:wasReadBy").unwrap().as_str(), iri);
+        assert_eq!(expand(&n, "provio:wasReadBy"), Some(iri));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! second format and use it for line-oriented streaming in tests. Terms
 //! are read by [`crate::lex`], one lexer per line.
 
-use crate::lex::{Lexer, Token};
+use crate::lex::{Lexer, Token, TripleBufs};
 use crate::namespace::Namespaces;
 use crate::term::{self, Term};
-use crate::triple::Triple;
-use crate::{Graph, ParseError};
+use crate::{Graph, ParseError, TermId};
 
 /// Serialize `graph` as N-Triples. Lines are sorted for determinism.
 pub fn serialize(graph: &Graph) -> String {
@@ -141,10 +140,10 @@ pub fn parse(src: &str) -> Result<Graph, ParseError> {
 /// at the first malformed line, so a torn tail can only drop data, never
 /// contribute garbage — the salvage primitive used by the post-run merge.
 pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
-    let none = Namespaces::empty();
+    let mut reader = Reader::new();
     let mut recovered = 0;
     for line in src.lines() {
-        match parse_line(line, &none, graph) {
+        match reader.line(line, graph) {
             Ok(triples) => recovered += triples,
             Err(_) => break,
         }
@@ -154,38 +153,65 @@ pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
 
 /// Parse an N-Triples document, merging into `graph`.
 pub fn parse_into(src: &str, graph: &mut Graph) -> Result<(), ParseError> {
-    let none = Namespaces::empty();
+    let mut reader = Reader::new();
     for (lineno, line) in src.lines().enumerate() {
         // The lexer saw one line; the error names its place in the document.
-        parse_line(line, &none, graph).map_err(|e| ParseError::new(lineno + 1, e.message))?;
+        reader
+            .line(line, graph)
+            .map_err(|e| ParseError::new(lineno + 1, e.message))?;
     }
     Ok(())
 }
 
-/// Insert the triple on `line` and count it: 1, or 0 for a line of blanks
-/// or a comment. One line, one triple: a term cannot continue on the next.
-/// No prefix is ever bound (`none`), so a prefixed name never resolves, and
-/// an object is spelled in full — no bare number, no `true`.
-fn parse_line(line: &str, none: &Namespaces, graph: &mut Graph) -> Result<usize, ParseError> {
-    let mut lex = Lexer::new(line);
-    if *lex.peek()? == Token::Eof {
-        return Ok(0);
+/// What the lines of one document share.
+struct Reader {
+    /// No prefix is ever bound, so a prefixed name never resolves.
+    none: Namespaces,
+    bufs: TripleBufs,
+    /// The id of the last line's subject.
+    subject: Option<TermId>,
+}
+
+impl Reader {
+    fn new() -> Reader {
+        Reader {
+            none: Namespaces::empty(),
+            bufs: TripleBufs::default(),
+            subject: None,
+        }
     }
-    let subject = lex.subject(none)?;
-    let predicate = lex.iri(none, "predicate IRI")?;
-    if matches!(lex.peek()?, Token::Number(_) | Token::Word(_)) {
-        return Err(lex.error("expected object term"));
+
+    /// Insert the triple on `line` and count it: 1, or 0 for a line of
+    /// blanks or a comment. One line, one triple: a term cannot continue on
+    /// the next, and an object is spelled in full — no bare number, no
+    /// `true`. Nothing is interned before the terminating `.` has been
+    /// read; then subject, predicate and object, in that order.
+    fn line(&mut self, line: &str, graph: &mut Graph) -> Result<usize, ParseError> {
+        let mut lex = Lexer::new(line);
+        if *lex.peek()? == Token::Eof {
+            return Ok(0);
+        }
+        let subject = lex.subject(&self.none, &mut self.bufs.subject)?;
+        let predicate = lex.iri(&self.none, "predicate IRI", &mut self.bufs.predicate)?;
+        if matches!(lex.peek()?, Token::Number(_) | Token::Word(_)) {
+            return Err(lex.error("expected object term"));
+        }
+        let object = lex.term(&self.none, "object term", &mut self.bufs.object)?;
+        if !lex.eat(".")? || *lex.peek()? != Token::Eof {
+            return Err(lex.error("expected terminating '.'"));
+        }
+        // Sorted lines repeat a subject: a view that matches the last one's
+        // term has its id, found without hashing.
+        let s = match self.subject {
+            Some(s) if subject.matches(graph.term(s)) => s,
+            _ => graph.intern_view(subject),
+        };
+        self.subject = Some(s);
+        let p = graph.intern_view(predicate);
+        let o = graph.intern_view(object);
+        graph.insert_ids(s, p, o);
+        Ok(1)
     }
-    let object = lex.term(none, "object term")?;
-    if !lex.eat(".")? || *lex.peek()? != Token::Eof {
-        return Err(lex.error("expected terminating '.'"));
-    }
-    graph.insert(&Triple {
-        subject,
-        predicate,
-        object,
-    });
-    Ok(1)
 }
 
 #[cfg(test)]
@@ -193,6 +219,7 @@ mod tests {
     use super::*;
     use crate::namespace::ns;
     use crate::term::{BlankNode, Iri, Literal, Subject};
+    use crate::triple::Triple;
 
     fn sample() -> Graph {
         let mut g = Graph::new();

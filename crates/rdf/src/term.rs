@@ -158,12 +158,11 @@ fn xsd() -> &'static Xsd {
 
 /// The datatype of a bare number in Turtle or SPARQL: `xsd:double` if it
 /// has a fraction or an exponent, else `xsd:integer`.
-pub(crate) fn numeric_datatype(number: &str) -> Iri {
-    let xsd = xsd();
+pub(crate) fn numeric_datatype(number: &str) -> &'static str {
     if number.contains(['.', 'e', 'E']) {
-        xsd.double.clone()
+        ns::XSD_DOUBLE
     } else {
-        xsd.integer.clone()
+        ns::XSD_INTEGER
     }
 }
 
@@ -307,7 +306,9 @@ pub fn unescape_literal(s: &str) -> Option<String> {
 /// than owned [`Term`]s, so hot-path lookups (`Graph::insert` on an
 /// already-interned term, `Graph::contains`, pattern matching) never clone
 /// an `Arc` chain just to build a key. A view can be taken from a `Term`, a
-/// [`Subject`], or a bare [`Iri`] without touching any refcount.
+/// [`Subject`], or a bare [`Iri`] without touching any refcount — or read
+/// straight off a document by [`crate::lex`], and interned by
+/// `Graph::intern_view`, which builds the owned term only on first sight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TermView<'a> {
     Iri(&'a str),
@@ -346,6 +347,26 @@ impl<'a> TermView<'a> {
     /// Does this view denote the same RDF term as `t`?
     pub fn matches(self, t: &Term) -> bool {
         self == TermView::of(t)
+    }
+
+    /// The owned term. A datatype the typed constructors use is their
+    /// shared `Iri`, so a numeric literal is one allocation.
+    pub fn to_term(self) -> Term {
+        match self {
+            TermView::Iri(iri) => Term::iri(iri),
+            TermView::Blank(label) => Term::Blank(BlankNode::new(label)),
+            TermView::Literal {
+                lexical,
+                datatype: Some(dt),
+                ..
+            } => Literal::typed(lexical, datatype(dt)).into(),
+            TermView::Literal {
+                lexical,
+                lang: Some(lang),
+                ..
+            } => Literal::lang_tagged(lexical, lang).into(),
+            TermView::Literal { lexical, .. } => Term::plain(lexical),
+        }
     }
 }
 

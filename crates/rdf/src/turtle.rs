@@ -10,10 +10,9 @@
 //! Terminals and terms are read by [`crate::lex`]; this module keeps the
 //! statement structure.
 
-use crate::lex::{Lexer, Token};
+use crate::lex::{Lexer, Token, TripleBufs};
 use crate::namespace::{ns, Namespaces};
 use crate::term::{self, Term};
-use crate::triple::Triple;
 use crate::{Capture, Graph, ParseError};
 
 // ---------------------------------------------------------------------------
@@ -138,6 +137,7 @@ impl Spellings {
 struct Parser<'a> {
     lex: Lexer<'a>,
     nss: Namespaces,
+    bufs: TripleBufs,
 }
 
 impl<'a> Parser<'a> {
@@ -145,6 +145,7 @@ impl<'a> Parser<'a> {
         Parser {
             lex: Lexer::new(src),
             nss: Namespaces::empty(),
+            bufs: TripleBufs::default(),
         }
     }
 
@@ -167,17 +168,22 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Terms are interned at the first object they belong to, subject
+    /// before predicate before object — the order one `Graph::insert` per
+    /// triple would intern them in — and the subject's id is kept for the
+    /// statement, the predicate's for its objects.
     fn parse_statement(&mut self, graph: &mut Graph) -> Result<(), ParseError> {
-        let subject = self.lex.subject(&self.nss)?;
+        let subject = self.lex.subject(&self.nss, &mut self.bufs.subject)?;
+        let mut s = None;
         loop {
-            let predicate = self.lex.predicate(&self.nss)?;
+            let predicate = self.lex.predicate(&self.nss, &mut self.bufs.predicate)?;
+            let mut p = None;
             loop {
-                let object = self.lex.term(&self.nss, "object")?;
-                graph.insert(&Triple {
-                    subject: subject.clone(),
-                    predicate: predicate.clone(),
-                    object,
-                });
+                let object = self.lex.term(&self.nss, "object", &mut self.bufs.object)?;
+                let s = *s.get_or_insert_with(|| graph.intern_view(subject));
+                let p = *p.get_or_insert_with(|| graph.intern_view(predicate));
+                let o = graph.intern_view(object);
+                graph.insert_ids(s, p, o);
                 if !self.lex.eat(",")? {
                     break;
                 }
@@ -216,6 +222,7 @@ pub fn parse_into(src: &str, graph: &mut Graph) -> Result<Namespaces, ParseError
 mod tests {
     use super::*;
     use crate::term::{Iri, Literal, Subject};
+    use crate::triple::Triple;
 
     fn sample_graph() -> Graph {
         let mut g = Graph::new();

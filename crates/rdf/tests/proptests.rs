@@ -1,9 +1,11 @@
 //! Property-based tests for the RDF substrate: serializer/parser round
 //! trips, graph index coherence, merge algebra, byte identity of the
 //! writers with the writers they replaced, indexes built on first read
-//! against indexes kept on every write, and parsers that never panic.
+//! against indexes kept on every write, parsers that intern borrowed views
+//! against the owned-term parse they replaced, and parsers that never
+//! panic.
 //!
-//! Case count of the two differentials: `PROVIO_WRITER_CASES` (default
+//! Case count of the three differentials: `PROVIO_WRITER_CASES` (default
 //! 256); CI's `writer-differential` step runs 4096 in release.
 
 mod reference;
@@ -360,8 +362,8 @@ fn parse_all(text: &str) {
         tokens += 1;
         assert!(tokens <= text.len(), "the lexer stopped advancing");
     }
-    let (mut lex, nss) = (Lexer::new(text), Namespaces::standard());
-    while lex.term(&nss, "term").is_ok() {}
+    let (mut lex, nss, mut buf) = (Lexer::new(text), Namespaces::standard(), String::new());
+    while lex.term(&nss, "term", &mut buf).is_ok() {}
 }
 
 proptest! {
@@ -386,24 +388,111 @@ proptest! {
         for doc in [turtle::serialize(&g, &nss), ntriples::serialize(&g)] {
             let mut data = doc.into_bytes();
             for &(at, byte, kind) in &edits {
-                if data.is_empty() {
+                if !mutate(&mut data, at, byte, kind) {
                     break;
                 }
-                let at = at.index(data.len());
-                match kind {
-                    // Truncate, overwrite a byte, flip a bit, …
-                    0 => data.truncate(at),
-                    1 => data[at] = byte,
-                    2 => data[at] ^= 1 << (byte % 8),
-                    // … overwrite the next byte the grammar cares about, or
-                    // plant one.
-                    3 => {
-                        let mark = (at..data.len()).find(|&i| MARKS.contains(&data[i])).unwrap_or(at);
-                        data[mark] = byte;
-                    }
-                    _ => data.insert(at, MARKS[byte as usize % MARKS.len()]),
-                }
                 parse_all(&String::from_utf8_lossy(&data));
+            }
+        }
+    }
+}
+
+/// One edit of a document's bytes; `false` once there is nothing left to
+/// edit.
+fn mutate(data: &mut Vec<u8>, at: Index, byte: u8, kind: u8) -> bool {
+    if data.is_empty() {
+        return false;
+    }
+    let at = at.index(data.len());
+    match kind {
+        // Truncate, overwrite a byte, flip a bit, …
+        0 => data.truncate(at),
+        1 => data[at] = byte,
+        2 => data[at] ^= 1 << (byte % 8),
+        // … overwrite the next byte the grammar cares about, or plant one.
+        3 => {
+            let mark = (at..data.len()).find(|&i| MARKS.contains(&data[i])).unwrap_or(at);
+            data[mark] = byte;
+        }
+        _ => data.insert(at, MARKS[byte as usize % MARKS.len()]),
+    }
+    true
+}
+
+// ---------------------------------------------------------------------------
+// The parsers against the parse they replaced: an owned term per occurrence
+// and one `Graph::insert` per triple.
+
+/// Forms the writers never produce: escaped bodies, prefixed datatypes,
+/// `a`, bare numbers and booleans, `,` and `;` lists with a trailing `;`,
+/// language tags, a subject repeated on lines apart and a blank node.
+const HAND_WRITTEN: &[&str] = &[
+    "@prefix ex: <http://e/> .\nex:s a ex:T ; ex:n 42 , -1.5e3 , 2.5 , +7 ; ex:b true , false ; .\n\
+     ex:s ex:n 42 .\n_:b0 a ex:T .\n",
+    "PREFIX ex: <http://e/>\n@prefix x: <http://www.w3.org/2001/XMLSchema#> .\n\
+     ex:s ex:p \"esc \\\"q\\\" \\u00e9\\n\"^^ex:dt , \"t\"@en-GB , \"5\"^^x:integer , \"5\" ;\n\
+     ex:q \"a\\tb\"^^<http://e/dt> , \"a\\tb\"@en .\n",
+    "<urn:s> <urn:p> \"x\\\\y\" .\n<urn:s> <urn:q> \"5\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n\
+     _:b1 <urn:p> <urn:s> .\n<urn:t> <urn:p> _:b1 .\n<urn:s> <urn:p> \"x\\\\y\"@en .\n\
+     <urn:s> <urn:q> \"e\\u00e9\"^^<urn:dt> .\n",
+];
+
+/// The parsers and their references on `text`: the same verdict, the same
+/// error, and the same terms in the same order and the same log — on a
+/// failed parse too, where each keeps what it read before the error.
+fn same_parse(text: &str) {
+    let same = |a: &Graph, b: &Graph| a.terms() == b.terms() && a.ids_from(0) == b.ids_from(0);
+
+    let (mut got, mut want) = (Graph::new(), Graph::new());
+    let bindings = |nss: Namespaces| nss.iter().map(|(p, i)| format!("{p} {i}")).collect::<Vec<_>>();
+    let turtle = turtle::parse_into(text, &mut got).map(bindings);
+    assert_eq!(turtle, reference::turtle_parse_into(text, &mut want).map(bindings), "{:?}", text);
+    assert!(same(&got, &want), "turtle graphs differ on {:?}", text);
+
+    let (mut got, mut want) = (Graph::new(), Graph::new());
+    let ntriples = ntriples::parse_into(text, &mut got);
+    assert_eq!(ntriples, reference::ntriples_parse_into(text, &mut want), "{:?}", text);
+    assert!(same(&got, &want), "n-triples graphs differ on {:?}", text);
+
+    let (mut got, mut want) = (Graph::new(), Graph::new());
+    let recovered = ntriples::parse_lenient_prefix(text, &mut got);
+    assert_eq!(recovered, reference::ntriples_parse_lenient_prefix(text, &mut want));
+    assert!(same(&got, &want), "salvaged graphs differ on {:?}", text);
+}
+
+#[test]
+fn the_hand_written_forms_parse() {
+    for text in HAND_WRITTEN {
+        same_parse(text);
+        let n_triples = text.starts_with('<');
+        assert_eq!(ntriples::parse(text).is_ok(), n_triples, "{text}");
+        assert!(turtle::parse(text).is_ok(), "{text}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(writer_cases()))]
+
+    /// Writer output in both syntaxes, the same torn or mutated, and the
+    /// hand-written forms: the view parse is the owned parse, byte for byte
+    /// on the graph.
+    #[test]
+    fn the_view_parse_is_the_owned_parse(
+        ts in prop::collection::vec(tricky_triple(), 0..40),
+        nss in tricky_namespaces(),
+        hand in any::<Index>(),
+        edits in prop::collection::vec((any::<Index>(), any::<u8>(), 0u8..5), 0..5),
+    ) {
+        let g: Graph = ts.into_iter().collect();
+        let hand = HAND_WRITTEN[hand.index(HAND_WRITTEN.len())].to_string();
+        for doc in [turtle::serialize(&g, &nss), ntriples::serialize(&g), hand] {
+            let mut data = doc.into_bytes();
+            same_parse(&String::from_utf8_lossy(&data));
+            for &(at, byte, kind) in &edits {
+                if !mutate(&mut data, at, byte, kind) {
+                    break;
+                }
+                same_parse(&String::from_utf8_lossy(&data));
             }
         }
     }

@@ -3,12 +3,19 @@
 //! term in a hash map keyed by id, a `String` per line, subjects grouped
 //! through a subject → (predicate, object) map. Beside them, the graph's
 //! indexes as they were before they became views built on first read
-//! ([`EagerIndex`]). Written against the public `Graph` API only, so the
-//! store-level differential test in `provio-core` includes this file too
-//! (`#[path]`). Not every includer calls every function.
+//! ([`EagerIndex`]), and the two parsers as they were before they interned
+//! borrowed views: an owned term per occurrence and one `Graph::insert` per
+//! triple ([`turtle_parse_into`], [`ntriples_parse_into`]). Written against
+//! the public `provio_rdf` API only, so the store-level differential test
+//! in `provio-core` includes this file too (`#[path]`). Not every includer
+//! calls every function.
 #![allow(dead_code)]
 
-use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Namespaces, Term, TermId};
+use provio_rdf::lex::{Lexer, Token};
+use provio_rdf::{
+    ns, BlankNode, Graph, IdMap, IdSet, Iri, Literal, Namespaces, ParseError, Subject, Term,
+    TermId, Triple,
+};
 use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 
@@ -125,6 +132,164 @@ impl EagerIndex {
             (None, None, None) => self.triples.len(),
         }
     }
+}
+
+/// The old `turtle::parse_into`.
+pub fn turtle_parse_into(src: &str, graph: &mut Graph) -> Result<Namespaces, ParseError> {
+    let mut lex = Lexer::new(src);
+    let mut nss = Namespaces::empty();
+    loop {
+        let prefix = match lex.peek()? {
+            Token::Eof => return Ok(nss),
+            Token::LangTag("prefix") => true,
+            Token::Word(w) => w.eq_ignore_ascii_case("prefix"),
+            _ => false,
+        };
+        if prefix {
+            lex.token()?;
+            lex.prefix_binding(&mut nss)?;
+            lex.eat(".")?;
+        } else {
+            turtle_statement(&mut lex, &nss, graph)?;
+        }
+    }
+}
+
+fn turtle_statement(
+    lex: &mut Lexer<'_>,
+    nss: &Namespaces,
+    graph: &mut Graph,
+) -> Result<(), ParseError> {
+    let subject = subject(lex, nss)?;
+    loop {
+        let predicate = predicate(lex, nss)?;
+        loop {
+            let object = term(lex, nss, "object")?;
+            graph.insert(&Triple {
+                subject: subject.clone(),
+                predicate: predicate.clone(),
+                object,
+            });
+            if !lex.eat(",")? {
+                break;
+            }
+        }
+        if lex.eat(";")? {
+            if lex.eat(".")? {
+                return Ok(());
+            }
+        } else if lex.eat(".")? {
+            return Ok(());
+        } else {
+            let other = lex.token()?;
+            return Err(lex.error(format!("expected ';' or '.', got {other:?}")));
+        }
+    }
+}
+
+/// The old `ntriples::parse_into`.
+pub fn ntriples_parse_into(src: &str, graph: &mut Graph) -> Result<(), ParseError> {
+    let none = Namespaces::empty();
+    for (lineno, line) in src.lines().enumerate() {
+        ntriples_line(line, &none, graph).map_err(|e| ParseError::new(lineno + 1, e.message))?;
+    }
+    Ok(())
+}
+
+/// The old `ntriples::parse_lenient_prefix`.
+pub fn ntriples_parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
+    let none = Namespaces::empty();
+    let mut recovered = 0;
+    for line in src.lines() {
+        match ntriples_line(line, &none, graph) {
+            Ok(triples) => recovered += triples,
+            Err(_) => break,
+        }
+    }
+    recovered
+}
+
+fn ntriples_line(line: &str, none: &Namespaces, graph: &mut Graph) -> Result<usize, ParseError> {
+    let mut lex = Lexer::new(line);
+    if *lex.peek()? == Token::Eof {
+        return Ok(0);
+    }
+    let subject = subject(&mut lex, none)?;
+    let token = lex.token()?;
+    let predicate = iri_from(&lex, token, none, "predicate IRI")?;
+    if matches!(lex.peek()?, Token::Number(_) | Token::Word(_)) {
+        return Err(lex.error("expected object term"));
+    }
+    let object = term(&mut lex, none, "object term")?;
+    if !lex.eat(".")? || *lex.peek()? != Token::Eof {
+        return Err(lex.error("expected terminating '.'"));
+    }
+    graph.insert(&Triple {
+        subject,
+        predicate,
+        object,
+    });
+    Ok(1)
+}
+
+/// The old `Lexer::iri_from`, over the old `Namespaces::expand`.
+fn iri_from(
+    lex: &Lexer<'_>,
+    token: Token<'_>,
+    nss: &Namespaces,
+    what: &str,
+) -> Result<Iri, ParseError> {
+    match token {
+        Token::Iri(iri) => Ok(Iri::new(iri)),
+        Token::PName(pname) => pname
+            .split_once(':')
+            .and_then(|(prefix, local)| {
+                Some(Iri::new([nss.expand_prefix(prefix)?, local].concat()))
+            })
+            .ok_or_else(|| lex.error(format!("unknown prefix in '{pname}'"))),
+        other => Err(lex.error(format!("expected {what}, got {other:?}"))),
+    }
+}
+
+/// The old `Lexer::subject`.
+fn subject(lex: &mut Lexer<'_>, nss: &Namespaces) -> Result<Subject, ParseError> {
+    match lex.token()? {
+        Token::Blank(label) => Ok(Subject::Blank(BlankNode::new(label))),
+        other => iri_from(lex, other, nss, "subject").map(Subject::Iri),
+    }
+}
+
+/// The old `Lexer::predicate`.
+fn predicate(lex: &mut Lexer<'_>, nss: &Namespaces) -> Result<Iri, ParseError> {
+    match lex.token()? {
+        Token::Word("a") => Ok(Iri::new(ns::RDF_TYPE)),
+        other => iri_from(lex, other, nss, "predicate"),
+    }
+}
+
+/// The old `Lexer::term`: an owned term per occurrence.
+fn term(lex: &mut Lexer<'_>, nss: &Namespaces, what: &str) -> Result<Term, ParseError> {
+    let literal = match lex.token()? {
+        Token::Blank(label) => return Ok(Term::Blank(BlankNode::new(label))),
+        Token::Number(n) if n.contains(['.', 'e', 'E']) => {
+            Literal::typed(n, Iri::new(ns::XSD_DOUBLE))
+        }
+        Token::Number(n) => Literal::typed(n, Iri::new(ns::XSD_INTEGER)),
+        Token::Word(w @ ("true" | "false")) => Literal::boolean(w == "true"),
+        Token::Str(body) => {
+            if lex.eat("^^")? {
+                let token = lex.token()?;
+                Literal::typed(body, iri_from(lex, token, nss, "datatype")?)
+            } else if let &Token::LangTag(lang) = lex.peek()? {
+                lex.token()?;
+                Literal::lang_tagged(body, lang)
+            } else {
+                Literal::plain(body)
+            }
+        }
+        other => return iri_from(lex, other, nss, what).map(Term::Iri),
+    };
+    Ok(Term::Literal(literal))
 }
 
 /// The old `escape_literal`: one character at a time.

@@ -9,6 +9,8 @@ use provio_rdf::{Namespaces, Term};
 struct Parser<'a> {
     lex: Lexer<'a>,
     nss: Namespaces,
+    /// Where the lexer spells a term the query does not spell whole.
+    buf: String,
     statement_count: usize,
     /// Depth in the path or expression tree of the node being parsed.
     depth: usize,
@@ -102,7 +104,7 @@ impl Parser<'_> {
     /// A constant term. A blank node label in a query would be a fresh
     /// variable, which this subset does not model, so it is refused.
     fn term(&mut self, what: &str) -> Result<Term, QueryError> {
-        match self.lex.term(&self.nss, what)? {
+        match self.lex.term(&self.nss, what, &mut self.buf)?.to_term() {
             Term::Blank(b) => Err(QueryError::new(format!(
                 "blank node '{b}' as {what}: not supported in queries, use a variable"
             ))),
@@ -316,7 +318,10 @@ impl Parser<'_> {
             self.expect(")")?;
             inner
         } else {
-            PathExpr::Iri(self.lex.predicate(&self.nss)?)
+            let Term::Iri(iri) = self.lex.predicate(&self.nss, &mut self.buf)?.to_term() else {
+                unreachable!("the predicate production reads an IRI");
+            };
+            PathExpr::Iri(iri)
         };
         if self.lex.eat("+")? {
             p = PathExpr::OneOrMore(Box::new(p));
@@ -421,6 +426,7 @@ impl Query {
         let mut p = Parser {
             lex: Lexer::new(src),
             nss: Namespaces::standard(),
+            buf: String::new(),
             statement_count: 0,
             depth: 0,
         };
