@@ -60,15 +60,13 @@ impl ProvQueryEngine {
     /// Saturate the graph with `prov:wasDerivedFrom` edges between data
     /// objects: for every program, everything it wrote derives from
     /// everything it read (the inference behind the paper's backward
-    /// lineage walk, §6.5). The edges are materialized — one per (output,
-    /// input) pair of each program — because `wasDerivedFrom+` queries and
-    /// the lineage walks read them from the graph; the cost is that of
-    /// writing them, at id speed: programs, inputs and outputs are
-    /// gathered as term ids in one scan of the triple log — not through an
-    /// index, which the writes below would drop and the next read rebuild
-    /// — and the edges go in by id in (program, output, input) order, so
-    /// two engines over the same graph end up with the same insertion
-    /// order.
+    /// lineage walk, §6.5). The edges are not written one by one: each
+    /// program becomes one group (outputs, inputs) of a
+    /// [`Graph::add_product`], which every read — `wasDerivedFrom+`
+    /// queries, the lineage walks — sees as if its |outputs| × |inputs|
+    /// edges had been inserted in (program, output, input) id order.
+    /// Programs, inputs and outputs are gathered as term ids in one scan
+    /// of the triple log, not through an index.
     ///
     /// Returns the number of derivation edges added.
     pub fn derive_lineage(&mut self) -> usize {
@@ -122,21 +120,14 @@ impl ProvQueryEngine {
         let derived = self
             .graph
             .intern(&Term::iri(Relation::WasDerivedFrom.iri()));
-        let mut added = 0;
-        for outs in outputs.chunk_by(|a, b| a.0 == b.0) {
+        let groups = outputs.chunk_by(|a, b| a.0 == b.0).filter_map(|outs| {
             let program = outs[0].0;
             let ins = &inputs[inputs.partition_point(|p| p.0 < program)
                 ..inputs.partition_point(|p| p.0 <= program)];
-            self.graph.reserve(outs.len() * ins.len());
-            for &(_, out) in outs {
-                for &(_, inp) in ins {
-                    if out != inp && self.graph.insert_ids(out, derived, inp) {
-                        added += 1;
-                    }
-                }
-            }
-        }
-        added
+            let ids = |pairs: &[(TermId, TermId)]| pairs.iter().map(|p| p.1).collect();
+            (!ins.is_empty()).then(|| (ids(outs), ids(ins)))
+        });
+        self.graph.add_product(derived, groups)
     }
 
     /// Transitive backward lineage of an entity (BFS over
@@ -320,12 +311,9 @@ impl ProvQueryEngine {
     /// (impact analysis — "which products must be regenerated if this
     /// input was bad?").
     pub fn forward_lineage(&self, entity: &Guid) -> Vec<Guid> {
-        // Through the object index: a node's incoming edges, not every
-        // derivation edge of the graph.
         self.derivation_walk(entity, |g, derived, cur| {
-            g.match_ids(None, None, Some(Some(cur)))
+            g.match_ids(None, Some(Some(derived)), Some(Some(cur)))
                 .into_iter()
-                .filter(|&(_, p, _)| p == derived)
                 .map(|(s, _, _)| s)
                 .collect()
         })
@@ -466,6 +454,152 @@ mod tests {
         turtle::parse(ttl).unwrap().0
     }
 
+    /// `derive_lineage` as it was before products: the same gather, then
+    /// every (output, input) pair of every program inserted into the log in
+    /// (program, output, input) order.
+    fn derive_by_inserting(eng: &mut ProvQueryEngine) -> usize {
+        let g = &eng.graph;
+        let predicate = |rel: Relation| g.term_id(&Term::iri(rel.iri()));
+        let is_guid = |id: TermId| g.term(id).as_iri().and_then(Guid::from_iri).is_some();
+        let associated = predicate(Relation::WasAssociatedWith);
+        let reads = [Relation::WasReadBy, Relation::WasOpenedBy].map(predicate);
+        let writes = [
+            Relation::WasWrittenBy,
+            Relation::WasCreatedBy,
+            Relation::WasFlushedBy,
+            Relation::WasModifiedBy,
+        ]
+        .map(predicate);
+        let mut program_of: IdMap<TermId, TermId> = IdMap::default();
+        let mut io: Vec<(bool, TermId, TermId)> = Vec::new();
+        for (s, p, o) in g.iter_ids() {
+            let p = Some(p);
+            if p == associated {
+                if is_guid(o) {
+                    program_of.insert(s, o);
+                }
+            } else if reads.contains(&p) || writes.contains(&p) {
+                io.push((writes.contains(&p), s, o));
+            }
+        }
+        let (mut inputs, mut outputs) = (Vec::new(), Vec::new());
+        for (wrote, entity, activity) in io {
+            if let Some(&program) = program_of.get(&activity) {
+                if is_guid(entity) {
+                    if wrote { &mut outputs } else { &mut inputs }.push((program, entity));
+                }
+            }
+        }
+        for pairs in [&mut inputs, &mut outputs] {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
+        if inputs.is_empty() || outputs.is_empty() {
+            return 0;
+        }
+        let derived = eng.graph.intern(&Term::iri(Relation::WasDerivedFrom.iri()));
+        let mut added = 0;
+        for outs in outputs.chunk_by(|a, b| a.0 == b.0) {
+            let program = outs[0].0;
+            let ins = &inputs[inputs.partition_point(|p| p.0 < program)
+                ..inputs.partition_point(|p| p.0 <= program)];
+            for &(_, out) in outs {
+                for &(_, inp) in ins {
+                    if out != inp && eng.graph.insert_ids(out, derived, inp) {
+                        added += 1;
+                    }
+                }
+            }
+        }
+        added
+    }
+
+    /// Every lineage answer of the two engines, for every GUID node.
+    fn lineage_answers(eng: &ProvQueryEngine) -> Vec<String> {
+        let mut out = vec![format!("{:?}", eng.graph().iter_ids().collect::<Vec<_>>())];
+        let guid_of = |t: &Term| t.as_iri().and_then(Guid::from_iri);
+        for guid in eng.graph().terms().iter().filter_map(guid_of) {
+            out.push(format!("{guid} <- {:?}", eng.backward_lineage(&guid)));
+            out.push(format!("{guid} -> {:?}", eng.forward_lineage(&guid)));
+            let from = format!("SELECT ?b WHERE {{ <{guid}> prov:wasDerivedFrom+ ?b . }}");
+            out.push(format!("{:?}", eng.sparql(&from).unwrap().rows));
+        }
+        let all = "SELECT ?a ?b WHERE { ?a prov:wasDerivedFrom+ ?b . }";
+        out.push(format!("{:?}", eng.sparql(all).unwrap().rows));
+        out
+    }
+
+    /// `derive_lineage` answers exactly as the inserted edges did: its
+    /// count, the log, both walks from every node, `wasDerivedFrom+` rows,
+    /// then a reduction and a second derivation (which adds nothing).
+    fn assert_lineage_as_inserted(graph: &Graph) {
+        let derived = || {
+            let mut got = ProvQueryEngine::new(graph.clone());
+            let mut want = ProvQueryEngine::new(graph.clone());
+            let added = got.derive_lineage();
+            assert!(added > 0);
+            assert_eq!(added, derive_by_inserting(&mut want));
+            assert_eq!(lineage_answers(&got), lineage_answers(&want));
+            (got, want)
+        };
+        let (mut got, mut want) = derived();
+        assert_eq!(got.reduce_activities(), want.reduce_activities());
+        assert_eq!(lineage_answers(&got), lineage_answers(&want));
+        let again = (got.derive_lineage(), derive_by_inserting(&mut want));
+        assert_eq!(again, (0, 0));
+        assert_eq!(lineage_answers(&got), lineage_answers(&want));
+        // A second derivation while the first one's edges are still groups.
+        let (mut got, mut want) = derived();
+        let again = (got.derive_lineage(), derive_by_inserting(&mut want));
+        assert_eq!(again, (0, 0));
+        assert_eq!(lineage_answers(&got), lineage_answers(&want));
+    }
+
+    /// Two programs share an output and an input, so both derive one pair;
+    /// one reads what it writes; stored `wasDerivedFrom` edges
+    /// (configuration versions, an explicit derivation) repeat some of the
+    /// derived pairs and reverse another.
+    fn overlapping_graph() -> Graph {
+        let mut ttl = String::from(
+            "@prefix prov: <http://www.w3.org/ns/prov#> .\n\
+             @prefix provio: <https://github.com/hpc-io/prov-io#> .\n\
+             @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n\
+             <urn:provio:obj/file/shared> prov:wasDerivedFrom <urn:provio:obj/file/in2> .\n\
+             <urn:provio:obj/file/out0> prov:wasDerivedFrom <urn:provio:obj/file/cfg> .\n\
+             <urn:provio:obj/file/in2> prov:wasDerivedFrom <urn:provio:obj/file/out1> .\n",
+        );
+        let io = [
+            ("p1", "w", "shared"),
+            ("p1", "r", "in2"),
+            ("p1", "w", "out1"),
+            ("p1", "r", "in1"),
+            ("p0", "r", "in0"),
+            ("p0", "w", "out0"),
+            ("p0", "r", "in1"),
+            ("p0", "w", "shared"),
+            ("p0", "r", "out0"),
+        ];
+        for (k, (program, rw, file)) in io.into_iter().enumerate() {
+            let (class, rel) = match rw {
+                "r" => ("Read", "wasReadBy"),
+                _ => ("Write", "wasWrittenBy"),
+            };
+            ttl += &format!(
+                "<urn:provio:act/{k}> a provio:{class} ; rdfs:label \"{rw}\" ;\n\
+                   prov:wasAssociatedWith <urn:provio:agent/program/{program}> .\n\
+                 <urn:provio:obj/file/{file}> provio:{rel} <urn:provio:act/{k}> .\n"
+            );
+        }
+        turtle::parse(&ttl).unwrap().0
+    }
+
+    #[test]
+    fn lineage_answers_match_the_inserted_edges() {
+        assert_lineage_as_inserted(&dassa_graph());
+        assert_lineage_as_inserted(&four_programs());
+        assert_lineage_as_inserted(&overlapping_graph());
+    }
+
     #[test]
     fn lineage_derivation_and_backward_walk() {
         let mut eng = ProvQueryEngine::new(dassa_graph());
@@ -489,9 +623,8 @@ mod tests {
         assert_eq!(second, 0);
     }
 
-    #[test]
-    fn derive_lineage_inserts_in_one_order() {
-        // Four programs, each reading three files and writing three.
+    /// Four programs, each reading three files and writing three.
+    fn four_programs() -> Graph {
         let mut ttl = String::from(
             "@prefix prov: <http://www.w3.org/ns/prov#> .\n\
              @prefix provio: <https://github.com/hpc-io/prov-io#> .\n",
@@ -506,7 +639,12 @@ mod tests {
                 );
             }
         }
-        let graph = turtle::parse(&ttl).unwrap().0;
+        turtle::parse(&ttl).unwrap().0
+    }
+
+    #[test]
+    fn derive_lineage_inserts_in_one_order() {
+        let graph = four_programs();
         let before = graph.len();
         let mut a = ProvQueryEngine::new(graph.clone());
         let mut b = ProvQueryEngine::new(graph);

@@ -1,5 +1,6 @@
-//! The in-memory graph: term interning, an insertion-ordered triple log, and
-//! SPO/POS/OSP indexes derived from the log on first read.
+//! The in-memory graph: term interning, an insertion-ordered triple log,
+//! SPO/POS/OSP indexes derived from the log on first read, and at most one
+//! pending *product* — a derived relation held as groups, not triples.
 //!
 //! The tracker's write path is append-heavy (hundreds of thousands of inserts
 //! per process in the H5bench experiments) and never looks anything up; the
@@ -9,10 +10,17 @@
 //! builds each index it needs in one counting sort over the log. All
 //! matching is done on ids; owned [`Triple`]s are only materialized at the
 //! API boundary (cheap — term payloads are `Arc<str>`).
+//!
+//! A product ([`Graph::add_product`]) relates every id of a group's left
+//! side to every id of its right side. Every read answers as if those edges
+//! had been inserted after the log; a read with a bound subject or object
+//! answers from the groups, and only a read of the whole relation expands
+//! them, once. The next write appends the expansion to the log first.
 
 use crate::idhash::{IdMap, IdSet};
 use crate::term::{Iri, Subject, Term, TermView};
 use crate::triple::{Triple, TriplePattern};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
@@ -164,52 +172,199 @@ fn find(terms: &[Term], collided: &[u32], first: u32, v: TermView<'_>) -> Option
 }
 
 type Pair = (u32, u32);
+type Ids = (u32, u32, u32);
+/// A product's group: (left ids, right ids).
+type Group = (Vec<u32>, Vec<u32>);
+/// One side of a group.
+type Side = fn(&Group) -> &[u32];
 
-/// One index as compressed rows: key `k`'s pairs are
-/// `pairs[start[k]..start[k + 1]]`, in the order their triples were
-/// inserted.
+/// Compressed rows: key `k`'s values are `values[start[k]..start[k + 1]]`,
+/// in the order of the input they were built from. An index holds one
+/// pair per triple, in insertion order.
 #[derive(Debug, Clone)]
-struct Csr {
-    /// One entry per term interned when the index was built, plus one.
+struct Csr<T = Pair> {
+    /// One entry per term interned when the rows were built, plus one.
     start: Vec<u32>,
-    pairs: Vec<Pair>,
+    values: Vec<T>,
 }
 
-impl Csr {
-    /// One stable counting sort of `order` by the key `split` takes off
-    /// each triple: count, prefix-sum, scatter. Two allocations.
-    fn build(
-        order: &[(u32, u32, u32)],
-        terms: usize,
-        split: impl Fn((u32, u32, u32)) -> (u32, Pair),
-    ) -> Csr {
+impl<T: Copy + Default> Csr<T> {
+    /// One stable counting sort of `items` by the key `split` takes off
+    /// each: count, prefix-sum, scatter. Two allocations.
+    fn build<I: Copy>(items: &[I], terms: usize, split: impl Fn(I) -> (u32, T)) -> Csr<T> {
         let mut start = vec![0u32; terms + 1];
-        for &t in order {
+        for &t in items {
             start[split(t).0 as usize + 1] += 1;
         }
         for k in 1..=terms {
             start[k] += start[k - 1];
         }
-        let mut pairs = vec![(0, 0); order.len()];
-        for &t in order {
-            let (key, pair) = split(t);
+        let mut values = vec![T::default(); items.len()];
+        for &t in items {
+            let (key, value) = split(t);
             let at = &mut start[key as usize];
-            pairs[*at as usize] = pair;
+            values[*at as usize] = value;
             *at += 1;
         }
-        // Each key's cursor now sits where the next key's pairs begin.
+        // Each key's cursor now sits where the next key's values begin.
         start.copy_within(0..terms, 1);
         start[0] = 0;
-        Csr { start, pairs }
+        Csr { start, values }
     }
 
-    /// The pairs of `key`; none for a key past the terms at build time.
-    fn get(&self, key: u32) -> &[Pair] {
+    /// The values of `key`; none for a key past the terms at build time.
+    fn get(&self, key: u32) -> &[T] {
         let k = key as usize;
         match (self.start.get(k), self.start.get(k + 1)) {
-            (Some(&a), Some(&b)) => &self.pairs[a as usize..b as usize],
+            (Some(&a), Some(&b)) => &self.values[a as usize..b as usize],
             _ => &[],
         }
+    }
+}
+
+/// A pending product (see [`Graph::add_product`]): `pred` relates each id of
+/// a group's left side to each id of its right side. Self-contained — it
+/// never reads the graph's log, which cannot change while it is pending.
+#[derive(Debug, Clone)]
+struct Product {
+    pred: u32,
+    /// Each side sorted and deduplicated.
+    groups: Vec<Group>,
+    /// x → the groups whose left side holds x, ascending; y → the groups
+    /// whose right side holds y.
+    by_left: Csr<u32>,
+    by_right: Csr<u32>,
+    /// Exact counts of the edges the product adds: out of x, into y, all.
+    from: Vec<u32>,
+    into: Vec<u32>,
+    total: usize,
+    /// The stored `pred` edges the product repeats, as (x, y).
+    stored: IdSet<Pair>,
+    /// Every added edge in insertion order, built by the first read of the
+    /// whole relation.
+    expanded: OnceLock<Vec<Ids>>,
+}
+
+impl Product {
+    /// `stored_edges` lists the log's `pred` edges as (x, y).
+    fn new(
+        pred: u32,
+        groups: Vec<Group>,
+        terms: usize,
+        stored_edges: impl Iterator<Item = Pair>,
+    ) -> Product {
+        let members = |side: Side| {
+            let of: Vec<Pair> = (0..groups.len() as u32)
+                .flat_map(|g| side(&groups[g as usize]).iter().map(move |&id| (id, g)))
+                .collect();
+            Csr::build(&of, terms, |pair| pair)
+        };
+        let by_left = members(|g| &g.0);
+        let by_right = members(|g| &g.1);
+        // How many ids other than `id` the groups `of` hold on `side`. An
+        // id in one group — every object of one program — costs a binary
+        // search; only an id in several groups pays for their union.
+        let reach = |id: u32, of: &[u32], side: Side| match of {
+            [] => 0,
+            &[g] => {
+                let ids = side(&groups[g as usize]);
+                ids.len() - usize::from(ids.binary_search(&id).is_ok())
+            }
+            _ => {
+                let mut ids: Vec<u32> = of
+                    .iter()
+                    .flat_map(|&g| side(&groups[g as usize]).iter().copied())
+                    .filter(|&other| other != id)
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids.len()
+            }
+        };
+        let from: Vec<u32> = (0..terms as u32)
+            .map(|x| reach(x, by_left.get(x), |g| &g.1) as u32)
+            .collect();
+        let into: Vec<u32> = (0..terms as u32)
+            .map(|y| reach(y, by_right.get(y), |g| &g.0) as u32)
+            .collect();
+        let mut product = Product {
+            pred,
+            groups,
+            by_left,
+            by_right,
+            total: from.iter().map(|&n| n as usize).sum(),
+            from,
+            into,
+            stored: IdSet::default(),
+            expanded: OnceLock::new(),
+        };
+        for (x, y) in stored_edges {
+            if product.holds(x, y) {
+                product.stored.insert((x, y));
+                product.from[x as usize] -= 1;
+                product.into[y as usize] -= 1;
+                product.total -= 1;
+            }
+        }
+        product
+    }
+
+    /// Whether some group relates `x` to `y` (stored or not).
+    fn holds(&self, x: u32, y: u32) -> bool {
+        x != y
+            && self
+                .by_left
+                .get(x)
+                .iter()
+                .any(|&g| self.groups[g as usize].1.binary_search(&y).is_ok())
+    }
+
+    /// Whether group `g` adds (x, y): not a loop, not stored, not added by
+    /// an earlier group.
+    fn adds(&self, x: u32, y: u32, g: u32) -> bool {
+        x != y
+            && !self.stored.contains(&(x, y))
+            && !self
+                .by_left
+                .get(x)
+                .iter()
+                .take_while(|&&h| h < g)
+                .any(|&h| self.groups[h as usize].1.binary_search(&y).is_ok())
+    }
+
+    /// The objects of the edges added out of `x`, in insertion order.
+    fn objects_of(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        self.by_left.get(x).iter().flat_map(move |&g| {
+            let right = &self.groups[g as usize].1;
+            right.iter().copied().filter(move |&y| self.adds(x, y, g))
+        })
+    }
+
+    /// The subjects of the edges added into `y`, in insertion order.
+    fn subjects_of(&self, y: u32) -> impl Iterator<Item = u32> + '_ {
+        self.by_right.get(y).iter().flat_map(move |&g| {
+            let left = &self.groups[g as usize].0;
+            left.iter().copied().filter(move |&x| self.adds(x, y, g))
+        })
+    }
+
+    /// Every added edge, in insertion order: group by group, each left id
+    /// ascending, each right id ascending.
+    fn expansion(&self) -> &[Ids] {
+        self.expanded.get_or_init(|| {
+            let mut out = Vec::with_capacity(self.total);
+            for (g, (left, right)) in self.groups.iter().enumerate() {
+                for &x in left {
+                    out.extend(
+                        right
+                            .iter()
+                            .filter(|&&y| self.adds(x, y, g as u32))
+                            .map(|&y| (x, self.pred, y)),
+                    );
+                }
+            }
+            out
+        })
     }
 }
 
@@ -244,6 +399,9 @@ pub struct Graph {
     spo: OnceLock<Csr>,
     pos: OnceLock<Csr>,
     osp: OnceLock<Csr>,
+    /// Edges every read sees after `order`, held as groups until the next
+    /// write appends them to it. Boxed: every insert tests it.
+    product: Option<Box<Product>>,
 }
 
 impl Graph {
@@ -252,11 +410,11 @@ impl Graph {
     }
 
     pub fn len(&self) -> usize {
-        self.triples.len()
+        self.triples.len() + self.product.as_deref().map_or(0, |p| p.total)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
+        self.len() == 0
     }
 
     /// Number of distinct interned terms.
@@ -288,6 +446,7 @@ impl Graph {
 
     /// Insert by pre-interned ids (hot path for bulk loads and parsing).
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
+        self.expand_product();
         if !self.triples.insert((s.0, p.0, o.0)) {
             return false;
         }
@@ -303,6 +462,65 @@ impl Graph {
         self.osp.take();
     }
 
+    /// Before any write: append a pending product's edges to the log, in
+    /// the order its reads showed them.
+    fn expand_product(&mut self) {
+        let Some(product) = self.product.take() else {
+            return;
+        };
+        product.expansion();
+        let edges = product.expanded.into_inner().expect("expanded above");
+        self.triples.extend(edges.iter().copied());
+        self.order.extend(edges);
+        self.invalidate();
+    }
+
+    /// Add, as a product, the edges `(x, p, y)` for each group's left ids
+    /// `x` and right ids `y` with `x != y`. The graph then reads exactly as
+    /// if they had been inserted one [`Graph::insert_ids`] at a time after
+    /// the stored triples — group by group, each side ascending — and
+    /// returns how many of those inserts would have returned `true`.
+    ///
+    /// Nothing is written: the log and its indexes stay as they are. A read
+    /// with a bound subject or object answers from the groups, in time
+    /// proportional to the groups it touches; a read of the whole relation
+    /// (`p` bound alone, nothing bound, [`Graph::iter`], the serializers)
+    /// expands them once. The next write, a second product included,
+    /// appends the edges to the log first. Panics on a foreign id.
+    pub fn add_product(
+        &mut self,
+        p: TermId,
+        groups: impl IntoIterator<Item = (Vec<TermId>, Vec<TermId>)>,
+    ) -> usize {
+        self.expand_product();
+        let sorted = |ids: Vec<TermId>| {
+            let mut ids: Vec<u32> = ids.into_iter().map(|id| id.0).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let groups = groups
+            .into_iter()
+            .map(|(left, right)| (sorted(left), sorted(right)))
+            .collect();
+        // The stored `p` edges: from `pos` if a read has built it, else
+        // from one scan of the log.
+        let (indexed, scanned): (&[Pair], &[Ids]) = match self.pos.get() {
+            Some(pos) => (pos.get(p.0), &[]),
+            None => (&[], &self.order),
+        };
+        let stored = indexed.iter().map(|&(o, s)| (s, o)).chain(
+            scanned
+                .iter()
+                .filter(|t| t.1 == p.0)
+                .map(|&(s, _, o)| (s, o)),
+        );
+        let product = Product::new(p.0, groups, self.term_count(), stored);
+        let added = product.total;
+        self.product = (added > 0).then(|| Box::new(product));
+        added
+    }
+
     fn spo(&self) -> &Csr {
         self.spo
             .get_or_init(|| Csr::build(&self.order, self.term_count(), |(s, p, o)| (s, (p, o))))
@@ -316,12 +534,6 @@ impl Graph {
     fn osp(&self) -> &Csr {
         self.osp
             .get_or_init(|| Csr::build(&self.order, self.term_count(), |(s, p, o)| (o, (s, p))))
-    }
-
-    /// Make room for `additional` more triples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.triples.reserve(additional);
-        self.order.reserve(additional);
     }
 
     /// Intern a term without inserting any triple.
@@ -356,10 +568,15 @@ impl Graph {
             return false;
         };
         self.triples.contains(&(s.0, p.0, o.0))
+            || self
+                .product
+                .as_ref()
+                .is_some_and(|x| x.pred == p.0 && x.holds(s.0, o.0))
     }
 
     /// Remove a triple. Returns `true` if it was present.
     pub fn remove(&mut self, t: &Triple) -> bool {
+        self.expand_product();
         let (Some(s), Some(p), Some(o)) = (
             self.interner.get_view(TermView::of_subject(&t.subject)),
             self.interner.get_view(TermView::of_iri(&t.predicate)),
@@ -384,6 +601,7 @@ impl Graph {
     /// Keep only the triples `keep` accepts, in one pass over the log —
     /// the bulk form of [`Graph::remove`]. Returns how many were dropped.
     pub fn retain(&mut self, mut keep: impl FnMut(TermId, TermId, TermId) -> bool) -> usize {
+        self.expand_product();
         let triples = &mut self.triples;
         let before = self.order.len();
         self.order.retain(|&(s, p, o)| {
@@ -397,23 +615,42 @@ impl Graph {
         before - self.order.len()
     }
 
+    /// The stored log, then a pending product's edges (expanded on first
+    /// call).
+    fn all_ids(&self) -> impl Iterator<Item = Ids> + '_ {
+        let product = self.product.as_deref().map_or(&[][..], Product::expansion);
+        self.order.iter().chain(product).copied()
+    }
+
     /// Iterate all triples (materialized; insertion order).
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.order.iter().map(move |&(s, p, o)| self.rebuild(s, p, o))
+        self.all_ids().map(move |(s, p, o)| self.rebuild(s, p, o))
     }
 
     /// Iterate all triples as id tuples, in insertion order.
     pub fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        self.order
-            .iter()
-            .map(|&(s, p, o)| (TermId(s), TermId(p), TermId(o)))
+        self.all_ids()
+            .map(|(s, p, o)| (TermId(s), TermId(p), TermId(o)))
+    }
+
+    /// Every id-triple in insertion order, each id an index into
+    /// [`Graph::terms`] — what the serializers read. Borrowed unless a
+    /// product is pending.
+    pub(crate) fn log(&self) -> Cow<'_, [Ids]> {
+        match &self.product {
+            None => Cow::Borrowed(&self.order),
+            Some(_) => Cow::Owned(self.all_ids().collect()),
+        }
     }
 
     /// Id-triples inserted at or after insertion index `start`, in
     /// insertion order — the delta a serialization watermark has not yet
     /// persisted. `start` values come from a previous [`Graph::len`] taken
-    /// on this graph (valid only while the graph is append-only).
+    /// on this graph (valid only while the graph is append-only). This is
+    /// the append-only store's delta API: it reads the stored log only, and
+    /// a store never holds a product.
     pub fn ids_from(&self, start: usize) -> &[(u32, u32, u32)] {
+        debug_assert!(self.product.is_none(), "ids_from on a graph with a product");
         &self.order[start.min(self.order.len())..]
     }
 
@@ -483,8 +720,8 @@ impl Graph {
     /// Id-level matching. Each position is `None` (wildcard) or
     /// `Some(Option<TermId>)` — `Some(None)` means the pattern binds a term
     /// that is not interned here, so nothing can match, and neither can an
-    /// id this graph never minted. With a bound position, matches come in
-    /// insertion order.
+    /// id this graph never minted. Matches come in insertion order: the
+    /// stored triples', then a pending product's.
     ///
     /// The first call after a write builds the index the pattern's shape
     /// reads, in time linear in the graph.
@@ -539,11 +776,29 @@ impl Graph {
             }
             (None, None, None) => {
                 out.extend(
-                    self.triples
+                    self.order
                         .iter()
                         .map(|&(s, p, o)| (TermId(s), TermId(p), TermId(o))),
                 );
             }
+        }
+        let Some(x) = &self.product else {
+            return out;
+        };
+        if p.is_some_and(|p| p != x.pred) {
+            return out;
+        }
+        let edge = |s, o| (TermId(s), TermId(x.pred), TermId(o));
+        match (s, o) {
+            (Some(s), Some(o)) => {
+                // At most one edge, stored (pushed above) or added.
+                if x.holds(s, o) && !x.stored.contains(&(s, o)) {
+                    out.push(edge(s, o));
+                }
+            }
+            (Some(s), None) => out.extend(x.objects_of(s).map(|o| edge(s, o))),
+            (None, Some(o)) => out.extend(x.subjects_of(o).map(|s| edge(s, o))),
+            (None, None) => out.extend(x.expansion().iter().map(|&(s, _, o)| edge(s, o))),
         }
         out
     }
@@ -562,11 +817,19 @@ impl Graph {
         let s = s.flatten();
         let p = p.flatten();
         let o = o.flatten();
+        // A product's edges count where they would sit in the indexes.
+        let x = self.product.as_deref();
+        let added = |counts: fn(&Product) -> &[u32], id: TermId| {
+            x.and_then(|x| counts(x).get(id.0 as usize))
+                .map_or(0, |&n| n as usize)
+        };
         match (s, p, o) {
             (Some(_), Some(_), Some(_)) => 1,
-            (Some(s), _, _) => self.spo().get(s.0).len(),
-            (None, Some(p), _) => self.pos().get(p.0).len(),
-            (None, None, Some(o)) => self.osp().get(o.0).len(),
+            (Some(s), _, _) => self.spo().get(s.0).len() + added(|x| &x.from, s),
+            (None, Some(p), _) => {
+                self.pos().get(p.0).len() + x.filter(|x| x.pred == p.0).map_or(0, |x| x.total)
+            }
+            (None, None, Some(o)) => self.osp().get(o.0).len() + added(|x| &x.into, o),
             (None, None, None) => self.len(),
         }
     }
@@ -590,7 +853,7 @@ impl Graph {
             .map(|t| self.interner.intern(t).0)
             .collect();
         let mut added = 0;
-        for &(s, p, o) in &other.order {
+        for &(s, p, o) in other.log().iter() {
             if self.insert_ids(
                 TermId(map[s as usize]),
                 TermId(map[p as usize]),

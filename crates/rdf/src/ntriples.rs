@@ -12,7 +12,7 @@ use crate::{Graph, ParseError, TermId};
 
 /// Serialize `graph` as N-Triples. Lines are sorted for determinism.
 pub fn serialize(graph: &Graph) -> String {
-    sorted_block(graph.ids_from(0), |id| &graph.terms()[id as usize])
+    sorted_block(&graph.log(), |id| &graph.terms()[id as usize])
 }
 
 /// The id slice as sorted N-Triples, one newline-terminated block — an
@@ -33,7 +33,7 @@ pub fn sorted_block<'a>(
 /// newlines: joining them with `'\n'` (plus a final one) reproduces
 /// [`serialize`] byte for byte.
 pub fn sorted_graph_lines(graph: &Graph) -> Vec<String> {
-    sorted_id_lines(graph.ids_from(0), |id| &graph.terms()[id as usize])
+    sorted_id_lines(&graph.log(), |id| &graph.terms()[id as usize])
 }
 
 /// The delta-segment variant of [`sorted_graph_lines`]: sorted lines for an

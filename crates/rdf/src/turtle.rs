@@ -25,7 +25,7 @@ use crate::{Capture, Graph, ParseError};
 /// each emitted in sorted order, so identical graphs always serialize to
 /// identical bytes (important for provenance-size measurements).
 pub fn serialize(graph: &Graph, nss: &Namespaces) -> String {
-    write(graph.ids_from(0), graph.terms(), nss)
+    write(&graph.log(), graph.terms(), nss)
 }
 
 /// [`serialize`] over a [`Capture`] — what a store renders after it has

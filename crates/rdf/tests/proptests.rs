@@ -1,9 +1,9 @@
 //! Property-based tests for the RDF substrate: serializer/parser round
 //! trips, graph index coherence, merge algebra, byte identity of the
-//! writers with the writers they replaced, indexes built on first read
-//! against indexes kept on every write, parsers that intern borrowed views
-//! against the owned-term parse they replaced, and parsers that never
-//! panic.
+//! writers with the writers they replaced, indexes built on first read and
+//! products against indexes kept on every write and edges inserted one by
+//! one, parsers that intern borrowed views against the owned-term parse
+//! they replaced, and parsers that never panic.
 //!
 //! Case count of the three differentials: `PROVIO_WRITER_CASES` (default
 //! 256); CI's `writer-differential` step runs 4096 in release.
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use proptest::sample::Index;
 use provio_rdf::lex::{Lexer, Token};
 use provio_rdf::{
-    ntriples, turtle, BlankNode, Graph, Iri, Literal, Namespaces, Subject, Term, TermId, Triple,
+    ntriples, turtle, BlankNode, Capture, Graph, Iri, Literal, Namespaces, Term, TermId, Triple,
     TriplePattern,
 };
 use strategies::{arb_graph, arb_triple, tricky_namespaces, tricky_triple};
@@ -178,19 +178,42 @@ proptest! {
 /// re-insert the same ones; now and then one from the writers' generator.
 fn pool_triple() -> impl Strategy<Value = Triple> {
     let pooled = (0u8..5, 0u8..3, 0u8..8).prop_map(|(s, p, o)| {
-        let subject = match s {
-            4 => Subject::Blank(BlankNode::new("b0")),
-            s => Subject::iri(format!("urn:n{s}")),
-        };
-        let object = match o {
-            5 => Literal::integer(7).into(),
-            6 => Literal::plain("x").into(),
-            7 => Term::Blank(BlankNode::new("b0")),
-            o => Term::iri(format!("urn:n{o}")),
-        };
-        Triple::new(subject, Iri::new(format!("urn:p{p}")), object)
+        let subject = pool_subject(s).as_subject().unwrap();
+        Triple::new(subject, pool_predicate(p), pool_object(o))
     });
     prop_oneof![6 => pooled, 1 => tricky_triple()]
+}
+
+/// The pool's subjects: `urn:n0`–`urn:n3` and a blank node, all of which
+/// are objects too.
+fn pool_subject(s: u8) -> Term {
+    match s {
+        4 => pool_object(7),
+        s => pool_object(s),
+    }
+}
+
+fn pool_predicate(p: u8) -> Iri {
+    Iri::new(format!("urn:p{p}"))
+}
+
+fn pool_object(o: u8) -> Term {
+    match o {
+        5 => Literal::integer(7).into(),
+        6 => Literal::plain("x").into(),
+        7 => Term::Blank(BlankNode::new("b0")),
+        o => Term::iri(format!("urn:n{o}")),
+    }
+}
+
+/// One group of a product: pool subjects on the left, pool objects on the
+/// right — small pools, so groups overlap, an id stands on both sides, and
+/// edges the histories insert one by one come back as products.
+fn pool_group() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (
+        prop::collection::vec(0u8..5, 0..4),
+        prop::collection::vec(0u8..8, 0..5),
+    )
 }
 
 #[derive(Debug, Clone)]
@@ -205,6 +228,9 @@ enum Op {
     RemovePresent(Index),
     /// Keep the triples whose subject id is not this one modulo 3.
     Retain(u8),
+    /// A product over a pool predicate: (left, right) pool indices per
+    /// group.
+    Product(u8, Vec<(Vec<u8>, Vec<u8>)>),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -216,6 +242,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => pool_triple().prop_map(Op::Remove),
         1 => any::<Index>().prop_map(Op::RemovePresent),
         1 => (0u8..3).prop_map(Op::Retain),
+        1 => (0u8..3, prop::collection::vec(pool_group(), 0..4)).prop_map(|(p, gs)| Op::Product(p, gs)),
     ]
 }
 
@@ -300,6 +327,32 @@ fn apply(g: &mut Graph, eager: &mut reference::EagerIndex, op: &Op) -> bool {
             }
             return !dropped.is_empty();
         }
+        Op::Product(p, groups) => {
+            let p = g.intern(&Term::Iri(pool_predicate(*p)));
+            let groups: Vec<(Vec<TermId>, Vec<TermId>)> = groups
+                .iter()
+                .map(|(left, right)| {
+                    let left = left.iter().map(|&s| g.intern(&pool_subject(s))).collect();
+                    let right = right.iter().map(|&o| g.intern(&pool_object(o))).collect();
+                    (left, right)
+                })
+                .collect();
+            let added = g.add_product(p, groups.clone());
+            // The product's meaning: one insert per pair, after the log.
+            let mut mirrored = 0;
+            for (mut left, mut right) in groups {
+                for side in [&mut left, &mut right] {
+                    side.sort_unstable();
+                    side.dedup();
+                }
+                for &x in &left {
+                    for &y in right.iter().filter(|&&y| y != x) {
+                        mirrored += usize::from(eager.insert_ids(x, p, y));
+                    }
+                }
+            }
+            prop_assert_eq!(added, mirrored);
+        }
     }
     false
 }
@@ -307,10 +360,12 @@ fn apply(g: &mut Graph, eager: &mut reference::EagerIndex, op: &Op) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(writer_cases()))]
 
-    /// Any interleaving of writes and reads answers every pattern shape as
-    /// the eagerly indexed graph did: the same sequence while nothing has
-    /// been removed, the same multiset after (the old indexes
-    /// `swap_remove`d, which reorders a key's pairs).
+    /// Any interleaving of writes, products and reads answers every
+    /// pattern shape as the eagerly indexed graph did — given a product's
+    /// edges one insert at a time: the same sequence while nothing has been
+    /// removed, the same multiset after (the old indexes `swap_remove`d,
+    /// which reorders a key's pairs). The log, and so `iter_ids`, `len`,
+    /// `contains` and both writers, agree always.
     #[test]
     fn lazy_indexes_answer_as_eager_ones(steps in prop::collection::vec((arb_op(), arb_probe()), 0..40)) {
         let mut g = Graph::new();
@@ -326,14 +381,32 @@ proptest! {
                 });
                 prop_assert_eq!(g.cardinality_estimate(s, p, o), eager.cardinality_estimate(s, p, o));
                 let (mut got, mut want) = (g.match_ids(s, p, o), eager.match_ids(s, p, o));
-                if removed_any {
+                if removed_any && shape != 0 {
                     got.sort_unstable();
                     want.sort_unstable();
                 }
                 prop_assert_eq!(got, want, "shape {:03b} after {:?}", shape, op);
             }
+            prop_assert!(g.iter_ids().eq(eager.log.iter().copied()), "log after {:?}", op);
+            prop_assert_eq!(g.len(), eager.log.len());
+            if g.term_count() > 0 {
+                let [s, p, o] = probe.map(|(at, _)| TermId(at.index(g.term_count()) as u32));
+                if let (Some(subject), Term::Iri(predicate)) = (g.term(s).as_subject(), g.term(p)) {
+                    let probe = Triple::new(subject, predicate.clone(), g.term(o).clone());
+                    let stored = eager.match_ids(Some(Some(s)), Some(Some(p)), Some(Some(o)));
+                    prop_assert_eq!(g.contains(&probe), stored.len() == 1);
+                }
+            }
+            for t in g.iter() {
+                prop_assert!(g.contains(&t));
+            }
+            let ids: Vec<(u32, u32, u32)> = eager.log.iter().map(|&(s, p, o)| (s.0, p.0, o.0)).collect();
+            let term_of = |id: u32| &g.terms()[id as usize];
+            prop_assert_eq!(ntriples::serialize(&g), ntriples::sorted_block(&ids, term_of));
+            let capture = Capture { ids, terms: g.terms().to_vec() };
+            let nss = Namespaces::standard();
+            prop_assert_eq!(turtle::serialize(&g, &nss), turtle::serialize_capture(&capture, &nss));
         }
-        prop_assert_eq!(g.len(), eager.match_ids(None, None, None).len());
     }
 }
 

@@ -26,10 +26,12 @@ type Ids = (TermId, TermId, TermId);
 /// to its pairs, one push into each on every insert, a `swap_remove` from
 /// each on every remove, and `match_ids` / `cardinality_estimate` read
 /// straight off them. Holds ids only: the driver feeds it the ids a `Graph`
-/// assigned, write for write.
+/// assigned, write for write. Beside them, its own insertion log, which
+/// the all-wildcard match walks.
 #[derive(Debug, Default)]
 pub struct EagerIndex {
     triples: IdSet<(u32, u32, u32)>,
+    pub log: Vec<Ids>,
     spo: IdMap<u32, Vec<Pair>>,
     pos: IdMap<u32, Vec<Pair>>,
     osp: IdMap<u32, Vec<Pair>>,
@@ -43,6 +45,7 @@ impl EagerIndex {
         self.spo.entry(s.0).or_default().push((p.0, o.0));
         self.pos.entry(p.0).or_default().push((o.0, s.0));
         self.osp.entry(o.0).or_default().push((s.0, p.0));
+        self.log.push((s, p, o));
         true
     }
 
@@ -64,6 +67,7 @@ impl EagerIndex {
         drop_pair(&mut self.spo, s.0, (p.0, o.0));
         drop_pair(&mut self.pos, p.0, (o.0, s.0));
         drop_pair(&mut self.osp, o.0, (s.0, p.0));
+        self.log.retain(|&t| t != (s, p, o));
         true
     }
 
@@ -108,7 +112,7 @@ impl EagerIndex {
                     out.push(ids(ts, tp, o));
                 }
             }
-            (None, None, None) => out.extend(self.triples.iter().map(|&(s, p, o)| ids(s, p, o))),
+            (None, None, None) => out.clone_from(&self.log),
         }
         out
     }

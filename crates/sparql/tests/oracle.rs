@@ -9,6 +9,13 @@
 //! `DISTINCT`, `ORDER BY`, `LIMIT`, `OFFSET`. The engine answers on a graph
 //! it has already queried once, part-built, before the rest was inserted.
 //!
+//! About half the graphs also hold a product (`Graph::add_product`) over
+//! one of the three predicates: a few groups of nodes, each relating its
+//! left side to its right side. The reference walks an eager copy with
+//! every one of those edges in its triple list; the engine queries the
+//! product, so paths over that predicate (`+`, `*`, `^`, `/`, `|`) read its
+//! bound-end lookups and its expansion.
+//!
 //! What must agree: `vars`, and `rows` in order. Row order is defined
 //! whenever the query's ordering is total — no `ORDER BY` (rows come out by
 //! their rendered `var=term|…` key), or an `ORDER BY` under which no two
@@ -117,6 +124,89 @@ fn gen_triples(g: &mut Gen) -> Vec<Triple> {
             Triple::new(subject, gen_pred(g), object)
         })
         .collect()
+}
+
+/// A relation added as groups rather than triples.
+struct Product {
+    predicate: Iri,
+    groups: Vec<(Vec<Subject>, Vec<Term>)>,
+}
+
+impl Product {
+    /// One to three groups over the generator's nodes: subjects on the
+    /// left, nodes and now and then a literal on the right, so groups
+    /// overlap, a node stands on both sides and stored edges repeat.
+    fn generate(g: &mut Gen) -> Option<Product> {
+        if g.chance(50) {
+            return None;
+        }
+        let lits = literals();
+        let groups = (0..1 + g.below(3))
+            .map(|_| {
+                let left = (0..1 + g.below(3))
+                    .map(|_| match g.below(6) {
+                        5 => BlankNode::new("b0").into(),
+                        n => Subject::iri(format!("urn:n{}", n % 4)),
+                    })
+                    .collect();
+                let right = (0..1 + g.below(4))
+                    .map(|_| {
+                        if g.chance(85) {
+                            node(g.below(4))
+                        } else {
+                            g.pick(&lits)
+                        }
+                    })
+                    .collect();
+                (left, right)
+            })
+            .collect();
+        Some(Product {
+            predicate: gen_pred(g),
+            groups,
+        })
+    }
+
+    /// Every edge it stands for, loops left out.
+    fn edges(&self) -> impl Iterator<Item = Triple> + '_ {
+        self.groups.iter().flat_map(move |(left, right)| {
+            left.iter().flat_map(move |s| {
+                right
+                    .iter()
+                    .filter(move |o| Term::from(s.clone()) != **o)
+                    .map(move |o| Triple::new(s.clone(), self.predicate.clone(), o.clone()))
+            })
+        })
+    }
+
+    fn add_to(&self, graph: &mut Graph) {
+        let p = graph.intern(&Term::Iri(self.predicate.clone()));
+        let groups: Vec<_> = self
+            .groups
+            .iter()
+            .map(|(left, right)| {
+                let left = left
+                    .iter()
+                    .map(|s| graph.intern(&s.clone().into()))
+                    .collect();
+                (left, right.iter().map(|o| graph.intern(o)).collect())
+            })
+            .collect();
+        graph.add_product(p, groups);
+    }
+}
+
+/// A case's graph: stored triples and maybe a product, and the eager copy
+/// of both the reference reads.
+fn gen_graph(g: &mut Gen) -> (Vec<Triple>, Option<Product>, Vec<Triple>) {
+    let triples = gen_triples(g);
+    let product = Product::generate(g);
+    let eager = triples
+        .iter()
+        .cloned()
+        .chain(product.iter().flat_map(Product::edges))
+        .collect();
+    (triples, product, eager)
 }
 
 fn gen_path(g: &mut Gen, depth: usize) -> PathExpr {
@@ -636,19 +726,26 @@ fn build(triples: &[Triple]) -> Graph {
 /// the inserts that follow, and built again.
 fn check_against_reference(seed: u64) {
     let mut g = Gen(seed);
-    let triples = gen_triples(&mut g);
-    let q = gen_query(&mut g, &triples);
+    let (triples, product, eager) = gen_graph(&mut g);
+    let q = gen_query(&mut g, &eager);
     let (head, tail) = triples.split_at(g.below(triples.len() + 1));
     let mut graph = build(head);
     let _ = q.execute_with_budget(&graph, CASE_BUDGET);
     graph.extend(tail.iter().cloned());
+    if let Some(product) = &product {
+        if g.chance(50) {
+            // Built indexes, which the product counts stored edges from.
+            let _ = q.execute_with_budget(&graph, CASE_BUDGET);
+        }
+        product.add_to(&mut graph);
+    }
     let Ok(got) = q.execute_with_budget(&graph, CASE_BUDGET) else {
         return;
     };
-    let Some(want) = reference(&q, &triples) else {
+    let Some(want) = reference(&q, &eager) else {
         return;
     };
-    let case = format!("seed {seed}\n{q:#?}\n{triples:#?}");
+    let case = format!("seed {seed}\n{q:#?}\n{eager:#?}");
     assert_eq!(got.vars, want.vars, "{case}");
     if !want.ties {
         assert_eq!(got.rows, window(&q, &want.rows), "{case}");
@@ -673,13 +770,16 @@ fn check_against_reference(seed: u64) {
 /// The second property, on the case `seed` generates.
 fn check_budget(seed: u64, budget: u64) {
     let mut g = Gen(seed);
-    let triples = gen_triples(&mut g);
-    let q = gen_query(&mut g, &triples);
-    let graph = build(&triples);
+    let (triples, product, eager) = gen_graph(&mut g);
+    let q = gen_query(&mut g, &eager);
+    let mut graph = build(&triples);
+    if let Some(product) = &product {
+        product.add_to(&mut graph);
+    }
     let Ok(full) = q.execute_with_budget(&graph, CASE_BUDGET) else {
         return;
     };
-    let case = format!("seed {seed} budget {budget}\n{q:#?}\n{triples:#?}");
+    let case = format!("seed {seed} budget {budget}\n{q:#?}\n{eager:#?}");
     match q.execute_with_budget(&graph, budget) {
         Err(e) => assert_eq!(e, QueryError::BudgetExhausted { budget }, "{case}"),
         Ok(got) => {

@@ -68,7 +68,7 @@ fn dassa_capture_to_lineage_and_viz() {
     let (graph, report) = merge_directory(&cluster.fs, &out.prov_dir);
     assert_eq!(report.files, 9);
     let mut engine = ProvQueryEngine::new(graph);
-    engine.derive_lineage();
+    let derived = engine.derive_lineage();
 
     // Every decimate product has a lineage that reaches a raw input.
     for i in 0..6 {
@@ -93,6 +93,28 @@ fn dassa_capture_to_lineage_and_viz() {
     let lineage = engine.backward_lineage(&product);
     let dot = prov_io::core::engine::viz::to_dot_lineage(engine.graph(), &product, &lineage);
     assert!(dot.contains("#1f5fd0"), "lineage highlighted in blue");
+
+    // The lineage answers, frozen: the derived edge count, the backward
+    // walk from the product, the forward walk from its first raw input,
+    // and the rendered neighborhood.
+    let raw = lineage
+        .iter()
+        .find(|g| engine.label_of(g).is_some_and(|l| l.ends_with(".tdms")))
+        .unwrap();
+    let mut h = sha2::Sha256::new();
+    h.update(&(derived as u64).to_le_bytes());
+    for walk in [lineage.clone(), engine.forward_lineage(raw)] {
+        h.update(&(walk.len() as u64).to_le_bytes());
+        for g in &walk {
+            h.update(g.as_str().as_bytes());
+            h.update(b"\n");
+        }
+    }
+    h.update(dot.as_bytes());
+    assert_eq!(
+        sha2::hex(&h.finalize()),
+        "89b49f63d37d3f0697aab66cb918145ed61ea1da1e22f71488e4815ddc8562b0"
+    );
 }
 
 #[test]
