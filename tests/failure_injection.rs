@@ -252,75 +252,6 @@ fn torn_tmp_prefix_is_salvaged_by_merge() {
 }
 
 #[test]
-fn fault_sweep_merge_always_recovers_committed_subgraphs() {
-    // FaultPlan sweep across crash points and torn-write lengths: whatever
-    // happens to rank 1, the merge recovers every committed sub-graph in
-    // full, salvages what it can of the torn one, and never reports a
-    // committed file corrupt.
-    let ops = [
-        FaultOp::CreateFile,
-        FaultOp::WriteAt,
-        FaultOp::TruncateIno,
-        FaultOp::Rename,
-    ];
-    for (i, &op) in ops.iter().enumerate() {
-        for &keep in &[0u64, 1, 80, 400, 4096] {
-            let ctx = format!("op={op:?} keep={keep}");
-            let cluster = Cluster::new();
-            let cfg = ProvIoConfig::default()
-                .with_format(RdfFormat::NTriples)
-                .shared();
-            for pid in [0u32, 1, 2] {
-                let (_s, h5) =
-                    cluster.process(pid, "alice", "prog", VirtualClock::new(), Some(&cfg));
-                let f = h5.create_file(&format!("/rank{pid}.h5")).unwrap();
-                h5.close_file(f).unwrap();
-            }
-            // Rank 1 dies mid-serialization; ranks 0 and 2 commit cleanly.
-            let plan = FaultPlan::new(1000 + i as u64);
-            plan.add_rule(FaultRule::crash(op).on_path("prov_p1.nt").torn(keep));
-            cluster.fs.install_faults(plan);
-            let summaries = cluster.registry.finish_all();
-            let crashed = &summaries.iter().find(|(p, _)| *p == 1).unwrap().1;
-            assert_eq!(crashed.store_bytes, 0, "{ctx}");
-            assert!(crashed.degraded, "{ctx}");
-            assert_eq!(crashed.last_error.as_deref(), Some("ESIMCRASH"), "{ctx}");
-            cluster.fs.clear_faults(); // the merge runs on a healthy reader
-
-            let (graph, report) = merge_directory(&cluster.fs, "/provio");
-            let engine = ProvQueryEngine::new(graph);
-            for pid in [0u32, 2] {
-                assert!(
-                    engine.entity_by_label(&format!("/rank{pid}.h5")).is_some(),
-                    "{ctx}: committed sub-graph of rank {pid} fully recovered"
-                );
-            }
-            // A torn file can only ever be the crashed rank's tmp; merge
-            // must never find a committed file unreadable.
-            for c in &report.corrupt {
-                assert!(c.ends_with(".tmp"), "{ctx}: committed file torn: {c}");
-            }
-            if op == FaultOp::WriteAt && keep >= 400 {
-                // A mid-file tear salvages a prefix; a tear past the end
-                // of the serialization leaves a complete, adoptable tmp.
-                assert!(
-                    report.salvaged_triples > 0
-                        || engine.entity_by_label("/rank1.h5").is_some(),
-                    "{ctx}: torn prefix long enough to salvage"
-                );
-            }
-            if op == FaultOp::Rename {
-                // tmp was fully serialized; adoption recovers rank 1 whole.
-                assert!(
-                    engine.entity_by_label("/rank1.h5").is_some(),
-                    "{ctx}: complete orphan tmp adopted"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn partial_subgraph_from_periodic_flush_is_usable() {
     // With the periodic policy, intermediate flushes leave a readable
     // sub-graph even before finish.
