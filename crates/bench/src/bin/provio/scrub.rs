@@ -115,7 +115,7 @@ pub fn main(argv: Vec<String>) -> Outcome {
     if let Some(audited) = &out.verify {
         println!("{audited}");
     }
-    println!("{}", out.report);
+    println!("{}", out.report());
 
     let trusted = out.verify.is_none_or(|audited| audited.is_trusted());
     if trusted && out.scrub.fully_repaired() {

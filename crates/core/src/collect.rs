@@ -91,14 +91,8 @@ struct CollectorInner {
     /// A crashed aggregator acks nothing and remembers nothing until
     /// [`Collector::resync`] rebuilds it from the rank-durable stores.
     crashed: bool,
-    received: u64,
-    duplicates: u64,
-    out_of_order: u64,
-    refused: u64,
-    streamed_triples: u64,
-    crashes: u64,
-    resyncs: u64,
-    resync_triples: u64,
+    /// Delivery accounting; `live_triples` is read off `graph` instead.
+    counts: DeliveryReport,
 }
 
 /// The aggregator end of the streaming pipeline. Shared by every rank's
@@ -181,17 +175,17 @@ impl Collector {
     fn deliver(&self, rank: u32, seq: u64, batch: &Arc<Vec<Triple>>) -> bool {
         let mut inner = self.inner.lock();
         if inner.crashed {
-            inner.refused += 1;
+            inner.counts.refused_batches += 1;
             return false;
         }
-        inner.received += 1;
+        inner.counts.received_batches += 1;
         match inner.windows.entry(rank).or_default().admit(seq) {
             Admit::Duplicate => {
-                inner.duplicates += 1;
+                inner.counts.duplicate_batches += 1;
             }
             Admit::Fresh { out_of_order } => {
                 if out_of_order {
-                    inner.out_of_order += 1;
+                    inner.counts.out_of_order_batches += 1;
                 }
                 inner.staged.push(Arc::clone(batch));
             }
@@ -205,7 +199,7 @@ impl Collector {
         for batch in std::mem::take(&mut inner.staged) {
             for t in batch.iter() {
                 if inner.graph.insert(t) {
-                    inner.streamed_triples += 1;
+                    inner.counts.streamed_triples += 1;
                 }
             }
         }
@@ -217,7 +211,7 @@ impl Collector {
     pub fn crash(&self) {
         let mut inner = self.inner.lock();
         inner.crashed = true;
-        inner.crashes += 1;
+        inner.counts.crashes += 1;
         inner.graph = Graph::new();
         inner.staged.clear();
         inner.windows.clear();
@@ -243,8 +237,8 @@ impl Collector {
         }
         inner.windows.clear();
         inner.crashed = false;
-        inner.resyncs += 1;
-        inner.resync_triples += recovered as u64;
+        inner.counts.resyncs += 1;
+        inner.counts.resync_triples += recovered as u64;
         (recovered, report)
     }
 
@@ -272,15 +266,8 @@ impl Collector {
         let mut inner = self.inner.lock();
         Self::fold(&mut inner);
         DeliveryReport {
-            received_batches: inner.received,
-            duplicate_batches: inner.duplicates,
-            out_of_order_batches: inner.out_of_order,
-            refused_batches: inner.refused,
-            streamed_triples: inner.streamed_triples,
             live_triples: inner.graph.len() as u64,
-            crashes: inner.crashes,
-            resyncs: inner.resyncs,
-            resync_triples: inner.resync_triples,
+            ..inner.counts
         }
     }
 }

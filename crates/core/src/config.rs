@@ -412,13 +412,6 @@ impl ProvIoConfig {
         self
     }
 
-    /// Bound the rank-side send buffer, in batches (0 = unbounded; see
-    /// [`ProvIoConfig::net_buffer`]).
-    pub fn with_net_buffer(mut self, batches: u64) -> Self {
-        self.net_buffer = batches;
-        self
-    }
-
     /// Enable parity protection with the given group width (`group` is
     /// clamped up to 1; see [`ProvIoConfig::parity_group`]). Parity is
     /// only meaningful over framed commits, so callers should also arm
@@ -897,12 +890,9 @@ mod tests {
         assert_eq!(c.net_timeout_ns, DEFAULT_NET_TIMEOUT_NS);
         assert_eq!(c.net_buffer, DEFAULT_NET_BUFFER);
 
-        let c = ProvIoConfig::default()
-            .with_net(true, 5_000_000)
-            .with_net_buffer(8);
+        let c = ProvIoConfig::default().with_net(true, 5_000_000);
         assert!(c.net);
         assert_eq!(c.net_timeout_ns, 5_000_000);
-        assert_eq!(c.net_buffer, 8);
         // The builder clamps a nonsensical timeout instead of storing 0.
         assert_eq!(ProvIoConfig::default().with_net(true, 0).net_timeout_ns, 1);
 

@@ -20,7 +20,7 @@
 //! | I3 | **bounded loss** — each rank loses at most `wal_group` unflushed records (plus, for a dropped journal append, the records journaled behind the hole) |
 //! | I4 | **no innocent quarantine** — a pure crash never quarantines a file or reports unrecoverable/ unusable parity members |
 //! | I5 | **atomic trust artifacts** — the manifest and ledger are old-or-new: any `Tampered` verdict, or a present-but-unverifiable manifest, is a protocol bug |
-//! | I6 | **idempotent recovery** — a second recovery pass yields a byte-identical directory, an equal `RunReport`, and the same graph |
+//! | I6 | **idempotent recovery** — a second recovery pass yields a byte-identical directory, an equal `RunReport` (whole tier reports, paths included), and the same graph |
 //! | I7 | **non-destructive** — recovery of a pure crash state leaves the disk byte-identical (repair and quarantine exist for rot and tamper, which a crash cannot produce) |
 //!
 //! A violation carries the failing [`CrashState`]; the report's
@@ -359,13 +359,13 @@ pub fn check_recovered(
             ),
         );
     }
-    if d0 == d1 && out1.report != out2.report {
+    let (report1, report2) = (out1.report(), out2.report());
+    if d0 == d1 && report1 != report2 {
         fail(
             "idempotent-recovery",
             format!(
                 "RunReport changed between passes over an unchanged disk:\n  \
-                 pass 1: {:?}\n  pass 2: {:?}",
-                out1.report, out2.report
+                 pass 1: {report1:?}\n  pass 2: {report2:?}"
             ),
         );
     }

@@ -57,7 +57,7 @@ pub use merge::merge_directory;
 pub use recover::{recover_all, RecoveryOutcome};
 pub use report::{doctor, DoctorReport, RankCrash, RunReport};
 pub use scrub::{repairable_paths, scrub_directory, ScrubReport};
-pub use store::{BreakerState, ProvenanceStore};
+pub use store::{BreakerState, ProvenanceStore, StoreStats};
 pub use tracker::{IoEvent, ObjectDesc, ProvTracker, TrackSummary, TrackerRegistry};
 pub use verify::{
     quarantine_tampered, verify_directory, FileCheck, FileVerdict, VerifyReport,

@@ -34,7 +34,7 @@ use crate::scrub::{scrub_directory, ScrubReport};
 use crate::verify::{quarantine_tampered, verify_directory, VerifyReport};
 
 /// Everything one recovery pass produced: the merged graph plus every
-/// tier's report, folded into one [`RunReport`].
+/// tier's report, joined on demand by [`RecoveryOutcome::report`].
 #[derive(Debug)]
 pub struct RecoveryOutcome {
     /// The merged provenance graph.
@@ -48,8 +48,20 @@ pub struct RecoveryOutcome {
     pub verify: Option<VerifyReport>,
     /// Files moved to `.quarantine` by the post-verify sweep.
     pub quarantined: Vec<String>,
-    /// The joined accounting across all stages.
-    pub report: RunReport,
+}
+
+impl RecoveryOutcome {
+    /// The joined accounting across all stages: every sub-graph the merge
+    /// found is one it was expected to find.
+    pub fn report(&self) -> RunReport {
+        RunReport {
+            expected_subgraphs: self.merge.files,
+            merge: self.merge.clone(),
+            scrub: self.scrub.clone(),
+            verify: self.verify.clone(),
+            ..RunReport::default()
+        }
+    }
 }
 
 /// Run the full recovery pipeline over `dir`: scrub, merge, and — when
@@ -63,19 +75,12 @@ pub fn recover_all(fs: &Arc<FileSystem>, dir: &str, key: Option<&str>) -> Recove
     let quarantined = verify
         .as_ref()
         .map_or_else(Vec::new, |audit| quarantine_tampered(fs, audit));
-    let mut report = RunReport::default();
-    report.attach_scrub(&scrub);
-    report.attach_merge(merge.files, &merge);
-    if let Some(audit) = &verify {
-        report.attach_verify(audit);
-    }
     RecoveryOutcome {
         graph,
         scrub,
         merge,
         verify,
         quarantined,
-        report,
     }
 }
 
@@ -113,8 +118,8 @@ mod tests {
         assert!(out.scrub.is_clean());
         assert!(out.verify.is_none());
         assert!(out.quarantined.is_empty());
-        assert_eq!(out.report.merged_triples, 5);
-        assert!(out.report.is_complete());
+        assert_eq!(out.report().merge.triples, 5);
+        assert!(out.report().is_complete());
     }
 
     #[test]
@@ -127,7 +132,7 @@ mod tests {
 
         let first = recover_all(&fs, "/prov", None);
         let second = recover_all(&fs, "/prov", None);
-        assert_eq!(first.report, second.report);
+        assert_eq!(first.report(), second.report());
         assert_eq!(first.graph.len(), second.graph.len());
     }
 }

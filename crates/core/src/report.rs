@@ -40,7 +40,8 @@ pub struct RankCrash {
 }
 
 /// Joined view of a run: which ranks finished, and how much of the
-/// provenance they produced survived into the merged graph.
+/// provenance they produced survived into the merged graph. The tier
+/// reports are held whole, not copied field by field.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Ranks the run started with.
@@ -52,52 +53,12 @@ pub struct RunReport {
     /// of surviving ranks, or the world size when crashed ranks' partial
     /// stores are also salvageable).
     pub expected_subgraphs: usize,
-    /// Sub-graph files that actually contributed triples.
-    pub recovered_subgraphs: usize,
-    /// Triples in the merged graph.
-    pub merged_triples: usize,
-    /// Triples recovered from the valid prefix of torn files.
-    pub salvaged_triples: usize,
-    /// Files with unrecoverable content (legacy files yielding nothing,
-    /// framed files with failed CRC batches).
-    pub corrupt_files: usize,
-    /// Framed files whose identity failed verification and were quarantined
-    /// by the merge.
-    pub quarantined_files: usize,
-    /// Discontinuities detected in the per-store frame chains.
-    pub chain_breaks: u64,
-    /// Triples recovered from per-rank write-ahead journals: records that
-    /// were journaled but never covered by a committed snapshot or segment
-    /// (the writer crashed or shed flushes). With the journal enabled the
-    /// residual loss for a crashed rank is bounded by its group-commit
-    /// size: at most `wal_group` records ride in the unflushed buffer.
-    pub replayed_triples: usize,
-    /// Journal generation files whose torn or bit-rotted tail was truncated
-    /// at the last verified chunk before replay.
-    pub wal_tails_truncated: u64,
-    /// Files whose content root matched the signed run manifest.
-    pub verified_files: usize,
-    /// Files (or trust artifacts) `verify` condemned as tampered:
-    /// internally consistent but not what was signed.
-    pub tampered_files: usize,
-    /// Files no signed manifest covers (pre-manifest legacy runs, or a
-    /// manifest that failed its own signature).
-    pub unsigned_files: usize,
-    /// Manifest files `verify` found listed but absent on disk.
-    pub missing_files: usize,
-    /// Did the run manifest parse and verify under the campaign key?
-    /// `None` until a [`VerifyReport`] is attached (no verify pass ran).
-    pub manifest_ok: Option<bool>,
-    /// Did the campaign ledger seal this run's manifest?
-    pub ledger_ok: bool,
-    /// Files a scrub pass restored byte-identical from parity (damaged or
-    /// missing group members, plus quarantined copies restored for free).
-    pub scrub_repaired_files: usize,
-    /// CRC batches (or journal chunks) that verify again after repair.
-    pub scrub_repaired_batches: u64,
-    /// Member paths lost beyond parity tolerance: the merge-time loss
-    /// accounting (salvage, quarantine, truncation) stands for these.
-    pub scrub_unrecoverable: usize,
+    /// What the merge recovered, salvaged, replayed and quarantined.
+    pub merge: MergeReport,
+    /// What parity repair fixed, and what stayed lost beyond tolerance.
+    pub scrub: ScrubReport,
+    /// The trust audit; `None` until [`Self::attach_verify`] runs.
+    pub verify: Option<VerifyReport>,
     /// Store commit attempts retried after a transient failure, summed
     /// over ranks (from [`TrackSummary::flush_retries`]). Non-zero with
     /// `degraded == false` means the retry policy absorbed real trouble.
@@ -141,25 +102,13 @@ impl RunReport {
     /// what the merge actually recovered.
     pub fn attach_merge(&mut self, expected_subgraphs: usize, report: &MergeReport) {
         self.expected_subgraphs = expected_subgraphs;
-        self.recovered_subgraphs = report.files;
-        self.merged_triples = report.triples;
-        self.salvaged_triples = report.salvaged_triples;
-        self.corrupt_files = report.corrupt.len();
-        self.quarantined_files = report.quarantined.len();
-        self.chain_breaks = report.chain_breaks;
-        self.replayed_triples = report.replayed_triples;
-        self.wal_tails_truncated = report.wal_tails_truncated;
+        self.merge = report.clone();
     }
 
     /// Attach a post-run `verify` pass: what the signed manifest and the
     /// campaign ledger say about the files the merge consumed.
     pub fn attach_verify(&mut self, report: &VerifyReport) {
-        self.verified_files = report.count(FileVerdict::Verified);
-        self.tampered_files = report.count(FileVerdict::Tampered);
-        self.unsigned_files = report.count(FileVerdict::Unsigned);
-        self.missing_files = report.count(FileVerdict::Missing);
-        self.manifest_ok = Some(report.manifest_present && report.manifest_ok);
-        self.ledger_ok = report.ledger_ok;
+        self.verify = Some(report.clone());
     }
 
     /// Attach a scrub pass: what the parity redundancy repaired before
@@ -169,9 +118,7 @@ impl RunReport {
     /// An unusable parity file is lost redundancy, not lost data: the
     /// members themselves still verify, so it never costs completeness.
     pub fn attach_scrub(&mut self, report: &ScrubReport) {
-        self.scrub_repaired_files = report.repaired_files.len();
-        self.scrub_repaired_batches = report.repaired_batches;
-        self.scrub_unrecoverable = report.unrecoverable.len();
+        self.scrub = report.clone();
     }
 
     /// Attach per-rank tracking summaries: flush-retry counts always,
@@ -209,7 +156,7 @@ impl RunReport {
     /// Fraction of expected sub-graphs recovered, in `[0, 1]`.
     pub fn completeness(&self) -> f64 {
         let expected = self.expected_subgraphs.max(1) as f64;
-        (self.recovered_subgraphs as f64 / expected).min(1.0)
+        (self.merge.files as f64 / expected).min(1.0)
     }
 
     /// True when nothing was lost: no crashes, no unrecoverable or
@@ -217,46 +164,44 @@ impl RunReport {
     /// sub-graph present.
     pub fn is_complete(&self) -> bool {
         self.crashed.is_empty()
-            && self.corrupt_files == 0
-            && self.quarantined_files == 0
-            && self.chain_breaks == 0
-            && self.scrub_unrecoverable == 0
-            && self.recovered_subgraphs >= self.expected_subgraphs
+            && self.merge.corrupt.is_empty()
+            && self.merge.quarantined.is_empty()
+            && self.merge.chain_breaks == 0
+            && self.scrub.unrecoverable.is_empty()
+            && self.merge.files >= self.expected_subgraphs
     }
 
-    /// True when the attached verify pass vouched for the run: the manifest
-    /// signed, the ledger sealed, nothing tampered or missing. Orthogonal
-    /// to [`Self::is_complete`] — damage costs completeness but not trust,
-    /// and a tampered file can merge "cleanly" yet be untrusted. `false`
-    /// until [`Self::attach_verify`] runs.
+    /// True when the attached verify pass vouched for the run (see
+    /// [`VerifyReport::is_trusted`]). Orthogonal to [`Self::is_complete`]
+    /// — damage costs completeness but not trust, and a tampered file can
+    /// merge "cleanly" yet be untrusted. `false` until
+    /// [`Self::attach_verify`] runs.
     pub fn is_trusted(&self) -> bool {
-        self.manifest_ok == Some(true)
-            && self.ledger_ok
-            && self.tampered_files == 0
-            && self.missing_files == 0
+        self.verify.as_ref().is_some_and(VerifyReport::is_trusted)
     }
 }
 
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let merge = &self.merge;
         write!(
             f,
             "run: {}/{} ranks survived; {}/{} sub-graphs recovered \
              ({:.1}% complete), {} triples merged, {} salvaged, {} replayed \
              from journals, {} files lost, {} quarantined, {} chain breaks, \
              {} journal tails truncated",
-            self.world_size as usize - self.crashed.len(),
+            self.surviving_ranks().len(),
             self.world_size,
-            self.recovered_subgraphs,
+            merge.files,
             self.expected_subgraphs,
             self.completeness() * 100.0,
-            self.merged_triples,
-            self.salvaged_triples,
-            self.replayed_triples,
-            self.corrupt_files,
-            self.quarantined_files,
-            self.chain_breaks,
-            self.wal_tails_truncated,
+            merge.triples,
+            merge.salvaged_triples,
+            merge.replayed_triples,
+            merge.corrupt.len(),
+            merge.quarantined.len(),
+            merge.chain_breaks,
+            merge.wal_tails_truncated,
         )?;
         if self.flush_retries > 0 {
             write!(f, ", {} flush retries absorbed", self.flush_retries)?;
@@ -281,32 +226,37 @@ impl fmt::Display for RunReport {
                 delivery.resync_triples,
             )?;
         }
-        if self.scrub_repaired_files > 0 || self.scrub_unrecoverable > 0 {
+        let scrub = &self.scrub;
+        if !scrub.repaired_files.is_empty() || !scrub.unrecoverable.is_empty() {
             write!(
                 f,
                 "; scrub: {} files repaired ({} batches), {} unrecoverable",
-                self.scrub_repaired_files,
-                self.scrub_repaired_batches,
-                self.scrub_unrecoverable,
+                scrub.repaired_files.len(),
+                scrub.repaired_batches,
+                scrub.unrecoverable.len(),
             )?;
         }
-        match self.manifest_ok {
+        match &self.verify {
             None => write!(f, "; trust: unverified"),
-            Some(signed) => write!(
+            Some(audit) => write!(
                 f,
                 "; trust: {} — {} verified, {} tampered, {} missing, \
                  {} unsigned, manifest {}, ledger {}",
-                if self.is_trusted() {
+                if audit.is_trusted() {
                     "TRUSTED"
                 } else {
                     "NOT TRUSTED"
                 },
-                self.verified_files,
-                self.tampered_files,
-                self.missing_files,
-                self.unsigned_files,
-                if signed { "signed" } else { "untrusted" },
-                if self.ledger_ok { "sealed" } else { "broken" },
+                audit.count(FileVerdict::Verified),
+                audit.count(FileVerdict::Tampered),
+                audit.count(FileVerdict::Missing),
+                audit.count(FileVerdict::Unsigned),
+                if audit.manifest_present && audit.manifest_ok {
+                    "signed"
+                } else {
+                    "untrusted"
+                },
+                if audit.ledger_ok { "sealed" } else { "broken" },
             ),
         }
     }
@@ -481,14 +431,7 @@ mod tests {
         MergeReport {
             files,
             triples,
-            corrupt: Vec::new(),
-            recovered: Vec::new(),
-            salvaged_triples: 0,
-            quarantined: Vec::new(),
-            salvaged_batches: 0,
-            chain_breaks: 0,
-            replayed_triples: 0,
-            wal_tails_truncated: 0,
+            ..MergeReport::default()
         }
     }
 
@@ -518,7 +461,7 @@ mod tests {
             ..ScrubReport::default()
         };
         r.attach_scrub(&u);
-        assert_eq!(r.scrub_unrecoverable, 0);
+        assert!(r.scrub.unrecoverable.is_empty());
         assert!(r.is_complete(), "{r}");
     }
 
@@ -528,14 +471,14 @@ mod tests {
         quarantined.quarantined.push("/provio/evil.nt".into());
         let mut r = RunReport::new(4);
         r.attach_merge(4, &quarantined);
-        assert_eq!(r.quarantined_files, 1);
+        assert_eq!(r.merge.quarantined.len(), 1);
         assert!(!r.is_complete(), "a quarantined file is lost provenance");
 
         let mut broken = merge_report(4, 100);
         broken.chain_breaks = 2;
         let mut r = RunReport::new(4);
         r.attach_merge(4, &broken);
-        assert_eq!(r.chain_breaks, 2);
+        assert_eq!(r.merge.chain_breaks, 2);
         assert!(!r.is_complete(), "a chain break is lost history");
         let line = r.to_string();
         assert!(line.contains("2 chain breaks"), "display: {line}");
@@ -598,7 +541,7 @@ mod tests {
         report.attach_merge(7, &merge_report(7, 420));
         assert_eq!(report.completeness(), 1.0);
         assert!(!report.is_complete()); // a rank still crashed
-        assert_eq!(report.merged_triples, 420);
+        assert_eq!(report.merge.triples, 420);
 
         // Only 6 of 8 expected recovered.
         report.attach_merge(8, &merge_report(6, 360));
@@ -623,8 +566,8 @@ mod tests {
         merged.wal_tails_truncated = 1;
         let mut r = RunReport::new(4);
         r.attach_merge(4, &merged);
-        assert_eq!(r.replayed_triples, 7);
-        assert_eq!(r.wal_tails_truncated, 1);
+        assert_eq!(r.merge.replayed_triples, 7);
+        assert_eq!(r.merge.wal_tails_truncated, 1);
         let line = r.to_string();
         assert!(line.contains("7 replayed"), "display: {line}");
         assert!(line.contains("1 journal tails truncated"), "display: {line}");
@@ -720,8 +663,7 @@ mod tests {
         };
         r.attach_verify(&v);
         assert!(r.is_trusted() && r.is_complete());
-        assert_eq!(r.verified_files, 2);
-        assert!(r.to_string().contains("trust: TRUSTED"), "{r}");
+        assert!(r.to_string().contains("trust: TRUSTED — 2 verified"), "{r}");
 
         // One tampered file: the merge saw nothing wrong (the forgery is
         // internally consistent), so the run stays complete — but trust is
@@ -730,9 +672,11 @@ mod tests {
         r.attach_verify(&v);
         assert!(r.is_complete(), "a CRC-patched forgery merges cleanly");
         assert!(!r.is_trusted());
-        assert_eq!((r.verified_files, r.tampered_files), (1, 1));
         let line = r.to_string();
-        assert!(line.contains("NOT TRUSTED") && line.contains("1 tampered"), "{line}");
+        assert!(
+            line.contains("NOT TRUSTED — 1 verified, 1 tampered"),
+            "{line}"
+        );
 
         // A legacy unsigned run: honest, but never trusted.
         let legacy = VerifyReport {
@@ -745,8 +689,23 @@ mod tests {
         };
         r.attach_verify(&legacy);
         assert!(!r.is_trusted());
-        assert_eq!(r.unsigned_files, 1);
-        assert!(r.to_string().contains("manifest untrusted"), "{r}");
+        let line = r.to_string();
+        assert!(line.contains("1 unsigned, manifest untrusted"), "{line}");
+    }
+
+    #[test]
+    fn crashes_outside_the_world_do_not_underflow_the_survivor_count() {
+        let crash = |rank| RankOutcome::<()>::Crashed {
+            rank,
+            phase: "write".into(),
+            cause: "ESIMCRASH".into(),
+        };
+        let mut r = RunReport::new(2);
+        r.record_outcomes(&[crash(5)]);
+        assert!(r.to_string().starts_with("run: 2/2 ranks survived"), "{r}");
+        let mut r = RunReport::default();
+        r.record_outcomes(&[crash(0)]);
+        assert!(r.to_string().starts_with("run: 0/0 ranks survived"), "{r}");
     }
 
     #[test]

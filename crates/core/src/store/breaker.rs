@@ -3,7 +3,7 @@
 use provio_simrt::{SimDuration, SimTime};
 
 /// Externally visible circuit-breaker state (surfaced via
-/// `ProvenanceStore::breaker_state` and `TrackSummary`).
+/// `ProvenanceStore::stats` and `TrackSummary`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Flushes flow normally.

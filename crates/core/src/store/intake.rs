@@ -158,12 +158,9 @@ impl InFlight {
         }
     }
 
-    pub(super) fn depth(&self) -> u64 {
-        self.counts.lock().queued_pushes
-    }
-
-    pub(super) fn shed(&self) -> (u64, u64) {
+    /// Push batches waiting now, and the batches and triples shed so far.
+    pub(super) fn counts(&self) -> (u64, u64, u64) {
         let c = self.counts.lock();
-        (c.shed_batches, c.shed_triples)
+        (c.queued_pushes, c.shed_batches, c.shed_triples)
     }
 }

@@ -695,6 +695,58 @@ impl Inner {
     }
 }
 
+/// A store's counters at one instant ([`ProvenanceStore::stats`]). The
+/// journal and parity counters are 0 with their plane off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreStats {
+    /// The last flush failed: the graph is kept in memory, its bytes are
+    /// not durable.
+    pub degraded: bool,
+    /// The most recent flush error, if any (survives a later success, as a
+    /// record of retried trouble).
+    pub last_error: Option<FsError>,
+    /// Flushes dropped after retry exhaustion, permanent error, or crash.
+    pub dropped_flushes: u64,
+    /// Commit attempts retried after a transient failure — visible even
+    /// when every flush eventually succeeded and `degraded` never flipped.
+    pub flush_retries: u64,
+    /// Live (committed, not yet compacted) delta segments.
+    pub segments: usize,
+    /// Triples pushed so far (pre-dedup, including shed batches).
+    pub triples_pushed: u64,
+    /// Push batches waiting in the async intake queue; never above its
+    /// capacity.
+    pub queue_depth: u64,
+    /// Batches dropped by the `Shed` overload policy.
+    pub shed_batches: u64,
+    /// Triples inside those shed batches.
+    pub shed_triples: u64,
+    /// Current circuit-breaker state.
+    pub breaker_state: BreakerState,
+    /// Times the breaker tripped open (including failed half-open probes).
+    pub breaker_trips: u64,
+    /// Periodic flushes skipped because the breaker was open. Skipped is
+    /// not lost: the triples stay above the watermark.
+    pub breaker_skipped: u64,
+    /// Records durably group-committed to the write-ahead journal.
+    pub wal_records: u64,
+    /// Successful journal appends (each covers every chunk then buffered).
+    pub wal_commits: u64,
+    /// Journal generations retired after successful flushes.
+    pub wal_recycles: u64,
+    /// Journal appends that failed and left their records buffered for a
+    /// retry at the next group boundary.
+    pub wal_failed_appends: u64,
+    /// Journal records accepted but not yet group-committed — the exposure
+    /// window, never more than one group unless appends are failing.
+    pub wal_buffered: u64,
+    /// Parity files sealed over the store's lifetime (both planes;
+    /// compaction and recycling may have retired some since).
+    pub parity_seals: u64,
+    /// Parity seal attempts that failed (coverage lost, run unaffected).
+    pub parity_failed: u64,
+}
+
 /// A per-process provenance sink.
 pub struct ProvenanceStore {
     inner: Arc<Inner>,
@@ -871,8 +923,8 @@ impl ProvenanceStore {
     /// [`Self::flush`] and [`Self::finish`] bill retry backoff to is not
     /// read here. Either way only the state lock is taken, so a concurrent
     /// flush doing file I/O never stalls a push. `triples_pushed` counts
-    /// every batch *offered*, shed or not; [`Self::shed_triples`] says how
-    /// many of those never landed.
+    /// every batch *offered*, shed or not; `shed_triples` says how many of
+    /// those never landed (see [`Self::stats`]).
     pub fn push(&self, triples: Vec<Triple>, _charge: Option<&VirtualClock>) {
         self.intake(triples, true);
     }
@@ -929,8 +981,7 @@ impl ProvenanceStore {
 
     /// Final flush; blocks until the sub-graph is durable as one compacted
     /// snapshot (all delta segments folded in and removed) and returns its
-    /// size in bytes (0 if the store is degraded — see [`Self::degraded`] /
-    /// [`Self::last_error`]).
+    /// size in bytes (0 if the store is degraded — see [`Self::stats`]).
     pub fn finish(&self, charge: Option<&VirtualClock>) -> u64 {
         let rendered = self.render_final();
         self.commit_final(rendered, charge)
@@ -964,26 +1015,44 @@ impl ProvenanceStore {
         self.inner.finish_now(&mut io, rendered, charge)
     }
 
+    /// Every counter of the store, read in one pass: the intake queue's,
+    /// then the flush path's under one io lock.
+    pub fn stats(&self) -> StoreStats {
+        let (queue_depth, shed_batches, shed_triples) = self.in_flight.counts();
+        let io = self.inner.io.lock();
+        let journal = |stat: fn(&Journal) -> u64| io.journal.as_ref().map_or(0, stat);
+        let parity = |stat: fn(&Parity) -> u64| io.parity.as_ref().map_or(0, stat);
+        StoreStats {
+            degraded: io.degraded,
+            last_error: io.last_error,
+            dropped_flushes: io.dropped_flushes,
+            flush_retries: io.flush_retries,
+            segments: io.segments.live.len(),
+            triples_pushed: self.triples_pushed.load(Ordering::Relaxed),
+            queue_depth,
+            shed_batches,
+            shed_triples,
+            breaker_state: io.breaker.state(),
+            breaker_trips: io.breaker.trips,
+            breaker_skipped: io.breaker.skipped,
+            wal_records: journal(|j| j.records),
+            wal_commits: journal(|j| j.commits),
+            wal_recycles: journal(|j| j.recycles),
+            wal_failed_appends: journal(|j| j.failed_appends),
+            wal_buffered: journal(Journal::buffered),
+            parity_seals: parity(|p| p.seals),
+            parity_failed: parity(|p| p.failed),
+        }
+    }
+
     /// Did the last flush fail (graph kept in memory, bytes not durable)?
     pub fn degraded(&self) -> bool {
-        self.inner.io.lock().degraded
+        self.stats().degraded
     }
 
-    /// The most recent flush error, if any (survives a later success, as a
-    /// record of retried trouble).
-    pub fn last_error(&self) -> Option<FsError> {
-        self.inner.io.lock().last_error
-    }
-
-    /// Flushes dropped after retry exhaustion, permanent error, or crash.
-    pub fn dropped_flushes(&self) -> u64 {
-        self.inner.io.lock().dropped_flushes
-    }
-
-    /// Commit attempts retried after a transient failure — visible even
-    /// when every flush eventually succeeded and `degraded` never flipped.
-    pub fn flush_retries(&self) -> u64 {
-        self.inner.io.lock().flush_retries
+    /// Records durably group-committed to the write-ahead journal.
+    pub fn wal_records(&self) -> u64 {
+        self.stats().wal_records
     }
 
     /// Force the journal tail out regardless of the group boundary, so
@@ -1008,80 +1077,6 @@ impl ProvenanceStore {
         self.fs.stat(&self.path).map(|m| m.size).unwrap_or(0)
     }
 
-    /// Live (committed, not yet compacted) delta segments.
-    pub fn segment_count(&self) -> usize {
-        self.inner.io.lock().segments.live.len()
-    }
-
-    /// Triples pushed so far (pre-dedup, including shed batches).
-    pub fn triples_pushed(&self) -> u64 {
-        self.triples_pushed.load(Ordering::Relaxed)
-    }
-
-    /// Push batches currently waiting in the async intake queue. Never
-    /// exceeds the configured capacity.
-    pub fn queue_depth(&self) -> u64 {
-        self.in_flight.depth()
-    }
-
-    /// Batches dropped by the `Shed` overload policy.
-    pub fn shed_batches(&self) -> u64 {
-        self.in_flight.shed().0
-    }
-
-    /// Triples inside those shed batches.
-    pub fn shed_triples(&self) -> u64 {
-        self.in_flight.shed().1
-    }
-
-    /// Current circuit-breaker state.
-    pub fn breaker_state(&self) -> BreakerState {
-        self.inner.io.lock().breaker.state()
-    }
-
-    /// Times the breaker tripped open (including failed half-open probes).
-    pub fn breaker_trips(&self) -> u64 {
-        self.inner.io.lock().breaker.trips
-    }
-
-    /// Periodic flushes skipped because the breaker was open. Skipped is
-    /// not lost: the triples stay above the watermark.
-    pub fn breaker_skipped(&self) -> u64 {
-        self.inner.io.lock().breaker.skipped
-    }
-
-    /// One of the journal's counters; 0 with the journal off.
-    fn journal_stat(&self, stat: impl Fn(&Journal) -> u64) -> u64 {
-        self.inner.io.lock().journal.as_ref().map_or(0, stat)
-    }
-
-    /// Records durably group-committed to the write-ahead journal.
-    pub fn wal_records(&self) -> u64 {
-        self.journal_stat(|j| j.records)
-    }
-
-    /// Successful journal appends (each covers every chunk then buffered).
-    pub fn wal_commits(&self) -> u64 {
-        self.journal_stat(|j| j.commits)
-    }
-
-    /// Journal generations retired after successful flushes.
-    pub fn wal_recycles(&self) -> u64 {
-        self.journal_stat(|j| j.recycles)
-    }
-
-    /// Journal appends that failed and left their records buffered for a
-    /// retry at the next group boundary.
-    pub fn wal_failed_appends(&self) -> u64 {
-        self.journal_stat(|j| j.failed_appends)
-    }
-
-    /// Journal records accepted but not yet group-committed — the exposure
-    /// window, never more than one group unless appends are failing.
-    pub fn wal_buffered(&self) -> u64 {
-        self.journal_stat(Journal::buffered)
-    }
-
     /// Commit-time Merkle roots of the framed files this store currently
     /// has on disk, as `(path, committed bytes, root)`. The sealing pass
     /// ([`crate::verify::seal_run_with_roots`]) uses these to sign a run
@@ -1093,17 +1088,6 @@ impl ProvenanceStore {
             .iter()
             .map(|(p, &(n, r))| (p.clone(), n, r))
             .collect()
-    }
-
-    /// Parity files sealed over this store's lifetime (both planes;
-    /// compaction/recycle may have since retired some).
-    pub fn parity_seals(&self) -> u64 {
-        self.inner.io.lock().parity.as_ref().map_or(0, |p| p.seals)
-    }
-
-    /// Parity seal attempts that failed (coverage lost, run unaffected).
-    pub fn parity_failed(&self) -> u64 {
-        self.inner.io.lock().parity.as_ref().map_or(0, |p| p.failed)
     }
 
     /// Sealed parity files currently live on disk, commit plane first.
@@ -1172,7 +1156,7 @@ mod tests {
         let (g, _) = turtle::parse(&text).unwrap();
         assert_eq!(g.len(), 5);
         assert!(!st.degraded());
-        assert_eq!(st.last_error(), None);
+        assert_eq!(st.stats().last_error, None);
     }
 
     #[test]
@@ -1187,7 +1171,7 @@ mod tests {
         let text = String::from_utf8(fs_read(&fs, "/prov/p2.nt")).unwrap();
         let g = ntriples::parse(&text).unwrap();
         assert_eq!(g.len(), 100);
-        assert_eq!(st.triples_pushed(), 200);
+        assert_eq!(st.stats().triples_pushed, 200);
     }
 
     #[test]
@@ -1225,7 +1209,11 @@ mod tests {
         assert!(st.commit_final(rendered, None) > 0);
         let (merged, report) = crate::merge::merge_directory(&fs, "/prov");
         assert_eq!(merged.len(), 10);
-        assert_eq!(st.segment_count(), 0, "the final snapshot folded the segment in");
+        assert_eq!(
+            st.stats().segments,
+            0,
+            "the final snapshot folded the segment in"
+        );
         assert!(report.corrupt.is_empty() && report.chain_breaks == 0, "{report:?}");
     }
 
@@ -1293,7 +1281,11 @@ mod tests {
         let bytes = st.finish(Some(&clock));
         assert!(bytes > 0, "two transient failures, third attempt lands");
         assert!(!st.degraded());
-        assert_eq!(st.last_error(), Some(FsError::Io), "retries leave a trace");
+        assert_eq!(
+            st.stats().last_error,
+            Some(FsError::Io),
+            "retries leave a trace"
+        );
         assert_eq!(plan.injected(), 2);
         // Exponential backoff charged to the rank: 1000 + 2000 ns.
         assert!(clock.now().as_nanos() >= 3_000);
@@ -1316,8 +1308,8 @@ mod tests {
         st.push(triples(5), None);
         assert_eq!(st.finish(None), 0);
         assert!(st.degraded(), "flush dropped, state surfaced");
-        assert_eq!(st.last_error(), Some(FsError::NoSpace));
-        assert_eq!(st.dropped_flushes(), 1);
+        assert_eq!(st.stats().last_error, Some(FsError::NoSpace));
+        assert_eq!(st.stats().dropped_flushes, 1);
         // The committed path never appeared; the graph is still in memory.
         assert!(!fs.exists("/prov/pd.nt"));
         // Clearing the fault lets a later flush recover everything.
@@ -1340,14 +1332,14 @@ mod tests {
         st.push(triples(6), None);
         assert_eq!(st.finish(None), 0);
         assert!(st.degraded());
-        assert_eq!(st.last_error(), Some(FsError::Crashed));
+        assert_eq!(st.stats().last_error, Some(FsError::Crashed));
         // The committed path is untouched; the torn prefix sits in tmp.
         assert!(!fs.exists("/prov/pc.nt"));
         assert_eq!(fs.stat("/prov/pc.nt.tmp").unwrap().size, 10);
         // A crashed process never writes again, even after faults clear.
         fs.clear_faults();
         assert_eq!(st.finish(None), 0);
-        assert_eq!(st.dropped_flushes(), 2);
+        assert_eq!(st.stats().dropped_flushes, 2);
         assert!(!fs.exists("/prov/pc.nt"));
     }
 
@@ -1380,12 +1372,12 @@ mod tests {
         st.push(triples_from(0, 3), None);
         st.flush(None); // first flush: full snapshot
         assert!(fs.exists("/prov/ds.nt"));
-        assert_eq!(st.segment_count(), 0);
+        assert_eq!(st.stats().segments, 0);
 
         st.push(triples_from(3, 2), None);
         st.flush(None); // second flush: delta segment 0
         assert!(fs.exists("/prov/ds.nt.d000000.nt"));
-        assert_eq!(st.segment_count(), 1);
+        assert_eq!(st.stats().segments, 1);
         // The snapshot was NOT rewritten: it still holds only 3 triples.
         let snap = String::from_utf8(fs_read(&fs, "/prov/ds.nt")).unwrap();
         assert_eq!(ntriples::parse(&snap).unwrap().len(), 3);
@@ -1395,13 +1387,13 @@ mod tests {
 
         st.push(triples_from(5, 4), None);
         st.flush(None); // delta segment 1
-        assert_eq!(st.segment_count(), 2);
+        assert_eq!(st.stats().segments, 2);
         assert!(fs.exists("/prov/ds.nt.d000001.nt"));
 
         // finish compacts: one snapshot with everything, segments gone.
         let bytes = st.finish(None);
         assert!(bytes > 0);
-        assert_eq!(st.segment_count(), 0);
+        assert_eq!(st.stats().segments, 0);
         assert!(!fs.exists("/prov/ds.nt.d000000.nt"));
         assert!(!fs.exists("/prov/ds.nt.d000001.nt"));
         let full = String::from_utf8(fs_read(&fs, "/prov/ds.nt")).unwrap();
@@ -1415,7 +1407,7 @@ mod tests {
         st.push(triples(3), None);
         st.flush(None);
         st.flush(None); // nothing new since the snapshot
-        assert_eq!(st.segment_count(), 0);
+        assert_eq!(st.stats().segments, 0);
         assert!(!fs.exists("/prov/de.nt.d000000.nt"));
     }
 
@@ -1428,10 +1420,10 @@ mod tests {
         st.flush(None); // snapshot
         st.push(triples_from(1, 1), None);
         st.flush(None); // segment 0
-        assert_eq!(st.segment_count(), 1);
+        assert_eq!(st.stats().segments, 1);
         st.push(triples_from(2, 1), None);
         st.flush(None); // segment 1 → compaction fires
-        assert_eq!(st.segment_count(), 0, "compact_every=2 folded both");
+        assert_eq!(st.stats().segments, 0, "compact_every=2 folded both");
         assert!(!fs.exists("/prov/dc.nt.d000000.nt"));
         assert!(!fs.exists("/prov/dc.nt.d000001.nt"));
         let snap = String::from_utf8(fs_read(&fs, "/prov/dc.nt")).unwrap();
@@ -1464,13 +1456,13 @@ mod tests {
         st.push(triples_from(2, 3), None);
         st.flush(None);
         assert!(st.degraded());
-        assert_eq!(st.segment_count(), 0);
-        assert_eq!(st.dropped_flushes(), 1);
+        assert_eq!(st.stats().segments, 0);
+        assert_eq!(st.stats().dropped_flushes, 1);
         // Next flush retries the SAME delta under the SAME segment name.
         fs.clear_faults();
         st.flush(None);
         assert!(!st.degraded());
-        assert_eq!(st.segment_count(), 1);
+        assert_eq!(st.stats().segments, 1);
         let seg = String::from_utf8(fs_read(&fs, "/prov/dr.nt.d000000.nt")).unwrap();
         assert_eq!(
             ntriples::parse(&seg).unwrap().len(),
@@ -1494,7 +1486,7 @@ mod tests {
         fs.install_faults(plan);
         st.push(triples_from(4, 2), None);
         st.flush(None); // segment 1 crashes at the rename
-        assert_eq!(st.last_error(), Some(FsError::Crashed));
+        assert_eq!(st.stats().last_error, Some(FsError::Crashed));
         // Durable state: snapshot (2 triples) + segment 0 (2 triples), and
         // the fully-written-but-unrenamed tmp for segment 1 — exactly what
         // the merge's orphan-tmp adoption recovers.
@@ -1746,18 +1738,18 @@ mod tests {
         for i in 0..4u64 {
             st.push(triples_from(i as usize * 10, 2), None);
         }
-        assert_eq!(st.queue_depth(), 4, "queue at capacity");
+        assert_eq!(st.stats().queue_depth, 4, "queue at capacity");
         for i in 4..7u64 {
             st.push(triples_from(i as usize * 10, 2), None);
         }
-        assert_eq!(st.queue_depth(), 4, "queue never exceeds capacity");
-        assert_eq!(st.shed_batches(), 3);
-        assert_eq!(st.shed_triples(), 6);
-        assert_eq!(st.triples_pushed(), 14, "offered count includes shed");
+        assert_eq!(st.stats().queue_depth, 4, "queue never exceeds capacity");
+        assert_eq!(st.stats().shed_batches, 3);
+        assert_eq!(st.stats().shed_triples, 6);
+        assert_eq!(st.stats().triples_pushed, 14, "offered count includes shed");
         gate.0.release();
         let bytes = st.finish(None);
         assert!(bytes > 0);
-        assert_eq!(st.queue_depth(), 0);
+        assert_eq!(st.stats().queue_depth, 0);
         let text = String::from_utf8(fs_read(&fs, "/prov/qs.nt")).unwrap();
         let g = ntriples::parse(&text).unwrap();
         assert_eq!(g.len(), 8, "admitted batches land, shed batches do not");
@@ -1773,7 +1765,7 @@ mod tests {
         );
         let gate = GateGuard(Gate::block_all_workers());
         st.push(triples_from(0, 1), None); // fills the queue
-        assert_eq!(st.queue_depth(), 1);
+        assert_eq!(st.stats().queue_depth, 1);
         let st2 = Arc::clone(&st);
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let done2 = Arc::clone(&done);
@@ -1786,12 +1778,16 @@ mod tests {
             !done.load(Ordering::SeqCst),
             "producer blocked by backpressure while the queue is full"
         );
-        assert_eq!(st.queue_depth(), 1, "capacity respected while blocked");
+        assert_eq!(
+            st.stats().queue_depth,
+            1,
+            "capacity respected while blocked"
+        );
         gate.0.release();
         producer.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
         assert!(st.finish(None) > 0);
-        assert_eq!(st.shed_batches(), 0, "block policy sheds nothing");
+        assert_eq!(st.stats().shed_batches, 0, "block policy sheds nothing");
         let text = String::from_utf8(fs_read(&fs, "/prov/qb.nt")).unwrap();
         assert_eq!(ntriples::parse(&text).unwrap().len(), 2, "both batches land");
     }
@@ -1815,22 +1811,22 @@ mod tests {
             .with_clock(clock.clone());
         st.push(triples(5), None);
         st.flush(None); // failure 1 of 2: still closed
-        assert_eq!(st.breaker_state(), BreakerState::Closed);
+        assert_eq!(st.stats().breaker_state, BreakerState::Closed);
         st.flush(None); // failure 2 of 2: trips
-        assert_eq!(st.breaker_state(), BreakerState::Open);
-        assert_eq!(st.breaker_trips(), 1);
+        assert_eq!(st.stats().breaker_state, BreakerState::Open);
+        assert_eq!(st.stats().breaker_trips, 1);
         assert_eq!(plan.injected(), 2);
         // Open breaker: flushes are skipped, the backend is left alone.
         st.flush(None);
         st.flush(None);
-        assert_eq!(st.breaker_skipped(), 2);
+        assert_eq!(st.stats().breaker_skipped, 2);
         assert_eq!(plan.injected(), 2, "no write attempted while open");
         // Backoff elapses on the virtual clock; the backend heals; the
         // half-open probe succeeds and closes the breaker.
         clock.advance(SimDuration::from_nanos(2_000));
         fs.clear_faults();
         st.flush(None);
-        assert_eq!(st.breaker_state(), BreakerState::Closed);
+        assert_eq!(st.stats().breaker_state, BreakerState::Closed);
         assert!(!st.degraded());
         // Nothing was lost across trip/skip/recovery.
         let text = String::from_utf8(fs_read(&fs, "/prov/cb.nt")).unwrap();
@@ -1854,15 +1850,15 @@ mod tests {
             .with_clock(clock.clone());
         st.push(triples(3), None);
         st.flush(None); // trips immediately (threshold 1)
-        assert_eq!(st.breaker_state(), BreakerState::Open);
-        assert_eq!(st.breaker_trips(), 1);
+        assert_eq!(st.stats().breaker_state, BreakerState::Open);
+        assert_eq!(st.stats().breaker_trips, 1);
         clock.advance(SimDuration::from_nanos(1_500));
         st.flush(None); // half-open probe, still failing → reopens
-        assert_eq!(st.breaker_state(), BreakerState::Open);
-        assert_eq!(st.breaker_trips(), 2, "failed probe counts as a trip");
+        assert_eq!(st.stats().breaker_state, BreakerState::Open);
+        assert_eq!(st.stats().breaker_trips, 2, "failed probe counts as a trip");
         // And the new backoff window is honored.
         st.flush(None);
-        assert_eq!(st.breaker_skipped(), 1);
+        assert_eq!(st.stats().breaker_skipped, 1);
     }
 
     #[test]
@@ -1882,11 +1878,11 @@ mod tests {
             .with_clock(clock.clone());
         st.push(triples(4), None);
         st.flush(None); // trips; backoff effectively forever
-        assert_eq!(st.breaker_state(), BreakerState::Open);
+        assert_eq!(st.stats().breaker_state, BreakerState::Open);
         fs.clear_faults();
         // finish is the run's last chance: it ignores the open breaker.
         assert!(st.finish(None) > 0);
-        assert_eq!(st.breaker_state(), BreakerState::Closed);
+        assert_eq!(st.stats().breaker_state, BreakerState::Closed);
         let text = String::from_utf8(fs_read(&fs, "/prov/cf.nt")).unwrap();
         assert_eq!(ntriples::parse(&text).unwrap().len(), 4);
     }
@@ -1902,15 +1898,15 @@ mod tests {
         // in the buffer (the bounded exposure window).
         st.push(triples(2), None);
         assert_eq!(st.wal_records(), 0);
-        assert_eq!(st.wal_commits(), 0);
-        assert_eq!(st.wal_buffered(), 2);
+        assert_eq!(st.stats().wal_commits, 0);
+        assert_eq!(st.stats().wal_buffered, 2);
         assert!(fs.lookup("/prov/w1.nt.w000000.nt").is_err());
         // Reaching the threshold commits everything buffered in a single
         // append: one frame per pushed chunk, contiguous ordinals.
         st.push(triples_from(2, 3), None);
         assert_eq!(st.wal_records(), 5);
-        assert_eq!(st.wal_commits(), 1);
-        assert_eq!(st.wal_buffered(), 0);
+        assert_eq!(st.stats().wal_commits, 1);
+        assert_eq!(st.stats().wal_buffered, 0);
         let text = String::from_utf8(fs_read(&fs, "/prov/w1.nt.w000000.nt")).unwrap();
         let wal = frame::decode_wal(&text, frame::store_guid("/prov/w1.nt"));
         assert!(!wal.truncated);
@@ -1922,11 +1918,11 @@ mod tests {
         // A flush boundary forces any partial tail out; the successful
         // commit then recycles the generation.
         st.push(triples_from(5, 1), None);
-        assert_eq!(st.wal_buffered(), 1);
+        assert_eq!(st.stats().wal_buffered, 1);
         st.flush(None);
         assert_eq!(st.wal_records(), 6);
-        assert_eq!(st.wal_buffered(), 0);
-        assert_eq!(st.wal_recycles(), 1);
+        assert_eq!(st.stats().wal_buffered, 0);
+        assert_eq!(st.stats().wal_recycles, 1);
         assert!(
             fs.lookup("/prov/w1.nt.w000000.nt").is_err(),
             "flushed generation is recycled"
@@ -1937,14 +1933,14 @@ mod tests {
         st.push(triples(5), None);
         assert!(fs.lookup("/prov/w1.nt.w000001.nt").is_ok());
         assert_eq!(st.wal_records(), 9);
-        assert_eq!(st.wal_buffered(), 0);
+        assert_eq!(st.stats().wal_buffered, 0);
         st.finish(None);
         assert!(
             fs.lookup("/prov/w1.nt.w000001.nt").is_err(),
             "finish recycles the journal too"
         );
-        assert_eq!(st.wal_recycles(), 2);
-        assert_eq!(st.wal_failed_appends(), 0);
+        assert_eq!(st.stats().wal_recycles, 2);
+        assert_eq!(st.stats().wal_failed_appends, 0);
         assert!(!st.degraded());
     }
 
@@ -1980,13 +1976,13 @@ mod tests {
         let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/wr.nt", RdfFormat::NTriples, false)
             .with_wal(true, 2);
         st.push(triples(2), None); // first group commit fails; records stay buffered
-        assert_eq!(st.wal_failed_appends(), 1);
+        assert_eq!(st.stats().wal_failed_appends, 1);
         assert_eq!(st.wal_records(), 0);
-        assert_eq!(st.wal_buffered(), 2);
+        assert_eq!(st.stats().wal_buffered, 2);
         assert!(!st.degraded(), "a failed journal append is not fatal");
         st.push(triples_from(2, 2), None); // retry lands at the same offset
         assert_eq!(st.wal_records(), 4);
-        assert_eq!(st.wal_buffered(), 0);
+        assert_eq!(st.stats().wal_buffered, 0);
         let text = String::from_utf8(fs_read(&fs, "/prov/wr.nt.w000000.nt")).unwrap();
         let wal = frame::decode_wal(&text, frame::store_guid("/prov/wr.nt"));
         assert!(!wal.truncated, "the retried chunk overwrote any torn prefix");
@@ -2009,8 +2005,8 @@ mod tests {
             .collect();
         assert!(journals.is_empty(), "unexpected journals: {journals:?}");
         assert_eq!(st.wal_records(), 0);
-        assert_eq!(st.wal_commits(), 0);
-        assert_eq!(st.wal_recycles(), 0);
+        assert_eq!(st.stats().wal_commits, 0);
+        assert_eq!(st.stats().wal_recycles, 0);
     }
 
     fn parity_files_on_disk(fs: &Arc<FileSystem>, dir: &str) -> Vec<String> {
@@ -2033,8 +2029,8 @@ mod tests {
         st.finish(None);
         let pars = parity_files_on_disk(&fs, "/prov");
         assert!(pars.is_empty(), "unexpected parity files: {pars:?}");
-        assert_eq!(st.parity_seals(), 0);
-        assert_eq!(st.parity_failed(), 0);
+        assert_eq!(st.stats().parity_seals, 0);
+        assert_eq!(st.stats().parity_failed, 0);
     }
 
     #[test]
@@ -2050,7 +2046,7 @@ mod tests {
             st.push(triples_from(i * 5, 5), None);
             st.flush(None);
         }
-        assert_eq!(st.parity_seals(), 2, "two full groups sealed");
+        assert_eq!(st.stats().parity_seals, 2, "two full groups sealed");
         let pars = parity_files_on_disk(&fs, "/prov");
         assert_eq!(pars.len(), 2, "{pars:?}");
         // Every sealed parity file decodes as an intact Parity frame and is
@@ -2095,13 +2091,130 @@ mod tests {
             st.flush(None);
         }
         st.finish(None);
-        assert_eq!(st.parity_seals(), 0);
-        assert!(st.parity_failed() >= 3, "failed seals are counted");
+        assert_eq!(st.stats().parity_seals, 0);
+        assert!(st.stats().parity_failed >= 3, "failed seals are counted");
         assert!(parity_files_on_disk(&fs, "/prov").is_empty());
         // The data plane never noticed: the merge recovers everything.
         let (g, report) = crate::merge::merge_directory(&fs, "/prov");
         assert_eq!(g.len(), 12);
         assert!(report.corrupt.is_empty(), "{report}");
         assert_eq!(report.chain_breaks, 0);
+    }
+
+    // ---- what the tracker summary reads off the store -------------------
+
+    /// Every field of every rank's `TrackSummary`, over three runs that
+    /// light up different counters, pinned by the SHA-256 of their `{:?}`
+    /// lines: two counters swapped between the store and the summary change
+    /// the digest. It lives here, not in `tracker`, because the shed run
+    /// needs the pool gate: (1) async stores with the breaker armed and a
+    /// two-batch shed queue, rank 1 on failing snapshot commits, filled
+    /// while every pool worker is parked; (2) journaled stores whose first
+    /// appends fail; (3) three ranks streaming over a lossy, partitioned
+    /// fabric into a one-batch shed send buffer.
+    #[test]
+    fn track_summaries_are_pinned() {
+        use crate::collect::Collector;
+        use crate::config::{ProvIoConfig, SerializationPolicy};
+        use crate::tracker::{IoEvent, ObjectDesc, ProvTracker};
+        use provio_model::{ActivityClass, EntityClass};
+        use provio_simrt::{NetPlan, PartitionEpisode};
+
+        fn ranks(cfg: &Arc<ProvIoConfig>, fs: &Arc<FileSystem>, n: u32) -> Vec<Arc<ProvTracker>> {
+            let clock = VirtualClock::new;
+            let new =
+                |pid| ProvTracker::new(Arc::clone(cfg), Arc::clone(fs), pid, "B", "p", clock());
+            (1..=n).map(new).collect()
+        }
+        fn track(ranks: &[Arc<ProvTracker>], n: usize) {
+            for t in ranks {
+                for i in 0..n {
+                    t.track_io(&IoEvent {
+                        activity: ActivityClass::Write,
+                        api_name: "write".into(),
+                        object: Some(ObjectDesc::posix(EntityClass::File, format!("/f{i}"))),
+                        bytes: 4096,
+                        duration_ns: 1000,
+                        timestamp_ns: 5000,
+                        ok: true,
+                    });
+                }
+            }
+        }
+        let mut lines: Vec<String> = Vec::new();
+        let mut finish = |run: &str, ranks: &[Arc<ProvTracker>]| {
+            for (t, pid) in ranks.iter().zip(1..) {
+                lines.push(format!("{run} {pid} {:?}", t.finish()));
+            }
+        };
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            backoff_ns: 0,
+            ..RetryPolicy::default()
+        };
+
+        // (1) Breaker and shed.
+        {
+            let _serial = pool_gate_lock().lock();
+            let fs = FileSystem::new(LustreConfig::default());
+            let fail = FaultRule::fail(FaultOp::WriteAt, FsError::Io);
+            fs.install_faults(FaultPlan::new(5).with_rule(fail.on_path("prov_p1.ttl.tmp")));
+            let cfg = ProvIoConfig::default()
+                .with_policy(SerializationPolicy::EveryRecords(1))
+                .with_retry(retry)
+                .with_breaker(2, 1_000_000_000)
+                .with_queue(2, OverloadPolicy::Shed)
+                .shared();
+            let gate = GateGuard(Gate::block_all_workers());
+            let shed = ranks(&cfg, &fs, 2);
+            track(&shed, 8);
+            gate.0.release();
+            finish("shed", &shed);
+        }
+
+        // (2) Journal appends that fail.
+        {
+            let fs = FileSystem::new(LustreConfig::default());
+            let fail = FaultRule::fail(FaultOp::WriteAt, FsError::NoSpace);
+            fs.install_faults(FaultPlan::new(6).with_rule(fail.on_path(".ttl.w").times(3)));
+            let cfg = ProvIoConfig::default()
+                .synchronous()
+                .with_policy(SerializationPolicy::EveryRecords(3))
+                .with_retry(retry)
+                .with_wal(true, 2)
+                .shared();
+            let wal = ranks(&cfg, &fs, 2);
+            track(&wal, 7);
+            finish("wal", &wal);
+        }
+
+        // (3) Streamed over a lossy fabric.
+        {
+            let fs = FileSystem::new(LustreConfig::default());
+            let cut = PartitionEpisode::of_ranks(0, 1 << 50, vec![3]);
+            let plan = NetPlan::hostile(9, 0.3).with_partition(cut);
+            let collector = Collector::new(Arc::clone(&fs), "/provio", plan);
+            let mut cfg = ProvIoConfig::default()
+                .synchronous()
+                .with_policy(SerializationPolicy::EveryRecords(2))
+                .with_wal(true, 4)
+                .with_queue(0, OverloadPolicy::Shed)
+                .with_net(true, 200_000);
+            cfg.net_buffer = 1;
+            let cfg = cfg.shared();
+            let net = ranks(&cfg, &fs, 3);
+            for (t, pid) in net.iter().zip(1..) {
+                t.attach_net(collector.client(pid, t.clock().clone(), &cfg));
+            }
+            track(&net, 6);
+            finish("net", &net);
+        }
+
+        let text = lines.join("\n");
+        let digest = sha2::hex(&sha2::sha256(text.as_bytes()));
+        assert!(
+            digest == "5fa99d3a29c5c168364e9dbc4be0b17c43961a95141a54e684291799d95453b0",
+            "summaries changed: digest {digest}\n{text}"
+        );
     }
 }

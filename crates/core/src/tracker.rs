@@ -692,23 +692,24 @@ impl ProvTracker {
         // the collector. Whatever stays unacked is accounted below and
         // still durable on disk — resync or the post-hoc merge owns it.
         let net_stats = self.net().map(|client| client.drain(NET_DRAIN_ROUNDS));
+        let store = self.store.stats();
         TrackSummary {
             events: self.event_count(),
             triples: self.state.lock().triples_total,
             store_bytes,
             store_path: self.store.path().to_string(),
-            degraded: self.store.degraded(),
-            last_error: self.store.last_error().map(|e| e.errno_name().to_string()),
-            dropped_flushes: self.store.dropped_flushes(),
-            shed_batches: self.store.shed_batches(),
-            shed_triples: self.store.shed_triples(),
-            breaker_trips: self.store.breaker_trips(),
-            breaker_skipped: self.store.breaker_skipped(),
-            breaker_state: self.store.breaker_state().as_str().to_string(),
-            wal_records: self.store.wal_records(),
-            wal_commits: self.store.wal_commits(),
-            wal_recycles: self.store.wal_recycles(),
-            flush_retries: self.store.flush_retries(),
+            degraded: store.degraded,
+            last_error: store.last_error.map(|e| e.errno_name().to_string()),
+            dropped_flushes: store.dropped_flushes,
+            shed_batches: store.shed_batches,
+            shed_triples: store.shed_triples,
+            breaker_trips: store.breaker_trips,
+            breaker_skipped: store.breaker_skipped,
+            breaker_state: store.breaker_state.as_str().to_string(),
+            wal_records: store.wal_records,
+            wal_commits: store.wal_commits,
+            wal_recycles: store.wal_recycles,
+            flush_retries: store.flush_retries,
             net_sent: net_stats.map_or(0, |s| s.sent_batches),
             net_acked: net_stats.map_or(0, |s| s.acked_batches),
             net_retries: net_stats.map_or(0, |s| s.retries),

@@ -65,14 +65,14 @@ fn steady_state_track_io_stays_inside_its_allocation_budget() {
     let mut calls = stream.iter();
     // Warm up until a hand-over has just happened: every object and API
     // name has been seen, and the pending buffer starts a fresh batch.
-    let pushed_at_start = t.store().triples_pushed();
+    let pushed_at_start = t.store().stats().triples_pushed;
     for e in calls.by_ref() {
         t.track_io(e);
-        if t.store().triples_pushed() != pushed_at_start {
+        if t.store().stats().triples_pushed != pushed_at_start {
             break;
         }
     }
-    let pushed = t.store().triples_pushed();
+    let pushed = t.store().stats().triples_pushed;
     assert_ne!(pushed, pushed_at_start, "the warm-up reached a hand-over");
 
     let window: Vec<&IoEvent> = calls.take(100).collect();
@@ -82,7 +82,7 @@ fn steady_state_track_io_stays_inside_its_allocation_budget() {
             t.track_io(e);
         }
     });
-    assert_eq!(t.store().triples_pushed(), pushed, "no hand-over inside the window");
+    assert_eq!(t.store().stats().triples_pushed, pushed, "no hand-over inside the window");
     // One activity IRI and three integer literals per event (the parent of
     // this change: about 100).
     assert!(

@@ -15,9 +15,9 @@
 //!   through the calling process's [`provio_hpcfs::FsSession`] (so Lustre
 //!   cost and syscall events happen exactly where a real VFD would issue
 //!   them). Connectors stack: PROV-IO's provenance connector (in
-//!   `provio-core`) wraps any inner connector and forwards every call.
-//! * [`vol::VolRegistry`] — runtime connector selection by name, standing in
-//!   for `HDF5_VOL_CONNECTOR` dynamic loading.
+//!   `provio-core`) wraps any inner connector and forwards every call. The
+//!   caller picks the connector when it builds a process's [`api::H5`],
+//!   standing in for `HDF5_VOL_CONNECTOR` dynamic loading.
 //! * [`api::H5`] — an HDF5-flavoured convenience facade (`create_file`,
 //!   `create_dataset`, `write`, `attr`, …) used by the workflows.
 //!
@@ -39,4 +39,4 @@ pub use dataspace::{Dataspace, Hyperslab};
 pub use datatype::Datatype;
 pub use error::{H5Error, H5Result};
 pub use native::NativeVol;
-pub use vol::{Handle, ObjectInfo, ObjectKind, VolConnector, VolRegistry};
+pub use vol::{Handle, ObjectInfo, ObjectKind, VolConnector};

@@ -4,18 +4,14 @@
 //! [`VolConnector`] (the "homomorphic design" of the VOL-provenance
 //! connector the paper builds on, §5). A connector either terminates the
 //! stack (the native connector executes against storage) or wraps another
-//! connector, observing and forwarding. [`VolRegistry`] provides runtime
-//! selection by name, standing in for the `HDF5_VOL_CONNECTOR` environment
-//! variable mechanism that loads third-party connectors dynamically.
+//! connector, observing and forwarding. Which connector a process gets is
+//! decided where the process is set up, not by a lookup by name.
 
 use crate::data::Data;
 use crate::dataspace::{Dataspace, Hyperslab};
 use crate::datatype::Datatype;
 use crate::error::H5Result;
-use parking_lot::RwLock;
 use provio_hpcfs::FsSession;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// An opaque handle to an open file/group/dataset/attribute/datatype.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -143,70 +139,13 @@ pub trait VolConnector: Send + Sync {
     fn object_info(&self, handle: Handle) -> H5Result<ObjectInfo>;
 }
 
-/// Named connector registry — the `HDF5_VOL_CONNECTOR` stand-in.
-#[derive(Default)]
-pub struct VolRegistry {
-    connectors: RwLock<HashMap<String, Arc<dyn VolConnector>>>,
-}
-
-impl VolRegistry {
-    pub fn new() -> Self {
-        VolRegistry::default()
-    }
-
-    /// Register (or replace) a connector under its `name()`.
-    pub fn register(&self, connector: Arc<dyn VolConnector>) {
-        self.connectors
-            .write()
-            .insert(connector.name().to_string(), connector);
-    }
-
-    /// Resolve a connector by name, as HDF5 does at library init.
-    pub fn resolve(&self, name: &str) -> Option<Arc<dyn VolConnector>> {
-        self.connectors.read().get(name).cloned()
-    }
-
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.connectors.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::NativeVol;
-    use provio_hpcfs::{Dispatcher, FileSystem, LustreConfig};
-    use provio_simrt::VirtualClock;
-
-    #[test]
-    fn registry_resolves_by_name() {
-        let fs = FileSystem::new(LustreConfig::default());
-        let reg = VolRegistry::new();
-        reg.register(Arc::new(NativeVol::new(Arc::clone(&fs))));
-        assert!(reg.resolve("native").is_some());
-        assert!(reg.resolve("provio").is_none());
-        assert_eq!(reg.names(), vec!["native"]);
-    }
-
-    #[test]
-    fn registry_replace_same_name() {
-        let fs = FileSystem::new(LustreConfig::default());
-        let reg = VolRegistry::new();
-        reg.register(Arc::new(NativeVol::new(Arc::clone(&fs))));
-        reg.register(Arc::new(NativeVol::new(Arc::clone(&fs))));
-        // Still exactly one binding.
-        assert_eq!(reg.names(), vec!["native"]);
-    }
 
     #[test]
     fn object_kind_names() {
         assert_eq!(ObjectKind::Dataset.name(), "dataset");
         assert_eq!(ObjectKind::NamedDatatype.name(), "datatype");
     }
-
-    // Silence unused-import warnings for items used only via trait objects.
-    #[allow(dead_code)]
-    fn _uses(_: &Dispatcher, _: &VirtualClock) {}
 }

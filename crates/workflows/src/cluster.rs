@@ -1,7 +1,7 @@
 //! Shared experiment rig: file system + VOL stack + tracker registry.
 
 use provio::{Collector, ProvIoConfig, ProvIoVol, TrackerRegistry};
-use provio_hdf5::{NativeVol, VolConnector, VolRegistry, H5};
+use provio_hdf5::{NativeVol, VolConnector, H5};
 use provio_hpcfs::{Dispatcher, FileSystem, FsSession, LustreConfig};
 use provio_simrt::VirtualClock;
 use std::sync::{Arc, Mutex};
@@ -14,7 +14,6 @@ pub struct Cluster {
     pub native: Arc<dyn VolConnector>,
     pub provio_vol: Arc<ProvIoVol>,
     pub registry: Arc<TrackerRegistry>,
-    pub vols: VolRegistry,
     /// Optional streaming aggregator. When armed (via [`Cluster::stream_to`])
     /// and the config enables `net`, every newly attached tracker gets a
     /// [`provio::NetClient`] so flushed batches stream to the collector live
@@ -32,15 +31,11 @@ impl Cluster {
         let native: Arc<dyn VolConnector> = Arc::new(NativeVol::new(Arc::clone(&fs)));
         let registry = TrackerRegistry::new();
         let provio_vol = ProvIoVol::new(Arc::clone(&native), Arc::clone(&registry));
-        let vols = VolRegistry::new();
-        vols.register(Arc::clone(&native));
-        vols.register(Arc::clone(&provio_vol) as Arc<dyn VolConnector>);
         Cluster {
             fs,
             native,
             provio_vol,
             registry,
-            vols,
             collector: Mutex::new(None),
         }
     }
@@ -111,6 +106,18 @@ impl Cluster {
         (session, h5)
     }
 
+    /// Finish every registered tracker (see `TrackerRegistry::finish_all`),
+    /// retire them, and total what landed under `dir`: provenance bytes,
+    /// file count and tracked events.
+    pub fn finish_provenance(&self, dir: &str) -> (u64, usize, u64) {
+        let summaries = self.registry.finish_all();
+        for (pid, _) in &summaries {
+            self.registry.unregister(*pid);
+        }
+        let (bytes, files) = self.prov_usage(dir);
+        (bytes, files, summaries.iter().map(|(_, s)| s.events).sum())
+    }
+
     /// Total provenance bytes + file count under `dir`.
     pub fn prov_usage(&self, dir: &str) -> (u64, usize) {
         match self.fs.walk_files(dir) {
@@ -136,12 +143,6 @@ impl Default for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vol_registry_has_both_connectors() {
-        let c = Cluster::new();
-        assert_eq!(c.vols.names(), vec!["native", "provio"]);
-    }
 
     #[test]
     fn tracked_process_produces_provenance() {

@@ -346,13 +346,7 @@ pub fn run(cluster: &Cluster, p: &DassaParams) -> DassaOutcome {
     let (prov_bytes, prov_files, tracked_events) = if p.mode.is_off() {
         (0, 0, 0)
     } else {
-        let summaries = cluster.registry.finish_all();
-        let events = summaries.iter().map(|(_, s)| s.events).sum();
-        for (pid, _) in &summaries {
-            cluster.registry.unregister(*pid);
-        }
-        let (bytes, files) = cluster.prov_usage(&prov_dir);
-        (bytes, files, events)
+        cluster.finish_provenance(&prov_dir)
     };
 
     DassaOutcome {

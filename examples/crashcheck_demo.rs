@@ -44,7 +44,7 @@ fn main() {
 
     // Recovery is idempotent: a second pass finds the same world.
     let again = recover_all(&fs, CRASHCHECK_DIR, cfg.manifest_key.as_deref());
-    assert_eq!(out.report, again.report, "recovery must be idempotent");
+    assert_eq!(out.report(), again.report(), "recovery must be idempotent");
     assert_eq!(out.graph.len(), again.graph.len());
     println!("second recovery pass: identical report — recovery is a fixpoint");
 }

@@ -78,7 +78,7 @@ fn run(wal: bool) -> (usize, RunReport) {
     println!(
         "wal={wal:<5} → {} triples merged, {} replayed from journals, \
          {}/2 of the crashed rank's files recovered",
-        report.merged_triples, report.replayed_triples, recovered
+        report.merge.triples, report.merge.replayed_triples, recovered
     );
     println!("          {report}");
     (recovered, report)
@@ -88,13 +88,13 @@ fn main() {
     println!("-- journal off: the crashed rank's records die with it --");
     let (lost, off) = run(false);
     assert_eq!(lost, 0, "nothing recoverable without the journal");
-    assert_eq!(off.replayed_triples, 0);
+    assert_eq!(off.merge.replayed_triples, 0);
 
     println!("-- journal on: merge replays the journal above the watermark --");
     let (recovered, on) = run(true);
     assert_eq!(recovered, 2, "both pre-crash files recovered from the journal");
-    assert!(on.replayed_triples > 0);
-    assert_eq!(on.wal_tails_truncated, 0);
+    assert!(on.merge.replayed_triples > 0);
+    assert_eq!(on.merge.wal_tails_truncated, 0);
 
     println!("ok: bounded-loss contract held (loss ≤ wal_group records per crashed rank)");
 }

@@ -70,7 +70,7 @@ pub mod prelude {
         CrashcheckReport, DeliveryReport, DoctorReport, FileCheck, FileVerdict, NetClient,
         NetStats, OverloadPolicy, ProvIoApi, ProvIoConfig, ProvIoVol, ProvQueryEngine,
         ProvenanceStore, RankCrash, RecoveryOutcome, RetryPolicy, RunReport, ScrubReport,
-        SerializationPolicy, TrackSummary, TrackerRegistry, VerifyReport,
+        SerializationPolicy, StoreStats, TrackSummary, TrackerRegistry, VerifyReport,
     };
     pub use provio_hdf5::{Data, Dataspace, Datatype, Hyperslab, H5};
     pub use provio_hpcfs::{

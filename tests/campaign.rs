@@ -664,9 +664,9 @@ fn sixty_four_ranks_survive_four_crashes_with_exact_accounting() {
     // Merge and join: all 60 survivor sub-graphs recovered, none corrupt.
     let (graph, mrep) = merge_directory(&cluster.fs, "/provio");
     report.attach_merge(report.surviving_ranks().len(), &mrep);
-    assert_eq!(report.recovered_subgraphs, 60, "one sub-graph per survivor");
+    assert_eq!(report.merge.files, 60, "one sub-graph per survivor");
     assert_eq!(report.completeness(), 1.0);
-    assert_eq!(report.corrupt_files, 0);
+    assert!(report.merge.corrupt.is_empty());
     assert!(!report.is_complete(), "crashes keep the run marked incomplete");
     assert!(report.to_string().contains("60/64 ranks survived"));
 
@@ -1329,9 +1329,9 @@ fn corrupted_files_are_accounted_exactly_and_never_forge_triples() {
 
     let mut report = RunReport::new(6);
     report.attach_merge(clean_files, &mrep);
-    assert_eq!(report.corrupt_files, 1);
-    assert_eq!(report.quarantined_files, 1);
-    assert_eq!(report.chain_breaks, 1);
+    assert_eq!(report.merge.corrupt.len(), 1);
+    assert_eq!(report.merge.quarantined.len(), 1);
+    assert_eq!(report.merge.chain_breaks, 1);
     assert!(!report.is_complete());
     let expected = (clean_files - 2) as f64 / clean_files as f64;
     assert!((report.completeness() - expected).abs() < 1e-9);
@@ -1923,7 +1923,7 @@ fn scrub_repair(seed: u64, damage: Damage, group: u32) -> String {
         assert!(report.is_trusted(), "{report}");
     }
     if damage != Damage::Parity && damage != Damage::ParityDestroy {
-        assert_eq!(report.scrub_repaired_files, 1);
+        assert_eq!(report.scrub.repaired_files.len(), 1);
         assert!(report.to_string().contains("scrub: 1 files repaired"), "{report}");
     }
     format!(
@@ -2039,7 +2039,7 @@ fn beyond_tolerance_falls_back_to_loss_accounting() {
     report.attach_scrub(&scrubbed);
     report.attach_verify(&verified);
     assert!(!report.is_complete(), "{report}");
-    assert_eq!(report.scrub_unrecoverable, 2);
+    assert_eq!(report.scrub.unrecoverable.len(), 2);
 }
 
 // Torn commits: whatever crash point and torn-write length hits one rank's

@@ -300,7 +300,7 @@ proptest! {
         let second = recover_all(&fs, CRASHCHECK_DIR, key);
         let after_second = snapshot(&fs);
 
-        prop_assert_eq!(&first.report, &second.report);
+        prop_assert_eq!(first.report(), second.report());
         prop_assert_eq!(first.graph.len(), second.graph.len());
         prop_assert_eq!(after_first, after_second);
     }

@@ -159,7 +159,7 @@ fn recovery(fs: &Arc<FileSystem>) -> (Image, String) {
         out.scrub,
         out.merge,
         out.verify.as_ref().expect("keyed recovery audits"),
-        out.report,
+        out.report(),
         out.quarantined,
     );
     (image, text)
@@ -264,7 +264,7 @@ fn each_tier_reads_each_file_once() {
     let fs = capture(false);
     assert_eq!(fs.walk_files(DIR).expect("store directory").len(), 10);
     let clean = reads(&fs, || {
-        assert!(recover_all(&fs, DIR, Some(KEY)).report.is_trusted());
+        assert!(recover_all(&fs, DIR, Some(KEY)).report().is_trusted());
     });
     assert_eq!(clean, 22, "clean keyed recover_all");
 
@@ -283,7 +283,7 @@ fn each_tier_reads_each_file_once() {
 
     rot(&fs, &snapshot(0), 11);
     let repairing = reads(&fs, || {
-        assert!(recover_all(&fs, DIR, Some(KEY)).report.is_trusted());
+        assert!(recover_all(&fs, DIR, Some(KEY)).report().is_trusted());
     });
     assert!(
         repairing <= 23,

@@ -116,7 +116,7 @@ proptest! {
         }
 
         prop_assert!(st.finish(None) > 0);
-        prop_assert_eq!(st.segment_count(), 0, "finish folds every segment");
+        prop_assert_eq!(st.stats().segments, 0, "finish folds every segment");
         let (merged, report) = merge_directory(&fs, "/o");
         prop_assert!(report.corrupt.is_empty() && report.quarantined.is_empty(), "{knobs:?}: {report}");
         prop_assert_eq!(report.chain_breaks, 0, "{:?}: {}", knobs, report);
@@ -144,7 +144,7 @@ fn torn_delta_append_salvages_valid_prefix() {
     fs.install_faults(plan);
     st.push(triples(8..12), None);
     st.flush(None);
-    assert_eq!(st.last_error(), Some(FsError::Crashed));
+    assert_eq!(st.stats().last_error, Some(FsError::Crashed));
     fs.clear_faults();
 
     let (g, report) = merge_directory(&fs, "/prov");
@@ -179,7 +179,7 @@ fn crash_on_compaction_rename_loses_nothing() {
     fs.install_faults(plan);
     st.push(triples(6..9), None);
     st.flush(None);
-    assert_eq!(st.last_error(), Some(FsError::Crashed));
+    assert_eq!(st.stats().last_error, Some(FsError::Crashed));
     fs.clear_faults();
 
     // Durable state: old snapshot + both segments + the fully-written
@@ -218,9 +218,13 @@ fn transient_error_on_delta_append_retries_in_place() {
     st.push(triples(2..5), None);
     st.flush(None); // segment 0: first write attempt fails, retry lands
     assert!(!st.degraded(), "transient EIO absorbed by the retry policy");
-    assert_eq!(st.last_error(), Some(FsError::Io), "retry left a trace");
+    assert_eq!(
+        st.stats().last_error,
+        Some(FsError::Io),
+        "retry left a trace"
+    );
     assert_eq!(plan.injected(), 1);
-    assert_eq!(st.segment_count(), 1);
+    assert_eq!(st.stats().segments, 1);
     let (g, report) = merge_directory(&fs, "/prov");
     assert!(report.corrupt.is_empty());
     assert_eq!(report.salvaged_triples, 0);
