@@ -9,7 +9,7 @@
 //! program start.
 
 use crate::config::ProvIoConfig;
-use crate::tracker::{ObjectDesc, ProvTracker, TrackerRegistry};
+use crate::tracker::{ProvTracker, TrackerRegistry};
 use crate::wrapper::PosixWrapper;
 use provio_hpcfs::{FileSystem, FsSession};
 use provio_model::Guid;
@@ -63,20 +63,6 @@ impl ProvIoApi {
     pub fn track_metric(&self, name: &str, value: f64) -> Option<Guid> {
         self.tracker.track_metric(name, value)
     }
-
-    /// Record an explicit data derivation.
-    pub fn track_derivation(&self, output: &ObjectDesc, input: &ObjectDesc) {
-        self.tracker.track_derivation(output, input)
-    }
-
-    pub fn tracker(&self) -> &Arc<ProvTracker> {
-        &self.tracker
-    }
-
-    /// Finish tracking for this process.
-    pub fn finish(&self) -> crate::tracker::TrackSummary {
-        self.tracker.finish()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +97,7 @@ mod tests {
         api.track_configuration("lr", "0.01").unwrap();
         api.track_metric("accuracy", 0.83).unwrap();
 
-        let summary = api.finish();
+        let summary = api.tracker.finish();
         assert!(summary.events >= 1);
         let ino = fs.lookup(&summary.store_path).unwrap();
         let size = fs.stat(&summary.store_path).unwrap().size;

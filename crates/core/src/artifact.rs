@@ -59,17 +59,17 @@ use std::collections::HashMap;
 /// `[offset, offset+len)` bytes as they were at seal time, and `ord` is
 /// the commit ordinal for whole-file members (`None` for journal chunks).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParityMember {
+pub(crate) struct ParityMember {
     /// Path of the covered artifact (a live, committed path — never tmp).
-    pub path: String,
+    pub(crate) path: String,
     /// Byte offset of the covered range within the file.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Length of the covered range.
-    pub len: u64,
+    pub(crate) len: u64,
     /// How the covered bytes verify.
-    pub check: MemberCheck,
+    pub(crate) check: MemberCheck,
     /// Commit ordinal for whole-file members; `None` for journal chunks.
-    pub ord: Option<u64>,
+    pub(crate) ord: Option<u64>,
 }
 
 /// How a member's bytes are pinned at seal time.
@@ -80,7 +80,7 @@ pub struct ParityMember {
 /// parity files) record a CRC32 of the raw span — a chunk is a slice of a
 /// generation file, not a frame, so it has no root of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemberCheck {
+pub(crate) enum MemberCheck {
     /// CRC32 of the covered bytes.
     Crc(u32),
     /// Merkle root of the covered frame, as recomputed from the bytes on
@@ -131,7 +131,7 @@ impl ParityMember {
 /// XOR `bytes` into `acc`, growing `acc` with zero padding as needed —
 /// XOR against zero is identity, so shorter members simply leave the
 /// accumulator's tail untouched.
-pub fn xor_into(acc: &mut Vec<u8>, bytes: &[u8]) {
+pub(crate) fn xor_into(acc: &mut Vec<u8>, bytes: &[u8]) {
     if acc.is_empty() {
         // First member of a group: XOR against zeros is a copy, without
         // paying a zero-fill pass first.
@@ -157,7 +157,7 @@ pub fn xor_into(acc: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Render one member record line of a parity payload.
-pub fn member_line(m: &ParityMember) -> String {
+pub(crate) fn member_line(m: &ParityMember) -> String {
     let ord = m.ord.map_or_else(|| "-".to_string(), |o| o.to_string());
     match &m.check {
         MemberCheck::Crc(crc) => format!(
@@ -182,7 +182,7 @@ pub fn member_line(m: &ParityMember) -> String {
 /// third smaller and two full passes cheaper than encoding it. The
 /// store's seal and scrub's regeneration share this one builder, which is
 /// what makes a regenerated parity file byte-identical to the original.
-pub fn encode_parity_frame(
+pub(crate) fn encode_parity_frame(
     guid: u64,
     seq: u64,
     member_lines: &[String],
@@ -246,7 +246,7 @@ pub(crate) fn raw_block(bytes: &[u8]) -> Option<(String, usize)> {
 /// Render the XOR data block line of a parity payload. The block can be
 /// snapshot-sized (megabytes), so the line is assembled without an extra
 /// format-machinery copy of the encoded text.
-pub fn data_line(acc: &[u8]) -> String {
+pub(crate) fn data_line(acc: &[u8]) -> String {
     let mut out = Vec::with_capacity(24 + acc.len().div_ceil(3) * 4);
     out.extend_from_slice(b"data len=");
     out.extend_from_slice(acc.len().to_string().as_bytes());
@@ -456,13 +456,13 @@ pub struct RankEntry {
 /// One committed file as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
-    pub path: String,
+    pub(crate) path: String,
     /// Content root: the frame Merkle root for framed files
     /// (`mode=merkle`), the SHA-256 of the raw bytes otherwise
     /// (`mode=raw`, legacy unframed stores).
-    pub root: [u8; 32],
-    pub merkle: bool,
-    pub bytes: u64,
+    pub(crate) root: [u8; 32],
+    pub(crate) merkle: bool,
+    pub(crate) bytes: u64,
 }
 
 /// A parsed run manifest (signature judged separately, against the key).
@@ -470,9 +470,9 @@ pub struct ManifestEntry {
 pub struct Manifest {
     /// Run GUID: FNV-1a over the sorted `(path, root)` pairs, so a re-run
     /// over identical bytes signs the identical manifest.
-    pub run: u64,
-    pub files: Vec<ManifestEntry>,
-    pub ranks: Vec<RankEntry>,
+    pub(crate) run: u64,
+    pub(crate) files: Vec<ManifestEntry>,
+    pub(crate) ranks: Vec<RankEntry>,
 }
 
 /// First 8 hex digits of SHA-256 of the key: enough to tell "edited after
@@ -618,12 +618,12 @@ pub type RootCache = HashMap<String, (u64, [u8; 32])>;
 /// One sealed run in the campaign ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LedgerRecord {
-    pub run: u64,
+    pub(crate) run: u64,
     /// SHA-256 of the run's full manifest file.
-    pub manifest: [u8; 32],
+    pub(crate) manifest: [u8; 32],
     /// The previous record's manifest digest (`None` for the first run),
     /// chaining the campaign root-to-root independently of frame chaining.
-    pub prev: Option<[u8; 32]>,
+    pub(crate) prev: Option<[u8; 32]>,
 }
 
 pub(crate) fn parse_ledger_line(line: &str) -> Option<LedgerRecord> {

@@ -256,11 +256,6 @@ impl Collector {
         inner.graph.len()
     }
 
-    /// The fabric this collector was built over.
-    pub fn plan(&self) -> &NetPlan {
-        &self.plan
-    }
-
     /// Delivery accounting so far (staged arrivals folded in).
     pub fn report(&self) -> DeliveryReport {
         let mut inner = self.inner.lock();
@@ -282,13 +277,13 @@ pub struct DeliveryReport {
     /// and fabric duplicates, acked but never re-inserted.
     pub duplicate_batches: u64,
     /// Fresh arrivals above the watermark (a predecessor was in flight).
-    pub out_of_order_batches: u64,
+    pub(crate) out_of_order_batches: u64,
     /// Arrivals refused (no ack) while the aggregator was crashed.
     pub refused_batches: u64,
     /// Distinct triples the stream itself put in the live graph.
-    pub streamed_triples: u64,
+    pub(crate) streamed_triples: u64,
     /// Triples in the live view now.
-    pub live_triples: u64,
+    pub(crate) live_triples: u64,
     /// Aggregator crashes injected.
     pub crashes: u64,
     /// Resyncs from the rank-durable stores.
@@ -335,9 +330,9 @@ pub struct NetStats {
     /// Batches dropped by the `Shed` overload policy at a full buffer.
     /// Shed from the *stream only*: the records stay in the durable
     /// store and reach the merged view via resync/post-hoc merge.
-    pub shed_batches: u64,
+    pub(crate) shed_batches: u64,
     /// Triples inside those shed batches.
-    pub shed_triples: u64,
+    pub(crate) shed_triples: u64,
     /// Batches still unacked in the buffer (e.g. the run ended inside a
     /// partition). Accounted, not lost: the durable store has them.
     pub unacked_batches: u64,
@@ -409,7 +404,7 @@ impl NetClient {
     /// Push buffered batches at the collector until the buffer empties
     /// or the head batch exhausts its retry budget (it stays buffered
     /// for the next pump — at-least-once never discards).
-    pub fn pump(&self) {
+    pub(crate) fn pump(&self) {
         let mut st = self.state.lock();
         'batches: while let Some((seq, triples)) = st.buf.front().cloned() {
             let bytes = triples.len() as u64 * BYTES_PER_TRIPLE;
@@ -479,21 +474,12 @@ impl NetClient {
         self.stats()
     }
 
-    /// Batches waiting in the send buffer.
-    pub fn buffered(&self) -> u64 {
-        self.state.lock().buf.len() as u64
-    }
-
     /// Counters so far (`unacked_batches` reflects the buffer now).
-    pub fn stats(&self) -> NetStats {
+    pub(crate) fn stats(&self) -> NetStats {
         let st = self.state.lock();
         let mut stats = st.stats;
         stats.unacked_batches = st.buf.len() as u64;
         stats
-    }
-
-    pub fn rank(&self) -> u32 {
-        self.rank
     }
 }
 

@@ -62,14 +62,14 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Backoff before the retry that follows failure number `failures`
     /// (1-based): `backoff_ns * 2^(failures-1)`, saturating.
-    pub fn backoff_for(self, failures: u32) -> u64 {
+    pub(crate) fn backoff_for(self, failures: u32) -> u64 {
         let shift = failures.saturating_sub(1).min(20);
         self.backoff_ns.saturating_mul(1u64 << shift)
     }
 
     /// The largest delay either backoff flavor will produce (the
     /// exponential curve's saturation point).
-    pub fn backoff_cap(self) -> u64 {
+    pub(crate) fn backoff_cap(self) -> u64 {
         self.backoff_ns.saturating_mul(1 << 20)
     }
 
@@ -79,7 +79,7 @@ impl RetryPolicy {
     /// draws from its own seeded stream, so two ranks tripped by the same
     /// episode stop retrying in lockstep while the expected delay still
     /// grows geometrically.
-    pub fn jittered_backoff(self, prev: u64, rng: &mut DetRng) -> u64 {
+    pub(crate) fn jittered_backoff(self, prev: u64, rng: &mut DetRng) -> u64 {
         // `lo` stops one short of `u64::MAX` so `[lo, hi)` is never empty.
         let lo = self.backoff_ns.clamp(1, u64::MAX - 1);
         let hi = prev
@@ -92,7 +92,7 @@ impl RetryPolicy {
     /// (1-based): the decorrelated-jitter draw when `jitter` is on —
     /// `prev` carries the last delay from one retry to the next — and the
     /// exponential curve, which draws nothing from `rng`, otherwise.
-    pub fn next_delay(self, failures: u32, prev: &mut u64, rng: &mut DetRng) -> u64 {
+    pub(crate) fn next_delay(self, failures: u32, prev: &mut u64, rng: &mut DetRng) -> u64 {
         if self.jitter {
             *prev = self.jittered_backoff(*prev, rng);
             *prev
@@ -133,11 +133,11 @@ pub enum SerializationPolicy {
 #[derive(Debug, Clone)]
 pub struct ProvIoConfig {
     /// Which sub-classes to track (the user-engine selector).
-    pub selector: ClassSelector,
+    pub(crate) selector: ClassSelector,
     /// Directory on the parallel file system for per-process sub-graphs.
     pub store_dir: String,
-    pub policy: SerializationPolicy,
-    pub format: RdfFormat,
+    pub(crate) policy: SerializationPolicy,
+    pub(crate) format: RdfFormat,
     /// Serialize asynchronously on a background thread (paper default).
     /// `false` is the synchronous ablation.
     pub async_store: bool,
@@ -152,13 +152,13 @@ pub struct ProvIoConfig {
     /// the same instant — and this implementation's native overhead is
     /// what the pipeline benchmark in `benchmark/`, which runs every
     /// workload that way, reads off the host clock.
-    pub record_latency_ns: u64,
+    pub(crate) record_latency_ns: u64,
     /// Retry/backoff behavior of the durable store writer.
-    pub retry: RetryPolicy,
+    pub(crate) retry: RetryPolicy,
     /// Periodic flushes append delta segments next to the committed
     /// snapshot; fold them into a fresh snapshot every this many appends
     /// (`[store] compact_every`; 0 = compact only on finish).
-    pub compact_every: u32,
+    pub(crate) compact_every: u32,
     /// Capacity of the async store's intake queue, in pushed batches
     /// (`[store] queue_capacity`; 0 = unbounded, the legacy behavior).
     pub queue_capacity: u64,
@@ -173,7 +173,7 @@ pub struct ProvIoConfig {
     pub breaker_threshold: u32,
     /// How long (virtual ns) an open breaker waits before letting one
     /// half-open probe flush through (`[store] breaker_backoff_ns`).
-    pub breaker_backoff_ns: u64,
+    pub(crate) breaker_backoff_ns: u64,
     /// Write sub-graph files in the checksummed framing
     /// ([`crate::frame`]): per-file identity header, per-batch CRC32
     /// frames, and a footer hash chained across the store's commits
@@ -193,7 +193,7 @@ pub struct ProvIoConfig {
     pub wal: bool,
     /// Records per WAL group commit (`[store] wal_group`; must be ≥ 1).
     /// 1 = commit every record (strongest bound, highest overhead).
-    pub wal_group: u32,
+    pub(crate) wal_group: u32,
     /// Stream flushed batches to a live aggregator over the simulated
     /// interconnect (`[net] net`). Delivery is at-least-once (ack/timeout
     /// with the store's decorrelated-jitter backoff) and the aggregator
@@ -208,14 +208,14 @@ pub struct ProvIoConfig {
     /// retransmitting (`[net] net_timeout_ns`; must be ≥ 1 — a zero
     /// timeout would spin the retry loop without ever advancing the
     /// virtual clock past a partition window).
-    pub net_timeout_ns: u64,
+    pub(crate) net_timeout_ns: u64,
     /// Bound on the rank-side send buffer, in batches (`[net]
     /// net_buffer`; 0 = unbounded). When the buffer is full the
     /// `overload_policy` decides: `block` applies backpressure (the rank
     /// pumps the fabric until space frees), `shed` drops the new batch
     /// from the *stream only* — it stays in the durable store, so the
     /// post-crash resync still converges.
-    pub net_buffer: u64,
+    pub(crate) net_buffer: u64,
     /// Maintain XOR parity over committed artifacts (`[store] parity`):
     /// every `parity_group` commits the store seals a
     /// `<snapshot>.pNNNNNN.par` file from which `scrub` can reconstruct
@@ -228,7 +228,7 @@ pub struct ProvIoConfig {
     /// coverage, full write duplication); larger groups amortize the
     /// parity volume to ~1/N of committed bytes at a tolerance of one
     /// lost member per group.
-    pub parity_group: u32,
+    pub(crate) parity_group: u32,
     /// Emit a signed run manifest (`<store_dir>/MANIFEST.provio`) at
     /// `finish_all` and chain its digest into the campaign ledger
     /// (`<store_dir>/CAMPAIGN.provio`) — the tamper-evidence layer on top
@@ -241,54 +241,54 @@ pub struct ProvIoConfig {
     /// constant — so that demos and tests work out of the box while any
     /// real deployment is forced to set its own; treat a run signed by the
     /// default key as integrity-checked, not authenticated.
-    pub manifest_key: String,
+    pub(crate) manifest_key: String,
 }
 
 /// Default Redland-calibrated per-record latency (see
 /// [`ProvIoConfig::record_latency_ns`]).
-pub const DEFAULT_RECORD_LATENCY_NS: u64 = 2_000_000;
+pub(crate) const DEFAULT_RECORD_LATENCY_NS: u64 = 2_000_000;
 
 /// Default compaction threshold, in delta segments (see
 /// [`ProvIoConfig::compact_every`]).
-pub const DEFAULT_COMPACT_EVERY: u32 = 64;
+pub(crate) const DEFAULT_COMPACT_EVERY: u32 = 64;
 
 /// Default async intake-queue capacity, in batches (see
 /// [`ProvIoConfig::queue_capacity`]). A batch is at most ~4096 records, so
 /// this bounds per-store buffered memory while staying far above any rate
 /// the shared writer pool cannot absorb in steady state.
-pub const DEFAULT_QUEUE_CAPACITY: u64 = 1024;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: u64 = 1024;
 
 /// Default open-breaker backoff (virtual ns) before a half-open probe (see
 /// [`ProvIoConfig::breaker_backoff_ns`]): 100 ms of modeled time.
-pub const DEFAULT_BREAKER_BACKOFF_NS: u64 = 100_000_000;
+pub(crate) const DEFAULT_BREAKER_BACKOFF_NS: u64 = 100_000_000;
 
 /// Default WAL group-commit size, in records (see
 /// [`ProvIoConfig::wal_group`]). 64 matches the store's N-Triples batch
 /// granularity: small enough that a crashed rank loses at most one short
 /// burst of records, large enough to amortize the journal append.
-pub const DEFAULT_WAL_GROUP: u32 = 64;
+pub(crate) const DEFAULT_WAL_GROUP: u32 = 64;
 
 /// Default ack timeout for the streaming net client, in virtual ns (see
 /// [`ProvIoConfig::net_timeout_ns`]): 10 ms of modeled time — several
 /// round trips on the modeled fabric, short against partition episodes.
-pub const DEFAULT_NET_TIMEOUT_NS: u64 = 10_000_000;
+pub(crate) const DEFAULT_NET_TIMEOUT_NS: u64 = 10_000_000;
 
 /// Default rank-side send-buffer bound, in batches (see
 /// [`ProvIoConfig::net_buffer`]). 64 in-flight batches absorb a healthy
 /// fabric's jitter while keeping a partitioned rank's buffered memory
 /// bounded.
-pub const DEFAULT_NET_BUFFER: u64 = 64;
+pub(crate) const DEFAULT_NET_BUFFER: u64 = 64;
 
 /// Default manifest HMAC key (see [`ProvIoConfig::manifest_key`]): a
 /// published constant, so signatures made with it prove integrity but not
 /// authenticity.
-pub const DEFAULT_MANIFEST_KEY: &str = "provio-insecure-default-key";
+pub(crate) const DEFAULT_MANIFEST_KEY: &str = "provio-insecure-default-key";
 
 /// Default parity group width, in committed artifacts (see
 /// [`ProvIoConfig::parity_group`]). 16 keeps the extra write volume near
 /// 1/16 ≈ 6% of committed bytes while still tolerating one lost artifact
 /// per sixteen commits; sweeps and tests narrow it for denser coverage.
-pub const DEFAULT_PARITY_GROUP: u32 = 16;
+pub(crate) const DEFAULT_PARITY_GROUP: u32 = 16;
 
 impl Default for ProvIoConfig {
     fn default() -> Self {

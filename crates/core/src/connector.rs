@@ -44,10 +44,6 @@ impl ProvIoVol {
         })
     }
 
-    pub fn registry(&self) -> &Arc<TrackerRegistry> {
-        &self.registry
-    }
-
     fn entity_class(kind: ObjectKind) -> EntityClass {
         match kind {
             ObjectKind::File => EntityClass::File,

@@ -93,7 +93,7 @@ impl Default for CrashcheckConfig {
 
 /// The record pushed as rank `rank`'s `seq`-th push — globally unique,
 /// so graph membership identifies exactly which records survived.
-pub fn crashcheck_triple(rank: u32, seq: usize) -> Triple {
+pub(crate) fn crashcheck_triple(rank: u32, seq: usize) -> Triple {
     Triple::new(
         Subject::iri(format!("urn:crashcheck:r{rank}")),
         Iri::new("urn:crashcheck:pushed"),
@@ -103,24 +103,24 @@ pub fn crashcheck_triple(rank: u32, seq: usize) -> Triple {
 
 /// One push, tied to its position in the operation trace.
 #[derive(Debug, Clone, Copy)]
-pub struct PushMark {
+pub(crate) struct PushMark {
     /// Trace length when the push returned: a crash state with
     /// `prefix >= op_end` has this record journaled (or buffered).
-    pub op_end: usize,
-    pub rank: u32,
-    pub seq: usize,
+    pub(crate) op_end: usize,
+    pub(crate) rank: u32,
+    pub(crate) seq: usize,
 }
 
 /// One successful flush acknowledgement: everything `rank` pushed before
 /// this point is durably committed. Acks are strictly per rank — rank
 /// 0's flush returning says nothing about rank 1's still-buffered data.
 #[derive(Debug, Clone, Copy)]
-pub struct AckMark {
+pub(crate) struct AckMark {
     /// Trace length when the flush returned.
-    pub op_end: usize,
-    pub rank: u32,
+    pub(crate) op_end: usize,
+    pub(crate) rank: u32,
     /// Count of this rank's records covered by the ack.
-    pub acked: usize,
+    pub(crate) acked: usize,
 }
 
 /// The traced workload: the operation sequence plus the ack/push marks
@@ -129,8 +129,8 @@ pub struct AckMark {
 pub struct RecordedWorkload {
     pub config: CrashcheckConfig,
     pub ops: Vec<TraceOp>,
-    pub pushes: Vec<PushMark>,
-    pub acks: Vec<AckMark>,
+    pub(crate) pushes: Vec<PushMark>,
+    pub(crate) acks: Vec<AckMark>,
 }
 
 /// Run the all-knobs-armed workload once, recording its complete
@@ -219,12 +219,12 @@ pub fn record_workload(config: &CrashcheckConfig) -> RecordedWorkload {
 /// One invariant breach at one crash state.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    pub state: CrashState,
+    pub(crate) state: CrashState,
     /// Invariant id from the table above (`durability`, `no-phantom`,
     /// `bounded-loss`, `no-innocent-quarantine`, `atomic-trust`,
     /// `idempotent-recovery`, `no-spurious-mutation`).
     pub invariant: &'static str,
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl std::fmt::Display for Violation {
@@ -237,7 +237,7 @@ impl std::fmt::Display for Violation {
 #[derive(Debug, Default)]
 pub struct CrashcheckReport {
     /// Length of the recorded operation trace.
-    pub trace_len: usize,
+    pub(crate) trace_len: usize,
     /// States the enumeration produced.
     pub states: usize,
     /// States actually reconstructed and recovered (≤ `states` under a

@@ -1,8 +1,8 @@
 //! The PROV-IO User Engine (paper §4.2, §6.5): query, statistics,
 //! visualization.
 
-pub mod query;
-pub mod stats;
+pub(crate) mod query;
+pub(crate) mod stats;
 pub mod viz;
 
 pub use query::ProvQueryEngine;

@@ -14,11 +14,11 @@ use std::fmt::Write as _;
 pub struct ClassStats {
     pub count: u64,
     pub total_duration_ns: u64,
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
 }
 
 impl ClassStats {
-    pub fn mean_duration_ns(&self) -> f64 {
+    pub(crate) fn mean_duration_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -32,10 +32,10 @@ impl ClassStats {
 pub struct IoStats {
     pub by_class: BTreeMap<&'static str, ClassStats>,
     /// API-name level counts ("H5Dwrite" → n).
-    pub by_api: BTreeMap<String, u64>,
+    pub(crate) by_api: BTreeMap<String, u64>,
     /// Histogram of activity timestamps (bucketed by `bucket_ns`).
     pub timeline: BTreeMap<u64, u64>,
-    pub bucket_ns: u64,
+    pub(crate) bucket_ns: u64,
 }
 
 impl IoStats {

@@ -52,13 +52,13 @@ use crc32fast::hash as crc32;
 use std::io::Write as _;
 
 /// First-line magic; the trailing digit is the format version.
-pub const MAGIC: &str = "# PROVIO1";
+pub(crate) const MAGIC: &str = "# PROVIO1";
 
 /// Reserved sigil opening every batch marker line.
-pub const BATCH_SIGIL: &str = "#~B";
+pub(crate) const BATCH_SIGIL: &str = "#~B";
 
 /// Reserved sigil opening the footer line.
-pub const FOOTER_SIGIL: &str = "#~F";
+pub(crate) const FOOTER_SIGIL: &str = "#~F";
 
 /// `prev` value for the first file of a store's chain (ordinal 0).
 pub const CHAIN_START: u32 = 0;
@@ -106,31 +106,31 @@ impl FrameKind {
 /// A successfully decoded (possibly partially corrupt) framed file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FramedFile {
-    pub kind: FrameKind,
+    pub(crate) kind: FrameKind,
     /// Store GUID claimed by the header.
-    pub guid: u64,
+    pub(crate) guid: u64,
     /// Position of this file in the store's commit sequence.
-    pub ordinal: u64,
+    pub(crate) ordinal: u64,
     /// Chain value of the previous committed file ([`CHAIN_START`] for the
     /// first).
-    pub prev: u32,
+    pub(crate) prev: u32,
     /// This file's own chain value (CRC-32 of its header line), which the
     /// next file's `prev` must equal.
-    pub chain: u32,
+    pub(crate) chain: u32,
     /// Concatenated payload of every batch that verified.
     pub payload: String,
     /// Batches the file was declared/observed to hold.
-    pub batches_total: usize,
+    pub(crate) batches_total: usize,
     /// Batches that failed verification and were dropped from `payload`.
-    pub batches_corrupt: usize,
+    pub(crate) batches_corrupt: usize,
     /// Merkle root the footer claims (None on pre-root footers).
-    pub declared_root: Option<[u8; 32]>,
+    pub(crate) declared_root: Option<[u8; 32]>,
     /// Merkle root recomputed from the batch bodies as found on disk.
     /// [`decode`] reports the mismatch but does not act on it: a root-only
     /// mismatch (every CRC verifies, identity verifies) is *tamper*, not
     /// rot, and is judged against the signed manifest by `verify`, not
     /// against the (equally rewritable) footer.
-    pub computed_root: [u8; 32],
+    pub(crate) computed_root: [u8; 32],
 }
 
 impl FramedFile {
@@ -142,7 +142,7 @@ impl FramedFile {
     /// Does the header claim the store that the file at `path` belongs to?
     /// A frame that verifies but sits under another store's name was
     /// substituted or misplaced.
-    pub fn belongs_to(&self, path: &str) -> bool {
+    pub(crate) fn belongs_to(&self, path: &str) -> bool {
         self.guid == store_guid(path)
     }
 }
@@ -166,7 +166,7 @@ pub fn store_guid(path: &str) -> u64 {
 }
 
 /// Strip commit-protocol suffixes down to the snapshot path.
-pub fn base_store_path(path: &str) -> &str {
+pub(crate) fn base_store_path(path: &str) -> &str {
     names::parse(path).base
 }
 
@@ -208,7 +208,7 @@ pub fn encode(
 /// [`file_root`] would recompute from the committed bytes. Writers cache
 /// it per committed path so sealing a run does not have to re-read and
 /// re-CRC files the store itself just wrote.
-pub fn encode_with_root(
+pub(crate) fn encode_with_root(
     kind: FrameKind,
     guid: u64,
     ordinal: u64,
@@ -248,7 +248,7 @@ pub fn encode_with_root(
 /// CRC speed — the (few) interior hashes are the only SHA-256 work — while
 /// the root still commits to every batch's content and order strongly
 /// enough to anchor in a signed manifest.
-pub fn merkle_root(leaves: &[u32]) -> [u8; 32] {
+pub(crate) fn merkle_root(leaves: &[u32]) -> [u8; 32] {
     let mut level: Vec<[u8; 32]> = leaves
         .iter()
         .map(|&crc| sha2::sha256(&crc.to_be_bytes()))
@@ -283,7 +283,7 @@ pub fn merkle_root(leaves: &[u32]) -> [u8; 32] {
 /// This is the manifest writer's and verifier's view of a file: the root
 /// of *what is actually on disk*, regardless of what any (rewritable)
 /// footer claims.
-pub fn file_root(text: &str) -> Option<[u8; 32]> {
+pub(crate) fn file_root(text: &str) -> Option<[u8; 32]> {
     let mut cuts = cuts(text);
     if !cuts.next()?.marker.starts_with(MAGIC) {
         return None;
@@ -535,7 +535,7 @@ pub fn decode(text: &str) -> Result<FramedFile, FrameError> {
 
 /// [`decode`] for bytes off disk: `None` when they are not UTF-8 text or
 /// do not decode — whatever the reason, there is no frame to act on.
-pub fn decode_bytes(bytes: &[u8]) -> Option<FramedFile> {
+pub(crate) fn decode_bytes(bytes: &[u8]) -> Option<FramedFile> {
     decode(std::str::from_utf8(bytes).ok()?).ok()
 }
 
@@ -624,7 +624,7 @@ pub struct WalFile {
     /// `(record ordinal, N-Triples line)`.
     pub records: Vec<(u64, String)>,
     /// Chunks that decoded and chained cleanly.
-    pub chunks: usize,
+    pub(crate) chunks: usize,
     /// True when a torn, bit-rotted, mis-chained, or foreign-guid tail was
     /// truncated (everything from the first bad chunk on is dropped).
     pub truncated: bool,

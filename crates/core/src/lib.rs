@@ -24,25 +24,26 @@
 //!    [`provio_model::ClassSelector`] in [`config::ProvIoConfig`]), SPARQL
 //!    queries, backward-lineage derivation, I/O statistics, and Graphviz
 //!    visualization.
+#![warn(unreachable_pub)]
 
-pub mod api;
-pub mod artifact;
-pub mod collect;
-pub mod config;
-pub mod connector;
+pub(crate) mod api;
+pub(crate) mod artifact;
+pub(crate) mod collect;
+pub(crate) mod config;
+pub(crate) mod connector;
 pub mod crashcheck;
 pub mod engine;
 pub mod frame;
 mod fsio;
 pub mod merge;
-pub mod names;
+pub(crate) mod names;
 pub mod recover;
-pub mod report;
-pub mod scrub;
-pub mod store;
-pub mod tracker;
+pub(crate) mod report;
+pub(crate) mod scrub;
+pub(crate) mod store;
+pub(crate) mod tracker;
 pub mod verify;
-pub mod wrapper;
+pub(crate) mod wrapper;
 
 pub use api::ProvIoApi;
 pub use collect::{Collector, DeliveryReport, NetClient, NetStats};
@@ -52,7 +53,6 @@ pub use crashcheck::{
     crashcheck, record_workload, CrashcheckConfig, CrashcheckReport, RecordedWorkload, Violation,
 };
 pub use engine::ProvQueryEngine;
-pub use frame::{store_guid, FrameKind, FramedFile};
 pub use merge::merge_directory;
 pub use recover::{recover_all, RecoveryOutcome};
 pub use report::{doctor, DoctorReport, RankCrash, RunReport};

@@ -19,10 +19,10 @@
 use crate::config::RdfFormat;
 
 /// File name of the signed run manifest, written into the store directory.
-pub const MANIFEST_NAME: &str = "MANIFEST.provio";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST.provio";
 
 /// File name of the append-only campaign ledger, next to the manifest.
-pub const LEDGER_NAME: &str = "CAMPAIGN.provio";
+pub(crate) const LEDGER_NAME: &str = "CAMPAIGN.provio";
 
 const TMP: &str = ".tmp";
 const QUARANTINE: &str = ".quarantine";
@@ -39,7 +39,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// What a file holds. The numbered roles carry their six-digit sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// The store's snapshot — also any file the grammar does not know,
     /// which merges as a legacy sub-graph of its own.
     Snapshot,
@@ -52,7 +52,7 @@ pub enum Role {
 
 /// Where a file stands in the commit protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum State {
+pub(crate) enum State {
     Live,
     Tmp,
     Quarantined,
@@ -60,41 +60,41 @@ pub enum State {
 
 /// A parsed path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Name<'a> {
+pub(crate) struct Name<'a> {
     /// The snapshot path of the store the file belongs to — what the
     /// store's GUID hashes. The manifest and the ledger are their own base:
     /// the ledger's frames carry the GUID of its own path.
-    pub base: &'a str,
-    pub role: Role,
+    pub(crate) base: &'a str,
+    pub(crate) role: Role,
     /// The outermost wrapper.
-    pub state: State,
+    pub(crate) state: State,
     /// The path without that wrapper: where a tmp commits to, what a
     /// quarantined copy was taken from, the path itself when live.
-    pub live: &'a str,
+    pub(crate) live: &'a str,
 }
 
 impl Name<'_> {
     /// GUID of the owning store: a snapshot, its segments, journal and
     /// parity files, tmp or quarantined, all claim the same one.
-    pub fn guid(&self) -> u64 {
+    pub(crate) fn guid(&self) -> u64 {
         fnv1a64(self.base.as_bytes())
     }
 
     /// The manifest or the ledger: `verify` owns them, no other tier
     /// parses them or adopts their tmp.
-    pub fn is_trust_artifact(&self) -> bool {
+    pub(crate) fn is_trust_artifact(&self) -> bool {
         matches!(self.role, Role::Manifest | Role::Ledger)
     }
 
     /// A committed file of some store — what a run manifest lists.
-    pub fn is_store_file(&self) -> bool {
+    pub(crate) fn is_store_file(&self) -> bool {
         self.state == State::Live && !self.is_trust_artifact()
     }
 
     /// Serialization of the payload, by the extension of the live name
     /// (segments and journals are always N-Triples); `None` when it says
     /// neither and a reader has to try both.
-    pub fn syntax(&self) -> Option<RdfFormat> {
+    pub(crate) fn syntax(&self) -> Option<RdfFormat> {
         let extension = self.live.rsplit_once('.')?.1;
         [RdfFormat::NTriples, RdfFormat::Turtle]
             .into_iter()
@@ -110,7 +110,7 @@ fn unwrapped(path: &str) -> Option<(&str, State)> {
 
 /// Parse any path. Total: a name the grammar does not know is a live
 /// snapshot of itself.
-pub fn parse(path: &str) -> Name<'_> {
+pub(crate) fn parse(path: &str) -> Name<'_> {
     // A hand-made name can be wrapped more than once; the outermost
     // wrapper is its state and all of them come off the base.
     let (live, state) = unwrapped(path).unwrap_or((path, State::Live));
@@ -149,7 +149,7 @@ pub fn parse(path: &str) -> Name<'_> {
 }
 
 /// The path of the `role` file of the store at `base`, in `state`.
-pub fn print(base: &str, role: Role, state: State) -> String {
+pub(crate) fn print(base: &str, role: Role, state: State) -> String {
     let live = match role {
         Role::Snapshot | Role::Manifest | Role::Ledger => base.to_string(),
         Role::Segment(n) => format!("{base}.d{n:06}.nt"),
@@ -164,12 +164,12 @@ pub fn print(base: &str, role: Role, state: State) -> String {
 }
 
 /// Where a commit of `live` is staged before its rename.
-pub fn tmp_of(live: &str) -> String {
+pub(crate) fn tmp_of(live: &str) -> String {
     format!("{live}{TMP}")
 }
 
 /// Where a condemned `live` is moved aside to.
-pub fn quarantine_of(live: &str) -> String {
+pub(crate) fn quarantine_of(live: &str) -> String {
     format!("{live}{QUARANTINE}")
 }
 

@@ -45,24 +45,24 @@ pub struct RankCrash {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Ranks the run started with.
-    pub world_size: u32,
+    pub(crate) world_size: u32,
     /// Ranks that crashed, at most one entry per rank (the first crash
     /// wins — a rank that dies in phase 2 stays dead in phase 3).
     pub crashed: Vec<RankCrash>,
     /// Sub-graphs the merge was expected to recover (typically the number
     /// of surviving ranks, or the world size when crashed ranks' partial
     /// stores are also salvageable).
-    pub expected_subgraphs: usize,
+    pub(crate) expected_subgraphs: usize,
     /// What the merge recovered, salvaged, replayed and quarantined.
     pub merge: MergeReport,
     /// What parity repair fixed, and what stayed lost beyond tolerance.
     pub scrub: ScrubReport,
     /// The trust audit; `None` until [`Self::attach_verify`] runs.
-    pub verify: Option<VerifyReport>,
+    pub(crate) verify: Option<VerifyReport>,
     /// Store commit attempts retried after a transient failure, summed
     /// over ranks (from [`TrackSummary::flush_retries`]). Non-zero with
     /// `degraded == false` means the retry policy absorbed real trouble.
-    pub flush_retries: u64,
+    pub(crate) flush_retries: u64,
     /// Sender-side delivery counters, summed over ranks (all zero when the
     /// run did not stream). `unacked_batches` accounts every gap: a
     /// streamed-view consumer knows exactly how many batches only the
@@ -267,10 +267,10 @@ impl fmt::Display for RunReport {
 pub struct DoctorReport {
     /// Relation edges whose endpoint GUID has no `rdf:type` — the node the
     /// edge points at (or leaves from) was never recovered.
-    pub orphan_relations: Vec<String>,
+    pub(crate) orphan_relations: Vec<String>,
     /// Activity nodes with no `prov:wasAssociatedWith` edge: an I/O API
     /// invocation that lost its responsible agent.
-    pub unassociated_activities: Vec<Guid>,
+    pub(crate) unassociated_activities: Vec<Guid>,
     /// GUIDs carrying more than one `rdf:type` — a content-address
     /// collision or a corrupted merge.
     pub duplicate_guids: Vec<Guid>,

@@ -49,9 +49,7 @@ use provio_hpcfs::{FileSystem, FsError};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-pub use crate::artifact::{
-    data_line, encode_parity_frame, member_line, xor_into, MemberCheck, ParityMember,
-};
+pub(crate) use crate::artifact::{encode_parity_frame, xor_into, ParityMember};
 
 /// What one scrub pass over a run directory found and fixed.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -74,7 +72,7 @@ pub struct ScrubReport {
     pub unusable_parity: Vec<String>,
     /// Groups skipped because a member was legitimately superseded by a
     /// later commit after the parity sealed (compaction crash window).
-    pub stale_groups: u64,
+    pub(crate) stale_groups: u64,
 }
 
 impl ScrubReport {
@@ -428,7 +426,8 @@ fn push_unique(list: &mut Vec<String>, path: &str) {
 mod tests {
     use super::*;
     use crate::artifact::{
-        decode_b64, encode_b64_into, parse_member_line, parse_raw_header, raw_block, RawCollector,
+        data_line, decode_b64, encode_b64_into, member_line, parse_member_line, parse_raw_header,
+        raw_block, MemberCheck, RawCollector,
     };
     use provio_hpcfs::LustreConfig;
     use provio_simrt::SimTime;

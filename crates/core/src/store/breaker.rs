@@ -16,7 +16,7 @@ pub enum BreakerState {
 }
 
 impl BreakerState {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",

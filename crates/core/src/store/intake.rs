@@ -12,14 +12,14 @@ pub(super) mod pool {
     use super::{Condvar, Mutex, VecDeque};
     use std::sync::Once;
 
-    pub type Job = Box<dyn FnOnce() + Send>;
+    pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
     static QUEUE: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
     static READY: Condvar = Condvar::new();
 
     /// Size of the shared pool (also how many jobs a test must park to
     /// deterministically wedge every worker).
-    pub fn workers() -> usize {
+    pub(crate) fn workers() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get().clamp(2, 8))
             .unwrap_or(2)
@@ -35,7 +35,7 @@ pub(super) mod pool {
         }
     }
 
-    pub fn submit(job: Job) {
+    pub(crate) fn submit(job: Job) {
         static SPAWN: Once = Once::new();
         SPAWN.call_once(|| {
             for i in 0..workers() {

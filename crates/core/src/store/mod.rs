@@ -144,7 +144,7 @@ mod intake;
 mod journal;
 mod parity;
 
-pub use crate::config::DEFAULT_COMPACT_EVERY;
+pub(crate) use crate::config::DEFAULT_COMPACT_EVERY;
 pub use breaker::BreakerState;
 
 use crate::artifact::{MemberCheck, ParityMember, RootCache};
@@ -701,50 +701,50 @@ impl Inner {
 pub struct StoreStats {
     /// The last flush failed: the graph is kept in memory, its bytes are
     /// not durable.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
     /// The most recent flush error, if any (survives a later success, as a
     /// record of retried trouble).
     pub last_error: Option<FsError>,
     /// Flushes dropped after retry exhaustion, permanent error, or crash.
-    pub dropped_flushes: u64,
+    pub(crate) dropped_flushes: u64,
     /// Commit attempts retried after a transient failure — visible even
     /// when every flush eventually succeeded and `degraded` never flipped.
-    pub flush_retries: u64,
+    pub(crate) flush_retries: u64,
     /// Live (committed, not yet compacted) delta segments.
     pub segments: usize,
     /// Triples pushed so far (pre-dedup, including shed batches).
     pub triples_pushed: u64,
     /// Push batches waiting in the async intake queue; never above its
     /// capacity.
-    pub queue_depth: u64,
+    pub(crate) queue_depth: u64,
     /// Batches dropped by the `Shed` overload policy.
-    pub shed_batches: u64,
+    pub(crate) shed_batches: u64,
     /// Triples inside those shed batches.
-    pub shed_triples: u64,
+    pub(crate) shed_triples: u64,
     /// Current circuit-breaker state.
-    pub breaker_state: BreakerState,
+    pub(crate) breaker_state: BreakerState,
     /// Times the breaker tripped open (including failed half-open probes).
-    pub breaker_trips: u64,
+    pub(crate) breaker_trips: u64,
     /// Periodic flushes skipped because the breaker was open. Skipped is
     /// not lost: the triples stay above the watermark.
-    pub breaker_skipped: u64,
+    pub(crate) breaker_skipped: u64,
     /// Records durably group-committed to the write-ahead journal.
-    pub wal_records: u64,
+    pub(crate) wal_records: u64,
     /// Successful journal appends (each covers every chunk then buffered).
-    pub wal_commits: u64,
+    pub(crate) wal_commits: u64,
     /// Journal generations retired after successful flushes.
-    pub wal_recycles: u64,
+    pub(crate) wal_recycles: u64,
     /// Journal appends that failed and left their records buffered for a
     /// retry at the next group boundary.
-    pub wal_failed_appends: u64,
+    pub(crate) wal_failed_appends: u64,
     /// Journal records accepted but not yet group-committed — the exposure
     /// window, never more than one group unless appends are failing.
-    pub wal_buffered: u64,
+    pub(crate) wal_buffered: u64,
     /// Parity files sealed over the store's lifetime (both planes;
     /// compaction and recycling may have retired some since).
-    pub parity_seals: u64,
+    pub(crate) parity_seals: u64,
     /// Parity seal attempts that failed (coverage lost, run unaffected).
-    pub parity_failed: u64,
+    pub(crate) parity_failed: u64,
 }
 
 /// A per-process provenance sink.
@@ -844,7 +844,7 @@ impl ProvenanceStore {
 
     /// Bound the async intake queue at `capacity` push batches (0 =
     /// unbounded) and pick what a full queue does to the producer.
-    pub fn with_queue(mut self, capacity: u64, policy: OverloadPolicy) -> Self {
+    pub(crate) fn with_queue(mut self, capacity: u64, policy: OverloadPolicy) -> Self {
         self.queue_capacity = capacity;
         self.overload = policy;
         self
@@ -853,7 +853,7 @@ impl ProvenanceStore {
     /// Arm the circuit breaker: trip after `threshold` consecutive flush
     /// failures (0 disables, the default), half-open probe after
     /// `backoff_ns` virtual nanoseconds.
-    pub fn with_breaker(self, threshold: u32, backoff_ns: u64) -> Self {
+    pub(crate) fn with_breaker(self, threshold: u32, backoff_ns: u64) -> Self {
         {
             let mut io = self.inner.io.lock();
             io.breaker.threshold = threshold;
@@ -864,7 +864,7 @@ impl ProvenanceStore {
 
     /// Wire the owning rank's virtual clock as the breaker's time source
     /// for flushes that carry no charge clock (all async flushes).
-    pub fn with_clock(self, clock: VirtualClock) -> Self {
+    pub(crate) fn with_clock(self, clock: VirtualClock) -> Self {
         self.inner.io.lock().clock = Some(clock);
         self
     }
@@ -903,13 +903,13 @@ impl ProvenanceStore {
     }
 
     /// The store file's path on the parallel file system.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         &self.path
     }
 
     /// The file system the store writes to — what run-level tooling (the
     /// manifest writer, `verify`) walks after the ranks finish.
-    pub fn fs(&self) -> &Arc<FileSystem> {
+    pub(crate) fn fs(&self) -> &Arc<FileSystem> {
         &self.fs
     }
 
@@ -1071,12 +1071,6 @@ impl ProvenanceStore {
         self.inner.io.lock().journal_commit(true);
     }
 
-    /// Current size of the committed snapshot on the parallel file system
-    /// (delta segments not included).
-    pub fn size_bytes(&self) -> u64 {
-        self.fs.stat(&self.path).map(|m| m.size).unwrap_or(0)
-    }
-
     /// Commit-time Merkle roots of the framed files this store currently
     /// has on disk, as `(path, committed bytes, root)`. The sealing pass
     /// ([`crate::verify::seal_run_with_roots`]) uses these to sign a run
@@ -1151,7 +1145,7 @@ mod tests {
         st.push(triples(5), None);
         let bytes = st.finish(None);
         assert!(bytes > 0);
-        assert_eq!(st.size_bytes(), bytes);
+        assert_eq!(fs.stat("/prov/p1.ttl").unwrap().size, bytes);
         let text = String::from_utf8(fs_read(&fs, "/prov/p1.ttl")).unwrap();
         let (g, _) = turtle::parse(&text).unwrap();
         assert_eq!(g.len(), 5);
@@ -1180,7 +1174,7 @@ mod tests {
         let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/p3.nt", RdfFormat::NTriples, false);
         st.push(triples(3), None);
         st.flush(None);
-        assert!(st.size_bytes() > 0);
+        assert!(fs.stat("/prov/p3.nt").unwrap().size > 0);
         st.push(triples(10), None);
         st.finish(None);
         let text = String::from_utf8(fs_read(&fs, "/prov/p3.nt")).unwrap();

@@ -111,7 +111,7 @@ pub struct TrackSummary {
     pub shed_batches: u64,
     /// Triples inside those shed batches (honest loss accounting:
     /// `triples` counts everything offered, this says what never landed).
-    pub shed_triples: u64,
+    pub(crate) shed_triples: u64,
     /// Times the store's circuit breaker tripped open.
     pub breaker_trips: u64,
     /// Periodic flushes skipped while the breaker was open (skipped, not
@@ -121,27 +121,27 @@ pub struct TrackSummary {
     pub breaker_state: String,
     /// Records group-committed to the write-ahead journal (0 with the
     /// journal disabled).
-    pub wal_records: u64,
+    pub(crate) wal_records: u64,
     /// Journal group commits performed.
-    pub wal_commits: u64,
+    pub(crate) wal_commits: u64,
     /// Journal generations recycled after a successful flush.
-    pub wal_recycles: u64,
+    pub(crate) wal_recycles: u64,
     /// Store commit attempts retried after a transient failure. Before
     /// this counter a retried flush that recovered was invisible — only
     /// policy exhaustion flipped `degraded`.
-    pub flush_retries: u64,
+    pub(crate) flush_retries: u64,
     /// Batches offered to the streaming pipeline (0 when not streaming).
     pub net_sent: u64,
     /// Batches the collector acked.
     pub net_acked: u64,
     /// Retransmissions after timeouts (loss, lost acks, partitions,
     /// collector crashes).
-    pub net_retries: u64,
+    pub(crate) net_retries: u64,
     /// Batches the `Shed` policy dropped from the stream at a full send
     /// buffer (still durable in the store, so not lost from the merge).
-    pub net_shed_batches: u64,
+    pub(crate) net_shed_batches: u64,
     /// Triples inside those shed batches.
-    pub net_shed_triples: u64,
+    pub(crate) net_shed_triples: u64,
     /// Batches still unacked when the rank finished (e.g. the run ended
     /// inside a partition) — the stream's gap, owned by the store.
     pub net_unacked: u64,
@@ -367,12 +367,8 @@ impl ProvTracker {
     }
 
     /// The streaming client, when one is attached.
-    pub fn net(&self) -> Option<Arc<NetClient>> {
+    pub(crate) fn net(&self) -> Option<Arc<NetClient>> {
         self.net.lock().clone()
-    }
-
-    pub fn program_guid(&self) -> &Guid {
-        &self.program_guid
     }
 
     /// Hand a drained batch to the store and, when streaming, to the
@@ -890,7 +886,7 @@ mod tests {
         assert_eq!(nodes_of_class(&g, AgentClass::Thread.into()).len(), 1);
         assert_eq!(nodes_of_class(&g, AgentClass::Program.into()).len(), 1);
         // program actedOnBehalfOf thread actedOnBehalfOf user (Table 5 q8/q9)
-        let rels = provio_model::ontology::relations_from_graph(&g, t.program_guid());
+        let rels = provio_model::ontology::relations_from_graph(&g, &t.program_guid);
         assert!(rels
             .iter()
             .any(|(r, _)| *r == Relation::ActedOnBehalfOf));

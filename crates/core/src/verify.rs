@@ -46,9 +46,9 @@ pub use crate::artifact::{
 /// chained into the campaign ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ManifestInfo {
-    pub run: u64,
-    pub digest: [u8; 32],
-    pub files: usize,
+    pub(crate) run: u64,
+    pub(crate) digest: [u8; 32],
+    pub(crate) files: usize,
 }
 
 /// Content root of a file's bytes: the frame Merkle root when the file is
@@ -84,7 +84,7 @@ fn ledger_path(dir: &str) -> String {
 /// (journal generations, a crashed sibling's segments, foreign files) and
 /// files whose size disagrees with the cache fall back to the slow path.
 /// The manifest is byte-identical either way.
-pub fn write_manifest_with_roots(
+pub(crate) fn write_manifest_with_roots(
     fs: &Arc<FileSystem>,
     dir: &str,
     key: &str,
@@ -141,8 +141,8 @@ pub fn write_manifest_with_roots(
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ledger {
     pub records: Vec<LedgerRecord>,
-    pub truncated: bool,
-    pub chained: bool,
+    pub(crate) truncated: bool,
+    pub(crate) chained: bool,
 }
 
 /// Read the campaign ledger, tolerating a torn tail: the ledger is a
@@ -190,7 +190,7 @@ pub fn read_ledger(fs: &Arc<FileSystem>, dir: &str) -> Option<Ledger> {
 /// prefix — records, ordinals, and frame chain re-encode byte-identically,
 /// so an undamaged ledger round-trips unchanged. The whole file commits
 /// tmp-then-rename.
-pub fn append_ledger(
+pub(crate) fn append_ledger(
     fs: &Arc<FileSystem>,
     dir: &str,
     run: u64,
@@ -271,7 +271,7 @@ pub enum FileVerdict {
 }
 
 impl FileVerdict {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             FileVerdict::Verified => "verified",
             FileVerdict::Unsigned => "unsigned",
@@ -293,15 +293,15 @@ impl fmt::Display for FileVerdict {
 pub struct FileCheck {
     pub path: String,
     pub verdict: FileVerdict,
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 /// The full result of verifying one run directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyReport {
-    pub dir: String,
+    pub(crate) dir: String,
     /// Run GUID claimed by the manifest, when one parsed.
-    pub run: Option<u64>,
+    pub(crate) run: Option<u64>,
     pub manifest_present: bool,
     /// The manifest parsed and its HMAC verified under the given key.
     pub manifest_ok: bool,

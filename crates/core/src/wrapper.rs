@@ -24,7 +24,7 @@ impl PosixWrapper {
     }
 
     /// Map a syscall to (activity class, tracked object), or `None` for
-    /// calls outside the model (close, lseek, stat, readdir, listxattr).
+    /// calls outside the model (close, lseek, stat, readdir).
     fn classify(event: &SyscallEvent) -> Option<(ActivityClass, Option<ObjectDesc>)> {
         let file_obj = || {
             event
@@ -36,9 +36,7 @@ impl PosixWrapper {
             SyscallKind::Creat => (ActivityClass::Create, file_obj()),
             SyscallKind::Open => (ActivityClass::Open, file_obj()),
             SyscallKind::Read | SyscallKind::Pread => (ActivityClass::Read, file_obj()),
-            SyscallKind::Write | SyscallKind::Pwrite | SyscallKind::Truncate => {
-                (ActivityClass::Write, file_obj())
-            }
+            SyscallKind::Write | SyscallKind::Pwrite => (ActivityClass::Write, file_obj()),
             SyscallKind::Fsync => (ActivityClass::Fsync, file_obj()),
             SyscallKind::Rename => (
                 ActivityClass::Rename,
@@ -49,7 +47,6 @@ impl PosixWrapper {
                     .as_ref()
                     .map(|p| ObjectDesc::posix(EntityClass::File, p.clone())),
             ),
-            SyscallKind::Unlink => (ActivityClass::Rename, file_obj()),
             SyscallKind::Mkdir => (
                 ActivityClass::Create,
                 event
@@ -79,8 +76,7 @@ impl PosixWrapper {
             SyscallKind::Close
             | SyscallKind::Lseek
             | SyscallKind::Stat
-            | SyscallKind::Readdir
-            | SyscallKind::ListXattr => return None,
+            | SyscallKind::Readdir => return None,
         })
     }
 }

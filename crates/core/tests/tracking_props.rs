@@ -3,11 +3,17 @@
 //! fidelity, merge invariance under event partitioning, and the
 //! differential oracle that holds the tracker's direct term-by-term
 //! emission to the reference mapping (`ProvRecord` +
-//! `ontology::record_triples_into`).
+//! `ontology::record_triples_into`), and one row per call that is the only
+//! producer of a Table 2 class (HDF5 *Datatype* / *Link*, POSIX *Link* /
+//! *Directory* removal) through the connector and the syscall wrapper.
 
 use proptest::prelude::*;
-use provio::{merge_directory, IoEvent, ObjectDesc, ProvIoConfig, ProvTracker};
-use provio_hpcfs::{FileSystem, LustreConfig};
+use provio::{
+    merge_directory, IoEvent, ObjectDesc, PosixWrapper, ProvIoConfig, ProvIoVol, ProvTracker,
+    TrackerRegistry,
+};
+use provio_hdf5::{Datatype, NativeVol, VolConnector, H5};
+use provio_hpcfs::{Dispatcher, FileSystem, FsSession, LustreConfig};
 use provio_model::{
     ontology, ActivityClass, AgentClass, ClassSelector, EntityClass, ExtensibleClass, Guid,
     GuidGen, PropKey, ProvNode, ProvRecord, Relation, TrackItem,
@@ -535,6 +541,154 @@ fn check_against_reference(ops: &[Op], sel: ClassSelector) -> Result<(), String>
         return Err(format!("{sel:?}: missing {missing:#?}, extra {extra:#?}"));
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Table 2 reachability
+// ---------------------------------------------------------------------------
+
+/// The file system, the one tracked process, and an untracked process
+/// that lays out what each call needs, so the tracked call is the only
+/// event in the store.
+struct Rig {
+    fs: Arc<FileSystem>,
+    tracker: Arc<ProvTracker>,
+    setup: H5,
+    tracked: H5,
+}
+
+fn rig() -> Rig {
+    let fs = FileSystem::new(LustreConfig::default());
+    let registry = TrackerRegistry::new();
+    let clock = VirtualClock::new();
+    let tracker = ProvTracker::new(
+        ProvIoConfig::default().with_record_latency_ns(0).shared(),
+        Arc::clone(&fs),
+        PID,
+        USER,
+        PROGRAM,
+        clock.clone(),
+    );
+    registry.register(PID, Arc::clone(&tracker));
+    let native: Arc<dyn VolConnector> = Arc::new(NativeVol::new(Arc::clone(&fs)));
+    let vol: Arc<dyn VolConnector> = ProvIoVol::new(native, Arc::clone(&registry));
+    let session = |pid, clock| {
+        let dispatcher = Dispatcher::new();
+        dispatcher.register(Arc::new(PosixWrapper::new(Arc::clone(&registry))));
+        Arc::new(FsSession::new(Arc::clone(&fs), pid, USER, PROGRAM, clock, dispatcher))
+    };
+    let setup = H5::new(session(PID + 1, VirtualClock::new()), Arc::clone(&vol));
+    let tracked = H5::new(session(PID, clock), vol);
+    Rig {
+        fs,
+        tracker,
+        setup,
+        tracked,
+    }
+}
+
+/// One producer of a Table 2 entity class: the call, through the
+/// connector or the syscall wrapper, and the object and activity it must
+/// record.
+struct Producer {
+    call: fn(&Rig),
+    object: fn() -> ObjectDesc,
+    activity: ActivityClass,
+    api: &'static str,
+}
+
+const PRODUCERS: &[Producer] = &[
+    Producer {
+        call: |r| {
+            let f = r.setup.create_file("/t.h5").unwrap();
+            let rec = Datatype::Compound(vec![("a".into(), Datatype::Int32)]);
+            r.tracked.commit_datatype(f, "rec", rec).unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Datatype, "/t.h5", "/rec"),
+        activity: ActivityClass::Create,
+        api: "H5Tcommit2",
+    },
+    Producer {
+        call: |r| {
+            let f = r.setup.create_file("/t.h5").unwrap();
+            r.setup.create_group(f, "g").unwrap();
+            r.tracked.create_soft_link(f, "/g", "alias").unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Link, "/t.h5", "/alias"),
+        activity: ActivityClass::Create,
+        api: "H5Lcreate_soft",
+    },
+    Producer {
+        call: |r| {
+            let f = r.setup.create_file("/t.h5").unwrap();
+            r.setup.create_group(f, "g").unwrap();
+            r.setup.create_soft_link(f, "/g", "alias").unwrap();
+            r.tracked.delete_link(f, "alias").unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Link, "/t.h5", "/alias"),
+        activity: ActivityClass::Rename,
+        api: "H5Ldelete",
+    },
+    Producer {
+        call: |r| {
+            r.setup.session().write_file("/a", b"x").unwrap();
+            r.tracked.session().link("/a", "/hard").unwrap();
+        },
+        object: || ObjectDesc::posix(EntityClass::Link, "/hard"),
+        activity: ActivityClass::Create,
+        api: "link",
+    },
+    Producer {
+        call: |r| {
+            r.setup.session().write_file("/a", b"x").unwrap();
+            r.tracked.session().symlink("/a", "/soft").unwrap();
+        },
+        object: || ObjectDesc::posix(EntityClass::Link, "/soft"),
+        activity: ActivityClass::Create,
+        api: "symlink",
+    },
+    Producer {
+        call: |r| {
+            r.setup.session().mkdir("/d").unwrap();
+            r.tracked.session().rmdir("/d").unwrap();
+        },
+        object: || ObjectDesc::posix(EntityClass::Directory, "/d"),
+        activity: ActivityClass::Rename,
+        api: "rmdir",
+    },
+];
+
+/// Each call records exactly one entity of its class and one activity of
+/// its class, joined by that activity's relation; nothing else reaches
+/// these classes, so deleting a producer fails its row.
+#[test]
+fn every_table2_producer_records_its_entity_and_activity() {
+    use provio_model::ontology::nodes_of_class;
+    for p in PRODUCERS {
+        let r = rig();
+        (p.call)(&r);
+        r.tracker.finish();
+        let (graph, _) = merge_directory(&r.fs, "/provio");
+        let object = (p.object)();
+        let act = GuidGen::new(PID).activity(p.api);
+        let entities: Vec<_> = EntityClass::ALL
+            .into_iter()
+            .flat_map(|c| nodes_of_class(&graph, c.into()).into_iter().map(move |g| (c, g)))
+            .collect();
+        let activities: Vec<_> = ActivityClass::ALL
+            .into_iter()
+            .flat_map(|c| nodes_of_class(&graph, c.into()).into_iter().map(move |g| (c, g)))
+            .collect();
+        assert_eq!(entities, vec![(object.class, object.guid())], "{}", p.api);
+        assert_eq!(activities, vec![(p.activity, act.clone())], "{}", p.api);
+        let relation = Iri::new(Relation::for_activity(p.activity).iri());
+        assert_eq!(
+            graph.objects(&object.guid().to_subject(), &relation),
+            vec![Term::from(act.to_iri())],
+            "{}",
+            p.api
+        );
+    }
 }
 
 proptest! {

@@ -31,10 +31,6 @@ impl H5 {
         &self.session
     }
 
-    pub fn vol(&self) -> &Arc<dyn VolConnector> {
-        &self.vol
-    }
-
     // -- H5F --
 
     /// H5Fcreate(H5F_ACC_TRUNC).
@@ -62,11 +58,6 @@ impl H5 {
     /// H5Gcreate2.
     pub fn create_group(&self, loc: Handle, name: &str) -> H5Result<Handle> {
         self.vol.group_create(&self.session, loc, name)
-    }
-
-    /// H5Gopen2.
-    pub fn open_group(&self, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.vol.group_open(&self.session, loc, name)
     }
 
     /// H5Gclose.
@@ -135,27 +126,9 @@ impl H5 {
         self.vol.attr_read(&self.session, attr)
     }
 
-    /// H5Awrite.
-    pub fn write_attr(&self, attr: Handle, value: &[u8]) -> H5Result<()> {
-        self.vol.attr_write(&self.session, attr, value)
-    }
-
     /// H5Aclose.
     pub fn close_attr(&self, attr: Handle) -> H5Result<()> {
         self.vol.attr_close(&self.session, attr)
-    }
-
-    /// Attribute names on an object.
-    pub fn list_attrs(&self, loc: Handle) -> H5Result<Vec<String>> {
-        self.vol.attr_list(&self.session, loc)
-    }
-
-    /// Convenience: read a whole attribute by name (open → read → close).
-    pub fn attr_value(&self, loc: Handle, name: &str) -> H5Result<Vec<u8>> {
-        let a = self.open_attr(loc, name)?;
-        let v = self.read_attr(a)?;
-        self.close_attr(a)?;
-        Ok(v)
     }
 
     // -- H5T --
@@ -163,16 +136,6 @@ impl H5 {
     /// H5Tcommit2.
     pub fn commit_datatype(&self, loc: Handle, name: &str, dtype: Datatype) -> H5Result<Handle> {
         self.vol.datatype_commit(&self.session, loc, name, dtype)
-    }
-
-    /// H5Topen2.
-    pub fn open_datatype(&self, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.vol.datatype_open(&self.session, loc, name)
-    }
-
-    /// H5Tclose.
-    pub fn close_datatype(&self, dtype: Handle) -> H5Result<()> {
-        self.vol.datatype_close(&self.session, dtype)
     }
 
     // -- H5L --
@@ -185,16 +148,6 @@ impl H5 {
     /// H5Ldelete.
     pub fn delete_link(&self, loc: Handle, name: &str) -> H5Result<()> {
         self.vol.link_delete(&self.session, loc, name)
-    }
-
-    /// H5Lexists.
-    pub fn link_exists(&self, loc: Handle, name: &str) -> H5Result<bool> {
-        self.vol.link_exists(&self.session, loc, name)
-    }
-
-    /// Names linked under a group.
-    pub fn list_links(&self, loc: Handle) -> H5Result<Vec<String>> {
-        self.vol.link_list(&self.session, loc)
     }
 
     // -- H5O --
@@ -268,8 +221,10 @@ mod tests {
         let space = Dataspace::fixed(&[3]);
         let got = h.read(d, &Hyperslab::all(&space)).unwrap();
         assert_eq!(got.to_f64s().unwrap(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(h.attr_value(d, "units").unwrap(), b"cm");
-        assert_eq!(h.list_attrs(d).unwrap(), vec!["units"]);
+        let a = h.open_attr(d, "units").unwrap();
+        assert_eq!(h.read_attr(a).unwrap(), b"cm");
+        h.close_attr(a).unwrap();
+        assert_eq!(h.vol.attr_list(&h.session, d).unwrap(), vec!["units"]);
     }
 
     #[test]
@@ -279,11 +234,12 @@ mod tests {
         let c = Datatype::Compound(vec![("a".into(), Datatype::Int32)]);
         h.commit_datatype(f, "rec", c).unwrap();
         h.create_soft_link(f, "/rec", "rec_alias").unwrap();
-        assert!(h.link_exists(f, "rec_alias").unwrap());
-        assert_eq!(h.list_links(f).unwrap(), vec!["rec", "rec_alias"]);
-        let t = h.open_datatype(f, "rec_alias").unwrap();
-        h.close_datatype(t).unwrap();
+        let (vol, s) = (&h.vol, &h.session);
+        assert!(vol.link_exists(s, f, "rec_alias").unwrap());
+        assert_eq!(vol.link_list(s, f).unwrap(), vec!["rec", "rec_alias"]);
+        let t = vol.datatype_open(s, f, "rec_alias").unwrap();
+        vol.datatype_close(s, t).unwrap();
         h.delete_link(f, "rec_alias").unwrap();
-        assert!(!h.link_exists(f, "rec_alias").unwrap());
+        assert!(!vol.link_exists(s, f, "rec_alias").unwrap());
     }
 }

@@ -36,10 +36,6 @@ impl Data {
         self.len() == 0
     }
 
-    pub fn is_synthetic(&self) -> bool {
-        matches!(self, Data::Synthetic(_))
-    }
-
     /// Real bytes, if this payload carries them.
     pub fn as_bytes(&self) -> Option<&Bytes> {
         match self {
@@ -50,7 +46,7 @@ impl Data {
 
     /// A sub-range of the payload (used when scattering one payload across
     /// multiple hyperslab runs).
-    pub fn slice(&self, offset: u64, len: u64) -> Data {
+    pub(crate) fn slice(&self, offset: u64, len: u64) -> Data {
         match self {
             Data::Real(b) => {
                 let start = (offset as usize).min(b.len());
@@ -109,7 +105,7 @@ mod tests {
     fn slicing_synthetic() {
         let d = Data::synthetic(100);
         assert_eq!(d.slice(90, 20).len(), 10);
-        assert!(d.slice(90, 20).is_synthetic());
+        assert!(d.slice(90, 20).as_bytes().is_none());
     }
 
     #[test]

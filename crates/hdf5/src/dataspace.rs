@@ -3,7 +3,7 @@
 use crate::error::{H5Error, H5Result};
 
 /// Maximum-dimension bound: `None` means H5S_UNLIMITED.
-pub type MaxDim = Option<u64>;
+pub(crate) type MaxDim = Option<u64>;
 
 /// An N-dimensional extent with optional growth bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,42 +39,17 @@ impl Dataspace {
         })
     }
 
-    /// Scalar dataspace (rank 0, one element).
-    pub fn scalar() -> Self {
-        Dataspace {
-            dims: vec![],
-            maxdims: vec![],
-        }
-    }
-
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 
-    pub fn dims(&self) -> &[u64] {
+    pub(crate) fn dims(&self) -> &[u64] {
         &self.dims
-    }
-
-    pub fn maxdims(&self) -> &[MaxDim] {
-        &self.maxdims
-    }
-
-    /// Total number of elements.
-    pub fn npoints(&self) -> u64 {
-        self.dims.iter().product()
-    }
-
-    /// Is any dimension growable beyond the current extent?
-    pub fn extendable(&self) -> bool {
-        self.dims
-            .iter()
-            .zip(&self.maxdims)
-            .any(|(d, m)| m.is_none_or(|m| m > *d))
     }
 
     /// Grow to `new_dims` (H5Dset_extent). Shrinking is allowed by HDF5 and
     /// by us; growth beyond maxdims is not.
-    pub fn set_extent(&mut self, new_dims: &[u64]) -> H5Result<()> {
+    pub(crate) fn set_extent(&mut self, new_dims: &[u64]) -> H5Result<()> {
         if new_dims.len() != self.dims.len() {
             return Err(H5Error::RankMismatch);
         }
@@ -90,7 +65,7 @@ impl Dataspace {
     }
 
     /// Validate a hyperslab against the current extent.
-    pub fn check_selection(&self, sel: &Hyperslab) -> H5Result<()> {
+    pub(crate) fn check_selection(&self, sel: &Hyperslab) -> H5Result<()> {
         if sel.start.len() != self.dims.len() || sel.count.len() != self.dims.len() {
             return Err(H5Error::RankMismatch);
         }
@@ -103,7 +78,7 @@ impl Dataspace {
     }
 
     /// Byte offset of `coord` in row-major element order.
-    pub fn linear_index(&self, coord: &[u64]) -> H5Result<u64> {
+    pub(crate) fn linear_index(&self, coord: &[u64]) -> H5Result<u64> {
         if coord.len() != self.dims.len() {
             return Err(H5Error::RankMismatch);
         }
@@ -121,8 +96,8 @@ impl Dataspace {
 /// A rectangular selection: `start` corner plus `count` elements per dim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hyperslab {
-    pub start: Vec<u64>,
-    pub count: Vec<u64>,
+    pub(crate) start: Vec<u64>,
+    pub(crate) count: Vec<u64>,
 }
 
 impl Hyperslab {
@@ -134,21 +109,21 @@ impl Hyperslab {
     }
 
     /// Select everything in `space`.
-    pub fn all(space: &Dataspace) -> Self {
+    pub(crate) fn all(space: &Dataspace) -> Self {
         Hyperslab {
             start: vec![0; space.rank()],
             count: space.dims().to_vec(),
         }
     }
 
-    pub fn npoints(&self) -> u64 {
+    pub(crate) fn npoints(&self) -> u64 {
         self.count.iter().product()
     }
 
     /// The contiguous row-major byte runs this selection covers, as
     /// `(element_offset, element_len)` pairs. Runs along the fastest
     /// (last) dimension merge when the selection spans it fully.
-    pub fn runs(&self, space: &Dataspace) -> H5Result<Vec<(u64, u64)>> {
+    pub(crate) fn runs(&self, space: &Dataspace) -> H5Result<Vec<(u64, u64)>> {
         space.check_selection(self)?;
         if space.rank() == 0 {
             return Ok(vec![(0, 1)]);
@@ -207,17 +182,17 @@ mod tests {
     #[test]
     fn npoints_products() {
         let s = Dataspace::fixed(&[4, 5, 6]);
-        assert_eq!(s.npoints(), 120);
-        assert_eq!(Dataspace::scalar().npoints(), 1);
+        assert_eq!(Hyperslab::all(&s).npoints(), 120);
+        assert_eq!(Hyperslab::all(&Dataspace::fixed(&[])).npoints(), 1);
     }
 
     #[test]
     fn with_max_validates() {
         assert!(Dataspace::with_max(&[4], &[Some(2)]).is_err());
         assert!(Dataspace::with_max(&[4], &[Some(4), None]).is_err());
-        let s = Dataspace::with_max(&[4], &[None]).unwrap();
-        assert!(s.extendable());
-        assert!(!Dataspace::fixed(&[4]).extendable());
+        let mut s = Dataspace::with_max(&[4], &[None]).unwrap();
+        assert!(s.set_extent(&[5]).is_ok());
+        assert!(Dataspace::fixed(&[4]).set_extent(&[5]).is_err());
     }
 
     #[test]
@@ -295,7 +270,7 @@ mod tests {
 
     #[test]
     fn scalar_selection() {
-        let s = Dataspace::scalar();
+        let s = Dataspace::fixed(&[]);
         let sel = Hyperslab::all(&s);
         assert_eq!(sel.npoints(), 1);
         assert_eq!(sel.runs(&s).unwrap(), vec![(0, 1)]);

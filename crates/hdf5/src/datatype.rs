@@ -22,24 +22,13 @@ pub enum Datatype {
 
 impl Datatype {
     /// On-disk size of one element, in bytes.
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         match self {
             Datatype::Int32 | Datatype::UInt32 | Datatype::Float32 => 4,
             Datatype::Int64 | Datatype::UInt64 | Datatype::Float64 => 8,
             Datatype::FixedString(n) => *n as u64,
             Datatype::VarString => 16,
             Datatype::Compound(members) => members.iter().map(|(_, t)| t.size()).sum(),
-        }
-    }
-
-    /// The HDF5-style type-class name (for provenance labels).
-    pub fn class_name(&self) -> &'static str {
-        match self {
-            Datatype::Int32 | Datatype::Int64 => "H5T_INTEGER",
-            Datatype::UInt32 | Datatype::UInt64 => "H5T_INTEGER",
-            Datatype::Float32 | Datatype::Float64 => "H5T_FLOAT",
-            Datatype::FixedString(_) | Datatype::VarString => "H5T_STRING",
-            Datatype::Compound(_) => "H5T_COMPOUND",
         }
     }
 }
@@ -89,7 +78,6 @@ mod tests {
             ("id".into(), Datatype::Int64),
         ]);
         assert_eq!(c.size(), 16);
-        assert_eq!(c.class_name(), "H5T_COMPOUND");
         assert_eq!(c.to_string(), "compound{x:float32,y:float32,id:int64}");
     }
 }

@@ -24,14 +24,15 @@
 //! Payloads use [`Data`]: small metadata (attributes, headers) is real
 //! bytes; bulk scientific data may be `Synthetic`, which flows through the
 //! same code paths and cost model without materializing terabytes.
+#![warn(unreachable_pub)]
 
-pub mod api;
-pub mod data;
-pub mod dataspace;
-pub mod datatype;
-pub mod error;
-pub mod native;
-pub mod vol;
+pub(crate) mod api;
+pub(crate) mod data;
+pub(crate) mod dataspace;
+pub(crate) mod datatype;
+pub(crate) mod error;
+pub(crate) mod native;
+pub(crate) mod vol;
 
 pub use api::H5;
 pub use data::Data;

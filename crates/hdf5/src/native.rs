@@ -1094,7 +1094,7 @@ mod tests {
             .unwrap();
         let got = vol.dataset_read(&s, d, &Hyperslab::new(&[0], &[8])).unwrap();
         assert_eq!(got.len(), 32);
-        assert!(got.is_synthetic(), "all-fill read stays synthetic");
+        assert!(got.as_bytes().is_none(), "all-fill read stays synthetic");
     }
 
     #[test]

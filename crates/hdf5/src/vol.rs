@@ -52,7 +52,7 @@ pub struct ObjectInfo {
     /// Current dims for datasets.
     pub dims: Option<Vec<u64>>,
     /// Element datatype for datasets/attributes/named datatypes.
-    pub datatype: Option<Datatype>,
+    pub(crate) datatype: Option<Datatype>,
 }
 
 /// The homomorphic VOL dispatch trait.

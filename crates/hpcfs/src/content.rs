@@ -133,7 +133,7 @@ impl FileContent {
 
     /// Does the window `[offset, offset+len)` overlap any materialized
     /// (real-byte) segment?
-    pub fn is_materialized(&self, offset: u64, len: u64) -> bool {
+    pub(crate) fn is_materialized(&self, offset: u64, len: u64) -> bool {
         if len == 0 {
             return false;
         }

@@ -78,7 +78,7 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
-pub type FsResult<T> = Result<T, FsError>;
+pub(crate) type FsResult<T> = Result<T, FsError>;
 
 #[cfg(test)]
 mod tests {

@@ -57,7 +57,7 @@ pub enum CorruptKind {
 
 /// What happens when a rule fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultAction {
+pub(crate) enum FaultAction {
     /// Fail the call with a typed errno; nothing is persisted.
     Fail(FsError),
     /// Persist only the first `keep` bytes of the buffer, then report EIO.
@@ -73,12 +73,11 @@ pub enum FaultAction {
     /// `ReadAt` the media is intact and only the returned copy is mutated.
     /// On ops that move no data it degrades to EIO.
     Corrupt(CorruptKind),
-    /// Stall the operation for `ns` virtual nanoseconds, then let it
-    /// succeed untouched — a slow OST, a congested network link, a retried
-    /// RPC. The stall is charged to the clock attached to the file system
-    /// ([`crate::FileSystem::attach_clock`]); with no clock attached only
-    /// the injection is counted. Data is never altered: the op persists
-    /// (or returns) exactly the bytes a fault-free call would.
+    /// A latency fault of `ns` virtual nanoseconds — a slow OST, a
+    /// congested network link, a retried RPC. The file system counts the
+    /// injection and lets the operation succeed untouched; no clock is
+    /// charged. Data is never altered: the op persists (or returns) exactly
+    /// the bytes a fault-free call would.
     Delay { ns: u64 },
 }
 
@@ -86,7 +85,7 @@ impl CorruptKind {
     /// Apply this corruption to `data` in place, drawing positions from
     /// `rng`. Returns the number of bytes affected (0 = the buffer was too
     /// small to damage, e.g. an empty file).
-    pub fn apply(&self, data: &mut Vec<u8>, rng: &mut DetRng) -> u64 {
+    pub(crate) fn apply(&self, data: &mut Vec<u8>, rng: &mut DetRng) -> u64 {
         if data.is_empty() {
             return 0;
         }
@@ -350,7 +349,7 @@ impl TamperKind {
     /// Returns the number of bytes affected — 0 means the bytes were not a
     /// valid target (e.g. a frame rewrite aimed at an unframed file), in
     /// which case `data` is unchanged: tamper is surgical, never noisy.
-    pub fn apply(&self, data: &mut Vec<u8>, rng: &mut DetRng) -> u64 {
+    pub(crate) fn apply(&self, data: &mut Vec<u8>, rng: &mut DetRng) -> u64 {
         match self {
             TamperKind::CrcPatchedRewrite => rewrite_frame(data, rng, false),
             TamperKind::FileSubstitution => rewrite_frame(data, rng, true),
@@ -432,14 +431,8 @@ impl FaultRule {
         }
     }
 
-    /// Shorthand for [`Self::corrupt`] on the read path: returned bytes are
-    /// damaged, the media stays intact.
-    pub fn corrupt_reads(kind: CorruptKind) -> Self {
-        FaultRule::corrupt(FaultOp::ReadAt, kind)
-    }
-
-    /// Latency fault: stall `op` for `ns` virtual nanoseconds, then let it
-    /// succeed (see [`FaultAction::Delay`]).
+    /// Latency fault of `ns` virtual nanoseconds on `op`, which still
+    /// succeeds (see [`FaultAction::Delay`]).
     pub fn delay(op: FaultOp, ns: u64) -> Self {
         FaultRule {
             op,
@@ -555,7 +548,7 @@ impl FaultPlan {
 
     /// Consult the plan for `op` on `path`. Called by the file system on
     /// every armed operation; returns the action to apply, if any.
-    pub fn decide(&self, op: FaultOp, path: &str) -> Option<FaultAction> {
+    pub(crate) fn decide(&self, op: FaultOp, path: &str) -> Option<FaultAction> {
         let mut rules = self.rules.lock();
         for st in rules.iter_mut() {
             if !st.rule.matches(op, path) {
@@ -584,7 +577,7 @@ impl FaultPlan {
     /// Apply a fired [`FaultAction::Corrupt`] to `data` using the plan's
     /// RNG stream, so *where* the damage lands replays from `(seed, rules)`
     /// just like whether it fires. Returns bytes affected.
-    pub fn apply_corruption(&self, kind: &CorruptKind, data: &mut Vec<u8>) -> u64 {
+    pub(crate) fn apply_corruption(&self, kind: &CorruptKind, data: &mut Vec<u8>) -> u64 {
         kind.apply(data, &mut self.rng.lock())
     }
 }
@@ -725,7 +718,7 @@ mod tests {
     #[test]
     fn corrupt_rule_fires_on_reads_only_when_armed_there() {
         let plan = FaultPlan::new(6);
-        plan.add_rule(FaultRule::corrupt_reads(CorruptKind::BitFlips { count: 1 }));
+        plan.add_rule(FaultRule::corrupt(FaultOp::ReadAt, CorruptKind::BitFlips { count: 1 }));
         assert_eq!(plan.decide(FaultOp::WriteAt, "/x"), None);
         assert_eq!(
             plan.decide(FaultOp::ReadAt, "/x"),

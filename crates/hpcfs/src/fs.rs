@@ -12,7 +12,7 @@ use crate::fault::{CorruptKind, FaultAction, FaultOp, FaultPlan, TamperKind};
 use crate::lustre::LustreConfig;
 use crate::trace::{OpTrace, TraceOp};
 use parking_lot::{Mutex, RwLock};
-use provio_simrt::{DetRng, SimDuration, SimTime, VirtualClock};
+use provio_simrt::{DetRng, SimTime};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -31,7 +31,7 @@ const REST_TAMPER_STREAM: u64 = 0x7A3F;
 
 /// What kind of object an inode is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
+pub(crate) enum FileKind {
     File,
     Directory,
     Symlink,
@@ -97,13 +97,13 @@ impl Inode {
 /// stat(2)-style metadata snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Metadata {
-    pub ino: Ino,
-    pub kind: FileKind,
+    pub(crate) ino: Ino,
+    pub(crate) kind: FileKind,
     pub size: u64,
-    pub nlink: u32,
-    pub owner: String,
-    pub mtime: SimTime,
-    pub ctime: SimTime,
+    pub(crate) nlink: u32,
+    pub(crate) owner: String,
+    pub(crate) mtime: SimTime,
+    pub(crate) ctime: SimTime,
 }
 
 struct FsInner {
@@ -121,9 +121,6 @@ pub struct FileSystem {
     /// ino → last-created/renamed path, so ino-level ops (`write_at`,
     /// `truncate_ino`) can be matched by path-filtered fault rules.
     ino_paths: Mutex<HashMap<Ino, String>>,
-    /// Clock that [`FaultAction::Delay`] stalls are charged to, when one is
-    /// attached. Time charging otherwise stays in the session layer.
-    clock: RwLock<Option<VirtualClock>>,
     /// Attached syscall trace for crashcheck, if any (see [`crate::trace`]).
     /// Successful mutating operations are recorded in issue order.
     tracer: RwLock<Option<Arc<OpTrace>>>,
@@ -151,7 +148,6 @@ impl FileSystem {
             config,
             faults: RwLock::new(None),
             ino_paths: Mutex::new(HashMap::new()),
-            clock: RwLock::new(None),
             tracer: RwLock::new(None),
         })
     }
@@ -179,31 +175,15 @@ impl FileSystem {
 
     /// Serve the decision for an operation that moves no data (create,
     /// unlink, rename, truncate): there is nothing to tear or flip, so
-    /// `TornWrite` and `Corrupt` degrade to a media error; `Delay` stalls
-    /// and lets the operation proceed.
+    /// `TornWrite` and `Corrupt` degrade to a media error; `Delay` lets the
+    /// operation proceed.
     fn gate(&self, decision: Option<FaultAction>) -> FsResult<()> {
         match decision {
             Some(FaultAction::Fail(e)) => Err(e),
             Some(FaultAction::TornWrite { .. } | FaultAction::Corrupt(_)) => Err(FsError::Io),
             Some(FaultAction::Crash { .. }) => Err(FsError::Crashed),
-            Some(FaultAction::Delay { ns }) => {
-                self.stall(ns);
-                Ok(())
-            }
-            None => Ok(()),
+            Some(FaultAction::Delay { .. }) | None => Ok(()),
         }
-    }
-
-    /// Attach the clock [`FaultAction::Delay`] stalls are charged to.
-    /// Virtual clocks share state through their handles, so the caller
-    /// keeps observing the injected latency on its own copy.
-    pub fn attach_clock(&self, clock: VirtualClock) {
-        *self.clock.write() = Some(clock);
-    }
-
-    /// Detach the delay clock; stalls become counted no-ops again.
-    pub fn detach_clock(&self) {
-        *self.clock.write() = None;
     }
 
     // --- syscall tracing -------------------------------------------------
@@ -225,14 +205,6 @@ impl FileSystem {
     fn trace_op(&self, op: impl FnOnce() -> TraceOp) {
         if let Some(t) = self.tracer.read().as_ref() {
             t.record(op());
-        }
-    }
-
-    /// Serve a fired [`FaultAction::Delay`]: advance the attached clock (if
-    /// any) and let the caller proceed to the real operation.
-    fn stall(&self, ns: u64) {
-        if let Some(clock) = self.clock.read().as_ref() {
-            clock.advance(SimDuration::from_nanos(ns));
         }
     }
 
@@ -474,7 +446,7 @@ impl FileSystem {
         Ok(())
     }
 
-    pub fn rmdir(&self, path: &str) -> FsResult<()> {
+    pub(crate) fn rmdir(&self, path: &str) -> FsResult<()> {
         let mut inner = self.inner.write();
         let (parent, name) = Self::resolve_parent(&inner, path)?;
         let pdir = inner
@@ -576,7 +548,7 @@ impl FileSystem {
     }
 
     /// Hard link `existing` at `new`.
-    pub fn link(&self, existing: &str, new: &str, now: SimTime) -> FsResult<()> {
+    pub(crate) fn link(&self, existing: &str, new: &str, now: SimTime) -> FsResult<()> {
         let mut inner = self.inner.write();
         let ino = Self::resolve_in(&inner, existing, true)?;
         if inner.inodes[&ino].kind() == FileKind::Directory {
@@ -604,7 +576,7 @@ impl FileSystem {
     }
 
     /// Symlink at `linkpath` pointing at `target` (not required to exist).
-    pub fn symlink(
+    pub(crate) fn symlink(
         &self,
         target: &str,
         linkpath: &str,
@@ -656,13 +628,13 @@ impl FileSystem {
     }
 
     /// lstat(2): do not follow a final symlink.
-    pub fn lstat(&self, path: &str) -> FsResult<Metadata> {
+    pub(crate) fn lstat(&self, path: &str) -> FsResult<Metadata> {
         let inner = self.inner.read();
         let ino = Self::resolve_in(&inner, path, false)?;
         Ok(Self::stat_ino_in(&inner, ino))
     }
 
-    pub fn stat_ino(&self, ino: Ino) -> FsResult<Metadata> {
+    pub(crate) fn stat_ino(&self, ino: Ino) -> FsResult<Metadata> {
         let inner = self.inner.read();
         if !inner.inodes.contains_key(&ino) {
             return Err(FsError::NotFound);
@@ -708,8 +680,7 @@ impl FileSystem {
                     p.apply_corruption(&kind, &mut buf);
                     return Ok(bytes::Bytes::from(buf));
                 }
-                Some(FaultAction::Delay { ns }) => self.stall(ns),
-                None => {}
+                Some(FaultAction::Delay { .. }) | None => {}
             }
         }
         let inner = self.inner.read();
@@ -750,8 +721,7 @@ impl FileSystem {
                     .apply_corruption(&kind, &mut buf);
                 return self.write_at_inner(ino, offset, &buf, now);
             }
-            Some(FaultAction::Delay { ns }) => self.stall(ns),
-            None => {}
+            Some(FaultAction::Delay { .. }) | None => {}
         }
         self.write_at_inner(ino, offset, data, now)?;
         self.trace_op(|| TraceOp::WriteAt {
@@ -867,7 +837,7 @@ impl FileSystem {
 
     // --- extended attributes ----------------------------------------------
 
-    pub fn setxattr(&self, path: &str, name: &str, value: &[u8], now: SimTime) -> FsResult<()> {
+    pub(crate) fn setxattr(&self, path: &str, name: &str, value: &[u8], now: SimTime) -> FsResult<()> {
         let mut inner = self.inner.write();
         let ino = Self::resolve_in(&inner, path, true)?;
         let n = inner.inodes.get_mut(&ino).expect("resolved");
@@ -876,7 +846,7 @@ impl FileSystem {
         Ok(())
     }
 
-    pub fn getxattr(&self, path: &str, name: &str) -> FsResult<Vec<u8>> {
+    pub(crate) fn getxattr(&self, path: &str, name: &str) -> FsResult<Vec<u8>> {
         let inner = self.inner.read();
         let ino = Self::resolve_in(&inner, path, true)?;
         inner.inodes[&ino]
@@ -886,37 +856,7 @@ impl FileSystem {
             .ok_or(FsError::NoAttr)
     }
 
-    pub fn listxattr(&self, path: &str) -> FsResult<Vec<String>> {
-        let inner = self.inner.read();
-        let ino = Self::resolve_in(&inner, path, true)?;
-        Ok(inner.inodes[&ino].xattrs.keys().cloned().collect())
-    }
-
-    pub fn removexattr(&self, path: &str, name: &str, now: SimTime) -> FsResult<()> {
-        let mut inner = self.inner.write();
-        let ino = Self::resolve_in(&inner, path, true)?;
-        let n = inner.inodes.get_mut(&ino).expect("resolved");
-        if n.xattrs.remove(name).is_none() {
-            return Err(FsError::NoAttr);
-        }
-        n.ctime = now;
-        Ok(())
-    }
-
     // --- accounting --------------------------------------------------------
-
-    /// Total logical bytes of all regular files.
-    pub fn total_file_bytes(&self) -> u64 {
-        let inner = self.inner.read();
-        inner
-            .inodes
-            .values()
-            .filter_map(|n| match &n.node {
-                Node::File(f) => Some(f.len()),
-                _ => None,
-            })
-            .sum()
-    }
 
     /// Total bytes actually resident in host memory.
     pub fn total_resident_bytes(&self) -> u64 {
@@ -929,11 +869,6 @@ impl FileSystem {
                 _ => None,
             })
             .sum()
-    }
-
-    /// Number of inodes (files + dirs + symlinks).
-    pub fn inode_count(&self) -> usize {
-        self.inner.read().inodes.len()
     }
 
     /// Recursively list all regular-file paths under `dir` (sorted).
@@ -1075,7 +1010,7 @@ mod tests {
         assert_eq!(fs.stat("/g").unwrap().size, 6);
         assert_eq!(fs.stat("/g").unwrap().nlink, 1);
         fs.unlink("/g").unwrap();
-        assert_eq!(fs.inode_count(), 1); // only root remains
+        assert!(fs.stat_ino(ino).is_err(), "the last unlink frees the inode");
     }
 
     #[test]
@@ -1114,19 +1049,15 @@ mod tests {
     }
 
     #[test]
-    fn xattrs_set_get_list_remove() {
+    fn xattrs_set_and_get() {
         let fs = fs();
         fs.create_file("/f", false, "u", T0).unwrap();
         fs.setxattr("/f", "user.units", b"m/s", T0).unwrap();
         fs.setxattr("/f", "user.origin", b"DAS", T0).unwrap();
         assert_eq!(fs.getxattr("/f", "user.units").unwrap(), b"m/s");
-        assert_eq!(
-            fs.listxattr("/f").unwrap(),
-            vec!["user.origin", "user.units"]
-        );
-        fs.removexattr("/f", "user.units", T0).unwrap();
-        assert_eq!(fs.getxattr("/f", "user.units"), Err(FsError::NoAttr));
-        assert_eq!(fs.removexattr("/f", "user.units", T0), Err(FsError::NoAttr));
+        fs.setxattr("/f", "user.units", b"km/s", T0).unwrap();
+        assert_eq!(fs.getxattr("/f", "user.units").unwrap(), b"km/s");
+        assert_eq!(fs.getxattr("/f", "user.missing"), Err(FsError::NoAttr));
     }
 
     #[test]
@@ -1136,7 +1067,7 @@ mod tests {
         fs.write_at(a, 0, b"12345", T0).unwrap();
         let b = fs.create_file("/b", false, "u", T0).unwrap();
         fs.write_synthetic_at(b, 0, 1 << 30, T0).unwrap();
-        assert_eq!(fs.total_file_bytes(), 5 + (1 << 30));
+        assert_eq!(fs.stat("/a").unwrap().size + fs.stat("/b").unwrap().size, 5 + (1 << 30));
         assert_eq!(fs.total_resident_bytes(), 5);
     }
 
@@ -1176,13 +1107,13 @@ mod tests {
 
     #[test]
     fn read_time_corruption_leaves_media_intact() {
-        use crate::fault::{FaultPlan, FaultRule};
+        use crate::fault::{FaultOp, FaultPlan, FaultRule};
         let fs = fs();
         let ino = fs.create_file("/seg.nt", false, "u", T0).unwrap();
         fs.write_at(ino, 0, b"<urn:s> <urn:p> <urn:o> .\n", T0).unwrap();
         let plan = FaultPlan::new(7);
         plan.add_rule(
-            FaultRule::corrupt_reads(CorruptKind::BitFlips { count: 1 }).times(1),
+            FaultRule::corrupt(FaultOp::ReadAt, CorruptKind::BitFlips { count: 1 }).times(1),
         );
         fs.install_faults(plan);
         let clean = b"<urn:s> <urn:p> <urn:o> .\n".to_vec();
@@ -1209,34 +1140,24 @@ mod tests {
     }
 
     #[test]
-    fn delay_fault_stalls_the_attached_clock_and_persists_exact_bytes() {
+    fn delay_fault_is_counted_and_persists_exact_bytes() {
         use crate::fault::{FaultOp, FaultPlan, FaultRule};
         let fs = fs();
-        let clock = VirtualClock::new();
-        fs.attach_clock(clock.clone());
         let plan = FaultPlan::new(13);
         plan.add_rule(FaultRule::delay(FaultOp::WriteAt, 2_000_000).times(1));
         plan.add_rule(FaultRule::delay(FaultOp::ReadAt, 500_000).times(1));
+        plan.add_rule(FaultRule::delay(FaultOp::Rename, 1_000));
         fs.install_faults(Arc::clone(&plan));
         let ino = fs.create_file("/slow.nt", false, "u", T0).unwrap();
         // The delayed write succeeds and lands byte-for-byte.
         fs.write_at(ino, 0, b"<urn:s> <urn:p> <urn:o> .\n", T0).unwrap();
-        assert_eq!(clock.now().as_nanos(), 2_000_000, "stall charged to the clock");
         // The delayed read succeeds and returns the untouched media.
         let back = fs.read_at(ino, 0, 1 << 16).unwrap();
         assert_eq!(back.as_ref(), b"<urn:s> <urn:p> <urn:o> .\n");
-        assert_eq!(clock.now().as_nanos(), 2_500_000);
         assert_eq!(plan.injected(), 2);
-        // Rules exhausted: later ops run at full speed.
-        fs.write_at(ino, 0, b"x", T0).unwrap();
-        assert_eq!(clock.now().as_nanos(), 2_500_000);
-        // With no clock attached a stall is a counted no-op, never an error.
-        fs.detach_clock();
-        let plan2 = FaultPlan::new(14);
-        plan2.add_rule(FaultRule::delay(FaultOp::Rename, 1_000));
-        fs.install_faults(Arc::clone(&plan2));
+        // A delayed metadata op is counted, never an error.
         fs.rename("/slow.nt", "/fast.nt", T0).unwrap();
-        assert_eq!(plan2.injected(), 1);
+        assert_eq!(plan.injected(), 3);
         assert!(fs.lookup("/fast.nt").is_ok());
     }
 

@@ -20,20 +20,21 @@
 //!
 //! Processes interact with the file system through an [`FsSession`], which
 //! bundles a process id, user, virtual clock and file-descriptor table.
+#![warn(unreachable_pub)]
 
-pub mod content;
-pub mod error;
-pub mod fault;
+pub(crate) mod content;
+pub(crate) mod error;
+pub(crate) mod fault;
 pub mod fs;
-pub mod lustre;
-pub mod session;
-pub mod syscall;
-pub mod trace;
+pub(crate) mod lustre;
+pub(crate) mod session;
+pub(crate) mod syscall;
+pub(crate) mod trace;
 
 pub use content::FileContent;
-pub use error::{FsError, FsResult};
-pub use fault::{CorruptKind, FaultAction, FaultOp, FaultPlan, FaultRule, TamperKind};
-pub use fs::{FileKind, FileSystem, Ino, Metadata};
+pub use error::FsError;
+pub use fault::{CorruptKind, FaultOp, FaultPlan, FaultRule, TamperKind};
+pub use fs::{FileSystem, Ino, Metadata};
 pub use lustre::LustreConfig;
 pub use session::{Fd, FsSession, OpenFlags, Whence};
 pub use syscall::{Dispatcher, SyscallEvent, SyscallHook, SyscallKind};

@@ -26,12 +26,12 @@ pub struct Fd(pub u32);
 /// open(2) flags (the subset the workflows use).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpenFlags {
-    pub read: bool,
-    pub write: bool,
-    pub create: bool,
-    pub truncate: bool,
-    pub append: bool,
-    pub excl: bool,
+    pub(crate) read: bool,
+    pub(crate) write: bool,
+    pub(crate) create: bool,
+    pub(crate) truncate: bool,
+    pub(crate) append: bool,
+    pub(crate) excl: bool,
 }
 
 impl OpenFlags {
@@ -46,15 +46,6 @@ impl OpenFlags {
     /// O_WRONLY
     pub fn wronly() -> Self {
         OpenFlags {
-            write: true,
-            ..Default::default()
-        }
-    }
-
-    /// O_RDWR
-    pub fn rdwr() -> Self {
-        OpenFlags {
-            read: true,
             write: true,
             ..Default::default()
         }
@@ -169,7 +160,6 @@ impl FsSession {
         kind: SyscallKind,
         path: Option<&str>,
         path2: Option<&str>,
-        fd: Option<Fd>,
         bytes: u64,
         attr_name: Option<&str>,
         ok: bool,
@@ -178,12 +168,9 @@ impl FsSession {
         self.clock.advance(duration);
         let event = SyscallEvent {
             pid: self.pid,
-            user: self.user.clone(),
-            program: self.program.clone(),
             kind,
             path: path.map(str::to_string),
             path2: path2.map(str::to_string),
-            fd: fd.map(|f| f.0),
             bytes,
             attr_name: attr_name.map(str::to_string),
             ok,
@@ -237,7 +224,7 @@ impl FsSession {
         } else {
             SyscallKind::Open
         };
-        self.emit(kind, Some(path), None, result.as_ref().ok().copied(), 0, None, result.is_ok(), cost);
+        self.emit(kind, Some(path), None, 0, None, result.is_ok(), cost);
         result
     }
 
@@ -250,16 +237,7 @@ impl FsSession {
                 None => (Err(FsError::BadFd), None),
             }
         };
-        self.emit(
-            SyscallKind::Close,
-            path.as_deref(),
-            None,
-            Some(fd),
-            0,
-            None,
-            result.is_ok(),
-            cost,
-        );
+        self.emit(SyscallKind::Close, path.as_deref(), None, 0, None, result.is_ok(), cost);
         result
     }
 
@@ -290,12 +268,12 @@ impl FsSession {
             Err(_) => (false, 0, None),
         };
         let cost = self.fs.config().data_op(nbytes);
-        self.emit(SyscallKind::Read, path.as_deref(), None, Some(fd), nbytes, None, ok, cost);
+        self.emit(SyscallKind::Read, path.as_deref(), None, nbytes, None, ok, cost);
         result.map(|(d, _)| d)
     }
 
     /// write(2): at the current offset (or EOF when O_APPEND).
-    pub fn write(&self, fd: Fd, data: &[u8]) -> FsResult<u64> {
+    pub(crate) fn write(&self, fd: Fd, data: &[u8]) -> FsResult<u64> {
         self.write_impl(fd, WritePayload::Real(data), SyscallKind::Write, None)
     }
 
@@ -319,7 +297,7 @@ impl FsSession {
             Err(_) => (false, 0, None),
         };
         let cost = self.fs.config().data_op(nbytes);
-        self.emit(SyscallKind::Pread, path.as_deref(), None, Some(fd), nbytes, None, ok, cost);
+        self.emit(SyscallKind::Pread, path.as_deref(), None, nbytes, None, ok, cost);
         result.map(|(d, _)| d)
     }
 
@@ -367,7 +345,7 @@ impl FsSession {
             Err(_) => (false, None),
         };
         let cost = self.fs.config().data_op(if ok { len } else { 0 });
-        self.emit(kind, path.as_deref(), None, Some(fd), if ok { len } else { 0 }, None, ok, cost);
+        self.emit(kind, path.as_deref(), None, if ok { len } else { 0 }, None, ok, cost);
         result.map(|(n, _)| n)
     }
 
@@ -389,7 +367,7 @@ impl FsSession {
         let cost = SimDuration::from_nanos(self.fs.config().client_overhead_ns);
         let ok = result.is_ok();
         let path = result.as_ref().ok().map(|(_, p)| p.clone());
-        self.emit(SyscallKind::Lseek, path.as_deref(), None, Some(fd), 0, None, ok, cost);
+        self.emit(SyscallKind::Lseek, path.as_deref(), None, 0, None, ok, cost);
         result.map(|(o, _)| o)
     }
 
@@ -404,7 +382,7 @@ impl FsSession {
             Err(_) => (false, 0, None),
         };
         let cost = self.fs.config().fsync_op(dirty);
-        self.emit(SyscallKind::Fsync, path.as_deref(), None, Some(fd), dirty, None, ok, cost);
+        self.emit(SyscallKind::Fsync, path.as_deref(), None, dirty, None, ok, cost);
         result.map(|_| ())
     }
 
@@ -420,17 +398,13 @@ impl FsSession {
         result: FsResult<T>,
     ) -> FsResult<T> {
         let cost = self.fs.config().meta_op();
-        self.emit(kind, Some(path), path2, None, bytes, attr_name, result.is_ok(), cost);
+        self.emit(kind, Some(path), path2, bytes, attr_name, result.is_ok(), cost);
         result
     }
 
     pub fn rename(&self, old: &str, new: &str) -> FsResult<()> {
         let result = self.fs.rename(old, new, self.clock.now());
         self.meta(SyscallKind::Rename, old, Some(new), 0, None, result)
-    }
-
-    pub fn unlink(&self, path: &str) -> FsResult<()> {
-        self.meta(SyscallKind::Unlink, path, None, 0, None, self.fs.unlink(path))
     }
 
     pub fn mkdir(&self, path: &str) -> FsResult<()> {
@@ -471,18 +445,6 @@ impl FsSession {
         self.meta(SyscallKind::GetXattr, path, None, bytes, Some(name), result)
     }
 
-    pub fn listxattr(&self, path: &str) -> FsResult<Vec<String>> {
-        self.meta(SyscallKind::ListXattr, path, None, 0, None, self.fs.listxattr(path))
-    }
-
-    pub fn truncate(&self, path: &str, size: u64) -> FsResult<()> {
-        let result = self
-            .fs
-            .lookup(path)
-            .and_then(|ino| self.fs.truncate_ino(ino, size, self.clock.now()));
-        self.meta(SyscallKind::Truncate, path, None, size, None, result)
-    }
-
     /// Convenience: read a whole file to a Vec.
     pub fn read_file(&self, path: &str) -> FsResult<Vec<u8>> {
         let fd = self.open(path, OpenFlags::rdonly())?;
@@ -498,11 +460,6 @@ impl FsSession {
         self.write(fd, data)?;
         self.close(fd)?;
         Ok(())
-    }
-
-    /// Number of currently open descriptors (leak checks in tests).
-    pub fn open_fd_count(&self) -> usize {
-        self.state.lock().fds.len()
     }
 }
 
@@ -539,22 +496,26 @@ mod tests {
         )
     }
 
+    /// O_RDWR.
+    fn rdwr() -> OpenFlags {
+        OpenFlags { read: true, ..OpenFlags::wronly() }
+    }
+
     #[test]
     fn open_write_read_close() {
         let s = session();
-        let fd = s.open("/f", OpenFlags::rdwr().with_create()).unwrap();
+        let fd = s.open("/f", rdwr().with_create()).unwrap();
         assert_eq!(s.write(fd, b"hello").unwrap(), 5);
         s.lseek(fd, 0, Whence::Set).unwrap();
         assert_eq!(&s.read(fd, 5).unwrap()[..], b"hello");
         s.close(fd).unwrap();
-        assert_eq!(s.open_fd_count(), 0);
         assert!(s.close(fd).is_err(), "double close is EBADF");
     }
 
     #[test]
     fn offsets_advance_sequentially() {
         let s = session();
-        let fd = s.open("/f", OpenFlags::rdwr().with_create()).unwrap();
+        let fd = s.open("/f", rdwr().with_create()).unwrap();
         s.write(fd, b"abc").unwrap();
         s.write(fd, b"def").unwrap();
         s.lseek(fd, 0, Whence::Set).unwrap();
@@ -611,7 +572,7 @@ mod tests {
     #[test]
     fn pread_pwrite_do_not_move_offset() {
         let s = session();
-        let fd = s.open("/f", OpenFlags::rdwr().with_create()).unwrap();
+        let fd = s.open("/f", rdwr().with_create()).unwrap();
         s.write(fd, b"0123456789").unwrap();
         s.pwrite(fd, 2, b"XY").unwrap();
         assert_eq!(&s.pread(fd, 0, 10).unwrap()[..], b"01XY456789");
@@ -654,8 +615,6 @@ mod tests {
         );
         let w = &events[1];
         assert_eq!(w.pid, 100);
-        assert_eq!(w.user, "alice");
-        assert_eq!(w.program, "decimate");
         assert_eq!(w.path.as_deref(), Some("/traced"));
         assert_eq!(w.bytes, 3);
         assert!(w.ok);

@@ -7,14 +7,9 @@
 //! the native result through untouched. Hooks observe the call, its
 //! arguments, outcome and modeled duration; PROV-IO's POSIX wrapper is one
 //! hook, I/O tracers or fault injectors can be others.
-//!
-//! Hooks can be toggled at runtime (the paper configures the wrapper "via
-//! environmental variables"); a disabled dispatcher adds no work beyond one
-//! relaxed atomic load.
 
 use parking_lot::RwLock;
 use provio_simrt::{SimDuration, SimTime, VirtualClock};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Which syscall an event describes.
@@ -30,7 +25,6 @@ pub enum SyscallKind {
     Lseek,
     Fsync,
     Rename,
-    Unlink,
     Mkdir,
     Rmdir,
     Stat,
@@ -39,8 +33,6 @@ pub enum SyscallKind {
     Symlink,
     SetXattr,
     GetXattr,
-    ListXattr,
-    Truncate,
 }
 
 impl SyscallKind {
@@ -57,7 +49,6 @@ impl SyscallKind {
             SyscallKind::Lseek => "lseek",
             SyscallKind::Fsync => "fsync",
             SyscallKind::Rename => "rename",
-            SyscallKind::Unlink => "unlink",
             SyscallKind::Mkdir => "mkdir",
             SyscallKind::Rmdir => "rmdir",
             SyscallKind::Stat => "stat",
@@ -66,8 +57,6 @@ impl SyscallKind {
             SyscallKind::Symlink => "symlink",
             SyscallKind::SetXattr => "setxattr",
             SyscallKind::GetXattr => "getxattr",
-            SyscallKind::ListXattr => "listxattr",
-            SyscallKind::Truncate => "truncate",
         }
     }
 }
@@ -76,17 +65,11 @@ impl SyscallKind {
 #[derive(Debug, Clone)]
 pub struct SyscallEvent {
     pub pid: u32,
-    /// Name of the user who owns the process.
-    pub user: String,
-    /// Name of the program the process is running.
-    pub program: String,
     pub kind: SyscallKind,
     /// Primary path argument, if any.
     pub path: Option<String>,
     /// Secondary path (rename/link targets).
     pub path2: Option<String>,
-    /// File descriptor argument, if any.
-    pub fd: Option<u32>,
     /// Payload size for data calls.
     pub bytes: u64,
     /// Extended-attribute name for xattr calls.
@@ -111,15 +94,11 @@ pub trait SyscallHook: Send + Sync {
 #[derive(Clone, Default)]
 pub struct Dispatcher {
     hooks: Arc<RwLock<Vec<Arc<dyn SyscallHook>>>>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Dispatcher {
     pub fn new() -> Self {
-        Dispatcher {
-            hooks: Arc::new(RwLock::new(Vec::new())),
-            enabled: Arc::new(AtomicBool::new(true)),
-        }
+        Dispatcher::default()
     }
 
     /// Register a hook. Hooks run in registration order.
@@ -127,29 +106,8 @@ impl Dispatcher {
         self.hooks.write().push(hook);
     }
 
-    /// Remove all hooks.
-    pub fn clear(&self) {
-        self.hooks.write().clear();
-    }
-
-    /// Globally enable/disable dispatch (the "environment variable" switch).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Release);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
-    pub fn hook_count(&self) -> usize {
-        self.hooks.read().len()
-    }
-
-    /// Deliver `event` to every hook (if enabled).
-    pub fn dispatch(&self, event: &SyscallEvent, clock: &VirtualClock) {
-        if !self.is_enabled() {
-            return;
-        }
+    /// Deliver `event` to every hook.
+    pub(crate) fn dispatch(&self, event: &SyscallEvent, clock: &VirtualClock) {
         let hooks = self.hooks.read();
         for h in hooks.iter() {
             h.on_syscall(event, clock);
@@ -160,7 +118,7 @@ impl Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Counter(AtomicUsize);
 
@@ -173,12 +131,9 @@ mod tests {
     fn event(kind: SyscallKind) -> SyscallEvent {
         SyscallEvent {
             pid: 1,
-            user: "u".into(),
-            program: "p".into(),
             kind,
             path: Some("/f".into()),
             path2: None,
-            fd: None,
             bytes: 0,
             attr_name: None,
             ok: true,
@@ -199,28 +154,6 @@ mod tests {
         d.dispatch(&event(SyscallKind::Read), &clock);
         assert_eq!(c1.0.load(Ordering::Relaxed), 2);
         assert_eq!(c2.0.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn disabled_dispatcher_is_silent() {
-        let d = Dispatcher::new();
-        let c = Arc::new(Counter(AtomicUsize::new(0)));
-        d.register(c.clone());
-        d.set_enabled(false);
-        d.dispatch(&event(SyscallKind::Write), &VirtualClock::new());
-        assert_eq!(c.0.load(Ordering::Relaxed), 0);
-        d.set_enabled(true);
-        d.dispatch(&event(SyscallKind::Write), &VirtualClock::new());
-        assert_eq!(c.0.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn clear_removes_hooks() {
-        let d = Dispatcher::new();
-        d.register(Arc::new(Counter(AtomicUsize::new(0))));
-        assert_eq!(d.hook_count(), 1);
-        d.clear();
-        assert_eq!(d.hook_count(), 0);
     }
 
     #[test]

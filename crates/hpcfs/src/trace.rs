@@ -50,7 +50,7 @@ pub enum TraceOp {
 impl TraceOp {
     /// The [`FaultOp`] kind a fault rule would match to interrupt this
     /// operation in a live re-run.
-    pub fn fault_kind(&self) -> FaultOp {
+    pub(crate) fn fault_kind(&self) -> FaultOp {
         match self {
             TraceOp::Create { .. } => FaultOp::CreateFile,
             TraceOp::WriteAt { .. } => FaultOp::WriteAt,
@@ -86,7 +86,7 @@ impl OpTrace {
     }
 
     /// Record one operation (called by the file system on success).
-    pub fn record(&self, op: TraceOp) {
+    pub(crate) fn record(&self, op: TraceOp) {
         self.ops.lock().expect("trace lock").push(op);
     }
 

@@ -96,9 +96,9 @@ pub enum AgentClass {
 }
 
 impl AgentClass {
-    pub const ALL: [AgentClass; 3] = [AgentClass::User, AgentClass::Thread, AgentClass::Program];
+    pub(crate) const ALL: [AgentClass; 3] = [AgentClass::User, AgentClass::Thread, AgentClass::Program];
 
-    pub fn local_name(self) -> &'static str {
+    pub(crate) fn local_name(self) -> &'static str {
         match self {
             AgentClass::User => "User",
             AgentClass::Thread => "Thread",
@@ -119,13 +119,13 @@ pub enum ExtensibleClass {
 }
 
 impl ExtensibleClass {
-    pub const ALL: [ExtensibleClass; 3] = [
+    pub(crate) const ALL: [ExtensibleClass; 3] = [
         ExtensibleClass::Type,
         ExtensibleClass::Configuration,
         ExtensibleClass::Metrics,
     ];
 
-    pub fn local_name(self) -> &'static str {
+    pub(crate) fn local_name(self) -> &'static str {
         match self {
             ExtensibleClass::Type => "Type",
             ExtensibleClass::Configuration => "Configuration",
@@ -145,11 +145,11 @@ pub enum NodeClass {
 
 impl NodeClass {
     /// Number of sub-classes in Table 2.
-    pub const COUNT: usize = 19;
+    pub(crate) const COUNT: usize = 19;
 
     /// Dense index in Table 2 order (entities, activities, agents,
     /// extensibles) — what per-class tables and bit sets are laid out by.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             NodeClass::Entity(c) => c as usize,
             NodeClass::Activity(c) => 7 + c as usize,
@@ -159,7 +159,7 @@ impl NodeClass {
     }
 
     /// Every sub-class, in [`Self::index`] order.
-    pub fn all() -> impl Iterator<Item = NodeClass> {
+    pub(crate) fn all() -> impl Iterator<Item = NodeClass> {
         EntityClass::ALL
             .into_iter()
             .map(NodeClass::Entity)

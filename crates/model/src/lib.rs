@@ -19,13 +19,14 @@
 //!   back.
 //! * [`ClassSelector`] — the user-engine knob that enables/disables
 //!   individual sub-classes, with the paper's Table 3 presets.
+#![warn(unreachable_pub)]
 
-pub mod class;
-pub mod guid;
-pub mod node;
+pub(crate) mod class;
+pub(crate) mod guid;
+pub(crate) mod node;
 pub mod ontology;
-pub mod relation;
-pub mod selector;
+pub(crate) mod relation;
+pub(crate) mod selector;
 
 pub use class::{ActivityClass, AgentClass, EntityClass, ExtensibleClass, NodeClass};
 pub use guid::{content_hash, Guid, GuidGen};

@@ -29,7 +29,7 @@ pub enum PropKey {
 }
 
 impl PropKey {
-    pub const ALL: [PropKey; 9] = [
+    pub(crate) const ALL: [PropKey; 9] = [
         PropKey::ElapsedNs,
         PropKey::TimestampNs,
         PropKey::Bytes,
@@ -41,7 +41,7 @@ impl PropKey {
         PropKey::ElementType,
     ];
 
-    pub fn local_name(self) -> &'static str {
+    pub(crate) fn local_name(self) -> &'static str {
         match self {
             PropKey::ElapsedNs => "elapsed",
             PropKey::TimestampNs => "timestamp",
@@ -72,16 +72,6 @@ pub enum PropValue {
     Int(i64),
     Float(f64),
     Bool(bool),
-}
-
-impl PropValue {
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            PropValue::Int(i) => Some(*i as f64),
-            PropValue::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
 }
 
 impl From<&str> for PropValue {
@@ -124,10 +114,10 @@ impl From<bool> for PropValue {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProvNode {
     pub id: Guid,
-    pub class: NodeClass,
+    pub(crate) class: NodeClass,
     /// Human-readable label (file path, API name, user name, …).
     pub label: String,
-    pub properties: Vec<(PropKey, PropValue)>,
+    pub(crate) properties: Vec<(PropKey, PropValue)>,
 }
 
 impl ProvNode {
@@ -158,7 +148,7 @@ impl ProvNode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProvRecord {
     pub node: ProvNode,
-    pub relations: Vec<(Relation, Guid)>,
+    pub(crate) relations: Vec<(Relation, Guid)>,
 }
 
 impl ProvRecord {
@@ -175,7 +165,7 @@ impl ProvRecord {
     }
 
     /// Approximate serialized size of this record, in triples.
-    pub fn triple_count(&self) -> usize {
+    pub(crate) fn triple_count(&self) -> usize {
         // type + label + properties + relations
         2 + self.node.properties.len() + self.relations.len()
     }
@@ -220,9 +210,9 @@ mod tests {
 
     #[test]
     fn prop_value_conversions() {
-        assert_eq!(PropValue::from(1.5).as_f64(), Some(1.5));
-        assert_eq!(PropValue::from(3i64).as_f64(), Some(3.0));
-        assert_eq!(PropValue::from("x").as_f64(), None);
+        assert_eq!(PropValue::from(1.5), PropValue::Float(1.5));
+        assert_eq!(PropValue::from(3i64), PropValue::Int(3));
+        assert_eq!(PropValue::from("x"), PropValue::Str("x".into()));
         assert_eq!(PropValue::from(true), PropValue::Bool(true));
     }
 }

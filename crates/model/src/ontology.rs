@@ -20,9 +20,7 @@ use std::sync::OnceLock;
 pub struct Vocabulary {
     pub rdf_type: Iri,
     pub rdfs_label: Iri,
-    pub prov_entity: Iri,
     pub prov_activity: Iri,
-    pub prov_agent: Iri,
     /// By `PropKey as usize`.
     props: Vec<Iri>,
     /// By `Relation as usize`.
@@ -39,9 +37,7 @@ impl Vocabulary {
         SHARED.get_or_init(|| Vocabulary {
             rdf_type: Iri::new(ns::RDF_TYPE),
             rdfs_label: Iri::new(ns::RDFS_LABEL),
-            prov_entity: Iri::new(format!("{}Entity", ns::PROV)),
             prov_activity: Iri::new(format!("{}Activity", ns::PROV)),
-            prov_agent: Iri::new(format!("{}Agent", ns::PROV)),
             props: PropKey::ALL.iter().map(|k| Iri::new(k.iri())).collect(),
             relations: Relation::ALL.iter().map(|r| Iri::new(r.iri())).collect(),
             classes: NodeClass::all().map(|c| Term::iri(c.iri())).collect(),

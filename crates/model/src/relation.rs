@@ -53,7 +53,7 @@ impl Relation {
 
     /// Is this relation inherited from the W3C PROV vocabulary (vs. a
     /// PROV-IO addition)?
-    pub fn is_w3c(self) -> bool {
+    pub(crate) fn is_w3c(self) -> bool {
         matches!(
             self,
             Relation::WasDerivedFrom

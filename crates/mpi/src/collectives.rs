@@ -9,9 +9,9 @@ use provio_simrt::{LatencyBandwidth, SimDuration};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommModel {
     /// One network hop.
-    pub link: LatencyBandwidth,
+    pub(crate) link: LatencyBandwidth,
     /// Fixed software overhead per call, per rank.
-    pub call_overhead_ns: u64,
+    pub(crate) call_overhead_ns: u64,
 }
 
 impl Default for CommModel {
@@ -33,7 +33,7 @@ impl CommModel {
     }
 
     /// Cost of a barrier across `ranks`.
-    pub fn barrier(&self, ranks: u32) -> SimDuration {
+    pub(crate) fn barrier(&self, ranks: u32) -> SimDuration {
         let mut d = SimDuration::from_nanos(self.call_overhead_ns);
         for _ in 0..Self::rounds(ranks) {
             d = d.saturating_add(self.link.meta_cost());

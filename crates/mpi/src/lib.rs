@@ -21,9 +21,10 @@
 //! message-passing (DESIGN.md §3): the three evaluated workflows are
 //! barrier-synchronized I/O kernels and file-parallel pipelines with no
 //! point-to-point dependencies inside a phase.
+#![warn(unreachable_pub)]
 
-pub mod collectives;
-pub mod world;
+pub(crate) mod collectives;
+pub(crate) mod world;
 
 pub use collectives::CommModel;
 pub use world::{MpiWorld, RankCtx, RankOutcome};

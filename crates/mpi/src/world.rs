@@ -37,14 +37,6 @@ impl<T> RankOutcome<T> {
         }
     }
 
-    /// Borrowing variant of [`completed`](Self::completed).
-    pub fn as_completed(&self) -> Option<&T> {
-        match self {
-            RankOutcome::Completed(v) => Some(v),
-            RankOutcome::Crashed { .. } => None,
-        }
-    }
-
     pub fn is_completed(&self) -> bool {
         matches!(self, RankOutcome::Completed(_))
     }
@@ -57,7 +49,6 @@ impl<T> RankOutcome<T> {
 /// Per-rank context handed to superstep closures.
 pub struct RankCtx<'a> {
     pub rank: u32,
-    pub size: u32,
     clock: &'a VirtualClock,
 }
 
@@ -85,7 +76,7 @@ impl MpiWorld {
         Self::with_comm(size, CommModel::default())
     }
 
-    pub fn with_comm(size: u32, comm: CommModel) -> Self {
+    pub(crate) fn with_comm(size: u32, comm: CommModel) -> Self {
         assert!(size >= 1, "world needs at least one rank");
         MpiWorld {
             clocks: (0..size).map(|_| VirtualClock::new()).collect(),
@@ -94,12 +85,8 @@ impl MpiWorld {
         }
     }
 
-    pub fn size(&self) -> u32 {
+    pub(crate) fn size(&self) -> u32 {
         self.clocks.len() as u32
-    }
-
-    pub fn clock(&self, rank: u32) -> &VirtualClock {
-        &self.clocks[rank as usize]
     }
 
     /// Run `f` once per rank, in parallel, then barrier. Outcomes are
@@ -132,29 +119,18 @@ impl MpiWorld {
         out
     }
 
-    /// Like [`superstep`](Self::superstep) but without the trailing barrier
-    /// (for workloads whose phases end asynchronously).
-    pub fn superstep_nobarrier<T: Send>(
-        &self,
-        f: impl Fn(RankCtx<'_>) -> T + Sync,
-    ) -> Vec<RankOutcome<T>> {
-        let n = self.steps.load(Ordering::Relaxed);
-        self.run_ranks(&format!("step-{n}"), f)
-    }
-
     fn run_ranks<T: Send>(
         &self,
         phase: &str,
         f: impl Fn(RankCtx<'_>) -> T + Sync,
     ) -> Vec<RankOutcome<T>> {
         self.steps.fetch_add(1, Ordering::Relaxed);
-        let size = self.size();
         self.clocks
             .par_iter()
             .enumerate()
             .map(|(rank, clock)| {
                 let rank = rank as u32;
-                match catch_quiet(|| f(RankCtx { rank, size, clock })) {
+                match catch_quiet(|| f(RankCtx { rank, clock })) {
                     Ok(v) => RankOutcome::Completed(v),
                     Err(cause) => RankOutcome::Crashed {
                         rank,
@@ -168,7 +144,7 @@ impl MpiWorld {
 
     /// MPI_Barrier: every clock advances to the slowest rank plus the
     /// collective's modeled cost. Returns the synchronized time.
-    pub fn barrier(&self) -> SimTime {
+    pub(crate) fn barrier(&self) -> SimTime {
         let cost = self.comm.barrier(self.size());
         let max = self
             .clocks
@@ -240,13 +216,13 @@ mod tests {
         // Survivors completed with their values, in rank order.
         for (i, o) in out.iter().enumerate() {
             if i != 5 {
-                assert_eq!(o.as_completed(), Some(&(i as u32)));
+                assert_eq!(o, &RankOutcome::Completed(i as u32));
             }
         }
         // The barrier still ran: all clocks (including the dead rank's)
         // are synchronized.
-        let t = w.clock(0).now();
-        assert!((0..16).all(|r| w.clock(r).now() == t));
+        let t = w.clocks[0].now();
+        assert!(w.clocks.iter().all(|c| c.now() == t));
     }
 
     #[test]
@@ -273,13 +249,13 @@ mod tests {
     #[test]
     fn barrier_syncs_to_slowest() {
         let w = MpiWorld::new(4);
-        w.superstep_nobarrier(|ctx| {
+        w.run_ranks("compute", |ctx| {
             ctx.compute(SimDuration::from_secs(ctx.rank as u64));
         });
         w.barrier();
-        let t0 = w.clock(0).now();
+        let t0 = w.clocks[0].now();
         for r in 1..4 {
-            assert_eq!(w.clock(r).now(), t0, "rank {r} not synced");
+            assert_eq!(w.clocks[r].now(), t0, "rank {r} not synced");
         }
         // Slowest rank computed 3 s.
         assert!(t0.as_nanos() >= 3_000_000_000);
@@ -289,14 +265,14 @@ mod tests {
     fn superstep_has_implicit_barrier() {
         let w = MpiWorld::new(8);
         w.superstep(|ctx| ctx.compute(SimDuration::from_millis(ctx.rank as u64)));
-        let t = w.clock(0).now();
-        assert!((0..8).all(|r| w.clock(r).now() == t));
+        let t = w.clocks[0].now();
+        assert!(w.clocks.iter().all(|c| c.now() == t));
     }
 
     #[test]
     fn elapsed_is_max_clock() {
         let w = MpiWorld::new(3);
-        w.clock(1).advance(SimDuration::from_secs(5));
+        w.clocks[1].advance(SimDuration::from_secs(5));
         assert_eq!(w.elapsed().as_nanos(), 5_000_000_000);
     }
 
@@ -305,10 +281,10 @@ mod tests {
         let w = MpiWorld::new(4096);
         let out = w.superstep(|ctx| {
             ctx.compute(SimDuration::from_micros(1));
-            ctx.size
+            ctx.rank
         });
         assert_eq!(out.len(), 4096);
-        assert!(out.iter().all(|o| o.as_completed() == Some(&4096)));
+        assert!((0..4096).zip(&out).all(|(r, o)| *o == RankOutcome::Completed(r)));
     }
 
     #[test]

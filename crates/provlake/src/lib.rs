@@ -23,9 +23,10 @@
 //! collector round trip against PROV-IO's `record_latency_ns` per record),
 //! so Figure 8's head-to-head comparison is a function of the two models
 //! and the workload, not of the host.
+#![warn(unreachable_pub)]
 
-pub mod characteristics;
-pub mod tracker;
+pub(crate) mod characteristics;
+pub(crate) mod tracker;
 
 pub use characteristics::{framework_characteristics, FrameworkInfo, Transparency};
 pub use tracker::{ProvLakeTracker, TaskHandle};

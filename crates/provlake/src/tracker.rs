@@ -95,7 +95,7 @@ struct State {
 /// Modeled latency of pushing one step record to the collector service
 /// (ProvLake POSTs JSON over HTTP; PROV-IO's Redland-insert analog is
 /// `provio_core::config::DEFAULT_RECORD_LATENCY_NS`).
-pub const PUSH_LATENCY_NS: u64 = 2_500_000;
+pub(crate) const PUSH_LATENCY_NS: u64 = 2_500_000;
 
 /// Process-oriented provenance capture for one workflow execution.
 pub struct ProvLakeTracker {
@@ -225,10 +225,6 @@ impl ProvLakeTracker {
             let _ = self.fs.write_at(ino, 0, body.as_bytes(), now);
         }
         body.len() as u64
-    }
-
-    pub fn path(&self) -> &str {
-        &self.path
     }
 }
 

@@ -545,7 +545,7 @@ impl Graph {
     /// owned term is built, and allocated, only on first sight. (A parsed
     /// view never names an allocation the interner holds, so it skips the
     /// `Arc`-identity front cache.)
-    pub fn intern_view(&mut self, v: TermView<'_>) -> TermId {
+    pub(crate) fn intern_view(&mut self, v: TermView<'_>) -> TermId {
         self.interner.intern_hashed(v, || v.to_term())
     }
 

@@ -57,7 +57,7 @@ impl Hasher for IdHasher {
     }
 }
 
-pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
 /// A `HashMap` keyed by minted ids.
 pub type IdMap<K, V> = HashMap<K, V, IdBuildHasher>;
 /// A `HashSet` of minted ids or id tuples.

@@ -67,9 +67,9 @@ pub enum Token<'a> {
 /// from statement to statement, each allocates only while it grows.
 #[derive(Debug, Default)]
 pub(crate) struct TripleBufs {
-    pub subject: String,
-    pub predicate: String,
-    pub object: String,
+    pub(crate) subject: String,
+    pub(crate) predicate: String,
+    pub(crate) object: String,
 }
 
 /// A cursor over the input with one token of lookahead.
@@ -389,7 +389,7 @@ impl<'b, 'a: 'b> Lexer<'a> {
     }
 
     /// An IRI; `what` names the position in the error.
-    pub fn iri(
+    pub(crate) fn iri(
         &mut self,
         nss: &Namespaces,
         what: &str,
@@ -412,7 +412,7 @@ impl<'b, 'a: 'b> Lexer<'a> {
     }
 
     /// An IRI or a blank node.
-    pub fn subject(
+    pub(crate) fn subject(
         &mut self,
         nss: &Namespaces,
         buf: &'b mut String,

@@ -19,14 +19,15 @@
 //!   (term ids), on a keyless multiplicative hasher.
 //! * [`Namespaces`] — prefix management with the W3C PROV and PROV-IO
 //!   vocabularies built in.
+#![warn(unreachable_pub)]
 
-pub mod graph;
-pub mod idhash;
+pub(crate) mod graph;
+pub(crate) mod idhash;
 pub mod lex;
-pub mod namespace;
+pub(crate) mod namespace;
 pub mod ntriples;
-pub mod term;
-pub mod triple;
+pub(crate) mod term;
+pub(crate) mod triple;
 pub mod turtle;
 
 pub use graph::{Capture, Graph, TermId};

@@ -10,19 +10,16 @@ use std::collections::BTreeMap;
 /// Well-known vocabulary IRIs.
 pub mod ns {
     /// RDF core.
-    pub const RDF: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
+    pub(crate) const RDF: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
     pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
     /// RDF Schema.
-    pub const RDFS: &str = "http://www.w3.org/2000/01/rdf-schema#";
+    pub(crate) const RDFS: &str = "http://www.w3.org/2000/01/rdf-schema#";
     pub const RDFS_LABEL: &str = "http://www.w3.org/2000/01/rdf-schema#label";
-    pub const RDFS_SUBCLASS_OF: &str = "http://www.w3.org/2000/01/rdf-schema#subClassOf";
     /// XML Schema datatypes.
-    pub const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
+    pub(crate) const XSD: &str = "http://www.w3.org/2001/XMLSchema#";
     pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
     pub const XSD_DOUBLE: &str = "http://www.w3.org/2001/XMLSchema#double";
     pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
-    pub const XSD_DATETIME: &str = "http://www.w3.org/2001/XMLSchema#dateTime";
-    pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
     /// W3C PROV-O.
     pub const PROV: &str = "http://www.w3.org/ns/prov#";
     /// The PROV-IO extension vocabulary.
@@ -89,9 +86,10 @@ impl Namespaces {
         true
     }
 
-    /// [`Namespaces::compact`] without the `String`: the `(prefix, local)`
-    /// halves, borrowed — the Turtle writer pushes them straight into its
-    /// output.
+    /// Split a full IRI into borrowed `(prefix, local)` halves if a binding
+    /// covers it and the local part is a valid Turtle PN_LOCAL
+    /// (conservatively: alphanumerics, `_`, `-`, `.` not at the ends) — the
+    /// Turtle writer pushes them straight into its output.
     pub(crate) fn split<'a>(&'a self, iri: &'a str) -> Option<(&'a str, &'a str)> {
         // Longest-prefix match so e.g. rdf: wins over a hypothetical shorter
         // binding of the same base; of two labels for one base, the first.
@@ -106,21 +104,9 @@ impl Namespaces {
         (!local.is_empty() && is_pn_local(local)).then_some((prefix, local))
     }
 
-    /// Compact a full IRI into `prefix:local` if a binding covers it and the
-    /// local part is a valid Turtle PN_LOCAL (conservatively: alphanumerics,
-    /// `_`, `-`, `.` not at the ends).
-    pub fn compact(&self, iri: &str) -> Option<String> {
-        self.split(iri)
-            .map(|(prefix, local)| format!("{prefix}:{local}"))
-    }
-
     /// Iterate `(prefix, iri)` bindings in stable order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.by_prefix.iter().map(|(p, i)| (p.as_str(), i.as_str()))
-    }
-
-    pub fn len(&self) -> usize {
-        self.by_prefix.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -176,7 +162,7 @@ mod tests {
     fn compact_round_trip() {
         let n = Namespaces::standard();
         let iri = format!("{}wasReadBy", ns::PROVIO);
-        assert_eq!(n.compact(&iri).unwrap(), "provio:wasReadBy");
+        assert_eq!(n.split(&iri), Some(("provio", "wasReadBy")));
         assert_eq!(expand(&n, "provio:wasReadBy"), Some(iri));
     }
 
@@ -184,11 +170,11 @@ mod tests {
     fn compact_rejects_bad_local_parts() {
         let n = Namespaces::standard();
         // Slash in the local part → cannot compact safely.
-        assert!(n.compact(&format!("{}a/b", ns::PROV)).is_none());
+        assert!(n.split(&format!("{}a/b", ns::PROV)).is_none());
         // Empty local part.
-        assert!(n.compact(ns::PROV).is_none());
+        assert!(n.split(ns::PROV).is_none());
         // Leading dot.
-        assert!(n.compact(&format!("{}.x", ns::PROV)).is_none());
+        assert!(n.split(&format!("{}.x", ns::PROV)).is_none());
     }
 
     #[test]
@@ -197,7 +183,7 @@ mod tests {
         n.bind("ex", "http://a/");
         n.bind("ex", "http://b/");
         assert_eq!(n.expand_prefix("ex"), Some("http://b/"));
-        assert_eq!(n.len(), 1);
+        assert_eq!(n.iter().count(), 1);
     }
 
     #[test]
@@ -205,6 +191,6 @@ mod tests {
         let mut n = Namespaces::empty();
         n.bind("a", "http://x/");
         n.bind("b", "http://x/deep/");
-        assert_eq!(n.compact("http://x/deep/leaf").unwrap(), "b:leaf");
+        assert_eq!(n.split("http://x/deep/leaf"), Some(("b", "leaf")));
     }
 }

@@ -211,14 +211,8 @@ impl fmt::Display for Literal {
     }
 }
 
-/// Escape a literal's lexical form for Turtle/N-Triples double-quoted strings.
-pub fn escape_literal(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_escaped(&mut out, s);
-    out
-}
-
-/// [`escape_literal`] appended to a caller's buffer.
+/// Escape a literal's lexical form for Turtle/N-Triples double-quoted
+/// strings, appended to a caller's buffer.
 fn push_escaped(out: &mut String, s: &str) {
     write_escaped(out, s).expect("writing to a String");
 }
@@ -244,7 +238,7 @@ pub(crate) fn push_term(out: &mut String, t: &Term, push_iri: impl Fn(&mut Strin
     }
 }
 
-/// [`escape_literal`] into a writer: the stretches between escaped
+/// [`push_escaped`] into a writer: the stretches between escaped
 /// characters go out whole.
 fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     let mut rest = s;
@@ -264,7 +258,7 @@ fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 
 /// Unescape a double-quoted string body. Returns `None` on a malformed
 /// escape sequence.
-pub fn unescape_literal(s: &str) -> Option<String> {
+pub(crate) fn unescape_literal(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -321,7 +315,7 @@ pub enum TermView<'a> {
 }
 
 impl<'a> TermView<'a> {
-    pub fn of(t: &'a Term) -> Self {
+    pub(crate) fn of(t: &'a Term) -> Self {
         match t {
             Term::Iri(i) => TermView::Iri(i.as_str()),
             Term::Blank(b) => TermView::Blank(b.label()),
@@ -333,19 +327,19 @@ impl<'a> TermView<'a> {
         }
     }
 
-    pub fn of_subject(s: &'a Subject) -> Self {
+    pub(crate) fn of_subject(s: &'a Subject) -> Self {
         match s {
             Subject::Iri(i) => TermView::Iri(i.as_str()),
             Subject::Blank(b) => TermView::Blank(b.label()),
         }
     }
 
-    pub fn of_iri(i: &'a Iri) -> Self {
+    pub(crate) fn of_iri(i: &'a Iri) -> Self {
         TermView::Iri(i.as_str())
     }
 
     /// Does this view denote the same RDF term as `t`?
-    pub fn matches(self, t: &Term) -> bool {
+    pub(crate) fn matches(self, t: &Term) -> bool {
         self == TermView::of(t)
     }
 
@@ -578,7 +572,8 @@ mod tests {
     #[test]
     fn escape_round_trip() {
         let nasty = "a\"b\\c\nd\te\rf";
-        let escaped = escape_literal(nasty);
+        let mut escaped = String::new();
+        push_escaped(&mut escaped, nasty);
         assert!(!escaped.contains('\n'));
         assert_eq!(unescape_literal(&escaped).unwrap(), nasty);
     }

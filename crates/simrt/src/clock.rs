@@ -103,10 +103,6 @@ impl SimTime {
         self.0
     }
 
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     pub fn elapsed_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -177,11 +173,6 @@ impl VirtualClock {
     pub fn reset(&self) {
         self.nanos.store(0, Ordering::Release);
     }
-
-    /// True if the two handles refer to the same underlying clock.
-    pub fn same_clock(&self, other: &VirtualClock) -> bool {
-        Arc::ptr_eq(&self.nanos, &other.nanos)
-    }
 }
 
 impl fmt::Debug for VirtualClock {
@@ -214,7 +205,6 @@ mod tests {
         let c2 = c.clone();
         c2.advance(SimDuration::from_secs(1));
         assert_eq!(c.now().as_nanos(), 1_000_000_000);
-        assert!(c.same_clock(&c2));
     }
 
     #[test]

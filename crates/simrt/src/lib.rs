@@ -17,15 +17,16 @@
 //!   experiment is reproducible run-to-run.
 //! * [`NetPlan`] — seeded interconnect faults (loss, duplication,
 //!   reordering, delay, partitions) for the streaming collection layer.
+#![warn(unreachable_pub)]
 
-pub mod clock;
-pub mod cost;
-pub mod net;
-pub mod panics;
-pub mod rng;
+pub(crate) mod clock;
+pub(crate) mod cost;
+pub(crate) mod net;
+pub(crate) mod panics;
+pub(crate) mod rng;
 
 pub use clock::{SimDuration, SimTime, VirtualClock};
 pub use cost::LatencyBandwidth;
-pub use net::{NetLink, NetLinkStats, NetPlan, PartitionEpisode, SendFate, NET_FAULT_STREAM};
+pub use net::{NetLink, NetPlan, PartitionEpisode, SendFate};
 pub use panics::catch_quiet;
 pub use rng::DetRng;

@@ -17,7 +17,7 @@ use crate::rng::DetRng;
 
 /// `DetRng` stream id for network fault schedules, disjoint from the
 /// file-system fault stream (`0xFA17`) and retry jitter (`0x4E77`).
-pub const NET_FAULT_STREAM: u64 = 0x4E_F0;
+pub(crate) const NET_FAULT_STREAM: u64 = 0x4E_F0;
 
 /// A closed interval of virtual time during which some (or all) ranks
 /// cannot reach the aggregator. Sends inside the window are black-holed:
@@ -25,12 +25,12 @@ pub const NET_FAULT_STREAM: u64 = 0x4E_F0;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionEpisode {
     /// First virtual instant inside the partition.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// First virtual instant after the partition heals.
-    pub end: SimTime,
+    pub(crate) end: SimTime,
     /// Ranks cut off; `None` partitions every rank (the aggregator side
     /// of the fabric is down).
-    pub ranks: Option<Vec<u32>>,
+    pub(crate) ranks: Option<Vec<u32>>,
 }
 
 impl PartitionEpisode {
@@ -53,7 +53,7 @@ impl PartitionEpisode {
     }
 
     /// Whether `rank` is cut off at virtual instant `now`.
-    pub fn covers(&self, rank: u32, now: SimTime) -> bool {
+    pub(crate) fn covers(&self, rank: u32, now: SimTime) -> bool {
         if now < self.start || now >= self.end {
             return false;
         }
@@ -72,19 +72,19 @@ pub struct NetPlan {
     /// Root seed; each rank derives child stream `rank` from it.
     pub seed: u64,
     /// Probability a request is dropped in flight (no delivery, no ack).
-    pub loss: f64,
+    pub(crate) loss: f64,
     /// Probability the *ack* is dropped after a successful delivery, so
     /// the sender retransmits a message the aggregator already holds.
-    pub ack_loss: f64,
+    pub(crate) ack_loss: f64,
     /// Probability a delivered request arrives twice.
-    pub duplicate: f64,
+    pub(crate) duplicate: f64,
     /// Probability the fabric holds a message back so its successor
     /// overtakes it.
-    pub reorder: f64,
+    pub(crate) reorder: f64,
     /// Extra one-way delay drawn uniformly from `[min, max)` nanoseconds.
-    pub delay_ns: (u64, u64),
+    pub(crate) delay_ns: (u64, u64),
     /// Partition episodes, checked against the sender's virtual clock.
-    pub partitions: Vec<PartitionEpisode>,
+    pub(crate) partitions: Vec<PartitionEpisode>,
 }
 
 impl NetPlan {
@@ -162,7 +162,6 @@ impl NetPlan {
             rank,
             plan: self.clone(),
             rng: DetRng::with_stream(self.seed, NET_FAULT_STREAM).child(rank as u64),
-            stats: NetLinkStats::default(),
         }
     }
 }
@@ -190,17 +189,6 @@ pub enum SendFate {
     },
 }
 
-/// Counters a link keeps about the fates it dealt.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetLinkStats {
-    pub attempts: u64,
-    pub partitioned: u64,
-    pub lost: u64,
-    pub duplicated: u64,
-    pub acks_lost: u64,
-    pub reordered: u64,
-}
-
 /// One rank's connection to the fabric: its own child fate stream plus
 /// the shared plan. Not `Sync` on purpose — each rank owns its link.
 #[derive(Debug, Clone)]
@@ -208,7 +196,6 @@ pub struct NetLink {
     rank: u32,
     plan: NetPlan,
     rng: DetRng,
-    stats: NetLinkStats,
 }
 
 impl NetLink {
@@ -216,21 +203,13 @@ impl NetLink {
     /// `now`. Partition windows preempt the probabilistic faults and do
     /// not consume randomness, so healing never shifts the schedule.
     pub fn fate(&mut self, now: SimTime) -> SendFate {
-        self.stats.attempts += 1;
         if self.plan.partitions.iter().any(|p| p.covers(self.rank, now)) {
-            self.stats.partitioned += 1;
             return SendFate::Partitioned;
         }
         if self.rng.chance(self.plan.loss) {
-            self.stats.lost += 1;
             return SendFate::LostRequest;
         }
-        let copies = if self.rng.chance(self.plan.duplicate) {
-            self.stats.duplicated += 1;
-            2
-        } else {
-            1
-        };
+        let copies = if self.rng.chance(self.plan.duplicate) { 2 } else { 1 };
         let (lo, hi) = self.plan.delay_ns;
         let delay = if hi > lo {
             SimDuration::from_nanos(self.rng.range(lo, hi))
@@ -238,27 +217,13 @@ impl NetLink {
             SimDuration::from_nanos(lo)
         };
         let ack_lost = self.rng.chance(self.plan.ack_loss);
-        if ack_lost {
-            self.stats.acks_lost += 1;
-        }
         let reorder = self.rng.chance(self.plan.reorder);
-        if reorder {
-            self.stats.reordered += 1;
-        }
         SendFate::Delivered {
             copies,
             delay,
             ack_lost,
             reorder,
         }
-    }
-
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    pub fn stats(&self) -> NetLinkStats {
-        self.stats
     }
 }
 
@@ -280,8 +245,6 @@ mod tests {
                 }
             );
         }
-        assert_eq!(link.stats().lost, 0);
-        assert_eq!(link.stats().attempts, 100);
     }
 
     #[test]
@@ -307,10 +270,9 @@ mod tests {
     #[test]
     fn loss_rate_tracks_the_plan() {
         let mut link = NetPlan::ideal(7).with_loss(0.25).link(0);
-        for i in 0..2000 {
-            link.fate(SimTime(i));
-        }
-        let lost = link.stats().lost;
+        let lost = (0..2000)
+            .filter(|&i| link.fate(SimTime(i)) == SendFate::LostRequest)
+            .count();
         assert!((350..650).contains(&lost), "p=0.25 loss rate off: {lost}");
     }
 
@@ -322,7 +284,6 @@ mod tests {
         assert_eq!(link.fate(SimTime(100)), SendFate::Partitioned);
         assert_eq!(link.fate(SimTime(199)), SendFate::Partitioned);
         assert_ne!(link.fate(SimTime(200)), SendFate::Partitioned);
-        assert_eq!(link.stats().partitioned, 2);
     }
 
     #[test]
@@ -361,11 +322,12 @@ mod tests {
     #[test]
     fn hostile_plan_exercises_every_fault_kind() {
         let mut link = NetPlan::hostile(17, 0.3).link(0);
-        for i in 0..500 {
-            link.fate(SimTime(i));
-        }
-        let s = link.stats();
-        assert!(s.lost > 0 && s.duplicated > 0 && s.acks_lost > 0 && s.reordered > 0);
+        let fates: Vec<_> = (0..500).map(|i| link.fate(SimTime(i))).collect();
+        let seen = |f: fn(&SendFate) -> bool| fates.iter().any(f);
+        assert!(seen(|f| *f == SendFate::LostRequest));
+        assert!(seen(|f| matches!(f, SendFate::Delivered { copies: 2, .. })));
+        assert!(seen(|f| matches!(f, SendFate::Delivered { ack_lost: true, .. })));
+        assert!(seen(|f| matches!(f, SendFate::Delivered { reorder: true, .. })));
     }
 
     #[test]

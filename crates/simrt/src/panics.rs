@@ -23,7 +23,7 @@ thread_local! {
 static INSTALL_HOOK: Once = Once::new();
 
 /// Turn a panic payload into a human-readable cause string.
-pub fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

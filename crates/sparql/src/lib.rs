@@ -36,10 +36,11 @@
 //! let sols = q.execute(&graph);
 //! assert_eq!(sols.len(), 1);
 //! ```
+#![warn(unreachable_pub)]
 
 pub mod ast;
-pub mod eval;
-pub mod parse;
+pub(crate) mod eval;
+pub(crate) mod parse;
 pub mod path;
 
 pub use ast::{Aggregate, Expr, PathExpr, Pattern, Query, TermOrVar};
@@ -61,7 +62,7 @@ pub enum QueryError {
 
 impl QueryError {
     /// A parse-stage error (the historical constructor).
-    pub fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         QueryError::Parse(message.into())
     }
 }

@@ -11,8 +11,8 @@ use std::sync::{Arc, Mutex};
 /// the tracking layers consult.
 pub struct Cluster {
     pub fs: Arc<FileSystem>,
-    pub native: Arc<dyn VolConnector>,
-    pub provio_vol: Arc<ProvIoVol>,
+    pub(crate) native: Arc<dyn VolConnector>,
+    pub(crate) provio_vol: Arc<ProvIoVol>,
     pub registry: Arc<TrackerRegistry>,
     /// Optional streaming aggregator. When armed (via [`Cluster::stream_to`])
     /// and the config enables `net`, every newly attached tracker gets a
@@ -26,7 +26,7 @@ impl Cluster {
         Self::with_lustre(LustreConfig::default())
     }
 
-    pub fn with_lustre(lustre: LustreConfig) -> Self {
+    pub(crate) fn with_lustre(lustre: LustreConfig) -> Self {
         let fs = FileSystem::new(lustre);
         let native: Arc<dyn VolConnector> = Arc::new(NativeVol::new(Arc::clone(&fs)));
         let registry = TrackerRegistry::new();
@@ -50,7 +50,7 @@ impl Cluster {
     }
 
     /// The armed collector, if any.
-    pub fn collector(&self) -> Option<Arc<Collector>> {
+    pub(crate) fn collector(&self) -> Option<Arc<Collector>> {
         self.collector.lock().unwrap().clone()
     }
 
@@ -109,7 +109,7 @@ impl Cluster {
     /// Finish every registered tracker (see `TrackerRegistry::finish_all`),
     /// retire them, and total what landed under `dir`: provenance bytes,
     /// file count and tracked events.
-    pub fn finish_provenance(&self, dir: &str) -> (u64, usize, u64) {
+    pub(crate) fn finish_provenance(&self, dir: &str) -> (u64, usize, u64) {
         let summaries = self.registry.finish_all();
         for (pid, _) in &summaries {
             self.registry.unregister(*pid);

@@ -17,7 +17,7 @@ use crate::cluster::Cluster;
 use crate::metrics::{ProvMode, RunMetrics};
 use provio_hdf5::{Data, Dataspace, Datatype, Handle, Hyperslab, H5};
 use provio_hpcfs::{FsSession, OpenFlags};
-use provio_mpi::{MpiWorld, RankOutcome};
+use provio_mpi::MpiWorld;
 use provio_simrt::{SimDuration, VirtualClock};
 use std::sync::Arc;
 
@@ -58,8 +58,6 @@ impl Default for DassaParams {
 #[derive(Debug, Clone)]
 pub struct DassaOutcome {
     pub metrics: RunMetrics,
-    /// Final data products (one xcorr stack per node).
-    pub products: Vec<String>,
     pub prov_dir: String,
 }
 
@@ -325,22 +323,14 @@ pub fn run(cluster: &Cluster, p: &DassaParams) -> DassaOutcome {
     });
 
     // Phase 3: cross-correlation stacking.
-    let products: Vec<String> = world
-        .superstep_named("xcorr_stack", |ctx| {
-            let pid = 4_000 + ctx.rank;
-            let (s, h5) =
-                process_for(cluster, p, &prov_dir, pid, "xcorr_stack", ctx.clock().clone());
-            let files = files_of(ctx.rank);
-            if files.is_empty() {
-                return None;
-            }
+    world.superstep_named("xcorr_stack", |ctx| {
+        let pid = 4_000 + ctx.rank;
+        let (s, h5) = process_for(cluster, p, &prov_dir, pid, "xcorr_stack", ctx.clock().clone());
+        let files = files_of(ctx.rank);
+        if !files.is_empty() {
             xcorr_stack(&s, &h5, p, ctx.rank, &files);
-            Some(stack_path(ctx.rank))
-        })
-        .into_iter()
-        .filter_map(RankOutcome::completed)
-        .flatten()
-        .collect();
+        }
+    });
 
     // Finish provenance for all phase processes.
     let (prov_bytes, prov_files, tracked_events) = if p.mode.is_off() {
@@ -356,7 +346,6 @@ pub fn run(cluster: &Cluster, p: &DassaParams) -> DassaOutcome {
             prov_files,
             tracked_events,
         },
-        products,
         prov_dir,
     }
 }
@@ -390,9 +379,8 @@ mod tests {
     #[test]
     fn baseline_produces_products() {
         let (cluster, out) = small(ProvMode::Off);
-        assert_eq!(out.products.len(), 4);
-        for prod in &out.products {
-            assert!(cluster.fs.exists(prod), "{prod} missing");
+        for node in 0..4 {
+            assert!(cluster.fs.exists(&stack_path(node)), "stack {node} missing");
         }
         assert!(out.metrics.completion.as_secs_f64() > 1.0);
         assert_eq!(out.metrics.prov_bytes, 0);

@@ -16,7 +16,7 @@ use provio_mpi::MpiWorld;
 use provio_simrt::{SimDuration, VirtualClock};
 
 /// The vpic particle variables.
-pub const VPIC_VARS: [&str; 8] = ["x", "y", "z", "px", "py", "pz", "id1", "id2"];
+pub(crate) const VPIC_VARS: [&str; 8] = ["x", "y", "z", "px", "py", "pz", "id1", "id2"];
 
 /// The three evaluated I/O patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,12 +27,6 @@ pub enum IoPattern {
 }
 
 impl IoPattern {
-    pub const ALL: [IoPattern; 3] = [
-        IoPattern::WriteRead,
-        IoPattern::WriteOverwriteRead,
-        IoPattern::WriteAppendRead,
-    ];
-
     pub fn name(self) -> &'static str {
         match self {
             IoPattern::WriteRead => "write+read",
@@ -78,8 +72,6 @@ impl Default for H5benchParams {
 #[derive(Debug, Clone)]
 pub struct H5benchOutcome {
     pub metrics: RunMetrics,
-    /// Total bytes moved through dataset writes+reads (all ranks).
-    pub data_bytes: u64,
     pub prov_dir: String,
 }
 
@@ -266,17 +258,6 @@ pub fn run(cluster: &Cluster, p: &H5benchParams) -> H5benchOutcome {
         cluster.finish_provenance(&prov_dir)
     };
 
-    let writes_per_step: u64 = match p.pattern {
-        IoPattern::WriteRead => 1,
-        IoPattern::WriteOverwriteRead | IoPattern::WriteAppendRead => 2,
-    };
-    let data_bytes = p.ranks as u64
-        * p.particles_per_rank
-        * 8
-        * VPIC_VARS.len() as u64
-        * p.steps as u64
-        * (writes_per_step + 1); // + read pass
-
     H5benchOutcome {
         metrics: RunMetrics {
             completion: world.elapsed(),
@@ -284,7 +265,6 @@ pub fn run(cluster: &Cluster, p: &H5benchParams) -> H5benchOutcome {
             prov_files,
             tracked_events,
         },
-        data_bytes,
         prov_dir,
     }
 }
@@ -315,7 +295,11 @@ mod tests {
 
     #[test]
     fn baseline_runs_all_patterns() {
-        for pattern in IoPattern::ALL {
+        for pattern in [
+            IoPattern::WriteRead,
+            IoPattern::WriteOverwriteRead,
+            IoPattern::WriteAppendRead,
+        ] {
             let (cluster, out) = small(4, pattern, ProvMode::Off);
             assert!(out.metrics.completion.as_secs_f64() >= 50.0, "{pattern:?}");
             assert!(cluster.fs.exists(FILE));

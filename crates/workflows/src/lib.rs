@@ -20,11 +20,12 @@
 //! selector preset), returns completion time + provenance size, and leaves
 //! the file system available for querying — which is all the experiment
 //! harness in `provio-bench` needs to regenerate the paper's figures.
+#![warn(unreachable_pub)]
 
-pub mod cluster;
+pub(crate) mod cluster;
 pub mod dassa;
 pub mod h5bench;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod topreco;
 
 pub use cluster::Cluster;

@@ -21,7 +21,7 @@ impl ProvMode {
         ProvMode::ProvIo(cfg.shared())
     }
 
-    pub fn is_off(&self) -> bool {
+    pub(crate) fn is_off(&self) -> bool {
         matches!(self, ProvMode::Off)
     }
 

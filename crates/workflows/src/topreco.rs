@@ -68,7 +68,7 @@ pub struct TopRecoOutcome {
 }
 
 /// Deterministic hyperparameter set for a seed.
-pub fn hyperparameters(seed: u64, n: usize) -> Vec<(String, String)> {
+pub(crate) fn hyperparameters(seed: u64, n: usize) -> Vec<(String, String)> {
     let mut rng = DetRng::with_stream(seed, 0xC0FF);
     let mut out = Vec::with_capacity(n);
     let base = [
@@ -121,7 +121,7 @@ fn ini_text(hyper: &[(String, String)]) -> String {
 }
 
 /// Minimal INI reader (the workflow's own config parsing).
-pub fn parse_ini(text: &str) -> Vec<(String, String)> {
+pub(crate) fn parse_ini(text: &str) -> Vec<(String, String)> {
     text.lines()
         .filter_map(|l| {
             let l = l.trim();
