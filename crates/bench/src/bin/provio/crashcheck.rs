@@ -4,20 +4,19 @@
 //! Records the workload's complete syscall trace, reconstructs every
 //! operation-prefix crash state (plus torn-tail and barrier-free reorder
 //! variants), and runs the full recovery pipeline over each. `--budget`
-//! stride-caps the explored states so CI stays bounded; `--repro FILE`
-//! writes the minimized failing state's deterministic repro (trace
-//! window + fault plan) when an invariant breaks.
+//! stride-caps the explored states. When an invariant breaks, the
+//! minimized failing state's deterministic repro (trace window + fault
+//! plan) goes to stdout; keep it with `provio crashcheck … > out.txt`.
 //!
 //! Passes when every checked state satisfies every invariant, fails on a
-//! violation — so CI can gate on the contract and archive the repro
-//! artifact on failure.
+//! violation.
 
 use crate::opts::{parse, Opt, Outcome, Slot};
 use provio::crashcheck::{crashcheck, repro_text, CrashcheckConfig};
 
 pub fn main(argv: Vec<String>) -> Outcome {
     let mut cfg = CrashcheckConfig::default();
-    let (mut no_key, mut repro_path) = (false, None);
+    let mut no_key = false;
     let table = &mut [
         Opt("--ranks", "simulated ranks, each with its own store", Slot::U32(1, &mut cfg.ranks)),
         Opt("--pushes", "pushes per rank, one record each", Slot::Usize(&mut cfg.pushes)),
@@ -30,7 +29,6 @@ pub fn main(argv: Vec<String>) -> Outcome {
         Opt("--budget", "cap on explored states, kept at an even stride (0 = all)", Slot::Usize(&mut cfg.max_states)),
         Opt("--max-dropped", "budget for reorder (dropped-write) variants", Slot::Usize(&mut cfg.max_dropped)),
         Opt("--seed", "seed for emitted repro plans", Slot::U64(&mut cfg.seed)),
-        Opt("--repro", "where a violation's minimized repro is written", Slot::MaybeText("FILE", &mut repro_path)),
     ];
     let about = "explore every crash state of the commit protocol, check recovery";
     if let Some(over) = parse::<()>("crashcheck", about, table, None, argv) {
@@ -52,15 +50,7 @@ pub fn main(argv: Vec<String>) -> Outcome {
         println!("  {v}");
     }
     if let Some(min) = report.minimized() {
-        let repro = repro_text(&workload, min);
-        println!("\nminimized failing state:\n{repro}");
-        if let Some(path) = repro_path {
-            if let Err(e) = std::fs::write(&path, &repro) {
-                eprintln!("could not write repro to {path}: {e}");
-            } else {
-                println!("repro written to {path}");
-            }
-        }
+        println!("\nminimized failing state:\n{}", repro_text(&workload, min));
     }
     Outcome::Fail
 }

@@ -1,8 +1,8 @@
 //! Streaming provenance collection over an unreliable interconnect.
 //!
 //! PROV-IO's ranks persist sub-graphs locally and merge post-hoc; this
-//! module lets records *flow* off the ranks while the run is in flight
-//! (ROADMAP item 2, "always-on provenance service") without giving up a
+//! module lets records *flow* off the ranks while the run is in flight,
+//! so the graph can be queried before the run ends, without giving up a
 //! single durability promise. The design splits cleanly in two:
 //!
 //! * **[`NetClient`]** — one per tracked rank. Flushed batches enter a
@@ -48,6 +48,11 @@ const NET_JITTER_STREAM: u64 = 0x4E78;
 /// the order of a rendered N-Triples line; exactness is irrelevant —
 /// only that bigger batches cost proportionally more virtual time.
 const BYTES_PER_TRIPLE: u64 = 96;
+
+/// Pump rounds a struggling fabric gets, in `Block` backpressure and in
+/// the final drain, before the durable store keeps what is left. Each
+/// round charges at least one full timeout, so bounded partitions heal.
+pub(crate) const NET_DRAIN_ROUNDS: u32 = 64;
 
 /// Per-rank receive window: the dedup watermark plus the set of
 /// out-of-order sequences already seen above it.
@@ -327,9 +332,9 @@ pub struct NetStats {
     /// Retransmissions after a timeout (loss, lost ack, partition, or a
     /// crashed collector).
     pub retries: u64,
-    /// Batches dropped by the `Shed` overload policy at a full buffer.
-    /// Shed from the *stream only*: the records stay in the durable
-    /// store and reach the merged view via resync/post-hoc merge.
+    /// Batches dropped at a full buffer (by `Shed`, or by `Block` after
+    /// `NET_DRAIN_ROUNDS` pumps) from the *stream only*: the records stay
+    /// in the durable store and reach the merged view via resync/post-hoc merge.
     pub(crate) shed_batches: u64,
     /// Triples inside those shed batches.
     pub(crate) shed_triples: u64,
@@ -368,37 +373,38 @@ pub struct NetClient {
 impl NetClient {
     /// Offer a batch to the stream. The caller must have made it
     /// journal-durable first (see [`crate::ProvenanceStore::wal_sync`]).
-    /// With a full buffer, `Block` pumps the fabric until space frees
-    /// (virtual time passes, partitions heal); `Shed` drops the batch
-    /// from the stream only.
+    /// With a full buffer, `Shed` drops the batch from the stream only;
+    /// `Block` pumps the fabric until space frees (virtual time passes,
+    /// partitions heal), and sheds it too after `NET_DRAIN_ROUNDS` pumps:
+    /// a collector whose resync waits on this rank must not stall it.
     pub fn send(&self, triples: Vec<Triple>) {
         if triples.is_empty() {
             return;
         }
-        {
-            let mut st = self.state.lock();
-            if self.capacity > 0
-                && st.buf.len() as u64 >= self.capacity
-                && self.overload == OverloadPolicy::Shed
-            {
-                st.stats.shed_batches += 1;
-                st.stats.shed_triples += triples.len() as u64;
-                return;
-            }
+        let over = |len: usize| self.capacity > 0 && len as u64 > self.capacity;
+        let block = self.overload == OverloadPolicy::Block;
+        let n = triples.len() as u64;
+        let mut st = self.state.lock();
+        if block || !over(st.buf.len() + 1) {
             let seq = st.next_seq;
             st.next_seq += 1;
             st.stats.sent_batches += 1;
             st.buf.push_back((seq, Arc::new(triples)));
-        }
-        self.pump();
-        if self.capacity > 0 && self.overload == OverloadPolicy::Block {
-            // Backpressure: the rank stalls (in virtual time) until the
-            // fabric accepts enough of the backlog. Each pump charges at
-            // least one timeout, so any bounded partition heals.
-            while self.state.lock().buf.len() as u64 > self.capacity {
+            drop(st);
+            self.pump();
+            let mut rounds = 0;
+            while block && rounds < NET_DRAIN_ROUNDS && over(self.state.lock().buf.len()) {
                 self.pump();
+                rounds += 1;
             }
+            st = self.state.lock();
+            if !over(st.buf.len()) {
+                return;
+            }
+            st.buf.retain(|(s, _)| *s != seq);
         }
+        st.stats.shed_batches += 1;
+        st.stats.shed_triples += n;
     }
 
     /// Push buffered batches at the collector until the buffer empties
@@ -610,6 +616,45 @@ mod tests {
         assert_eq!(stats.shed_triples, 2);
         assert_eq!(stats.unacked_batches, 1);
         assert_eq!(collector.triples(), 0);
+    }
+
+    #[test]
+    fn block_backpressure_gives_up_while_the_collector_is_down() {
+        // A full `Block` buffer facing a crashed collector: the resync
+        // that would free it waits on this very superstep, so `send` must
+        // return on its own, shedding the batch from the stream only.
+        let (done, returned) = std::sync::mpsc::channel();
+        let rank = std::thread::spawn(move || {
+            let collector = Collector::new(fs(), "/provio", NetPlan::ideal(19));
+            let client = collector.client_with(
+                0,
+                VirtualClock::new(),
+                RetryPolicy {
+                    max_attempts: 2,
+                    backoff_ns: 10,
+                    jitter: false,
+                },
+                100,
+                1,
+                OverloadPolicy::Block,
+            );
+            collector.crash();
+            client.send(batch(0, 2));
+            client.send(batch(2, 5)); // over capacity, nothing acks
+            let stats = client.stats();
+            collector.resync();
+            client.drain(NET_DRAIN_ROUNDS);
+            done.send((stats, collector.triples())).unwrap();
+        });
+        let (stats, triples) = returned
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("send returned while the collector was down");
+        rank.join().unwrap();
+        assert_eq!(stats.sent_batches, 2);
+        assert_eq!(stats.shed_batches, 1);
+        assert_eq!(stats.shed_triples, 3);
+        assert_eq!(stats.unacked_batches, 1);
+        assert_eq!(triples, 2, "the kept batch streams after the resync");
     }
 
     #[test]

@@ -1207,7 +1207,8 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// ROADMAP 4(e): no decoder panics on arbitrary bytes or on a valid
+        /// Recovery decodes exactly the files that are damaged, and a panic
+        /// would abort it: no decoder panics on arbitrary bytes or on a valid
         /// frame or journal that was flipped, spliced, truncated or had a
         /// line duplicated — and what the one walk finds, every reader of it
         /// agrees on: an intact `decode` has the root `file_root` computes,
@@ -1238,7 +1239,7 @@ pub(crate) mod tests {
             }
         }
 
-        /// ROADMAP 4(e) for the record lines: each of the eleven parsers
+        /// The same for the record lines: each of the eleven parsers
         /// over [`fields`] reads its own record however widely the tokens
         /// are spaced, and none panics on arbitrary bytes or on a record
         /// whose tokens were dropped, doubled, swapped or cut short and
@@ -1301,7 +1302,7 @@ pub(crate) mod tests {
             }
         }
 
-        /// ROADMAP 6(b), the text decoders above the store: the ini
+        /// The same for the text decoders above the store: the ini
         /// reader, both RDF parsers and the SPARQL parser take arbitrary
         /// bytes, and a valid document flipped, spliced, truncated or with a
         /// line doubled, without panicking.

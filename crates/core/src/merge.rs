@@ -1493,8 +1493,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
 
-        /// The same property at the depth ROADMAP 6(b) asks for: CI's
-        /// nightly job runs it (`-- --ignored`), tier-1 does not.
+        /// The same property at 20 000 cases, deep enough to reach the
+        /// rare decoder paths: CI's nightly job runs it (`-- --ignored`),
+        /// tier-1 does not.
         #[test]
         #[ignore]
         fn process_file_never_panics_unguarded_nightly(case in damage()) {

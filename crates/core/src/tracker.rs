@@ -23,7 +23,7 @@
 //! [`provio_model::ontology::record_triples_into`] stays the reference
 //! mapping, and `tests/tracking_props.rs` holds this module to it.
 
-use crate::collect::NetClient;
+use crate::collect::{NetClient, NET_DRAIN_ROUNDS};
 use crate::config::{ProvIoConfig, SerializationPolicy};
 use crate::store::{ProvenanceStore, RenderedSnapshot};
 use parking_lot::Mutex;
@@ -166,12 +166,6 @@ pub struct ProvTracker {
     /// journal-durable records.
     net: Mutex<Option<Arc<NetClient>>>,
 }
-
-/// Pump rounds the final drain gives a struggling fabric before handing
-/// the leftovers to the durable store (each round charges at least one
-/// full timeout per buffered batch, so bounded partitions heal well
-/// within it).
-const NET_DRAIN_ROUNDS: u32 = 64;
 
 /// What one API name contributes to each of its activities, built on the
 /// name's first event.

@@ -1,7 +1,7 @@
-//! The capture path's allocation budget (ROADMAP item 5's
-//! "allocations-per-event count"): a steady-state `track_io` allocates only
-//! what is new in the event — the activity's IRI and its integer literals —
-//! and an event the selector filters allocates nothing.
+//! The capture path's allocation budget, as a count per event (exact and
+//! machine-independent, unlike a timing): a steady-state `track_io`
+//! allocates only what is new in the event — the activity's IRI and its
+//! integer literals — and an event the selector filters allocates nothing.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own. Counts are
 //! per thread, so the store's writer pool and the other test do not leak

@@ -387,12 +387,13 @@ mod tamper_trust {
             prop_assert_eq!(report.to_string(), again.to_string());
         }
 
-        /// ROADMAP 4(e): no tier that decodes — scrub, merge, verify, the
-        /// ledger reader, or all of them as `recover_all` — panics on any
-        /// damage to any artifact: rot of every kind, arbitrary bytes, and
-        /// the damaged file left under its tmp or quarantined name. Rot
-        /// never forges a triple, and recovering the recovered directory
-        /// again moves no byte.
+        /// Recovery runs on exactly the disks that are damaged, so no tier
+        /// that decodes — scrub, merge, verify, the ledger reader, or all
+        /// of them as `recover_all` — panics on any damage to any
+        /// artifact: rot of every kind, arbitrary bytes, and the damaged
+        /// file left under its tmp or quarantined name. Rot never forges a
+        /// triple, and recovering the recovered directory again moves no
+        /// byte.
         #[test]
         fn no_tier_panics_on_any_damage_to_any_artifact(
             seed in any::<u64>(),

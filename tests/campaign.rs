@@ -1,19 +1,20 @@
-//! The fault campaign: every seeded fault cell this repository checks, as
-//! one table. Each row of [`CELLS`] is a typed cell — a family and the
+//! The fault campaign: every fault cell this repository checks, as one
+//! table. Each row of [`cells`] is a typed cell — a family and the
 //! parameters its check takes — and each family runs as one test that
 //! checks its rows in table order, collects one outcome line per row (the
-//! exact losses, replays, verdicts and repairs the row ended with) and
-//! holds the SHA-256 of those lines to a pinned digest. A changed outcome
-//! therefore fails even when every assertion in the check still passes.
+//! exact losses, replays, verdicts, repairs or explored states the row
+//! ended with) and holds the SHA-256 of those lines to a pinned digest. A
+//! changed outcome therefore fails even when every assertion in the check
+//! still passes.
 //!
 //! Run one family: `cargo test --test campaign seeded_netfault` (or any
-//! other family test's name). Add a row: one line in [`CELLS`]; raise its
-//! family's row count in `the_campaign_table_is_the_ci_matrices`; re-pin
-//! the family's digest from the failing assertion, which prints the new
-//! digest and every outcome line. A digest that changes without a new row
-//! means some run ended differently: compare the printed lines with the
-//! same family's lines at the parent commit, and re-pin only for a
-//! deliberate model or format change, saying which line moved and why.
+//! other family test's name). Add a row: one more value in one of its
+//! family's axis lists in [`cells`], then re-pin the family's digest from
+//! the failing assertion, which prints the new digest and every outcome
+//! line. A digest that changes without a new row means some run ended
+//! differently: compare the printed lines with the same family's lines at
+//! the parent commit, and re-pin only for a deliberate model or format
+//! change, saying which line moved and why.
 //!
 //! `the_campaign_at_ten_seeds` (`cargo test --test campaign -- --ignored`,
 //! nightly) runs every seeded row again at seed + 1 … seed + 9 with the
@@ -24,6 +25,7 @@
 //! scrub repair.
 
 use proptest::prelude::*;
+use prov_io::core::crashcheck::{crashcheck, repro_text, CrashcheckConfig};
 use prov_io::core::RdfFormat;
 use prov_io::hpcfs::FsError;
 use prov_io::prelude::*;
@@ -32,9 +34,9 @@ use prov_io::simrt::{DetRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
-/// One seeded fault cell: its family and the parameters its check takes.
+/// One fault cell: its family and the parameters its check takes.
 /// [`Cell::check`] names the check function that documents each family.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 #[rustfmt::skip]
 enum Cell {
     RankCrash { world: u32, seed: u64, prob: f64 },
@@ -45,6 +47,7 @@ enum Cell {
     Scrub { seed: u64, damage: Damage, group: u32 },
     JournalTail { seed: u64 },
     TornCommit { op: FaultOp, keep: u64 },
+    Explore { pushes: usize, groups: u32, signed: bool },
 }
 
 /// What a scrub row does to the one artifact it damages.
@@ -62,184 +65,61 @@ enum Damage {
     ParityDestroy,
 }
 
-/// The whole campaign, one row a line, in the order each family runs.
+/// The whole campaign in the order each family runs: per family, loops
+/// over its axis lists, each list spelled once.
 #[rustfmt::skip]
-const CELLS: &[Cell] = {
+fn cells() -> Vec<Cell> {
     use Cell::*;
     use FaultOp::*;
     use TamperKind::*;
-    &[
+    let scrub_seeds = [1, 17, 42];
+    let mut c = Vec::new();
     // rank crash: 16 ranks at 0.25, then world × seed × crash probability
-    RankCrash { world: 16, seed: 7, prob: 0.25 },
-    RankCrash { world: 16, seed: 7, prob: 0.1 },
-    RankCrash { world: 16, seed: 7, prob: 0.3 },
-    RankCrash { world: 16, seed: 41, prob: 0.1 },
-    RankCrash { world: 16, seed: 41, prob: 0.3 },
-    RankCrash { world: 16, seed: 1337, prob: 0.1 },
-    RankCrash { world: 16, seed: 1337, prob: 0.3 },
-    RankCrash { world: 64, seed: 7, prob: 0.1 },
-    RankCrash { world: 64, seed: 7, prob: 0.3 },
-    RankCrash { world: 64, seed: 41, prob: 0.1 },
-    RankCrash { world: 64, seed: 41, prob: 0.3 },
-    RankCrash { world: 64, seed: 1337, prob: 0.1 },
-    RankCrash { world: 64, seed: 1337, prob: 0.3 },
+    c.push(RankCrash { world: 16, seed: 7, prob: 0.25 });
+    for world in [16, 64] { for seed in [7, 41, 1337] { for prob in [0.1, 0.3] {
+        c.push(RankCrash { world, seed, prob });
+    } } }
     // WAL replay at 16 ranks: 0.25 in groups of 8, then seed × crash probability × group
-    WalReplay { world: 16, seed: 7, prob: 0.25, group: 8 },
-    WalReplay { world: 16, seed: 7, prob: 0.1, group: 1 },
-    WalReplay { world: 16, seed: 7, prob: 0.1, group: 8 },
-    WalReplay { world: 16, seed: 7, prob: 0.1, group: 64 },
-    WalReplay { world: 16, seed: 7, prob: 0.3, group: 1 },
-    WalReplay { world: 16, seed: 7, prob: 0.3, group: 8 },
-    WalReplay { world: 16, seed: 7, prob: 0.3, group: 64 },
-    WalReplay { world: 16, seed: 41, prob: 0.1, group: 1 },
-    WalReplay { world: 16, seed: 41, prob: 0.1, group: 8 },
-    WalReplay { world: 16, seed: 41, prob: 0.1, group: 64 },
-    WalReplay { world: 16, seed: 41, prob: 0.3, group: 1 },
-    WalReplay { world: 16, seed: 41, prob: 0.3, group: 8 },
-    WalReplay { world: 16, seed: 41, prob: 0.3, group: 64 },
-    WalReplay { world: 16, seed: 1337, prob: 0.1, group: 1 },
-    WalReplay { world: 16, seed: 1337, prob: 0.1, group: 8 },
-    WalReplay { world: 16, seed: 1337, prob: 0.1, group: 64 },
-    WalReplay { world: 16, seed: 1337, prob: 0.3, group: 1 },
-    WalReplay { world: 16, seed: 1337, prob: 0.3, group: 8 },
-    WalReplay { world: 16, seed: 1337, prob: 0.3, group: 64 },
+    c.push(WalReplay { world: 16, seed: 7, prob: 0.25, group: 8 });
+    for seed in [7, 41, 1337] { for prob in [0.1, 0.3] { for group in [1, 8, 64] {
+        c.push(WalReplay { world: 16, seed, prob, group });
+    } } }
     // netfault: seed × loss × partition × aggregator crash
-    Net { seed: 11, loss: 0.1, partition: false, crash: false },
-    Net { seed: 11, loss: 0.1, partition: false, crash: true },
-    Net { seed: 11, loss: 0.1, partition: true, crash: false },
-    Net { seed: 11, loss: 0.1, partition: true, crash: true },
-    Net { seed: 11, loss: 0.25, partition: false, crash: false },
-    Net { seed: 11, loss: 0.25, partition: false, crash: true },
-    Net { seed: 11, loss: 0.25, partition: true, crash: false },
-    Net { seed: 11, loss: 0.25, partition: true, crash: true },
-    Net { seed: 42, loss: 0.1, partition: false, crash: false },
-    Net { seed: 42, loss: 0.1, partition: false, crash: true },
-    Net { seed: 42, loss: 0.1, partition: true, crash: false },
-    Net { seed: 42, loss: 0.1, partition: true, crash: true },
-    Net { seed: 42, loss: 0.25, partition: false, crash: false },
-    Net { seed: 42, loss: 0.25, partition: false, crash: true },
-    Net { seed: 42, loss: 0.25, partition: true, crash: false },
-    Net { seed: 42, loss: 0.25, partition: true, crash: true },
-    Net { seed: 1337, loss: 0.1, partition: false, crash: false },
-    Net { seed: 1337, loss: 0.1, partition: false, crash: true },
-    Net { seed: 1337, loss: 0.1, partition: true, crash: false },
-    Net { seed: 1337, loss: 0.1, partition: true, crash: true },
-    Net { seed: 1337, loss: 0.25, partition: false, crash: false },
-    Net { seed: 1337, loss: 0.25, partition: false, crash: true },
-    Net { seed: 1337, loss: 0.25, partition: true, crash: false },
-    Net { seed: 1337, loss: 0.25, partition: true, crash: true },
+    for seed in [11, 42, 1337] { for loss in [0.1, 0.25] { for partition in [false, true] { for crash in [false, true] {
+        c.push(Net { seed, loss, partition, crash });
+    } } } }
     // corruption: seed × flips × framed
-    Rot { seed: 11, flips: 1, framed: true },
-    Rot { seed: 11, flips: 1, framed: false },
-    Rot { seed: 11, flips: 4, framed: true },
-    Rot { seed: 11, flips: 4, framed: false },
-    Rot { seed: 11, flips: 32, framed: true },
-    Rot { seed: 11, flips: 32, framed: false },
-    Rot { seed: 42, flips: 1, framed: true },
-    Rot { seed: 42, flips: 1, framed: false },
-    Rot { seed: 42, flips: 4, framed: true },
-    Rot { seed: 42, flips: 4, framed: false },
-    Rot { seed: 42, flips: 32, framed: true },
-    Rot { seed: 42, flips: 32, framed: false },
-    Rot { seed: 90125, flips: 1, framed: true },
-    Rot { seed: 90125, flips: 1, framed: false },
-    Rot { seed: 90125, flips: 4, framed: true },
-    Rot { seed: 90125, flips: 4, framed: false },
-    Rot { seed: 90125, flips: 32, framed: true },
-    Rot { seed: 90125, flips: 32, framed: false },
-    // tamper: seed × kind × signed, except that an unsigned run has no
-    // manifest or ledger to attack
-    Tamper { seed: 7, kind: CrcPatchedRewrite, signed: true },
-    Tamper { seed: 7, kind: CrcPatchedRewrite, signed: false },
-    Tamper { seed: 7, kind: FileSubstitution, signed: true },
-    Tamper { seed: 7, kind: FileSubstitution, signed: false },
-    Tamper { seed: 7, kind: ManifestEdit, signed: true },
-    Tamper { seed: 7, kind: LedgerTruncate, signed: true },
-    Tamper { seed: 41, kind: CrcPatchedRewrite, signed: true },
-    Tamper { seed: 41, kind: CrcPatchedRewrite, signed: false },
-    Tamper { seed: 41, kind: FileSubstitution, signed: true },
-    Tamper { seed: 41, kind: FileSubstitution, signed: false },
-    Tamper { seed: 41, kind: ManifestEdit, signed: true },
-    Tamper { seed: 41, kind: LedgerTruncate, signed: true },
-    Tamper { seed: 90125, kind: CrcPatchedRewrite, signed: true },
-    Tamper { seed: 90125, kind: CrcPatchedRewrite, signed: false },
-    Tamper { seed: 90125, kind: FileSubstitution, signed: true },
-    Tamper { seed: 90125, kind: FileSubstitution, signed: false },
-    Tamper { seed: 90125, kind: ManifestEdit, signed: true },
-    Tamper { seed: 90125, kind: LedgerTruncate, signed: true },
+    for seed in [11, 42, 90125] { for flips in [1, 4, 32] { for framed in [true, false] {
+        c.push(Rot { seed, flips, framed });
+    } } }
+    // tamper: seed × kind × signed
+    for seed in [7, 41, 90125] {
+        for kind in [CrcPatchedRewrite, FileSubstitution, ManifestEdit, LedgerTruncate] { for signed in [true, false] {
+            // an unsigned run has no manifest or ledger to attack
+            if signed || matches!(kind, CrcPatchedRewrite | FileSubstitution) {
+                c.push(Tamper { seed, kind, signed });
+            }
+        } }
+    }
     // scrub repair: seed × damage × parity group width
-    Scrub { seed: 1, damage: Damage::Corrupt, group: 1 },
-    Scrub { seed: 1, damage: Damage::Corrupt, group: 2 },
-    Scrub { seed: 1, damage: Damage::Corrupt, group: 3 },
-    Scrub { seed: 1, damage: Damage::Delete, group: 1 },
-    Scrub { seed: 1, damage: Damage::Delete, group: 2 },
-    Scrub { seed: 1, damage: Damage::Delete, group: 3 },
-    Scrub { seed: 1, damage: Damage::Tamper, group: 1 },
-    Scrub { seed: 1, damage: Damage::Tamper, group: 2 },
-    Scrub { seed: 1, damage: Damage::Tamper, group: 3 },
-    Scrub { seed: 1, damage: Damage::Parity, group: 1 },
-    Scrub { seed: 1, damage: Damage::Parity, group: 2 },
-    Scrub { seed: 1, damage: Damage::Parity, group: 3 },
-    Scrub { seed: 1, damage: Damage::ParityDestroy, group: 1 },
-    Scrub { seed: 1, damage: Damage::ParityDestroy, group: 2 },
-    Scrub { seed: 1, damage: Damage::ParityDestroy, group: 3 },
-    Scrub { seed: 17, damage: Damage::Corrupt, group: 1 },
-    Scrub { seed: 17, damage: Damage::Corrupt, group: 2 },
-    Scrub { seed: 17, damage: Damage::Corrupt, group: 3 },
-    Scrub { seed: 17, damage: Damage::Delete, group: 1 },
-    Scrub { seed: 17, damage: Damage::Delete, group: 2 },
-    Scrub { seed: 17, damage: Damage::Delete, group: 3 },
-    Scrub { seed: 17, damage: Damage::Tamper, group: 1 },
-    Scrub { seed: 17, damage: Damage::Tamper, group: 2 },
-    Scrub { seed: 17, damage: Damage::Tamper, group: 3 },
-    Scrub { seed: 17, damage: Damage::Parity, group: 1 },
-    Scrub { seed: 17, damage: Damage::Parity, group: 2 },
-    Scrub { seed: 17, damage: Damage::Parity, group: 3 },
-    Scrub { seed: 17, damage: Damage::ParityDestroy, group: 1 },
-    Scrub { seed: 17, damage: Damage::ParityDestroy, group: 2 },
-    Scrub { seed: 17, damage: Damage::ParityDestroy, group: 3 },
-    Scrub { seed: 42, damage: Damage::Corrupt, group: 1 },
-    Scrub { seed: 42, damage: Damage::Corrupt, group: 2 },
-    Scrub { seed: 42, damage: Damage::Corrupt, group: 3 },
-    Scrub { seed: 42, damage: Damage::Delete, group: 1 },
-    Scrub { seed: 42, damage: Damage::Delete, group: 2 },
-    Scrub { seed: 42, damage: Damage::Delete, group: 3 },
-    Scrub { seed: 42, damage: Damage::Tamper, group: 1 },
-    Scrub { seed: 42, damage: Damage::Tamper, group: 2 },
-    Scrub { seed: 42, damage: Damage::Tamper, group: 3 },
-    Scrub { seed: 42, damage: Damage::Parity, group: 1 },
-    Scrub { seed: 42, damage: Damage::Parity, group: 2 },
-    Scrub { seed: 42, damage: Damage::Parity, group: 3 },
-    Scrub { seed: 42, damage: Damage::ParityDestroy, group: 1 },
-    Scrub { seed: 42, damage: Damage::ParityDestroy, group: 2 },
-    Scrub { seed: 42, damage: Damage::ParityDestroy, group: 3 },
+    for seed in scrub_seeds {
+        for damage in [Damage::Corrupt, Damage::Delete, Damage::Tamper, Damage::Parity, Damage::ParityDestroy] {
+            for group in [1, 2, 3] { c.push(Scrub { seed, damage, group }); }
+        }
+    }
     // the crashed rank's journal tail, at the scrub seeds
-    JournalTail { seed: 1 },
-    JournalTail { seed: 17 },
-    JournalTail { seed: 42 },
+    for seed in scrub_seeds { c.push(JournalTail { seed }); }
     // torn commit: crash op × torn-write length
-    TornCommit { op: CreateFile, keep: 0 },
-    TornCommit { op: CreateFile, keep: 1 },
-    TornCommit { op: CreateFile, keep: 80 },
-    TornCommit { op: CreateFile, keep: 400 },
-    TornCommit { op: CreateFile, keep: 4096 },
-    TornCommit { op: WriteAt, keep: 0 },
-    TornCommit { op: WriteAt, keep: 1 },
-    TornCommit { op: WriteAt, keep: 80 },
-    TornCommit { op: WriteAt, keep: 400 },
-    TornCommit { op: WriteAt, keep: 4096 },
-    TornCommit { op: TruncateIno, keep: 0 },
-    TornCommit { op: TruncateIno, keep: 1 },
-    TornCommit { op: TruncateIno, keep: 80 },
-    TornCommit { op: TruncateIno, keep: 400 },
-    TornCommit { op: TruncateIno, keep: 4096 },
-    TornCommit { op: Rename, keep: 0 },
-    TornCommit { op: Rename, keep: 1 },
-    TornCommit { op: Rename, keep: 80 },
-    TornCommit { op: Rename, keep: 400 },
-    TornCommit { op: Rename, keep: 4096 },
-    ]
-};
+    for op in [CreateFile, WriteAt, TruncateIno, Rename] { for keep in [0, 1, 80, 400, 4096] {
+        c.push(TornCommit { op, keep });
+    } }
+    // crash-state exploration: the all-knobs workload, one with groups
+    // larger than the flush cadence, and the unsigned ablation
+    c.push(Explore { pushes: 6, groups: 2, signed: true });
+    c.push(Explore { pushes: 8, groups: 3, signed: true });
+    c.push(Explore { pushes: 6, groups: 2, signed: false });
+    c
+}
 
 impl Cell {
     /// The family's name: the first word of each of its outcome lines.
@@ -253,6 +133,7 @@ impl Cell {
             Cell::Scrub { .. } => "scrub",
             Cell::JournalTail { .. } => "tail",
             Cell::TornCommit { .. } => "torn",
+            Cell::Explore { .. } => "explore",
         }
     }
 
@@ -286,6 +167,11 @@ impl Cell {
             } => scrub_repair(seed, damage, group),
             Cell::JournalTail { seed } => journal_tail(seed),
             Cell::TornCommit { op, keep } => torn_commit(op, keep),
+            Cell::Explore {
+                pushes,
+                groups,
+                signed,
+            } => explore(pushes, groups, signed),
         }
     }
 
@@ -299,7 +185,7 @@ impl Cell {
             | Cell::Tamper { seed, .. }
             | Cell::Scrub { seed, .. }
             | Cell::JournalTail { seed } => *seed += by,
-            Cell::TornCommit { .. } => return None,
+            Cell::TornCommit { .. } | Cell::Explore { .. } => return None,
         }
         Some(self)
     }
@@ -309,7 +195,7 @@ impl Cell {
 /// their outcome lines to `pinned`.
 fn run_family(family: &str, pinned: &str) {
     let mut text = String::new();
-    for cell in CELLS.iter().filter(|c| c.family() == family) {
+    for cell in cells().into_iter().filter(|c| c.family() == family) {
         println!("{cell:?}");
         text += &cell.check();
         text.push('\n');
@@ -385,123 +271,12 @@ fn fault_sweep_merge_always_recovers_committed_subgraphs() {
     );
 }
 
-/// The table holds each cell the six CI sweep matrices ran (their axis
-/// lists spelled below as they stood in `ci.yml`) exactly once, and each
-/// family its row count: no row is dropped or doubled silently.
 #[test]
-fn the_campaign_table_is_the_ci_matrices() {
-    use TamperKind::*;
-    let mut expected = Vec::new();
-    // rank-crash-sweep: world [16, 64], seed [7, 41, 1337], crash_prob [0.1, 0.3]
-    for world in [16, 64] {
-        for seed in [7, 41, 1337] {
-            for prob in [0.1, 0.3] {
-                expected.push(Cell::RankCrash { world, seed, prob });
-            }
-        }
-    }
-    // wal-replay-sweep: world 16, seed [7, 41, 1337], crash_prob [0.1, 0.3], wal_group [1, 8, 64]
-    for seed in [7, 41, 1337] {
-        for prob in [0.1, 0.3] {
-            for group in [1, 8, 64] {
-                expected.push(Cell::WalReplay {
-                    world: 16,
-                    seed,
-                    prob,
-                    group,
-                });
-            }
-        }
-    }
-    // netfault-sweep: seed [11, 42, 1337], loss [0.1, 0.25], partition [0, 1], crash [0, 1]
-    for seed in [11, 42, 1337] {
-        for loss in [0.1, 0.25] {
-            for partition in [false, true] {
-                for crash in [false, true] {
-                    expected.push(Cell::Net {
-                        seed,
-                        loss,
-                        partition,
-                        crash,
-                    });
-                }
-            }
-        }
-    }
-    // corruption-sweep: seed [11, 42, 90125], flips [1, 4, 32], format [framed, legacy]
-    for seed in [11, 42, 90125] {
-        for flips in [1, 4, 32] {
-            for framed in [true, false] {
-                expected.push(Cell::Rot {
-                    seed,
-                    flips,
-                    framed,
-                });
-            }
-        }
-    }
-    // tamper-sweep: seed [7, 41, 90125], kind [crc, substitute, manifest,
-    // ledger], manifest [on, off], excluding off × {manifest, ledger}
-    for seed in [7, 41, 90125] {
-        for kind in [
-            CrcPatchedRewrite,
-            FileSubstitution,
-            ManifestEdit,
-            LedgerTruncate,
-        ] {
-            for signed in [true, false] {
-                if signed || !matches!(kind, ManifestEdit | LedgerTruncate) {
-                    expected.push(Cell::Tamper { seed, kind, signed });
-                }
-            }
-        }
-    }
-    // scrub-repair-sweep: seed [1, 17, 42], damage [corrupt, delete,
-    // tamper, parity, parity-destroy], parity_group [1, 2, 3]
-    let damages = [
-        Damage::Corrupt,
-        Damage::Delete,
-        Damage::Tamper,
-        Damage::Parity,
-        Damage::ParityDestroy,
-    ];
-    for seed in [1, 17, 42] {
-        for damage in damages {
-            for group in [1, 2, 3] {
-                expected.push(Cell::Scrub {
-                    seed,
-                    damage,
-                    group,
-                });
-            }
-        }
-    }
-    assert_eq!(expected.len(), 135, "the six matrices");
-    for cell in &expected {
-        let copies = CELLS.iter().filter(|c| *c == cell).count();
-        assert_eq!(copies, 1, "{cell:?} is in the table once");
-    }
-    for (i, a) in CELLS.iter().enumerate() {
-        assert!(!CELLS[i + 1..].contains(a), "duplicate row {a:?}");
-    }
-    assert!(
-        !CELLS.iter().any(|c| matches!(
-            c,
-            Cell::Tamper {
-                kind: ManifestEdit | LedgerTruncate,
-                signed: false,
-                ..
-            }
-        )),
-        "an unsigned run has no manifest or ledger to tamper with"
+fn crash_state_exploration_holds_every_recovery_invariant() {
+    run_family(
+        "explore",
+        "57ab8532e180da51656558e209fa0496fb718b2cf4a7ca947408d6d036760f16",
     );
-    let rows = |family| CELLS.iter().filter(|c| c.family() == family).count();
-    let counts = [
-        "crash", "wal", "net", "rot", "tamper", "scrub", "tail", "torn",
-    ]
-    .map(rows);
-    assert_eq!(counts, [13, 19, 24, 18, 18, 45, 3, 20]);
-    assert_eq!(counts.iter().sum::<usize>(), 160);
 }
 
 /// Every seeded row at nine more seeds, assertions only: the nightly
@@ -510,7 +285,7 @@ fn the_campaign_table_is_the_ci_matrices() {
 #[ignore = "nightly: 1 260 runs; cargo test --test campaign -- --ignored"]
 fn the_campaign_at_ten_seeds() {
     for by in 1..=9 {
-        for cell in CELLS.iter().filter_map(|c| c.reseeded(by)) {
+        for cell in cells().into_iter().filter_map(|c| c.reseeded(by)) {
             println!("{cell:?}");
             cell.check();
         }
@@ -2119,4 +1894,38 @@ fn torn_commit(op: FaultOp, keep: u64) -> String {
         report.salvaged_triples,
         u8::from(engine.entity_by_label("/rank1.h5").is_some())
     )
+}
+
+// Crash-state exploration: every operation prefix of a recorded workload,
+// with torn-tail and every barrier-free reorder variant, reconstructed and
+// recovered twice, holds the invariant set of DESIGN.md §15.
+
+/// An exploration row: two ranks push `pushes` records each, flushing
+/// every second push, with `groups` as the WAL group, the parity group and
+/// the compaction cadence at once. Groups above the flush cadence force
+/// partial WAL and parity groups out at flush boundaries, the shape that
+/// exposed the per-rank ack granularity. An unsigned row runs without the
+/// trust tier: durability and loss bounds must hold on their own.
+fn explore(pushes: usize, groups: u32, signed: bool) -> String {
+    let mut cfg = CrashcheckConfig {
+        pushes,
+        wal_group: groups,
+        parity_group: groups,
+        compact_every: groups,
+        max_dropped: usize::MAX,
+        max_states: 0,
+        ..CrashcheckConfig::default()
+    };
+    if !signed {
+        cfg.manifest_key = None;
+    }
+    let (w, report) = crashcheck(&cfg);
+    if let Some(min) = report.minimized() {
+        panic!("{report}\n{}", repro_text(&w, min));
+    }
+    // No budget was set: the enumeration covered at least one state per
+    // operation prefix, so the whole protocol timeline was explored.
+    assert_eq!(report.checked, report.states);
+    assert!(report.states > w.ops.len());
+    format!("explore ops={} states={}", w.ops.len(), report.states)
 }

@@ -1,10 +1,11 @@
-//! Crashcheck end to end: the enumerated crash-state space of the full
+//! Crashcheck end to end. The enumerated crash-state space of the full
 //! commit protocol (checksums + delta segments + WAL + parity + signed
-//! manifest/ledger) must satisfy every recovery invariant of
-//! DESIGN.md §15 — plus targeted regressions for the protocol bugs the
-//! explorer found, a crash-during-recovery (double-crash) exploration,
-//! and a property test that recovery is idempotent on arbitrary
-//! reconstructed crash states.
+//! manifest/ledger) must satisfy every recovery invariant of DESIGN.md
+//! §15: here at the small sizes (the `explore` rows of the fault
+//! campaign, `tests/campaign.rs`, pin the larger ones), plus targeted
+//! regressions for the protocol bugs the explorer found, a
+//! crash-during-recovery (double-crash) exploration, and a property test
+//! that recovery is idempotent on arbitrary reconstructed crash states.
 
 use prov_io::core::crashcheck::{
     check_recovered, check_state, crashcheck, record_workload, repro_text, CrashcheckConfig,
@@ -47,32 +48,29 @@ fn parity_store(path: &str) -> &str {
     &p[..p.rfind(".p").expect("parity path")]
 }
 
-// ---------------------------------------------------------------------------
-// The tentpole: exhaustive exploration under the full knob set.
-// ---------------------------------------------------------------------------
+/// Explores every crash state of `cfg`'s unbudgeted workload (at least
+/// one per operation prefix); a violation panics with the minimized repro.
+fn explore_clean(cfg: &CrashcheckConfig) {
+    let (w, report) = crashcheck(cfg);
+    if let Some(min) = report.minimized() {
+        panic!("{report}\n{}", repro_text(&w, min));
+    }
+    assert_eq!(report.checked, report.states);
+    assert!(report.states > w.ops.len());
+}
 
 /// Every operation prefix of the all-knobs workload, plus torn-tail and
 /// barrier-free reorder variants, recovers within the invariant set.
 #[test]
 fn full_protocol_exploration_holds_all_invariants() {
-    let cfg = CrashcheckConfig::default();
-    let (w, report) = crashcheck(&cfg);
-    if let Some(min) = report.minimized() {
-        panic!("{report}\n{}", repro_text(&w, min));
-    }
-    // No budget was set: the enumeration covered at least one state per
-    // operation prefix, so the whole protocol timeline was explored.
-    assert_eq!(report.checked, report.states);
-    assert!(report.states > w.ops.len());
+    explore_clean(&CrashcheckConfig::default());
 }
 
-/// A second knob mix — larger groups than the flush cadence, so flush
-/// boundaries force partial WAL groups and short parity groups out.
-/// This shape is what exposed the per-rank ack granularity during
-/// development; keep it explored.
+/// Groups larger than the flush cadence: flush boundaries force partial
+/// WAL and short parity groups out (this exposed per-rank ack granularity).
 #[test]
 fn off_cadence_groups_hold_all_invariants() {
-    let cfg = CrashcheckConfig {
+    explore_clean(&CrashcheckConfig {
         ranks: 2,
         pushes: 6,
         flush_every: 2,
@@ -80,26 +78,17 @@ fn off_cadence_groups_hold_all_invariants() {
         parity_group: 3,
         compact_every: 3,
         ..CrashcheckConfig::default()
-    };
-    let (w, report) = crashcheck(&cfg);
-    if let Some(min) = report.minimized() {
-        panic!("{report}\n{}", repro_text(&w, min));
-    }
+    });
 }
 
-/// Without the trust tier (no manifest key) the durability and loss
-/// invariants must hold on their own.
+/// Unsigned (no trust tier): durability and loss invariants hold alone.
 #[test]
 fn unsigned_runs_hold_all_invariants() {
-    let cfg = CrashcheckConfig {
+    explore_clean(&CrashcheckConfig {
         manifest_key: None,
         pushes: 4,
         ..CrashcheckConfig::default()
-    };
-    let (w, report) = crashcheck(&cfg);
-    if let Some(min) = report.minimized() {
-        panic!("{report}\n{}", repro_text(&w, min));
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
