@@ -28,7 +28,6 @@ pub fn main(argv: Vec<String>) -> Outcome {
         Opt("--no-key", "the unsigned ablation: no manifest, no ledger", Slot::Switch(&mut no_key)),
         Opt("--budget", "cap on explored states, kept at an even stride (0 = all)", Slot::Usize(&mut cfg.max_states)),
         Opt("--max-dropped", "budget for reorder (dropped-write) variants", Slot::Usize(&mut cfg.max_dropped)),
-        Opt("--seed", "seed for emitted repro plans", Slot::U64(&mut cfg.seed)),
     ];
     let about = "explore every crash state of the commit protocol, check recovery";
     if let Some(over) = parse::<()>("crashcheck", about, table, None, argv) {

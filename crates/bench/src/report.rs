@@ -1,5 +1,6 @@
 //! Experiment output: aligned text tables + JSON records.
 
+use serde_json::escape_str;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -15,7 +16,7 @@ impl Cell {
     /// Untagged JSON value: strings quoted, numbers bare.
     fn to_json(&self) -> String {
         match self {
-            Cell::Str(s) => format!("\"{}\"", json_escape(s)),
+            Cell::Str(s) => format!("\"{}\"", escape_str(s)),
             Cell::Int(i) => i.to_string(),
             Cell::Float(f) if f.is_finite() => f.to_string(),
             Cell::Float(_) => "null".to_string(),
@@ -90,26 +91,8 @@ pub struct Report {
     pub attachments: Vec<(String, String)>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_str_list(items: impl Iterator<Item = String>) -> String {
-    let body: Vec<String> = items.map(|s| format!("\"{}\"", json_escape(&s))).collect();
+    let body: Vec<String> = items.map(|s| format!("\"{}\"", escape_str(&s))).collect();
     format!("[{}]", body.join(", "))
 }
 
@@ -180,8 +163,8 @@ impl Report {
     pub fn to_json_pretty(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"id\": \"{}\",", json_escape(&self.id));
-        let _ = writeln!(out, "  \"title\": \"{}\",", json_escape(&self.title));
+        let _ = writeln!(out, "  \"id\": \"{}\",", escape_str(&self.id));
+        let _ = writeln!(out, "  \"title\": \"{}\",", escape_str(&self.title));
         let _ = writeln!(out, "  \"notes\": {},", json_str_list(self.notes.iter().cloned()));
         let _ = writeln!(
             out,
@@ -208,8 +191,8 @@ impl Report {
                 .map(|(name, body)| {
                     format!(
                         "    [\"{}\", \"{}\"]",
-                        json_escape(name),
-                        json_escape(body)
+                        escape_str(name),
+                        escape_str(body)
                     )
                 })
                 .collect();

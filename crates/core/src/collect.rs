@@ -11,7 +11,8 @@
 //!   over a seeded faulty fabric
 //!   ([`NetPlan`](provio_simrt::NetPlan)) with **at-least-once**
 //!   delivery: per-rank sequence numbers, ack/timeout, and the store's
-//!   decorrelated-jitter backoff between retransmissions. Every attempt
+//!   retry backoff between retransmissions (exponential, or decorrelated
+//!   jitter under `retry_jitter = true`). Every attempt
 //!   — including every retry — charges the rank's virtual clock with
 //!   the [`CommModel`](provio_mpi::CommModel) point-to-point cost.
 //! * **[`Collector`]** — the aggregator. Dedups by (rank, seq)

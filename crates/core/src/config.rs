@@ -196,7 +196,7 @@ pub struct ProvIoConfig {
     pub(crate) wal_group: u32,
     /// Stream flushed batches to a live aggregator over the simulated
     /// interconnect (`[net] net`). Delivery is at-least-once (ack/timeout
-    /// with the store's decorrelated-jitter backoff) and the aggregator
+    /// with the store's retry backoff) and the aggregator
     /// dedups by (rank, seq) watermark, so a lossy fabric costs retries,
     /// never correctness. Requires `wal`: an ack is only issued for
     /// records already journal-durable on the rank, which is what lets

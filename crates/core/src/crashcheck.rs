@@ -70,8 +70,6 @@ pub struct CrashcheckConfig {
     /// Overall cap on explored states (0 = all). When capped, states are
     /// kept at an even stride so coverage stays spread over the trace.
     pub max_states: usize,
-    /// Seed for emitted repro plans.
-    pub seed: u64,
 }
 
 impl Default for CrashcheckConfig {
@@ -86,7 +84,6 @@ impl Default for CrashcheckConfig {
             manifest_key: Some("crashcheck-key".to_string()),
             max_dropped: 256,
             max_states: 0,
-            seed: 0xC4A5,
         }
     }
 }
@@ -393,7 +390,6 @@ pub fn check_recovered(
     // --- I2: no phantom records (and, since the graph is a set, no
     // double count) --------------------------------------------------------
     let mut matched = 0usize;
-    let mut membership = Vec::new();
     for r in 0..w.config.ranks {
         for seq in 0..w.config.pushes {
             let present = out1.graph.contains(&crashcheck_triple(r, seq));
@@ -404,7 +400,6 @@ pub fn check_recovered(
                     format!("rank {r} record {seq} present after one pass but not the other"),
                 );
             }
-            membership.push(present);
             matched += usize::from(present);
         }
     }
@@ -418,7 +413,6 @@ pub fn check_recovered(
             ),
         );
     }
-    drop(membership);
 
     // --- I3: bounded loss --------------------------------------------------
     // A dropped journal append leaves a hole mid-generation: every chunk
@@ -558,7 +552,7 @@ pub fn crashcheck(config: &CrashcheckConfig) -> (RecordedWorkload, CrashcheckRep
 pub fn repro_text(w: &RecordedWorkload, violation: &Violation) -> String {
     let mut out = format!("{violation}\n\n");
     out.push_str(&describe_state(&w.ops, &violation.state));
-    match repro_plan(&w.ops, &violation.state, w.config.seed) {
+    match repro_plan(&w.ops, &violation.state) {
         Some(plan) => {
             out.push_str("\nfault plan (install on the workload fs to reproduce live):\n");
             out.push_str(&format!("{plan:?}\n"));

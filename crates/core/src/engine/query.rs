@@ -5,7 +5,7 @@
 //! backward-lineage derivation DASSA's use case walks: a data product is
 //! derived from every object its producing program read.
 
-use provio_model::{ontology, ActivityClass, AgentClass, EntityClass, Guid, Relation};
+use provio_model::{ontology, EntityClass, Guid, Relation};
 use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Literal, Subject, Term, TermId, Triple};
 use provio_sparql::{Query, QueryError, Solutions};
 use std::collections::{BTreeMap, VecDeque};
@@ -350,39 +350,6 @@ impl ProvQueryEngine {
             .find_map(|t| t.as_literal().map(|l| l.lexical().to_string()))
     }
 
-    /// The full chain for H5bench scenario 3: file → programs → threads →
-    /// users, as labels.
-    pub fn access_chain(&self, file_label: &str) -> Vec<(String, String, String)> {
-        let Some(file) = self.entity_by_label(file_label) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for prog in self.programs_of(&file) {
-            let p = self.label_of(&prog).unwrap_or_default();
-            for th in self.threads_of(&prog) {
-                let t = self.label_of(&th).unwrap_or_default();
-                for u in self.users_of(&th) {
-                    out.push((p.clone(), t.clone(), self.label_of(&u).unwrap_or_default()));
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Count of activity nodes per I/O API class (H5bench scenario 1).
-    pub fn io_api_counts(&self) -> Vec<(ActivityClass, usize)> {
-        ActivityClass::ALL
-            .into_iter()
-            .map(|c| {
-                (
-                    c,
-                    ontology::nodes_of_class(&self.graph, c.into()).len(),
-                )
-            })
-            .collect()
-    }
-
     /// All entities of a class, with labels.
     pub fn entities(&self, class: EntityClass) -> Vec<(Guid, String)> {
         let mut v: Vec<(Guid, String)> = ontology::nodes_of_class(&self.graph, class.into())
@@ -396,25 +363,12 @@ impl ProvQueryEngine {
         v
     }
 
-    /// All agents of a class, with labels.
-    pub fn agents(&self, class: AgentClass) -> Vec<(Guid, String)> {
-        let mut v: Vec<(Guid, String)> = ontology::nodes_of_class(&self.graph, class.into())
-            .into_iter()
-            .map(|g| {
-                let l = self.label_of(&g).unwrap_or_default();
-                (g, l)
-            })
-            .collect();
-        v.sort_by(|a, b| a.1.cmp(&b.1));
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use provio_rdf::turtle;
-    use std::collections::HashMap;
 
     /// A hand-built DASSA-shaped provenance graph:
     /// WestSac.tdms --tdms2h5--> WestSac.h5 --decimate--> decimate.h5
@@ -682,19 +636,6 @@ mod tests {
         assert_eq!(threads.len(), 1);
         let users = eng.users_of(&threads[0]);
         assert_eq!(eng.label_of(&users[0]).unwrap(), "UserA");
-
-        let chain = eng.access_chain("/decimate.h5");
-        assert_eq!(chain, vec![("decimate".into(), "rank0".into(), "UserA".into())]);
-    }
-
-    #[test]
-    fn io_api_counts_by_class() {
-        let eng = ProvQueryEngine::new(dassa_graph());
-        let counts: HashMap<ActivityClass, usize> =
-            eng.io_api_counts().into_iter().collect();
-        assert_eq!(counts[&ActivityClass::Read], 2);
-        assert_eq!(counts[&ActivityClass::Write], 2);
-        assert_eq!(counts[&ActivityClass::Fsync], 0);
     }
 
     #[test]
@@ -716,8 +657,6 @@ mod tests {
         let files = eng.entities(EntityClass::File);
         let labels: Vec<&str> = files.iter().map(|(_, l)| l.as_str()).collect();
         assert_eq!(labels, vec!["/WestSac.h5", "/WestSac.tdms", "/decimate.h5"]);
-        let programs = eng.agents(AgentClass::Program);
-        assert_eq!(programs.len(), 2);
     }
 
     #[test]

@@ -61,6 +61,16 @@ enum ObjState {
     },
 }
 
+impl ObjState {
+    fn kind(&self) -> ObjectKind {
+        match self {
+            ObjState::Group { .. } => ObjectKind::Group,
+            ObjState::Dataset { .. } => ObjectKind::Dataset,
+            ObjState::NamedDatatype { .. } => ObjectKind::NamedDatatype,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct H5Object {
     /// Slash path within the file.
@@ -92,6 +102,21 @@ impl H5File {
 
     fn object_mut(&mut self, id: ObjId) -> H5Result<&mut H5Object> {
         self.objects.get_mut(&id).ok_or(H5Error::BadHandle)
+    }
+
+    /// The links of group `id`.
+    fn links(&self, id: ObjId) -> H5Result<&BTreeMap<String, Link>> {
+        match &self.object(id)?.state {
+            ObjState::Group { links } => Ok(links),
+            _ => Err(H5Error::WrongKind { expected: "group" }),
+        }
+    }
+
+    fn links_mut(&mut self, id: ObjId) -> H5Result<&mut BTreeMap<String, Link>> {
+        match &mut self.object_mut(id)?.state {
+            ObjState::Group { links } => Ok(links),
+            _ => Err(H5Error::WrongKind { expected: "group" }),
+        }
     }
 
     /// Resolve a slash path (optionally relative to `base`) to an object id,
@@ -132,6 +157,39 @@ impl H5File {
             format!("{p}/{name}")
         })
     }
+}
+
+/// Walk elements `from..to` of a dataset against its allocated `chunks`,
+/// as `(element start, element count, file offset)` spans. A covered span
+/// ends at its chunk's end or `to`; an unallocated gap (offset `None`)
+/// runs to the next chunk start or `to`, so a chunk allocated for it never
+/// overlaps another.
+fn spans(
+    chunks: &BTreeMap<u64, (u64, u64)>,
+    elem_size: u64,
+    from: u64,
+    to: u64,
+) -> Vec<(u64, u64, Option<u64>)> {
+    let mut out = Vec::new();
+    let mut cur = from;
+    while cur < to {
+        let covering = chunks
+            .range(..=cur)
+            .next_back()
+            .filter(|(&start, &(count, _))| cur < start + count);
+        let (take, at) = match covering {
+            Some((&start, &(count, foff))) => {
+                ((start + count).min(to) - cur, Some(foff + (cur - start) * elem_size))
+            }
+            None => {
+                let next = chunks.range(cur + 1..).next().map_or(to, |(&st, _)| st.min(to));
+                (next - cur, None)
+            }
+        };
+        out.push((cur, take, at));
+        cur += take;
+    }
+    out
 }
 
 #[derive(Debug, Clone)]
@@ -178,11 +236,25 @@ impl NativeVol {
         s.clock().advance(self.fs.config().data_op(bytes));
     }
 
-    fn mint(&self, entry: HandleEntry) -> Handle {
+    fn mint(
+        &self,
+        file_key: String,
+        object: ObjId,
+        attr: Option<String>,
+        kind: ObjectKind,
+    ) -> Handle {
         let mut st = self.state.write();
         let id = st.next_handle;
         st.next_handle += 1;
-        st.handles.insert(id, entry);
+        st.handles.insert(
+            id,
+            HandleEntry {
+                file_key,
+                object,
+                attr,
+                kind,
+            },
+        );
         Handle(id)
     }
 
@@ -248,6 +320,76 @@ impl NativeVol {
         }
         Ok((self.file_of(&e.file_key)?, e.object))
     }
+
+    fn attr_entry(&self, h: Handle) -> H5Result<(Arc<RwLock<H5File>>, ObjId, String)> {
+        let e = self.entry(h)?;
+        let Some(name) = e.attr else {
+            return Err(H5Error::WrongKind { expected: "attribute" });
+        };
+        Ok((self.file_of(&e.file_key)?, e.object, name))
+    }
+
+    /// Link a new object named `name` into the group at `loc` and write its
+    /// header, `tag` bytes sized like the real object header message.
+    fn create_object(
+        &self,
+        s: &FsSession,
+        loc: Handle,
+        name: &str,
+        state: ObjState,
+        tag: u8,
+    ) -> H5Result<Handle> {
+        self.charge_meta(s);
+        check_name(name)?;
+        let (file, parent) = self.location(loc)?;
+        let kind = state.kind();
+        let (ino, off, key, id) = {
+            let mut f = file.write();
+            let path = f.child_path(parent, name)?;
+            if f.links(parent)?.contains_key(name) {
+                return Err(H5Error::AlreadyExists(path));
+            }
+            let id = f.next_obj;
+            f.next_obj += 1;
+            let attrs = BTreeMap::new();
+            f.objects.insert(id, H5Object { path, state, attrs });
+            f.links_mut(parent)?.insert(name.to_string(), Link::Hard(id));
+            let off = f.alloc(OBJECT_HEADER_BYTES + name.len() as u64);
+            (f.ino, off, f.fs_path.clone(), id)
+        };
+        let header = vec![tag; OBJECT_HEADER_BYTES as usize + name.len()];
+        self.backing_write(s, ino, off, &Data::real(header))?;
+        Ok(self.mint(key, id, None, kind))
+    }
+
+    /// Open the object at `name` under `loc`, which must be of `kind`.
+    fn open_object(
+        &self,
+        s: &FsSession,
+        loc: Handle,
+        name: &str,
+        kind: ObjectKind,
+    ) -> H5Result<Handle> {
+        self.charge_meta(s);
+        let (file, base) = self.location(loc)?;
+        let (key, id) = {
+            let f = file.read();
+            let id = f.resolve(base, name, 0)?;
+            if f.object(id)?.state.kind() != kind {
+                return Err(H5Error::WrongKind { expected: kind.name() });
+            }
+            (f.fs_path.clone(), id)
+        };
+        Ok(self.mint(key, id, None, kind))
+    }
+
+    fn close_object(&self, s: &FsSession, h: Handle, kind: ObjectKind) -> H5Result<()> {
+        self.charge_meta(s);
+        if self.drop_handle(h)?.kind != kind {
+            return Err(H5Error::BadHandle);
+        }
+        Ok(())
+    }
 }
 
 impl VolConnector for NativeVol {
@@ -300,12 +442,7 @@ impl VolConnector for NativeVol {
             off,
             &Data::real(vec![0x89u8; SUPERBLOCK_BYTES as usize]),
         )?;
-        Ok(self.mint(HandleEntry {
-            file_key: path.to_string(),
-            object: root,
-            attr: None,
-            kind: ObjectKind::File,
-        }))
+        Ok(self.mint(path.to_string(), root, None, ObjectKind::File))
     }
 
     fn file_open(&self, s: &FsSession, path: &str, _write: bool) -> H5Result<Handle> {
@@ -323,12 +460,7 @@ impl VolConnector for NativeVol {
         let _ = self.fs.read_at(ino, 0, SUPERBLOCK_BYTES)?;
         self.charge_data(s, SUPERBLOCK_BYTES);
         let root = file.read().root;
-        Ok(self.mint(HandleEntry {
-            file_key: path.to_string(),
-            object: root,
-            attr: None,
-            kind: ObjectKind::File,
-        }))
+        Ok(self.mint(path.to_string(), root, None, ObjectKind::File))
     }
 
     fn file_flush(&self, s: &FsSession, file: Handle) -> H5Result<()> {
@@ -360,82 +492,16 @@ impl VolConnector for NativeVol {
     }
 
     fn group_create(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.charge_meta(s);
-        check_name(name)?;
-        let (file, base) = self.location(loc)?;
-        let (ino, off, key, id) = {
-            let mut f = file.write();
-            let parent = f.resolve(base, "", 0)?;
-            let path = f.child_path(parent, name)?;
-            {
-                let ObjState::Group { links } = &f.object(parent)?.state else {
-                    return Err(H5Error::WrongKind { expected: "group" });
-                };
-                if links.contains_key(name) {
-                    return Err(H5Error::AlreadyExists(path));
-                }
-            }
-            let id = f.next_obj;
-            f.next_obj += 1;
-            f.objects.insert(
-                id,
-                H5Object {
-                    path,
-                    state: ObjState::Group {
-                        links: BTreeMap::new(),
-                    },
-                    attrs: BTreeMap::new(),
-                },
-            );
-            let ObjState::Group { links } =
-                &mut f.object_mut(parent)?.state
-            else {
-                unreachable!("checked above")
-            };
-            links.insert(name.to_string(), Link::Hard(id));
-            let off = f.alloc(OBJECT_HEADER_BYTES + name.len() as u64);
-            (f.ino, off, f.fs_path.clone(), id)
-        };
-        self.backing_write(
-            s,
-            ino,
-            off,
-            &Data::real(vec![0x47u8; (OBJECT_HEADER_BYTES as usize) + name.len()]),
-        )?;
-        Ok(self.mint(HandleEntry {
-            file_key: key,
-            object: id,
-            attr: None,
-            kind: ObjectKind::Group,
-        }))
+        let links = BTreeMap::new();
+        self.create_object(s, loc, name, ObjState::Group { links }, 0x47)
     }
 
     fn group_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.charge_meta(s);
-        let (file, base) = self.location(loc)?;
-        let (key, id) = {
-            let f = file.read();
-            let id = f.resolve(base, name, 0)?;
-            if !matches!(f.object(id)?.state, ObjState::Group { .. }) {
-                return Err(H5Error::WrongKind { expected: "group" });
-            }
-            (f.fs_path.clone(), id)
-        };
-        Ok(self.mint(HandleEntry {
-            file_key: key,
-            object: id,
-            attr: None,
-            kind: ObjectKind::Group,
-        }))
+        self.open_object(s, loc, name, ObjectKind::Group)
     }
 
     fn group_close(&self, s: &FsSession, group: Handle) -> H5Result<()> {
-        self.charge_meta(s);
-        let e = self.drop_handle(group)?;
-        if e.kind != ObjectKind::Group {
-            return Err(H5Error::BadHandle);
-        }
-        Ok(())
+        self.close_object(s, group, ObjectKind::Group)
     }
 
     fn dataset_create(
@@ -446,73 +512,13 @@ impl VolConnector for NativeVol {
         dtype: Datatype,
         space: Dataspace,
     ) -> H5Result<Handle> {
-        self.charge_meta(s);
-        check_name(name)?;
-        let (file, base) = self.location(loc)?;
-        let (ino, off, key, id) = {
-            let mut f = file.write();
-            let parent = f.resolve(base, "", 0)?;
-            let path = f.child_path(parent, name)?;
-            {
-                let ObjState::Group { links } = &f.object(parent)?.state else {
-                    return Err(H5Error::WrongKind { expected: "group" });
-                };
-                if links.contains_key(name) {
-                    return Err(H5Error::AlreadyExists(path));
-                }
-            }
-            let id = f.next_obj;
-            f.next_obj += 1;
-            f.objects.insert(
-                id,
-                H5Object {
-                    path,
-                    state: ObjState::Dataset {
-                        dtype,
-                        space,
-                        chunks: BTreeMap::new(),
-                    },
-                    attrs: BTreeMap::new(),
-                },
-            );
-            let ObjState::Group { links } = &mut f.object_mut(parent)?.state else {
-                unreachable!("checked above")
-            };
-            links.insert(name.to_string(), Link::Hard(id));
-            let off = f.alloc(OBJECT_HEADER_BYTES + name.len() as u64);
-            (f.ino, off, f.fs_path.clone(), id)
-        };
-        self.backing_write(
-            s,
-            ino,
-            off,
-            &Data::real(vec![0x44u8; (OBJECT_HEADER_BYTES as usize) + name.len()]),
-        )?;
-        Ok(self.mint(HandleEntry {
-            file_key: key,
-            object: id,
-            attr: None,
-            kind: ObjectKind::Dataset,
-        }))
+        let chunks = BTreeMap::new();
+        let state = ObjState::Dataset { dtype, space, chunks };
+        self.create_object(s, loc, name, state, 0x44)
     }
 
     fn dataset_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.charge_meta(s);
-        let (file, base) = self.location(loc)?;
-        let (key, id) = {
-            let f = file.read();
-            let id = f.resolve(base, name, 0)?;
-            if !matches!(f.object(id)?.state, ObjState::Dataset { .. }) {
-                return Err(H5Error::WrongKind { expected: "dataset" });
-            }
-            (f.fs_path.clone(), id)
-        };
-        Ok(self.mint(HandleEntry {
-            file_key: key,
-            object: id,
-            attr: None,
-            kind: ObjectKind::Dataset,
-        }))
+        self.open_object(s, loc, name, ObjectKind::Dataset)
     }
 
     fn dataset_extend(&self, s: &FsSession, dset: Handle, new_dims: &[u64]) -> H5Result<()> {
@@ -534,84 +540,42 @@ impl VolConnector for NativeVol {
         data: &Data,
     ) -> H5Result<()> {
         let (file, id) = self.dataset_entry(dset)?;
-        // Plan: validate, compute runs, allocate missing chunks.
         let mut writes: Vec<(u64, Data)> = Vec::new(); // (file offset, payload)
-        let ino;
-        {
+        let ino = {
             let mut f = file.write();
-            let elem_size;
-            let runs;
-            {
-                let obj = f.object(id)?;
-                let ObjState::Dataset { dtype, space, .. } = &obj.state else {
-                    return Err(H5Error::WrongKind { expected: "dataset" });
-                };
-                elem_size = dtype.size();
-                let expected = sel.npoints() * elem_size;
-                if data.len() != expected {
-                    return Err(H5Error::SizeMismatch {
-                        expected,
-                        got: data.len(),
-                    });
-                }
-                runs = sel.runs(space)?;
+            let mut eof = f.eof;
+            let ObjState::Dataset { dtype, space, chunks } = &mut f.object_mut(id)?.state else {
+                return Err(H5Error::WrongKind { expected: "dataset" });
+            };
+            let elem_size = dtype.size();
+            let expected = sel.npoints() * elem_size;
+            if data.len() != expected {
+                return Err(H5Error::SizeMismatch {
+                    expected,
+                    got: data.len(),
+                });
             }
-            // Walk each run against existing chunk coverage: covered spans
-            // write in place; gaps get fresh chunks up to the next chunk
-            // start, so chunks never overlap (no lost updates when a large
-            // write spans an earlier small one).
+            // Covered spans write in place; each gap gets a fresh chunk at
+            // EOF, in walk order.
             let mut payload_cursor = 0u64;
-            for (elem_off, elem_len) in runs {
-                let mut cur = elem_off;
-                let end = elem_off + elem_len;
-                while cur < end {
-                    let covering = {
-                        let obj = f.object(id)?;
-                        let ObjState::Dataset { chunks, .. } = &obj.state else {
-                            unreachable!()
-                        };
-                        chunks
-                            .range(..=cur)
-                            .next_back()
-                            .filter(|(&start, &(count, _))| cur < start + count)
-                            .map(|(&start, &(count, foff))| (start, count, foff))
-                    };
-                    let (file_off, take) = match covering {
-                        Some((start, count, foff)) => {
-                            let take = (start + count).min(end) - cur;
-                            (foff + (cur - start) * elem_size, take)
-                        }
-                        None => {
-                            let next_start = {
-                                let obj = f.object(id)?;
-                                let ObjState::Dataset { chunks, .. } = &obj.state else {
-                                    unreachable!()
-                                };
-                                chunks
-                                    .range(cur + 1..)
-                                    .next()
-                                    .map(|(&st, _)| st)
-                                    .unwrap_or(end)
-                                    .min(end)
-                            };
-                            let take = next_start - cur;
-                            let foff = f.alloc(take * elem_size);
-                            let obj = f.object_mut(id)?;
-                            let ObjState::Dataset { chunks, .. } = &mut obj.state else {
-                                unreachable!()
-                            };
-                            chunks.insert(cur, (take, foff));
-                            (foff, take)
-                        }
-                    };
-                    writes.push((file_off, data.slice(payload_cursor, take * elem_size)));
-                    payload_cursor += take * elem_size;
-                    cur += take;
+            for (elem_off, elem_len) in sel.runs(space)? {
+                for (start, count, at) in spans(chunks, elem_size, elem_off, elem_off + elem_len) {
+                    let bytes = count * elem_size;
+                    let at = at.unwrap_or_else(|| {
+                        chunks.insert(start, (count, eof));
+                        eof += bytes;
+                        eof - bytes
+                    });
+                    writes.push((at, data.slice(payload_cursor, bytes)));
+                    payload_cursor += bytes;
                 }
             }
+            // The fresh chunks' bytes, as `alloc` would have counted them.
+            let grown = eof - f.eof;
+            f.alloc(grown);
             f.dirty_bytes += data.len();
-            ino = f.ino;
-        }
+            f.ino
+        };
         for (off, payload) in writes {
             self.backing_write(s, ino, off, &payload)?;
         }
@@ -629,36 +593,10 @@ impl VolConnector for NativeVol {
                 return Err(H5Error::WrongKind { expected: "dataset" });
             };
             let elem_size = dtype.size();
-            let runs = sel.runs(space)?;
-            for (elem_off, elem_len) in runs {
-                // Walk the run, consuming chunk coverage.
-                let mut cur = elem_off;
-                let end = elem_off + elem_len;
-                while cur < end {
-                    let covering = chunks
-                        .range(..=cur)
-                        .next_back()
-                        .filter(|(&start, &(count, _))| cur < start + count)
-                        .map(|(&start, &(count, foff))| (start, count, foff));
-                    match covering {
-                        Some((start, count, foff)) => {
-                            let take = (start + count).min(end) - cur;
-                            reads.push((Some(foff + (cur - start) * elem_size), take * elem_size));
-                            cur += take;
-                        }
-                        None => {
-                            // Unallocated → fill value; extends to next chunk
-                            // start or run end.
-                            let next_start = chunks
-                                .range(cur + 1..)
-                                .next()
-                                .map(|(&st, _)| st)
-                                .unwrap_or(end)
-                                .min(end);
-                            reads.push((None, (next_start - cur) * elem_size));
-                            cur = next_start;
-                        }
-                    }
+            for (elem_off, elem_len) in sel.runs(space)? {
+                // Unallocated spans read back as the fill value.
+                for (_, count, at) in spans(chunks, elem_size, elem_off, elem_off + elem_len) {
+                    reads.push((at, count * elem_size));
                 }
             }
             total_bytes = sel.npoints() * elem_size;
@@ -697,12 +635,7 @@ impl VolConnector for NativeVol {
     }
 
     fn dataset_close(&self, s: &FsSession, dset: Handle) -> H5Result<()> {
-        self.charge_meta(s);
-        let e = self.drop_handle(dset)?;
-        if e.kind != ObjectKind::Dataset {
-            return Err(H5Error::BadHandle);
-        }
-        Ok(())
+        self.close_object(s, dset, ObjectKind::Dataset)
     }
 
     fn attr_create(
@@ -740,12 +673,7 @@ impl VolConnector for NativeVol {
         let mut blob = vec![0x41u8; ATTR_MESSAGE_BYTES as usize + name.len()];
         blob.extend_from_slice(value);
         self.backing_write(s, ino, off, &Data::real(blob))?;
-        Ok(self.mint(HandleEntry {
-            file_key: e.file_key,
-            object: e.object,
-            attr: Some(name.to_string()),
-            kind: ObjectKind::Attribute,
-        }))
+        Ok(self.mint(e.file_key, e.object, Some(name.to_string()), ObjectKind::Attribute))
     }
 
     fn attr_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
@@ -759,23 +687,14 @@ impl VolConnector for NativeVol {
                 return Err(H5Error::NotFound(format!("{}#{}", obj.path, name)));
             }
         }
-        Ok(self.mint(HandleEntry {
-            file_key: e.file_key,
-            object: e.object,
-            attr: Some(name.to_string()),
-            kind: ObjectKind::Attribute,
-        }))
+        Ok(self.mint(e.file_key, e.object, Some(name.to_string()), ObjectKind::Attribute))
     }
 
     fn attr_read(&self, s: &FsSession, attr: Handle) -> H5Result<Vec<u8>> {
-        let e = self.entry(attr)?;
-        let Some(name) = e.attr else {
-            return Err(H5Error::WrongKind { expected: "attribute" });
-        };
-        let file = self.file_of(&e.file_key)?;
+        let (file, id, name) = self.attr_entry(attr)?;
         let f = file.read();
-        let obj = f.object(e.object)?;
-        let a = obj
+        let a = f
+            .object(id)?
             .attrs
             .get(&name)
             .ok_or_else(|| H5Error::NotFound(name.clone()))?;
@@ -784,16 +703,12 @@ impl VolConnector for NativeVol {
     }
 
     fn attr_write(&self, s: &FsSession, attr: Handle, value: &[u8]) -> H5Result<()> {
-        let e = self.entry(attr)?;
-        let Some(name) = e.attr else {
-            return Err(H5Error::WrongKind { expected: "attribute" });
-        };
-        let file = self.file_of(&e.file_key)?;
+        let (file, id, name) = self.attr_entry(attr)?;
         let (ino, off) = {
             let mut f = file.write();
             let off = f.alloc(value.len() as u64);
-            let obj = f.object_mut(e.object)?;
-            let a = obj
+            let a = f
+                .object_mut(id)?
                 .attrs
                 .get_mut(&name)
                 .ok_or_else(|| H5Error::NotFound(name.clone()))?;
@@ -805,12 +720,7 @@ impl VolConnector for NativeVol {
     }
 
     fn attr_close(&self, s: &FsSession, attr: Handle) -> H5Result<()> {
-        self.charge_meta(s);
-        let e = self.drop_handle(attr)?;
-        if e.kind != ObjectKind::Attribute {
-            return Err(H5Error::BadHandle);
-        }
-        Ok(())
+        self.close_object(s, attr, ObjectKind::Attribute)
     }
 
     fn attr_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>> {
@@ -828,78 +738,15 @@ impl VolConnector for NativeVol {
         name: &str,
         dtype: Datatype,
     ) -> H5Result<Handle> {
-        self.charge_meta(s);
-        check_name(name)?;
-        let (file, base) = self.location(loc)?;
-        let (ino, off, key, id) = {
-            let mut f = file.write();
-            let parent = f.resolve(base, "", 0)?;
-            let path = f.child_path(parent, name)?;
-            {
-                let ObjState::Group { links } = &f.object(parent)?.state else {
-                    return Err(H5Error::WrongKind { expected: "group" });
-                };
-                if links.contains_key(name) {
-                    return Err(H5Error::AlreadyExists(path));
-                }
-            }
-            let id = f.next_obj;
-            f.next_obj += 1;
-            f.objects.insert(
-                id,
-                H5Object {
-                    path,
-                    state: ObjState::NamedDatatype { dtype },
-                    attrs: BTreeMap::new(),
-                },
-            );
-            let ObjState::Group { links } = &mut f.object_mut(parent)?.state else {
-                unreachable!("checked above")
-            };
-            links.insert(name.to_string(), Link::Hard(id));
-            let off = f.alloc(OBJECT_HEADER_BYTES + name.len() as u64);
-            (f.ino, off, f.fs_path.clone(), id)
-        };
-        self.backing_write(
-            s,
-            ino,
-            off,
-            &Data::real(vec![0x54u8; OBJECT_HEADER_BYTES as usize + name.len()]),
-        )?;
-        Ok(self.mint(HandleEntry {
-            file_key: key,
-            object: id,
-            attr: None,
-            kind: ObjectKind::NamedDatatype,
-        }))
+        self.create_object(s, loc, name, ObjState::NamedDatatype { dtype }, 0x54)
     }
 
     fn datatype_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.charge_meta(s);
-        let (file, base) = self.location(loc)?;
-        let (key, id) = {
-            let f = file.read();
-            let id = f.resolve(base, name, 0)?;
-            if !matches!(f.object(id)?.state, ObjState::NamedDatatype { .. }) {
-                return Err(H5Error::WrongKind { expected: "datatype" });
-            }
-            (f.fs_path.clone(), id)
-        };
-        Ok(self.mint(HandleEntry {
-            file_key: key,
-            object: id,
-            attr: None,
-            kind: ObjectKind::NamedDatatype,
-        }))
+        self.open_object(s, loc, name, ObjectKind::NamedDatatype)
     }
 
     fn datatype_close(&self, s: &FsSession, dtype: Handle) -> H5Result<()> {
-        self.charge_meta(s);
-        let e = self.drop_handle(dtype)?;
-        if e.kind != ObjectKind::NamedDatatype {
-            return Err(H5Error::BadHandle);
-        }
-        Ok(())
+        self.close_object(s, dtype, ObjectKind::NamedDatatype)
     }
 
     fn link_create_soft(
@@ -911,23 +758,15 @@ impl VolConnector for NativeVol {
     ) -> H5Result<()> {
         self.charge_meta(s);
         check_name(name)?;
-        let (file, base) = self.location(loc)?;
+        let (file, parent) = self.location(loc)?;
         let (ino, off) = {
             let mut f = file.write();
-            let parent = f.resolve(base, "", 0)?;
-            {
-                let ObjState::Group { links } = &f.object(parent)?.state else {
-                    return Err(H5Error::WrongKind { expected: "group" });
-                };
-                if links.contains_key(name) {
-                    return Err(H5Error::AlreadyExists(name.to_string()));
-                }
+            if f.links(parent)?.contains_key(name) {
+                return Err(H5Error::AlreadyExists(name.to_string()));
             }
             let off = f.alloc(LINK_MESSAGE_BYTES + name.len() as u64 + target.len() as u64);
-            let ObjState::Group { links } = &mut f.object_mut(parent)?.state else {
-                unreachable!("checked above")
-            };
-            links.insert(name.to_string(), Link::Soft(target.to_string()));
+            f.links_mut(parent)?
+                .insert(name.to_string(), Link::Soft(target.to_string()));
             (f.ino, off)
         };
         self.backing_write(
@@ -941,34 +780,26 @@ impl VolConnector for NativeVol {
 
     fn link_delete(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<()> {
         self.charge_meta(s);
-        let (file, base) = self.location(loc)?;
+        let (file, parent) = self.location(loc)?;
         let mut f = file.write();
-        let parent = f.resolve(base, "", 0)?;
-        let ObjState::Group { links } = &mut f.object_mut(parent)?.state else {
-            return Err(H5Error::WrongKind { expected: "group" });
-        };
-        links
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| H5Error::NotFound(name.to_string()))
+        match f.links_mut(parent)?.remove(name) {
+            Some(_) => Ok(()),
+            None => Err(H5Error::NotFound(name.to_string())),
+        }
     }
 
     fn link_exists(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<bool> {
         self.charge_meta(s);
         let (file, base) = self.location(loc)?;
         let f = file.read();
-        let base_id = f.resolve(base, "", 0)?;
-        Ok(f.resolve(base_id, name, 0).is_ok())
+        Ok(f.resolve(base, name, 0).is_ok())
     }
 
     fn link_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>> {
         self.charge_meta(s);
         let (file, base) = self.location(loc)?;
         let f = file.read();
-        let ObjState::Group { links } = &f.object(base)?.state else {
-            return Err(H5Error::WrongKind { expected: "group" });
-        };
-        Ok(links.keys().cloned().collect())
+        Ok(f.links(base)?.keys().cloned().collect())
     }
 
     fn object_info(&self, handle: Handle) -> H5Result<ObjectInfo> {

@@ -73,12 +73,11 @@ pub(crate) enum FaultAction {
     /// `ReadAt` the media is intact and only the returned copy is mutated.
     /// On ops that move no data it degrades to EIO.
     Corrupt(CorruptKind),
-    /// A latency fault of `ns` virtual nanoseconds — a slow OST, a
-    /// congested network link, a retried RPC. The file system counts the
-    /// injection and lets the operation succeed untouched; no clock is
-    /// charged. Data is never altered: the op persists (or returns) exactly
-    /// the bytes a fault-free call would.
-    Delay { ns: u64 },
+    /// No fault: the file system counts the injection and lets the
+    /// operation succeed untouched, so a rule with this action counts the
+    /// calls it matches. The op persists (or returns) exactly the bytes a
+    /// fault-free call would, and no clock is charged.
+    Count,
 }
 
 impl CorruptKind {
@@ -377,8 +376,8 @@ pub struct FaultRule {
 }
 
 impl FaultRule {
-    /// Rule failing `op` with errno `err` on every eligible call.
-    pub fn fail(op: FaultOp, err: FsError) -> Self {
+    /// Rule taking `action` on every eligible `op` call.
+    fn on(op: FaultOp, action: FaultAction) -> Self {
         FaultRule {
             op,
             path_substr: None,
@@ -386,63 +385,36 @@ impl FaultRule {
             skip: 0,
             times: None,
             probability: 1.0,
-            action: FaultAction::Fail(err),
+            action,
         }
+    }
+
+    /// Rule failing `op` with errno `err` on every eligible call.
+    pub fn fail(op: FaultOp, err: FsError) -> Self {
+        FaultRule::on(op, FaultAction::Fail(err))
     }
 
     /// Torn write: persist `keep` bytes then fail with EIO.
     pub fn torn_write(keep: u64) -> Self {
-        FaultRule {
-            op: FaultOp::WriteAt,
-            path_substr: None,
-            path_suffix: None,
-            skip: 0,
-            times: None,
-            probability: 1.0,
-            action: FaultAction::TornWrite { keep },
-        }
+        FaultRule::on(FaultOp::WriteAt, FaultAction::TornWrite { keep })
     }
 
     /// Crash point on `op` (no partial persistence unless [`Self::torn`]).
     pub fn crash(op: FaultOp) -> Self {
-        FaultRule {
-            op,
-            path_substr: None,
-            path_suffix: None,
-            skip: 0,
-            times: None,
-            probability: 1.0,
-            action: FaultAction::Crash { torn_keep: None },
-        }
+        FaultRule::on(op, FaultAction::Crash { torn_keep: None })
     }
 
     /// Silent corruption on `op` (see [`FaultAction::Corrupt`]). For
     /// committed-at-rest damage, prefer
     /// [`crate::FileSystem::corrupt_at_rest`], which needs no armed rule.
     pub fn corrupt(op: FaultOp, kind: CorruptKind) -> Self {
-        FaultRule {
-            op,
-            path_substr: None,
-            path_suffix: None,
-            skip: 0,
-            times: None,
-            probability: 1.0,
-            action: FaultAction::Corrupt(kind),
-        }
+        FaultRule::on(op, FaultAction::Corrupt(kind))
     }
 
-    /// Latency fault of `ns` virtual nanoseconds on `op`, which still
-    /// succeeds (see [`FaultAction::Delay`]).
-    pub fn delay(op: FaultOp, ns: u64) -> Self {
-        FaultRule {
-            op,
-            path_substr: None,
-            path_suffix: None,
-            skip: 0,
-            times: None,
-            probability: 1.0,
-            action: FaultAction::Delay { ns },
-        }
+    /// Count the eligible calls of `op` in [`FaultPlan::injected`]; each
+    /// still succeeds (see [`FaultAction::Count`]).
+    pub fn count(op: FaultOp) -> Self {
+        FaultRule::on(op, FaultAction::Count)
     }
 
     /// For a crash rule: also persist a `keep`-byte prefix of the buffer.
@@ -730,16 +702,10 @@ mod tests {
     #[test]
     fn delay_rule_fires_and_is_counted() {
         let plan = FaultPlan::new(11);
-        plan.add_rule(FaultRule::delay(FaultOp::WriteAt, 5_000).times(2));
-        assert_eq!(
-            plan.decide(FaultOp::WriteAt, "/x"),
-            Some(FaultAction::Delay { ns: 5_000 })
-        );
+        plan.add_rule(FaultRule::count(FaultOp::WriteAt).times(2));
+        assert_eq!(plan.decide(FaultOp::WriteAt, "/x"), Some(FaultAction::Count));
         assert_eq!(plan.decide(FaultOp::ReadAt, "/x"), None, "op selector holds");
-        assert_eq!(
-            plan.decide(FaultOp::WriteAt, "/x"),
-            Some(FaultAction::Delay { ns: 5_000 })
-        );
+        assert_eq!(plan.decide(FaultOp::WriteAt, "/x"), Some(FaultAction::Count));
         assert_eq!(plan.decide(FaultOp::WriteAt, "/x"), None, "exhausted");
         assert_eq!(plan.injected(), 2);
     }

@@ -55,6 +55,19 @@ struct Inode {
 }
 
 impl Inode {
+    /// A fresh inode: `nlink` 2 for a directory (its entry and its own
+    /// `.`), 1 otherwise.
+    fn new(node: Node, owner: &str, now: SimTime) -> Self {
+        Inode {
+            nlink: if matches!(node, Node::Dir(_)) { 2 } else { 1 },
+            node,
+            xattrs: BTreeMap::new(),
+            owner: owner.to_string(),
+            mtime: now,
+            ctime: now,
+        }
+    }
+
     fn kind(&self) -> FileKind {
         match self.node {
             Node::File(_) => FileKind::File,
@@ -112,6 +125,46 @@ struct FsInner {
     root: Ino,
 }
 
+impl FsInner {
+    /// The entries of directory `ino`.
+    fn dir(&self, ino: Ino) -> FsResult<&BTreeMap<String, Ino>> {
+        self.inodes.get(&ino).ok_or(FsError::NotFound)?.as_dir()
+    }
+
+    fn dir_mut(&mut self, ino: Ino) -> FsResult<&mut BTreeMap<String, Ino>> {
+        self.inodes.get_mut(&ino).ok_or(FsError::NotFound)?.as_dir_mut()
+    }
+
+    /// Allocate an inode holding `node` and enter it as `name` in
+    /// directory `parent`, which must not hold that name yet.
+    fn add(
+        &mut self,
+        parent: Ino,
+        name: &str,
+        node: Node,
+        owner: &str,
+        now: SimTime,
+    ) -> FsResult<Ino> {
+        if self.dir(parent)?.contains_key(name) {
+            return Err(FsError::AlreadyExists);
+        }
+        let ino = self.next_ino;
+        self.next_ino += 1;
+        self.inodes.insert(ino, Inode::new(node, owner, now));
+        self.dir_mut(parent)?.insert(name.to_string(), ino);
+        Ok(ino)
+    }
+
+    /// Drop one link to `ino`, freeing the inode with its last.
+    fn unref(&mut self, ino: Ino) {
+        let n = self.inodes.get_mut(&ino).expect("linked inode");
+        n.nlink -= 1;
+        if n.nlink == 0 {
+            self.inodes.remove(&ino);
+        }
+    }
+}
+
 /// A shareable simulated file system with a Lustre cost model attached.
 pub struct FileSystem {
     inner: RwLock<FsInner>,
@@ -129,14 +182,7 @@ pub struct FileSystem {
 impl FileSystem {
     /// An empty file system with the given Lustre configuration.
     pub fn new(config: LustreConfig) -> Arc<Self> {
-        let root = Inode {
-            node: Node::Dir(BTreeMap::new()),
-            nlink: 2,
-            xattrs: BTreeMap::new(),
-            owner: "root".to_string(),
-            mtime: SimTime::ZERO,
-            ctime: SimTime::ZERO,
-        };
+        let root = Inode::new(Node::Dir(BTreeMap::new()), "root", SimTime::ZERO);
         let mut inodes = HashMap::new();
         inodes.insert(1, root);
         Arc::new(FileSystem {
@@ -175,14 +221,14 @@ impl FileSystem {
 
     /// Serve the decision for an operation that moves no data (create,
     /// unlink, rename, truncate): there is nothing to tear or flip, so
-    /// `TornWrite` and `Corrupt` degrade to a media error; `Delay` lets the
+    /// `TornWrite` and `Corrupt` degrade to a media error; `Count` lets the
     /// operation proceed.
     fn gate(&self, decision: Option<FaultAction>) -> FsResult<()> {
         match decision {
             Some(FaultAction::Fail(e)) => Err(e),
             Some(FaultAction::TornWrite { .. } | FaultAction::Corrupt(_)) => Err(FsError::Io),
             Some(FaultAction::Crash { .. }) => Err(FsError::Crashed),
-            Some(FaultAction::Delay { .. }) | None => Ok(()),
+            Some(FaultAction::Count) | None => Ok(()),
         }
     }
 
@@ -318,12 +364,7 @@ impl FileSystem {
     ) -> FsResult<Ino> {
         let mut inner = self.inner.write();
         let (parent, name) = Self::resolve_parent(&inner, path)?;
-        let pdir = inner
-            .inodes
-            .get(&parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?;
-        if let Some(&existing) = pdir.get(name) {
+        if let Some(&existing) = inner.dir(parent)?.get(name) {
             if excl {
                 return Err(FsError::AlreadyExists);
             }
@@ -337,59 +378,13 @@ impl FileSystem {
                 }
             };
         }
-        let ino = inner.next_ino;
-        inner.next_ino += 1;
-        inner.inodes.insert(
-            ino,
-            Inode {
-                node: Node::File(FileContent::new()),
-                nlink: 1,
-                xattrs: BTreeMap::new(),
-                owner: owner.to_string(),
-                mtime: now,
-                ctime: now,
-            },
-        );
-        inner
-            .inodes
-            .get_mut(&parent)
-            .expect("parent exists")
-            .as_dir_mut()?
-            .insert(name.to_string(), ino);
-        Ok(ino)
+        inner.add(parent, name, Node::File(FileContent::new()), owner, now)
     }
 
     pub fn mkdir(&self, path: &str, owner: &str, now: SimTime) -> FsResult<Ino> {
         let mut inner = self.inner.write();
         let (parent, name) = Self::resolve_parent(&inner, path)?;
-        let pdir = inner
-            .inodes
-            .get(&parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?;
-        if pdir.contains_key(name) {
-            return Err(FsError::AlreadyExists);
-        }
-        let ino = inner.next_ino;
-        inner.next_ino += 1;
-        inner.inodes.insert(
-            ino,
-            Inode {
-                node: Node::Dir(BTreeMap::new()),
-                nlink: 2,
-                xattrs: BTreeMap::new(),
-                owner: owner.to_string(),
-                mtime: now,
-                ctime: now,
-            },
-        );
-        inner
-            .inodes
-            .get_mut(&parent)
-            .expect("parent exists")
-            .as_dir_mut()?
-            .insert(name.to_string(), ino);
-        Ok(ino)
+        inner.add(parent, name, Node::Dir(BTreeMap::new()), owner, now)
     }
 
     /// `mkdir -p`.
@@ -420,51 +415,23 @@ impl FileSystem {
     fn unlink_inner(&self, path: &str) -> FsResult<()> {
         let mut inner = self.inner.write();
         let (parent, name) = Self::resolve_parent(&inner, path)?;
-        let pdir = inner
-            .inodes
-            .get(&parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?;
-        let &ino = pdir.get(name).ok_or(FsError::NotFound)?;
+        let &ino = inner.dir(parent)?.get(name).ok_or(FsError::NotFound)?;
         if inner.inodes[&ino].kind() == FileKind::Directory {
             return Err(FsError::IsADirectory);
         }
-        inner
-            .inodes
-            .get_mut(&parent)
-            .expect("parent exists")
-            .as_dir_mut()?
-            .remove(name);
-        let drop_inode = {
-            let node = inner.inodes.get_mut(&ino).expect("linked inode");
-            node.nlink -= 1;
-            node.nlink == 0
-        };
-        if drop_inode {
-            inner.inodes.remove(&ino);
-        }
+        inner.dir_mut(parent)?.remove(name);
+        inner.unref(ino);
         Ok(())
     }
 
     pub(crate) fn rmdir(&self, path: &str) -> FsResult<()> {
         let mut inner = self.inner.write();
         let (parent, name) = Self::resolve_parent(&inner, path)?;
-        let pdir = inner
-            .inodes
-            .get(&parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?;
-        let &ino = pdir.get(name).ok_or(FsError::NotFound)?;
-        let dir = inner.inodes[&ino].as_dir()?;
-        if !dir.is_empty() {
+        let &ino = inner.dir(parent)?.get(name).ok_or(FsError::NotFound)?;
+        if !inner.dir(ino)?.is_empty() {
             return Err(FsError::NotEmpty);
         }
-        inner
-            .inodes
-            .get_mut(&parent)
-            .expect("parent exists")
-            .as_dir_mut()?
-            .remove(name);
+        inner.dir_mut(parent)?.remove(name);
         inner.inodes.remove(&ino);
         Ok(())
     }
@@ -489,58 +456,26 @@ impl FileSystem {
         let mut inner = self.inner.write();
         let (old_parent, old_name) = Self::resolve_parent(&inner, old)?;
         let (new_parent, new_name) = Self::resolve_parent(&inner, new)?;
-        let &ino = inner
-            .inodes
-            .get(&old_parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?
-            .get(old_name)
-            .ok_or(FsError::NotFound)?;
+        let &ino = inner.dir(old_parent)?.get(old_name).ok_or(FsError::NotFound)?;
         // Replacing an existing target?
-        if let Some(&target) = inner
-            .inodes
-            .get(&new_parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?
-            .get(new_name)
-        {
+        if let Some(&target) = inner.dir(new_parent)?.get(new_name) {
             if target == ino {
                 return Ok(ino); // rename to itself
             }
-            match inner.inodes[&target].kind() {
-                FileKind::Directory => {
-                    if !inner.inodes[&target].as_dir()?.is_empty() {
-                        return Err(FsError::NotEmpty);
-                    }
-                    if inner.inodes[&ino].kind() != FileKind::Directory {
-                        return Err(FsError::IsADirectory);
-                    }
-                    inner.inodes.remove(&target);
+            if inner.inodes[&target].kind() == FileKind::Directory {
+                if !inner.dir(target)?.is_empty() {
+                    return Err(FsError::NotEmpty);
                 }
-                _ => {
-                    let drop_inode = {
-                        let t = inner.inodes.get_mut(&target).expect("target exists");
-                        t.nlink -= 1;
-                        t.nlink == 0
-                    };
-                    if drop_inode {
-                        inner.inodes.remove(&target);
-                    }
+                if inner.inodes[&ino].kind() != FileKind::Directory {
+                    return Err(FsError::IsADirectory);
                 }
+                inner.inodes.remove(&target);
+            } else {
+                inner.unref(target);
             }
         }
-        inner
-            .inodes
-            .get_mut(&old_parent)
-            .expect("resolved")
-            .as_dir_mut()?
-            .remove(old_name);
-        inner
-            .inodes
-            .get_mut(&new_parent)
-            .expect("resolved")
-            .as_dir_mut()?
-            .insert(new_name.to_string(), ino);
+        inner.dir_mut(old_parent)?.remove(old_name);
+        inner.dir_mut(new_parent)?.insert(new_name.to_string(), ino);
         if let Some(n) = inner.inodes.get_mut(&ino) {
             n.ctime = now;
         }
@@ -555,20 +490,11 @@ impl FileSystem {
             return Err(FsError::IsADirectory);
         }
         let (parent, name) = Self::resolve_parent(&inner, new)?;
-        let pdir = inner
-            .inodes
-            .get(&parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?;
-        if pdir.contains_key(name) {
+        let dir = inner.dir_mut(parent)?;
+        if dir.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
-        inner
-            .inodes
-            .get_mut(&parent)
-            .expect("parent exists")
-            .as_dir_mut()?
-            .insert(name.to_string(), ino);
+        dir.insert(name.to_string(), ino);
         let n = inner.inodes.get_mut(&ino).expect("linked inode");
         n.nlink += 1;
         n.ctime = now;
@@ -585,33 +511,7 @@ impl FileSystem {
     ) -> FsResult<()> {
         let mut inner = self.inner.write();
         let (parent, name) = Self::resolve_parent(&inner, linkpath)?;
-        let pdir = inner
-            .inodes
-            .get(&parent)
-            .ok_or(FsError::NotFound)?
-            .as_dir()?;
-        if pdir.contains_key(name) {
-            return Err(FsError::AlreadyExists);
-        }
-        let ino = inner.next_ino;
-        inner.next_ino += 1;
-        inner.inodes.insert(
-            ino,
-            Inode {
-                node: Node::Symlink(target.to_string()),
-                nlink: 1,
-                xattrs: BTreeMap::new(),
-                owner: owner.to_string(),
-                mtime: now,
-                ctime: now,
-            },
-        );
-        inner
-            .inodes
-            .get_mut(&parent)
-            .expect("parent exists")
-            .as_dir_mut()?
-            .insert(name.to_string(), ino);
+        inner.add(parent, name, Node::Symlink(target.to_string()), owner, now)?;
         Ok(())
     }
 
@@ -680,7 +580,7 @@ impl FileSystem {
                     p.apply_corruption(&kind, &mut buf);
                     return Ok(bytes::Bytes::from(buf));
                 }
-                Some(FaultAction::Delay { .. }) | None => {}
+                Some(FaultAction::Count) | None => {}
             }
         }
         let inner = self.inner.read();
@@ -721,7 +621,7 @@ impl FileSystem {
                     .apply_corruption(&kind, &mut buf);
                 return self.write_at_inner(ino, offset, &buf, now);
             }
-            Some(FaultAction::Delay { .. }) | None => {}
+            Some(FaultAction::Count) | None => {}
         }
         self.write_at_inner(ino, offset, data, now)?;
         self.trace_op(|| TraceOp::WriteAt {
@@ -780,21 +680,12 @@ impl FileSystem {
     /// would: no fault rule needs to be armed, no mtime/ctime changes, and
     /// the next reader sees the corrupted bytes with no error. `seed` makes
     /// the damage reproducible independently of any installed [`FaultPlan`].
-    /// Returns the number of bytes affected.
+    /// Returns the number of bytes affected; 0 (an empty file, no flips)
+    /// leaves the file untouched.
     pub fn corrupt_at_rest(&self, path: &str, kind: &CorruptKind, seed: u64) -> FsResult<u64> {
-        let mut inner = self.inner.write();
-        let ino = Self::resolve_in(&inner, path, true)?;
-        let file = inner
-            .inodes
-            .get_mut(&ino)
-            .ok_or(FsError::NotFound)?
-            .as_file_mut()?;
-        let mut data = file.to_vec();
-        let mut rng = DetRng::with_stream(seed, REST_CORRUPTION_STREAM);
-        let affected = kind.apply(&mut data, &mut rng);
-        file.truncate(0);
-        file.write(0, &data);
-        Ok(affected)
+        self.mutate_at_rest(path, |data| {
+            kind.apply(data, &mut DetRng::with_stream(seed, REST_CORRUPTION_STREAM))
+        })
     }
 
     /// Adversarially mutate the committed bytes of `path` in place — the
@@ -804,6 +695,18 @@ impl FileSystem {
     /// replays bit-for-bit. Returns bytes affected; 0 means the file was
     /// not a valid target for this mutation and was left untouched.
     pub fn tamper_at_rest(&self, path: &str, kind: &TamperKind, seed: u64) -> FsResult<u64> {
+        self.mutate_at_rest(path, |data| {
+            kind.apply(data, &mut DetRng::with_stream(seed, REST_TAMPER_STREAM))
+        })
+    }
+
+    /// Replace the committed bytes of `path` with what `mutate` makes of
+    /// them, unless it reports 0 bytes affected.
+    fn mutate_at_rest(
+        &self,
+        path: &str,
+        mutate: impl FnOnce(&mut Vec<u8>) -> u64,
+    ) -> FsResult<u64> {
         let mut inner = self.inner.write();
         let ino = Self::resolve_in(&inner, path, true)?;
         let file = inner
@@ -812,8 +715,7 @@ impl FileSystem {
             .ok_or(FsError::NotFound)?
             .as_file_mut()?;
         let mut data = file.to_vec();
-        let mut rng = DetRng::with_stream(seed, REST_TAMPER_STREAM);
-        let affected = kind.apply(&mut data, &mut rng);
+        let affected = mutate(&mut data);
         if affected > 0 {
             file.truncate(0);
             file.write(0, &data);
@@ -1144,18 +1046,18 @@ mod tests {
         use crate::fault::{FaultOp, FaultPlan, FaultRule};
         let fs = fs();
         let plan = FaultPlan::new(13);
-        plan.add_rule(FaultRule::delay(FaultOp::WriteAt, 2_000_000).times(1));
-        plan.add_rule(FaultRule::delay(FaultOp::ReadAt, 500_000).times(1));
-        plan.add_rule(FaultRule::delay(FaultOp::Rename, 1_000));
+        plan.add_rule(FaultRule::count(FaultOp::WriteAt).times(1));
+        plan.add_rule(FaultRule::count(FaultOp::ReadAt).times(1));
+        plan.add_rule(FaultRule::count(FaultOp::Rename));
         fs.install_faults(Arc::clone(&plan));
         let ino = fs.create_file("/slow.nt", false, "u", T0).unwrap();
-        // The delayed write succeeds and lands byte-for-byte.
+        // The counted write succeeds and lands byte-for-byte.
         fs.write_at(ino, 0, b"<urn:s> <urn:p> <urn:o> .\n", T0).unwrap();
-        // The delayed read succeeds and returns the untouched media.
+        // The counted read succeeds and returns the untouched media.
         let back = fs.read_at(ino, 0, 1 << 16).unwrap();
         assert_eq!(back.as_ref(), b"<urn:s> <urn:p> <urn:o> .\n");
         assert_eq!(plan.injected(), 2);
-        // A delayed metadata op is counted, never an error.
+        // A counted metadata op is never an error.
         fs.rename("/slow.nt", "/fast.nt", T0).unwrap();
         assert_eq!(plan.injected(), 3);
         assert!(fs.lookup("/fast.nt").is_ok());

@@ -254,22 +254,7 @@ impl FsSession {
 
     /// read(2): from the current offset.
     pub fn read(&self, fd: Fd, len: u64) -> FsResult<bytes::Bytes> {
-        let fs = &self.fs;
-        let result = self.with_fd(fd, |of| {
-            if !of.flags.read {
-                return Err(FsError::AccessDenied);
-            }
-            let data = fs.read_at(of.ino, of.offset, len)?;
-            of.offset += data.len() as u64;
-            Ok(data)
-        });
-        let (ok, nbytes, path) = match &result {
-            Ok((d, p)) => (true, d.len() as u64, Some(p.clone())),
-            Err(_) => (false, 0, None),
-        };
-        let cost = self.fs.config().data_op(nbytes);
-        self.emit(SyscallKind::Read, path.as_deref(), None, nbytes, None, ok, cost);
-        result.map(|(d, _)| d)
+        self.read_impl(fd, len, SyscallKind::Read, None)
     }
 
     /// write(2): at the current offset (or EOF when O_APPEND).
@@ -285,19 +270,35 @@ impl FsSession {
 
     /// pread(2).
     pub fn pread(&self, fd: Fd, offset: u64, len: u64) -> FsResult<bytes::Bytes> {
+        self.read_impl(fd, len, SyscallKind::Pread, Some(offset))
+    }
+
+    /// Read `len` bytes at `offset`, or at (and advancing) the current
+    /// offset when `None`.
+    fn read_impl(
+        &self,
+        fd: Fd,
+        len: u64,
+        kind: SyscallKind,
+        offset: Option<u64>,
+    ) -> FsResult<bytes::Bytes> {
         let fs = &self.fs;
         let result = self.with_fd(fd, |of| {
             if !of.flags.read {
                 return Err(FsError::AccessDenied);
             }
-            fs.read_at(of.ino, offset, len)
+            let data = fs.read_at(of.ino, offset.unwrap_or(of.offset), len)?;
+            if offset.is_none() {
+                of.offset += data.len() as u64;
+            }
+            Ok(data)
         });
         let (ok, nbytes, path) = match &result {
             Ok((d, p)) => (true, d.len() as u64, Some(p.clone())),
             Err(_) => (false, 0, None),
         };
         let cost = self.fs.config().data_op(nbytes);
-        self.emit(SyscallKind::Pread, path.as_deref(), None, nbytes, None, ok, cost);
+        self.emit(kind, path.as_deref(), None, nbytes, None, ok, cost);
         result.map(|(d, _)| d)
     }
 

@@ -306,7 +306,7 @@ pub fn reconstruct(ops: &[TraceOp], state: &CrashState) -> Arc<FileSystem> {
 /// rule cannot express — the crash-free full prefix, and reorder
 /// states (those reproduce via [`reconstruct`]; see
 /// [`describe_state`]).
-pub fn repro_plan(ops: &[TraceOp], state: &CrashState, seed: u64) -> Option<Arc<FaultPlan>> {
+pub fn repro_plan(ops: &[TraceOp], state: &CrashState) -> Option<Arc<FaultPlan>> {
     if state.prefix >= ops.len() && matches!(state.variant, CrashVariant::Clean) {
         return None;
     }
@@ -323,7 +323,7 @@ pub fn repro_plan(ops: &[TraceOp], state: &CrashState, seed: u64) -> Option<Arc<
     if let CrashVariant::TornNext { keep } = state.variant {
         rule = rule.torn(keep);
     }
-    Some(FaultPlan::new(seed).with_rule(rule))
+    Some(FaultPlan::new(0).with_rule(rule))
 }
 
 /// A human-readable specification of `state` against its trace — the
@@ -527,7 +527,7 @@ mod tests {
         fs.write_at(a, 6, b"three", T0).unwrap();
         let ops = trace.snapshot();
         let state = CrashState { prefix: 3, variant: CrashVariant::Clean };
-        let plan = repro_plan(&ops, &state, 42).expect("plannable state");
+        let plan = repro_plan(&ops, &state).expect("plannable state");
 
         let live = FileSystem::new(LustreConfig::default());
         live.install_faults(plan);
@@ -541,9 +541,9 @@ mod tests {
 
         // Crash-free full prefix and reorder states have no single-rule plan.
         let full = CrashState { prefix: 4, variant: CrashVariant::Clean };
-        assert!(repro_plan(&ops, &full, 42).is_none());
+        assert!(repro_plan(&ops, &full).is_none());
         let dropped = CrashState { prefix: 3, variant: CrashVariant::DroppedWrite { op: 1 } };
-        assert!(repro_plan(&ops, &dropped, 42).is_none());
+        assert!(repro_plan(&ops, &dropped).is_none());
         assert!(describe_state(&ops, &dropped).contains("[DROPPED]"));
     }
 
@@ -554,7 +554,7 @@ mod tests {
         fs.write_at(a, 0, b"abcdef", T0).unwrap();
         let ops = trace.snapshot();
         let state = CrashState { prefix: 1, variant: CrashVariant::TornNext { keep: 2 } };
-        let plan = repro_plan(&ops, &state, 7).expect("plannable");
+        let plan = repro_plan(&ops, &state).expect("plannable");
 
         let live = FileSystem::new(LustreConfig::default());
         live.install_faults(plan);

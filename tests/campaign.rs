@@ -114,10 +114,13 @@ fn cells() -> Vec<Cell> {
         c.push(TornCommit { op, keep });
     } }
     // crash-state exploration: the all-knobs workload, one with groups
-    // larger than the flush cadence, and the unsigned ablation
+    // larger than the flush cadence, and the unsigned ablation, then the
+    // same two shapes at the smaller sizes
     c.push(Explore { pushes: 6, groups: 2, signed: true });
     c.push(Explore { pushes: 8, groups: 3, signed: true });
     c.push(Explore { pushes: 6, groups: 2, signed: false });
+    c.push(Explore { pushes: 6, groups: 3, signed: true });
+    c.push(Explore { pushes: 4, groups: 2, signed: false });
     c
 }
 
@@ -275,7 +278,7 @@ fn fault_sweep_merge_always_recovers_committed_subgraphs() {
 fn crash_state_exploration_holds_every_recovery_invariant() {
     run_family(
         "explore",
-        "57ab8532e180da51656558e209fa0496fb718b2cf4a7ca947408d6d036760f16",
+        "7de410d415cf7a64e1ff1c1592448bc00ed2dbd522b66690ae096212047dc4e8",
     );
 }
 

@@ -1,15 +1,14 @@
 //! Crashcheck end to end. The enumerated crash-state space of the full
 //! commit protocol (checksums + delta segments + WAL + parity + signed
 //! manifest/ledger) must satisfy every recovery invariant of DESIGN.md
-//! §15: here at the small sizes (the `explore` rows of the fault
-//! campaign, `tests/campaign.rs`, pin the larger ones), plus targeted
-//! regressions for the protocol bugs the explorer found, a
-//! crash-during-recovery (double-crash) exploration, and a property test
-//! that recovery is idempotent on arbitrary reconstructed crash states.
+//! §15; the exhaustive explorations are the `explore` rows of the fault
+//! campaign (`tests/campaign.rs`). Here: targeted regressions for the
+//! protocol bugs the explorer found, a crash-during-recovery
+//! (double-crash) exploration, and a property test that recovery is
+//! idempotent on arbitrary reconstructed crash states.
 
 use prov_io::core::crashcheck::{
-    check_recovered, check_state, crashcheck, record_workload, repro_text, CrashcheckConfig,
-    CRASHCHECK_DIR,
+    check_recovered, check_state, record_workload, CrashcheckConfig, CRASHCHECK_DIR,
 };
 use prov_io::core::frame::{is_parity_path, is_wal_path};
 use prov_io::core::recover::recover_all;
@@ -46,49 +45,6 @@ fn wal_store(path: &str) -> &str {
 fn parity_store(path: &str) -> &str {
     let p = path.strip_suffix(".par").unwrap_or(path);
     &p[..p.rfind(".p").expect("parity path")]
-}
-
-/// Explores every crash state of `cfg`'s unbudgeted workload (at least
-/// one per operation prefix); a violation panics with the minimized repro.
-fn explore_clean(cfg: &CrashcheckConfig) {
-    let (w, report) = crashcheck(cfg);
-    if let Some(min) = report.minimized() {
-        panic!("{report}\n{}", repro_text(&w, min));
-    }
-    assert_eq!(report.checked, report.states);
-    assert!(report.states > w.ops.len());
-}
-
-/// Every operation prefix of the all-knobs workload, plus torn-tail and
-/// barrier-free reorder variants, recovers within the invariant set.
-#[test]
-fn full_protocol_exploration_holds_all_invariants() {
-    explore_clean(&CrashcheckConfig::default());
-}
-
-/// Groups larger than the flush cadence: flush boundaries force partial
-/// WAL and short parity groups out (this exposed per-rank ack granularity).
-#[test]
-fn off_cadence_groups_hold_all_invariants() {
-    explore_clean(&CrashcheckConfig {
-        ranks: 2,
-        pushes: 6,
-        flush_every: 2,
-        wal_group: 3,
-        parity_group: 3,
-        compact_every: 3,
-        ..CrashcheckConfig::default()
-    });
-}
-
-/// Unsigned (no trust tier): durability and loss invariants hold alone.
-#[test]
-fn unsigned_runs_hold_all_invariants() {
-    explore_clean(&CrashcheckConfig {
-        manifest_key: None,
-        pushes: 4,
-        ..CrashcheckConfig::default()
-    });
 }
 
 // ---------------------------------------------------------------------------

@@ -245,9 +245,9 @@ fn over_tolerance_and_tamper_recovery_is_frozen() {
     );
 }
 
-/// `read_at` calls `work` issues, counted by a zero-delay fault rule.
+/// `read_at` calls `work` issues, counted by a counting fault rule.
 fn reads(fs: &Arc<FileSystem>, work: impl FnOnce()) -> u64 {
-    let plan = FaultPlan::new(0).with_rule(FaultRule::delay(FaultOp::ReadAt, 0));
+    let plan = FaultPlan::new(0).with_rule(FaultRule::count(FaultOp::ReadAt));
     fs.install_faults(Arc::clone(&plan));
     work();
     fs.clear_faults();
