@@ -77,8 +77,10 @@ pub(crate) struct ParityMember {
 /// Whole-file commits record the frame's Merkle root: the committing
 /// encoder already computed it for the manifest cache, so tracking a
 /// member costs no extra pass over the bytes. Journal chunks (and legacy
-/// parity files) record a CRC32 of the raw span — a chunk is a slice of a
-/// generation file, not a frame, so it has no root of its own.
+/// parity files) record a CRC32 of the raw span. A chunk is one whole
+/// `FrameKind::Wal` frame inside a generation file, but the encoder's
+/// `finish()` that writes it drops the frame's root, so there is no
+/// root to record without a second pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MemberCheck {
     /// CRC32 of the covered bytes.

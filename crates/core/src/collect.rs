@@ -11,10 +11,9 @@
 //!   over a seeded faulty fabric
 //!   ([`NetPlan`](provio_simrt::NetPlan)) with **at-least-once**
 //!   delivery: per-rank sequence numbers, ack/timeout, and the store's
-//!   retry backoff between retransmissions (exponential, or decorrelated
-//!   jitter under `retry_jitter = true`). Every attempt
-//!   — including every retry — charges the rank's virtual clock with
-//!   the [`CommModel`](provio_mpi::CommModel) point-to-point cost.
+//!   exponential retry backoff between retransmissions. Every
+//!   attempt — including every retry — charges the rank's virtual clock
+//!   with the [`CommModel`](provio_mpi::CommModel) point-to-point cost.
 //! * **[`Collector`]** — the aggregator. Dedups by (rank, seq)
 //!   watermark so redelivery is idempotent, feeds a live merged
 //!   [`Graph`], and on a crash re-syncs from the rank-durable
@@ -36,14 +35,10 @@ use parking_lot::Mutex;
 use provio_hpcfs::FileSystem;
 use provio_mpi::CommModel;
 use provio_rdf::{Graph, Triple};
-use provio_simrt::{DetRng, NetLink, NetPlan, SendFate, SimDuration, VirtualClock};
+use provio_simrt::{NetLink, NetPlan, SendFate, SimDuration, VirtualClock};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
-
-/// `DetRng` stream id for client-side retransmission jitter, disjoint
-/// from the store's flush-retry jitter stream (`0x4E77`).
-const NET_JITTER_STREAM: u64 = 0x4E78;
 
 /// Rough wire size of one streamed triple, for the cost model. Matches
 /// the order of a rendered N-Triples line; exactness is irrelevant —
@@ -158,8 +153,6 @@ impl Collector {
             overload,
             state: Mutex::new(ClientState {
                 link: self.plan.link(rank),
-                jitter_rng: DetRng::with_stream(self.plan.seed, NET_JITTER_STREAM)
-                    .child(rank as u64),
                 buf: VecDeque::new(),
                 next_seq: 0,
                 stats: NetStats::default(),
@@ -346,7 +339,6 @@ pub struct NetStats {
 
 struct ClientState {
     link: NetLink,
-    jitter_rng: DetRng,
     /// The bounded send buffer: (seq, batch), oldest first. Batches sit
     /// behind an `Arc` so retransmissions never re-clone the payload.
     buf: VecDeque<(u64, Arc<Vec<Triple>>)>,
@@ -415,7 +407,6 @@ impl NetClient {
         let mut st = self.state.lock();
         'batches: while let Some((seq, triples)) = st.buf.front().cloned() {
             let bytes = triples.len() as u64 * BYTES_PER_TRIPLE;
-            let mut prev_delay = self.retry.backoff_ns;
             let mut attempt = 0u32;
             loop {
                 attempt += 1;
@@ -461,7 +452,7 @@ impl NetClient {
                     break 'batches;
                 }
                 st.stats.retries += 1;
-                let delay = self.retry.next_delay(attempt, &mut prev_delay, &mut st.jitter_rng);
+                let delay = self.retry.backoff_for(attempt);
                 self.clock.advance(SimDuration::from_nanos(delay));
             }
         }
@@ -522,7 +513,6 @@ mod tests {
             RetryPolicy {
                 max_attempts: 8,
                 backoff_ns: 10,
-                jitter: true,
             },
             1_000,
             0,
@@ -604,7 +594,6 @@ mod tests {
             RetryPolicy {
                 max_attempts: 2,
                 backoff_ns: 10,
-                jitter: false,
             },
             100,
             1,
@@ -633,7 +622,6 @@ mod tests {
                 RetryPolicy {
                     max_attempts: 2,
                     backoff_ns: 10,
-                    jitter: false,
                 },
                 100,
                 1,
@@ -667,7 +655,6 @@ mod tests {
             RetryPolicy {
                 max_attempts: 2,
                 backoff_ns: 10,
-                jitter: false,
             },
             100,
             0,
@@ -714,7 +701,6 @@ mod tests {
             RetryPolicy {
                 max_attempts: 8,
                 backoff_ns: 10,
-                jitter: false,
             },
             100,
             0,
@@ -751,7 +737,6 @@ mod tests {
             RetryPolicy {
                 max_attempts: 16,
                 backoff_ns: 100,
-                jitter: true,
             },
             1_000,
             0,
@@ -769,7 +754,6 @@ mod tests {
             RetryPolicy {
                 max_attempts: 16,
                 backoff_ns: 100,
-                jitter: true,
             },
             1_000,
             0,

@@ -6,7 +6,6 @@
 //! INI-style parser loads it from a file on the simulated file system.
 
 use provio_model::{ClassSelector, TrackItem};
-use provio_simrt::DetRng;
 use std::sync::Arc;
 
 /// On-disk RDF format of per-process sub-graph files.
@@ -38,15 +37,6 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Base backoff before the first retry; doubles per retry.
     pub backoff_ns: u64,
-    /// Decorrelate retry delays across ranks (`retry_jitter` ini knob).
-    /// When a shared episode — one sick OST returning ENOSPC to every
-    /// rank at once — trips N writers together, pure exponential backoff
-    /// has them all retry in lockstep at the same instants, re-creating
-    /// the overload they are backing off from. With jitter on, each delay
-    /// is drawn from `[backoff_ns, 3 * previous_delay)` (AWS-style
-    /// "decorrelated jitter") seeded per store, so retry times spread out
-    /// while the mean still grows exponentially.
-    pub jitter: bool,
 }
 
 impl Default for RetryPolicy {
@@ -54,7 +44,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             backoff_ns: 1_000_000,
-            jitter: false,
         }
     }
 }
@@ -65,40 +54,6 @@ impl RetryPolicy {
     pub(crate) fn backoff_for(self, failures: u32) -> u64 {
         let shift = failures.saturating_sub(1).min(20);
         self.backoff_ns.saturating_mul(1u64 << shift)
-    }
-
-    /// The largest delay either backoff flavor will produce (the
-    /// exponential curve's saturation point).
-    pub(crate) fn backoff_cap(self) -> u64 {
-        self.backoff_ns.saturating_mul(1 << 20)
-    }
-
-    /// Decorrelated-jitter delay: uniform in `[backoff_ns, 3 * prev)`,
-    /// clamped to [`Self::backoff_cap`], where `prev` is the delay used
-    /// before the previous retry (start it at `backoff_ns`). Each store
-    /// draws from its own seeded stream, so two ranks tripped by the same
-    /// episode stop retrying in lockstep while the expected delay still
-    /// grows geometrically.
-    pub(crate) fn jittered_backoff(self, prev: u64, rng: &mut DetRng) -> u64 {
-        // `lo` stops one short of `u64::MAX` so `[lo, hi)` is never empty.
-        let lo = self.backoff_ns.clamp(1, u64::MAX - 1);
-        let hi = prev
-            .saturating_mul(3)
-            .clamp(lo + 1, self.backoff_cap().max(lo + 1));
-        lo + rng.below(hi - lo)
-    }
-
-    /// The delay before the retry that follows failure number `failures`
-    /// (1-based): the decorrelated-jitter draw when `jitter` is on —
-    /// `prev` carries the last delay from one retry to the next — and the
-    /// exponential curve, which draws nothing from `rng`, otherwise.
-    pub(crate) fn next_delay(self, failures: u32, prev: &mut u64, rng: &mut DetRng) -> u64 {
-        if self.jitter {
-            *prev = self.jittered_backoff(*prev, rng);
-            *prev
-        } else {
-            self.backoff_for(failures)
-        }
     }
 }
 
@@ -480,7 +435,6 @@ impl ProvIoConfig {
                 "record_latency_ns" => cfg.record_latency_ns = parse_value(value, lineno, INT)?,
                 "retry_max_attempts" => cfg.retry.max_attempts = parse_value(value, lineno, INT)?,
                 "retry_backoff_ns" => cfg.retry.backoff_ns = parse_value(value, lineno, INT)?,
-                "retry_jitter" => cfg.retry.jitter = parse_value(value, lineno, BOOL)?,
                 "compact_every" => cfg.compact_every = parse_value(value, lineno, INT)?,
                 "queue_capacity" => cfg.queue_capacity = parse_value(value, lineno, INT)?,
                 "overload_policy" => cfg.overload = match value {
@@ -686,61 +640,8 @@ mod tests {
         let absurd = RetryPolicy {
             max_attempts: 2,
             backoff_ns: u64::MAX,
-            ..RetryPolicy::default()
         };
         assert!(absurd.backoff_for(40) > 0);
-    }
-
-    #[test]
-    fn retry_jitter_knob_from_ini() {
-        assert!(!ProvIoConfig::default().retry.jitter, "off by default");
-        let c = ProvIoConfig::from_ini("retry_jitter = true\n").unwrap();
-        assert!(c.retry.jitter);
-        let c = ProvIoConfig::from_ini("retry_jitter = false\n").unwrap();
-        assert!(!c.retry.jitter);
-        assert!(ProvIoConfig::from_ini("retry_jitter = perhaps").is_err());
-    }
-
-    #[test]
-    fn decorrelated_jitter_bounds_determinism_and_divergence() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            backoff_ns: 1000,
-            jitter: true,
-        };
-        // Every draw lands in [base, max(3*prev, base+1)), never past the cap.
-        let mut rng = DetRng::new(7);
-        let mut prev = p.backoff_ns;
-        for _ in 0..200 {
-            let d = p.jittered_backoff(prev, &mut rng);
-            assert!(d >= p.backoff_ns);
-            assert!(d < prev.saturating_mul(3).max(p.backoff_ns + 1));
-            assert!(d <= p.backoff_cap());
-            prev = d;
-        }
-        // Same seed, same delay sequence — the schedule is reproducible.
-        let draws = |seed: u64| -> Vec<u64> {
-            let mut rng = DetRng::new(seed);
-            let mut prev = p.backoff_ns;
-            (0..8)
-                .map(|_| {
-                    prev = p.jittered_backoff(prev, &mut rng);
-                    prev
-                })
-                .collect()
-        };
-        assert_eq!(draws(42), draws(42));
-        // Different seeds (different stores) decorrelate: the point of the
-        // knob is that N ranks don't retry in lockstep.
-        assert_ne!(draws(42), draws(43));
-        // Degenerate base of 0 still makes progress and never panics.
-        let z = RetryPolicy { max_attempts: 2, backoff_ns: 0, jitter: true };
-        let mut rng = DetRng::new(1);
-        assert!(z.jittered_backoff(0, &mut rng) >= 1);
-        // Nor does the largest base `from_ini` accepts: the range
-        // saturates but stays non-empty.
-        let m = ProvIoConfig::from_ini("retry_backoff_ns = 18446744073709551615\nretry_jitter = true").unwrap();
-        assert_eq!(m.retry.jittered_backoff(m.retry.backoff_ns, &mut rng), u64::MAX - 1);
     }
 
     #[test]
@@ -755,7 +656,12 @@ mod tests {
 
     #[test]
     fn removed_knobs_are_unknown_keys_and_scalar_errors_are_uniform() {
-        for key in ["delta_segments = true", "merge_threads = 4", "query_budget = 500"] {
+        for key in [
+            "delta_segments = true",
+            "merge_threads = 4",
+            "query_budget = 500",
+            "retry_jitter = true",
+        ] {
             let err = ProvIoConfig::from_ini(&format!("[store]\n{key}\n")).unwrap_err();
             assert!(err.starts_with("line 2: unknown key"), "{key}: {err}");
         }
@@ -765,7 +671,7 @@ mod tests {
         }
         let err = ProvIoConfig::from_ini("\npolicy = every:soon").unwrap_err();
         assert_eq!(err, "line 2: bad integer");
-        for key in ["async", "retry_jitter", "checksum_format", "wal", "net", "parity", "manifest"] {
+        for key in ["async", "checksum_format", "wal", "net", "parity", "manifest"] {
             let err = ProvIoConfig::from_ini(&format!("{key} = perhaps")).unwrap_err();
             assert_eq!(err, "line 1: bad bool", "{key}");
         }

@@ -11,28 +11,20 @@
 
 use crate::tracker::{IoEvent, ObjectDesc, TrackerRegistry};
 use parking_lot::Mutex;
-use provio_hdf5::{
-    Data, Dataspace, Datatype, H5Result, Handle, Hyperslab, ObjectInfo, ObjectKind, VolConnector,
-};
+use provio_hdf5::{Create, Data, H5Result, Handle, Hyperslab, ObjectInfo, ObjectKind, VolConnector};
 use provio_hpcfs::FsSession;
 use provio_model::{ActivityClass, EntityClass};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Live-object table entry: everything needed to name the object in
-/// provenance without re-querying the inner connector.
-#[derive(Debug, Clone)]
-struct LiveObject {
-    desc: ObjectDesc,
-}
 
 /// The stacked provenance connector.
 pub struct ProvIoVol {
     inner: Arc<dyn VolConnector>,
     registry: Arc<TrackerRegistry>,
     /// Handle → object identity, shared by all processes using this stack
-    /// (handles are minted by the shared inner connector).
-    live: Mutex<HashMap<Handle, LiveObject>>,
+    /// (handles are minted by the shared inner connector): what names the
+    /// object in provenance without re-querying the inner connector.
+    live: Mutex<HashMap<Handle, ObjectDesc>>,
 }
 
 impl ProvIoVol {
@@ -69,21 +61,12 @@ impl ProvIoVol {
     /// Remember a freshly created/opened handle's identity.
     fn remember(&self, handle: Handle) {
         if let Ok(info) = self.inner.object_info(handle) {
-            self.live.lock().insert(
-                handle,
-                LiveObject {
-                    desc: Self::desc_from_info(&info),
-                },
-            );
+            self.live.lock().insert(handle, Self::desc_from_info(&info));
         }
     }
 
     fn lookup(&self, handle: Handle) -> Option<ObjectDesc> {
-        self.live.lock().get(&handle).map(|l| l.desc.clone())
-    }
-
-    fn forget(&self, handle: Handle) -> Option<ObjectDesc> {
-        self.live.lock().remove(&handle).map(|l| l.desc)
+        self.live.lock().get(&handle).cloned()
     }
 
     /// Record one event for the calling process.
@@ -162,16 +145,6 @@ impl ProvIoVol {
         result
     }
 
-    /// A completed close: drop the handle from the live table. Close is not
-    /// one of the model's six I/O API classes; nothing to track (paper
-    /// Table 2).
-    fn closed(&self, handle: Handle, result: H5Result<()>) -> H5Result<()> {
-        if result.is_ok() {
-            self.forget(handle);
-        }
-        result
-    }
-
     /// The link `name` under `loc`, named inside the containing file if
     /// that is known.
     fn link_object(&self, loc: Handle, name: &str) -> Option<ObjectDesc> {
@@ -203,39 +176,35 @@ impl VolConnector for ProvIoVol {
         self.on_handle(s, ActivityClass::Fsync, "H5Fflush", file, |_| 0, |v| v.file_flush(s, file))
     }
 
-    fn file_close(&self, s: &FsSession, file: Handle) -> H5Result<()> {
-        self.closed(file, self.inner.file_close(s, file))
+    fn create(&self, s: &FsSession, loc: Handle, name: &str, what: Create) -> H5Result<Handle> {
+        let (api, bytes) = match &what {
+            Create::Group => ("H5Gcreate2", 0),
+            Create::Dataset { .. } => ("H5Dcreate2", 0),
+            Create::Attribute { value, .. } => ("H5Acreate2", value.len() as u64),
+            Create::NamedDatatype { .. } => ("H5Tcommit2", 0),
+        };
+        self.opened(s, ActivityClass::Create, api, None, bytes, |v| v.create(s, loc, name, what))
     }
 
-    fn group_create(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Create, "H5Gcreate2", None, 0, |v| {
-            v.group_create(s, loc, name)
-        })
+    fn open(&self, s: &FsSession, loc: Handle, name: &str, kind: ObjectKind) -> H5Result<Handle> {
+        let api = match kind {
+            ObjectKind::File => "H5Fopen",
+            ObjectKind::Group => "H5Gopen2",
+            ObjectKind::Dataset => "H5Dopen2",
+            ObjectKind::Attribute => "H5Aopen",
+            ObjectKind::NamedDatatype => "H5Topen2",
+        };
+        self.opened(s, ActivityClass::Open, api, None, 0, |v| v.open(s, loc, name, kind))
     }
 
-    fn group_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Open, "H5Gopen2", None, 0, |v| v.group_open(s, loc, name))
-    }
-
-    fn group_close(&self, s: &FsSession, group: Handle) -> H5Result<()> {
-        self.closed(group, self.inner.group_close(s, group))
-    }
-
-    fn dataset_create(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-        space: Dataspace,
-    ) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Create, "H5Dcreate2", None, 0, |v| {
-            v.dataset_create(s, loc, name, dtype, space)
-        })
-    }
-
-    fn dataset_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Open, "H5Dopen2", None, 0, |v| v.dataset_open(s, loc, name))
+    /// Close is not one of the model's six I/O API classes, so nothing is
+    /// tracked (paper Table 2); a completed close leaves the live table.
+    fn close(&self, s: &FsSession, handle: Handle, kind: ObjectKind) -> H5Result<()> {
+        let result = self.inner.close(s, handle, kind);
+        if result.is_ok() {
+            self.live.lock().remove(&handle);
+        }
+        result
     }
 
     fn dataset_extend(&self, s: &FsSession, dset: Handle, new_dims: &[u64]) -> H5Result<()> {
@@ -263,64 +232,9 @@ impl VolConnector for ProvIoVol {
         })
     }
 
-    fn dataset_close(&self, s: &FsSession, dset: Handle) -> H5Result<()> {
-        self.closed(dset, self.inner.dataset_close(s, dset))
-    }
-
-    fn attr_create(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-        value: &[u8],
-    ) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Create, "H5Acreate2", None, value.len() as u64, |v| {
-            v.attr_create(s, loc, name, dtype, value)
-        })
-    }
-
-    fn attr_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Open, "H5Aopen", None, 0, |v| v.attr_open(s, loc, name))
-    }
-
     fn attr_read(&self, s: &FsSession, attr: Handle) -> H5Result<Vec<u8>> {
         let read = |r: &H5Result<Vec<u8>>| r.as_ref().map_or(0, |v| v.len() as u64);
         self.on_handle(s, ActivityClass::Read, "H5Aread", attr, read, |v| v.attr_read(s, attr))
-    }
-
-    fn attr_write(&self, s: &FsSession, attr: Handle, value: &[u8]) -> H5Result<()> {
-        self.on_handle(s, ActivityClass::Write, "H5Awrite", attr, |_| value.len() as u64, |v| {
-            v.attr_write(s, attr, value)
-        })
-    }
-
-    fn attr_close(&self, s: &FsSession, attr: Handle) -> H5Result<()> {
-        self.closed(attr, self.inner.attr_close(s, attr))
-    }
-
-    fn attr_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>> {
-        self.inner.attr_list(s, loc)
-    }
-
-    fn datatype_commit(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-    ) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Create, "H5Tcommit2", None, 0, |v| {
-            v.datatype_commit(s, loc, name, dtype)
-        })
-    }
-
-    fn datatype_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.opened(s, ActivityClass::Open, "H5Topen2", None, 0, |v| v.datatype_open(s, loc, name))
-    }
-
-    fn datatype_close(&self, s: &FsSession, dtype: Handle) -> H5Result<()> {
-        self.closed(dtype, self.inner.datatype_close(s, dtype))
     }
 
     fn link_create_soft(
@@ -341,14 +255,6 @@ impl VolConnector for ProvIoVol {
         let obj = self.link_object(loc, name);
         self.track(s, ActivityClass::Rename, "H5Ldelete", obj, 0, dur, result.is_ok());
         result
-    }
-
-    fn link_exists(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<bool> {
-        self.inner.link_exists(s, loc, name)
-    }
-
-    fn link_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>> {
-        self.inner.link_list(s, loc)
     }
 
     fn object_info(&self, handle: Handle) -> H5Result<ObjectInfo> {

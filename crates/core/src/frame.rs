@@ -1314,7 +1314,7 @@ pub(crate) mod tests {
             use provio_rdf::{ntriples, turtle, Graph};
             const INI: &str = "[provio]\nstore_dir = /provio\nformat = ntriples\npolicy = every:100\nasync = false\n\
                 preset = h5bench_2\ntrack = file, dataset\nuntrack = duration\nretry_max_attempts = 4\n\
-                retry_backoff_ns = 1000\nretry_jitter = true\noverload_policy = shed\nqueue_capacity = 8\n\
+                retry_backoff_ns = 1000\noverload_policy = shed\nqueue_capacity = 8\n\
                 checksum_format = true\nwal = true\nwal_group = 8\nnet = true\nnet_timeout_ns = 5000\n\
                 parity = true\nparity_group = 3\nmanifest = true\nmanifest_key = k\nworkflow_type = dl\n";
             const NT: &str = "<urn:a> <urn:p> \"q\\\"\\n\\u00e9\"^^<http://www.w3.org/2001/XMLSchema#string> .\n\

@@ -159,14 +159,10 @@ use parity::{Parity, Plane};
 use parking_lot::Mutex;
 use provio_hpcfs::{FileSystem, FsError};
 use provio_rdf::{ntriples, turtle, Capture, Graph, Namespaces, TermId, Triple};
-use provio_simrt::{DetRng, SimDuration, SimTime, VirtualClock};
+use provio_simrt::{SimDuration, SimTime, VirtualClock};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// RNG stream for decorrelated retry jitter, carved out of the store GUID
-/// so backoff draws never perturb any workload or fault stream.
-const RETRY_JITTER_STREAM: u64 = 0x4E77;
 
 /// Lines per CRC frame for line-oriented (N-Triples) payloads: small
 /// enough that one corrupt region loses little, large enough that marker
@@ -296,9 +292,6 @@ struct IoState {
     path: String,
     seat: FrameSeat,
     retry: RetryPolicy,
-    /// Per-store stream for decorrelated retry jitter (seeded from the
-    /// store GUID, so N ranks' delays diverge deterministically).
-    retry_rng: DetRng,
     /// Last flush failed permanently; the in-memory graph is still intact.
     degraded: bool,
     /// A crash point fired mid-flush: this writer's process is dead. No
@@ -358,7 +351,6 @@ impl IoState {
     /// degradation bookkeeping. Returns `true` when `dst` is durable.
     fn commit_with_retry(&mut self, dst: &str, bytes: &[u8], charge: Option<&VirtualClock>) -> bool {
         let mut failures = 0u32;
-        let mut prev_delay = self.retry.backoff_ns;
         loop {
             match commit_atomic(&self.fs, dst, bytes) {
                 Ok(()) => {
@@ -378,12 +370,7 @@ impl IoState {
                     self.last_error = Some(e);
                     if e.is_transient() && failures < self.retry.max_attempts {
                         self.flush_retries += 1;
-                        // Jitter draws from the store's own seeded stream,
-                        // so ranks tripped by one shared episode spread out
-                        // instead of retrying in lockstep.
-                        let delay = self
-                            .retry
-                            .next_delay(failures, &mut prev_delay, &mut self.retry_rng);
+                        let delay = self.retry.backoff_for(failures);
                         if let Some(clock) = charge {
                             clock.advance(SimDuration::from_nanos(delay));
                         }
@@ -793,7 +780,6 @@ impl ProvenanceStore {
                 chain: frame::CHAIN_START,
             },
             retry: RetryPolicy::default(),
-            retry_rng: DetRng::with_stream(guid, RETRY_JITTER_STREAM),
             degraded: false,
             crashed: false,
             dropped_flushes: 0,
@@ -1268,7 +1254,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 3,
                 backoff_ns: 1_000,
-                ..RetryPolicy::default()
             });
         st.push(triples(7), None);
         let clock = VirtualClock::new();
@@ -1297,7 +1282,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 2,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             });
         st.push(triples(5), None);
         assert_eq!(st.finish(None), 0);
@@ -1435,7 +1419,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 1,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             });
         st.push(triples_from(0, 2), None);
         st.flush(None); // snapshot
@@ -1568,7 +1551,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 1,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             });
         st.push(triples_from(0, 2), None);
         st.flush(None); // ordinal 0 committed
@@ -1799,7 +1781,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 1,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             })
             .with_breaker(2, 1_000)
             .with_clock(clock.clone());
@@ -1838,7 +1819,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 1,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             })
             .with_breaker(1, 1_000)
             .with_clock(clock.clone());
@@ -1866,7 +1846,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 1,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             })
             .with_breaker(1, u64::MAX / 2)
             .with_clock(clock.clone());
@@ -2144,7 +2123,6 @@ mod tests {
         let retry = RetryPolicy {
             max_attempts: 3,
             backoff_ns: 0,
-            ..RetryPolicy::default()
         };
 
         // (1) Breaker and shed.

@@ -1203,7 +1203,6 @@ mod tests {
             .with_retry(RetryPolicy {
                 max_attempts: 1,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             })
             .with_breaker(1, 1_000_000)
             .shared();

@@ -34,7 +34,6 @@ fn durable_config() -> Arc<ProvIoConfig> {
         .with_retry(RetryPolicy {
             max_attempts: 1,
             backoff_ns: 0,
-            ..RetryPolicy::default()
         })
         .with_record_latency_ns(0)
         .shared()

@@ -5,14 +5,16 @@
 //! emission to the reference mapping (`ProvRecord` +
 //! `ontology::record_triples_into`), and one row per call that is the only
 //! producer of a Table 2 class (HDF5 *Datatype* / *Link*, POSIX *Link* /
-//! *Directory* removal) through the connector and the syscall wrapper.
+//! *Directory* removal) through the connector and the syscall wrapper, plus
+//! one row per kind the connector's one `create` and one `open` name an
+//! HDF5 API for.
 
 use proptest::prelude::*;
 use provio::{
     merge_directory, IoEvent, ObjectDesc, PosixWrapper, ProvIoConfig, ProvIoVol, ProvTracker,
     TrackerRegistry,
 };
-use provio_hdf5::{Datatype, NativeVol, VolConnector, H5};
+use provio_hdf5::{Dataspace, Datatype, Handle, NativeVol, ObjectKind, VolConnector, H5};
 use provio_hpcfs::{Dispatcher, FileSystem, FsSession, LustreConfig};
 use provio_model::{
     ontology, ActivityClass, AgentClass, ClassSelector, EntityClass, ExtensibleClass, Guid,
@@ -549,10 +551,12 @@ fn check_against_reference(ops: &[Op], sel: ClassSelector) -> Result<(), String>
 
 /// The file system, the one tracked process, and an untracked process
 /// that lays out what each call needs, so the tracked call is the only
-/// event in the store.
+/// event in the store. `vol` is the connector stack both use, for the
+/// opens the facade does not expose.
 struct Rig {
     fs: Arc<FileSystem>,
     tracker: Arc<ProvTracker>,
+    vol: Arc<dyn VolConnector>,
     setup: H5,
     tracked: H5,
 }
@@ -578,26 +582,117 @@ fn rig() -> Rig {
         Arc::new(FsSession::new(Arc::clone(&fs), pid, USER, PROGRAM, clock, dispatcher))
     };
     let setup = H5::new(session(PID + 1, VirtualClock::new()), Arc::clone(&vol));
-    let tracked = H5::new(session(PID, clock), vol);
+    let tracked = H5::new(session(PID, clock), Arc::clone(&vol));
     Rig {
         fs,
         tracker,
+        vol,
         setup,
         tracked,
     }
 }
 
 /// One producer of a Table 2 entity class: the call, through the
-/// connector or the syscall wrapper, and the object and activity it must
-/// record.
+/// connector or the syscall wrapper, and the object, activity and byte
+/// count (0: none recorded) it must record.
 struct Producer {
     call: fn(&Rig),
     object: fn() -> ObjectDesc,
     activity: ActivityClass,
     api: &'static str,
+    bytes: u64,
+}
+
+/// The untracked rank's file `/t.h5` holding dataset `/d`, attribute
+/// `/d#units` on it, and named datatype `/rec`.
+fn populated(r: &Rig) -> (Handle, Handle) {
+    let f = r.setup.create_file("/t.h5").unwrap();
+    let d = r.setup.create_dataset(f, "d", Datatype::Int32, Dataspace::fixed(&[2])).unwrap();
+    r.setup.create_attr(d, "units", Datatype::FixedString(8), b"m/s").unwrap();
+    let rec = Datatype::Compound(vec![("a".into(), Datatype::Int32)]);
+    r.setup.commit_datatype(f, "rec", rec).unwrap();
+    (f, d)
+}
+
+/// The tracked rank opens `name` under `loc` as `kind` through the stack.
+fn open_tracked(r: &Rig, loc: Handle, name: &str, kind: ObjectKind) {
+    r.vol.open(r.tracked.session(), loc, name, kind).unwrap();
 }
 
 const PRODUCERS: &[Producer] = &[
+    Producer {
+        call: |r| {
+            let f = r.setup.create_file("/t.h5").unwrap();
+            r.tracked.create_group(f, "g").unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Group, "/t.h5", "/g"),
+        activity: ActivityClass::Create,
+        api: "H5Gcreate2",
+        bytes: 0,
+    },
+    Producer {
+        call: |r| {
+            let f = r.setup.create_file("/t.h5").unwrap();
+            let space = Dataspace::fixed(&[2]);
+            r.tracked.create_dataset(f, "d", Datatype::Int32, space).unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Dataset, "/t.h5", "/d"),
+        activity: ActivityClass::Create,
+        api: "H5Dcreate2",
+        bytes: 0,
+    },
+    Producer {
+        call: |r| {
+            let f = r.setup.create_file("/t.h5").unwrap();
+            let d = r.setup.create_dataset(f, "d", Datatype::Int32, Dataspace::fixed(&[2]));
+            r.tracked.create_attr(d.unwrap(), "units", Datatype::FixedString(8), b"m/s").unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Attribute, "/t.h5", "/d#units"),
+        activity: ActivityClass::Create,
+        api: "H5Acreate2",
+        bytes: 3,
+    },
+    Producer {
+        call: |r| {
+            let f = r.setup.create_file("/t.h5").unwrap();
+            r.setup.create_group(f, "g").unwrap();
+            open_tracked(r, f, "g", ObjectKind::Group);
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Group, "/t.h5", "/g"),
+        activity: ActivityClass::Open,
+        api: "H5Gopen2",
+        bytes: 0,
+    },
+    Producer {
+        call: |r| {
+            let (f, _) = populated(r);
+            r.tracked.open_dataset(f, "d").unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Dataset, "/t.h5", "/d"),
+        activity: ActivityClass::Open,
+        api: "H5Dopen2",
+        bytes: 0,
+    },
+    Producer {
+        call: |r| {
+            let (_, d) = populated(r);
+            r.tracked.open_attr(d, "units").unwrap();
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Attribute, "/t.h5", "/d#units"),
+        activity: ActivityClass::Open,
+        api: "H5Aopen",
+        bytes: 0,
+    },
+    Producer {
+        call: |r| {
+            let (f, _) = populated(r);
+            open_tracked(r, f, "rec", ObjectKind::NamedDatatype);
+        },
+        object: || ObjectDesc::hdf5(EntityClass::Datatype, "/t.h5", "/rec"),
+        activity: ActivityClass::Open,
+        api: "H5Topen2",
+        bytes: 0,
+    },
     Producer {
         call: |r| {
             let f = r.setup.create_file("/t.h5").unwrap();
@@ -607,6 +702,7 @@ const PRODUCERS: &[Producer] = &[
         object: || ObjectDesc::hdf5(EntityClass::Datatype, "/t.h5", "/rec"),
         activity: ActivityClass::Create,
         api: "H5Tcommit2",
+        bytes: 0,
     },
     Producer {
         call: |r| {
@@ -617,6 +713,7 @@ const PRODUCERS: &[Producer] = &[
         object: || ObjectDesc::hdf5(EntityClass::Link, "/t.h5", "/alias"),
         activity: ActivityClass::Create,
         api: "H5Lcreate_soft",
+        bytes: 0,
     },
     Producer {
         call: |r| {
@@ -628,6 +725,7 @@ const PRODUCERS: &[Producer] = &[
         object: || ObjectDesc::hdf5(EntityClass::Link, "/t.h5", "/alias"),
         activity: ActivityClass::Rename,
         api: "H5Ldelete",
+        bytes: 0,
     },
     Producer {
         call: |r| {
@@ -637,6 +735,7 @@ const PRODUCERS: &[Producer] = &[
         object: || ObjectDesc::posix(EntityClass::Link, "/hard"),
         activity: ActivityClass::Create,
         api: "link",
+        bytes: 0,
     },
     Producer {
         call: |r| {
@@ -646,6 +745,7 @@ const PRODUCERS: &[Producer] = &[
         object: || ObjectDesc::posix(EntityClass::Link, "/soft"),
         activity: ActivityClass::Create,
         api: "symlink",
+        bytes: 0,
     },
     Producer {
         call: |r| {
@@ -655,12 +755,14 @@ const PRODUCERS: &[Producer] = &[
         object: || ObjectDesc::posix(EntityClass::Directory, "/d"),
         activity: ActivityClass::Rename,
         api: "rmdir",
+        bytes: 0,
     },
 ];
 
 /// Each call records exactly one entity of its class and one activity of
 /// its class, joined by that activity's relation; nothing else reaches
-/// these classes, so deleting a producer fails its row.
+/// these classes, so deleting a producer fails its row. The activity's
+/// GUID derives from the API name, so a swapped name fails its row too.
 #[test]
 fn every_table2_producer_records_its_entity_and_activity() {
     use provio_model::ontology::nodes_of_class;
@@ -688,6 +790,12 @@ fn every_table2_producer_records_its_entity_and_activity() {
             "{}",
             p.api
         );
+        let bytes = Iri::new(PropKey::Bytes.iri());
+        let want: Vec<Term> = (p.bytes > 0)
+            .then(|| Term::Literal(Literal::integer(p.bytes as i64)))
+            .into_iter()
+            .collect();
+        assert_eq!(graph.objects(&act.to_subject(), &bytes), want, "{}", p.api);
     }
 }
 

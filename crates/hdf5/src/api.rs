@@ -11,7 +11,7 @@ use crate::data::Data;
 use crate::dataspace::{Dataspace, Hyperslab};
 use crate::datatype::Datatype;
 use crate::error::H5Result;
-use crate::vol::{Handle, ObjectInfo, VolConnector};
+use crate::vol::{Create, Handle, ObjectInfo, ObjectKind, VolConnector};
 use provio_hpcfs::FsSession;
 use std::sync::Arc;
 
@@ -50,19 +50,19 @@ impl H5 {
 
     /// H5Fclose.
     pub fn close_file(&self, file: Handle) -> H5Result<()> {
-        self.vol.file_close(&self.session, file)
+        self.vol.close(&self.session, file, ObjectKind::File)
     }
 
     // -- H5G --
 
     /// H5Gcreate2.
     pub fn create_group(&self, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.vol.group_create(&self.session, loc, name)
+        self.vol.create(&self.session, loc, name, Create::Group)
     }
 
     /// H5Gclose.
     pub fn close_group(&self, group: Handle) -> H5Result<()> {
-        self.vol.group_close(&self.session, group)
+        self.vol.close(&self.session, group, ObjectKind::Group)
     }
 
     // -- H5D --
@@ -75,12 +75,12 @@ impl H5 {
         dtype: Datatype,
         space: Dataspace,
     ) -> H5Result<Handle> {
-        self.vol.dataset_create(&self.session, loc, name, dtype, space)
+        self.vol.create(&self.session, loc, name, Create::Dataset { dtype, space })
     }
 
     /// H5Dopen2.
     pub fn open_dataset(&self, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.vol.dataset_open(&self.session, loc, name)
+        self.vol.open(&self.session, loc, name, ObjectKind::Dataset)
     }
 
     /// H5Dset_extent.
@@ -100,7 +100,7 @@ impl H5 {
 
     /// H5Dclose.
     pub fn close_dataset(&self, dset: Handle) -> H5Result<()> {
-        self.vol.dataset_close(&self.session, dset)
+        self.vol.close(&self.session, dset, ObjectKind::Dataset)
     }
 
     // -- H5A --
@@ -113,12 +113,12 @@ impl H5 {
         dtype: Datatype,
         value: &[u8],
     ) -> H5Result<Handle> {
-        self.vol.attr_create(&self.session, loc, name, dtype, value)
+        self.vol.create(&self.session, loc, name, Create::Attribute { dtype, value })
     }
 
     /// H5Aopen.
     pub fn open_attr(&self, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.vol.attr_open(&self.session, loc, name)
+        self.vol.open(&self.session, loc, name, ObjectKind::Attribute)
     }
 
     /// H5Aread.
@@ -128,14 +128,14 @@ impl H5 {
 
     /// H5Aclose.
     pub fn close_attr(&self, attr: Handle) -> H5Result<()> {
-        self.vol.attr_close(&self.session, attr)
+        self.vol.close(&self.session, attr, ObjectKind::Attribute)
     }
 
     // -- H5T --
 
     /// H5Tcommit2.
     pub fn commit_datatype(&self, loc: Handle, name: &str, dtype: Datatype) -> H5Result<Handle> {
-        self.vol.datatype_commit(&self.session, loc, name, dtype)
+        self.vol.create(&self.session, loc, name, Create::NamedDatatype { dtype })
     }
 
     // -- H5L --
@@ -224,7 +224,7 @@ mod tests {
         let a = h.open_attr(d, "units").unwrap();
         assert_eq!(h.read_attr(a).unwrap(), b"cm");
         h.close_attr(a).unwrap();
-        assert_eq!(h.vol.attr_list(&h.session, d).unwrap(), vec!["units"]);
+        assert!(h.close_attr(a).is_err(), "closed once");
     }
 
     #[test]
@@ -234,12 +234,12 @@ mod tests {
         let c = Datatype::Compound(vec![("a".into(), Datatype::Int32)]);
         h.commit_datatype(f, "rec", c).unwrap();
         h.create_soft_link(f, "/rec", "rec_alias").unwrap();
-        let (vol, s) = (&h.vol, &h.session);
-        assert!(vol.link_exists(s, f, "rec_alias").unwrap());
-        assert_eq!(vol.link_list(s, f).unwrap(), vec!["rec", "rec_alias"]);
-        let t = vol.datatype_open(s, f, "rec_alias").unwrap();
-        vol.datatype_close(s, t).unwrap();
+        let (vol, s, kind) = (&h.vol, &h.session, ObjectKind::NamedDatatype);
+        let t = vol.open(s, f, "rec_alias", kind).unwrap();
+        assert_eq!(h.object_info(t).unwrap().object_path, "/rec");
+        vol.close(s, t, kind).unwrap();
         h.delete_link(f, "rec_alias").unwrap();
-        assert!(!vol.link_exists(s, f, "rec_alias").unwrap());
+        assert!(vol.open(s, f, "rec_alias", kind).is_err());
+        assert!(vol.open(s, f, "rec", kind).is_ok());
     }
 }

@@ -9,7 +9,9 @@
 //! * A full object model — files, groups, datasets with extensible
 //!   [`Dataspace`]s and [`Datatype`]s, attributes on any object, committed
 //!   named datatypes, soft links — addressed by slash paths inside a file.
-//! * [`vol::VolConnector`] — the homomorphic dispatch trait. The terminal
+//! * [`vol::VolConnector`] — the homomorphic dispatch trait: one method
+//!   per facade call, with one `create` / `open` / `close` that take the
+//!   object's kind ([`vol::Create`], [`vol::ObjectKind`]). The terminal
 //!   connector is [`native::NativeVol`], which executes operations against
 //!   shared in-memory file state and performs the corresponding byte I/O
 //!   through the calling process's [`provio_hpcfs::FsSession`] (so Lustre
@@ -40,4 +42,4 @@ pub use dataspace::{Dataspace, Hyperslab};
 pub use datatype::Datatype;
 pub use error::{H5Error, H5Result};
 pub use native::NativeVol;
-pub use vol::{Handle, ObjectInfo, ObjectKind, VolConnector};
+pub use vol::{Create, Handle, ObjectInfo, ObjectKind, VolConnector};

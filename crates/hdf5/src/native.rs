@@ -19,7 +19,7 @@ use crate::data::Data;
 use crate::dataspace::{Dataspace, Hyperslab};
 use crate::datatype::Datatype;
 use crate::error::{H5Error, H5Result};
-use crate::vol::{Handle, ObjectInfo, ObjectKind, VolConnector};
+use crate::vol::{Create, Handle, ObjectInfo, ObjectKind, VolConnector};
 use parking_lot::RwLock;
 use provio_hpcfs::{FileSystem, FsSession};
 use std::collections::{BTreeMap, HashMap};
@@ -92,7 +92,6 @@ struct H5File {
     eof: u64,
     /// Bytes written since the last flush (drives flush cost).
     dirty_bytes: u64,
-    open_count: usize,
 }
 
 impl H5File {
@@ -276,14 +275,6 @@ impl NativeVol {
             .ok_or_else(|| H5Error::NotFound(key.to_string()))
     }
 
-    fn drop_handle(&self, h: Handle) -> H5Result<HandleEntry> {
-        self.state
-            .write()
-            .handles
-            .remove(&h.0)
-            .ok_or(H5Error::BadHandle)
-    }
-
     /// Write `data` into the backing file on behalf of `s`, charging cost.
     fn backing_write(
         &self,
@@ -321,74 +312,44 @@ impl NativeVol {
         Ok((self.file_of(&e.file_key)?, e.object))
     }
 
-    fn attr_entry(&self, h: Handle) -> H5Result<(Arc<RwLock<H5File>>, ObjId, String)> {
-        let e = self.entry(h)?;
-        let Some(name) = e.attr else {
-            return Err(H5Error::WrongKind { expected: "attribute" });
-        };
-        Ok((self.file_of(&e.file_key)?, e.object, name))
-    }
-
-    /// Link a new object named `name` into the group at `loc` and write its
-    /// header, `tag` bytes sized like the real object header message.
-    fn create_object(
+    /// An attribute lives on the object at `loc` itself, not behind a link,
+    /// so it has its own create body.
+    fn create_attr(
         &self,
         s: &FsSession,
         loc: Handle,
         name: &str,
-        state: ObjState,
-        tag: u8,
+        dtype: Datatype,
+        value: &[u8],
     ) -> H5Result<Handle> {
         self.charge_meta(s);
         check_name(name)?;
-        let (file, parent) = self.location(loc)?;
-        let kind = state.kind();
-        let (ino, off, key, id) = {
-            let mut f = file.write();
-            let path = f.child_path(parent, name)?;
-            if f.links(parent)?.contains_key(name) {
-                return Err(H5Error::AlreadyExists(path));
-            }
-            let id = f.next_obj;
-            f.next_obj += 1;
-            let attrs = BTreeMap::new();
-            f.objects.insert(id, H5Object { path, state, attrs });
-            f.links_mut(parent)?.insert(name.to_string(), Link::Hard(id));
-            let off = f.alloc(OBJECT_HEADER_BYTES + name.len() as u64);
-            (f.ino, off, f.fs_path.clone(), id)
-        };
-        let header = vec![tag; OBJECT_HEADER_BYTES as usize + name.len()];
-        self.backing_write(s, ino, off, &Data::real(header))?;
-        Ok(self.mint(key, id, None, kind))
-    }
-
-    /// Open the object at `name` under `loc`, which must be of `kind`.
-    fn open_object(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        kind: ObjectKind,
-    ) -> H5Result<Handle> {
-        self.charge_meta(s);
-        let (file, base) = self.location(loc)?;
-        let (key, id) = {
-            let f = file.read();
-            let id = f.resolve(base, name, 0)?;
-            if f.object(id)?.state.kind() != kind {
-                return Err(H5Error::WrongKind { expected: kind.name() });
-            }
-            (f.fs_path.clone(), id)
-        };
-        Ok(self.mint(key, id, None, kind))
-    }
-
-    fn close_object(&self, s: &FsSession, h: Handle, kind: ObjectKind) -> H5Result<()> {
-        self.charge_meta(s);
-        if self.drop_handle(h)?.kind != kind {
-            return Err(H5Error::BadHandle);
+        let e = self.entry(loc)?;
+        if e.kind == ObjectKind::Attribute {
+            return Err(H5Error::WrongKind { expected: "non-attribute" });
         }
-        Ok(())
+        let file = self.file_of(&e.file_key)?;
+        let (ino, off) = {
+            let mut f = file.write();
+            let obj = f.object(e.object)?;
+            if obj.attrs.contains_key(name) {
+                return Err(H5Error::AlreadyExists(format!("{}#{}", obj.path, name)));
+            }
+            let off = f.alloc(ATTR_MESSAGE_BYTES + name.len() as u64 + value.len() as u64);
+            let obj = f.object_mut(e.object)?;
+            obj.attrs.insert(
+                name.to_string(),
+                AttrState {
+                    dtype,
+                    value: value.to_vec(),
+                },
+            );
+            (f.ino, off)
+        };
+        let mut blob = vec![0x41u8; ATTR_MESSAGE_BYTES as usize + name.len()];
+        blob.extend_from_slice(value);
+        self.backing_write(s, ino, off, &Data::real(blob))?;
+        Ok(self.mint(e.file_key, e.object, Some(name.to_string()), ObjectKind::Attribute))
     }
 }
 
@@ -427,7 +388,6 @@ impl VolConnector for NativeVol {
             root,
             eof: 0,
             dirty_bytes: 0,
-            open_count: 1,
         };
         let off = file.alloc(SUPERBLOCK_BYTES);
         let file = Arc::new(RwLock::new(file));
@@ -452,14 +412,12 @@ impl VolConnector for NativeVol {
         }
         let file = self.file_of(path)?;
         // Read the superblock (what the real library does at open).
-        let ino = {
-            let mut f = file.write();
-            f.open_count += 1;
-            f.ino
+        let (ino, root) = {
+            let f = file.read();
+            (f.ino, f.root)
         };
         let _ = self.fs.read_at(ino, 0, SUPERBLOCK_BYTES)?;
         self.charge_data(s, SUPERBLOCK_BYTES);
-        let root = file.read().root;
         Ok(self.mint(path.to_string(), root, None, ObjectKind::File))
     }
 
@@ -477,48 +435,85 @@ impl VolConnector for NativeVol {
         Ok(())
     }
 
-    fn file_close(&self, s: &FsSession, file: Handle) -> H5Result<()> {
-        let e = self.drop_handle(file)?;
-        if e.kind != ObjectKind::File {
-            return Err(H5Error::BadHandle);
-        }
-        let f = self.file_of(&e.file_key)?;
-        {
-            let mut g = f.write();
-            g.open_count = g.open_count.saturating_sub(1);
-        }
+    fn create(&self, s: &FsSession, loc: Handle, name: &str, what: Create) -> H5Result<Handle> {
+        let kind = what.kind();
+        let (state, tag) = match what {
+            Create::Group => (ObjState::Group { links: BTreeMap::new() }, 0x47),
+            Create::Dataset { dtype, space } => {
+                let chunks = BTreeMap::new();
+                (ObjState::Dataset { dtype, space, chunks }, 0x44)
+            }
+            Create::NamedDatatype { dtype } => (ObjState::NamedDatatype { dtype }, 0x54),
+            Create::Attribute { dtype, value } => {
+                return self.create_attr(s, loc, name, dtype, value);
+            }
+        };
         self.charge_meta(s);
+        check_name(name)?;
+        let (file, parent) = self.location(loc)?;
+        let (ino, off, key, id) = {
+            let mut f = file.write();
+            let path = f.child_path(parent, name)?;
+            if f.links(parent)?.contains_key(name) {
+                return Err(H5Error::AlreadyExists(path));
+            }
+            let id = f.next_obj;
+            f.next_obj += 1;
+            let attrs = BTreeMap::new();
+            f.objects.insert(id, H5Object { path, state, attrs });
+            f.links_mut(parent)?.insert(name.to_string(), Link::Hard(id));
+            let off = f.alloc(OBJECT_HEADER_BYTES + name.len() as u64);
+            (f.ino, off, f.fs_path.clone(), id)
+        };
+        // The object header: `tag` bytes sized like the real message.
+        let header = vec![tag; OBJECT_HEADER_BYTES as usize + name.len()];
+        self.backing_write(s, ino, off, &Data::real(header))?;
+        Ok(self.mint(key, id, None, kind))
+    }
+
+    fn open(&self, s: &FsSession, loc: Handle, name: &str, kind: ObjectKind) -> H5Result<Handle> {
+        self.charge_meta(s);
+        if kind == ObjectKind::Attribute {
+            let e = self.entry(loc)?;
+            {
+                let file = self.file_of(&e.file_key)?;
+                let f = file.read();
+                let obj = f.object(e.object)?;
+                if !obj.attrs.contains_key(name) {
+                    return Err(H5Error::NotFound(format!("{}#{}", obj.path, name)));
+                }
+            }
+            return Ok(self.mint(e.file_key, e.object, Some(name.to_string()), kind));
+        }
+        let (file, base) = self.location(loc)?;
+        let (key, id) = {
+            let f = file.read();
+            let id = f.resolve(base, name, 0)?;
+            if f.object(id)?.state.kind() != kind {
+                return Err(H5Error::WrongKind { expected: kind.name() });
+            }
+            (f.fs_path.clone(), id)
+        };
+        Ok(self.mint(key, id, None, kind))
+    }
+
+    fn close(&self, s: &FsSession, handle: Handle, kind: ObjectKind) -> H5Result<()> {
+        // An in-file object charges before its checks, a file once closed.
+        if kind != ObjectKind::File {
+            self.charge_meta(s);
+        }
+        {
+            let mut st = self.state.write();
+            // Check the kind first: a refused close leaves the handle open.
+            if st.handles.get(&handle.0).map(|e| e.kind) != Some(kind) {
+                return Err(H5Error::BadHandle);
+            }
+            st.handles.remove(&handle.0);
+        }
+        if kind == ObjectKind::File {
+            self.charge_meta(s);
+        }
         Ok(())
-    }
-
-    fn group_create(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        let links = BTreeMap::new();
-        self.create_object(s, loc, name, ObjState::Group { links }, 0x47)
-    }
-
-    fn group_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.open_object(s, loc, name, ObjectKind::Group)
-    }
-
-    fn group_close(&self, s: &FsSession, group: Handle) -> H5Result<()> {
-        self.close_object(s, group, ObjectKind::Group)
-    }
-
-    fn dataset_create(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-        space: Dataspace,
-    ) -> H5Result<Handle> {
-        let chunks = BTreeMap::new();
-        let state = ObjState::Dataset { dtype, space, chunks };
-        self.create_object(s, loc, name, state, 0x44)
-    }
-
-    fn dataset_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.open_object(s, loc, name, ObjectKind::Dataset)
     }
 
     fn dataset_extend(&self, s: &FsSession, dset: Handle, new_dims: &[u64]) -> H5Result<()> {
@@ -634,119 +629,16 @@ impl VolConnector for NativeVol {
         }
     }
 
-    fn dataset_close(&self, s: &FsSession, dset: Handle) -> H5Result<()> {
-        self.close_object(s, dset, ObjectKind::Dataset)
-    }
-
-    fn attr_create(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-        value: &[u8],
-    ) -> H5Result<Handle> {
-        self.charge_meta(s);
-        check_name(name)?;
-        let e = self.entry(loc)?;
-        if e.kind == ObjectKind::Attribute {
-            return Err(H5Error::WrongKind { expected: "non-attribute" });
-        }
-        let file = self.file_of(&e.file_key)?;
-        let (ino, off) = {
-            let mut f = file.write();
-            let obj = f.object(e.object)?;
-            if obj.attrs.contains_key(name) {
-                return Err(H5Error::AlreadyExists(format!("{}#{}", obj.path, name)));
-            }
-            let off = f.alloc(ATTR_MESSAGE_BYTES + name.len() as u64 + value.len() as u64);
-            let obj = f.object_mut(e.object)?;
-            obj.attrs.insert(
-                name.to_string(),
-                AttrState {
-                    dtype,
-                    value: value.to_vec(),
-                },
-            );
-            (f.ino, off)
-        };
-        let mut blob = vec![0x41u8; ATTR_MESSAGE_BYTES as usize + name.len()];
-        blob.extend_from_slice(value);
-        self.backing_write(s, ino, off, &Data::real(blob))?;
-        Ok(self.mint(e.file_key, e.object, Some(name.to_string()), ObjectKind::Attribute))
-    }
-
-    fn attr_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.charge_meta(s);
-        let e = self.entry(loc)?;
-        let file = self.file_of(&e.file_key)?;
-        {
-            let f = file.read();
-            let obj = f.object(e.object)?;
-            if !obj.attrs.contains_key(name) {
-                return Err(H5Error::NotFound(format!("{}#{}", obj.path, name)));
-            }
-        }
-        Ok(self.mint(e.file_key, e.object, Some(name.to_string()), ObjectKind::Attribute))
-    }
-
     fn attr_read(&self, s: &FsSession, attr: Handle) -> H5Result<Vec<u8>> {
-        let (file, id, name) = self.attr_entry(attr)?;
+        let e = self.entry(attr)?;
+        let Some(name) = e.attr else {
+            return Err(H5Error::WrongKind { expected: "attribute" });
+        };
+        let file = self.file_of(&e.file_key)?;
         let f = file.read();
-        let a = f
-            .object(id)?
-            .attrs
-            .get(&name)
-            .ok_or_else(|| H5Error::NotFound(name.clone()))?;
+        let a = f.object(e.object)?.attrs.get(&name).ok_or(H5Error::NotFound(name))?;
         self.charge_data(s, a.value.len() as u64);
         Ok(a.value.clone())
-    }
-
-    fn attr_write(&self, s: &FsSession, attr: Handle, value: &[u8]) -> H5Result<()> {
-        let (file, id, name) = self.attr_entry(attr)?;
-        let (ino, off) = {
-            let mut f = file.write();
-            let off = f.alloc(value.len() as u64);
-            let a = f
-                .object_mut(id)?
-                .attrs
-                .get_mut(&name)
-                .ok_or_else(|| H5Error::NotFound(name.clone()))?;
-            a.value = value.to_vec();
-            (f.ino, off)
-        };
-        self.backing_write(s, ino, off, &Data::real(value.to_vec()))?;
-        Ok(())
-    }
-
-    fn attr_close(&self, s: &FsSession, attr: Handle) -> H5Result<()> {
-        self.close_object(s, attr, ObjectKind::Attribute)
-    }
-
-    fn attr_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>> {
-        self.charge_meta(s);
-        let e = self.entry(loc)?;
-        let file = self.file_of(&e.file_key)?;
-        let f = file.read();
-        Ok(f.object(e.object)?.attrs.keys().cloned().collect())
-    }
-
-    fn datatype_commit(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-    ) -> H5Result<Handle> {
-        self.create_object(s, loc, name, ObjState::NamedDatatype { dtype }, 0x54)
-    }
-
-    fn datatype_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle> {
-        self.open_object(s, loc, name, ObjectKind::NamedDatatype)
-    }
-
-    fn datatype_close(&self, s: &FsSession, dtype: Handle) -> H5Result<()> {
-        self.close_object(s, dtype, ObjectKind::NamedDatatype)
     }
 
     fn link_create_soft(
@@ -786,20 +678,6 @@ impl VolConnector for NativeVol {
             Some(_) => Ok(()),
             None => Err(H5Error::NotFound(name.to_string())),
         }
-    }
-
-    fn link_exists(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<bool> {
-        self.charge_meta(s);
-        let (file, base) = self.location(loc)?;
-        let f = file.read();
-        Ok(f.resolve(base, name, 0).is_ok())
-    }
-
-    fn link_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>> {
-        self.charge_meta(s);
-        let (file, base) = self.location(loc)?;
-        let f = file.read();
-        Ok(f.links(base)?.keys().cloned().collect())
     }
 
     fn object_info(&self, handle: Handle) -> H5Result<ObjectInfo> {
@@ -866,17 +744,30 @@ mod tests {
         (vol, s)
     }
 
+    /// A fixed-extent dataset `name` under `loc`.
+    fn dataset(
+        vol: &NativeVol,
+        s: &FsSession,
+        loc: Handle,
+        name: &str,
+        dtype: Datatype,
+        dims: &[u64],
+    ) -> Handle {
+        let space = Dataspace::fixed(dims);
+        vol.create(s, loc, name, Create::Dataset { dtype, space }).unwrap()
+    }
+
     #[test]
     fn file_create_open_close() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/out.h5", true).unwrap();
-        vol.file_close(&s, f).unwrap();
+        vol.close(&s, f, ObjectKind::File).unwrap();
         let f2 = vol.file_open(&s, "/out.h5", false).unwrap();
         let info = vol.object_info(f2).unwrap();
         assert_eq!(info.file_path, "/out.h5");
         assert_eq!(info.object_path, "/");
         assert_eq!(info.kind, ObjectKind::File);
-        vol.file_close(&s, f2).unwrap();
+        vol.close(&s, f2, ObjectKind::File).unwrap();
         assert!(vol.file_open(&s, "/nope.h5", false).is_err());
     }
 
@@ -884,14 +775,14 @@ mod tests {
     fn group_hierarchy_and_paths() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/x.h5", true).unwrap();
-        let g = vol.group_create(&s, f, "Timestep_0").unwrap();
-        let sub = vol.group_create(&s, g, "fields").unwrap();
+        let g = vol.create(&s, f, "Timestep_0", Create::Group).unwrap();
+        let sub = vol.create(&s, g, "fields", Create::Group).unwrap();
         assert_eq!(vol.object_info(sub).unwrap().object_path, "/Timestep_0/fields");
         // Open by multi-component path from the file root.
-        let again = vol.group_open(&s, f, "Timestep_0/fields").unwrap();
+        let again = vol.open(&s, f, "Timestep_0/fields", ObjectKind::Group).unwrap();
         assert_eq!(vol.object_info(again).unwrap().object_path, "/Timestep_0/fields");
         assert_eq!(
-            vol.group_create(&s, f, "Timestep_0").unwrap_err(),
+            vol.create(&s, f, "Timestep_0", Create::Group).unwrap_err(),
             H5Error::AlreadyExists("/Timestep_0".into())
         );
     }
@@ -900,9 +791,7 @@ mod tests {
     fn dataset_write_read_round_trip() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/d.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Float64, Dataspace::fixed(&[4]))
-            .unwrap();
+        let d = dataset(&vol, &s, f, "x", Datatype::Float64, &[4]);
         vol.dataset_write(
             &s,
             d,
@@ -920,9 +809,7 @@ mod tests {
     fn unallocated_reads_are_fill_value() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/d.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Int32, Dataspace::fixed(&[8]))
-            .unwrap();
+        let d = dataset(&vol, &s, f, "x", Datatype::Int32, &[8]);
         let got = vol.dataset_read(&s, d, &Hyperslab::new(&[0], &[8])).unwrap();
         assert_eq!(got.len(), 32);
         assert!(got.as_bytes().is_none(), "all-fill read stays synthetic");
@@ -932,9 +819,7 @@ mod tests {
     fn partial_allocation_mixes_fill_and_data() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/d.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Float64, Dataspace::fixed(&[4]))
-            .unwrap();
+        let d = dataset(&vol, &s, f, "x", Datatype::Float64, &[4]);
         vol.dataset_write(
             &s,
             d,
@@ -950,9 +835,7 @@ mod tests {
     fn size_mismatch_rejected() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/d.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Float64, Dataspace::fixed(&[4]))
-            .unwrap();
+        let d = dataset(&vol, &s, f, "x", Datatype::Float64, &[4]);
         let err = vol
             .dataset_write(&s, d, &Hyperslab::new(&[0], &[4]), &Data::synthetic(31))
             .unwrap_err();
@@ -965,7 +848,7 @@ mod tests {
         let f = vol.file_create(&s, "/a.h5", true).unwrap();
         let space = Dataspace::with_max(&[0], &[None]).unwrap();
         let d = vol
-            .dataset_create(&s, f, "log", Datatype::Int64, space)
+            .create(&s, f, "log", Create::Dataset { dtype: Datatype::Int64, space })
             .unwrap();
         for step in 0..4u64 {
             vol.dataset_extend(&s, d, &[(step + 1) * 10]).unwrap();
@@ -987,15 +870,7 @@ mod tests {
     fn synthetic_payloads_not_resident() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/big.h5", true).unwrap();
-        let d = vol
-            .dataset_create(
-                &s,
-                f,
-                "field",
-                Datatype::Float64,
-                Dataspace::fixed(&[1 << 27]), // 1 GiB of f64
-            )
-            .unwrap();
+        let d = dataset(&vol, &s, f, "field", Datatype::Float64, &[1 << 27]);
         vol.dataset_write(
             &s,
             d,
@@ -1012,25 +887,19 @@ mod tests {
     fn attributes_lifecycle() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/a.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Float64, Dataspace::fixed(&[2]))
-            .unwrap();
-        let a = vol
-            .attr_create(&s, d, "units", Datatype::FixedString(8), b"m/s")
-            .unwrap();
+        let d = dataset(&vol, &s, f, "x", Datatype::Float64, &[2]);
+        let units = Create::Attribute { dtype: Datatype::FixedString(8), value: b"m/s" };
+        let a = vol.create(&s, d, "units", units).unwrap();
         assert_eq!(vol.attr_read(&s, a).unwrap(), b"m/s");
-        vol.attr_write(&s, a, b"km/h").unwrap();
-        assert_eq!(vol.attr_read(&s, a).unwrap(), b"km/h");
         let info = vol.object_info(a).unwrap();
         assert_eq!(info.object_path, "/x#units");
         assert_eq!(info.kind, ObjectKind::Attribute);
-        vol.attr_close(&s, a).unwrap();
-        assert_eq!(vol.attr_list(&s, d).unwrap(), vec!["units"]);
-        let a2 = vol.attr_open(&s, d, "units").unwrap();
-        assert_eq!(vol.attr_read(&s, a2).unwrap(), b"km/h");
-        assert!(vol.attr_open(&s, d, "missing").is_err());
+        vol.close(&s, a, ObjectKind::Attribute).unwrap();
+        let a2 = vol.open(&s, d, "units", ObjectKind::Attribute).unwrap();
+        assert_eq!(vol.attr_read(&s, a2).unwrap(), b"m/s");
+        assert!(vol.open(&s, d, "missing", ObjectKind::Attribute).is_err());
         assert!(vol
-            .attr_create(&s, d, "units", Datatype::VarString, b"x")
+            .create(&s, d, "units", Create::Attribute { dtype: Datatype::VarString, value: b"x" })
             .is_err());
     }
 
@@ -1042,10 +911,10 @@ mod tests {
             ("e".into(), Datatype::Float32),
             ("t".into(), Datatype::Int64),
         ]);
-        let t = vol.datatype_commit(&s, f, "particle", c.clone()).unwrap();
+        let t = vol.create(&s, f, "particle", Create::NamedDatatype { dtype: c.clone() }).unwrap();
         assert_eq!(vol.object_info(t).unwrap().datatype, Some(c.clone()));
-        vol.datatype_close(&s, t).unwrap();
-        let t2 = vol.datatype_open(&s, f, "particle").unwrap();
+        vol.close(&s, t, ObjectKind::NamedDatatype).unwrap();
+        let t2 = vol.open(&s, f, "particle", ObjectKind::NamedDatatype).unwrap();
         assert_eq!(vol.object_info(t2).unwrap().datatype, Some(c));
     }
 
@@ -1053,16 +922,16 @@ mod tests {
     fn soft_links_resolve() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/l.h5", true).unwrap();
-        let g = vol.group_create(&s, f, "data").unwrap();
-        vol.dataset_create(&s, g, "x", Datatype::Int32, Dataspace::fixed(&[1]))
-            .unwrap();
+        let g = vol.create(&s, f, "data", Create::Group).unwrap();
+        dataset(&vol, &s, g, "x", Datatype::Int32, &[1]);
         vol.link_create_soft(&s, f, "/data/x", "latest").unwrap();
-        let d = vol.dataset_open(&s, f, "latest").unwrap();
+        let d = vol.open(&s, f, "latest", ObjectKind::Dataset).unwrap();
         assert_eq!(vol.object_info(d).unwrap().object_path, "/data/x");
-        assert!(vol.link_exists(&s, f, "latest").unwrap());
         vol.link_delete(&s, f, "latest").unwrap();
-        assert!(!vol.link_exists(&s, f, "latest").unwrap());
-        assert_eq!(vol.link_list(&s, f).unwrap(), vec!["data"]);
+        let gone = vol.open(&s, f, "latest", ObjectKind::Dataset).unwrap_err();
+        assert_eq!(gone, H5Error::NotFound("latest (latest)".into()));
+        assert!(vol.open(&s, f, "data/x", ObjectKind::Dataset).is_ok());
+        assert!(vol.link_delete(&s, f, "latest").is_err());
     }
 
     #[test]
@@ -1070,9 +939,7 @@ mod tests {
         let (vol, s) = setup();
         let t0 = s.clock().now();
         let f = vol.file_create(&s, "/c.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Float64, Dataspace::fixed(&[1 << 20]))
-            .unwrap();
+        let d = dataset(&vol, &s, f, "x", Datatype::Float64, &[1 << 20]);
         let t1 = s.clock().now();
         assert!(t1 > t0);
         vol.dataset_write(
@@ -1101,7 +968,7 @@ mod tests {
         let f = vol.file_create(&boot, "/shared.h5", true).unwrap();
         let space = Dataspace::fixed(&[64 * 1024]);
         let d = vol
-            .dataset_create(&boot, f, "x", Datatype::Float64, space)
+            .create(&boot, f, "x", Create::Dataset { dtype: Datatype::Float64, space })
             .unwrap();
         let _ = d;
         std::thread::scope(|sc| {
@@ -1118,7 +985,7 @@ mod tests {
                         Dispatcher::new(),
                     );
                     let f = vol.file_open(&s, "/shared.h5", true).unwrap();
-                    let d = vol.dataset_open(&s, f, "x").unwrap();
+                    let d = vol.open(&s, f, "x", ObjectKind::Dataset).unwrap();
                     vol.dataset_write(
                         &s,
                         d,
@@ -1126,13 +993,13 @@ mod tests {
                         &Data::synthetic(8 * 1024),
                     )
                     .unwrap();
-                    vol.dataset_close(&s, d).unwrap();
-                    vol.file_close(&s, f).unwrap();
+                    vol.close(&s, d, ObjectKind::Dataset).unwrap();
+                    vol.close(&s, f, ObjectKind::File).unwrap();
                 });
             }
         });
         let s = boot;
-        let d2 = vol.dataset_open(&s, f, "x").unwrap();
+        let d2 = vol.open(&s, f, "x", ObjectKind::Dataset).unwrap();
         let got = vol
             .dataset_read(&s, d2, &Hyperslab::new(&[0], &[8 * 1024]))
             .unwrap();
@@ -1144,11 +1011,11 @@ mod tests {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/n.h5", true).unwrap();
         assert!(matches!(
-            vol.group_create(&s, f, "a/b"),
+            vol.create(&s, f, "a/b", Create::Group),
             Err(H5Error::BadName(_))
         ));
         assert!(matches!(
-            vol.group_create(&s, f, ""),
+            vol.create(&s, f, "", Create::Group),
             Err(H5Error::BadName(_))
         ));
     }
@@ -1157,9 +1024,20 @@ mod tests {
     fn closed_handle_rejected() {
         let (vol, s) = setup();
         let f = vol.file_create(&s, "/h.h5", true).unwrap();
-        let g = vol.group_create(&s, f, "g").unwrap();
-        vol.group_close(&s, g).unwrap();
+        let g = vol.create(&s, f, "g", Create::Group).unwrap();
+        vol.close(&s, g, ObjectKind::Group).unwrap();
         assert_eq!(vol.object_info(g).unwrap_err(), H5Error::BadHandle);
-        assert!(vol.group_open(&s, g, "x").is_err());
+        assert!(vol.open(&s, g, "x", ObjectKind::Group).is_err());
+    }
+
+    #[test]
+    fn refused_close_keeps_the_handle_open() {
+        let (vol, s) = setup();
+        let f = vol.file_create(&s, "/r.h5", true).unwrap();
+        let d = dataset(&vol, &s, f, "x", Datatype::Int32, &[2]);
+        assert_eq!(vol.close(&s, d, ObjectKind::Group), Err(H5Error::BadHandle));
+        assert_eq!(vol.close(&s, d, ObjectKind::File), Err(H5Error::BadHandle));
+        vol.dataset_write(&s, d, &Hyperslab::new(&[0], &[2]), &Data::synthetic(8)).unwrap();
+        vol.close(&s, d, ObjectKind::Dataset).unwrap();
     }
 }

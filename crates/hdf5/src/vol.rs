@@ -1,8 +1,11 @@
 //! The Virtual Object Layer: homomorphic dispatch and connector stacking.
 //!
-//! Every object-level API the library exposes has a counterpart method on
-//! [`VolConnector`] (the "homomorphic design" of the VOL-provenance
-//! connector the paper builds on, §5). A connector either terminates the
+//! Every object-level call of the [`crate::H5`] facade is exactly one
+//! [`VolConnector`] call, so a stacked connector can intercept each of
+//! them (the "homomorphic design" of the VOL-provenance connector the
+//! paper builds on, §5). Create, open and close take the object's kind as
+//! an argument ([`Create`], [`ObjectKind`]), so a connector writes each
+//! step of an object's life once. A connector either terminates the
 //! stack (the native connector executes against storage) or wraps another
 //! connector, observing and forwarding. Which connector a process gets is
 //! decided where the process is set up, not by a lookup by name.
@@ -55,12 +58,38 @@ pub struct ObjectInfo {
     pub(crate) datatype: Option<Datatype>,
 }
 
+/// What [`VolConnector::create`] makes, with what that kind needs.
+#[derive(Debug, Clone)]
+pub enum Create<'a> {
+    /// H5Gcreate2.
+    Group,
+    /// H5Dcreate2.
+    Dataset { dtype: Datatype, space: Dataspace },
+    /// H5Acreate2 + H5Awrite: an attribute on `loc` itself, not a link.
+    Attribute { dtype: Datatype, value: &'a [u8] },
+    /// H5Tcommit2.
+    NamedDatatype { dtype: Datatype },
+}
+
+impl Create<'_> {
+    pub fn kind(&self) -> ObjectKind {
+        match self {
+            Create::Group => ObjectKind::Group,
+            Create::Dataset { .. } => ObjectKind::Dataset,
+            Create::Attribute { .. } => ObjectKind::Attribute,
+            Create::NamedDatatype { .. } => ObjectKind::NamedDatatype,
+        }
+    }
+}
+
 /// The homomorphic VOL dispatch trait.
 ///
 /// All methods take the calling process's [`FsSession`] so the terminal
 /// connector performs its byte I/O — and charges its modeled cost — on
 /// behalf of the right process, and so stacked connectors can charge their
-/// own modeled overhead to the same process.
+/// own modeled overhead to the same process. An object's create, open and
+/// close are one method each, told the kind: a connector implements an
+/// object's life once, not once per kind.
 pub trait VolConnector: Send + Sync {
     /// Connector name (what the registry binds).
     fn name(&self) -> &str;
@@ -69,23 +98,18 @@ pub trait VolConnector: Send + Sync {
     fn file_create(&self, s: &FsSession, path: &str, truncate: bool) -> H5Result<Handle>;
     fn file_open(&self, s: &FsSession, path: &str, write: bool) -> H5Result<Handle>;
     fn file_flush(&self, s: &FsSession, file: Handle) -> H5Result<()>;
-    fn file_close(&self, s: &FsSession, file: Handle) -> H5Result<()>;
 
-    // -- group --
-    fn group_create(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle>;
-    fn group_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle>;
-    fn group_close(&self, s: &FsSession, group: Handle) -> H5Result<()>;
+    // -- any object --
+    /// Create `name` under `loc` (an attribute: on `loc`).
+    fn create(&self, s: &FsSession, loc: Handle, name: &str, what: Create) -> H5Result<Handle>;
+    /// Open the object of `kind` at `name` under `loc`. Files open by path,
+    /// through [`Self::file_open`].
+    fn open(&self, s: &FsSession, loc: Handle, name: &str, kind: ObjectKind) -> H5Result<Handle>;
+    /// Close `handle`, which must be open as `kind`; a refused close leaves
+    /// it open.
+    fn close(&self, s: &FsSession, handle: Handle, kind: ObjectKind) -> H5Result<()>;
 
     // -- dataset --
-    fn dataset_create(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-        space: Dataspace,
-    ) -> H5Result<Handle>;
-    fn dataset_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle>;
     fn dataset_extend(&self, s: &FsSession, dset: Handle, new_dims: &[u64]) -> H5Result<()>;
     fn dataset_write(
         &self,
@@ -95,33 +119,9 @@ pub trait VolConnector: Send + Sync {
         data: &Data,
     ) -> H5Result<()>;
     fn dataset_read(&self, s: &FsSession, dset: Handle, sel: &Hyperslab) -> H5Result<Data>;
-    fn dataset_close(&self, s: &FsSession, dset: Handle) -> H5Result<()>;
 
     // -- attribute --
-    fn attr_create(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-        value: &[u8],
-    ) -> H5Result<Handle>;
-    fn attr_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle>;
     fn attr_read(&self, s: &FsSession, attr: Handle) -> H5Result<Vec<u8>>;
-    fn attr_write(&self, s: &FsSession, attr: Handle, value: &[u8]) -> H5Result<()>;
-    fn attr_close(&self, s: &FsSession, attr: Handle) -> H5Result<()>;
-    fn attr_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>>;
-
-    // -- named datatype --
-    fn datatype_commit(
-        &self,
-        s: &FsSession,
-        loc: Handle,
-        name: &str,
-        dtype: Datatype,
-    ) -> H5Result<Handle>;
-    fn datatype_open(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<Handle>;
-    fn datatype_close(&self, s: &FsSession, dtype: Handle) -> H5Result<()>;
 
     // -- links --
     fn link_create_soft(
@@ -132,8 +132,6 @@ pub trait VolConnector: Send + Sync {
         name: &str,
     ) -> H5Result<()>;
     fn link_delete(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<()>;
-    fn link_exists(&self, s: &FsSession, loc: Handle, name: &str) -> H5Result<bool>;
-    fn link_list(&self, s: &FsSession, loc: Handle) -> H5Result<Vec<String>>;
 
     // -- introspection --
     fn object_info(&self, handle: Handle) -> H5Result<ObjectInfo>;

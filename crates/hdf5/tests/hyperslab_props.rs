@@ -2,7 +2,7 @@
 //! in-memory array model, and extendable-dataset semantics.
 
 use proptest::prelude::*;
-use provio_hdf5::{Data, Dataspace, Datatype, Hyperslab, NativeVol, VolConnector};
+use provio_hdf5::{Create, Data, Dataspace, Datatype, Hyperslab, NativeVol, VolConnector};
 use provio_hpcfs::{Dispatcher, FileSystem, FsSession, LustreConfig};
 use provio_simrt::VirtualClock;
 use std::sync::Arc;
@@ -44,9 +44,8 @@ proptest! {
             .collect();
         let (vol, s) = rig();
         let f = vol.file_create(&s, "/p.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Int64, Dataspace::fixed(&[dim]))
-            .unwrap();
+        let space = Dataspace::fixed(&[dim]);
+        let d = vol.create(&s, f, "x", Create::Dataset { dtype: Datatype::Int64, space }).unwrap();
         let mut model = vec![0u8; (dim * 8) as usize];
         for slab in &slabs {
             let bytes = vec![slab.fill; (slab.count * 8) as usize];
@@ -78,9 +77,8 @@ proptest! {
         let row = row.min(rows - 1);
         let (vol, s) = rig();
         let f = vol.file_create(&s, "/q.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "m", Datatype::Int32, Dataspace::fixed(&[rows, cols]))
-            .unwrap();
+        let space = Dataspace::fixed(&[rows, cols]);
+        let d = vol.create(&s, f, "m", Create::Dataset { dtype: Datatype::Int32, space }).unwrap();
         let bytes = vec![fill; (cols * 4) as usize];
         vol.dataset_write(
             &s,
@@ -118,7 +116,7 @@ proptest! {
         let f = vol.file_create(&s, "/e.h5", true).unwrap();
         let space = Dataspace::with_max(&[0], &[None]).unwrap();
         let d = vol
-            .dataset_create(&s, f, "log", Datatype::Int64, space)
+            .create(&s, f, "log", Create::Dataset { dtype: Datatype::Int64, space })
             .unwrap();
         for c in 0..chunks {
             vol.dataset_extend(&s, d, &[(c + 1) * chunk]).unwrap();
@@ -148,9 +146,9 @@ proptest! {
     fn oob_selection_rejected(dim in 2u64..32, over in 1u64..8) {
         let (vol, s) = rig();
         let f = vol.file_create(&s, "/o.h5", true).unwrap();
-        let d = vol
-            .dataset_create(&s, f, "x", Datatype::Float32, Dataspace::fixed(&[dim]))
-            .unwrap();
+        let space = Dataspace::fixed(&[dim]);
+        let dtype = Datatype::Float32;
+        let d = vol.create(&s, f, "x", Create::Dataset { dtype, space }).unwrap();
         let bad = Hyperslab::new(&[dim - 1], &[over + 1]);
         prop_assert!(vol
             .dataset_write(&s, d, &bad, &Data::synthetic((over + 1) * 4))

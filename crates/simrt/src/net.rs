@@ -16,7 +16,7 @@ use crate::clock::{SimDuration, SimTime};
 use crate::rng::DetRng;
 
 /// `DetRng` stream id for network fault schedules, disjoint from the
-/// file-system fault stream (`0xFA17`) and retry jitter (`0x4E77`).
+/// file-system fault stream (`0xFA17`).
 pub(crate) const NET_FAULT_STREAM: u64 = 0x4E_F0;
 
 /// A closed interval of virtual time during which some (or all) ranks

@@ -67,7 +67,6 @@ fn main() {
         .with_retry(RetryPolicy {
             max_attempts: 1,
             backoff_ns: 0,
-            ..RetryPolicy::default()
         })
         .with_breaker(2, 10_000_000_000)
         .shared();

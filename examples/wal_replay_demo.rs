@@ -25,7 +25,6 @@ fn run(wal: bool) -> (usize, RunReport) {
         .with_retry(RetryPolicy {
             max_attempts: 1,
             backoff_ns: 0,
-            ..RetryPolicy::default()
         })
         .with_wal(wal, 8)
         .with_manifest(true)

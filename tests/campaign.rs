@@ -578,7 +578,6 @@ fn wal_ablation(world: u32, seed: u64, prob: f64, wal_group: u32) -> String {
             .with_retry(RetryPolicy {
                 max_attempts: 1,
                 backoff_ns: 0,
-                ..RetryPolicy::default()
             })
             .with_wal(wal, wal_group)
             .shared()
@@ -669,7 +668,6 @@ fn transient_flush_failures_trip_the_breaker_without_losing_triples() {
         .with_retry(RetryPolicy {
             max_attempts: 1,
             backoff_ns: 0,
-            ..RetryPolicy::default()
         })
         .with_breaker(2, 10_000_000_000) // trip after 2 failures, 10s backoff
         .shared();

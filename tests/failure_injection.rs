@@ -137,7 +137,6 @@ fn transient_store_failures_are_retried_to_full_provenance() {
         .with_retry(RetryPolicy {
             max_attempts: 3,
             backoff_ns: 1_000,
-            ..RetryPolicy::default()
         })
         .shared();
     let (_s, h5) = cluster.process(1, "alice", "prog", VirtualClock::new(), Some(&cfg));

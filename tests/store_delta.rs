@@ -211,7 +211,6 @@ fn transient_error_on_delta_append_retries_in_place() {
         .with_retry(RetryPolicy {
             max_attempts: 3,
             backoff_ns: 100,
-            ..RetryPolicy::default()
         });
     st.push(triples(0..2), None);
     st.flush(None); // snapshot
