@@ -1,12 +1,8 @@
 //! `recover_all` — the full recovery pipeline as one auditable pass.
 //!
-//! Every consumer of a run directory so far composed the tiers by hand:
-//! scrub, then merge (with WAL replay), then verify, then quarantine.
-//! Crashcheck (DESIGN.md §15) checks invariants of *the composition* —
-//! e.g. that recovering twice equals recovering once — so the
-//! composition itself has to be a named, fixed-order operation. This is
-//! that operation, and the one the upcoming streaming-merge daemon will
-//! call on every watched directory.
+//! Crashcheck (DESIGN.md §15) checks invariants of *the composition* of
+//! the recovery tiers — e.g. that recovering twice equals recovering
+//! once — so the composition itself is a named, fixed-order operation.
 //!
 //! Order matters and is part of the contract:
 //!
@@ -19,6 +15,11 @@
 //!    manifest and ledger over the post-repair directory, then move
 //!    provably tampered files aside.
 //!
+//! One hand-off joins the tiers: scrub records the Merkle root of every
+//! single frame it decoded intact or wrote back, and verify judges a live
+//! file still at that size from the root, unread. The merge between only
+//! renames files aside, and the map lives for this one call.
+//!
 //! Every mutation any stage performs goes through the same simulated,
 //! fault-injectable file system with tmp+rename discipline, so a crash
 //! *during* recovery is itself one of crashcheck's explored states.
@@ -30,8 +31,8 @@ use provio_rdf::Graph;
 
 use crate::merge::{merge_directory, MergeReport};
 use crate::report::RunReport;
-use crate::scrub::{scrub_directory, ScrubReport};
-use crate::verify::{quarantine_tampered, verify_directory, VerifyReport};
+use crate::scrub::{scrub_directory_with_roots, ScrubReport};
+use crate::verify::{quarantine_tampered, verify_directory_with_roots, RootCache, VerifyReport};
 
 /// Everything one recovery pass produced: the merged graph plus every
 /// tier's report, joined on demand by [`RecoveryOutcome::report`].
@@ -69,9 +70,10 @@ impl RecoveryOutcome {
 /// pass over the same directory yields a byte-identical directory and
 /// an equal [`RunReport`] (enforced by crashcheck's invariant I6).
 pub fn recover_all(fs: &Arc<FileSystem>, dir: &str, key: Option<&str>) -> RecoveryOutcome {
-    let scrub = scrub_directory(fs, dir);
+    let mut roots = RootCache::new();
+    let scrub = scrub_directory_with_roots(fs, dir, &mut roots);
     let (graph, merge) = merge_directory(fs, dir);
-    let verify = key.map(|key| verify_directory(fs, dir, key));
+    let verify = key.map(|key| verify_directory_with_roots(fs, dir, key, &roots));
     let quarantined = verify
         .as_ref()
         .map_or_else(Vec::new, |audit| quarantine_tampered(fs, audit));

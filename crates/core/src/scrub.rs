@@ -30,7 +30,7 @@
 //!   present when the manifest was sealed);
 //! - more than one bad member, or a bad member with the parity block
 //!   itself lost: over tolerance — the paths are reported unrecoverable
-//!   and the PR 4/5 loss accounting (salvage, quarantine, truncation)
+//!   and the merge's loss accounting (salvage, quarantine, truncation)
 //!   stands;
 //! - a "bad" snapshot member that decodes intact with a *higher* ordinal
 //!   than the parity recorded was legitimately superseded after the
@@ -41,7 +41,7 @@
 //! [`crate::verify::quarantine_tampered`] consults [`repairable_paths`]
 //! and never condemns a file scrub can still repair.
 
-use crate::artifact::{parse_parity_payload, ParityPayload};
+use crate::artifact::{parse_parity_payload, MemberCheck, ParityPayload, RootCache};
 use crate::frame::{self, FrameKind};
 use crate::fsio::{commit_atomic, copies, read_file};
 use crate::names::{self, Role, State};
@@ -120,9 +120,11 @@ struct ParsedParity {
     member_lines: Vec<String>,
     /// The XOR block, when its batch verified.
     data: Option<Vec<u8>>,
-    /// True when the live parity file needs rewriting: missing, damaged
-    /// data batch, or only a quarantine copy survives.
-    needs_regen: bool,
+    /// `(bytes, Merkle root)` of the live parity file when it decoded
+    /// intact, data block included — what verify would recompute. `None`:
+    /// it needs rewriting (missing, damaged data batch, or only a
+    /// quarantine copy survives).
+    root: Option<(u64, [u8; 32])>,
 }
 
 /// How one member fared against its recorded check. The verifying states
@@ -168,6 +170,7 @@ fn parse_parity(bytes: &[u8], live: &str, quarantined: bool) -> Option<ParsedPar
         return None;
     }
     let ParityPayload { members, member_lines, data } = parse_parity_payload(&framed.payload);
+    let intact = !quarantined && framed.intact() && data.is_some();
     // The member batch is the one part parity cannot outlive: with the
     // records gone there is nothing to verify members against.
     (!members.is_empty()).then(|| ParsedParity {
@@ -176,8 +179,8 @@ fn parse_parity(bytes: &[u8], live: &str, quarantined: bool) -> Option<ParsedPar
         seq: framed.ordinal,
         members,
         member_lines,
-        needs_regen: quarantined || framed.batches_corrupt > 0 || data.is_none(),
         data,
+        root: intact.then_some((bytes.len() as u64, framed.computed_root)),
     })
 }
 
@@ -253,6 +256,15 @@ fn reconstruct(group: &ParsedParity, states: &[MemberState], bad: usize) -> Opti
     group.members[bad].cover(acc).ok()
 }
 
+/// Keep `roots` true to `m`'s live file, which now holds the member's
+/// verified bytes: only a whole-file member pinned by root has an entry.
+fn note_root(roots: &mut RootCache, m: &ParityMember) {
+    match m.check {
+        MemberCheck::Root(root) if m.whole_file() => roots.insert(m.path.clone(), (m.len, root)),
+        _ => roots.remove(&m.path),
+    };
+}
+
 /// Splice reconstructed bytes back into the member's live file. Whole-file
 /// members are rewritten outright (the recorded range *is* the committed
 /// file); journal chunks overwrite only `[offset, offset+len)` of whatever
@@ -262,6 +274,7 @@ fn splice_member(
     fs: &Arc<FileSystem>,
     m: &ParityMember,
     recon: &[u8],
+    roots: &mut RootCache,
 ) -> Result<(), FsError> {
     let out = if m.whole_file() {
         recon.to_vec()
@@ -275,6 +288,7 @@ fn splice_member(
         current
     };
     commit_atomic(fs, &m.path, &out)?;
+    note_root(roots, m);
     // The live path verifies again: any quarantine copy is now a stale
     // duplicate of repaired data, not evidence.
     let _ = fs.unlink(&names::quarantine_of(&m.path));
@@ -350,6 +364,18 @@ fn collect_groups(fs: &Arc<FileSystem>, dir: &str) -> (Vec<ParsedParity>, Vec<St
 /// redundancy allows. Safe to re-run: a clean directory scrubs to a clean
 /// report, and repairs are idempotent.
 pub fn scrub_directory(fs: &Arc<FileSystem>, dir: &str) -> ScrubReport {
+    scrub_directory_with_roots(fs, dir, &mut RootCache::new())
+}
+
+/// [`scrub_directory`], recording in `roots` the `(bytes, Merkle root)` of
+/// every live file it fully decoded intact — a whole-file member that
+/// passed its root check or was written back, an intact parity file (a
+/// regenerated one never) — for [`crate::verify::verify_directory_with_roots`].
+pub(crate) fn scrub_directory_with_roots(
+    fs: &Arc<FileSystem>,
+    dir: &str,
+    roots: &mut RootCache,
+) -> ScrubReport {
     let (groups, unusable) = collect_groups(fs, dir);
     let mut report = ScrubReport {
         groups: (groups.len() + unusable.len()) as u64,
@@ -361,15 +387,19 @@ pub fn scrub_directory(fs: &Arc<FileSystem>, dir: &str) -> ScrubReport {
             report.stale_groups += 1;
             continue;
         };
+        if let Some(root) = group.root {
+            roots.insert(group.path.clone(), root);
+        }
         // Displaced members restore for free regardless of the group's
         // repair verdict: their bytes survive under the quarantine name.
         for (m, state) in group.members.iter().zip(&states) {
-            if let MemberState::Displaced(bytes) = state {
-                if splice_member(fs, m, bytes).is_ok() {
+            match state {
+                MemberState::Intact(_) => note_root(roots, m),
+                MemberState::Displaced(bytes) if splice_member(fs, m, bytes, roots).is_ok() => {
                     push_unique(&mut report.repaired_files, &m.path);
-                } else {
-                    push_unique(&mut report.unrecoverable, &m.path);
                 }
+                MemberState::Displaced(_) => push_unique(&mut report.unrecoverable, &m.path),
+                MemberState::Bad { .. } => {}
             }
         }
         match losses(group, &states) {
@@ -377,7 +407,7 @@ pub fn scrub_directory(fs: &Arc<FileSystem>, dir: &str) -> ScrubReport {
             Ok(Some(bad)) => {
                 let m = &group.members[bad];
                 match reconstruct(group, &states, bad) {
-                    Some(recon) if splice_member(fs, m, &recon).is_ok() => {
+                    Some(recon) if splice_member(fs, m, &recon, roots).is_ok() => {
                         push_unique(&mut report.repaired_files, &m.path);
                         report.repaired_batches += repaired_units(m, &recon, &states[bad]);
                         states[bad] = MemberState::Intact(recon);
@@ -391,7 +421,7 @@ pub fn scrub_directory(fs: &Arc<FileSystem>, dir: &str) -> ScrubReport {
                 }
             }
         }
-        if group.needs_regen && regenerate_parity(fs, group, &states).is_ok() {
+        if group.root.is_none() && regenerate_parity(fs, group, &states).is_ok() {
             push_unique(&mut report.repaired_parity, &group.path);
         }
     }
@@ -670,10 +700,12 @@ mod tests {
         let ino = fs.lookup(par).unwrap();
         fs.write_at(ino, off, b"\x00", SimTime::ZERO).unwrap();
         assert_ne!(read_file(&fs, par).unwrap(), original);
-        let rep = scrub_directory(&fs, "/prov");
+        let mut roots = RootCache::new();
+        let rep = scrub_directory_with_roots(&fs, "/prov", &mut roots);
         assert_eq!(rep.repaired_parity, vec![par.to_string()], "{rep}");
         assert!(rep.unrecoverable.is_empty());
         assert_eq!(read_file(&fs, par).unwrap(), original, "regeneration must be byte-identical");
+        assert!(!roots.contains_key(par), "a regenerated parity file is never recorded");
     }
 
     #[test]
@@ -693,20 +725,30 @@ mod tests {
             check: MemberCheck::Root(root),
             ord: Some(1),
         };
-        let (par, _) = encode_parity_frame(guid, 0, &[member_line(&m)], &bytes);
-        put(&fs, "/prov/prov_p0.nt.p000000.par", &par);
-        assert!(scrub_directory(&fs, "/prov").is_clean());
+        let (par, par_root) = encode_parity_frame(guid, 0, &[member_line(&m)], &bytes);
+        let par_path = "/prov/prov_p0.nt.p000000.par";
+        put(&fs, par_path, &par);
+        // Both frames decode intact, and scrub records each as it sits on
+        // disk for verify.
+        let sealed = (bytes.len() as u64, root);
+        let mut roots = RootCache::new();
+        assert!(scrub_directory_with_roots(&fs, "/prov", &mut roots).is_clean());
+        let both = [(store.to_string(), sealed), (par_path.to_string(), (par.len() as u64, par_root))];
+        assert_eq!(roots, RootCache::from(both));
         // Rot anywhere in the member — body, header, and the (rewritable)
-        // footer — must read as Bad and repair byte-identical.
+        // footer — must read as Bad and repair byte-identical; the repaired
+        // file's entry replaces whatever stood for it before.
         let text = String::from_utf8(bytes.clone()).unwrap();
         let body_off = text.find("<a>").unwrap() as u64;
         let footer_off = text.rfind(" root=").unwrap() as u64 + 8;
         for off in [body_off, 3, footer_off] {
             let ino = fs.lookup(store).unwrap();
             fs.write_at(ino, off, b"!", SimTime::ZERO).unwrap();
-            let rep = scrub_directory(&fs, "/prov");
+            roots.insert(store.to_string(), (bytes.len() as u64, [0xAB; 32]));
+            let rep = scrub_directory_with_roots(&fs, "/prov", &mut roots);
             assert_eq!(rep.repaired_files, vec![store.to_string()], "off {off}: {rep}");
             assert_eq!(read_file(&fs, store).unwrap(), bytes, "off {off}");
+            assert_eq!(roots.get(store), Some(&sealed), "off {off}");
         }
     }
 

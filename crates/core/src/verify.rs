@@ -51,18 +51,6 @@ pub struct ManifestInfo {
     pub(crate) files: usize,
 }
 
-/// Content root of a file's bytes: the frame Merkle root when the file is
-/// framed (snapshot, delta segment, or WAL generation — `file_root` handles
-/// the concatenated-chunk case), the SHA-256 of the raw bytes otherwise.
-fn content_root(bytes: &[u8]) -> ([u8; 32], bool) {
-    if let Ok(text) = std::str::from_utf8(bytes) {
-        if let Some(root) = frame::file_root(text) {
-            return (root, true);
-        }
-    }
-    (sha2::sha256(bytes), false)
-}
-
 fn manifest_path(dir: &str) -> String {
     format!("{}/{MANIFEST_NAME}", dir.trim_end_matches('/'))
 }
@@ -72,18 +60,16 @@ fn ledger_path(dir: &str) -> String {
 }
 
 /// Walk the finished run directory, compute every committed file's content
-/// root, and commit the signed manifest (tmp-then-rename). Deterministic:
+/// root — the frame Merkle root when the file is framed (`file_root` folds
+/// a journal generation's chunks too), the SHA-256 of its bytes otherwise —
+/// and commit the signed manifest (tmp-then-rename). Deterministic:
 /// the same directory bytes and key produce byte-identical manifests.
-/// `roots` is a commit-time root cache: a walked file whose on-disk byte
-/// count matches its cache entry takes the cached root instead of being
-/// re-read and re-CRC'd — the encoder already folded
-/// that root when it framed the commit, so this is the same value
-/// [`frame::file_root`] would recompute, just without the second full
-/// pass over every store byte. The *file list* still comes from the
-/// directory walk, never from the cache: files the store did not write
-/// (journal generations, a crashed sibling's segments, foreign files) and
-/// files whose size disagrees with the cache fall back to the slow path.
-/// The manifest is byte-identical either way.
+/// A file with a live entry in the writers' commit-time `roots` ([`cached_root`])
+/// takes the root the encoder folded when it framed the commit instead of a
+/// second full pass over its bytes. The file list still comes from the walk,
+/// so files the stores did not write (journal generations, a crashed
+/// sibling's segments, foreign files) are read. The manifest is
+/// byte-identical either way.
 pub(crate) fn write_manifest_with_roots(
     fs: &Arc<FileSystem>,
     dir: &str,
@@ -98,29 +84,18 @@ pub(crate) fn write_manifest_with_roots(
     let mut entries = Vec::with_capacity(files.len());
     let mut acc = String::new();
     for path in files {
-        let cached = roots.get(&path).and_then(|&(n, root)| {
-            let md = fs.stat(&path).ok()?;
-            (md.size == n).then_some((root, true, n))
-        });
-        let (root, merkle, len) = match cached {
-            Some(hit) => hit,
+        let (root, merkle, bytes) = match cached_root(fs, roots, &path) {
+            Some((n, root)) => (root, true, n),
             None => {
                 let bytes = read_file(fs, &path)
                     .ok_or_else(|| format!("unreadable store file {path}"))?;
-                let (root, merkle) = content_root(&bytes);
-                (root, merkle, bytes.len() as u64)
+                let framed = std::str::from_utf8(&bytes).ok().and_then(frame::file_root);
+                let root = framed.unwrap_or_else(|| sha2::sha256(&bytes));
+                (root, framed.is_some(), bytes.len() as u64)
             }
         };
-        acc.push_str(&path);
-        acc.push(' ');
-        acc.push_str(&sha2::hex(&root));
-        acc.push('\n');
-        entries.push(ManifestEntry {
-            path,
-            root,
-            merkle,
-            bytes: len,
-        });
+        acc += &format!("{path} {}\n", sha2::hex(&root));
+        entries.push(ManifestEntry { path, root, merkle, bytes });
     }
     let manifest = Manifest {
         run: frame::fnv1a64(acc.as_bytes()),
@@ -134,6 +109,15 @@ pub(crate) fn write_manifest_with_roots(
         digest: sha2::sha256(text.as_bytes()),
         files: manifest.files.len(),
     })
+}
+
+/// `path`'s cached `(bytes, root)` while the file on disk still holds
+/// exactly that many bytes — the one staleness rule the seal and the audit
+/// share. A missing file or a moved size means the entry describes other
+/// bytes, and the caller reads the file instead.
+fn cached_root(fs: &FileSystem, roots: &RootCache, path: &str) -> Option<(u64, [u8; 32])> {
+    let &(n, root) = roots.get(path)?;
+    (fs.stat(path).ok()?.size == n).then_some((n, root))
 }
 
 /// The campaign ledger as read off disk: the verified-prefix records, and
@@ -152,10 +136,7 @@ pub struct Ledger {
 pub fn read_ledger(fs: &Arc<FileSystem>, dir: &str) -> Option<Ledger> {
     let path = ledger_path(dir);
     let bytes = read_file(fs, &path)?;
-    let mut out = Ledger {
-        chained: true,
-        ..Ledger::default()
-    };
+    let mut out = Ledger { chained: true, ..Ledger::default() };
     let Ok(text) = String::from_utf8(bytes) else {
         out.truncated = true;
         return Some(out);
@@ -171,16 +152,9 @@ pub fn read_ledger(fs: &Arc<FileSystem>, dir: &str) -> Option<Ledger> {
             }
         }
     }
-    for (i, rec) in out.records.iter().enumerate() {
-        let want = if i == 0 {
-            None
-        } else {
-            Some(out.records[i - 1].manifest)
-        };
-        if rec.prev != want {
-            out.chained = false;
-        }
-    }
+    // Each record's `prev` is its predecessor's manifest digest; the first has none.
+    let prevs = std::iter::once(None).chain(out.records.iter().map(|r| Some(r.manifest)));
+    out.chained = out.records.iter().zip(prevs).all(|(rec, want)| rec.prev == want);
     Some(out)
 }
 
@@ -198,20 +172,13 @@ pub(crate) fn append_ledger(
 ) -> Result<(), String> {
     let path = ledger_path(dir);
     let existing = read_ledger(fs, dir).unwrap_or_default();
-    if existing
-        .records
-        .last()
-        .is_some_and(|r| r.manifest == digest)
-    {
+    if existing.records.last().is_some_and(|r| r.manifest == digest) {
         return Ok(());
     }
     let guid = frame::store_guid(&path);
     let mut records = existing.records;
-    records.push(LedgerRecord {
-        run,
-        manifest: digest,
-        prev: None, // recomputed below, like every other record's
-    });
+    // `prev` is recomputed below, like every other record's.
+    records.push(LedgerRecord { run, manifest: digest, prev: None });
     let mut out = String::new();
     let mut chain = frame::CHAIN_START;
     let mut prev: Option<[u8; 32]> = None;
@@ -237,10 +204,9 @@ pub fn seal_run(
     seal_run_with_roots(fs, dir, key, ranks, &RootCache::new())
 }
 
-/// [`seal_run`] with the writers' commit-time root cache (see
-/// [`write_manifest_with_roots`]) — what `finish_all` actually calls, so
-/// sealing costs one directory walk and two small commits instead of a
-/// full re-read of every store byte.
+/// [`seal_run`] with the writers' commit-time root cache
+/// ([`write_manifest_with_roots`]) — what `finish_all` actually calls, so
+/// sealing costs one directory walk and two small commits.
 pub fn seal_run_with_roots(
     fs: &Arc<FileSystem>,
     dir: &str,
@@ -313,11 +279,7 @@ pub struct VerifyReport {
 
 impl VerifyReport {
     fn check(&mut self, path: &str, verdict: FileVerdict, detail: impl Into<String>) {
-        self.checks.push(FileCheck {
-            path: path.to_string(),
-            verdict,
-            detail: detail.into(),
-        });
+        self.checks.push(FileCheck { path: path.to_string(), verdict, detail: detail.into() });
     }
 
     pub fn count(&self, verdict: FileVerdict) -> usize {
@@ -377,63 +339,50 @@ impl fmt::Display for VerifyReport {
     }
 }
 
+/// One file's verdict and the reason the report prints for it.
+type Judged = (FileVerdict, String);
+
+/// `Verified` when `root` is the signed root, else `Tampered`: `what` names
+/// the root in the detail, `lead` opens the mismatch's.
+fn by_root(root: Option<[u8; 32]>, entry: &ManifestEntry, what: &str, lead: &str) -> Judged {
+    if root == Some(entry.root) {
+        (FileVerdict::Verified, format!("{what} matches"))
+    } else {
+        (FileVerdict::Tampered, format!("{lead}{what} differs from the signed root"))
+    }
+}
+
+/// The verdict on an intact single frame whose batch bodies fold to `root`.
+fn by_merkle_root(root: [u8; 32], entry: &ManifestEntry) -> Judged {
+    by_root(Some(root), entry, "Merkle root", "internally consistent but the ")
+}
+
 /// Judge one file's bytes against its manifest entry. Framed files are
 /// judged by recomputed Merkle root — CRC-visible damage is `Damaged` (the
 /// rot tier already handles it), an internally consistent root mismatch is
 /// `Tampered` (a CRC-patched rewrite passes every frame check; only the
 /// signed root catches it). Raw-mode files have no CRCs to tell the two
 /// apart, so any byte change is `Tampered`.
-fn judge(bytes: &[u8], entry: &ManifestEntry) -> (FileVerdict, String) {
+fn judge(bytes: &[u8], entry: &ManifestEntry) -> Judged {
     if !entry.merkle {
-        return if sha2::sha256(bytes) == entry.root {
-            (FileVerdict::Verified, "content hash matches".to_string())
-        } else {
-            (
-                FileVerdict::Tampered,
-                "content hash differs from the signed root".to_string(),
-            )
-        };
+        return by_root(Some(sha2::sha256(bytes)), entry, "content hash", "");
     }
     let Ok(text) = std::str::from_utf8(bytes) else {
-        return (
-            FileVerdict::Damaged,
-            "framed file is no longer valid UTF-8".to_string(),
-        );
+        return (FileVerdict::Damaged, "framed file is no longer valid UTF-8".to_string());
     };
     if frame::is_wal_path(&entry.path) {
         let wal = frame::decode_wal(text, frame::store_guid(&entry.path));
         if wal.truncated {
-            return (
-                FileVerdict::Damaged,
-                "journal tail torn or bit-rotted".to_string(),
-            );
+            return (FileVerdict::Damaged, "journal tail torn or bit-rotted".to_string());
         }
-        return if frame::file_root(text) == Some(entry.root) {
-            (FileVerdict::Verified, "journal root matches".to_string())
-        } else {
-            (
-                FileVerdict::Tampered,
-                "journal root differs from the signed root".to_string(),
-            )
-        };
+        return by_root(frame::file_root(text), entry, "journal root", "");
     }
     match frame::decode(text) {
-        Ok(f) => {
-            if f.batches_corrupt > 0 {
-                (
-                    FileVerdict::Damaged,
-                    format!("{} of {} batches failed CRC", f.batches_corrupt, f.batches_total),
-                )
-            } else if f.computed_root == entry.root {
-                (FileVerdict::Verified, "Merkle root matches".to_string())
-            } else {
-                (
-                    FileVerdict::Tampered,
-                    "internally consistent but the Merkle root differs from the signed root"
-                        .to_string(),
-                )
-            }
-        }
+        Ok(f) if f.batches_corrupt > 0 => (
+            FileVerdict::Damaged,
+            format!("{} of {} batches failed CRC", f.batches_corrupt, f.batches_total),
+        ),
+        Ok(f) => by_merkle_root(f.computed_root, entry),
         Err(frame::FrameError::Quarantine(why)) => {
             (FileVerdict::Damaged, format!("frame damage: {why}"))
         }
@@ -448,7 +397,21 @@ fn judge(bytes: &[u8], entry: &ManifestEntry) -> (FileVerdict, String) {
 /// in place; a file the merge (or an earlier verify) already renamed to
 /// its quarantined name is judged from the quarantined bytes, so re-running
 /// verify after quarantine returns the same verdict — sticky, idempotent.
-fn check_entry(fs: &Arc<FileSystem>, entry: &ManifestEntry, report: &mut VerifyReport) {
+/// A live single frame with an entry in `roots` at its on-disk size is
+/// judged from that root, unread; journal generations and raw-mode files
+/// are always read.
+fn check_entry(
+    fs: &Arc<FileSystem>,
+    entry: &ManifestEntry,
+    roots: &RootCache,
+    report: &mut VerifyReport,
+) {
+    let cached = cached_root(fs, roots, &entry.path)
+        .filter(|_| entry.merkle && !frame::is_wal_path(&entry.path));
+    if let Some((_, root)) = cached {
+        let (verdict, detail) = by_merkle_root(root, entry);
+        return report.check(&entry.path, verdict, detail);
+    }
     let Some((bytes, quarantined)) = copies(fs, &entry.path).next() else {
         let detail = "listed in the manifest but absent on disk";
         return report.check(&entry.path, FileVerdict::Missing, detail);
@@ -465,11 +428,20 @@ fn check_entry(fs: &Arc<FileSystem>, entry: &ManifestEntry, report: &mut VerifyR
 /// verifies as all-`Unsigned` (and merges exactly as before), a tampered
 /// one comes back with file-level blast radius.
 pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyReport {
+    verify_directory_with_roots(fs, dir, key, &RootCache::new())
+}
+
+/// [`verify_directory`] judging from the roots the same recovery's scrub
+/// decoded intact ([`crate::scrub::scrub_directory_with_roots`]): the same
+/// report, without decoding those files again.
+pub(crate) fn verify_directory_with_roots(
+    fs: &Arc<FileSystem>,
+    dir: &str,
+    key: &str,
+    roots: &RootCache,
+) -> VerifyReport {
     let dir = dir.trim_end_matches('/');
-    let mut report = VerifyReport {
-        dir: dir.to_string(),
-        ..VerifyReport::default()
-    };
+    let mut report = VerifyReport { dir: dir.to_string(), ..VerifyReport::default() };
     let mpath = manifest_path(dir);
     let disk = fs.walk_files(dir).unwrap_or_default();
     // What a manifest could list: no tmp, no quarantined copy, no trust
@@ -509,12 +481,9 @@ pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyRep
 
     let mac = sha2::hex(&sha2::hmac_sha256(key.as_bytes(), &bytes[..pm.signed_len]));
     if pm.alg != "hmac-sha256" || mac != pm.hmac {
-        let detail = if pm.keyid != key_id(key) {
-            format!(
-                "manifest signed under keyid {} but verified with keyid {}",
-                pm.keyid,
-                key_id(key)
-            )
+        let given = key_id(key);
+        let detail = if pm.keyid != given {
+            format!("manifest signed under keyid {} but verified with keyid {given}", pm.keyid)
         } else {
             "signature mismatch: manifest edited after signing".to_string()
         };
@@ -523,7 +492,7 @@ pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyRep
     report.manifest_ok = true;
 
     for entry in &pm.manifest.files {
-        check_entry(fs, entry, &mut report);
+        check_entry(fs, entry, roots, &mut report);
     }
     // Files on disk the signed manifest never listed: planted after
     // signing. (A quarantined copy of a listed file is that file's sticky
@@ -534,8 +503,7 @@ pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyRep
         if name.state == State::Tmp || name.is_trust_artifact() || listed.contains(name.live) {
             continue;
         }
-        let detail = "present on disk but not in the signed manifest";
-        report.check(p, FileVerdict::Tampered, detail);
+        report.check(p, FileVerdict::Tampered, "present on disk but not in the signed manifest");
     }
 
     let digest = sha2::sha256(&bytes);
@@ -715,6 +683,88 @@ mod tests {
         seal_run_with_roots(&fs, "/provio", KEY, &[], &stale).unwrap();
         assert_eq!(get(&fs, "/provio/MANIFEST.provio"), slow);
         assert!(verify_directory(&fs, "/provio", KEY).is_trusted());
+    }
+
+    /// `path` at its on-disk size with a root no file has: judged from the
+    /// map, it could only come out `Tampered`.
+    fn poison(fs: &Arc<FileSystem>, roots: &mut RootCache, path: &str) {
+        roots.insert(path.to_string(), (get(fs, path).len() as u64, [0xAB; 32]));
+    }
+
+    fn verdict_of(report: &VerifyReport, path: &str) -> (FileVerdict, String) {
+        let check = report.checks.iter().find(|c| c.path == path).expect("judged");
+        (check.verdict, check.detail.clone())
+    }
+
+    #[test]
+    fn cached_roots_judge_like_a_decode_and_stale_ones_are_decoded() {
+        let fs = fs();
+        sealed_run(&fs);
+        let snap = "/provio/prov_p0.nt";
+        let bytes = get(&fs, snap);
+        let root = frame::file_root(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        let decoded = verify_directory(&fs, "/provio", KEY);
+        assert!(decoded.is_trusted(), "{decoded}");
+        // The true root at the true size: the same report.
+        let mut roots = RootCache::from([(snap.to_string(), (bytes.len() as u64, root))]);
+        assert_eq!(verify_directory_with_roots(&fs, "/provio", KEY, &roots), decoded);
+        // A foreign root under a size the file no longer has is stale:
+        // ignored, and the file is decoded.
+        roots.insert(snap.to_string(), (bytes.len() as u64 + 1, [0xAB; 32]));
+        assert_eq!(verify_directory_with_roots(&fs, "/provio", KEY, &roots), decoded);
+        // At the file's size the entry is taken as it is, and a root that
+        // differs from the signed one reads exactly as a decoded
+        // CRC-patched rewrite does.
+        poison(&fs, &mut roots, snap);
+        let cached = verify_directory_with_roots(&fs, "/provio", KEY, &roots);
+        let (forged, _) = frame::encode(
+            FrameKind::Snapshot,
+            frame::store_guid(snap),
+            0,
+            frame::CHAIN_START,
+            "<urn:evil> <urn:p> <urn:evil> .\n",
+            1,
+        );
+        put(&fs, snap, forged.as_bytes());
+        let rewritten = verify_directory(&fs, "/provio", KEY);
+        assert_eq!(verdict_of(&cached, snap).0, FileVerdict::Tampered);
+        assert_eq!(verdict_of(&cached, snap), verdict_of(&rewritten, snap));
+        assert_eq!(cached.to_string(), rewritten.to_string());
+    }
+
+    #[test]
+    fn quarantined_copies_journals_and_raw_files_are_never_judged_from_roots() {
+        let fs = fs();
+        sealed_run(&fs);
+        let journal = "/provio/prov_p0.nt.w000001.nt";
+        let (chunk, _) = frame::encode(
+            FrameKind::Wal,
+            frame::store_guid(journal),
+            0,
+            frame::CHAIN_START,
+            "<urn:a> <urn:p> <urn:d> .\n",
+            usize::MAX,
+        );
+        put(&fs, journal, chunk.as_bytes());
+        seal_run(&fs, "/provio", KEY, &[]).unwrap();
+        // The snapshot moves aside; a root is cached for its live name (now
+        // gone), for its quarantined name, for the journal generation and
+        // for the raw file — each at the size of the bytes on disk.
+        let snap = "/provio/prov_p0.nt";
+        let raw = "/provio/prov_p1.nt";
+        let mut roots = RootCache::new();
+        poison(&fs, &mut roots, snap);
+        fs.rename(snap, &names::quarantine_of(snap), SimTime::ZERO).unwrap();
+        for path in [&names::quarantine_of(snap), journal, raw] {
+            poison(&fs, &mut roots, path);
+        }
+        let report = verify_directory_with_roots(&fs, "/provio", KEY, &roots);
+        assert_eq!(report, verify_directory(&fs, "/provio", KEY));
+        assert!(report.is_trusted(), "{report}");
+        let verified = |detail: &str| (FileVerdict::Verified, detail.to_string());
+        assert_eq!(verdict_of(&report, snap), verified("Merkle root matches (quarantined copy)"));
+        assert_eq!(verdict_of(&report, journal), verified("journal root matches"));
+        assert_eq!(verdict_of(&report, raw), verified("content hash matches"));
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //! bytes and file names, issue exactly the mutating file-system operations
 //! in exactly the order, merge exactly the graph and print exactly the four
 //! reports it did when the values below were recorded (at the commit before
-//! the read path was restructured). A second pass must change nothing.
+//! the read path was restructured). The tiers composed by hand must do
+//! exactly the same, and a second pass must change nothing.
 //!
-//! Beside it, how often recovery reads: every tier reads each file it needs
-//! once, counted by a zero-delay fault rule on `read_at`.
+//! Beside it, how often recovery reads: scrub and merge read each file
+//! they need once, and verify judges what scrub decoded from the roots it
+//! left, counted by a zero-delay fault rule on `read_at`.
 
 mod common;
 
 use common::{durable_config, graph_digest, tracked_rank, Image, DIR, KEY, RANKS, SEED};
-use prov_io::core::{recover_all, scrub_directory, ProvenanceStore, RdfFormat, TrackerRegistry};
+use prov_io::core::{
+    merge_directory, quarantine_tampered, recover_all, scrub_directory, verify_directory,
+    ProvenanceStore, RdfFormat, RecoveryOutcome, TrackerRegistry,
+};
 use prov_io::hpcfs::{
     CorruptKind, FaultOp, FaultPlan, FaultRule, FileSystem, LustreConfig, OpTrace, TamperKind,
 };
@@ -142,11 +147,29 @@ fn damage_over_tolerance(fs: &Arc<FileSystem>) {
         .expect("deleted");
 }
 
-/// One `recover_all` under a fresh op trace, as the text the tests pin.
-fn recovery(fs: &Arc<FileSystem>) -> (Image, String) {
+/// The keyed `recover_all`, which hands the roots scrub decoded to verify.
+fn keyed(fs: &Arc<FileSystem>) -> RecoveryOutcome {
+    recover_all(fs, DIR, Some(KEY))
+}
+
+/// The same tiers in the same order, called one by one (as the benchmark's
+/// traced run does): nothing passes from one to the next but the disk.
+fn by_hand(fs: &Arc<FileSystem>) -> RecoveryOutcome {
+    let scrub = scrub_directory(fs, DIR);
+    let (graph, merge) = merge_directory(fs, DIR);
+    let audit = verify_directory(fs, DIR, KEY);
+    let quarantined = quarantine_tampered(fs, &audit);
+    RecoveryOutcome { graph, scrub, merge, verify: Some(audit), quarantined }
+}
+
+/// A whole recovery of `DIR`: [`keyed`] or [`by_hand`].
+type Recover = fn(&Arc<FileSystem>) -> RecoveryOutcome;
+
+/// One recovery under a fresh op trace, as the text the tests pin.
+fn recovery(fs: &Arc<FileSystem>, recover: Recover) -> (Image, String) {
     let trace = OpTrace::new();
     fs.attach_tracer(Arc::clone(&trace));
-    let out = recover_all(fs, DIR, Some(KEY));
+    let out = recover(fs);
     fs.detach_tracer();
     let image = Image::of(fs, &trace);
     let text = format!(
@@ -165,15 +188,17 @@ fn recovery(fs: &Arc<FileSystem>) -> (Image, String) {
     (image, text)
 }
 
-/// Recover the scenario twice from scratch (the runs must agree), compare
-/// with the recorded text, then recover the recovered directory again: no
-/// byte moves and no mutating operation is issued.
+/// Recover the scenario from scratch with `recover_all` and again with the
+/// tiers composed by hand (bytes, operations, graph and reports must agree),
+/// compare with the recorded text, then recover the recovered directory
+/// again: no byte moves and no mutating operation is issued.
 fn assert_frozen(scenario: impl Fn() -> Arc<FileSystem>, recorded: &str) {
     let fs = scenario();
-    let (image, text) = recovery(&fs);
-    assert!(text == recovery(&scenario()).1, "two runs, two results");
+    let (image, text) = recovery(&fs, keyed);
+    let (_, composed) = recovery(&scenario(), by_hand);
+    assert_eq!(text, composed, "(left: recover_all, right: the tiers by hand)");
     assert_eq!(text, recorded, "(left: this build, right: recorded)");
-    let (again, _) = recovery(&fs);
+    let (again, _) = recovery(&fs, keyed);
     assert!(again.files == image.files, "a second pass moved bytes");
     assert_eq!(again.ops, Vec::new(), "a second pass mutated the directory");
 }
@@ -255,23 +280,31 @@ fn reads(fs: &Arc<FileSystem>, work: impl FnOnce()) -> u64 {
 }
 
 #[test]
-fn each_tier_reads_each_file_once() {
+fn keyed_recovery_reads_each_file_at_most_twice() {
     // Ten files: four snapshots, their four single-member parity files,
     // the manifest and the ledger. Scrub reads every parity file and every
-    // member (8), merge every snapshot (4), verify the ledger, the manifest
-    // and the eight files it lists (10); with nothing tampered, the
+    // member (8), merge every snapshot (4), verify the ledger and the
+    // manifest (2): the eight files they list are judged from the roots
+    // scrub's full decodes left behind. With nothing tampered, the
     // quarantine sweep has nothing to ask scrub about (0).
     let fs = capture(false);
     assert_eq!(fs.walk_files(DIR).expect("store directory").len(), 10);
     let clean = reads(&fs, || {
-        assert!(recover_all(&fs, DIR, Some(KEY)).report().is_trusted());
+        assert!(keyed(&fs).report().is_trusted());
     });
-    assert_eq!(clean, 22, "clean keyed recover_all");
+    assert_eq!(clean, 14, "clean keyed recover_all");
+    // On its own, verify has no roots to go on: the ledger, the manifest
+    // and the eight files they list.
+    let alone = reads(&fs, || {
+        assert!(verify_directory(&fs, DIR, KEY).is_trusted());
+    });
+    assert_eq!(alone, 10, "standalone verify_directory");
 
-    // One rotted member costs no read more than a clean pass (8 and 22
-    // when this was written; 10 and 32 before): the bytes that classify
-    // it also count its failed batches and answer the superseded check,
-    // and the repair writes back what it reconstructed without reading.
+    // One rotted member costs no read more than a clean pass: the bytes
+    // that classify it also count its failed batches and answer the
+    // superseded check, the repair writes back what it reconstructed
+    // without reading, and verify takes the repaired file's root from the
+    // reconstruction.
     rot(&fs, &snapshot(0), 11);
     let scrub_only = reads(&fs, || {
         assert_eq!(scrub_directory(&fs, DIR).repaired_files, vec![snapshot(0)]);
@@ -283,10 +316,10 @@ fn each_tier_reads_each_file_once() {
 
     rot(&fs, &snapshot(0), 11);
     let repairing = reads(&fs, || {
-        assert!(recover_all(&fs, DIR, Some(KEY)).report().is_trusted());
+        assert!(keyed(&fs).report().is_trusted());
     });
     assert!(
-        repairing <= 23,
+        repairing <= 14,
         "recover_all with one rotted member read {repairing} times"
     );
 }
