@@ -3,12 +3,29 @@
 //! The paper answers every provenance need with a few SPARQL statements
 //! (Table 5). This engine embeds the `provio-sparql` evaluator and adds the
 //! backward-lineage derivation DASSA's use case walks: a data product is
-//! derived from every object its producing program read.
+//! derived from every object its producing program read. Every canned
+//! query that follows edges is one property path handed to that
+//! evaluator's walk from a bound start.
 
 use provio_model::{ontology, EntityClass, Guid, Relation};
-use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Literal, Subject, Term, TermId, Triple};
-use provio_sparql::{Query, QueryError, Solutions};
-use std::collections::{BTreeMap, VecDeque};
+use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Literal, Term, TermId, Triple};
+use provio_sparql::path::eval_path_from;
+use provio_sparql::{PathExpr, Query, QueryError, Solutions};
+use std::collections::BTreeMap;
+
+/// A path of one predicate.
+fn edge(iri: &str) -> PathExpr {
+    PathExpr::Iri(Iri::new(iri))
+}
+
+/// `prov:wasDerivedFrom+`, or with `inverse` `(^prov:wasDerivedFrom)+`.
+fn derivations(inverse: bool) -> PathExpr {
+    let mut step = edge(&Relation::WasDerivedFrom.iri());
+    if inverse {
+        step = PathExpr::Inverse(Box::new(step));
+    }
+    PathExpr::OneOrMore(Box::new(step))
+}
 
 /// Query engine over a (merged) provenance graph.
 pub struct ProvQueryEngine {
@@ -43,18 +60,22 @@ impl ProvQueryEngine {
         Query::parse(query)?.execute_with_budget(&self.graph, self.budget)
     }
 
+    /// The GUID nodes `path` reaches from `from`, in the order the SPARQL
+    /// path evaluator first sees them — breadth-first, nearest first — with
+    /// no step budget. Other nodes are walked through, not returned.
+    fn walk(&self, path: PathExpr, from: Term) -> Vec<Guid> {
+        eval_path_from(&self.graph, &path, &from)
+            .iter()
+            .filter_map(|t| t.as_iri().and_then(Guid::from_iri))
+            .collect()
+    }
+
     /// Find the entity whose `rdfs:label` is exactly `label`.
     pub fn entity_by_label(&self, label: &str) -> Option<Guid> {
-        self.graph
-            .subjects_with(
-                &Iri::new(ns::RDFS_LABEL),
-                &Term::Literal(Literal::plain(label)),
-            )
+        let inverse = PathExpr::Inverse(Box::new(edge(ns::RDFS_LABEL)));
+        self.walk(inverse, Term::Literal(Literal::plain(label)))
             .into_iter()
-            .find_map(|s| match s {
-                Subject::Iri(i) => Guid::from_iri(&i),
-                Subject::Blank(_) => None,
-            })
+            .next()
     }
 
     /// Saturate the graph with `prov:wasDerivedFrom` edges between data
@@ -130,47 +151,10 @@ impl ProvQueryEngine {
         self.graph.add_product(derived, groups)
     }
 
-    /// Transitive backward lineage of an entity (BFS over
-    /// `prov:wasDerivedFrom`), nearest first.
+    /// Transitive backward lineage of an entity (`wasDerivedFrom+`),
+    /// nearest first.
     pub fn backward_lineage(&self, entity: &Guid) -> Vec<Guid> {
-        self.derivation_walk(entity, |g, derived, cur| {
-            g.match_ids(Some(Some(cur)), Some(Some(derived)), None)
-                .into_iter()
-                .map(|(_, _, o)| o)
-                .collect()
-        })
-    }
-
-    /// Breadth-first over `prov:wasDerivedFrom` from `entity`, on term
-    /// ids; `step(graph, derived, node)` lists the nodes one edge away. A
-    /// `Guid` is built only for a node that is returned.
-    fn derivation_walk(
-        &self,
-        entity: &Guid,
-        step: impl Fn(&Graph, TermId, TermId) -> Vec<TermId>,
-    ) -> Vec<Guid> {
-        let g = &self.graph;
-        let (Some(derived), Some(start)) = (
-            g.term_id(&Term::iri(Relation::WasDerivedFrom.iri())),
-            g.term_id(&Term::Iri(entity.to_iri())),
-        ) else {
-            return Vec::new();
-        };
-        let mut seen: IdSet<TermId> = IdSet::default();
-        let mut queue = VecDeque::from([start]);
-        let mut out = Vec::new();
-        while let Some(cur) = queue.pop_front() {
-            for next in step(g, derived, cur) {
-                if !seen.insert(next) {
-                    continue;
-                }
-                if let Some(guid) = g.term(next).as_iri().and_then(Guid::from_iri) {
-                    out.push(guid);
-                    queue.push_back(next);
-                }
-            }
-        }
-        out
+        self.walk(derivations(false), Term::Iri(entity.to_iri()))
     }
 
     /// Provenance reduction (the database-style optimization the paper
@@ -311,41 +295,30 @@ impl ProvQueryEngine {
     /// (impact analysis — "which products must be regenerated if this
     /// input was bad?").
     pub fn forward_lineage(&self, entity: &Guid) -> Vec<Guid> {
-        self.derivation_walk(entity, |g, derived, cur| {
-            g.match_ids(None, Some(Some(derived)), Some(Some(cur)))
-                .into_iter()
-                .map(|(s, _, _)| s)
-                .collect()
-        })
+        self.walk(derivations(true), Term::Iri(entity.to_iri()))
     }
 
     /// Programs an entity is attributed to (Table 5 q1).
     pub fn programs_of(&self, entity: &Guid) -> Vec<Guid> {
-        self.related(entity, Relation::WasAttributedTo)
+        let path = edge(&Relation::WasAttributedTo.iri());
+        self.walk(path, Term::Iri(entity.to_iri()))
     }
 
     /// Threads a program acted on behalf of (Table 5 q8).
     pub fn threads_of(&self, program: &Guid) -> Vec<Guid> {
-        self.related(program, Relation::ActedOnBehalfOf)
+        let path = edge(&Relation::ActedOnBehalfOf.iri());
+        self.walk(path, Term::Iri(program.to_iri()))
     }
 
     /// Users a thread acted on behalf of (Table 5 q9).
     pub fn users_of(&self, thread: &Guid) -> Vec<Guid> {
-        self.related(thread, Relation::ActedOnBehalfOf)
-    }
-
-    fn related(&self, subject: &Guid, rel: Relation) -> Vec<Guid> {
-        self.graph
-            .objects(&subject.to_subject(), &Iri::new(rel.iri()))
-            .into_iter()
-            .filter_map(|t| t.as_iri().and_then(Guid::from_iri))
-            .collect()
+        self.threads_of(thread)
     }
 
     /// Node label.
     pub fn label_of(&self, id: &Guid) -> Option<String> {
-        self.graph
-            .objects(&id.to_subject(), &Iri::new(ns::RDFS_LABEL))
+        let from = Term::Iri(id.to_iri());
+        eval_path_from(&self.graph, &edge(ns::RDFS_LABEL), &from)
             .into_iter()
             .find_map(|t| t.as_literal().map(|l| l.lexical().to_string()))
     }
@@ -362,7 +335,6 @@ impl ProvQueryEngine {
         v.sort_by(|a, b| a.1.cmp(&b.1));
         v
     }
-
 }
 
 #[cfg(test)]
@@ -742,6 +714,26 @@ mod tests {
         for g in &forward {
             assert!(eng.backward_lineage(g).contains(&raw));
         }
+    }
+
+    #[test]
+    fn lineage_walks_through_a_node_that_is_not_a_guid() {
+        let ttl = "@prefix prov: <http://www.w3.org/ns/prov#> .\n\
+                   <urn:provio:obj/file/a> prov:wasDerivedFrom <urn:x:mid> .\n\
+                   <urn:x:mid> prov:wasDerivedFrom <urn:provio:obj/file/b> .\n";
+        let eng = ProvQueryEngine::new(turtle::parse(ttl).unwrap().0);
+        let guid = |s: &str| Guid::from_iri(&Iri::new(format!("urn:provio:obj/file/{s}"))).unwrap();
+        let (a, b) = (guid("a"), guid("b"));
+        // The walks agree with the GUID-filtered SPARQL paths.
+        let guids = |query: String| -> Vec<Guid> {
+            let rows = eng.sparql(&query).unwrap().rows;
+            rows.iter().filter_map(|r| r["x"].as_iri().and_then(Guid::from_iri)).collect()
+        };
+        let backward = guids(format!("SELECT ?x WHERE {{ <{a}> prov:wasDerivedFrom+ ?x . }}"));
+        let forward = guids(format!("SELECT ?x WHERE {{ <{b}> ^prov:wasDerivedFrom+ ?x . }}"));
+        let walks = (eng.backward_lineage(&a), eng.forward_lineage(&b));
+        assert_eq!(walks, (backward, forward));
+        assert_eq!(walks, (vec![b], vec![a]));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! paper's lineage figures.
 
 use provio_model::{ontology, Guid, NodeClass, Relation};
-use provio_rdf::{Graph, Iri, Subject, Term};
+use provio_rdf::{Graph, Iri, Subject};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -108,12 +108,6 @@ pub fn to_dot_lineage(graph: &Graph, focus: &Guid, lineage: &[Guid]) -> String {
     let mut highlight: HashSet<Guid> = lineage.iter().cloned().collect();
     highlight.insert(focus.clone());
     to_dot(graph, &highlight)
-}
-
-// Re-export used by to_dot; keeps the Term import honest.
-#[allow(dead_code)]
-fn _object_is_term(t: &Term) -> bool {
-    t.as_iri().is_some()
 }
 
 #[cfg(test)]

@@ -224,10 +224,12 @@ enum End {
     Var(usize),
 }
 
-/// A triple pattern, resolved.
+/// A triple pattern, resolved: its path, and the inverse a bound object
+/// walks.
 struct Step {
     subject: End,
     path: IdPath,
+    inverse: IdPath,
     object: End,
 }
 
@@ -263,7 +265,8 @@ impl Query {
                     steps.push(Step {
                         subject: pattern_end(subject, &mut vars, &mut terms),
                         object: pattern_end(object, &mut vars, &mut terms),
-                        path: IdPath::resolve(path, graph),
+                        path: IdPath::resolve(path, graph, false),
+                        inverse: IdPath::resolve(path, graph, true),
                     });
                 }
                 Pattern::Filter(e) => filters.push(e),
@@ -605,7 +608,6 @@ fn extend(
     }
 
     // Property path.
-    let inverse = IdPath::Inverse(Box::new(step.path.clone()));
     for row in rows.iter() {
         match (value(row, step.subject), value(row, step.object)) {
             (Some(s), o) => {
@@ -619,7 +621,7 @@ fn extend(
             }
             (None, Some(o)) => {
                 // Evaluate the inverse path from the object.
-                for reached in path::reach(terms, &inverse, o, budget)? {
+                for reached in path::reach(terms, &step.inverse, o, budget)? {
                     budget.charge(1)?;
                     bind(row, reached, o);
                 }
@@ -1076,6 +1078,31 @@ mod tests {
         ));
         let full = q.execute_with_budget(&g, u64::MAX).unwrap();
         assert_eq!(full.len(), 20 * 20); // cycles make every node reach all
+    }
+
+    #[test]
+    fn an_object_bound_path_walks_only_what_reaches_the_object() {
+        // A long chain c0 → … → c200 beside a short one r → m → leaf: a
+        // walk back from `leaf` never meets the long chain.
+        let mut g = Graph::new();
+        let edges = (0..200)
+            .map(|i| (format!("c{i}"), format!("c{}", i + 1)))
+            .chain([("r", "m"), ("m", "leaf")].map(|(s, o)| (s.into(), o.into())));
+        for (s, o) in edges {
+            g.insert(&provio_rdf::Triple::new(
+                provio_rdf::Subject::iri(format!("urn:{s}")),
+                provio_rdf::Iri::new("urn:d"),
+                Term::iri(format!("urn:{o}")),
+            ));
+        }
+        for (text, budget, rows) in [
+            ("SELECT ?x WHERE { ?x <urn:d>+ <urn:leaf> . }", 16, 2),
+            ("SELECT ?x WHERE { ?x <urn:d>/<urn:d> <urn:leaf> . }", 8, 1),
+        ] {
+            let q = Query::parse(text).unwrap();
+            let got = q.execute_with_budget(&g, budget);
+            assert_eq!(got.map(|s| s.len()), Ok(rows), "{text}");
+        }
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //! single query.
 //!
 //! A path is first resolved against the graph into an [`IdPath`] — each
-//! predicate looked up once — and then evaluated over [`TermId`]s alone:
-//! [`pairs`] computes the whole `(subject, object)` relation bottom-up,
-//! [`reach`] walks from one start node without materializing the relation
-//! (what a pattern with a bound end uses). Closures are breadth-first with
-//! an id set per walk; results come out in first-seen order, so the same
-//! graph and path give the same sequence every time. No term's text is
-//! read except to tell whether a start node is a literal, which has no
-//! outgoing edge.
+//! predicate looked up once, every inverse pushed down onto the predicates
+//! beneath it (`^(a/b)` = `^b/^a`, `^(a|b)` = `^a|^b`, `^(a+)` = `(^a)+`,
+//! `^(a*)` = `(^a)*`, `^^a` = `a`), so an inverse only ever wraps a
+//! predicate — and then evaluated over [`TermId`]s alone: [`pairs`]
+//! computes the whole `(subject, object)` relation bottom-up, [`reach`]
+//! walks from one start node without materializing the relation (what a
+//! pattern with a bound end uses; a bound object walks the resolved
+//! inverse). Closures are breadth-first with an id set per walk; results
+//! come out in first-seen order, so the same graph and path give the same
+//! sequence every time. No term's text is read except to tell whether a
+//! start node is a literal, which has no outgoing edge.
 //!
 //! Every index lookup costs one budget step plus one per match, every
 //! composed or walked edge one more.
@@ -24,12 +27,14 @@ use crate::QueryError;
 use provio_rdf::{Graph, IdMap, IdSet, Term, TermId};
 use std::collections::VecDeque;
 
-/// A [`PathExpr`] with its predicates resolved to ids of one graph.
-#[derive(Debug, Clone)]
+/// A [`PathExpr`] with its predicates resolved to ids of one graph and its
+/// inverses pushed down onto them. A predicate is `None` when the graph
+/// has no such term, so no edge either.
+#[derive(Debug)]
 pub(crate) enum IdPath {
-    /// `None`: the graph has no such term, so no edge either.
     Pred(Option<TermId>),
-    Inverse(Box<IdPath>),
+    /// `^p`: the predicate's edges walked from object to subject.
+    Inverse(Option<TermId>),
     Sequence(Box<IdPath>, Box<IdPath>),
     Alternative(Box<IdPath>, Box<IdPath>),
     OneOrMore(Box<IdPath>),
@@ -37,11 +42,20 @@ pub(crate) enum IdPath {
 }
 
 impl IdPath {
-    pub(crate) fn resolve(path: &PathExpr, graph: &Graph) -> IdPath {
-        let sub = |p: &PathExpr| Box::new(IdPath::resolve(p, graph));
+    /// `path` resolved against `graph`; with `inverse`, `^path`.
+    pub(crate) fn resolve(path: &PathExpr, graph: &Graph, inverse: bool) -> IdPath {
+        let sub = |p: &PathExpr| Box::new(IdPath::resolve(p, graph, inverse));
         match path {
-            PathExpr::Iri(p) => IdPath::Pred(graph.term_id(&Term::Iri(p.clone()))),
-            PathExpr::Inverse(a) => IdPath::Inverse(sub(a)),
+            PathExpr::Iri(p) => {
+                let id = graph.term_id(&Term::Iri(p.clone()));
+                if inverse {
+                    IdPath::Inverse(id)
+                } else {
+                    IdPath::Pred(id)
+                }
+            }
+            PathExpr::Inverse(a) => IdPath::resolve(a, graph, !inverse),
+            PathExpr::Sequence(a, b) if inverse => IdPath::Sequence(sub(b), sub(a)),
             PathExpr::Sequence(a, b) => IdPath::Sequence(sub(a), sub(b)),
             PathExpr::Alternative(a, b) => IdPath::Alternative(sub(a), sub(b)),
             PathExpr::OneOrMore(a) => IdPath::OneOrMore(sub(a)),
@@ -55,7 +69,7 @@ impl IdPath {
 /// `ZeroOrMore` contributes the identity pair for every node that occurs in
 /// the graph (SPARQL's semantics restrict to terms in the graph).
 pub fn eval_path(graph: &Graph, path: &PathExpr) -> Vec<(Term, Term)> {
-    pairs(graph, &IdPath::resolve(path, graph), &mut Budget::unlimited())
+    pairs(graph, &IdPath::resolve(path, graph, false), &mut Budget::unlimited())
         .expect("an unlimited budget cannot be exhausted")
         .into_iter()
         .map(|(s, o)| (graph.term(s).clone(), graph.term(o).clone()))
@@ -69,7 +83,7 @@ pub fn eval_path_from(graph: &Graph, path: &PathExpr, start: &Term) -> Vec<Term>
     let start = terms.id(start);
     reach(
         &terms,
-        &IdPath::resolve(path, graph),
+        &IdPath::resolve(path, graph, false),
         start,
         &mut Budget::unlimited(),
     )
@@ -110,19 +124,16 @@ pub(crate) fn pairs(
     budget: &mut Budget,
 ) -> Result<Vec<(TermId, TermId)>, QueryError> {
     match path {
-        IdPath::Pred(p) => {
+        IdPath::Pred(p) | IdPath::Inverse(p) => {
+            let inverse = matches!(path, IdPath::Inverse(_));
             let pairs: Vec<(TermId, TermId)> = graph
                 .match_ids(None, Some(*p), None)
                 .into_iter()
-                .map(|(s, _, o)| (s, o))
+                .map(|(s, _, o)| if inverse { (o, s) } else { (s, o) })
                 .collect();
             budget.charge(pairs.len() as u64 + 1)?;
             Ok(pairs)
         }
-        IdPath::Inverse(inner) => Ok(pairs(graph, inner, budget)?
-            .into_iter()
-            .map(|(s, o)| (o, s))
-            .collect()),
         IdPath::Sequence(a, b) => {
             let left = pairs(graph, a, budget)?;
             let right = pairs(graph, b, budget)?;
@@ -203,36 +214,21 @@ pub(crate) fn reach(
             }
             Ok(out.order)
         }
-        IdPath::Inverse(inner) => match inner.as_ref() {
-            IdPath::Pred(p) => {
-                let subjects: Vec<TermId> = terms
-                    .graph
-                    .match_ids(None, Some(*p), Some(terms.in_graph(start)))
-                    .into_iter()
-                    .map(|(s, _, _)| s)
-                    .collect();
-                budget.charge(subjects.len() as u64 + 1)?;
-                Ok(subjects)
-            }
-            // General case: fall back to the full relation.
-            other => Ok(pairs(terms.graph, other, budget)?
-                .into_iter()
-                .filter(|&(_, o)| o == start)
-                .map(|(s, _)| s)
-                .collect()),
-        },
-        IdPath::Pred(p) => {
-            if matches!(terms.term(start), Term::Literal(_)) {
+        IdPath::Pred(p) | IdPath::Inverse(p) => {
+            let inverse = matches!(path, IdPath::Inverse(_));
+            if !inverse && matches!(terms.term(start), Term::Literal(_)) {
                 return Ok(Vec::new()); // literals have no outgoing edges
             }
-            let objects: Vec<TermId> = terms
+            let at = Some(terms.in_graph(start));
+            let (s, o) = if inverse { (None, at) } else { (at, None) };
+            let ends: Vec<TermId> = terms
                 .graph
-                .match_ids(Some(terms.in_graph(start)), Some(*p), None)
+                .match_ids(s, Some(*p), o)
                 .into_iter()
-                .map(|(_, _, o)| o)
+                .map(|(s, _, o)| if inverse { s } else { o })
                 .collect();
-            budget.charge(objects.len() as u64 + 1)?;
-            Ok(objects)
+            budget.charge(ends.len() as u64 + 1)?;
+            Ok(ends)
         }
     }
 }

@@ -195,6 +195,22 @@ fn a_blank_node_in_a_query_is_refused_as_one() {
 }
 
 #[test]
+fn a_zero_length_path_matches_an_unseen_constant_from_either_end() {
+    let mut graph = Graph::new();
+    graph.insert(&Triple::new(Subject::iri("urn:a"), Iri::new("urn:d"), Term::iri("urn:b")));
+    // SPARQL 1.1: `X p* X` holds for a constant X whether or not the graph
+    // has it, on whichever side of the path it is written.
+    for query in [
+        "SELECT ?x WHERE { <urn:unseen> <urn:d>* ?x . }",
+        "SELECT ?x WHERE { ?x <urn:d>* <urn:unseen> . }",
+    ] {
+        let rows = Query::parse(query).unwrap().execute(&graph).rows;
+        assert_eq!(rows.len(), 1, "{query}");
+        assert_eq!(rows[0]["x"], Term::iri("urn:unseen"), "{query}");
+    }
+}
+
+#[test]
 fn comparisons_written_tight_are_not_iris() {
     for filter in ["?v<0", "?v <0 && ?v> -9", "?v<=0", "?v>=0 && ?v<9", "?v < 10 || ?v > <urn:a>"] {
         let query = format!("SELECT ?v WHERE {{ ?x <urn:p> ?v . FILTER({filter}) }}");

@@ -30,8 +30,9 @@
 //!
 //! One restriction on the generator: a constant at either end of a
 //! *property path* is always a node of the graph. SPARQL lets a zero-length
-//! path match a term the graph has never seen; the engine does so only when
-//! that term is the subject, and the oracle does not pin that.
+//! path match a term the graph has never seen, and the engine does so from
+//! either end; the reference's zero-length relation is the graph's nodes
+//! only, so it cannot judge that case (`front_end.rs` pins it).
 //!
 //! Case count: `PROVIO_ORACLE_CASES` (default 256); CI runs 4096.
 
