@@ -52,7 +52,7 @@
 //! (`scrub::tests`, `verify::tests`); `frame::tests` holds the property
 //! that no line parser here panics on mutated lines.
 
-use crate::frame::{self, FrameKind};
+use crate::frame::{self, FrameKind, FramedFile};
 use std::collections::HashMap;
 
 /// One byte range covered by a parity group: `check` pins the member's
@@ -90,23 +90,33 @@ pub(crate) enum MemberCheck {
     Root([u8; 32]),
 }
 
-/// Verify candidate member bytes against the recorded check. Root members
-/// fully decode the candidate frame: the batch bodies must fold to the
-/// recorded Merkle root, the footer must claim that same root, every
+/// Verify candidate member bytes against the recorded check: `Some` when
+/// they match, holding the frame a root check decoded to judge them. Root
+/// members fully decode the candidate frame: the batch bodies must fold to
+/// the recorded Merkle root, the footer must claim that same root, every
 /// batch must verify, and the header must carry the member's store GUID —
 /// between the root (bodies + footer) and the footer's chain field (a CRC
 /// of the header line, enforced by [`frame::decode`]), rot anywhere in
 /// the frame fails the comparison, exactly as the old whole-file CRC did.
-pub(crate) fn check_matches(bytes: &[u8], check: &MemberCheck, path: &str) -> bool {
+fn check_matches(bytes: &[u8], check: &MemberCheck, path: &str) -> Option<Option<FramedFile>> {
     match check {
-        MemberCheck::Crc(c) => crc32fast::hash(bytes) == *c,
-        MemberCheck::Root(r) => frame::decode_bytes(bytes).is_some_and(|f| {
-            f.intact()
-                && f.belongs_to(path)
-                && f.computed_root == *r
-                && f.declared_root == Some(*r)
-        }),
+        MemberCheck::Crc(c) => (crc32fast::hash(bytes) == *c).then_some(None),
+        MemberCheck::Root(r) => frame::decode_bytes(bytes)
+            .filter(|f| {
+                f.intact()
+                    && f.belongs_to(path)
+                    && f.computed_root == *r
+                    && f.declared_root == Some(*r)
+            })
+            .map(Some),
     }
+}
+
+/// A member's bytes that passed their recorded check, and the frame a
+/// root check decoded to pass them.
+pub(crate) struct Verified {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) frame: Option<FramedFile>,
 }
 
 impl ParityMember {
@@ -118,12 +128,13 @@ impl ParityMember {
 
     /// `bytes`, read from `offset` on, cut down to the covered range — when
     /// they reach that far and the range verifies; else handed back as is.
-    pub(crate) fn cover(&self, mut bytes: Vec<u8>) -> Result<Vec<u8>, Vec<u8>> {
-        let range = usize::try_from(self.len).ok().and_then(|len| bytes.get(..len));
-        match range.filter(|r| check_matches(r, &self.check, &self.path)).map(<[u8]>::len) {
-            Some(len) => {
+    pub(crate) fn cover(&self, mut bytes: Vec<u8>) -> Result<Verified, Vec<u8>> {
+        let len = usize::try_from(self.len).ok().filter(|&len| len <= bytes.len());
+        let check = |len: usize| Some((len, check_matches(&bytes[..len], &self.check, &self.path)?));
+        match len.and_then(check) {
+            Some((len, frame)) => {
                 bytes.truncate(len);
-                Ok(bytes)
+                Ok(Verified { bytes, frame })
             }
             None => Err(bytes),
         }
@@ -161,20 +172,11 @@ pub(crate) fn xor_into(acc: &mut Vec<u8>, bytes: &[u8]) {
 /// Render one member record line of a parity payload.
 pub(crate) fn member_line(m: &ParityMember) -> String {
     let ord = m.ord.map_or_else(|| "-".to_string(), |o| o.to_string());
-    match &m.check {
-        MemberCheck::Crc(crc) => format!(
-            "member crc={crc:08x} offset={} len={} ord={} path={}",
-            m.offset, m.len, ord, m.path
-        ),
-        MemberCheck::Root(root) => format!(
-            "member root={} offset={} len={} ord={} path={}",
-            sha2::hex(root),
-            m.offset,
-            m.len,
-            ord,
-            m.path
-        ),
-    }
+    let check = match &m.check {
+        MemberCheck::Crc(crc) => format!("crc={crc:08x}"),
+        MemberCheck::Root(root) => format!("root={}", sha2::hex(root)),
+    };
+    format!("member {check} offset={} len={} ord={ord} path={}", m.offset, m.len, m.path)
 }
 
 /// Build the complete framed parity file for a sealed group: the member
@@ -225,14 +227,7 @@ pub(crate) fn raw_block(bytes: &[u8]) -> Option<(String, usize)> {
     let term = text.ends_with('\n');
     let content = if term { &text[..text.len() - 1] } else { text };
     let mut block = String::with_capacity(bytes.len() + 64);
-    let _ = std::fmt::Write::write_fmt(
-        &mut block,
-        format_args!(
-            "data len={} enc=raw term={}\n",
-            bytes.len(),
-            u8::from(term)
-        ),
-    );
+    block += &format!("data len={} enc=raw term={}\n", bytes.len(), u8::from(term));
     let mut lines = 1;
     for line in content.split('\n') {
         if line.starts_with('~') || line.starts_with('#') {
@@ -616,6 +611,19 @@ pub(crate) fn parse_manifest(text: &str) -> Option<ParsedManifest> {
 /// → `(committed bytes, Merkle root)`, as collected from
 /// [`crate::store::ProvenanceStore::committed_roots`].
 pub type RootCache = HashMap<String, (u64, [u8; 32])>;
+
+/// What one recovery's scrub hands its later tiers for a live file it
+/// decoded intact or wrote back: the file's length and Merkle root, which
+/// verify judges it by unread, and for a snapshot or segment the decoded
+/// frame, until merge takes it instead of reading the file again.
+pub(crate) struct Decoded {
+    pub(crate) len: u64,
+    pub(crate) root: [u8; 32],
+    pub(crate) frame: Option<FramedFile>,
+}
+
+/// Live path → what scrub decoded there, for one recovery.
+pub(crate) type HandOff = HashMap<String, Decoded>;
 
 /// One sealed run in the campaign ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -267,16 +267,8 @@ impl std::fmt::Display for CrashcheckReport {
 
 /// Byte-exact image of every file under `dir`, for idempotence checks.
 fn dir_snapshot(fs: &Arc<FileSystem>, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let Ok(files) = fs.walk_files(dir) else {
-        return Vec::new();
-    };
-    files
-        .into_iter()
-        .filter_map(|path| {
-            let bytes = crate::fsio::read_file(fs, &path)?;
-            Some((path, bytes))
-        })
-        .collect()
+    let read = |path: String| crate::fsio::read_file(fs, &path).map(|bytes| (path, bytes));
+    fs.walk_files(dir).unwrap_or_default().into_iter().filter_map(read).collect()
 }
 
 /// First path where two directory images differ, for violation details.

@@ -160,14 +160,9 @@ pub enum FrameError {
 /// The GUID of the store a file at `path` belongs to: the FNV-1a hash of
 /// the snapshot path, so a snapshot, all of its segments, its journal and
 /// its parity files — tmp or quarantined — claim the same GUID. This and
-/// the three views below read the one file-name grammar in [`crate::names`].
+/// the two views below read the one file-name grammar in [`crate::names`].
 pub fn store_guid(path: &str) -> u64 {
     names::parse(path).guid()
-}
-
-/// Strip commit-protocol suffixes down to the snapshot path.
-pub(crate) fn base_store_path(path: &str) -> &str {
-    names::parse(path).base
 }
 
 /// Is `path` a WAL generation file (`<snapshot>.wNNNNNN.nt`, possibly

@@ -1,6 +1,7 @@
 //! The file-system idioms every durable artifact shares: the
-//! crash-consistent tmp+rename commit, the whole-file read, and the read
-//! that falls back to a quarantined copy.
+//! crash-consistent tmp+rename commit, the whole-file read, the read that
+//! falls back to a quarantined copy, and the staleness rule for what one
+//! pass learned about a file.
 
 use crate::names;
 use provio_hpcfs::{FileSystem, FsError};
@@ -39,4 +40,10 @@ pub(crate) fn copies<'a>(
     [(live.to_string(), false), (names::quarantine_of(live), true)]
         .into_iter()
         .filter_map(move |(path, quarantined)| Some((read_file(fs, &path)?, quarantined)))
+}
+
+/// Does the file at `path` still hold exactly `len` bytes? What one pass
+/// learned of a file is reused unread by a later one only while it does.
+pub(crate) fn holds(fs: &FileSystem, path: &str, len: u64) -> bool {
+    fs.stat(path).is_ok_and(|m| m.size == len)
 }

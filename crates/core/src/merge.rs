@@ -8,14 +8,15 @@
 
 use crate::config::RdfFormat;
 use crate::frame::{self, FrameKind, FramedFile, WalFile};
-use crate::fsio::read_file;
+use crate::artifact::HandOff;
+use crate::fsio::{holds, read_file};
 use crate::names::{self, Role, State};
 use provio_hpcfs::FileSystem;
 use provio_rdf::{ntriples, turtle, Graph};
 use provio_simrt::SimTime;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Result of a merge.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -179,9 +180,16 @@ enum Outcome {
     Wal(WalFile),
 }
 
-/// Read and parse (or salvage) one file into a scratch graph. Pure function
-/// of the file: no shared mutable state, so files process in parallel.
-fn process_file(fs: &Arc<FileSystem>, path: &str, committed: &HashSet<&str>) -> Outcome {
+/// Read and parse (or salvage) one file into a scratch graph — `decoded`,
+/// when scrub already decoded the file intact, stands in for the read and
+/// the decode. Pure function of the file: no shared mutable state, so
+/// files process in parallel.
+fn process_file(
+    fs: &Arc<FileSystem>,
+    path: &str,
+    committed: &HashSet<&str>,
+    decoded: Option<FramedFile>,
+) -> Outcome {
     let name = names::parse(path);
     // Quarantined files were condemned by an earlier merge: never re-read,
     // never re-renamed.
@@ -208,9 +216,6 @@ fn process_file(fs: &Arc<FileSystem>, path: &str, committed: &HashSet<&str>) -> 
     if adopted_tmp && (is_wal || committed.contains(name.live)) {
         return Outcome::Skipped;
     }
-    let Some(bytes) = read_file(fs, path) else {
-        return Outcome::Skipped;
-    };
     // An orphan tmp that cannot be used is crash debris, not evidence: the
     // rename that would have committed it never ran, so it was never
     // acknowledged and the frames it tore are still covered by the journal.
@@ -219,56 +224,50 @@ fn process_file(fs: &Arc<FileSystem>, path: &str, committed: &HashSet<&str>) -> 
     // (found by crashcheck, tests/crashcheck.rs). Leave it in place,
     // unparsed; every later merge skips it the same way.
     let unless_debris = |verdict: Outcome| if adopted_tmp { Outcome::Skipped } else { verdict };
-    let Ok(text) = String::from_utf8(bytes) else {
-        if is_wal {
-            // Rot severe enough to break UTF-8: the whole journal tail is
-            // condemned, nothing is ever parsed out of it.
-            return Outcome::Wal(WalFile {
-                truncated: true,
-                ..WalFile::default()
-            });
-        }
-        return unless_debris(Outcome::Corrupt);
-    };
-    if is_wal {
-        return Outcome::Wal(frame::decode_wal(&text, name.guid()));
-    }
     let syntax = name.syntax();
-    match frame::decode(&text) {
-        Ok(mut framed) => {
-            if framed.guid != name.guid() {
-                // The file's own checksums verify, but it belongs to a
-                // different store: substituted or misplaced.
-                return unless_debris(Outcome::Quarantine { substituted: true });
-            }
-            // The payload is CRC-verified, so parsing it can only fail at
-            // format level; salvage of verified bytes never forges triples.
-            let payload = std::mem::take(&mut framed.payload);
-            let sub = parse_full(syntax, &payload).unwrap_or_else(|| salvage(syntax, &payload));
-            return Outcome::Sub {
-                sub,
-                adopted_tmp,
-                salvaged: false,
-                frame: Some(framed),
+    let mut framed = match decoded {
+        Some(framed) => framed,
+        None => {
+            let Some(bytes) = read_file(fs, path) else {
+                return Outcome::Skipped;
             };
+            // Rot severe enough to break UTF-8 condemns a journal's whole
+            // tail: nothing is ever parsed out of it.
+            let Ok(text) = String::from_utf8(bytes) else {
+                let torn = WalFile { truncated: true, ..WalFile::default() };
+                return if is_wal { Outcome::Wal(torn) } else { unless_debris(Outcome::Corrupt) };
+            };
+            if is_wal {
+                return Outcome::Wal(frame::decode_wal(&text, name.guid()));
+            }
+            match frame::decode(&text) {
+                Ok(framed) => framed,
+                Err(frame::FrameError::Quarantine(_)) => {
+                    return unless_debris(Outcome::Quarantine { substituted: false });
+                }
+                // A legacy file: parse it whole, or salvage its valid prefix.
+                Err(frame::FrameError::NotFramed) => {
+                    let parsed = parse_full(syntax, &text);
+                    let salvaged = parsed.is_none();
+                    let sub = parsed.unwrap_or_else(|| salvage(syntax, &text));
+                    if sub.is_empty() && salvaged {
+                        return unless_debris(Outcome::Corrupt);
+                    }
+                    return Outcome::Sub { sub, adopted_tmp, salvaged, frame: None };
+                }
+            }
         }
-        Err(frame::FrameError::Quarantine(_)) => {
-            return unless_debris(Outcome::Quarantine { substituted: false });
-        }
-        Err(frame::FrameError::NotFramed) => {} // legacy file: fall through
+    };
+    if framed.guid != name.guid() {
+        // The file's own checksums verify, but it belongs to a different
+        // store: substituted or misplaced.
+        return unless_debris(Outcome::Quarantine { substituted: true });
     }
-    let parsed = parse_full(syntax, &text);
-    let salvaged = parsed.is_none();
-    let sub = parsed.unwrap_or_else(|| salvage(syntax, &text));
-    if sub.is_empty() && salvaged {
-        return unless_debris(Outcome::Corrupt);
-    }
-    Outcome::Sub {
-        sub,
-        adopted_tmp,
-        salvaged,
-        frame: None,
-    }
+    // The payload is CRC-verified, so parsing it can only fail at format
+    // level; salvage of verified bytes never forges triples.
+    let payload = std::mem::take(&mut framed.payload);
+    let sub = parse_full(syntax, &payload).unwrap_or_else(|| salvage(syntax, &payload));
+    Outcome::Sub { sub, adopted_tmp, salvaged: false, frame: Some(framed) }
 }
 
 /// What one committed file contributed to its store: the frame facts
@@ -281,30 +280,18 @@ type CommittedEntry = (Option<(FrameKind, u64)>, usize);
 /// above it are counted (stale pre-snapshot segments overlap the snapshot
 /// and would inflate the watermark); legacy files simply sum.
 fn committed_watermark(entries: &[CommittedEntry]) -> u64 {
-    let snap = entries
-        .iter()
-        .filter_map(|(m, n)| match m {
-            Some((FrameKind::Snapshot, ordinal)) => Some((*ordinal, *n)),
-            _ => None,
-        })
-        .max_by_key(|(ordinal, _)| *ordinal);
-    match snap {
-        Some((snap_ordinal, snap_count)) => {
-            snap_count as u64
-                + entries
-                    .iter()
-                    .filter_map(|(m, n)| match m {
-                        Some((kind, ordinal))
-                            if *kind != FrameKind::Snapshot && *ordinal > snap_ordinal =>
-                        {
-                            Some(*n as u64)
-                        }
-                        _ => None,
-                    })
-                    .sum::<u64>()
-        }
-        None => entries.iter().map(|(_, n)| *n as u64).sum(),
-    }
+    let snapshot = |(m, n): &CommittedEntry| match m {
+        Some((FrameKind::Snapshot, ordinal)) => Some((*ordinal, *n as u64)),
+        _ => None,
+    };
+    let Some((snap, count)) = entries.iter().filter_map(snapshot).max_by_key(|(o, _)| *o) else {
+        return entries.iter().map(|(_, n)| *n as u64).sum();
+    };
+    let above = |(m, n): &CommittedEntry| match m {
+        Some((kind, o)) if *kind != FrameKind::Snapshot && *o > snap => *n as u64,
+        _ => 0,
+    };
+    count + entries.iter().map(above).sum::<u64>()
 }
 
 /// Count chain discontinuities among the verified framed files of one
@@ -376,16 +363,30 @@ fn chain_breaks_in(frames: &mut [FramedFile]) -> u64 {
 /// chain is checked for missing, duplicated, or substituted commits
 /// ([`MergeReport::chain_breaks`]).
 pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) {
+    merge_listed(fs, &fs.walk_files(dir).unwrap_or_default(), &mut HandOff::new())
+}
+
+/// [`merge_directory`] over the walk `files` of a directory, taking out of
+/// `decoded` the frame of every file scrub decoded intact that still holds
+/// those bytes, so that file is parsed without being read again.
+pub(crate) fn merge_listed(
+    fs: &Arc<FileSystem>,
+    files: &[String],
+    decoded: &mut HandOff,
+) -> (Graph, MergeReport) {
     let mut graph = Graph::new();
     let mut report = MergeReport::default();
-    let files = match fs.walk_files(dir) {
-        Ok(f) => f,
-        Err(_) => return (graph, report),
-    };
     let committed: HashSet<&str> = files.iter().map(String::as_str).collect();
+    let decoded = Mutex::new(decoded);
     let outcomes: Vec<Outcome> = files
         .par_iter()
-        .map(|path| process_file(fs, path, &committed))
+        .map(|path| {
+            // A file scrub decoded is parsed unread while it holds those bytes.
+            let mut map = decoded.lock().expect("nothing panics holding the hand-off");
+            let frame = map.get_mut(path).and_then(|e| e.frame.take_if(|_| holds(fs, path, e.len)));
+            drop(map);
+            process_file(fs, path, &committed, frame)
+        })
         .collect();
     // Deterministic sequential fold in directory order; the merge itself is
     // the bulk id-mapped path (one intern per distinct term per file).
@@ -401,12 +402,7 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
         match outcome {
             Outcome::Skipped => {}
             Outcome::Corrupt => report.corrupt.push(path.clone()),
-            Outcome::Sub {
-                sub,
-                adopted_tmp,
-                salvaged,
-                frame,
-            } => {
+            Outcome::Sub { sub, adopted_tmp, salvaged, frame } => {
                 let rotted = frame.as_ref().filter(|f| f.batches_corrupt > 0);
                 if let Some(f) = rotted {
                     // Partial recovery: the dropped batches are corruption,
@@ -417,10 +413,8 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
                 if salvaged || rotted.is_some() {
                     report.salvaged_triples += sub.len();
                 }
-                committed_counts
-                    .entry(frame::base_store_path(path))
-                    .or_default()
-                    .push((frame.as_ref().map(|f| (f.kind, f.ordinal)), sub.len()));
+                let facts = frame.as_ref().map(|f| (f.kind, f.ordinal));
+                committed_counts.entry(names::parse(path).base).or_default().push((facts, sub.len()));
                 graph.merge(&sub);
                 report.files += 1;
                 if adopted_tmp {
@@ -432,10 +426,7 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
             }
             Outcome::Wal(wal) => {
                 report.wal_tails_truncated += u64::from(wal.truncated);
-                wal_records
-                    .entry(frame::base_store_path(path))
-                    .or_default()
-                    .extend(wal.records);
+                wal_records.entry(names::parse(path).base).or_default().extend(wal.records);
             }
             Outcome::Quarantine { substituted } => {
                 // Condemn the file on disk so later merges skip it without
@@ -491,7 +482,7 @@ pub fn merge_directory(fs: &Arc<FileSystem>, dir: &str) -> (Graph, MergeReport) 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{ProvIoConfig, RdfFormat};
     use crate::tracker::{IoEvent, ObjectDesc, ProvTracker};
@@ -501,17 +492,21 @@ mod tests {
     use provio_rdf::{ns, Iri, Namespaces, Subject, Term, Triple};
     use provio_simrt::{DetRng, SimTime, VirtualClock};
 
-    /// [`merge_directory`] with the `rayon` shim's pool forced to `threads`
-    /// workers (1 = the sequential loop), so the equivalence tests reach
-    /// both sides of the fold on any host. The pool size is process-global:
-    /// tests that force it take turns.
-    fn merge_with_pool(fs: &Arc<FileSystem>, dir: &str, threads: usize) -> (Graph, MergeReport) {
+    /// `work` with the `rayon` shim's pool forced to `threads` workers (1 =
+    /// the sequential loop), so the equivalence tests reach both sides of a
+    /// parallel tier on any host. The pool size is process-global: every
+    /// test of this crate that forces it takes its turn here.
+    pub(crate) fn with_pool<T>(threads: usize, work: impl FnOnce() -> T) -> T {
         static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
         rayon::set_thread_count(threads);
-        let out = merge_directory(fs, dir);
+        let out = work();
         rayon::set_thread_count(0);
         out
+    }
+
+    fn merge_with_pool(fs: &Arc<FileSystem>, dir: &str, threads: usize) -> (Graph, MergeReport) {
+        with_pool(threads, || merge_directory(fs, dir))
     }
 
     fn event(path: &str) -> IoEvent {
@@ -1477,7 +1472,7 @@ mod tests {
         let files = fs.walk_files("/d").unwrap();
         let committed: HashSet<&str> = files.iter().map(String::as_str).collect();
         for path in &files {
-            process_file(&fs, path, &committed);
+            process_file(&fs, path, &committed, None);
         }
     }
 

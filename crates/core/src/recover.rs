@@ -15,10 +15,13 @@
 //!    manifest and ledger over the post-repair directory, then move
 //!    provably tampered files aside.
 //!
-//! One hand-off joins the tiers: scrub records the Merkle root of every
-//! single frame it decoded intact or wrote back, and verify judges a live
-//! file still at that size from the root, unread. The merge between only
-//! renames files aside, and the map lives for this one call.
+//! The tiers share one walk of the directory, taken again only after a
+//! repair or a quarantine moved a file, and one hand-off: scrub leaves the
+//! Merkle root of every single frame it decoded intact or wrote back, and
+//! a snapshot's or segment's decoded frame; merge parses that frame
+//! instead of reading the file, verify judges the file from its root. Both
+//! take an entry only while the file still has its length, and the map
+//! lives for this one call.
 //!
 //! Every mutation any stage performs goes through the same simulated,
 //! fault-injectable file system with tmp+rename discipline, so a crash
@@ -29,10 +32,11 @@ use std::sync::Arc;
 use provio_hpcfs::FileSystem;
 use provio_rdf::Graph;
 
-use crate::merge::{merge_directory, MergeReport};
+use crate::artifact::HandOff;
+use crate::merge::{merge_listed, MergeReport};
 use crate::report::RunReport;
-use crate::scrub::{scrub_directory_with_roots, ScrubReport};
-use crate::verify::{quarantine_tampered, verify_directory_with_roots, RootCache, VerifyReport};
+use crate::scrub::{scrub_listed, ScrubReport};
+use crate::verify::{quarantine_tampered, verify_listed, VerifyReport};
 
 /// Everything one recovery pass produced: the merged graph plus every
 /// tier's report, joined on demand by [`RecoveryOutcome::report`].
@@ -70,20 +74,19 @@ impl RecoveryOutcome {
 /// pass over the same directory yields a byte-identical directory and
 /// an equal [`RunReport`] (enforced by crashcheck's invariant I6).
 pub fn recover_all(fs: &Arc<FileSystem>, dir: &str, key: Option<&str>) -> RecoveryOutcome {
-    let mut roots = RootCache::new();
-    let scrub = scrub_directory_with_roots(fs, dir, &mut roots);
-    let (graph, merge) = merge_directory(fs, dir);
-    let verify = key.map(|key| verify_directory_with_roots(fs, dir, key, &roots));
+    // One walk serves every tier: only a repair or a quarantine moves a
+    // file a later tier lists, and then that tier walks again.
+    let walk = || fs.walk_files(dir).unwrap_or_default();
+    let (files, mut decoded) = (walk(), HandOff::new());
+    let scrub = scrub_listed(fs, &files, &mut decoded);
+    let files = if scrub.is_clean() { files } else { walk() };
+    let (graph, merge) = merge_listed(fs, &files, &mut decoded);
+    let files = if merge.quarantined.is_empty() { files } else { walk() };
+    let verify = key.map(|key| verify_listed(fs, dir, &files, key, &decoded));
     let quarantined = verify
         .as_ref()
         .map_or_else(Vec::new, |audit| quarantine_tampered(fs, audit));
-    RecoveryOutcome {
-        graph,
-        scrub,
-        merge,
-        verify,
-        quarantined,
-    }
+    RecoveryOutcome { graph, scrub, merge, verify, quarantined }
 }
 
 #[cfg(test)]

@@ -41,11 +41,12 @@
 //! [`crate::verify::quarantine_tampered`] consults [`repairable_paths`]
 //! and never condemns a file scrub can still repair.
 
-use crate::artifact::{parse_parity_payload, MemberCheck, ParityPayload, RootCache};
-use crate::frame::{self, FrameKind};
-use crate::fsio::{commit_atomic, copies, read_file};
+use crate::artifact::{parse_parity_payload, Decoded, HandOff, MemberCheck, ParityPayload, Verified};
+use crate::frame::{self, FrameKind, FramedFile};
+use crate::fsio::{commit_atomic, copies};
 use crate::names::{self, Role, State};
 use provio_hpcfs::{FileSystem, FsError};
+use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -128,14 +129,14 @@ struct ParsedParity {
 }
 
 /// How one member fared against its recorded check. The verifying states
-/// carry the bytes that verified, so reconstruction, displaced-member
-/// restore and parity regeneration reuse them instead of reading and
-/// verifying the member again.
+/// carry what verified, so reconstruction, displaced-member restore and
+/// parity regeneration reuse the bytes, and the hand-off the frame, instead
+/// of reading and verifying the member again.
 enum MemberState {
     /// Live bytes verify.
-    Intact(Vec<u8>),
+    Intact(Verified),
     /// Only a `.quarantine` copy verifies: restore is free.
-    Displaced(Vec<u8>),
+    Displaced(Verified),
     /// No verifying source: costs the group's parity tolerance.
     /// `failed_batches`: CRC batches that failed in the live file, when it
     /// is a whole-file member that still decoded far enough to count them.
@@ -146,15 +147,18 @@ impl MemberState {
     /// The member's verified bytes, wherever they were found.
     fn bytes(&self) -> Option<&[u8]> {
         match self {
-            MemberState::Intact(bytes) | MemberState::Displaced(bytes) => Some(bytes),
+            MemberState::Intact(v) | MemberState::Displaced(v) => Some(&v.bytes),
             MemberState::Bad { .. } => None,
         }
     }
 }
 
-fn read_range(fs: &Arc<FileSystem>, path: &str, offset: u64, len: u64) -> Option<Vec<u8>> {
+/// `len` bytes of `path` from `offset` on — all the rest when `None` — or
+/// `None` when the file is missing, unreadable or shorter than that.
+fn read_range(fs: &Arc<FileSystem>, path: &str, offset: u64, len: Option<u64>) -> Option<Vec<u8>> {
     let ino = fs.lookup(path).ok()?;
     let size = fs.file_size(ino).ok()?;
+    let len = len.unwrap_or(size.saturating_sub(offset));
     if size < offset.saturating_add(len) {
         return None;
     }
@@ -192,19 +196,13 @@ fn parse_parity(bytes: &[u8], live: &str, quarantined: bool) -> Option<ParsedPar
 /// verifies as a *newer* commit than the parity recorded, which makes the
 /// whole group stale, not damaged.
 fn member_state(fs: &Arc<FileSystem>, m: &ParityMember) -> Option<MemberState> {
-    let read = |path: &str| {
-        if m.whole_file() {
-            read_file(fs, path)
-        } else {
-            read_range(fs, path, m.offset, m.len)
-        }
-    };
+    let read = |path: &str| read_range(fs, path, m.offset, (!m.whole_file()).then_some(m.len));
     let live = match read(&m.path).map(|bytes| m.cover(bytes)) {
-        Some(Ok(range)) => return Some(MemberState::Intact(range)),
+        Some(Ok(verified)) => return Some(MemberState::Intact(verified)),
         unverified => unverified.and_then(Result::err),
     };
-    if let Some(Ok(range)) = read(&names::quarantine_of(&m.path)).map(|bytes| m.cover(bytes)) {
-        return Some(MemberState::Displaced(range));
+    if let Some(Ok(verified)) = read(&names::quarantine_of(&m.path)).map(|bytes| m.cover(bytes)) {
+        return Some(MemberState::Displaced(verified));
     }
     // Whole-file member that re-verifies as a newer commit of the same
     // store: superseded after the parity sealed (a crash window around
@@ -212,7 +210,7 @@ fn member_state(fs: &Arc<FileSystem>, m: &ParityMember) -> Option<MemberState> {
     // failed decode — is a genuine candidate for repair (or quarantine, if
     // over tolerance).
     let framed = live.filter(|_| m.whole_file()).and_then(|b| frame::decode_bytes(&b));
-    let newer = |f: &frame::FramedFile| f.intact() && f.belongs_to(&m.path) && Some(f.ordinal) > m.ord;
+    let newer = |f: &FramedFile| f.intact() && f.belongs_to(&m.path) && Some(f.ordinal) > m.ord;
     if framed.as_ref().is_some_and(newer) {
         return None;
     }
@@ -221,11 +219,29 @@ fn member_state(fs: &Arc<FileSystem>, m: &ParityMember) -> Option<MemberState> {
     })
 }
 
-/// Every member's state — or `None` for a stale group, one with a
-/// superseded member (where the classification stops): scrub skips it and
-/// never rolls committed data backwards.
-fn classify(fs: &Arc<FileSystem>, group: &ParsedParity) -> Option<Vec<MemberState>> {
-    group.members.iter().map(|m| member_state(fs, m)).collect()
+/// One parity group as read from disk, with its member states — `None`
+/// for a stale group, one with a superseded member (where classification
+/// stops): scrub skips it and never rolls committed data backwards.
+type Group = (ParsedParity, Option<Vec<MemberState>>);
+
+/// Read the parity file for `live` (from its live path, else from its
+/// quarantined copy) and classify its members; `None` when its member
+/// records are unreadable. A group with nothing to repair or regenerate
+/// keeps its members' frames but no bytes: nothing will XOR them.
+fn read_group(fs: &Arc<FileSystem>, live: &str) -> Option<Group> {
+    let parsed = |(bytes, quarantined): (Vec<u8>, bool)| parse_parity(&bytes, live, quarantined);
+    let mut group = copies(fs, live).find_map(parsed)?;
+    let mut states: Option<Vec<_>> = group.members.iter().map(|m| member_state(fs, m)).collect();
+    let intact = |s: &MemberState| matches!(s, MemberState::Intact(_));
+    if group.root.is_some() && states.iter().flatten().all(intact) {
+        group.data = None;
+        for state in states.iter_mut().flatten() {
+            if let MemberState::Intact(v) = state {
+                v.bytes = Vec::new();
+            }
+        }
+    }
+    Some((group, states))
 }
 
 /// What a classified group has lost. Displaced members don't spend the
@@ -246,7 +262,7 @@ fn losses(group: &ParsedParity, states: &[MemberState]) -> Result<Option<usize>,
 /// XOR the parity block against every surviving member, yielding the lost
 /// member's bytes. `None` when the result fails the recorded check —
 /// reconstruction never guesses.
-fn reconstruct(group: &ParsedParity, states: &[MemberState], bad: usize) -> Option<Vec<u8>> {
+fn reconstruct(group: &ParsedParity, states: &[MemberState], bad: usize) -> Option<Verified> {
     let mut acc = group.data.clone()?;
     for (i, state) in states.iter().enumerate() {
         if i != bad {
@@ -256,16 +272,19 @@ fn reconstruct(group: &ParsedParity, states: &[MemberState], bad: usize) -> Opti
     group.members[bad].cover(acc).ok()
 }
 
-/// Keep `roots` true to `m`'s live file, which now holds the member's
-/// verified bytes: only a whole-file member pinned by root has an entry.
-fn note_root(roots: &mut RootCache, m: &ParityMember) {
+/// Keep `decoded` true to `m`'s live file, which now holds the member's
+/// verified bytes (`frame` their decode): only a whole-file member pinned
+/// by root has an entry.
+fn note_root(decoded: &mut HandOff, m: &ParityMember, frame: Option<FramedFile>) {
     match m.check {
-        MemberCheck::Root(root) if m.whole_file() => roots.insert(m.path.clone(), (m.len, root)),
-        _ => roots.remove(&m.path),
+        MemberCheck::Root(root) if m.whole_file() => {
+            decoded.insert(m.path.clone(), Decoded { len: m.len, root, frame })
+        }
+        _ => decoded.remove(&m.path),
     };
 }
 
-/// Splice reconstructed bytes back into the member's live file. Whole-file
+/// Splice verified bytes back into the member's live file. Whole-file
 /// members are rewritten outright (the recorded range *is* the committed
 /// file); journal chunks overwrite only `[offset, offset+len)` of whatever
 /// is on disk — surrounding bytes, torn tails included, were present when
@@ -273,22 +292,22 @@ fn note_root(roots: &mut RootCache, m: &ParityMember) {
 fn splice_member(
     fs: &Arc<FileSystem>,
     m: &ParityMember,
-    recon: &[u8],
-    roots: &mut RootCache,
+    v: &Verified,
+    decoded: &mut HandOff,
 ) -> Result<(), FsError> {
     let out = if m.whole_file() {
-        recon.to_vec()
+        v.bytes.clone()
     } else {
         let mut current = copies(fs, &m.path).next().map_or_else(Vec::new, |(bytes, _)| bytes);
         let end = (m.offset + m.len) as usize;
         if current.len() < end {
             current.resize(end, 0);
         }
-        current[m.offset as usize..end].copy_from_slice(recon);
+        current[m.offset as usize..end].copy_from_slice(&v.bytes);
         current
     };
     commit_atomic(fs, &m.path, &out)?;
-    note_root(roots, m);
+    note_root(decoded, m, v.frame.clone());
     // The live path verifies again: any quarantine copy is now a stale
     // duplicate of repaired data, not evidence.
     let _ = fs.unlink(&names::quarantine_of(&m.path));
@@ -298,13 +317,13 @@ fn splice_member(
 /// How many verification units (CRC batches for framed files, one chunk
 /// for a journal member) the repair of `m` to `recon` brought back, `was`
 /// being its state before the repair.
-fn repaired_units(m: &ParityMember, recon: &[u8], was: &MemberState) -> u64 {
+fn repaired_units(m: &ParityMember, recon: &Verified, was: &MemberState) -> u64 {
     if !m.whole_file() {
         return 1; // one journal chunk per member
     }
     // With no count from before the repair the file was missing outright
     // (or past decoding): every batch of the restored frame.
-    let total = || frame::decode_bytes(recon).map_or(1, |f| f.batches_total as u64);
+    let total = || frame::decode_bytes(&recon.bytes).map_or(1, |f| f.batches_total as u64);
     match was {
         MemberState::Bad { failed_batches: Some(n) } => *n,
         _ => total(),
@@ -331,83 +350,82 @@ fn regenerate_parity(
     Ok(())
 }
 
-/// All parity groups in `dir`, sorted by path (and therefore by store and
-/// sequence — the walk is sorted and the sequence is zero-padded), plus
-/// the live paths of parity files whose member records are unreadable.
-/// Each parity file is decoded from its live path or else from its
-/// quarantined copy.
-fn collect_groups(fs: &Arc<FileSystem>, dir: &str) -> (Vec<ParsedParity>, Vec<String>) {
-    let Ok(files) = fs.walk_files(dir) else {
-        return (Vec::new(), Vec::new());
-    };
-    let mut live_paths: Vec<&str> = files
+/// The live path of every parity file among `files`, each once, with its
+/// group read and classified on the pool, in path order (and therefore by
+/// store and sequence — the walk is sorted and the sequence is
+/// zero-padded): the read-only half of a scrub, before any repair wrote.
+fn read_groups<'a>(fs: &Arc<FileSystem>, files: &'a [String]) -> Vec<(&'a str, Option<Group>)> {
+    let mut live: Vec<&str> = files
         .iter()
         .map(|p| names::parse(p))
         .filter(|n| matches!(n.role, Role::Parity(_)) && n.state != State::Tmp)
         .map(|n| n.live)
         .collect();
-    live_paths.sort_unstable();
-    live_paths.dedup();
-    let mut groups = Vec::new();
-    let mut unusable = Vec::new();
-    for live in live_paths {
-        let parsed = |(bytes, quarantined): (Vec<u8>, bool)| parse_parity(&bytes, live, quarantined);
-        match copies(fs, live).find_map(parsed) {
-            Some(parsed) => groups.push(parsed),
-            None => unusable.push(live.to_string()),
-        }
-    }
-    (groups, unusable)
+    live.sort_unstable();
+    live.dedup();
+    let groups: Vec<Option<Group>> = live.par_iter().map(|path| read_group(fs, path)).collect();
+    live.into_iter().zip(groups).collect()
 }
 
 /// Walk `dir`, verify every parity group, and repair what the surviving
 /// redundancy allows. Safe to re-run: a clean directory scrubs to a clean
 /// report, and repairs are idempotent.
 pub fn scrub_directory(fs: &Arc<FileSystem>, dir: &str) -> ScrubReport {
-    scrub_directory_with_roots(fs, dir, &mut RootCache::new())
+    scrub_listed(fs, &fs.walk_files(dir).unwrap_or_default(), &mut HandOff::new())
 }
 
-/// [`scrub_directory`], recording in `roots` the `(bytes, Merkle root)` of
-/// every live file it fully decoded intact — a whole-file member that
-/// passed its root check or was written back, an intact parity file (a
-/// regenerated one never) — for [`crate::verify::verify_directory_with_roots`].
-pub(crate) fn scrub_directory_with_roots(
+/// [`scrub_directory`] over a directory's walk `files`, leaving in `decoded`
+/// the root and frame of every whole-file member that passed its root
+/// check or was written back, and the root of every intact parity file (a
+/// regenerated one never), for the merge and the verify of one recovery.
+///
+/// Reads run on the pool, mutations here in group order. A group read before
+/// an earlier group of the pass wrote one of its members (journal chunks in
+/// two groups, a snapshot a stale group still names) is read again at its
+/// turn, so every repair sees what a sequential pass would have.
+pub(crate) fn scrub_listed(
     fs: &Arc<FileSystem>,
-    dir: &str,
-    roots: &mut RootCache,
+    files: &[String],
+    decoded: &mut HandOff,
 ) -> ScrubReport {
-    let (groups, unusable) = collect_groups(fs, dir);
-    let mut report = ScrubReport {
-        groups: (groups.len() + unusable.len()) as u64,
-        unusable_parity: unusable,
-        ..ScrubReport::default()
-    };
-    for group in &groups {
-        let Some(mut states) = classify(fs, group) else {
+    let groups = read_groups(fs, files);
+    let mut report = ScrubReport { groups: groups.len() as u64, ..ScrubReport::default() };
+    for (live, read) in groups {
+        // Every member an earlier group wrote is in one of these lists.
+        let moved = [&report.repaired_files, &report.unrecoverable];
+        let touched = |(group, _): &Group| {
+            group.members.iter().any(|m| moved.iter().any(|list| list.contains(&m.path)))
+        };
+        let read = if read.as_ref().is_some_and(touched) { read_group(fs, live) } else { read };
+        let Some((group, states)) = read else {
+            report.unusable_parity.push(live.to_string());
+            continue;
+        };
+        let Some(mut states) = states else {
             report.stale_groups += 1;
             continue;
         };
-        if let Some(root) = group.root {
-            roots.insert(group.path.clone(), root);
+        if let Some((len, root)) = group.root {
+            decoded.insert(group.path.clone(), Decoded { len, root, frame: None });
         }
         // Displaced members restore for free regardless of the group's
         // repair verdict: their bytes survive under the quarantine name.
-        for (m, state) in group.members.iter().zip(&states) {
+        for (m, state) in group.members.iter().zip(&mut states) {
             match state {
-                MemberState::Intact(_) => note_root(roots, m),
-                MemberState::Displaced(bytes) if splice_member(fs, m, bytes, roots).is_ok() => {
+                MemberState::Intact(v) => note_root(decoded, m, v.frame.take()),
+                MemberState::Displaced(v) if splice_member(fs, m, v, decoded).is_ok() => {
                     push_unique(&mut report.repaired_files, &m.path);
                 }
                 MemberState::Displaced(_) => push_unique(&mut report.unrecoverable, &m.path),
                 MemberState::Bad { .. } => {}
             }
         }
-        match losses(group, &states) {
+        match losses(&group, &states) {
             Ok(None) => {}
             Ok(Some(bad)) => {
                 let m = &group.members[bad];
-                match reconstruct(group, &states, bad) {
-                    Some(recon) if splice_member(fs, m, &recon, roots).is_ok() => {
+                match reconstruct(&group, &states, bad) {
+                    Some(recon) if splice_member(fs, m, &recon, decoded).is_ok() => {
                         push_unique(&mut report.repaired_files, &m.path);
                         report.repaired_batches += repaired_units(m, &recon, &states[bad]);
                         states[bad] = MemberState::Intact(recon);
@@ -421,7 +439,7 @@ pub(crate) fn scrub_directory_with_roots(
                 }
             }
         }
-        if group.root.is_none() && regenerate_parity(fs, group, &states).is_ok() {
+        if group.root.is_none() && regenerate_parity(fs, &group, &states).is_ok() {
             push_unique(&mut report.repaired_parity, &group.path);
         }
     }
@@ -435,12 +453,12 @@ pub(crate) fn scrub_directory_with_roots(
 /// stays the over-tolerance fallback, never a preemptive strike on a
 /// repairable file.
 pub fn repairable_paths(fs: &Arc<FileSystem>, dir: &str) -> HashSet<String> {
-    let (groups, _unusable) = collect_groups(fs, dir);
     let mut out = HashSet::new();
-    for group in &groups {
-        if classify(fs, group).is_some_and(|states| losses(group, &states).is_ok()) {
-            out.insert(group.path.clone());
+    for (_, read) in read_groups(fs, &fs.walk_files(dir).unwrap_or_default()) {
+        let Some((group, Some(states))) = read else { continue };
+        if losses(&group, &states).is_ok() {
             out.extend(group.members.iter().map(|m| m.path.clone()));
+            out.insert(group.path);
         }
     }
     out
@@ -455,15 +473,27 @@ fn push_unique(list: &mut Vec<String>, path: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fsio::read_file;
     use crate::artifact::{
         data_line, decode_b64, encode_b64_into, member_line, parse_member_line, parse_raw_header,
         raw_block, MemberCheck, RawCollector,
     };
     use provio_hpcfs::LustreConfig;
     use provio_simrt::SimTime;
+    use std::collections::HashMap;
 
     fn fs() -> Arc<FileSystem> {
         FileSystem::new(LustreConfig::default())
+    }
+
+    /// Scrub `/prov`, leaving what it decoded in `decoded`.
+    fn scrub_into(fs: &Arc<FileSystem>, decoded: &mut HandOff) -> ScrubReport {
+        scrub_listed(fs, &fs.walk_files("/prov").unwrap(), decoded)
+    }
+
+    /// Each entry's `(bytes, root)`: what verify judges by.
+    fn roots_of(decoded: &HandOff) -> HashMap<String, (u64, [u8; 32])> {
+        decoded.iter().map(|(path, d)| (path.clone(), (d.len, d.root))).collect()
     }
 
     fn encode_b64(data: &[u8]) -> String {
@@ -682,6 +712,131 @@ mod tests {
         assert_eq!(read_file(&fs, store).unwrap(), new, "newer commit must survive scrub");
     }
 
+    /// Seal `members` over `data` (one slice per member) into the parity
+    /// file `seq` of `store`, the way the store's write path does.
+    fn seal(fs: &Arc<FileSystem>, store: &str, seq: u64, members: &[ParityMember], data: &[&[u8]]) {
+        let mut acc = Vec::new();
+        for bytes in data {
+            xor_into(&mut acc, bytes);
+        }
+        let lines: Vec<String> = members.iter().map(member_line).collect();
+        let (framed, _root) = encode_parity_frame(frame::store_guid(store), seq, &lines, &acc);
+        put(fs, &format!("{store}.p{seq:06}.par"), &framed);
+    }
+
+    /// A journal generation of four chunks whose first two sit in parity
+    /// group 0 and last two in group 1; a verify moved the generation
+    /// aside. Group 0 restores it from the quarantined copy, so group 1,
+    /// read while the live file was still missing, must be read again.
+    fn generation_across_two_groups() -> Arc<FileSystem> {
+        let fs = fs();
+        let store = "/prov/prov_p0.nt";
+        let gen = "/prov/prov_p0.nt.w000001.nt";
+        let chunks: [&[u8]; 4] = [b"chunk one\n", b"chunk two, longer\n", b"chunk three\n", b"four\n"];
+        let mut offset = 0;
+        let members: Vec<ParityMember> = chunks
+            .iter()
+            .map(|chunk| {
+                let m = ParityMember {
+                    path: gen.into(),
+                    offset,
+                    len: chunk.len() as u64,
+                    check: MemberCheck::Crc(crc32fast::hash(chunk)),
+                    ord: None,
+                };
+                offset += m.len;
+                m
+            })
+            .collect();
+        put(&fs, gen, &chunks.concat());
+        seal(&fs, store, 0, &members[..2], &chunks[..2]);
+        seal(&fs, store, 1, &members[2..], &chunks[2..]);
+        fs.rename(gen, &names::quarantine_of(gen), SimTime::ZERO).unwrap();
+        fs
+    }
+
+    /// A snapshot of ordinal 1 (one batch) in parity group 0, superseded by
+    /// one of ordinal 5 (two batches) in group 1, whose live file is lost.
+    /// Group 0 cannot tell it is stale and writes ordinal 1 back; group 1,
+    /// read while the file was missing, must be read again to see it there.
+    fn snapshot_beside_its_stale_group() -> Arc<FileSystem> {
+        let fs = fs();
+        let store = "/prov/prov_p0.nt";
+        for (seq, ordinal, batches) in [(0, 1, 1), (1, 5, 2)] {
+            let mut enc = frame::Encoder::new(FrameKind::Snapshot, frame::store_guid(store), ordinal, frame::CHAIN_START);
+            for b in 0..batches {
+                enc.batch(&[format!("<s{b}> <p> <o{ordinal}> .")]);
+            }
+            let (bytes, _chain, root) = enc.finish_with_root();
+            let m = ParityMember { path: store.into(), offset: 0, len: bytes.len() as u64, check: MemberCheck::Root(root), ord: Some(ordinal) };
+            put(&fs, store, &bytes);
+            seal(&fs, store, seq, &[m], &[&bytes]);
+        }
+        fs.unlink(store).unwrap();
+        fs
+    }
+
+    type Scrubbed = (ScrubReport, Vec<String>, HashMap<String, (u64, [u8; 32])>, Vec<(String, Vec<u8>)>);
+
+    /// Scrub a fresh copy of `scenario` with `threads` workers: the report,
+    /// every mutation in issue order, the roots left for verify and the
+    /// directory afterwards.
+    fn scrub_at(threads: usize, scenario: fn() -> Arc<FileSystem>) -> Scrubbed {
+        let fs = scenario();
+        let trace = provio_hpcfs::OpTrace::new();
+        fs.attach_tracer(Arc::clone(&trace));
+        let mut decoded = HandOff::new();
+        let report = crate::merge::tests::with_pool(threads, || scrub_into(&fs, &mut decoded));
+        let ops = trace.snapshot().into_iter().map(|op| {
+            use provio_hpcfs::TraceOp::*;
+            let verb = match op {
+                Create { .. } => "create",
+                WriteAt { .. } => "write",
+                Rename { .. } => "rename",
+                Unlink { .. } => "unlink",
+                Truncate { .. } => "truncate",
+            };
+            format!("{verb} {}", op.path())
+        });
+        let files = fs.walk_files("/prov").unwrap().into_iter().map(|p| {
+            let bytes = read_file(&fs, &p).unwrap();
+            (p, bytes)
+        });
+        (report, ops.collect(), roots_of(&decoded), files.collect())
+    }
+
+    #[test]
+    fn overlapping_groups_scrub_as_a_sequential_pass_would() {
+        let gen = "/prov/prov_p0.nt.w000001.nt";
+        let commit = |path: &str| {
+            let tmp = format!("{path}.tmp");
+            [format!("create {tmp}"), format!("truncate {tmp}"), format!("write {tmp}"), format!("rename {tmp}")]
+        };
+        let (report, ops, roots, files) = scrub_at(1, generation_across_two_groups);
+        assert_eq!(scrub_at(4, generation_across_two_groups), (report.clone(), ops.clone(), roots.clone(), files));
+        // Group 0 splices its two chunks; group 1 then finds its chunks
+        // intact in the restored live file and writes nothing.
+        assert_eq!(report.repaired_files, vec![gen.to_string()], "{report}");
+        let mut want: Vec<String> = commit(gen).into();
+        want.push(format!("unlink {gen}.quarantine"));
+        want.extend(commit(gen));
+        assert_eq!(ops, want);
+
+        let store = "/prov/prov_p0.nt";
+        let (report, ops, roots, files) = scrub_at(1, snapshot_beside_its_stale_group);
+        assert_eq!(scrub_at(4, snapshot_beside_its_stale_group), (report.clone(), ops.clone(), roots.clone(), files.clone()));
+        // Group 0 writes ordinal 1 back (its one batch); group 1 then finds
+        // it where its own member was lost, so its repair counts one batch,
+        // not the two of a missing file.
+        assert_eq!(report.repaired_files, vec![store.to_string()], "{report}");
+        assert_eq!(report.repaired_batches, 2, "{report}");
+        assert_eq!(ops, [commit(store), commit(store)].concat());
+        let live = &files.iter().find(|(p, _)| p == store).unwrap().1;
+        let newest = frame::decode_bytes(live).unwrap();
+        assert_eq!(newest.ordinal, 5);
+        assert_eq!(roots[store], (live.len() as u64, newest.computed_root));
+    }
+
     #[test]
     fn damaged_parity_block_regenerates_byte_identical() {
         let fs = fs();
@@ -700,8 +855,8 @@ mod tests {
         let ino = fs.lookup(par).unwrap();
         fs.write_at(ino, off, b"\x00", SimTime::ZERO).unwrap();
         assert_ne!(read_file(&fs, par).unwrap(), original);
-        let mut roots = RootCache::new();
-        let rep = scrub_directory_with_roots(&fs, "/prov", &mut roots);
+        let mut roots = HandOff::new();
+        let rep = scrub_into(&fs, &mut roots);
         assert_eq!(rep.repaired_parity, vec![par.to_string()], "{rep}");
         assert!(rep.unrecoverable.is_empty());
         assert_eq!(read_file(&fs, par).unwrap(), original, "regeneration must be byte-identical");
@@ -729,12 +884,15 @@ mod tests {
         let par_path = "/prov/prov_p0.nt.p000000.par";
         put(&fs, par_path, &par);
         // Both frames decode intact, and scrub records each as it sits on
-        // disk for verify.
+        // disk for verify, the member with its frame for merge.
         let sealed = (bytes.len() as u64, root);
-        let mut roots = RootCache::new();
-        assert!(scrub_directory_with_roots(&fs, "/prov", &mut roots).is_clean());
+        let decoded = frame::decode_bytes(&bytes);
+        let mut roots = HandOff::new();
+        assert!(scrub_into(&fs, &mut roots).is_clean());
         let both = [(store.to_string(), sealed), (par_path.to_string(), (par.len() as u64, par_root))];
-        assert_eq!(roots, RootCache::from(both));
+        assert_eq!(roots_of(&roots), HashMap::from(both));
+        assert_eq!(roots[store].frame, decoded);
+        assert_eq!(roots[par_path].frame, None);
         // Rot anywhere in the member — body, header, and the (rewritable)
         // footer — must read as Bad and repair byte-identical; the repaired
         // file's entry replaces whatever stood for it before.
@@ -744,11 +902,13 @@ mod tests {
         for off in [body_off, 3, footer_off] {
             let ino = fs.lookup(store).unwrap();
             fs.write_at(ino, off, b"!", SimTime::ZERO).unwrap();
-            roots.insert(store.to_string(), (bytes.len() as u64, [0xAB; 32]));
-            let rep = scrub_directory_with_roots(&fs, "/prov", &mut roots);
+            let poisoned = Decoded { len: bytes.len() as u64, root: [0xAB; 32], frame: None };
+            roots.insert(store.to_string(), poisoned);
+            let rep = scrub_into(&fs, &mut roots);
             assert_eq!(rep.repaired_files, vec![store.to_string()], "off {off}: {rep}");
             assert_eq!(read_file(&fs, store).unwrap(), bytes, "off {off}");
-            assert_eq!(roots.get(store), Some(&sealed), "off {off}");
+            assert_eq!(roots_of(&roots).get(store), Some(&sealed), "off {off}");
+            assert_eq!(roots[store].frame, decoded, "off {off}");
         }
     }
 

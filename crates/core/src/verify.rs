@@ -28,9 +28,11 @@
 //! scheme can slot in behind the same format later; `hmac-sha256` is the
 //! only algorithm this version signs or accepts.
 
-use crate::artifact::{key_id, ledger_line, parse_ledger_line, parse_manifest, render_manifest};
+use crate::artifact::{
+    key_id, ledger_line, parse_ledger_line, parse_manifest, render_manifest, HandOff,
+};
 use crate::frame::{self, FrameKind};
-use crate::fsio::{commit_atomic, copies, read_file};
+use crate::fsio::{commit_atomic, copies, holds, read_file};
 use crate::names::{self, State, LEDGER_NAME, MANIFEST_NAME};
 use provio_hpcfs::FileSystem;
 use provio_simrt::SimTime;
@@ -64,7 +66,7 @@ fn ledger_path(dir: &str) -> String {
 /// a journal generation's chunks too), the SHA-256 of its bytes otherwise —
 /// and commit the signed manifest (tmp-then-rename). Deterministic:
 /// the same directory bytes and key produce byte-identical manifests.
-/// A file with a live entry in the writers' commit-time `roots` ([`cached_root`])
+/// A file that still [`holds`] its entry in the writers' commit-time `roots`
 /// takes the root the encoder folded when it framed the commit instead of a
 /// second full pass over its bytes. The file list still comes from the walk,
 /// so files the stores did not write (journal generations, a crashed
@@ -79,13 +81,12 @@ pub(crate) fn write_manifest_with_roots(
 ) -> Result<ManifestInfo, String> {
     let dir = dir.trim_end_matches('/');
     let mut files = fs.walk_files(dir).map_err(|e| format!("{e:?}"))?;
-    files.sort();
     files.retain(|p| names::parse(p).is_store_file());
     let mut entries = Vec::with_capacity(files.len());
     let mut acc = String::new();
     for path in files {
-        let (root, merkle, bytes) = match cached_root(fs, roots, &path) {
-            Some((n, root)) => (root, true, n),
+        let (root, merkle, bytes) = match roots.get(&path).filter(|(n, _)| holds(fs, &path, *n)) {
+            Some(&(n, root)) => (root, true, n),
             None => {
                 let bytes = read_file(fs, &path)
                     .ok_or_else(|| format!("unreadable store file {path}"))?;
@@ -109,15 +110,6 @@ pub(crate) fn write_manifest_with_roots(
         digest: sha2::sha256(text.as_bytes()),
         files: manifest.files.len(),
     })
-}
-
-/// `path`'s cached `(bytes, root)` while the file on disk still holds
-/// exactly that many bytes — the one staleness rule the seal and the audit
-/// share. A missing file or a moved size means the entry describes other
-/// bytes, and the caller reads the file instead.
-fn cached_root(fs: &FileSystem, roots: &RootCache, path: &str) -> Option<(u64, [u8; 32])> {
-    let &(n, root) = roots.get(path)?;
-    (fs.stat(path).ok()?.size == n).then_some((n, root))
 }
 
 /// The campaign ledger as read off disk: the verified-prefix records, and
@@ -319,11 +311,7 @@ impl fmt::Display for VerifyReport {
             "verify {}: {} — {} verified, {} tampered, {} damaged, {} missing, \
              {} unsigned; {manifest}; {ledger}",
             self.dir,
-            if self.is_trusted() {
-                "TRUSTED"
-            } else {
-                "NOT TRUSTED"
-            },
+            if self.is_trusted() { "TRUSTED" } else { "NOT TRUSTED" },
             self.count(FileVerdict::Verified),
             self.count(FileVerdict::Tampered),
             self.count(FileVerdict::Damaged),
@@ -397,19 +385,14 @@ fn judge(bytes: &[u8], entry: &ManifestEntry) -> Judged {
 /// in place; a file the merge (or an earlier verify) already renamed to
 /// its quarantined name is judged from the quarantined bytes, so re-running
 /// verify after quarantine returns the same verdict — sticky, idempotent.
-/// A live single frame with an entry in `roots` at its on-disk size is
-/// judged from that root, unread; journal generations and raw-mode files
-/// are always read.
-fn check_entry(
-    fs: &Arc<FileSystem>,
-    entry: &ManifestEntry,
-    roots: &RootCache,
-    report: &mut VerifyReport,
-) {
-    let cached = cached_root(fs, roots, &entry.path)
-        .filter(|_| entry.merkle && !frame::is_wal_path(&entry.path));
-    if let Some((_, root)) = cached {
-        let (verdict, detail) = by_merkle_root(root, entry);
+/// A live single frame with an entry in `decoded` that it still [`holds`]
+/// is judged from that root, unread; journal generations and raw-mode
+/// files are always read.
+fn check_entry(fs: &FileSystem, entry: &ManifestEntry, decoded: &HandOff, report: &mut VerifyReport) {
+    let path = &entry.path;
+    let single = entry.merkle && !frame::is_wal_path(path);
+    if let Some(d) = decoded.get(path).filter(|d| single && holds(fs, path, d.len)) {
+        let (verdict, detail) = by_merkle_root(d.root, entry);
         return report.check(&entry.path, verdict, detail);
     }
     let Some((bytes, quarantined)) = copies(fs, &entry.path).next() else {
@@ -428,22 +411,23 @@ fn check_entry(
 /// verifies as all-`Unsigned` (and merges exactly as before), a tampered
 /// one comes back with file-level blast radius.
 pub fn verify_directory(fs: &Arc<FileSystem>, dir: &str, key: &str) -> VerifyReport {
-    verify_directory_with_roots(fs, dir, key, &RootCache::new())
+    verify_listed(fs, dir, &fs.walk_files(dir).unwrap_or_default(), key, &HandOff::new())
 }
 
-/// [`verify_directory`] judging from the roots the same recovery's scrub
-/// decoded intact ([`crate::scrub::scrub_directory_with_roots`]): the same
-/// report, without decoding those files again.
-pub(crate) fn verify_directory_with_roots(
+/// [`verify_directory`] over the walk `disk` of `dir`, judging from the
+/// roots the same recovery's scrub decoded intact
+/// ([`crate::scrub::scrub_listed`]): the same report, without decoding
+/// those files again.
+pub(crate) fn verify_listed(
     fs: &Arc<FileSystem>,
     dir: &str,
+    disk: &[String],
     key: &str,
-    roots: &RootCache,
+    decoded: &HandOff,
 ) -> VerifyReport {
     let dir = dir.trim_end_matches('/');
     let mut report = VerifyReport { dir: dir.to_string(), ..VerifyReport::default() };
     let mpath = manifest_path(dir);
-    let disk = fs.walk_files(dir).unwrap_or_default();
     // What a manifest could list: no tmp, no quarantined copy, no trust
     // artifact.
     let store_files = || disk.iter().filter(|p| names::parse(p).is_store_file());
@@ -492,13 +476,13 @@ pub(crate) fn verify_directory_with_roots(
     report.manifest_ok = true;
 
     for entry in &pm.manifest.files {
-        check_entry(fs, entry, roots, &mut report);
+        check_entry(fs, entry, decoded, &mut report);
     }
     // Files on disk the signed manifest never listed: planted after
     // signing. (A quarantined copy of a listed file is that file's sticky
     // verdict, not a plant.)
     let listed: HashSet<&str> = pm.manifest.files.iter().map(|e| e.path.as_str()).collect();
-    for p in &disk {
+    for p in disk {
         let name = names::parse(p);
         if name.state == State::Tmp || name.is_trust_artifact() || listed.contains(name.live) {
             continue;
@@ -570,6 +554,7 @@ pub fn quarantine_tampered(fs: &Arc<FileSystem>, report: &VerifyReport) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::Decoded;
     use provio_hpcfs::LustreConfig;
 
     fn fs() -> Arc<FileSystem> {
@@ -687,8 +672,18 @@ mod tests {
 
     /// `path` at its on-disk size with a root no file has: judged from the
     /// map, it could only come out `Tampered`.
-    fn poison(fs: &Arc<FileSystem>, roots: &mut RootCache, path: &str) {
-        roots.insert(path.to_string(), (get(fs, path).len() as u64, [0xAB; 32]));
+    fn poison(fs: &Arc<FileSystem>, roots: &mut HandOff, path: &str) {
+        note(roots, path, get(fs, path).len() as u64, [0xAB; 32]);
+    }
+
+    /// What a scrub that decoded `path` at `len` bytes would leave.
+    fn note(roots: &mut HandOff, path: &str, len: u64, root: [u8; 32]) {
+        roots.insert(path.to_string(), Decoded { len, root, frame: None });
+    }
+
+    /// `verify_directory` of the sealed run, judging from `roots`.
+    fn verify_with(fs: &Arc<FileSystem>, roots: &HandOff) -> VerifyReport {
+        verify_listed(fs, "/provio", &fs.walk_files("/provio").unwrap(), KEY, roots)
     }
 
     fn verdict_of(report: &VerifyReport, path: &str) -> (FileVerdict, String) {
@@ -706,17 +701,18 @@ mod tests {
         let decoded = verify_directory(&fs, "/provio", KEY);
         assert!(decoded.is_trusted(), "{decoded}");
         // The true root at the true size: the same report.
-        let mut roots = RootCache::from([(snap.to_string(), (bytes.len() as u64, root))]);
-        assert_eq!(verify_directory_with_roots(&fs, "/provio", KEY, &roots), decoded);
+        let mut roots = HandOff::new();
+        note(&mut roots, snap, bytes.len() as u64, root);
+        assert_eq!(verify_with(&fs, &roots), decoded);
         // A foreign root under a size the file no longer has is stale:
         // ignored, and the file is decoded.
-        roots.insert(snap.to_string(), (bytes.len() as u64 + 1, [0xAB; 32]));
-        assert_eq!(verify_directory_with_roots(&fs, "/provio", KEY, &roots), decoded);
+        note(&mut roots, snap, bytes.len() as u64 + 1, [0xAB; 32]);
+        assert_eq!(verify_with(&fs, &roots), decoded);
         // At the file's size the entry is taken as it is, and a root that
         // differs from the signed one reads exactly as a decoded
         // CRC-patched rewrite does.
         poison(&fs, &mut roots, snap);
-        let cached = verify_directory_with_roots(&fs, "/provio", KEY, &roots);
+        let cached = verify_with(&fs, &roots);
         let (forged, _) = frame::encode(
             FrameKind::Snapshot,
             frame::store_guid(snap),
@@ -752,13 +748,13 @@ mod tests {
         // for the raw file — each at the size of the bytes on disk.
         let snap = "/provio/prov_p0.nt";
         let raw = "/provio/prov_p1.nt";
-        let mut roots = RootCache::new();
+        let mut roots = HandOff::new();
         poison(&fs, &mut roots, snap);
         fs.rename(snap, &names::quarantine_of(snap), SimTime::ZERO).unwrap();
         for path in [&names::quarantine_of(snap), journal, raw] {
             poison(&fs, &mut roots, path);
         }
-        let report = verify_directory_with_roots(&fs, "/provio", KEY, &roots);
+        let report = verify_with(&fs, &roots);
         assert_eq!(report, verify_directory(&fs, "/provio", KEY));
         assert!(report.is_trusted(), "{report}");
         let verified = |detail: &str| (FileVerdict::Verified, detail.to_string());

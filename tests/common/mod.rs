@@ -1,8 +1,15 @@
 //! The seeded every-plane scenario and the directory / graph / operation
 //! digests shared by `golden_store.rs` (what capture leaves behind),
 //! `golden_recovery.rs` (what recovery makes of it) and
-//! `golden_workflows.rs` (what whole runs on the virtual clock leave).
+//! `golden_workflows.rs` (what whole runs on the virtual clock leave). The
+//! scenarios of each, with the values recorded for them, sit in the
+//! submodule named after it, so `pool_sizes.rs` checks the same values at
+//! other pool sizes.
 #![allow(dead_code)] // each test binary uses its own part
+
+pub mod recovery;
+pub mod store;
+pub mod workflows;
 
 use prov_io::core::frame::fnv1a64;
 use prov_io::core::{
@@ -15,6 +22,9 @@ use prov_io::rdf::Graph;
 use prov_io::simrt::{DetRng, VirtualClock};
 use sha2::Sha256;
 use std::sync::Arc;
+
+/// A named scenario and what was recorded for it.
+pub type Scenario<T, Recorded> = (&'static str, fn() -> T, Recorded);
 
 pub const SEED: u64 = 0x60_1D;
 pub const RANKS: u32 = 4;
