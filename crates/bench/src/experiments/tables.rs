@@ -234,8 +234,8 @@ fn tab5() -> Report {
         let parsed = Query::parse(&case.sparql).expect("valid query");
         let sols = parsed.execute(engine.graph());
         let sample = sols
-            .rows
-            .first()
+            .rows()
+            .next()
             .map(|r| {
                 r.iter()
                     .map(|(k, v)| format!("?{k}={v}"))

@@ -341,6 +341,7 @@ impl ProvQueryEngine {
 mod tests {
     use super::*;
     use provio_rdf::turtle;
+    use provio_sparql::Row;
 
     /// A hand-built DASSA-shaped provenance graph:
     /// WestSac.tdms --tdms2h5--> WestSac.h5 --decimate--> decimate.h5
@@ -448,10 +449,10 @@ mod tests {
             out.push(format!("{guid} <- {:?}", eng.backward_lineage(&guid)));
             out.push(format!("{guid} -> {:?}", eng.forward_lineage(&guid)));
             let from = format!("SELECT ?b WHERE {{ <{guid}> prov:wasDerivedFrom+ ?b . }}");
-            out.push(format!("{:?}", eng.sparql(&from).unwrap().rows));
+            out.push(format!("{:?}", eng.sparql(&from).unwrap()));
         }
         let all = "SELECT ?a ?b WHERE { ?a prov:wasDerivedFrom+ ?b . }";
-        out.push(format!("{:?}", eng.sparql(all).unwrap().rows));
+        out.push(format!("{:?}", eng.sparql(all).unwrap()));
         out
     }
 
@@ -595,7 +596,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(sols.len(), 1);
-        assert!(sols.rows[0]["program"].to_string().contains("decimate"));
+        assert!(sols.row(0).get("program").unwrap().to_string().contains("decimate"));
     }
 
     #[test]
@@ -683,10 +684,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(sols.len(), 1);
-        assert_eq!(sols.rows[0]["n"].as_literal().unwrap().as_i64(), Some(50));
+        assert_eq!(sols.row(0).get("n").unwrap().as_literal().unwrap().as_i64(), Some(50));
         let total: i64 = (0..50).map(|i| 100 + i).sum();
         assert_eq!(
-            sols.rows[0]["d"].as_literal().unwrap().as_i64(),
+            sols.row(0).get("d").unwrap().as_literal().unwrap().as_i64(),
             Some(total)
         );
     }
@@ -726,8 +727,9 @@ mod tests {
         let (a, b) = (guid("a"), guid("b"));
         // The walks agree with the GUID-filtered SPARQL paths.
         let guids = |query: String| -> Vec<Guid> {
-            let rows = eng.sparql(&query).unwrap().rows;
-            rows.iter().filter_map(|r| r["x"].as_iri().and_then(Guid::from_iri)).collect()
+            let sols = eng.sparql(&query).unwrap();
+            let guid = |r: Row<'_>| r.get("x").unwrap().as_iri().and_then(Guid::from_iri);
+            sols.rows().filter_map(guid).collect()
         };
         let backward = guids(format!("SELECT ?x WHERE {{ <{a}> prov:wasDerivedFrom+ ?x . }}"));
         let forward = guids(format!("SELECT ?x WHERE {{ <{b}> ^prov:wasDerivedFrom+ ?x . }}"));

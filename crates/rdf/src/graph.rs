@@ -703,18 +703,11 @@ impl Graph {
 
     /// Match a pattern, choosing the most selective index available.
     pub fn match_pattern(&self, pat: &TriplePattern) -> Vec<Triple> {
-        self.match_ids(
-            pat.subject
-                .as_ref()
-                .map(|s| self.interner.get_view(TermView::of_subject(s))),
-            pat.predicate
-                .as_ref()
-                .map(|p| self.interner.get_view(TermView::of_iri(p))),
-            pat.object.as_ref().map(|o| self.interner.get(o)),
-        )
-        .into_iter()
-        .map(|(s, p, o)| self.rebuild(s.0, p.0, o.0))
-        .collect()
+        let s = pat.subject.as_ref().map(|s| self.interner.get_view(TermView::of_subject(s)));
+        let p = pat.predicate.as_ref().map(|p| self.interner.get_view(TermView::of_iri(p)));
+        let o = pat.object.as_ref().map(|o| self.interner.get(o));
+        let hits = self.match_ids(s, p, o).into_iter();
+        hits.map(|(s, p, o)| self.rebuild(s.0, p.0, o.0)).collect()
     }
 
     /// Id-level matching. Each position is `None` (wildcard) or
@@ -731,24 +724,26 @@ impl Graph {
         p: Option<Option<TermId>>,
         o: Option<Option<TermId>>,
     ) -> Vec<(TermId, TermId, TermId)> {
-        // A bound-but-unknown term can never match.
-        let s = match s {
-            Some(None) => return Vec::new(),
-            Some(Some(id)) => Some(id.0),
-            None => None,
-        };
-        let p = match p {
-            Some(None) => return Vec::new(),
-            Some(Some(id)) => Some(id.0),
-            None => None,
-        };
-        let o = match o {
-            Some(None) => return Vec::new(),
-            Some(Some(id)) => Some(id.0),
-            None => None,
-        };
-
         let mut out = Vec::new();
+        self.match_ids_into(s, p, o, &mut out);
+        out
+    }
+
+    /// [`Graph::match_ids`], appended to `out`: a caller that matches once
+    /// per row reuses one buffer.
+    pub fn match_ids_into(
+        &self,
+        s: Option<Option<TermId>>,
+        p: Option<Option<TermId>>,
+        o: Option<Option<TermId>>,
+        out: &mut Vec<(TermId, TermId, TermId)>,
+    ) {
+        // A bound-but-unknown term can never match.
+        if [s, p, o].contains(&Some(None)) {
+            return;
+        }
+        let [s, p, o] = [s, p, o].map(|at| at.flatten().map(|id| id.0));
+
         match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
                 if self.triples.contains(&(s, p, o)) {
@@ -783,10 +778,10 @@ impl Graph {
             }
         }
         let Some(x) = &self.product else {
-            return out;
+            return;
         };
         if p.is_some_and(|p| p != x.pred) {
-            return out;
+            return;
         }
         let edge = |s, o| (TermId(s), TermId(x.pred), TermId(o));
         match (s, o) {
@@ -800,7 +795,6 @@ impl Graph {
             (None, Some(o)) => out.extend(x.subjects_of(o).map(|s| edge(s, o))),
             (None, None) => out.extend(x.expansion().iter().map(|&(s, _, o)| edge(s, o))),
         }
-        out
     }
 
     /// Estimated number of matches for a pattern shape, used for join
@@ -811,12 +805,10 @@ impl Graph {
         p: Option<Option<TermId>>,
         o: Option<Option<TermId>>,
     ) -> usize {
-        if matches!(s, Some(None)) || matches!(p, Some(None)) || matches!(o, Some(None)) {
+        if [s, p, o].contains(&Some(None)) {
             return 0;
         }
-        let s = s.flatten();
-        let p = p.flatten();
-        let o = o.flatten();
+        let [s, p, o] = [s, p, o].map(Option::flatten);
         // A product's edges count where they would sit in the indexes.
         let x = self.product.as_deref();
         let added = |counts: fn(&Product) -> &[u32], id: TermId| {

@@ -117,7 +117,7 @@ fn write_block<'a>(
 
 /// Append a term's N-Triples spelling (any position: N-Triples spells a
 /// term identically as subject, predicate, or object).
-fn push_term(out: &mut String, t: &Term) {
+pub fn push_term(out: &mut String, t: &Term) {
     term::push_term(out, t, |out, iri| out.extend(["<", iri.as_str(), ">"]));
 }
 

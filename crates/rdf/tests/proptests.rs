@@ -19,7 +19,7 @@ use provio_rdf::{
     ntriples, turtle, BlankNode, Capture, Graph, Iri, Literal, Namespaces, Term, TermId, Triple,
     TriplePattern,
 };
-use strategies::{arb_graph, arb_triple, tricky_namespaces, tricky_triple};
+use strategies::{arb_graph, arb_term, arb_triple, tricky_namespaces, tricky_triple};
 
 fn graphs_equal(a: &Graph, b: &Graph) -> bool {
     a.len() == b.len() && a.iter().all(|t| b.contains(&t))
@@ -126,6 +126,17 @@ fn writer_cases() -> u32 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(writer_cases()))]
+
+    /// The N-Triples speller spells every term as `Display` does: the query
+    /// engine orders rows by keys spelled with one, and callers print the
+    /// rows with the other.
+    #[test]
+    fn the_n_triples_spelling_is_the_display_spelling(t in arb_term(), tricky in tricky_triple()) {
+        let Triple { subject, predicate, object } = tricky;
+        for t in [t, subject.into(), Term::Iri(predicate), object] {
+            prop_assert_eq!(ntriples::render_term(&t), t.to_string());
+        }
+    }
 
     /// Every writer, on the whole graph and on a delta slice of it, is
     /// byte-identical to the reference — after duplicate inserts and a

@@ -11,7 +11,8 @@
 //!    `Option<TermId>`, all rows of a step in one allocation. Patterns are
 //!    taken greedily — most bound positions first, ties to the smaller
 //!    index estimate — and each row is extended through
-//!    [`Graph::match_ids`], or through [`crate::path`] for a property path.
+//!    [`Graph::match_ids_into`] (one buffer for every lookup), or through
+//!    [`crate::path`] for a property path.
 //!    A filter runs as soon as its variables are bound, reading terms by
 //!    reference: comparisons and string functions need the lexical form,
 //!    nothing else does.
@@ -20,8 +21,9 @@
 //!    with its number parsed once, otherwise the rendered
 //!    `var=term|var=term` line (all rows' keys in one buffer). Ties under
 //!    `ORDER BY` keep evaluation order.
-//! 4. **Project.** Only the rows inside `OFFSET` / `LIMIT` become
-//!    [`Binding`]s of cloned terms.
+//! 4. **Project.** Only the rows inside `OFFSET` / `LIMIT` leave, their
+//!    terms cloned into one cell column of [`Solutions`]: no map and no
+//!    name per row. A caller reads row `i` through the [`Row`] view.
 //!
 //! Budget: each index lookup costs one step plus one per candidate row it
 //! yields; path evaluation charges per edge (see [`crate::path`]) and one
@@ -30,9 +32,9 @@
 use crate::ast::{Aggregate, CompareOp, Expr, Pattern, Query, TermOrVar};
 use crate::path::{self, IdPath};
 use crate::QueryError;
-use provio_rdf::{Graph, IdMap, IdSet, Literal, Term, TermId};
+use provio_rdf::{ntriples, Graph, IdMap, IdSet, Literal, Term, TermId};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// A step budget for one evaluation. Every candidate binding produced by a
@@ -67,57 +69,77 @@ impl Budget {
     }
 }
 
-/// One solution row: variable name → bound term.
-pub type Binding = BTreeMap<String, Term>;
-
-/// The result of executing a query.
-#[derive(Debug, Clone)]
+/// The result of executing a query: its rows, `len × width` cells in one
+/// column, a row's cells in the name order of the variables it carries.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solutions {
     /// Projected variable names, in projection order.
     pub vars: Vec<String>,
-    /// One binding per solution.
-    pub rows: Vec<Binding>,
+    /// The variables a row carries, in name order: one cell each.
+    names: Vec<String>,
+    len: usize,
+    cells: Vec<Option<Term>>,
 }
 
 impl Solutions {
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
+    }
+
+    /// Row `i`, a slice of the cell column.
+    pub fn row(&self, i: usize) -> Row<'_> {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        let width = self.names.len();
+        Row { names: &self.names, cells: &self.cells[i * width..(i + 1) * width] }
+    }
+
+    /// Every row, in order.
+    pub fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        (0..self.len).map(|i| self.row(i))
     }
 
     /// Render as an aligned text table (used by the experiment harness).
     pub fn to_table(&self) -> String {
-        let mut widths: Vec<usize> = self.vars.iter().map(|v| v.len() + 1).collect();
-        let cells: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                self.vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| {
-                        let s = r.get(v).map(|t| t.to_string()).unwrap_or_default();
-                        widths[i] = widths[i].max(s.len());
-                        s
-                    })
-                    .collect()
-            })
-            .collect();
+        let head = self.vars.iter().map(|v| format!("?{v}")).collect();
+        let body = self.rows().map(|row| {
+            let cell = |v: &String| row.get(v).map(Term::to_string).unwrap_or_default();
+            self.vars.iter().map(cell).collect()
+        });
+        let lines: Vec<Vec<String>> = std::iter::once(head).chain(body).collect();
+        let width = |i: usize| lines.iter().map(|line| line[i].len()).max().unwrap_or(0);
+        let widths: Vec<usize> = (0..self.vars.len()).map(width).collect();
         let mut out = String::new();
-        for (i, v) in self.vars.iter().enumerate() {
-            out.push_str(&format!("{:<w$}  ", format!("?{v}"), w = widths[i]));
-        }
-        out.push('\n');
-        for row in cells {
-            for (i, c) in row.iter().enumerate() {
-                out.push_str(&format!("{:<w$}  ", c, w = widths[i]));
+        for line in &lines {
+            for (c, w) in line.iter().zip(&widths) {
+                write!(out, "{c:<w$}  ").expect("writing to a String");
             }
             out.push('\n');
         }
         out
+    }
+}
+
+/// One solution row: its variables' cells, read by name.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
+    names: &'a [String],
+    cells: &'a [Option<Term>],
+}
+
+impl<'a> Row<'a> {
+    /// The term bound to `var`, if the row carries it bound.
+    pub fn get(&self, var: &str) -> Option<&'a Term> {
+        self.cells[self.names.iter().position(|n| n == var)?].as_ref()
+    }
+
+    /// The bound `(name, term)` pairs in name order, unbound cells skipped.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a Term)> {
+        let cells = self.names.iter().zip(self.cells);
+        cells.filter_map(|(name, cell)| Some((name.as_str(), cell.as_ref()?)))
     }
 }
 
@@ -351,8 +373,8 @@ impl Query {
 
         // Aggregation (COUNT with optional GROUP BY) or plain projection:
         // `header` is what the caller asked to see, `names` the variables
-        // a result row carries — for a COUNT, the GROUP BY variables and
-        // the alias, whatever the projection lists.
+        // a result row carries, in name order — for a COUNT, the GROUP BY
+        // variables and the alias, whatever the projection lists.
         let mut header = self.projection.clone();
         let mut names: Vec<&str> = Vec::new();
         let listed = match &self.aggregate {
@@ -377,6 +399,7 @@ impl Query {
                 names.push(name);
             }
         }
+        names.sort_unstable();
         let from: Vec<Option<usize>> = names.iter().map(|n| column(n)).collect();
         let mut out = Rows::new(names.len());
         match &self.aggregate {
@@ -433,51 +456,36 @@ impl Query {
         } else {
             // Deterministic output even without ORDER BY: rows by their
             // `var=term|var=term` line, variables in name order. Every
-            // row's line is rendered once, into one buffer.
-            let mut by_name: Vec<usize> = (0..names.len()).collect();
-            by_name.sort_by_key(|&c| names[c]);
+            // row's line is spelled once, into one buffer.
             let mut lines = String::new();
-            let mut ends = Vec::with_capacity(rows.len());
+            let mut bounds = Vec::with_capacity(rows.len() + 1);
+            bounds.push(0);
             for row in rows.iter() {
                 let start = lines.len();
-                for &c in &by_name {
-                    if let Some(id) = row[c] {
+                for (name, cell) in names.iter().zip(row) {
+                    if let Some(id) = cell {
                         if lines.len() > start {
                             lines.push('|');
                         }
-                        write!(lines, "{}={}", names[c], terms.term(id))
-                            .expect("writing to a String");
+                        lines.extend([*name, "="]);
+                        ntriples::push_term(&mut lines, terms.term(*id));
                     }
                 }
-                ends.push(lines.len());
+                bounds.push(lines.len());
             }
-            let mut keyed: Vec<(&str, usize)> = Vec::with_capacity(rows.len());
-            let mut start = 0;
-            for (i, &end) in ends.iter().enumerate() {
-                keyed.push((&lines[start..end], i));
-                start = end;
-            }
-            keyed.sort_by(|a, b| a.0.cmp(b.0));
-            order = keyed.into_iter().map(|(_, i)| i).collect();
+            order.sort_by_key(|&i| &lines[bounds[i]..bounds[i + 1]]);
         }
 
-        // Terms are cloned only for the rows that leave.
-        let rows: Vec<Binding> = order
-            .into_iter()
-            .skip(self.offset)
-            .take(self.limit.unwrap_or(usize::MAX))
-            .map(|i| {
-                let mut binding = Binding::new();
-                for (name, cell) in names.iter().zip(rows.row(i)) {
-                    if let Some(id) = cell {
-                        binding.insert(name.to_string(), terms.term(*id).clone());
-                    }
-                }
-                binding
-            })
-            .collect();
-
-        Ok(Solutions { vars: header, rows })
+        // Terms are cloned only for the rows that leave, into one column.
+        let window = &order[self.offset.min(order.len())..];
+        let window = &window[..window.len().min(self.limit.unwrap_or(usize::MAX))];
+        let mut cells = Vec::with_capacity(window.len() * names.len());
+        for &i in window {
+            let row = &rows.row(i)[..names.len()];
+            cells.extend(row.iter().map(|cell| cell.map(|id| terms.term(id).clone())));
+        }
+        let names = names.into_iter().map(String::from).collect();
+        Ok(Solutions { vars: header, names, len: window.len(), cells })
     }
 
     /// `COUNT` per group: (index of the group's first row, count).
@@ -588,19 +596,18 @@ fn extend(
     };
 
     if let IdPath::Pred(p) = step.path {
-        // Plain predicate: one index lookup per row.
+        // Plain predicate: one index lookup per row, into one buffer.
+        let mut matches = Vec::new();
         for row in rows.iter() {
             let (s, o) = (value(row, step.subject), value(row, step.object));
             if s.is_some_and(|s| matches!(terms.term(s), Term::Literal(_))) {
                 continue; // literal subject can never match
             }
-            let matches = graph.match_ids(
-                s.map(|s| terms.in_graph(s)),
-                Some(p),
-                o.map(|o| terms.in_graph(o)),
-            );
+            matches.clear();
+            let (s, o) = (s.map(|s| terms.in_graph(s)), o.map(|o| terms.in_graph(o)));
+            graph.match_ids_into(s, Some(p), o, &mut matches);
             budget.charge(matches.len() as u64 + 1)?;
-            for (ms, _, mo) in matches {
+            for &(ms, _, mo) in &matches {
                 bind(row, ms, mo);
             }
         }
@@ -780,6 +787,7 @@ fn regex_lite(s: &str, pattern: &str) -> bool {
 mod tests {
     use super::*;
     use provio_rdf::{turtle, Literal};
+    use std::collections::BTreeMap;
 
     fn graph() -> Graph {
         let (g, _) = turtle::parse(
@@ -814,7 +822,7 @@ mod tests {
              SELECT ?p WHERE { ex:decimate.h5 prov:wasAttributedTo ?p . }",
         );
         assert_eq!(s.len(), 1);
-        assert_eq!(s.rows[0]["p"].to_string(), "<http://e/decimate>");
+        assert_eq!(s.row(0).get("p").unwrap().to_string(), "<http://e/decimate>");
     }
 
     #[test]
@@ -824,8 +832,8 @@ mod tests {
              SELECT ?file ?node WHERE { ?file prov:wasAttributedTo ?prog . ?prog ex:ran_on ?node . }",
         );
         assert_eq!(s.len(), 1);
-        assert_eq!(s.rows[0]["file"].to_string(), "<http://e/decimate.h5>");
-        assert_eq!(s.rows[0]["node"].to_string(), "<http://e/node1>");
+        assert_eq!(s.row(0).get("file").unwrap().to_string(), "<http://e/decimate.h5>");
+        assert_eq!(s.row(0).get("node").unwrap().to_string(), "<http://e/node1>");
     }
 
     #[test]
@@ -834,7 +842,8 @@ mod tests {
             "PREFIX ex: <http://e/> PREFIX prov: <http://www.w3.org/ns/prov#> \
              SELECT ?origin WHERE { ex:decimate.h5 prov:wasDerivedFrom+ ?origin . }",
         );
-        let mut names: Vec<String> = s.rows.iter().map(|r| r["origin"].to_string()).collect();
+        let mut names: Vec<String> =
+            s.rows().map(|r| r.get("origin").unwrap().to_string()).collect();
         names.sort();
         assert_eq!(
             names,
@@ -858,8 +867,8 @@ mod tests {
              SELECT ?api WHERE { ?api ex:elapsed ?d . FILTER(?d > 6) } ORDER BY ?api",
         );
         assert_eq!(s.len(), 2);
-        assert_eq!(s.rows[0]["api"].to_string(), "<http://e/api2>");
-        assert_eq!(s.rows[1]["api"].to_string(), "<http://e/api3>");
+        assert_eq!(s.row(0).get("api").unwrap().to_string(), "<http://e/api2>");
+        assert_eq!(s.row(1).get("api").unwrap().to_string(), "<http://e/api3>");
     }
 
     #[test]
@@ -869,7 +878,7 @@ mod tests {
              SELECT ?api WHERE { ?api ex:elapsed ?d . FILTER(?d > 6 && !(?d >= 12)) }",
         );
         assert_eq!(s.len(), 1);
-        assert_eq!(s.rows[0]["api"].to_string(), "<http://e/api3>");
+        assert_eq!(s.row(0).get("api").unwrap().to_string(), "<http://e/api3>");
     }
 
     #[test]
@@ -896,9 +905,8 @@ mod tests {
              SELECT ?api ?d WHERE { ?api ex:elapsed ?d . } ORDER BY DESC(?d)",
         );
         let ds: Vec<i64> = s
-            .rows
-            .iter()
-            .map(|r| r["d"].as_literal().unwrap().as_i64().unwrap())
+            .rows()
+            .map(|r| r.get("d").unwrap().as_literal().unwrap().as_i64().unwrap())
             .collect();
         assert_eq!(ds, vec![12, 7, 5]);
     }
@@ -918,7 +926,7 @@ mod tests {
              SELECT ?x WHERE { ?x prov:wasDerivedFrom ?y . ?x prov:wasAttributedTo ex:decimate . }",
         );
         assert_eq!(s.len(), 1);
-        assert_eq!(s.rows[0]["x"].to_string(), "<http://e/decimate.h5>");
+        assert_eq!(s.row(0).get("x").unwrap().to_string(), "<http://e/decimate.h5>");
     }
 
     #[test]
@@ -964,7 +972,7 @@ mod tests {
     fn count_star() {
         let s = run("SELECT (COUNT(*) AS ?n) WHERE { ?x a ?t . }");
         assert_eq!(s.vars, vec!["n"]);
-        assert_eq!(s.rows[0]["n"].as_literal().unwrap().as_i64(), Some(3));
+        assert_eq!(s.row(0).get("n").unwrap().as_literal().unwrap().as_i64(), Some(3));
     }
 
     #[test]
@@ -974,10 +982,10 @@ mod tests {
             "PREFIX ex: <http://e/>              SELECT ?t (COUNT(?x) AS ?n) WHERE { ?x a ?t . } GROUP BY ?t ORDER BY ?t",
         );
         assert_eq!(s.len(), 2);
-        assert_eq!(s.rows[0]["t"].to_string(), "<http://e/Read>");
-        assert_eq!(s.rows[0]["n"].as_literal().unwrap().as_i64(), Some(2));
-        assert_eq!(s.rows[1]["t"].to_string(), "<http://e/Write>");
-        assert_eq!(s.rows[1]["n"].as_literal().unwrap().as_i64(), Some(1));
+        assert_eq!(s.row(0).get("t").unwrap().to_string(), "<http://e/Read>");
+        assert_eq!(s.row(0).get("n").unwrap().as_literal().unwrap().as_i64(), Some(2));
+        assert_eq!(s.row(1).get("t").unwrap().to_string(), "<http://e/Write>");
+        assert_eq!(s.row(1).get("n").unwrap().as_literal().unwrap().as_i64(), Some(1));
     }
 
     #[test]
@@ -986,7 +994,7 @@ mod tests {
         let s = run(
             "PREFIX ex: <http://e/>              SELECT (COUNT(DISTINCT ?x) AS ?n) WHERE { ?x ex:elapsed ?d . FILTER(?d > 5) }",
         );
-        assert_eq!(s.rows[0]["n"].as_literal().unwrap().as_i64(), Some(2));
+        assert_eq!(s.row(0).get("n").unwrap().as_literal().unwrap().as_i64(), Some(2));
     }
 
     #[test]
@@ -995,7 +1003,7 @@ mod tests {
             "PREFIX ex: <http://e/>              SELECT ?t (COUNT(?x) AS ?n) WHERE { ?x a ?t . } GROUP BY ?t              ORDER BY DESC(?n) LIMIT 1",
         );
         assert_eq!(s.len(), 1);
-        assert_eq!(s.rows[0]["n"].as_literal().unwrap().as_i64(), Some(2));
+        assert_eq!(s.row(0).get("n").unwrap().as_literal().unwrap().as_i64(), Some(2));
     }
 
     #[test]
@@ -1105,12 +1113,81 @@ mod tests {
         }
     }
 
+    /// Every row as the `name=term` pairs its view yields (IRIs without
+    /// `http://e/`, literals by lexical form), after checking that the
+    /// pairs are what a `BTreeMap` of them iterates — name order, one per
+    /// name — and what `get` reads.
+    fn pairs(s: &Solutions) -> Vec<String> {
+        let short = |t: &Term| match t {
+            Term::Literal(l) => l.lexical().to_string(),
+            t => t.to_string().replace("http://e/", ""),
+        };
+        s.rows()
+            .map(|row| {
+                let pairs: Vec<(&str, &Term)> = row.iter().collect();
+                let map: BTreeMap<&str, &Term> = pairs.iter().copied().collect();
+                assert_eq!(pairs, map.into_iter().collect::<Vec<_>>());
+                assert!(pairs.iter().all(|&(name, t)| row.get(name) == Some(t)));
+                let spelled: Vec<String> =
+                    pairs.iter().map(|(name, t)| format!("{name}={}", short(t))).collect();
+                spelled.join(" ")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_row_view_yields_the_bound_pairs_in_name_order() {
+        let select = "PREFIX ex: <http://e/> SELECT";
+        for (query, vars, want) in [
+            (
+                format!("{select} * WHERE {{ ?api ex:elapsed ?d . }}"),
+                &["api", "d"][..],
+                &["api=<api1> d=5", "api=<api2> d=12", "api=<api3> d=7"][..],
+            ),
+            // `?zz` no pattern binds: in the header, never in a row.
+            (
+                format!("{select} ?zz ?d ?api WHERE {{ ?api ex:elapsed ?d . FILTER(?d < 7) }}"),
+                &["zz", "d", "api"],
+                &["api=<api1> d=5"],
+            ),
+            // The alias sorts before the GROUP BY variable.
+            (
+                format!(
+                    "{select} ?t (COUNT(?x) AS ?n) WHERE {{ ?x a ?t . }} \
+                     GROUP BY ?t ORDER BY ?t"
+                ),
+                &["t", "n"],
+                &["n=2 t=<Read>", "n=1 t=<Write>"],
+            ),
+            (
+                format!("{select} DISTINCT ?t WHERE {{ ?x a ?t . }}"),
+                &["t"],
+                &["t=<Read>", "t=<Write>"],
+            ),
+            (
+                format!(
+                    "{select} ?d ?api WHERE {{ ?api ex:elapsed ?d . }} \
+                     ORDER BY DESC(?d) OFFSET 1 LIMIT 2"
+                ),
+                &["d", "api"],
+                &["api=<api3> d=7", "api=<api1> d=5"],
+            ),
+        ] {
+            let s = run(&query);
+            assert_eq!(s.vars, vars, "{query}");
+            assert_eq!(pairs(&s), want, "{query}");
+            assert!(s.rows().all(|row| row.get("zz").is_none()), "{query}");
+        }
+        let none = run("PREFIX ex: <http://e/> SELECT ?t WHERE { ?x a ?t . ?x ex:nothere ?y . }");
+        assert_eq!((none.len(), none.rows().count()), (0, 0));
+    }
+
     #[test]
     fn results_are_deterministic_without_order_by() {
         let a = run("PREFIX ex: <http://e/> SELECT ?x WHERE { ?x ex:elapsed ?d . }");
         let b = run("PREFIX ex: <http://e/> SELECT ?x WHERE { ?x ex:elapsed ?d . }");
-        let ra: Vec<String> = a.rows.iter().map(|r| r["x"].to_string()).collect();
-        let rb: Vec<String> = b.rows.iter().map(|r| r["x"].to_string()).collect();
+        let ra: Vec<String> = a.rows().map(|r| r.get("x").unwrap().to_string()).collect();
+        let rb: Vec<String> = b.rows().map(|r| r.get("x").unwrap().to_string()).collect();
         assert_eq!(ra, rb);
     }
 }

@@ -44,7 +44,7 @@ pub(crate) mod parse;
 pub mod path;
 
 pub use ast::{Aggregate, Expr, PathExpr, Pattern, Query, TermOrVar};
-pub use eval::{Binding, Solutions};
+pub use eval::{Row, Solutions};
 
 /// Errors from parsing or executing a query.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,8 +1,10 @@
 //! Exact work of the two per-activity queries (the paper's H5bench
-//! scenarios 1 and 2): allocations per result row stay under a small
-//! constant, and the count does not depend on the order the triples went
-//! into the graph — ordering the result renders each row's key once,
-//! however unsorted the rows arrive.
+//! scenarios 1 and 2): no allocation per result row — the join reuses one
+//! lookup buffer, the row keys are spelled into one buffer and the result
+//! is one cell column, so a query allocates a constant plus the few
+//! buffers that grow by doubling — and the count does not depend on the
+//! order the triples went into the graph: ordering the result renders each
+//! row's key once, however unsorted the rows arrive.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own. Counts are
 //! per thread, so the other test does not leak into a measurement.
@@ -44,33 +46,25 @@ fn graph(shuffled: bool) -> Graph {
     triples.into_iter().collect()
 }
 
+/// Allocations one query may make, whatever its row count.
+const PER_QUERY: u64 = 100;
+
 #[test]
 fn per_activity_queries_allocate_a_constant_per_row_whatever_the_insertion_order() {
     let (sorted, shuffled) = (graph(false), graph(true));
-    for (text, per_row) in [
-        // One Binding node and one variable name per row.
-        ("SELECT ?a WHERE { ?a prov:wasMemberOf prov:Activity . }", 2),
-        // One more name, and the index lookup's result per joined row.
-        (
-            "SELECT ?a ?d WHERE { ?a prov:wasMemberOf prov:Activity ; provio:elapsed ?d . }",
-            4,
-        ),
+    for text in [
+        "SELECT ?a WHERE { ?a prov:wasMemberOf prov:Activity . }",
+        "SELECT ?a ?d WHERE { ?a prov:wasMemberOf prov:Activity ; provio:elapsed ?d . }",
     ] {
         let q = Query::parse(text).unwrap();
         let (rows, in_order) = allocations_during(|| q.execute(&sorted));
         let (rows_shuffled, out_of_order) = allocations_during(|| q.execute(&shuffled));
         assert_eq!(rows.len(), ACTIVITIES);
-        assert_eq!(rows.rows, rows_shuffled.rows, "same rows, same order");
+        assert_eq!(rows, rows_shuffled, "same rows, same order");
         assert_eq!(in_order, out_of_order, "{text}");
-        // Per row, plus the few buffers that grow by doubling.
-        let budget = (per_row * ACTIVITIES + 100) as u64;
         assert!(
-            in_order <= budget,
+            (1..=PER_QUERY).contains(&in_order),
             "{in_order} allocations for {ACTIVITIES} rows of {text}"
-        );
-        assert!(
-            in_order >= ACTIVITIES as u64,
-            "the counter counts: {in_order}"
         );
     }
 }

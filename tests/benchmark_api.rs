@@ -13,6 +13,7 @@ use prov_io::hpcfs::TraceOp;
 use prov_io::model::{ontology, AgentClass, Guid, GuidGen, PropKey, ProvNode, ProvRecord};
 use prov_io::prelude::*;
 use prov_io::rdf::{ntriples, turtle, Graph, Namespaces, Term};
+use prov_io::sparql::QueryError;
 use prov_io::workflows::{dassa, h5bench, topreco, RunMetrics};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -175,8 +176,10 @@ fn benchmark_read_api(fs: Arc<FileSystem>, cluster: &Cluster, probe: &Guid, mode
     graph.merge(&merged);
 
     // The query engine and the parser.
-    let _ = Query::parse("SELECT ?s WHERE { ?s ?p ?o . }").map(|q| q.execute(&graph));
+    let all = "SELECT ?s WHERE { ?s ?p ?o . }";
+    let _: Result<usize, QueryError> = Query::parse(all).map(|q| q.execute(&graph).len());
     let mut engine = ProvQueryEngine::new(graph);
+    let _: Result<usize, QueryError> = engine.sparql(all).map(|s| s.len());
     let _: usize = engine.derive_lineage();
     let _: Vec<Guid> = engine.backward_lineage(probe);
 

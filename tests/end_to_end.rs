@@ -37,7 +37,7 @@ fn topreco_capture_to_query() {
         .unwrap();
     assert_eq!(sols.len(), 6, "one row per tracked configuration");
     // The recorded accuracy equals the workflow's final accuracy.
-    let acc = sols.rows[0]["accuracy"]
+    let acc = sols.row(0).get("accuracy").unwrap()
         .as_literal()
         .unwrap()
         .as_f64()
