@@ -148,6 +148,28 @@ fn h5bench_capture_to_stats() {
     assert!(stats.bottleneck().is_some());
     // Total ops match the tracker's event count.
     assert_eq!(stats.total_ops(), out.metrics.tracked_events);
+
+    // The graph readers' outputs, frozen: the statistics (table, timeline
+    // and per-API counts), the whole graph as DOT, the doctor's findings,
+    // and what reduction keeps of the graph.
+    let mut h = sha2::Sha256::new();
+    h.update(stats.to_table().as_bytes());
+    h.update(format!("{stats:?}").as_bytes());
+    h.update(to_dot(&graph, &Default::default()).as_bytes());
+    let health = doctor(&graph);
+    h.update(format!("{health}\n{health:?}").as_bytes());
+    let mut engine = ProvQueryEngine::new(graph);
+    let (before, after) = engine.reduce_activities();
+    assert!(after < before, "equivalent activities collapse: {before} -> {after}");
+    h.update(format!("{before} {after}\n").as_bytes());
+    for line in prov_io::rdf::ntriples::sorted_graph_lines(engine.graph()) {
+        h.update(line.as_bytes());
+        h.update(b"\n");
+    }
+    assert_eq!(
+        sha2::hex(&h.finalize()),
+        "5036fc64b930a6610c7ec5a35f28c476ce2be3be9315c23924e0f71d3e9b84bf"
+    );
 }
 
 #[test]
