@@ -228,12 +228,7 @@ impl Collector {
         let (merged, report) = merge_directory(&self.fs, &self.dir);
         let mut inner = self.inner.lock();
         Self::fold(&mut inner);
-        let mut recovered = 0usize;
-        for t in merged.iter() {
-            if inner.graph.insert(&t) {
-                recovered += 1;
-            }
-        }
+        let recovered = inner.graph.merge(&merged);
         inner.windows.clear();
         inner.crashed = false;
         inner.counts.resyncs += 1;

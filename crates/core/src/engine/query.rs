@@ -7,7 +7,9 @@
 //! query that follows edges is one property path handed to that
 //! evaluator's walk from a bound start.
 
-use provio_model::{ontology, EntityClass, Guid, Relation};
+use super::stats::int_prop;
+use provio_model::ontology::{self, first_literal, guid_of, iri_id};
+use provio_model::{EntityClass, Guid, Relation, Vocabulary};
 use provio_rdf::{ns, Graph, IdMap, IdSet, Iri, Literal, Term, TermId, Triple};
 use provio_sparql::path::eval_path_from;
 use provio_sparql::{PathExpr, Query, QueryError, Solutions};
@@ -92,8 +94,8 @@ impl ProvQueryEngine {
     /// Returns the number of derivation edges added.
     pub fn derive_lineage(&mut self) -> usize {
         let g = &self.graph;
-        let predicate = |rel: Relation| g.term_id(&Term::iri(rel.iri()));
-        let is_guid = |id: TermId| g.term(id).as_iri().and_then(Guid::from_iri).is_some();
+        let predicate = |rel: Relation| iri_id(g, Vocabulary::shared().relation(rel));
+        let is_guid = |id: TermId| guid_of(g, id).is_some();
 
         // Entities relate to activities via wasReadBy / wasWrittenBy /
         // wasCreatedBy …; activities relate to programs via
@@ -167,53 +169,54 @@ impl ProvQueryEngine {
     ///
     /// Returns (activities before, activities after).
     pub fn reduce_activities(&mut self) -> (usize, usize) {
-        use provio_model::{ActivityClass, PropKey, PropValue};
-
-        // Group activities by their lineage-equivalence signature.
-        let mut groups: BTreeMap<String, Vec<Guid>> = BTreeMap::new();
-        for class in ActivityClass::ALL {
-            for act in ontology::nodes_of_class(&self.graph, class.into()) {
-                let node = match ontology::node_from_graph(&self.graph, &act) {
-                    Some(n) => n,
-                    None => continue,
-                };
-                let mut out_edges: Vec<String> = ontology::relations_from_graph(&self.graph, &act)
-                    .into_iter()
-                    .map(|(r, g)| format!("{}→{}", r.local_name(), g))
-                    .collect();
-                out_edges.sort();
-                // Incoming edges (entity —wasReadBy→ activity etc.).
-                let mut in_edges: Vec<String> = Vec::new();
-                for rel in Relation::ALL {
-                    let p = Iri::new(rel.iri());
-                    for s in self.graph.subjects_with(&p, &Term::Iri(act.to_iri())) {
-                        in_edges.push(format!("{}←{}", rel.local_name(), s));
-                    }
-                }
-                in_edges.sort();
-                let sig = format!(
-                    "{}|{}|{}|{}",
-                    class.local_name(),
-                    node.label,
-                    out_edges.join(";"),
-                    in_edges.join(";")
-                );
-                groups.entry(sig).or_default().push(act);
-            }
-        }
+        use provio_model::{ActivityClass, PropKey};
 
         // Decide every removal and insertion while only reading, then
         // apply them: a write between two reads would rebuild the indexes.
         let g = &self.graph;
-        let id_of = |iri: Iri| g.term_id(&Term::Iri(iri));
-        let relations: Vec<TermId> = Relation::ALL
-            .iter()
-            .filter_map(|r| id_of(Iri::new(r.iri())))
+        let voc = Vocabulary::shared();
+        let typed = Some(iri_id(g, &voc.rdf_type));
+        let label = iri_id(g, &voc.rdfs_label);
+        let rels: IdMap<TermId, &str> = Relation::ALL
+            .into_iter()
+            .filter_map(|r| Some((iri_id(g, voc.relation(r))?, r.local_name())))
             .collect();
-        let per_call: Vec<TermId> = [PropKey::ElapsedNs, PropKey::Bytes, PropKey::TimestampNs]
-            .iter()
-            .filter_map(|k| id_of(Iri::new(k.iri())))
-            .collect();
+        let [elapsed, bytes, timestamp] =
+            [PropKey::ElapsedNs, PropKey::Bytes, PropKey::TimestampNs]
+                .map(|k| iri_id(g, voc.prop(k)));
+
+        // Group activities by their lineage-equivalence signature.
+        let mut groups: BTreeMap<String, Vec<(Guid, TermId)>> = BTreeMap::new();
+        for class in ActivityClass::ALL {
+            let class_id = Some(g.term_id(voc.class(class)));
+            for (act, _, _) in g.match_ids(None, typed, class_id) {
+                let Some(guid) = guid_of(g, act) else {
+                    continue;
+                };
+                let mut out_edges: Vec<String> = g
+                    .match_ids(Some(Some(act)), None, None)
+                    .into_iter()
+                    .filter_map(|(_, p, o)| Some(format!("{}→{}", rels.get(&p)?, guid_of(g, o)?)))
+                    .collect();
+                out_edges.sort();
+                // Incoming edges (entity —wasReadBy→ activity etc.).
+                let mut in_edges: Vec<String> = g
+                    .match_ids(None, None, Some(Some(act)))
+                    .into_iter()
+                    .filter_map(|(s, p, _)| Some(format!("{}←{}", rels.get(&p)?, g.term(s))))
+                    .collect();
+                in_edges.sort();
+                let sig = format!(
+                    "{}|{}|{}|{}",
+                    class.local_name(),
+                    first_literal(g, act, label).map_or("", |l| l.lexical()),
+                    out_edges.join(";"),
+                    in_edges.join(";")
+                );
+                groups.entry(sig).or_default().push((guid, act));
+            }
+        }
+
         let mut dropped: IdSet<(TermId, TermId, TermId)> = IdSet::default();
         let mut repointed: Vec<(TermId, TermId, TermId)> = Vec::new();
         let mut aggregates: Vec<Triple> = Vec::new();
@@ -225,40 +228,26 @@ impl ProvQueryEngine {
             if members.len() < 2 {
                 continue;
             }
-            let keep = &members[0];
-            let Some(keep_id) = id_of(keep.to_iri()) else {
-                continue;
-            };
+            let (keep, keep_id) = &members[0];
             // Aggregate numeric properties onto the representative.
-            let mut count = 0i64;
-            let mut total_ns = 0i64;
-            let mut total_bytes = 0i64;
-            for m in &members {
-                if let Some(n) = ontology::node_from_graph(g, m) {
-                    count += 1;
-                    if let Some(PropValue::Int(v)) = n.prop(PropKey::ElapsedNs) {
-                        total_ns += v;
-                    }
-                    if let Some(PropValue::Int(v)) = n.prop(PropKey::Bytes) {
-                        total_bytes += v;
-                    }
-                }
-            }
+            let count = members.len() as i64;
+            let total = |key| -> i64 { members.iter().filter_map(|m| int_prop(g, m.1, key)).sum() };
+            let (total_ns, total_bytes) = (total(elapsed), total(bytes));
             // Drop the duplicates and their edges; their incoming edges
             // re-point at the representative (idempotent).
-            for m in members[1..].iter().filter_map(|m| id_of(m.to_iri())) {
+            for &(_, m) in &members[1..] {
                 dropped.extend(g.match_ids(Some(Some(m)), None, None));
                 for (s, p, o) in g.match_ids(None, None, Some(Some(m))) {
-                    if relations.contains(&p) {
+                    if rels.contains_key(&p) {
                         dropped.insert((s, p, o));
-                        repointed.push((s, p, keep_id));
+                        repointed.push((s, p, *keep_id));
                     }
                 }
             }
             // Replace the representative's per-invocation numbers with
             // aggregates.
-            for &key in &per_call {
-                dropped.extend(g.match_ids(Some(Some(keep_id)), Some(Some(key)), None));
+            for key in [elapsed, bytes, timestamp] {
+                dropped.extend(g.match_ids(Some(Some(*keep_id)), Some(key), None));
             }
             let subject = keep.to_subject();
             aggregates.push(Triple::new(
@@ -269,14 +258,14 @@ impl ProvQueryEngine {
             if total_ns > 0 {
                 aggregates.push(Triple::new(
                     subject.clone(),
-                    Iri::new(PropKey::ElapsedNs.iri()),
+                    voc.prop(PropKey::ElapsedNs).clone(),
                     Literal::integer(total_ns),
                 ));
             }
             if total_bytes > 0 {
                 aggregates.push(Triple::new(
                     subject,
-                    Iri::new(PropKey::Bytes.iri()),
+                    voc.prop(PropKey::Bytes).clone(),
                     Literal::integer(total_bytes),
                 ));
             }

@@ -4,10 +4,19 @@
 //! type of HDF5 I/O operations … the accumulated time cost for each type
 //! … the HDF5 APIs invoked at a specific time point".
 
-use provio_model::{ontology, ActivityClass, PropKey, PropValue};
-use provio_rdf::Graph;
+use provio_model::ontology::{first_literal, guid_of, iri_id};
+use provio_model::{ActivityClass, PropKey, Vocabulary};
+use provio_rdf::{ns, Graph, TermId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The value of `node`'s property `key` (an interned predicate id, or
+/// `None`): its first literal, if that is an `xsd:integer`.
+pub(crate) fn int_prop(graph: &Graph, node: TermId, key: Option<TermId>) -> Option<i64> {
+    first_literal(graph, node, key)
+        .filter(|l| l.datatype().is_some_and(|d| d.as_str() == ns::XSD_INTEGER))
+        .and_then(|l| l.as_i64())
+}
 
 /// Aggregated statistics for one activity class.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -39,30 +48,35 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Compute statistics over all activity nodes in `graph`.
+    /// Compute statistics over all activity nodes in `graph`: a GUID
+    /// counts in a class once per `rdf:type` triple naming that class.
     pub fn from_graph(graph: &Graph, bucket_ns: u64) -> IoStats {
         let mut stats = IoStats {
             bucket_ns: bucket_ns.max(1),
             ..Default::default()
         };
+        let voc = Vocabulary::shared();
+        let typed = Some(iri_id(graph, &voc.rdf_type));
+        let label = iri_id(graph, &voc.rdfs_label);
+        let [elapsed, bytes, timestamp] =
+            [PropKey::ElapsedNs, PropKey::Bytes, PropKey::TimestampNs]
+                .map(|k| iri_id(graph, voc.prop(k)));
         for class in ActivityClass::ALL {
             let mut cs = ClassStats::default();
-            for guid in ontology::nodes_of_class(graph, class.into()) {
-                let Some(node) = ontology::node_from_graph(graph, &guid) else {
+            let class_id = Some(graph.term_id(voc.class(class)));
+            for (node, ..) in graph.match_ids(None, typed, class_id) {
+                if guid_of(graph, node).is_none() {
                     continue;
-                };
+                }
                 cs.count += 1;
-                if let Some(PropValue::Int(ns)) = node.prop(PropKey::ElapsedNs) {
-                    cs.total_duration_ns += *ns as u64;
-                }
-                if let Some(PropValue::Int(b)) = node.prop(PropKey::Bytes) {
-                    cs.total_bytes += *b as u64;
-                }
-                if let Some(PropValue::Int(ts)) = node.prop(PropKey::TimestampNs) {
-                    let bucket = (*ts as u64) / stats.bucket_ns;
+                cs.total_duration_ns += int_prop(graph, node, elapsed).unwrap_or(0) as u64;
+                cs.total_bytes += int_prop(graph, node, bytes).unwrap_or(0) as u64;
+                if let Some(ts) = int_prop(graph, node, timestamp) {
+                    let bucket = ts as u64 / stats.bucket_ns;
                     *stats.timeline.entry(bucket).or_insert(0) += 1;
                 }
-                *stats.by_api.entry(node.label.clone()).or_insert(0) += 1;
+                let api = first_literal(graph, node, label).map_or("", |l| l.lexical());
+                *stats.by_api.entry(api.to_string()).or_insert(0) += 1;
             }
             if cs.count > 0 {
                 stats.by_class.insert(class.local_name(), cs);
@@ -111,7 +125,7 @@ impl IoStats {
 mod tests {
     use super::*;
     use provio_model::{GuidGen, ProvNode, ProvRecord};
-    use provio_rdf::Graph;
+    use provio_rdf::{Graph, Literal, Subject, Triple};
 
     fn graph_with_ops() -> Graph {
         let mut g = Graph::new();
@@ -171,6 +185,38 @@ mod tests {
         let stats = IoStats::from_graph(&Graph::new(), 1000);
         assert_eq!(stats.total_ops(), 0);
         assert!(stats.bottleneck().is_none());
+    }
+
+    #[test]
+    fn counts_follow_type_triples_and_integer_literals() {
+        let voc = Vocabulary::shared();
+        let mut g = Graph::new();
+        let act = GuidGen::new(2).activity("H5Dwrite");
+        let mut typed = |s: Subject, class: ActivityClass| {
+            let class = voc.class(class).clone();
+            g.insert(&Triple::new(s, voc.rdf_type.clone(), class));
+        };
+        // A GUID typed twice counts in both classes; a typed subject that
+        // is not a GUID counts nowhere.
+        typed(act.to_subject(), ActivityClass::Write);
+        typed(act.to_subject(), ActivityClass::Read);
+        typed(Subject::iri("urn:not-a-guid"), ActivityClass::Write);
+        // A property is its first literal, and only an `xsd:integer` adds.
+        for (key, value) in [
+            (PropKey::ElapsedNs, Literal::integer(300)),
+            (PropKey::ElapsedNs, Literal::integer(7)),
+            (PropKey::Bytes, Literal::plain("4096")),
+        ] {
+            g.insert(&Triple::new(act.to_subject(), voc.prop(key).clone(), value));
+        }
+        let stats = IoStats::from_graph(&g, 1);
+        assert_eq!(stats.total_ops(), 2);
+        for class in ["Write", "Read"] {
+            assert_eq!(stats.by_class[class].total_duration_ns, 300);
+            assert_eq!(stats.by_class[class].total_bytes, 0);
+        }
+        assert!(stats.timeline.is_empty(), "no timestamps");
+        assert_eq!(stats.by_api[""], 2, "no label");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! highlight set (e.g. a queried lineage) renders in blue, matching the
 //! paper's lineage figures.
 
-use provio_model::{ontology, Guid, NodeClass, Relation};
-use provio_rdf::{Graph, Iri, Subject};
-use std::collections::{HashMap, HashSet};
+use provio_model::ontology::{first_literal, guid_of, iri_id};
+use provio_model::{Guid, NodeClass, Relation, Vocabulary};
+use provio_rdf::{Graph, IdMap, TermId};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 fn dot_escape(s: &str) -> String {
@@ -33,54 +34,45 @@ fn style_for(class: NodeClass, highlighted: bool) -> String {
 pub fn to_dot(graph: &Graph, highlight: &HashSet<Guid>) -> String {
     let mut out = String::from("digraph provio {\n  rankdir=RL;\n  node [fontsize=10];\n  edge [fontsize=9];\n");
 
-    // Collect typed nodes.
-    let mut classes: HashMap<Guid, NodeClass> = HashMap::new();
-    for t in graph.match_pattern(
-        &provio_rdf::TriplePattern::any().with_predicate(Iri::new(provio_rdf::ns::RDF_TYPE)),
-    ) {
-        let Subject::Iri(s) = &t.subject else { continue };
-        let (Some(guid), Some(class)) = (
-            Guid::from_iri(s),
-            t.object.as_iri().and_then(|i| NodeClass::from_iri(i.as_str())),
-        ) else {
-            continue;
-        };
-        classes.insert(guid, class);
+    // Typed GUID nodes; a node typed twice takes its last class.
+    let voc = Vocabulary::shared();
+    let class_of: IdMap<TermId, NodeClass> = NodeClass::all()
+        .filter_map(|c| Some((graph.term_id(voc.class(c))?, c)))
+        .collect();
+    let mut nodes: IdMap<TermId, (Guid, NodeClass)> = IdMap::default();
+    for (s, _, o) in graph.match_ids(None, Some(iri_id(graph, &voc.rdf_type)), None) {
+        if let (Some(guid), Some(&class)) = (guid_of(graph, s), class_of.get(&o)) {
+            nodes.insert(s, (guid, class));
+        }
     }
 
-    let mut ids: Vec<&Guid> = classes.keys().collect();
-    ids.sort();
-    for guid in &ids {
-        let class = classes[*guid];
-        let label = ontology::node_from_graph(graph, guid)
-            .map(|n| n.label)
+    let label = iri_id(graph, &voc.rdfs_label);
+    let mut ids: Vec<_> = nodes.iter().collect();
+    ids.sort_unstable_by_key(|&(_, (guid, _))| guid);
+    for (&id, (guid, class)) in ids {
+        let label = first_literal(graph, id, label)
+            .map(|l| l.lexical())
             .filter(|l| !l.is_empty())
-            .unwrap_or_else(|| guid.local().to_string());
+            .unwrap_or_else(|| guid.local());
         let _ = writeln!(
             out,
             "  \"{}\" [label=\"{}\\n({})\", {}];",
             dot_escape(guid.as_str()),
-            dot_escape(&label),
+            dot_escape(label),
             class.local_name(),
-            style_for(class, highlight.contains(*guid)),
+            style_for(*class, highlight.contains(guid)),
         );
     }
 
     // Relation edges between known nodes.
     let mut edges: Vec<String> = Vec::new();
     for rel in Relation::ALL {
-        for t in graph
-            .match_pattern(&provio_rdf::TriplePattern::any().with_predicate(Iri::new(rel.iri())))
-        {
-            let Subject::Iri(s) = &t.subject else { continue };
-            let Some(src) = Guid::from_iri(s) else { continue };
-            let Some(dst) = t.object.as_iri().and_then(Guid::from_iri) else {
+        let predicate = Some(iri_id(graph, voc.relation(rel)));
+        for (s, _, o) in graph.match_ids(None, predicate, None) {
+            let (Some((src, _)), Some((dst, _))) = (nodes.get(&s), nodes.get(&o)) else {
                 continue;
             };
-            if !classes.contains_key(&src) || !classes.contains_key(&dst) {
-                continue;
-            }
-            let hl = highlight.contains(&src) && highlight.contains(&dst);
+            let hl = highlight.contains(src) && highlight.contains(dst);
             let style = if hl {
                 ", color=\"#1f5fd0\", penwidth=2.2, fontcolor=\"#1f5fd0\""
             } else {
@@ -114,6 +106,7 @@ pub fn to_dot_lineage(graph: &Graph, focus: &Guid, lineage: &[Guid]) -> String {
 mod tests {
     use super::*;
     use provio_model::{ActivityClass, EntityClass, GuidGen, ProvNode, ProvRecord};
+    use provio_rdf::{Literal, Triple};
 
     fn sample() -> (Graph, Guid, Guid) {
         let mut g = Graph::new();
@@ -166,6 +159,26 @@ mod tests {
         }
         let dot = to_dot(&g, &HashSet::new());
         assert!(dot.contains("\\\""));
+    }
+
+    #[test]
+    fn a_node_without_a_label_shows_its_guid() {
+        let voc = Vocabulary::shared();
+        let file = GuidGen::data_object("File", "", "/unlabelled.h5");
+        let mut g = Graph::new();
+        let class = voc.class(EntityClass::File).clone();
+        g.insert(&Triple::new(file.to_subject(), voc.rdf_type.clone(), class));
+        let dot = to_dot(&g, &HashSet::new());
+        let shown = format!("[label=\"{}\\n(File)\"", file.local());
+        assert!(dot.contains(&shown), "{dot}");
+        // An empty label falls back the same way.
+        let empty = Literal::plain("");
+        g.insert(&Triple::new(
+            file.to_subject(),
+            voc.rdfs_label.clone(),
+            empty,
+        ));
+        assert_eq!(to_dot(&g, &HashSet::new()), dot);
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! that resolve to more than one class (a content-address collision or a
 //! corrupted merge).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
-use provio_model::{Guid, NodeClass, Relation};
+use provio_model::ontology::{guid_of, iri_id};
+use provio_model::{ActivityClass, Guid, Relation, Vocabulary};
 use provio_mpi::RankOutcome;
-use provio_rdf::{ns, Graph};
+use provio_rdf::{Graph, IdMap, IdSet, TermId};
 
 use crate::collect::{DeliveryReport, NetStats};
 use crate::merge::MergeReport;
@@ -307,74 +308,78 @@ impl fmt::Display for DoctorReport {
 
 /// Structural consistency pass over a merged provenance graph.
 ///
-/// One linear scan collects every typed GUID and every model-relation edge
-/// between GUIDs; the checks then run against those indexes. Endpoints that
-/// are not run-scoped resources (e.g. class IRIs in membership triples) are
-/// out of scope — the model owns their vocabulary, not the run.
+/// One scan of the id log collects every typed subject and every
+/// model-relation edge to a GUID; the checks then run against those
+/// indexes, and a string is spelled only for a finding. Endpoints that
+/// are not run-scoped resources (e.g. class IRIs in membership triples)
+/// are out of scope — the model owns their vocabulary, not the run.
 pub fn doctor(graph: &Graph) -> DoctorReport {
     let mut report = DoctorReport::default();
+    let voc = Vocabulary::shared();
+    let typed = iri_id(graph, &voc.rdf_type);
+    let relations: IdMap<TermId, Relation> = Relation::ALL
+        .into_iter()
+        .filter_map(|r| Some((iri_id(graph, voc.relation(r))?, r)))
+        .collect();
+    let activities: Vec<TermId> = ActivityClass::ALL
+        .into_iter()
+        .filter_map(|c| graph.term_id(voc.class(c)))
+        .collect();
+    let iri = |id: TermId| graph.term(id).as_iri().map(|i| i.as_str());
 
-    // subject IRI -> distinct rdf:type object IRIs
-    let mut types: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    // (subject IRI, relation, object IRI) for GUID-to-GUID edges
-    let mut edges: Vec<(String, Relation, String)> = Vec::new();
+    // IRI subject -> (its rdf:type triples to IRIs, one names an activity
+    // class?); the graph holds each triple once, so two are two classes.
+    let mut types: IdMap<TermId, (usize, bool)> = IdMap::default();
+    // (subject, relation, object) for edges from an IRI to a GUID
+    let mut edges: Vec<(TermId, Relation, TermId)> = Vec::new();
 
-    for triple in graph.iter() {
+    for (s, p, o) in graph.iter_ids() {
         report.checked_triples += 1;
-        let Some(subject_iri) = triple.subject.as_iri() else {
+        if iri(s).is_none() {
             continue;
-        };
-        if triple.predicate.as_str() == ns::RDF_TYPE {
-            if let Some(obj) = triple.object.as_iri() {
-                types
-                    .entry(subject_iri.as_str().to_string())
-                    .or_default()
-                    .insert(obj.as_str().to_string());
+        }
+        if Some(p) == typed {
+            if iri(o).is_some() {
+                let entry = types.entry(s).or_default();
+                entry.0 += 1;
+                entry.1 |= activities.contains(&o);
             }
-        } else if let Some(rel) = Relation::from_iri(triple.predicate.as_str()) {
-            if let Some(obj) = triple.object.as_iri() {
-                // Only GUID targets: membership edges point at class IRIs.
-                if Guid::from_iri(obj).is_some() {
-                    edges.push((
-                        subject_iri.as_str().to_string(),
-                        rel,
-                        obj.as_str().to_string(),
-                    ));
-                }
+        } else if let Some(&rel) = relations.get(&p) {
+            // Only GUID targets: membership edges point at class IRIs.
+            if guid_of(graph, o).is_some() {
+                edges.push((s, rel, o));
             }
         }
     }
 
-    for (subject, rel, object) in &edges {
+    for &(subject, rel, object) in &edges {
         for endpoint in [subject, object] {
-            if !types.contains_key(endpoint) {
-                report.orphan_relations.push(format!(
-                    "{subject} --{}--> {object}: {endpoint} has no rdf:type",
-                    rel.local_name()
-                ));
+            if !types.contains_key(&endpoint) {
+                let [s, o, e] = [subject, object, endpoint].map(|id| iri(id).unwrap_or_default());
+                let finding = format!("{s} --{}--> {o}: {e} has no rdf:type", rel.local_name());
+                report.orphan_relations.push(finding);
             }
         }
     }
 
-    let associated: BTreeSet<&String> = edges
+    let associated: IdSet<TermId> = edges
         .iter()
         .filter(|(_, rel, _)| *rel == Relation::WasAssociatedWith)
-        .map(|(subject, _, _)| subject)
+        .map(|(subject, _, _)| *subject)
         .collect();
 
-    for (subject, class_iris) in &types {
-        if class_iris.len() > 1 {
-            if let Some(guid) = Guid::from_iri(&provio_rdf::Iri::new(subject.clone())) {
-                report.duplicate_guids.push(guid);
-            }
+    let mut nodes: Vec<(Guid, TermId)> = types
+        .keys()
+        .filter_map(|&s| Some((guid_of(graph, s)?, s)))
+        .collect();
+    nodes.sort_unstable();
+    for (guid, s) in nodes {
+        let (classes, activity) = types[&s];
+        if classes > 1 {
+            report.duplicate_guids.push(guid.clone());
         }
-        let is_activity = class_iris
-            .iter()
-            .any(|iri| matches!(NodeClass::from_iri(iri), Some(NodeClass::Activity(_))));
-        if is_activity && !associated.contains(subject) {
-            if let Some(guid) = Guid::from_iri(&provio_rdf::Iri::new(subject.clone())) {
-                report.unassociated_activities.push(guid);
-            }
+        if activity && !associated.contains(&s) {
+            report.unassociated_activities.push(guid);
         }
     }
 
@@ -384,8 +389,8 @@ pub fn doctor(graph: &Graph) -> DoctorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use provio_model::{ActivityClass, AgentClass, EntityClass};
-    use provio_rdf::{Iri, Literal, Term, Triple};
+    use provio_model::{AgentClass, EntityClass, NodeClass};
+    use provio_rdf::{ns, Iri, Literal, Term, Triple};
 
     fn guid(local: &str) -> Guid {
         Guid::from_iri(&Iri::new(format!("{}{local}", ns::RESOURCE))).unwrap()
@@ -742,6 +747,21 @@ mod tests {
         assert_eq!(report.unassociated_activities, vec![lonely]);
         assert_eq!(report.duplicate_guids, vec![clash]);
         assert_eq!(report.findings(), 3);
+    }
+
+    #[test]
+    fn doctor_lists_orphans_in_log_order_and_guids_by_iri() {
+        let (mut g, file, ..) = healthy_graph();
+        let (b, a) = (guid("Dataset.b"), guid("Dataset.a"));
+        related(&mut g, &file, Relation::WasReadBy, &b);
+        related(&mut g, &file, Relation::WasReadBy, &a);
+        let (z, y) = (guid("Read.z"), guid("Read.y"));
+        typed(&mut g, &z, ActivityClass::Read.into());
+        typed(&mut g, &y, ActivityClass::Read.into());
+        let report = doctor(&g);
+        let orphan = |o: &Guid| format!("{file} --wasReadBy--> {o}: {o} has no rdf:type");
+        assert_eq!(report.orphan_relations, [orphan(&b), orphan(&a)]);
+        assert_eq!(report.unassociated_activities, [y, z]);
     }
 
     #[test]

@@ -837,7 +837,7 @@ mod tests {
     use super::*;
     use provio_hpcfs::{FileSystem, LustreConfig};
     use provio_model::ontology::nodes_of_class;
-    use provio_rdf::{turtle, Graph};
+    use provio_rdf::{turtle, Graph, TriplePattern};
 
     fn fs() -> Arc<FileSystem> {
         FileSystem::new(LustreConfig::default())
@@ -848,6 +848,21 @@ mod tests {
         let size = fs.stat(path).unwrap().size;
         let text = String::from_utf8(fs.read_at(ino, 0, size).unwrap().to_vec()).unwrap();
         turtle::parse(&text).unwrap().0
+    }
+
+    /// The objects of (`node`, `predicate`) in `g`, in insertion order.
+    fn objects(g: &Graph, node: &Guid, predicate: &Iri) -> Vec<Term> {
+        let pat = TriplePattern::any()
+            .with_subject(node.to_subject())
+            .with_predicate(predicate.clone());
+        g.match_pattern(&pat)
+            .into_iter()
+            .map(|t| t.object)
+            .collect()
+    }
+
+    fn relation(rel: Relation) -> &'static Iri {
+        Vocabulary::shared().relation(rel)
     }
 
     fn event(activity: ActivityClass, api: &str, obj: Option<ObjectDesc>) -> IoEvent {
@@ -880,10 +895,8 @@ mod tests {
         assert_eq!(nodes_of_class(&g, AgentClass::Thread.into()).len(), 1);
         assert_eq!(nodes_of_class(&g, AgentClass::Program.into()).len(), 1);
         // program actedOnBehalfOf thread actedOnBehalfOf user (Table 5 q8/q9)
-        let rels = provio_model::ontology::relations_from_graph(&g, &t.program_guid);
-        assert!(rels
-            .iter()
-            .any(|(r, _)| *r == Relation::ActedOnBehalfOf));
+        let thread = objects(&g, &t.program_guid, relation(Relation::ActedOnBehalfOf));
+        assert_eq!(thread, [Term::Iri(t.thread_guid.to_iri())]);
     }
 
     #[test]
@@ -909,9 +922,9 @@ mod tests {
         assert_eq!(acts.len(), 1);
         let ents = nodes_of_class(&g, EntityClass::Dataset.into());
         assert_eq!(ents.len(), 1);
-        let rels = provio_model::ontology::relations_from_graph(&g, &ents[0]);
-        assert!(rels.iter().any(|(r, g2)| *r == Relation::WasWrittenBy && g2 == &acts[0]));
-        assert!(rels.iter().any(|(r, _)| *r == Relation::WasAttributedTo));
+        let written = objects(&g, &ents[0], relation(Relation::WasWrittenBy));
+        assert_eq!(written, [Term::Iri(acts[0].to_iri())]);
+        assert!(!objects(&g, &ents[0], relation(Relation::WasAttributedTo)).is_empty());
     }
 
     #[test]
@@ -953,8 +966,11 @@ mod tests {
         let g = read_graph(&fs, &summary.store_path);
         let acts = nodes_of_class(&g, ActivityClass::Read.into());
         assert_eq!(acts.len(), 1);
-        let node = provio_model::ontology::node_from_graph(&g, &acts[0]).unwrap();
-        assert!(node.prop(PropKey::ElapsedNs).is_none(), "scenario 1 has no durations");
+        let elapsed = Vocabulary::shared().prop(PropKey::ElapsedNs);
+        assert!(
+            objects(&g, &acts[0], elapsed).is_empty(),
+            "scenario 1 has no durations"
+        );
 
         // Scenario 2 records them.
         let cfg2 = ProvIoConfig::default()
@@ -966,8 +982,10 @@ mod tests {
         let s2 = t2.finish();
         let g2 = read_graph(&fs, &s2.store_path);
         let acts2 = nodes_of_class(&g2, ActivityClass::Read.into());
-        let node2 = provio_model::ontology::node_from_graph(&g2, &acts2[0]).unwrap();
-        assert!(node2.prop(PropKey::ElapsedNs).is_some());
+        assert_eq!(
+            objects(&g2, &acts2[0], elapsed),
+            [Term::from(Literal::integer(1000))]
+        );
     }
 
     #[test]
@@ -1009,11 +1027,13 @@ mod tests {
             "Configuration",
             &format!("learning_rate-v2-{:08x}", provio_model::content_hash("0.001") as u32),
         );
-        let rels = provio_model::ontology::relations_from_graph(&g, &v2);
-        assert!(rels.iter().any(|(r, _)| *r == Relation::WasDerivedFrom));
+        assert!(!objects(&g, &v2, relation(Relation::WasDerivedFrom)).is_empty());
         // Accuracy attached to current configuration nodes.
-        let node = provio_model::ontology::node_from_graph(&g, &v2).unwrap();
-        assert_eq!(node.prop(PropKey::Accuracy), Some(&provio_model::PropValue::Float(0.91)));
+        let accuracy = Vocabulary::shared().prop(PropKey::Accuracy);
+        assert_eq!(
+            objects(&g, &v2, accuracy),
+            [Term::from(Literal::double(0.91))]
+        );
     }
 
     #[test]
@@ -1263,7 +1283,7 @@ mod tests {
         t.track_derivation(&out, &inp);
         let summary = t.finish();
         let g = read_graph(&fs, &summary.store_path);
-        let rels = provio_model::ontology::relations_from_graph(&g, &out.guid());
-        assert!(rels.iter().any(|(r, g2)| *r == Relation::WasDerivedFrom && *g2 == inp.guid()));
+        let derived = objects(&g, &out.guid(), relation(Relation::WasDerivedFrom));
+        assert!(derived.contains(&Term::Iri(inp.guid().to_iri())));
     }
 }

@@ -15,8 +15,8 @@
 //!   are *content-addressed* (same file ⇒ same GUID in every process) so
 //!   merging per-process sub-graphs never duplicates nodes (paper §5);
 //!   activities are unique per invocation.
-//! * [`ontology`] — the PROV-O-style mapping of records to RDF triples and
-//!   back.
+//! * [`ontology`] — the PROV-O-style mapping of records to RDF triples,
+//!   and the id-level lookups a reader of the graph shares.
 //! * [`ClassSelector`] — the user-engine knob that enables/disables
 //!   individual sub-classes, with the paper's Table 3 presets.
 #![warn(unreachable_pub)]

@@ -58,11 +58,6 @@ impl PropKey {
     pub fn iri(self) -> String {
         format!("{}{}", provio_rdf::ns::PROVIO, self.local_name())
     }
-
-    pub fn from_iri(iri: &str) -> Option<PropKey> {
-        let local = iri.strip_prefix(provio_rdf::ns::PROVIO)?;
-        PropKey::ALL.into_iter().find(|k| k.local_name() == local)
-    }
 }
 
 /// A property value.
@@ -134,13 +129,6 @@ impl ProvNode {
         self.properties.push((key, value.into()));
         self
     }
-
-    pub fn prop(&self, key: PropKey) -> Option<&PropValue> {
-        self.properties
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
-    }
 }
 
 /// A record: one subject node plus its outgoing relations — the unit shown
@@ -178,21 +166,18 @@ mod tests {
     use crate::guid::GuidGen;
 
     #[test]
-    fn prop_key_iri_round_trip() {
-        for k in PropKey::ALL {
-            assert_eq!(PropKey::from_iri(&k.iri()), Some(k));
-        }
-        assert_eq!(PropKey::from_iri("urn:x"), None);
-    }
-
-    #[test]
     fn node_builder_and_accessors() {
         let gen = GuidGen::new(1);
         let n = ProvNode::new(gen.activity("H5Dwrite"), ActivityClass::Write, "H5Dwrite")
             .with_prop(PropKey::ElapsedNs, 1234u64)
             .with_prop(PropKey::Bytes, 8192u64);
-        assert_eq!(n.prop(PropKey::ElapsedNs), Some(&PropValue::Int(1234)));
-        assert_eq!(n.prop(PropKey::Accuracy), None);
+        assert_eq!(
+            n.properties,
+            [
+                (PropKey::ElapsedNs, PropValue::Int(1234)),
+                (PropKey::Bytes, PropValue::Int(8192)),
+            ]
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The PROV-O-style RDF mapping: records → triples and triples → nodes.
+//! The PROV-O-style RDF mapping: records → triples, and the id-level
+//! lookups every reader of a merged graph shares.
 //!
 //! W3C PROV-O maps Entity/Activity/Agent to RDF subjects and objects and
 //! Relations to predicates (paper §2.1); PROV-IO keeps that mapping and
@@ -7,12 +8,15 @@
 //! writes the same triples term by term (and is held to this function by a
 //! differential test). Both take every fixed IRI from the one shared
 //! [`Vocabulary`], so a predicate or class in a triple is a refcount bump.
+//! Readers go the other way on term ids: each vocabulary IRI is looked up
+//! once ([`iri_id`]), then edges are matched by id, and a string is read
+//! only for an answer ([`guid_of`], [`first_literal`]).
 
 use crate::class::NodeClass;
 use crate::guid::Guid;
-use crate::node::{PropKey, PropValue, ProvNode, ProvRecord};
+use crate::node::{PropKey, PropValue, ProvRecord};
 use crate::relation::Relation;
-use provio_rdf::{ns, Graph, Iri, Literal, Subject, Term, Triple};
+use provio_rdf::{ns, Graph, Iri, Literal, Term, TermId, Triple};
 use std::sync::OnceLock;
 
 /// Every fixed IRI of the mapping, built once per process.
@@ -107,75 +111,37 @@ pub fn record_to_triples(rec: &ProvRecord) -> Vec<Triple> {
     out
 }
 
-/// Read one node back from a graph: its class, label, and properties.
-pub fn node_from_graph(graph: &Graph, id: &Guid) -> Option<ProvNode> {
-    let voc = Vocabulary::shared();
-    let subject = id.to_subject();
-    let type_iri = graph
-        .objects(&subject, &voc.rdf_type)
-        .into_iter()
-        .find_map(|t| t.as_iri().cloned())?;
-    let class = NodeClass::from_iri(type_iri.as_str())?;
-    let label = graph
-        .objects(&subject, &voc.rdfs_label)
-        .into_iter()
-        .find_map(|t| t.as_literal().map(|l| l.lexical().to_string()))
-        .unwrap_or_default();
-    let mut node = ProvNode::new(id.clone(), class, label);
-    for key in PropKey::ALL {
-        for obj in graph.objects(&subject, voc.prop(key)) {
-            if let Some(lit) = obj.as_literal() {
-                let value = if let Some(i) = lit
-                    .datatype()
-                    .filter(|d| d.as_str() == ns::XSD_INTEGER)
-                    .and_then(|_| lit.as_i64())
-                {
-                    PropValue::Int(i)
-                } else if let Some(f) = lit
-                    .datatype()
-                    .filter(|d| d.as_str() == ns::XSD_DOUBLE)
-                    .and_then(|_| lit.as_f64())
-                {
-                    PropValue::Float(f)
-                } else if lit.datatype().map(|d| d.as_str()) == Some(ns::XSD_BOOLEAN) {
-                    PropValue::Bool(lit.lexical() == "true")
-                } else {
-                    PropValue::Str(lit.lexical().to_string())
-                };
-                node.properties.push((key, value));
-            }
-        }
-    }
-    Some(node)
+/// The id of `iri` in `graph`, if it is interned.
+pub fn iri_id(graph: &Graph, iri: &Iri) -> Option<TermId> {
+    graph.term_id(&Term::Iri(iri.clone()))
 }
 
-/// All (relation, target) pairs leaving a node.
-pub fn relations_from_graph(graph: &Graph, id: &Guid) -> Vec<(Relation, Guid)> {
-    let voc = Vocabulary::shared();
-    let subject = id.to_subject();
-    let mut out = Vec::new();
-    for rel in Relation::ALL {
-        for obj in graph.objects(&subject, voc.relation(rel)) {
-            if let Some(iri) = obj.as_iri() {
-                if let Some(g) = Guid::from_iri(iri) {
-                    out.push((rel, g));
-                }
-            }
-        }
-    }
-    out
+/// The node behind `id`, if it is a GUID.
+pub fn guid_of(graph: &Graph, id: TermId) -> Option<Guid> {
+    graph.term(id).as_iri().and_then(Guid::from_iri)
 }
 
-/// All node GUIDs of a given class present in a graph.
+/// The first literal object of (`subject`, `predicate`), in insertion
+/// order. A `None` predicate (not interned) matches nothing.
+pub fn first_literal(
+    graph: &Graph,
+    subject: TermId,
+    predicate: Option<TermId>,
+) -> Option<&Literal> {
+    let hits = graph.match_ids(Some(Some(subject)), Some(predicate), None);
+    hits.into_iter()
+        .find_map(|(_, _, o)| graph.term(o).as_literal())
+}
+
+/// All node GUIDs of a given class present in a graph, in insertion order
+/// of their `rdf:type` triples.
 pub fn nodes_of_class(graph: &Graph, class: NodeClass) -> Vec<Guid> {
     let voc = Vocabulary::shared();
-    graph
-        .subjects_with(&voc.rdf_type, voc.class(class))
-        .into_iter()
-        .filter_map(|s| match s {
-            Subject::Iri(i) => Guid::from_iri(&i),
-            Subject::Blank(_) => None,
-        })
+    let typed = Some(iri_id(graph, &voc.rdf_type));
+    let class = Some(graph.term_id(voc.class(class)));
+    let hits = graph.match_ids(None, typed, class);
+    hits.into_iter()
+        .filter_map(|(s, _, _)| guid_of(graph, s))
         .collect()
 }
 
@@ -184,6 +150,8 @@ mod tests {
     use super::*;
     use crate::class::{ActivityClass, AgentClass, EntityClass};
     use crate::guid::GuidGen;
+    use crate::node::ProvNode;
+    use provio_rdf::Subject;
 
     fn sample_record() -> ProvRecord {
         let gen = GuidGen::new(3);
@@ -220,25 +188,48 @@ mod tests {
         assert_eq!(triples.len(), rec.triple_count());
     }
 
+    /// `record`'s triples, inserted into a fresh graph.
+    fn graph_of(record: &ProvRecord) -> Graph {
+        let mut g = Graph::new();
+        for t in record_to_triples(record) {
+            g.insert(&t);
+        }
+        g
+    }
+
+    /// The first literal of (`id`, `key`) in `g`, as the readers see it.
+    fn literal<'g>(g: &'g Graph, id: &Guid, key: PropKey) -> Option<&'g Literal> {
+        let voc = Vocabulary::shared();
+        let node = iri_id(g, &id.to_iri())?;
+        first_literal(g, node, iri_id(g, voc.prop(key)))
+    }
+
     #[test]
     fn node_round_trip_through_graph() {
         let rec = sample_record();
-        let mut g = Graph::new();
-        for t in record_to_triples(&rec) {
-            g.insert(&t);
-        }
-        let back = node_from_graph(&g, &rec.node.id).unwrap();
-        assert_eq!(back.class, rec.node.class);
-        assert_eq!(back.label, rec.node.label);
-        assert_eq!(back.prop(PropKey::Bytes), Some(&PropValue::Int(8192)));
+        let g = graph_of(&rec);
+        let voc = Vocabulary::shared();
+        let node = iri_id(&g, &rec.node.id.to_iri()).unwrap();
+        assert_eq!(guid_of(&g, node), Some(rec.node.id.clone()));
+        let class = g.term_id(voc.class(rec.node.class));
+        let types = g.match_ids(Some(Some(node)), Some(iri_id(&g, &voc.rdf_type)), None);
+        assert_eq!(types.iter().map(|t| Some(t.2)).collect::<Vec<_>>(), [class]);
+        let label = first_literal(&g, node, iri_id(&g, &voc.rdfs_label)).unwrap();
+        assert_eq!(label, &Literal::plain("/Timestep_0/x"));
         assert_eq!(
-            back.prop(PropKey::Dims),
-            Some(&PropValue::Str("[1024]".into()))
+            literal(&g, &rec.node.id, PropKey::Bytes),
+            Some(&Literal::integer(8192))
         );
+        assert_eq!(
+            literal(&g, &rec.node.id, PropKey::Dims),
+            Some(&Literal::plain("[1024]"))
+        );
+        assert_eq!(literal(&g, &rec.node.id, PropKey::Rank), None);
 
-        let rels = relations_from_graph(&g, &rec.node.id);
-        assert_eq!(rels.len(), 1);
-        assert_eq!(rels[0].0, Relation::WasCreatedBy);
+        let created = iri_id(&g, voc.relation(Relation::WasCreatedBy));
+        let edges = g.match_ids(Some(Some(node)), Some(created), None);
+        assert_eq!(edges.len(), 1);
+        assert_eq!(guid_of(&g, edges[0].2), Some(rec.relations[0].1.clone()));
     }
 
     #[test]
@@ -253,6 +244,14 @@ mod tests {
         for t in record_to_triples(&urec) {
             g.insert(&t);
         }
+        // A typed subject that is not a GUID is not a node.
+        let voc = Vocabulary::shared();
+        let dataset = voc.class(EntityClass::Dataset).clone();
+        g.insert(&Triple::new(
+            Subject::iri("urn:x"),
+            voc.rdf_type.clone(),
+            dataset,
+        ));
         assert_eq!(nodes_of_class(&g, EntityClass::Dataset.into()).len(), 1);
         assert_eq!(nodes_of_class(&g, AgentClass::User.into()), vec![user]);
         assert!(nodes_of_class(&g, ActivityClass::Read.into()).is_empty());
@@ -266,12 +265,13 @@ mod tests {
                 .with_prop(PropKey::Accuracy, 0.875)
                 .with_prop(PropKey::Value, true),
         );
-        let mut g = Graph::new();
-        for t in record_to_triples(&rec) {
-            g.insert(&t);
-        }
-        let back = node_from_graph(&g, &id).unwrap();
-        assert_eq!(back.prop(PropKey::Accuracy), Some(&PropValue::Float(0.875)));
-        assert_eq!(back.prop(PropKey::Value), Some(&PropValue::Bool(true)));
+        let g = graph_of(&rec);
+        let accuracy = literal(&g, &id, PropKey::Accuracy).unwrap();
+        assert_eq!(accuracy, &Literal::double(0.875));
+        assert_eq!(accuracy.as_f64(), Some(0.875));
+        assert_eq!(
+            literal(&g, &id, PropKey::Value),
+            Some(&Literal::boolean(true))
+        );
     }
 }

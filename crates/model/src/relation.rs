@@ -89,14 +89,6 @@ impl Relation {
         }
     }
 
-    /// Parse a predicate IRI back to a relation.
-    pub fn from_iri(iri: &str) -> Option<Relation> {
-        let local = iri
-            .strip_prefix(ns::PROV)
-            .or_else(|| iri.strip_prefix(ns::PROVIO))?;
-        Relation::ALL.into_iter().find(|r| r.local_name() == local)
-    }
-
     /// The relation recording that a data object was touched by an I/O API
     /// of the given activity class (paper Table 2, bottom section).
     pub fn for_activity(class: crate::class::ActivityClass) -> Relation {
@@ -127,14 +119,6 @@ mod tests {
             Relation::WasReadBy.iri(),
             "https://github.com/hpc-io/prov-io#wasReadBy"
         );
-    }
-
-    #[test]
-    fn iri_round_trip() {
-        for r in Relation::ALL {
-            assert_eq!(Relation::from_iri(&r.iri()), Some(r));
-        }
-        assert_eq!(Relation::from_iri("urn:nope"), None);
     }
 
     #[test]

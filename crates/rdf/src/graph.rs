@@ -18,7 +18,7 @@
 //! them, once. The next write appends the expansion to the log first.
 
 use crate::idhash::{IdMap, IdSet};
-use crate::term::{Iri, Subject, Term, TermView};
+use crate::term::{Term, TermView};
 use crate::triple::{Triple, TriplePattern};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -856,30 +856,6 @@ impl Graph {
         }
         added
     }
-
-    /// Objects reachable from `subject` via `predicate`.
-    pub fn objects(&self, subject: &Subject, predicate: &Iri) -> Vec<Term> {
-        self.match_pattern(
-            &TriplePattern::any()
-                .with_subject(subject.clone())
-                .with_predicate(predicate.clone()),
-        )
-        .into_iter()
-        .map(|t| t.object)
-        .collect()
-    }
-
-    /// Subjects with `predicate` = `object`.
-    pub fn subjects_with(&self, predicate: &Iri, object: &Term) -> Vec<Subject> {
-        self.match_pattern(
-            &TriplePattern::any()
-                .with_predicate(predicate.clone())
-                .with_object(object.clone()),
-        )
-        .into_iter()
-        .map(|t| t.subject)
-        .collect()
-    }
 }
 
 impl Extend<Triple> for Graph {
@@ -901,7 +877,7 @@ impl FromIterator<Triple> for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Literal;
+    use crate::term::{Iri, Literal, Subject};
 
     fn tr(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Subject::iri(s), Iri::new(p), Term::iri(o))
@@ -971,9 +947,12 @@ mod tests {
             Iri::new("urn:val"),
             Literal::integer(5),
         ));
-        let objs = g.objects(&Subject::iri("urn:a"), &Iri::new("urn:val"));
-        assert_eq!(objs.len(), 1);
-        assert_eq!(objs[0].as_literal().unwrap().as_i64(), Some(5));
+        let pat = TriplePattern::any()
+            .with_subject(Subject::iri("urn:a"))
+            .with_predicate(Iri::new("urn:val"));
+        let hits = g.match_pattern(&pat);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].object.as_literal().unwrap().as_i64(), Some(5));
     }
 
     #[test]

@@ -278,8 +278,12 @@ mod tests {
     fn escaped_quote_inside_literal() {
         let src = r#"<urn:a> <urn:p> "say \"hi\"" ."#;
         let g = parse(src).unwrap();
-        let objs = g.objects(&Subject::iri("urn:a"), &Iri::new("urn:p"));
-        assert_eq!(objs[0].as_literal().unwrap().lexical(), "say \"hi\"");
+        let want = Triple::new(
+            Subject::iri("urn:a"),
+            Iri::new("urn:p"),
+            Literal::plain("say \"hi\""),
+        );
+        assert!(g.contains(&want));
     }
 
     #[test]
@@ -321,9 +325,9 @@ mod tests {
         );
         let g = parse(src).unwrap();
         assert_eq!(g.len(), 2);
-        let n = g.objects(&Subject::iri("urn:a"), &Iri::new("urn:n"));
-        assert_eq!(n[0].as_literal().unwrap().as_i64(), Some(5));
-        let l = g.objects(&Subject::iri("urn:a"), &Iri::new("urn:l"));
-        assert_eq!(l[0].as_literal().unwrap().lang(), Some("en-GB"));
+        let a = || Subject::iri("urn:a");
+        assert!(g.contains(&Triple::new(a(), Iri::new("urn:n"), Literal::integer(5))));
+        let tagged = Literal::lang_tagged("hi", "en-GB");
+        assert!(g.contains(&Triple::new(a(), Iri::new("urn:l"), tagged)));
     }
 }

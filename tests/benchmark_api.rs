@@ -12,7 +12,7 @@ use prov_io::core::{ProvTracker, RdfFormat};
 use prov_io::hpcfs::TraceOp;
 use prov_io::model::{ontology, AgentClass, Guid, GuidGen, PropKey, ProvNode, ProvRecord};
 use prov_io::prelude::*;
-use prov_io::rdf::{ntriples, turtle, Graph, Namespaces, Term};
+use prov_io::rdf::{ns, ntriples, turtle, Graph, Iri, Namespaces, Subject, Term, TriplePattern};
 use prov_io::sparql::QueryError;
 use prov_io::workflows::{dassa, h5bench, topreco, RunMetrics};
 use std::collections::HashSet;
@@ -174,6 +174,19 @@ fn benchmark_read_api(fs: Arc<FileSystem>, cluster: &Cluster, probe: &Guid, mode
     let text: String = turtle::serialize(&merged, &Namespaces::standard());
     let _: Option<Graph> = turtle::parse(&text).ok().map(|(g, _)| g);
     graph.merge(&merged);
+
+    // Pattern matching: the `rdf.graph` row's timed match, and the probe
+    // entity a foreign graph falls back to.
+    let pat = TriplePattern::any()
+        .with_predicate(Iri::new(ns::RDF_TYPE))
+        .with_object(Term::iri(ns::PROVIO));
+    let _: Option<Guid> = merged
+        .match_pattern(&pat)
+        .into_iter()
+        .find_map(|t| match t.subject {
+            Subject::Iri(i) => Guid::from_iri(&i),
+            Subject::Blank(_) => None,
+        });
 
     // The query engine and the parser.
     let all = "SELECT ?s WHERE { ?s ?p ?o . }";

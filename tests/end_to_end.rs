@@ -160,7 +160,10 @@ fn h5bench_capture_to_stats() {
     h.update(format!("{health}\n{health:?}").as_bytes());
     let mut engine = ProvQueryEngine::new(graph);
     let (before, after) = engine.reduce_activities();
-    assert!(after < before, "equivalent activities collapse: {before} -> {after}");
+    assert!(
+        after < before,
+        "equivalent activities collapse: {before} -> {after}"
+    );
     h.update(format!("{before} {after}\n").as_bytes());
     for line in prov_io::rdf::ntriples::sorted_graph_lines(engine.graph()) {
         h.update(line.as_bytes());
