@@ -1254,6 +1254,70 @@ pub(crate) mod tests {
         assert_eq!(r2.replayed_triples, r.replayed_triples);
     }
 
+    const LEGACY_TTL: &str = "@prefix ex: <urn:ex:> .\n\
+        ex:a ex:p \"x\"@en ;\n    ex:q ex:b .\n\
+        _:n ex:p ex:shared .\n";
+    const P0_SNAPSHOT: &str = "<urn:ex:a> <urn:ex:q> <urn:ex:b> .\n\
+        <urn:p0> <urn:ex:p> \"0\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n";
+    const P0_SEGMENT: &str = "<urn:p0> <urn:ex:p> <urn:d0> .\n";
+    /// The journal's records 3 and 4, above the watermark (snapshot 2 +
+    /// segment 1); record 4 is already in the graph.
+    const P0_REPLAY: [&str; 2] =
+        ["<urn:w3> <urn:ex:p> <urn:ex:shared> .", "<urn:ex:a> <urn:ex:q> <urn:ex:b> ."];
+    const P2_SNAPSHOT: &str =
+        "<urn:ex:shared> <urn:ex:p> <urn:p2> .\n<urn:ex:a> <urn:ex:q> <urn:ex:b> .\n";
+
+    /// One of each input the fold takes, in directory order: a legacy
+    /// Turtle file, a framed snapshot plus segment, their journal with two
+    /// records to replay, a file that quarantines, and a second store; a
+    /// triple shared by four of them.
+    fn fold_fixture() -> Arc<FileSystem> {
+        let fs = FileSystem::new(LustreConfig::default());
+        write_file(&fs, "/provio/legacy.ttl", LEGACY_TTL.as_bytes());
+        let start = frame::CHAIN_START;
+        let c0 = write_framed(&fs, "/provio/prov_p0.nt", FrameKind::Snapshot, 0, start, P0_SNAPSHOT, 1);
+        write_framed(&fs, "/provio/prov_p0.nt.d000000.nt", FrameKind::Delta, 1, c0, P0_SEGMENT, 64);
+        let committed: Vec<&str> = P0_SNAPSHOT.lines().chain(P0_SEGMENT.lines()).collect();
+        write_wal(&fs, "/provio/prov_p0.nt.w000000.nt", &[(0, &committed[..]), (3, &P0_REPLAY[..])]);
+        let (text, _) = frame::encode(
+            FrameKind::Snapshot,
+            frame::store_guid("/provio/prov_p1.nt"),
+            0,
+            start,
+            "<urn:evil> <urn:ex:p> <urn:o> .\n",
+            64,
+        );
+        write_file(&fs, "/provio/prov_p1.nt", text.replace("ordinal=0", "ordinal=1").as_bytes());
+        write_framed(&fs, "/provio/prov_p2.nt", FrameKind::Snapshot, 0, start, P2_SNAPSHOT, 64);
+        fs
+    }
+
+    #[test]
+    fn the_fold_assigns_the_ids_and_order_of_a_sequential_reference_fold() {
+        // The reference: each contributing file parsed alone, folded with
+        // `Graph::merge` in directory order, then the journal's replay.
+        let nt = |text: &str| ntriples::parse(text).unwrap();
+        let mut want = turtle::parse(LEGACY_TTL).unwrap().0;
+        for text in [P0_SNAPSHOT, P0_SEGMENT, P2_SNAPSHOT] {
+            want.merge(&nt(text));
+        }
+        assert_eq!(want.merge(&nt(&(P0_REPLAY.join("\n") + "\n"))), 1);
+        let want_report = MergeReport {
+            files: 4,
+            triples: want.len(),
+            quarantined: vec!["/provio/prov_p1.nt".into()],
+            replayed_triples: 1,
+            ..MergeReport::default()
+        };
+        for threads in [1, 2, 4] {
+            let fs = fold_fixture();
+            let (g, report) = merge_with_pool(&fs, "/provio", threads);
+            assert_eq!(report, want_report, "{threads} threads");
+            assert_eq!(g.terms(), want.terms(), "{threads} threads: term ids");
+            assert!(g.iter_ids().eq(want.iter_ids()), "{threads} threads: insertion order");
+        }
+    }
+
     #[test]
     fn journal_alone_recovers_a_rank_that_never_flushed() {
         let fs = FileSystem::new(LustreConfig::default());
