@@ -130,23 +130,17 @@ fn salvage_turtle(text: &str) -> (Graph, usize) {
     (Graph::new(), parses)
 }
 
-/// Salvage whatever prefix of `text` is valid.
+/// Salvage whatever prefix of `text` is valid. An extension that says
+/// neither syntax tries N-Triples first, then Turtle.
 fn salvage(syntax: Option<RdfFormat>, text: &str) -> Graph {
-    match syntax {
-        Some(RdfFormat::NTriples) => {
-            let mut scratch = Graph::new();
-            ntriples::parse_lenient_prefix(text, &mut scratch);
-            scratch
-        }
-        Some(RdfFormat::Turtle) => salvage_turtle(text).0,
-        None => {
-            let mut scratch = Graph::new();
-            if ntriples::parse_lenient_prefix(text, &mut scratch) > 0 {
-                scratch
-            } else {
-                salvage_turtle(text).0
-            }
-        }
+    if syntax == Some(RdfFormat::Turtle) {
+        return salvage_turtle(text).0;
+    }
+    let mut scratch = Graph::new();
+    if ntriples::parse_lenient_prefix(text, &mut scratch) > 0 || syntax.is_some() {
+        scratch
+    } else {
+        salvage_turtle(text).0
     }
 }
 
@@ -339,12 +333,15 @@ fn chain_breaks_in(frames: &mut [FramedFile]) -> u64 {
 /// extensions try both.
 ///
 /// Files parse into scratch graphs on worker threads (I/O and parsing
-/// dominate merge time at rank scale), then fold into the final graph
-/// sequentially in directory order via the interner's bulk id-mapped merge
-/// — output is identical at any pool size, one thread included (the pool
-/// is sized by the `rayon` shim, as for `finish_all`'s parallel renders,
-/// and hands out files one at a time, so a large snapshot occupies one
-/// worker while the others take the files after it).
+/// dominate merge time at rank scale). The calling thread folds each one
+/// into the final graph in directory order as soon as it and every earlier
+/// file are parsed, while the workers parse the files after it (the `rayon`
+/// shim's ordered stream). The fold is the interner's bulk id-mapped merge,
+/// which reuses the hashes the worker computed; the first sub-graph is
+/// adopted whole. Output is identical at any pool size, one thread
+/// included (the pool is sized by the shim, as for `finish_all`'s parallel
+/// renders, and hands out files one at a time, so a large snapshot occupies
+/// one worker while the others take the files after it).
 ///
 /// Crash recovery: a `<p>.tmp` left by the store's atomic-rename protocol
 /// is skipped when the committed `<p>` exists (it is a stale or torn
@@ -378,18 +375,6 @@ pub(crate) fn merge_listed(
     let mut report = MergeReport::default();
     let committed: HashSet<&str> = files.iter().map(String::as_str).collect();
     let decoded = Mutex::new(decoded);
-    let outcomes: Vec<Outcome> = files
-        .par_iter()
-        .map(|path| {
-            // A file scrub decoded is parsed unread while it holds those bytes.
-            let mut map = decoded.lock().expect("nothing panics holding the hand-off");
-            let frame = map.get_mut(path).and_then(|e| e.frame.take_if(|_| holds(fs, path, e.len)));
-            drop(map);
-            process_file(fs, path, &committed, frame)
-        })
-        .collect();
-    // Deterministic sequential fold in directory order; the merge itself is
-    // the bulk id-mapped path (one intern per distinct term per file).
     let mut chains: HashMap<u64, Vec<FramedFile>> = HashMap::new();
     // Per-store bookkeeping for journal replay: what each committed file
     // contributed (with its frame facts, when framed) and the journal
@@ -398,50 +383,61 @@ pub(crate) fn merge_listed(
     // the same store.
     let mut committed_counts: HashMap<&str, Vec<CommittedEntry>> = HashMap::new();
     let mut wal_records: BTreeMap<&str, Vec<(u64, String)>> = BTreeMap::new();
-    for (path, outcome) in files.iter().zip(outcomes) {
-        match outcome {
-            Outcome::Skipped => {}
-            Outcome::Corrupt => report.corrupt.push(path.clone()),
-            Outcome::Sub { sub, adopted_tmp, salvaged, frame } => {
-                let rotted = frame.as_ref().filter(|f| f.batches_corrupt > 0);
-                if let Some(f) = rotted {
-                    // Partial recovery: the dropped batches are corruption,
-                    // the surviving ones are salvage.
-                    report.corrupt.push(path.clone());
-                    report.salvaged_batches += (f.batches_total - f.batches_corrupt) as u64;
-                }
-                if salvaged || rotted.is_some() {
-                    report.salvaged_triples += sub.len();
-                }
-                let facts = frame.as_ref().map(|f| (f.kind, f.ordinal));
-                committed_counts.entry(names::parse(path).base).or_default().push((facts, sub.len()));
+    // The pipelined fold: each outcome in directory order, on this thread.
+    let parsed = files.par_iter().map(|path| {
+        // A file scrub decoded is parsed unread while it holds those bytes.
+        let mut map = decoded.lock().expect("nothing panics holding the hand-off");
+        let frame = map.get_mut(path).and_then(|e| e.frame.take_if(|_| holds(fs, path, e.len)));
+        drop(map);
+        (path, process_file(fs, path, &committed, frame))
+    });
+    parsed.for_each_ordered(|(path, outcome)| match outcome {
+        Outcome::Skipped => {}
+        Outcome::Corrupt => report.corrupt.push(path.clone()),
+        Outcome::Sub { sub, adopted_tmp, salvaged, frame } => {
+            let rotted = frame.as_ref().filter(|f| f.batches_corrupt > 0);
+            if let Some(f) = rotted {
+                // Partial recovery: the dropped batches are corruption,
+                // the surviving ones are salvage.
+                report.corrupt.push(path.clone());
+                report.salvaged_batches += (f.batches_total - f.batches_corrupt) as u64;
+            }
+            if salvaged || rotted.is_some() {
+                report.salvaged_triples += sub.len();
+            }
+            let facts = frame.as_ref().map(|f| (f.kind, f.ordinal));
+            committed_counts.entry(names::parse(path).base).or_default().push((facts, sub.len()));
+            // Folding into an empty graph is a move: same ids, same order.
+            if graph.term_count() == 0 {
+                graph = sub;
+            } else {
                 graph.merge(&sub);
-                report.files += 1;
-                if adopted_tmp {
-                    report.recovered.push(path.clone());
-                }
-                if let Some(f) = frame {
-                    chains.entry(f.guid).or_default().push(f);
-                }
             }
-            Outcome::Wal(wal) => {
-                report.wal_tails_truncated += u64::from(wal.truncated);
-                wal_records.entry(names::parse(path).base).or_default().extend(wal.records);
+            report.files += 1;
+            if adopted_tmp {
+                report.recovered.push(path.clone());
             }
-            Outcome::Quarantine { substituted } => {
-                // Condemn the file on disk so later merges skip it without
-                // re-parsing; the rename is best-effort (a read-only or
-                // failing filesystem still gets the in-report verdict).
-                let _ = fs.rename(path, &names::quarantine_of(path), SimTime::ZERO);
-                report.quarantined.push(path.clone());
-                if substituted {
-                    // A verified file claiming another store's GUID means
-                    // this store's real history was displaced.
-                    report.chain_breaks += 1;
-                }
+            if let Some(f) = frame {
+                chains.entry(f.guid).or_default().push(f);
             }
         }
-    }
+        Outcome::Wal(wal) => {
+            report.wal_tails_truncated += u64::from(wal.truncated);
+            wal_records.entry(names::parse(path).base).or_default().extend(wal.records);
+        }
+        Outcome::Quarantine { substituted } => {
+            // Condemn the file on disk so later merges skip it without
+            // re-parsing; the rename is best-effort (a read-only or
+            // failing filesystem still gets the in-report verdict).
+            let _ = fs.rename(path, &names::quarantine_of(path), SimTime::ZERO);
+            report.quarantined.push(path.clone());
+            if substituted {
+                // A verified file claiming another store's GUID means
+                // this store's real history was displaced.
+                report.chain_breaks += 1;
+            }
+        }
+    });
     for metas in chains.values_mut() {
         report.chain_breaks += chain_breaks_in(metas);
     }

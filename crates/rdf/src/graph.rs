@@ -30,10 +30,11 @@ use std::sync::OnceLock;
 pub struct TermId(pub u32);
 
 fn view_hash(v: TermView<'_>) -> u64 {
-    // DefaultHasher with fixed keys: deterministic across graphs, so a
-    // cloned graph keeps a working table. Term strings arrive from files
-    // the merge parses, so they stay on SipHash; only the tables keyed by
-    // the ids and hashes minted here use the keyless `IdHasher`.
+    // `DefaultHasher::new()` is SipHash under fixed, public zero keys, so it
+    // is no defence against a file crafted to collide. What the interner
+    // relies on is that every graph in the process computes the same hash
+    // for a term: a clone keeps a working table, and `Graph::merge` files
+    // each incoming term under the hash its own graph recorded.
     let mut h = std::collections::hash_map::DefaultHasher::new();
     v.hash(&mut h);
     h.finish()
@@ -97,6 +98,8 @@ impl ArcCache {
 #[derive(Debug, Default, Clone)]
 struct Interner {
     terms: Vec<Term>,
+    /// `hashes[i]` is the view hash of `terms[i]`.
+    hashes: Vec<u64>,
     /// view-hash → the first id interned under it.
     ids: IdMap<u64, u32>,
     /// Ids whose view hash was already taken by a different term: scanned
@@ -110,13 +113,13 @@ impl Interner {
     /// first sight (typically an `Arc` clone from the caller's triple).
     fn intern_view(&mut self, v: TermView<'_>, make: impl FnOnce() -> Term) -> TermId {
         let TermView::Iri(iri) = v else {
-            return self.intern_hashed(v, make);
+            return self.intern_hashed(view_hash(v), v, make);
         };
         let slot = ArcCache::slot_of(iri);
         if let Some(id) = self.by_arc.get(slot, iri) {
             return id;
         }
-        let id = self.intern_hashed(v, make);
+        let id = self.intern_hashed(view_hash(v), v, make);
         // Only the allocation the interner itself holds may be cached: the
         // caller's `Arc`, if it is another one, can die and its address be
         // reused.
@@ -128,9 +131,11 @@ impl Interner {
         id
     }
 
-    fn intern_hashed(&mut self, v: TermView<'_>, make: impl FnOnce() -> Term) -> TermId {
+    /// Intern `v` under its view hash `hash`. The hash only picks the
+    /// bucket: whether a held term is `v` is decided by comparing content.
+    fn intern_hashed(&mut self, hash: u64, v: TermView<'_>, make: impl FnOnce() -> Term) -> TermId {
         let next = self.terms.len() as u32;
-        match self.ids.entry(view_hash(v)) {
+        match self.ids.entry(hash) {
             Entry::Vacant(slot) => {
                 slot.insert(next);
             }
@@ -142,11 +147,8 @@ impl Interner {
             }
         }
         self.terms.push(make());
+        self.hashes.push(hash);
         TermId(next)
-    }
-
-    fn intern(&mut self, t: &Term) -> TermId {
-        self.intern_view(TermView::of(t), || t.clone())
     }
 
     fn get_view(&self, v: TermView<'_>) -> Option<TermId> {
@@ -538,7 +540,7 @@ impl Graph {
 
     /// Intern a term without inserting any triple.
     pub fn intern(&mut self, t: &Term) -> TermId {
-        self.interner.intern(t)
+        self.interner.intern_view(TermView::of(t), || t.clone())
     }
 
     /// Intern a borrowed view — what the parsers read off a document. The
@@ -546,7 +548,7 @@ impl Graph {
     /// view never names an allocation the interner holds, so it skips the
     /// `Arc`-identity front cache.)
     pub(crate) fn intern_view(&mut self, v: TermView<'_>) -> TermId {
-        self.interner.intern_hashed(v, || v.to_term())
+        self.interner.intern_hashed(view_hash(v), v, || v.to_term())
     }
 
     /// Look up a term's id if it is interned.
@@ -831,28 +833,35 @@ impl Graph {
     /// provenance store safe: GUID-keyed nodes appearing in several
     /// sub-graphs merge without duplication.
     ///
-    /// Bulk path: every term of `other` is interned into `self` exactly
-    /// once up front (one hash probe per *distinct* term), then triples are
-    /// inserted by pre-mapped ids — no per-triple term materialization or
-    /// re-hashing. This is what makes parallel sub-graph merging pay off:
+    /// Bulk path: the tables are reserved for `other` once, every term of
+    /// `other` is interned into `self` up front under the hash `other`
+    /// recorded for it (one table probe per *distinct* term, no term hashed
+    /// again), then the triples are inserted by pre-mapped ids, in `other`'s
+    /// order. This is what makes parallel sub-graph merging pay off:
     /// scratch graphs parsed on worker threads fold into the final graph at
-    /// id speed.
+    /// id speed. Folding into an empty graph assigns `other`'s own ids.
     pub fn merge(&mut self, other: &Graph) -> usize {
-        let map: Vec<u32> = other
-            .interner
-            .terms
-            .iter()
-            .map(|t| self.interner.intern(t).0)
+        self.expand_product();
+        let (from, into) = (&other.interner, &mut self.interner);
+        into.terms.reserve(from.terms.len());
+        into.hashes.reserve(from.terms.len());
+        into.ids.reserve(from.terms.len());
+        let map: Vec<u32> = (from.terms.iter().zip(&from.hashes))
+            .map(|(t, &hash)| into.intern_hashed(hash, TermView::of(t), || t.clone()).0)
             .collect();
-        let mut added = 0;
-        for &(s, p, o) in other.log().iter() {
-            if self.insert_ids(
-                TermId(map[s as usize]),
-                TermId(map[p as usize]),
-                TermId(map[o as usize]),
-            ) {
-                added += 1;
+        let log = other.log();
+        self.triples.reserve(log.len());
+        self.order.reserve(log.len());
+        let before = self.order.len();
+        for &(s, p, o) in log.iter() {
+            let ids = (map[s as usize], map[p as usize], map[o as usize]);
+            if self.triples.insert(ids) {
+                self.order.push(ids);
             }
+        }
+        let added = self.order.len() - before;
+        if added > 0 {
+            self.invalidate();
         }
         added
     }
@@ -1103,6 +1112,70 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_hash_is_a_bucket_not_an_identity() {
+        let mut into = Graph::new();
+        into.insert(&tr("urn:a", "urn:p", "urn:b"));
+        let mut from = Graph::new();
+        from.insert(&tr("urn:x", "urn:p", "urn:b"));
+        // Forge `urn:x`'s recorded hash to `urn:a`'s: the fold must find
+        // `urn:a` in that bucket, see that it is another term, and intern
+        // `urn:x` as a collision. (The forged hash makes `urn:x` unreachable
+        // by lookup afterwards; only the fold is under test.)
+        let x = from.term_id(&Term::iri("urn:x")).unwrap();
+        from.interner.hashes[x.0 as usize] = view_hash(TermView::of(&Term::iri("urn:a")));
+        assert_eq!(into.merge(&from), 1);
+        let terms: Vec<Term> = ["urn:a", "urn:p", "urn:b", "urn:x"].map(Term::iri).into();
+        assert_eq!(into.terms(), terms);
+        assert_eq!(into.interner.collided, [3]);
+        let triples: Vec<Triple> = into.iter().collect();
+        assert_eq!(triples, [tr("urn:a", "urn:p", "urn:b"), tr("urn:x", "urn:p", "urn:b")]);
+    }
+
+    /// Every term carries its own view hash.
+    fn assert_hashes_kept(g: &Graph) {
+        let hashes: Vec<u64> = g.terms().iter().map(|t| view_hash(TermView::of(t))).collect();
+        assert_eq!(g.interner.hashes, hashes);
+    }
+
+    #[test]
+    fn insert_parse_clone_and_merge_keep_a_hash_per_term() {
+        let mut inserted = Graph::new();
+        inserted.insert(&tr("urn:a", "urn:p", "urn:b"));
+        let five = Literal::integer(5);
+        inserted.insert(&Triple::new(Subject::iri("urn:a"), Iri::new("urn:v"), five));
+        assert_hashes_kept(&inserted);
+        let nt = "<urn:b> <urn:p> \"x\"@en .\n_:n <urn:p> <urn:a> .\n";
+        let parsed = crate::ntriples::parse(nt).unwrap();
+        assert_hashes_kept(&parsed);
+        let ttl = "@prefix e: <urn:> . e:c e:p e:a , \"y\" .";
+        let (turtle, _) = crate::turtle::parse(ttl).unwrap();
+        assert_hashes_kept(&turtle);
+        let mut merged = inserted.clone();
+        assert_hashes_kept(&merged);
+        merged.merge(&parsed);
+        merged.merge(&turtle);
+        assert_hashes_kept(&merged);
+        assert_eq!(merged.len(), 6);
+    }
+
+    #[test]
+    fn a_term_hashes_alike_in_every_graph() {
+        // The fold files a term under the hash its sub-graph recorded, so
+        // a term must hash the same in every graph of the process, however
+        // it got there.
+        let mut inserted = Graph::new();
+        inserted.insert(&tr("urn:s", "urn:p", "urn:shared"));
+        let parsed = crate::ntriples::parse("<urn:shared> <urn:q> <urn:o> .\n").unwrap();
+        let shared = Term::iri("urn:shared");
+        let hash_in = |g: &Graph| g.interner.hashes[g.term_id(&shared).unwrap().0 as usize];
+        assert_eq!(hash_in(&inserted), hash_in(&parsed));
+        let mut merged = parsed.clone();
+        merged.merge(&inserted);
+        assert_eq!(merged.term_count(), 5);
+        assert!(merged.contains(&tr("urn:s", "urn:p", "urn:shared")));
+    }
+
+    #[test]
     fn cloned_graph_interner_still_resolves() {
         let mut g = Graph::new();
         g.insert(&tr("urn:a", "urn:p", "urn:b"));
@@ -1147,11 +1220,12 @@ mod tests {
         // hash must stay two terms, both findable.
         let mut i = Interner::default();
         let (a, b) = (Term::iri("urn:a"), Term::iri("urn:b"));
-        let ia = i.intern(&a);
+        let ia = i.intern_view(TermView::of(&a), || a.clone());
         let h = view_hash(TermView::of(&a));
         // File `b` as a collision of `a`'s hash by hand.
         let ib = TermId(i.terms.len() as u32);
         i.terms.push(b.clone());
+        i.hashes.push(h);
         i.collided.push(ib.0);
         assert_eq!(find(&i.terms, &i.collided, i.ids[&h], TermView::of(&b)), Some(ib));
         assert_eq!(find(&i.terms, &i.collided, i.ids[&h], TermView::of(&a)), Some(ia));

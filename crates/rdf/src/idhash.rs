@@ -3,8 +3,11 @@
 //! `TermId`s, id tuples and the interner's already-mixed view hashes are
 //! values this process assigns; nothing read from a file can choose them,
 //! so hash flooding is not a concern and SipHash's per-key cost (the graph
-//! probes five tables per inserted triple) buys nothing. Term *strings* do
-//! come from files, and keep SipHash — see [`crate::graph`].
+//! probes five tables per inserted triple) buys nothing. Term *strings* are
+//! hashed once, by `DefaultHasher::new()` — SipHash under fixed, public
+//! keys, so no defence against a crafted file either. What matters there is
+//! that every graph computes the same hash for a term: the merge fold files
+//! each term under the hash its sub-graph recorded (see [`crate::graph`]).
 //!
 //! The mix is the Fx word step: rotate, xor the word in, multiply by an odd
 //! constant. No output depends on hash values: every serializer sorts, and
