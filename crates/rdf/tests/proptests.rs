@@ -5,7 +5,7 @@
 //! one, parsers that intern borrowed views against the owned-term parse
 //! they replaced, and parsers that never panic.
 //!
-//! Case count of the three differentials: `PROVIO_WRITER_CASES` (default
+//! Case count of the differentials: `PROVIO_WRITER_CASES` (default
 //! 256); CI's `writer-differential` step runs 4096 in release.
 
 mod reference;
@@ -19,7 +19,7 @@ use provio_rdf::{
     ntriples, turtle, BlankNode, Capture, Graph, Iri, Literal, Namespaces, Term, TermId, Triple,
     TriplePattern,
 };
-use strategies::{arb_graph, arb_term, arb_triple, tricky_namespaces, tricky_triple};
+use strategies::{arb_graph, arb_term, arb_triple, tricky_iri, tricky_namespaces, tricky_triple};
 
 fn graphs_equal(a: &Graph, b: &Graph) -> bool {
     a.len() == b.len() && a.iter().all(|t| b.contains(&t))
@@ -521,18 +521,26 @@ const HAND_WRITTEN: &[&str] = &[
      <urn:s> <urn:q> \"e\\u00e9\"^^<urn:dt> .\n",
 ];
 
+/// The same terms in the same order, and the same log.
+fn same(a: &Graph, b: &Graph) -> bool {
+    a.terms() == b.terms() && a.ids_from(0) == b.ids_from(0)
+}
+
 /// The parsers and their references on `text`: the same verdict, the same
 /// error, and the same terms in the same order and the same log — on a
 /// failed parse too, where each keeps what it read before the error.
 fn same_parse(text: &str) {
-    let same = |a: &Graph, b: &Graph| a.terms() == b.terms() && a.ids_from(0) == b.ids_from(0);
-
     let (mut got, mut want) = (Graph::new(), Graph::new());
     let bindings = |nss: Namespaces| nss.iter().map(|(p, i)| format!("{p} {i}")).collect::<Vec<_>>();
     let turtle = turtle::parse_into(text, &mut got).map(bindings);
     assert_eq!(turtle, reference::turtle_parse_into(text, &mut want).map(bindings), "{:?}", text);
     assert!(same(&got, &want), "turtle graphs differ on {:?}", text);
 
+    same_ntriples_parse(text);
+}
+
+/// [`same_parse`]'s N-Triples half: the strict parse and the salvage.
+fn same_ntriples_parse(text: &str) {
     let (mut got, mut want) = (Graph::new(), Graph::new());
     let ntriples = ntriples::parse_into(text, &mut got);
     assert_eq!(ntriples, reference::ntriples_parse_into(text, &mut want), "{:?}", text);
@@ -577,6 +585,39 @@ proptest! {
                     break;
                 }
                 same_parse(&String::from_utf8_lossy(&data));
+            }
+        }
+    }
+}
+
+/// A predicate that shares its length and last byte with another of the
+/// pool, and so a slot of the N-Triples reader's predicate table, or one of
+/// the writers' tricky IRIs.
+fn pooled_predicate() -> impl Strategy<Value = Iri> {
+    prop_oneof![2 => "urn:p/[12][xy]".prop_map(Iri::new), 1 => tricky_iri()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(writer_cases()))]
+
+    /// What the store writes — a journal block in insertion order, a
+    /// snapshot in sorted order — over a few predicates that repeat and
+    /// share table slots, whole and after each single edit: N-Triples
+    /// parse and salvage are the owned-term ones, error and line included.
+    #[test]
+    fn written_n_triples_parse_as_the_reference_parses(
+        ts in prop::collection::vec((tricky_triple(), pooled_predicate()), 0..40),
+        edits in prop::collection::vec((any::<Index>(), any::<u8>(), 0u8..5), 0..8),
+    ) {
+        let g: Graph = ts.into_iter().map(|(t, p)| Triple::new(t.subject, p, t.object)).collect();
+        let (ids, term_of) = (g.ids_from(0), |id: u32| &g.terms()[id as usize]);
+        for doc in [ntriples::id_block(ids, term_of), ntriples::sorted_block(ids, term_of)] {
+            same_ntriples_parse(&doc);
+            for &(at, byte, kind) in &edits {
+                let mut data = doc.clone().into_bytes();
+                if mutate(&mut data, at, byte, kind) {
+                    same_ntriples_parse(&String::from_utf8_lossy(&data));
+                }
             }
         }
     }
