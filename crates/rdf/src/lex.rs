@@ -80,7 +80,7 @@ pub struct Lexer<'a> {
     peeked: Option<Token<'a>>,
 }
 
-fn is_word_byte(b: u8) -> bool {
+pub(crate) fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
 }
 
@@ -108,7 +108,7 @@ const IRI_BYTE: [bool; 256] = {
 
 /// Length of the IRIREF body at the head of `bytes` (what follows a `<`),
 /// or `None` if a byte an IRI cannot hold comes before the closing `>`.
-fn iri_len(bytes: &[u8]) -> Option<usize> {
+pub(crate) fn iri_len(bytes: &[u8]) -> Option<usize> {
     // Whole blocks that hold nothing but IRI bytes first: a loop with no
     // exit in it runs at twice the speed of one that tests every byte, and
     // IRIs are most of a document.
@@ -121,6 +121,22 @@ fn iri_len(bytes: &[u8]) -> Option<usize> {
     }
     len += run(&bytes[len..], |b| IRI_BYTE[b as usize]);
     (bytes.get(len) == Some(&b'>')).then_some(len)
+}
+
+/// Offset of the quote that closes the string whose opening quote heads
+/// `bytes`, and whether a `\` comes before it; `None` if none does. A
+/// `\` hides the byte after it.
+pub(crate) fn string_end(bytes: &[u8]) -> Option<(usize, bool)> {
+    let mut end = 1;
+    let mut escaped = false;
+    loop {
+        let at = bytes.get(end..)?.iter().position(|b| matches!(b, b'"' | b'\\'))?;
+        if bytes[end + at] == b'"' {
+            return Some((end + at, escaped));
+        }
+        escaped = true;
+        end += at + 2;
+    }
 }
 
 /// Length of the number at the head of `bytes`, 0 if there is none.
@@ -307,25 +323,10 @@ impl<'a> Lexer<'a> {
 
     /// The string whose opening quote heads `rest`.
     fn scan_string(&mut self, rest: &'a str) -> Result<Token<'a>, ParseError> {
-        let bytes = rest.as_bytes();
-        let mut end = 1;
-        let mut escaped = false;
-        loop {
-            match bytes.get(end..).and_then(|b| b.iter().position(|b| matches!(b, b'"' | b'\\'))) {
-                None => {
-                    self.pos = self.src.len();
-                    return Err(self.error("unterminated string literal"));
-                }
-                Some(at) if bytes[end + at] == b'"' => {
-                    end += at;
-                    break;
-                }
-                Some(at) => {
-                    escaped = true;
-                    end += at + 2;
-                }
-            }
-        }
+        let Some((end, escaped)) = string_end(rest.as_bytes()) else {
+            self.pos = self.src.len();
+            return Err(self.error("unterminated string literal"));
+        };
         self.pos += end + 1;
         let body = &rest[1..end];
         if !escaped {
@@ -376,27 +377,27 @@ impl<'a> Lexer<'a> {
 /// escaped string body resolved, a prefixed datatype expanded. `buf` is
 /// cleared first.
 impl<'b, 'a: 'b> Lexer<'a> {
-    fn iri_view(
+    fn iri_str(
         &self,
         token: Token<'a>,
         nss: &Namespaces,
         what: &str,
         buf: &'b mut String,
-    ) -> Result<TermView<'b>, ParseError> {
+    ) -> Result<&'b str, ParseError> {
         buf.clear();
         let iri = self.iri_text(token, nss, what, buf)?;
-        Ok(TermView::Iri(iri.unwrap_or(buf)))
+        Ok(iri.unwrap_or(buf))
     }
 
-    /// An IRI; `what` names the position in the error.
+    /// An IRI's text; `what` names the position in the error.
     pub(crate) fn iri(
         &mut self,
         nss: &Namespaces,
         what: &str,
         buf: &'b mut String,
-    ) -> Result<TermView<'b>, ParseError> {
+    ) -> Result<&'b str, ParseError> {
         let token = self.token()?;
-        self.iri_view(token, nss, what, buf)
+        self.iri_str(token, nss, what, buf)
     }
 
     /// A predicate: an IRI, or `a` for `rdf:type`.
@@ -407,7 +408,7 @@ impl<'b, 'a: 'b> Lexer<'a> {
     ) -> Result<TermView<'b>, ParseError> {
         match self.token()? {
             Token::Word("a") => Ok(TermView::Iri(ns::RDF_TYPE)),
-            other => self.iri_view(other, nss, "predicate", buf),
+            other => self.iri_str(other, nss, "predicate", buf).map(TermView::Iri),
         }
     }
 
@@ -419,7 +420,7 @@ impl<'b, 'a: 'b> Lexer<'a> {
     ) -> Result<TermView<'b>, ParseError> {
         match self.token()? {
             Token::Blank(label) => Ok(TermView::Blank(label)),
-            other => self.iri_view(other, nss, "subject", buf),
+            other => self.iri_str(other, nss, "subject", buf).map(TermView::Iri),
         }
     }
 
@@ -438,7 +439,7 @@ impl<'b, 'a: 'b> Lexer<'a> {
             Token::Number(n) => (n, term::numeric_datatype(n)),
             Token::Word(w @ ("true" | "false")) => (w, ns::XSD_BOOLEAN),
             Token::Str(body) => return self.string_literal(body, nss, buf),
-            other => return self.iri_view(other, nss, what, buf),
+            other => return self.iri_str(other, nss, what, buf).map(TermView::Iri),
         };
         Ok(TermView::Literal {
             lexical,

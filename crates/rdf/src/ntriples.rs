@@ -5,9 +5,9 @@
 //! second format and use it for line-oriented streaming in tests. Terms
 //! are read by [`crate::lex`], one lexer per line.
 
-use crate::lex::{Lexer, Token, TripleBufs};
+use crate::lex::{self, Lexer, Token, TripleBufs};
 use crate::namespace::Namespaces;
-use crate::term::{self, Term};
+use crate::term::{self, Term, TermView};
 use crate::{Graph, ParseError, TermId};
 
 /// Serialize `graph` as N-Triples. Lines are sorted for determinism.
@@ -140,9 +140,15 @@ pub fn parse(src: &str) -> Result<Graph, ParseError> {
 /// at the first malformed line, so a torn tail can only drop data, never
 /// contribute garbage — the salvage primitive used by the post-run merge.
 pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
-    let mut reader = Reader::new();
+    parse_lenient_lines(src.lines(), graph)
+}
+
+/// [`parse_lenient_prefix`] over a document's lines, held apart: the
+/// journal replay reads its records so, without joining them first.
+pub fn parse_lenient_lines<'a>(lines: impl IntoIterator<Item = &'a str>, graph: &mut Graph) -> usize {
+    let mut reader = Reader::default();
     let mut recovered = 0;
-    for line in src.lines() {
+    for line in lines {
         match reader.line(line, graph) {
             Ok(triples) => recovered += triples,
             Err(_) => break,
@@ -153,7 +159,7 @@ pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
 
 /// Parse an N-Triples document, merging into `graph`.
 pub fn parse_into(src: &str, graph: &mut Graph) -> Result<(), ParseError> {
-    let mut reader = Reader::new();
+    let mut reader = Reader::default();
     for (lineno, line) in src.lines().enumerate() {
         // The lexer saw one line; the error names its place in the document.
         reader
@@ -163,55 +169,144 @@ pub fn parse_into(src: &str, graph: &mut Graph) -> Result<(), ParseError> {
     Ok(())
 }
 
+/// Slots in a reader's predicate table.
+const PREDICATE_SLOTS: usize = 32;
+
 /// What the lines of one document share.
+#[derive(Default)]
 struct Reader {
-    /// No prefix is ever bound, so a prefixed name never resolves.
-    none: Namespaces,
     bufs: TripleBufs,
-    /// The id of the last line's subject.
+    recent: Recent,
+}
+
+/// Ids that earlier lines of the document interned. A slot's id is taken
+/// only once its term compares equal to the view at hand, so a hit hashes
+/// no string, and a stale or colliding slot costs one comparison.
+#[derive(Default)]
+struct Recent {
+    /// The last line's subject: sorted lines repeat one.
     subject: Option<TermId>,
+    /// Predicates, direct-mapped on an IRI's length and last byte: a
+    /// document names few, but sorted lines change predicate on every line.
+    predicates: [Option<TermId>; PREDICATE_SLOTS],
+}
+
+impl Recent {
+    /// Intern a line's subject, predicate and object, in that order, and
+    /// insert its triple.
+    fn insert(&mut self, graph: &mut Graph, subject: TermView<'_>, predicate: &str, object: TermView<'_>) {
+        let s = reuse(&mut self.subject, subject, graph);
+        let last = usize::from(predicate.bytes().last().unwrap_or(0));
+        let slot = &mut self.predicates[(predicate.len() * 7 + last) % PREDICATE_SLOTS];
+        let p = reuse(slot, TermView::Iri(predicate), graph);
+        let o = graph.intern_view(object);
+        graph.insert_ids(s, p, o);
+    }
+}
+
+/// The id in `slot` if its term is `v`, else `v` interned; `slot` keeps it.
+fn reuse(slot: &mut Option<TermId>, v: TermView<'_>, graph: &mut Graph) -> TermId {
+    let id = match *slot {
+        Some(id) if v.matches(graph.term(id)) => id,
+        _ => graph.intern_view(v),
+    };
+    *slot = Some(id);
+    id
 }
 
 impl Reader {
-    fn new() -> Reader {
-        Reader {
-            none: Namespaces::empty(),
-            bufs: TripleBufs::default(),
-            subject: None,
-        }
-    }
-
     /// Insert the triple on `line` and count it: 1, or 0 for a line of
-    /// blanks or a comment. One line, one triple: a term cannot continue on
-    /// the next, and an object is spelled in full — no bare number, no
-    /// `true`. Nothing is interned before the terminating `.` has been
-    /// read; then subject, predicate and object, in that order.
+    /// blanks or a comment. A line spelled as [`push_term`] spells one is
+    /// read by [`written`]; the lexer reads any other, so it alone decides
+    /// what is accepted and what each error says. One line, one triple: a
+    /// term cannot continue on the next, and an object is spelled in full
+    /// — no bare number, no `true`. Nothing is interned before the
+    /// terminating `.` has been read; then subject, predicate and object,
+    /// in that order.
     fn line(&mut self, line: &str, graph: &mut Graph) -> Result<usize, ParseError> {
+        if let Some((subject, predicate, object)) = written(line, &mut self.bufs.object) {
+            self.recent.insert(graph, subject, predicate, object);
+            return Ok(1);
+        }
         let mut lex = Lexer::new(line);
         if *lex.peek()? == Token::Eof {
             return Ok(0);
         }
-        let subject = lex.subject(&self.none, &mut self.bufs.subject)?;
-        let predicate = lex.iri(&self.none, "predicate IRI", &mut self.bufs.predicate)?;
+        // No prefix is ever bound, so a prefixed name never resolves.
+        let none = Namespaces::empty();
+        let subject = lex.subject(&none, &mut self.bufs.subject)?;
+        let predicate = lex.iri(&none, "predicate IRI", &mut self.bufs.predicate)?;
         if matches!(lex.peek()?, Token::Number(_) | Token::Word(_)) {
             return Err(lex.error("expected object term"));
         }
-        let object = lex.term(&self.none, "object term", &mut self.bufs.object)?;
+        let object = lex.term(&none, "object term", &mut self.bufs.object)?;
         if !lex.eat(".")? || *lex.peek()? != Token::Eof {
             return Err(lex.error("expected terminating '.'"));
         }
-        // Sorted lines repeat a subject: a view that matches the last one's
-        // term has its id, found without hashing.
-        let s = match self.subject {
-            Some(s) if subject.matches(graph.term(s)) => s,
-            _ => graph.intern_view(subject),
-        };
-        self.subject = Some(s);
-        let p = graph.intern_view(predicate);
-        let o = graph.intern_view(object);
-        graph.insert_ids(s, p, o);
+        self.recent.insert(graph, subject, predicate, object);
         Ok(1)
     }
+}
+
+/// The terms of `line` if it is spelled exactly as [`write_block`] spells a
+/// triple: `<iri>` or `_:label`, then `<iri>`, then any term, one space
+/// apart, and ` .`. Spans are found by byte search; an escaped literal
+/// body is resolved into `buf`. `None` for any other line, whether the
+/// lexer accepts it or not.
+fn written<'a>(line: &'a str, buf: &'a mut String) -> Option<(TermView<'a>, &'a str, TermView<'a>)> {
+    let (subject, rest) = node(line.strip_suffix(" .")?)?;
+    let (predicate, rest) = iri(rest.strip_prefix(' ')?)?;
+    let rest = rest.strip_prefix(' ')?;
+    let object = match node(rest) {
+        Some((object, "")) => object,
+        _ => literal(rest, buf)?,
+    };
+    Some((subject, predicate, object))
+}
+
+/// `<iri>` at the head of `text`: the IRI, and what follows it.
+fn iri(text: &str) -> Option<(&str, &str)> {
+    let len = lex::iri_len(text.as_bytes().strip_prefix(b"<")?)?;
+    Some((&text[1..1 + len], &text[len + 2..]))
+}
+
+/// `<iri>`, or `_:label` with a label of ASCII letters, digits, `_` and
+/// `-`, at the head of `text`: the term, and what follows it.
+fn node(text: &str) -> Option<(TermView<'_>, &str)> {
+    let Some(label) = text.strip_prefix("_:") else {
+        return iri(text).map(|(iri, rest)| (TermView::Iri(iri), rest));
+    };
+    let len = label.bytes().position(|b| !lex::is_word_byte(b)).unwrap_or(label.len());
+    (len > 0).then(|| (TermView::Blank(&label[..len]), &label[len..]))
+}
+
+/// `"lex"`, `"lex"^^<dt>` or `"lex"@lang`, the whole of `text`.
+fn literal<'a>(text: &'a str, buf: &'a mut String) -> Option<TermView<'a>> {
+    let (end, escaped) = lex::string_end(text.as_bytes()).filter(|_| text.starts_with('"'))?;
+    let (body, rest) = (&text[1..end], &text[end + 1..]);
+    let (datatype, lang) = match rest.as_bytes().first() {
+        None => (None, None),
+        Some(b'^') => match iri(rest.strip_prefix("^^")?)? {
+            (datatype, "") => (Some(datatype), None),
+            _ => return None,
+        },
+        Some(b'@') => {
+            let tag = &rest[1..];
+            if tag.is_empty() || !tag.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-') {
+                return None;
+            }
+            (None, Some(tag))
+        }
+        _ => return None,
+    };
+    let lexical = if escaped {
+        *buf = term::unescape_literal(body)?;
+        let buf: &'a String = buf;
+        buf
+    } else {
+        body
+    };
+    Some(TermView::Literal { lexical, datatype, lang })
 }
 
 #[cfg(test)]
@@ -315,6 +410,29 @@ mod tests {
     #[test]
     fn rejects_garbage_after_dot_content() {
         assert!(parse("<urn:a> <urn:p> <urn:b> . extra").is_err());
+    }
+
+    #[test]
+    fn every_line_the_writer_spells_is_read_without_the_lexer() {
+        let mut g = sample();
+        let s = || Subject::iri("urn:s");
+        for object in [
+            Literal::plain("tab\there \"quoted\" back\\slash\r\n"),
+            Literal::plain(""),
+            Literal::lang_tagged("esc\"aped", "en-GB"),
+            Literal::typed("x\\", Iri::new("urn:dt")),
+            Literal::typed("é", Iri::new(format!("{}string", ns::XSD))),
+        ] {
+            g.insert(&Triple::new(s(), Iri::new("urn:p"), object));
+        }
+        g.insert(&Triple::new(BlankNode::new("b-1_x"), Iri::new(""), BlankNode::new("B2")));
+        g.insert(&Triple::new(s(), Iri::new("urn:é#p"), Term::iri("urn:o")));
+        let (ids, term_of) = (g.ids_from(0), |id: u32| &g.terms()[id as usize]);
+        let mut buf = String::new();
+        for (line, &(s, p, o)) in id_block(ids, term_of).lines().zip(ids) {
+            let read = written(line, &mut buf).map(|(s, p, o)| (s.to_term(), Term::iri(p), o.to_term()));
+            assert_eq!(read, Some((term_of(s).clone(), term_of(p).clone(), term_of(o).clone())), "{line}");
+        }
     }
 
     #[test]
