@@ -2,8 +2,12 @@
 //!
 //! Redland supports several on-disk formats; PROV-IO's prototype uses Turtle
 //! but the store is format-pluggable (§5), so we provide N-Triples as the
-//! second format and use it for line-oriented streaming in tests. Terms
-//! are read by [`crate::lex`], one lexer per line.
+//! second format and use it for line-oriented streaming in tests.
+//!
+//! Each line is read alone. A line spelled exactly as [`push_term`] spells
+//! a triple is read by byte search, its predicate resolved through a small
+//! per-document table; any other line goes whole to [`crate::lex`], which
+//! alone decides what is accepted and what each error says.
 
 use crate::lex::{self, Lexer, Token, TripleBufs};
 use crate::namespace::Namespaces;
@@ -140,18 +144,21 @@ pub fn parse(src: &str) -> Result<Graph, ParseError> {
 /// at the first malformed line, so a torn tail can only drop data, never
 /// contribute garbage — the salvage primitive used by the post-run merge.
 pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
-    parse_lenient_lines(src.lines(), graph)
+    parse_lenient_lines([src], graph)
 }
 
-/// [`parse_lenient_prefix`] over a document's lines, held apart: the
-/// journal replay reads its records so, without joining them first.
-pub fn parse_lenient_lines<'a>(lines: impl IntoIterator<Item = &'a str>, graph: &mut Graph) -> usize {
+/// [`parse_lenient_prefix`] over a document held in pieces of whole lines:
+/// the journal replay reads its records so, without joining them first.
+pub fn parse_lenient_lines<'a>(pieces: impl IntoIterator<Item = &'a str>, graph: &mut Graph) -> usize {
     let mut reader = Reader::default();
     let mut recovered = 0;
-    for line in lines {
-        match reader.line(line, graph) {
-            Ok(triples) => recovered += triples,
-            Err(_) => break,
+    for mut rest in pieces {
+        while !rest.is_empty() {
+            let Ok((triples, next)) = reader.next(rest, graph) else {
+                return recovered;
+            };
+            recovered += triples;
+            rest = next;
         }
     }
     recovered
@@ -160,11 +167,11 @@ pub fn parse_lenient_lines<'a>(lines: impl IntoIterator<Item = &'a str>, graph: 
 /// Parse an N-Triples document, merging into `graph`.
 pub fn parse_into(src: &str, graph: &mut Graph) -> Result<(), ParseError> {
     let mut reader = Reader::default();
-    for (lineno, line) in src.lines().enumerate() {
+    let (mut rest, mut lineno) = (src, 0);
+    while !rest.is_empty() {
+        lineno += 1;
         // The lexer saw one line; the error names its place in the document.
-        reader
-            .line(line, graph)
-            .map_err(|e| ParseError::new(lineno + 1, e.message))?;
+        (_, rest) = reader.next(rest, graph).map_err(|e| ParseError::new(lineno, e.message))?;
     }
     Ok(())
 }
@@ -215,19 +222,31 @@ fn reuse(slot: &mut Option<TermId>, v: TermView<'_>, graph: &mut Graph) -> TermI
 }
 
 impl Reader {
-    /// Insert the triple on `line` and count it: 1, or 0 for a line of
-    /// blanks or a comment. A line spelled as [`push_term`] spells one is
-    /// read by [`written`]; the lexer reads any other, so it alone decides
-    /// what is accepted and what each error says. One line, one triple: a
-    /// term cannot continue on the next, and an object is spelled in full
-    /// — no bare number, no `true`. Nothing is interned before the
-    /// terminating `.` has been read; then subject, predicate and object,
-    /// in that order.
-    fn line(&mut self, line: &str, graph: &mut Graph) -> Result<usize, ParseError> {
-        if let Some((subject, predicate, object)) = written(line, &mut self.bufs.object) {
-            self.recent.insert(graph, subject, predicate, object);
-            return Ok(1);
+    /// Insert the triple on the first line of `text` and count it: 1, or 0
+    /// for a line of blanks or a comment; and the text after the line. A
+    /// line spelled as [`push_term`] spells one is read by [`written`]; any
+    /// other is cut where `str::lines` would cut it and goes whole to the
+    /// lexer, which alone decides what is accepted and what each error
+    /// says.
+    fn next<'t>(&mut self, text: &'t str, graph: &mut Graph) -> Result<(usize, &'t str), ParseError> {
+        if let Some((subject, predicate, object, rest)) = written(text, &mut self.bufs.object) {
+            if let Some(rest) = rest.strip_prefix('\n').or(Some(rest).filter(|r| r.is_empty())) {
+                self.recent.insert(graph, subject, predicate, object);
+                return Ok((1, rest));
+            }
         }
+        let (line, rest) = match text.split_once('\n') {
+            Some((line, rest)) => (line.strip_suffix('\r').unwrap_or(line), rest),
+            None => (text, ""),
+        };
+        Ok((self.lexed(line, graph)?, rest))
+    }
+
+    /// The lexer's reading of one line. One line, one triple: a term cannot
+    /// continue on the next, and an object is spelled in full — no bare
+    /// number, no `true`. Nothing is interned before the terminating `.`
+    /// has been read; then subject, predicate and object, in that order.
+    fn lexed(&mut self, line: &str, graph: &mut Graph) -> Result<usize, ParseError> {
         let mut lex = Lexer::new(line);
         if *lex.peek()? == Token::Eof {
             return Ok(0);
@@ -248,20 +267,21 @@ impl Reader {
     }
 }
 
-/// The terms of `line` if it is spelled exactly as [`write_block`] spells a
-/// triple: `<iri>` or `_:label`, then `<iri>`, then any term, one space
-/// apart, and ` .`. Spans are found by byte search; an escaped literal
-/// body is resolved into `buf`. `None` for any other line, whether the
-/// lexer accepts it or not.
-fn written<'a>(line: &'a str, buf: &'a mut String) -> Option<(TermView<'a>, &'a str, TermView<'a>)> {
-    let (subject, rest) = node(line.strip_suffix(" .")?)?;
+/// The terms of the triple at the head of `text`, and what follows its
+/// ` .`, if it is spelled exactly as [`write_block`] spells one: `<iri>` or
+/// `_:label`, then `<iri>`, then any term, one space apart, and ` .`.
+/// Spans are found by byte search, and none holds a line break; an escaped
+/// literal body is resolved into `buf`. `None` for anything else, whether
+/// the lexer accepts it or not.
+fn written<'t: 'b, 'b>(text: &'t str, buf: &'b mut String) -> Option<(TermView<'b>, &'b str, TermView<'b>, &'t str)> {
+    let (subject, rest) = node(text)?;
     let (predicate, rest) = iri(rest.strip_prefix(' ')?)?;
     let rest = rest.strip_prefix(' ')?;
-    let object = match node(rest) {
-        Some((object, "")) => object,
-        _ => literal(rest, buf)?,
+    let (object, rest) = match node(rest) {
+        Some(object) => object,
+        None => literal(rest, buf)?,
     };
-    Some((subject, predicate, object))
+    Some((subject, predicate, object, rest.strip_prefix(" .")?))
 }
 
 /// `<iri>` at the head of `text`: the IRI, and what follows it.
@@ -280,33 +300,36 @@ fn node(text: &str) -> Option<(TermView<'_>, &str)> {
     (len > 0).then(|| (TermView::Blank(&label[..len]), &label[len..]))
 }
 
-/// `"lex"`, `"lex"^^<dt>` or `"lex"@lang`, the whole of `text`.
-fn literal<'a>(text: &'a str, buf: &'a mut String) -> Option<TermView<'a>> {
+/// `"lex"`, `"lex"^^<dt>` or `"lex"@lang` at the head of `text`, its body
+/// on one line: the literal, and what follows it.
+fn literal<'t: 'b, 'b>(text: &'t str, buf: &'b mut String) -> Option<(TermView<'b>, &'t str)> {
     let (end, escaped) = lex::string_end(text.as_bytes()).filter(|_| text.starts_with('"'))?;
     let (body, rest) = (&text[1..end], &text[end + 1..]);
-    let (datatype, lang) = match rest.as_bytes().first() {
-        None => (None, None),
-        Some(b'^') => match iri(rest.strip_prefix("^^")?)? {
-            (datatype, "") => (Some(datatype), None),
-            _ => return None,
-        },
+    if body.contains('\n') {
+        return None;
+    }
+    let (datatype, lang, rest) = match rest.as_bytes().first() {
+        Some(b'^') => {
+            let (datatype, rest) = iri(rest.strip_prefix("^^")?)?;
+            (Some(datatype), None, rest)
+        }
         Some(b'@') => {
-            let tag = &rest[1..];
-            if tag.is_empty() || !tag.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-') {
+            let len = rest[1..].bytes().take_while(|&b| b.is_ascii_alphanumeric() || b == b'-').count();
+            if len == 0 {
                 return None;
             }
-            (None, Some(tag))
+            (None, Some(&rest[1..1 + len]), &rest[1 + len..])
         }
-        _ => return None,
+        _ => (None, None, rest),
     };
     let lexical = if escaped {
         *buf = term::unescape_literal(body)?;
-        let buf: &'a String = buf;
+        let buf: &'b String = buf;
         buf
     } else {
         body
     };
-    Some(TermView::Literal { lexical, datatype, lang })
+    Some((TermView::Literal { lexical, datatype, lang }, rest))
 }
 
 #[cfg(test)]
@@ -428,11 +451,15 @@ mod tests {
         g.insert(&Triple::new(BlankNode::new("b-1_x"), Iri::new(""), BlankNode::new("B2")));
         g.insert(&Triple::new(s(), Iri::new("urn:é#p"), Term::iri("urn:o")));
         let (ids, term_of) = (g.ids_from(0), |id: u32| &g.terms()[id as usize]);
-        let mut buf = String::new();
-        for (line, &(s, p, o)) in id_block(ids, term_of).lines().zip(ids) {
-            let read = written(line, &mut buf).map(|(s, p, o)| (s.to_term(), Term::iri(p), o.to_term()));
-            assert_eq!(read, Some((term_of(s).clone(), term_of(p).clone(), term_of(o).clone())), "{line}");
+        let (block, mut buf) = (id_block(ids, term_of), String::new());
+        let mut rest = block.as_str();
+        for &(s, p, o) in ids {
+            let (subject, predicate, object, after) = written(rest, &mut buf).unwrap_or_else(|| panic!("{rest}"));
+            let read = (subject.to_term(), Term::iri(predicate), object.to_term());
+            assert_eq!(read, (term_of(s).clone(), term_of(p).clone(), term_of(o).clone()));
+            rest = after.strip_prefix('\n').expect("a line a triple");
         }
+        assert_eq!(rest, "");
     }
 
     #[test]

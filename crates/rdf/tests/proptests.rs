@@ -602,8 +602,9 @@ proptest! {
 
     /// What the store writes — a journal block in insertion order, a
     /// snapshot in sorted order — over a few predicates that repeat and
-    /// share table slots, whole and after each single edit: N-Triples
-    /// parse and salvage are the owned-term ones, error and line included.
+    /// share table slots, with `\n` or `\r\n` line ends, whole and after
+    /// each single edit: N-Triples parse and salvage are the owned-term
+    /// ones, error and line included.
     #[test]
     fn written_n_triples_parse_as_the_reference_parses(
         ts in prop::collection::vec((tricky_triple(), pooled_predicate()), 0..40),
@@ -611,7 +612,8 @@ proptest! {
     ) {
         let g: Graph = ts.into_iter().map(|(t, p)| Triple::new(t.subject, p, t.object)).collect();
         let (ids, term_of) = (g.ids_from(0), |id: u32| &g.terms()[id as usize]);
-        for doc in [ntriples::id_block(ids, term_of), ntriples::sorted_block(ids, term_of)] {
+        let blocks = [ntriples::id_block(ids, term_of), ntriples::sorted_block(ids, term_of)];
+        for doc in blocks.iter().flat_map(|block| [block.clone(), block.replace('\n', "\r\n")]) {
             same_ntriples_parse(&doc);
             for &(at, byte, kind) in &edits {
                 let mut data = doc.clone().into_bytes();
