@@ -184,6 +184,8 @@ const PREDICATE_SLOTS: usize = 32;
 struct Reader {
     bufs: TripleBufs,
     recent: Recent,
+    /// The last subject [`written`] read, spelled with the space after it.
+    spelled: String,
 }
 
 /// Ids that earlier lines of the document interned. A slot's id is taken
@@ -229,11 +231,9 @@ impl Reader {
     /// lexer, which alone decides what is accepted and what each error
     /// says.
     fn next<'t>(&mut self, text: &'t str, graph: &mut Graph) -> Result<(usize, &'t str), ParseError> {
-        if let Some((subject, predicate, object, rest)) = written(text, &mut self.bufs.object) {
-            if let Some(rest) = rest.strip_prefix('\n').or(Some(rest).filter(|r| r.is_empty())) {
-                self.recent.insert(graph, subject, predicate, object);
-                return Ok((1, rest));
-            }
+        if let Some((subject, predicate, object, rest)) = written(text, &mut self.spelled, &mut self.bufs.object) {
+            self.recent.insert(graph, subject, predicate, object);
+            return Ok((1, rest));
         }
         let (line, rest) = match text.split_once('\n') {
             Some((line, rest)) => (line.strip_suffix('\r').unwrap_or(line), rest),
@@ -267,21 +267,46 @@ impl Reader {
     }
 }
 
-/// The terms of the triple at the head of `text`, and what follows its
-/// ` .`, if it is spelled exactly as [`write_block`] spells one: `<iri>` or
-/// `_:label`, then `<iri>`, then any term, one space apart, and ` .`.
-/// Spans are found by byte search, and none holds a line break; an escaped
-/// literal body is resolved into `buf`. `None` for anything else, whether
-/// the lexer accepts it or not.
-fn written<'t: 'b, 'b>(text: &'t str, buf: &'b mut String) -> Option<(TermView<'b>, &'b str, TermView<'b>, &'t str)> {
-    let (subject, rest) = node(text)?;
-    let (predicate, rest) = iri(rest.strip_prefix(' ')?)?;
+/// The terms of the triple on the first line of `text`, and the text after
+/// that line, if the line is spelled exactly as [`write_block`] spells one:
+/// `<iri>` or `_:label`, then `<iri>`, then any term, one space apart, and
+/// ` .` before a `\n` or the end. Spans are found by byte search, and none
+/// holds a line break; an escaped literal body is resolved into `buf`.
+/// `None` for any other line, whether the lexer accepts it or not.
+fn written<'t: 'b, 'b>(
+    text: &'t str,
+    spelled: &mut String,
+    buf: &'b mut String,
+) -> Option<(TermView<'b>, &'b str, TermView<'b>, &'t str)> {
+    let (subject, rest) = subject(text, spelled)?;
+    let (predicate, rest) = iri(rest)?;
     let rest = rest.strip_prefix(' ')?;
     let (object, rest) = match node(rest) {
         Some(object) => object,
         None => literal(rest, buf)?,
     };
-    Some((subject, predicate, object, rest.strip_prefix(" .")?))
+    let rest = rest.strip_prefix(" .\n").or_else(|| (rest == " .").then_some(""))?;
+    Some((subject, predicate, object, rest))
+}
+
+/// The subject at the head of `text`, and what follows the space after it.
+/// `spelled` holds the last subject read, spelled with that space: a line
+/// that opens with it has that subject, and its span is not scanned again
+/// (sorted lines repeat a subject).
+fn subject<'t>(text: &'t str, spelled: &mut String) -> Option<(TermView<'t>, &'t str)> {
+    if let Some(rest) = text.strip_prefix(spelled.as_str()).filter(|_| !spelled.is_empty()) {
+        let term = &text[..spelled.len() - 1];
+        let subject = match term.strip_prefix("_:") {
+            Some(label) => TermView::Blank(label),
+            None => TermView::Iri(&term[1..term.len() - 1]),
+        };
+        return Some((subject, rest));
+    }
+    let (subject, rest) = node(text)?;
+    let rest = rest.strip_prefix(' ')?;
+    spelled.clear();
+    spelled.push_str(&text[..text.len() - rest.len()]);
+    Some((subject, rest))
 }
 
 /// `<iri>` at the head of `text`: the IRI, and what follows it.
@@ -451,13 +476,14 @@ mod tests {
         g.insert(&Triple::new(BlankNode::new("b-1_x"), Iri::new(""), BlankNode::new("B2")));
         g.insert(&Triple::new(s(), Iri::new("urn:é#p"), Term::iri("urn:o")));
         let (ids, term_of) = (g.ids_from(0), |id: u32| &g.terms()[id as usize]);
-        let (block, mut buf) = (id_block(ids, term_of), String::new());
+        let (block, mut spelled, mut buf) = (id_block(ids, term_of), String::new(), String::new());
         let mut rest = block.as_str();
         for &(s, p, o) in ids {
-            let (subject, predicate, object, after) = written(rest, &mut buf).unwrap_or_else(|| panic!("{rest}"));
+            let read = written(rest, &mut spelled, &mut buf);
+            let (subject, predicate, object, after) = read.unwrap_or_else(|| panic!("{rest}"));
             let read = (subject.to_term(), Term::iri(predicate), object.to_term());
             assert_eq!(read, (term_of(s).clone(), term_of(p).clone(), term_of(o).clone()));
-            rest = after.strip_prefix('\n').expect("a line a triple");
+            rest = after;
         }
         assert_eq!(rest, "");
     }
