@@ -463,7 +463,7 @@ pub(crate) fn merge_listed(
         // salvage would.
         let pending = records.iter().filter(|(ordinal, _)| *ordinal >= watermark);
         let before = graph.len();
-        ntriples::parse_lenient_lines(pending.flat_map(|(_, line)| line.lines()), &mut graph);
+        ntriples::parse_lenient_lines(pending.map(|(_, line)| line.as_str()), &mut graph);
         report.replayed_triples += graph.len() - before;
     }
     report.triples = graph.len();

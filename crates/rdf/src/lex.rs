@@ -84,8 +84,13 @@ pub(crate) fn is_word_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b == b'-'
 }
 
+/// The bytes a LANGTAG holds after its `@`.
+pub(crate) fn is_tag_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'-'
+}
+
 /// How many bytes at the head of `bytes` are `accept`ed.
-fn run(bytes: &[u8], accept: impl Fn(u8) -> bool) -> usize {
+pub(crate) fn run(bytes: &[u8], accept: impl Fn(u8) -> bool) -> usize {
     bytes.iter().position(|&b| !accept(b)).unwrap_or(bytes.len())
 }
 
@@ -247,7 +252,7 @@ impl<'a> Lexer<'a> {
                 return Ok(Token::Blank(self.cut(2, label.len())));
             }
             b'@' => {
-                let len = run(&bytes[1..], |b| b.is_ascii_alphanumeric() || b == b'-');
+                let len = run(&bytes[1..], is_tag_byte);
                 if len == 0 {
                     return Err(self.error("empty language tag"));
                 }
@@ -408,7 +413,9 @@ impl<'b, 'a: 'b> Lexer<'a> {
     ) -> Result<TermView<'b>, ParseError> {
         match self.token()? {
             Token::Word("a") => Ok(TermView::Iri(ns::RDF_TYPE)),
-            other => self.iri_str(other, nss, "predicate", buf).map(TermView::Iri),
+            other => self
+                .iri_str(other, nss, "predicate", buf)
+                .map(TermView::Iri),
         }
     }
 

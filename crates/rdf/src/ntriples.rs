@@ -149,12 +149,15 @@ pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
 
 /// [`parse_lenient_prefix`] over a document held in pieces of whole lines:
 /// the journal replay reads its records so, without joining them first.
-pub fn parse_lenient_lines<'a>(pieces: impl IntoIterator<Item = &'a str>, graph: &mut Graph) -> usize {
+pub fn parse_lenient_lines<'a>(
+    pieces: impl IntoIterator<Item = &'a str>,
+    graph: &mut Graph,
+) -> usize {
     let mut reader = Reader::default();
     let mut recovered = 0;
     for mut rest in pieces {
         while !rest.is_empty() {
-            let Ok((triples, next)) = reader.next(rest, graph) else {
+            let Ok((triples, next)) = reader.line(rest, graph) else {
                 return recovered;
             };
             recovered += triples;
@@ -171,7 +174,9 @@ pub fn parse_into(src: &str, graph: &mut Graph) -> Result<(), ParseError> {
     while !rest.is_empty() {
         lineno += 1;
         // The lexer saw one line; the error names its place in the document.
-        (_, rest) = reader.next(rest, graph).map_err(|e| ParseError::new(lineno, e.message))?;
+        (_, rest) = reader
+            .line(rest, graph)
+            .map_err(|e| ParseError::new(lineno, e.message))?;
     }
     Ok(())
 }
@@ -203,7 +208,13 @@ struct Recent {
 impl Recent {
     /// Intern a line's subject, predicate and object, in that order, and
     /// insert its triple.
-    fn insert(&mut self, graph: &mut Graph, subject: TermView<'_>, predicate: &str, object: TermView<'_>) {
+    fn insert(
+        &mut self,
+        graph: &mut Graph,
+        subject: TermView<'_>,
+        predicate: &str,
+        object: TermView<'_>,
+    ) {
         let s = reuse(&mut self.subject, subject, graph);
         let last = usize::from(predicate.bytes().last().unwrap_or(0));
         let slot = &mut self.predicates[(predicate.len() * 7 + last) % PREDICATE_SLOTS];
@@ -230,8 +241,14 @@ impl Reader {
     /// other is cut where `str::lines` would cut it and goes whole to the
     /// lexer, which alone decides what is accepted and what each error
     /// says.
-    fn next<'t>(&mut self, text: &'t str, graph: &mut Graph) -> Result<(usize, &'t str), ParseError> {
-        if let Some((subject, predicate, object, rest)) = written(text, &mut self.spelled, &mut self.bufs.object) {
+    fn line<'t>(
+        &mut self,
+        text: &'t str,
+        graph: &mut Graph,
+    ) -> Result<(usize, &'t str), ParseError> {
+        if let Some((subject, predicate, object, rest)) =
+            written(text, &mut self.spelled, &mut self.bufs.object)
+        {
             self.recent.insert(graph, subject, predicate, object);
             return Ok((1, rest));
         }
@@ -285,7 +302,9 @@ fn written<'t: 'b, 'b>(
         Some(object) => object,
         None => literal(rest, buf)?,
     };
-    let rest = rest.strip_prefix(" .\n").or_else(|| (rest == " .").then_some(""))?;
+    let rest = rest
+        .strip_prefix(" .\n")
+        .or_else(|| (rest == " .").then_some(""))?;
     Some((subject, predicate, object, rest))
 }
 
@@ -294,7 +313,10 @@ fn written<'t: 'b, 'b>(
 /// that opens with it has that subject, and its span is not scanned again
 /// (sorted lines repeat a subject).
 fn subject<'t>(text: &'t str, spelled: &mut String) -> Option<(TermView<'t>, &'t str)> {
-    if let Some(rest) = text.strip_prefix(spelled.as_str()).filter(|_| !spelled.is_empty()) {
+    if let Some(rest) = text
+        .strip_prefix(spelled.as_str())
+        .filter(|_| !spelled.is_empty())
+    {
         let term = &text[..spelled.len() - 1];
         let subject = match term.strip_prefix("_:") {
             Some(label) => TermView::Blank(label),
@@ -321,7 +343,7 @@ fn node(text: &str) -> Option<(TermView<'_>, &str)> {
     let Some(label) = text.strip_prefix("_:") else {
         return iri(text).map(|(iri, rest)| (TermView::Iri(iri), rest));
     };
-    let len = label.bytes().position(|b| !lex::is_word_byte(b)).unwrap_or(label.len());
+    let len = lex::run(label.as_bytes(), lex::is_word_byte);
     (len > 0).then(|| (TermView::Blank(&label[..len]), &label[len..]))
 }
 
@@ -339,7 +361,7 @@ fn literal<'t: 'b, 'b>(text: &'t str, buf: &'b mut String) -> Option<(TermView<'
             (Some(datatype), None, rest)
         }
         Some(b'@') => {
-            let len = rest[1..].bytes().take_while(|&b| b.is_ascii_alphanumeric() || b == b'-').count();
+            let len = lex::run(&rest.as_bytes()[1..], lex::is_tag_byte);
             if len == 0 {
                 return None;
             }
@@ -354,7 +376,14 @@ fn literal<'t: 'b, 'b>(text: &'t str, buf: &'b mut String) -> Option<(TermView<'
     } else {
         body
     };
-    Some((TermView::Literal { lexical, datatype, lang }, rest))
+    Some((
+        TermView::Literal {
+            lexical,
+            datatype,
+            lang,
+        },
+        rest,
+    ))
 }
 
 #[cfg(test)]
@@ -473,7 +502,11 @@ mod tests {
         ] {
             g.insert(&Triple::new(s(), Iri::new("urn:p"), object));
         }
-        g.insert(&Triple::new(BlankNode::new("b-1_x"), Iri::new(""), BlankNode::new("B2")));
+        g.insert(&Triple::new(
+            BlankNode::new("b-1_x"),
+            Iri::new(""),
+            BlankNode::new("B2"),
+        ));
         g.insert(&Triple::new(s(), Iri::new("urn:é#p"), Term::iri("urn:o")));
         let (ids, term_of) = (g.ids_from(0), |id: u32| &g.terms()[id as usize]);
         let (block, mut spelled, mut buf) = (id_block(ids, term_of), String::new(), String::new());
@@ -482,7 +515,10 @@ mod tests {
             let read = written(rest, &mut spelled, &mut buf);
             let (subject, predicate, object, after) = read.unwrap_or_else(|| panic!("{rest}"));
             let read = (subject.to_term(), Term::iri(predicate), object.to_term());
-            assert_eq!(read, (term_of(s).clone(), term_of(p).clone(), term_of(o).clone()));
+            assert_eq!(
+                read,
+                (term_of(s).clone(), term_of(p).clone(), term_of(o).clone())
+            );
             rest = after;
         }
         assert_eq!(rest, "");
