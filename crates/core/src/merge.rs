@@ -480,6 +480,7 @@ pub(crate) mod tests {
     use provio_model::{ActivityClass, EntityClass};
     use provio_rdf::{ns, Iri, Namespaces, Subject, Term, Triple};
     use provio_simrt::{DetRng, SimTime, VirtualClock};
+    use proptest::any;
 
     /// `work` with the `rayon` shim's pool forced to `threads` workers (1 =
     /// the sequential loop), so the equivalence tests reach both sides of a
@@ -810,6 +811,152 @@ pub(crate) mod tests {
             let got = salvage_turtle(&damaged).0;
             let want = salvage_turtle_reference(&damaged);
             assert!(ntriples::sorted_graph_lines(&got) == ntriples::sorted_graph_lines(&want));
+        }
+    }
+
+    /// The reader this module shipped before it read each file in one pass:
+    /// a full parse into a scratch graph and, when that failed, a second
+    /// pass salvaging the valid prefix — N-Triples line by line, Turtle at
+    /// statement boundaries, an unknown extension N-Triples first. What
+    /// `process_file` must still make of an unframed file: its sub-graph
+    /// and its `salvaged` flag, or `None` when nothing is recoverable.
+    fn two_pass_reference(syntax: Option<RdfFormat>, bytes: &[u8]) -> Option<(Graph, bool)> {
+        let text = std::str::from_utf8(bytes).ok()?;
+        let mut scratch = Graph::new();
+        let full = match syntax {
+            Some(RdfFormat::NTriples) => ntriples::parse_into(text, &mut scratch).is_ok(),
+            Some(RdfFormat::Turtle) => turtle::parse_into(text, &mut scratch).is_ok(),
+            None => {
+                turtle::parse_into(text, &mut scratch).is_ok() || {
+                    scratch = Graph::new();
+                    ntriples::parse_into(text, &mut scratch).is_ok()
+                }
+            }
+        };
+        if full {
+            return Some((scratch, false));
+        }
+        let turtle_prefix = |text: &str| {
+            let mut cuts = Vec::new();
+            let mut offset = 0;
+            for (i, line) in text.split_inclusive('\n').enumerate() {
+                offset += line.len();
+                if line.trim_end().ends_with('.') {
+                    cuts.push((i, offset));
+                }
+            }
+            let mut end = cuts.len();
+            while end > 0 {
+                match turtle::parse(&text[..cuts[end - 1].1]) {
+                    Ok((g, _)) => return g,
+                    Err(e) => end = cuts[..end - 1].partition_point(|&(line, _)| line + 1 < e.line),
+                }
+            }
+            Graph::new()
+        };
+        let sub = if syntax == Some(RdfFormat::Turtle) {
+            turtle_prefix(text)
+        } else {
+            let mut scratch = Graph::new();
+            if ntriples::parse_lenient_prefix(text, &mut scratch) > 0 || syntax.is_some() {
+                scratch
+            } else {
+                turtle_prefix(text)
+            }
+        };
+        (!sub.is_empty()).then_some((sub, true))
+    }
+
+    /// A document as the store's unframed writers spell it, one triple per
+    /// `(subject, predicate, object)` pick: subjects that repeat (blank ones
+    /// too), every literal kind, and characters the writers escape.
+    fn written_document(format: RdfFormat, picks: &[(u8, u8, u8)]) -> Vec<u8> {
+        use crate::store::ProvenanceStore;
+        use provio_rdf::{BlankNode, Literal};
+        let triples = picks.iter().map(|&(s, p, o)| {
+            let subject = match s % 6 {
+                5 => Subject::Blank(BlankNode::new(format!("b{}", s % 2))),
+                s => Subject::iri(format!("{}activity/p7/write-{s}", ns::PROVIO)),
+            };
+            let predicate = match p % 3 {
+                0 => Iri::new(ns::RDF_TYPE),
+                1 => Iri::new(format!("{}wasWrittenBy", ns::PROVIO)),
+                _ => Iri::new("urn:test:label"),
+            };
+            let object = match o % 6 {
+                0 => Term::iri(format!("{}Write", ns::PROVIO)),
+                1 => Term::Literal(Literal::integer(i64::from(o))),
+                2 => Term::plain(format!("no. {o}. \"quoted\" <tag>\n\tnext \\ \u{e9}")),
+                3 => Term::Literal(Literal::lang_tagged(format!("x{o}"), "en")),
+                4 => Term::iri(format!("urn:test:o{}", o % 4)),
+                _ => Term::Blank(BlankNode::new("b0")),
+            };
+            Triple::new(subject, predicate, object)
+        });
+        let fs = FileSystem::new(LustreConfig::default());
+        let path = format!("/w/doc.{}", format.extension());
+        let store = ProvenanceStore::new(Arc::clone(&fs), path.clone(), format, false);
+        store.push(triples.collect(), None);
+        store.finish(None);
+        read_file(&fs, &path).expect("the store committed its document")
+    }
+
+    /// `process_file` on `bytes` under `name` gives what the two-pass
+    /// reference gives: the same terms in the same order, the same id log,
+    /// the same `salvaged` flag — or, both, nothing recoverable.
+    fn reads_as_the_two_pass_reference(name: &str, bytes: &[u8]) {
+        let fs = FileSystem::new(LustreConfig::default());
+        let path = format!("/d/{name}");
+        write_file(&fs, &path, bytes);
+        if std::str::from_utf8(bytes).is_ok_and(|t| frame::decode(t) != Err(frame::FrameError::NotFramed)) {
+            return; // not an unframed document any more
+        }
+        let want = two_pass_reference(names::parse(&path).syntax(), bytes);
+        let got = process_file(&fs, &path, &HashSet::new(), None);
+        let doc = String::from_utf8_lossy(bytes);
+        match (got, want) {
+            (Outcome::Corrupt, None) => {}
+            (Outcome::Sub { sub, salvaged, .. }, Some((graph, flag))) => {
+                assert!(
+                    sub.terms() == graph.terms() && sub.ids_from(0) == graph.ids_from(0),
+                    "{name}: {} triples, reference {}, on {doc:?}",
+                    sub.len(),
+                    graph.len()
+                );
+                assert_eq!(salvaged, flag, "{name}: the salvaged flag on {doc:?}");
+            }
+            (Outcome::Corrupt, Some(_)) => panic!("{name}: corrupt, the reference recovered {doc:?}"),
+            _ => panic!("{name}: an outcome the reference has no name for, on {doc:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Unframed documents the store's writers spell — Turtle under
+        /// `.ttl`, N-Triples under `.nt`, either under an extension that
+        /// names neither — read as the two-pass reference reads them:
+        /// whole, cut at every line boundary, and after each of a few
+        /// single-byte `mutate` edits.
+        #[test]
+        fn one_pass_reads_as_the_two_pass_reference(
+            picks in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..24),
+            edits in proptest::collection::vec((any::<usize>(), any::<usize>()), 16..17),
+        ) {
+            for format in [RdfFormat::Turtle, RdfFormat::NTriples] {
+                let doc = written_document(format, &picks);
+                for name in [format!("prov_p1.{}", format.extension()), "prov_p1.rdf".to_string()] {
+                    reads_as_the_two_pass_reference(&name, &doc);
+                    for cut in doc.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1) {
+                        reads_as_the_two_pass_reference(&name, &doc[..cut]);
+                    }
+                    for &(at, bit) in &edits {
+                        let mut damaged = doc.clone();
+                        crate::frame::tests::mutate(&mut damaged, 0, at, bit);
+                        reads_as_the_two_pass_reference(&name, &damaged);
+                    }
+                }
+            }
         }
     }
 
