@@ -92,6 +92,9 @@ pub struct ProvIoConfig {
     /// Directory on the parallel file system for per-process sub-graphs.
     pub store_dir: String,
     pub(crate) policy: SerializationPolicy,
+    /// The spelling of an unframed snapshot (`[store] format`); a framed
+    /// one is N-Triples whatever this says. Delta segments are always
+    /// N-Triples.
     pub(crate) format: RdfFormat,
     /// Serialize asynchronously on a background thread (paper default).
     /// `false` is the synchronous ablation.
@@ -132,10 +135,12 @@ pub struct ProvIoConfig {
     /// Write sub-graph files in the checksummed framing
     /// ([`crate::frame`]): per-file identity header, per-batch CRC32
     /// frames, and a footer hash chained across the store's commits
-    /// (`[store] checksum_format`). Framed files stay readable by legacy
-    /// parsers (every frame line is an RDF comment); the merge verifies
-    /// them batch by batch. `false` (the default) writes the legacy
-    /// unframed format.
+    /// (`[store] checksum_format`). A frame's payload is N-Triples, so
+    /// `format` then has nothing to pick; the file keeps its configured
+    /// name. Framed files stay readable by legacy parsers (every frame
+    /// line is an RDF comment, and N-Triples is valid Turtle); the merge
+    /// verifies them batch by batch. `false` (the default) writes the
+    /// legacy unframed format.
     pub checksum_format: bool,
     /// Keep a per-process write-ahead journal next to the store file
     /// (`[store] wal`). Tracked triples are appended to the journal in

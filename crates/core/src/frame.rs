@@ -1,9 +1,12 @@
 //! Versioned, checksummed on-disk framing for store files.
 //!
-//! A framed snapshot or delta segment is still a *textual* RDF file — every
+//! A framed snapshot or delta segment is still a *textual* RDF file: its
+//! payload is N-Triples lines, whatever the file's name says, and every
 //! frame line begins with `#`, which both the N-Triples and Turtle parsers
-//! treat as a comment — but carries enough integrity metadata to detect any
-//! single corrupted region and to localize the damage to one record batch:
+//! treat as a comment — N-Triples is valid Turtle, so a framed `.ttl`
+//! snapshot still reads as Turtle. It carries enough integrity metadata to
+//! detect any single corrupted region and to localize the damage to one
+//! record batch:
 //!
 //! ```text
 //! # PROVIO1 kind=delta guid=00a1b2c3d4e5f607 ordinal=3 prev=89abcdef
@@ -182,60 +185,6 @@ fn header_line(kind: FrameKind, guid: u64, ordinal: u64, prev: u32) -> String {
     format!("{MAGIC} kind={kind} guid={guid:016x} ordinal={ordinal} prev={prev:08x}")
 }
 
-/// Frame `payload` (a complete RDF serialization) into the checksummed
-/// format. Returns the framed text and its chain value, which the caller
-/// passes as `prev` when encoding the store's next file. `batch_lines`
-/// bounds how many payload lines share one CRC frame — smaller batches mean
-/// finer-grained salvage at higher overhead.
-pub fn encode(
-    kind: FrameKind,
-    guid: u64,
-    ordinal: u64,
-    prev: u32,
-    payload: &str,
-    batch_lines: usize,
-) -> (String, u32) {
-    let (out, chain, _) = encode_with_root(kind, guid, ordinal, prev, payload, batch_lines);
-    (out, chain)
-}
-
-/// [`encode`], additionally returning the frame's Merkle root — what
-/// [`file_root`] would recompute from the committed bytes. Writers cache
-/// it per committed path so sealing a run does not have to re-read and
-/// re-CRC files the store itself just wrote.
-pub(crate) fn encode_with_root(
-    kind: FrameKind,
-    guid: u64,
-    ordinal: u64,
-    prev: u32,
-    payload: &str,
-    batch_lines: usize,
-) -> (String, u32, [u8; 32]) {
-    let batch_lines = batch_lines.max(1);
-    let mut enc = Encoder::new(kind, guid, ordinal, prev);
-    enc.reserve(payload.len());
-    let mut rest = payload;
-    while !rest.is_empty() {
-        let (mut end, mut lines) = (0, 0);
-        while end < rest.len() && lines < batch_lines {
-            end = rest[end..].find('\n').map_or(rest.len(), |nl| end + nl + 1);
-            lines += 1;
-        }
-        let (block, tail) = rest.split_at(end);
-        // A payload whose last line lacks its '\n' frames (and checksums)
-        // as if it were there.
-        if block.ends_with('\n') {
-            enc.batch_block(block, lines);
-        } else {
-            enc.batch_block(&format!("{block}\n"), lines);
-        }
-        rest = tail;
-    }
-    let (bytes, chain, root) = enc.finish_with_root();
-    let text = String::from_utf8(bytes).expect("a frame is its UTF-8 payload between ASCII marker lines");
-    (text, chain, root)
-}
-
 /// Fold per-batch CRC-32 values into a SHA-256 Merkle root: each leaf is
 /// the SHA-256 of the CRC's 4 big-endian bytes, interior nodes hash the
 /// concatenation of their children, and an odd node is promoted unchanged.
@@ -338,8 +287,8 @@ fn cuts(text: &str) -> impl Iterator<Item = Cut<'_>> {
 /// The one writer of the PROVIO1 format. The store's hot write path feeds
 /// it payload *lines* batch by batch while the serializer just produced
 /// them, so the CRC and the copy run over cache-hot strings and the framed
-/// bytes are assembled exactly once; [`encode`] is the same encoder driven
-/// from an already rendered payload.
+/// bytes are assembled exactly once; the journal, the parity plane and the
+/// campaign ledger hand it whole rendered blocks.
 pub struct Encoder {
     out: Vec<u8>,
     chain: u32,
@@ -428,8 +377,10 @@ impl Encoder {
         (out, chain)
     }
 
-    /// [`Self::finish`], additionally returning the frame's Merkle root
-    /// (see [`encode_with_root`]) for the writer's commit-time root cache.
+    /// [`Self::finish`], additionally returning the frame's Merkle root —
+    /// what [`file_root`] would recompute from the committed bytes — for
+    /// the writer's commit-time root cache, so sealing a run does not
+    /// re-read and re-CRC files the store itself just wrote.
     pub fn finish_with_root(mut self) -> (Vec<u8>, u32, [u8; 32]) {
         let root = merkle_root(&self.leaves);
         let _ = writeln!(
@@ -672,6 +623,31 @@ pub fn decode_wal(text: &str, guid: u64) -> WalFile {
 pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Frame `payload` in batches of `batch_lines` lines through
+    /// [`Encoder`], for tests that build frames from hand-written text;
+    /// returns the framed text and its chain value. A payload whose last
+    /// line lacks its `\n` frames (and checksums) as if it were there.
+    pub(crate) fn encode(
+        kind: FrameKind,
+        guid: u64,
+        ordinal: u64,
+        prev: u32,
+        payload: &str,
+        batch_lines: usize,
+    ) -> (String, u32) {
+        let mut enc = Encoder::new(kind, guid, ordinal, prev);
+        let lines: Vec<&str> = payload.split_inclusive('\n').collect();
+        for chunk in lines.chunks(batch_lines.max(1)) {
+            let mut block = chunk.concat();
+            if !block.ends_with('\n') {
+                block.push('\n');
+            }
+            enc.batch_block(&block, chunk.len());
+        }
+        let (bytes, chain) = enc.finish();
+        (String::from_utf8(bytes).unwrap(), chain)
+    }
 
     const PAYLOAD: &str = "<urn:a> <urn:p> <urn:b> .\n<urn:a> <urn:p> <urn:c> .\n<urn:b> <urn:p> <urn:c> .\n";
 

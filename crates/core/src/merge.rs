@@ -5,6 +5,13 @@
 //! (GUID), merging the sub-graphs does not cause unnecessary duplication."
 //! (paper §5). Merging happens after workflow execution, so it costs the
 //! workflow nothing.
+//!
+//! Each file is read in one pass per syntax it may hold: a framed file's
+//! verified payload is N-Triples, whatever its name says; an unframed file
+//! is read by its extension (Turtle, then N-Triples, when it names
+//! neither). The pass returns the sub-graph and whether all of it parsed,
+//! so a torn file's valid prefix is what the first read kept, not a second
+//! parse.
 
 use crate::config::RdfFormat;
 use crate::frame::{self, FrameKind, FramedFile, WalFile};
@@ -25,15 +32,17 @@ pub struct MergeReport {
     pub files: usize,
     pub triples: usize,
     /// Files from which at least some records could not be recovered —
-    /// nothing at all for legacy files, one or more failed CRC batches for
-    /// framed files. The merge proceeds with whatever verified.
+    /// nothing at all for legacy files; for framed files, one or more
+    /// failed CRC batches or a verified payload that stops parsing. The
+    /// merge proceeds with whatever verified and parsed.
     pub corrupt: Vec<String>,
     /// Orphan `<p>.tmp` files adopted because no committed `<p>` exists —
     /// the writer crashed between serialization and its atomic rename.
     /// Each path appears at most once.
     pub recovered: Vec<String>,
-    /// Triples recovered from the valid prefix of torn files or from the
-    /// verified batches of partially corrupt framed files.
+    /// Triples recovered from the valid prefix of torn files or of a
+    /// framed payload that stops parsing, or from the verified batches of
+    /// partially corrupt framed files.
     pub salvaged_triples: usize,
     /// Framed files whose identity could not be verified (damaged header
     /// or footer, broken chain value, or a GUID claiming another store):
@@ -80,33 +89,44 @@ impl std::fmt::Display for MergeReport {
     }
 }
 
-/// Full parse of `text` into a fresh graph, or `None` on any error. The
-/// scratch graph keeps a half-parsed file from partially polluting the
-/// merged graph.
-fn parse_full(syntax: Option<RdfFormat>, text: &str) -> Option<Graph> {
-    let mut scratch = Graph::new();
-    let ok = match syntax {
-        Some(RdfFormat::NTriples) => ntriples::parse_into(text, &mut scratch).is_ok(),
-        Some(RdfFormat::Turtle) => turtle::parse_into(text, &mut scratch).is_ok(),
-        // An extension that says neither: try both.
-        None => {
-            turtle::parse_into(text, &mut scratch).is_ok() || {
-                scratch = Graph::new();
-                ntriples::parse_into(text, &mut scratch).is_ok()
-            }
-        }
+/// One file's sub-graph, and whether all of it parsed — each syntax tried
+/// reads the text once, into a fresh graph that keeps a half-parsed file
+/// from polluting the merged graph. N-Triples is one lenient pass that
+/// stops at the first malformed line. Turtle parses the whole text and,
+/// only after an error, steps back to statement boundaries
+/// ([`salvage_turtle`]). An extension that says neither tries Turtle, then
+/// N-Triples, and salvages Turtle only when no N-Triples line read.
+fn read(syntax: Option<RdfFormat>, text: &str) -> (Graph, bool) {
+    let ntriples = || {
+        let mut graph = Graph::new();
+        let (recovered, whole) = ntriples::parse_lenient_prefix(text, &mut graph);
+        (graph, recovered, whole)
     };
-    ok.then_some(scratch)
+    if syntax == Some(RdfFormat::NTriples) {
+        let (graph, _, whole) = ntriples();
+        return (graph, whole);
+    }
+    let failed_at = match turtle::parse(text) {
+        Ok((graph, _)) => return (graph, true),
+        Err(e) => e.line,
+    };
+    if syntax.is_none() {
+        let (graph, recovered, whole) = ntriples();
+        if whole || recovered > 0 {
+            return (graph, whole);
+        }
+    }
+    (salvage_turtle(text, failed_at).0, false)
 }
 
-/// Longest valid prefix of a torn Turtle document that ends at a statement
-/// boundary (a line ending `.`), and how many parses finding it took. A
-/// parse that fails at line `n` fails the same way on every prefix holding
-/// line `n` whole — the parser reads left to right — so the next candidate
-/// is the last boundary before `n`, not merely the next shorter one: a
-/// corruption mid-file costs two or three parses, not one per statement
-/// after it.
-fn salvage_turtle(text: &str) -> (Graph, usize) {
+/// Longest prefix of a Turtle document that ends at a statement boundary
+/// (a line ending `.`) and parses, after a parse of the whole text failed
+/// at line `failed_at`; and how many parses finding it took. A parse that
+/// fails at line `n` fails the same way on every prefix holding line `n`
+/// whole — the parser reads left to right — so the next candidate is the
+/// last boundary before `n`, not merely the next shorter one: a corruption
+/// mid-file costs one or two parses more, not one per statement after it.
+fn salvage_turtle(text: &str, failed_at: usize) -> (Graph, usize) {
     // (line index, byte offset just past the line) of every boundary.
     let mut cuts = Vec::new();
     let mut offset = 0;
@@ -116,32 +136,19 @@ fn salvage_turtle(text: &str) -> (Graph, usize) {
             cuts.push((i, offset));
         }
     }
+    // `ParseError::line` counts from 1. An error at a candidate's own end
+    // (input ran out mid-statement) steps back one boundary.
+    let before = |cuts: &[(usize, usize)], line: usize| cuts.partition_point(|&(i, _)| i + 1 < line);
     let mut parses = 0;
-    let mut end = cuts.len();
+    let mut end = before(&cuts, failed_at);
     while end > 0 {
         parses += 1;
         match turtle::parse(&text[..cuts[end - 1].1]) {
             Ok((g, _)) => return (g, parses),
-            // `ParseError::line` counts from 1. An error at the candidate's
-            // own end (input ran out mid-statement) steps back one boundary.
-            Err(e) => end = cuts[..end - 1].partition_point(|&(line, _)| line + 1 < e.line),
+            Err(e) => end = before(&cuts[..end - 1], e.line),
         }
     }
     (Graph::new(), parses)
-}
-
-/// Salvage whatever prefix of `text` is valid. An extension that says
-/// neither syntax tries N-Triples first, then Turtle.
-fn salvage(syntax: Option<RdfFormat>, text: &str) -> Graph {
-    if syntax == Some(RdfFormat::Turtle) {
-        return salvage_turtle(text).0;
-    }
-    let mut scratch = Graph::new();
-    if ntriples::parse_lenient_prefix(text, &mut scratch) > 0 || syntax.is_some() {
-        scratch
-    } else {
-        salvage_turtle(text).0
-    }
 }
 
 /// What one sub-graph file contributed, computed independently per file so
@@ -153,11 +160,12 @@ enum Outcome {
     Skipped,
     /// Nothing recoverable at all.
     Corrupt,
-    /// A sub-graph. From a legacy file: fully parsed, or (`salvaged`) the
-    /// valid prefix of a torn one. From a checksummed file whose identity
-    /// verified: `sub` holds the triples of its CRC-intact batches (all of
-    /// them, when `batches_corrupt` is 0) and `frame` the decoded header
-    /// and footer facts — payload taken — for the post-fold chain check.
+    /// A sub-graph: the file read whole, or (`salvaged`) the valid prefix
+    /// of a torn one. From a checksummed file whose identity verified,
+    /// `sub` holds the triples of its CRC-intact batches (all of them, when
+    /// `batches_corrupt` is 0) up to the first line that does not read, and
+    /// `frame` the decoded header and footer facts — payload taken — for
+    /// the post-fold chain check.
     Sub {
         sub: Graph,
         adopted_tmp: bool,
@@ -218,7 +226,6 @@ fn process_file(
     // (found by crashcheck, tests/crashcheck.rs). Leave it in place,
     // unparsed; every later merge skips it the same way.
     let unless_debris = |verdict: Outcome| if adopted_tmp { Outcome::Skipped } else { verdict };
-    let syntax = name.syntax();
     let mut framed = match decoded {
         Some(framed) => framed,
         None => {
@@ -239,15 +246,13 @@ fn process_file(
                 Err(frame::FrameError::Quarantine(_)) => {
                     return unless_debris(Outcome::Quarantine { substituted: false });
                 }
-                // A legacy file: parse it whole, or salvage its valid prefix.
+                // A legacy file: read whole, or its valid prefix salvaged.
                 Err(frame::FrameError::NotFramed) => {
-                    let parsed = parse_full(syntax, &text);
-                    let salvaged = parsed.is_none();
-                    let sub = parsed.unwrap_or_else(|| salvage(syntax, &text));
-                    if sub.is_empty() && salvaged {
+                    let (sub, whole) = read(name.syntax(), &text);
+                    if sub.is_empty() && !whole {
                         return unless_debris(Outcome::Corrupt);
                     }
-                    return Outcome::Sub { sub, adopted_tmp, salvaged, frame: None };
+                    return Outcome::Sub { sub, adopted_tmp, salvaged: !whole, frame: None };
                 }
             }
         }
@@ -257,11 +262,13 @@ fn process_file(
         // store: substituted or misplaced.
         return unless_debris(Outcome::Quarantine { substituted: true });
     }
-    // The payload is CRC-verified, so parsing it can only fail at format
-    // level; salvage of verified bytes never forges triples.
+    // A frame's payload is N-Triples, whatever the file's name says. It is
+    // CRC-verified, so a line that does not read was written wrong or
+    // rewritten with its CRC patched: the lines before it merge, and the
+    // stop is reported (`salvaged`), never passed over.
     let payload = std::mem::take(&mut framed.payload);
-    let sub = parse_full(syntax, &payload).unwrap_or_else(|| salvage(syntax, &payload));
-    Outcome::Sub { sub, adopted_tmp, salvaged: false, frame: Some(framed) }
+    let (sub, whole) = read(Some(RdfFormat::NTriples), &payload);
+    Outcome::Sub { sub, adopted_tmp, salvaged: !whole, frame: Some(framed) }
 }
 
 /// What one committed file contributed to its store: the frame facts
@@ -327,10 +334,11 @@ fn chain_breaks_in(frames: &mut [FramedFile]) -> u64 {
 }
 
 /// Parse and merge every sub-graph file under `dir` (recursively) into one
-/// graph. `.ttl` files parse as Turtle, `.nt` as N-Triples (this includes
-/// the store's `.dNNNNNN.nt` delta segments — a snapshot plus its segments
-/// merges back into the full sub-graph, duplicates collapsing); unknown
-/// extensions try both.
+/// graph. A framed file's payload parses as N-Triples; an unframed `.ttl`
+/// file as Turtle, `.nt` as N-Triples (this includes the store's
+/// `.dNNNNNN.nt` delta segments — a snapshot plus its segments merges back
+/// into the full sub-graph, duplicates collapsing); unknown extensions try
+/// both.
 ///
 /// Files parse into scratch graphs on worker threads (I/O and parsing
 /// dominate merge time at rank scale). The calling thread folds each one
@@ -346,14 +354,16 @@ fn chain_breaks_in(frames: &mut [FramedFile]) -> u64 {
 /// Crash recovery: a `<p>.tmp` left by the store's atomic-rename protocol
 /// is skipped when the committed `<p>` exists (it is a stale or torn
 /// in-progress flush — the committed file wins), and adopted when it does
-/// not (the writer crashed after serializing but before renaming). Files
-/// that fail a full parse get their valid prefix salvaged line-by-line
-/// (N-Triples) or at statement boundaries (Turtle); only files yielding
-/// nothing at all are reported corrupt.
+/// not (the writer crashed after serializing but before renaming). Of a
+/// file that does not parse whole, the valid prefix is salvaged: up to the
+/// first malformed line (N-Triples) or at statement boundaries (Turtle).
+/// An unframed file is reported corrupt only when it yields nothing at all.
 ///
 /// Integrity: files written with the store's checksummed framing
 /// ([`crate::frame`]) are CRC-verified batch by batch — corrupt batches are
-/// dropped (and counted) while intact siblings still merge, files whose
+/// dropped (and counted) while intact siblings still merge, a verified
+/// payload that stops parsing is reported corrupt with its prefix counted
+/// as salvage, files whose
 /// header, footer, or GUID cannot be verified are renamed to
 /// `<file>.quarantine` and never parsed (a later merge over the same
 /// directory leaves them untouched), and each store's header/footer hash
@@ -399,8 +409,12 @@ pub(crate) fn merge_listed(
             if let Some(f) = rotted {
                 // Partial recovery: the dropped batches are corruption,
                 // the surviving ones are salvage.
-                report.corrupt.push(path.clone());
                 report.salvaged_batches += (f.batches_total - f.batches_corrupt) as u64;
+            }
+            // A verified payload that stops parsing lost its tail as surely
+            // as a rotted batch; a torn legacy file is only salvaged.
+            if rotted.is_some() || (salvaged && frame.is_some()) {
+                report.corrupt.push(path.clone());
             }
             if salvaged || rotted.is_some() {
                 report.salvaged_triples += sub.len();
@@ -726,9 +740,9 @@ pub(crate) mod tests {
     #[test]
     fn turtle_salvage_agrees_with_the_reference_on_torn_and_corrupted_documents() {
         let doc = turtle_document(40);
-        assert_eq!(salvage_turtle(&doc).1, 1, "an undamaged document is one parse");
+        assert!(read(Some(RdfFormat::Turtle), &doc).1, "an undamaged document reads whole");
         let same = |damaged: &str, what: &str| {
-            let (got, _) = salvage_turtle(damaged);
+            let (got, _) = read(Some(RdfFormat::Turtle), damaged);
             let want = salvage_turtle_reference(damaged);
             assert!(
                 ntriples::sorted_graph_lines(&got) == ntriples::sorted_graph_lines(&want),
@@ -794,8 +808,10 @@ pub(crate) mod tests {
     #[test]
     fn turtle_salvage_of_a_mid_file_corruption_takes_a_bounded_number_of_parses() {
         for (damaged, intact) in mid_corrupted() {
-            let (got, parses) = salvage_turtle(&damaged);
-            assert!((2..=3).contains(&parses), "{parses} parses");
+            // The whole-text parse, then one or two candidates.
+            let failed_at = turtle::parse(&damaged).unwrap_err().line;
+            let (got, parses) = salvage_turtle(&damaged, failed_at);
+            assert!((1..=2).contains(&parses), "{parses} parses after the whole-text one");
             let want = turtle::parse(&intact).unwrap().0;
             assert!(want.len() >= 2_900);
             assert!(ntriples::sorted_graph_lines(&got) == ntriples::sorted_graph_lines(&want));
@@ -808,7 +824,7 @@ pub(crate) mod tests {
     #[ignore = "quadratic reference on a 2 000-statement document; run with --release -- --ignored"]
     fn turtle_salvage_agrees_with_the_reference_on_mid_file_corruption() {
         for (damaged, _) in mid_corrupted() {
-            let got = salvage_turtle(&damaged).0;
+            let got = read(Some(RdfFormat::Turtle), &damaged).0;
             let want = salvage_turtle_reference(&damaged);
             assert!(ntriples::sorted_graph_lines(&got) == ntriples::sorted_graph_lines(&want));
         }
@@ -858,7 +874,7 @@ pub(crate) mod tests {
             turtle_prefix(text)
         } else {
             let mut scratch = Graph::new();
-            if ntriples::parse_lenient_prefix(text, &mut scratch) > 0 || syntax.is_some() {
+            if ntriples::parse_lenient_prefix(text, &mut scratch).0 > 0 || syntax.is_some() {
                 scratch
             } else {
                 turtle_prefix(text)
@@ -997,7 +1013,7 @@ pub(crate) mod tests {
             "<urn:f> <urn:p> <urn:o> .\n",
             64,
         );
-        let (text, _) = frame::encode(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid("/provio/rotten.nt"),
             0,
@@ -1072,7 +1088,7 @@ pub(crate) mod tests {
         batch_lines: usize,
     ) -> u32 {
         let (text, chain) =
-            frame::encode(kind, frame::store_guid(path), ordinal, prev, payload, batch_lines);
+            frame::tests::encode(kind, frame::store_guid(path), ordinal, prev, payload, batch_lines);
         write_file(fs, path, text.as_bytes());
         chain
     }
@@ -1122,7 +1138,7 @@ pub(crate) mod tests {
         let fs = FileSystem::new(LustreConfig::default());
         let payload =
             "<urn:a> <urn:p> <urn:1> .\n<urn:b> <urn:p> <urn:2> .\n<urn:c> <urn:p> <urn:3> .\n";
-        let (text, _) = frame::encode(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid("/provio/prov_p7.nt"),
             0,
@@ -1147,9 +1163,26 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_verified_payload_that_stops_parsing_is_reported_corrupt() {
+        let fs = FileSystem::new(LustreConfig::default());
+        // Every CRC verifies, but the third line holds an escape no writer
+        // spells: what a rewrite with patched CRCs can leave behind.
+        let payload = "<urn:a> <urn:p> <urn:1> .\n<urn:b> <urn:p> <urn:2> .\n\
+            <urn:c> <urn:p> \"bad \\q escape\" .\n<urn:d> <urn:p> <urn:4> .\n<urn:e> <urn:p> <urn:5> .\n";
+        write_framed(&fs, "/provio/prov_p3.nt", FrameKind::Snapshot, 0, frame::CHAIN_START, payload, 64);
+        let (g, report) = merge_directory(&fs, "/provio");
+        assert_eq!(g.len(), 2, "the lines before the stop merge");
+        assert_eq!(report.files, 1);
+        assert_eq!(report.corrupt, vec!["/provio/prov_p3.nt".to_string()]);
+        assert_eq!(report.salvaged_triples, 2);
+        assert_eq!(report.salvaged_batches, 0, "no batch failed its CRC");
+        assert!(report.quarantined.is_empty());
+    }
+
+    #[test]
     fn unverifiable_header_quarantines_the_file() {
         let fs = FileSystem::new(LustreConfig::default());
-        let (text, _) = frame::encode(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid("/provio/prov_p6.nt"),
             3,
@@ -1179,7 +1212,7 @@ pub(crate) mod tests {
     fn quarantine_is_idempotent_across_remerges() {
         let fs = FileSystem::new(LustreConfig::default());
         write_file(&fs, "/provio/prov_p0.nt", b"<urn:a> <urn:p> <urn:b> .\n");
-        let (text, _) = frame::encode(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid("/provio/prov_p8.nt"),
             0,
@@ -1215,7 +1248,7 @@ pub(crate) mod tests {
         // A perfectly valid framed file... for a different store. Dropping
         // it over prov_p1's snapshot is substitution: its checksums verify
         // but its identity is wrong.
-        let (text, _) = frame::encode(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid("/provio/prov_p2.nt"),
             0,
@@ -1244,7 +1277,7 @@ pub(crate) mod tests {
         );
         // Segment ordinal 1 was lost; ordinal 2 carries a prev no survivor
         // can produce.
-        let (lost_seg, c1) = frame::encode(
+        let (lost_seg, c1) = frame::tests::encode(
             FrameKind::Delta,
             frame::store_guid("/provio/prov_p5.nt.d000000.nt"),
             1,
@@ -1415,7 +1448,7 @@ pub(crate) mod tests {
         write_framed(&fs, "/provio/prov_p0.nt.d000000.nt", FrameKind::Delta, 1, c0, P0_SEGMENT, 64);
         let committed: Vec<&str> = P0_SNAPSHOT.lines().chain(P0_SEGMENT.lines()).collect();
         write_wal(&fs, "/provio/prov_p0.nt.w000000.nt", &[(0, &committed[..]), (3, &P0_REPLAY[..])]);
-        let (text, _) = frame::encode(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid("/provio/prov_p1.nt"),
             0,

@@ -19,8 +19,9 @@
 //! (§6.2) hinge on the flush path staying off the workflow's critical
 //! path. The store therefore persists incrementally:
 //!
-//! * The first flush writes a full **snapshot** to the committed path in
-//!   the configured format (Turtle or N-Triples).
+//! * The first flush writes a full **snapshot** to the committed path: in
+//!   the configured format (Turtle or N-Triples) when unframed, as
+//!   N-Triples under the file's own name when framed.
 //! * Every later flush serializes only the triples inserted since the last
 //!   persisted point — tracked by a *watermark* into the graph's
 //!   insertion-ordered id-triples — and appends them as a new **delta
@@ -108,8 +109,11 @@
 //! over the payload, and a footer whose chain value links each file to its
 //! predecessor. The ordinal and chain advance only on a *successful*
 //! commit, so a failed flush retries under the same identity and the
-//! on-disk chain never skips. All frame lines are `#` comments, so a
-//! framed file is still parseable by any legacy reader; merge-side
+//! on-disk chain never skips. The payload is always N-Triples lines —
+//! line-oriented, so intact batches salvage safely around a corrupt one —
+//! and the configured format spells only an unframed snapshot. All frame
+//! lines are `#` comments and N-Triples is valid Turtle, so a framed file
+//! (a `.ttl` one too) is still parseable by any legacy reader; merge-side
 //! verification is where the checksums pay off (see [`crate::merge`]).
 //!
 //! # The write-ahead journal
@@ -232,30 +236,15 @@ fn render_lines(capture: &Capture, seat: FrameSeat, kind: FrameKind) -> Rendered
     }
 }
 
-/// Render a full snapshot of the captured graph under `seat`.
+/// Render a full snapshot of the captured graph under `seat`: a framed
+/// snapshot is N-Triples whatever the format, so `format` spells only an
+/// unframed one.
 fn render_snapshot(capture: &Capture, seat: FrameSeat) -> Rendered {
-    if seat.format == RdfFormat::NTriples {
-        return render_lines(capture, seat, FrameKind::Snapshot);
-    }
-    let text = turtle::serialize_capture(capture, &Namespaces::standard());
-    if !seat.checksums {
+    if seat.format == RdfFormat::Turtle && !seat.checksums {
+        let text = turtle::serialize_capture(capture, &Namespaces::standard());
         return Rendered::plain(text.into_bytes());
     }
-    // Turtle statements span lines, and splicing verified fragments across
-    // a dropped batch could forge triples — a Turtle snapshot is one
-    // all-or-nothing batch.
-    let (framed, chain, root) = frame::encode_with_root(
-        FrameKind::Snapshot,
-        seat.guid,
-        seat.ordinal,
-        seat.chain,
-        &text,
-        usize::MAX,
-    );
-    Rendered {
-        bytes: framed.into_bytes(),
-        footer: Some((chain, root)),
-    }
+    render_lines(capture, seat, FrameKind::Snapshot)
 }
 
 /// A snapshot rendered but not yet committed — what travels from
@@ -1522,12 +1511,12 @@ mod tests {
         assert_eq!(snap.kind, FrameKind::Snapshot);
         assert_eq!(snap.ordinal, 2, "ordinals rise across compaction");
         // The compacted snapshot chains off the delta segment's value.
-        let (_, seg_chain) = frame::encode(
+        let (_, seg_chain) = frame::tests::encode(
             FrameKind::Delta,
             snap.guid,
             1,
             {
-                let (_, c0) = frame::encode(
+                let (_, c0) = frame::tests::encode(
                     FrameKind::Snapshot,
                     snap.guid,
                     0,
@@ -1579,18 +1568,19 @@ mod tests {
     }
 
     #[test]
-    fn checksummed_turtle_snapshot_is_one_batch() {
+    fn checksummed_turtle_snapshot_frames_n_triples() {
         let fs = FileSystem::new(LustreConfig::default());
         let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/ct.ttl", RdfFormat::Turtle, false)
             .with_checksums(true);
         st.push(triples(200), None);
         assert!(st.finish(None) > 0);
-        let f = frame::decode(
-            &String::from_utf8(fs_read(&fs, "/prov/ct.ttl")).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(f.batches_total, 1, "Turtle payload is all-or-nothing");
-        let (g, _) = turtle::parse(&f.payload).unwrap();
+        let text = String::from_utf8(fs_read(&fs, "/prov/ct.ttl")).unwrap();
+        let f = frame::decode(&text).unwrap();
+        assert_eq!(f.batches_total, 4, "N-Triples lines, 64 to a batch");
+        assert_eq!(ntriples::parse(&f.payload).unwrap().len(), 200);
+        // Frame lines are comments and N-Triples is Turtle: the file keeps
+        // its name and still reads as Turtle.
+        let (g, _) = turtle::parse(&text).unwrap();
         assert_eq!(g.len(), 200);
     }
 

@@ -171,17 +171,18 @@ pub(crate) fn append_ledger(
     let mut records = existing.records;
     // `prev` is recomputed below, like every other record's.
     records.push(LedgerRecord { run, manifest: digest, prev: None });
-    let mut out = String::new();
+    let mut out = Vec::new();
     let mut chain = frame::CHAIN_START;
     let mut prev: Option<[u8; 32]> = None;
     for (i, rec) in records.iter().enumerate() {
-        let line = ledger_line(&LedgerRecord { prev, ..*rec });
-        let (chunk, c) = frame::encode(FrameKind::Wal, guid, i as u64, chain, &line, usize::MAX);
-        out.push_str(&chunk);
+        let mut enc = frame::Encoder::new(FrameKind::Wal, guid, i as u64, chain);
+        enc.batch_block(&ledger_line(&LedgerRecord { prev, ..*rec }), 1);
+        let (chunk, c) = enc.finish();
+        out.extend_from_slice(&chunk);
         chain = c;
         prev = Some(rec.manifest);
     }
-    commit_atomic(fs, &path, out.as_bytes()).map_err(|e| format!("{e:?}"))
+    commit_atomic(fs, &path, &out).map_err(|e| format!("{e:?}"))
 }
 
 /// Sign the finished run directory and chain it into the campaign ledger —
@@ -582,7 +583,7 @@ mod tests {
     /// A signed two-file run: one framed snapshot, one legacy raw file.
     fn sealed_run(fs: &Arc<FileSystem>) -> ManifestInfo {
         let snap = "/provio/prov_p0.nt";
-        let (text, _) = frame::encode(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid(snap),
             0,
@@ -627,7 +628,7 @@ mod tests {
     fn cached_roots_seal_byte_identically_and_stale_entries_fall_back() {
         let fs = fs();
         let snap = "/provio/prov_p0.nt";
-        let (text, _, root) = frame::encode_with_root(
+        let (text, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid(snap),
             0,
@@ -635,6 +636,7 @@ mod tests {
             "<urn:a> <urn:p> <urn:b> .\n<urn:a> <urn:p> <urn:c> .\n",
             1,
         );
+        let root = frame::file_root(&text).unwrap();
         put(&fs, snap, text.as_bytes());
         put(&fs, "/provio/prov_p1.nt", b"<urn:x> <urn:p> <urn:y> .\n");
         // Slow path first; capture the manifest bytes.
@@ -713,7 +715,7 @@ mod tests {
         // CRC-patched rewrite does.
         poison(&fs, &mut roots, snap);
         let cached = verify_with(&fs, &roots);
-        let (forged, _) = frame::encode(
+        let (forged, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid(snap),
             0,
@@ -733,7 +735,7 @@ mod tests {
         let fs = fs();
         sealed_run(&fs);
         let journal = "/provio/prov_p0.nt.w000001.nt";
-        let (chunk, _) = frame::encode(
+        let (chunk, _) = frame::tests::encode(
             FrameKind::Wal,
             frame::store_guid(journal),
             0,
@@ -797,7 +799,7 @@ mod tests {
         // only the manifest catches it, and parity can still repair it.
         let snap = "/provio/prov_p0.nt";
         let original = read_file(&fs, snap).unwrap();
-        let (forged, _) = frame::encode(
+        let (forged, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid(snap),
             0,
@@ -874,7 +876,7 @@ mod tests {
         // same guid, same ordinal, every CRC and the footer root patched to
         // match the forged content. The frame tier cannot object.
         let snap = "/provio/prov_p0.nt";
-        let (forged, _) = frame::encode(
+        let (forged, _) = frame::tests::encode(
             FrameKind::Snapshot,
             frame::store_guid(snap),
             0,

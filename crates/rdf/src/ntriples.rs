@@ -140,10 +140,12 @@ pub fn parse(src: &str) -> Result<Graph, ParseError> {
 }
 
 /// Parse the longest valid prefix of a (possibly torn) N-Triples document
-/// into `graph`, returning how many triples were recovered. Parsing stops
-/// at the first malformed line, so a torn tail can only drop data, never
-/// contribute garbage — the salvage primitive used by the post-run merge.
-pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
+/// into `graph`, returning how many triples were recovered and whether the
+/// whole document read (`false`: it stopped at a malformed line). Parsing
+/// stops at the first malformed line, so a torn tail can only drop data,
+/// never contribute garbage — the one pass the post-run merge reads an
+/// N-Triples file with, whole or torn.
+pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> (usize, bool) {
     parse_lenient_lines([src], graph)
 }
 
@@ -152,19 +154,19 @@ pub fn parse_lenient_prefix(src: &str, graph: &mut Graph) -> usize {
 pub fn parse_lenient_lines<'a>(
     pieces: impl IntoIterator<Item = &'a str>,
     graph: &mut Graph,
-) -> usize {
+) -> (usize, bool) {
     let mut reader = Reader::default();
     let mut recovered = 0;
     for mut rest in pieces {
         while !rest.is_empty() {
             let Ok((triples, next)) = reader.line(rest, graph) else {
-                return recovered;
+                return (recovered, false);
             };
             recovered += triples;
             rest = next;
         }
     }
-    recovered
+    (recovered, true)
 }
 
 /// Parse an N-Triples document, merging into `graph`.
@@ -467,7 +469,7 @@ mod tests {
     fn lenient_prefix_stops_at_torn_line() {
         let src = "<urn:a> <urn:p> <urn:b> .\n<urn:c> <urn:p> <urn:d> .\n<urn:e> <urn:p> \"tor";
         let mut g = Graph::new();
-        assert_eq!(parse_lenient_prefix(src, &mut g), 2);
+        assert_eq!(parse_lenient_prefix(src, &mut g), (2, false));
         assert_eq!(g.len(), 2);
         assert!(g.contains(&Triple::new(
             Subject::iri("urn:c"),
@@ -480,7 +482,7 @@ mod tests {
     fn lenient_prefix_of_valid_doc_recovers_everything() {
         let nt = serialize(&sample());
         let mut g = Graph::new();
-        assert_eq!(parse_lenient_prefix(&nt, &mut g), 4);
+        assert_eq!(parse_lenient_prefix(&nt, &mut g), (4, true));
         assert_eq!(g.len(), sample().len());
     }
 

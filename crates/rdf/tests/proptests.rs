@@ -432,8 +432,11 @@ fn parse_all(text: &str) {
     let mut strict = Graph::new();
     let parsed = ntriples::parse_into(text, &mut strict);
     let mut lenient = Graph::new();
-    let recovered = ntriples::parse_lenient_prefix(text, &mut lenient);
+    let (recovered, whole) = ntriples::parse_lenient_prefix(text, &mut lenient);
     assert!(recovered >= lenient.len());
+    // The salvage reads the whole document exactly when the strict parse
+    // accepts it.
+    assert_eq!(whole, parsed.is_ok());
     if parsed.is_ok() {
         // Nothing was malformed, so the salvage reads the whole document.
         assert!(graphs_equal(&strict, &lenient));
@@ -547,8 +550,9 @@ fn same_ntriples_parse(text: &str) {
     assert!(same(&got, &want), "n-triples graphs differ on {:?}", text);
 
     let (mut got, mut want) = (Graph::new(), Graph::new());
-    let recovered = ntriples::parse_lenient_prefix(text, &mut got);
+    let (recovered, whole) = ntriples::parse_lenient_prefix(text, &mut got);
     assert_eq!(recovered, reference::ntriples_parse_lenient_prefix(text, &mut want));
+    assert_eq!(whole, ntriples.is_ok(), "{:?}", text);
     assert!(same(&got, &want), "salvaged graphs differ on {:?}", text);
 }
 
