@@ -976,6 +976,34 @@ mod tests {
     }
 
     #[test]
+    fn a_ledger_whose_prev_skips_a_run_is_not_a_seal() {
+        let fs = fs();
+        let info = sealed_run(&fs);
+        // Every chunk frames and chains, and the last record holds this
+        // run's digest, but its `prev` names no earlier record: a run was
+        // cut out of the campaign's history.
+        let lpath = ledger_path("/provio");
+        let records = [
+            LedgerRecord { run: 1, manifest: [1; 32], prev: None },
+            LedgerRecord { run: info.run, manifest: info.digest, prev: Some([2; 32]) },
+        ];
+        let (mut bytes, mut chain) = (Vec::new(), frame::CHAIN_START);
+        for (i, rec) in records.iter().enumerate() {
+            let mut enc = frame::Encoder::new(FrameKind::Wal, frame::store_guid(&lpath), i as u64, chain);
+            enc.batch_block(&ledger_line(rec), 1);
+            let chunk;
+            (chunk, chain) = enc.finish();
+            bytes.extend_from_slice(&chunk);
+        }
+        put(&fs, &lpath, &bytes);
+        let ledger = read_ledger(&fs, "/provio").unwrap();
+        assert_eq!((ledger.records.len(), ledger.truncated, ledger.chained), (2, false, false));
+        let report = verify_directory(&fs, "/provio", KEY);
+        assert!(!report.ledger_ok && !report.is_trusted());
+        assert!(report.checks.iter().any(|c| c.path == lpath && c.detail == "ledger digest chain broken"));
+    }
+
+    #[test]
     fn legacy_directory_verifies_unsigned_with_no_false_positives() {
         let fs = fs();
         put(&fs, "/provio/prov_p7.nt", b"<urn:a> <urn:p> <urn:b> .\n");
