@@ -288,7 +288,7 @@ fn cuts(text: &str) -> impl Iterator<Item = Cut<'_>> {
 /// it payload *lines* batch by batch while the serializer just produced
 /// them, so the CRC and the copy run over cache-hot strings and the framed
 /// bytes are assembled exactly once; the journal, the parity plane and the
-/// campaign ledger hand it whole rendered blocks.
+/// campaign ledger drive it the same way, so no other code writes a marker.
 pub struct Encoder {
     out: Vec<u8>,
     chain: u32,

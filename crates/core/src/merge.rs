@@ -10,8 +10,7 @@
 //! verified payload is N-Triples, whatever its name says; an unframed file
 //! is read by its extension (Turtle, then N-Triples, when it names
 //! neither). The pass returns the sub-graph and whether all of it parsed,
-//! so a torn file's valid prefix is what the first read kept, not a second
-//! parse.
+//! so a torn file's valid prefix comes out of that same read.
 
 use crate::config::RdfFormat;
 use crate::frame::{self, FrameKind, FramedFile, WalFile};
@@ -1617,8 +1616,9 @@ pub(crate) mod tests {
 
     /// One of every kind of artifact a run directory holds, as a small real
     /// run wrote them: framed N-Triples snapshot and segment, journal,
-    /// parity files of both planes, a framed and an unframed Turtle
-    /// snapshot, an unframed N-Triples one, the manifest and the ledger.
+    /// parity files of both planes, a framed `.ttl` snapshot (N-Triples
+    /// inside, as every frame), an unframed Turtle and an unframed
+    /// N-Triples one, the manifest and the ledger.
     fn artifacts() -> &'static [Vec<u8>] {
         static ARTIFACTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
         ARTIFACTS.get_or_init(|| {
