@@ -12,7 +12,7 @@
 //! violation.
 
 use crate::opts::{parse, Opt, Outcome, Slot};
-use provio::crashcheck::{crashcheck, repro_text, CrashcheckConfig};
+use provio_crashcheck::{crashcheck, repro_text, CrashcheckConfig};
 
 pub fn main(argv: Vec<String>) -> Outcome {
     let mut cfg = CrashcheckConfig::default();

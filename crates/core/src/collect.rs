@@ -85,9 +85,6 @@ impl RankWindow {
 #[derive(Default)]
 struct CollectorInner {
     graph: Graph,
-    /// Admitted batches not yet folded into `graph` — the receive path
-    /// stages and acks; indexing happens lazily on the first read.
-    staged: Vec<Arc<Vec<Triple>>>,
     windows: HashMap<u32, RankWindow>,
     /// A crashed aggregator acks nothing and remembers nothing until
     /// [`Collector::resync`] rebuilds it from the rank-durable stores.
@@ -165,13 +162,10 @@ impl Collector {
     /// dropped by the (rank, seq) watermark before touching the graph.
     /// A crashed collector refuses everything: no ack, sender times out.
     ///
-    /// The receive path is O(1) in the batch size: admit the sequence,
-    /// stage the (already `Arc`-shared) payload, ack. Folding staged
-    /// batches into the live graph happens lazily on the first read
-    /// ([`Self::graph`] / [`Self::triples`] / [`Self::report`]) — the
-    /// aggregator's indexing work stays off the sender's ack latency,
-    /// as on a real collection endpoint.
-    fn deliver(&self, rank: u32, seq: u64, batch: &Arc<Vec<Triple>>) -> bool {
+    /// A fresh batch goes straight into the live graph, in delivery
+    /// order: an insert appends to the graph's log, and its indexes are
+    /// built on the first read that needs them.
+    fn deliver(&self, rank: u32, seq: u64, batch: &[Triple]) -> bool {
         let mut inner = self.inner.lock();
         if inner.crashed {
             inner.counts.refused_batches += 1;
@@ -186,33 +180,23 @@ impl Collector {
                 if out_of_order {
                     inner.counts.out_of_order_batches += 1;
                 }
-                inner.staged.push(Arc::clone(batch));
+                for t in batch {
+                    if inner.graph.insert(t) {
+                        inner.counts.streamed_triples += 1;
+                    }
+                }
             }
         }
         true
     }
 
-    /// Fold every staged batch into the live graph. Set semantics make
-    /// the fold idempotent with whatever resync already imported.
-    fn fold(inner: &mut CollectorInner) {
-        for batch in std::mem::take(&mut inner.staged) {
-            for t in batch.iter() {
-                if inner.graph.insert(t) {
-                    inner.counts.streamed_triples += 1;
-                }
-            }
-        }
-    }
-
-    /// Kill the aggregator: the live graph, staged arrivals, the dedup
-    /// windows — gone. Ranks keep streaming into timeouts until
-    /// [`Self::resync`].
+    /// Kill the aggregator: the live graph and the dedup windows — gone.
+    /// Ranks keep streaming into timeouts until [`Self::resync`].
     pub fn crash(&self) {
         let mut inner = self.inner.lock();
         inner.crashed = true;
         inner.counts.crashes += 1;
         inner.graph = Graph::new();
-        inner.staged.clear();
         inner.windows.clear();
     }
 
@@ -227,7 +211,6 @@ impl Collector {
     pub fn resync(&self) -> (usize, MergeReport) {
         let (merged, report) = merge_directory(&self.fs, &self.dir);
         let mut inner = self.inner.lock();
-        Self::fold(&mut inner);
         let recovered = inner.graph.merge(&merged);
         inner.windows.clear();
         inner.crashed = false;
@@ -236,24 +219,19 @@ impl Collector {
         (recovered, report)
     }
 
-    /// Snapshot of the live merged graph (staged arrivals folded in).
+    /// Snapshot of the live merged graph.
     pub fn graph(&self) -> Graph {
-        let mut inner = self.inner.lock();
-        Self::fold(&mut inner);
-        inner.graph.clone()
+        self.inner.lock().graph.clone()
     }
 
-    /// Triples currently in the live view (staged arrivals folded in).
+    /// Triples currently in the live view.
     pub fn triples(&self) -> usize {
-        let mut inner = self.inner.lock();
-        Self::fold(&mut inner);
-        inner.graph.len()
+        self.inner.lock().graph.len()
     }
 
-    /// Delivery accounting so far (staged arrivals folded in).
+    /// Delivery accounting so far.
     pub fn report(&self) -> DeliveryReport {
-        let mut inner = self.inner.lock();
-        Self::fold(&mut inner);
+        let inner = self.inner.lock();
         DeliveryReport {
             live_triples: inner.graph.len() as u64,
             ..inner.counts

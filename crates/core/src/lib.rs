@@ -31,7 +31,6 @@ pub(crate) mod artifact;
 pub(crate) mod collect;
 pub(crate) mod config;
 pub(crate) mod connector;
-pub mod crashcheck;
 pub mod engine;
 pub mod frame;
 mod fsio;
@@ -49,9 +48,6 @@ pub use api::ProvIoApi;
 pub use collect::{Collector, DeliveryReport, NetClient, NetStats};
 pub use config::{OverloadPolicy, ProvIoConfig, RdfFormat, RetryPolicy, SerializationPolicy};
 pub use connector::ProvIoVol;
-pub use crashcheck::{
-    crashcheck, record_workload, CrashcheckConfig, CrashcheckReport, RecordedWorkload, Violation,
-};
 pub use engine::ProvQueryEngine;
 pub use merge::merge_directory;
 pub use recover::{recover_all, RecoveryOutcome};

@@ -252,7 +252,7 @@ impl fmt::Display for FileVerdict {
 pub struct FileCheck {
     pub path: String,
     pub verdict: FileVerdict,
-    pub(crate) detail: String,
+    pub detail: String,
 }
 
 /// The full result of verifying one run directory.

@@ -20,7 +20,7 @@ const LAYERS: &[&[&str]] = &[
     &["report"],
     &["recover"],
     &["connector", "wrapper"],
-    &["api", "crashcheck"],
+    &["api"],
 ];
 
 fn rank(module: &str) -> Option<usize> {

@@ -1,47 +1,17 @@
-//! Crashcheck — systematic crash-state exploration of the full commit
-//! protocol, with machine-checked recovery invariants (DESIGN.md §15).
-//!
-//! The seeded fault sweeps elsewhere in the suite *sample* crash points;
-//! this module *enumerates* them. A deterministic workload with every
-//! durability knob armed (checksums + WAL + parity + delta segments +
-//! manifest/ledger) runs once against a traced file system
-//! ([`provio_hpcfs::OpTrace`]); the recorded operation sequence then
-//! defines the complete crash-state space — every operation prefix,
-//! torn-tail variants of the write at each crash point, and reorder
-//! variants inside rename-barrier-free windows. Each state reconstructs
-//! into a fresh simulated disk, the full recovery pipeline
-//! ([`crate::recover::recover_all`]) runs over it **twice**, and an
-//! invariant set is checked mechanically:
-//!
-//! | id | invariant |
-//! |----|-----------|
-//! | I1 | **durability** — every record acked by a successful flush before the crash point is in the merged graph |
-//! | I2 | **no phantom / no double count** — the merged graph contains only records the workload pushed (the graph is a set, so replay can never double-count) |
-//! | I3 | **bounded loss** — each rank loses at most `wal_group` unflushed records (plus, for a dropped journal append, the records journaled behind the hole) |
-//! | I4 | **no innocent quarantine** — a pure crash never quarantines a file or reports unrecoverable/ unusable parity members |
-//! | I5 | **atomic trust artifacts** — the manifest and ledger are old-or-new: any `Tampered` verdict, or a present-but-unverifiable manifest, is a protocol bug |
-//! | I6 | **idempotent recovery** — a second recovery pass yields a byte-identical directory, an equal `RunReport` (whole tier reports, paths included), and the same graph |
-//! | I7 | **non-destructive** — recovery of a pure crash state leaves the disk byte-identical (repair and quarantine exist for rot and tamper, which a crash cannot produce) |
-//!
-//! A violation carries the failing [`CrashState`]; the report's
-//! minimizer picks the smallest one and [`repro_text`] renders the
-//! deterministic repro (a [`provio_hpcfs::FaultPlan`] for plannable
-//! states, the trace-window spec for reorder states).
+//! The recorded all-knobs workload, the seven recovery invariants, and
+//! the exploration that checks them at every crash state.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use provio_hpcfs::{
-    describe_state, enumerate_crash_states, reconstruct, repro_plan, CrashState, CrashVariant,
-    FileSystem, LustreConfig, OpTrace, TraceOp,
-};
+use provio::frame;
+use provio::verify::{seal_run_with_roots, FileVerdict, RankEntry, RootCache};
+use provio::{recover_all, ProvenanceStore, RdfFormat};
+use provio_hpcfs::{FileSystem, LustreConfig, OpTrace, TraceOp};
 use provio_rdf::{Iri, Subject, Term, Triple};
 
-use crate::config::RdfFormat;
-use crate::frame;
-use crate::recover::recover_all;
-use crate::store::ProvenanceStore;
-use crate::verify::{seal_run_with_roots, FileVerdict, RankEntry, RootCache};
+use crate::trace::{describe_state, enumerate_crash_states, reconstruct, repro_plan};
+use crate::{CrashState, CrashVariant};
 
 /// The run directory every crashcheck workload writes under.
 pub const CRASHCHECK_DIR: &str = "/provio";
@@ -266,8 +236,12 @@ impl std::fmt::Display for CrashcheckReport {
 }
 
 /// Byte-exact image of every file under `dir`, for idempotence checks.
-fn dir_snapshot(fs: &Arc<FileSystem>, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let read = |path: String| crate::fsio::read_file(fs, &path).map(|bytes| (path, bytes));
+pub fn dir_snapshot(fs: &FileSystem, dir: &str) -> Vec<(String, Vec<u8>)> {
+    let read = |path: String| {
+        let ino = fs.lookup(&path).ok()?;
+        let bytes = fs.read_at(ino, 0, fs.file_size(ino).ok()?).ok()?;
+        Some((path, bytes.to_vec()))
+    };
     fs.walk_files(dir).unwrap_or_default().into_iter().filter_map(read).collect()
 }
 
@@ -540,7 +514,7 @@ pub fn crashcheck(config: &CrashcheckConfig) -> (RecordedWorkload, CrashcheckRep
 /// The deterministic repro artifact for a violation: the trace window
 /// around the crash point, plus a [`provio_hpcfs::FaultPlan`] when a
 /// single crash rule expresses the state (reorder states reproduce via
-/// [`provio_hpcfs::reconstruct`] instead).
+/// [`reconstruct`] instead).
 pub fn repro_text(w: &RecordedWorkload, violation: &Violation) -> String {
     let mut out = format!("{violation}\n\n");
     out.push_str(&describe_state(&w.ops, &violation.state));
@@ -552,7 +526,7 @@ pub fn repro_text(w: &RecordedWorkload, violation: &Violation) -> String {
         None => {
             out.push_str(
                 "\nno single-rule fault plan expresses this state; reproduce by\n\
-                 replaying the trace prefix via provio_hpcfs::reconstruct.\n",
+                 replaying the trace prefix via provio_crashcheck::reconstruct.\n",
             );
         }
     }

@@ -38,7 +38,4 @@ pub use fs::{FileSystem, Ino, Metadata};
 pub use lustre::LustreConfig;
 pub use session::{Fd, FsSession, OpenFlags, Whence};
 pub use syscall::{Dispatcher, SyscallEvent, SyscallHook, SyscallKind};
-pub use trace::{
-    apply_prefix, describe_state, enumerate_crash_states, reconstruct, repro_plan, CrashState,
-    CrashVariant, OpTrace, TraceOp,
-};
+pub use trace::{OpTrace, TraceOp};

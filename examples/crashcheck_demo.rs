@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --release --example crashcheck_demo`.
 
-use prov_io::core::crashcheck::{crashcheck, CrashcheckConfig, CRASHCHECK_DIR};
+use prov_io::crashcheck::CRASHCHECK_DIR;
 use prov_io::prelude::*;
 
 fn main() {

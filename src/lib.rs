@@ -9,6 +9,7 @@
 //! |---|---|---|
 //! | [`model`] | `provio-model` | the PROV-IO provenance model (Table 2) |
 //! | [`core`] | `provio-core` | tracking, store, merger, user engine |
+//! | [`crashcheck`] | `provio-crashcheck` | crash-state explorer + recovery invariants (a test harness) |
 //! | [`rdf`] | `provio-rdf` | RDF graph + Turtle/N-Triples (Redland substitute) |
 //! | [`sparql`] | `provio-sparql` | SPARQL SELECT subset + property paths |
 //! | [`hpcfs`] | `provio-hpcfs` | simulated POSIX/Lustre + syscall interposition |
@@ -51,6 +52,7 @@
 //! ```
 
 pub use provio as core;
+pub use provio_crashcheck as crashcheck;
 pub use provio_hdf5 as hdf5;
 pub use provio_hpcfs as hpcfs;
 pub use provio_model as model;
@@ -65,17 +67,21 @@ pub use provio_workflows as workflows;
 pub mod prelude {
     pub use provio::engine::{to_dot, IoStats};
     pub use provio::{
-        crashcheck, doctor, merge_directory, quarantine_tampered, recover_all, repairable_paths,
-        scrub_directory, verify_directory, BreakerState, Collector, CrashcheckConfig,
-        CrashcheckReport, DeliveryReport, DoctorReport, FileCheck, FileVerdict, NetClient,
-        NetStats, OverloadPolicy, ProvIoApi, ProvIoConfig, ProvIoVol, ProvQueryEngine,
-        ProvenanceStore, RankCrash, RecoveryOutcome, RetryPolicy, RunReport, ScrubReport,
-        SerializationPolicy, StoreStats, TrackSummary, TrackerRegistry, VerifyReport,
+        doctor, merge_directory, quarantine_tampered, recover_all, repairable_paths,
+        scrub_directory, verify_directory, BreakerState, Collector, DeliveryReport, DoctorReport,
+        FileCheck, FileVerdict, NetClient, NetStats, OverloadPolicy, ProvIoApi, ProvIoConfig,
+        ProvIoVol, ProvQueryEngine, ProvenanceStore, RankCrash, RecoveryOutcome, RetryPolicy,
+        RunReport, ScrubReport, SerializationPolicy, StoreStats, TrackSummary, TrackerRegistry,
+        VerifyReport,
+    };
+    pub use provio_crashcheck::{
+        crashcheck, enumerate_crash_states, reconstruct, CrashState, CrashVariant, CrashcheckConfig,
+        CrashcheckReport,
     };
     pub use provio_hdf5::{Data, Dataspace, Datatype, Hyperslab, H5};
     pub use provio_hpcfs::{
-        enumerate_crash_states, reconstruct, CorruptKind, CrashState, CrashVariant, FaultOp,
-        FaultPlan, FaultRule, FileSystem, FsSession, LustreConfig, OpTrace, OpenFlags, TamperKind,
+        CorruptKind, FaultOp, FaultPlan, FaultRule, FileSystem, FsSession, LustreConfig, OpTrace,
+        OpenFlags, TamperKind,
     };
     pub use provio_model::{
         ActivityClass, AgentClass, ClassSelector, EntityClass, ExtensibleClass, Relation,

@@ -25,7 +25,7 @@
 //! scrub repair.
 
 use proptest::prelude::*;
-use prov_io::core::crashcheck::{crashcheck, repro_text, CrashcheckConfig};
+use prov_io::crashcheck::{crashcheck, repro_text, CrashcheckConfig};
 use prov_io::core::RdfFormat;
 use prov_io::hpcfs::FsError;
 use prov_io::prelude::*;

@@ -7,33 +7,16 @@
 //! (double-crash) exploration, and a property test that recovery is
 //! idempotent on arbitrary reconstructed crash states.
 
-use prov_io::core::crashcheck::{
-    check_recovered, check_state, record_workload, CrashcheckConfig, CRASHCHECK_DIR,
-};
 use prov_io::core::frame::{is_parity_path, is_wal_path};
 use prov_io::core::recover::recover_all;
-use prov_io::hpcfs::{
-    apply_prefix, enumerate_crash_states, reconstruct, CrashState, CrashVariant, FileSystem,
-    OpTrace, TraceOp,
+use prov_io::crashcheck::{
+    apply_prefix, check_recovered, check_state, dir_snapshot, enumerate_crash_states,
+    reconstruct, record_workload, CrashState, CrashVariant, CrashcheckConfig, CRASHCHECK_DIR,
 };
+use prov_io::hpcfs::{OpTrace, TraceOp};
 use prov_io::simrt::SimTime;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// Byte-exact image of every file under `/provio`, for fixpoint checks.
-fn snapshot(fs: &Arc<FileSystem>) -> Vec<(String, Vec<u8>)> {
-    let Ok(files) = fs.walk_files(CRASHCHECK_DIR) else {
-        return Vec::new();
-    };
-    files
-        .into_iter()
-        .map(|path| {
-            let ino = fs.lookup(&path).unwrap();
-            let size = fs.file_size(ino).unwrap();
-            (path, fs.read_at(ino, 0, size).unwrap().to_vec())
-        })
-        .collect()
-}
 
 /// The store a WAL generation (`<store>.wNNNNNN.nt`) belongs to.
 fn wal_store(path: &str) -> &str {
@@ -241,9 +224,9 @@ proptest! {
         let key = cfg.manifest_key.as_deref();
 
         let first = recover_all(&fs, CRASHCHECK_DIR, key);
-        let after_first = snapshot(&fs);
+        let after_first = dir_snapshot(&fs, CRASHCHECK_DIR);
         let second = recover_all(&fs, CRASHCHECK_DIR, key);
-        let after_second = snapshot(&fs);
+        let after_second = dir_snapshot(&fs, CRASHCHECK_DIR);
 
         prop_assert_eq!(first.report(), second.report());
         prop_assert_eq!(first.graph.len(), second.graph.len());
