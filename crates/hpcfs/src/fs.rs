@@ -1007,6 +1007,44 @@ mod tests {
         assert_eq!(fs.stat("/f").unwrap(), before);
     }
 
+    /// What `read_at` returned is a snapshot: nothing done to the file
+    /// afterwards — an overwrite, a truncate, rot at rest, an unlink —
+    /// reaches bytes a reader already holds. Scrub compares what it read
+    /// with what it later finds, and `mutate_at_rest` rewrites a file
+    /// others may have read.
+    #[test]
+    fn a_read_is_a_snapshot_of_the_file() {
+        let fs = fs();
+        let body = b"committed provenance bytes";
+        let ino = fs.create_file("/snap.nt", false, "u", T0).unwrap();
+        fs.write_at(ino, 0, body, T0).unwrap();
+        let reads = |fs: &FileSystem| {
+            [(0, 64), (0, 9), (10, 10), (20, 6)]
+                .map(|(at, n)| fs.read_at(ino, at, n).unwrap())
+        };
+        let held = reads(&fs);
+        let expect = |held: &[bytes::Bytes; 4]| {
+            for (got, (at, n)) in held.iter().zip([(0, 26), (0, 9), (10, 10), (20, 6)]) {
+                assert_eq!(&got[..], &body[at..at + n]);
+            }
+        };
+        expect(&held);
+        fs.write_at(ino, 4, b"XXXXXXXXXXXXXXXX", T0).unwrap();
+        expect(&held);
+        fs.truncate_ino(ino, 3, T0).unwrap();
+        expect(&held);
+
+        fs.truncate_ino(ino, 0, T0).unwrap();
+        fs.write_at(ino, 0, body, T0).unwrap();
+        let held = reads(&fs);
+        for (kind, seed) in [(CorruptKind::BitFlips { count: 8 }, 1), (CorruptKind::ZeroFill, 2)] {
+            assert!(fs.corrupt_at_rest("/snap.nt", &kind, seed).unwrap() > 0);
+            expect(&held);
+        }
+        fs.unlink("/snap.nt").unwrap();
+        expect(&held);
+    }
+
     #[test]
     fn read_time_corruption_leaves_media_intact() {
         use crate::fault::{FaultOp, FaultPlan, FaultRule};

@@ -6,69 +6,160 @@ use provio_hpcfs::{FileContent, FileSystem, LustreConfig};
 use provio_simrt::SimTime;
 use std::collections::HashMap;
 
+/// Where a real write lands, relative to the materialized runs the model
+/// holds when it is applied: every case the content store distinguishes —
+/// adopt the buffer, or merge it with the segments it touches.
+#[derive(Debug, Clone, Copy)]
+enum Place {
+    /// Touches no materialized byte (not even at an edge).
+    Fresh,
+    /// Overlaps a run.
+    Overlap,
+    /// Ends where a run starts, or starts where one ends.
+    Adjacent,
+    /// At the end of the file.
+    Append,
+    /// Past the end of the file, leaving a hole.
+    Sparse,
+}
+
 #[derive(Debug, Clone)]
 enum ContentOp {
-    Write { offset: u16, data: Vec<u8> },
+    Write { place: Place, pick: u16, data: Vec<u8> },
     Synthetic { offset: u16, len: u16 },
     Truncate { size: u16 },
 }
 
 fn arb_content_op() -> impl Strategy<Value = ContentOp> {
+    let place = prop_oneof![
+        Just(Place::Fresh),
+        Just(Place::Overlap),
+        Just(Place::Adjacent),
+        Just(Place::Append),
+        Just(Place::Sparse),
+    ];
     prop_oneof![
-        (0u16..512, proptest::collection::vec(any::<u8>(), 1..64))
-            .prop_map(|(offset, data)| ContentOp::Write { offset, data }),
+        (place, any::<u16>(), proptest::collection::vec(any::<u8>(), 1..64))
+            .prop_map(|(place, pick, data)| ContentOp::Write { place, pick, data }),
         (0u16..512, 1u16..256)
             .prop_map(|(offset, len)| ContentOp::Synthetic { offset, len }),
         (0u16..768).prop_map(|size| ContentOp::Truncate { size }),
     ]
 }
 
+/// The reference: a flat byte vector, and which of its bytes a real write
+/// materialized.
+#[derive(Default)]
+struct Model {
+    bytes: Vec<u8>,
+    real: Vec<bool>,
+}
+
+impl Model {
+    fn resize(&mut self, len: usize) {
+        self.bytes.resize(len, 0);
+        self.real.resize(len, false);
+    }
+
+    /// Materialized runs, as half-open ranges.
+    fn runs(&self) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        let mut at = 0;
+        while at < self.real.len() {
+            if self.real[at] {
+                let start = at;
+                while at < self.real.len() && self.real[at] {
+                    at += 1;
+                }
+                runs.push((start, at));
+            } else {
+                at += 1;
+            }
+        }
+        runs
+    }
+
+    /// Is any byte of `[lo, hi)` materialized?
+    fn touches(&self, lo: usize, hi: usize) -> bool {
+        (lo..hi.min(self.real.len())).any(|i| self.real[i])
+    }
+
+    /// The offset a `len`-byte write placed by `place` lands at.
+    fn offset(&self, place: Place, pick: usize, len: usize) -> usize {
+        let runs = self.runs();
+        let run = (!runs.is_empty()).then(|| runs[pick % runs.len()]);
+        match (place, run) {
+            (Place::Overlap, Some((lo, hi))) => (lo + pick % (hi - lo)).saturating_sub(len / 2),
+            (Place::Adjacent, Some((lo, _))) if pick.is_multiple_of(2) && lo >= len => lo - len,
+            (Place::Adjacent, Some((_, hi))) => hi,
+            (Place::Append, _) => self.bytes.len(),
+            (Place::Sparse, _) => self.bytes.len() + 1 + pick % 64,
+            _ => (pick % (self.bytes.len() + 64)..)
+                .find(|&at| !self.touches(at.saturating_sub(1), at + len + 1))
+                .expect("past the last run nothing is touched"),
+        }
+    }
+
+    fn write(&mut self, offset: usize, data: &[u8]) {
+        if self.bytes.len() < offset + data.len() {
+            self.resize(offset + data.len());
+        }
+        self.bytes[offset..offset + data.len()].copy_from_slice(data);
+        self.real[offset..offset + data.len()].fill(true);
+    }
+
+    fn window(&self, offset: usize, len: usize) -> &[u8] {
+        let lo = offset.min(self.bytes.len());
+        &self.bytes[lo..self.bytes.len().min(offset + len)]
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// FileContent behaves exactly like a Vec<u8> with zero-fill semantics.
+    /// FileContent behaves exactly like a byte vector with zero-fill
+    /// semantics: after every operation its length, its resident bytes
+    /// and reads at windows inside a run, across runs and holes, and past
+    /// the end all agree with the model's.
     #[test]
     fn content_matches_reference_model(ops in proptest::collection::vec(arb_content_op(), 1..40)) {
         let mut sys = FileContent::new();
-        let mut model: Vec<u8> = Vec::new();
-        for op in &ops {
+        let mut model = Model::default();
+        for (step, op) in ops.iter().enumerate() {
             match op {
-                ContentOp::Write { offset, data } => {
-                    let off = *offset as usize;
-                    sys.write(*offset as u64, data);
-                    if model.len() < off + data.len() {
-                        model.resize(off + data.len(), 0);
-                    }
-                    model[off..off + data.len()].copy_from_slice(data);
+                ContentOp::Write { place, pick, data } => {
+                    let off = model.offset(*place, *pick as usize, data.len());
+                    sys.write(off as u64, data);
+                    model.write(off, data);
                 }
                 ContentOp::Synthetic { offset, len } => {
                     let end = *offset as usize + *len as usize;
                     sys.write_synthetic(*offset as u64, *len as u64);
-                    if model.len() < end {
-                        model.resize(end, 0);
+                    if model.bytes.len() < end {
+                        model.resize(end);
                     }
                 }
                 ContentOp::Truncate { size } => {
                     sys.truncate(*size as u64);
-                    model.resize(*size as usize, 0);
+                    model.resize(*size as usize);
                 }
             }
-            prop_assert_eq!(sys.len(), model.len() as u64);
+            prop_assert_eq!(sys.len(), model.bytes.len() as u64, "len after step {}", step);
+            let resident = model.real.iter().filter(|&&r| r).count() as u64;
+            prop_assert_eq!(sys.resident_bytes(), resident, "resident after step {}", step);
+            let len = model.bytes.len();
+            let mut windows = vec![(0, len + 8), (len / 3, 17), (len.saturating_sub(5), 64)];
+            for (lo, hi) in model.runs() {
+                windows.push((lo, hi - lo));
+                windows.push((lo + (hi - lo) / 2, (hi - lo).div_ceil(2)));
+                windows.push((lo.saturating_sub(3), hi - lo + 6));
+            }
+            for (offset, n) in windows {
+                let got = sys.read(offset as u64, n as u64);
+                prop_assert_eq!(&got[..], model.window(offset, n), "window {}+{} after step {}", offset, n, step);
+            }
         }
-        // Full read agrees.
-        prop_assert_eq!(sys.to_vec(), model.clone());
-        // Random window reads agree.
-        for start in [0usize, 3, 100, 511] {
-            let got = sys.read(start as u64, 64);
-            let want: &[u8] = if start >= model.len() {
-                &[]
-            } else {
-                &model[start..model.len().min(start + 64)]
-            };
-            prop_assert_eq!(&got[..], want, "window at {}", start);
-        }
-        // Resident bytes never exceed logical size.
-        prop_assert!(sys.resident_bytes() <= sys.len());
+        prop_assert_eq!(sys.to_vec(), model.bytes.clone());
     }
 }
 
