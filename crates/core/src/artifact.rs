@@ -53,6 +53,7 @@
 //! that no line parser here panics on mutated lines.
 
 use crate::frame::{self, FrameKind, FramedFile};
+use bytes::Bytes;
 use std::collections::HashMap;
 
 /// One byte range covered by a parity group: `check` pins the member's
@@ -115,7 +116,7 @@ fn check_matches(bytes: &[u8], check: &MemberCheck, path: &str) -> Option<Option
 /// A member's bytes that passed their recorded check, and the frame a
 /// root check decoded to pass them.
 pub(crate) struct Verified {
-    pub(crate) bytes: Vec<u8>,
+    pub(crate) bytes: Bytes,
     pub(crate) frame: Option<FramedFile>,
 }
 
@@ -128,14 +129,11 @@ impl ParityMember {
 
     /// `bytes`, read from `offset` on, cut down to the covered range — when
     /// they reach that far and the range verifies; else handed back as is.
-    pub(crate) fn cover(&self, mut bytes: Vec<u8>) -> Result<Verified, Vec<u8>> {
+    pub(crate) fn cover(&self, bytes: Bytes) -> Result<Verified, Bytes> {
         let len = usize::try_from(self.len).ok().filter(|&len| len <= bytes.len());
         let check = |len: usize| Some((len, check_matches(&bytes[..len], &self.check, &self.path)?));
         match len.and_then(check) {
-            Some((len, frame)) => {
-                bytes.truncate(len);
-                Ok(Verified { bytes, frame })
-            }
+            Some((len, frame)) => Ok(Verified { bytes: bytes.slice(..len), frame }),
             None => Err(bytes),
         }
     }
@@ -145,12 +143,6 @@ impl ParityMember {
 /// XOR against zero is identity, so shorter members simply leave the
 /// accumulator's tail untouched.
 pub(crate) fn xor_into(acc: &mut Vec<u8>, bytes: &[u8]) {
-    if acc.is_empty() {
-        // First member of a group: XOR against zeros is a copy, without
-        // paying a zero-fill pass first.
-        acc.extend_from_slice(bytes);
-        return;
-    }
     if acc.len() < bytes.len() {
         acc.resize(bytes.len(), 0);
     }

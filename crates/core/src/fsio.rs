@@ -2,8 +2,12 @@
 //! crash-consistent tmp+rename commit, the whole-file read, the read that
 //! falls back to a quarantined copy, and the staleness rule for what one
 //! pass learned about a file.
+//! Bytes move, they are not copied: the committed file adopts the buffer a
+//! commit hands over, and a read is a window on it — a snapshot no later
+//! commit, repair or rot of the file reaches.
 
 use crate::names;
+use bytes::Bytes;
 use provio_hpcfs::{FileSystem, FsError};
 use provio_simrt::SimTime;
 
@@ -12,7 +16,7 @@ use provio_simrt::SimTime;
 /// the merge, scrub and verify all know to ignore or adopt. Always the same
 /// four calls — create, truncate, write, rename — so fault plans and
 /// crash-state enumeration count the same operations for every artifact.
-pub(crate) fn commit_atomic(fs: &FileSystem, dst: &str, bytes: &[u8]) -> Result<(), FsError> {
+pub(crate) fn commit_atomic(fs: &FileSystem, dst: &str, bytes: impl Into<Bytes>) -> Result<(), FsError> {
     let now = SimTime::ZERO; // store-internal write; mtime is irrelevant
     let tmp = names::tmp_of(dst);
     let ino = fs.create_file(&tmp, false, "provio", now)?;
@@ -22,10 +26,10 @@ pub(crate) fn commit_atomic(fs: &FileSystem, dst: &str, bytes: &[u8]) -> Result<
 }
 
 /// The whole of `path`, or `None` when it is missing or unreadable.
-pub(crate) fn read_file(fs: &FileSystem, path: &str) -> Option<Vec<u8>> {
+pub(crate) fn read_file(fs: &FileSystem, path: &str) -> Option<Bytes> {
     let ino = fs.lookup(path).ok()?;
     let size = fs.file_size(ino).ok()?;
-    Some(fs.read_at(ino, 0, size).ok()?.to_vec())
+    fs.read_at(ino, 0, size).ok()
 }
 
 /// The copies of the artifact at `live` that can be read, the live file
@@ -36,7 +40,7 @@ pub(crate) fn read_file(fs: &FileSystem, path: &str) -> Option<Vec<u8>> {
 pub(crate) fn copies<'a>(
     fs: &'a FileSystem,
     live: &str,
-) -> impl Iterator<Item = (Vec<u8>, bool)> + 'a {
+) -> impl Iterator<Item = (Bytes, bool)> + 'a {
     [(live.to_string(), false), (names::quarantine_of(live), true)]
         .into_iter()
         .filter_map(move |(path, quarantined)| Some((read_file(fs, &path)?, quarantined)))

@@ -233,21 +233,21 @@ fn process_file(
             };
             // Rot severe enough to break UTF-8 condemns a journal's whole
             // tail: nothing is ever parsed out of it.
-            let Ok(text) = String::from_utf8(bytes) else {
+            let Ok(text) = std::str::from_utf8(&bytes) else {
                 let torn = WalFile { truncated: true, ..WalFile::default() };
                 return if is_wal { Outcome::Wal(torn) } else { unless_debris(Outcome::Corrupt) };
             };
             if is_wal {
-                return Outcome::Wal(frame::decode_wal(&text, name.guid()));
+                return Outcome::Wal(frame::decode_wal(text, name.guid()));
             }
-            match frame::decode(&text) {
+            match frame::decode(text) {
                 Ok(framed) => framed,
                 Err(frame::FrameError::Quarantine(_)) => {
                     return unless_debris(Outcome::Quarantine { substituted: false });
                 }
                 // A legacy file: read whole, or its valid prefix salvaged.
                 Err(frame::FrameError::NotFramed) => {
-                    let (sub, whole) = read(name.syntax(), &text);
+                    let (sub, whole) = read(name.syntax(), text);
                     if sub.is_empty() && !whole {
                         return unless_debris(Outcome::Corrupt);
                     }
@@ -913,7 +913,7 @@ pub(crate) mod tests {
         let store = ProvenanceStore::new(Arc::clone(&fs), path.clone(), format, false);
         store.push(triples.collect(), None);
         store.finish(None);
-        read_file(&fs, &path).expect("the store committed its document")
+        read_file(&fs, &path).expect("the store committed its document").to_vec()
     }
 
     /// `process_file` on `bytes` under `name` gives what the two-pass
@@ -1656,7 +1656,7 @@ pub(crate) mod tests {
             for role in ["d.nt.d", "d.nt.w", "d.nt.p", "MANIFEST", "CAMPAIGN"] {
                 assert!(files.iter().any(|p| p.contains(role)), "no {role} among {files:?}");
             }
-            files.iter().map(|p| read_file(&fs, p).unwrap()).collect()
+            files.iter().map(|p| read_file(&fs, p).unwrap().to_vec()).collect()
         })
     }
 

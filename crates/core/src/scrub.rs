@@ -45,6 +45,7 @@ use crate::artifact::{parse_parity_payload, Decoded, HandOff, MemberCheck, Parit
 use crate::frame::{self, FrameKind, FramedFile};
 use crate::fsio::{commit_atomic, copies};
 use crate::names::{self, Role, State};
+use bytes::Bytes;
 use provio_hpcfs::{FileSystem, FsError};
 use rayon::prelude::*;
 use std::collections::HashSet;
@@ -155,14 +156,14 @@ impl MemberState {
 
 /// `len` bytes of `path` from `offset` on — all the rest when `None` — or
 /// `None` when the file is missing, unreadable or shorter than that.
-fn read_range(fs: &Arc<FileSystem>, path: &str, offset: u64, len: Option<u64>) -> Option<Vec<u8>> {
+fn read_range(fs: &Arc<FileSystem>, path: &str, offset: u64, len: Option<u64>) -> Option<Bytes> {
     let ino = fs.lookup(path).ok()?;
     let size = fs.file_size(ino).ok()?;
     let len = len.unwrap_or(size.saturating_sub(offset));
     if size < offset.saturating_add(len) {
         return None;
     }
-    Some(fs.read_at(ino, offset, len).ok()?.to_vec())
+    fs.read_at(ino, offset, len).ok()
 }
 
 /// Decode the bytes of the parity file for `live` — found under its own
@@ -227,19 +228,15 @@ type Group = (ParsedParity, Option<Vec<MemberState>>);
 /// Read the parity file for `live` (from its live path, else from its
 /// quarantined copy) and classify its members; `None` when its member
 /// records are unreadable. A group with nothing to repair or regenerate
-/// keeps its members' frames but no bytes: nothing will XOR them.
+/// drops its data block (nothing will XOR it); member bytes are windows on
+/// the files and cost nothing to keep.
 fn read_group(fs: &Arc<FileSystem>, live: &str) -> Option<Group> {
-    let parsed = |(bytes, quarantined): (Vec<u8>, bool)| parse_parity(&bytes, live, quarantined);
+    let parsed = |(bytes, quarantined): (Bytes, bool)| parse_parity(&bytes, live, quarantined);
     let mut group = copies(fs, live).find_map(parsed)?;
-    let mut states: Option<Vec<_>> = group.members.iter().map(|m| member_state(fs, m)).collect();
+    let states: Option<Vec<_>> = group.members.iter().map(|m| member_state(fs, m)).collect();
     let intact = |s: &MemberState| matches!(s, MemberState::Intact(_));
     if group.root.is_some() && states.iter().flatten().all(intact) {
         group.data = None;
-        for state in states.iter_mut().flatten() {
-            if let MemberState::Intact(v) = state {
-                v.bytes = Vec::new();
-            }
-        }
     }
     Some((group, states))
 }
@@ -269,7 +266,7 @@ fn reconstruct(group: &ParsedParity, states: &[MemberState], bad: usize) -> Opti
             xor_into(&mut acc, state.bytes()?);
         }
     }
-    group.members[bad].cover(acc).ok()
+    group.members[bad].cover(acc.into()).ok()
 }
 
 /// Keep `decoded` true to `m`'s live file, which now holds the member's
@@ -298,15 +295,15 @@ fn splice_member(
     let out = if m.whole_file() {
         v.bytes.clone()
     } else {
-        let mut current = copies(fs, &m.path).next().map_or_else(Vec::new, |(bytes, _)| bytes);
+        let mut current = copies(fs, &m.path).next().map_or_else(Vec::new, |(bytes, _)| bytes.into());
         let end = (m.offset + m.len) as usize;
         if current.len() < end {
             current.resize(end, 0);
         }
         current[m.offset as usize..end].copy_from_slice(&v.bytes);
-        current
+        current.into()
     };
-    commit_atomic(fs, &m.path, &out)?;
+    commit_atomic(fs, &m.path, out)?;
     note_root(decoded, m, v.frame.clone());
     // The live path verifies again: any quarantine copy is now a stale
     // duplicate of repaired data, not evidence.
@@ -345,7 +342,7 @@ fn regenerate_parity(
         xor_into(&mut acc, state.bytes().ok_or(FsError::Io)?);
     }
     let (framed, _root) = encode_parity_frame(group.guid, group.seq, &group.member_lines, &acc);
-    commit_atomic(fs, &group.path, &framed)?;
+    commit_atomic(fs, &group.path, framed)?;
     let _ = fs.unlink(&names::quarantine_of(&group.path));
     Ok(())
 }
@@ -580,7 +577,7 @@ mod tests {
         seal_parity(&fs, store, 0, &[(store, &a, 1)]);
         let par = read_file(&fs, "/prov/prov_p0.nt.p000000.par").unwrap();
         let parsed = parse_parity(&par, "/prov/prov_p0.nt.p000000.par", false).unwrap();
-        let text = String::from_utf8(par).unwrap();
+        let text = String::from_utf8(par.to_vec()).unwrap();
         assert!(text.contains("enc=raw"), "single-member group seals a raw replica:\n{text}");
         assert!(!text.contains(" b64="), "no base64 block for a raw replica");
         assert_eq!(parsed.data.as_deref(), Some(&a[..]), "replica decodes to the member bytes");
@@ -598,7 +595,7 @@ mod tests {
         seal_parity(&fs, store, 0, &[(store, &a, 1), ("/prov/prov_p0.nt.d000001.nt", &b, 2)]);
         let par = read_file(&fs, "/prov/prov_p0.nt.p000000.par").unwrap();
         let parsed = parse_parity(&par, "/prov/prov_p0.nt.p000000.par", false).unwrap();
-        let text = String::from_utf8(par).unwrap();
+        let text = String::from_utf8(par.to_vec()).unwrap();
         assert!(text.contains(" b64="), "XOR of two members is not a replica:\n{text}");
         let mut acc = Vec::new();
         xor_into(&mut acc, &a);
@@ -799,7 +796,7 @@ mod tests {
             format!("{verb} {}", op.path())
         });
         let files = fs.walk_files("/prov").unwrap().into_iter().map(|p| {
-            let bytes = read_file(&fs, &p).unwrap();
+            let bytes = read_file(&fs, &p).unwrap().to_vec();
             (p, bytes)
         });
         (report, ops.collect(), roots_of(&decoded), files.collect())
@@ -849,7 +846,7 @@ mod tests {
         // Flip a byte inside the data block itself (a single-member group
         // seals a raw replica), leaving the member batch and the frame
         // identity intact.
-        let text = String::from_utf8(original.clone()).unwrap();
+        let text = String::from_utf8(original.to_vec()).unwrap();
         let header_at = text.find("data len=").unwrap();
         let off = (header_at + text[header_at..].find('\n').unwrap() + 2) as u64;
         let ino = fs.lookup(par).unwrap();

@@ -4,9 +4,9 @@ use super::parity::ParityGroup;
 use crate::artifact::{MemberCheck, ParityMember};
 use crate::frame::{self, FrameKind};
 use crate::names::{self, Role, State};
+use bytes::Bytes;
 use provio_hpcfs::{FileSystem, FsError, Ino};
 use provio_simrt::SimTime;
-use std::borrow::Cow;
 
 /// One push's worth of journal records awaiting commit: `n` contiguous
 /// record ordinals starting at `start`, rendered as one newline-terminated
@@ -118,7 +118,8 @@ impl Journal {
             bytes.extend_from_slice(&frame_bytes);
             chain = frame_chain;
         }
-        fs.write_at(ino, self.len, &bytes, SimTime::ZERO)?;
+        let bytes = Bytes::from(bytes); // a fresh generation adopts it
+        fs.write_at(ino, self.len, bytes.clone(), SimTime::ZERO)?;
         if let Some(group) = cover {
             let gen = names::print(path, Role::Journal(self.gen), State::Live);
             for span in spans {
@@ -129,7 +130,7 @@ impl Journal {
                     check: MemberCheck::Crc(crc32fast::hash(&bytes[span.clone()])),
                     ord: None,
                 };
-                group.fold(member, Cow::Borrowed(&bytes[span]));
+                group.fold(member, bytes.slice(span));
             }
         }
         self.len += bytes.len() as u64;

@@ -31,7 +31,8 @@
 //!   writes a fresh full snapshot and unlinks the segments it folded in.
 //!
 //! Every file (snapshot or segment) is committed crash-consistently:
-//! serialized to `<file>.tmp`, then atomically renamed. A reader — the
+//! serialized to `<file>.tmp`, then atomically renamed; the file adopts the
+//! rendered buffer, which parity shares (DESIGN.md §9). A reader — the
 //! post-run merge — reads the snapshot plus all live segments; duplicate
 //! triples collapse on merge, so compaction racing a crash can only
 //! duplicate data, never lose it.
@@ -157,6 +158,7 @@ use crate::frame::{self, FrameKind};
 use crate::fsio::commit_atomic;
 use crate::names::{self, Role, State};
 use breaker::Breaker;
+use bytes::Bytes;
 use intake::InFlight;
 use journal::Journal;
 use parity::{Parity, Plane};
@@ -164,7 +166,6 @@ use parking_lot::Mutex;
 use provio_hpcfs::{FileSystem, FsError};
 use provio_rdf::{ntriples, turtle, Capture, Graph, Namespaces, TermId, Triple};
 use provio_simrt::{SimDuration, SimTime, VirtualClock};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -199,14 +200,14 @@ struct FrameSeat {
 /// One commit file, rendered: its bytes and, when framed, the chain value
 /// and Merkle root its footer carries.
 struct Rendered {
-    bytes: Vec<u8>,
+    bytes: Bytes,
     footer: Option<(u32, [u8; 32])>,
 }
 
 impl Rendered {
     fn plain(bytes: Vec<u8>) -> Self {
         Rendered {
-            bytes,
+            bytes: bytes.into(),
             footer: None,
         }
     }
@@ -231,7 +232,7 @@ fn render_lines(capture: &Capture, seat: FrameSeat, kind: FrameKind) -> Rendered
     }
     let (bytes, chain, root) = enc.finish_with_root();
     Rendered {
-        bytes,
+        bytes: bytes.into(),
         footer: Some((chain, root)),
     }
 }
@@ -338,10 +339,10 @@ impl IoState {
 
     /// Commit `bytes` to `dst` with the retry/backoff policy, updating the
     /// degradation bookkeeping. Returns `true` when `dst` is durable.
-    fn commit_with_retry(&mut self, dst: &str, bytes: &[u8], charge: Option<&VirtualClock>) -> bool {
+    fn commit_with_retry(&mut self, dst: &str, bytes: &Bytes, charge: Option<&VirtualClock>) -> bool {
         let mut failures = 0u32;
         loop {
-            match commit_atomic(&self.fs, dst, bytes) {
+            match commit_atomic(&self.fs, dst, bytes.clone()) {
                 Ok(()) => {
                     self.degraded = false;
                     self.breaker.note_success();
@@ -469,7 +470,8 @@ impl IoState {
                     check: MemberCheck::Root(root),
                     ord: Some(ord),
                 };
-                group.fold(member, Cow::Owned(rendered.bytes));
+                // The member is the committed file's own buffer, not a copy.
+                group.fold(member, rendered.bytes);
                 self.seal_parity(Plane::Commits, false);
             }
         }

@@ -5,8 +5,8 @@
 use crate::artifact::{self, ParityMember, RootCache};
 use crate::fsio::commit_atomic;
 use crate::names::{self, Role, State};
+use bytes::Bytes;
 use provio_hpcfs::{FileSystem, FsError};
-use std::borrow::Cow;
 
 /// The store's two parity planes, one [`ParityGroup`] each.
 #[derive(Clone, Copy)]
@@ -29,22 +29,24 @@ pub(super) struct ParityGroup {
     /// (replication); larger groups trade coverage density for write
     /// volume (~1/N of committed bytes).
     width: usize,
-    acc: Vec<u8>,
+    acc: Bytes,
     members: Vec<ParityMember>,
     files: Vec<String>,
 }
 
 impl ParityGroup {
-    /// Fold one member into the open group. Owned bytes are adopted by move
-    /// when they open it — the first member *is* the accumulator (XOR
-    /// against an empty accumulator is identity), so a snapshot-sized
-    /// commit is not copied.
-    pub(super) fn fold(&mut self, member: ParityMember, bytes: Cow<'_, [u8]>) {
-        if self.acc.is_empty() {
-            self.acc = bytes.into_owned();
+    /// Fold one member into the open group. The first member *is* the
+    /// accumulator (XOR against nothing is identity), shared with its
+    /// committed file, so the forced single-member seal at finish encodes
+    /// the snapshot in place; a second member XORs into a copy of it.
+    pub(super) fn fold(&mut self, member: ParityMember, bytes: Bytes) {
+        self.acc = if self.members.is_empty() {
+            bytes
         } else {
-            artifact::xor_into(&mut self.acc, &bytes);
-        }
+            let mut acc = Vec::from(std::mem::take(&mut self.acc));
+            artifact::xor_into(&mut acc, &bytes);
+            acc.into()
+        };
         self.members.push(member);
     }
 
@@ -65,7 +67,7 @@ impl ParityGroup {
             let _ = fs.unlink(&p);
             roots.remove(&p);
         }
-        self.acc.clear();
+        self.acc = Bytes::new();
         self.members.clear();
     }
 }
@@ -136,15 +138,54 @@ impl Parity {
         let dst = names::print(path, Role::Parity(self.seq), State::Live);
         let member_lines: Vec<String> = members.iter().map(artifact::member_line).collect();
         let (framed, root) = artifact::encode_parity_frame(guid, self.seq, &member_lines, &acc);
-        if let Err(e) = commit_atomic(fs, &dst, &framed) {
+        let len = framed.len() as u64;
+        if let Err(e) = commit_atomic(fs, &dst, framed) {
             self.failed += 1;
             let _ = fs.unlink(&names::tmp_of(&dst));
             return Err(e);
         }
-        roots.insert(dst.clone(), (framed.len() as u64, root));
+        roots.insert(dst.clone(), (len, root));
         group.files.push(dst);
         self.seq += 1;
         self.seals += 1;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::artifact::MemberCheck;
+    use crate::fsio::read_file;
+    use provio_hpcfs::LustreConfig;
+
+    fn member(path: &str, bytes: &[u8]) -> ParityMember {
+        ParityMember {
+            path: path.to_string(),
+            offset: 0,
+            len: bytes.len() as u64,
+            check: MemberCheck::Crc(crc32fast::hash(bytes)),
+            ord: Some(0),
+        }
+    }
+
+    /// The first member's buffer is the committed file's own: folding a
+    /// second member XORs into a copy, never into the bytes on disk.
+    #[test]
+    fn a_second_member_leaves_the_first_members_file_as_committed() {
+        let fs = FileSystem::new(LustreConfig::default());
+        fs.mkdir("/p", "provio", provio_simrt::SimTime::ZERO).unwrap();
+        let (a, b) = (b"<urn:a> <urn:p> <urn:o> .\n", b"<urn:b> <urn:p> <urn:o> .\n");
+        let mut group = ParityGroup { width: 2, ..ParityGroup::default() };
+        for (path, body) in [("/p/a.nt", a), ("/p/b.nt", b)] {
+            let bytes = Bytes::from(body);
+            commit_atomic(&fs, path, bytes.clone()).unwrap();
+            group.fold(member(path, body), bytes);
+        }
+        assert!(group.is_full());
+        assert_eq!(read_file(&fs, "/p/a.nt").unwrap(), a.to_vec());
+        assert_eq!(read_file(&fs, "/p/b.nt").unwrap(), b.to_vec());
+        let xor: Vec<u8> = a.iter().zip(b).map(|(x, y)| x ^ y).collect();
+        assert_eq!(group.acc, xor);
     }
 }

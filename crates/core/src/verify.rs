@@ -129,11 +129,11 @@ pub fn read_ledger(fs: &Arc<FileSystem>, dir: &str) -> Option<Ledger> {
     let path = ledger_path(dir);
     let bytes = read_file(fs, &path)?;
     let mut out = Ledger { chained: true, ..Ledger::default() };
-    let Ok(text) = String::from_utf8(bytes) else {
+    let Ok(text) = std::str::from_utf8(&bytes) else {
         out.truncated = true;
         return Some(out);
     };
-    let wal = frame::decode_wal(&text, frame::store_guid(&path));
+    let wal = frame::decode_wal(text, frame::store_guid(&path));
     out.truncated = wal.truncated;
     for (_, line) in &wal.records {
         match parse_ledger_line(line) {
@@ -182,7 +182,7 @@ pub(crate) fn append_ledger(
         chain = c;
         prev = Some(rec.manifest);
     }
-    commit_atomic(fs, &path, &out).map_err(|e| format!("{e:?}"))
+    commit_atomic(fs, &path, out).map_err(|e| format!("{e:?}"))
 }
 
 /// Sign the finished run directory and chain it into the campaign ledger —
@@ -575,7 +575,7 @@ mod tests {
     }
 
     fn get(fs: &Arc<FileSystem>, path: &str) -> Vec<u8> {
-        read_file(fs, path).unwrap()
+        read_file(fs, path).unwrap().to_vec()
     }
 
     const KEY: &str = "test-campaign-key";

@@ -172,8 +172,8 @@ pub fn apply_prefix(fs: &Arc<FileSystem>, ops: &[TraceOp], state: &CrashState) {
                 },
             };
             let data = match torn_keep {
-                Some(keep) => &data[..keep.min(data.len() as u64) as usize],
-                None => &data[..],
+                Some(keep) => data.slice(..keep.min(data.len() as u64) as usize),
+                None => data.clone(),
             };
             let _ = fs.write_at(ino, *offset, data, now);
         }

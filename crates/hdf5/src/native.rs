@@ -285,7 +285,7 @@ impl NativeVol {
     ) -> H5Result<()> {
         let now = s.clock().now();
         match data {
-            Data::Real(b) => self.fs.write_at(ino, offset, b, now)?,
+            Data::Real(b) => self.fs.write_at(ino, offset, b.clone(), now)?,
             Data::Synthetic(n) => self.fs.write_synthetic_at(ino, offset, *n, now)?,
         }
         self.charge_data(s, data.len());

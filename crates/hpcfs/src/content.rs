@@ -23,11 +23,17 @@ fn zero_block() -> &'static Bytes {
 }
 
 /// Sparse byte content of a regular file.
+///
+/// Segments are immutable [`Bytes`] windows: a write that touches no
+/// segment adopts the writer's buffer, a read inside one segment and a
+/// truncate narrow a window, and only a write that overlaps or abuts
+/// written bytes copies them into one merged buffer. Readers hold
+/// snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct FileContent {
     /// Materialized segments: offset → bytes. Invariant: segments are
     /// non-empty, non-overlapping, non-adjacent (maintained by `write`).
-    segments: BTreeMap<u64, Vec<u8>>,
+    segments: BTreeMap<u64, Bytes>,
     /// Logical file size (may exceed the materialized extent).
     size: u64,
 }
@@ -52,41 +58,39 @@ impl FileContent {
     }
 
     /// Write real bytes at `offset`, extending the file if needed.
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
+    pub fn write(&mut self, offset: u64, data: impl Into<Bytes>) {
+        let data = data.into();
         if data.is_empty() {
             return;
         }
         let end = offset + data.len() as u64;
         self.size = self.size.max(end);
 
-        // Collect every segment that overlaps or touches [offset, end].
-        let mut merged_start = offset;
-        let mut merged: Vec<u8> = Vec::new();
-        let overlapping: Vec<u64> = self
+        // Every segment that overlaps or touches [offset, end]: segment
+        // ends grow with their starts, so walk back from `end` until one
+        // ends before `offset`.
+        let touching: Vec<u64> = self
             .segments
             .range(..=end)
-            .filter(|(&start, seg)| start + seg.len() as u64 >= offset)
+            .rev()
+            .take_while(|(&start, seg)| start + seg.len() as u64 >= offset)
             .map(|(&start, _)| start)
             .collect();
-
-        if let Some(&first) = overlapping.first() {
-            merged_start = merged_start.min(first);
-        }
-        // Build merged buffer spanning [merged_start, max(end, last segment end)].
-        let mut merged_end = end;
-        for &s in &overlapping {
-            let seg = &self.segments[&s];
-            merged_end = merged_end.max(s + seg.len() as u64);
-        }
-        merged.resize((merged_end - merged_start) as usize, 0);
-        for &s in &overlapping {
+        let (Some(&first), Some(&last)) = (touching.last(), touching.first()) else {
+            self.segments.insert(offset, data);
+            return;
+        };
+        let merged_start = offset.min(first);
+        let merged_end = end.max(last + self.segments[&last].len() as u64);
+        let mut merged = vec![0u8; (merged_end - merged_start) as usize];
+        for s in touching {
             let seg = self.segments.remove(&s).expect("collected above");
             let rel = (s - merged_start) as usize;
             merged[rel..rel + seg.len()].copy_from_slice(&seg);
         }
         let rel = (offset - merged_start) as usize;
-        merged[rel..rel + data.len()].copy_from_slice(data);
-        self.segments.insert(merged_start, merged);
+        merged[rel..rel + data.len()].copy_from_slice(&data);
+        self.segments.insert(merged_start, Bytes::from(merged));
     }
 
     /// Extend the file by `len` synthetic (all-zero, unmaterialized) bytes
@@ -102,20 +106,19 @@ impl FileContent {
             return Bytes::new();
         }
         let len = len.min(self.size - offset) as usize;
-        // Fast path: a fully sparse window is a slice of one shared zero
-        // block — multi-GB synthetic reads cost no memset.
         let end = offset + len as u64;
-        let touches_data = self
-            .segments
-            .range(..end)
-            .next_back()
-            .is_some_and(|(&s, seg)| s + seg.len() as u64 > offset)
-            || self.segments.range(offset..end).next().is_some();
-        if !touches_data && len <= ZERO_BLOCK_LEN {
+        // Inside one segment: a window on it, no copy.
+        if let Some((&s, seg)) = self.segments.range(..=offset).next_back() {
+            if end <= s + seg.len() as u64 {
+                return seg.slice((offset - s) as usize..(end - s) as usize);
+            }
+        }
+        // A fully sparse window is a slice of one shared zero block —
+        // multi-GB synthetic reads cost no memset.
+        if !self.is_materialized(offset, len as u64) && len <= ZERO_BLOCK_LEN {
             return zero_block().slice(..len);
         }
         let mut out = vec![0u8; len];
-        let end = offset + len as u64;
         for (&start, seg) in self.segments.range(..end) {
             let seg_end = start + seg.len() as u64;
             if seg_end <= offset {
@@ -144,20 +147,14 @@ impl FileContent {
             .is_some_and(|(&s, seg)| s + seg.len() as u64 > offset)
     }
 
-    /// Truncate (or extend with zeros) to `size`.
+    /// Truncate (or extend with zeros) to `size`. Only the last segment
+    /// left can reach past `size`; it keeps a narrower window.
     pub fn truncate(&mut self, size: u64) {
         if size < self.size {
-            let keys: Vec<u64> = self.segments.range(..).map(|(&k, _)| k).collect();
-            for k in keys {
-                let seg_len = self.segments[&k].len() as u64;
-                if k >= size {
-                    self.segments.remove(&k);
-                } else if k + seg_len > size {
-                    let seg = self.segments.get_mut(&k).expect("checked");
-                    seg.truncate((size - k) as usize);
-                    if seg.is_empty() {
-                        self.segments.remove(&k);
-                    }
+            self.segments.split_off(&size);
+            if let Some((&k, seg)) = self.segments.iter_mut().next_back() {
+                if k + seg.len() as u64 > size {
+                    *seg = seg.slice(..(size - k) as usize);
                 }
             }
         }

@@ -11,6 +11,7 @@ use crate::error::{FsError, FsResult};
 use crate::fault::{CorruptKind, FaultAction, FaultOp, FaultPlan, TamperKind};
 use crate::lustre::LustreConfig;
 use crate::trace::{OpTrace, TraceOp};
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use provio_simrt::{DetRng, SimTime};
 use std::collections::{BTreeMap, HashMap};
@@ -562,33 +563,33 @@ impl FileSystem {
 
     // --- file data -------------------------------------------------------
 
-    pub fn read_at(&self, ino: Ino, offset: u64, len: u64) -> FsResult<bytes::Bytes> {
+    /// Up to `len` bytes at `offset`, as a snapshot: a window on the file's
+    /// own buffer when it lies inside one written segment.
+    pub fn read_at(&self, ino: Ino, offset: u64, len: u64) -> FsResult<Bytes> {
         let plan = self.faults.read().clone();
-        if let Some(p) = &plan {
-            match p.decide(FaultOp::ReadAt, &self.ino_path(ino)) {
-                Some(FaultAction::Fail(e)) => return Err(e),
-                Some(FaultAction::TornWrite { .. }) => return Err(FsError::Io),
-                Some(FaultAction::Crash { .. }) => return Err(FsError::Crashed),
-                Some(FaultAction::Corrupt(kind)) => {
-                    // Corrupt only the returned copy: the media stays intact,
-                    // modeling a transient read-path (network/cache) flip.
-                    let mut buf = {
-                        let inner = self.inner.read();
-                        let n = inner.inodes.get(&ino).ok_or(FsError::BadFd)?;
-                        n.as_file()?.read(offset, len).to_vec()
-                    };
-                    p.apply_corruption(&kind, &mut buf);
-                    return Ok(bytes::Bytes::from(buf));
-                }
-                Some(FaultAction::Count) | None => {}
-            }
-        }
-        let inner = self.inner.read();
-        let n = inner.inodes.get(&ino).ok_or(FsError::BadFd)?;
-        Ok(n.as_file()?.read(offset, len))
+        let decision = plan.as_ref().and_then(|p| p.decide(FaultOp::ReadAt, &self.ino_path(ino)));
+        let corrupt = match decision {
+            Some(FaultAction::Fail(e)) => return Err(e),
+            Some(FaultAction::TornWrite { .. }) => return Err(FsError::Io),
+            Some(FaultAction::Crash { .. }) => return Err(FsError::Crashed),
+            Some(FaultAction::Corrupt(kind)) => Some(kind),
+            Some(FaultAction::Count) | None => None,
+        };
+        let window = self.inner.read().inodes.get(&ino).ok_or(FsError::BadFd)?.as_file()?.read(offset, len);
+        let (Some(kind), Some(plan)) = (corrupt, plan) else {
+            return Ok(window);
+        };
+        // Corrupt only the returned copy: the media stays intact, modeling
+        // a transient read-path (network/cache) flip.
+        let mut buf = window.to_vec();
+        plan.apply_corruption(&kind, &mut buf);
+        Ok(buf.into())
     }
 
-    pub fn write_at(&self, ino: Ino, offset: u64, data: &[u8], now: SimTime) -> FsResult<()> {
+    /// Write `data` at `offset`: the file (and the trace) adopt an owned
+    /// buffer where it touches no written bytes; a slice is copied once.
+    pub fn write_at(&self, ino: Ino, offset: u64, data: impl Into<Bytes>, now: SimTime) -> FsResult<()> {
+        let data = data.into();
         let plan = self.faults.read().clone();
         let decision = plan
             .as_ref()
@@ -599,7 +600,7 @@ impl FileSystem {
                 // Persist only a prefix, then report the media error.
                 let keep = keep.min(data.len() as u64) as usize;
                 if keep > 0 {
-                    self.write_at_inner(ino, offset, &data[..keep], now)?;
+                    self.write_at_inner(ino, offset, data.slice(..keep), now)?;
                 }
                 return Err(FsError::Io);
             }
@@ -607,7 +608,7 @@ impl FileSystem {
                 if let Some(keep) = torn_keep {
                     let keep = keep.min(data.len() as u64) as usize;
                     if keep > 0 {
-                        let _ = self.write_at_inner(ino, offset, &data[..keep], now);
+                        let _ = self.write_at_inner(ino, offset, data.slice(..keep), now);
                     }
                 }
                 return Err(FsError::Crashed);
@@ -619,20 +620,20 @@ impl FileSystem {
                 plan.as_ref()
                     .expect("decision implies a plan")
                     .apply_corruption(&kind, &mut buf);
-                return self.write_at_inner(ino, offset, &buf, now);
+                return self.write_at_inner(ino, offset, buf.into(), now);
             }
             Some(FaultAction::Count) | None => {}
         }
-        self.write_at_inner(ino, offset, data, now)?;
+        self.write_at_inner(ino, offset, data.clone(), now)?;
         self.trace_op(|| TraceOp::WriteAt {
             path: self.ino_path(ino),
             offset,
-            data: data.to_vec(),
+            data,
         });
         Ok(())
     }
 
-    fn write_at_inner(&self, ino: Ino, offset: u64, data: &[u8], now: SimTime) -> FsResult<()> {
+    fn write_at_inner(&self, ino: Ino, offset: u64, data: Bytes, now: SimTime) -> FsResult<()> {
         let mut inner = self.inner.write();
         let n = inner.inodes.get_mut(&ino).ok_or(FsError::BadFd)?;
         n.as_file_mut()?.write(offset, data);
@@ -718,7 +719,7 @@ impl FileSystem {
         let affected = mutate(&mut data);
         if affected > 0 {
             file.truncate(0);
-            file.write(0, &data);
+            file.write(0, data);
         }
         Ok(affected)
     }
@@ -1023,7 +1024,7 @@ mod tests {
                 .map(|(at, n)| fs.read_at(ino, at, n).unwrap())
         };
         let held = reads(&fs);
-        let expect = |held: &[bytes::Bytes; 4]| {
+        let expect = |held: &[Bytes; 4]| {
             for (got, (at, n)) in held.iter().zip([(0, 26), (0, 9), (10, 10), (20, 6)]) {
                 assert_eq!(&got[..], &body[at..at + n]);
             }

@@ -7,6 +7,7 @@
 //! the trace in issue order. Which post-crash disks that trace can leave
 //! behind is the explorer's decision, not the file system's.
 
+use bytes::Bytes;
 use std::sync::{Arc, Mutex};
 
 /// One successful mutating file-system operation, with everything needed
@@ -15,11 +16,11 @@ use std::sync::{Arc, Mutex};
 pub enum TraceOp {
     /// `create_file` succeeded for `path` (parents implied).
     Create { path: String },
-    /// `write_at` persisted `data` at `offset` of the file at `path`.
+    /// `write_at` persisted `data` (shared with the file) at `offset` of `path`.
     WriteAt {
         path: String,
         offset: u64,
-        data: Vec<u8>,
+        data: Bytes,
     },
     /// `rename` moved `old` to `new` — the protocol's ordering barrier.
     Rename { old: String, new: String },
@@ -107,7 +108,7 @@ mod tests {
                 TraceOp::WriteAt {
                     path: "/d/a.tmp".into(),
                     offset: 0,
-                    data: b"hello".to_vec()
+                    data: Bytes::from(b"hello")
                 },
                 TraceOp::Rename { old: "/d/a.tmp".into(), new: "/d/a".into() },
                 TraceOp::Unlink { path: "/d/a".into() },
