@@ -2066,6 +2066,141 @@ mod tests {
         assert_eq!(report.chain_breaks, 0);
     }
 
+    // ---- committed bytes, whatever the lines came from ------------------
+
+    /// One seeded push batch: subjects and objects drawn from small pools,
+    /// so batches repeat triples the graph already holds, with blank
+    /// subjects and literals that need escaping.
+    fn seeded_batch(rng: &mut provio_simrt::DetRng) -> Vec<Triple> {
+        use provio_rdf::{BlankNode, Literal};
+        (0..rng.range(1, 40))
+            .map(|_| {
+                let p = Iri::new(format!("urn:p{}", rng.below(4)));
+                let s = match rng.below(5) {
+                    0 => Subject::from(BlankNode::new(format!("b{}", rng.below(20)))),
+                    _ => Subject::iri(format!("urn:s{}", rng.below(60))),
+                };
+                let o = match rng.below(3) {
+                    0 => Term::iri(format!("urn:o{}", rng.below(30))),
+                    1 => Literal::plain(format!("say \"{}\"\n#~B", rng.below(30))).into(),
+                    _ => Literal::lang_tagged(format!("n{}", rng.below(30)), "en").into(),
+                };
+                Triple::new(s, p, o)
+            })
+            .collect()
+    }
+
+    /// Every snapshot and segment commit in a trace, in order: the path
+    /// and the bytes renamed onto it.
+    fn commits(ops: &[provio_hpcfs::TraceOp]) -> Vec<(String, Bytes)> {
+        use provio_hpcfs::TraceOp;
+        let mut written = std::collections::HashMap::new();
+        let mut out = Vec::new();
+        for op in ops {
+            match op {
+                TraceOp::WriteAt { path, data, .. } => {
+                    written.insert(path.clone(), data.clone());
+                }
+                TraceOp::Rename { old, new }
+                    if matches!(names::parse(new).role, Role::Snapshot | Role::Segment(_)) =>
+                {
+                    out.push((new.clone(), written[old].clone()));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// A framed store commits the same snapshots and segments — bytes,
+    /// names and order — with the journal on and off: with segments folded
+    /// only at finish and every second append, applied by the caller and
+    /// by the pool, and when one dropped segment commit rewinds the
+    /// watermark so the retry must render its lines again.
+    #[test]
+    fn the_journal_changes_no_committed_byte() {
+        let run = |journaled: bool, compact_every: u32, async_store: bool| {
+            let fs = FileSystem::new(LustreConfig::default());
+            let plan = FaultPlan::new(45);
+            let fail = FaultRule::fail(FaultOp::WriteAt, FsError::Io);
+            plan.add_rule(fail.on_path("/prov/j.nt.d000001.nt.tmp").times(1));
+            fs.install_faults(Arc::clone(&plan));
+            let trace = provio_hpcfs::OpTrace::new();
+            fs.attach_tracer(Arc::clone(&trace));
+            let once = RetryPolicy { max_attempts: 1, backoff_ns: 0 };
+            let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/j.nt", RdfFormat::NTriples, async_store)
+                .with_checksums(true)
+                .with_retry(once)
+                .with_compact_every(compact_every)
+                .with_wal(journaled, 8);
+            let mut rng = provio_simrt::DetRng::new(45);
+            for _ in 0..60 {
+                st.push(seeded_batch(&mut rng), None);
+                if rng.chance(0.3) {
+                    st.flush(None);
+                }
+            }
+            assert!(st.finish(None) > 0);
+            assert_eq!(plan.injected(), 1, "one segment commit was dropped");
+            commits(&trace.snapshot())
+        };
+        for compact_every in [0, 2] {
+            for async_store in [false, true] {
+                let off = run(false, compact_every, async_store);
+                assert!(off.len() > 8, "{} commits", off.len());
+                let on = run(true, compact_every, async_store);
+                assert!(on == off, "compact_every {compact_every}, async {async_store}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Every snapshot a framed store commits — the first flush, each
+        /// compaction, the final one — carries as its payload the sorted
+        /// N-Triples of the whole graph it captured, and decodes intact
+        /// under its footer's root.
+        #[test]
+        fn every_framed_snapshot_is_the_sorted_graph(
+            seed in proptest::prelude::any::<u64>(),
+            flushes in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..24),
+            compact_every in 0u32..4,
+            wal_group in 0u32..16,
+        ) {
+            let fs = FileSystem::new(LustreConfig::default());
+            let trace = provio_hpcfs::OpTrace::new();
+            fs.attach_tracer(Arc::clone(&trace));
+            let st = ProvenanceStore::new(Arc::clone(&fs), "/prov/s.nt", RdfFormat::NTriples, false)
+                .with_checksums(true)
+                .with_compact_every(compact_every)
+                .with_wal(wal_group > 0, wal_group);
+            let (mut rng, mut graph, mut seen) = (provio_simrt::DetRng::new(seed), Graph::new(), 0);
+            let last = flushes.len() - 1;
+            for (i, flush) in flushes.into_iter().enumerate() {
+                let batch = seeded_batch(&mut rng);
+                batch.iter().for_each(|t| { graph.insert(t); });
+                st.push(batch, None);
+                match (i == last, flush) {
+                    (true, _) => assert!(st.finish(None) > 0),
+                    (false, true) => st.flush(None),
+                    (false, false) => continue,
+                }
+                let commits = commits(&trace.snapshot());
+                for (path, bytes) in &commits[seen..] {
+                    if names::parse(path).role != Role::Snapshot {
+                        continue;
+                    }
+                    let f = frame::decode(std::str::from_utf8(bytes).unwrap()).unwrap();
+                    proptest::prop_assert!(f.intact() && f.kind == FrameKind::Snapshot);
+                    proptest::prop_assert_eq!(f.declared_root, Some(f.computed_root));
+                    proptest::prop_assert_eq!(&f.payload, &ntriples::serialize(&graph));
+                }
+                seen = commits.len();
+            }
+        }
+    }
+
     // ---- what the tracker summary reads off the store -------------------
 
     /// Every field of every rank's `TrackSummary`, over three runs that
