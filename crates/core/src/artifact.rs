@@ -55,6 +55,7 @@
 use crate::frame::{self, FrameKind, FramedFile};
 use bytes::Bytes;
 use std::collections::HashMap;
+use std::io::Write as _;
 
 /// One byte range covered by a parity group: `check` pins the member's
 /// `[offset, offset+len)` bytes as they were at seal time, and `ord` is
@@ -175,9 +176,10 @@ pub(crate) fn member_line(m: &ParityMember) -> String {
 /// record batch plus the data batch. Single-member groups skip XOR and
 /// base64 entirely — the "XOR block" of one member is the member itself,
 /// so the data batch is an escaped verbatim replica (`enc=raw`), one
-/// third smaller and two full passes cheaper than encoding it. The
-/// store's seal and scrub's regeneration share this one builder, which is
-/// what makes a regenerated parity file byte-identical to the original.
+/// third smaller and two full passes cheaper than encoding it, written
+/// straight into the frame. The store's seal and scrub's regeneration
+/// share this one builder, which is what makes a regenerated parity file
+/// byte-identical to the original.
 pub(crate) fn encode_parity_frame(
     guid: u64,
     seq: u64,
@@ -186,50 +188,38 @@ pub(crate) fn encode_parity_frame(
 ) -> (Vec<u8>, [u8; 32]) {
     let mut enc = frame::Encoder::new(FrameKind::Parity, guid, seq, frame::CHAIN_START);
     let head: usize = member_lines.iter().map(|l| l.len() + 1).sum();
-    if member_lines.len() == 1 {
-        if let Some((block, lines)) = raw_block(acc) {
-            enc.reserve(head + block.len());
-            enc.batch(member_lines);
-            enc.batch_block(&block, lines);
-            let (framed, _chain, root) = enc.finish_with_root();
-            return (framed, root);
-        }
-    }
-    let data = data_line(acc);
-    enc.reserve(head + data.len() + 1);
+    // A replica needs UTF-8 text; the base64 path handles anything else.
+    let replica = std::str::from_utf8(acc).ok().filter(|t| member_lines.len() == 1 && !t.is_empty());
+    enc.reserve(head + replica.map_or(acc.len().div_ceil(3) * 4, |t| t.len()) + 64);
     enc.batch(member_lines);
-    enc.batch(&[data]);
+    match replica {
+        Some(text) => raw_replica(&mut enc, text),
+        None => enc.batch(&[data_line(acc)]),
+    }
     let (framed, _chain, root) = enc.finish_with_root();
     (framed, root)
 }
 
-/// The raw replica block for a single-member group: a `data … enc=raw`
+/// The raw replica batch of a single-member group: a `data … enc=raw`
 /// header line followed by the member's own lines, escaped just enough to
 /// survive the line-oriented frame (a leading `~` shields lines that
 /// start with `#` — the member's own frame header and sigils — or with
 /// `~` itself; everything else passes verbatim). `term=1` records a
-/// trailing newline so the decode is exact for any byte content. `None`
-/// when the bytes aren't UTF-8 text or are empty — the base64 path
-/// handles those.
-pub(crate) fn raw_block(bytes: &[u8]) -> Option<(String, usize)> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    if text.is_empty() {
-        return None;
-    }
+/// trailing newline so the decode is exact for any byte content.
+fn raw_replica(enc: &mut frame::Encoder, text: &str) {
     let term = text.ends_with('\n');
     let content = if term { &text[..text.len() - 1] } else { text };
-    let mut block = String::with_capacity(bytes.len() + 64);
-    block += &format!("data len={} enc=raw term={}\n", bytes.len(), u8::from(term));
-    let mut lines = 1;
-    for line in content.split('\n') {
-        if line.starts_with('~') || line.starts_with('#') {
-            block.push('~');
+    let lines = 2 + content.bytes().filter(|&b| b == b'\n').count();
+    enc.framed(lines, |out| {
+        let _ = writeln!(out, "data len={} enc=raw term={}", text.len(), u8::from(term));
+        for line in content.split('\n') {
+            if line.starts_with(['~', '#']) {
+                out.push(b'~');
+            }
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
         }
-        block.push_str(line);
-        block.push('\n');
-        lines += 1;
-    }
-    Some((block, lines))
+    });
 }
 
 /// Render the XOR data block line of a parity payload. The block can be
@@ -362,30 +352,6 @@ pub(crate) fn parse_raw_header(line: &str) -> Option<(usize, bool)> {
     Some((len?.parse().ok()?, term))
 }
 
-/// Collects the escaped lines that follow a raw replica header back into
-/// the member's exact bytes. `None` until the recorded length matches.
-pub(crate) struct RawCollector {
-    pub(crate) len: usize,
-    pub(crate) term: bool,
-    pub(crate) buf: String,
-}
-
-impl RawCollector {
-    pub(crate) fn push(&mut self, line: &str) {
-        let unescaped = line.strip_prefix('~').unwrap_or(line);
-        self.buf.reserve(unescaped.len() + 1);
-        self.buf.push_str(unescaped);
-        self.buf.push('\n');
-    }
-
-    pub(crate) fn finish(mut self) -> Option<Vec<u8>> {
-        if !self.term {
-            self.buf.pop();
-        }
-        (self.buf.len() == self.len).then(|| self.buf.into_bytes())
-    }
-}
-
 /// A parity payload read back: the member records — parsed, and verbatim
 /// so a regenerated parity file re-batches the original lines — and the
 /// data block, when its batch decoded.
@@ -397,36 +363,34 @@ pub(crate) struct ParityPayload {
 
 /// Parse the payload of a decoded `kind=parity` frame. Lines that do not
 /// parse are skipped: the two batches fail independently, and the caller
-/// decides what a payload without members or without data is worth.
+/// decides what a payload without members or without data is worth. A raw
+/// replica header takes every line after it: unescaped, they are the
+/// member's bytes when they come to the recorded length.
 pub(crate) fn parse_parity_payload(payload: &str) -> ParityPayload {
     let mut out = ParityPayload {
         members: Vec::new(),
         member_lines: Vec::new(),
         data: None,
     };
-    let mut raw: Option<RawCollector> = None;
-    for line in payload.lines() {
-        if let Some(c) = raw.as_mut() {
-            c.push(line);
-        } else if line.starts_with("member ") {
+    let mut lines = payload.lines();
+    while let Some(line) = lines.next() {
+        if line.starts_with("member ") {
             if let Some(m) = parse_member_line(line) {
                 out.members.push(m);
                 out.member_lines.push(line.to_string());
             }
         } else if line.starts_with("data ") && out.data.is_none() {
-            if let Some((len, term)) = parse_raw_header(line) {
-                raw = Some(RawCollector {
-                    len,
-                    term,
-                    buf: String::with_capacity(len + 1),
-                });
-            } else {
+            let Some((len, term)) = parse_raw_header(line) else {
                 out.data = parse_data_line(line);
+                continue;
+            };
+            let mut buf = String::with_capacity(len + 1);
+            for line in lines.by_ref() {
+                buf.extend([line.strip_prefix('~').unwrap_or(line), "\n"]);
             }
+            buf.truncate(buf.len() - usize::from(!term));
+            out.data = (buf.len() == len).then(|| buf.into_bytes());
         }
-    }
-    if out.data.is_none() {
-        out.data = raw.and_then(RawCollector::finish);
     }
     out
 }

@@ -318,14 +318,14 @@ impl Encoder {
 
     /// Append one batch of payload lines (no trailing newlines; lines must
     /// not begin with the reserved `#~` sigil). An empty batch is a no-op.
-    pub fn batch<S: AsRef<str>>(&mut self, lines: &[S]) {
+    pub fn batch<S: AsRef<[u8]>>(&mut self, lines: &[S]) {
         self.framed(lines.len(), |out| {
             for l in lines {
                 debug_assert!(
-                    !l.as_ref().starts_with("#~"),
+                    !l.as_ref().starts_with(b"#~"),
                     "payload line collides with the reserved frame sigil"
                 );
-                out.extend_from_slice(l.as_ref().as_bytes());
+                out.extend_from_slice(l.as_ref());
                 out.push(b'\n');
             }
         });
@@ -334,15 +334,14 @@ impl Encoder {
     /// Append one batch whose payload is already a newline-terminated
     /// block of `lines` lines: byte-identical to [`Encoder::batch`] over
     /// the split lines, but copied in a single pass with no per-line walk
-    /// — the write-ahead journal's track-path shape.
-    pub fn batch_block(&mut self, block: &str, lines: usize) {
-        debug_assert_eq!(block.lines().count(), lines);
-        debug_assert!(lines == 0 || block.ends_with('\n'), "block lines are newline-terminated");
-        debug_assert!(
-            !block.lines().any(|l| l.starts_with("#~")),
-            "payload line collides with the reserved frame sigil"
-        );
-        self.framed(lines, |out| out.extend_from_slice(block.as_bytes()));
+    /// — the write-ahead journal's track-path shape. Returns the offset of
+    /// the block in the framed bytes.
+    pub fn batch_block(&mut self, block: impl AsRef<[u8]>, lines: usize) -> usize {
+        let block = block.as_ref();
+        debug_assert_eq!(block.iter().filter(|&&b| b == b'\n').count(), lines);
+        debug_assert!(lines == 0 || block.ends_with(b"\n"), "block lines are newline-terminated");
+        debug_assert!(!block.split(|&b| b == b'\n').any(|l| l.starts_with(b"#~")), "line collides with a sigil");
+        self.framed(lines, |out| out.extend_from_slice(block))
     }
 
     /// One batch of `lines` lines: the marker is written with a placeholder
@@ -351,9 +350,10 @@ impl Encoder {
     /// place: one checksum pass over cache-hot memory per batch — a body of
     /// 128 bytes or more takes the CRC shim's carry-less-multiply kernel
     /// where the CPU has one — instead of two small `Hasher` calls per line.
-    fn framed(&mut self, lines: usize, body: impl FnOnce(&mut Vec<u8>)) {
+    /// Returns the offset of the body in the framed bytes.
+    pub(crate) fn framed(&mut self, lines: usize, body: impl FnOnce(&mut Vec<u8>)) -> usize {
         if lines == 0 {
-            return;
+            return self.out.len();
         }
         let _ = write!(self.out, "{BATCH_SIGIL} lines={lines} crc=");
         let crc_at = self.out.len();
@@ -368,6 +368,7 @@ impl Encoder {
         self.out[crc_at..crc_at + 8].copy_from_slice(&hex);
         self.leaves.push(crc);
         self.batches += 1;
+        body_at
     }
 
     /// Seal the file with its footer; returns the framed bytes and the

@@ -472,8 +472,8 @@ mod tests {
     use super::*;
     use crate::fsio::read_file;
     use crate::artifact::{
-        data_line, decode_b64, encode_b64_into, member_line, parse_member_line, parse_raw_header,
-        raw_block, MemberCheck, RawCollector,
+        data_line, decode_b64, encode_b64_into, encode_parity_frame, member_line,
+        parse_member_line, parse_parity_payload, MemberCheck, ParityMember,
     };
     use provio_hpcfs::LustreConfig;
     use provio_simrt::SimTime;
@@ -541,31 +541,41 @@ mod tests {
     fn raw_block_round_trips_with_escaping() {
         // Lines starting with '#' or '~' are escaped with a leading '~' so
         // a replica can never masquerade as a frame sigil; `term` records
-        // whether the member ended in a newline.
+        // whether the member ended in a newline. The replica is written
+        // straight into its parity frame, so it is read back out of one.
+        let member = ParityMember {
+            path: "/p/a.nt".into(),
+            offset: 0,
+            len: 0,
+            check: MemberCheck::Crc(0),
+            ord: Some(0),
+        };
+        let members = [member_line(&member)];
+        let payload = |acc: &[u8]| {
+            let (framed, _) = encode_parity_frame(7, 0, &members, acc);
+            let f = frame::decode(std::str::from_utf8(&framed).unwrap()).unwrap();
+            assert!(f.intact() && f.batches_total == 2, "{acc:?}");
+            f.payload
+        };
         for text in [
             "plain line\n# PROVIO1 kind=snapshot embedded\n#~B lines=1 crc=00000000\n~tilde\n",
             "no trailing newline",
             "\n\ntwo leading blanks\n",
             "#~F batches=1 chain=00000000 root=00\n",
+            // Empty and non-UTF-8 accumulators fall back to base64.
+            "",
         ] {
-            let bytes = text.as_bytes();
-            let (block, lines) = raw_block(bytes).expect("utf-8 member gets a raw block");
-            assert_eq!(block.lines().count(), lines, "{text:?}");
-            let mut it = block.lines();
-            let (len, term) = parse_raw_header(it.next().unwrap()).expect("raw header parses");
-            let mut col = RawCollector { len, term, buf: String::new() };
-            for line in it {
-                col.push(line);
-            }
-            assert_eq!(col.finish().unwrap(), bytes, "{text:?}");
+            let payload = payload(text.as_bytes());
+            assert_eq!(payload.contains("enc=raw"), !text.is_empty(), "{text:?}");
+            let data = parse_parity_payload(&payload).data;
+            assert_eq!(data.as_deref(), Some(text.as_bytes()), "{text:?}");
         }
-        // Non-UTF-8 and empty accumulators fall back to base64.
-        assert!(raw_block(&[0xff, 0xfe, 0x00]).is_none());
-        assert!(raw_block(b"").is_none());
+        let data = parse_parity_payload(&payload(&[0xff, 0xfe, 0x00])).data;
+        assert_eq!(data.as_deref(), Some(&[0xff, 0xfe, 0x00][..]));
         // A truncated replica fails the length check rather than returning
         // short bytes.
-        let short = RawCollector { len: 10, term: true, buf: "abc\n".into() };
-        assert!(short.finish().is_none());
+        let short = parse_parity_payload("data len=10 enc=raw term=1\nabc\n");
+        assert!(short.data.is_none());
     }
 
     #[test]

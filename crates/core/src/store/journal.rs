@@ -1,4 +1,17 @@
-//! The write-ahead journal plane (see the store's module docs).
+//! The write-ahead journal plane. Flushes bound what a *flush* can lose;
+//! the journal bounds what a *crash between flushes* loses. Each pushed
+//! chunk of records — the graph's newly inserted triples, whose insertion
+//! indices are their record ordinals — is spelled once as N-Triples lines
+//! and group-committed, `wal_group` records at a time, to a generation file
+//! `<path>.wNNNNNN.nt`, one `FrameKind::Wal` frame per chunk, its `ordinal`
+//! the chunk's first record and its `prev` chaining it to the previous
+//! chunk. Flush boundaries force the partial group out, so the journal
+//! covers everything a flush commits, and the flush takes its lines from
+//! here rather than spelling the triples again; a committed chunk keeps
+//! them as a window on its frame. A successful flush recycles the
+//! generation. A stale generation a crash left behind is deduplicated by
+//! ordinal at merge; a torn tail is cut at the first bad CRC and the
+//! verified prefix replayed. A crashed rank loses at most one group.
 
 use super::parity::ParityGroup;
 use crate::artifact::{MemberCheck, ParityMember};
@@ -6,16 +19,18 @@ use crate::frame::{self, FrameKind};
 use crate::names::{self, Role, State};
 use bytes::Bytes;
 use provio_hpcfs::{FileSystem, FsError, Ino};
+use provio_rdf::ntriples::Lines;
 use provio_simrt::SimTime;
 
-/// One push's worth of journal records awaiting commit: `n` contiguous
-/// record ordinals starting at `start`, rendered as one newline-terminated
-/// N-Triples block. A chunk is committed whole (it becomes one frame) or
-/// not at all.
-struct WalChunk {
-    start: u64,
-    n: u64,
-    block: String,
+/// One push's worth of journal records: `n` contiguous record ordinals
+/// starting at `start`, rendered as one newline-terminated N-Triples block
+/// with its line ends. A chunk is committed whole (it becomes one frame)
+/// or not at all; once committed, its block is a window on the frame.
+#[derive(Clone)]
+pub(super) struct WalChunk {
+    pub(super) start: u64,
+    pub(super) n: u64,
+    pub(super) lines: Lines<Bytes>,
 }
 
 /// Journal state of one store (see `ProvenanceStore::with_wal`).
@@ -24,8 +39,10 @@ pub(super) struct Journal {
     /// Group-commit threshold (≥ 1): the buffer is appended once it holds
     /// this many records, so exposure after a push stays under one group.
     group: u64,
-    /// Records accepted but not yet committed, one chunk per push.
-    buf: Vec<WalChunk>,
+    /// Records accepted since the lines were last taken, one chunk per
+    /// push, oldest first; the first `appended` are in the generation file.
+    chunks: Vec<WalChunk>,
+    appended: usize,
     /// Sequence of the current generation file.
     gen: u64,
     /// Open generation file, once the first append created it.
@@ -54,14 +71,25 @@ impl Journal {
         }
     }
 
-    /// Accept the records `start..start + n`, rendered as `block`.
-    pub(super) fn buffer(&mut self, start: u64, n: u64, block: String) {
-        self.buf.push(WalChunk { start, n, block });
+    /// Accept the records `start..start + n`, rendered as `lines`.
+    pub(super) fn buffer(&mut self, start: u64, n: u64, lines: Lines) {
+        let lines = lines.map_block(|block| Bytes::from(block.into_bytes()));
+        self.chunks.push(WalChunk { start, n, lines });
     }
 
     /// Records accepted but not yet group-committed.
     pub(super) fn buffered(&self) -> u64 {
-        self.buf.iter().map(|c| c.n).sum()
+        self.chunks[self.appended..].iter().map(|c| c.n).sum()
+    }
+
+    /// The lines of every record accepted since the generation recycled or
+    /// the lines were last taken, oldest first: the committed chunks leave
+    /// the journal, the buffered ones are shared with the append to come.
+    pub(super) fn take_lines(&mut self) -> Vec<WalChunk> {
+        let mut taken: Vec<WalChunk> = self.chunks.drain(..self.appended).collect();
+        taken.extend(self.chunks.iter().cloned());
+        self.appended = 0;
+        taken
     }
 
     /// Open the current generation file (tmp+rename, the same discipline
@@ -100,29 +128,34 @@ impl Journal {
         path: &str,
         guid: u64,
         force: bool,
-        cover: Option<&mut ParityGroup>,
+        mut cover: Option<&mut ParityGroup>,
     ) -> Result<(), FsError> {
         let buffered = self.buffered();
         if buffered == 0 || (!force && buffered < self.group) {
             return Ok(());
         }
         let ino = self.open_gen(fs, path)?;
-        let mut bytes = Vec::with_capacity(self.buf.iter().map(|c| c.block.len() + 128).sum());
+        let pending = &mut self.chunks[self.appended..];
+        let mut bytes = Vec::with_capacity(pending.iter().map(|c| c.lines.block().len() + 128).sum());
         let mut chain = self.chain;
-        let mut spans = Vec::with_capacity(self.buf.len());
-        for chunk in &self.buf {
+        // Each chunk's frame, and where its block sits in it.
+        let mut spans = Vec::with_capacity(pending.len());
+        for chunk in pending.iter() {
             let mut enc = frame::Encoder::new(FrameKind::Wal, guid, chunk.start, chain);
-            enc.batch_block(&chunk.block, chunk.n as usize);
+            let body = bytes.len() + enc.batch_block(chunk.lines.block(), chunk.n as usize);
             let (frame_bytes, frame_chain) = enc.finish();
-            spans.push(bytes.len()..bytes.len() + frame_bytes.len());
+            spans.push((bytes.len()..bytes.len() + frame_bytes.len(), body));
             bytes.extend_from_slice(&frame_bytes);
             chain = frame_chain;
         }
-        let bytes = Bytes::from(bytes); // a fresh generation adopts it
+        let bytes = Bytes::from(bytes); // the generation file adopts it
         fs.write_at(ino, self.len, bytes.clone(), SimTime::ZERO)?;
-        if let Some(group) = cover {
-            let gen = names::print(path, Role::Journal(self.gen), State::Live);
-            for span in spans {
+        let gen = names::print(path, Role::Journal(self.gen), State::Live);
+        for (chunk, (span, body)) in pending.iter_mut().zip(spans) {
+            // The committed frame holds the block: the lines move there.
+            let window = bytes.slice(body..body + chunk.lines.block().len());
+            chunk.lines = std::mem::take(&mut chunk.lines).map_block(|_| window);
+            if let Some(group) = cover.as_mut() {
                 let member = ParityMember {
                     path: gen.clone(),
                     offset: self.len + span.start as u64,
@@ -135,7 +168,7 @@ impl Journal {
         }
         self.len += bytes.len() as u64;
         self.chain = chain;
-        self.buf.clear();
+        self.appended = self.chunks.len();
         self.records += buffered;
         self.commits += 1;
         Ok(())
@@ -148,7 +181,8 @@ impl Journal {
     /// best-effort — a stale generation surviving a crash here is exactly
     /// what merge-time ordinal dedupe absorbs.
     pub(super) fn recycle(&mut self, fs: &FileSystem, path: &str) {
-        self.buf.clear();
+        self.chunks.clear();
+        self.appended = 0;
         if self.ino.take().is_some() {
             let _ = fs.unlink(&names::print(path, Role::Journal(self.gen), State::Live));
             self.recycles += 1;

@@ -10,52 +10,39 @@
 //! path only pays for enqueueing. The pool runs one store's jobs in the
 //! order they were submitted, so both modes commit the same bytes. The
 //! synchronous mode exists as the ablation the paper's design argues
-//! against.
+//! against. DESIGN.md §9 is the full account of the write path.
 //!
 //! # Incremental flushing: snapshot + delta segments
 //!
-//! Re-serializing the whole sub-graph on every periodic flush is O(n) per
-//! flush — O(n²) over a run — and the paper's tracking-overhead numbers
-//! (§6.2) hinge on the flush path staying off the workflow's critical
-//! path. The store therefore persists incrementally:
+//! Re-serializing the whole sub-graph on every flush would be O(n²) over a
+//! run, so the store persists incrementally. The first flush writes a full
+//! **snapshot** to the committed path (in the configured format when
+//! unframed, as N-Triples when framed); every later flush appends the
+//! triples above the *watermark* — how much of the graph's insertion order
+//! is durable — as a **delta segment** `<path>.dNNNNNN.nt`, always
+//! N-Triples, so a torn one salvages by prefix; `finish` and every
+//! `compact_every`-th append **compact** into a fresh snapshot and unlink
+//! the segments. Every file is committed tmp+rename and adopts the
+//! rendered buffer, which parity shares. The merge reads the snapshot plus
+//! every live segment; duplicates collapse, so compaction racing a crash
+//! can only duplicate data, never lose it.
 //!
-//! * The first flush writes a full **snapshot** to the committed path: in
-//!   the configured format (Turtle or N-Triples) when unframed, as
-//!   N-Triples under the file's own name when framed.
-//! * Every later flush serializes only the triples inserted since the last
-//!   persisted point — tracked by a *watermark* into the graph's
-//!   insertion-ordered id-triples — and appends them as a new **delta
-//!   segment** `<path>.dNNNNNN.nt` (always N-Triples: line-oriented, so a
-//!   torn segment salvages by prefix).
-//! * `finish` (and every `compact_every` delta appends) **compacts**:
-//!   writes a fresh full snapshot and unlinks the segments it folded in.
-//!
-//! Every file (snapshot or segment) is committed crash-consistently:
-//! serialized to `<file>.tmp`, then atomically renamed; the file adopts the
-//! rendered buffer, which parity shares (DESIGN.md §9). A reader — the
-//! post-run merge — reads the snapshot plus all live segments; duplicate
-//! triples collapse on merge, so compaction racing a crash can only
-//! duplicate data, never lose it.
-//!
-//! # Off-lock serialization
+//! # Off-lock serialization, one spelling per triple
 //!
 //! The graph lives under a *state* lock that `push` takes briefly; all file
 //! I/O serializes under a separate *io* lock. A flush holds the state lock
-//! only for a [`provio_rdf::Capture`]: the id-triples it is about to write
-//! (everything for a snapshot, the range above the watermark for a delta),
-//! renumbered densely, and one `Arc` clone per distinct term they name —
-//! one pass over the ids, no index read, no interner or graph copied.
-//! Rendering works on that capture alone and, like the disk writes, happens
-//! outside the state lock, so concurrent `push` calls never stall behind
-//! serialization. The writers allocate buffers, not strings: Turtle spells
-//! each captured term once into one arena and groups subjects by sorting
-//! the ids; N-Triples spells every line into one block and hands the frame
-//! encoder sorted slices of it.
+//! only to settle where the lines above the watermark come from ([`Tail`]):
+//! a journaled store's chunks hold them already, spelled once when they
+//! were journaled; else a [`provio_rdf::Capture`] of those id-triples is
+//! spelled off the lock, into one block, never a `String` per line. A delta
+//! segment sorts those lines. A framed snapshot merges them with the
+//! committed runs — the retained bytes of the live snapshot and its
+//! segments, each sorted already — by one stable sort, so no triple is
+//! spelled twice; only an unframed snapshot renders the whole graph.
 //!
-//! A snapshot is two halves: [`Inner::render`] captures and renders (and
-//! frames) the graph and issues no file-system operation; [`Inner::commit`]
-//! only writes. Periodic flushes run them back to back. The final flush
-//! exposes them separately ([`ProvenanceStore::render_final`],
+//! A commit is two halves: [`Inner::render`] sorts and frames and issues
+//! no file-system operation; [`Inner::commit`] only writes. The final
+//! flush exposes them separately ([`ProvenanceStore::render_final`],
 //! [`ProvenanceStore::commit_final`]) so a registry can render every rank's
 //! snapshot in parallel and still issue all file-system operations from one
 //! thread in pid order.
@@ -73,76 +60,36 @@
 //! and the async intake queue lives in [`intake`]. Every plane has exactly
 //! one implementation, so there is no plane trait.
 //!
-//! # Crash consistency
+//! # Crash consistency, backpressure, the breaker
 //!
 //! Transient errors (`EIO`, `ENOSPC`) are retried under a [`RetryPolicy`]
 //! with exponential backoff charged to the issuing rank's virtual clock;
 //! permanent or exhausted failures flip the store into a *degraded* state:
-//! the in-memory graph is kept, the watermark is rewound so the failed
-//! delta is retried by the next flush (same segment name — the atomic
-//! rename makes the retry idempotent), the dropped flush is counted, and
-//! the last error is surfaced through the tracker summary instead of being
-//! silently reported as zero stored bytes. A fired crash point kills the
-//! writer for good; whatever the crash tore is salvaged at merge time.
-//!
-//! # Backpressure and the circuit breaker
+//! the graph is kept, the watermark stays where it was so the next flush
+//! retries the same triples under the same segment name, and the dropped
+//! flush and last error are surfaced through the tracker summary. A fired
+//! crash point kills the writer for good; merge salvages what it tore.
 //!
 //! The async intake queue is **bounded** ([`ProvenanceStore::with_queue`]):
-//! when a producer outruns the writer pool, the store either blocks the
-//! pushing rank until the writers catch up ([`OverloadPolicy::Block`], the
-//! default — provenance-complete, workflow pays) or sheds the batch and
-//! counts it ([`OverloadPolicy::Shed`] — workflow never stalls, loss is
-//! reported in `TrackSummary`). Memory stays bounded either way.
+//! a full queue blocks the pushing rank ([`OverloadPolicy::Block`], the
+//! default) or sheds the batch and counts it ([`OverloadPolicy::Shed`]). A
+//! **circuit breaker** ([`ProvenanceStore::with_breaker`]) opens after
+//! `threshold` consecutive flush failures and *skips* periodic flushes —
+//! unflushed triples stay above the watermark — until a backoff on the
+//! virtual clock lets one probe through. `finish` always attempts the
+//! final snapshot.
 //!
-//! A **circuit breaker** ([`ProvenanceStore::with_breaker`]) stops a store
-//! from hammering a persistently failing backend: after `threshold`
-//! consecutive flush failures it opens and periodic flushes are *skipped*
-//! (counted, and harmless — unflushed triples stay above the watermark).
-//! After a backoff interval on the virtual clock the breaker half-opens and
-//! lets one probe flush through; success closes it, failure re-opens it.
-//! `finish` always attempts the final snapshot regardless of breaker state.
+//! # Checksummed framing and the journal
 //!
-//! # Checksummed framing
-//!
-//! With [`ProvenanceStore::with_checksums`] every committed file is wrapped
-//! in the [`crate::frame`] format: a header carrying the store GUID and the
-//! file's ordinal in this store's commit sequence, per-batch CRC-32 frames
-//! over the payload, and a footer whose chain value links each file to its
-//! predecessor. The ordinal and chain advance only on a *successful*
-//! commit, so a failed flush retries under the same identity and the
-//! on-disk chain never skips. The payload is always N-Triples lines —
-//! line-oriented, so intact batches salvage safely around a corrupt one —
-//! and the configured format spells only an unframed snapshot. All frame
-//! lines are `#` comments and N-Triples is valid Turtle, so a framed file
-//! (a `.ttl` one too) is still parseable by any legacy reader; merge-side
-//! verification is where the checksums pay off (see [`crate::merge`]).
-//!
-//! # The write-ahead journal
-//!
-//! Everything above bounds what a *flush* can lose; nothing bounds what a
-//! *crash between flushes* loses — every triple above the watermark dies
-//! with the process. `ProvenanceStore::with_wal` closes that gap: each
-//! pushed record is rendered as one N-Triples line and appended to a
-//! journal generation file `<path>.wNNNNNN.nt` in **group commits** of
-//! `wal_group` records. A group commit is one self-contained
-//! `FrameKind::Wal` frame whose `ordinal` is the record ordinal of its
-//! first line (record ordinals are the graph's insertion indices, so the
-//! journal and the committed files speak the same coordinate system) and
-//! whose `prev` chains it to the previous chunk in the generation. Flush
-//! boundaries force the partial group out, so the journal always covers at
-//! least everything a flush is about to commit.
-//!
-//! After a *successful* flush the journal is recycled: buffered records are
-//! discarded (the commit covers them), the generation file is unlinked, and
-//! the next append opens a fresh generation via the same tmp+rename
-//! discipline as segments. A crash between "segment commit" and "journal
-//! unlink" merely leaves a stale generation whose records the merge
-//! deduplicates by ordinal against the committed files — never a double
-//! count. A crash mid-append leaves a torn chunk the frame CRCs catch; the
-//! merge truncates the journal's tail there and replays the verified
-//! prefix. Net contract: with the WAL on, a crashed rank loses at most
-//! `wal_group` records (the unforced tail of the last group), and the loss
-//! is reported, not silent.
+//! With [`ProvenanceStore::with_checksums`] every committed file is a
+//! [`crate::frame`]: store GUID, commit ordinal, per-batch CRC-32s and a
+//! footer chaining it to its predecessor. Ordinal and chain advance only
+//! on a *successful* commit, so a retry reuses the identity and the chain
+//! never skips. The payload is N-Triples lines, all frame lines are `#`
+//! comments, so a framed `.ttl` still parses as Turtle. With
+//! `ProvenanceStore::with_wal` pushed records are also group-committed to
+//! a journal ([`journal`]), which bounds what a crash between flushes
+//! loses to one group.
 
 mod breaker;
 mod intake;
@@ -160,11 +107,12 @@ use crate::names::{self, Role, State};
 use breaker::Breaker;
 use bytes::Bytes;
 use intake::InFlight;
-use journal::Journal;
+use journal::{Journal, WalChunk};
 use parity::{Parity, Plane};
 use parking_lot::Mutex;
 use provio_hpcfs::{FileSystem, FsError};
-use provio_rdf::{ntriples, turtle, Capture, Graph, Namespaces, TermId, Triple};
+use provio_rdf::ntriples::{self, Lines};
+use provio_rdf::{turtle, Capture, Graph, Namespaces, TermId, Triple};
 use provio_simrt::{SimDuration, SimTime, VirtualClock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -204,27 +152,16 @@ struct Rendered {
     footer: Option<(u32, [u8; 32])>,
 }
 
-impl Rendered {
-    fn plain(bytes: Vec<u8>) -> Self {
-        Rendered {
-            bytes: bytes.into(),
-            footer: None,
-        }
-    }
-}
-
-/// The N-Triples commit file holding `capture`'s triples under `seat`:
-/// sorted lines, framed — when the seat says so — while still cache-hot, as
-/// slices of the one block they were rendered into, in fine-grained
-/// batches: N-Triples is line-oriented, so intact batches salvage safely
-/// around a corrupt one.
-fn render_lines(capture: &Capture, seat: FrameSeat, kind: FrameKind) -> Rendered {
-    let term_of = |id: u32| &capture.terms[id as usize];
+/// The commit file holding `lines`, which are sorted, under `seat`: framed
+/// — when the seat says so — in fine-grained batches (N-Triples is
+/// line-oriented, so intact batches salvage safely around a corrupt one),
+/// else the newline-terminated block.
+fn render_sorted(lines: &[&[u8]], seat: FrameSeat, kind: FrameKind) -> Rendered {
     if !seat.checksums {
-        return Rendered::plain(ntriples::sorted_block(&capture.ids, term_of).into_bytes());
+        let mut block = lines.join(&b'\n');
+        block.extend(lines.first().map(|_| b'\n'));
+        return Rendered { bytes: block.into(), footer: None };
     }
-    let rendered = ntriples::lines(&capture.ids, term_of);
-    let lines = rendered.sorted();
     let mut enc = frame::Encoder::new(kind, seat.guid, seat.ordinal, seat.chain);
     enc.reserve(lines.iter().map(|l| l.len() + 1).sum());
     for chunk in lines.chunks(NT_BATCH_LINES) {
@@ -237,16 +174,46 @@ fn render_lines(capture: &Capture, seat: FrameSeat, kind: FrameKind) -> Rendered
     }
 }
 
-/// Render a full snapshot of the captured graph under `seat`: a framed
-/// snapshot is N-Triples whatever the format, so `format` spells only an
-/// unframed one.
-fn render_snapshot(capture: &Capture, seat: FrameSeat) -> Rendered {
-    if seat.format == RdfFormat::Turtle && !seat.checksums {
-        let text = turtle::serialize_capture(capture, &Namespaces::standard());
-        return Rendered::plain(text.into_bytes());
-    }
-    render_lines(capture, seat, FrameKind::Snapshot)
+/// The payload lines of `runs` — the lines of committed frames but their
+/// markers, which alone start with `#` — and of `tail`, in order: the tail
+/// by an unstable sort, then all by one stable sort, which merges runs.
+fn sorted<'a>(runs: &'a [Bytes], tail: &'a [Lines<Bytes>]) -> Vec<&'a [u8]> {
+    let payload = |run: &'a Bytes| run.split(|&b| b == b'\n').filter(|l| l.first().is_some_and(|&b| b != b'#'));
+    let mut lines: Vec<&[u8]> = runs.iter().flat_map(payload).collect();
+    let at = lines.len();
+    lines.extend(tail.iter().flat_map(Lines::iter));
+    lines[at..].sort_unstable();
+    lines.sort();
+    lines
 }
+
+/// The lines above a committed point `from`, decided in one place: the
+/// journal's own when its chunks cover exactly `[from, len)` of the graph,
+/// else a capture spelled off the state lock (journal off, a failed
+/// append, a rewound watermark).
+enum Tail {
+    Journal(Vec<WalChunk>),
+    Graph(Capture),
+}
+
+impl Tail {
+    /// Decided under the state lock. Taking the journal's lines spends
+    /// them, so a flush that then fails renders its retry from the graph.
+    fn above(graph: &Graph, from: usize, journal: Option<&mut Journal>) -> Tail {
+        let chunks = journal.map(Journal::take_lines).unwrap_or_default();
+        let len = graph.len() as u64;
+        let start = chunks.first().map_or(len, |c| c.start);
+        let end = chunks.last().map_or(len, |c| c.start + c.n);
+        match start == from as u64 && end == len {
+            true => Tail::Journal(chunks),
+            false => Tail::Graph(graph.capture_from(from)),
+        }
+    }
+}
+
+/// What a commit file renders from, read under the io lock: frame identity,
+/// committed runs, the tail above them and the graph length covered.
+struct Base(FrameSeat, Vec<Bytes>, Tail, usize);
 
 /// A snapshot rendered but not yet committed — what travels from
 /// [`ProvenanceStore::render_final`] to [`ProvenanceStore::commit_final`].
@@ -265,13 +232,15 @@ struct Segments {
     /// Sequence number of the next segment. Only advanced on a successful
     /// commit, so a failed append retries under the same name.
     next: u64,
-    since_snapshot: u32,
     /// Fold segments into a fresh snapshot every this many appends (0 =
     /// only on `finish`).
     compact_every: u32,
     /// A full snapshot exists at the committed path: later flushes append
     /// segments.
     snapshot_done: bool,
+    /// A framed store's live snapshot and segments as committed (the files
+    /// adopted these buffers; rot at rest copies), each payload sorted.
+    runs: Vec<Bytes>,
 }
 
 /// Everything the flush path owns: identity, retry/degradation
@@ -471,7 +440,7 @@ impl IoState {
                     ord: Some(ord),
                 };
                 // The member is the committed file's own buffer, not a copy.
-                group.fold(member, rendered.bytes);
+                group.fold(member, rendered.bytes.clone());
                 self.seal_parity(Plane::Commits, false);
             }
         }
@@ -486,12 +455,14 @@ impl IoState {
             // A failed earlier append may have left the next segment's tmp.
             let next = Role::Segment(self.segments.next);
             let _ = self.fs.unlink(&names::print(&self.path, next, State::Tmp));
-            self.segments.since_snapshot = 0;
             self.segments.snapshot_done = true;
+            self.segments.runs.clear();
         } else {
             self.segments.live.push(dst);
             self.segments.next += 1;
-            self.segments.since_snapshot += 1;
+        }
+        if rendered.footer.is_some() {
+            self.segments.runs.push(rendered.bytes);
         }
         self.journal_recycle();
         Some(committed)
@@ -504,67 +475,88 @@ impl IoState {
 struct Inner {
     state: Mutex<GraphState>,
     io: Mutex<IoState>,
+    /// Triples spelled into N-Triples lines, for a test.
+    #[cfg(test)]
+    spelled: AtomicU64,
 }
 
 impl Inner {
-    /// The CPU half of a snapshot: capture the graph and render it under
-    /// `seat`. Issues no file-system operation and takes only the state
-    /// lock, briefly.
-    fn render(&self, seat: FrameSeat) -> RenderedSnapshot {
-        let capture = self.state.lock().graph.capture_from(0);
-        let captured = capture.ids.len();
-        RenderedSnapshot {
-            rendered: render_snapshot(&capture, seat),
-            captured,
-            seat,
+    /// The lines of `tail`: the journal's as they are, a capture's spelled
+    /// now — the one place the store spells a committed triple again.
+    fn lines(&self, tail: Tail) -> Vec<Lines<Bytes>> {
+        match tail {
+            Tail::Journal(chunks) => chunks.into_iter().map(|c| c.lines).collect(),
+            Tail::Graph(c) => {
+                #[cfg(test)]
+                self.spelled.fetch_add(c.ids.len() as u64, Ordering::Relaxed);
+                let lines = ntriples::lines(&c.ids, |id| &c.terms[id as usize]);
+                vec![lines.map_block(|block| Bytes::from(block.into_bytes()))]
+            }
         }
+    }
+
+    /// A `kind` file's [`Base`], under the io lock the caller holds: a delta
+    /// holds the lines above the watermark, a framed snapshot merges them
+    /// with the committed runs, an unframed one renders the whole graph.
+    fn base(&self, io: &mut IoState, kind: FrameKind) -> Base {
+        let st = self.state.lock();
+        let runs = match kind == FrameKind::Snapshot && io.seat.checksums {
+            true => io.segments.runs.clone(),
+            false => Vec::new(),
+        };
+        let tail = match kind == FrameKind::Delta || io.seat.checksums {
+            true => Tail::above(&st.graph, st.watermark, io.journal.as_mut()),
+            false => Tail::Graph(st.graph.capture_from(0)),
+        };
+        Base(io.seat, runs, tail, st.graph.len())
+    }
+
+    /// The CPU half of a commit: the sorted lines of `base`, framed as
+    /// `kind`, or an unframed Turtle snapshot. No lock, no file-system
+    /// operation.
+    fn render(&self, Base(seat, runs, tail, captured): Base, kind: FrameKind) -> RenderedSnapshot {
+        let rendered = match tail {
+            Tail::Graph(c) if kind == FrameKind::Snapshot && seat.format == RdfFormat::Turtle && !seat.checksums => {
+                let text = turtle::serialize_capture(&c, &Namespaces::standard());
+                Rendered { bytes: text.into_bytes().into(), footer: None }
+            }
+            tail => render_sorted(&sorted(&runs, &self.lines(tail)), seat, kind),
+        };
+        RenderedSnapshot { rendered, captured, seat }
     }
 
     /// Render and commit a snapshot. Returns committed bytes, or 0 on a
     /// dropped flush.
     fn snapshot(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
-        let rendered = self.render(io.seat);
-        self.commit(io, rendered, charge)
+        let rendered = self.render(self.base(io, FrameKind::Snapshot), FrameKind::Snapshot);
+        self.commit(io, rendered, FrameKind::Snapshot, charge)
     }
 
-    /// The file-system half of a snapshot: land `rendered` over the
-    /// snapshot path, superseding the delta segments.
-    fn commit(&self, io: &mut IoState, rendered: RenderedSnapshot, charge: Option<&VirtualClock>) -> u64 {
+    /// The file-system half: land `rendered` as `kind` and, once it is
+    /// durable, raise the watermark to what it covers. A dropped flush
+    /// moves nothing, so the next one retries the same triples under the
+    /// same name (the atomic rename makes that idempotent). Returns
+    /// committed bytes, or 0 on a dropped flush.
+    fn commit(&self, io: &mut IoState, rendered: RenderedSnapshot, kind: FrameKind, charge: Option<&VirtualClock>) -> u64 {
         debug_assert_eq!(rendered.seat, io.seat, "rendered under a stale frame identity");
-        let committed = io.land(FrameKind::Snapshot, rendered.rendered, charge);
+        let committed = io.land(kind, rendered.rendered, charge);
         if committed.is_some() {
             self.state.lock().watermark = rendered.captured;
         }
         committed.unwrap_or(0)
     }
 
-    /// Append one delta segment holding the triples above the watermark.
+    /// Append one delta segment holding the triples above the watermark —
+    /// always N-Triples: line-oriented, so a torn one salvages by prefix.
     fn delta_flush(&self, io: &mut IoState, charge: Option<&VirtualClock>) -> u64 {
-        // Capture the delta under the state lock. Advance the watermark
-        // optimistically so the io work below runs against a frozen range.
-        let capture = {
-            let mut st = self.state.lock();
-            let capture = st.graph.capture_from(st.watermark);
-            st.watermark += capture.ids.len();
-            capture
-        };
-        let delta = capture.ids.len();
-        if delta == 0 {
+        let base = self.base(io, FrameKind::Delta);
+        if base.3 == self.state.lock().watermark {
             return 0;
         }
-        // Render off the state lock; the io lock (held by our caller)
-        // already serializes flushes. A delta segment is always N-Triples:
-        // line-oriented, so a torn one salvages by prefix.
-        let rendered = render_lines(&capture, io.seat, FrameKind::Delta);
-        let Some(committed) = io.land(FrameKind::Delta, rendered, charge) else {
-            // The delta never landed: rewind the watermark so the next
-            // flush retries exactly these triples under the same segment
-            // name (the atomic rename makes that idempotent).
-            self.state.lock().watermark -= delta;
-            return 0;
-        };
-        if io.segments.compact_every > 0 && io.segments.since_snapshot >= io.segments.compact_every
-        {
+        let rendered = self.render(base, FrameKind::Delta);
+        let committed = self.commit(io, rendered, FrameKind::Delta, charge);
+        let every = io.segments.compact_every as usize;
+        if committed > 0 && every > 0 && io.segments.live.len() >= every {
             self.snapshot(io, charge);
         }
         committed
@@ -624,9 +616,9 @@ impl Inner {
         let seat = io.seat;
         let rendered = rendered
             .filter(|r| r.seat == seat && r.captured == self.state.lock().graph.len())
-            .unwrap_or_else(|| self.render(seat));
+            .unwrap_or_else(|| self.render(self.base(io, FrameKind::Snapshot), FrameKind::Snapshot));
         let captured = rendered.captured;
-        let n = self.commit(io, rendered, charge);
+        let n = self.commit(io, rendered, FrameKind::Snapshot, charge);
         if n > 0 {
             io.finished = Some(captured);
             // The run's terminal state must be repairable even when the
@@ -663,8 +655,10 @@ impl Inner {
             }
             let ids = st.graph.ids_from(before);
             if let Some(journal) = io.journal.as_mut().filter(|_| !ids.is_empty()) {
-                let block = ntriples::id_block(ids, |id| st.graph.term(TermId(id)));
-                journal.buffer(before as u64, ids.len() as u64, block);
+                #[cfg(test)]
+                self.spelled.fetch_add(ids.len() as u64, Ordering::Relaxed);
+                let lines = ntriples::lines(ids, |id| st.graph.term(TermId(id)));
+                journal.buffer(before as u64, ids.len() as u64, lines);
             }
         }
         if group_commit {
@@ -794,6 +788,8 @@ impl ProvenanceStore {
                     watermark: 0,
                 }),
                 io: Mutex::new(io),
+                #[cfg(test)]
+                spelled: AtomicU64::new(0),
             }),
             in_flight: Arc::new(InFlight::new()),
             async_store,
@@ -972,11 +968,11 @@ impl ProvenanceStore {
         if self.async_store {
             self.drain();
         }
-        let seat = {
-            let io = self.inner.io.lock();
-            (!io.crashed).then_some(io.seat)
+        let base = {
+            let mut io = self.inner.io.lock();
+            (!io.crashed).then(|| self.inner.base(&mut io, FrameKind::Snapshot))
         };
-        seat.map(|seat| self.inner.render(seat))
+        base.map(|base| self.inner.render(base, FrameKind::Snapshot))
     }
 
     /// The file-system half of [`Self::finish`]: force the journal out,
@@ -2151,6 +2147,32 @@ mod tests {
                 let on = run(true, compact_every, async_store);
                 assert!(on == off, "compact_every {compact_every}, async {async_store}");
             }
+        }
+    }
+
+    /// Each triple a framed store commits is spelled into N-Triples once —
+    /// by the journal when it is on, for its delta segment when it is off —
+    /// and never again for a compaction or the final snapshot, which merge
+    /// the committed runs.
+    #[test]
+    fn each_committed_triple_is_spelled_once() {
+        for (journaled, compact_every) in [(false, 0), (true, 0), (false, 2), (true, 2)] {
+            let fs = FileSystem::new(LustreConfig::default());
+            let st = ProvenanceStore::new(fs, "/prov/o.nt", RdfFormat::NTriples, false)
+                .with_checksums(true)
+                .with_compact_every(compact_every)
+                .with_wal(journaled, 8);
+            let mut rng = provio_simrt::DetRng::new(7);
+            for i in 0..30 {
+                st.push(seeded_batch(&mut rng), None);
+                if i % 3 == 2 {
+                    st.flush(None);
+                }
+            }
+            assert!(st.finish(None) > 0);
+            let triples = st.inner.state.lock().graph.len() as u64;
+            let spelled = st.inner.spelled.load(Ordering::Relaxed);
+            assert_eq!(spelled, triples, "journal {journaled}, compact_every {compact_every}");
         }
     }
 

@@ -176,7 +176,7 @@ pub(crate) fn append_ledger(
     let mut prev: Option<[u8; 32]> = None;
     for (i, rec) in records.iter().enumerate() {
         let mut enc = frame::Encoder::new(FrameKind::Wal, guid, i as u64, chain);
-        enc.batch_block(&ledger_line(&LedgerRecord { prev, ..*rec }), 1);
+        enc.batch_block(ledger_line(&LedgerRecord { prev, ..*rec }), 1);
         let (chunk, c) = enc.finish();
         out.extend_from_slice(&chunk);
         chain = c;
@@ -990,7 +990,7 @@ mod tests {
         let (mut bytes, mut chain) = (Vec::new(), frame::CHAIN_START);
         for (i, rec) in records.iter().enumerate() {
             let mut enc = frame::Encoder::new(FrameKind::Wal, frame::store_guid(&lpath), i as u64, chain);
-            enc.batch_block(&ledger_line(rec), 1);
+            enc.batch_block(ledger_line(rec), 1);
             let chunk;
             (chunk, chain) = enc.finish();
             bytes.extend_from_slice(&chunk);

@@ -24,15 +24,15 @@ fn zero_block() -> &'static Bytes {
 
 /// Sparse byte content of a regular file.
 ///
-/// Segments are immutable [`Bytes`] windows: a write that touches no
-/// segment adopts the writer's buffer, a read inside one segment and a
-/// truncate narrow a window, and only a write that overlaps or abuts
-/// written bytes copies them into one merged buffer. Readers hold
-/// snapshots.
+/// Segments are immutable [`Bytes`] windows: a write that overlaps no
+/// segment adopts the writer's buffer — an append abutting written bytes
+/// too, so appending never copies what is there — a read inside one
+/// segment and a truncate narrow a window, and only a write over written
+/// bytes merges them into one copy. Readers hold snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct FileContent {
     /// Materialized segments: offset → bytes. Invariant: segments are
-    /// non-empty, non-overlapping, non-adjacent (maintained by `write`).
+    /// non-empty and non-overlapping (maintained by `write`).
     segments: BTreeMap<u64, Bytes>,
     /// Logical file size (may exceed the materialized extent).
     size: u64,
@@ -66,14 +66,14 @@ impl FileContent {
         let end = offset + data.len() as u64;
         self.size = self.size.max(end);
 
-        // Every segment that overlaps or touches [offset, end]: segment
-        // ends grow with their starts, so walk back from `end` until one
-        // ends before `offset`.
+        // Every segment that overlaps [offset, end): segment ends grow with
+        // their starts, so walk back from `end` until one ends at or before
+        // `offset`.
         let touching: Vec<u64> = self
             .segments
-            .range(..=end)
+            .range(..end)
             .rev()
-            .take_while(|(&start, seg)| start + seg.len() as u64 >= offset)
+            .take_while(|(&start, seg)| start + seg.len() as u64 > offset)
             .map(|(&start, _)| start)
             .collect();
         let (Some(&first), Some(&last)) = (touching.last(), touching.first()) else {
@@ -210,12 +210,21 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_writes_coalesce() {
+    fn abutting_writes_keep_their_buffers() {
+        // An append that abuts written bytes adopts its own buffer, so it
+        // copies nothing already written; a read inside either write is a
+        // window on the buffer it wrote, and a read across both copies.
         let mut c = FileContent::new();
-        c.write(0, b"ab");
-        c.write(2, b"cd");
-        assert_eq!(&c.read(0, 4)[..], b"abcd");
-        assert_eq!(c.segments.len(), 1);
+        let (ab, cd, xy) = (Bytes::from(b"ab".to_vec()), Bytes::from(b"cd".to_vec()), Bytes::from(b"xy".to_vec()));
+        c.write(2, cd.clone());
+        c.write(0, ab.clone());
+        c.write(4, xy.clone());
+        assert_eq!(c.segments.len(), 3);
+        for (offset, buf) in [(0, &ab), (2, &cd), (4, &xy)] {
+            assert_eq!(c.read(offset, 2).as_ptr(), buf.as_ptr());
+        }
+        assert_eq!(&c.read(1, 4)[..], b"bcdx");
+        assert_eq!((c.len(), c.resident_bytes()), (6, 6));
     }
 
     #[test]

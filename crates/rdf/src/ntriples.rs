@@ -21,15 +21,10 @@ pub fn serialize(graph: &Graph) -> String {
 
 /// The id slice as sorted N-Triples, one newline-terminated block — an
 /// unframed snapshot or delta segment, byte for byte.
-pub fn sorted_block<'a>(
-    ids: &[(u32, u32, u32)],
-    term_of: impl Fn(u32) -> &'a Term,
-) -> String {
+pub fn sorted_block<'a>(ids: &[(u32, u32, u32)], term_of: impl Fn(u32) -> &'a Term) -> String {
     let rendered = lines(ids, term_of);
     let mut block = String::with_capacity(rendered.block.len());
-    for line in rendered.sorted() {
-        block.extend([line, "\n"]);
-    }
+    block.extend(rendered.sorted().into_iter().flat_map(|line| [line, "\n"]));
     block
 }
 
@@ -42,32 +37,27 @@ pub fn sorted_graph_lines(graph: &Graph) -> Vec<String> {
 
 /// The delta-segment variant of [`sorted_graph_lines`]: sorted lines for an
 /// id slice resolved through `term_of`.
-pub fn sorted_id_lines<'a>(
-    ids: &[(u32, u32, u32)],
-    term_of: impl Fn(u32) -> &'a Term,
-) -> Vec<String> {
+pub fn sorted_id_lines<'a>(ids: &[(u32, u32, u32)], term_of: impl Fn(u32) -> &'a Term) -> Vec<String> {
     lines(ids, term_of).sorted().into_iter().map(String::from).collect()
 }
 
-/// Insertion-ordered N-Triples records for an id slice, rendered into one
-/// newline-terminated block. This is the write-ahead journal's record
-/// format: a record's position *is* its ordinal, so the lines must not be
-/// reordered — and the journal sits on the track path, so every term is
-/// spelled straight into the block: no table of spellings, no `String` per
-/// record.
-pub fn id_block<'a>(
-    ids: &[(u32, u32, u32)],
-    term_of: impl Fn(u32) -> &'a Term,
-) -> String {
+/// Insertion-ordered N-Triples lines for an id slice, one newline-terminated
+/// block: the block of [`lines`], without the line ends.
+pub fn id_block<'a>(ids: &[(u32, u32, u32)], term_of: impl Fn(u32) -> &'a Term) -> String {
     write_block(ids, term_of, |_| ())
 }
 
-/// An id slice rendered as [`id_block`] renders it, with the line
-/// boundaries kept: the lines can be handed out in sorted order as slices
-/// of the one block, which is how the store frames a snapshot or a delta
-/// segment without a `String` per line.
-pub struct Lines {
-    block: String,
+/// An id slice rendered into one newline-terminated block, every term
+/// spelled straight into it, with the line boundaries kept: the lines are
+/// handed out as slices of the block, in order or sorted, never as a
+/// `String` each. This is the write-ahead journal's record format, in
+/// insertion order (a record's position *is* its ordinal); the store sorts
+/// the same lines for a segment. The block may move to another owner of
+/// the same bytes ([`Lines::map_block`]): the journal keeps a committed
+/// chunk's lines as a window on its frame.
+#[derive(Clone, Default)]
+pub struct Lines<B = String> {
+    block: B,
     /// Offset just past each line's `'\n'`.
     ends: Vec<usize>,
 }
@@ -82,18 +72,32 @@ pub fn lines<'a>(ids: &[(u32, u32, u32)], term_of: impl Fn(u32) -> &'a Term) -> 
 impl Lines {
     /// The lines in byte order, without their newlines.
     pub fn sorted(&self) -> Vec<&str> {
-        let mut start = 0;
-        let mut lines: Vec<&str> = self
-            .ends
-            .iter()
-            .map(|&end| {
-                let line = &self.block[start..end - 1];
-                start = end;
-                line
-            })
-            .collect();
+        let mut lines: Vec<&str> = self.spans().map(|span| &self.block[span]).collect();
         lines.sort_unstable();
         lines
+    }
+}
+
+impl<B: AsRef<[u8]>> Lines<B> {
+    /// The newline-terminated block the lines sit in.
+    pub fn block(&self) -> &B {
+        &self.block
+    }
+
+    /// The lines in the order they were rendered, without their newlines.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.spans().map(|span| &self.block.as_ref()[span])
+    }
+
+    fn spans(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| start..end - 1)
+    }
+
+    /// The same lines over the block `f` makes of this one, which must
+    /// hold the same bytes.
+    pub fn map_block<C: AsRef<[u8]>>(self, f: impl FnOnce(B) -> C) -> Lines<C> {
+        Lines { block: f(self.block), ends: self.ends }
     }
 }
 
