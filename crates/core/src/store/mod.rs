@@ -178,8 +178,9 @@ fn render_sorted(lines: &[&[u8]], seat: FrameSeat, kind: FrameKind) -> Rendered 
 /// markers, which alone start with `#` — and of `tail`, in order: the tail
 /// by an unstable sort, then all by one stable sort, which merges runs.
 fn sorted<'a>(runs: &'a [Bytes], tail: &'a [Lines<Bytes>]) -> Vec<&'a [u8]> {
-    let payload = |run: &'a Bytes| run.split(|&b| b == b'\n').filter(|l| l.first().is_some_and(|&b| b != b'#'));
-    let mut lines: Vec<&[u8]> = runs.iter().flat_map(payload).collect();
+    let text = |run: &'a Bytes| std::str::from_utf8(run).expect("a committed frame is text");
+    let payload = runs.iter().flat_map(|run| text(run).split_terminator('\n'));
+    let mut lines: Vec<&[u8]> = payload.filter(|l| !l.starts_with('#')).map(str::as_bytes).collect();
     let at = lines.len();
     lines.extend(tail.iter().flat_map(Lines::iter));
     lines[at..].sort_unstable();
