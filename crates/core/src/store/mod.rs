@@ -2112,8 +2112,8 @@ mod tests {
     /// A framed store commits the same snapshots and segments — bytes,
     /// names and order — with the journal on and off: with segments folded
     /// only at finish and every second append, applied by the caller and
-    /// by the pool, and when one dropped segment commit rewinds the
-    /// watermark so the retry must render its lines again.
+    /// by the pool, and when one segment commit is dropped, so its retry
+    /// must spell the lines again from the graph.
     #[test]
     fn the_journal_changes_no_committed_byte() {
         let run = |journaled: bool, compact_every: u32, async_store: bool| {
