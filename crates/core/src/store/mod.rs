@@ -191,7 +191,7 @@ fn sorted<'a>(runs: &'a [Bytes], tail: &'a [Lines<Bytes>]) -> Vec<&'a [u8]> {
 /// The lines above a committed point `from`, decided in one place: the
 /// journal's own when its chunks cover exactly `[from, len)` of the graph,
 /// else a capture spelled off the state lock (journal off, a failed
-/// append, a rewound watermark).
+/// append, the retry of a dropped commit).
 enum Tail {
     Journal(Vec<WalChunk>),
     Graph(Capture),
@@ -205,9 +205,10 @@ impl Tail {
         let len = graph.len() as u64;
         let start = chunks.first().map_or(len, |c| c.start);
         let end = chunks.last().map_or(len, |c| c.start + c.n);
-        match start == from as u64 && end == len {
-            true => Tail::Journal(chunks),
-            false => Tail::Graph(graph.capture_from(from)),
+        if start == from as u64 && end == len {
+            Tail::Journal(chunks)
+        } else {
+            Tail::Graph(graph.capture_from(from))
         }
     }
 }
@@ -501,13 +502,12 @@ impl Inner {
     /// with the committed runs, an unframed one renders the whole graph.
     fn base(&self, io: &mut IoState, kind: FrameKind) -> Base {
         let st = self.state.lock();
-        let runs = match kind == FrameKind::Snapshot && io.seat.checksums {
-            true => io.segments.runs.clone(),
-            false => Vec::new(),
-        };
-        let tail = match kind == FrameKind::Delta || io.seat.checksums {
-            true => Tail::above(&st.graph, st.watermark, io.journal.as_mut()),
-            false => Tail::Graph(st.graph.capture_from(0)),
+        // Only a framed store keeps runs, and only a snapshot merges them.
+        let runs = if kind == FrameKind::Snapshot { io.segments.runs.clone() } else { Vec::new() };
+        let tail = if kind == FrameKind::Delta || io.seat.checksums {
+            Tail::above(&st.graph, st.watermark, io.journal.as_mut())
+        } else {
+            Tail::Graph(st.graph.capture_from(0))
         };
         Base(io.seat, runs, tail, st.graph.len())
     }
