@@ -475,6 +475,7 @@ mod tests {
         data_line, decode_b64, encode_b64_into, encode_parity_frame, member_line,
         parse_member_line, parse_parity_payload, MemberCheck, ParityMember,
     };
+    use proptest::prelude::*;
     use provio_hpcfs::LustreConfig;
     use provio_simrt::SimTime;
     use std::collections::HashMap;
@@ -995,6 +996,148 @@ mod tests {
         let ino = fs.lookup("/prov/prov_p0.nt.d000001.nt").unwrap();
         fs.write_at(ino, 0, b"X", SimTime::ZERO).unwrap();
         assert!(repairable_paths(&fs, "/prov").is_empty());
+    }
+
+    /// The single damages the pin below applies, one at a time, to a
+    /// freshly sealed group.
+    #[derive(Clone, Copy, Debug)]
+    enum Damage {
+        DeleteMember(usize),
+        RotMember(usize),
+        /// A byte in the middle of the data batch's body.
+        RotData,
+        /// The last digit of the data batch marker's count.
+        RotCount,
+        /// The first digit of the data batch marker's CRC.
+        RotCrc,
+        /// The sigil letter of the data batch marker.
+        RotSigil,
+        ZeroFill,
+    }
+
+    /// Member bytes spelled from pieces that probe the frame's line
+    /// grammar: lines opening with `#`, `~` and the frame sigils, bytes
+    /// that are not UTF-8, RDF text, and no trailing newline unless a piece
+    /// ends in one. No pieces is an empty member.
+    fn member_bytes() -> impl Strategy<Value = Vec<u8>> {
+        const PIECES: [&[u8]; 11] = [
+            b"\n",
+            b"#",
+            b"~",
+            b"#~B lines=1 crc=00000000",
+            b"#~F batches=1 chain=00000000",
+            b"#~R bytes=2 crc=00000000\n",
+            b"\xff\xfe\x00",
+            b"<urn:a> <urn:p> \"\xc3\xa9\" .\n",
+            b"plain text",
+            b"\n\n",
+            b"~#~B tilde\n",
+        ];
+        prop::collection::vec(0..PIECES.len(), 0..9)
+            .prop_map(|picks| picks.into_iter().flat_map(|i| PIECES[i].iter().copied()).collect())
+    }
+
+    /// Where the frame's data batch sits in `par`: the start and end of its
+    /// marker line — the frame's second, after the member batch's — and the
+    /// start of the footer line, the frame's last.
+    fn data_batch(par: &[u8]) -> (usize, usize, usize) {
+        let lines: Vec<usize> = std::iter::once(0)
+            .chain(par.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1))
+            .filter(|&at| at < par.len())
+            .collect();
+        let footer = *lines.iter().rfind(|&&at| par[at..].starts_with(b"#~F")).unwrap();
+        let marker = *lines.iter().filter(|&&at| par[at..].starts_with(b"#~")).nth(1).unwrap();
+        let marker_end = marker + par[marker..].iter().position(|&b| b == b'\n').unwrap() + 1;
+        (marker, marker_end, footer)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Every single damage to a sealed group of one to four members of
+        /// arbitrary bytes scrubs back to the sealed bytes: a lost or
+        /// rotted member is rebuilt, a parity file whose data batch or its
+        /// marker's count or CRC rotted is regenerated byte-identical, and
+        /// a parity file whose marker sigil rotted or that was zero-filled
+        /// is reported unusable, its members left as they were.
+        #[test]
+        fn every_single_damage_scrubs_back_to_the_sealed_bytes(
+            bodies in prop::collection::vec(member_bytes(), 1..5),
+        ) {
+            let store = "/prov/prov_p0.nt";
+            let par = format!("{store}.p000000.par");
+            let paths: Vec<String> = (1..=bodies.len()).map(|i| format!("{store}.d{i:06}.nt")).collect();
+            let members: Vec<ParityMember> = paths
+                .iter()
+                .zip(&bodies)
+                .enumerate()
+                .map(|(i, (path, body))| ParityMember {
+                    path: path.clone(),
+                    offset: 0,
+                    len: body.len() as u64,
+                    check: MemberCheck::Crc(crc32fast::hash(body)),
+                    ord: Some(i as u64 + 1),
+                })
+                .collect();
+            let data: Vec<&[u8]> = bodies.iter().map(Vec::as_slice).collect();
+            let mut damages: Vec<Damage> = (0..bodies.len()).map(Damage::DeleteMember).collect();
+            damages.extend((0..bodies.len()).filter(|&i| !bodies[i].is_empty()).map(Damage::RotMember));
+            damages.extend([Damage::RotData, Damage::RotCount, Damage::RotCrc, Damage::RotSigil, Damage::ZeroFill]);
+            for damage in damages {
+                let fs = fs();
+                for (path, body) in paths.iter().zip(&bodies) {
+                    put(&fs, path, body);
+                }
+                seal(&fs, store, 0, &members, &data);
+                let sealed = read_file(&fs, &par).unwrap().to_vec();
+                let (marker, marker_end, footer) = data_batch(&sealed);
+                let rot = |at: usize, to: u8| {
+                    let ino = fs.lookup(&par).unwrap();
+                    fs.write_at(ino, at as u64, vec![to], SimTime::ZERO).unwrap();
+                };
+                let count_at = marker + sealed[marker..marker_end].windows(5).position(|w| w == b" crc=").unwrap() - 1;
+                let digit = |b: u8| if b == b'9' { b'0' } else { b + 1 };
+                match damage {
+                    Damage::DeleteMember(i) => fs.unlink(&paths[i]).unwrap(),
+                    Damage::RotMember(i) => {
+                        let ino = fs.lookup(&paths[i]).unwrap();
+                        let at = bodies[i].len() / 2;
+                        fs.write_at(ino, at as u64, vec![bodies[i][at] ^ 0x20], SimTime::ZERO).unwrap();
+                    }
+                    Damage::RotData => {
+                        // A content byte, not a line end: the damage is rot
+                        // in the block, not a change of its line structure.
+                        let mid = marker_end + (footer - marker_end) / 2;
+                        let Some(at) = (mid..footer.saturating_sub(1)).find(|&at| sealed[at] != b'\n') else {
+                            continue;
+                        };
+                        rot(at, if sealed[at] == 0 { 1 } else { 0 });
+                    }
+                    Damage::RotCount => rot(count_at, digit(sealed[count_at])),
+                    Damage::RotCrc => rot(count_at + 6, if sealed[count_at + 6] == b'0' { b'1' } else { b'0' }),
+                    Damage::RotSigil => rot(marker + 2, b'?'),
+                    Damage::ZeroFill => {
+                        fs.corrupt_at_rest(&par, &provio_hpcfs::CorruptKind::ZeroFill, 7).unwrap();
+                    }
+                }
+                let rep = scrub_directory(&fs, "/prov");
+                for (path, body) in paths.iter().zip(&bodies) {
+                    prop_assert_eq!(read_file(&fs, path).map(|b| b.to_vec()), Some(body.clone()), "{:?}: {}", damage, rep);
+                }
+                let none: Vec<String> = Vec::new();
+                let (files, parity, unusable) = match damage {
+                    Damage::DeleteMember(i) | Damage::RotMember(i) => (vec![paths[i].clone()], none.clone(), none),
+                    Damage::RotData | Damage::RotCount | Damage::RotCrc => (none.clone(), vec![par.clone()], none),
+                    Damage::RotSigil | Damage::ZeroFill => (none.clone(), none, vec![par.clone()]),
+                };
+                prop_assert_eq!(&rep.repaired_files, &files, "{:?}: {}", damage, rep);
+                prop_assert_eq!(&rep.repaired_parity, &parity, "{:?}: {}", damage, rep);
+                prop_assert_eq!(&rep.unusable_parity, &unusable, "{:?}: {}", damage, rep);
+                prop_assert!(rep.unrecoverable.is_empty(), "{:?}: {}", damage, rep);
+                if unusable.is_empty() {
+                    prop_assert_eq!(read_file(&fs, &par).unwrap().to_vec(), sealed.clone(), "{:?}: {}", damage, rep);
+                }
+            }
+        }
     }
 
     #[test]

@@ -868,6 +868,51 @@ mod tests {
         }
     }
 
+    /// Every sealed parity file — the XOR of two commits whose literals are
+    /// not ASCII, so its block need not be UTF-8 — is signed under the root
+    /// of its bytes: the manifest written from the store's commit-time
+    /// roots is the one written by re-reading every file, and lists each
+    /// parity file as a frame (`mode=merkle`).
+    #[test]
+    fn every_parity_file_is_signed_under_the_root_of_its_bytes() {
+        let fs = fs();
+        let st = crate::store::ProvenanceStore::new(
+            Arc::clone(&fs),
+            "/provio/prov_p0.nt",
+            crate::config::RdfFormat::NTriples,
+            false,
+        )
+        .with_compact_every(0)
+        .with_checksums(true)
+        .with_parity(true, 2);
+        for i in 0..4 {
+            let literal = ["d\u{e9}j\u{e0} vu", "\u{6570}\u{636e}", "plain", "\u{1f600}"][i];
+            st.push(
+                vec![provio_rdf::Triple::new(
+                    provio_rdf::Subject::iri(format!("urn:s{i}")),
+                    provio_rdf::Iri::new("urn:p"),
+                    provio_rdf::Term::plain(literal.repeat(i + 1)),
+                )],
+                None,
+            );
+            st.flush(None);
+        }
+        let cache: RootCache = st.committed_roots().into_iter().map(|(p, n, r)| (p, (n, r))).collect();
+        let parity = st.parity_files();
+        assert_eq!(parity.len(), 2, "two groups of two commits sealed");
+        seal_run_with_roots(&fs, "/provio", KEY, &[], &cache).unwrap();
+        let cached = get(&fs, "/provio/MANIFEST.provio");
+        seal_run(&fs, "/provio", KEY, &[]).unwrap();
+        assert_eq!(get(&fs, "/provio/MANIFEST.provio"), cached, "the re-read signs what the cache signed");
+        let manifest = parse_manifest(std::str::from_utf8(&cached).unwrap()).unwrap().manifest;
+        for path in &parity {
+            let entry = manifest.files.iter().find(|e| &e.path == path).expect("parity file listed");
+            assert!(entry.merkle, "{path} listed as a frame");
+            assert_eq!((entry.bytes, entry.root), cache[path], "{path}");
+        }
+        assert!(verify_directory(&fs, "/provio", KEY).is_trusted());
+    }
+
     #[test]
     fn crc_patched_rewrite_is_caught_only_by_the_manifest() {
         let fs = fs();
