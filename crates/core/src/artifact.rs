@@ -17,13 +17,13 @@
 //! ```text
 //! batch 1   one line per member:
 //!           member crc=<08x>|root=<64hex> offset=<n> len=<n> ord=<n|-> path=<path>
-//! batch 2   the XOR block over all member byte ranges, either base64:
-//!           data len=<n> b64=<base64>
-//!           or (single-member groups only) an escaped verbatim replica:
-//!           data len=<n> enc=raw term=<0|1>
-//!           <member lines, `~`-escaped where they would collide with
-//!            frame sigils>
+//! batch 2   the XOR block over all member byte ranges, as the frame's raw
+//!           batch: #~R bytes=<n> crc=<08x>, the bytes, `\n`
 //! ```
+//!
+//! The XOR block of one member is the member itself, so a one-member
+//! group's block is the member's committed bytes verbatim — the very
+//! buffer its file adopted, written with no copy.
 //!
 //! The two batches fail independently: a bit flip in the (large) data
 //! batch leaves the member records verifiable, so the parity file itself
@@ -55,7 +55,6 @@
 use crate::frame::{self, FrameKind, FramedFile};
 use bytes::Bytes;
 use std::collections::HashMap;
-use std::io::Write as _;
 
 /// One byte range covered by a parity group: `check` pins the member's
 /// `[offset, offset+len)` bytes as they were at seal time, and `ord` is
@@ -104,6 +103,7 @@ fn check_matches(bytes: &[u8], check: &MemberCheck, path: &str) -> Option<Option
     match check {
         MemberCheck::Crc(c) => (crc32fast::hash(bytes) == *c).then_some(None),
         MemberCheck::Root(r) => frame::decode_bytes(bytes)
+            .ok()
             .filter(|f| {
                 f.intact()
                     && f.belongs_to(path)
@@ -173,138 +173,21 @@ pub(crate) fn member_line(m: &ParityMember) -> String {
 }
 
 /// Build the complete framed parity file for a sealed group: the member
-/// record batch plus the data batch. Single-member groups skip XOR and
-/// base64 entirely — the "XOR block" of one member is the member itself,
-/// so the data batch is an escaped verbatim replica (`enc=raw`), one
-/// third smaller and two full passes cheaper than encoding it, written
-/// straight into the frame. The store's seal and scrub's regeneration
-/// share this one builder, which is what makes a regenerated parity file
-/// byte-identical to the original.
+/// record batch, then `block`, the XOR of the members, as the raw batch.
+/// The file comes back as the three parts a commit writes — head, `block`
+/// itself, tail — so the block is never copied, and its root. The store's
+/// seal and scrub's regeneration share this one builder, which is what
+/// makes a regenerated parity file byte-identical to the original.
 pub(crate) fn encode_parity_frame(
     guid: u64,
     seq: u64,
     member_lines: &[String],
-    acc: &[u8],
-) -> (Vec<u8>, [u8; 32]) {
+    block: Bytes,
+) -> ([Bytes; 3], [u8; 32]) {
     let mut enc = frame::Encoder::new(FrameKind::Parity, guid, seq, frame::CHAIN_START);
-    let head: usize = member_lines.iter().map(|l| l.len() + 1).sum();
-    // A replica needs UTF-8 text; the base64 path handles anything else.
-    let replica = std::str::from_utf8(acc).ok().filter(|t| member_lines.len() == 1 && !t.is_empty());
-    enc.reserve(head + replica.map_or(acc.len().div_ceil(3) * 4, |t| t.len()) + 64);
     enc.batch(member_lines);
-    match replica {
-        Some(text) => raw_replica(&mut enc, text),
-        None => enc.batch(&[data_line(acc)]),
-    }
-    let (framed, _chain, root) = enc.finish_with_root();
-    (framed, root)
-}
-
-/// The raw replica batch of a single-member group: a `data … enc=raw`
-/// header line followed by the member's own lines, escaped just enough to
-/// survive the line-oriented frame (a leading `~` shields lines that
-/// start with `#` — the member's own frame header and sigils — or with
-/// `~` itself; everything else passes verbatim). `term=1` records a
-/// trailing newline so the decode is exact for any byte content.
-fn raw_replica(enc: &mut frame::Encoder, text: &str) {
-    let term = text.ends_with('\n');
-    let content = if term { &text[..text.len() - 1] } else { text };
-    let lines = 2 + content.bytes().filter(|&b| b == b'\n').count();
-    enc.framed(lines, |out| {
-        let _ = writeln!(out, "data len={} enc=raw term={}", text.len(), u8::from(term));
-        for line in content.split('\n') {
-            if line.starts_with(['~', '#']) {
-                out.push(b'~');
-            }
-            out.extend_from_slice(line.as_bytes());
-            out.push(b'\n');
-        }
-    });
-}
-
-/// Render the XOR data block line of a parity payload. The block can be
-/// snapshot-sized (megabytes), so the line is assembled without an extra
-/// format-machinery copy of the encoded text.
-pub(crate) fn data_line(acc: &[u8]) -> String {
-    let mut out = Vec::with_capacity(24 + acc.len().div_ceil(3) * 4);
-    out.extend_from_slice(b"data len=");
-    out.extend_from_slice(acc.len().to_string().as_bytes());
-    out.extend_from_slice(b" b64=");
-    encode_b64_into(acc, &mut out);
-    String::from_utf8(out).expect("data line is ASCII")
-}
-
-const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-/// Every 12-bit value → its two base64 characters, so the encoder emits a
-/// 3-byte group with two table reads instead of four.
-static B64_PAIRS: [[u8; 2]; 4096] = {
-    let mut t = [[0u8; 2]; 4096];
-    let mut i = 0;
-    while i < 4096 {
-        t[i] = [B64[i >> 6], B64[i & 63]];
-        i += 1;
-    }
-    t
-};
-
-/// Standard base64 with padding; hand-rolled because the workspace vendors
-/// no encoder and the parity block must survive the line-oriented frame
-/// format (raw bytes could forge `#~B`/`#~F` sigils or break UTF-8).
-/// Parity blocks are snapshot-sized and this runs on the commit path, so
-/// the output is pre-sized and filled through paired lock-step chunk
-/// iterators (no per-group capacity or bounds checks).
-pub(crate) fn encode_b64_into(data: &[u8], out: &mut Vec<u8>) {
-    let at = out.len();
-    out.resize(at + data.len().div_ceil(3) * 4, 0);
-    let (head, tail) = out[at..].split_at_mut(data.len() / 3 * 4);
-    let mut whole = data.chunks_exact(3);
-    for (chunk, slot) in (&mut whole).zip(head.chunks_exact_mut(4)) {
-        let n = (u32::from(chunk[0]) << 16) | (u32::from(chunk[1]) << 8) | u32::from(chunk[2]);
-        slot[..2].copy_from_slice(&B64_PAIRS[(n >> 12) as usize]);
-        slot[2..].copy_from_slice(&B64_PAIRS[n as usize & 0xfff]);
-    }
-    let rem = whole.remainder();
-    if !rem.is_empty() {
-        let n = (u32::from(rem[0]) << 16) | (u32::from(rem.get(1).copied().unwrap_or(0)) << 8);
-        tail[0] = B64[(n >> 18) as usize & 63];
-        tail[1] = B64[(n >> 12) as usize & 63];
-        tail[2] = if rem.len() > 1 { B64[(n >> 6) as usize & 63] } else { b'=' };
-        tail[3] = b'=';
-    }
-}
-
-pub(crate) fn decode_b64(text: &str) -> Option<Vec<u8>> {
-    fn val(c: u8) -> Option<u32> {
-        match c {
-            b'A'..=b'Z' => Some(u32::from(c - b'A')),
-            b'a'..=b'z' => Some(u32::from(c - b'a') + 26),
-            b'0'..=b'9' => Some(u32::from(c - b'0') + 52),
-            b'+' => Some(62),
-            b'/' => Some(63),
-            _ => None,
-        }
-    }
-    let bytes = text.trim_end_matches('=').as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() * 3 / 4);
-    for chunk in bytes.chunks(4) {
-        if chunk.len() == 1 {
-            return None;
-        }
-        let mut n = 0u32;
-        for &c in chunk {
-            n = (n << 6) | val(c)?;
-        }
-        n <<= 6 * (4 - chunk.len() as u32);
-        out.push((n >> 16) as u8);
-        if chunk.len() > 2 {
-            out.push((n >> 8) as u8);
-        }
-        if chunk.len() > 3 {
-            out.push(n as u8);
-        }
-    }
-    Some(out)
+    let (head, tail, root) = enc.finish_raw(&block);
+    ([head.into(), block, tail.into()], root)
 }
 
 pub(crate) fn parse_member_line(line: &str) -> Option<ParityMember> {
@@ -332,67 +215,15 @@ pub(crate) fn parse_member_line(line: &str) -> Option<ParityMember> {
     })
 }
 
-pub(crate) fn parse_data_line(line: &str) -> Option<Vec<u8>> {
-    let [len, b64] = frame::fields(line, "data ", ["len=", "b64="])?;
-    let data = decode_b64(b64?)?;
-    (data.len() == len?.parse::<usize>().ok()?).then_some(data)
-}
-
-/// Parse a `data len=<n> enc=raw term=<0|1>` replica header.
-pub(crate) fn parse_raw_header(line: &str) -> Option<(usize, bool)> {
-    let [len, enc, term] = frame::fields(line, "data ", ["len=", "enc=", "term="])?;
-    if enc? != "raw" {
-        return None;
-    }
-    let term = match term? {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
-    Some((len?.parse().ok()?, term))
-}
-
-/// A parity payload read back: the member records — parsed, and verbatim
-/// so a regenerated parity file re-batches the original lines — and the
-/// data block, when its batch decoded.
-pub(crate) struct ParityPayload {
-    pub(crate) members: Vec<ParityMember>,
-    pub(crate) member_lines: Vec<String>,
-    pub(crate) data: Option<Vec<u8>>,
-}
-
-/// Parse the payload of a decoded `kind=parity` frame. Lines that do not
-/// parse are skipped: the two batches fail independently, and the caller
-/// decides what a payload without members or without data is worth. A raw
-/// replica header takes every line after it: unescaped, they are the
-/// member's bytes when they come to the recorded length.
-pub(crate) fn parse_parity_payload(payload: &str) -> ParityPayload {
-    let mut out = ParityPayload {
-        members: Vec::new(),
-        member_lines: Vec::new(),
-        data: None,
-    };
-    let mut lines = payload.lines();
-    while let Some(line) = lines.next() {
-        if line.starts_with("member ") {
-            if let Some(m) = parse_member_line(line) {
-                out.members.push(m);
-                out.member_lines.push(line.to_string());
-            }
-        } else if line.starts_with("data ") && out.data.is_none() {
-            let Some((len, term)) = parse_raw_header(line) else {
-                out.data = parse_data_line(line);
-                continue;
-            };
-            let mut buf = String::with_capacity(len + 1);
-            for line in lines.by_ref() {
-                buf.extend([line.strip_prefix('~').unwrap_or(line), "\n"]);
-            }
-            buf.truncate(buf.len() - usize::from(!term));
-            out.data = (buf.len() == len).then(|| buf.into_bytes());
-        }
-    }
-    out
+/// The member records of a decoded `kind=parity` frame's payload: parsed,
+/// and verbatim so a regenerated parity file re-batches the original
+/// lines. Lines that do not parse are skipped; the caller decides what a
+/// group without members is worth.
+pub(crate) fn parse_members(payload: &str) -> (Vec<ParityMember>, Vec<String>) {
+    payload
+        .lines()
+        .filter_map(|line| Some((parse_member_line(line)?, line.to_string())))
+        .unzip()
 }
 
 /// First-line magic of the manifest; the trailing digit is the version.

@@ -44,6 +44,15 @@
 //! for framing: batches are delimited by scanning for the next marker, so a
 //! flipped digit only fails that one batch's verification.
 //!
+//! **Raw batches.** The last batch of a `kind=parity` frame may hold bytes,
+//! not lines: `#~R bytes=<n> crc=<08x>`, the bytes verbatim, a `\n`, the
+//! footer. The batch runs from its marker line to the frame's last line,
+//! the footer, found from the end of the file; `bytes=` and `crc=` verify
+//! it and never frame it, so a rotted count fails only that batch. Its CRC
+//! is a Merkle leaf like any other batch's. In every other kind a `#~R`
+//! line is payload, not a marker. Everything but a raw batch is text: a
+//! file whose text is not UTF-8 does not decode.
+//!
 //! Version negotiation with the legacy format is by the first line: a file
 //! that does not open with the magic and contains no frame markers is
 //! legacy and parsed as before; one that *looks* framed but fails header or
@@ -52,7 +61,8 @@
 pub use crate::names::fnv1a64;
 use crate::names::{self, Role};
 use crc32fast::hash as crc32;
-use std::io::Write as _;
+use std::io::{BufRead as _, Write as _};
+use std::ops::Range;
 
 /// First-line magic; the trailing digit is the format version.
 pub(crate) const MAGIC: &str = "# PROVIO1";
@@ -62,6 +72,9 @@ pub(crate) const BATCH_SIGIL: &str = "#~B";
 
 /// Reserved sigil opening the footer line.
 pub(crate) const FOOTER_SIGIL: &str = "#~F";
+
+/// Reserved sigil opening a parity frame's raw batch marker line.
+pub(crate) const RAW_SIGIL: &str = "#~R";
 
 /// `prev` value for the first file of a store's chain (ordinal 0).
 pub const CHAIN_START: u32 = 0;
@@ -80,8 +93,7 @@ pub enum FrameKind {
     /// over committed artifacts. Parity files live outside the commit chain
     /// like WAL generations — their `ordinal` is a store-wide parity
     /// sequence and `prev` is always [`CHAIN_START`]. The payload is member
-    /// record lines plus the XOR block, base64 or — for a single-member
-    /// group — an escaped verbatim replica (see `artifact`).
+    /// record lines, then the XOR block as a raw batch (see `artifact`).
     Parity,
 }
 
@@ -120,8 +132,10 @@ pub struct FramedFile {
     /// This file's own chain value (CRC-32 of its header line), which the
     /// next file's `prev` must equal.
     pub(crate) chain: u32,
-    /// Concatenated payload of every batch that verified.
+    /// Concatenated payload of every text batch that verified.
     pub payload: String,
+    /// Where the bytes of the raw batch sit in the file, when it verified.
+    pub(crate) raw: Option<Range<usize>>,
     /// Batches the file was declared/observed to hold.
     pub(crate) batches_total: usize,
     /// Batches that failed verification and were dropped from `payload`.
@@ -217,68 +231,138 @@ pub(crate) fn merkle_root(leaves: &[u32]) -> [u8; 32] {
     level[0]
 }
 
-/// Recompute a framed file's Merkle root straight from its on-disk text in
+/// Recompute a framed file's Merkle root straight from its on-disk bytes in
 /// one pass — batch bodies are CRC'd as contiguous slices, no payload
 /// reassembly. Works on single frames and on WAL generation files (a
 /// concatenation of frames: leaves accumulate across every chunk in
 /// order). Returns `None` for files that do not open with the magic —
-/// legacy stores have no root to recompute.
+/// legacy stores have no root to recompute — or whose text is not UTF-8.
 ///
 /// This is the manifest writer's and verifier's view of a file: the root
 /// of *what is actually on disk*, regardless of what any (rewritable)
 /// footer claims.
-pub(crate) fn file_root(text: &str) -> Option<[u8; 32]> {
-    let mut cuts = cuts(text);
-    if !cuts.next()?.marker.starts_with(MAGIC) {
+pub(crate) fn file_root(text: &[u8]) -> Option<[u8; 32]> {
+    let mut cuts = cuts(text, None);
+    let header = cuts.next()?;
+    if !header.marker.starts_with(MAGIC.as_bytes()) || !header.is_text() {
         return None;
     }
     // Every batch body is a leaf — a torn last one included: no closing
     // marker, fold what is there. What follows a footer (the next chunk's
     // header line) is no batch.
-    let leaves: Vec<u32> = cuts
-        .filter(|cut| cut.marker.starts_with(BATCH_SIGIL))
-        .map(|cut| crc32(cut.body.as_bytes()))
-        .collect();
+    let mut leaves = Vec::new();
+    for cut in cuts {
+        if !cut.is_text() {
+            return None;
+        }
+        if cut.raw || cut.marker.starts_with(BATCH_SIGIL.as_bytes()) {
+            leaves.push(crc32(cut.body));
+        }
+    }
     Some(merkle_root(&leaves))
 }
 
-/// One piece of framed text: a marker line and the bytes between it and
+/// One piece of framed bytes: a marker line and the bytes between it and
 /// the next marker line, exactly as they sit on disk.
 struct Cut<'a> {
     /// The first line of the text, or a line opening with a `#~` sigil;
     /// line ending stripped the way `str::lines` strips it.
-    marker: &'a str,
-    body: &'a str,
+    marker: &'a [u8],
+    body: &'a [u8],
+    /// Where `body` begins in the file.
+    body_at: usize,
+    /// `body` is a raw batch's bytes: not text, not lines.
+    raw: bool,
     /// Everything after the marker line, `body` first.
-    rest: &'a str,
+    rest: &'a [u8],
 }
 
-fn is_marker(line: &str) -> bool {
-    line.starts_with(BATCH_SIGIL) || line.starts_with(FOOTER_SIGIL)
+impl Cut<'_> {
+    /// The marker line, and the body unless it is raw, are UTF-8 text.
+    fn is_text(&self) -> bool {
+        std::str::from_utf8(self.marker).is_ok() && (self.raw || std::str::from_utf8(self.body).is_ok())
+    }
+}
+
+/// Does `line` open a marker: a batch or the footer, or in a parity frame
+/// (`raw`) a raw batch?
+fn is_marker(line: &[u8], raw: bool) -> bool {
+    line.starts_with(BATCH_SIGIL.as_bytes())
+        || line.starts_with(FOOTER_SIGIL.as_bytes())
+        || (raw && line.starts_with(RAW_SIGIL.as_bytes()))
+}
+
+/// Where the last line of `text` that is not blank begins — a parity
+/// frame's footer — or `None` when it is the first line.
+fn last_line_at(text: &[u8]) -> Option<usize> {
+    let end = text.trim_ascii_end().len();
+    text[..end].iter().rposition(|&b| b == b'\n').map(|nl| nl + 1)
+}
+
+/// Where the bytes of a parity file's raw batch lie — from the end of its
+/// marker line to the `\n` before the footer line — placed from `head`, the
+/// file's first bytes, and `tail`, its bytes from `tail_at` on, as the walk
+/// over the whole file would place them; `None` when the two do not place
+/// them. What [`decode_apart`] needs to read the batch apart from the text
+/// around it.
+pub(crate) fn raw_batch_span(head: &[u8], tail: &[u8], tail_at: usize) -> Option<Range<usize>> {
+    let marker = cuts(head, None).find(|cut| cut.raw)?;
+    let from = marker.body_at;
+    let to = tail_at + last_line_at(tail)?;
+    (head[..from].ends_with(b"\n") && from < to).then_some(from..to - 1)
 }
 
 /// The one walk of the PROVIO1 grammar, shared by [`decode`],
 /// [`decode_wal`] and [`file_root`]: cut `text` at its marker lines. A
 /// marker's own fields are never trusted for framing — a batch ends where
-/// the next marker line begins — and bodies are contiguous slices, so a CRC
-/// runs over the bytes as written and nothing is reassembled line by line.
-fn cuts(text: &str) -> impl Iterator<Item = Cut<'_>> {
-    let line_end = |from: usize| text[from..].find('\n').map_or(text.len(), |nl| from + nl + 1);
-    let mut pos = 0;
+/// the next marker line begins, and a parity frame's raw batch where its
+/// last line, the footer, begins (or is the bytes read `apart` from the
+/// text, which then holds everything around them, the `\n` that closes
+/// them included) — and bodies are
+/// contiguous slices, so a CRC runs over the bytes as written and nothing
+/// is reassembled line by line.
+fn cuts<'a>(text: &'a [u8], apart: Option<&'a [u8]>) -> impl Iterator<Item = Cut<'a>> {
+    // `skip_until` on a slice is the platform's `memchr`.
+    let line_end = |from: usize| from + (&text[from..]).skip_until(b'\n').unwrap_or_default();
+    let (mut pos, mut raw_kind) = (0, false);
     std::iter::from_fn(move || {
         if pos == text.len() {
             return None;
         }
         let body_at = line_end(pos);
         let line = &text[pos..body_at];
-        let marker = line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
-        pos = body_at;
-        while pos < text.len() && !is_marker(&text[pos..]) {
-            pos = line_end(pos);
+        let marker = line.strip_suffix(b"\n").map_or(line, |l| l.strip_suffix(b"\r").unwrap_or(l));
+        if pos == 0 {
+            // Only a parity frame's header admits a raw batch.
+            let header = std::str::from_utf8(marker).ok().and_then(parse_header);
+            raw_kind = header.is_some_and(|(kind, ..)| kind == FrameKind::Parity);
         }
+        let raw = raw_kind && marker.starts_with(RAW_SIGIL.as_bytes());
+        pos = body_at;
+        let body = if raw {
+            // The `\n` that closes the bytes belongs to no batch.
+            let closed = |at: usize| text[at..].starts_with(b"\n");
+            match apart {
+                Some(bytes) => {
+                    pos += usize::from(closed(pos));
+                    bytes
+                }
+                None => {
+                    pos = last_line_at(text).unwrap_or(0).max(body_at);
+                    &text[body_at..pos - usize::from(pos > body_at && closed(pos - 1))]
+                }
+            }
+        } else {
+            while pos < text.len() && !is_marker(&text[pos..], raw_kind) {
+                pos = line_end(pos);
+            }
+            &text[body_at..pos]
+        };
         Some(Cut {
             marker,
-            body: &text[body_at..pos],
+            body,
+            body_at,
+            raw,
             rest: &text[body_at..],
         })
     })
@@ -351,7 +435,7 @@ impl Encoder {
     /// 128 bytes or more takes the CRC shim's carry-less-multiply kernel
     /// where the CPU has one — instead of two small `Hasher` calls per line.
     /// Returns the offset of the body in the framed bytes.
-    pub(crate) fn framed(&mut self, lines: usize, body: impl FnOnce(&mut Vec<u8>)) -> usize {
+    fn framed(&mut self, lines: usize, body: impl FnOnce(&mut Vec<u8>)) -> usize {
         if lines == 0 {
             return self.out.len();
         }
@@ -383,15 +467,32 @@ impl Encoder {
     /// the writer's commit-time root cache, so sealing a run does not
     /// re-read and re-CRC files the store itself just wrote.
     pub fn finish_with_root(mut self) -> (Vec<u8>, u32, [u8; 32]) {
+        let mut out = std::mem::take(&mut self.out);
+        let root = self.footer(&mut out);
+        (out, self.chain, root)
+    }
+
+    /// Seal a `kind=parity` frame whose last batch is `data`, raw. The
+    /// frame comes back as the parts around `data`, which is never copied:
+    /// the head (the frame through the raw batch's marker line) and the
+    /// tail (the `\n` that closes the bytes, then the footer), with the
+    /// frame's root.
+    pub(crate) fn finish_raw(mut self, data: &[u8]) -> (Vec<u8>, Vec<u8>, [u8; 32]) {
+        let crc = crc32(data);
+        let _ = writeln!(self.out, "{RAW_SIGIL} bytes={} crc={crc:08x}", data.len());
+        self.leaves.push(crc);
+        self.batches += 1;
+        let mut tail = b"\n".to_vec();
+        let root = self.footer(&mut tail);
+        (self.out, tail, root)
+    }
+
+    /// Write the footer line to `out`; returns the frame's root.
+    fn footer(&self, out: &mut Vec<u8>) -> [u8; 32] {
         let root = merkle_root(&self.leaves);
-        let _ = writeln!(
-            self.out,
-            "{FOOTER_SIGIL} batches={} chain={:08x} root={}",
-            self.batches,
-            self.chain,
-            sha2::hex(&root)
-        );
-        (self.out, self.chain, root)
+        let (batches, chain) = (self.batches, self.chain);
+        let _ = writeln!(out, "{FOOTER_SIGIL} batches={batches} chain={chain:08x} root={}", sha2::hex(&root));
+        root
     }
 }
 
@@ -445,6 +546,11 @@ fn parse_batch_marker(line: &str) -> Option<(usize, u32)> {
     Some((lines?.parse().ok()?, u32::from_str_radix(crc?, 16).ok()?))
 }
 
+fn parse_raw_marker(line: &str) -> Option<(usize, u32)> {
+    let [bytes, crc] = fields(line, RAW_SIGIL, ["bytes=", "crc="])?;
+    Some((bytes?.parse().ok()?, u32::from_str_radix(crc?, 16).ok()?))
+}
+
 pub(crate) fn parse_hex32(s: &str) -> Option<[u8; 32]> {
     if s.len() != 64 {
         return None;
@@ -477,29 +583,41 @@ fn parse_footer(line: &str) -> Option<(usize, u32, Option<[u8; 32]>)> {
 /// missing footer, a chain value that does not match the header — is a
 /// [`FrameError::Quarantine`].
 pub fn decode(text: &str) -> Result<FramedFile, FrameError> {
-    decode_frame(text, true).map(|(file, _)| file)
+    decode_frame(text.as_bytes(), None, true).map(|(file, _)| file)
 }
 
-/// [`decode`] for bytes off disk: `None` when they are not UTF-8 text or
-/// do not decode — whatever the reason, there is no frame to act on.
-pub(crate) fn decode_bytes(bytes: &[u8]) -> Option<FramedFile> {
-    decode(std::str::from_utf8(bytes).ok()?).ok()
+/// [`decode`] for bytes off disk.
+pub(crate) fn decode_bytes(bytes: &[u8]) -> Result<FramedFile, FrameError> {
+    decode_frame(bytes, None, true).map(|(file, _)| file)
+}
+
+/// [`decode_bytes`] of a parity file whose raw batch, where
+/// [`raw_batch_span`] places it, was read apart as `raw`: `text` holds
+/// everything around it.
+pub(crate) fn decode_apart(text: &[u8], raw: &[u8]) -> Option<FramedFile> {
+    decode_frame(text, Some(raw), true).ok().map(|(file, _)| file)
 }
 
 /// Decode the frame `text` opens with, through its footer line, and return
 /// what follows it. `alone`: anything but blank lines after the footer
 /// condemns the frame (a journal's next chunk follows its predecessor).
-fn decode_frame(text: &str, alone: bool) -> Result<(FramedFile, &str), FrameError> {
-    let mut cuts = cuts(text);
+fn decode_frame<'a>(
+    text: &'a [u8],
+    apart: Option<&'a [u8]>,
+    alone: bool,
+) -> Result<(FramedFile, &'a [u8]), FrameError> {
+    let utf8 = |bytes| std::str::from_utf8(bytes).map_err(|_| FrameError::Quarantine("text is not UTF-8"));
+    let mut cuts = cuts(text, apart);
     let Some(header) = cuts.next() else {
         return Err(FrameError::NotFramed); // empty file: legacy torn case
     };
-    let Some((kind, guid, ordinal, prev)) = parse_header(header.marker) else {
+    let (marker, first) = (utf8(header.marker)?, utf8(header.body)?);
+    let Some((kind, guid, ordinal, prev)) = parse_header(marker) else {
         // No header: legacy text — unless anything else carries a sign of
         // the framed format, which keeps a file whose magic line was itself
         // corrupted from being misread as legacy.
-        let framed = header.marker.starts_with("# PROVIO")
-            || is_marker(header.marker)
+        let framed = marker.starts_with("# PROVIO")
+            || is_marker(header.marker, false)
             || cuts.next().is_some();
         return Err(if framed {
             FrameError::Quarantine("unverifiable header")
@@ -507,36 +625,46 @@ fn decode_frame(text: &str, alone: bool) -> Result<(FramedFile, &str), FrameErro
             FrameError::NotFramed
         });
     };
-    let chain = crc32(header.marker.as_bytes());
+    let chain = crc32(header.marker);
 
     // A lone frame's payload is its text minus the markers; a journal chunk
     // is a small part of the text that follows it.
     let mut payload = String::with_capacity(if alone { text.len() } else { 0 });
-    let (mut seen, mut intact) = (0usize, 0usize);
+    let (mut seen, mut intact, mut raw) = (0usize, 0usize, None);
     let mut leaves: Vec<u32> = Vec::new();
-    // `lines=` is only used for verification, never for framing.
-    let mut batch = |spec: Option<(usize, u32)>, body: &str| {
-        let body_crc = crc32(body.as_bytes());
+    // `lines=` and `bytes=` are only used for verification, never for
+    // framing.
+    let mut batch = |spec: Option<(usize, u32)>, cut: &Cut, text: Option<&str>| {
+        let body_crc = crc32(cut.body);
         leaves.push(body_crc);
         seen += 1;
-        if spec.is_some_and(|(n, crc)| body_crc == crc && body.lines().count() == n) {
-            payload.push_str(body);
+        let count = text.map_or(cut.body.len(), |t| t.lines().count());
+        if spec == Some((count, body_crc)) {
+            match text {
+                Some(text) => payload.push_str(text),
+                None => raw = Some(cut.body_at..cut.body_at + cut.body.len()),
+            }
             intact += 1;
         }
     };
-    if !header.body.is_empty() {
+    if !first.is_empty() {
         // Payload before any marker: a destroyed first marker.
-        batch(None, header.body);
+        batch(None, &header, Some(first));
     }
     for cut in cuts {
-        if cut.marker.starts_with(BATCH_SIGIL) {
-            batch(parse_batch_marker(cut.marker), cut.body);
+        let marker = utf8(cut.marker)?;
+        if cut.raw {
+            batch(parse_raw_marker(marker), &cut, None);
             continue;
         }
-        let Some((declared, footer_chain, declared_root)) = parse_footer(cut.marker) else {
+        if marker.starts_with(BATCH_SIGIL) {
+            batch(parse_batch_marker(marker), &cut, Some(utf8(cut.body)?));
+            continue;
+        }
+        let Some((declared, footer_chain, declared_root)) = parse_footer(marker) else {
             return Err(FrameError::Quarantine("malformed footer"));
         };
-        if alone && !cut.rest.trim().is_empty() {
+        if alone && !std::str::from_utf8(cut.rest).is_ok_and(|rest| rest.trim().is_empty()) {
             return Err(FrameError::Quarantine("data after footer"));
         }
         if footer_chain != chain {
@@ -553,6 +681,7 @@ fn decode_frame(text: &str, alone: bool) -> Result<(FramedFile, &str), FrameErro
             prev,
             chain,
             payload,
+            raw,
             batches_total,
             batches_corrupt: batches_total - intact,
             declared_root,
@@ -594,7 +723,7 @@ pub fn decode_wal(text: &str, guid: u64) -> WalFile {
     while !rest.trim().is_empty() {
         // One chunk runs through its footer line; a remainder with no
         // footer is a torn tail.
-        let Ok((chunk, tail)) = decode_frame(rest, false) else {
+        let Ok((chunk, tail)) = decode_frame(rest.as_bytes(), None, false) else {
             out.truncated = true;
             break;
         };
@@ -615,7 +744,7 @@ pub fn decode_wal(text: &str, guid: u64) -> WalFile {
             .saturating_add(chunk.payload.lines().count() as u64);
         chain = chunk.chain;
         out.chunks += 1;
-        rest = tail;
+        rest = &rest[rest.len() - tail.len()..];
     }
     out
 }
@@ -960,7 +1089,7 @@ pub(crate) mod tests {
             let f = decode(&text).unwrap();
             let declared = f.declared_root.expect("encode writes a root");
             assert_eq!(declared, f.computed_root, "intact file roots agree");
-            assert_eq!(file_root(&text), Some(declared), "one-pass scan agrees");
+            assert_eq!(file_root(text.as_bytes()), Some(declared), "one-pass scan agrees");
             // The root is exactly the Merkle fold of the marker CRCs.
             let crcs: Vec<u32> = text
                 .lines()
@@ -973,10 +1102,10 @@ pub(crate) mod tests {
         // Roots commit to content, order, and batching.
         let (a, _) = encode(FrameKind::Snapshot, guid, 0, CHAIN_START, PAYLOAD, 1);
         let (b, _) = encode(FrameKind::Snapshot, guid, 0, CHAIN_START, PAYLOAD, 2);
-        assert_ne!(file_root(&a), file_root(&b));
+        assert_ne!(file_root(a.as_bytes()), file_root(b.as_bytes()));
         let swapped = "<urn:a> <urn:p> <urn:c> .\n<urn:a> <urn:p> <urn:b> .\n<urn:b> <urn:p> <urn:c> .\n";
         let (c, _) = encode(FrameKind::Snapshot, guid, 0, CHAIN_START, swapped, 1);
-        assert_ne!(file_root(&a), file_root(&c));
+        assert_ne!(file_root(a.as_bytes()), file_root(c.as_bytes()));
     }
 
     #[test]
@@ -1055,14 +1184,61 @@ pub(crate) mod tests {
         let (c1, _) = wal_chunk(guid, 1, ch0, &["<urn:s1> <urn:p> <urn:o> ."]);
         let mut text = c0.clone();
         text.extend_from_slice(&c1);
-        let whole = String::from_utf8(text).unwrap();
-        let root = file_root(&whole).expect("wal generations are framed");
+        let root = file_root(&text).expect("wal generations are framed");
         // The root covers both chunks: reordering or dropping one changes it.
-        let first_only = String::from_utf8(c0).unwrap();
-        assert_ne!(file_root(&first_only), Some(root));
-        // Legacy text has no root.
-        assert_eq!(file_root(PAYLOAD), None);
-        assert_eq!(file_root(""), None);
+        assert_ne!(file_root(&c0), Some(root));
+        // Legacy text has no root, nor has a frame whose text is not UTF-8.
+        assert_eq!(file_root(PAYLOAD.as_bytes()), None);
+        assert_eq!(file_root(b""), None);
+        text[c0.len() - 3] = 0xff;
+        assert_eq!(file_root(&text), None);
+    }
+
+    /// A parity frame: one member line, then `data` as its raw batch.
+    fn parity(guid: u64, data: &[u8]) -> Vec<u8> {
+        let mut enc = Encoder::new(FrameKind::Parity, guid, 0, CHAIN_START);
+        enc.batch(&["member crc=00000000 offset=0 len=0 ord=- path=/x"]);
+        let (head, tail, _) = enc.finish_raw(data);
+        [head, data.to_vec(), tail].concat()
+    }
+
+    #[test]
+    fn a_raw_batch_holds_any_bytes_and_its_counts_only_verify_it() {
+        let guid = store_guid("/provio/prov_p1.nt");
+        let data: &[u8] = b"#~F batches=9 chain=00000000\n#~B lines=1 crc=0\n\xff\x00\n#~R bytes=1 crc=0\n";
+        let file = parity(guid, data);
+        let f = decode_bytes(&file).unwrap();
+        assert!(f.intact() && f.batches_total == 2, "{f:?}");
+        assert_eq!(&file[f.raw.clone().unwrap()], data);
+        assert_eq!(f.payload, "member crc=00000000 offset=0 len=0 ord=- path=/x\n");
+        assert_eq!(f.declared_root, Some(f.computed_root));
+        assert_eq!(file_root(&file), Some(f.computed_root));
+        // A rotted count or CRC fails the raw batch alone: the batch is still
+        // framed from its marker to the footer, and the members survive.
+        let count = file.windows(6).position(|w| w == b"bytes=").unwrap() + 6;
+        let crc = count + file[count..].windows(4).position(|w| w == b"crc=").unwrap() + 4;
+        for at in [count, crc] {
+            let mut rotted = file.clone();
+            rotted[at] = if rotted[at] == b'1' { b'2' } else { b'1' };
+            let f = decode_bytes(&rotted).unwrap();
+            assert_eq!((f.batches_total, f.batches_corrupt, f.raw), (2, 1, None), "rot at {at}");
+            assert!(f.payload.starts_with("member "));
+        }
+        // Read apart where the head and tail place it, the batch decodes as
+        // the whole file does.
+        let span = raw_batch_span(&file, &file, 0).unwrap();
+        assert_eq!(&file[span.clone()], data);
+        let around = [&file[..span.start], &file[span.end..]].concat();
+        assert_eq!(decode_apart(&around, &file[span]), decode_bytes(&file).ok());
+        // Outside a parity frame a `#~R` line is payload, not a marker.
+        let header = header_line(FrameKind::Snapshot, guid, 0, CHAIN_START);
+        let body = "#~R bytes=2 crc=00000000\n";
+        let leaf = crc32(body.as_bytes());
+        let (chain, root) = (crc32(header.as_bytes()), sha2::hex(&merkle_root(&[leaf])));
+        let text = format!("{header}\n{BATCH_SIGIL} lines=1 crc={leaf:08x}\n{body}{FOOTER_SIGIL} batches=1 chain={chain:08x} root={root}\n");
+        let f = decode(&text).unwrap();
+        assert!(f.intact() && f.raw.is_none());
+        assert_eq!(f.payload, body);
     }
 
     #[test]
@@ -1192,18 +1368,34 @@ pub(crate) mod tests {
             batch in 1usize..5,
             sizes in prop::collection::vec(1usize..4, 1..4),
             ops in mutations(),
+            reads in (any::<usize>(), any::<usize>()),
         ) {
             let guid = store_guid("/provio/prov_p1.nt");
             let payload: String = (0..lines).flat_map(|i| [record(i), "\n".into()]).collect();
             let (framed, _) = encode(FrameKind::Snapshot, guid, 3, 0xAB, &payload, batch);
-            for mut data in [bytes, framed.into_bytes(), journal(guid, &sizes).0] {
+            // A parity frame over the arbitrary bytes, and one whose raw
+            // batch claims another count.
+            let block = parity(guid, &bytes);
+            let mut recounted = block.clone();
+            let count = recounted.windows(6).position(|w| w == b"bytes=").unwrap() + 6;
+            recounted[count] = b'0' + (recounted[count] - b'0' + 1 + (lines % 9) as u8) % 10;
+            for mut data in [bytes, framed.into_bytes(), journal(guid, &sizes).0, block, recounted] {
                 for &(kind, a, b) in &ops {
                     mutate(&mut data, kind, a, b);
                 }
+                if let Ok(f) = decode_bytes(&data) {
+                    prop_assert!(!f.intact() || file_root(&data) == Some(f.computed_root), "{data:?}");
+                }
+                // Read apart wherever a head and a tail of any length place
+                // the raw batch, a file decodes as it does whole.
+                let (head, tail_at) = (reads.0 % (data.len() + 1), data.len() - reads.1 % (data.len() + 1));
+                if let Some(span) = raw_batch_span(&data[..head], &data[tail_at..], tail_at) {
+                    let around = [&data[..span.start], &data[span.end..]].concat();
+                    prop_assert_eq!(decode_apart(&around, &data[span]), decode_bytes(&data).ok());
+                }
                 let text = String::from_utf8_lossy(&data);
-                let _ = decode_bytes(&data);
                 if let Ok(f) = decode(&text) {
-                    prop_assert!(!f.intact() || file_root(&text) == Some(f.computed_root), "{text:?}");
+                    prop_assert!(!f.intact() || file_root(text.as_bytes()) == Some(f.computed_root), "{text:?}");
                 }
                 for (_, line) in decode_wal(&text, guid).records {
                     prop_assert!(text.lines().any(|l| l == line), "{line:?} forged from {text:?}");
@@ -1211,7 +1403,7 @@ pub(crate) mod tests {
             }
         }
 
-        /// The same for the record lines: each of the eleven parsers
+        /// The same for the record lines: each of the ten parsers
         /// over [`fields`] reads its own record however widely the tokens
         /// are spaced, and none panics on arbitrary bytes or on a record
         /// whose tokens were dropped, doubled, swapped or cut short and
@@ -1229,13 +1421,12 @@ pub(crate) mod tests {
             let path = "path=/p/a b.nt";
             // (sigil, tokens — a free-text path last, did it parse)
             type Record<'a> = (&'a str, Vec<&'a str>, fn(&str) -> bool);
-            let records: [Record; 11] = [
+            let records: [Record; 10] = [
                 (MAGIC, vec!["kind=delta", "guid=00000000000000a1", "ordinal=3", "prev=000000ab"], |l| parse_header(l).is_some()),
                 (BATCH_SIGIL, vec!["lines=2", "crc=0badf00d"], |l| parse_batch_marker(l).is_some()),
                 (FOOTER_SIGIL, vec!["batches=2", "chain=0000beef", &root], |l| parse_footer(l).is_some()),
                 ("member", vec![&root, "offset=0", "len=9", "ord=4", path], |l| artifact::parse_member_line(l).is_some()),
-                ("data", vec!["len=4", "enc=raw", "term=1"], |l| artifact::parse_raw_header(l).is_some()),
-                ("data", vec!["len=4", "b64=cHJvdg=="], |l| artifact::parse_data_line(l).is_some()),
+                (RAW_SIGIL, vec!["bytes=4", "crc=0badf00d"], |l| parse_raw_marker(l).is_some()),
                 (artifact::MANIFEST_MAGIC, vec!["run=00000000000000a1", "files=1", "ranks=1"], |l| artifact::parse_manifest_header(l).is_some()),
                 ("file", vec![&root, "mode=merkle", "bytes=9", path], |l| artifact::parse_file_line(l).is_some()),
                 ("rank", vec!["pid=7", "outcome=degraded", "triples=12"], |l| artifact::parse_rank_line(l).is_some()),

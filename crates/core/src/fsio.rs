@@ -2,26 +2,40 @@
 //! crash-consistent tmp+rename commit, the whole-file read, the read that
 //! falls back to a quarantined copy, and the staleness rule for what one
 //! pass learned about a file.
-//! Bytes move, they are not copied: the committed file adopts the buffer a
-//! commit hands over, and a read is a window on it — a snapshot no later
-//! commit, repair or rot of the file reaches.
+//! Bytes move, they are not copied: the committed file adopts the buffers a
+//! commit hands over — one per part, each its own segment of the file, so a
+//! parity file's block stays a window on the snapshot it replicates — and a
+//! read inside one part is a window on it: a snapshot no later commit,
+//! repair or rot of the file reaches.
 
 use crate::names;
 use bytes::Bytes;
 use provio_hpcfs::{FileSystem, FsError};
 use provio_simrt::SimTime;
 
-/// One crash-consistent commit attempt: write everything to `<dst>.tmp`,
-/// then atomically rename it over `dst`. A crash mid-write leaves a tmp
-/// the merge, scrub and verify all know to ignore or adopt. Always the same
-/// four calls — create, truncate, write, rename — so fault plans and
-/// crash-state enumeration count the same operations for every artifact.
-pub(crate) fn commit_atomic(fs: &FileSystem, dst: &str, bytes: impl Into<Bytes>) -> Result<(), FsError> {
+/// One crash-consistent commit attempt: write the file's `parts` end to end
+/// to `<dst>.tmp`, then atomically rename it over `dst`. A crash mid-write
+/// leaves a tmp the merge, scrub and verify all know to ignore or adopt.
+/// Always the same calls — create, truncate, one write per part, rename —
+/// so fault plans and crash-state enumeration count the same operations
+/// for every artifact of a kind: one part for a snapshot, segment, journal
+/// generation or manifest, three for a parity file (head, block, footer).
+pub(crate) fn commit_atomic<B: Into<Bytes>>(
+    fs: &FileSystem,
+    dst: &str,
+    parts: impl IntoIterator<Item = B>,
+) -> Result<(), FsError> {
     let now = SimTime::ZERO; // store-internal write; mtime is irrelevant
     let tmp = names::tmp_of(dst);
     let ino = fs.create_file(&tmp, false, "provio", now)?;
     fs.truncate_ino(ino, 0, now)?;
-    fs.write_at(ino, 0, bytes, now)?;
+    let mut at = 0;
+    for part in parts {
+        let part = part.into();
+        let len = part.len() as u64;
+        fs.write_at(ino, at, part, now)?;
+        at += len;
+    }
     fs.rename(&tmp, dst, now)
 }
 
@@ -34,16 +48,17 @@ pub(crate) fn read_file(fs: &FileSystem, path: &str) -> Option<Bytes> {
 
 /// The copies of the artifact at `live` that can be read, the live file
 /// first and then the one a merge or a verify moved aside under its
-/// quarantined name (`true`), each read only when asked for. The one place
-/// that knows a condemned file's bytes are still evidence — scrub restores
-/// from them, verify judges them.
-pub(crate) fn copies<'a>(
+/// quarantined name (`true`), each read by `read` only when asked for. The
+/// one place that knows a condemned file's bytes are still evidence — scrub
+/// restores from them, verify judges them.
+pub(crate) fn copies<'a, T>(
     fs: &'a FileSystem,
     live: &str,
-) -> impl Iterator<Item = (Bytes, bool)> + 'a {
+    read: impl Fn(&FileSystem, &str) -> Option<T> + 'a,
+) -> impl Iterator<Item = (T, bool)> + 'a {
     [(live.to_string(), false), (names::quarantine_of(live), true)]
         .into_iter()
-        .filter_map(move |(path, quarantined)| Some((read_file(fs, &path)?, quarantined)))
+        .filter_map(move |(path, quarantined)| Some((read(fs, &path)?, quarantined)))
 }
 
 /// Does the file at `path` still hold exactly `len` bytes? What one pass

@@ -1616,9 +1616,11 @@ pub(crate) mod tests {
 
     /// One of every kind of artifact a run directory holds, as a small real
     /// run wrote them: framed N-Triples snapshot and segment, journal,
-    /// parity files of both planes, a framed `.ttl` snapshot (N-Triples
-    /// inside, as every frame), an unframed Turtle and an unframed
-    /// N-Triples one, the manifest and the ledger.
+    /// parity files of both planes (literals that are not ASCII make their
+    /// raw XOR blocks bytes that are not UTF-8), each parity file again with
+    /// its raw batch's count off by one, a framed `.ttl` snapshot
+    /// (N-Triples inside, as every frame), an unframed Turtle and an
+    /// unframed N-Triples one, the manifest and the ledger.
     fn artifacts() -> &'static [Vec<u8>] {
         static ARTIFACTS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
         ARTIFACTS.get_or_init(|| {
@@ -1627,7 +1629,7 @@ pub(crate) mod tests {
             let fs = FileSystem::new(LustreConfig::default());
             let triples = |from: usize| -> Vec<Triple> {
                 (from..from + 6)
-                    .map(|i| Triple::new(Subject::iri(format!("urn:s{i}")), Iri::new("urn:p"), Term::plain("v")))
+                    .map(|i| Triple::new(Subject::iri(format!("urn:s{i}")), Iri::new("urn:p"), Term::plain("v\u{e9}".repeat(i % 4))))
                     .collect()
             };
             let store = |name: &str, format| ProvenanceStore::new(Arc::clone(&fs), format!("/a/{name}"), format, false);
@@ -1656,7 +1658,15 @@ pub(crate) mod tests {
             for role in ["d.nt.d", "d.nt.w", "d.nt.p", "MANIFEST", "CAMPAIGN"] {
                 assert!(files.iter().any(|p| p.contains(role)), "no {role} among {files:?}");
             }
-            files.iter().map(|p| read_file(&fs, p).unwrap().to_vec()).collect()
+            let mut bytes: Vec<Vec<u8>> = files.iter().map(|p| read_file(&fs, p).unwrap().to_vec()).collect();
+            let recounted = bytes.iter().filter_map(|file| {
+                let count = file.windows(9).position(|w| w == b"#~R bytes")? + 10;
+                let mut file = file.clone();
+                file[count] = if file[count] == b'9' { b'1' } else { file[count] + 1 };
+                Some(file)
+            });
+            bytes.extend(recounted.collect::<Vec<_>>());
+            bytes
         })
     }
 

@@ -11,9 +11,11 @@
 //! and reconstructs their bytes from the survivors — byte-identical, so
 //! the Merkle roots recorded in a sealed manifest still verify.
 //!
-//! The parity file's layout — member records, the XOR block and its two
-//! encodings — is [`crate::artifact`]'s; this module is the repair algorithm
-//! over it.
+//! The parity file's layout — member records and the raw XOR block — is
+//! [`crate::artifact`]'s; this module is the repair algorithm over it. The
+//! block is read as a window on the buffer it was committed from (for a
+//! one-member group, the snapshot's own): a clean scrub CRCs it where it
+//! lies, and only a repair or a regeneration XORs or copies it.
 //!
 //! # Repair rules
 //!
@@ -41,9 +43,9 @@
 //! [`crate::verify::quarantine_tampered`] consults [`repairable_paths`]
 //! and never condemns a file scrub can still repair.
 
-use crate::artifact::{parse_parity_payload, Decoded, HandOff, MemberCheck, ParityPayload, Verified};
+use crate::artifact::{parse_members, Decoded, HandOff, MemberCheck, Verified};
 use crate::frame::{self, FrameKind, FramedFile};
-use crate::fsio::{commit_atomic, copies};
+use crate::fsio::{commit_atomic, copies, read_file};
 use crate::names::{self, Role, State};
 use bytes::Bytes;
 use provio_hpcfs::{FileSystem, FsError};
@@ -120,8 +122,9 @@ struct ParsedParity {
     /// Raw member record lines, re-batched verbatim on regeneration so
     /// the rebuilt parity file is byte-identical to the original seal.
     member_lines: Vec<String>,
-    /// The XOR block, when its batch verified.
-    data: Option<Vec<u8>>,
+    /// The XOR block, when its batch verified: a window on the parity
+    /// file's bytes.
+    data: Option<Bytes>,
     /// `(bytes, Merkle root)` of the live parity file when it decoded
     /// intact, data block included — what verify would recompute. `None`:
     /// it needs rewriting (missing, damaged data batch, or only a
@@ -166,15 +169,43 @@ fn read_range(fs: &Arc<FileSystem>, path: &str, offset: u64, len: Option<u64>) -
     fs.read_at(ino, offset, len).ok()
 }
 
-/// Decode the bytes of the parity file for `live` — found under its own
-/// name or `quarantined` — into an actionable group. `None` means the
-/// member records are unreadable.
-fn parse_parity(bytes: &[u8], live: &str, quarantined: bool) -> Option<ParsedParity> {
-    let framed = frame::decode_bytes(bytes)?;
+/// The parity file at `path`, read so that the bytes of its raw batch are a
+/// window on the buffer they were committed from and only the text around
+/// them is copied: `(text, Some(batch))`, placed from the file's head and
+/// its tail. A file whose head or tail does not place the batch is read
+/// whole: `(bytes, None)`.
+fn read_parity(fs: &FileSystem, path: &str) -> Option<(Bytes, Option<Bytes>)> {
+    const HEAD: u64 = 16 << 10; // about a hundred member records
+    const TAIL: u64 = 1 << 10; // the footer line is about 110 bytes
+    let ino = fs.lookup(path).ok()?;
+    let size = fs.file_size(ino).ok()?;
+    let read = |at: u64, len: u64| fs.read_at(ino, at, len).ok();
+    let tail_at = size.saturating_sub(TAIL);
+    let (head, tail) = (read(0, size.min(HEAD))?, read(tail_at, size - tail_at)?);
+    let Some(span) = frame::raw_batch_span(&head, &tail, tail_at as usize) else {
+        return Some((read(0, size)?, None));
+    };
+    let text = [&head[..span.start], &tail[span.end - tail_at as usize..]].concat();
+    Some((text.into(), Some(read(span.start as u64, span.len() as u64)?)))
+}
+
+/// Decode the parity file for `live`, as [`read_parity`] read it — under
+/// its own name or `quarantined` — into an actionable group. `None` means
+/// the member records are unreadable.
+fn parse_parity((text, batch): (Bytes, Option<Bytes>), live: &str, quarantined: bool) -> Option<ParsedParity> {
+    let framed = match &batch {
+        Some(batch) => frame::decode_apart(&text, batch)?,
+        None => frame::decode_bytes(&text).ok()?,
+    };
     if framed.kind != FrameKind::Parity || !framed.belongs_to(live) {
         return None;
     }
-    let ParityPayload { members, member_lines, data } = parse_parity_payload(&framed.payload);
+    let (members, member_lines) = parse_members(&framed.payload);
+    let data = framed.raw.clone().map(|at| match &batch {
+        Some(batch) => batch.slice(..at.len()),
+        None => text.slice(at),
+    });
+    let len = (text.len() + batch.map_or(0, |b| b.len())) as u64;
     let intact = !quarantined && framed.intact() && data.is_some();
     // The member batch is the one part parity cannot outlive: with the
     // records gone there is nothing to verify members against.
@@ -185,7 +216,7 @@ fn parse_parity(bytes: &[u8], live: &str, quarantined: bool) -> Option<ParsedPar
         members,
         member_lines,
         data,
-        root: intact.then_some((bytes.len() as u64, framed.computed_root)),
+        root: intact.then_some((len, framed.computed_root)),
     })
 }
 
@@ -210,7 +241,7 @@ fn member_state(fs: &Arc<FileSystem>, m: &ParityMember) -> Option<MemberState> {
     // compaction). Anything else — same or lower ordinal, foreign GUID,
     // failed decode — is a genuine candidate for repair (or quarantine, if
     // over tolerance).
-    let framed = live.filter(|_| m.whole_file()).and_then(|b| frame::decode_bytes(&b));
+    let framed = live.filter(|_| m.whole_file()).and_then(|b| frame::decode_bytes(&b).ok());
     let newer = |f: &FramedFile| f.intact() && f.belongs_to(&m.path) && Some(f.ordinal) > m.ord;
     if framed.as_ref().is_some_and(newer) {
         return None;
@@ -231,8 +262,8 @@ type Group = (ParsedParity, Option<Vec<MemberState>>);
 /// drops its data block (nothing will XOR it); member bytes are windows on
 /// the files and cost nothing to keep.
 fn read_group(fs: &Arc<FileSystem>, live: &str) -> Option<Group> {
-    let parsed = |(bytes, quarantined): (Bytes, bool)| parse_parity(&bytes, live, quarantined);
-    let mut group = copies(fs, live).find_map(parsed)?;
+    let parsed = |(read, quarantined)| parse_parity(read, live, quarantined);
+    let mut group = copies(fs, live, read_parity).find_map(parsed)?;
     let states: Option<Vec<_>> = group.members.iter().map(|m| member_state(fs, m)).collect();
     let intact = |s: &MemberState| matches!(s, MemberState::Intact(_));
     if group.root.is_some() && states.iter().flatten().all(intact) {
@@ -258,9 +289,10 @@ fn losses(group: &ParsedParity, states: &[MemberState]) -> Result<Option<usize>,
 
 /// XOR the parity block against every surviving member, yielding the lost
 /// member's bytes. `None` when the result fails the recorded check —
-/// reconstruction never guesses.
+/// reconstruction never guesses. The block is a window on a committed
+/// buffer, so the XOR runs in a copy of it.
 fn reconstruct(group: &ParsedParity, states: &[MemberState], bad: usize) -> Option<Verified> {
-    let mut acc = group.data.clone()?;
+    let mut acc = group.data.as_deref()?.to_vec();
     for (i, state) in states.iter().enumerate() {
         if i != bad {
             xor_into(&mut acc, state.bytes()?);
@@ -295,7 +327,7 @@ fn splice_member(
     let out = if m.whole_file() {
         v.bytes.clone()
     } else {
-        let mut current = copies(fs, &m.path).next().map_or_else(Vec::new, |(bytes, _)| bytes.into());
+        let mut current = copies(fs, &m.path, read_file).next().map_or_else(Vec::new, |(bytes, _)| bytes.into());
         let end = (m.offset + m.len) as usize;
         if current.len() < end {
             current.resize(end, 0);
@@ -303,7 +335,7 @@ fn splice_member(
         current[m.offset as usize..end].copy_from_slice(&v.bytes);
         current.into()
     };
-    commit_atomic(fs, &m.path, out)?;
+    commit_atomic(fs, &m.path, [out])?;
     note_root(decoded, m, v.frame.clone());
     // The live path verifies again: any quarantine copy is now a stale
     // duplicate of repaired data, not evidence.
@@ -341,8 +373,8 @@ fn regenerate_parity(
     for state in states {
         xor_into(&mut acc, state.bytes().ok_or(FsError::Io)?);
     }
-    let (framed, _root) = encode_parity_frame(group.guid, group.seq, &group.member_lines, &acc);
-    commit_atomic(fs, &group.path, framed)?;
+    let (parts, _root) = encode_parity_frame(group.guid, group.seq, &group.member_lines, acc.into());
+    commit_atomic(fs, &group.path, parts)?;
     let _ = fs.unlink(&names::quarantine_of(&group.path));
     Ok(())
 }
@@ -471,10 +503,7 @@ fn push_unique(list: &mut Vec<String>, path: &str) {
 mod tests {
     use super::*;
     use crate::fsio::read_file;
-    use crate::artifact::{
-        data_line, decode_b64, encode_b64_into, encode_parity_frame, member_line,
-        parse_member_line, parse_parity_payload, MemberCheck, ParityMember,
-    };
+    use crate::artifact::{encode_parity_frame, member_line, parse_member_line, MemberCheck, ParityMember};
     use proptest::prelude::*;
     use provio_hpcfs::LustreConfig;
     use provio_simrt::SimTime;
@@ -494,17 +523,20 @@ mod tests {
         decoded.iter().map(|(path, d)| (path.clone(), (d.len, d.root))).collect()
     }
 
-    fn encode_b64(data: &[u8]) -> String {
-        let mut out = Vec::new();
-        encode_b64_into(data, &mut out);
-        String::from_utf8(out).expect("base64 output is ASCII")
-    }
-
     fn put(fs: &Arc<FileSystem>, path: &str, bytes: &[u8]) {
         if let Some((dir, _)) = path.rsplit_once('/') {
             let _ = fs.mkdir_all(dir, "provio", SimTime::ZERO);
         }
-        commit_atomic(fs, path, bytes).unwrap();
+        commit_atomic(fs, path, [bytes]).unwrap();
+    }
+
+    /// Commit parity file `seq` of `store` over the member record `lines`
+    /// and `block` the way the store's seal does; its size and root.
+    fn commit_parity(fs: &Arc<FileSystem>, store: &str, seq: u64, lines: &[String], block: Bytes) -> (u64, [u8; 32]) {
+        let (parts, root) = encode_parity_frame(frame::store_guid(store), seq, lines, block);
+        let len = parts.iter().map(|part| part.len() as u64).sum();
+        commit_atomic(fs, &format!("{store}.p{seq:06}.par"), parts).unwrap();
+        (len, root)
     }
 
     /// Seal a parity file over whole-file members exactly the way the
@@ -522,61 +554,63 @@ mod tests {
                 ord: Some(*ord),
             }));
         }
-        let guid = frame::store_guid(store);
-        let (framed, _root) = encode_parity_frame(guid, seq, &recs, &acc);
-        put(fs, &format!("{store}.p{seq:06}.par"), &framed);
+        commit_parity(fs, store, seq, &recs, acc.into());
+    }
+
+    /// The block of a one-member group over `data`, committed and read
+    /// back the way scrub reads it.
+    fn block_read_back(data: &[u8]) -> Option<Bytes> {
+        let fs = fs();
+        let member = ParityMember { path: "/prov/a.nt".into(), offset: 0, len: 0, check: MemberCheck::Crc(0), ord: Some(0) };
+        let _ = fs.mkdir_all("/prov", "provio", SimTime::ZERO);
+        commit_parity(&fs, "/prov/a.nt", 0, &[member_line(&member)], Bytes::from(data));
+        let par = "/prov/a.nt.p000000.par";
+        let bytes = read_file(&fs, par).unwrap();
+        let f = frame::decode_bytes(&bytes).unwrap();
+        assert!(f.batches_total == 2, "{data:?}");
+        parse_parity(read_parity(&fs, par).unwrap(), par, false).unwrap().data
     }
 
     #[test]
-    fn base64_round_trips() {
+    fn raw_blocks_round_trip() {
         for len in 0..40usize {
             let data: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37).wrapping_add(len as u8)).collect();
-            let text = encode_b64(&data);
-            assert_eq!(decode_b64(&text).unwrap(), data, "len {len}");
+            assert_eq!(block_read_back(&data).as_deref(), Some(&data[..]), "len {len}");
         }
-        assert_eq!(decode_b64("!!!!"), None);
-        assert_eq!(decode_b64("A"), None);
+        // A block whose bytes disagree with the count of its marker fails.
+        let member = member_line(&ParityMember { path: "/x".into(), offset: 0, len: 0, check: MemberCheck::Crc(0), ord: Some(0) });
+        let (parts, _) = encode_parity_frame(7, 0, &[member], Bytes::from(b"prov".to_vec()));
+        let file = [&parts[0][..], &parts[1], &parts[2]].concat();
+        let at = file.windows(7).position(|w| w == b"bytes=4").unwrap() + 6;
+        for count in [b'3', b'5'] {
+            let mut file = file.clone();
+            file[at] = count;
+            let f = frame::decode_bytes(&file).unwrap();
+            assert_eq!((f.batches_corrupt, f.raw), (1, None), "bytes={}", count as char);
+        }
     }
 
     #[test]
-    fn raw_block_round_trips_with_escaping() {
-        // Lines starting with '#' or '~' are escaped with a leading '~' so
-        // a replica can never masquerade as a frame sigil; `term` records
-        // whether the member ended in a newline. The replica is written
-        // straight into its parity frame, so it is read back out of one.
-        let member = ParityMember {
-            path: "/p/a.nt".into(),
-            offset: 0,
-            len: 0,
-            check: MemberCheck::Crc(0),
-            ord: Some(0),
-        };
-        let members = [member_line(&member)];
-        let payload = |acc: &[u8]| {
-            let (framed, _) = encode_parity_frame(7, 0, &members, acc);
-            let f = frame::decode(std::str::from_utf8(&framed).unwrap()).unwrap();
-            assert!(f.intact() && f.batches_total == 2, "{acc:?}");
-            f.payload
-        };
-        for text in [
-            "plain line\n# PROVIO1 kind=snapshot embedded\n#~B lines=1 crc=00000000\n~tilde\n",
-            "no trailing newline",
-            "\n\ntwo leading blanks\n",
-            "#~F batches=1 chain=00000000 root=00\n",
-            // Empty and non-UTF-8 accumulators fall back to base64.
-            "",
+    fn raw_block_round_trips_verbatim() {
+        // Lines opening with '#', '~' or a frame sigil, a missing trailing
+        // newline, blank lines, an empty block and bytes that are not UTF-8
+        // are all written and read back as they are: the raw batch is
+        // framed from its marker to the footer, never line by line.
+        for data in [
+            &b"plain line\n# PROVIO1 kind=snapshot embedded\n#~B lines=1 crc=00000000\n~tilde\n"[..],
+            b"no trailing newline",
+            b"\n\ntwo leading blanks\n",
+            b"#~F batches=1 chain=00000000 root=00\n",
+            b"",
+            &[0xff, 0xfe, 0x00],
         ] {
-            let payload = payload(text.as_bytes());
-            assert_eq!(payload.contains("enc=raw"), !text.is_empty(), "{text:?}");
-            let data = parse_parity_payload(&payload).data;
-            assert_eq!(data.as_deref(), Some(text.as_bytes()), "{text:?}");
+            assert_eq!(block_read_back(data).as_deref(), Some(data), "{data:?}");
         }
-        let data = parse_parity_payload(&payload(&[0xff, 0xfe, 0x00])).data;
-        assert_eq!(data.as_deref(), Some(&[0xff, 0xfe, 0x00][..]));
-        // A truncated replica fails the length check rather than returning
-        // short bytes.
-        let short = parse_parity_payload("data len=10 enc=raw term=1\nabc\n");
-        assert!(short.data.is_none());
+        // A block cut short fails its count rather than returning short bytes.
+        let member = member_line(&ParityMember { path: "/x".into(), offset: 0, len: 0, check: MemberCheck::Crc(0), ord: Some(0) });
+        let (parts, _) = encode_parity_frame(7, 0, &[member], Bytes::from(b"0123456789".to_vec()));
+        let short = [&parts[0][..], b"abc", &parts[2][..]].concat();
+        assert_eq!(frame::decode_bytes(&short).unwrap().raw, None);
     }
 
     #[test]
@@ -585,18 +619,75 @@ mod tests {
         let store = "/prov/prov_p0.nt";
         let a = b"# PROVIO1 kind=snapshot guid=0 ordinal=1 prev=00000000\n<a> <b> <c> .\n".to_vec();
         put(&fs, store, &a);
-        seal_parity(&fs, store, 0, &[(store, &a, 1)]);
-        let par = read_file(&fs, "/prov/prov_p0.nt.p000000.par").unwrap();
-        let parsed = parse_parity(&par, "/prov/prov_p0.nt.p000000.par", false).unwrap();
-        let text = String::from_utf8(par.to_vec()).unwrap();
-        assert!(text.contains("enc=raw"), "single-member group seals a raw replica:\n{text}");
-        assert!(!text.contains(" b64="), "no base64 block for a raw replica");
-        assert_eq!(parsed.data.as_deref(), Some(&a[..]), "replica decodes to the member bytes");
-        assert_eq!(parsed.members.len(), 1);
+        // The store folds the committed window of a member into its group.
+        let committed = read_file(&fs, store).unwrap();
+        let m = ParityMember { path: store.into(), offset: 0, len: a.len() as u64, check: MemberCheck::Crc(crc32fast::hash(&a)), ord: Some(1) };
+        commit_parity(&fs, store, 0, &[member_line(&m)], committed.clone());
+        let par = "/prov/prov_p0.nt.p000000.par";
+        let (text, block) = read_parity(&fs, par).unwrap();
+        let block = block.expect("the block is read apart");
+        assert_eq!(block.as_ptr(), committed.as_ptr(), "the block is the snapshot's own buffer");
+        assert!(!text.windows(3).any(|w| w == b"<a>"), "only the text around the block is copied");
+        let parsed = parse_parity((text, Some(block)), par, false).unwrap();
+        assert_eq!(parsed.data.as_deref(), Some(&a[..]), "the block is the member's bytes");
+        assert_eq!(parsed.members, vec![m]);
+        assert_eq!(parsed.root.map(|(len, _)| len), Some(read_file(&fs, par).unwrap().len() as u64));
+    }
+
+    /// A scrub reads every block as a window on a committed buffer — a
+    /// one-member group's is its snapshot's own — so regenerating a rotted
+    /// parity file and rebuilding a lost member XOR into copies: every
+    /// other file, and every window read off it before, stays as committed.
+    #[test]
+    fn repairs_leave_every_other_committed_buffer_as_committed() {
+        let fs = fs();
+        let store = "/prov/prov_p0.nt";
+        let (d1, d2) = ("/prov/prov_p0.nt.d000001.nt", "/prov/prov_p0.nt.d000002.nt");
+        let bodies: [(&str, &[u8]); 3] = [
+            (store, b"<urn:s> <urn:p> <urn:snapshot> .\n"),
+            (d1, b"<urn:s> <urn:p> <urn:one> .\n"),
+            (d2, b"<urn:s> <urn:p> <urn:the-second> .\n"),
+        ];
+        for (path, body) in bodies {
+            put(&fs, path, body);
+        }
+        let window = |path: &str| read_file(&fs, path).unwrap();
+        let member = |(ord, (path, body)): (usize, &(&str, &[u8]))| ParityMember {
+            path: path.to_string(),
+            offset: 0,
+            len: body.len() as u64,
+            check: MemberCheck::Crc(crc32fast::hash(body)),
+            ord: Some(ord as u64),
+        };
+        let members: Vec<ParityMember> = bodies.iter().enumerate().map(member).collect();
+        // Group 0 holds the snapshot alone, its block the snapshot's window;
+        // group 1 XORs the two segments.
+        commit_parity(&fs, store, 0, &[member_line(&members[0])], window(store));
+        seal(&fs, store, 1, &members[1..], &[bodies[1].1, bodies[2].1]);
+        let sealed: Vec<(String, Vec<u8>, Bytes)> = fs
+            .walk_files("/prov")
+            .unwrap()
+            .into_iter()
+            .map(|p| (p.clone(), window(&p).to_vec(), window(&p)))
+            .collect();
+        // Rot group 0's block, and lose a member of group 1.
+        let par0 = format!("{store}.p000000.par");
+        let block = bodies[0].1;
+        let par0_bytes = &sealed.iter().find(|(p, ..)| *p == par0).unwrap().1;
+        let rotted = par0_bytes.windows(block.len()).position(|w| w == block).unwrap() + block.len() / 2;
+        fs.write_at(fs.lookup(&par0).unwrap(), rotted as u64, vec![b'!'], SimTime::ZERO).unwrap();
+        fs.unlink(d1).unwrap();
+        let rep = scrub_directory(&fs, "/prov");
+        assert_eq!((rep.repaired_files, rep.repaired_parity), (vec![d1.to_string()], vec![par0]));
+        for (path, bytes, held) in &sealed {
+            assert_eq!(&window(path).to_vec(), bytes, "{path} as committed");
+            assert_eq!(&held.to_vec(), bytes, "a window read off {path} before the scrub");
+        }
+        assert_eq!(window(store).as_ptr(), sealed[0].2.as_ptr(), "the snapshot keeps its buffer");
     }
 
     #[test]
-    fn multi_member_seal_stays_base64() {
+    fn multi_member_seal_writes_the_xor_block_raw() {
         let fs = fs();
         let store = "/prov/prov_p0.nt";
         let a = b"member a\n".to_vec();
@@ -604,14 +695,14 @@ mod tests {
         put(&fs, store, &a);
         put(&fs, "/prov/prov_p0.nt.d000001.nt", &b);
         seal_parity(&fs, store, 0, &[(store, &a, 1), ("/prov/prov_p0.nt.d000001.nt", &b, 2)]);
-        let par = read_file(&fs, "/prov/prov_p0.nt.p000000.par").unwrap();
-        let parsed = parse_parity(&par, "/prov/prov_p0.nt.p000000.par", false).unwrap();
-        let text = String::from_utf8(par.to_vec()).unwrap();
-        assert!(text.contains(" b64="), "XOR of two members is not a replica:\n{text}");
+        let par = "/prov/prov_p0.nt.p000000.par";
+        let parsed = parse_parity(read_parity(&fs, par).unwrap(), par, false).unwrap();
         let mut acc = Vec::new();
         xor_into(&mut acc, &a);
         xor_into(&mut acc, &b);
         assert_eq!(parsed.data.as_deref(), Some(&acc[..]));
+        let bytes = read_file(&fs, par).unwrap();
+        assert!(bytes.windows(acc.len()).any(|w| w == acc), "the XOR block sits in the file verbatim");
     }
 
     #[test]
@@ -728,8 +819,7 @@ mod tests {
             xor_into(&mut acc, bytes);
         }
         let lines: Vec<String> = members.iter().map(member_line).collect();
-        let (framed, _root) = encode_parity_frame(frame::store_guid(store), seq, &lines, &acc);
-        put(fs, &format!("{store}.p{seq:06}.par"), &framed);
+        commit_parity(fs, store, seq, &lines, acc.into());
     }
 
     /// A journal generation of four chunks whose first two sit in parity
@@ -854,12 +944,10 @@ mod tests {
         seal_parity(&fs, store, 0, &[(store, &a, 1)]);
         let par = "/prov/prov_p0.nt.p000000.par";
         let original = read_file(&fs, par).unwrap();
-        // Flip a byte inside the data block itself (a single-member group
-        // seals a raw replica), leaving the member batch and the frame
-        // identity intact.
-        let text = String::from_utf8(original.to_vec()).unwrap();
-        let header_at = text.find("data len=").unwrap();
-        let off = (header_at + text[header_at..].find('\n').unwrap() + 2) as u64;
+        // Flip a byte inside the block itself, leaving the member batch and
+        // the frame identity intact.
+        let marker = original.windows(3).position(|w| w == b"#~R").unwrap();
+        let off = (marker + original[marker..].iter().position(|&b| b == b'\n').unwrap() + 2) as u64;
         let ino = fs.lookup(par).unwrap();
         fs.write_at(ino, off, b"\x00", SimTime::ZERO).unwrap();
         assert_ne!(read_file(&fs, par).unwrap(), original);
@@ -888,16 +976,15 @@ mod tests {
             check: MemberCheck::Root(root),
             ord: Some(1),
         };
-        let (par, par_root) = encode_parity_frame(guid, 0, &[member_line(&m)], &bytes);
+        let (par_len, par_root) = commit_parity(&fs, store, 0, &[member_line(&m)], Bytes::from(&bytes));
         let par_path = "/prov/prov_p0.nt.p000000.par";
-        put(&fs, par_path, &par);
         // Both frames decode intact, and scrub records each as it sits on
         // disk for verify, the member with its frame for merge.
         let sealed = (bytes.len() as u64, root);
-        let decoded = frame::decode_bytes(&bytes);
+        let decoded = frame::decode_bytes(&bytes).ok();
         let mut roots = HandOff::new();
         assert!(scrub_into(&fs, &mut roots).is_clean());
-        let both = [(store.to_string(), sealed), (par_path.to_string(), (par.len() as u64, par_root))];
+        let both = [(store.to_string(), sealed), (par_path.to_string(), (par_len, par_root))];
         assert_eq!(roots_of(&roots), HashMap::from(both));
         assert_eq!(roots[store].frame, decoded);
         assert_eq!(roots[par_path].frame, None);
@@ -939,13 +1026,7 @@ mod tests {
             ParityMember { path: gen.into(), offset: 0, len: chunk_a.len() as u64, check: MemberCheck::Crc(crc32fast::hash(&chunk_a)), ord: None },
             ParityMember { path: gen.into(), offset: chunk_a.len() as u64, len: chunk_b.len() as u64, check: MemberCheck::Crc(crc32fast::hash(&chunk_b)), ord: None },
         ];
-        let mut acc = Vec::new();
-        xor_into(&mut acc, &chunk_a);
-        xor_into(&mut acc, &chunk_b);
-        let mut enc = frame::Encoder::new(FrameKind::Parity, frame::store_guid(store), 0, frame::CHAIN_START);
-        enc.batch(&members.iter().map(member_line).collect::<Vec<_>>());
-        enc.batch(&[data_line(&acc)]);
-        put(&fs, &format!("{store}.p000000.par"), &enc.finish_with_root().0);
+        seal(&fs, store, 0, &members, &[&chunk_a, &chunk_b]);
         // Rot chunk b in place.
         let ino = fs.lookup(gen).unwrap();
         fs.write_at(ino, chunk_a.len() as u64 + 5, b"ROT", SimTime::ZERO).unwrap();

@@ -313,7 +313,7 @@ impl IoState {
     fn commit_with_retry(&mut self, dst: &str, bytes: &Bytes, charge: Option<&VirtualClock>) -> bool {
         let mut failures = 0u32;
         loop {
-            match commit_atomic(&self.fs, dst, bytes.clone()) {
+            match commit_atomic(&self.fs, dst, [bytes.clone()]) {
                 Ok(()) => {
                     self.degraded = false;
                     self.breaker.note_success();
@@ -2015,11 +2015,8 @@ mod tests {
         // in the root cache the sealer will hand to the manifest.
         let rooted = st.committed_roots();
         for p in &pars {
-            let ino = fs.lookup(p).unwrap();
-            let n = fs.file_size(ino).unwrap();
-            let text =
-                String::from_utf8(fs.read_at(ino, 0, n).unwrap().to_vec()).unwrap();
-            let framed = frame::decode(&text).expect("parity frame decodes");
+            let bytes = crate::fsio::read_file(&fs, p).unwrap();
+            let framed = frame::decode_bytes(&bytes).expect("parity frame decodes");
             assert_eq!(framed.kind, FrameKind::Parity);
             assert!(framed.intact());
             assert!(rooted.iter().any(|(path, _, _)| path == p), "{p} not rooted");

@@ -37,8 +37,9 @@ pub(super) struct ParityGroup {
 impl ParityGroup {
     /// Fold one member into the open group. The first member *is* the
     /// accumulator (XOR against nothing is identity), shared with its
-    /// committed file, so the forced single-member seal at finish encodes
-    /// the snapshot in place; a second member XORs into a copy of it.
+    /// committed file, so the forced single-member seal at finish writes
+    /// the snapshot's own buffer as its block; a second member XORs into a
+    /// copy of it.
     pub(super) fn fold(&mut self, member: ParityMember, bytes: Bytes) {
         self.acc = if self.members.is_empty() {
             bytes
@@ -113,10 +114,10 @@ impl Parity {
 
     /// Seal `plane`'s open group, if it has members, as
     /// `<path>.pNNNNNN.par`: a PROVIO1 `kind=parity` frame whose first
-    /// batch is the member records and whose second batch is the XOR block
-    /// (base64, or a raw replica for a single-member group — see
-    /// [`artifact::encode_parity_frame`]), committed tmp+rename like every
-    /// artifact and root-cached so the manifest lists it. A failed seal
+    /// batch is the member records and whose second is the XOR block, raw
+    /// (see [`artifact::encode_parity_frame`]), committed tmp+rename in
+    /// three parts — the block uncopied between head and footer — and
+    /// root-cached so the manifest lists it. A failed seal
     /// drops the group — its members are already durable, so only future
     /// repairability is lost, and the next commit starts a fresh group.
     pub(super) fn seal(
@@ -137,9 +138,9 @@ impl Parity {
         }
         let dst = names::print(path, Role::Parity(self.seq), State::Live);
         let member_lines: Vec<String> = members.iter().map(artifact::member_line).collect();
-        let (framed, root) = artifact::encode_parity_frame(guid, self.seq, &member_lines, &acc);
-        let len = framed.len() as u64;
-        if let Err(e) = commit_atomic(fs, &dst, framed) {
+        let (parts, root) = artifact::encode_parity_frame(guid, self.seq, &member_lines, acc);
+        let len = parts.iter().map(|part| part.len() as u64).sum();
+        if let Err(e) = commit_atomic(fs, &dst, parts) {
             self.failed += 1;
             let _ = fs.unlink(&names::tmp_of(&dst));
             return Err(e);
@@ -179,7 +180,7 @@ mod tests {
         let mut group = ParityGroup { width: 2, ..ParityGroup::default() };
         for (path, body) in [("/p/a.nt", a), ("/p/b.nt", b)] {
             let bytes = Bytes::from(body);
-            commit_atomic(&fs, path, bytes.clone()).unwrap();
+            commit_atomic(&fs, path, [bytes.clone()]).unwrap();
             group.fold(member(path, body), bytes);
         }
         assert!(group.is_full());

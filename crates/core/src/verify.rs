@@ -90,7 +90,7 @@ pub(crate) fn write_manifest_with_roots(
             None => {
                 let bytes = read_file(fs, &path)
                     .ok_or_else(|| format!("unreadable store file {path}"))?;
-                let framed = std::str::from_utf8(&bytes).ok().and_then(frame::file_root);
+                let framed = frame::file_root(&bytes);
                 let root = framed.unwrap_or_else(|| sha2::sha256(&bytes));
                 (root, framed.is_some(), bytes.len() as u64)
             }
@@ -104,7 +104,7 @@ pub(crate) fn write_manifest_with_roots(
         ranks: ranks.to_vec(),
     };
     let text = render_manifest(&manifest, key);
-    commit_atomic(fs, &manifest_path(dir), text.as_bytes()).map_err(|e| format!("{e:?}"))?;
+    commit_atomic(fs, &manifest_path(dir), [text.as_bytes()]).map_err(|e| format!("{e:?}"))?;
     Ok(ManifestInfo {
         run: manifest.run,
         digest: sha2::sha256(text.as_bytes()),
@@ -182,7 +182,7 @@ pub(crate) fn append_ledger(
         chain = c;
         prev = Some(rec.manifest);
     }
-    commit_atomic(fs, &path, out).map_err(|e| format!("{e:?}"))
+    commit_atomic(fs, &path, [out]).map_err(|e| format!("{e:?}"))
 }
 
 /// Sign the finished run directory and chain it into the campaign ledger —
@@ -356,17 +356,17 @@ fn judge(bytes: &[u8], entry: &ManifestEntry) -> Judged {
     if !entry.merkle {
         return by_root(Some(sha2::sha256(bytes)), entry, "content hash", "");
     }
-    let Ok(text) = std::str::from_utf8(bytes) else {
-        return (FileVerdict::Damaged, "framed file is no longer valid UTF-8".to_string());
-    };
     if frame::is_wal_path(&entry.path) {
+        let Ok(text) = std::str::from_utf8(bytes) else {
+            return (FileVerdict::Damaged, "framed file is no longer valid UTF-8".to_string());
+        };
         let wal = frame::decode_wal(text, frame::store_guid(&entry.path));
         if wal.truncated {
             return (FileVerdict::Damaged, "journal tail torn or bit-rotted".to_string());
         }
-        return by_root(frame::file_root(text), entry, "journal root", "");
+        return by_root(frame::file_root(bytes), entry, "journal root", "");
     }
-    match frame::decode(text) {
+    match frame::decode_bytes(bytes) {
         Ok(f) if f.batches_corrupt > 0 => (
             FileVerdict::Damaged,
             format!("{} of {} batches failed CRC", f.batches_corrupt, f.batches_total),
@@ -396,7 +396,7 @@ fn check_entry(fs: &FileSystem, entry: &ManifestEntry, decoded: &HandOff, report
         let (verdict, detail) = by_merkle_root(d.root, entry);
         return report.check(&entry.path, verdict, detail);
     }
-    let Some((bytes, quarantined)) = copies(fs, &entry.path).next() else {
+    let Some((bytes, quarantined)) = copies(fs, &entry.path, read_file).next() else {
         let detail = "listed in the manifest but absent on disk";
         return report.check(&entry.path, FileVerdict::Missing, detail);
     };
@@ -636,7 +636,7 @@ mod tests {
             "<urn:a> <urn:p> <urn:b> .\n<urn:a> <urn:p> <urn:c> .\n",
             1,
         );
-        let root = frame::file_root(&text).unwrap();
+        let root = frame::file_root(text.as_bytes()).unwrap();
         put(&fs, snap, text.as_bytes());
         put(&fs, "/provio/prov_p1.nt", b"<urn:x> <urn:p> <urn:y> .\n");
         // Slow path first; capture the manifest bytes.
@@ -699,7 +699,7 @@ mod tests {
         sealed_run(&fs);
         let snap = "/provio/prov_p0.nt";
         let bytes = get(&fs, snap);
-        let root = frame::file_root(std::str::from_utf8(&bytes).unwrap()).unwrap();
+        let root = frame::file_root(&bytes).unwrap();
         let decoded = verify_directory(&fs, "/provio", KEY);
         assert!(decoded.is_trusted(), "{decoded}");
         // The true root at the true size: the same report.
@@ -858,8 +858,7 @@ mod tests {
         for (path, n, root) in &roots {
             let bytes = read_file(&fs, path).expect("cached path exists");
             assert_eq!(bytes.len() as u64, *n, "{path}");
-            let text = std::str::from_utf8(&bytes).unwrap();
-            assert_eq!(frame::file_root(text), Some(*root), "{path}");
+            assert_eq!(frame::file_root(&bytes), Some(*root), "{path}");
         }
         // finish() compacts into a snapshot: no cached segment may point
         // at an unlinked file.

@@ -278,7 +278,7 @@ fn fault_sweep_merge_always_recovers_committed_subgraphs() {
 fn crash_state_exploration_holds_every_recovery_invariant() {
     run_family(
         "explore",
-        "7de410d415cf7a64e1ff1c1592448bc00ed2dbd522b66690ae096212047dc4e8",
+        "79d7e329451e3809c4a15c24f6f3e3338372746cafa52deca606363c329f9c8b",
     );
 }
 
@@ -1605,25 +1605,16 @@ fn scrub_repair(seed: u64, damage: Damage, group: u32) -> String {
             fs.tamper_at_rest(&target, &TamperKind::CrcPatchedRewrite, seed).unwrap();
         }
         Damage::Parity => {
-            // Hit the data block itself (base64 XOR for multi-member
-            // groups, an escaped raw replica for single-member ones): the
-            // member records survive, so the parity file must regenerate
-            // byte-identical.
-            let text = String::from_utf8(read(fs, &target)).unwrap();
-            let header_at = text.find(" b64=").unwrap_or_else(|| {
-                let raw = text.find("enc=raw").expect("parity data line");
-                raw + text[raw..].find('\n').expect("replica follows header")
-            }) as u64;
-            let span = (text.len() as u64 - header_at) / 2;
-            let mut off = header_at + 5 + rng.below(span.max(1));
-            // Rot a content byte, not a line break: severing a replica
-            // line would change the frame's line counts, which models a
-            // different (structural) failure than bit rot in the block.
-            while text.as_bytes()[off as usize] == b'\n' {
-                off += 1;
-            }
+            // Hit the block itself, the raw batch between its `#~R` marker
+            // line and the `\n` before the footer: the member records
+            // survive, so the parity file must regenerate byte-identical.
+            let bytes = read(fs, &target);
+            let marker = bytes.windows(4).position(|w| w == b"\n#~R").expect("parity raw batch") + 1;
+            let block = marker + bytes[marker..].iter().position(|&b| b == b'\n').unwrap() + 1;
+            let footer = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap();
+            let off = block + rng.below((footer - block).max(1) as u64) as usize;
             let ino = fs.lookup(&target).unwrap();
-            fs.write_at(ino, off, b"\x00", SimTime::ZERO).unwrap();
+            fs.write_at(ino, off as u64, vec![!bytes[off]], SimTime::ZERO).unwrap();
         }
         Damage::ParityDestroy => {
             // Obliterate the whole parity file: redundancy is honestly
@@ -1637,11 +1628,31 @@ fn scrub_repair(seed: u64, damage: Damage, group: u32) -> String {
         "the damage actually landed on {target}"
     );
 
+    // The damaged parity file's members, held as windows on their files'
+    // buffers: a one-member group's block is its member's own buffer, so a
+    // rot or a repair that wrote into it would show here.
+    let members_of = |par: &[u8]| -> Vec<String> {
+        let text = String::from_utf8_lossy(par);
+        text.lines().filter_map(|l| Some(l.strip_prefix("member ")?.split_once(" path=")?.1.to_string())).collect()
+    };
+    let held: Vec<(String, _)> = match damage {
+        Damage::Parity => members_of(&sealed_image[&target])
+            .into_iter()
+            .map(|path| {
+                let window = fs.read_at(fs.lookup(&path).unwrap(), 0, fs.stat(&path).unwrap().size).unwrap();
+                (path, window)
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
     let scrubbed = scrub_directory(fs, "/provio");
     match damage {
         Damage::Parity => {
             assert_eq!(scrubbed.repaired_parity, vec![target.clone()], "{scrubbed}");
             assert!(scrubbed.fully_repaired(), "{scrubbed}");
+            for (path, window) in &held {
+                assert!(window[..] == sealed_image[path][..], "{path}: its buffer is as committed");
+            }
         }
         Damage::ParityDestroy => {
             assert_eq!(scrubbed.unusable_parity, vec![target.clone()], "{scrubbed}");

@@ -179,7 +179,7 @@ pub fn recovery(fs: &Arc<FileSystem>, recover: Recover) -> (Image, String) {
 
 /// Recorded at 3ce4414, the commit before the read path was restructured.
 pub const CLEAN: &str = "\
-directory cd5285346013533d7744eb1f251221b2528353e11c7692ebafbcbb39b9db4cee\n\
+directory ca32a0ee588a7278d32b594383254b7e490f9f836767c4c5874ec3a532832073\n\
 mutations 0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855\n\
 graph 100700 fb2a5313f89ff9d5ebde420032f08a524023780f7c507120c565aef331239964\n\
 scrub: 4 groups, 0 files repaired (0 batches), 0 parity regenerated, 0 unrecoverable, 0 parity unusable, 0 stale groups\n\
@@ -190,8 +190,8 @@ quarantined []\n\
 ";
 
 pub const IN_TOLERANCE: &str = "\
-directory d6affc4c777c9a0f697849ebbab7e2b6ddc2bfa2be809df842888d6c1dcaeac8\n\
-mutations 16 9001225383769f54d668d7ae765c1ac05a64d4a47985016950c957eac3d9e0bd\n\
+directory d6135c46730fe315e1922dc5a445e2c45ea1c4a555d75645d80ff15c65d0c736\n\
+mutations 18 60caebcc76f4b741c3604bd9523fd3982b9044ea1ad919ae32806900a672477a\n\
 graph 100910 d52560ea5d84555a6245ae7a4bd1e9a02d663551f0b2c0773b470afac430e185\n\
 scrub: 6 groups, 3 files repaired (398 batches), 1 parity regenerated, 0 unrecoverable, 0 parity unusable, 0 stale groups\n\
 merge: 6 files, 100910 triples, 0 salvaged (0 batches), 9 replayed from journals, 0 files lost, 0 recovered, 0 quarantined, 0 chain breaks, 0 journal tails truncated\n\
@@ -201,7 +201,7 @@ quarantined []\n\
 ";
 
 pub const OVER_TOLERANCE: &str = "\
-directory 7ab02e58f783eb0b7602568f54f6796750c81e5e5770ac18e40497e53d6551b6\n\
+directory c1f3188f419e29df35854cf0da31dc913f8ade06d585c9aebcc88d27905f4d4b\n\
 mutations 5 24b851cdf7d82a83ec071fd86ab2933d85dd258347cfac5df01dbc00b9c32749\n\
 graph 100709 2acf522b3b9b5ebe9dff641730ab28b11bcc0319f04294ac8ac66f010213cd56\n\
 scrub: 5 groups, 1 files repaired (1 batches), 0 parity regenerated, 2 unrecoverable, 0 parity unusable, 0 stale groups\n\

@@ -18,12 +18,12 @@ pub const DEFAULT_CONFIG: Digests = (
     "ae7bc9a09f059854c5a5c38159811f71f637d90ba1140160c15274631210a2ef",
 );
 pub const EVERY_PLANE: Digests = (
-    "cd5285346013533d7744eb1f251221b2528353e11c7692ebafbcbb39b9db4cee",
-    "27da4aaa34af6e35b0ef88bf6174504cbc6d4f3fdb7961e387386aeeb820dc93",
+    "ca32a0ee588a7278d32b594383254b7e490f9f836767c4c5874ec3a532832073",
+    "b8d76d5d8f05284a8b991eea169ab7f478b9347445a073dfb2e179ef73659950",
 );
 pub const DIRECT_STORE: Digests = (
-    "5c47fc32898d34cfa8a895cf4e53b2ded87f607c75ff95e5dd21fd526f49c80a",
-    "37e187580b24b94978fa332e26fda5aaea150049fc856efa1a7a356359c9724b",
+    "eda039800399c03f3f660e5cd0e86c857b7e0a892bc28144b41f3c71ad181962",
+    "b26865668c2df3e451e0e2eeb999da28ddeb8907ff30f9bb5f001c94080b9358",
 );
 
 /// Every scenario with its recorded digests.

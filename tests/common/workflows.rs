@@ -196,9 +196,9 @@ graph 4424 47124f219b3444d8d6e47a85393ec7b4fd7aa7a12a668fddf8df142e19b8bfed\n\
 RunMetrics { completion: SimDuration(266587992), prov_bytes: 540760, prov_files: 4, tracked_events: 488 }\n\
 ";
 pub const LOOP_EVERY_PLANE: &str = "\
-directory 10 cd8079bf38468946efd7e808ce6a6f4a53db067c10f379051e202b78d549f085\n\
+directory 10 3210fc29634b392d62a81e371a85fb2c2eb47e15ea219a134b2cdcb494c65254\n\
 graph 4424 47124f219b3444d8d6e47a85393ec7b4fd7aa7a12a668fddf8df142e19b8bfed\n\
-RunMetrics { completion: SimDuration(266587992), prov_bytes: 1089872, prov_files: 10, tracked_events: 488 }\n\
+RunMetrics { completion: SimDuration(266587992), prov_bytes: 1089680, prov_files: 10, tracked_events: 488 }\n\
 ";
 
 /// Every run with its recorded fingerprint.

@@ -64,17 +64,20 @@ fn reads(fs: &Arc<FileSystem>, work: impl FnOnce()) -> u64 {
 #[test]
 fn keyed_recovery_reads_each_file_once() {
     // Ten files: four snapshots, their four single-member parity files,
-    // the manifest and the ledger. Scrub reads every parity file and every
-    // member (8) and hands merge the frames it decoded, so merge reads
-    // nothing (0); verify reads the ledger and the manifest (2) and judges
-    // the eight files they list from the roots scrub left. With nothing
-    // tampered, the quarantine sweep has nothing to ask scrub about (0).
+    // the manifest and the ledger. Scrub reads every member once (4) and
+    // every parity file in three reads — its head, its footer line and its
+    // block, a window on the snapshot's own buffer — so that no byte of the
+    // block is copied (12); it hands merge the frames it decoded, so merge
+    // reads nothing (0); verify reads the ledger and the manifest (2) and
+    // judges the eight files they list from the roots scrub left. With
+    // nothing tampered, the quarantine sweep has nothing to ask scrub
+    // about (0).
     let fs = capture(false);
     assert_eq!(fs.walk_files(DIR).expect("store directory").len(), 10);
     let clean = reads(&fs, || {
         assert!(keyed(&fs).report().is_trusted());
     });
-    assert_eq!(clean, 10, "clean keyed recover_all");
+    assert_eq!(clean, 18, "clean keyed recover_all");
     // On its own, verify has no roots to go on: the ledger, the manifest
     // and the eight files they list.
     let alone = reads(&fs, || {
@@ -91,11 +94,11 @@ fn keyed_recovery_reads_each_file_once() {
     let scrub_only = reads(&fs, || {
         assert_eq!(scrub_directory(&fs, DIR).repaired_files, vec![snapshot(0)]);
     });
-    assert_eq!(scrub_only, 8, "scrub with one rotted member");
+    assert_eq!(scrub_only, 16, "scrub with one rotted member");
 
     rot(&fs, &snapshot(0), 11);
     let repairing = reads(&fs, || {
         assert!(keyed(&fs).report().is_trusted());
     });
-    assert_eq!(repairing, 10, "recover_all with one rotted member");
+    assert_eq!(repairing, 18, "recover_all with one rotted member");
 }
