@@ -273,8 +273,6 @@ struct Cut<'a> {
     body_at: usize,
     /// `body` is a raw batch's bytes: not text, not lines.
     raw: bool,
-    /// Everything after the marker line, `body` first.
-    rest: &'a [u8],
 }
 
 impl Cut<'_> {
@@ -358,13 +356,7 @@ fn cuts<'a>(text: &'a [u8], apart: Option<&'a [u8]>) -> impl Iterator<Item = Cut
             }
             &text[body_at..pos]
         };
-        Some(Cut {
-            marker,
-            body,
-            body_at,
-            raw,
-            rest: &text[body_at..],
-        })
+        Some(Cut { marker, body, body_at, raw })
     })
 }
 
@@ -489,8 +481,7 @@ impl Encoder {
 
     /// Write the footer line to `out`; returns the frame's root.
     fn footer(&self, out: &mut Vec<u8>) -> [u8; 32] {
-        let root = merkle_root(&self.leaves);
-        let (batches, chain) = (self.batches, self.chain);
+        let (batches, chain, root) = (self.batches, self.chain, merkle_root(&self.leaves));
         let _ = writeln!(out, "{FOOTER_SIGIL} batches={batches} chain={chain:08x} root={}", sha2::hex(&root));
         root
     }
@@ -592,10 +583,10 @@ pub(crate) fn decode_bytes(bytes: &[u8]) -> Result<FramedFile, FrameError> {
 }
 
 /// [`decode_bytes`] of a parity file whose raw batch, where
-/// [`raw_batch_span`] places it, was read apart as `raw`: `text` holds
-/// everything around it.
-pub(crate) fn decode_apart(text: &[u8], raw: &[u8]) -> Option<FramedFile> {
-    decode_frame(text, Some(raw), true).ok().map(|(file, _)| file)
+/// [`raw_batch_span`] places it, may have been read apart as `raw`: `text`
+/// then holds everything around it.
+pub(crate) fn decode_apart(text: &[u8], raw: Option<&[u8]>) -> Option<FramedFile> {
+    decode_frame(text, raw, true).ok().map(|(file, _)| file)
 }
 
 /// Decode the frame `text` opens with, through its footer line, and return
@@ -664,7 +655,8 @@ fn decode_frame<'a>(
         let Some((declared, footer_chain, declared_root)) = parse_footer(marker) else {
             return Err(FrameError::Quarantine("malformed footer"));
         };
-        if alone && !std::str::from_utf8(cut.rest).is_ok_and(|rest| rest.trim().is_empty()) {
+        let rest = &text[cut.body_at..];
+        if alone && !std::str::from_utf8(rest).is_ok_and(|rest| rest.trim().is_empty()) {
             return Err(FrameError::Quarantine("data after footer"));
         }
         if footer_chain != chain {
@@ -687,7 +679,7 @@ fn decode_frame<'a>(
             declared_root,
             computed_root: merkle_root(&leaves),
         };
-        return Ok((file, cut.rest));
+        return Ok((file, rest));
     }
     Err(FrameError::Quarantine("missing footer"))
 }
@@ -1229,7 +1221,7 @@ pub(crate) mod tests {
         let span = raw_batch_span(&file, &file, 0).unwrap();
         assert_eq!(&file[span.clone()], data);
         let around = [&file[..span.start], &file[span.end..]].concat();
-        assert_eq!(decode_apart(&around, &file[span]), decode_bytes(&file).ok());
+        assert_eq!(decode_apart(&around, Some(&file[span])), decode_bytes(&file).ok());
         // Outside a parity frame a `#~R` line is payload, not a marker.
         let header = header_line(FrameKind::Snapshot, guid, 0, CHAIN_START);
         let body = "#~R bytes=2 crc=00000000\n";
@@ -1391,7 +1383,7 @@ pub(crate) mod tests {
                 let (head, tail_at) = (reads.0 % (data.len() + 1), data.len() - reads.1 % (data.len() + 1));
                 if let Some(span) = raw_batch_span(&data[..head], &data[tail_at..], tail_at) {
                     let around = [&data[..span.start], &data[span.end..]].concat();
-                    prop_assert_eq!(decode_apart(&around, &data[span]), decode_bytes(&data).ok());
+                    prop_assert_eq!(decode_apart(&around, Some(&data[span])), decode_bytes(&data).ok());
                 }
                 let text = String::from_utf8_lossy(&data);
                 if let Ok(f) = decode(&text) {

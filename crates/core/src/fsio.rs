@@ -29,13 +29,10 @@ pub(crate) fn commit_atomic<B: Into<Bytes>>(
     let tmp = names::tmp_of(dst);
     let ino = fs.create_file(&tmp, false, "provio", now)?;
     fs.truncate_ino(ino, 0, now)?;
-    let mut at = 0;
-    for part in parts {
-        let part = part.into();
-        let len = part.len() as u64;
-        fs.write_at(ino, at, part, now)?;
-        at += len;
-    }
+    parts.into_iter().map(Into::into).try_fold(0, |at, part: Bytes| {
+        let end = at + part.len() as u64;
+        fs.write_at(ino, at, part, now).map(|()| end)
+    })?;
     fs.rename(&tmp, dst, now)
 }
 

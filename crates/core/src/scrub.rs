@@ -193,19 +193,13 @@ fn read_parity(fs: &FileSystem, path: &str) -> Option<(Bytes, Option<Bytes>)> {
 /// its own name or `quarantined` — into an actionable group. `None` means
 /// the member records are unreadable.
 fn parse_parity((text, batch): (Bytes, Option<Bytes>), live: &str, quarantined: bool) -> Option<ParsedParity> {
-    let framed = match &batch {
-        Some(batch) => frame::decode_apart(&text, batch)?,
-        None => frame::decode_bytes(&text).ok()?,
-    };
+    let framed = frame::decode_apart(&text, batch.as_deref())?;
     if framed.kind != FrameKind::Parity || !framed.belongs_to(live) {
         return None;
     }
     let (members, member_lines) = parse_members(&framed.payload);
-    let data = framed.raw.clone().map(|at| match &batch {
-        Some(batch) => batch.slice(..at.len()),
-        None => text.slice(at),
-    });
-    let len = (text.len() + batch.map_or(0, |b| b.len())) as u64;
+    let len = (text.len() + batch.as_ref().map_or(0, Bytes::len)) as u64;
+    let data = framed.raw.clone().map(|at| batch.unwrap_or_else(|| text.slice(at)));
     let intact = !quarantined && framed.intact() && data.is_some();
     // The member batch is the one part parity cannot outlive: with the
     // records gone there is nothing to verify members against.
