@@ -18,8 +18,8 @@ use provio_simrt::SimTime;
 /// leaves a tmp the merge, scrub and verify all know to ignore or adopt.
 /// Always the same calls — create, truncate, one write per part, rename —
 /// so fault plans and crash-state enumeration count the same operations
-/// for every artifact of a kind: one part for a snapshot, segment, journal
-/// generation or manifest, three for a parity file (head, block, footer).
+/// for every artifact of a kind: three parts for a parity file (head,
+/// block, footer), one for every other file.
 pub(crate) fn commit_atomic<B: Into<Bytes>>(
     fs: &FileSystem,
     dst: &str,

@@ -496,7 +496,6 @@ fn push_unique(list: &mut Vec<String>, path: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fsio::read_file;
     use crate::artifact::{encode_parity_frame, member_line, parse_member_line, MemberCheck, ParityMember};
     use proptest::prelude::*;
     use provio_hpcfs::LustreConfig;
