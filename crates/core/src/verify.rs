@@ -899,6 +899,7 @@ mod tests {
         let cache: RootCache = st.committed_roots().into_iter().map(|(p, n, r)| (p, (n, r))).collect();
         let parity = st.parity_files();
         assert_eq!(parity.len(), 2, "two groups of two commits sealed");
+        assert!(parity.iter().any(|p| std::str::from_utf8(&get(&fs, p)).is_err()), "a block that is not UTF-8");
         seal_run_with_roots(&fs, "/provio", KEY, &[], &cache).unwrap();
         let cached = get(&fs, "/provio/MANIFEST.provio");
         seal_run(&fs, "/provio", KEY, &[]).unwrap();
